@@ -29,7 +29,7 @@ use crate::sync_cell::SyncCell;
 use crate::AccessError;
 use cor_obs::heat::{self, PAGE_CLASS_INTERNAL, PAGE_CLASS_LEAF};
 use cor_obs::{Phase, PhaseGuard};
-use cor_pagestore::{BufferPool, PageId, NO_PAGE, PAGE_SIZE};
+use cor_pagestore::{BufferError, BufferPool, PageId, NO_PAGE, PAGE_SIZE};
 use std::sync::Arc;
 
 /// A materialized `(key, value)` entry list.
@@ -1251,51 +1251,169 @@ impl BTreeFile {
         }
         let start_leaf = self.find_leaf(lo)?;
         Ok(BTreeRange {
-            pool: Arc::clone(&self.pool),
+            leaves: self.leaf_walker(start_leaf),
             key_len: self.key_len,
-            next_leaf: start_leaf,
             lo: lo.to_vec(),
             hi: hi.to_vec(),
             buffered: std::collections::VecDeque::new(),
             done: false,
-            readahead: 0,
-            ra_cur: 0,
-            ra_horizon: 0,
-            ra_end: self.ra_end.get(),
         })
     }
 
     /// Scan every entry in key order.
     pub fn scan_all(&self) -> BTreeRange {
         BTreeRange {
-            pool: Arc::clone(&self.pool),
+            leaves: self.leaf_walker(self.first_leaf.get()),
             key_len: self.key_len,
-            next_leaf: self.first_leaf.get(),
             lo: vec![0u8; self.key_len],
             hi: vec![0xFFu8; self.key_len],
             buffered: std::collections::VecDeque::new(),
             done: false,
+        }
+    }
+
+    /// A walk of the leaf chain starting at `leaf`, readahead off.
+    fn leaf_walker(&self, leaf: PageId) -> LeafWalker {
+        LeafWalker {
+            pool: Arc::clone(&self.pool),
+            next_leaf: leaf,
             readahead: 0,
             ra_cur: 0,
             ra_horizon: 0,
             ra_end: self.ra_end.get(),
         }
     }
+
+    /// Merge-join a sorted stream of (possibly duplicated) `keys` against
+    /// the whole tree **in place**: one co-scan of the leaf chain that
+    /// compares keys under each leaf's page pin and hands every match to
+    /// `on_match` as `(key, value)` slices borrowed from the page — no
+    /// entry is copied out, matched or not.
+    ///
+    /// Yields exactly what `merge_join(keys, tree.scan_all()
+    /// .with_readahead(readahead))` yields, in the same order (a
+    /// duplicated key matches again each time), and touches exactly the
+    /// same pages: nothing is read for an empty key stream, the next leaf
+    /// is pinned only once a key beyond the current leaf's last entry
+    /// asks for it, and the scan stops with the key stream. The stream is
+    /// pulled while a leaf is pinned, so a stream that does its own page
+    /// I/O (a spilled sort) needs one pool frame besides the leaf's.
+    ///
+    /// An `Err` from `on_match` stops the scan and is returned.
+    pub fn merge_scan<K, E>(
+        &self,
+        keys: impl IntoIterator<Item = K>,
+        readahead: usize,
+        mut on_match: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        K: AsRef<[u8]>,
+        E: From<AccessError>,
+    {
+        let mut keys = keys.into_iter();
+        let Some(mut key) = keys.next() else {
+            return Ok(());
+        };
+        let key_len = self.key_len;
+        let mut leaves = self.leaf_walker(self.first_leaf.get());
+        leaves.set_readahead(readahead);
+        loop {
+            // `Ok(true)`: the key stream ended on this leaf.
+            let visit = leaves.visit(|d| -> Result<bool, E> {
+                let n = node::count(d);
+                let mut i = 0;
+                loop {
+                    while i < n && node::entry_key(d, i, key_len) < key.as_ref() {
+                        i += 1;
+                    }
+                    if i == n {
+                        return Ok(false);
+                    }
+                    let entry_key = node::entry_key(d, i, key_len);
+                    if entry_key == key.as_ref() {
+                        on_match(entry_key, node::entry_val(d, i, key_len))?;
+                    }
+                    match keys.next() {
+                        Some(k) => key = k,
+                        None => return Ok(true),
+                    }
+                }
+            });
+            let Some(keys_done) = visit.map_err(AccessError::from)? else {
+                return Ok(()); // leaf chain exhausted
+            };
+            if keys_done? {
+                return Ok(());
+            }
+        }
+    }
 }
 
-/// Streaming, leaf-at-a-time range scan (see [`BTreeFile::range`]).
-pub struct BTreeRange {
+/// A forward walk of a leaf chain, one pinned visit per leaf, with the
+/// optional sequential-readahead window running ahead of it. Every leaf
+/// scan — the buffering [`BTreeRange`] and the in-place
+/// [`BTreeFile::merge_scan`] — reads its leaves through this walker, so
+/// phase tag, heat touch and prefetch behaviour are one piece of code.
+struct LeafWalker {
     pool: Arc<BufferPool>,
-    key_len: usize,
     next_leaf: PageId,
-    lo: Vec<u8>,
-    hi: Vec<u8>,
-    buffered: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
-    done: bool,
     readahead: usize,
     ra_cur: usize,
     ra_horizon: PageId,
     ra_end: PageId,
+}
+
+impl LeafWalker {
+    /// See [`BTreeRange::with_readahead`].
+    fn set_readahead(&mut self, window: usize) {
+        self.readahead = window;
+        self.ra_cur = if self.pool.queue_depth() > 1 {
+            window
+        } else {
+            window.min(4)
+        };
+    }
+
+    /// Run `f` over the next leaf's bytes under its page pin and step to
+    /// its successor; `None` once the chain is exhausted (nothing read).
+    fn visit<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>, BufferError> {
+        if self.next_leaf == NO_PAGE {
+            return Ok(None);
+        }
+        let leaf = self.next_leaf;
+        if self.readahead > 0
+            && leaf >= self.ra_horizon
+            && self.ra_end != NO_PAGE
+            && leaf <= self.ra_end
+        {
+            let stop = leaf
+                .saturating_add(self.ra_cur as PageId)
+                .min(self.ra_end.saturating_add(1));
+            let window: Vec<PageId> = (leaf..stop).collect();
+            // Best-effort hint: failures never affect the scan itself.
+            let _ = self.pool.prefetch(&window);
+            self.ra_horizon = stop;
+            self.ra_cur = (self.ra_cur * 2).min(self.readahead);
+        }
+        let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
+        heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
+        let (out, next) = self.pool.read(leaf, |p| {
+            let d = p.bytes();
+            (f(d), node::next(d))
+        })?;
+        self.next_leaf = next;
+        Ok(Some(out))
+    }
+}
+
+/// Streaming, leaf-at-a-time range scan (see [`BTreeFile::range`]).
+pub struct BTreeRange {
+    leaves: LeafWalker,
+    key_len: usize,
+    lo: Vec<u8>,
+    hi: Vec<u8>,
+    buffered: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
+    done: bool,
 }
 
 impl BTreeRange {
@@ -1317,12 +1435,7 @@ impl BTreeRange {
     /// speculative pages overlap with the scan instead of blocking it,
     /// so eagerness costs latency nothing and keeps the queue fed.
     pub fn with_readahead(mut self, window: usize) -> Self {
-        self.readahead = window;
-        self.ra_cur = if self.pool.queue_depth() > 1 {
-            window
-        } else {
-            window.min(4)
-        };
+        self.leaves.set_readahead(window);
         self
     }
 }
@@ -1335,47 +1448,29 @@ impl Iterator for BTreeRange {
             if let Some(item) = self.buffered.pop_front() {
                 return Some(item);
             }
-            if self.done || self.next_leaf == NO_PAGE {
+            if self.done {
                 return None;
             }
-            let leaf = self.next_leaf;
-            if self.readahead > 0
-                && leaf >= self.ra_horizon
-                && self.ra_end != NO_PAGE
-                && leaf <= self.ra_end
-            {
-                let stop = leaf
-                    .saturating_add(self.ra_cur as PageId)
-                    .min(self.ra_end.saturating_add(1));
-                let window: Vec<PageId> = (leaf..stop).collect();
-                // Best-effort hint: failures never affect the scan itself.
-                let _ = self.pool.prefetch(&window);
-                self.ra_horizon = stop;
-                self.ra_cur = (self.ra_cur * 2).min(self.readahead);
-            }
-            let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-            heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
-            let (entries, next, past_hi) = self
-                .pool
-                .read(leaf, |p| {
-                    let d = p.bytes();
+            let (key_len, lo, hi) = (self.key_len, &self.lo, &self.hi);
+            let (entries, past_hi) = self
+                .leaves
+                .visit(|d| {
                     let mut out = Vec::new();
                     let mut past = false;
                     for i in 0..node::count(d) {
-                        let k = node::entry_key(d, i, self.key_len);
-                        if k < self.lo.as_slice() {
+                        let k = node::entry_key(d, i, key_len);
+                        if k < lo.as_slice() {
                             continue;
                         }
-                        if k > self.hi.as_slice() {
+                        if k > hi.as_slice() {
                             past = true;
                             break;
                         }
-                        out.push((k.to_vec(), node::entry_val(d, i, self.key_len).to_vec()));
+                        out.push((k.to_vec(), node::entry_val(d, i, key_len).to_vec()));
                     }
-                    (out, node::next(d), past)
+                    (out, past)
                 })
-                .expect("leaf chain page must be readable");
-            self.next_leaf = next;
+                .expect("leaf chain page must be readable")?;
             self.done = past_hi;
             self.buffered.extend(entries);
         }

@@ -4,9 +4,18 @@
 //! `temp` relation of Sec. 3.1) and the sorted runs of the external sorter.
 //! Appends fill the tail page and extend the chain when it overflows; scans
 //! walk the chain in page order.
+//!
+//! A file comes in one of two page classes. [`HeapFile::create`] makes a
+//! persistent relation: every mutation is write-ahead logged and the pages
+//! live until someone frees them. [`HeapFile::temp`] makes a query
+//! temporary: its pages are still materialized through the pool — the
+//! page writes the paper charges BFS for "forming the temporary relation"
+//! are counted exactly as before — but they are never logged (a temporary
+//! does not outlive its query, so recovery has nothing to restore) and
+//! they go back on the pool's free list when the file is dropped.
 
-use cor_pagestore::{BufferError, BufferPool, PageId, SlotId, NO_PAGE};
-use std::sync::Arc;
+use cor_pagestore::{BufferError, BufferPool, PageId, PageMut, SlotId, NO_PAGE};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Physical address of a record: page + slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,10 +47,12 @@ pub struct HeapMeta {
 /// use std::sync::Arc;
 ///
 /// let pool = Arc::new(BufferPool::builder().capacity(8).build());
-/// let temp = HeapFile::create(pool).unwrap();
+/// let temp = HeapFile::temp(Arc::clone(&pool)).unwrap();
 /// temp.append(b"oid-1").unwrap();
 /// temp.append(b"oid-2").unwrap();
 /// assert_eq!(temp.scan().count(), 2);
+/// drop(temp);
+/// assert_eq!(pool.free_pages(), 1); // its page is reusable again
 /// ```
 pub struct HeapFile {
     pool: Arc<BufferPool>,
@@ -49,20 +60,66 @@ pub struct HeapFile {
     last: crate::sync_cell::SyncCell<PageId>,
     len: crate::sync_cell::SyncCell<u64>,
     pages: crate::sync_cell::SyncCell<u32>,
+    /// `Some` for a query temporary: every page id of the chain, kept in
+    /// memory so `Drop` can free the pages without reading the chain back
+    /// (by then a scan may have evicted it, and a walk would cost reads).
+    /// Shared so a [`HeapScan`] can tell whether its file is still alive.
+    temp_pages: Option<Arc<Mutex<Vec<PageId>>>>,
 }
 
 impl HeapFile {
-    /// Create an empty heap file (allocates its first page).
+    /// Create an empty persistent heap file (allocates its first page).
+    /// Every mutation is write-ahead logged when the pool has a WAL.
     pub fn create(pool: Arc<BufferPool>) -> Result<Self, BufferError> {
-        let first = pool.allocate_page()?;
-        pool.write(first, |mut p| p.init())?;
-        Ok(HeapFile {
+        Self::with_class(pool, None)
+    }
+
+    /// Create an empty query temporary: an unlogged heap file whose pages
+    /// return to the pool's free list when it is dropped. Page reads and
+    /// writes are counted exactly as for [`Self::create`].
+    pub fn temp(pool: Arc<BufferPool>) -> Result<Self, BufferError> {
+        Self::with_class(pool, Some(Arc::default()))
+    }
+
+    fn with_class(
+        pool: Arc<BufferPool>,
+        temp_pages: Option<Arc<Mutex<Vec<PageId>>>>,
+    ) -> Result<Self, BufferError> {
+        let mut file = HeapFile {
             pool,
-            first,
-            last: crate::sync_cell::SyncCell::new(first),
+            first: NO_PAGE,
+            last: crate::sync_cell::SyncCell::new(NO_PAGE),
             len: crate::sync_cell::SyncCell::new(0),
             pages: crate::sync_cell::SyncCell::new(1),
-        })
+            temp_pages,
+        };
+        file.first = file.allocate()?;
+        file.last.set(file.first);
+        Ok(file)
+    }
+
+    /// Allocate and initialize one page of this file's class.
+    fn allocate(&self) -> Result<PageId, BufferError> {
+        let pid = match &self.temp_pages {
+            None => self.pool.allocate_page()?,
+            Some(ids) => {
+                let pid = self.pool.allocate_temp_page()?;
+                ids.lock().expect("temp page list lock").push(pid);
+                pid
+            }
+        };
+        self.write(pid, |mut p| p.init())?;
+        Ok(pid)
+    }
+
+    /// Mutate one of this file's pages: logged for a persistent file,
+    /// unlogged for a temporary.
+    fn write<R>(&self, pid: PageId, f: impl FnOnce(PageMut<'_>) -> R) -> Result<R, BufferError> {
+        if self.temp_pages.is_some() {
+            self.pool.write_temp(pid, f)
+        } else {
+            self.pool.write(pid, f)
+        }
     }
 
     /// The buffer pool this file lives in.
@@ -88,6 +145,7 @@ impl HeapFile {
             last: crate::sync_cell::SyncCell::new(meta.last),
             len: crate::sync_cell::SyncCell::new(meta.len),
             pages: crate::sync_cell::SyncCell::new(meta.pages),
+            temp_pages: None,
         }
     }
 
@@ -109,19 +167,17 @@ impl HeapFile {
     /// Append a record, returning its address.
     pub fn append(&self, record: &[u8]) -> Result<RecordId, BufferError> {
         let tail = self.last.get();
-        let slot = self.pool.write(tail, |mut p| p.insert(record))?;
+        let slot = self.write(tail, |mut p| p.insert(record))?;
         if let Ok(slot) = slot {
             self.len.set(self.len.get() + 1);
             return Ok(RecordId { page: tail, slot });
         }
         // Tail page full: extend the chain.
-        let fresh = self.pool.allocate_page()?;
-        self.pool.write(fresh, |mut p| p.init())?;
-        self.pool.write(tail, |mut p| p.set_next(fresh))?;
+        let fresh = self.allocate()?;
+        self.write(tail, |mut p| p.set_next(fresh))?;
         self.last.set(fresh);
         self.pages.set(self.pages.get() + 1);
         let slot = self
-            .pool
             .write(fresh, |mut p| p.insert(record))?
             .expect("fresh page must accept any record that fits a page");
         self.len.set(self.len.get() + 1);
@@ -136,15 +192,12 @@ impl HeapFile {
 
     /// Overwrite the record at `rid` in place (must fit in its page).
     pub fn update(&self, rid: RecordId, record: &[u8]) -> Result<bool, BufferError> {
-        self.pool
-            .write(rid.page, |mut p| p.update(rid.slot, record).is_ok())
+        self.write(rid.page, |mut p| p.update(rid.slot, record).is_ok())
     }
 
     /// Delete the record at `rid`. Returns whether a record was removed.
     pub fn delete(&self, rid: RecordId) -> Result<bool, BufferError> {
-        let removed = self
-            .pool
-            .write(rid.page, |mut p| p.delete(rid.slot).is_ok())?;
+        let removed = self.write(rid.page, |mut p| p.delete(rid.slot).is_ok())?;
         if removed {
             self.len.set(self.len.get() - 1);
         }
@@ -166,11 +219,31 @@ impl HeapFile {
     /// Stream all records in chain order. Each step buffers one page's
     /// records, so the scan costs one page read per chained page (when the
     /// page is not already resident).
+    ///
+    /// The scan holds page ids, not a borrow of the file. Finish it before
+    /// dropping a [`Self::temp`] file: the drop frees the pages, and a
+    /// page id that has been recycled reads as someone else's data (debug
+    /// builds assert against it).
     pub fn scan(&self) -> HeapScan {
         HeapScan {
             pool: Arc::clone(&self.pool),
             next_page: self.first,
             buffered: std::collections::VecDeque::new(),
+            temp: self.temp_pages.as_ref().map(Arc::downgrade),
+        }
+    }
+}
+
+impl Drop for HeapFile {
+    /// A temporary hands its pages back to the pool, from the in-memory
+    /// list — no page is read. A page that cannot be freed (still pinned
+    /// by a scan on another thread) stays allocated: a bounded leak,
+    /// never an error out of `drop`.
+    fn drop(&mut self) {
+        if let Some(ids) = self.temp_pages.take() {
+            for pid in ids.lock().unwrap_or_else(|e| e.into_inner()).drain(..) {
+                let _ = self.pool.free_page(pid);
+            }
         }
     }
 }
@@ -180,6 +253,8 @@ pub struct HeapScan {
     pool: Arc<BufferPool>,
     next_page: PageId,
     buffered: std::collections::VecDeque<(RecordId, Vec<u8>)>,
+    /// The page list of the temporary being scanned, to notice its drop.
+    temp: Option<Weak<Mutex<Vec<PageId>>>>,
 }
 
 impl Iterator for HeapScan {
@@ -194,6 +269,10 @@ impl Iterator for HeapScan {
                 return None;
             }
             let page = self.next_page;
+            debug_assert!(
+                self.temp.as_ref().is_none_or(|t| t.strong_count() > 0),
+                "scan outlived its temporary: page {page} has been freed"
+            );
             let (records, next) = self
                 .pool
                 .read(page, |p| {
@@ -218,6 +297,17 @@ mod tests {
 
     fn pool(frames: usize) -> Arc<BufferPool> {
         Arc::new(BufferPool::builder().capacity(frames).build())
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "scan outlived its temporary")]
+    fn scanning_a_dropped_temporary_is_caught() {
+        let temp = HeapFile::temp(pool(8)).unwrap();
+        temp.append(b"oid").unwrap();
+        let mut scan = temp.scan();
+        drop(temp);
+        scan.next();
     }
 
     #[test]

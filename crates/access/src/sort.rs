@@ -6,10 +6,12 @@
 //! (OIDs and cluster numbers encode big-endian), so records are ordered by
 //! plain byte-wise comparison.
 //!
-//! Run generation respects a work-memory budget; runs spill to heap files
-//! whose page I/O is accounted by the shared buffer pool, so the cost of
-//! "forming a temporary" that the paper observes at low NumTop shows up
-//! naturally. An input that fits in work memory sorts without any I/O.
+//! Run generation respects a work-memory budget; runs spill to temporary
+//! heap files ([`HeapFile::temp`]: unlogged, forced to the store when
+//! complete, freed when the [`SortedStream`] is dropped) whose page I/O is
+//! accounted by the shared buffer pool, so the cost of "forming a
+//! temporary" that the paper observes at low NumTop shows up naturally.
+//! An input that fits in work memory sorts without any I/O.
 
 use crate::heap::{HeapFile, HeapScan};
 use crate::AccessError;
@@ -57,10 +59,16 @@ pub fn external_sort(
         if dedup {
             current.dedup();
         }
-        let run = HeapFile::create(Arc::clone(pool))?;
+        let run = HeapFile::temp(Arc::clone(pool))?;
         for rec in current.iter() {
             run.append(rec)?;
         }
+        // A spilled run has left work memory for the store: its pages are
+        // forced, like the BFS temporary's, so the write half of "one
+        // write plus one read per spilled page" is charged to this sort.
+        // Left to eviction it would land on whichever query needed the
+        // frames next, or — the run being freed with the stream — nowhere.
+        run.flush()?;
         runs.push(run);
         current.clear();
         Ok(())
@@ -128,7 +136,8 @@ impl Iterator for SortedStream {
 
 /// K-way merge over sorted spill runs.
 pub struct MergeRuns {
-    /// Keeps the run files alive for the duration of the merge.
+    /// Owns the spill runs: dropping the stream drops them, which frees
+    /// their pages.
     _runs: Vec<HeapFile>,
     scans: Vec<HeapScan>,
     heap: BinaryHeap<Reverse<(Vec<u8>, usize)>>,

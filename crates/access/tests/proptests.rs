@@ -1,8 +1,9 @@
 //! Property tests for the access methods: B-tree and hash file against
-//! std collection models, external sort against `sort()`, record codec
+//! std collection models, external sort against `sort()`, the in-place
+//! merge co-scan against the iterator merge join, record codec
 //! round-trips.
 
-use cor_access::{decode, encode, external_sort, BTreeFile, HashFile};
+use cor_access::{decode, encode, external_sort, merge_join, BTreeFile, HashFile};
 use cor_pagestore::BufferPool;
 use cor_relational::{Oid, Schema, Tuple, Value, ValueType};
 use proptest::prelude::*;
@@ -131,6 +132,68 @@ proptest! {
             prop_assert_eq!(h.get(&key8(*k)).unwrap(), Some(v.clone()));
         }
         prop_assert_eq!(h.len(), model.len() as u64);
+    }
+
+    /// The in-place co-scan is the iterator merge join: same `(key, rec)`
+    /// sequence, same page transfers and same prefetch traffic — on
+    /// bulk-loaded chains (where readahead runs) and on chains reshaped by
+    /// splits and merges, for key lists with duplicates, misses and keys
+    /// past the last entry, handed over in memory or as a spilled sort
+    /// whose runs are read back through the same two-to-six-frame pool
+    /// while a leaf is pinned (one frame would not do: the co-scan holds
+    /// the leaf while it pulls a key).
+    #[test]
+    fn merge_scan_equals_merge_join_over_scan_all(
+        present in proptest::collection::btree_set(0u64..400, 0..300),
+        churn in proptest::collection::vec((0u64..400, 0usize..120, any::<bool>()), 0..200),
+        bulk in any::<bool>(),
+        probes in proptest::collection::vec(0u64..440, 0..1200),
+        readahead in prop_oneof![Just(0usize), Just(4usize), Just(32usize)],
+        // Sort memory for the probe keys: one-page runs, multi-page runs
+        // (read back a page at a time during the co-scan), or no spill.
+        work_mem in prop_oneof![Just(600usize), Just(10_000usize), Just(usize::MAX)],
+        frames in 2usize..7,
+    ) {
+        let p = pool(frames);
+        let rec = |k: u64, len: usize| vec![k as u8; len];
+        let tree = if bulk {
+            let entries = present.iter().map(|&k| (key8(k), rec(k, 40 + (k % 90) as usize)));
+            BTreeFile::bulk_load(Arc::clone(&p), 8, entries, 0.9).unwrap()
+        } else {
+            let tree = BTreeFile::create(Arc::clone(&p), 8).unwrap();
+            for &k in &present {
+                tree.insert(&key8(k), &rec(k, 100)).unwrap();
+            }
+            for &(k, len, delete) in &churn {
+                if delete {
+                    tree.delete(&key8(k)).unwrap();
+                } else {
+                    tree.insert(&key8(k), &rec(k, len)).unwrap();
+                }
+            }
+            tree
+        };
+        let keys: Vec<Vec<u8>> = probes.iter().map(|&k| key8(k)).collect();
+        let sorted = || external_sort(&p, keys.iter().cloned(), work_mem, false).unwrap();
+
+        p.flush_and_clear().unwrap();
+        let (io0, batch0) = (p.stats().snapshot(), p.stats().batch_snapshot());
+        let want: Vec<(Vec<u8>, Vec<u8>)> =
+            merge_join(sorted(), tree.scan_all().with_readahead(readahead)).collect();
+        let want_io = p.stats().snapshot().since(&io0);
+        let want_batch = p.stats().batch_snapshot().since(&batch0);
+
+        p.flush_and_clear().unwrap();
+        let (io0, batch0) = (p.stats().snapshot(), p.stats().batch_snapshot());
+        let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        tree.merge_scan(sorted(), readahead, |k, v| {
+            got.push((k.to_vec(), v.to_vec()));
+            Ok::<(), cor_access::AccessError>(())
+        })
+        .unwrap();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(p.stats().snapshot().since(&io0), want_io);
+        prop_assert_eq!(p.stats().batch_snapshot().since(&batch0), want_batch);
     }
 
     /// External sort equals std sort for any records and any work-memory

@@ -13,14 +13,16 @@
 //! cargo run -p cor-bench --release --bin crashtest [--points N]
 //!     [--seed S]    workload + sampling seed (default 42)
 //!     [--points N]  injected crash points (default 100)
-//!     [--smoke]     fixed seed, 6 crash points — the CI gate
+//!     [--smoke]     fixed seed, 6 crash points (7 with --logical) — the CI gate
 //!     [--logical]   logical verification through the lifecycle API:
 //!                   crash points rotate over all four strategy backends
-//!                   (standard, clustered, levels, procedural), each
-//!                   crash is recovered by `EngineBuilder::open_on`, and
-//!                   the reopened engine's *query answers* and
-//!                   IoStats-visible structure are checked against a
-//!                   fail-stop oracle's — not just page bytes
+//!                   (standard, clustered, levels, procedural) plus a
+//!                   BFS leg that crashes while a query temporary is
+//!                   live; each crash is recovered by
+//!                   `EngineBuilder::open_on`, and the reopened engine's
+//!                   *query answers* and IoStats-visible structure are
+//!                   checked against a fail-stop oracle's — not just
+//!                   page bytes
 //! ```
 //!
 //! A report lands in `results/crashtest/report.{txt,json}` (logical mode:
@@ -209,6 +211,45 @@ fn attach_flight(point: u64, failures: &mut Vec<String>) -> Vec<FlightEvent> {
     tail
 }
 
+/// Byte-compare the recovered store against the oracle's. Pages on the
+/// oracle's free list at the crash instant hold garbage by definition —
+/// among them every page of a query temporary that was live when the
+/// disk died, which the aborted query freed as it unwound — and every
+/// other page must match exactly. Returns how many pages matched.
+fn compare_live_pages(
+    disk: &MemDisk,
+    oracle_disk: &MemDisk,
+    freed: &[PageId],
+    failures: &mut Vec<String>,
+) -> u32 {
+    if disk.num_pages() != oracle_disk.num_pages() {
+        failures.push(format!(
+            "page count: recovered {} vs oracle {}",
+            disk.num_pages(),
+            oracle_disk.num_pages()
+        ));
+    }
+    let mut compared = 0;
+    let mut a = [0u8; PAGE_SIZE];
+    let mut b = [0u8; PAGE_SIZE];
+    for pid in 0..disk.num_pages().min(oracle_disk.num_pages()) {
+        if freed.contains(&pid) {
+            continue;
+        }
+        disk.read_page(pid, &mut a)
+            .expect("recovered page readable");
+        oracle_disk
+            .read_page(pid, &mut b)
+            .expect("oracle page readable");
+        if a != b {
+            failures.push(format!("page {pid} differs from oracle"));
+        } else {
+            compared += 1;
+        }
+    }
+    compared
+}
+
 fn run_point(
     generated: &GeneratedDb,
     p: &Params,
@@ -262,32 +303,7 @@ fn run_point(
 
     let mut pages_compared = 0;
     if failures.is_empty() {
-        if disk.num_pages() != oracle_disk.num_pages() {
-            failures.push(format!(
-                "page count: recovered {} vs oracle {}",
-                disk.num_pages(),
-                oracle_disk.num_pages()
-            ));
-        }
-        let mut a = [0u8; PAGE_SIZE];
-        let mut b = [0u8; PAGE_SIZE];
-        for pid in 0..disk.num_pages().min(oracle_disk.num_pages()) {
-            // Pages on the free list at the crash instant hold garbage by
-            // definition; every live page must match the oracle exactly.
-            if freed.contains(&pid) {
-                continue;
-            }
-            disk.read_page(pid, &mut a)
-                .expect("recovered page readable");
-            oracle_disk
-                .read_page(pid, &mut b)
-                .expect("oracle page readable");
-            if a != b {
-                failures.push(format!("page {pid} differs from oracle"));
-            } else {
-                pages_compared += 1;
-            }
-        }
+        pages_compared = compare_live_pages(disk, &oracle_disk, &freed, &mut failures);
 
         // Redo idempotence: a second recovery pass must be a no-op.
         let before: Vec<[u8; PAGE_SIZE]> = (0..disk.num_pages())
@@ -299,6 +315,7 @@ fn run_point(
             .collect();
         match recover(disk, store.as_ref()) {
             Ok(_) => {
+                let mut a = [0u8; PAGE_SIZE];
                 for (pid, prev) in before.iter().enumerate() {
                     disk.read_page(pid as u32, &mut a).unwrap();
                     if &a != prev {
@@ -324,13 +341,17 @@ fn run_point(
 
 // ===================== logical verification mode =====================
 
-/// The four strategy backends the logical leg rotates over, with the
-/// strategy used to drive each one's workload.
-const BACKENDS: [(BackendKind, &str, Strategy); 4] = [
+/// The legs the logical mode rotates over: the four strategy backends
+/// with the strategy used to drive each one's workload, plus a BFS leg
+/// on the standard backend whose crash points are the writes issued
+/// inside retrieves — the temporary's forced pages and whatever its
+/// query evicts — so they land while an unlogged temporary is live.
+const BACKENDS: [(BackendKind, &str, Strategy); 5] = [
     (BackendKind::Standard, "standard", Strategy::DfsCache),
     (BackendKind::Clustered, "clustered", Strategy::DfsClust),
     (BackendKind::Levels, "levels", Strategy::Dfs),
     (BackendKind::Proc, "proc", Strategy::Dfs),
+    (BackendKind::Standard, "bfs", Strategy::Bfs),
 ];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -434,6 +455,7 @@ struct LogicalResult {
     mode: &'static str,
     queries_done: usize,
     stats: RecoveryStats,
+    pages_excluded: usize,
     probes: usize,
     failures: Vec<String>,
     flight: Vec<FlightEvent>,
@@ -458,6 +480,7 @@ fn run_logical_point(
     let oracle = build_logical_rig(&spec, p);
     oracle.faulty.arm(nth, FaultMode::FailStop);
     let oracle_done = run_workload(&oracle.engine, sequence, strategy);
+    let freed = oracle.engine.pool().free_page_ids();
     oracle
         .engine
         .pool()
@@ -498,6 +521,11 @@ fn run_logical_point(
     };
 
     let mut probes = 0;
+    if failures.is_empty() {
+        // Before the stores are reopened (which writes to both): every
+        // page the oracle does not hold free must have recovered exactly.
+        compare_live_pages(&disk, &oracle_disk, &freed, &mut failures);
+    }
     if failures.is_empty() {
         let reopen = |d: Arc<MemDisk>, s: Arc<MemLogStore>| {
             Engine::builder()
@@ -576,10 +604,35 @@ fn run_logical_point(
         mode: mode_name,
         queries_done,
         stats,
+        pages_excluded: freed.len(),
         probes,
         failures,
         flight: Vec::new(),
     }
+}
+
+/// The BFS leg's dry run: issue the operations [`run_workload`] issues (no
+/// fault is armed, so none fails) and return the ordinals — 1-based,
+/// post-build — of the disk writes that happened inside a retrieve.
+fn writes_inside_retrieves(dry: &Rig, sequence: &[Query]) -> Vec<u64> {
+    let base = dry.faulty.writes_observed();
+    let mut inside = Vec::new();
+    for (i, q) in sequence.iter().enumerate() {
+        match q {
+            Query::Retrieve(r) => {
+                let before = dry.faulty.writes_observed() - base;
+                dry.engine.retrieve(Strategy::Bfs, r).expect("dry retrieve");
+                inside.extend(before + 1..=dry.faulty.writes_observed() - base);
+            }
+            Query::Update(u) => {
+                dry.engine.update(u).expect("dry update");
+            }
+        }
+        if (i + 1) % CHECKPOINT_EVERY == 0 {
+            dry.engine.checkpoint().expect("dry checkpoint");
+        }
+    }
+    inside
 }
 
 fn run_logical(seed: u64, points: usize) -> bool {
@@ -590,37 +643,48 @@ fn run_logical(seed: u64, points: usize) -> bool {
     // retrieves and updates both sides apply identically post-recovery.
     let verify_sequence: Vec<Query> = sequence.iter().take(12).cloned().collect();
 
-    // Per-backend write budgets from a dry run each.
-    let mut budgets = [0u64; 4];
-    for (i, (kind, name, strategy)) in BACKENDS.iter().enumerate() {
-        let spec = logical_spec(*kind, &p, &generated);
-        let dry = build_logical_rig(&spec, &p);
-        let base = dry.faulty.writes_observed();
-        let done = run_workload(&dry.engine, &sequence, *strategy);
-        assert_eq!(done, sequence.len(), "{name}: dry run must complete");
-        // Budget stops at the end of the workload — the final flush is
-        // not part of it, so the oracle's fail-stop always fires while
-        // queries are still running and its flush stays fault-free.
-        budgets[i] = dry.faulty.writes_observed() - base;
-        assert!(budgets[i] > 0, "{name}: workload issues no writes");
-    }
+    // Per-leg crash points from a dry run each: the workload's writes,
+    // 1-based and post-build. They stop at the end of the workload — the
+    // final flush is not part of it, so the oracle's fail-stop always
+    // fires while queries are still running and its flush stays
+    // fault-free. The BFS leg keeps only the writes issued inside
+    // retrieves (see [`BACKENDS`]).
+    let crash_writes: Vec<Vec<u64>> = BACKENDS
+        .iter()
+        .map(|(kind, name, strategy)| {
+            let spec = logical_spec(*kind, &p, &generated);
+            let dry = build_logical_rig(&spec, &p);
+            let base = dry.faulty.writes_observed();
+            let writes: Vec<u64> = if *strategy == Strategy::Bfs {
+                writes_inside_retrieves(&dry, &sequence)
+            } else {
+                let done = run_workload(&dry.engine, &sequence, *strategy);
+                assert_eq!(done, sequence.len(), "{name}: dry run must complete");
+                (1..=dry.faulty.writes_observed() - base).collect()
+            };
+            assert!(!writes.is_empty(), "{name}: workload issues no writes");
+            writes
+        })
+        .collect();
 
     eprintln!(
-        "crashtest --logical: seed {seed}, {} queries, {points} crash points over {} backends \
-         (write budgets: standard={} clustered={} levels={} proc={})",
+        "crashtest --logical: seed {seed}, {} queries, {points} crash points over {} legs \
+         (candidate writes: {})",
         sequence.len(),
         BACKENDS.len(),
-        budgets[0],
-        budgets[1],
-        budgets[2],
-        budgets[3],
+        BACKENDS
+            .iter()
+            .zip(&crash_writes)
+            .map(|((_, name, _), w)| format!("{name}={}", w.len()))
+            .collect::<Vec<_>>()
+            .join(" "),
     );
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC4A5_47E5_7000_0002);
     let mut results: Vec<LogicalResult> = Vec::with_capacity(points);
     for i in 0..points {
         let b = i % BACKENDS.len();
-        let nth = rng.random_range(1..=budgets[b]);
+        let nth = crash_writes[b][rng.random_range(1..=crash_writes[b].len()) - 1];
         let (mode, mode_name) = if i % 2 == 0 {
             (FaultMode::CrashDrop, "crash-drop")
         } else {
@@ -669,16 +733,19 @@ fn run_logical(seed: u64, points: usize) -> bool {
         txt.push_str(&format!("  {name}: {ok}/{} ok\n", of_kind.len()));
         let _ = kind;
     }
-    txt.push_str("\npoint  backend    write  mode        queries  redo  probes  status\n");
+    txt.push_str(
+        "\npoint  backend    write  mode        queries  redo  excluded  probes  status\n",
+    );
     for (i, r) in results.iter().enumerate() {
         txt.push_str(&format!(
-            "{:>5}  {:<9}  {:>5}  {:<10}  {:>7}  {:>4}  {:>6}  {}\n",
+            "{:>5}  {:<9}  {:>5}  {:<10}  {:>7}  {:>4}  {:>8}  {:>6}  {}\n",
             i,
             r.backend,
             r.nth_write,
             r.mode,
             r.queries_done,
             r.stats.images_applied + r.stats.deltas_applied,
+            r.pages_excluded,
             r.probes,
             if r.failures.is_empty() { "ok" } else { "FAIL" },
         ));
@@ -847,7 +914,9 @@ fn main() {
         flag("--seed").unwrap_or(42)
     };
     let points = if smoke {
-        6
+        // One more in logical mode: the BFS leg adds a crash point to the
+        // rotation instead of taking one from a backend.
+        6 + usize::from(logical)
     } else {
         flag("--points").unwrap_or(100) as usize
     };

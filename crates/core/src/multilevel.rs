@@ -23,7 +23,7 @@ use crate::database::{CorDatabase, PARENT_REL};
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::strategies::{self, ExecOptions};
 use crate::{CorError, Strategy};
-use cor_access::{external_sort, merge_join, HeapFile};
+use cor_access::{external_sort, HeapFile};
 use cor_relational::Oid;
 use std::sync::Arc;
 
@@ -146,14 +146,15 @@ pub fn bfs_multilevel(
             break;
         }
         // Intermediate level: the frontier names the NEXT database's
-        // objects. Materialize the frontier as a temporary of parent keys,
+        // objects. Materialize the frontier as a temporary of parent keys
+        // (unlogged; freed at the end of this iteration),
         // sort it, and join against the next ParentRel to collect the
         // level-deeper frontier — merge join for big frontiers, iterative
         // substitution for small ones (the same optimizer choice as the
         // single-level BFS, where duplicate elimination directly removes
         // probes).
         let next = &levels[level + 1];
-        let temp = HeapFile::create(Arc::clone(next.pool()))?;
+        let temp = HeapFile::temp(Arc::clone(next.pool()))?;
         for oid in frontier.drain(..) {
             temp.append(&Oid::new(PARENT_REL, oid.key).to_key_bytes())?;
         }
@@ -169,22 +170,20 @@ pub fn bfs_multilevel(
         let n = temp.len();
         let iter_cost = tree.height() as u64 + n.saturating_sub(1);
         let merge_cost = tree.leaf_pages() as u64 + temp.num_pages() as u64;
-        let collect = |rec: Vec<u8>, frontier: &mut Vec<Oid>| -> Result<(), CorError> {
-            let t = cor_access::decode(&schema, &rec)?;
+        let collect = |rec: &[u8], frontier: &mut Vec<Oid>| -> Result<(), CorError> {
+            let t = cor_access::decode(&schema, rec)?;
             let children = t.get(5).as_oid_list().expect("children column");
             frontier.extend_from_slice(children);
             Ok(())
         };
         if merge_cost < iter_cost {
-            for (_key, rec) in merge_join(sorted, tree.scan_all()) {
-                collect(rec, &mut frontier)?;
-            }
+            tree.merge_scan(sorted, 0, |_key, rec| collect(rec, &mut frontier))?;
         } else {
             for key in sorted {
                 let rec = tree.get(&key)?.ok_or_else(|| {
                     CorError::DanglingOid(Oid::from_key_bytes(&key).expect("oid key"))
                 })?;
-                collect(rec, &mut frontier)?;
+                collect(&rec, &mut frontier)?;
             }
         }
     }

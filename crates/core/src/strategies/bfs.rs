@@ -5,12 +5,14 @@
 //! = temp.OID`." The temporary is a real heap file and is materialized
 //! (its pages are forced), which is the "extra cost of forming the
 //! temporary relation" that makes BFS slightly worse than DFS at low
-//! NumTop.
+//! NumTop. Page I/O is all the paper charges for it, so that is all it
+//! costs here: the temporary is a [`HeapFile::temp`] — never write-ahead
+//! logged, and its pages go back on the free list when the query ends.
 //!
 //! The join is chosen by cost: iterative substitution (index probes) when
 //! the temporary is small, merge join (sort the temporary, then co-scan
-//! the OID-ordered ChildRel leaves) when it is large. "Whenever we talk of
-//! a competitive BFS strategy, we imply a merge-join."
+//! the OID-ordered ChildRel leaves in place) when it is large. "Whenever
+//! we talk of a competitive BFS strategy, we imply a merge-join."
 //!
 //! With `dedup` (BFSNODUP) duplicates are eliminated while sorting the
 //! temporary; with sharing (`ShareFactor > 1`) this shrinks the join input
@@ -21,7 +23,7 @@ use super::{ExecOptions, JoinChoice};
 use crate::database::CorDatabase;
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::CorError;
-use cor_access::{external_sort, merge_join, BTreeFile, HeapFile};
+use cor_access::{external_sort, BTreeFile, HeapFile};
 use cor_obs::{Phase, PhaseGuard};
 use cor_pagestore::PAGE_SIZE;
 use cor_relational::{Oid, RelId};
@@ -83,7 +85,7 @@ pub(crate) fn join_fetch(
     // materialize it — the paper charges BFS for temp formation.
     let temp = {
         let _phase = PhaseGuard::enter(Phase::TempBuild);
-        let temp = HeapFile::create(Arc::clone(db.pool()))?;
+        let temp = HeapFile::temp(Arc::clone(db.pool()))?;
         for oid in oids {
             temp.append(&oid.to_key_bytes())?;
         }
@@ -117,10 +119,10 @@ pub(crate) fn join_fetch(
         // readahead enabled the merge-run leaf pages are prefetched in
         // coalesced batches ahead of the scan cursor.
         let _phase = PhaseGuard::enter(Phase::MergeJoin);
-        let scan = tree.scan_all().with_readahead(opts.io.readahead);
-        for (_oid, rec) in merge_join(sorted, scan) {
-            values.push(extract_ret(&rec, attr));
-        }
+        tree.merge_scan(sorted, opts.io.readahead, |_oid, rec| {
+            values.push(extract_ret(rec, attr));
+            Ok::<(), CorError>(())
+        })?;
     } else {
         // Iterative substitution: probe per temp record, "fetched exactly
         // as in DFS" — so leave the probes to the index-level default

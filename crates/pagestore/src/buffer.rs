@@ -34,6 +34,7 @@ use crate::shard::Shard;
 use crate::stats::IoStats;
 use crate::telemetry::ShardTelemetrySnapshot;
 use crate::wal::{Lsn, WalHook, NO_LSN};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Buffer size used throughout the paper's experiments (100 pages).
@@ -173,8 +174,9 @@ impl BufferPoolBuilder {
     }
 
     /// Attach a write-ahead log (default: none). With a hook attached
-    /// the pool logs every page mutation, stamps page LSNs, and enforces
-    /// WAL-before-data on every write-back (see [`crate::wal`]). Without
+    /// the pool logs every page mutation — except those of query
+    /// temporaries ([`BufferPool::write_temp`]) — stamps page LSNs, and
+    /// enforces WAL-before-data on every write-back (see [`crate::wal`]). Without
     /// one, every hot path is byte-for-byte the historical code: no
     /// pre-image copies, no stamping, identical [`IoStats`].
     pub fn wal(mut self, wal: Arc<dyn WalHook>) -> Self {
@@ -227,6 +229,7 @@ impl BufferPoolBuilder {
             )
         });
         BufferPool {
+            next_ticket: AtomicU32::new(disk.num_pages()),
             disk,
             stats,
             policy: self.policy,
@@ -262,6 +265,9 @@ pub struct BufferPool {
     wal: Option<Arc<dyn WalHook>>,
     /// The `cor-aio` submission engine; `Some` iff `queue_depth > 1`.
     aio: Option<AioEngine>,
+    /// The page id the next allocation would receive if no page had ever
+    /// been recycled; see [`Self::next_page_id`].
+    next_ticket: AtomicU32,
 }
 
 impl BufferPool {
@@ -380,16 +386,54 @@ impl BufferPool {
         }
     }
 
-    /// Allocate a zeroed page — recycling a previously freed page when one
-    /// is available, extending the store otherwise. The page is brought
-    /// into the pool dirty without a physical read (it has no prior
-    /// contents worth fetching).
+    /// Allocate a zeroed page — recycling a previously freed page when
+    /// the stripe this allocation is due on has one, extending the store
+    /// otherwise. The page is brought into the pool dirty without a
+    /// physical read (it has no prior contents worth fetching).
     pub fn allocate_page(&self) -> Result<PageId, BufferError> {
-        let recycled = self.shards.iter().find_map(Shard::pop_free);
-        let pid = match recycled {
-            Some(pid) => pid,
-            None => self.disk.allocate_page()?,
-        };
+        self.allocate(self.wal_ref())
+    }
+
+    /// [`allocate_page`](Self::allocate_page) for a query temporary: the
+    /// zeroed page is not imaged into the log. Pair with
+    /// [`write_temp`](Self::write_temp); see there for the contract.
+    pub fn allocate_temp_page(&self) -> Result<PageId, BufferError> {
+        self.allocate(None)
+    }
+
+    /// Pick the id for the next allocation: a recycled one when the
+    /// stripe this allocation is due on has one, a fresh one otherwise.
+    ///
+    /// Which stripe an allocation loads must not depend on whether ids
+    /// are recycled. A query that frees its temporaries would otherwise
+    /// get the same few ids back every time and pile every temporary onto
+    /// their home stripes, evicting live pages there while other stripes
+    /// idle. So the pool's k-th allocation is homed where the k-th
+    /// never-recycled id would be: an allocate-and-free loop loads the
+    /// stripes exactly like an allocate-and-keep loop, frame for frame
+    /// and read for read. Fresh ids that hash elsewhere while the store
+    /// is being extended go straight to their home free list, so the
+    /// store outgrows its live pages by at most a few pages per stripe.
+    /// With one stripe this is "recycle if any, else extend".
+    fn next_page_id(&self) -> Result<PageId, BufferError> {
+        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        let home = self.shard_index_of(ticket);
+        if let Some(pid) = self.shards[home].pop_free() {
+            return Ok(pid);
+        }
+        loop {
+            let pid = self.disk.allocate_page()?;
+            let s = self.shard_index_of(pid);
+            if s == home {
+                return Ok(pid);
+            }
+            self.shards[s].free_page(pid)?;
+        }
+    }
+
+    /// Allocate a page, imaging it into `log` when one is given.
+    fn allocate(&self, log: Option<&dyn WalHook>) -> Result<PageId, BufferError> {
+        let pid = self.next_page_id()?;
         self.stats.record_allocation();
         let shard = self.shard_of(pid);
         let idx = shard.allocate_into(
@@ -402,7 +446,7 @@ impl BufferPool {
         // Log the zeroed page as a full image: the frame is dirty with no
         // log record behind it, and a recycled page id may carry stale
         // bytes in the store that redo must be able to overwrite.
-        if let Some(wal) = self.wal_ref() {
+        if let Some(wal) = log {
             let mut st = shard.frame(idx).state.write();
             match wal.log_page_image(pid, &st.data) {
                 Ok(lsn) => {
@@ -451,6 +495,37 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(PageMut<'_>) -> R,
     ) -> Result<R, BufferError> {
+        self.write_logging(pid, self.wal_ref(), f)
+    }
+
+    /// [`write`](Self::write) for a page of a query temporary (one from
+    /// [`allocate_temp_page`](Self::allocate_temp_page)): same pinning,
+    /// dirtying and I/O accounting, but the mutation is never logged — no
+    /// pre-image copy, no record, no LSN stamp. The page LSN stays
+    /// [`NO_LSN`] and the frame carries no recLSN, so the page never
+    /// enters a checkpoint's dirty-page table and its write-back waits
+    /// on no log flush. Recovery neither restores nor needs the bytes: a
+    /// temporary does not outlive its query.
+    ///
+    /// A page belongs to one class from allocation to free. Calling this
+    /// on a logged page would leave redo unable to reproduce it (debug
+    /// builds assert the page carries no LSN); calling [`write`](Self::write)
+    /// on a temporary's page merely logs bytes nobody will want.
+    pub fn write_temp<R>(
+        &self,
+        pid: PageId,
+        f: impl FnOnce(PageMut<'_>) -> R,
+    ) -> Result<R, BufferError> {
+        self.write_logging(pid, None, f)
+    }
+
+    /// Mutate page `pid`, logging the change to `log` when one is given.
+    fn write_logging<R>(
+        &self,
+        pid: PageId,
+        log: Option<&dyn WalHook>,
+        f: impl FnOnce(PageMut<'_>) -> R,
+    ) -> Result<R, BufferError> {
         let shard = self.shard_of(pid);
         let idx = shard.pin(
             pid,
@@ -459,9 +534,13 @@ impl BufferPool {
             &self.stats,
             self.wal_ref(),
         )?;
-        let result = match self.wal_ref() {
+        let result = match log {
             None => {
                 let mut st = shard.frame(idx).state.write();
+                debug_assert!(
+                    self.wal.is_none() || PageView::new(&st.data[..]).lsn() == NO_LSN,
+                    "write_temp on logged page {pid}"
+                );
                 st.dirty = true;
                 f(PageMut::new(&mut st.data[..]))
             }
@@ -1205,20 +1284,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_free_lists_recycle_to_home_shard() {
+    fn sharded_recycling_is_bounded_and_loses_no_page() {
         let p = BufferPool::builder().capacity(8).shards(4).build();
-        let pids: Vec<_> = (0..12).map(|_| p.allocate_page().unwrap()).collect();
-        let grown = p.num_pages();
-        for &pid in &pids {
-            p.free_page(pid).unwrap();
+        // A query loop: seven scratch pages allocated, then freed.
+        for _ in 0..500 {
+            let pids: Vec<_> = (0..7).map(|_| p.allocate_page().unwrap()).collect();
+            for &pid in &pids {
+                p.free_page(pid).unwrap();
+            }
+            // Every id the store ever handed out is back on a free list.
+            assert_eq!(p.free_pages(), p.num_pages() as usize);
         }
-        assert_eq!(p.free_pages(), 12);
-        // Reallocation drains the free lists before growing the store.
-        for _ in 0..12 {
-            p.allocate_page().unwrap();
-        }
-        assert_eq!(p.free_pages(), 0);
-        assert_eq!(p.num_pages(), grown, "no growth while recycling");
+        // 3,500 allocations, but a stripe only ever needs as many ids as
+        // one round can ask of it.
+        assert!(p.num_pages() <= 4 * 7, "store grew to {}", p.num_pages());
     }
 
     /// A WAL hook that hands out sequential LSNs and can be told to fail

@@ -145,7 +145,8 @@ proptest! {
     /// sequence against a 1-shard and an 8-shard pool observes the same
     /// values at every read and leaves identical page contents (pages are
     /// tracked by allocation order — physical ids may differ because each
-    /// shard keeps its own free list).
+    /// shard keeps its own free list, and a sharded pool may hold a few
+    /// spare ids on them).
     #[test]
     fn one_shard_and_eight_shards_agree(
         capacity in 8usize..16,
@@ -194,7 +195,54 @@ proptest! {
             let bytes8 = pool8.read(b, |p| p.bytes().to_vec()).unwrap();
             prop_assert_eq!(bytes1, bytes8, "contents diverged on pages {}/{}", a, b);
         }
-        prop_assert_eq!(pool1.free_pages(), pool8.free_pages());
+        // No page is lost on either side: what is not live is free.
+        for pool in [&pool1, &pool8] {
+            prop_assert_eq!(live.len() + pool.free_pages(), pool.num_pages() as usize);
+        }
+    }
+
+    /// Recycling is invisible to the replacement state at any stripe
+    /// count: a query loop that frees its scratch pages transfers exactly
+    /// the pages the same loop transfers when it leaks them. (The scratch
+    /// pages are forced before they are dropped, as BFS forces its
+    /// temporary — a freed frame is never written back, a leaked dirty
+    /// one eventually is.)
+    #[test]
+    fn freeing_scratch_pages_costs_what_leaking_them_costs(
+        shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        capacity in 8usize..24,
+        rounds in proptest::collection::vec(
+            (1usize..6, proptest::collection::vec(0usize..24, 0..12)),
+            1..30,
+        ),
+    ) {
+        let build = || {
+            let pool = BufferPool::builder().capacity(capacity).shards(shards).build();
+            let data: Vec<_> = (0..24).map(|_| pool.allocate_page().unwrap()).collect();
+            pool.flush_and_clear().unwrap();
+            (pool, data)
+        };
+        let (freeing, data) = build();
+        let (leaking, _) = build();
+        for (scratch, touched) in rounds {
+            for (pool, free) in [(&freeing, true), (&leaking, false)] {
+                let pids: Vec<_> =
+                    (0..scratch).map(|_| pool.allocate_temp_page().unwrap()).collect();
+                for &pid in &pids {
+                    pool.write_temp(pid, |mut p| p.init()).unwrap();
+                    pool.flush_page(pid).unwrap();
+                }
+                for &i in &touched {
+                    pool.read(data[i], |_| ()).unwrap();
+                }
+                if free {
+                    for &pid in &pids {
+                        pool.free_page(pid).unwrap();
+                    }
+                }
+            }
+            prop_assert_eq!(freeing.stats().snapshot(), leaking.stats().snapshot());
+        }
     }
 
     /// I/O monotonicity: rereading a just-read page is free; the number of

@@ -31,10 +31,13 @@ cargo run -q -p cor-bench --bin explain -- --smoke --jsonl results/explain/smoke
 echo "==> explain replay (deterministic I/O regression gate)"
 cargo run -q -p cor-bench --bin explain -- --replay results/explain/smoke.jsonl
 
+echo "==> figs (figure fixed point: fig3/4/5/7 regenerate byte-identically)"
+scripts/figs.sh
+
 echo "==> crashtest smoke (durability gate: crash, recover, verify vs oracle)"
 cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 
-echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers)"
+echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers; BFS leg crashes under a live temporary)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
 
 echo "==> iobench smoke (batched-I/O + queue-depth sweep gate: depth-1 identity, checksums, submission bounds)"

@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# The figure fixed point: regenerate results/fig{3,4,5,7}.{txt,csv} with the
+# exact command lines below and fail if any of them differs from what is
+# committed. A change that is not meant to move the paper's I/O counts must
+# leave this green; one that is meant to moves the files in the same commit.
+#
+# Each .txt starts with a `# figs.sh:` line recording its command, then holds
+# the binary's stdout and stderr (the CSV notice is on stderr).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+fig() {
+    local name=$1
+    shift
+    echo "==> $name $*"
+    {
+        echo "# figs.sh: $name $*"
+        cargo run --release -q -p cor-bench --bin "$name" -- "$@" 2>&1
+    } >"results/$name.txt"
+}
+
+fig fig3 --scale 0.4 --seq 60 --csv results/fig3.csv
+fig fig4 --scale 0.25 --seq 100 --faces --csv results/fig4.csv
+fig fig5 --scale 0.4 --csv results/fig5.csv
+fig fig7 --scale 0.4 --csv results/fig7.csv
+
+git diff --exit-code --stat -- results/fig{3,4,5,7}.{txt,csv}
+echo "figures match the committed results"
