@@ -14,6 +14,7 @@
 //! * [`record`] — the tuple ⇄ byte-record codec.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod btree;
 pub mod catalog;

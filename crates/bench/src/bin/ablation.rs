@@ -49,8 +49,7 @@ fn buffer_policy_ablation(cfg: &BenchConfig, base: &Params) {
     let mut winners = Vec::new();
     for (name, policy) in [
         ("LRU", ReplacementPolicy::Lru),
-        ("FIFO", ReplacementPolicy::Fifo),
-        ("Clock", ReplacementPolicy::Clock),
+        ("SIEVE", ReplacementPolicy::Sieve),
     ] {
         let mut costs = Vec::new();
         for strategy in [Strategy::Dfs, Strategy::Bfs] {

@@ -84,18 +84,16 @@ fn build_rig(generated: &GeneratedDb, p: &Params) -> Rig {
             segment_bytes: 64 * 1024,
         },
     ));
-    let engine = Engine::open_durable(
-        &generated.spec,
-        Engine::builder()
-            .pool_pages(p.buffer_pages)
-            .cache(CacheConfig {
-                capacity: p.size_cache,
-                ..CacheConfig::default()
-            })
-            .disk(faulty.clone())
-            .wal(wal),
-    )
-    .expect("durable engine builds on a fresh store");
+    let engine = Engine::builder()
+        .pool_pages(p.buffer_pages)
+        .cache(CacheConfig {
+            capacity: p.size_cache,
+            ..CacheConfig::default()
+        })
+        .disk(faulty.clone())
+        .wal(wal)
+        .build(&generated.spec)
+        .expect("durable engine builds on a fresh store");
     Rig {
         faulty,
         store,
@@ -800,9 +798,9 @@ fn run_logical(seed: u64, points: usize) -> bool {
 /// still deliver exact page images. After a crash fault kills the disk,
 /// every subsequent submission must come back `Crashed`.
 ///
-/// `FaultyDisk` leaves [`DiskManager::raw_read_fd`] at `None`, so these
-/// submissions always execute on the portable thread-pool backend and
-/// tick the same per-page fault ordinals as the synchronous path.
+/// The thread-pool backend reads through the `DiskManager` trait, so
+/// these submissions tick the same per-page fault ordinals as the
+/// synchronous path.
 fn aio_fault_preflight() -> Vec<String> {
     let mut bad = Vec::new();
     let faulty = Arc::new(FaultyDisk::new(Arc::new(MemDisk::new())));

@@ -25,18 +25,18 @@
 //!     [--json FILE]    output path (default BENCH_pool.json)
 //!     [--threads LIST] engine-leg thread counts (default 1,4)
 //!     [--smoke]        small database, gate cells only, exit 1 on:
-//!                      a scan-resistant policy failing the retention
-//!                      gate, the per-policy miss model missing its
-//!                      exact cells, or any policy returning different
-//!                      query results than LRU
+//!                      SIEVE failing the retention gate, the
+//!                      per-policy miss model missing its exact cells,
+//!                      or SIEVE returning different query results
+//!                      than LRU
 //! ```
 //!
 //! Gates (checked on every run, enforced in `--smoke`):
 //!
-//! * **Flood retention** — at the 100-page pool, SIEVE and 2Q must keep
-//!   a hot-set hit ratio at least 1.2x LRU's (and ≥ 0.5 absolutely).
+//! * **Flood retention** — at the 100-page pool, SIEVE must keep a
+//!   hot-set hit ratio at least 1.2x LRU's (and ≥ 0.5 absolutely).
 //! * **Model sanity** — on the cells where the closed form is exact
-//!   (LRU/SIEVE/2Q at 100 pages with the hot set resident), measured
+//!   (LRU and SIEVE at 100 pages with the hot set resident), measured
 //!   misses must be within 35% of predicted.
 //! * **Results invariant** — replacement policy is a physical knob;
 //!   every engine leg must return byte-identical query results.
@@ -150,7 +150,7 @@ fn run_flood_leg(policy: ReplacementPolicy, pool_pages: usize) -> FloodLeg {
     for _ in 0..FLOOD_ROUNDS {
         // Two probe passes per round: a descent touches the same inner
         // pages every time it runs, so hot pages see quick re-references
-        // — the pattern 2Q's probation and SIEVE's visited bit reward.
+        // — the pattern SIEVE's visited bit rewards.
         let (hb, ..) = telemetry_sums(&pool);
         for _ in 0..2 {
             for &pid in &hot {
@@ -259,10 +259,7 @@ fn run_engine_cells(
     let profile = pool.stats().enable_profile();
     let db =
         build_for_strategy_on(pool, &leg_params, generated, strategy).expect("database builds");
-    let opts = ExecOptions {
-        pool_policy: policy,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::default();
 
     thread_counts
         .iter()
@@ -377,10 +374,7 @@ fn run_retention_leg(
     // serves both the probe and the flood side of the leg.
     let db = build_for_strategy_on(pool, &leg_params, generated, Strategy::Bfs)
         .expect("database builds");
-    let opts = ExecOptions {
-        pool_policy: policy,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::default();
     // The SAME point queries every round: their descents are the hot
     // set whose residency is under test.
     let probes: Vec<Query> = generate_sequence(&Params {
@@ -641,22 +635,14 @@ fn main() {
             .expect("flood cell exists")
     };
     let lru_hot = flood_at(ReplacementPolicy::Lru, GATE_POOL).hot_ratio();
-    for policy in [ReplacementPolicy::Sieve, ReplacementPolicy::TwoQ] {
-        let leg = flood_at(policy, GATE_POOL);
-        let ratio = leg.hot_ratio();
-        if ratio < GATE_FACTOR * lru_hot || ratio < 0.5 {
-            failures.push(format!(
-                "flood retention: {} hot hit ratio {ratio:.3} at {GATE_POOL} pages \
-                 (LRU {lru_hot:.3}, need >= {GATE_FACTOR}x and >= 0.5)",
-                policy.name(),
-            ));
-        }
+    let sieve_hot = flood_at(ReplacementPolicy::Sieve, GATE_POOL).hot_ratio();
+    if sieve_hot < GATE_FACTOR * lru_hot || sieve_hot < 0.5 {
+        failures.push(format!(
+            "flood retention: sieve hot hit ratio {sieve_hot:.3} at {GATE_POOL} pages \
+             (LRU {lru_hot:.3}, need >= {GATE_FACTOR}x and >= 0.5)",
+        ));
     }
-    for policy in [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Sieve,
-        ReplacementPolicy::TwoQ,
-    ] {
+    for policy in ReplacementPolicy::ALL {
         let leg = flood_at(policy, GATE_POOL);
         if leg.rel_error() > 0.35 {
             failures.push(format!(
@@ -800,26 +786,23 @@ fn main() {
             .expect("retention cell exists")
     };
     let lru_retention = retention_at(ReplacementPolicy::Lru).retention();
-    for policy in [ReplacementPolicy::Sieve, ReplacementPolicy::TwoQ] {
-        let r = retention_at(policy).retention();
-        if r < (GATE_FACTOR * lru_retention).max(0.5) {
-            failures.push(format!(
-                "inner-node retention: {} retained {r:.3} of the descent working \
-                 set at {GATE_POOL} pages (LRU {lru_retention:.3}, need >= \
-                 {GATE_FACTOR}x and >= 0.5)",
-                policy.name(),
-            ));
-        }
+    let sieve_retention = retention_at(ReplacementPolicy::Sieve).retention();
+    if sieve_retention < (GATE_FACTOR * lru_retention).max(0.5) {
+        failures.push(format!(
+            "inner-node retention: sieve retained {sieve_retention:.3} of the descent \
+             working set at {GATE_POOL} pages (LRU {lru_retention:.3}, need >= \
+             {GATE_FACTOR}x and >= 0.5)",
+        ));
     }
 
     let json = format!(
-        "{{\"schema_version\":1,\"catalog_version\":{},\
+        "{{\"schema_version\":2,\"catalog_version\":{},\
          \"metrics_schema_version\":{},\"scale\":{},\"smoke\":{},\
          \"gate\":{{\"pool_pages\":{GATE_POOL},\"factor\":{GATE_FACTOR},\
-         \"lru_hot_hit_ratio\":{:.4},\
-         \"sieve_hot_hit_ratio\":{:.4},\"two_q_hot_hit_ratio\":{:.4},\
-         \"lru_inner_retention\":{:.4},\"sieve_inner_retention\":{:.4},\
-         \"two_q_inner_retention\":{:.4}}},\
+         \"lru_hot_hit_ratio\":{lru_hot:.4},\
+         \"sieve_hot_hit_ratio\":{sieve_hot:.4},\
+         \"lru_inner_retention\":{lru_retention:.4},\
+         \"sieve_inner_retention\":{sieve_retention:.4}}},\
          \"params\":{{\"parent_card\":{},\"num_top\":{},\"sequence_len\":{},\
          \"seed\":{}}},\
          \"flood\":{{\"hot_pages\":{FLOOD_HOT},\"scan_pages\":{FLOOD_SCAN},\
@@ -831,12 +814,6 @@ fn main() {
         cor_workload::METRICS_SCHEMA_VERSION,
         cfg.scale,
         smoke,
-        lru_hot,
-        flood_at(ReplacementPolicy::Sieve, GATE_POOL).hot_ratio(),
-        flood_at(ReplacementPolicy::TwoQ, GATE_POOL).hot_ratio(),
-        lru_retention,
-        retention_at(ReplacementPolicy::Sieve).retention(),
-        retention_at(ReplacementPolicy::TwoQ).retention(),
         params.parent_card,
         params.num_top,
         params.sequence_len,

@@ -14,6 +14,7 @@
 //! * `--seed S` — override the master seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use cor_workload::Params;
 

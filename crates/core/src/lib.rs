@@ -51,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod cluster;
@@ -71,16 +72,12 @@ pub use cluster::ClusterAssignment;
 pub use database::{CacheConfig, CorDatabase, DatabaseSpec, ObjectSpec, Storage, SubobjectSpec};
 pub use ilock::{HashKey, ILockTable};
 pub use matrix::{CachePlacement, CachedRepr, PrimaryRepr, ReprPoint, Strategy};
-#[allow(deprecated)]
-pub use multilevel::run_multilevel;
 pub use multilevel::{bfs_multilevel, dfs_multilevel, execute_multilevel, MultiDotQuery};
 pub use persist::{
     SavedCacheState, SavedOidDb, SavedProcCache, SavedProcDb, SavedStorage, SavedUnitCache,
 };
 pub use quel::{parse as parse_quel, QuelError, QuelStatement};
 pub use query::{apply_update, Query, RetAttr, RetrieveQuery, StrategyOutput, UpdateQuery};
-#[allow(deprecated)]
-pub use strategies::run_retrieve;
 pub use strategies::{execute_retrieve, ExecOptions, IoOptions, JoinChoice};
 pub use unit::{hashkey_of, measure_sharing, SharingFactors, Unit};
 pub use valuebased::{value_parent_schema, ValueDatabase, VALUE_PARENT_REL};

@@ -228,20 +228,6 @@ pub fn execute_multilevel(
     }
 }
 
-/// Former name of [`execute_multilevel`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `cor::Engine::retrieve_multilevel` (or `multilevel::execute_multilevel`) instead"
-)]
-pub fn run_multilevel(
-    levels: &[CorDatabase],
-    strategy: Strategy,
-    query: &MultiDotQuery,
-    opts: &ExecOptions,
-) -> Result<StrategyOutput, CorError> {
-    execute_multilevel(levels, strategy, query, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,18 +16,6 @@ use crate::CorError;
 use cor_pagestore::IoDelta;
 use cor_relational::Oid;
 
-/// Former name of [`execute_proc_retrieve`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `cor::Engine::retrieve` on a procedural engine (or `procedural::execute_proc_retrieve`) instead"
-)]
-pub fn run_proc_retrieve(
-    db: &ProcDatabase,
-    query: &RetrieveQuery,
-) -> Result<StrategyOutput, CorError> {
-    execute_proc_retrieve(db, query)
-}
-
 /// Run one retrieve over a procedural database under its configured
 /// caching mode.
 ///

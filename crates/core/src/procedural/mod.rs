@@ -19,8 +19,6 @@ pub use database::{
     proc_parent_schema, ProcCaching, ProcDatabase, ProcDatabaseSpec, ProcObjectSpec, ProcParentRow,
     PROC_PARENT_REL,
 };
-#[allow(deprecated)]
-pub use exec::run_proc_retrieve;
 pub use exec::{apply_proc_update, execute_proc_retrieve};
 pub use pcache::{CachedResult, ProcCache, ProcCachedKind};
 pub use predicate::{QuelParseError, StoredQuery};

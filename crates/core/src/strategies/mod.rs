@@ -100,13 +100,6 @@ pub struct ExecOptions {
     pub sort_work_mem: usize,
     /// Batched / prefetching I/O (defaults reproduce page-at-a-time runs).
     pub io: IoOptions,
-    /// Buffer-pool replacement policy. Like `io.queue_depth`, this
-    /// configures the pool at construction time: engines apply it when
-    /// they build their pool (and persist it in the engine catalog);
-    /// changing it on a running engine does not re-policy an existing
-    /// pool. The default (LRU) reproduces the paper's buffer behaviour
-    /// byte for byte.
-    pub pool_policy: cor_pagestore::ReplacementPolicy,
 }
 
 impl Default for ExecOptions {
@@ -116,7 +109,6 @@ impl Default for ExecOptions {
             join: JoinChoice::Auto,
             sort_work_mem: cor_access::DEFAULT_WORK_MEM,
             io: IoOptions::default(),
-            pool_policy: cor_pagestore::ReplacementPolicy::Lru,
         }
     }
 }
@@ -139,20 +131,6 @@ pub fn execute_retrieve(
         Strategy::DfsClust => dfs_clust(db, query, opts),
         Strategy::Smart => smart(db, query, opts),
     }
-}
-
-/// Former name of [`execute_retrieve`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `cor::Engine::retrieve` (or `strategies::execute_retrieve`) instead"
-)]
-pub fn run_retrieve(
-    db: &CorDatabase,
-    strategy: Strategy,
-    query: &RetrieveQuery,
-    opts: &ExecOptions,
-) -> Result<StrategyOutput, CorError> {
-    execute_retrieve(db, strategy, query, opts)
 }
 
 /// Shared helper: fetch one subobject record or fail loudly — the paper's
@@ -208,7 +186,6 @@ mod tests {
         let o = ExecOptions::default();
         assert_eq!(o.smart_threshold, 300);
         assert_eq!(o.join, JoinChoice::Auto);
-        assert_eq!(o.pool_policy, cor_pagestore::ReplacementPolicy::Lru);
     }
 
     fn c(k: u64) -> Oid {

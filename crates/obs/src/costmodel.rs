@@ -596,45 +596,39 @@ pub struct FloodWorkload {
 
 /// Expected buffer misses for one replacement policy over a
 /// [`FloodWorkload`]. Policy names are the stable lower-case spellings
-/// (`lru`, `fifo`, `clock`, `sieve`, `2q`); unknown names return `None`.
+/// (`lru`, `sieve`); unknown names return `None`.
 ///
 /// Closed forms, with `H` hot, `S` scan, `B` buffer and `R` rounds —
-/// every policy pays the `H + S` compulsory first-round faults, and they
+/// both policies pay the `H + S` compulsory first-round faults, and they
 /// differ only in the per-round *re*-miss term:
 ///
-/// * **Recency-driven policies (LRU / FIFO / CLOCK)** cannot tell a
-///   one-touch scan page from a hot page: once the round's churn
-///   `H + S` overflows the pool, the flood evicts everything and every
-///   re-reference misses. The re-miss fraction interpolates through
-///   [`cold_fraction`] — 0 while `H + S ≤ B`, 1 from `2B` up — so the
-///   predicted curve bends only at `B ≈ H + S`. CLOCK's second chance
-///   is defeated by a cyclic flood (every bit is cleared each lap) and
-///   is modelled as LRU.
-/// * **Scan-resistant policies (SIEVE / 2Q)** retain the hot set in
-///   their protected region — all but one frame for SIEVE's hand, the
-///   `Am` three-quarters for 2Q — so hot pages re-miss only past *that*
-///   bend (`B ≈ H`), while the one-touch scan pages re-miss every round
-///   whenever the round does not fit the pool outright.
+/// * **LRU** cannot tell a one-touch scan page from a hot page: once the
+///   round's churn `H + S` overflows the pool, the flood evicts
+///   everything and every re-reference misses. The re-miss fraction
+///   interpolates through [`cold_fraction`] — 0 while `H + S ≤ B`, 1
+///   from `2B` up — so the predicted curve bends only at `B ≈ H + S`.
+/// * **SIEVE** retains the hot set in all but the one frame under its
+///   hand, so hot pages re-miss only past *that* bend (`B ≈ H`), while
+///   the one-touch scan pages re-miss every round whenever the round
+///   does not fit the pool outright.
 pub fn predict_policy_misses(policy: &str, w: &FloodWorkload) -> Option<f64> {
     let (h, s, b) = (w.hot_pages, w.scan_pages, w.buffer_pages);
     let repeats = (w.rounds - 1.0).max(0.0);
     let compulsory = h + s;
-    let round_fits = h + s <= b;
-    let protected = match policy {
-        "lru" | "fifo" | "clock" => {
+    match policy {
+        "lru" => {
             // One shared region: re-misses are all-or-nothing in the
             // round churn, smoothed exactly like the index-descent term.
             let f = cold_fraction(h + s, 0.0, b);
-            return Some(compulsory + repeats * f * (h + s));
+            Some(compulsory + repeats * f * (h + s))
         }
-        "sieve" => (b - 1.0).max(0.0),
-        "2q" => b - (b / 4.0).floor().max(1.0),
-        _ => return None,
-    };
-    let hot_resident = h.min(protected.max(0.0));
-    let hot_re = h - hot_resident;
-    let scan_re = if round_fits { 0.0 } else { s };
-    Some(compulsory + repeats * (hot_re + scan_re))
+        "sieve" => {
+            let hot_re = h - h.min((b - 1.0).max(0.0));
+            let scan_re = if h + s <= b { 0.0 } else { s };
+            Some(compulsory + repeats * (hot_re + scan_re))
+        }
+        _ => None,
+    }
 }
 
 /// Relative error of a measured miss count against the model,
@@ -899,7 +893,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_term_scan_resistant_policies_bend_earlier() {
+    fn policy_term_sieve_bends_earlier() {
         // The poolbench gate operating point: 100-page pool, hot set that
         // fits, per-round flood that does not.
         let w = FloodWorkload {
@@ -909,23 +903,20 @@ mod tests {
             buffer_pages: 100.0,
         };
         let lru = predict_policy_misses("lru", &w).unwrap();
-        let clock = predict_policy_misses("clock", &w).unwrap();
         let sieve = predict_policy_misses("sieve", &w).unwrap();
-        let two_q = predict_policy_misses("2q", &w).unwrap();
-        // Recency policies re-fault the whole round, every round.
+        // LRU re-faults the whole round, every round.
         assert_eq!(lru, 360.0 + 9.0 * 360.0);
-        assert_eq!(clock, lru);
-        assert_eq!(predict_policy_misses("fifo", &w), Some(lru));
-        // Scan-resistant policies keep the hot set: only the flood re-misses.
+        // SIEVE keeps the hot set: only the flood re-misses.
         assert_eq!(sieve, 360.0 + 9.0 * 300.0);
-        assert_eq!(two_q, sieve);
         assert!(sieve < lru);
-        assert!(predict_policy_misses("mru", &w).is_none());
+        for unknown in ["mru", "fifo", "clock", "2q"] {
+            assert!(predict_policy_misses(unknown, &w).is_none(), "{unknown}");
+        }
     }
 
     #[test]
     fn policy_term_collapses_when_the_round_fits_the_pool() {
-        // Below every bend point all five policies predict compulsory
+        // Below every bend point both policies predict compulsory
         // misses only — the curves are indistinguishable there.
         let w = FloodWorkload {
             hot_pages: 20.0,
@@ -933,29 +924,24 @@ mod tests {
             rounds: 8.0,
             buffer_pages: 200.0,
         };
-        for policy in ["lru", "fifo", "clock", "sieve", "2q"] {
+        for policy in ["lru", "sieve"] {
             assert_eq!(predict_policy_misses(policy, &w), Some(50.0), "{policy}");
         }
     }
 
     #[test]
     fn policy_term_degrades_past_the_protected_capacity() {
-        // Hot set bigger than 2Q's Am region: the overflow re-misses each
-        // round, and SIEVE (protecting all but the hand's frame) misses
-        // strictly less.
+        // Hot set bigger than SIEVE's protected B - 1 frames: the
+        // overflow re-misses each round, still well under LRU.
         let w = FloodWorkload {
-            hot_pages: 90.0,
+            hot_pages: 110.0,
             scan_pages: 300.0,
             rounds: 10.0,
             buffer_pages: 100.0,
         };
         let sieve = predict_policy_misses("sieve", &w).unwrap();
-        let two_q = predict_policy_misses("2q", &w).unwrap();
-        // 2Q protects B - floor(B/4) = 75 pages; 15 hot pages churn.
-        assert_eq!(two_q, 390.0 + 9.0 * (15.0 + 300.0));
-        assert_eq!(sieve, 390.0 + 9.0 * 300.0);
-        assert!(sieve < two_q);
-        assert!(two_q < predict_policy_misses("lru", &w).unwrap());
+        assert_eq!(sieve, 410.0 + 9.0 * (11.0 + 300.0));
+        assert!(sieve < predict_policy_misses("lru", &w).unwrap());
         // Rel-error helper: exact match is zero, floor guards division.
         assert_eq!(policy_miss_rel_error(sieve, sieve), 0.0);
         assert_eq!(policy_miss_rel_error(3.0, 0.0), 3.0);

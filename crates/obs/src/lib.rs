@@ -36,6 +36,7 @@
 //! handful of relaxed atomic adds when enabled.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod costmodel;
 pub mod export;

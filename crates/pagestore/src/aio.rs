@@ -23,22 +23,21 @@
 //!
 //! * [`AioBackend::Sync`] — the degenerate backend: `submit` performs
 //!   every run inline on the calling thread. Used at queue depth 1 and
-//!   as the last-resort fallback; byte-identical to a plain
+//!   when no worker thread can be spawned; byte-identical to a plain
 //!   `read_pages` loop by construction.
 //! * [`AioBackend::ThreadPool`] — `queue_depth` worker threads pull
 //!   runs from a shared queue and execute them with ordinary blocking
 //!   `read_pages` calls. Portable, zero external dependencies, and the
-//!   backend every [`DiskManager`] supports — including fault-injecting
-//!   wrappers like [`FaultyDisk`](crate::FaultyDisk), whose operation
-//!   ordinals keep ticking because the reads still flow through the
-//!   trait.
-//! * [`AioBackend::IoUring`] — a raw-syscall `io_uring` ring on Linux
-//!   (`io_uring` cargo feature, off by default): one submission-queue
-//!   entry per run, real kernel-side queue depth, no liburing. Only
-//!   engaged when the disk exposes a raw file descriptor
-//!   ([`DiskManager::raw_read_fd`]); anything wrapped (fault injection,
-//!   seek charging) or memory-backed falls back to the thread pool, and
-//!   a kernel without `io_uring` falls back cleanly at construction.
+//!   backend every [`DiskManager`] supports — including wrappers that
+//!   add behaviour per call ([`FaultyDisk`](crate::FaultyDisk) fault
+//!   ordinals, seek charging), because the reads still flow through
+//!   the trait.
+//!
+//! The depth alone picks the backend; there is nothing to configure. A
+//! raw-syscall kernel-ring backend shipped once and was removed: it
+//! could engage only on an unwrapped `FileDisk`, where depth > 1 does
+//! not pay with either backend, and never on the seek-charged leg that
+//! carries the committed async win (DESIGN.md §13).
 //!
 //! # Accounting
 //!
@@ -76,8 +75,6 @@ pub enum AioBackend {
     Sync,
     /// Portable worker-thread pool over blocking `read_pages`.
     ThreadPool,
-    /// Raw-syscall `io_uring` ring (Linux, `io_uring` feature).
-    IoUring,
 }
 
 impl AioBackend {
@@ -86,41 +83,23 @@ impl AioBackend {
         match self {
             AioBackend::Sync => "sync",
             AioBackend::ThreadPool => "threadpool",
-            AioBackend::IoUring => "io_uring",
         }
     }
-}
-
-/// Backend selection policy for [`AioConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AioBackendChoice {
-    /// `io_uring` when compiled in and the disk exposes a raw fd,
-    /// otherwise the thread pool; [`AioBackend::Sync`] at depth <= 1.
-    #[default]
-    Auto,
-    /// Force inline execution regardless of depth.
-    Sync,
-    /// Force the portable thread pool.
-    ThreadPool,
 }
 
 /// Configuration for an [`AioEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AioConfig {
     /// Maximum runs in flight at once. Depth 1 resolves to the inline
-    /// [`AioBackend::Sync`] backend.
+    /// [`AioBackend::Sync`] backend, anything above it to the thread
+    /// pool.
     pub queue_depth: usize,
-    /// Backend selection policy.
-    pub backend: AioBackendChoice,
 }
 
 impl AioConfig {
-    /// Config for `queue_depth` with automatic backend selection.
+    /// Config for `queue_depth`.
     pub fn with_depth(queue_depth: usize) -> Self {
-        AioConfig {
-            queue_depth,
-            backend: AioBackendChoice::Auto,
-        }
+        AioConfig { queue_depth }
     }
 }
 
@@ -422,12 +401,6 @@ impl Drop for ThreadPool {
 enum BackendImpl {
     Sync,
     ThreadPool(ThreadPool),
-    #[cfg(all(
-        feature = "io_uring",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    IoUring(uring::UringBackend),
 }
 
 /// Asynchronous submission engine over a shared [`DiskManager`].
@@ -441,57 +414,31 @@ pub struct AioEngine {
     stats: Arc<IoStats>,
     depth: usize,
     backend: BackendImpl,
-    resolved: AioBackend,
 }
 
 impl AioEngine {
     /// Build an engine over `disk`, counting `aio_*` activity into
-    /// `stats`. Backend resolution is infallible: unavailable backends
-    /// fall back (io_uring -> thread pool -> inline sync).
+    /// `stats`. Infallible: depth <= 1 runs inline, and so does any
+    /// depth whose worker threads cannot be spawned.
     pub fn new(disk: Arc<dyn DiskManager>, stats: Arc<IoStats>, config: AioConfig) -> Self {
         let depth = config.queue_depth.clamp(1, MAX_QUEUE_DEPTH);
-        let (backend, resolved) = Self::resolve(&disk, &stats, depth, config.backend);
+        let pool = (depth > 1)
+            .then(|| ThreadPool::spawn(Arc::clone(&disk), Arc::clone(&stats), depth))
+            .flatten();
         AioEngine {
             disk,
             stats,
             depth,
-            backend,
-            resolved,
-        }
-    }
-
-    fn resolve(
-        disk: &Arc<dyn DiskManager>,
-        stats: &Arc<IoStats>,
-        depth: usize,
-        choice: AioBackendChoice,
-    ) -> (BackendImpl, AioBackend) {
-        if depth <= 1 || choice == AioBackendChoice::Sync {
-            return (BackendImpl::Sync, AioBackend::Sync);
-        }
-        #[cfg(all(
-            feature = "io_uring",
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        if choice == AioBackendChoice::Auto {
-            if let Some(fd) = disk.raw_read_fd() {
-                if let Some(ring) =
-                    uring::UringBackend::create(fd, Arc::clone(disk), Arc::clone(stats), depth)
-                {
-                    return (BackendImpl::IoUring(ring), AioBackend::IoUring);
-                }
-            }
-        }
-        match ThreadPool::spawn(Arc::clone(disk), Arc::clone(stats), depth) {
-            Some(tp) => (BackendImpl::ThreadPool(tp), AioBackend::ThreadPool),
-            None => (BackendImpl::Sync, AioBackend::Sync),
+            backend: pool.map_or(BackendImpl::Sync, BackendImpl::ThreadPool),
         }
     }
 
     /// The backend this engine resolved to.
     pub fn backend(&self) -> AioBackend {
-        self.resolved
+        match self.backend {
+            BackendImpl::Sync => AioBackend::Sync,
+            BackendImpl::ThreadPool(_) => AioBackend::ThreadPool,
+        }
     }
 
     /// The effective queue depth (clamped).
@@ -562,28 +509,6 @@ impl AioEngine {
                     });
                 }
             }
-            #[cfg(all(
-                feature = "io_uring",
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            BackendImpl::IoUring(ring) => {
-                let backlog = ring.backlog();
-                if backlog + runs.len() > self.depth {
-                    flight::record(
-                        flight::FlightKind::AioSaturated,
-                        self.depth as u64,
-                        backlog as u64,
-                        runs.len() as u64,
-                    );
-                }
-                for (run, slot) in runs.into_iter().zip(&slots) {
-                    ring.enqueue(Job {
-                        ids: run,
-                        slot: Arc::clone(slot),
-                    });
-                }
-            }
         }
         SubmissionTicket { runs: slots, pages }
     }
@@ -592,510 +517,9 @@ impl AioEngine {
 impl std::fmt::Debug for AioEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AioEngine")
-            .field("backend", &self.resolved)
+            .field("backend", &self.backend())
             .field("queue_depth", &self.depth)
             .finish()
-    }
-}
-
-/// Raw-syscall `io_uring` backend (Linux only, `io_uring` feature).
-///
-/// A single dedicated ring thread owns the ring: it drains the shared
-/// job queue, keeps up to `depth` one-SQE-per-run reads in flight, and
-/// completes run slots as CQEs arrive. No liburing, no libc: the five
-/// syscalls involved (`io_uring_setup`, `io_uring_enter`, `mmap`,
-/// `munmap`, `close`) are issued with inline assembly.
-#[cfg(all(
-    feature = "io_uring",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod uring {
-    use super::{Job, RunSlot};
-    use crate::disk::{DiskError, DiskManager};
-    use crate::page::{PageBuf, PAGE_SIZE};
-    use crate::stats::IoStats;
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-
-    // Syscall numbers are identical on x86_64 and aarch64 for the
-    // io_uring family; mmap/munmap/close differ.
-    const SYS_IO_URING_SETUP: usize = 425;
-    const SYS_IO_URING_ENTER: usize = 426;
-    #[cfg(target_arch = "x86_64")]
-    const SYS_MMAP: usize = 9;
-    #[cfg(target_arch = "x86_64")]
-    const SYS_MUNMAP: usize = 11;
-    #[cfg(target_arch = "x86_64")]
-    const SYS_CLOSE: usize = 3;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_MMAP: usize = 222;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_MUNMAP: usize = 215;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_CLOSE: usize = 57;
-
-    const PROT_READ_WRITE: usize = 0x3;
-    const MAP_SHARED_POPULATE: usize = 0x01 | 0x8000;
-    const IORING_OFF_SQ_RING: usize = 0;
-    const IORING_OFF_CQ_RING: usize = 0x0800_0000;
-    const IORING_OFF_SQES: usize = 0x1000_0000;
-    const IORING_ENTER_GETEVENTS: usize = 1;
-    const IORING_OP_READ: u8 = 22;
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") nr => ret,
-            in("rdi") a,
-            in("rsi") b,
-            in("rdx") c,
-            in("r10") d,
-            in("r8") e,
-            in("r9") f,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "svc 0",
-            in("x8") nr,
-            inlateout("x0") a => ret,
-            in("x1") b,
-            in("x2") c,
-            in("x3") d,
-            in("x4") e,
-            in("x5") f,
-            options(nostack),
-        );
-        ret
-    }
-
-    #[repr(C)]
-    #[derive(Default, Clone, Copy)]
-    struct SqOffsets {
-        head: u32,
-        tail: u32,
-        ring_mask: u32,
-        ring_entries: u32,
-        flags: u32,
-        dropped: u32,
-        array: u32,
-        resv1: u32,
-        user_addr: u64,
-    }
-
-    #[repr(C)]
-    #[derive(Default, Clone, Copy)]
-    struct CqOffsets {
-        head: u32,
-        tail: u32,
-        ring_mask: u32,
-        ring_entries: u32,
-        overflow: u32,
-        cqes: u32,
-        flags: u32,
-        resv1: u32,
-        user_addr: u64,
-    }
-
-    #[repr(C)]
-    #[derive(Default, Clone, Copy)]
-    struct UringParams {
-        sq_entries: u32,
-        cq_entries: u32,
-        flags: u32,
-        sq_thread_cpu: u32,
-        sq_thread_idle: u32,
-        features: u32,
-        wq_fd: u32,
-        resv: [u32; 3],
-        sq_off: SqOffsets,
-        cq_off: CqOffsets,
-    }
-
-    #[repr(C)]
-    struct Sqe {
-        opcode: u8,
-        flags: u8,
-        ioprio: u16,
-        fd: i32,
-        off: u64,
-        addr: u64,
-        len: u32,
-        rw_flags: u32,
-        user_data: u64,
-        _pad: [u64; 3],
-    }
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct Cqe {
-        user_data: u64,
-        res: i32,
-        flags: u32,
-    }
-
-    struct Mapping {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            unsafe {
-                syscall6(SYS_MUNMAP, self.ptr as usize, self.len, 0, 0, 0, 0);
-            }
-        }
-    }
-
-    /// The mmapped ring: raw pointers into the three kernel mappings.
-    struct Ring {
-        fd: i32,
-        sq: Mapping,
-        cq: Mapping,
-        sqes: Mapping,
-        sq_head: *const AtomicU32,
-        sq_tail: *const AtomicU32,
-        sq_mask: u32,
-        sq_array: *mut u32,
-        cq_head: *const AtomicU32,
-        cq_tail: *const AtomicU32,
-        cq_mask: u32,
-        cqes: *const Cqe,
-    }
-
-    // The ring thread is the only user of the pointers after creation.
-    unsafe impl Send for Ring {}
-
-    impl Drop for Ring {
-        fn drop(&mut self) {
-            unsafe {
-                syscall6(SYS_CLOSE, self.fd as usize, 0, 0, 0, 0, 0);
-            }
-        }
-    }
-
-    impl Ring {
-        fn create(entries: u32) -> Option<Ring> {
-            let mut params = UringParams::default();
-            let fd = unsafe {
-                syscall6(
-                    SYS_IO_URING_SETUP,
-                    entries as usize,
-                    &mut params as *mut UringParams as usize,
-                    0,
-                    0,
-                    0,
-                    0,
-                )
-            };
-            if fd < 0 {
-                return None; // ENOSYS / EPERM / old kernel: fall back
-            }
-            let fd = fd as i32;
-            let map = |len: usize, off: usize| -> Option<Mapping> {
-                let ptr = unsafe {
-                    syscall6(
-                        SYS_MMAP,
-                        0,
-                        len,
-                        PROT_READ_WRITE,
-                        MAP_SHARED_POPULATE,
-                        fd as usize,
-                        off,
-                    )
-                };
-                if ptr < 0 {
-                    None
-                } else {
-                    Some(Mapping {
-                        ptr: ptr as *mut u8,
-                        len,
-                    })
-                }
-            };
-            let sq_len = params.sq_off.array as usize + params.sq_entries as usize * 4;
-            let cq_len = params.cq_off.cqes as usize
-                + params.cq_entries as usize * std::mem::size_of::<Cqe>();
-            let sqes_len = params.sq_entries as usize * std::mem::size_of::<Sqe>();
-            let sq = map(sq_len, IORING_OFF_SQ_RING)?;
-            let cq = map(cq_len, IORING_OFF_CQ_RING)?;
-            let sqes = map(sqes_len, IORING_OFF_SQES)?;
-            let at = |m: &Mapping, off: u32| unsafe { m.ptr.add(off as usize) };
-            let ring = Ring {
-                fd,
-                sq_head: at(&sq, params.sq_off.head) as *const AtomicU32,
-                sq_tail: at(&sq, params.sq_off.tail) as *const AtomicU32,
-                sq_mask: unsafe { *(at(&sq, params.sq_off.ring_mask) as *const u32) },
-                sq_array: at(&sq, params.sq_off.array) as *mut u32,
-                cq_head: at(&cq, params.cq_off.head) as *const AtomicU32,
-                cq_tail: at(&cq, params.cq_off.tail) as *const AtomicU32,
-                cq_mask: unsafe { *(at(&cq, params.cq_off.ring_mask) as *const u32) },
-                cqes: at(&cq, params.cq_off.cqes) as *const Cqe,
-                sq,
-                cq,
-                sqes,
-            };
-            // Quell the "field never read" lint on the mappings: they
-            // exist for their Drop impls.
-            let _ = (ring.sq.len, ring.cq.len);
-            Some(ring)
-        }
-
-        /// Queue one read SQE; the caller tracks in-flight counts and
-        /// guarantees free SQ slots (in-flight < ring entries).
-        fn push_read(&self, target_fd: i32, off: u64, addr: *mut u8, len: u32, token: u64) {
-            unsafe {
-                let tail = (*self.sq_tail).load(Ordering::Acquire);
-                let idx = tail & self.sq_mask;
-                let sqe = (self.sqes.ptr as *mut Sqe).add(idx as usize);
-                std::ptr::write(
-                    sqe,
-                    Sqe {
-                        opcode: IORING_OP_READ,
-                        flags: 0,
-                        ioprio: 0,
-                        fd: target_fd,
-                        off,
-                        addr: addr as u64,
-                        len,
-                        rw_flags: 0,
-                        user_data: token,
-                        _pad: [0; 3],
-                    },
-                );
-                *self.sq_array.add(idx as usize) = idx;
-                (*self.sq_tail).store(tail.wrapping_add(1), Ordering::Release);
-            }
-        }
-
-        fn enter(&self, to_submit: u32, min_complete: u32, flags: usize) -> isize {
-            unsafe {
-                syscall6(
-                    SYS_IO_URING_ENTER,
-                    self.fd as usize,
-                    to_submit as usize,
-                    min_complete as usize,
-                    flags,
-                    0,
-                    0,
-                )
-            }
-        }
-
-        /// Pop one CQE if available.
-        fn pop_cqe(&self) -> Option<Cqe> {
-            unsafe {
-                let head = (*self.cq_head).load(Ordering::Acquire);
-                let tail = (*self.cq_tail).load(Ordering::Acquire);
-                if head == tail {
-                    return None;
-                }
-                let cqe = *self.cqes.add((head & self.cq_mask) as usize);
-                (*self.cq_head).store(head.wrapping_add(1), Ordering::Release);
-                Some(cqe)
-            }
-        }
-    }
-
-    struct UringShared {
-        queue: Mutex<VecDeque<Job>>,
-        cv: Condvar,
-        shutdown: AtomicBool,
-        backlog: AtomicU64,
-    }
-
-    /// One read in flight on the ring.
-    struct Inflight {
-        job: Job,
-        pages: Vec<PageBuf>,
-    }
-
-    pub(super) struct UringBackend {
-        shared: Arc<UringShared>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl UringBackend {
-        /// Set up the ring and spawn the ring thread; `None` when the
-        /// kernel refuses (callers fall back to the thread pool).
-        pub(super) fn create(
-            fd: i32,
-            disk: Arc<dyn DiskManager>,
-            stats: Arc<IoStats>,
-            depth: usize,
-        ) -> Option<Self> {
-            let entries = (depth.max(2) as u32).next_power_of_two();
-            let ring = Ring::create(entries)?;
-            let shared = Arc::new(UringShared {
-                queue: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                backlog: AtomicU64::new(0),
-            });
-            let thread_shared = Arc::clone(&shared);
-            let thread = std::thread::Builder::new()
-                .name("cor-aio-uring".into())
-                .spawn(move || ring_thread(ring, fd, thread_shared, disk, stats, depth))
-                .ok()?;
-            Some(UringBackend {
-                shared,
-                thread: Some(thread),
-            })
-        }
-
-        pub(super) fn backlog(&self) -> usize {
-            self.shared.backlog.load(Ordering::Relaxed) as usize
-        }
-
-        pub(super) fn enqueue(&self, job: Job) {
-            self.shared.backlog.fetch_add(1, Ordering::Relaxed);
-            let mut q = self.shared.queue.lock().expect("aio uring queue");
-            q.push_back(job);
-            drop(q);
-            self.shared.cv.notify_one();
-        }
-    }
-
-    impl Drop for UringBackend {
-        fn drop(&mut self) {
-            self.shared.shutdown.store(true, Ordering::Relaxed);
-            self.shared.cv.notify_all();
-            if let Some(t) = self.thread.take() {
-                let _ = t.join();
-            }
-        }
-    }
-
-    #[allow(clippy::needless_pass_by_value)]
-    fn ring_thread(
-        ring: Ring,
-        fd: i32,
-        shared: Arc<UringShared>,
-        disk: Arc<dyn DiskManager>,
-        stats: Arc<IoStats>,
-        depth: usize,
-    ) {
-        let mut inflight: Vec<Option<Inflight>> = Vec::new();
-        let mut inflight_count = 0usize;
-        loop {
-            // Admit queued runs while there is depth to spare.
-            let mut submitted = 0u32;
-            while inflight_count < depth {
-                let job = {
-                    let mut q = shared.queue.lock().expect("aio uring queue");
-                    q.pop_front()
-                };
-                let Some(job) = job else { break };
-                // Validate before any I/O, like FileDisk::read_pages: a
-                // bad id fails the run with no bytes transferred.
-                let end = disk.num_pages();
-                if let Some(&bad) = job.ids.iter().find(|&&id| id >= end) {
-                    shared.backlog.fetch_sub(1, Ordering::Relaxed);
-                    stats.record_aio_completed(1);
-                    job.slot.complete(Err(DiskError::BadPage(bad)));
-                    continue;
-                }
-                let mut pages: Vec<PageBuf> = vec![[0u8; PAGE_SIZE]; job.ids.len()];
-                let addr = pages.as_mut_ptr() as *mut u8;
-                let len = (pages.len() * PAGE_SIZE) as u32;
-                let off = job.ids[0] as u64 * PAGE_SIZE as u64;
-                let token = inflight
-                    .iter()
-                    .position(Option::is_none)
-                    .unwrap_or_else(|| {
-                        inflight.push(None);
-                        inflight.len() - 1
-                    });
-                ring.push_read(fd, off, addr, len, token as u64);
-                inflight[token] = Some(Inflight { job, pages });
-                inflight_count += 1;
-                submitted += 1;
-                stats.note_aio_in_flight(inflight_count as u64);
-            }
-            if submitted > 0 {
-                ring.enter(submitted, 0, 0);
-            }
-            // Reap whatever has completed.
-            let mut reaped = false;
-            while let Some(cqe) = ring.pop_cqe() {
-                reaped = true;
-                let Some(op) = inflight
-                    .get_mut(cqe.user_data as usize)
-                    .and_then(Option::take)
-                else {
-                    continue;
-                };
-                inflight_count -= 1;
-                shared.backlog.fetch_sub(1, Ordering::Relaxed);
-                stats.record_aio_completed(1);
-                let expected = (op.pages.len() * PAGE_SIZE) as i32;
-                let result = if cqe.res == expected {
-                    Ok(op.pages)
-                } else if cqe.res < 0 {
-                    Err(DiskError::io(
-                        "read",
-                        "io_uring",
-                        std::io::Error::from_raw_os_error(-cqe.res),
-                    ))
-                } else {
-                    Err(DiskError::io(
-                        "read",
-                        "io_uring",
-                        std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            format!("short read: {} of {expected} bytes", cqe.res),
-                        ),
-                    ))
-                };
-                op.job.slot.complete(result);
-            }
-            if reaped || submitted > 0 {
-                continue;
-            }
-            if inflight_count > 0 {
-                // Nothing new to submit: block until a completion lands.
-                ring.enter(0, 1, IORING_ENTER_GETEVENTS);
-                continue;
-            }
-            // Idle: wait for work or shutdown.
-            let q = shared.queue.lock().expect("aio uring queue");
-            if shared.shutdown.load(Ordering::Relaxed) && q.is_empty() {
-                return;
-            }
-            if q.is_empty() {
-                let _unused = shared
-                    .cv
-                    .wait_timeout(q, std::time::Duration::from_millis(50))
-                    .expect("aio uring queue");
-            }
-        }
     }
 }
 
@@ -1220,53 +644,5 @@ mod tests {
         assert_eq!(t.num_runs(), 0);
         assert_eq!(t.poll(), TicketStatus::Ready);
         assert!(t.wait_pages().unwrap().is_empty());
-    }
-
-    /// Drives the io_uring backend against a real `FileDisk` (the only disk
-    /// exposing `raw_read_fd`). If the kernel rejects `io_uring_setup` the
-    /// engine resolves to the thread pool instead — the harvest must be
-    /// byte-identical either way, so the assertion tolerates the fallback.
-    #[cfg(all(
-        feature = "io_uring",
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    #[test]
-    fn io_uring_backend_harvests_byte_identical_pages() {
-        use crate::disk::FileDisk;
-
-        let dir = std::env::temp_dir().join(format!("cor-aio-uring-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.db");
-        let disk = Arc::new(FileDisk::open(&path).unwrap());
-        let mut images = Vec::new();
-        for i in 0..32u32 {
-            let pid = disk.allocate_page().unwrap();
-            let mut buf = [0u8; PAGE_SIZE];
-            buf[..4].copy_from_slice(&(i ^ 0xDEAD_BEEF).to_le_bytes());
-            buf[PAGE_SIZE - 1] = 0x5C;
-            disk.write_page(pid, &buf).unwrap();
-            images.push((pid, buf));
-        }
-        let dyn_disk: Arc<dyn DiskManager> = disk.clone();
-        let eng = AioEngine::new(dyn_disk, IoStats::new(), AioConfig::with_depth(4));
-        assert!(
-            matches!(eng.backend(), AioBackend::IoUring | AioBackend::ThreadPool),
-            "FileDisk at depth > 1 must resolve to an async backend, got {:?}",
-            eng.backend()
-        );
-        // Three separated runs, out-of-order start.
-        let ids: Vec<PageId> = vec![20, 21, 22, 0, 1, 2, 3, 30, 31];
-        let ticket = eng.submit(&ids);
-        let got = ticket.wait_pages().unwrap();
-        for (i, &pid) in ids.iter().enumerate() {
-            assert_eq!(got[i], images[pid as usize].1, "page {pid}");
-        }
-        let b = eng.stats.batch_snapshot();
-        assert_eq!(b.aio_submitted, 3);
-        assert_eq!(b.aio_completed, 3);
-        drop(eng);
-        drop(disk);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

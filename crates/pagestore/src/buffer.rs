@@ -114,7 +114,7 @@ impl From<DiskError> for BufferError {
 /// let pool = BufferPool::builder()
 ///     .capacity(100)
 ///     .shards(4)
-///     .policy(ReplacementPolicy::Clock)
+///     .policy(ReplacementPolicy::Sieve)
 ///     .build();
 /// assert_eq!(pool.capacity(), 100);
 /// assert_eq!(pool.shards(), 4);
@@ -302,33 +302,6 @@ impl BufferPool {
     /// The attached WAL hook, if any.
     fn wal_ref(&self) -> Option<&dyn WalHook> {
         self.wal.as_deref()
-    }
-
-    /// Create a single-shard LRU pool of `capacity` frames over `disk`,
-    /// counting I/O into `stats`.
-    #[deprecated(since = "0.2.0", note = "use `BufferPool::builder()` instead")]
-    pub fn new(disk: Box<dyn DiskManager>, capacity: usize, stats: Arc<IoStats>) -> Self {
-        Self::builder()
-            .disk(disk)
-            .capacity(capacity)
-            .stats(stats)
-            .build()
-    }
-
-    /// Create a single-shard pool with an explicit replacement policy.
-    #[deprecated(since = "0.2.0", note = "use `BufferPool::builder()` instead")]
-    pub fn with_policy(
-        disk: Box<dyn DiskManager>,
-        capacity: usize,
-        stats: Arc<IoStats>,
-        policy: ReplacementPolicy,
-    ) -> Self {
-        Self::builder()
-            .disk(disk)
-            .capacity(capacity)
-            .stats(stats)
-            .policy(policy)
-            .build()
     }
 
     /// The configured replacement policy.
@@ -1127,42 +1100,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_by_load_order_despite_rereads() {
-        let p = pool_with(2, ReplacementPolicy::Fifo);
-        let a = p.allocate_page().unwrap();
-        let b = p.allocate_page().unwrap();
-        // Re-touch a repeatedly: FIFO must still evict it first.
-        for _ in 0..5 {
-            p.read(a, |_| ()).unwrap();
-        }
-        let _c = p.allocate_page().unwrap(); // evicts a (earliest load)
-        let before = p.stats().reads();
-        p.read(b, |_| ()).unwrap();
-        assert_eq!(p.stats().reads(), before, "b stayed resident under FIFO");
-        p.read(a, |_| ()).unwrap();
-        assert_eq!(
-            p.stats().reads(),
-            before + 1,
-            "a was evicted despite rereads"
-        );
-    }
-
-    #[test]
-    fn clock_gives_second_chances() {
-        let p = pool_with(2, ReplacementPolicy::Clock);
-        let a = p.allocate_page().unwrap();
-        let b = p.allocate_page().unwrap();
-        p.read(a, |_| ()).unwrap();
-        let c = p.allocate_page().unwrap();
-        // Exactly one of a/b was evicted; every page stays readable and
-        // the pool stays at capacity.
-        for pid in [a, b, c] {
-            p.read(pid, |_| ()).unwrap();
-        }
-        assert_eq!(p.resident_pages(), 2);
-    }
-
-    #[test]
     fn sieve_retains_rereferenced_pages_across_a_scan() {
         let p = pool_with(4, ReplacementPolicy::Sieve);
         let hot: Vec<_> = (0..2).map(|_| p.allocate_page().unwrap()).collect();
@@ -1190,29 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn two_q_scan_churns_probation_not_the_main_queue() {
-        let p = pool_with(8, ReplacementPolicy::TwoQ);
-        let hot: Vec<_> = (0..2).map(|_| p.allocate_page().unwrap()).collect();
-        // Second touch promotes the hot pages into Am.
-        for &pid in &hot {
-            p.read(pid, |_| ()).unwrap();
-        }
-        // Flood with one-touch allocations: they cycle through A1in.
-        for _ in 0..20 {
-            p.allocate_page().unwrap();
-        }
-        let before = p.stats().reads();
-        for &pid in &hot {
-            p.read(pid, |_| ()).unwrap();
-        }
-        assert_eq!(
-            p.stats().reads(),
-            before,
-            "2Q kept the promoted pages resident through the flood"
-        );
-    }
-
-    #[test]
     fn all_policies_are_transparent_caches() {
         for policy in ReplacementPolicy::ALL {
             let p = pool_with(3, policy);
@@ -1230,22 +1144,6 @@ mod tests {
             }
             assert_eq!(p.policy(), policy);
         }
-    }
-
-    #[test]
-    fn deprecated_constructors_still_work() {
-        #[allow(deprecated)]
-        let p = BufferPool::new(Box::new(MemDisk::new()), 4, IoStats::new());
-        assert_eq!(p.capacity(), 4);
-        assert_eq!(p.shards(), 1);
-        #[allow(deprecated)]
-        let p = BufferPool::with_policy(
-            Box::new(MemDisk::new()),
-            4,
-            IoStats::new(),
-            ReplacementPolicy::Clock,
-        );
-        assert_eq!(p.policy(), ReplacementPolicy::Clock);
     }
 
     #[test]
@@ -1507,29 +1405,5 @@ mod tests {
         // Pins all released: a full-capacity batch now succeeds.
         let flags = p.fetch_many(&pids[..2], |_, pg| pg.flags()).unwrap();
         assert_eq!(flags, vec![0, 1]);
-    }
-
-    #[test]
-    fn single_shard_matches_legacy_eviction_order() {
-        // The builder with shards(1) must reproduce the exact legacy
-        // stamp sequence: see lru_evicts_least_recently_used, plus a
-        // FIFO interleaving that is order-sensitive.
-        let p = BufferPool::builder()
-            .capacity(3)
-            .shards(1)
-            .policy(ReplacementPolicy::Fifo)
-            .build();
-        let a = p.allocate_page().unwrap();
-        let b = p.allocate_page().unwrap();
-        let c = p.allocate_page().unwrap();
-        p.read(a, |_| ()).unwrap();
-        p.read(c, |_| ()).unwrap();
-        let _d = p.allocate_page().unwrap(); // FIFO evicts a
-        let before = p.stats().reads();
-        p.read(b, |_| ()).unwrap();
-        p.read(c, |_| ()).unwrap();
-        assert_eq!(p.stats().reads(), before, "b and c stayed resident");
-        p.read(a, |_| ()).unwrap();
-        assert_eq!(p.stats().reads(), before + 1, "a went out first");
     }
 }

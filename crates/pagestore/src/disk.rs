@@ -134,18 +134,6 @@ pub trait DiskManager: Send + Sync {
     fn sync(&self) -> Result<(), DiskError> {
         Ok(())
     }
-    /// The raw OS file descriptor page reads could be issued against
-    /// directly, if this store is a plain positioned-read file.
-    ///
-    /// `None` (the default) means reads must flow through the trait —
-    /// the contract for in-memory stores and for wrappers that add
-    /// behaviour per call ([`FaultyDisk`] fault ordinals, seek
-    /// charging). The `cor-aio` io_uring backend engages only on
-    /// `Some`, so wrapped stores always take the portable thread-pool
-    /// path and keep their per-operation semantics.
-    fn raw_read_fd(&self) -> Option<i32> {
-        None
-    }
 }
 
 /// Shared handles delegate, so a caller can keep a reference to a store
@@ -169,9 +157,6 @@ impl<D: DiskManager + ?Sized> DiskManager for std::sync::Arc<D> {
     }
     fn sync(&self) -> Result<(), DiskError> {
         (**self).sync()
-    }
-    fn raw_read_fd(&self) -> Option<i32> {
-        (**self).raw_read_fd()
     }
 }
 
@@ -422,12 +407,6 @@ impl DiskManager for FileDisk {
                 .map_err(|e| DiskError::io("sync", &self.path, e))?;
         }
         Ok(())
-    }
-
-    #[cfg(unix)]
-    fn raw_read_fd(&self) -> Option<i32> {
-        use std::os::unix::io::AsRawFd;
-        Some(self.file.as_raw_fd())
     }
 }
 

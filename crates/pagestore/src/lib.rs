@@ -14,9 +14,9 @@
 //! * [`buffer`] — a lock-striped buffer pool that counts every transfer
 //!   crossing its boundary (single-shard mode reproduces the paper's
 //!   global-LRU counts exactly; more shards serve concurrent streams);
-//! * [`policy`] — the pluggable replacement policies (LRU/FIFO/CLOCK
-//!   plus the scan-resistant SIEVE and 2Q), with O(1) eviction over an
-//!   intrusive recency arena;
+//! * [`policy`] — the two replacement policies (LRU, the paper's, and
+//!   the scan-resistant SIEVE), with O(1) eviction over an intrusive
+//!   recency list;
 //! * [`stats`] — shared I/O counters with snapshot/delta support, used to
 //!   split query cost into the paper's `ParCost` and `ChildCost`;
 //! * [`telemetry`] — opt-in per-shard behaviour counters (hits, misses,
@@ -31,6 +31,7 @@
 //!   when `queue_depth > 1`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aio;
 pub mod buffer;
@@ -42,9 +43,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod wal;
 
-pub use aio::{
-    AioBackend, AioBackendChoice, AioConfig, AioEngine, Completion, SubmissionTicket, TicketStatus,
-};
+pub use aio::{AioBackend, AioConfig, AioEngine, Completion, SubmissionTicket, TicketStatus};
 pub use buffer::{BufferError, BufferPool, BufferPoolBuilder, DEFAULT_POOL_PAGES};
 pub use disk::{DiskError, DiskManager, Durability, FaultMode, FaultyDisk, FileDisk, MemDisk};
 pub use page::{

@@ -1,102 +1,77 @@
 //! Frame replacement policies and the per-shard recency state they
 //! maintain.
 //!
-//! Each buffer-pool shard owns one [`ReplacementState`]; the tick
-//! counter, intrusive recency lists, reference bits and clock hand are
-//! all shard-local, so shards make eviction decisions without touching
-//! any shared state. With a single shard the eviction sequence is
-//! exactly the one the unsharded pool produced, which is what keeps the
-//! paper's I/O counts byte-identical in single-shard mode.
+//! Each buffer-pool shard owns one [`ReplacementState`]; the intrusive
+//! recency list, visited bits and eviction hand are all shard-local, so
+//! shards make eviction decisions without touching any shared state.
+//! With a single shard the eviction sequence is exactly the one the
+//! unsharded pool produced, which is what keeps the paper's I/O counts
+//! byte-identical in single-shard mode.
 //!
-//! # The intrusive recency arena
+//! # Two policies, one list
 //!
-//! Recency order is kept in intrusive doubly-linked lists over frame
-//! indices (`prev`/`next` arrays — no allocation per operation). Every
-//! frame lives on exactly one list at a time:
+//! Order is kept in one intrusive doubly-linked list over frame indices
+//! (`prev`/`next` arrays — no allocation per operation), head = coldest:
 //!
-//! * **LRU / FIFO** — one list, head = coldest. LRU moves a frame to
-//!   the tail on every touch; FIFO only on load. The victim is the
-//!   first unpinned frame from the head, so eviction is O(1) plus the
-//!   number of pinned frames skipped — the old `min_by_key` scan was
-//!   O(frames) on every fault.
-//! * **CLOCK** — second-chance hand over per-frame reference bits
-//!   (unchanged from the original implementation; the list is
-//!   maintained but not consulted).
-//! * **SIEVE** — the list holds *insertion* order and is never
-//!   reordered; a moving hand walks from the oldest end clearing
-//!   visited bits and evicts the first unvisited unpinned frame. The
-//!   hand survives across evictions, which is what makes SIEVE
-//!   scan-resistant: one-touch scan pages are swept out while
-//!   re-referenced pages (visited bit set) get exactly one reprieve
-//!   per lap.
-//! * **2Q** — two lists: a probationary FIFO `A1in` receiving every
-//!   newly loaded page, and a main queue `Am` a page is promoted to on
-//!   its second touch. Victims come from `A1in` while it holds at
-//!   least `max(1, frames/4)` frames, so a scan flood churns only the
-//!   probationary quarter and never displaces the re-referenced pages
-//!   in `Am`.
+//! * **LRU** (the default, for paper fidelity) moves a frame to the
+//!   tail on every touch. The victim is the first unpinned frame from
+//!   the head, so eviction is O(1) plus the number of pinned frames
+//!   skipped.
+//! * **SIEVE** keeps *insertion* order and never reorders; a moving hand
+//!   walks from the oldest end clearing visited bits and evicts the
+//!   first unvisited unpinned frame. The hand survives across
+//!   evictions, which is what makes SIEVE scan-resistant: one-touch
+//!   scan pages are swept out while re-referenced pages (visited bit
+//!   set) get exactly one reprieve per lap.
 //!
-//! Eviction-order compatibility: the legacy LRU/FIFO victim was the
-//! minimum `last_used` stamp among unpinned frames, ties broken by the
-//! lowest frame index (all stamps start at 0). The lists are
-//! initialised in frame-index order and moved-to-tail on exactly the
-//! events that used to stamp, so the victim sequence is identical —
-//! asserted by the stamp-model regression test below.
+//! These are the two behaviours the committed `BENCH_pool.json`
+//! distinguishes — where the miss curve bends under a scan flood. FIFO,
+//! CLOCK and 2Q shipped once and were removed: the first two tracked LRU
+//! and 2Q tracked SIEVE to the digit on every flood and retention leg
+//! (DESIGN.md §14). Their catalog tags stay retired, never reused.
+//!
+//! Eviction-order compatibility: the pre-list LRU victim was the minimum
+//! `last_used` stamp among unpinned frames, ties broken by the lowest
+//! frame index (all stamps start at 0). The list is initialised in
+//! frame-index order and moved-to-tail on exactly the events that used
+//! to stamp, so the victim sequence is identical — asserted by the
+//! stamp-model regression test below.
 
 /// "No frame" marker for the intrusive list links and the SIEVE hand.
 const NIL: usize = usize::MAX;
 
 /// Frame replacement policy. The paper does not name INGRES 5.0's policy;
-/// LRU is the era-appropriate default, and the alternatives exist for the
-/// ablation bench (strategy orderings should not hinge on the policy).
+/// LRU is the era-appropriate default, and SIEVE is the scan-resistant
+/// alternative (the ablation bench shows strategy orderings do not hinge
+/// on the choice).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplacementPolicy {
     /// Evict the least recently used unpinned frame (default).
     #[default]
     Lru,
-    /// Evict the earliest-loaded unpinned frame.
-    Fifo,
-    /// Second-chance clock over reference bits.
-    Clock,
     /// FIFO insertion order with a moving eviction hand that clears
     /// visited bits but never reorders (SIGMETRICS '24) — scan-resistant
     /// and simpler than LRU.
     Sieve,
-    /// Probationary `A1in` FIFO + `Am` main queue (Johnson & Shasha):
-    /// one-touch pages never displace re-referenced ones.
-    TwoQ,
 }
 
 impl ReplacementPolicy {
     /// Every policy, in the canonical bench/report order.
-    pub const ALL: [ReplacementPolicy; 5] = [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Fifo,
-        ReplacementPolicy::Clock,
-        ReplacementPolicy::Sieve,
-        ReplacementPolicy::TwoQ,
-    ];
+    pub const ALL: [ReplacementPolicy; 2] = [ReplacementPolicy::Lru, ReplacementPolicy::Sieve];
 
     /// Stable lower-case name used in metrics labels and JSON stamps.
     pub fn name(self) -> &'static str {
         match self {
             ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::Fifo => "fifo",
-            ReplacementPolicy::Clock => "clock",
             ReplacementPolicy::Sieve => "sieve",
-            ReplacementPolicy::TwoQ => "2q",
         }
     }
 
-    /// Inverse of [`name`](Self::name) (case-insensitive; accepts
-    /// `"2q"` or `"twoq"`).
+    /// Inverse of [`name`](Self::name) (case-insensitive).
     pub fn parse(s: &str) -> Option<ReplacementPolicy> {
         match s.to_ascii_lowercase().as_str() {
             "lru" => Some(ReplacementPolicy::Lru),
-            "fifo" => Some(ReplacementPolicy::Fifo),
-            "clock" => Some(ReplacementPolicy::Clock),
             "sieve" => Some(ReplacementPolicy::Sieve),
-            "2q" | "twoq" => Some(ReplacementPolicy::TwoQ),
             _ => None,
         }
     }
@@ -108,46 +83,22 @@ impl std::fmt::Display for ReplacementPolicy {
     }
 }
 
-/// Head/tail of one intrusive list (links live in [`ReplacementState`]).
-#[derive(Debug, Clone, Copy)]
-struct Ends {
-    head: usize,
-    tail: usize,
-}
-
-impl Ends {
-    const EMPTY: Ends = Ends {
-        head: NIL,
-        tail: NIL,
-    };
-}
-
 /// Recency bookkeeping for the frames of one shard.
 #[derive(Debug)]
 pub(crate) struct ReplacementState {
-    /// Intrusive list links, shared by both lists (a frame is on one).
+    /// Intrusive list links: LRU recency order or SIEVE insertion order.
     prev: Vec<usize>,
     next: Vec<usize>,
-    /// LRU/FIFO recency order, SIEVE insertion order, 2Q `A1in`.
-    /// Head is the coldest / oldest frame.
-    main: Ends,
-    /// 2Q main queue `Am`; empty under every other policy.
-    am: Ends,
-    /// Which list each frame is on.
-    in_am: Vec<bool>,
-    /// Frames currently on `main` (drives the 2Q `A1in` threshold).
-    main_len: usize,
-    /// CLOCK reference bits / SIEVE visited bits.
-    ref_bits: Vec<bool>,
-    /// CLOCK hand (frame-index space, exactly the legacy sweep).
-    hand: usize,
+    /// The coldest / oldest frame.
+    head: usize,
+    /// The hottest / newest frame.
+    tail: usize,
+    /// SIEVE visited bits (unused under LRU).
+    visited: Vec<bool>,
     /// SIEVE hand: the next list node to examine (`NIL` = wrap to the
     /// oldest end). Never reset by evictions — that persistence is the
     /// algorithm.
     sieve_hand: usize,
-    /// Shard-local logical clock (one tick per pin, as the unsharded
-    /// pool did). Kept for diagnostics; victim choice is list order.
-    tick: u64,
 }
 
 impl ReplacementState {
@@ -155,43 +106,29 @@ impl ReplacementState {
         let mut s = ReplacementState {
             prev: vec![NIL; capacity],
             next: vec![NIL; capacity],
-            main: Ends::EMPTY,
-            am: Ends::EMPTY,
-            in_am: vec![false; capacity],
-            main_len: 0,
-            ref_bits: vec![false; capacity],
-            hand: 0,
+            head: NIL,
+            tail: NIL,
+            visited: vec![false; capacity],
             sieve_hand: NIL,
-            tick: 0,
         };
-        s.chain_main_in_index_order();
+        s.chain_in_index_order();
         s
     }
 
-    /// Link every frame onto `main` in index order — the order the
-    /// legacy stamp model filled a cold pool (all stamps 0, ties broken
-    /// by lowest index).
-    fn chain_main_in_index_order(&mut self) {
+    /// Link every frame in index order — the order the pre-list stamp
+    /// model filled a cold pool (all stamps 0, ties broken by lowest
+    /// index).
+    fn chain_in_index_order(&mut self) {
         let n = self.prev.len();
         for i in 0..n {
             self.prev[i] = if i == 0 { NIL } else { i - 1 };
             self.next[i] = if i + 1 == n { NIL } else { i + 1 };
         }
-        self.main = if n == 0 {
-            Ends::EMPTY
-        } else {
-            Ends {
-                head: 0,
-                tail: n - 1,
-            }
-        };
-        self.am = Ends::EMPTY;
-        self.in_am.fill(false);
-        self.main_len = n;
+        (self.head, self.tail) = if n == 0 { (NIL, NIL) } else { (0, n - 1) };
     }
 
-    /// Unlink frame `i` from whichever list holds it. The SIEVE hand
-    /// slides to the next node first so it never dangles.
+    /// Unlink frame `i`. The SIEVE hand slides to the next node first so
+    /// it never dangles.
     fn detach(&mut self, i: usize) {
         if self.sieve_hand == i {
             self.sieve_hand = self.next[i];
@@ -203,102 +140,46 @@ impl ReplacementState {
         if n != NIL {
             self.prev[n] = p;
         }
-        if self.in_am[i] {
-            if self.am.head == i {
-                self.am.head = n;
-            }
-            if self.am.tail == i {
-                self.am.tail = p;
-            }
-        } else {
-            if self.main.head == i {
-                self.main.head = n;
-            }
-            if self.main.tail == i {
-                self.main.tail = p;
-            }
-            self.main_len -= 1;
+        if self.head == i {
+            self.head = n;
+        }
+        if self.tail == i {
+            self.tail = p;
         }
         self.prev[i] = NIL;
         self.next[i] = NIL;
     }
 
-    /// Append frame `i` at the hot end of `main`.
-    fn push_main_back(&mut self, i: usize) {
-        self.prev[i] = self.main.tail;
+    /// Append frame `i` at the hot end.
+    fn push_back(&mut self, i: usize) {
+        self.prev[i] = self.tail;
         self.next[i] = NIL;
-        if self.main.tail != NIL {
-            self.next[self.main.tail] = i;
+        if self.tail != NIL {
+            self.next[self.tail] = i;
         } else {
-            self.main.head = i;
+            self.head = i;
         }
-        self.main.tail = i;
-        self.in_am[i] = false;
-        self.main_len += 1;
+        self.tail = i;
     }
 
-    /// Append frame `i` at the hot end of `Am`.
-    fn push_am_back(&mut self, i: usize) {
-        self.prev[i] = self.am.tail;
-        self.next[i] = NIL;
-        if self.am.tail != NIL {
-            self.next[self.am.tail] = i;
-        } else {
-            self.am.head = i;
-        }
-        self.am.tail = i;
-        self.in_am[i] = true;
-    }
-
-    /// First frame from `start` along `next` for which `evictable`
-    /// holds. O(1) in the common case (the coldest frame is unpinned);
-    /// only pinned frames are ever skipped.
-    fn first_evictable(&self, start: usize, evictable: &impl Fn(usize) -> bool) -> Option<usize> {
-        let mut i = start;
-        while i != NIL {
-            if evictable(i) {
-                return Some(i);
-            }
-            i = self.next[i];
-        }
-        None
-    }
-
-    /// Advance the logical clock (one tick per pin, as the unsharded
-    /// pool did).
-    pub(crate) fn advance(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// A resident page was touched at `tick`.
-    pub(crate) fn on_hit(&mut self, idx: usize, _tick: u64, policy: ReplacementPolicy) {
+    /// A resident page was touched.
+    pub(crate) fn on_hit(&mut self, idx: usize, policy: ReplacementPolicy) {
         match policy {
             ReplacementPolicy::Lru => {
                 self.detach(idx);
-                self.push_main_back(idx);
+                self.push_back(idx);
             }
-            ReplacementPolicy::Fifo => {} // load order only
-            ReplacementPolicy::Clock | ReplacementPolicy::Sieve => self.ref_bits[idx] = true,
-            ReplacementPolicy::TwoQ => {
-                // Second touch promotes out of probation; further touches
-                // refresh the Am recency. Both are "move to Am tail".
-                self.detach(idx);
-                self.push_am_back(idx);
-            }
+            ReplacementPolicy::Sieve => self.visited[idx] = true,
         }
     }
 
-    /// A page was loaded (or allocated) into frame `idx` at `tick`.
-    pub(crate) fn on_load(&mut self, idx: usize, _tick: u64, policy: ReplacementPolicy) {
-        // SIEVE inserts unvisited — a page must prove reuse before the
-        // hand spares it. CLOCK keeps the legacy load-sets-the-bit
-        // behaviour (a fresh page survives the first sweep).
-        self.ref_bits[idx] = policy != ReplacementPolicy::Sieve;
+    /// A page was loaded (or allocated) into frame `idx`. Both policies
+    /// admit at the hot end; SIEVE inserts unvisited — a page must prove
+    /// reuse before the hand spares it.
+    pub(crate) fn on_load(&mut self, idx: usize) {
+        self.visited[idx] = false;
         self.detach(idx);
-        // Every policy admits at the hot end of `main`: recency tail for
-        // LRU/FIFO, insertion tail for SIEVE, probationary A1in for 2Q.
-        self.push_main_back(idx);
+        self.push_back(idx);
     }
 
     /// Choose a victim frame among those for which `evictable` holds
@@ -306,30 +187,20 @@ impl ReplacementState {
     pub(crate) fn pick_victim(
         &mut self,
         policy: ReplacementPolicy,
-        n: usize,
         evictable: impl Fn(usize) -> bool,
     ) -> Option<usize> {
         match policy {
             // Coldest unpinned frame from the list head; the list *is*
-            // the stamp order, so this matches the legacy min_by_key
-            // scan victim-for-victim.
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                self.first_evictable(self.main.head, &evictable)
-            }
-            ReplacementPolicy::Clock => {
-                // Two full sweeps suffice: the first clears reference bits,
-                // the second must find one unless everything is pinned.
-                for _ in 0..2 * n {
-                    let i = self.hand;
-                    self.hand = (self.hand + 1) % n;
-                    if !evictable(i) {
-                        continue;
+            // the stamp order, so this matches the pre-list min_by_key
+            // scan victim-for-victim. O(1) in the common case: only
+            // pinned frames are ever skipped.
+            ReplacementPolicy::Lru => {
+                let mut i = self.head;
+                while i != NIL {
+                    if evictable(i) {
+                        return Some(i);
                     }
-                    if self.ref_bits[i] {
-                        self.ref_bits[i] = false;
-                        continue;
-                    }
-                    return Some(i);
+                    i = self.next[i];
                 }
                 None
             }
@@ -338,10 +209,11 @@ impl ReplacementState {
                 // and keeps its position across calls and evictions.
                 // Pinned frames are skipped without clearing (a pin is
                 // active use, not a sweepable reference). Two laps
-                // suffice for the same reason as CLOCK.
-                for _ in 0..2 * n {
+                // suffice: the first clears visited bits, the second
+                // must find a victim unless everything is pinned.
+                for _ in 0..2 * self.prev.len() {
                     let i = if self.sieve_hand == NIL {
-                        self.main.head
+                        self.head
                     } else {
                         self.sieve_hand
                     };
@@ -352,35 +224,21 @@ impl ReplacementState {
                     if !evictable(i) {
                         continue;
                     }
-                    if self.ref_bits[i] {
-                        self.ref_bits[i] = false;
+                    if self.visited[i] {
+                        self.visited[i] = false;
                         continue;
                     }
                     return Some(i);
                 }
                 None
             }
-            ReplacementPolicy::TwoQ => {
-                // Evict from probation while it holds its quota; the
-                // re-referenced pages in Am are only touched when A1in
-                // has drained (or is wholly pinned).
-                let kin = (n / 4).max(1);
-                let (first, second) = if self.main_len >= kin {
-                    (self.main.head, self.am.head)
-                } else {
-                    (self.am.head, self.main.head)
-                };
-                self.first_evictable(first, &evictable)
-                    .or_else(|| self.first_evictable(second, &evictable))
-            }
         }
     }
 
     /// Forget all recency state (pool cold start).
     pub(crate) fn reset(&mut self) {
-        self.chain_main_in_index_order();
-        self.ref_bits.fill(false);
-        self.hand = 0;
+        self.chain_in_index_order();
+        self.visited.fill(false);
         self.sieve_hand = NIL;
     }
 }
@@ -389,7 +247,7 @@ impl ReplacementState {
 mod tests {
     use super::*;
 
-    /// The pre-arena LRU/FIFO implementation: per-frame stamps, victim =
+    /// The pre-list LRU implementation: per-frame stamps, victim =
     /// minimum stamp among unpinned frames (ties → lowest index).
     struct StampModel {
         last_used: Vec<u64>,
@@ -401,12 +259,7 @@ mod tests {
                 last_used: vec![0; n],
             }
         }
-        fn on_hit(&mut self, idx: usize, tick: u64, policy: ReplacementPolicy) {
-            if policy == ReplacementPolicy::Lru {
-                self.last_used[idx] = tick;
-            }
-        }
-        fn on_load(&mut self, idx: usize, tick: u64) {
+        fn touch(&mut self, idx: usize, tick: u64) {
             self.last_used[idx] = tick;
         }
         fn pick_victim(&self, n: usize, evictable: impl Fn(usize) -> bool) -> Option<usize> {
@@ -434,49 +287,48 @@ mod tests {
     /// sequence exactly — this is what keeps fig3 byte-identical.
     #[test]
     fn intrusive_list_matches_legacy_stamp_model() {
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
-            let n = 7;
-            let mut state = ReplacementState::new(n);
-            let mut model = StampModel::new(n);
-            let mut rng = Rng(0x5eed_c0de);
-            for step in 0..2000 {
-                let tick = state.advance();
-                match rng.below(3) {
-                    0 => {
-                        // Touch a resident frame.
-                        let idx = rng.below(n);
-                        state.on_hit(idx, tick, policy);
-                        model.on_hit(idx, tick, policy);
+        let policy = ReplacementPolicy::Lru;
+        let n = 7;
+        let mut state = ReplacementState::new(n);
+        let mut model = StampModel::new(n);
+        let mut rng = Rng(0x5eed_c0de);
+        for step in 0..2000 {
+            // The stamp model's clock: one tick per pin.
+            let tick = step + 1;
+            match rng.below(3) {
+                0 => {
+                    // Touch a resident frame.
+                    let idx = rng.below(n);
+                    state.on_hit(idx, policy);
+                    model.touch(idx, tick);
+                }
+                1 => {
+                    // Fault: evict a victim under a random pin mask,
+                    // then load into it.
+                    let mask = rng.next();
+                    let evictable = |i: usize| mask & (1 << i) != 0;
+                    let got = state.pick_victim(policy, evictable);
+                    let want = model.pick_victim(n, evictable);
+                    assert_eq!(got, want, "step {step}");
+                    if let Some(v) = got {
+                        state.on_load(v);
+                        model.touch(v, tick);
                     }
-                    1 => {
-                        // Fault: evict a victim under a random pin mask,
-                        // then load into it.
-                        let mask = rng.next();
-                        let evictable = |i: usize| mask & (1 << i) != 0;
-                        let got = state.pick_victim(policy, n, evictable);
-                        let want = model.pick_victim(n, evictable);
-                        assert_eq!(got, want, "step {step} policy {policy:?}");
-                        if let Some(v) = got {
-                            state.on_load(v, tick, policy);
-                            model.on_load(v, tick);
-                        }
-                    }
-                    _ => {
-                        // Occasionally cold-start both.
-                        if rng.below(50) == 0 {
-                            state.reset();
-                            model.last_used.fill(0);
-                        }
+                }
+                _ => {
+                    // Occasionally cold-start both.
+                    if rng.below(50) == 0 {
+                        state.reset();
+                        model.last_used.fill(0);
                     }
                 }
             }
         }
     }
 
-    fn fill(state: &mut ReplacementState, n: usize, policy: ReplacementPolicy) {
+    fn fill(state: &mut ReplacementState, n: usize) {
         for i in 0..n {
-            let t = state.advance();
-            state.on_load(i, t, policy);
+            state.on_load(i);
         }
     }
 
@@ -485,18 +337,17 @@ mod tests {
         let p = ReplacementPolicy::Sieve;
         let n = 4;
         let mut s = ReplacementState::new(n);
-        fill(&mut s, n, p);
+        fill(&mut s, n);
         // Re-reference frames 0 and 1; 2 and 3 stay one-touch.
         for i in [0, 1] {
-            let t = s.advance();
-            s.on_hit(i, t, p);
+            s.on_hit(i, p);
         }
         // The hand clears 0 and 1, then evicts the first unvisited frame.
-        assert_eq!(s.pick_victim(p, n, |_| true), Some(2));
+        assert_eq!(s.pick_victim(p, |_| true), Some(2));
         // Hand persists: the next victim continues from where it stopped.
-        assert_eq!(s.pick_victim(p, n, |_| true), Some(3));
+        assert_eq!(s.pick_victim(p, |_| true), Some(3));
         // 0 and 1 spent their reprieve; with no new touches they go next.
-        assert_eq!(s.pick_victim(p, n, |_| true), Some(0));
+        assert_eq!(s.pick_victim(p, |_| true), Some(0));
     }
 
     #[test]
@@ -504,42 +355,11 @@ mod tests {
         let p = ReplacementPolicy::Sieve;
         let n = 3;
         let mut s = ReplacementState::new(n);
-        fill(&mut s, n, p);
-        let t = s.advance();
-        s.on_hit(0, t, p);
+        fill(&mut s, n);
+        s.on_hit(0, p);
         // Frame 0 pinned: skipped, bit intact; 1 is the first unvisited.
-        assert_eq!(s.pick_victim(p, n, |i| i != 0), Some(1));
-        assert!(s.ref_bits[0], "pinned frame keeps its visited bit");
-    }
-
-    #[test]
-    fn two_q_probation_shields_promoted_frames() {
-        let p = ReplacementPolicy::TwoQ;
-        let n = 4; // kin = 1
-        let mut s = ReplacementState::new(n);
-        fill(&mut s, n, p); // A1in = [0, 1, 2, 3]
-        for i in [0, 1] {
-            let t = s.advance();
-            s.on_hit(i, t, p); // promote 0, 1 to Am
-        }
-        // Probation holds its quota: one-touch frames go first, in FIFO
-        // order, and the promoted frames are untouched.
-        assert_eq!(s.pick_victim(p, n, |_| true), Some(2));
-        let t = s.advance();
-        s.on_load(2, t, p); // new page takes frame 2, back into A1in
-        assert_eq!(s.pick_victim(p, n, |_| true), Some(3));
-    }
-
-    #[test]
-    fn two_q_falls_back_to_am_when_probation_is_pinned() {
-        let p = ReplacementPolicy::TwoQ;
-        let n = 4;
-        let mut s = ReplacementState::new(n);
-        fill(&mut s, n, p);
-        let t = s.advance();
-        s.on_hit(0, t, p); // Am = [0]
-                           // A1in = [1, 2, 3] all pinned → the Am head is the only victim.
-        assert_eq!(s.pick_victim(p, n, |i| i == 0), Some(0));
+        assert_eq!(s.pick_victim(p, |i| i != 0), Some(1));
+        assert!(s.visited[0], "pinned frame keeps its visited bit");
     }
 
     #[test]
@@ -547,15 +367,13 @@ mod tests {
         for p in ReplacementPolicy::ALL {
             let n = 5;
             let mut s = ReplacementState::new(n);
-            fill(&mut s, n, p);
-            let t = s.advance();
-            s.on_hit(3, t, p);
+            fill(&mut s, n);
+            s.on_hit(3, p);
             s.reset();
             // A cold pool fills frames in index order under every policy.
             for want in 0..n {
-                assert_eq!(s.pick_victim(p, n, |_| true), Some(want), "policy {p:?}");
-                let t = s.advance();
-                s.on_load(want, t, p);
+                assert_eq!(s.pick_victim(p, |_| true), Some(want), "policy {p:?}");
+                s.on_load(want);
             }
         }
     }
@@ -567,21 +385,23 @@ mod tests {
             assert_eq!(format!("{p}"), p.name());
         }
         assert_eq!(
-            ReplacementPolicy::parse("TwoQ"),
-            Some(ReplacementPolicy::TwoQ)
+            ReplacementPolicy::parse("SIEVE"),
+            Some(ReplacementPolicy::Sieve)
         );
-        assert_eq!(ReplacementPolicy::parse("arc"), None);
+        // Retired and unknown names do not parse.
+        for retired in ["fifo", "clock", "2q", "twoq", "arc"] {
+            assert_eq!(ReplacementPolicy::parse(retired), None, "{retired}");
+        }
     }
 
     /// Property tests: pins are inviolable under every policy, and
-    /// CLOCK / SIEVE / 2Q match independently written reference models
-    /// (plain `Vec` / `VecDeque` state, no intrusive lists, no `NIL`
-    /// encodings) event-for-event over arbitrary access/pin/unpin
-    /// interleavings.
+    /// SIEVE matches an independently written reference model (plain
+    /// `Vec` state, no intrusive list, no `NIL` encoding)
+    /// event-for-event over arbitrary access/pin/unpin interleavings.
     mod prop {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::{HashMap, HashSet, VecDeque};
+        use std::collections::{HashMap, HashSet};
 
         /// Page universe — larger than any generated capacity, so every
         /// sequence long enough to matter forces evictions.
@@ -624,23 +444,10 @@ mod tests {
             fn pick(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize>;
         }
 
-        impl PolicyModel for Box<dyn PolicyModel> {
-            fn on_hit(&mut self, f: usize) {
-                (**self).on_hit(f);
-            }
-            fn on_load(&mut self, f: usize) {
-                (**self).on_load(f);
-            }
-            fn pick(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-                (**self).pick(evictable)
-            }
-        }
-
         /// The production state, driven exactly as a shard drives it.
         struct Real {
             state: ReplacementState,
             policy: ReplacementPolicy,
-            n: usize,
         }
 
         impl Real {
@@ -648,53 +455,19 @@ mod tests {
                 Real {
                     state: ReplacementState::new(n),
                     policy,
-                    n,
                 }
             }
         }
 
         impl PolicyModel for Real {
             fn on_hit(&mut self, f: usize) {
-                let t = self.state.advance();
-                self.state.on_hit(f, t, self.policy);
+                self.state.on_hit(f, self.policy);
             }
             fn on_load(&mut self, f: usize) {
-                let t = self.state.advance();
-                self.state.on_load(f, t, self.policy);
+                self.state.on_load(f);
             }
             fn pick(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-                self.state.pick_victim(self.policy, self.n, evictable)
-            }
-        }
-
-        /// Reference CLOCK: a plain bit array and a frame-index hand.
-        struct RefClock {
-            bits: Vec<bool>,
-            hand: usize,
-        }
-
-        impl PolicyModel for RefClock {
-            fn on_hit(&mut self, f: usize) {
-                self.bits[f] = true;
-            }
-            fn on_load(&mut self, f: usize) {
-                self.bits[f] = true;
-            }
-            fn pick(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-                let n = self.bits.len();
-                for _ in 0..2 * n {
-                    let i = self.hand;
-                    self.hand = (self.hand + 1) % n;
-                    if !evictable(i) {
-                        continue;
-                    }
-                    if self.bits[i] {
-                        self.bits[i] = false;
-                        continue;
-                    }
-                    return Some(i);
-                }
-                None
+                self.state.pick_victim(self.policy, evictable)
             }
         }
 
@@ -756,55 +529,6 @@ mod tests {
                     return Some(f);
                 }
                 None
-            }
-        }
-
-        /// Reference 2Q: two `VecDeque`s, second touch moves to `Am`.
-        struct RefTwoQ {
-            a1: VecDeque<usize>,
-            am: VecDeque<usize>,
-            in_am: Vec<bool>,
-        }
-
-        impl RefTwoQ {
-            fn new(n: usize) -> Self {
-                RefTwoQ {
-                    a1: (0..n).collect(),
-                    am: VecDeque::new(),
-                    in_am: vec![false; n],
-                }
-            }
-            fn take(&mut self, f: usize) {
-                let q = if self.in_am[f] {
-                    &mut self.am
-                } else {
-                    &mut self.a1
-                };
-                if let Some(pos) = q.iter().position(|&x| x == f) {
-                    q.remove(pos);
-                }
-            }
-        }
-
-        impl PolicyModel for RefTwoQ {
-            fn on_hit(&mut self, f: usize) {
-                self.take(f);
-                self.am.push_back(f);
-                self.in_am[f] = true;
-            }
-            fn on_load(&mut self, f: usize) {
-                self.take(f);
-                self.a1.push_back(f);
-                self.in_am[f] = false;
-            }
-            fn pick(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-                let kin = (self.in_am.len() / 4).max(1);
-                let scan = |q: &VecDeque<usize>| q.iter().copied().find(|&f| evictable(f));
-                if self.a1.len() >= kin {
-                    scan(&self.a1).or_else(|| scan(&self.am))
-                } else {
-                    scan(&self.am).or_else(|| scan(&self.a1))
-                }
             }
         }
 
@@ -882,8 +606,8 @@ mod tests {
 
             /// No policy ever evicts a pinned frame, and eviction only
             /// stalls when literally every resident page is pinned —
-            /// the CLOCK/SIEVE two-lap bound always finds an unpinned
-            /// unvisited frame when one exists.
+            /// SIEVE's two-lap bound always finds an unpinned unvisited
+            /// frame when one exists.
             #[test]
             fn no_policy_evicts_a_pinned_frame(
                 n in 2usize..8,
@@ -909,37 +633,23 @@ mod tests {
                 }
             }
 
-            /// CLOCK, SIEVE and 2Q reproduce their reference models
-            /// event-for-event: same hits, same victim frames, same
-            /// stalls — so hit/miss accounting (and therefore the bench
-            /// curves) is exactly what the textbook algorithm predicts.
+            /// SIEVE reproduces its reference model event-for-event:
+            /// same hits, same victim frames, same stalls — so hit/miss
+            /// accounting (and therefore the bench curves) is exactly
+            /// what the textbook algorithm predicts.
             #[test]
-            fn scan_resistant_policies_match_reference_models(
+            fn sieve_matches_reference_model(
                 n in 2usize..8,
                 ops in proptest::collection::vec(arb_op(), 1..300),
             ) {
-                for policy in [
-                    ReplacementPolicy::Clock,
-                    ReplacementPolicy::Sieve,
-                    ReplacementPolicy::TwoQ,
-                ] {
-                    let reference: Box<dyn PolicyModel> = match policy {
-                        ReplacementPolicy::Clock => Box::new(RefClock {
-                            bits: vec![false; n],
-                            hand: 0,
-                        }),
-                        ReplacementPolicy::Sieve => Box::new(RefSieve::new(n)),
-                        _ => Box::new(RefTwoQ::new(n)),
-                    };
-                    let mut real = Cache::new(n, Real::new(n, policy));
-                    let mut model = Cache::new(n, reference);
-                    for (step, op) in ops.iter().enumerate() {
-                        let got = real.step(op);
-                        let want = model.step(op);
-                        prop_assert_eq!(got, want, "step {} policy {:?}", step, policy);
-                    }
-                    prop_assert_eq!(&real.frame_of, &model.frame_of);
+                let mut real = Cache::new(n, Real::new(n, ReplacementPolicy::Sieve));
+                let mut model = Cache::new(n, RefSieve::new(n));
+                for (step, op) in ops.iter().enumerate() {
+                    let got = real.step(op);
+                    let want = model.step(op);
+                    prop_assert_eq!(got, want, "step {}", step);
                 }
+                prop_assert_eq!(&real.frame_of, &model.frame_of);
             }
         }
     }

@@ -199,11 +199,10 @@ impl Shard {
     ) -> Result<usize, BufferError> {
         heat::touch(heat::HeatClass::PoolShard, self.index as u64);
         let mut inner = self.lock_pinning();
-        let tick = inner.repl.advance();
         if let Some(&idx) = inner.page_table.get(&pid) {
             self.frames[idx].pin_count.fetch_add(1, Ordering::Acquire);
             self.note_demand_hit(idx, stats);
-            inner.repl.on_hit(idx, tick, policy);
+            inner.repl.on_hit(idx, policy);
             self.count(|t| t.hits.inc());
             return Ok(idx);
         }
@@ -238,7 +237,7 @@ impl Shard {
             st.rec_lsn = NO_LSN;
         }
         inner.page_table.insert(pid, idx);
-        inner.repl.on_load(idx, tick, policy);
+        inner.repl.on_load(idx);
         Ok(idx)
     }
 
@@ -250,8 +249,8 @@ impl Shard {
     /// `pids` is processed in order and may contain duplicates; each
     /// unique page is pinned exactly once and returned as
     /// `(page_id, frame index)`. The caller owns one unpin per entry.
-    /// Replacement-state transitions (tick advance, `on_hit`/`on_load`,
-    /// victim choice) happen in the same sequence a loop of [`Self::pin`]
+    /// Replacement-state transitions (`on_hit`/`on_load`, victim choice)
+    /// happen in the same sequence a loop of [`Self::pin`]
     /// would produce, so eviction decisions — and therefore [`IoStats`]
     /// totals — match the unbatched path whenever the batch's unique
     /// pages fit the shard.
@@ -306,11 +305,10 @@ impl Shard {
             };
 
         for &pid in pids {
-            let tick = inner.repl.advance();
             if let Some(&idx) = seen.get(&pid) {
                 // Intra-batch duplicate: already pinned by this call; a
                 // loop of fetches would have counted a resident hit.
-                inner.repl.on_hit(idx, tick, policy);
+                inner.repl.on_hit(idx, policy);
                 self.count(|t| t.hits.inc());
                 continue;
             }
@@ -319,7 +317,7 @@ impl Shard {
                 if !prefetch {
                     self.note_demand_hit(idx, stats);
                 }
-                inner.repl.on_hit(idx, tick, policy);
+                inner.repl.on_hit(idx, policy);
                 self.count(|t| t.hits.inc());
                 pinned.push((pid, idx));
                 seen.insert(pid, idx);
@@ -350,7 +348,7 @@ impl Shard {
                         stats.record_prefetch_hit();
                     }
                     inner.page_table.insert(pid, idx);
-                    inner.repl.on_load(idx, tick, policy);
+                    inner.repl.on_load(idx);
                     pinned.push((pid, idx));
                     seen.insert(pid, idx);
                     continue;
@@ -360,7 +358,7 @@ impl Shard {
             // shard lock is held until the fill completes, so no other
             // thread can observe the staged (still-empty) frame.
             inner.page_table.insert(pid, idx);
-            inner.repl.on_load(idx, tick, policy);
+            inner.repl.on_load(idx);
             staged.push((pid, idx));
             pinned.push((pid, idx));
             seen.insert(pid, idx);
@@ -483,8 +481,7 @@ impl Shard {
         st.data.fill(0);
         drop(st);
         inner.page_table.insert(pid, idx);
-        let tick = inner.repl.advance();
-        inner.repl.on_load(idx, tick, policy);
+        inner.repl.on_load(idx);
         Ok(idx)
     }
 
@@ -509,9 +506,8 @@ impl Shard {
         stats: &IoStats,
         wal: Option<&dyn WalHook>,
     ) -> Result<usize, BufferError> {
-        let n = self.frames.len();
         let unpinned = |i: usize| self.frames[i].pin_count.load(Ordering::Acquire) == 0;
-        let mut victim = inner.repl.pick_victim(policy, n, unpinned);
+        let mut victim = inner.repl.pick_victim(policy, unpinned);
         if victim.is_none() {
             // Off the hot path: the clock reads below price the stall for
             // the error context regardless of wait profiling.
@@ -519,7 +515,7 @@ impl Shard {
             let t0 = Instant::now();
             for _ in 0..FRAME_STALL_RETRIES {
                 std::thread::sleep(FRAME_STALL_SLEEP);
-                victim = inner.repl.pick_victim(policy, n, unpinned);
+                victim = inner.repl.pick_victim(policy, unpinned);
                 if victim.is_some() {
                     break;
                 }

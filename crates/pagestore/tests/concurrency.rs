@@ -27,11 +27,7 @@ fn pool(capacity: usize, policy: ReplacementPolicy) -> Arc<BufferPool> {
 /// page.
 #[test]
 fn disjoint_writers_never_interfere() {
-    for policy in [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Fifo,
-        ReplacementPolicy::Clock,
-    ] {
+    for policy in ReplacementPolicy::ALL {
         let p = pool(8, policy);
         const THREADS: usize = 4;
         const PAGES_PER: usize = 16;

@@ -7,6 +7,7 @@
 //! Storage structures live in `cor-access`; this crate is pure data model.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod oid;
 pub mod predicate;

@@ -25,6 +25,7 @@
 //! reopening.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod crc;
 pub mod log;

@@ -35,12 +35,17 @@ use cor_wal::crc::crc32;
 ///   behaviour every v1 store actually had), so existing stores reopen
 ///   with identical semantics and silently upgrade on their next save.
 /// * v3 — widens the replacement-policy byte's value range with the
-///   scan-resistant policies (`Sieve` = 3, `TwoQ` = 4). The layout is
-///   unchanged; the bump exists so a v2 build that cannot *run* those
-///   policies refuses the store loudly with
-///   [`CorError::CatalogVersion`] instead of failing on an "unknown
-///   policy tag". v1/v2 blobs (tags 0–2, LRU by default) decode as
-///   before and silently upgrade on their next save.
+///   scan-resistant `Sieve` = 3. The layout is unchanged; the bump
+///   exists so a v2 build that cannot *run* that policy refuses the
+///   store loudly with [`CorError::CatalogVersion`] instead of failing
+///   on an "unknown policy tag". v1/v2 blobs decode as before and
+///   silently upgrade on their next save.
+///
+/// The policy byte's numbering is frozen: `Lru` = 0, `Sieve` = 3. Tags
+/// 1, 2 and 4 belonged to the retired FIFO, CLOCK and 2Q policies; a
+/// store recorded with one of them fails to open with an error naming
+/// the policy (it is never silently run as LRU), and the tags are never
+/// reused.
 pub const ENGINE_CATALOG_VERSION: u32 = 3;
 
 /// Oldest on-disk layout version this build still decodes.
@@ -50,6 +55,28 @@ pub const ENGINE_CATALOG_MIN_VERSION: u32 = 1;
 pub const ENGINE_BLOB: &str = "engine";
 
 const MAGIC: &[u8; 8] = b"CORENGIN";
+
+fn policy_tag(policy: ReplacementPolicy) -> u8 {
+    match policy {
+        ReplacementPolicy::Lru => 0,
+        ReplacementPolicy::Sieve => 3,
+    }
+}
+
+fn policy_from_tag(tag: u8) -> Result<ReplacementPolicy, CorError> {
+    let retired = match tag {
+        0 => return Ok(ReplacementPolicy::Lru),
+        3 => return Ok(ReplacementPolicy::Sieve),
+        1 => "fifo",
+        2 => "clock",
+        4 => "2q",
+        _ => return Err(CorError::Durability("unknown policy tag".into())),
+    };
+    Err(CorError::Durability(format!(
+        "store records the retired replacement policy '{retired}'; \
+         this build runs only lru and sieve"
+    )))
+}
 
 /// Which strategy backend the store holds, with its full snapshot.
 #[derive(Debug, Clone)]
@@ -89,13 +116,7 @@ impl EngineCatalog {
         e.u8(self.clean_shutdown as u8);
         e.u64(self.pool_pages as u64);
         e.u32(self.shards as u32);
-        e.u8(match self.policy {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::Fifo => 1,
-            ReplacementPolicy::Clock => 2,
-            ReplacementPolicy::Sieve => 3,
-            ReplacementPolicy::TwoQ => 4,
-        });
+        e.u8(policy_tag(self.policy));
         e.u64(self.opts.smart_threshold);
         e.u8(match self.opts.join {
             JoinChoice::Auto => 0,
@@ -162,15 +183,7 @@ impl EngineCatalog {
         let clean_shutdown = d.u8()? != 0;
         let pool_pages = d.u64()? as usize;
         let shards = d.u32()? as usize;
-        let policy = match d.u8()? {
-            0 => ReplacementPolicy::Lru,
-            1 => ReplacementPolicy::Fifo,
-            2 => ReplacementPolicy::Clock,
-            // v3 tags; a v1/v2 writer could not have produced these.
-            3 => ReplacementPolicy::Sieve,
-            4 => ReplacementPolicy::TwoQ,
-            _ => return Err(CorError::Durability("unknown policy tag".into())),
-        };
+        let policy = policy_from_tag(d.u8()?)?;
         let smart_threshold = d.u64()?;
         let join = match d.u8()? {
             0 => JoinChoice::Auto,
@@ -218,10 +231,6 @@ impl EngineCatalog {
                 join,
                 sort_work_mem,
                 io,
-                // One byte on disk is authoritative for the policy; the
-                // ExecOptions mirror is re-synced here so readers of
-                // either field agree.
-                pool_policy: policy,
             },
             free_pages,
             backend,
@@ -240,7 +249,7 @@ mod tests {
             clean_shutdown: true,
             pool_pages: 100,
             shards: 4,
-            policy: ReplacementPolicy::Clock,
+            policy: ReplacementPolicy::Sieve,
             opts: ExecOptions {
                 smart_threshold: 123,
                 join: JoinChoice::ForceMerge,
@@ -250,7 +259,6 @@ mod tests {
                     readahead: 2,
                     queue_depth: 4,
                 },
-                pool_policy: ReplacementPolicy::Clock,
             },
             free_pages: vec![7, 9, 30],
             backend: SavedBackend::Oid(SavedOidDb {
@@ -282,7 +290,7 @@ mod tests {
         assert!(back.clean_shutdown);
         assert_eq!(back.pool_pages, 100);
         assert_eq!(back.shards, 4);
-        assert_eq!(back.policy, ReplacementPolicy::Clock);
+        assert_eq!(back.policy, ReplacementPolicy::Sieve);
         assert_eq!(back.opts, cat.opts);
         assert_eq!(back.free_pages, vec![7, 9, 30]);
         assert!(matches!(back.backend, SavedBackend::Oid(_)));
@@ -310,16 +318,44 @@ mod tests {
         assert_eq!(back.free_pages, cat.free_pages);
     }
 
+    /// Offset of the policy byte in a blob: 16 header bytes, then
+    /// clean_shutdown (1), pool_pages (8), shards (4).
+    const POLICY_BYTE: usize = 16 + 13;
+
     #[test]
-    fn scan_resistant_policies_roundtrip() {
-        for p in [ReplacementPolicy::Sieve, ReplacementPolicy::TwoQ] {
+    fn every_policy_roundtrips_with_its_frozen_tag() {
+        // The numbering is frozen.
+        assert_eq!(policy_tag(ReplacementPolicy::Lru), 0);
+        assert_eq!(policy_tag(ReplacementPolicy::Sieve), 3);
+        assert_eq!(ReplacementPolicy::ALL.len(), 2);
+        for p in ReplacementPolicy::ALL {
+            assert_eq!(ReplacementPolicy::parse(p.name()), Some(p));
             let mut cat = sample();
             cat.policy = p;
-            cat.opts.pool_policy = p;
-            let back = EngineCatalog::decode(&cat.encode()).unwrap();
-            assert_eq!(back.policy, p);
-            assert_eq!(back.opts.pool_policy, p, "decode re-syncs the mirror");
+            let blob = cat.encode();
+            assert_eq!(blob[POLICY_BYTE], policy_tag(p));
+            assert_eq!(EngineCatalog::decode(&blob).unwrap().policy, p);
         }
+    }
+
+    #[test]
+    fn retired_policy_tags_fail_with_a_named_error() {
+        for (tag, name) in [(1u8, "fifo"), (2, "clock"), (4, "2q")] {
+            let mut blob = sample().encode();
+            blob[POLICY_BYTE] = tag;
+            let blob = restamp(&blob, ENGINE_CATALOG_VERSION);
+            match EngineCatalog::decode(&blob) {
+                Err(CorError::Durability(msg)) => {
+                    assert!(msg.contains(&format!("'{name}'")), "tag {tag}: {msg}")
+                }
+                other => panic!("tag {tag}: expected a typed error, got {other:?}"),
+            }
+        }
+        // A tag nobody ever wrote stays "unknown", not "retired".
+        let mut blob = sample().encode();
+        blob[POLICY_BYTE] = 5;
+        let err = EngineCatalog::decode(&restamp(&blob, ENGINE_CATALOG_VERSION)).unwrap_err();
+        assert!(err.to_string().contains("unknown policy tag"), "{err}");
     }
 
     /// Restamp `blob`'s version header as `version` (layout is shared
@@ -336,24 +372,17 @@ mod tests {
 
     #[test]
     fn v2_blob_decodes_and_upgrades_to_v3() {
-        // A default v2 store: LRU (policy tag 0), the only policies v2
-        // could write being tags 0–2.
+        // A default v2 store: LRU (policy tag 0).
         let mut cat = sample();
         cat.policy = ReplacementPolicy::Lru;
-        cat.opts.pool_policy = ReplacementPolicy::Lru;
         let v2 = restamp(&cat.encode(), 2);
         let back = EngineCatalog::decode(&v2).unwrap();
         assert_eq!(back.policy, ReplacementPolicy::Lru, "v2 stores open LRU");
-        assert_eq!(back.opts.pool_policy, ReplacementPolicy::Lru);
         assert_eq!(back.opts, cat.opts);
         // The next save upgrades the header to v3 with the same payload.
         let resaved = back.encode();
         assert_eq!(&resaved[8..12], &3u32.to_le_bytes());
         assert_eq!(&resaved[16..], &v2[16..]);
-        // A non-default v2 policy (Clock) survives too.
-        let clocked = restamp(&sample().encode(), 2);
-        let back = EngineCatalog::decode(&clocked).unwrap();
-        assert_eq!(back.policy, ReplacementPolicy::Clock);
     }
 
     #[test]

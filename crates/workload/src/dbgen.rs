@@ -17,7 +17,7 @@ use complexobj::{
     CacheConfig, ClusterAssignment, CorDatabase, CorError, DatabaseSpec, ObjectSpec, Strategy,
     SubobjectSpec, Unit,
 };
-use cor_pagestore::{BufferPool, ReplacementPolicy};
+use cor_pagestore::{BufferPool, BufferPoolBuilder};
 use cor_relational::Oid;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -240,42 +240,16 @@ pub fn generate(params: &Params) -> GeneratedDb {
 
 /// A buffer pool sized by `params` over a fresh in-memory disk.
 pub fn make_pool(params: &Params) -> Arc<BufferPool> {
-    make_pool_telemetry(params, false)
+    Arc::new(pool_builder(params).build())
 }
 
-/// Like [`make_pool`], but optionally enabling per-shard telemetry
-/// counters. I/O accounting is identical either way; telemetry only adds
-/// separate hit/miss/eviction counters readable via
-/// [`BufferPool::telemetry`].
-pub fn make_pool_telemetry(params: &Params, telemetry: bool) -> Arc<BufferPool> {
-    make_pool_async(params, telemetry, 1)
-}
-
-/// Like [`make_pool_telemetry`], with an async submission queue depth:
-/// `queue_depth > 1` builds a `cor-aio` engine into the pool, 1 is the
-/// synchronous byte-identical default.
-pub fn make_pool_async(params: &Params, telemetry: bool, queue_depth: usize) -> Arc<BufferPool> {
-    make_pool_policy(params, telemetry, queue_depth, ReplacementPolicy::default())
-}
-
-/// Like [`make_pool_async`], with an explicit replacement policy — the
-/// poolbench entry point. The default (LRU) reproduces every other
-/// helper's pool byte for byte.
-pub fn make_pool_policy(
-    params: &Params,
-    telemetry: bool,
-    queue_depth: usize,
-    policy: ReplacementPolicy,
-) -> Arc<BufferPool> {
-    Arc::new(
-        BufferPool::builder()
-            .capacity(params.buffer_pages)
-            .shards(params.shards)
-            .policy(policy)
-            .telemetry(telemetry)
-            .queue_depth(queue_depth)
-            .build(),
-    )
+/// The builder behind [`make_pool`], with the params' geometry (capacity
+/// and shards) already applied; callers that want telemetry, an async
+/// queue depth or a non-default policy set it and call `build`.
+pub fn pool_builder(params: &Params) -> BufferPoolBuilder {
+    BufferPool::builder()
+        .capacity(params.buffer_pages)
+        .shards(params.shards)
 }
 
 /// Build the physical database a strategy needs: clustered for DFSCLUST,
@@ -290,7 +264,7 @@ pub fn build_for_strategy(
 }
 
 /// [`build_for_strategy`] on a caller-supplied pool, so drivers can attach
-/// a telemetry-enabled pool (see [`make_pool_telemetry`]) or share a disk.
+/// a telemetry-enabled pool (see [`pool_builder`]) or share a disk.
 pub fn build_for_strategy_on(
     pool: Arc<BufferPool>,
     params: &Params,

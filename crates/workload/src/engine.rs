@@ -1,9 +1,9 @@
 //! The `Engine` facade — one session object over the paper's machinery.
 //!
-//! Historically each representation had its own free-function entry point
-//! (`strategies::run_retrieve`, `multilevel::run_multilevel`,
-//! `procedural::exec::run_proc_retrieve`) and every caller assembled its
-//! own pool + database + cache. The engine owns that assembly behind a
+//! Each representation has its own low-level dispatch
+//! (`strategies::execute_retrieve`, `multilevel::execute_multilevel`,
+//! `procedural::execute_proc_retrieve`) over a pool + database + cache
+//! someone has to assemble. The engine owns that assembly behind a
 //! builder and exposes uniform `retrieve` / `update` / `run_sequence`
 //! calls, plus the concurrent driver for multi-stream serving:
 //!
@@ -16,7 +16,7 @@
 //! let engine = Engine::builder()
 //!     .pool_pages(100)
 //!     .shards(8)
-//!     .policy(ReplacementPolicy::Clock)
+//!     .policy(ReplacementPolicy::Sieve)
 //!     .build(&spec)
 //!     .unwrap();
 //! let q = RetrieveQuery { lo: 0, hi: 3, attr: RetAttr::Ret1 };
@@ -28,7 +28,7 @@ use crate::catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB};
 use crate::concurrent::{
     run_concurrent_streams, run_concurrent_streams_observed, ConcurrentRunResult, LiveTick,
 };
-use crate::dbgen::{build_for_strategy_on, make_pool_policy, GeneratedDb};
+use crate::dbgen::{build_for_strategy_on, pool_builder, GeneratedDb};
 use crate::driver::{run_sequence, RunResult};
 use crate::explain::ExplainReport;
 use crate::metrics::{build_report, strategy_tag, EngineMetrics, MetricsReport};
@@ -212,12 +212,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Replacement policy (default LRU). Kept in sync with
-    /// `ExecOptions::pool_policy` — the two are one knob; the last
-    /// setter called wins.
+    /// Replacement policy of the pool this builder constructs (default
+    /// LRU). This is the only setter; the engine catalog's policy byte
+    /// is the only record, and it wins on [`open`](Self::open).
     pub fn policy(mut self, policy: ReplacementPolicy) -> Self {
         self.policy = policy;
-        self.opts.pool_policy = policy;
         self
     }
 
@@ -227,12 +226,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Execution options used by every query this engine runs. The
-    /// `pool_policy` carried in the options also configures the pool
-    /// this builder constructs (same knob as [`policy`](Self::policy)).
+    /// Execution options used by every query this engine runs.
     pub fn exec_options(mut self, opts: ExecOptions) -> Self {
         self.opts = opts;
-        self.policy = opts.pool_policy;
         self
     }
 
@@ -409,10 +405,12 @@ impl EngineBuilder {
     /// store was not created by this API, [`CorError::CatalogVersion`]
     /// when it was written by an incompatible layout.
     ///
-    /// The builder's pool geometry is ignored — the catalog's recorded
-    /// geometry wins, so every reopen serves queries with the same
-    /// buffer economics the store was created with. `metrics` and
-    /// `exec_options` overrides still apply ([`Engine::with_options`]).
+    /// The builder's pool geometry, policy and `exec_options` are
+    /// ignored — the catalog's recorded values win, so every reopen
+    /// serves queries with the same buffer economics and options the
+    /// store was created with. Only `metrics` and `wal_config` are taken
+    /// from the builder; change the per-query options of a reopened
+    /// engine with [`Engine::with_options`].
     pub fn open_on(
         mut self,
         disk: Arc<dyn DiskManager>,
@@ -492,16 +490,19 @@ impl EngineBuilder {
     /// (clustered for DFSCLUST, cache-attached for DFSCACHE / SMART,
     /// plain standard otherwise), using the params' pool geometry. With
     /// [`metrics(true)`](Self::metrics) the pool carries telemetry and
-    /// the engine records spans — the replacement for the deprecated
-    /// `Engine::for_strategy_observed`.
+    /// the engine records spans.
     pub fn build_workload(
         self,
         params: &Params,
         generated: &GeneratedDb,
         strategy: Strategy,
     ) -> Result<Engine, CorError> {
-        let pool = make_pool_policy(params, self.metrics, self.opts.io.queue_depth, self.policy);
-        let db = build_for_strategy_on(pool, params, generated, strategy)?;
+        let pool = pool_builder(params)
+            .policy(self.policy)
+            .telemetry(self.metrics)
+            .queue_depth(self.opts.io.queue_depth)
+            .build();
+        let db = build_for_strategy_on(Arc::new(pool), params, generated, strategy)?;
         Ok(Engine {
             backend: Backend::Oid(db),
             opts: self.opts,
@@ -610,46 +611,6 @@ impl Engine {
     /// Start configuring an engine.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// Build the engine a workload point needs under `strategy`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::builder().build_workload(params, generated, strategy)"
-    )]
-    pub fn for_strategy(
-        params: &Params,
-        generated: &GeneratedDb,
-        strategy: Strategy,
-    ) -> Result<Engine, CorError> {
-        Engine::builder().build_workload(params, generated, strategy)
-    }
-
-    /// [`EngineBuilder::build_workload`] with the observability layer on.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::builder().metrics(true).build_workload(params, generated, strategy)"
-    )]
-    pub fn for_strategy_observed(
-        params: &Params,
-        generated: &GeneratedDb,
-        strategy: Strategy,
-    ) -> Result<Engine, CorError> {
-        Engine::builder()
-            .metrics(true)
-            .build_workload(params, generated, strategy)
-    }
-
-    /// Wrap an already-built OID database (standard or clustered).
-    #[deprecated(since = "0.1.0", note = "use Engine::builder().wrap_database(db)")]
-    pub fn from_database(db: CorDatabase) -> Engine {
-        Engine::builder().wrap_database(db)
-    }
-
-    /// Wrap an already-built hierarchy chain (level 0 first).
-    #[deprecated(since = "0.1.0", note = "use Engine::builder().wrap_levels(levels)")]
-    pub fn from_levels(levels: Vec<CorDatabase>) -> Engine {
-        Engine::builder().wrap_levels(levels)
     }
 
     /// Replace the engine's execution options.
@@ -774,53 +735,6 @@ impl Engine {
         }
     }
 
-    /// Build a durable standard-representation engine over a **fresh**
-    /// (empty) store: the builder must carry both a
-    /// [`disk`](EngineBuilder::disk) and a [`wal`](EngineBuilder::wal).
-    ///
-    /// This is the pre-catalog entry point, kept for rigs that manage
-    /// their own WAL handle; note it writes no persistent catalog, so
-    /// the store it produces is *not* reopenable by
-    /// [`EngineBuilder::open`]. Prefer [`EngineBuilder::create`].
-    ///
-    /// A non-empty store is never silently rebuilt. The error says what
-    /// the store actually holds: [`CorError::CatalogMissing`] when no
-    /// engine catalog is present (a pre-catalog or foreign store),
-    /// [`CorError::CatalogVersion`] when a catalog exists but was
-    /// written by an incompatible layout, and a
-    /// [`CorError::Durability`] pointing at [`EngineBuilder::open`]
-    /// when the store holds a valid catalog and should simply be
-    /// reopened.
-    pub fn open_durable(spec: &DatabaseSpec, builder: EngineBuilder) -> Result<Engine, CorError> {
-        let disk = builder.disk.as_ref().ok_or_else(|| {
-            CorError::Durability("open_durable needs an explicit disk (EngineBuilder::disk)".into())
-        })?;
-        if builder.wal.is_none() {
-            return Err(CorError::Durability(
-                "open_durable needs a WAL (EngineBuilder::wal)".into(),
-            ));
-        }
-        if disk.num_pages() != 0 {
-            let boot = Arc::new(
-                BufferPool::builder()
-                    .capacity(BOOTSTRAP_POOL_PAGES)
-                    .disk(Box::new(Arc::clone(disk)))
-                    .build(),
-            );
-            let probe = Catalog::open(boot)
-                .map_err(catalog_probe_err)
-                .and_then(|c| c.get_blob(ENGINE_BLOB).map_err(catalog_probe_err))
-                .and_then(|bytes| EngineCatalog::decode(&bytes));
-            return Err(match probe {
-                Ok(_) => CorError::Durability(
-                    "store holds a valid engine catalog; reopen it with EngineBuilder::open".into(),
-                ),
-                Err(e) => e,
-            });
-        }
-        builder.build(spec)
-    }
-
     /// Re-snapshot the engine into its persistent catalog: backend file
     /// roots, OID allocators, cache directories, pool geometry, options,
     /// and the free-page list, with `clean` as the shutdown flag.
@@ -838,17 +752,12 @@ impl Engine {
             }
             Backend::Proc(db) => SavedBackend::Proc(db.save_state()),
         };
-        // The pool was built with `cs.policy`; force the ExecOptions
-        // mirror to match so the blob cannot record a policy the pool
-        // is not actually running.
-        let mut opts = self.opts;
-        opts.pool_policy = cs.policy;
         let cat = EngineCatalog {
             clean_shutdown: clean,
             pool_pages: cs.pool_pages,
             shards: cs.shards,
             policy: cs.policy,
-            opts,
+            opts: self.opts,
             free_pages: self.pool().free_page_ids(),
             backend,
         };
@@ -1110,7 +1019,7 @@ impl Engine {
     }
 
     /// The engine-level instruments, if built with metrics enabled
-    /// ([`EngineBuilder::metrics`] or [`Engine::for_strategy_observed`]).
+    /// ([`EngineBuilder::metrics`]).
     pub fn engine_metrics(&self) -> Option<&Arc<EngineMetrics>> {
         self.metrics.as_ref()
     }
@@ -1190,29 +1099,6 @@ mod tests {
             assert_eq!(got.total_io, expected.total_io, "{strategy}");
             assert_eq!(got.values_returned, expected.values_returned, "{strategy}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_builder() {
-        let p = tiny();
-        let generated = generate(&p);
-        let sequence = generate_sequence(&p);
-        let old = Engine::for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-        let new = Engine::builder()
-            .build_workload(&p, &generated, Strategy::Dfs)
-            .unwrap();
-        let a = old.run_sequence(Strategy::Dfs, &sequence).unwrap();
-        let b = new.run_sequence(Strategy::Dfs, &sequence).unwrap();
-        assert_eq!(a.total_io, b.total_io);
-        assert_eq!(a.values_returned, b.values_returned);
-        let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-        let wrapped = Engine::from_database(db);
-        assert!(wrapped.database().is_ok());
-        assert!(Engine::for_strategy_observed(&p, &generated, Strategy::Dfs)
-            .unwrap()
-            .metrics()
-            .is_some());
     }
 
     #[test]
@@ -1309,12 +1195,12 @@ mod tests {
         let engine = Engine::builder()
             .pool_pages(32)
             .shards(4)
-            .policy(ReplacementPolicy::Clock)
+            .policy(ReplacementPolicy::Sieve)
             .build(&generated.spec)
             .unwrap();
         assert_eq!(engine.pool().capacity(), 32);
         assert_eq!(engine.pool().shards(), 4);
-        assert_eq!(engine.pool().policy(), ReplacementPolicy::Clock);
+        assert_eq!(engine.pool().policy(), ReplacementPolicy::Sieve);
         let q = RetrieveQuery {
             lo: 0,
             hi: 9,
@@ -1399,21 +1285,16 @@ mod tests {
         assert_eq!(r.retrieves, 1);
     }
 
-    fn durable_rig() -> (
-        Arc<cor_pagestore::MemDisk>,
-        Arc<cor_wal::MemLogStore>,
-        Arc<Wal>,
-        EngineBuilder,
-    ) {
+    fn durable_rig() -> (Arc<Wal>, EngineBuilder) {
         let disk = Arc::new(cor_pagestore::MemDisk::new());
         let store = Arc::new(cor_wal::MemLogStore::new());
-        let wal = Arc::new(Wal::new(store.clone(), cor_wal::WalConfig::default()));
+        let wal = Arc::new(Wal::new(store, cor_wal::WalConfig::default()));
         let builder = Engine::builder()
             .pool_pages(16)
             .cache(CacheConfig::default())
-            .disk(disk.clone())
+            .disk(disk)
             .wal(wal.clone());
-        (disk, store, wal, builder)
+        (wal, builder)
     }
 
     /// A mixed workload covering ChildRel updates plus cache unit
@@ -1453,7 +1334,7 @@ mod tests {
             .unwrap();
         let expected = plain.run_sequence(Strategy::DfsCache, &sequence).unwrap();
 
-        let (_, _, wal, builder) = durable_rig();
+        let (wal, builder) = durable_rig();
         let durable = builder.build(&generated.spec).unwrap();
         let got = durable.run_sequence(Strategy::DfsCache, &sequence).unwrap();
         assert_eq!(got.total_io, expected.total_io);
@@ -1469,17 +1350,28 @@ mod tests {
         let p = tiny();
         let generated = generate(&p);
 
+        let spec = EngineSpec::Standard(generated.spec.clone());
+        let builder = || {
+            Engine::builder()
+                .pool_pages(16)
+                .cache(CacheConfig::default())
+        };
+
         // Oracle: identical run, no crash, everything flushed.
-        let (oracle_disk, _, _, oracle_builder) = durable_rig();
-        let oracle = Engine::open_durable(&generated.spec, oracle_builder).unwrap();
+        let (oracle_disk, oracle_store) = mem_stores();
+        let oracle = builder()
+            .create_on(oracle_disk.clone(), oracle_store, &spec)
+            .unwrap();
         durable_workload(&oracle, &generated);
         let freed = oracle.pool().free_page_ids();
         oracle.pool().flush_all().unwrap();
 
         // Crashing run: same ops, then the pool dies with its dirty
         // frames and only the durable log + flushed pages survive.
-        let (disk, store, _, builder) = durable_rig();
-        let engine = Engine::open_durable(&generated.spec, builder).unwrap();
+        let (disk, store) = mem_stores();
+        let engine = builder()
+            .create_on(disk.clone(), store.clone(), &spec)
+            .unwrap();
         durable_workload(&engine, &generated);
         drop(engine);
         store.crash();
@@ -1508,78 +1400,8 @@ mod tests {
     }
 
     #[test]
-    fn open_durable_rejects_missing_pieces_and_used_stores() {
-        let p = tiny();
-        let generated = generate(&p);
-        let err = Engine::open_durable(&generated.spec, Engine::builder())
-            .err()
-            .expect("no disk/wal must be rejected");
-        assert!(matches!(err, CorError::Durability(_)), "{err}");
-
-        // A used store with no engine catalog gets the typed error, not a
-        // silent rebuild.
-        let (disk, _, _, builder) = durable_rig();
-        use cor_pagestore::DiskManager;
-        disk.allocate_page().unwrap(); // not fresh any more, page 0 is garbage
-        let err = Engine::open_durable(&generated.spec, builder)
-            .err()
-            .expect("non-empty store must be rejected");
-        assert!(matches!(err, CorError::CatalogMissing), "{err}");
-
-        // A store created by the lifecycle API reports a version mismatch
-        // when its header says a different layout...
-        let (disk, store, _, builder) = durable_rig();
-        let engine = builder
-            .clone()
-            .create_on(
-                disk.clone(),
-                store.clone(),
-                &EngineSpec::Standard(generated.spec.clone()),
-            )
-            .unwrap();
-        engine.pool().flush_all().unwrap();
-        {
-            let boot = Arc::new(
-                BufferPool::builder()
-                    .capacity(8)
-                    .disk(Box::new(disk.clone()))
-                    .build(),
-            );
-            let cat = Catalog::open(Arc::clone(&boot)).unwrap();
-            let mut blob = cat.get_blob(ENGINE_BLOB).unwrap();
-            blob[8] = 9; // version byte
-            cat.save_blob(ENGINE_BLOB, &blob).unwrap();
-            boot.flush_all().unwrap();
-        }
-        let (_, _, wal2, _) = durable_rig();
-        let builder2 = Engine::builder().disk(disk.clone()).wal(wal2);
-        let err = Engine::open_durable(&generated.spec, builder2)
-            .err()
-            .expect("catalog version mismatch must surface");
-        assert!(
-            matches!(err, CorError::CatalogVersion { found: 9, .. }),
-            "{err}"
-        );
-
-        // ...and a valid catalog directs the caller to open.
-        let (disk, store, _, builder) = durable_rig();
-        let engine = builder
-            .clone()
-            .create_on(
-                disk.clone(),
-                store.clone(),
-                &EngineSpec::Standard(generated.spec.clone()),
-            )
-            .unwrap();
-        engine.pool().flush_all().unwrap();
-        drop(engine);
-        let (_, _, wal3, _) = durable_rig();
-        let err = Engine::open_durable(&generated.spec, Engine::builder().disk(disk).wal(wal3))
-            .err()
-            .expect("valid catalog must direct to open");
-        assert!(err.to_string().contains("EngineBuilder::open"), "{err}");
-
-        // A plain engine has no checkpoint.
+    fn plain_engine_has_no_checkpoint() {
+        let generated = generate(&tiny());
         let engine = Engine::builder()
             .pool_pages(16)
             .build(&generated.spec)
@@ -1592,7 +1414,7 @@ mod tests {
     fn durable_engine_reports_wal_metrics() {
         let p = tiny();
         let generated = generate(&p);
-        let (_, _, _, builder) = durable_rig();
+        let (_, builder) = durable_rig();
         let engine = builder.metrics(true).build(&generated.spec).unwrap();
         durable_workload(&engine, &generated);
         let report = engine.metrics().unwrap();
@@ -1773,8 +1595,11 @@ mod tests {
         );
     }
 
+    /// `policy` is the one setter: a later `exec_options` call leaves it
+    /// alone, and on reopen the catalog's byte wins whatever the builder
+    /// asks for.
     #[test]
-    fn scan_resistant_policy_survives_reopen() {
+    fn policy_survives_exec_options_and_reopen() {
         let p = tiny();
         let generated = generate(&p);
         let q = RetrieveQuery {
@@ -1782,26 +1607,43 @@ mod tests {
             hi: 9,
             attr: RetAttr::Ret1,
         };
-        for policy in [ReplacementPolicy::Sieve, ReplacementPolicy::TwoQ] {
-            let (disk, store) = mem_stores();
-            let engine = Engine::builder()
+        let opts = ExecOptions {
+            io: complexobj::IoOptions {
+                batch: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let builder = || {
+            Engine::builder()
                 .pool_pages(16)
-                .policy(policy)
-                .create_on(
-                    disk.clone(),
-                    store.clone(),
-                    &EngineSpec::Standard(generated.spec.clone()),
-                )
-                .unwrap();
-            assert_eq!(engine.pool().policy(), policy);
-            let expected = sorted_values(&engine, &q);
-            engine.close().unwrap();
-            // The builder asks for nothing: the catalog's policy wins.
-            let reopened = Engine::builder().open_on(disk, store).unwrap();
-            assert_eq!(reopened.pool().policy(), policy, "{policy:?}");
-            assert_eq!(reopened.options().pool_policy, policy, "{policy:?}");
-            assert_eq!(sorted_values(&reopened, &q), expected);
-        }
+                .policy(ReplacementPolicy::Sieve)
+                .exec_options(opts)
+        };
+        let built = builder().build(&generated.spec).unwrap();
+        assert_eq!(built.pool().policy(), ReplacementPolicy::Sieve);
+        assert_eq!(built.options(), &opts);
+
+        let (disk, store) = mem_stores();
+        let engine = builder()
+            .create_on(
+                disk.clone(),
+                store.clone(),
+                &EngineSpec::Standard(generated.spec.clone()),
+            )
+            .unwrap();
+        assert_eq!(engine.pool().policy(), ReplacementPolicy::Sieve);
+        let expected = sorted_values(&engine, &q);
+        engine.close().unwrap();
+
+        let reopened = Engine::builder()
+            .policy(ReplacementPolicy::Lru)
+            .exec_options(ExecOptions::default())
+            .open_on(disk, store)
+            .unwrap();
+        assert_eq!(reopened.pool().policy(), ReplacementPolicy::Sieve);
+        assert_eq!(reopened.options(), &opts, "the catalog's options win too");
+        assert_eq!(sorted_values(&reopened, &q), expected);
     }
 
     #[test]
@@ -1812,6 +1654,44 @@ mod tests {
             .err()
             .expect("empty store must not open");
         assert!(matches!(err, CorError::CatalogMissing), "{err}");
+
+        // A used store whose page 0 is not a catalog gets the typed
+        // error, not a silent rebuild.
+        let (disk, store) = mem_stores();
+        use cor_pagestore::DiskManager;
+        disk.allocate_page().unwrap();
+        let err = Engine::builder()
+            .open_on(disk, store)
+            .err()
+            .expect("foreign store must not open");
+        assert!(matches!(err, CorError::CatalogMissing), "{err}");
+
+        // A store whose catalog header names another layout reports the
+        // version it found.
+        let generated = generate(&tiny());
+        let (disk, store) = mem_stores();
+        let engine = Engine::builder()
+            .pool_pages(16)
+            .create_on(
+                disk.clone(),
+                store.clone(),
+                &EngineSpec::Standard(generated.spec.clone()),
+            )
+            .unwrap();
+        let catalog = &engine.catalog.as_ref().unwrap().catalog;
+        let mut blob = catalog.get_blob(ENGINE_BLOB).unwrap();
+        blob[8] = 9; // version byte
+        catalog.save_blob(ENGINE_BLOB, &blob).unwrap();
+        engine.pool().flush_all().unwrap();
+        drop(engine);
+        let err = Engine::builder()
+            .open_on(disk, store)
+            .err()
+            .expect("catalog version mismatch must surface");
+        assert!(
+            matches!(err, CorError::CatalogVersion { found: 9, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -671,7 +671,7 @@ mod tests {
         };
         let report = build_report(
             &m,
-            Some((ReplacementPolicy::TwoQ, pool)),
+            Some((ReplacementPolicy::Sieve, pool)),
             BatchIoSnapshot::default(),
             Some(cache),
             None,
@@ -680,7 +680,7 @@ mod tests {
         assert!(
             report
                 .to_prometheus()
-                .contains("cor_pool_policy{policy=\"2q\"} 1"),
+                .contains("cor_pool_policy{policy=\"sieve\"} 1"),
             "policy info metric rides with the pool section"
         );
         assert!(report.to_json().contains("cor_pool_policy"));

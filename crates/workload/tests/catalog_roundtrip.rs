@@ -11,9 +11,9 @@
 //! catalog blobs is therefore equality of everything `open` persists.
 
 use complexobj::procedural::ProcCaching;
-use complexobj::{CacheConfig, ClusterAssignment, Query, Strategy};
+use complexobj::{CacheConfig, ClusterAssignment, DatabaseSpec, Query, Strategy};
 use cor_access::Catalog;
-use cor_pagestore::MemDisk;
+use cor_pagestore::{BufferPool, MemDisk, ReplacementPolicy};
 use cor_wal::{FsyncPolicy, MemLogStore, WalConfig};
 use cor_workload::{
     generate, generate_matrix, generate_sequence, rng_for, Engine, EngineCatalog, EngineSpec,
@@ -190,5 +190,88 @@ proptest! {
     ) {
         let (kind, strategy) = KINDS[kind_ix];
         run_case(kind, strategy, seed, ops, ckpt_every);
+    }
+}
+
+/// The engine catalog blob (280 bytes, catalog v3) that the build *before*
+/// the FIFO/CLOCK/2Q policies were retired left in a closed 16-page store
+/// of `DatabaseSpec::tiny()`, once created with LRU (policy tag 0) and
+/// once with SIEVE (tag 3). Captured from that build; never regenerate
+/// these from the current one.
+const PARENT_LRU_BLOB: &[&str] = &[
+    "434f52454e47494e0300000048160e3201100000000000000001000000002c010000000000000000",
+    "000100000000000100000000000000000000000000000001000000000000000000000000000a0000",
+    "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
+    "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
+    "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
+    "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
+    "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
+];
+const PARENT_SIEVE_BLOB: &[&str] = &[
+    "434f52454e47494e03000000cea620e301100000000000000001000000032c010000000000000000",
+    "000100000000000100000000000000000000000000000001000000000000000000000000000a0000",
+    "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
+    "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
+    "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
+    "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
+    "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
+];
+
+fn unhex(chunks: &[&str]) -> Vec<u8> {
+    let hex = chunks.concat();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex literal"))
+        .collect()
+}
+
+/// Offset of the policy byte: 16 header bytes, then clean_shutdown (1),
+/// pool_pages (8), shards (4).
+const POLICY_BYTE: usize = 16 + 13;
+
+/// Stores written before the retirement still open: the old build's blobs
+/// decode to the policy they recorded, this build writes the same bytes
+/// for the same store (so the format did not move), and that store reopens
+/// with its policy.
+#[test]
+fn stores_from_before_the_policy_retirement_still_open() {
+    for (policy, tag, chunks) in [
+        (ReplacementPolicy::Lru, 0u8, PARENT_LRU_BLOB),
+        (ReplacementPolicy::Sieve, 3, PARENT_SIEVE_BLOB),
+    ] {
+        let parent_blob = unhex(chunks);
+        assert_eq!(parent_blob[POLICY_BYTE], tag, "{policy}");
+        let decoded = EngineCatalog::decode(&parent_blob).expect("old v3 blob decodes");
+        assert_eq!(decoded.policy, policy);
+        assert_eq!(decoded.pool_pages, 16);
+        assert!(decoded.clean_shutdown);
+
+        let disk = Arc::new(MemDisk::new());
+        let store = Arc::new(MemLogStore::new());
+        Engine::builder()
+            .pool_pages(16)
+            .policy(policy)
+            .create_on(
+                disk.clone(),
+                store.clone(),
+                &EngineSpec::Standard(DatabaseSpec::tiny()),
+            )
+            .expect("create")
+            .close()
+            .expect("close");
+        let boot = Arc::new(
+            BufferPool::builder()
+                .capacity(8)
+                .disk(Box::new(disk.clone()))
+                .build(),
+        );
+        let blob = Catalog::open(boot)
+            .expect("access catalog")
+            .get_blob(ENGINE_BLOB)
+            .expect("engine blob");
+        assert_eq!(blob, parent_blob, "{policy}: catalog bytes moved");
+
+        let reopened = Engine::builder().open_on(disk, store).expect("reopen");
+        assert_eq!(reopened.pool().policy(), policy);
     }
 }

@@ -13,9 +13,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> cargo test (io_uring feature: raw-syscall aio backend + runtime fallback)"
-cargo test -p cor-pagestore --features io_uring -q
-
 echo "==> corstat smoke (observability gate)"
 cargo run -q -p cor-bench --bin corstat -- --smoke
 
@@ -31,7 +28,7 @@ cargo run -q -p cor-bench --bin explain -- --smoke --jsonl results/explain/smoke
 echo "==> explain replay (deterministic I/O regression gate)"
 cargo run -q -p cor-bench --bin explain -- --replay results/explain/smoke.jsonl
 
-echo "==> figs (figure fixed point: fig3/4/5/7 regenerate byte-identically)"
+echo "==> figs (figure fixed point: fig3/4/5/7, smart, multilevel, numchildrel, ablation regenerate byte-identically)"
 scripts/figs.sh
 
 echo "==> crashtest smoke (durability gate: crash, recover, verify vs oracle)"

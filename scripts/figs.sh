@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The figure fixed point: regenerate results/fig{3,4,5,7}.{txt,csv} with the
-# exact command lines below and fail if any of them differs from what is
+# The figure fixed point: regenerate results/fig{3,4,5,7}.{txt,csv} and
+# results/{smart,multilevel,numchildrel,ablation}.txt with the exact
+# command lines below and fail if any of them differs from what is
 # committed. A change that is not meant to move the paper's I/O counts must
 # leave this green; one that is meant to moves the files in the same commit.
 #
@@ -23,6 +24,11 @@ fig fig3 --scale 0.4 --seq 60 --csv results/fig3.csv
 fig fig4 --scale 0.25 --seq 100 --faces --csv results/fig4.csv
 fig fig5 --scale 0.4 --csv results/fig5.csv
 fig fig7 --scale 0.4 --csv results/fig7.csv
+fig smart --scale 0.25
+fig multilevel --scale 0.25
+fig numchildrel --scale 0.25
+fig ablation --scale 0.25
 
-git diff --exit-code --stat -- results/fig{3,4,5,7}.{txt,csv}
+git diff --exit-code --stat -- results/fig{3,4,5,7}.{txt,csv} \
+    results/{smart,multilevel,numchildrel,ablation}.txt
 echo "figures match the committed results"

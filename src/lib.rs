@@ -29,6 +29,7 @@
 //! `docs/observability.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use complexobj;
 pub use cor_access as access;
