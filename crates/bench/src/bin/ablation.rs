@@ -15,7 +15,8 @@
 use complexobj::{CacheConfig, EvictionPolicy, ExecOptions, JoinChoice, Strategy};
 use cor_bench::{num_top_sweep, BenchConfig};
 use cor_workload::{
-    default_threads, fnum, format_table, generate, generate_sequence, parallel_map, Engine, Params,
+    default_threads, fnum, format_table, generate, generate_sequence, parallel_map, Engine,
+    EngineSpec, Params,
 };
 
 fn main() {
@@ -42,7 +43,7 @@ fn buffer_policy_ablation(cfg: &BenchConfig, base: &Params) {
         pr_update: 0.0,
         ..base.clone()
     };
-    let generated = generate(&p);
+    let spec = EngineSpec::Standard(generate(&p).spec);
     let sequence = generate_sequence(&p);
 
     let mut rows = Vec::new();
@@ -56,7 +57,7 @@ fn buffer_policy_ablation(cfg: &BenchConfig, base: &Params) {
             let engine = Engine::builder()
                 .pool_pages(p.buffer_pages)
                 .policy(policy)
-                .build(&generated.spec)
+                .build(&spec)
                 .expect("engine builds");
             let r = engine.run_sequence(strategy, &sequence).expect("run");
             costs.push(r.avg_retrieve_io());
@@ -85,7 +86,7 @@ fn cache_policy_ablation(cfg: &BenchConfig, base: &Params) {
         size_cache: (base.size_cache / 10).max(4),
         ..base.clone()
     };
-    let generated = generate(&p);
+    let spec = EngineSpec::Standard(generate(&p).spec);
     let sequence = generate_sequence(&p);
 
     let mut rows = Vec::new();
@@ -101,7 +102,7 @@ fn cache_policy_ablation(cfg: &BenchConfig, base: &Params) {
                 policy,
                 ..CacheConfig::default()
             })
-            .build(&generated.spec)
+            .build(&spec)
             .expect("engine builds");
         let r = engine
             .run_sequence(Strategy::DfsCache, &sequence)

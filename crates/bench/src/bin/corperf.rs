@@ -1,33 +1,34 @@
-//! `corperf` — the perf-regression observatory: one canonical suite,
-//! a stamped trajectory, and a CI gate.
+//! `corperf` — the cheap CI guard on the engine's I/O: one canonical
+//! suite, two exact gates, no wall-time verdict.
 //!
 //! Runs every strategy over a fixed retrieve-only workload on
 //! [`MemDisk`](cor_pagestore::MemDisk) (plus the batched BFS/DFSCLUST
-//! legs), median-of-K per leg, and appends one stamped record to a
-//! `BENCH_core.json` trajectory. Two invariants gate the run:
+//! legs), K reps per leg. Two invariants gate the run:
 //!
 //! 1. **Determinism** — every rep of a leg must return the same values
 //!    and perform the same I/O (cold pool + fixed seed + MemDisk leaves
 //!    nothing to vary). A drifting rep is a correctness bug, not noise.
-//! 2. **No regressions** — with `--smoke`, reads/writes/values per leg
-//!    must equal the committed baseline *exactly* (I/O counts are
-//!    machine-independent), and median wall time may not exceed 4x the
-//!    previous trajectory record for that leg (floored at 5 ms so
-//!    micro-legs never flake).
+//! 2. **Exact I/O** — with `--smoke`, reads/writes/values and the value
+//!    checksum per leg must equal the committed baseline *exactly* (I/O
+//!    counts are machine-independent).
+//!
+//! The median wall per leg is printed for orientation only. Wall-time
+//! regressions are judged by `benchmark/` (ten alternating parent/change
+//! pairs at paper scale), not by a millisecond smoke run.
 //!
 //! ```text
 //! cargo run --release -p cor-bench --bin corperf [--scale F | --full]
 //!     [--smoke]          tiny suite + the exact-I/O baseline gate
-//!     [--json FILE]      trajectory path (default BENCH_core.json)
 //!     [--baseline FILE]  baseline path (default results/corperf/baseline.json)
 //!     [--reps K]         reps per leg (default 3 smoke, 5 otherwise)
 //!     [--rebaseline]     rewrite the baseline from this run, skip the gate
 //! ```
 //!
-//! Records carry `schema_version`, `catalog_version` and
-//! `metrics_schema_version` so a trajectory spanning format changes
-//! stays interpretable.
+//! The baseline record carries `schema_version`, `catalog_version` and
+//! `metrics_schema_version` so it stays interpretable across format
+//! changes.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -38,15 +39,8 @@ use cor_workload::{
     ENGINE_CATALOG_VERSION, METRICS_SCHEMA_VERSION,
 };
 
-/// Trajectory/baseline record format version.
+/// Baseline record format version.
 const PERF_SCHEMA_VERSION: u32 = 1;
-/// Wall-time regression tolerance vs the previous trajectory record.
-const WALL_TOLERANCE: u64 = 4;
-/// Legs faster than this never trip the wall gate. Smoke legs run in a
-/// couple of milliseconds, where scheduler noise and machine differences
-/// dominate; the exact-I/O gate is the sensitive detector, wall time is
-/// a backstop against catastrophic (order-of-magnitude) slowdowns.
-const WALL_FLOOR_NS: u64 = 5_000_000;
 
 /// One suite entry: a strategy plus the I/O knobs it runs under.
 struct LegSpec {
@@ -88,7 +82,6 @@ fn suite() -> Vec<LegSpec> {
                 io: IoOptions {
                     batch: 16,
                     readahead: 32,
-                    queue_depth: 1,
                 },
                 ..ExecOptions::default()
             },
@@ -215,34 +208,6 @@ fn json_record(
     )
 }
 
-/// Append `record` to the `{"schema_version":1,"runs":[...]}` trajectory
-/// at `path`, creating it if missing. Purely textual: the file is ours.
-fn append_trajectory(path: &std::path::Path, record: &str) -> Result<(), String> {
-    let fresh = format!("{{\"schema_version\":{PERF_SCHEMA_VERSION},\"runs\":[\n{record}\n]}}\n");
-    let body = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix("]}") {
-                Some(head) if trimmed.contains("\"runs\":[") => {
-                    format!("{},\n{record}\n]}}\n", head.trim_end())
-                }
-                _ => {
-                    eprintln!(
-                        "warning: {} is not a corperf trajectory, starting fresh",
-                        path.display()
-                    );
-                    fresh
-                }
-            }
-        }
-        Err(_) => fresh,
-    };
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, body).map_err(|e| format!("failed to write {}: {e}", path.display()))
-}
-
 /// Gate legs against the committed baseline: reads/writes/values and the
 /// value checksum must match exactly. Only applies when the baseline was
 /// captured with the same parameters (seed included).
@@ -286,46 +251,18 @@ fn check_baseline(baseline: &str, params: &Params, legs: &[LegResult]) -> Vec<St
     bad
 }
 
-/// The most recent wall time recorded for `leg` in the trajectory text
-/// (the last occurrence is the newest run).
-fn previous_wall(trajectory: &str, leg: &str) -> Option<u64> {
-    let pat = format!("\"leg\":\"{leg}\"");
-    let at = trajectory.rfind(&pat)?;
-    field_u64(trajectory, "wall_ns", at)
-}
-
 fn main() {
     let cfg = BenchConfig::from_args();
     let smoke = cfg.has_flag("--smoke");
     let rebaseline = cfg.has_flag("--rebaseline");
-    let mut json_path = PathBuf::from("BENCH_core.json");
-    let mut baseline_path = PathBuf::from("results/corperf/baseline.json");
-    let mut reps: usize = if smoke { 3 } else { 5 };
-    let mut it = cfg.rest.iter().peekable();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--smoke" | "--rebaseline" => {}
-            "--json" => json_path = value("--json").into(),
-            "--baseline" => baseline_path = value("--baseline").into(),
-            "--reps" => {
-                reps = value("--reps").parse().unwrap_or(0);
-                if reps == 0 {
-                    eprintln!("error: --reps needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-            other => {
-                eprintln!("error: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    cfg.expect_flags(&["--smoke", "--rebaseline"], &["--baseline", "--reps"]);
+    let baseline_path = PathBuf::from(
+        cfg.value("--baseline")
+            .unwrap_or("results/corperf/baseline.json"),
+    );
+    let reps = cfg
+        .parsed::<NonZeroUsize>("--reps", "a positive integer")
+        .map_or(if smoke { 3 } else { 5 }, NonZeroUsize::get);
 
     let params = if smoke {
         Params {
@@ -349,7 +286,7 @@ fn main() {
     };
     let legs_spec = suite();
     println!(
-        "corperf — perf-regression observatory{}\n\
+        "corperf — determinism + exact-I/O guard{}\n\
          |ParentRel| = {}, {} queries, {} legs x {} reps (median wall)\n",
         if smoke { " (smoke)" } else { "" },
         params.parent_card,
@@ -368,53 +305,37 @@ fn main() {
         }
     }
 
-    let trajectory = std::fs::read_to_string(&json_path).unwrap_or_default();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for leg in &legs {
-        let prev = previous_wall(&trajectory, &leg.name);
-        if let Some(prev) = prev {
-            let allowed = WALL_TOLERANCE * prev.max(WALL_FLOOR_NS);
-            if leg.wall_ns > allowed {
-                failures.push(format!(
-                    "{}: wall {:.2}ms exceeds {}x previous {:.2}ms",
-                    leg.name,
-                    leg.wall_ns as f64 / 1e6,
-                    WALL_TOLERANCE,
-                    prev as f64 / 1e6,
-                ));
-            }
-        }
-        rows.push(vec![
-            leg.name.clone(),
-            leg.retrieves.to_string(),
-            leg.values.to_string(),
-            leg.reads.to_string(),
-            leg.writes.to_string(),
-            fnum(leg.wall_ns as f64 / 1e6),
-            prev.map_or_else(|| "-".into(), |p| fnum(p as f64 / 1e6)),
-        ]);
-    }
+    let rows: Vec<Vec<String>> = legs
+        .iter()
+        .map(|leg| {
+            vec![
+                leg.name.clone(),
+                leg.retrieves.to_string(),
+                leg.values.to_string(),
+                leg.reads.to_string(),
+                leg.writes.to_string(),
+                fnum(leg.wall_ns as f64 / 1e6),
+            ]
+        })
+        .collect();
     println!(
         "{}",
         format_table(
-            &["Leg", "Retr", "Values", "Reads", "Writes", "wall ms", "prev ms"],
+            &["Leg", "Retr", "Values", "Reads", "Writes", "wall ms"],
             &rows,
         )
     );
     cfg.maybe_write_csv(
-        &[
-            "Leg", "Retr", "Values", "Reads", "Writes", "wall_ms", "prev_ms",
-        ],
+        &["Leg", "Retr", "Values", "Reads", "Writes", "wall_ms"],
         &rows,
     );
 
-    let ts_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let record = json_record(&params, smoke, reps, ts_secs, &legs);
-
     if rebaseline {
+        let ts_secs = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0);
+        let record = json_record(&params, smoke, reps, ts_secs, &legs);
         if let Some(dir) = baseline_path.parent().filter(|d| !d.as_os_str().is_empty()) {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -434,12 +355,6 @@ fn main() {
             )),
         }
     }
-
-    if let Err(e) = append_trajectory(&json_path, &record) {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
-    eprintln!("appended run to {}", json_path.display());
 
     if failures.is_empty() {
         println!(

@@ -586,35 +586,8 @@ fn run_watch_leg(base: &Params, smoke: bool) -> i32 {
 fn main() {
     let cfg = BenchConfig::from_args();
     let smoke = cfg.has_flag("--smoke");
-    let json_path: Option<std::path::PathBuf> =
-        cfg.rest
-            .iter()
-            .position(|a| a == "--json")
-            .map(|i| match cfg.rest.get(i + 1) {
-                Some(p) if !p.starts_with("--") => p.into(),
-                _ => {
-                    eprintln!("error: --json needs a path");
-                    std::process::exit(2);
-                }
-            });
-    let unknown: Vec<&String> = cfg
-        .rest
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            a.as_str() != "--smoke"
-                && a.as_str() != "--json"
-                && a.as_str() != "--heat"
-                && a.as_str() != "--trace"
-                && a.as_str() != "--watch"
-                && !(*i > 0 && cfg.rest[i - 1] == "--json")
-        })
-        .map(|(_, a)| a)
-        .collect();
-    if !unknown.is_empty() {
-        eprintln!("error: unknown flags {unknown:?}");
-        std::process::exit(2);
-    }
+    cfg.expect_flags(&["--smoke", "--heat", "--trace", "--watch"], &["--json"]);
+    let json_path = cfg.value("--json").map(std::path::PathBuf::from);
 
     let params = if smoke {
         Params {

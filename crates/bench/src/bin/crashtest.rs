@@ -30,18 +30,18 @@
 //! point fails verification.
 
 use complexobj::procedural::ProcCaching;
-use complexobj::{CacheConfig, ClusterAssignment, Query, RetAttr, RetrieveQuery, Strategy};
+use complexobj::{CacheConfig, Query, RetAttr, RetrieveQuery, Strategy};
+use cor_bench::BenchConfig;
 use cor_obs::flight::{self, FlightKind};
 use cor_obs::FlightEvent;
 use cor_pagestore::{
     AioConfig, AioEngine, DiskError, DiskManager, FaultMode, FaultyDisk, IoStats, MemDisk, PageId,
     TicketStatus, PAGE_SIZE,
 };
-use cor_relational::Oid;
 use cor_wal::{recover, FsyncPolicy, MemLogStore, RecoveryStats, Wal, WalConfig};
 use cor_workload::{
-    generate, generate_matrix, generate_sequence, rng_for, Engine, EngineSpec, GeneratedDb, Params,
-    SeedStream, ENGINE_CATALOG_VERSION,
+    generate, generate_matrix, generate_sequence, Engine, EngineSpec, GeneratedDb, Params,
+    ENGINE_CATALOG_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,7 +92,7 @@ fn build_rig(generated: &GeneratedDb, p: &Params) -> Rig {
         })
         .disk(faulty.clone())
         .wal(wal)
-        .build(&generated.spec)
+        .build(&EngineSpec::Standard(generated.spec.clone()))
         .expect("durable engine builds on a fresh store");
     Rig {
         faulty,
@@ -363,19 +363,7 @@ enum BackendKind {
 fn logical_spec(kind: BackendKind, p: &Params, generated: &GeneratedDb) -> EngineSpec {
     match kind {
         BackendKind::Standard => EngineSpec::Standard(generated.spec.clone()),
-        BackendKind::Clustered => {
-            let parents: Vec<(u64, Vec<Oid>)> = generated
-                .spec
-                .parents
-                .iter()
-                .map(|o| (o.key, o.children.clone()))
-                .collect();
-            let mut rng = rng_for(p.seed, SeedStream::Cluster);
-            EngineSpec::Clustered(
-                generated.spec.clone(),
-                ClusterAssignment::random(&parents, &mut rng),
-            )
-        }
+        BackendKind::Clustered => EngineSpec::for_strategy(p, generated, Strategy::DfsClust),
         BackendKind::Levels => {
             EngineSpec::Levels(vec![generated.spec.clone(), generated.spec.clone()])
         }
@@ -897,26 +885,17 @@ fn aio_fault_preflight() -> Vec<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let logical = args.iter().any(|a| a == "--logical");
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-    };
-    let seed = if smoke {
-        42
-    } else {
-        flag("--seed").unwrap_or(42)
-    };
+    let cfg = BenchConfig::from_args();
+    cfg.expect_flags(&["--smoke", "--logical"], &["--points"]);
+    let smoke = cfg.has_flag("--smoke");
+    let logical = cfg.has_flag("--logical");
+    let seed = cfg.seed.filter(|_| !smoke).unwrap_or(42);
     let points = if smoke {
         // One more in logical mode: the BFS leg adds a crash point to the
         // rotation instead of taking one from a backend.
         6 + usize::from(logical)
     } else {
-        flag("--points").unwrap_or(100) as usize
+        cfg.parsed("--points", "a positive integer").unwrap_or(100)
     };
 
     // Order matters: the flight dump hook must sit *below* the quiet

@@ -239,36 +239,12 @@ fn smoke_check(reports: &[ExplainReport]) -> Vec<String> {
 fn main() {
     let cfg = BenchConfig::from_args();
     let smoke = cfg.has_flag("--smoke");
-    let path_after = |flag: &str| -> Option<std::path::PathBuf> {
-        cfg.rest
-            .iter()
-            .position(|a| a == flag)
-            .map(|i| match cfg.rest.get(i + 1) {
-                Some(p) if !p.starts_with("--") => p.into(),
-                _ => {
-                    eprintln!("error: {flag} needs a path");
-                    std::process::exit(2);
-                }
-            })
-    };
-    let jsonl = path_after("--jsonl")
-        .unwrap_or_else(|| std::path::PathBuf::from("results/explain/explain.jsonl"));
-    let replay_path = path_after("--replay");
-    let known = ["--smoke", "--jsonl", "--replay"];
-    let unknown: Vec<&String> = cfg
-        .rest
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !known.contains(&a.as_str())
-                && !(*i > 0 && (cfg.rest[*i - 1] == "--jsonl" || cfg.rest[*i - 1] == "--replay"))
-        })
-        .map(|(_, a)| a)
-        .collect();
-    if !unknown.is_empty() {
-        eprintln!("error: unknown flags {unknown:?}");
-        std::process::exit(2);
-    }
+    cfg.expect_flags(&["--smoke"], &["--jsonl", "--replay"]);
+    let jsonl = std::path::PathBuf::from(
+        cfg.value("--jsonl")
+            .unwrap_or("results/explain/explain.jsonl"),
+    );
+    let replay_path = cfg.value("--replay").map(std::path::PathBuf::from);
 
     if let Some(path) = replay_path {
         match replay(&path) {

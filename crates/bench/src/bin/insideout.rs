@@ -18,10 +18,10 @@
 
 use complexobj::{CacheConfig, CachePlacement, Strategy};
 use cor_bench::BenchConfig;
-use cor_workload::{fnum, format_table, generate, generate_sequence, Engine, Params};
+use cor_workload::{fnum, format_table, generate, generate_sequence, Engine, EngineSpec, Params};
 
 fn run(p: &Params, placement: CachePlacement, capacity: usize) -> f64 {
-    let generated = generate(p);
+    let spec = EngineSpec::Standard(generate(p).spec);
     let engine = Engine::builder()
         .pool_pages(p.buffer_pages)
         .shards(p.shards)
@@ -30,7 +30,7 @@ fn run(p: &Params, placement: CachePlacement, capacity: usize) -> f64 {
             placement,
             ..CacheConfig::default()
         })
-        .build(&generated.spec)
+        .build(&spec)
         .expect("engine builds");
     let sequence = generate_sequence(p);
     engine

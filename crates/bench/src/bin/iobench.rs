@@ -38,13 +38,8 @@ use std::time::Instant;
 
 use complexobj::{ExecOptions, IoOptions, Query, Strategy};
 use cor_bench::BenchConfig;
-use cor_pagestore::{
-    BatchIoSnapshot, BufferPool, DiskError, DiskManager, FileDisk, PageBuf, PageId,
-};
-use cor_workload::{
-    build_for_strategy_on, fnum, format_table, generate, generate_sequence, Engine, GeneratedDb,
-    Params,
-};
+use cor_pagestore::{BatchIoSnapshot, DiskError, DiskManager, FileDisk, PageBuf, PageId};
+use cor_workload::{fnum, format_table, generate, generate_sequence, Engine, GeneratedDb, Params};
 
 /// Which disk backs the pool for one leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,88 +129,96 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn run_leg(
-    params: &Params,
-    generated: &GeneratedDb,
-    strategy: Strategy,
-    disk: Disk,
+/// What every leg of one run shares: the database, the seek charge of
+/// the `filedisk_seek` legs, and the scratch page files to delete at exit.
+struct Rig<'a> {
+    params: &'a Params,
+    generated: &'a GeneratedDb,
     seek: std::time::Duration,
-    opts: &ExecOptions,
-    scratch: &mut Vec<PathBuf>,
-) -> Leg {
-    let builder = BufferPool::builder()
-        .capacity(params.buffer_pages)
-        .shards(params.shards)
-        .queue_depth(opts.io.queue_depth)
-        .telemetry(true);
-    let builder = match disk {
-        Disk::Mem => builder,
-        Disk::File | Disk::FileSeek => {
-            let path = std::env::temp_dir().join(format!(
-                "cor-iobench-{}-{}.pages",
-                std::process::id(),
-                scratch.len()
-            ));
-            let _ = std::fs::remove_file(&path);
-            let fd = FileDisk::open(&path).expect("scratch page file opens");
-            scratch.push(path);
-            if disk == Disk::FileSeek {
-                builder.disk(Box::new(SeekDisk { inner: fd, seek }))
-            } else {
-                builder.disk(Box::new(fd))
+    scratch: Vec<PathBuf>,
+}
+
+impl Rig<'_> {
+    fn run_leg(
+        &mut self,
+        strategy: Strategy,
+        disk: Disk,
+        queue_depth: usize,
+        opts: &ExecOptions,
+    ) -> Leg {
+        let (params, generated, seek) = (self.params, self.generated, self.seek);
+        let scratch = &mut self.scratch;
+        let builder = Engine::builder().queue_depth(queue_depth).metrics(true);
+        let builder = match disk {
+            Disk::Mem => builder,
+            Disk::File | Disk::FileSeek => {
+                let path = std::env::temp_dir().join(format!(
+                    "cor-iobench-{}-{}.pages",
+                    std::process::id(),
+                    scratch.len()
+                ));
+                let _ = std::fs::remove_file(&path);
+                let fd = FileDisk::open(&path).expect("scratch page file opens");
+                scratch.push(path);
+                if disk == Disk::FileSeek {
+                    builder.disk(Arc::new(SeekDisk { inner: fd, seek }))
+                } else {
+                    builder.disk(Arc::new(fd))
+                }
+            }
+        };
+        let engine = builder
+            .build_workload(params, generated, strategy)
+            .expect("database builds")
+            .with_options(*opts);
+        let stats = engine.pool().stats().clone();
+        let io_before = stats.snapshot();
+        let batch_before = stats.batch_snapshot();
+
+        let sequence = generate_sequence(params);
+        let mut checksum = 0u64;
+        let mut retrieves = 0usize;
+        let mut lat: Vec<u64> = Vec::new();
+        for q in &sequence {
+            let Query::Retrieve(r) = q else { continue };
+            // Cold pool per query: every leg pays its page faults through
+            // the backend under test instead of the warm frame table.
+            engine.pool().flush_and_clear().expect("pool flushes");
+            let t = Instant::now();
+            let out = engine.retrieve(strategy, r).expect("retrieve runs");
+            lat.push(t.elapsed().as_nanos() as u64);
+            retrieves += 1;
+            for v in out.values {
+                checksum = checksum.wrapping_add((v as u64) ^ (v as u64).rotate_left(17));
             }
         }
-    };
-    let pool = Arc::new(builder.build());
-    let db = build_for_strategy_on(pool, params, generated, strategy).expect("database builds");
-    let engine = Engine::builder().wrap_database(db).with_options(*opts);
-    let stats = engine.pool().stats().clone();
-    let io_before = stats.snapshot();
-    let batch_before = stats.batch_snapshot();
 
-    let sequence = generate_sequence(params);
-    let mut checksum = 0u64;
-    let mut retrieves = 0usize;
-    let mut lat: Vec<u64> = Vec::new();
-    for q in &sequence {
-        let Query::Retrieve(r) = q else { continue };
-        // Cold pool per query: every leg pays its page faults through
-        // the backend under test instead of the warm frame table.
-        engine.pool().flush_and_clear().expect("pool flushes");
-        let t = Instant::now();
-        let out = engine.retrieve(strategy, r).expect("retrieve runs");
-        lat.push(t.elapsed().as_nanos() as u64);
-        retrieves += 1;
-        for v in out.values {
-            checksum = checksum.wrapping_add((v as u64) ^ (v as u64).rotate_left(17));
+        let reads = stats.snapshot().since(&io_before).reads;
+        let batch = stats.batch_snapshot().since(&batch_before);
+        let (mut pool_hits, mut pool_misses) = (0, 0);
+        for shard in engine.pool().telemetry().into_iter().flatten() {
+            pool_hits += shard.hits;
+            pool_misses += shard.misses;
         }
-    }
-
-    let reads = stats.snapshot().since(&io_before).reads;
-    let batch = stats.batch_snapshot().since(&batch_before);
-    let (mut pool_hits, mut pool_misses) = (0, 0);
-    for shard in engine.pool().telemetry().into_iter().flatten() {
-        pool_hits += shard.hits;
-        pool_misses += shard.misses;
-    }
-    let total_ns: u64 = lat.iter().sum();
-    lat.sort_unstable();
-    Leg {
-        backend: engine.pool().aio_backend().name(),
-        retrieves,
-        checksum,
-        reads,
-        batch,
-        pool_hits,
-        pool_misses,
-        mean_ns: total_ns / (retrieves.max(1) as u64),
-        p50_ns: quantile(&lat, 0.50),
-        p99_ns: quantile(&lat, 0.99),
-        qps: if total_ns > 0 {
-            retrieves as f64 * 1e9 / total_ns as f64
-        } else {
-            0.0
-        },
+        let total_ns: u64 = lat.iter().sum();
+        lat.sort_unstable();
+        Leg {
+            backend: engine.pool().aio_backend().name(),
+            retrieves,
+            checksum,
+            reads,
+            batch,
+            pool_hits,
+            pool_misses,
+            mean_ns: total_ns / (retrieves.max(1) as u64),
+            p50_ns: quantile(&lat, 0.50),
+            p99_ns: quantile(&lat, 0.99),
+            qps: if total_ns > 0 {
+                retrieves as f64 * 1e9 / total_ns as f64
+            } else {
+                0.0
+            },
+        }
     }
 }
 
@@ -361,48 +364,16 @@ fn json_leg(l: &Leg) -> String {
 fn main() {
     let cfg = BenchConfig::from_args();
     let smoke = cfg.has_flag("--smoke");
-    let mut json_path = PathBuf::from("BENCH_io.json");
-    let mut io = IoOptions {
-        batch: 16,
-        readahead: 32,
-        queue_depth: 1,
+    cfg.expect_flags(
+        &["--smoke"],
+        &["--json", "--batch", "--readahead", "--seek-us"],
+    );
+    let json_path = PathBuf::from(cfg.value("--json").unwrap_or("BENCH_io.json"));
+    let io = IoOptions {
+        batch: cfg.parsed("--batch", "a positive integer").unwrap_or(16),
+        readahead: cfg.parsed("--readahead", "an integer").unwrap_or(32),
     };
-    let mut seek_us: u64 = 100;
-    let mut it = cfg.rest.iter().peekable();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--smoke" => {}
-            "--json" => json_path = value("--json").into(),
-            "--batch" => {
-                io.batch = value("--batch").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --batch needs a positive integer");
-                    std::process::exit(2);
-                })
-            }
-            "--readahead" => {
-                io.readahead = value("--readahead").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --readahead needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--seek-us" => {
-                seek_us = value("--seek-us").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --seek-us needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("error: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let seek_us: u64 = cfg.parsed("--seek-us", "an integer").unwrap_or(100);
 
     let params = if smoke {
         Params {
@@ -456,35 +427,23 @@ fn main() {
     // file-backed disks — the legs where submission overlap can matter.
     const SWEEP_DEPTHS: [usize; 3] = [1, 4, 16];
     let generated = generate(&params);
-    let mut scratch: Vec<PathBuf> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut sweep_rows: Vec<Vec<String>> = Vec::new();
     let mut json_strategies: Vec<String> = Vec::new();
     let mut json_sweep: Vec<String> = Vec::new();
     let mut aio_backend: &'static str = "sync";
-    let seek = std::time::Duration::from_micros(seek_us);
+    let mut rig = Rig {
+        params: &params,
+        generated: &generated,
+        seek: std::time::Duration::from_micros(seek_us),
+        scratch: Vec::new(),
+    };
     for strategy in strategies {
         let mut json_disks: Vec<String> = Vec::new();
         for disk in [Disk::Mem, Disk::File, Disk::FileSeek] {
-            let off = run_leg(
-                &params,
-                &generated,
-                strategy,
-                disk,
-                seek,
-                &off_opts,
-                &mut scratch,
-            );
-            let on = run_leg(
-                &params,
-                &generated,
-                strategy,
-                disk,
-                seek,
-                &on_opts,
-                &mut scratch,
-            );
+            let off = rig.run_leg(strategy, disk, 1, &off_opts);
+            let on = rig.run_leg(strategy, disk, 1, &on_opts);
             failures.extend(check_pair(strategy, disk, &off, &on));
             let speedup = if off.qps > 0.0 { on.qps / off.qps } else { 0.0 };
             rows.push(vec![
@@ -514,25 +473,7 @@ fn main() {
             }
             let sweep: Vec<(usize, Leg)> = SWEEP_DEPTHS
                 .iter()
-                .map(|&depth| {
-                    let opts = ExecOptions {
-                        io: IoOptions {
-                            queue_depth: depth,
-                            ..io
-                        },
-                        ..ExecOptions::default()
-                    };
-                    let leg = run_leg(
-                        &params,
-                        &generated,
-                        strategy,
-                        disk,
-                        seek,
-                        &opts,
-                        &mut scratch,
-                    );
-                    (depth, leg)
-                })
+                .map(|&depth| (depth, rig.run_leg(strategy, disk, depth, &on_opts)))
                 .collect();
             failures.extend(check_sweep(strategy, disk, &off, &on, &sweep));
             let base_qps = sweep
@@ -599,7 +540,7 @@ fn main() {
             json_disks.join(",")
         ));
     }
-    for path in &scratch {
+    for path in &rig.scratch {
         let _ = std::fs::remove_file(path);
     }
 

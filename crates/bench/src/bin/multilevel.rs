@@ -17,8 +17,8 @@ use complexobj::multilevel::MultiDotQuery;
 use complexobj::{RetAttr, Strategy};
 use cor_bench::BenchConfig;
 use cor_workload::{
-    build_hierarchy, fnum, format_table, snapshot_hierarchy, total_hierarchy_io, Engine,
-    HierarchyParams,
+    fnum, format_table, generate_hierarchy_specs, snapshot_hierarchy, total_hierarchy_io, Engine,
+    EngineSpec, HierarchyParams,
 };
 
 fn main() {
@@ -48,7 +48,10 @@ fn main() {
             seed: 7 + levels as u64,
             ..HierarchyParams::default()
         };
-        let engine = Engine::builder().wrap_levels(build_hierarchy(&hp).expect("hierarchy builds"));
+        let engine = Engine::builder()
+            .pool_pages(hp.buffer_pages)
+            .build(&EngineSpec::Levels(generate_hierarchy_specs(&hp)))
+            .expect("hierarchy builds");
 
         let mut costs = Vec::new();
         for s in strategies {

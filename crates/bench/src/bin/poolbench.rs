@@ -501,43 +501,18 @@ fn json_engine(l: &EngineLeg) -> String {
 fn main() {
     let cfg = BenchConfig::from_args();
     let smoke = cfg.has_flag("--smoke");
-    let mut json_path = PathBuf::from("BENCH_pool.json");
-    let mut threads: Vec<usize> = vec![1, 4];
-    let mut it = cfg.rest.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => {}
-            "--json" => {
-                json_path = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --json needs a value");
-                        std::process::exit(2);
-                    })
-                    .into()
-            }
-            "--threads" => {
-                let list = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("error: --threads needs a comma-separated list");
+    cfg.expect_flags(&["--smoke"], &["--json", "--threads"]);
+    let json_path = PathBuf::from(cfg.value("--json").unwrap_or("BENCH_pool.json"));
+    let threads: Vec<usize> = cfg.value("--threads").map_or(vec![1, 4], |list| {
+        list.split(',')
+            .map(|v| {
+                v.parse().unwrap_or_else(|_| {
+                    eprintln!("error: --threads needs a comma-separated list of positive integers");
                     std::process::exit(2);
-                });
-                threads = list
-                    .split(',')
-                    .map(|v| {
-                        v.parse().unwrap_or_else(|_| {
-                            eprintln!("error: --threads needs positive integers");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            other => {
-                eprintln!("error: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+                })
+            })
+            .collect()
+    });
 
     // The flood layer is pure memory and always runs at full size; the
     // engine layer shrinks with --smoke.

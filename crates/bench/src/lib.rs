@@ -1,10 +1,12 @@
 //! # cor-bench
 //!
 //! Benchmark harness: one binary per figure/table of the paper's
-//! evaluation (see DESIGN.md's experiment index) plus criterion
-//! microbenchmarks for the substrate.
+//! evaluation (see DESIGN.md's experiment index) plus the gate binaries
+//! `scripts/check.sh` runs (corstat, explain, crashtest, iobench, corperf,
+//! poolbench). Wall-time claims are judged by `benchmark/` at the repo
+//! root, not here.
 //!
-//! Every figure binary accepts:
+//! Every binary accepts:
 //!
 //! * `--scale F` — run at fraction `F` of the paper's database size
 //!   (ParentRel, SizeCache, buffer and sequence length shrink together);
@@ -101,6 +103,38 @@ impl BenchConfig {
         self.rest.iter().any(|a| a == name)
     }
 
+    /// The value of extra flag `name` (`--json FILE`), or `None` when the
+    /// flag was not passed. Exits with usage when the value is missing.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        let at = self.rest.iter().position(|a| a == name)?;
+        match self.rest.get(at + 1) {
+            Some(v) if !v.starts_with("--") => Some(v),
+            _ => usage(&format!("{name} needs a value")),
+        }
+    }
+
+    /// [`value`](Self::value) parsed as `T`; exits with usage, saying
+    /// that `name` needs `what`, when it does not parse.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str, what: &str) -> Option<T> {
+        self.value(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| usage(&format!("{name} needs {what}")))
+        })
+    }
+
+    /// Exit with usage unless every extra argument is one of `switches`,
+    /// one of the `valued` flags, or a valued flag's value.
+    pub fn expect_flags(&self, switches: &[&str], valued: &[&str]) {
+        let mut args = self.rest.iter();
+        while let Some(a) = args.next() {
+            if valued.contains(&a.as_str()) {
+                args.next();
+            } else if !switches.contains(&a.as_str()) {
+                usage(&format!("unknown flag {a}"));
+            }
+        }
+    }
+
     /// Write the figure's main table as CSV if `--csv` was given.
     pub fn maybe_write_csv(&self, headers: &[&str], rows: &[Vec<String>]) {
         if let Some(path) = &self.csv {
@@ -117,8 +151,9 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: <bench> [--scale F] [--full] [--seq N] [--seed S] [--csv FILE]\n\
-         reproduces one figure of Jhingran & Stonebraker (ICDE 1990); see DESIGN.md"
+        "usage: <bench> [--scale F] [--full] [--seq N] [--seed S] [--csv FILE] [bench flags]\n\
+         reproduces Jhingran & Stonebraker (ICDE 1990); bench flags are in each binary's \
+         module doc, see DESIGN.md"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -140,6 +175,24 @@ pub fn num_top_sweep(parent_card: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn extra_flag_values_are_found_and_parsed() {
+        let cfg = BenchConfig {
+            scale: 0.2,
+            seq: None,
+            seed: None,
+            csv: None,
+            rest: ["--smoke", "--json", "out.json", "--reps", "7"]
+                .map(String::from)
+                .to_vec(),
+        };
+        assert!(cfg.has_flag("--smoke"));
+        assert_eq!(cfg.value("--json"), Some("out.json"));
+        assert_eq!(cfg.value("--baseline"), None);
+        assert_eq!(cfg.parsed::<usize>("--reps", "a positive integer"), Some(7));
+        cfg.expect_flags(&["--smoke"], &["--json", "--reps"]);
+    }
 
     #[test]
     fn num_top_sweep_scales_and_dedups() {

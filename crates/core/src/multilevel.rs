@@ -243,7 +243,7 @@ mod tests {
     /// Level 0: 3 groups each referencing 2 "person" oids (person 1 shared
     /// by groups 0 and 1).
     /// Level 1: 4 persons, each referencing hobbies; hobby 0 shared.
-    fn build_levels() -> Vec<CorDatabase> {
+    fn two_level_chain() -> Vec<CorDatabase> {
         let c = |k: u64| Oid::new(CHILD_REL_BASE, k);
         // Level 0: groups -> persons.
         let level0 = DatabaseSpec {
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn dfs_two_levels_follows_every_path() {
-        let levels = build_levels();
+        let levels = two_level_chain();
         let q = MultiDotQuery {
             lo: 0,
             hi: 2,
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn bfs_matches_dfs_multiset() {
-        let levels = build_levels();
+        let levels = two_level_chain();
         for (lo, hi) in [(0, 2), (0, 0), (1, 2), (2, 2)] {
             let q = MultiDotQuery {
                 lo,
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn nodup_eliminates_shared_paths() {
-        let levels = build_levels();
+        let levels = two_level_chain();
         let q = MultiDotQuery {
             lo: 0,
             hi: 2,
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn single_level_multidot_equals_plain_retrieve() {
-        let levels = build_levels();
+        let levels = two_level_chain();
         let q = MultiDotQuery {
             lo: 0,
             hi: 2,
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn deep_strategies_reject_cached_modes() {
-        let levels = build_levels();
+        let levels = two_level_chain();
         let q = MultiDotQuery {
             lo: 0,
             hi: 1,

@@ -58,13 +58,6 @@ pub struct IoOptions {
     pub batch: usize,
     /// Leaf readahead window, in pages, for sequential scans (0 = off).
     pub readahead: usize,
-    /// `cor-aio` submission queue depth (1 = synchronous, off). At
-    /// depth > 1 the buffer pool keeps up to this many coalesced runs
-    /// in flight at once: prefetch becomes genuinely speculative
-    /// (submitted, parked, harvested on demand) and readahead windows
-    /// open eagerly instead of ramping, overlapping strategy compute
-    /// with in-flight reads.
-    pub queue_depth: usize,
 }
 
 impl Default for IoOptions {
@@ -72,7 +65,6 @@ impl Default for IoOptions {
         IoOptions {
             batch: 1,
             readahead: 0,
-            queue_depth: 1,
         }
     }
 }
@@ -81,11 +73,6 @@ impl IoOptions {
     /// Is any batched/prefetching behaviour enabled?
     pub fn enabled(&self) -> bool {
         self.batch > 1 || self.readahead > 0
-    }
-
-    /// Is asynchronous submission enabled?
-    pub fn async_enabled(&self) -> bool {
-        self.queue_depth > 1
     }
 }
 
@@ -533,7 +520,6 @@ mod tests {
             io: IoOptions {
                 batch: 8,
                 readahead: 4,
-                queue_depth: 1,
             },
             ..ExecOptions::default()
         };

@@ -12,9 +12,10 @@
 //!   [`CorError::CatalogMissing`] / [`CorError::CatalogVersion`];
 //! * a `clean_shutdown` flag — `true` only between [`Engine::close`]
 //!   (crate::Engine::close) and the next open;
-//! * the pool geometry (`pool_pages`, `shards`, replacement policy) and
-//!   the [`ExecOptions`] the engine ran with — `open` rebuilds the pool
-//!   from the catalog, not from the caller's builder;
+//! * the pool's construction settings (`pool_pages`, `shards`,
+//!   replacement policy, async queue depth) and the [`ExecOptions`] the
+//!   engine ran with — `open` rebuilds the pool from the catalog, not
+//!   from the caller's builder;
 //! * the buffer pool's free-page list, reused only after a **clean**
 //!   shutdown (after a crash the list may predate logged allocations, so
 //!   it is discarded and those pages leak — bounded, and safe);
@@ -30,10 +31,11 @@ use cor_wal::crc::crc32;
 /// On-disk layout version this build writes.
 ///
 /// * v1 — the PR 6 layout.
-/// * v2 — appends `io.queue_depth` to the [`IoOptions`] block. v1 blobs
-///   are still decoded (the missing knob defaults to 1, the synchronous
-///   behaviour every v1 store actually had), so existing stores reopen
-///   with identical semantics and silently upgrade on their next save.
+/// * v2 — appends the pool's async `queue_depth` after the [`IoOptions`]
+///   block. v1 blobs are still decoded (the missing word defaults to 1,
+///   the synchronous behaviour every v1 store actually had), so existing
+///   stores reopen with identical semantics and silently upgrade on their
+///   next save.
 /// * v3 — widens the replacement-policy byte's value range with the
 ///   scan-resistant `Sieve` = 3. The layout is unchanged; the bump
 ///   exists so a v2 build that cannot *run* that policy refuses the
@@ -78,6 +80,20 @@ fn policy_from_tag(tag: u8) -> Result<ReplacementPolicy, CorError> {
     )))
 }
 
+/// Read a `u32` element count, refusing one the rest of the payload could
+/// not hold at `min_bytes` per element — so a stored count never sizes an
+/// allocation the payload does not back.
+fn count(d: &mut Dec<'_>, min_bytes: usize, field: &str) -> Result<usize, CorError> {
+    let n = d.u32()? as usize;
+    if n > d.0.len() / min_bytes {
+        return Err(CorError::Durability(format!(
+            "engine catalog records {n} {field} in a {}-byte payload tail",
+            d.0.len()
+        )));
+    }
+    Ok(n)
+}
+
 /// Which strategy backend the store holds, with its full snapshot.
 #[derive(Debug, Clone)]
 pub enum SavedBackend {
@@ -101,6 +117,8 @@ pub struct EngineCatalog {
     pub shards: usize,
     /// Pool replacement policy.
     pub policy: ReplacementPolicy,
+    /// The pool's async submission queue depth (1 = synchronous).
+    pub queue_depth: usize,
     /// Execution options every query runs with.
     pub opts: ExecOptions,
     /// Free-page list at save time (valid only under `clean_shutdown`).
@@ -126,7 +144,7 @@ impl EngineCatalog {
         e.u64(self.opts.sort_work_mem as u64);
         e.u64(self.opts.io.batch as u64);
         e.u64(self.opts.io.readahead as u64);
-        e.u64(self.opts.io.queue_depth as u64);
+        e.u64(self.queue_depth as u64);
         e.u32(self.free_pages.len() as u32);
         for &pid in &self.free_pages {
             e.u32(pid);
@@ -162,7 +180,13 @@ impl EngineCatalog {
     /// * wrong version → [`CorError::CatalogVersion`];
     /// * CRC mismatch or truncated payload → [`CorError::Durability`]
     ///   (the blob sits under the WAL, so this indicates a bug, not a
-    ///   torn write).
+    ///   torn write);
+    /// * pool settings no pool can be built from (zero frames, shards or
+    ///   queue depth, fewer frames than shards) or an element count the
+    ///   payload cannot hold → [`CorError::Durability`] naming the field.
+    ///   The blob is outside input: `open` hands these values to
+    ///   [`BufferPool::builder`](cor_pagestore::BufferPool::builder),
+    ///   whose asserts are for callers, not for stored bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, CorError> {
         if bytes.len() < 16 || &bytes[..8] != MAGIC {
             return Err(CorError::CatalogMissing);
@@ -195,10 +219,26 @@ impl EngineCatalog {
         let io = IoOptions {
             batch: d.u64()? as usize,
             readahead: d.u64()? as usize,
-            // v1 predates the knob; those stores ran synchronously.
-            queue_depth: if found >= 2 { d.u64()? as usize } else { 1 },
         };
-        let n = d.u32()? as usize;
+        // v1 predates the word; those stores ran synchronously.
+        let queue_depth = if found >= 2 { d.u64()? as usize } else { 1 };
+        for (field, value) in [
+            ("pool_pages", pool_pages),
+            ("shards", shards),
+            ("queue_depth", queue_depth),
+        ] {
+            if value == 0 {
+                return Err(CorError::Durability(format!(
+                    "engine catalog records {field} = 0"
+                )));
+            }
+        }
+        if pool_pages < shards {
+            return Err(CorError::Durability(format!(
+                "engine catalog records pool_pages = {pool_pages} < shards = {shards}"
+            )));
+        }
+        let n = count(&mut d, 4, "free_pages")?;
         let mut free_pages = Vec::with_capacity(n);
         for _ in 0..n {
             free_pages.push(d.u32()?);
@@ -206,7 +246,7 @@ impl EngineCatalog {
         let backend = match d.u8()? {
             0 => SavedBackend::Oid(SavedOidDb::decode(&mut d)?),
             1 => {
-                let n = d.u32()? as usize;
+                let n = count(&mut d, 1, "levels")?;
                 let mut levels = Vec::with_capacity(n);
                 for _ in 0..n {
                     levels.push(SavedOidDb::decode(&mut d)?);
@@ -226,6 +266,7 @@ impl EngineCatalog {
             pool_pages,
             shards,
             policy,
+            queue_depth,
             opts: ExecOptions {
                 smart_threshold,
                 join,
@@ -250,6 +291,7 @@ mod tests {
             pool_pages: 100,
             shards: 4,
             policy: ReplacementPolicy::Sieve,
+            queue_depth: 4,
             opts: ExecOptions {
                 smart_threshold: 123,
                 join: JoinChoice::ForceMerge,
@@ -257,7 +299,6 @@ mod tests {
                 io: IoOptions {
                     batch: 8,
                     readahead: 2,
-                    queue_depth: 4,
                 },
             },
             free_pages: vec![7, 9, 30],
@@ -291,6 +332,7 @@ mod tests {
         assert_eq!(back.pool_pages, 100);
         assert_eq!(back.shards, 4);
         assert_eq!(back.policy, ReplacementPolicy::Sieve);
+        assert_eq!(back.queue_depth, 4);
         assert_eq!(back.opts, cat.opts);
         assert_eq!(back.free_pages, vec![7, 9, 30]);
         assert!(matches!(back.backend, SavedBackend::Oid(_)));
@@ -299,7 +341,7 @@ mod tests {
     #[test]
     fn v1_blob_decodes_with_synchronous_queue_depth() {
         let mut cat = sample();
-        cat.opts.io.queue_depth = 1;
+        cat.queue_depth = 1;
         let v2 = cat.encode();
         // Rebuild the same blob in the v1 layout: drop the queue_depth
         // word — 8 bytes at payload offset 47 (after clean_shutdown,
@@ -313,7 +355,7 @@ mod tests {
         v1.extend_from_slice(&crc32(&payload).to_le_bytes());
         v1.extend_from_slice(&payload);
         let back = EngineCatalog::decode(&v1).unwrap();
-        assert_eq!(back.opts.io.queue_depth, 1, "v1 stores ran synchronously");
+        assert_eq!(back.queue_depth, 1, "v1 stores ran synchronously");
         assert_eq!(back.opts, cat.opts);
         assert_eq!(back.free_pages, cat.free_pages);
     }
@@ -368,6 +410,48 @@ mod tests {
         out.extend_from_slice(&crc32(payload).to_le_bytes());
         out.extend_from_slice(payload);
         out
+    }
+
+    /// A CRC-valid blob is still outside input: settings no pool can be
+    /// built from and counts the payload cannot hold come back as typed
+    /// errors naming the field, never as a `BufferPool::builder` assert
+    /// or an allocation sized by the stored count.
+    #[test]
+    fn unbuildable_settings_and_oversized_counts_are_typed_errors() {
+        // Payload offsets: clean_shutdown 0, pool_pages 1, shards 9,
+        // policy 13, smart_threshold 14, join 22, sort_work_mem 23,
+        // batch 31, readahead 39, queue_depth 47, free-page count 55,
+        // three free pages 59, backend tag 71, level count 72.
+        let oid = sample().encode();
+        let mut levels = sample();
+        levels.backend = SavedBackend::Levels(vec![]);
+        let levels = levels.encode();
+        let cases: [(&[u8], usize, &[u8], &str); 6] = [
+            (&oid, 1, &0u64.to_le_bytes(), "pool_pages = 0"),
+            (&oid, 9, &0u32.to_le_bytes(), "shards = 0"),
+            (&oid, 47, &0u64.to_le_bytes(), "queue_depth = 0"),
+            (
+                &oid,
+                9,
+                &101u32.to_le_bytes(),
+                "pool_pages = 100 < shards = 101",
+            ),
+            (&oid, 55, &u32::MAX.to_le_bytes(), "free_pages"),
+            (&levels, 72, &u32::MAX.to_le_bytes(), "levels"),
+        ];
+        for (blob, at, bytes, names) in cases {
+            let mut blob = blob.to_vec();
+            blob[16 + at..16 + at + bytes.len()].copy_from_slice(bytes);
+            match EngineCatalog::decode(&restamp(&blob, ENGINE_CATALOG_VERSION)) {
+                Err(CorError::Durability(msg)) => assert!(msg.contains(names), "{names}: {msg}"),
+                other => panic!("{names}: expected a typed error, got {other:?}"),
+            }
+        }
+        // The smallest buildable settings pass.
+        let mut blob = oid.clone();
+        blob[16 + 1..16 + 9].copy_from_slice(&4u64.to_le_bytes());
+        let back = EngineCatalog::decode(&restamp(&blob, ENGINE_CATALOG_VERSION)).unwrap();
+        assert_eq!((back.pool_pages, back.shards), (4, 4));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use complexobj::{
     CacheConfig, ClusterAssignment, CorDatabase, CorError, DatabaseSpec, ObjectSpec, Strategy,
     SubobjectSpec, Unit,
 };
-use cor_pagestore::{BufferPool, BufferPoolBuilder};
+use cor_pagestore::BufferPool;
 use cor_relational::Oid;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -238,18 +238,40 @@ pub fn generate(params: &Params) -> GeneratedDb {
     }
 }
 
-/// A buffer pool sized by `params` over a fresh in-memory disk.
+/// A buffer pool with the params' geometry (capacity and shards) over a
+/// fresh in-memory disk.
 pub fn make_pool(params: &Params) -> Arc<BufferPool> {
-    Arc::new(pool_builder(params).build())
+    Arc::new(
+        BufferPool::builder()
+            .capacity(params.buffer_pages)
+            .shards(params.shards)
+            .build(),
+    )
 }
 
-/// The builder behind [`make_pool`], with the params' geometry (capacity
-/// and shards) already applied; callers that want telemetry, an async
-/// queue depth or a non-default policy set it and call `build`.
-pub fn pool_builder(params: &Params) -> BufferPoolBuilder {
-    BufferPool::builder()
-        .capacity(params.buffer_pages)
-        .shards(params.shards)
+/// The clustering DFSCLUST runs on: a random assignment drawn from the
+/// params' own [`SeedStream::Cluster`] stream, so it follows neither the
+/// database contents nor the query sequence. The only derivation — the
+/// engine's [`EngineSpec::for_strategy`](crate::EngineSpec::for_strategy)
+/// and [`build_for_strategy_on`] both call it.
+pub(crate) fn cluster_assignment(params: &Params, generated: &GeneratedDb) -> ClusterAssignment {
+    let parents: Vec<(u64, Vec<Oid>)> = generated
+        .spec
+        .parents
+        .iter()
+        .map(|o| (o.key, o.children.clone()))
+        .collect();
+    let mut rng = rng_for(params.seed, SeedStream::Cluster);
+    ClusterAssignment::random(&parents, &mut rng)
+}
+
+/// The unit cache `strategy` needs at this workload point: SizeCache
+/// units for DFSCACHE / SMART, none otherwise.
+pub(crate) fn strategy_cache(params: &Params, strategy: Strategy) -> Option<CacheConfig> {
+    strategy.needs_cache().then(|| CacheConfig {
+        capacity: params.size_cache,
+        ..CacheConfig::default()
+    })
 }
 
 /// Build the physical database a strategy needs: clustered for DFSCLUST,
@@ -263,8 +285,8 @@ pub fn build_for_strategy(
     build_for_strategy_on(make_pool(params), params, generated, strategy)
 }
 
-/// [`build_for_strategy`] on a caller-supplied pool, so drivers can attach
-/// a telemetry-enabled pool (see [`pool_builder`]) or share a disk.
+/// [`build_for_strategy`] on a caller-supplied pool, so drivers can pick
+/// the pool's size, policy or telemetry themselves.
 pub fn build_for_strategy_on(
     pool: Arc<BufferPool>,
     params: &Params,
@@ -272,20 +294,10 @@ pub fn build_for_strategy_on(
     strategy: Strategy,
 ) -> Result<CorDatabase, CorError> {
     if strategy.needs_cluster() {
-        let parents: Vec<(u64, Vec<Oid>)> = generated
-            .spec
-            .parents
-            .iter()
-            .map(|o| (o.key, o.children.clone()))
-            .collect();
-        let mut rng = rng_for(params.seed, SeedStream::Cluster);
-        let assignment = ClusterAssignment::random(&parents, &mut rng);
+        let assignment = cluster_assignment(params, generated);
         return CorDatabase::build_clustered(pool, &generated.spec, &assignment);
     }
-    let cache = strategy.needs_cache().then(|| CacheConfig {
-        capacity: params.size_cache,
-        ..CacheConfig::default()
-    });
+    let cache = strategy_cache(params, strategy);
     CorDatabase::build_standard(pool, &generated.spec, cache)
 }
 

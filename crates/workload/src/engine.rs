@@ -5,14 +5,26 @@
 //! `procedural::execute_proc_retrieve`) over a pool + database + cache
 //! someone has to assemble. The engine owns that assembly behind a
 //! builder and exposes uniform `retrieve` / `update` / `run_sequence`
-//! calls, plus the concurrent driver for multi-stream serving:
+//! calls, plus the concurrent driver for multi-stream serving.
+//!
+//! Construction is one builder with six terminals over one
+//! [`EngineSpec`]: [`build`](EngineBuilder::build) (in memory) and its
+//! composition [`build_workload`](EngineBuilder::build_workload) (a
+//! workload point's geometry, cache and representation), and the durable
+//! lifecycle [`create`](EngineBuilder::create) /
+//! [`open`](EngineBuilder::open) with their explicit-store forms
+//! [`create_on`](EngineBuilder::create_on) /
+//! [`open_on`](EngineBuilder::open_on). Every terminal assembles its
+//! pool and its `Engine` through the same two private functions, so
+//! every builder setting reaches every terminal:
 //!
 //! ```
-//! use cor_workload::Engine;
+//! use cor_workload::{Engine, EngineSpec};
 //! use complexobj::{DatabaseSpec, RetAttr, RetrieveQuery, Strategy};
 //! use cor_pagestore::ReplacementPolicy;
 //!
-//! let spec = DatabaseSpec::tiny(); // 4 objects over 6 shared subobjects
+//! // 4 objects over 6 shared subobjects
+//! let spec = EngineSpec::Standard(DatabaseSpec::tiny());
 //! let engine = Engine::builder()
 //!     .pool_pages(100)
 //!     .shards(8)
@@ -28,7 +40,7 @@ use crate::catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB};
 use crate::concurrent::{
     run_concurrent_streams, run_concurrent_streams_observed, ConcurrentRunResult, LiveTick,
 };
-use crate::dbgen::{build_for_strategy_on, pool_builder, GeneratedDb};
+use crate::dbgen::{cluster_assignment, strategy_cache, GeneratedDb};
 use crate::driver::{run_sequence, RunResult};
 use crate::explain::ExplainReport;
 use crate::metrics::{build_report, strategy_tag, EngineMetrics, MetricsReport};
@@ -57,10 +69,11 @@ use std::time::{Duration, Instant};
 /// real pool's geometry is known. Reads only; dropped after decoding.
 const BOOTSTRAP_POOL_PAGES: usize = 16;
 
-/// What [`EngineBuilder::create`] populates a fresh store with. `create`
-/// is the only place a spec is needed: after that the persistent catalog
-/// — not the caller — records which backend the store holds, and
-/// [`EngineBuilder::open`] reconstructs it with no spec at all.
+/// What [`EngineBuilder::build`] and [`EngineBuilder::create`] populate an
+/// engine with. On the durable side `create` is the only place a spec is
+/// needed: after that the persistent catalog — not the caller — records
+/// which backend the store holds, and [`EngineBuilder::open`]
+/// reconstructs it with no spec at all.
 #[derive(Debug, Clone)]
 pub enum EngineSpec {
     /// Standard OID representation (attach a cache via
@@ -68,21 +81,40 @@ pub enum EngineSpec {
     Standard(DatabaseSpec),
     /// Clustered OID representation (DFSCLUST).
     Clustered(DatabaseSpec, ClusterAssignment),
-    /// Multi-level hierarchy, level 0 first. Durable hierarchies share
-    /// one buffer pool (one store), unlike the legacy
-    /// [`EngineBuilder::build_levels`] pool-per-level arrangement.
+    /// Multi-level hierarchy, level 0 first. On a store
+    /// ([`create`](EngineBuilder::create)) the levels share the store's
+    /// one buffer pool; in memory ([`build`](EngineBuilder::build)) each
+    /// level gets its own pool with the builder's settings — its own
+    /// "INGRES instance", the arrangement `results/multilevel.txt` pins.
     Levels(Vec<DatabaseSpec>),
     /// Procedural representation with the given caching mode.
     Procedural(ProcDatabaseSpec, ProcCaching),
 }
 
+impl EngineSpec {
+    /// The representation a workload point needs under `strategy`:
+    /// clustered for DFSCLUST — a random assignment drawn from the
+    /// params' own [`SeedStream::Cluster`](crate::SeedStream) stream —
+    /// and standard otherwise.
+    pub fn for_strategy(params: &Params, generated: &GeneratedDb, strategy: Strategy) -> Self {
+        let spec = generated.spec.clone();
+        if strategy.needs_cluster() {
+            EngineSpec::Clustered(spec, cluster_assignment(params, generated))
+        } else {
+            EngineSpec::Standard(spec)
+        }
+    }
+}
+
 /// The persistent-catalog half of a lifecycle-built engine: the page-0
-/// catalog handle plus the pool geometry recorded in every snapshot.
+/// catalog handle plus the pool's construction settings, recorded
+/// unchanged in every snapshot.
 struct CatalogState {
     catalog: Catalog,
     pool_pages: usize,
     shards: usize,
     policy: ReplacementPolicy,
+    queue_depth: usize,
 }
 
 /// Map a bootstrap-read catalog error: a store whose page 0 does not
@@ -158,6 +190,7 @@ pub struct EngineBuilder {
     pool_pages: usize,
     shards: usize,
     policy: ReplacementPolicy,
+    queue_depth: usize,
     cache: Option<CacheConfig>,
     opts: ExecOptions,
     metrics: bool,
@@ -172,6 +205,7 @@ impl std::fmt::Debug for EngineBuilder {
             .field("pool_pages", &self.pool_pages)
             .field("shards", &self.shards)
             .field("policy", &self.policy)
+            .field("queue_depth", &self.queue_depth)
             .field("cache", &self.cache)
             .field("opts", &self.opts)
             .field("metrics", &self.metrics)
@@ -188,6 +222,7 @@ impl Default for EngineBuilder {
             pool_pages: DEFAULT_POOL_PAGES,
             shards: 1,
             policy: ReplacementPolicy::default(),
+            queue_depth: 1,
             cache: None,
             opts: ExecOptions::default(),
             metrics: false,
@@ -220,13 +255,27 @@ impl EngineBuilder {
         self
     }
 
+    /// Async submission queue depth of the pool this builder constructs
+    /// (default 1 — synchronous, no submission engine at all). At
+    /// depth > 1 the pool keeps up to this many coalesced runs in flight:
+    /// prefetch becomes speculative and readahead windows open eagerly,
+    /// overlapping strategy compute with in-flight reads. Like
+    /// [`policy`](Self::policy) this is the only setter; the engine
+    /// catalog's word is the only record, and it wins on
+    /// [`open`](Self::open).
+    pub fn queue_depth(mut self, queue_depth: usize) -> Self {
+        self.queue_depth = queue_depth.max(1);
+        self
+    }
+
     /// Attach a unit-value cache (DFSCACHE / SMART need one).
     pub fn cache(mut self, cfg: CacheConfig) -> Self {
         self.cache = Some(cfg);
         self
     }
 
-    /// Execution options used by every query this engine runs.
+    /// Per-query execution options used by every query this engine runs
+    /// (replaceable later with [`Engine::with_options`]).
     pub fn exec_options(mut self, opts: ExecOptions) -> Self {
         self.opts = opts;
         self
@@ -272,12 +321,14 @@ impl EngineBuilder {
         self
     }
 
+    /// The one pool assembly: every terminal's pool carries every
+    /// builder setting.
     fn make_pool(&self) -> Arc<BufferPool> {
         let mut b = BufferPool::builder()
             .capacity(self.pool_pages)
             .shards(self.shards)
             .policy(self.policy)
-            .queue_depth(self.opts.io.queue_depth)
+            .queue_depth(self.queue_depth)
             .telemetry(self.metrics);
         if let Some(disk) = &self.disk {
             b = b.disk(Box::new(disk.clone()));
@@ -288,40 +339,84 @@ impl EngineBuilder {
         Arc::new(b.build())
     }
 
-    fn make_metrics(&self) -> Option<Arc<EngineMetrics>> {
-        self.metrics.then(|| Arc::new(EngineMetrics::new()))
+    /// The one `Engine` assembly. `catalog` is the page-0 handle of a
+    /// lifecycle-built engine; the pool settings saved beside it are the
+    /// builder's, which `open_on` has by then replaced with the store's.
+    fn into_engine(self, backend: Backend, catalog: Option<Catalog>) -> Engine {
+        Engine {
+            backend,
+            opts: self.opts,
+            metrics: self.metrics.then(|| Arc::new(EngineMetrics::new())),
+            slow: None,
+            wal: self.wal,
+            catalog: catalog.map(|catalog| CatalogState {
+                catalog,
+                pool_pages: self.pool_pages,
+                shards: self.shards,
+                policy: self.policy,
+                queue_depth: self.queue_depth,
+            }),
+        }
     }
 
-    /// Build the spec's backend on `pool`. Hierarchy levels share the one
-    /// pool — the store is one file, so durable levels are one "INGRES
-    /// instance" rather than the legacy pool-per-level arrangement.
+    /// Build the spec's backend. A store is one file, so the lifecycle
+    /// terminals pass its one `shared` pool and every database — each
+    /// hierarchy level included — lives on it; in memory (`None`) each
+    /// database gets a pool of its own from [`make_pool`](Self::make_pool).
     fn backend_for_spec(
-        pool: &Arc<BufferPool>,
-        cache: Option<CacheConfig>,
+        &self,
+        shared: Option<&Arc<BufferPool>>,
         spec: &EngineSpec,
     ) -> Result<Backend, CorError> {
+        let pool = || shared.map_or_else(|| self.make_pool(), Arc::clone);
         Ok(match spec {
             EngineSpec::Standard(s) => {
-                Backend::Oid(CorDatabase::build_standard(Arc::clone(pool), s, cache)?)
+                Backend::Oid(CorDatabase::build_standard(pool(), s, self.cache)?)
             }
-            EngineSpec::Clustered(s, assignment) => Backend::Oid(CorDatabase::build_clustered(
-                Arc::clone(pool),
-                s,
-                assignment,
-            )?),
+            EngineSpec::Clustered(s, assignment) => {
+                Backend::Oid(CorDatabase::build_clustered(pool(), s, assignment)?)
+            }
             EngineSpec::Levels(specs) => {
                 assert!(!specs.is_empty(), "at least one level");
                 Backend::Levels(
                     specs
                         .iter()
-                        .map(|s| CorDatabase::build_standard(Arc::clone(pool), s, cache))
+                        .map(|s| CorDatabase::build_standard(pool(), s, self.cache))
                         .collect::<Result<_, _>>()?,
                 )
             }
             EngineSpec::Procedural(s, caching) => {
-                Backend::Proc(ProcDatabase::build(Arc::clone(pool), s, *caching)?)
+                Backend::Proc(ProcDatabase::build(pool(), s, *caching)?)
             }
         })
+    }
+
+    /// Build an in-memory engine over `spec` — the only in-memory
+    /// terminal. The pool sits on the builder's [`disk`](Self::disk)
+    /// (default: a private `MemDisk`) and logs to its [`wal`](Self::wal)
+    /// when one is attached; nothing is written to a persistent catalog,
+    /// so the engine cannot be reopened (use [`create`](Self::create)
+    /// for that).
+    pub fn build(self, spec: &EngineSpec) -> Result<Engine, CorError> {
+        let backend = self.backend_for_spec(None, spec)?;
+        Ok(self.into_engine(backend, None))
+    }
+
+    /// [`build`](Self::build) the engine a workload point needs under
+    /// `strategy`: the params' pool geometry, the strategy's cache
+    /// (DFSCACHE / SMART) and the strategy's representation
+    /// ([`EngineSpec::for_strategy`]). Every other builder setting
+    /// applies as set.
+    pub fn build_workload(
+        mut self,
+        params: &Params,
+        generated: &GeneratedDb,
+        strategy: Strategy,
+    ) -> Result<Engine, CorError> {
+        self.pool_pages = params.buffer_pages;
+        self.shards = params.shards;
+        self.cache = strategy_cache(params, strategy);
+        self.build(&EngineSpec::for_strategy(params, generated, strategy))
     }
 
     /// Create a durable engine in directory `path` (page store
@@ -370,47 +465,35 @@ impl EngineBuilder {
                 disk.num_pages()
             )));
         }
-        let wal = Arc::new(Wal::new(store, self.wal_config));
         self.disk = Some(disk);
-        self.wal = Some(Arc::clone(&wal));
+        self.wal = Some(Arc::new(Wal::new(store, self.wal_config)));
         let pool = self.make_pool();
         // Page 0, allocated before any relation, holds the catalog.
         let catalog = Catalog::create(Arc::clone(&pool))
             .map_err(|e| CorError::Durability(format!("creating catalog: {e}")))?;
-        let backend = Self::backend_for_spec(&pool, self.cache, spec)?;
-        let engine = Engine {
-            backend,
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: Some(wal),
-            catalog: Some(CatalogState {
-                catalog,
-                pool_pages: self.pool_pages,
-                shards: self.shards,
-                policy: self.policy,
-            }),
-        };
+        let backend = self.backend_for_spec(Some(&pool), spec)?;
+        let pool_pages = self.pool_pages;
+        let engine = self.into_engine(backend, Some(catalog));
         engine.save_catalog(false)?;
-        flight::record(flight::FlightKind::EngineOpen, self.pool_pages as u64, 1, 0);
+        flight::record(flight::FlightKind::EngineOpen, pool_pages as u64, 1, 0);
         Ok(engine)
     }
 
     /// [`open`](Self::open) over explicit disk and log stores.
     ///
     /// Runs crash recovery, then reads the engine catalog through a
-    /// throwaway bootstrap pool (the real pool's geometry is *in* the
+    /// throwaway bootstrap pool (the real pool's settings are *in* the
     /// catalog), rebuilds the pool and backend, and marks the store
     /// in-use. Typed failures: [`CorError::CatalogMissing`] when the
     /// store was not created by this API, [`CorError::CatalogVersion`]
     /// when it was written by an incompatible layout.
     ///
-    /// The builder's pool geometry, policy and `exec_options` are
-    /// ignored — the catalog's recorded values win, so every reopen
-    /// serves queries with the same buffer economics and options the
-    /// store was created with. Only `metrics` and `wal_config` are taken
-    /// from the builder; change the per-query options of a reopened
-    /// engine with [`Engine::with_options`].
+    /// The builder's pool geometry, policy, queue depth and
+    /// `exec_options` are ignored — the catalog's recorded values win, so
+    /// every reopen serves queries with the same buffer economics and
+    /// options the store was created with. Only `metrics` and
+    /// `wal_config` are taken from the builder; change the per-query
+    /// options of a reopened engine with [`Engine::with_options`].
     pub fn open_on(
         mut self,
         disk: Arc<dyn DiskManager>,
@@ -432,19 +515,15 @@ impl EngineBuilder {
             let bytes = cat.get_blob(ENGINE_BLOB).map_err(catalog_probe_err)?;
             EngineCatalog::decode(&bytes)?
         };
-        let wal = Arc::new(
-            Wal::attach(store, self.wal_config)
-                .map_err(|e| CorError::Durability(format!("attaching WAL: {e}")))?,
-        );
+        let wal = Wal::attach(store, self.wal_config)
+            .map_err(|e| CorError::Durability(format!("attaching WAL: {e}")))?;
         self.pool_pages = saved.pool_pages;
         self.shards = saved.shards;
         self.policy = saved.policy;
-        // The pool's async submission depth is part of the recorded
-        // execution options, so a reopened store keeps the queue depth
-        // it was created with.
+        self.queue_depth = saved.queue_depth;
         self.opts = saved.opts;
         self.disk = Some(disk);
-        self.wal = Some(Arc::clone(&wal));
+        self.wal = Some(Arc::new(wal));
         let pool = self.make_pool();
         if saved.clean_shutdown {
             // The free list is trustworthy only when nothing ran after it
@@ -466,144 +545,17 @@ impl EngineBuilder {
             ),
             SavedBackend::Proc(s) => Backend::Proc(ProcDatabase::open_state(Arc::clone(&pool), s)?),
         };
-        let engine = Engine {
-            backend,
-            opts: saved.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: Some(wal),
-            catalog: Some(CatalogState {
-                catalog,
-                pool_pages: saved.pool_pages,
-                shards: saved.shards,
-                policy: saved.policy,
-            }),
-        };
+        let engine = self.into_engine(backend, Some(catalog));
         // Mark in-use (clears clean_shutdown) and persist the reconciled
         // cache directories in one stroke.
         engine.save_catalog(false)?;
-        flight::record(flight::FlightKind::EngineOpen, self.pool_pages as u64, 0, 0);
+        flight::record(
+            flight::FlightKind::EngineOpen,
+            saved.pool_pages as u64,
+            0,
+            0,
+        );
         Ok(engine)
-    }
-
-    /// Build the engine a workload point needs under `strategy`
-    /// (clustered for DFSCLUST, cache-attached for DFSCACHE / SMART,
-    /// plain standard otherwise), using the params' pool geometry. With
-    /// [`metrics(true)`](Self::metrics) the pool carries telemetry and
-    /// the engine records spans.
-    pub fn build_workload(
-        self,
-        params: &Params,
-        generated: &GeneratedDb,
-        strategy: Strategy,
-    ) -> Result<Engine, CorError> {
-        let pool = pool_builder(params)
-            .policy(self.policy)
-            .telemetry(self.metrics)
-            .queue_depth(self.opts.io.queue_depth)
-            .build();
-        let db = build_for_strategy_on(Arc::new(pool), params, generated, strategy)?;
-        Ok(Engine {
-            backend: Backend::Oid(db),
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: None,
-            catalog: None,
-        })
-    }
-
-    /// Wrap an already-built OID database (standard or clustered),
-    /// honouring this builder's options and metrics flag.
-    pub fn wrap_database(self, db: CorDatabase) -> Engine {
-        Engine {
-            backend: Backend::Oid(db),
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: None,
-            catalog: None,
-        }
-    }
-
-    /// Wrap an already-built hierarchy chain (level 0 first), e.g. from
-    /// [`crate::hierarchy::build_hierarchy`].
-    pub fn wrap_levels(self, levels: Vec<CorDatabase>) -> Engine {
-        assert!(!levels.is_empty(), "at least one level");
-        Engine {
-            backend: Backend::Levels(levels),
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: None,
-            catalog: None,
-        }
-    }
-
-    /// Build a standard-representation engine.
-    pub fn build(self, spec: &DatabaseSpec) -> Result<Engine, CorError> {
-        let db = CorDatabase::build_standard(self.make_pool(), spec, self.cache)?;
-        Ok(Engine {
-            backend: Backend::Oid(db),
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: self.wal,
-            catalog: None,
-        })
-    }
-
-    /// Build a clustered-representation engine (DFSCLUST).
-    pub fn build_clustered(
-        self,
-        spec: &DatabaseSpec,
-        assignment: &ClusterAssignment,
-    ) -> Result<Engine, CorError> {
-        let db = CorDatabase::build_clustered(self.make_pool(), spec, assignment)?;
-        Ok(Engine {
-            backend: Backend::Oid(db),
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: self.wal,
-            catalog: None,
-        })
-    }
-
-    /// Build a multi-level hierarchy engine; each level gets its own pool
-    /// with this builder's settings (its own "INGRES instance").
-    pub fn build_levels(self, specs: &[DatabaseSpec]) -> Result<Engine, CorError> {
-        assert!(!specs.is_empty(), "at least one level");
-        let levels: Vec<CorDatabase> = specs
-            .iter()
-            .map(|spec| CorDatabase::build_standard(self.make_pool(), spec, self.cache))
-            .collect::<Result<_, _>>()?;
-        Ok(Engine {
-            backend: Backend::Levels(levels),
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: self.wal,
-            catalog: None,
-        })
-    }
-
-    /// Build a procedural-representation engine with the given caching
-    /// mode.
-    pub fn build_procedural(
-        self,
-        spec: &ProcDatabaseSpec,
-        caching: ProcCaching,
-    ) -> Result<Engine, CorError> {
-        let db = ProcDatabase::build(self.make_pool(), spec, caching)?;
-        Ok(Engine {
-            backend: Backend::Proc(db),
-            opts: self.opts,
-            metrics: self.make_metrics(),
-            slow: None,
-            wal: self.wal,
-            catalog: None,
-        })
     }
 }
 
@@ -613,13 +565,10 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// Replace the engine's execution options.
-    ///
-    /// One caveat: `io.queue_depth` configures the buffer pool's async
-    /// submission engine, which is constructed when the pool is built.
-    /// Set it through [`EngineBuilder::exec_options`] (or inherit it
-    /// from the store's catalog on reopen); changing it here after the
-    /// pool exists does not alter the pool's I/O path.
+    /// Replace the engine's per-query execution options. Everything in
+    /// [`ExecOptions`] is read per query, so the change is complete; what
+    /// is fixed when the pool is built (geometry, policy, queue depth) is
+    /// not in it.
     pub fn with_options(mut self, opts: ExecOptions) -> Self {
         self.opts = opts;
         self
@@ -736,8 +685,9 @@ impl Engine {
     }
 
     /// Re-snapshot the engine into its persistent catalog: backend file
-    /// roots, OID allocators, cache directories, pool geometry, options,
-    /// and the free-page list, with `clean` as the shutdown flag.
+    /// roots, OID allocators, cache directories, the pool's creation
+    /// settings, the current options, and the free-page list, with
+    /// `clean` as the shutdown flag.
     /// Errors on engines not built by the lifecycle API.
     fn save_catalog(&self, clean: bool) -> Result<(), CorError> {
         let cs = self.catalog.as_ref().ok_or_else(|| {
@@ -757,6 +707,7 @@ impl Engine {
             pool_pages: cs.pool_pages,
             shards: cs.shards,
             policy: cs.policy,
+            queue_depth: cs.queue_depth,
             opts: self.opts,
             free_pages: self.pool().free_page_ids(),
             backend,
@@ -1068,6 +1019,10 @@ mod tests {
     use crate::seqgen::generate_sequence;
     use complexobj::RetAttr;
 
+    fn standard(generated: &GeneratedDb) -> EngineSpec {
+        EngineSpec::Standard(generated.spec.clone())
+    }
+
     fn tiny() -> Params {
         Params {
             parent_card: 200,
@@ -1174,7 +1129,7 @@ mod tests {
         let engine = Engine::builder()
             .pool_pages(16)
             .metrics(true)
-            .build(&generated.spec)
+            .build(&standard(&generated))
             .unwrap();
         let q = RetrieveQuery {
             lo: 0,
@@ -1196,7 +1151,7 @@ mod tests {
             .pool_pages(32)
             .shards(4)
             .policy(ReplacementPolicy::Sieve)
-            .build(&generated.spec)
+            .build(&standard(&generated))
             .unwrap();
         assert_eq!(engine.pool().capacity(), 32);
         assert_eq!(engine.pool().shards(), 4);
@@ -1216,7 +1171,7 @@ mod tests {
         let generated = generate(&p);
         let engine = Engine::builder()
             .pool_pages(16)
-            .build(&generated.spec)
+            .build(&standard(&generated))
             .unwrap();
         // Cold buffer: the update must fetch the target's page from disk.
         engine.pool().flush_and_clear().unwrap();
@@ -1236,35 +1191,12 @@ mod tests {
 
     #[test]
     fn procedural_engine_serves_the_same_interface() {
-        use complexobj::database::{SubobjectSpec, CHILD_REL_BASE};
-        use complexobj::procedural::{ProcObjectSpec, StoredQuery};
-        use cor_relational::Oid;
-        // 4 parents over one ChildRel of 8 subobjects, stored as key-range
-        // queries (two parents sharing a range).
-        let spec = ProcDatabaseSpec {
-            parents: (0..4u64)
-                .map(|key| ProcObjectSpec {
-                    key,
-                    rets: [key as i64; 3],
-                    dummy: "p".repeat(10),
-                    members: StoredQuery::KeyRange {
-                        rel: CHILD_REL_BASE,
-                        lo: (key / 2) * 4,
-                        hi: (key / 2) * 4 + 3,
-                    },
-                })
-                .collect(),
-            child_rels: vec![(0..8u64)
-                .map(|k| SubobjectSpec {
-                    oid: Oid::new(CHILD_REL_BASE, k),
-                    rets: [10 * k as i64, 0, 0],
-                    dummy: "c".repeat(10),
-                })
-                .collect()],
-        };
         let engine = Engine::builder()
             .pool_pages(32)
-            .build_procedural(&spec, ProcCaching::OutsideValues(8))
+            .build(&EngineSpec::Procedural(
+                test_proc_spec(),
+                ProcCaching::OutsideValues(8),
+            ))
             .unwrap();
         let q = RetrieveQuery {
             lo: 0,
@@ -1330,12 +1262,12 @@ mod tests {
         let plain = Engine::builder()
             .pool_pages(16)
             .cache(CacheConfig::default())
-            .build(&generated.spec)
+            .build(&standard(&generated))
             .unwrap();
         let expected = plain.run_sequence(Strategy::DfsCache, &sequence).unwrap();
 
         let (wal, builder) = durable_rig();
-        let durable = builder.build(&generated.spec).unwrap();
+        let durable = builder.build(&standard(&generated)).unwrap();
         let got = durable.run_sequence(Strategy::DfsCache, &sequence).unwrap();
         assert_eq!(got.total_io, expected.total_io);
         assert_eq!(got.par_io, expected.par_io);
@@ -1404,7 +1336,7 @@ mod tests {
         let generated = generate(&tiny());
         let engine = Engine::builder()
             .pool_pages(16)
-            .build(&generated.spec)
+            .build(&standard(&generated))
             .unwrap();
         assert!(engine.wal().is_none());
         assert!(matches!(engine.checkpoint(), Err(CorError::Durability(_))));
@@ -1415,7 +1347,7 @@ mod tests {
         let p = tiny();
         let generated = generate(&p);
         let (_, builder) = durable_rig();
-        let engine = builder.metrics(true).build(&generated.spec).unwrap();
+        let engine = builder.metrics(true).build(&standard(&generated)).unwrap();
         durable_workload(&engine, &generated);
         let report = engine.metrics().unwrap();
         report.validate().unwrap();
@@ -1434,19 +1366,8 @@ mod tests {
         )
     }
 
-    fn test_assignment(p: &Params, generated: &crate::dbgen::GeneratedDb) -> ClusterAssignment {
-        use crate::dbgen::{rng_for, SeedStream};
-        use cor_relational::Oid;
-        let parents: Vec<(u64, Vec<Oid>)> = generated
-            .spec
-            .parents
-            .iter()
-            .map(|o| (o.key, o.children.clone()))
-            .collect();
-        let mut rng = rng_for(p.seed, SeedStream::Cluster);
-        ClusterAssignment::random(&parents, &mut rng)
-    }
-
+    /// 4 parents over one ChildRel of 8 subobjects, stored as key-range
+    /// queries (two parents sharing a range).
     fn test_proc_spec() -> ProcDatabaseSpec {
         use complexobj::database::{SubobjectSpec, CHILD_REL_BASE};
         use complexobj::procedural::{ProcObjectSpec, StoredQuery};
@@ -1488,7 +1409,7 @@ mod tests {
             ("standard", EngineSpec::Standard(generated.spec.clone())),
             (
                 "clustered",
-                EngineSpec::Clustered(generated.spec.clone(), test_assignment(&p, &generated)),
+                EngineSpec::for_strategy(&p, &generated, Strategy::DfsClust),
             ),
             (
                 "levels",
@@ -1620,7 +1541,7 @@ mod tests {
                 .policy(ReplacementPolicy::Sieve)
                 .exec_options(opts)
         };
-        let built = builder().build(&generated.spec).unwrap();
+        let built = builder().build(&standard(&generated)).unwrap();
         assert_eq!(built.pool().policy(), ReplacementPolicy::Sieve);
         assert_eq!(built.options(), &opts);
 
@@ -1644,6 +1565,107 @@ mod tests {
         assert_eq!(reopened.pool().policy(), ReplacementPolicy::Sieve);
         assert_eq!(reopened.options(), &opts, "the catalog's options win too");
         assert_eq!(sorted_values(&reopened, &q), expected);
+    }
+
+    /// `queue_depth` is fixed when the pool is built, so it is a builder
+    /// setting recorded once in the catalog: replacing the per-query
+    /// options, checkpointing and closing re-save the creation value, and
+    /// a reopen keeps it whatever the reopening builder asks for. (When
+    /// the depth rode in `ExecOptions`, `with_options` overwrote the
+    /// recorded value and the store came back synchronous.)
+    #[test]
+    fn queue_depth_survives_with_options_and_reopen() {
+        let generated = generate(&tiny());
+        for (created, asked_at_reopen) in [(4usize, 1usize), (1, 4)] {
+            let (disk, store) = mem_stores();
+            let engine = Engine::builder()
+                .pool_pages(16)
+                .queue_depth(created)
+                .create_on(disk.clone(), store.clone(), &standard(&generated))
+                .unwrap()
+                .with_options(ExecOptions::default());
+            assert_eq!(engine.pool().queue_depth(), created);
+            engine.checkpoint().unwrap();
+            engine.close().unwrap();
+            let reopened = Engine::builder()
+                .queue_depth(asked_at_reopen)
+                .open_on(disk, store)
+                .unwrap();
+            assert_eq!(reopened.pool().queue_depth(), created);
+        }
+    }
+
+    /// Every builder setting reaches every in-memory terminal: `build`
+    /// over each of the four specs and `build_workload` all go through
+    /// the one pool assembly and the one `Engine` assembly. (When
+    /// `build_workload` assembled its own pool, the `.disk()` handle
+    /// stayed at 0 pages and `.wal()` saw no append.)
+    #[test]
+    fn every_builder_setting_reaches_every_terminal() {
+        let p = tiny();
+        let generated = generate(&p);
+        // (name, spec for `build` or `None` for `build_workload`, does the
+        // representation take a cache: the builder's, or under
+        // `build_workload` the strategy's)
+        let terminals: [(&str, Option<EngineSpec>, Option<bool>); 5] = [
+            ("build standard", Some(standard(&generated)), Some(true)),
+            (
+                "build clustered",
+                Some(EngineSpec::for_strategy(&p, &generated, Strategy::DfsClust)),
+                Some(false),
+            ),
+            (
+                "build levels",
+                Some(EngineSpec::Levels(vec![generated.spec.clone(); 2])),
+                Some(true),
+            ),
+            (
+                "build procedural",
+                Some(EngineSpec::Procedural(
+                    test_proc_spec(),
+                    ProcCaching::OutsideValues(8),
+                )),
+                None,
+            ),
+            ("build_workload", None, Some(true)),
+        ];
+        for (name, spec, has_cache) in terminals {
+            let (disk, store) = mem_stores();
+            let wal = Arc::new(Wal::new(store, WalConfig::default()));
+            let builder = Engine::builder()
+                .pool_pages(16)
+                .disk(disk.clone())
+                .wal(wal.clone())
+                .policy(ReplacementPolicy::Sieve)
+                .queue_depth(4)
+                .metrics(true)
+                .cache(CacheConfig::default());
+            let engine = match &spec {
+                Some(spec) => builder.build(spec),
+                None => builder.build_workload(&p, &generated, Strategy::DfsCache),
+            }
+            .unwrap();
+            use cor_pagestore::DiskManager;
+            assert!(disk.num_pages() > 0, "{name}: disk handle unused");
+            assert!(wal.stats().appends > 0, "{name}: build was not logged");
+            assert!(engine.wal().is_some(), "{name}: wal handle dropped");
+            assert!(engine.metrics().is_some(), "{name}: metrics off");
+            let pools: Vec<&Arc<BufferPool>> = match &engine.backend {
+                Backend::Proc(db) => vec![db.pool()],
+                _ => engine.levels().iter().map(CorDatabase::pool).collect(),
+            };
+            for pool in pools {
+                assert_eq!(pool.policy(), ReplacementPolicy::Sieve, "{name}");
+                assert_eq!(pool.queue_depth(), 4, "{name}");
+                assert!(pool.telemetry().is_some(), "{name}: telemetry off");
+            }
+            if let Some(expected) = has_cache {
+                assert!(
+                    engine.levels().iter().all(|db| db.has_cache() == expected),
+                    "{name}: cache"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1731,8 +1753,13 @@ mod tests {
         let specs = generate_hierarchy_specs(&hp);
         let engine = Engine::builder()
             .pool_pages(16)
-            .build_levels(&specs)
+            .build(&EngineSpec::Levels(specs))
             .unwrap();
+        assert_eq!(engine.levels().len(), 2);
+        assert!(
+            !Arc::ptr_eq(engine.levels()[0].pool(), engine.levels()[1].pool()),
+            "in memory each level is its own INGRES instance"
+        );
         let q = MultiDotQuery {
             lo: 0,
             hi: 9,

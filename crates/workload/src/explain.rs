@@ -599,7 +599,6 @@ mod tests {
             io: complexobj::IoOptions {
                 batch: 8,
                 readahead: 4,
-                queue_depth: 1,
             },
             ..Default::default()
         };

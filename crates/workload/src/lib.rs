@@ -49,8 +49,8 @@ pub use concurrent::{
     stderr_reporter, ConcurrentRunResult, LatencySummary, LiveTick,
 };
 pub use dbgen::{
-    build_for_strategy, build_for_strategy_on, generate, make_pool, pool_builder, rng_for,
-    GeneratedDb, SeedStream,
+    build_for_strategy, build_for_strategy_on, generate, make_pool, rng_for, GeneratedDb,
+    SeedStream,
 };
 pub use driver::{run_sequence, run_sequence_trace, QueryTrace, RunResult};
 pub use engine::{Engine, EngineBuilder, EngineSpec, SlowQueryEntry};

@@ -11,13 +11,13 @@
 //! catalog blobs is therefore equality of everything `open` persists.
 
 use complexobj::procedural::ProcCaching;
-use complexobj::{CacheConfig, ClusterAssignment, DatabaseSpec, Query, Strategy};
+use complexobj::{CacheConfig, DatabaseSpec, ExecOptions, Query, Strategy};
 use cor_access::Catalog;
 use cor_pagestore::{BufferPool, MemDisk, ReplacementPolicy};
 use cor_wal::{FsyncPolicy, MemLogStore, WalConfig};
 use cor_workload::{
-    generate, generate_matrix, generate_sequence, rng_for, Engine, EngineCatalog, EngineSpec,
-    GeneratedDb, Params, SeedStream, ENGINE_BLOB,
+    generate, generate_matrix, generate_sequence, Engine, EngineCatalog, EngineSpec, GeneratedDb,
+    Params, ENGINE_BLOB,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -33,19 +33,7 @@ const KINDS: [(usize, Strategy); 4] = [
 fn spec_for(kind: usize, p: &Params, generated: &GeneratedDb) -> EngineSpec {
     match kind {
         0 => EngineSpec::Standard(generated.spec.clone()),
-        1 => {
-            let parents: Vec<(u64, Vec<_>)> = generated
-                .spec
-                .parents
-                .iter()
-                .map(|o| (o.key, o.children.clone()))
-                .collect();
-            let mut rng = rng_for(p.seed, SeedStream::Cluster);
-            EngineSpec::Clustered(
-                generated.spec.clone(),
-                ClusterAssignment::random(&parents, &mut rng),
-            )
-        }
+        1 => EngineSpec::for_strategy(p, generated, Strategy::DfsClust),
         2 => EngineSpec::Levels(vec![generated.spec.clone(), generated.spec.clone()]),
         _ => EngineSpec::Procedural(
             generate_matrix(p).proc_spec,
@@ -193,11 +181,13 @@ proptest! {
     }
 }
 
-/// The engine catalog blob (280 bytes, catalog v3) that the build *before*
-/// the FIFO/CLOCK/2Q policies were retired left in a closed 16-page store
-/// of `DatabaseSpec::tiny()`, once created with LRU (policy tag 0) and
-/// once with SIEVE (tag 3). Captured from that build; never regenerate
-/// these from the current one.
+/// The engine catalog blob (280 bytes, catalog v3) that earlier builds
+/// left in a closed 16-page store of `DatabaseSpec::tiny()`: created with
+/// LRU (policy tag 0) and with SIEVE (tag 3) by the build *before* the
+/// FIFO/CLOCK/2Q policies were retired, and with LRU at queue depth 4 by
+/// the last build whose depth rode in `ExecOptions.io` (its depth-1 blob
+/// is `PARENT_LRU_BLOB` byte for byte). Captured from those builds; never
+/// regenerate these from the current one.
 const PARENT_LRU_BLOB: &[&str] = &[
     "434f52454e47494e0300000048160e3201100000000000000001000000002c010000000000000000",
     "000100000000000100000000000000000000000000000001000000000000000000000000000a0000",
@@ -217,6 +207,16 @@ const PARENT_SIEVE_BLOB: &[&str] = &[
     "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
 ];
 
+const PARENT_LRU_DEPTH4_BLOB: &[&str] = &[
+    "434f52454e47494e03000000e96e0a3e01100000000000000001000000002c010000000000000000",
+    "000100000000000100000000000000000000000000000004000000000000000000000000000a0000",
+    "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
+    "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
+    "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
+    "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
+    "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
+];
+
 fn unhex(chunks: &[&str]) -> Vec<u8> {
     let hex = chunks.concat();
     (0..hex.len())
@@ -229,28 +229,36 @@ fn unhex(chunks: &[&str]) -> Vec<u8> {
 /// pool_pages (8), shards (4).
 const POLICY_BYTE: usize = 16 + 13;
 
-/// Stores written before the retirement still open: the old build's blobs
-/// decode to the policy they recorded, this build writes the same bytes
-/// for the same store (so the format did not move), and that store reopens
-/// with its policy.
+/// Stores written by earlier builds still open: the old builds' blobs
+/// decode to the pool settings they recorded and re-encode to themselves,
+/// this build writes the same bytes for the same store (so the format did
+/// not move when the policy set shrank, nor when the queue depth moved
+/// from the options block to the builder), and that store reopens with
+/// its policy and depth.
 #[test]
-fn stores_from_before_the_policy_retirement_still_open() {
-    for (policy, tag, chunks) in [
-        (ReplacementPolicy::Lru, 0u8, PARENT_LRU_BLOB),
-        (ReplacementPolicy::Sieve, 3, PARENT_SIEVE_BLOB),
+fn stores_from_earlier_builds_still_open() {
+    for (policy, tag, depth, chunks) in [
+        (ReplacementPolicy::Lru, 0u8, 1usize, PARENT_LRU_BLOB),
+        (ReplacementPolicy::Sieve, 3, 1, PARENT_SIEVE_BLOB),
+        (ReplacementPolicy::Lru, 0, 4, PARENT_LRU_DEPTH4_BLOB),
     ] {
         let parent_blob = unhex(chunks);
         assert_eq!(parent_blob[POLICY_BYTE], tag, "{policy}");
         let decoded = EngineCatalog::decode(&parent_blob).expect("old v3 blob decodes");
         assert_eq!(decoded.policy, policy);
         assert_eq!(decoded.pool_pages, 16);
+        assert_eq!(decoded.shards, 1);
+        assert_eq!(decoded.queue_depth, depth);
+        assert_eq!(decoded.opts, ExecOptions::default());
         assert!(decoded.clean_shutdown);
+        assert_eq!(decoded.encode(), parent_blob, "{policy} depth {depth}");
 
         let disk = Arc::new(MemDisk::new());
         let store = Arc::new(MemLogStore::new());
         Engine::builder()
             .pool_pages(16)
             .policy(policy)
+            .queue_depth(depth)
             .create_on(
                 disk.clone(),
                 store.clone(),
@@ -269,9 +277,13 @@ fn stores_from_before_the_policy_retirement_still_open() {
             .expect("access catalog")
             .get_blob(ENGINE_BLOB)
             .expect("engine blob");
-        assert_eq!(blob, parent_blob, "{policy}: catalog bytes moved");
+        assert_eq!(
+            blob, parent_blob,
+            "{policy} depth {depth}: catalog bytes moved"
+        );
 
         let reopened = Engine::builder().open_on(disk, store).expect("reopen");
         assert_eq!(reopened.pool().policy(), policy);
+        assert_eq!(reopened.pool().queue_depth(), depth);
     }
 }

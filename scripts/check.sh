@@ -40,9 +40,8 @@ cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
 echo "==> iobench smoke (batched-I/O + queue-depth sweep gate: depth-1 identity, checksums, submission bounds)"
 cargo run -q --release -p cor-bench --bin iobench -- --smoke --json results/iobench/smoke.json
 
-echo "==> corperf smoke x2 (perf observatory: exact-I/O baseline + wall gate on the 2nd run)"
-cargo run -q --release -p cor-bench --bin corperf -- --smoke --json results/corperf/smoke_core.json
-cargo run -q --release -p cor-bench --bin corperf -- --smoke --json results/corperf/smoke_core.json
+echo "==> corperf smoke (determinism + exact-I/O gate against results/corperf/baseline.json)"
+cargo run -q --release -p cor-bench --bin corperf -- --smoke
 
 echo "==> poolbench smoke (replacement-policy gate: scan-flood retention, miss-model error, results identity)"
 cargo run -q --release -p cor-bench --bin poolbench -- --smoke --json results/poolbench/smoke.json

@@ -16,7 +16,9 @@ use complexobj::{
 };
 use cor_pagestore::{BufferPool, MemDisk};
 use cor_wal::{MemLogStore, Wal, WalConfig};
-use cor_workload::{generate, generate_hierarchy_specs, Engine, HierarchyParams, Params};
+use cor_workload::{
+    generate, generate_hierarchy_specs, Engine, EngineSpec, HierarchyParams, Params,
+};
 use std::sync::Arc;
 
 /// Sort work memory small enough that every temporary spills to runs.
@@ -98,18 +100,19 @@ fn tiny() -> Params {
 fn temporaries_never_reach_the_log() {
     let p = tiny();
     let generated = generate(&p);
+    let spec = EngineSpec::Standard(generated.spec.clone());
     let builder = || {
         Engine::builder()
             .pool_pages(p.buffer_pages)
             .cache(CacheConfig::default())
     };
-    let plain = builder().build(&generated.spec).unwrap();
+    let plain = builder().build(&spec).unwrap();
     let store = Arc::new(MemLogStore::new());
     let wal = Arc::new(Wal::new(store, WalConfig::default()));
     let durable = builder()
         .disk(Arc::new(MemDisk::new()))
         .wal(wal.clone())
-        .build(&generated.spec)
+        .build(&spec)
         .unwrap();
     // Build-time dirt is logged work; write it back so the retrieves
     // below have nothing of it left to evict.
