@@ -32,9 +32,6 @@ use cor_obs::{Phase, PhaseGuard};
 use cor_pagestore::{BufferError, BufferPool, PageId, NO_PAGE, PAGE_SIZE};
 use std::sync::Arc;
 
-/// A materialized `(key, value)` entry list.
-pub type Entries = Vec<(Vec<u8>, Vec<u8>)>;
-
 const HDR: usize = 16;
 const DIR: usize = 4;
 
@@ -241,14 +238,14 @@ mod node {
         set_count(d, entries.len());
     }
 
+    /// The node's `(key, value)` entries in key order, borrowed from `d`.
+    pub fn entries(d: &[u8], key_len: usize) -> impl Iterator<Item = (&[u8], &[u8])> {
+        (0..count(d)).map(move |i| (entry_key(d, i, key_len), entry_val(d, i, key_len)))
+    }
+
     pub fn all_entries(d: &[u8], key_len: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        (0..count(d))
-            .map(|i| {
-                (
-                    entry_key(d, i, key_len).to_vec(),
-                    entry_val(d, i, key_len).to_vec(),
-                )
-            })
+        entries(d, key_len)
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect()
     }
 }
@@ -554,30 +551,42 @@ impl BTreeFile {
         self.find_leaf(key)
     }
 
-    /// Point lookup through a leaf-page hint: one direct page read instead
-    /// of a root-to-leaf descent. Falls back to a full descent if the hint
-    /// went stale (only possible after a split moved the key).
-    pub fn get_with_hint(&self, hint: PageId, key: &[u8]) -> Result<Option<Vec<u8>>, AccessError> {
+    /// Point lookup through a leaf-page hint, **in place**: one direct
+    /// page read instead of a root-to-leaf descent, `f` run over the value
+    /// under the hinted page's pin. Falls back to [`Self::get_with`] if
+    /// the hint went stale (only possible after a split moved the key) or
+    /// never named a leaf; `f` runs at most once either way.
+    pub fn get_with_hint<R, E>(
+        &self,
+        hint: PageId,
+        key: &[u8],
+        mut f: impl FnMut(&[u8]) -> Result<R, E>,
+    ) -> Result<Option<R>, E>
+    where
+        E: From<AccessError>,
+    {
         if key.len() != self.key_len {
-            return Err(AccessError::BadKeyLen(key.len()));
+            return Err(AccessError::BadKeyLen(key.len()).into());
         }
         let key_len = self.key_len;
         let hit = {
             let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
             heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
-            self.pool.read(hint, |p| {
-                let d = p.bytes();
-                if !node::is_leaf(d) {
-                    return None;
-                }
-                node::search(d, key, key_len)
-                    .ok()
-                    .map(|i| node::entry_val(d, i, key_len).to_vec())
-            })?
+            self.pool
+                .read(hint, |p| {
+                    let d = p.bytes();
+                    if !node::is_leaf(d) {
+                        return None;
+                    }
+                    node::search(d, key, key_len)
+                        .ok()
+                        .map(|i| f(node::entry_val(d, i, key_len)))
+                })
+                .map_err(AccessError::from)?
         };
         match hit {
-            Some(v) => Ok(Some(v)),
-            None => self.get(key),
+            Some(r) => r.map(Some),
+            None => self.get_with(key, f),
         }
     }
 
@@ -611,39 +620,68 @@ impl BTreeFile {
         self.update(key, val)
     }
 
-    /// All entries stored on one leaf page (empty if the page is not a
-    /// leaf). Lets callers harvest co-located records from a page they
-    /// already paid to fetch — e.g. the rest of a physically clustered
-    /// unit after a TID probe for its first member.
-    pub fn leaf_entries(&self, leaf: PageId) -> Result<Entries, AccessError> {
+    /// Visit every entry stored on one leaf page **in place**: `f` sees
+    /// each `(key, value)` as slices borrowed from the pinned page, in key
+    /// order; nothing is visited if the page is not a leaf. Lets callers
+    /// harvest co-located records from a page they already paid to fetch
+    /// — e.g. the rest of a physically clustered unit after a TID probe
+    /// for its first member — without copying any of them out.
+    ///
+    /// The first `Err` from `f` ends the visit, unpins the page and is
+    /// returned.
+    pub fn visit_leaf<E>(
+        &self,
+        leaf: PageId,
+        mut f: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        E: From<AccessError>,
+    {
         let key_len = self.key_len;
         let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
         heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
-        let entries = self.pool.read(leaf, |p| {
-            let d = p.bytes();
-            if !node::is_leaf(d) {
-                return Vec::new();
-            }
-            node::all_entries(d, key_len)
-        })?;
-        Ok(entries)
+        self.pool
+            .read(leaf, |p| {
+                let d = p.bytes();
+                if !node::is_leaf(d) {
+                    return Ok(());
+                }
+                node::entries(d, key_len).try_for_each(|(k, v)| f(k, v))
+            })
+            .map_err(AccessError::from)?
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, AccessError> {
+    /// Point lookup **in place**: `f` runs over the value under the leaf's
+    /// page pin and its result comes back; `Ok(None)` (and no call) when
+    /// the key is absent. An `Err` from `f` is returned as is.
+    pub fn get_with<R, E>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> Result<R, E>,
+    ) -> Result<Option<R>, E>
+    where
+        E: From<AccessError>,
+    {
         if key.len() != self.key_len {
-            return Err(AccessError::BadKeyLen(key.len()));
+            return Err(AccessError::BadKeyLen(key.len()).into());
         }
         let leaf = self.find_leaf(key)?;
         let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
         heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
-        let v = self.pool.read(leaf, |p| {
-            let d = p.bytes();
-            node::search(d, key, self.key_len)
-                .ok()
-                .map(|i| node::entry_val(d, i, self.key_len).to_vec())
-        })?;
-        Ok(v)
+        self.pool
+            .read(leaf, |p| {
+                let d = p.bytes();
+                node::search(d, key, self.key_len)
+                    .ok()
+                    .map(|i| f(node::entry_val(d, i, self.key_len)))
+            })
+            .map_err(AccessError::from)?
+            .transpose()
+    }
+
+    /// Point lookup, copying the value out.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, AccessError> {
+        self.get_with(key, |v| Ok(v.to_vec()))
     }
 
     /// Does `key` exist?
@@ -1272,6 +1310,56 @@ impl BTreeFile {
         }
     }
 
+    /// Inclusive range visit `lo..=hi` **in place**: `f` sees exactly the
+    /// `(key, value)` pairs `range(lo, hi)?.with_readahead(readahead)`
+    /// yields, in the same order, as slices borrowed from each leaf's
+    /// pinned page — one pin per leaf, the same pages touched, nothing
+    /// copied out.
+    ///
+    /// This is the fallible form of a range scan: a leaf that cannot be
+    /// read is an `Err`, and the first `Err` from `f` ends the visit,
+    /// unpins the page and is returned.
+    pub fn visit_range<E>(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        readahead: usize,
+        mut f: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        E: From<AccessError>,
+    {
+        if lo.len() != self.key_len || hi.len() != self.key_len {
+            return Err(AccessError::BadKeyLen(lo.len().max(hi.len())).into());
+        }
+        let key_len = self.key_len;
+        let mut leaves = self.leaf_walker(self.find_leaf(lo)?);
+        leaves.set_readahead(readahead);
+        loop {
+            // `Ok(true)`: a key past `hi` ended the scan on this leaf.
+            let visit = leaves.visit(|d| -> Result<bool, E> {
+                for (k, v) in node::entries(d, key_len) {
+                    if k < lo {
+                        continue;
+                    }
+                    if k > hi {
+                        return Ok(true);
+                    }
+                    f(k, v)?;
+                }
+                Ok(false)
+            });
+            match visit.map_err(AccessError::from)? {
+                None => return Ok(()), // leaf chain exhausted
+                Some(past_hi) => {
+                    if past_hi? {
+                        return Ok(());
+                    }
+                }
+            }
+        }
+    }
+
     /// A walk of the leaf chain starting at `leaf`, readahead off.
     fn leaf_walker(&self, leaf: PageId) -> LeafWalker {
         LeafWalker {
@@ -1352,7 +1440,8 @@ impl BTreeFile {
 /// A forward walk of a leaf chain, one pinned visit per leaf, with the
 /// optional sequential-readahead window running ahead of it. Every leaf
 /// scan — the buffering [`BTreeRange`] and the in-place
-/// [`BTreeFile::merge_scan`] — reads its leaves through this walker, so
+/// [`BTreeFile::visit_range`] and [`BTreeFile::merge_scan`] — reads its
+/// leaves through this walker, so
 /// phase tag, heat touch and prefetch behaviour are one piece of code.
 struct LeafWalker {
     pool: Arc<BufferPool>,
@@ -1406,7 +1495,12 @@ impl LeafWalker {
     }
 }
 
-/// Streaming, leaf-at-a-time range scan (see [`BTreeFile::range`]).
+/// Streaming, leaf-at-a-time range scan (see [`BTreeFile::range`]),
+/// copying every entry out.
+///
+/// An `Iterator` has no error channel: a leaf that cannot be read (a
+/// disk error, or no free frame) **panics** in `next`. Callers that must
+/// survive that use [`BTreeFile::visit_range`], the fallible form.
 pub struct BTreeRange {
     leaves: LeafWalker,
     key_len: usize,

@@ -563,7 +563,7 @@ mod tests {
         assert_eq!(
             cat.open_isam("isam")
                 .unwrap()
-                .lookup(&key8(1))
+                .lookup_with(&key8(1), |v| Ok::<_, AccessError>(v.to_vec()))
                 .unwrap()
                 .unwrap(),
             b"p"

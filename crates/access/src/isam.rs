@@ -33,9 +33,18 @@ impl IsamIndex {
         Ok(IsamIndex { tree })
     }
 
-    /// Probe the index.
-    pub fn lookup(&self, key: &[u8]) -> Result<Option<Vec<u8>>, AccessError> {
-        self.tree.get(key)
+    /// Probe the index **in place**: `f` runs over the payload under the
+    /// leaf's page pin (see [`BTreeFile::get_with`]); `Ok(None)` when the
+    /// key is absent.
+    pub fn lookup_with<R, E>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> Result<R, E>,
+    ) -> Result<Option<R>, E>
+    where
+        E: From<AccessError>,
+    {
+        self.tree.get_with(key, f)
     }
 
     /// Number of indexed keys.
@@ -86,6 +95,11 @@ mod tests {
         k.to_be_bytes().to_vec()
     }
 
+    fn lookup(idx: &IsamIndex, key: &[u8]) -> Option<Vec<u8>> {
+        idx.lookup_with(key, |v| Ok::<_, AccessError>(v.to_vec()))
+            .unwrap()
+    }
+
     #[test]
     fn build_and_probe() {
         let entries: Vec<_> = (0..10_000u64)
@@ -94,10 +108,10 @@ mod tests {
         let idx = IsamIndex::build(pool(16), 8, entries).unwrap();
         assert_eq!(idx.len(), 10_000);
         for k in [0u64, 1, 4999, 9999] {
-            let payload = idx.lookup(&key8(k)).unwrap().unwrap();
+            let payload = lookup(&idx, &key8(k)).unwrap();
             assert_eq!(u64::from_le_bytes(payload.try_into().unwrap()), k * 3);
         }
-        assert_eq!(idx.lookup(&key8(10_000)).unwrap(), None);
+        assert_eq!(lookup(&idx, &key8(10_000)), None);
     }
 
     #[test]
@@ -107,7 +121,7 @@ mod tests {
         let idx = IsamIndex::build(Arc::clone(&p), 8, entries).unwrap();
         p.flush_and_clear().unwrap();
         let before = p.stats().reads();
-        idx.lookup(&key8(7777)).unwrap().unwrap();
+        lookup(&idx, &key8(7777)).unwrap();
         assert_eq!(p.stats().reads() - before, idx.height() as u64);
     }
 
@@ -115,7 +129,7 @@ mod tests {
     fn empty_index() {
         let idx = IsamIndex::build(pool(4), 8, Vec::new()).unwrap();
         assert!(idx.is_empty());
-        assert_eq!(idx.lookup(&key8(0)).unwrap(), None);
+        assert_eq!(lookup(&idx, &key8(0)), None);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property tests for the access methods: B-tree and hash file against
 //! std collection models, external sort against `sort()`, the in-place
-//! merge co-scan against the iterator merge join, record codec
-//! round-trips.
+//! merge co-scan against the iterator merge join, the in-place visits and
+//! lookups against their copy-out forms, record codec round-trips.
 
-use cor_access::{decode, encode, external_sort, merge_join, BTreeFile, HashFile};
-use cor_pagestore::BufferPool;
+use cor_access::{decode, encode, external_sort, merge_join, AccessError, BTreeFile, HashFile};
+use cor_pagestore::{BufferPool, PageId};
 use cor_relational::{Oid, Schema, Tuple, Value, ValueType};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -16,6 +16,82 @@ fn pool(frames: usize) -> Arc<BufferPool> {
 
 fn key8(k: u64) -> Vec<u8> {
     k.to_be_bytes().to_vec()
+}
+
+/// A tree over `present` — bulk-loaded, or built by inserts and then split
+/// and merged by `churn`'s `(key, value length, delete?)` steps — with the
+/// model it must agree with.
+fn churned_tree(
+    p: &Arc<BufferPool>,
+    present: &std::collections::BTreeSet<u64>,
+    churn: &[(u64, usize, bool)],
+    bulk: bool,
+) -> (BTreeFile, BTreeMap<u64, Vec<u8>>) {
+    let rec = |k: u64, len: usize| vec![k as u8; len];
+    if bulk {
+        let model: BTreeMap<u64, Vec<u8>> = present
+            .iter()
+            .map(|&k| (k, rec(k, 40 + (k % 90) as usize)))
+            .collect();
+        let entries = model.iter().map(|(&k, v)| (key8(k), v.clone()));
+        let tree = BTreeFile::bulk_load(Arc::clone(p), 8, entries, 0.9).unwrap();
+        return (tree, model);
+    }
+    let tree = BTreeFile::create(Arc::clone(p), 8).unwrap();
+    let mut model = BTreeMap::new();
+    for &k in present {
+        tree.insert(&key8(k), &rec(k, 100)).unwrap();
+        model.insert(k, rec(k, 100));
+    }
+    for &(k, len, delete) in churn {
+        if delete {
+            tree.delete(&key8(k)).unwrap();
+            model.remove(&k);
+        } else {
+            tree.insert(&key8(k), &rec(k, len)).unwrap();
+            model.insert(k, rec(k, len));
+        }
+    }
+    (tree, model)
+}
+
+/// Pool-wide `(hits, misses)` of a telemetry-enabled pool: every pin is
+/// one or the other.
+fn pin_counts(p: &BufferPool) -> (u64, u64) {
+    let shards = p.telemetry().expect("telemetry-enabled pool");
+    (
+        shards.iter().map(|s| s.hits).sum(),
+        shards.iter().map(|s| s.misses).sum(),
+    )
+}
+
+/// What `run` costs from a cold pool: transfers, batched submissions and
+/// prefetches, and pins as `(hits, misses)`.
+fn cold_cost(
+    p: &BufferPool,
+    run: impl FnOnce(),
+) -> (
+    cor_pagestore::IoDelta,
+    cor_pagestore::BatchIoSnapshot,
+    (u64, u64),
+) {
+    p.flush_and_clear().unwrap();
+    let (io0, batch0, pins0) = (
+        p.stats().snapshot(),
+        p.stats().batch_snapshot(),
+        pin_counts(p),
+    );
+    run();
+    let pins = pin_counts(p);
+    (
+        p.stats().snapshot().since(&io0),
+        p.stats().batch_snapshot().since(&batch0),
+        (pins.0 - pins0.0, pins.1 - pins0.1),
+    )
+}
+
+fn copy_out(v: &[u8]) -> Result<Vec<u8>, AccessError> {
+    Ok(v.to_vec())
 }
 
 #[derive(Debug, Clone)]
@@ -155,24 +231,7 @@ proptest! {
         frames in 2usize..7,
     ) {
         let p = pool(frames);
-        let rec = |k: u64, len: usize| vec![k as u8; len];
-        let tree = if bulk {
-            let entries = present.iter().map(|&k| (key8(k), rec(k, 40 + (k % 90) as usize)));
-            BTreeFile::bulk_load(Arc::clone(&p), 8, entries, 0.9).unwrap()
-        } else {
-            let tree = BTreeFile::create(Arc::clone(&p), 8).unwrap();
-            for &k in &present {
-                tree.insert(&key8(k), &rec(k, 100)).unwrap();
-            }
-            for &(k, len, delete) in &churn {
-                if delete {
-                    tree.delete(&key8(k)).unwrap();
-                } else {
-                    tree.insert(&key8(k), &rec(k, len)).unwrap();
-                }
-            }
-            tree
-        };
+        let (tree, _) = churned_tree(&p, &present, &churn, bulk);
         let keys: Vec<Vec<u8>> = probes.iter().map(|&k| key8(k)).collect();
         let sorted = || external_sort(&p, keys.iter().cloned(), work_mem, false).unwrap();
 
@@ -194,6 +253,107 @@ proptest! {
         prop_assert_eq!(got, want);
         prop_assert_eq!(p.stats().snapshot().since(&io0), want_io);
         prop_assert_eq!(p.stats().batch_snapshot().since(&batch0), want_batch);
+    }
+
+    /// `visit_range` is `range(..).with_readahead(..).collect()` without
+    /// the copies: the same entries in the same order, and from a cold
+    /// pool the same transfers, batched submissions, prefetches and pins.
+    #[test]
+    fn visit_range_equals_range_collect(
+        present in proptest::collection::btree_set(0u64..400, 0..300),
+        churn in proptest::collection::vec((0u64..400, 0usize..120, any::<bool>()), 0..200),
+        bulk in any::<bool>(),
+        bounds in (0u64..440, 0u64..440),
+        readahead in prop_oneof![Just(0usize), Just(4usize)],
+        frames in 2usize..7,
+    ) {
+        let p = Arc::new(BufferPool::builder().capacity(frames).telemetry(true).build());
+        let (tree, _) = churned_tree(&p, &present, &churn, bulk);
+        let (lo, hi) = (key8(bounds.0.min(bounds.1)), key8(bounds.0.max(bounds.1)));
+        let mut want: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let want_cost = cold_cost(&p, || {
+            want.extend(tree.range(&lo, &hi).unwrap().with_readahead(readahead));
+        });
+        let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let got_cost = cold_cost(&p, || {
+            tree.visit_range(&lo, &hi, readahead, |k, v| {
+                got.push((k.to_vec(), v.to_vec()));
+                Ok::<(), AccessError>(())
+            })
+            .unwrap();
+        });
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got_cost, want_cost);
+
+        // A visitor's error ends the walk at the entry that raised it.
+        let mut seen = 0usize;
+        let stopped = tree.visit_range(&lo, &hi, readahead, |_, _| {
+            seen += 1;
+            if seen == 3 { Err(AccessError::EntryTooLarge) } else { Ok(()) }
+        });
+        prop_assert_eq!(stopped.is_err(), want.len() >= 3);
+        prop_assert_eq!(seen, want.len().min(3));
+    }
+
+    /// `visit_leaf` over every leaf, in chain order, concatenates to
+    /// `scan_all()`; a page that is not a leaf visits nothing.
+    #[test]
+    fn visit_leaf_over_the_chain_equals_scan_all(
+        present in proptest::collection::btree_set(0u64..400, 0..300),
+        churn in proptest::collection::vec((0u64..400, 0usize..120, any::<bool>()), 0..200),
+        bulk in any::<bool>(),
+    ) {
+        let p = pool(16);
+        let (tree, _) = churned_tree(&p, &present, &churn, bulk);
+        let want: Vec<(Vec<u8>, Vec<u8>)> = tree.scan_all().collect();
+        let mut leaves: Vec<PageId> =
+            want.iter().map(|(k, _)| tree.leaf_page_of(k).unwrap()).collect();
+        leaves.dedup();
+        let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for &leaf in &leaves {
+            tree.visit_leaf(leaf, |k, v| {
+                got.push((k.to_vec(), v.to_vec()));
+                Ok::<(), AccessError>(())
+            })
+            .unwrap();
+        }
+        prop_assert_eq!(got, want);
+        if tree.height() > 1 {
+            let mut visited = 0usize;
+            tree.visit_leaf(tree.metadata().root, |_, _| {
+                visited += 1;
+                Ok::<(), AccessError>(())
+            })
+            .unwrap();
+            prop_assert_eq!(visited, 0);
+        }
+    }
+
+    /// The in-place point lookups agree with the model for present and
+    /// missing keys alike — through a descent, through the right leaf
+    /// hint, through a stale hint and through a hint that is no leaf.
+    #[test]
+    fn in_place_lookups_equal_the_model(
+        present in proptest::collection::btree_set(0u64..400, 0..300),
+        churn in proptest::collection::vec((0u64..400, 0usize..120, any::<bool>()), 0..200),
+        bulk in any::<bool>(),
+        probes in proptest::collection::vec(0u64..440, 1..60),
+    ) {
+        let p = pool(16);
+        let (tree, model) = churned_tree(&p, &present, &churn, bulk);
+        let meta = tree.metadata();
+        for k in probes {
+            let key = key8(k);
+            let want = model.get(&k).cloned();
+            prop_assert_eq!(tree.get(&key).unwrap(), want.clone());
+            prop_assert_eq!(tree.get_with(&key, copy_out).unwrap(), want.clone());
+            for hint in [tree.leaf_page_of(&key).unwrap(), meta.first_leaf, meta.root] {
+                prop_assert_eq!(tree.get_with_hint(hint, &key, copy_out).unwrap(), want.clone());
+            }
+        }
+        let refused: Result<Option<()>, AccessError> =
+            tree.get_with(&key8(0), |_| Err(AccessError::EntryTooLarge));
+        prop_assert_eq!(refused.is_err(), model.contains_key(&0));
     }
 
     /// External sort equals std sort for any records and any work-memory

@@ -19,8 +19,9 @@ use crate::cache::{
 };
 use crate::cluster::ClusterAssignment;
 use crate::matrix::CachePlacement;
+use crate::query::parent_children;
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, IsamIndex, DEFAULT_FILL};
+use cor_access::{decode, encode, AccessError, BTreeFile, IsamIndex, DEFAULT_FILL};
 use cor_pagestore::BufferPool;
 use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
 use parking_lot::{Mutex, MutexGuard};
@@ -182,11 +183,15 @@ pub fn cluster_key(cluster_no: u64, is_child: bool, oid: Oid) -> [u8; CLUSTER_KE
     out
 }
 
+/// An OID-index payload, copied off the index page: the subobject's
+/// cluster key and the ClusterRel leaf page holding it.
+type Tid = ([u8; CLUSTER_KEY_LEN], cor_pagestore::PageId);
+
 /// Split an OID-index payload into `(cluster key, leaf page hint)`.
-fn split_tid(tid: &[u8]) -> (&[u8], cor_pagestore::PageId) {
+fn split_tid(tid: &[u8]) -> Tid {
     let (ckey, page) = tid.split_at(CLUSTER_KEY_LEN);
     let leaf = cor_pagestore::PageId::from_le_bytes([page[0], page[1], page[2], page[3]]);
-    (ckey, leaf)
+    (ckey.try_into().expect("CLUSTER_KEY_LEN-long half"), leaf)
 }
 
 /// Decode a ClusterRel key into `(cluster#, is_child, oid)`.
@@ -198,6 +203,12 @@ pub fn decode_cluster_key(key: &[u8]) -> Option<(u64, bool, Oid)> {
     c.copy_from_slice(&key[..8]);
     let oid = Oid::from_key_bytes(&key[9..])?;
     Some((u64::from_be_bytes(c), key[8] == KIND_CHILD, oid))
+}
+
+/// [`decode_cluster_key`] for keys read off a ClusterRel page, where a
+/// malformed key is a storage error rather than an absent value.
+pub(crate) fn parse_cluster_key(key: &[u8]) -> Result<(u64, bool, Oid), CorError> {
+    decode_cluster_key(key).ok_or(CorError::Access(AccessError::BadKeyLen(key.len())))
 }
 
 /// Cache configuration for databases supporting DFSCACHE/SMART.
@@ -620,8 +631,8 @@ impl CorDatabase {
         let lo_k = Oid::new(PARENT_REL, lo).to_key_bytes();
         let hi_k = Oid::new(PARENT_REL, hi).to_key_bytes();
         let mut out = Vec::new();
-        for (_, rec) in parent.range(&lo_k, &hi_k)? {
-            let t = decode(&self.parent_schema, &rec)?;
+        parent.visit_range(&lo_k, &hi_k, 0, |_, rec| {
+            let t = decode(&self.parent_schema, rec)?;
             let key = t.get(0).as_oid().expect("parent oid column").key;
             let children = t.get(5).as_oid_list().expect("children column").to_vec();
             let cached_bytes = t.get(6).as_bytes().expect("cached column");
@@ -632,7 +643,8 @@ impl CorDatabase {
             };
             cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
             out.push((key, children, cached));
-        }
+            Ok::<(), CorError>(())
+        })?;
         Ok(out)
     }
 
@@ -738,58 +750,71 @@ impl CorDatabase {
     /// Scan the qualifying objects of a retrieve query — ParentRel tuples
     /// with `lo <= OID.key <= hi` — returning `(key, children)` pairs.
     /// Works on both representations (the clustered scan reads the object
-    /// entries of ClusterRel, skipping interleaved subobjects).
+    /// entries of ClusterRel, skipping interleaved subobjects). Records are
+    /// read under each leaf's page pin: the key comes from the B-tree key
+    /// and the child list from [`parent_children`], so no record is copied
+    /// out or fully decoded.
     pub fn parents_in_range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<Oid>)>, CorError> {
         let mut out = Vec::new();
+        let mut push = |key: u64, rec: &[u8]| -> Result<(), CorError> {
+            let children = parent_children(rec)?;
+            cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
+            out.push((key, children));
+            Ok(())
+        };
         match &self.storage {
             Storage::Standard { parent, .. } => {
                 let lo_k = Oid::new(PARENT_REL, lo).to_key_bytes();
                 let hi_k = Oid::new(PARENT_REL, hi).to_key_bytes();
-                for (_, rec) in parent.range(&lo_k, &hi_k)? {
-                    let t = decode(&self.parent_schema, &rec)?;
-                    let key = t.get(0).as_oid().expect("parent oid column").key;
-                    let children = t.get(5).as_oid_list().expect("children column").to_vec();
-                    cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
-                    out.push((key, children));
-                }
+                parent.visit_range(&lo_k, &hi_k, 0, |k, rec| {
+                    let oid = Oid::from_key_bytes(k).ok_or(AccessError::BadKeyLen(k.len()))?;
+                    push(oid.key, rec)
+                })?;
             }
             Storage::Clustered { cluster, .. } => {
                 let lo_k = cluster_key(lo, false, Oid::new(0, 0));
                 let hi_k = cluster_key(hi, true, Oid::new(u16::MAX, u64::MAX));
-                for (k, rec) in cluster.range(&lo_k, &hi_k)? {
-                    let (_, is_child, _) = decode_cluster_key(&k).expect("cluster key");
-                    if is_child {
-                        continue;
-                    }
-                    let t = decode(&self.parent_schema, &rec)?;
-                    let key = t.get(0).as_oid().expect("parent oid column").key;
-                    let children = t.get(5).as_oid_list().expect("children column").to_vec();
-                    cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
-                    out.push((key, children));
-                }
+                cluster.visit_range(&lo_k, &hi_k, 0, |k, rec| match parse_cluster_key(k)? {
+                    (_, true, _) => Ok(()),
+                    (_, false, oid) => push(oid.key, rec),
+                })?;
             }
         }
         Ok(out)
     }
 
-    /// Fetch a subobject record by OID. On the standard representation this
-    /// is a ChildRel B-tree probe; on the clustered one it is the ISAM
-    /// probe followed by a ClusterRel access — the "random access" the
-    /// paper charges non-clustered subobject fetches with.
-    pub fn fetch_child_record(&self, oid: Oid) -> Result<Option<Vec<u8>>, CorError> {
+    /// The OID index's entry for `oid` (clustered storage), copied off the
+    /// index page so the page is unpinned before ClusterRel is touched.
+    fn tid_of(oid_index: &IsamIndex, oid: Oid) -> Result<Option<Tid>, CorError> {
+        oid_index.lookup_with(&oid.to_key_bytes(), |tid| Ok(split_tid(tid)))
+    }
+
+    /// Run `f` over a subobject's record **in place**, under the page pin
+    /// of the leaf holding it; `Ok(None)` if the subobject does not exist.
+    /// On the standard representation this is a ChildRel B-tree probe; on
+    /// the clustered one it is the ISAM probe followed by a ClusterRel
+    /// access — the "random access" the paper charges non-clustered
+    /// subobject fetches with.
+    pub fn with_child_record<R>(
+        &self,
+        oid: Oid,
+        f: impl FnMut(&[u8]) -> Result<R, CorError>,
+    ) -> Result<Option<R>, CorError> {
         match &self.storage {
-            Storage::Standard { .. } => {
-                let tree = self.child_tree(oid.rel)?;
-                Ok(tree.get(&oid.to_key_bytes())?)
-            }
+            Storage::Standard { .. } => self.child_tree(oid.rel)?.get_with(&oid.to_key_bytes(), f),
             Storage::Clustered { cluster, oid_index } => {
-                let Some(tid) = oid_index.lookup(&oid.to_key_bytes())? else {
+                let Some((ckey, leaf)) = Self::tid_of(oid_index, oid)? else {
                     return Ok(None);
                 };
-                let (ckey, leaf) = split_tid(&tid);
-                Ok(cluster.get_with_hint(leaf, ckey)?)
+                cluster.get_with_hint(leaf, &ckey, f)
             }
         }
+    }
+
+    /// Fetch a copy of a subobject record by OID (see
+    /// [`Self::with_child_record`] for the in-place form).
+    pub fn fetch_child_record(&self, oid: Oid) -> Result<Option<Vec<u8>>, CorError> {
+        self.with_child_record(oid, |rec| Ok(rec.to_vec()))
     }
 
     /// Batched [`Self::fetch_child_record`]: each relation's B-tree is
@@ -831,42 +856,45 @@ impl CorDatabase {
 
     /// Resolve a subobject OID to the cluster leaf page holding it
     /// (clustered storage only), without reading the leaf. This is the
-    /// ISAM-probe half of [`fetch_child_page_records`]; batched callers
-    /// use it to collect leaf pids for a sorted multi-page prefetch
-    /// before harvesting.
-    ///
-    /// [`fetch_child_page_records`]: CorDatabase::fetch_child_page_records
+    /// ISAM-probe half of [`Self::visit_child_page`]; batched callers use
+    /// it to collect leaf pids for a sorted multi-page prefetch before
+    /// harvesting them with [`Self::visit_leaf_children`].
     pub fn child_leaf_page(&self, oid: Oid) -> Result<Option<cor_pagestore::PageId>, CorError> {
-        let Storage::Clustered { oid_index, .. } = &self.storage else {
-            return Err(CorError::WrongRepresentation("clustered"));
-        };
-        let Some(tid) = oid_index.lookup(&oid.to_key_bytes())? else {
-            return Ok(None);
-        };
-        let (_, leaf) = split_tid(&tid);
-        Ok(Some(leaf))
+        let (_, oid_index) = self.cluster()?;
+        Ok(Self::tid_of(oid_index, oid)?.map(|(_, leaf)| leaf))
     }
 
-    /// Fetch a subobject **and every child record co-located on its page**
-    /// (clustered storage only). One ISAM probe plus one direct page read
-    /// returns the whole physically clustered unit — the paper's
-    /// "their subobjects are still physically clustered, albeit elsewhere,
-    /// and can be fetched in one random access" (Sec. 3.3 case \[2\]).
-    pub fn fetch_child_page_records(&self, oid: Oid) -> Result<Vec<(Oid, Vec<u8>)>, CorError> {
-        let Storage::Clustered { cluster, oid_index } = &self.storage else {
-            return Err(CorError::WrongRepresentation("clustered"));
-        };
-        let Some(tid) = oid_index.lookup(&oid.to_key_bytes())? else {
-            return Ok(Vec::new());
-        };
-        let (_, leaf) = split_tid(&tid);
-        let mut out = Vec::new();
-        for (k, rec) in cluster.leaf_entries(leaf)? {
-            if let Some((_, true, child_oid)) = decode_cluster_key(&k) {
-                out.push((child_oid, rec));
-            }
+    /// Visit every subobject record on one ClusterRel leaf **in place**
+    /// (clustered storage only): `f` sees `(oid, record)` for each child
+    /// entry, the record borrowed from the pinned page; object entries are
+    /// skipped. The first `Err` from `f` ends the visit and is returned.
+    pub fn visit_leaf_children(
+        &self,
+        leaf: cor_pagestore::PageId,
+        mut f: impl FnMut(Oid, &[u8]) -> Result<(), CorError>,
+    ) -> Result<(), CorError> {
+        let (cluster, _) = self.cluster()?;
+        cluster.visit_leaf(leaf, |k, rec| match parse_cluster_key(k)? {
+            (_, true, child) => f(child, rec),
+            (_, false, _) => Ok(()),
+        })
+    }
+
+    /// Visit a subobject **and every child record co-located on its page**
+    /// (clustered storage only; nothing is visited for an OID the index
+    /// does not know). One ISAM probe plus one direct page read reaches
+    /// the whole physically clustered unit — the paper's "their subobjects
+    /// are still physically clustered, albeit elsewhere, and can be fetched
+    /// in one random access" (Sec. 3.3 case \[2\]).
+    pub fn visit_child_page(
+        &self,
+        oid: Oid,
+        f: impl FnMut(Oid, &[u8]) -> Result<(), CorError>,
+    ) -> Result<(), CorError> {
+        match self.child_leaf_page(oid)? {
+            Some(leaf) => self.visit_leaf_children(leaf, f),
+            None => Ok(()),
         }
-        Ok(out)
     }
 
     /// Update one integer attribute of a subobject in place, returning
@@ -888,17 +916,18 @@ impl CorDatabase {
                 Ok(true)
             }
             Storage::Clustered { cluster, oid_index } => {
-                let Some(tid) = oid_index.lookup(&oid.to_key_bytes())? else {
+                let Some((ckey, leaf)) = Self::tid_of(oid_index, oid)? else {
                     return Ok(false);
                 };
-                let (ckey, leaf) = split_tid(&tid);
-                let Some(rec) = cluster.get_with_hint(leaf, ckey)? else {
+                let decoded = cluster.get_with_hint(leaf, &ckey, |rec| {
+                    Ok::<_, CorError>(decode(&self.child_schema, rec)?)
+                })?;
+                let Some(mut t) = decoded else {
                     return Ok(false);
                 };
-                let mut t = decode(&self.child_schema, &rec)?;
                 t.set(1 + ret_idx, Value::Int(v));
                 let rec = encode(&self.child_schema, &t)?;
-                cluster.update_with_hint(leaf, ckey, &rec)?;
+                cluster.update_with_hint(leaf, &ckey, &rec)?;
                 Ok(true)
             }
         }

@@ -20,7 +20,7 @@
 //!   bench).
 
 use crate::database::{CorDatabase, PARENT_REL};
-use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
+use crate::query::{fetch_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::strategies::{self, ExecOptions};
 use crate::{CorError, Strategy};
 use cor_access::{external_sort, HeapFile};
@@ -92,10 +92,7 @@ fn descend(
 ) -> Result<(), CorError> {
     if level + 1 == levels.len() {
         // `oid` names a subobject of the last database.
-        let rec = levels[level]
-            .fetch_child_record(oid)?
-            .ok_or(CorError::DanglingOid(oid))?;
-        values.push(extract_ret(&rec, attr));
+        values.push(fetch_ret(&levels[level], oid, attr)?);
         return Ok(());
     }
     // `oid` names an object of the next database.

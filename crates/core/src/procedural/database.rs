@@ -336,7 +336,7 @@ impl ProcDatabase {
             } => {
                 let mut out = Vec::new();
                 for (k, rec) in tree.scan_all() {
-                    let v = extract_ret(&rec, crate::query::RetAttr::ALL[*ret_idx]);
+                    let v = extract_ret(&rec, crate::query::RetAttr::ALL[*ret_idx])?;
                     if (*lo..=*hi).contains(&v) {
                         out.push((Oid::from_key_bytes(&k).expect("oid key"), rec));
                     }

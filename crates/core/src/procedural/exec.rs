@@ -35,7 +35,7 @@ pub fn execute_proc_retrieve(
         match db.caching() {
             ProcCaching::None => {
                 for (_, rec) in db.execute_stored(&row.members)? {
-                    values.push(extract_ret(&rec, query.attr));
+                    values.push(extract_ret(&rec, query.attr)?);
                 }
             }
             ProcCaching::OutsideValues(_) => {
@@ -44,7 +44,7 @@ pub fn execute_proc_retrieve(
                 match cached {
                     Some(CachedResult::Values(records)) => {
                         for rec in &records {
-                            values.push(extract_ret(rec, query.attr));
+                            values.push(extract_ret(rec, query.attr)?);
                         }
                     }
                     Some(CachedResult::Oids(_)) => {
@@ -55,7 +55,7 @@ pub fn execute_proc_retrieve(
                         let records: Vec<Vec<u8>> =
                             result.into_iter().map(|(_, rec)| rec).collect();
                         for rec in &records {
-                            values.push(extract_ret(rec, query.attr));
+                            values.push(extract_ret(rec, query.attr)?);
                         }
                         db.outside_cache()
                             .insert(&row.members, &CachedResult::Values(records))?;
@@ -71,7 +71,7 @@ pub fn execute_proc_retrieve(
                         // is why value-only updates leave this cache valid.
                         for oid in oids {
                             let rec = fetch_by_oid(db, oid)?;
-                            values.push(extract_ret(&rec, query.attr));
+                            values.push(extract_ret(&rec, query.attr)?);
                         }
                     }
                     Some(CachedResult::Values(_)) => {
@@ -81,7 +81,7 @@ pub fn execute_proc_retrieve(
                         let result = db.execute_stored(&row.members)?;
                         let oids: Vec<Oid> = result.iter().map(|(o, _)| *o).collect();
                         for (_, rec) in &result {
-                            values.push(extract_ret(rec, query.attr));
+                            values.push(extract_ret(rec, query.attr)?);
                         }
                         db.outside_cache()
                             .insert(&row.members, &CachedResult::Oids(oids))?;
@@ -92,14 +92,14 @@ pub fn execute_proc_retrieve(
                 Some(records) => {
                     db.inside_touch(row.key);
                     for rec in records {
-                        values.push(extract_ret(rec, query.attr));
+                        values.push(extract_ret(rec, query.attr)?);
                     }
                 }
                 None => {
                     let result = db.execute_stored(&row.members)?;
                     let records: Vec<Vec<u8>> = result.into_iter().map(|(_, rec)| rec).collect();
                     for rec in &records {
-                        values.push(extract_ret(rec, query.attr));
+                        values.push(extract_ret(rec, query.attr)?);
                     }
                     db.inside_store(row.key, &records)?;
                 }

@@ -13,8 +13,9 @@
 
 use crate::database::CorDatabase;
 use crate::CorError;
+use cor_access::CodecError;
 use cor_pagestore::IoDelta;
-use cor_relational::Oid;
+use cor_relational::{Oid, OID_BYTES};
 
 /// Which retrievable attribute a query projects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,11 +103,37 @@ impl StrategyOutput {
 /// Extract `ret{1,2,3}` from an encoded ChildRel record without a full
 /// decode. The record layout is `oid (10 B) | ret1 | ret2 | ret3 | dummy`,
 /// with 8-byte little-endian integers.
-pub fn extract_ret(record: &[u8], attr: RetAttr) -> i64 {
-    let off = cor_relational::OID_BYTES + 8 * (attr.column() - 1);
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&record[off..off + 8]);
-    i64::from_le_bytes(b)
+pub fn extract_ret(record: &[u8], attr: RetAttr) -> Result<i64, CodecError> {
+    let off = OID_BYTES + 8 * (attr.column() - 1);
+    let b = record.get(off..off + 8).ok_or(CodecError::Truncated)?;
+    Ok(i64::from_le_bytes(b.try_into().expect("8-byte slice")))
+}
+
+/// Read `attr` of subobject `oid` under the page pin of the leaf holding
+/// it. The paper's databases never contain dangling OIDs, so an absent
+/// subobject is an error, not an empty answer.
+pub fn fetch_ret(db: &CorDatabase, oid: Oid, attr: RetAttr) -> Result<i64, CorError> {
+    db.with_child_record(oid, |rec| Ok(extract_ret(rec, attr)?))?
+        .ok_or(CorError::DanglingOid(oid))
+}
+
+/// Read the `children` OID list of an encoded ParentRel record without a
+/// full decode — no `dummy` string, no `Vec<Value>`. The record layout is
+/// `oid (10 B) | ret1 | ret2 | ret3 | dummy | children | cached`, the last
+/// three length-prefixed (`u16`, little-endian).
+pub fn parent_children(record: &[u8]) -> Result<Vec<Oid>, CodecError> {
+    let u16_at = |at: usize| {
+        let b = record.get(at..at + 2).ok_or(CodecError::Truncated)?;
+        Ok(usize::from(u16::from_le_bytes([b[0], b[1]])))
+    };
+    let dummy_at = OID_BYTES + 3 * 8;
+    let list_at = dummy_at + 2 + u16_at(dummy_at)?;
+    let list = list_at + 2..list_at + 2 + u16_at(list_at)? * OID_BYTES;
+    let list = record.get(list).ok_or(CodecError::Truncated)?;
+    Ok(list
+        .chunks_exact(OID_BYTES)
+        .map(|c| Oid::from_key_bytes(c).expect("OID_BYTES-long chunk"))
+        .collect())
 }
 
 /// Apply an update query. Modifies each target subobject in place and, when
@@ -131,8 +158,8 @@ pub fn apply_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::{child_schema, CHILD_REL_BASE};
-    use cor_access::encode;
+    use crate::database::{child_schema, parent_schema, CHILD_REL_BASE, PARENT_REL};
+    use cor_access::{decode, encode};
     use cor_relational::{Tuple, Value};
 
     #[test]
@@ -161,9 +188,76 @@ mod tests {
             Value::Str("pad pad pad".into()),
         ]);
         let rec = encode(&child_schema(), &t).unwrap();
-        assert_eq!(extract_ret(&rec, RetAttr::Ret1), -123);
-        assert_eq!(extract_ret(&rec, RetAttr::Ret2), 456);
-        assert_eq!(extract_ret(&rec, RetAttr::Ret3), i64::MIN);
+        assert_eq!(extract_ret(&rec, RetAttr::Ret1), Ok(-123));
+        assert_eq!(extract_ret(&rec, RetAttr::Ret2), Ok(456));
+        assert_eq!(extract_ret(&rec, RetAttr::Ret3), Ok(i64::MIN));
+    }
+
+    #[test]
+    fn parent_children_matches_full_decode() {
+        let lists = [
+            vec![],
+            vec![Oid::new(CHILD_REL_BASE, 3)],
+            (0..40)
+                .map(|k| Oid::new(CHILD_REL_BASE + 1, k * 7))
+                .collect(),
+        ];
+        for children in lists {
+            for cached in [Vec::new(), vec![0xAB; 37]] {
+                for dummy in ["", "pad pad pad"] {
+                    let t = Tuple::new(vec![
+                        Value::Oid(Oid::new(PARENT_REL, 9)),
+                        Value::Int(1),
+                        Value::Int(-2),
+                        Value::Int(3),
+                        Value::Str(dummy.into()),
+                        Value::OidList(children.clone()),
+                        Value::Bytes(cached.clone()),
+                    ]);
+                    let rec = encode(&parent_schema(), &t).unwrap();
+                    let full = decode(&parent_schema(), &rec).unwrap();
+                    assert_eq!(
+                        parent_children(&rec).unwrap(),
+                        full.get(5).as_oid_list().unwrap()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_records_are_truncated_not_out_of_bounds() {
+        let t = Tuple::new(vec![
+            Value::Oid(Oid::new(PARENT_REL, 9)),
+            Value::Int(1),
+            Value::Int(2),
+            Value::Int(3),
+            Value::Str("dummy".into()),
+            Value::OidList(vec![
+                Oid::new(CHILD_REL_BASE, 1),
+                Oid::new(CHILD_REL_BASE, 2),
+            ]),
+            Value::Bytes(Vec::new()),
+        ]);
+        let rec = encode(&parent_schema(), &t).unwrap();
+        let cached_prefix = 2;
+        // Every cut that loses part of the children list is `Truncated`.
+        for len in 0..rec.len() - cached_prefix {
+            assert_eq!(
+                parent_children(&rec[..len]),
+                Err(CodecError::Truncated),
+                "cut at {len}"
+            );
+        }
+        assert!(parent_children(&rec[..rec.len() - cached_prefix]).is_ok());
+        for attr in RetAttr::ALL {
+            let end = OID_BYTES + 8 * attr.column();
+            assert_eq!(
+                extract_ret(&rec[..end - 1], attr),
+                Err(CodecError::Truncated)
+            );
+            assert!(extract_ret(&rec[..end], attr).is_ok());
+        }
     }
 
     #[test]

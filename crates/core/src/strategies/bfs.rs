@@ -120,7 +120,7 @@ pub(crate) fn join_fetch(
         // coalesced batches ahead of the scan cursor.
         let _phase = PhaseGuard::enter(Phase::MergeJoin);
         tree.merge_scan(sorted, opts.io.readahead, |_oid, rec| {
-            values.push(extract_ret(rec, attr));
+            values.push(extract_ret(rec, attr)?);
             Ok::<(), CorError>(())
         })?;
     } else {
@@ -170,7 +170,7 @@ fn probe_all(
         for (key, rec) in window.iter().zip(tree.get_many(&refs)?) {
             let rec = rec
                 .ok_or_else(|| CorError::DanglingOid(Oid::from_key_bytes(key).expect("oid key")))?;
-            values.push(extract_ret(&rec, attr));
+            values.push(extract_ret(&rec, attr)?);
         }
     }
     Ok(())
@@ -182,10 +182,10 @@ fn probe_one(
     attr: RetAttr,
     values: &mut Vec<i64>,
 ) -> Result<(), CorError> {
-    let rec = tree
-        .get(key)?
+    let v = tree
+        .get_with(key, |rec| Ok::<_, CorError>(extract_ret(rec, attr)?))?
         .ok_or_else(|| CorError::DanglingOid(Oid::from_key_bytes(key).expect("oid key")))?;
-    values.push(extract_ret(&rec, attr));
+    values.push(v);
     Ok(())
 }
 

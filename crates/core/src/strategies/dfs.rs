@@ -6,9 +6,8 @@
 //! Linear in the number of references, so it loses to BFS once NumTop
 //! exceeds a few tens of objects (Fig. 3), but it needs no temporary.
 
-use super::fetch_required;
 use crate::database::CorDatabase;
-use crate::query::{extract_ret, RetrieveQuery, StrategyOutput};
+use crate::query::{fetch_ret, RetrieveQuery, StrategyOutput};
 use crate::CorError;
 
 /// Run a retrieve depth-first.
@@ -21,8 +20,7 @@ pub fn dfs(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutput, Co
     let mut values = Vec::new();
     for (_key, children) in &parents {
         for &oid in children {
-            let rec = fetch_required(db, oid)?;
-            values.push(extract_ret(&rec, query.attr));
+            values.push(fetch_ret(db, oid, query.attr)?);
         }
     }
     let s2 = stats.snapshot();

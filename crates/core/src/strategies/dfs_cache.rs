@@ -58,14 +58,14 @@ pub fn dfs_cache(
         match cached {
             Some(records) => {
                 for rec in &records {
-                    values.push(extract_ret(rec, query.attr));
+                    values.push(extract_ret(rec, query.attr)?);
                 }
             }
             None => {
                 // Materialize the unit, return its values, and cache it.
                 let records = materialize_unit(db, children, opts)?;
                 for rec in &records {
-                    values.push(extract_ret(rec, query.attr));
+                    values.push(extract_ret(rec, query.attr)?);
                 }
                 db.cache_mut()?.insert(hashkey, children, &records)?;
             }
@@ -103,14 +103,14 @@ fn dfs_cache_inside(
             Some(records) => {
                 db.inside_touch(*key);
                 for rec in records {
-                    values.push(extract_ret(rec, query.attr));
+                    values.push(extract_ret(rec, query.attr)?);
                 }
             }
             None => {
                 db.inside_miss();
                 let records = materialize_unit(db, children, opts)?;
                 for rec in &records {
-                    values.push(extract_ret(rec, query.attr));
+                    values.push(extract_ret(rec, query.attr)?);
                 }
                 db.inside_store(*key, &records)?;
             }

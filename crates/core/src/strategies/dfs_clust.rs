@@ -14,13 +14,11 @@
 //! accesses dominate (Fig. 7).
 
 use super::ExecOptions;
-use crate::database::{cluster_key, decode_cluster_key, CorDatabase};
-use crate::query::{extract_ret, RetrieveQuery, StrategyOutput};
+use crate::database::{cluster_key, parse_cluster_key, CorDatabase};
+use crate::query::{extract_ret, parent_children, RetrieveQuery, StrategyOutput};
 use crate::CorError;
-use cor_access::decode;
 use cor_obs::{Phase, PhaseGuard};
-use cor_relational::Oid;
-use std::collections::HashMap;
+use cor_relational::{Oid, OidMap};
 
 /// Run a retrieve depth-first over the clustered representation.
 pub fn dfs_clust(
@@ -37,26 +35,26 @@ pub fn dfs_clust(
     let lo_k = cluster_key(query.lo, false, Oid::new(0, 0));
     let hi_k = cluster_key(query.hi, true, Oid::new(u16::MAX, u64::MAX));
     let mut parents: Vec<(u64, Vec<Oid>)> = Vec::new();
-    let mut scanned_children: HashMap<Oid, Vec<u8>> = HashMap::new();
+    // Every subobject seen so far — by the scan or on a harvested foreign
+    // leaf — keeps only the projected attribute, read under the page pin:
+    // no record is copied out.
+    let mut harvested: OidMap<i64> = OidMap::default();
     // The whole range scan — objects and co-clustered subobjects alike —
     // is one physical cluster traversal; with readahead enabled the
     // bulk-loaded leaf chain is prefetched in coalesced batches ahead of
     // the scan cursor.
     let _scan_phase = PhaseGuard::enter(Phase::ClusterScan);
-    for (k, rec) in cluster
-        .range(&lo_k, &hi_k)?
-        .with_readahead(opts.io.readahead)
-    {
-        let (_, is_child, oid) = decode_cluster_key(&k).expect("well-formed cluster key");
+    cluster.visit_range(&lo_k, &hi_k, opts.io.readahead, |k, rec| {
+        let (_, is_child, oid) = parse_cluster_key(k)?;
         if is_child {
-            scanned_children.insert(oid, rec);
+            harvested.insert(oid, extract_ret(rec, query.attr)?);
         } else {
-            let t = decode(db.parent_schema(), &rec)?;
-            let children = t.get(5).as_oid_list().expect("children column").to_vec();
+            let children = parent_children(rec)?;
             cor_obs::heat::touch(cor_obs::HeatClass::ClusterRoot, oid.key);
             parents.push((oid.key, children));
         }
-    }
+        Ok::<(), CorError>(())
+    })?;
     let s1 = stats.snapshot();
 
     // Foreign-cluster probes are the random-access tail that dominates
@@ -64,17 +62,17 @@ pub fn dfs_clust(
     // enabled, resolve every still-missing subobject to its cluster leaf
     // through the OID index, then walk the sorted, deduplicated leaves in
     // batch-sized windows: prefetch a window, harvest it into
-    // `scanned_children`, move on. Harvesting right behind the prefetch
+    // `harvested`, move on. Harvesting right behind the prefetch
     // cursor keeps the footprint to one window, so a pool barely larger
     // than the batch still serves every demand fetch from the prefetched
     // frames. The values loop below is untouched — it now finds the
-    // records in the map — so results are identical at every batch size.
+    // values in the map — so results are identical at every batch size.
     if opts.io.batch > 1 {
         let mut foreign: Vec<cor_pagestore::PageId> = Vec::new();
         let mut pending: std::collections::HashSet<Oid> = std::collections::HashSet::new();
         for (_key, children) in &parents {
             for &oid in children {
-                if !scanned_children.contains_key(&oid) && pending.insert(oid) {
+                if !harvested.contains_key(&oid) && pending.insert(oid) {
                     if let Some(leaf) = db.child_leaf_page(oid)? {
                         foreign.push(leaf);
                     }
@@ -97,7 +95,7 @@ pub fn dfs_clust(
         }
         while let Some(window) = chunks.next() {
             // Purely a hint: a failed prefetch degrades to the demand
-            // fetches issued by `leaf_entries` just below.
+            // fetches issued by the leaf visits just below.
             if double_buffer {
                 if let Some(next) = chunks.peek() {
                     let _ = db.pool().prefetch(next);
@@ -106,11 +104,11 @@ pub fn dfs_clust(
                 let _ = db.pool().prefetch(window);
             }
             for &leaf in window {
-                for (k, rec) in cluster.leaf_entries(leaf)? {
-                    if let Some((_, true, child_oid)) = decode_cluster_key(&k) {
-                        scanned_children.entry(child_oid).or_insert(rec);
-                    }
-                }
+                db.visit_leaf_children(leaf, |child, rec| {
+                    let v = extract_ret(rec, query.attr)?;
+                    harvested.entry(child).or_insert(v);
+                    Ok(())
+                })?;
             }
         }
     }
@@ -118,8 +116,8 @@ pub fn dfs_clust(
     let mut values = Vec::new();
     for (_key, children) in &parents {
         for &oid in children {
-            if let Some(rec) = scanned_children.get(&oid) {
-                values.push(extract_ret(rec, query.attr));
+            if let Some(&v) = harvested.get(&oid) {
+                values.push(v);
                 continue;
             }
             // Clustered with a parent outside the scanned range: random
@@ -128,18 +126,14 @@ pub fn dfs_clust(
             // of the foreign unit, which we harvest at once — the
             // Sec. 3.3 case-[2] behaviour ("their subobjects are still
             // physically clustered, albeit elsewhere, and can be fetched
-            // in one random access").
-            let harvested = db.fetch_child_page_records(oid)?;
-            if harvested.is_empty() {
-                return Err(CorError::DanglingOid(oid));
-            }
-            for (coid, rec) in harvested {
-                scanned_children.insert(coid, rec);
-            }
-            let rec = scanned_children
-                .get(&oid)
-                .ok_or(CorError::DanglingOid(oid))?;
-            values.push(extract_ret(rec, query.attr));
+            // in one random access") — so a later reference to any child
+            // on that page is answered from the map with no further probe.
+            db.visit_child_page(oid, |child, rec| {
+                harvested.insert(child, extract_ret(rec, query.attr)?);
+                Ok(())
+            })?;
+            let v = harvested.get(&oid).ok_or(CorError::DanglingOid(oid))?;
+            values.push(*v);
         }
     }
     let s2 = stats.snapshot();
@@ -149,4 +143,82 @@ pub fn dfs_clust(
         par_io: s1.since(&s0),
         child_io: s2.since(&s1),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::{DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
+    use crate::query::RetAttr;
+    use crate::ClusterAssignment;
+    use cor_pagestore::BufferPool;
+    use std::sync::Arc;
+
+    fn pins(db: &CorDatabase) -> u64 {
+        let shards = db.pool().telemetry().expect("telemetry-enabled pool");
+        shards.iter().map(|s| s.probes()).sum()
+    }
+
+    /// Sec. 3.3 case [2]: one random access to a foreign unit's page brings
+    /// every subobject on that page along. Objects 0 and 1 reference four
+    /// subobjects that are all clustered with object 30; the first
+    /// reference pays the ISAM probe and the page read, the other three —
+    /// object 1's whole unit among them — are answered from the harvest.
+    #[test]
+    fn one_foreign_probe_harvests_every_child_on_its_page() {
+        let c = |k: u64| Oid::new(CHILD_REL_BASE, k);
+        let spec = DatabaseSpec {
+            parents: (0..40)
+                .map(|key| ObjectSpec {
+                    key,
+                    rets: [0; 3],
+                    dummy: "p".repeat(40),
+                    children: match key {
+                        0 => vec![c(60), c(61)],
+                        1 => vec![c(62), c(63)],
+                        _ => vec![c(2 * key), c(2 * key + 1)],
+                    },
+                })
+                .collect(),
+            child_rels: vec![(0..80)
+                .map(|k| SubobjectSpec {
+                    oid: c(k),
+                    rets: [k as i64, -(k as i64), 0],
+                    dummy: "c".repeat(30),
+                })
+                .collect()],
+        };
+        let assignment = ClusterAssignment::from_pairs((0..80).map(|k| match k {
+            60..=63 => (c(k), 30),
+            _ => (c(k), k / 2),
+        }));
+        let pool = Arc::new(BufferPool::builder().capacity(64).telemetry(true).build());
+        let db = CorDatabase::build_clustered(pool, &spec, &assignment).unwrap();
+        let foreign_leaf = db.child_leaf_page(c(60)).unwrap();
+        for k in 61..=63 {
+            assert_eq!(db.child_leaf_page(c(k)).unwrap(), foreign_leaf);
+        }
+        let (_, oid_index) = db.cluster().unwrap();
+
+        let p0 = pins(&db);
+        db.parents_in_range(0, 1).unwrap();
+        let scan_pins = pins(&db) - p0;
+
+        let q = RetrieveQuery {
+            lo: 0,
+            hi: 1,
+            attr: RetAttr::Ret2,
+        };
+        let p0 = pins(&db);
+        let out = dfs_clust(&db, &q, &ExecOptions::default()).unwrap();
+        assert_eq!(out.values, vec![-60, -61, -62, -63]);
+        // One ISAM probe — a descent that ends by reading its leaf, then
+        // the leaf lookup — and one visit of the foreign page.
+        let isam_probe = u64::from(oid_index.height()) + 1;
+        assert_eq!(
+            pins(&db) - p0,
+            scan_pins + isam_probe + 1,
+            "a co-located child must not be probed again"
+        );
+    }
 }

@@ -120,19 +120,6 @@ pub fn execute_retrieve(
     }
 }
 
-/// Shared helper: fetch one subobject record or fail loudly — the paper's
-/// databases never contain dangling OIDs, so absence is a bug.
-pub(crate) fn fetch_required(
-    db: &CorDatabase,
-    oid: cor_relational::Oid,
-) -> Result<Vec<u8>, CorError> {
-    db.fetch_child_record(oid)?
-        .ok_or(CorError::DanglingOid(oid))
-}
-
-#[allow(unused_imports)]
-pub(crate) use crate::query::extract_ret;
-
 /// Convenience used by tests and benches: run a query under every strategy
 /// the database's representation supports, returning `(strategy, output)`.
 pub fn run_all_supported(

@@ -92,7 +92,7 @@ pub fn smart(
                 .probe(*hashkey)?
                 .expect("directory said cached; cache is invariant during the query");
             for rec in &records {
-                values.push(extract_ret(rec, query.attr));
+                values.push(extract_ret(rec, query.attr)?);
             }
         }
         drop(cache);

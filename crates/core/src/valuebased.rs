@@ -133,7 +133,7 @@ impl ValueDatabase {
             let t = decode(&self.parent_schema, &rec)?;
             let members = t.get(5).as_bytes().expect("members column");
             for child_rec in decode_unit_value(members).expect("inlined records decode") {
-                values.push(extract_ret(&child_rec, query.attr));
+                values.push(extract_ret(&child_rec, query.attr)?);
             }
         }
         let s1 = stats.snapshot();

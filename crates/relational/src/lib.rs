@@ -14,7 +14,7 @@ pub mod predicate;
 pub mod schema;
 pub mod value;
 
-pub use oid::{Oid, RelId, OID_BYTES};
+pub use oid::{Oid, OidHasher, OidMap, RelId, OID_BYTES};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{Column, Schema, Tuple};
 pub use value::{Value, ValueType};

@@ -63,6 +63,37 @@ impl Oid {
     }
 }
 
+/// A multiply-rotate [`Hasher`](std::hash::Hasher) for maps keyed by
+/// [`Oid`]: one rotate, xor and multiply per field instead of SipHash's
+/// rounds. OIDs are minted by the database itself, never taken from
+/// outside input, so SipHash's resistance to crafted collisions buys
+/// nothing on a per-query map that is probed once per reference.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OidHasher(u64);
+
+impl std::hash::Hasher for OidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by [`Oid`] under [`OidHasher`].
+pub type OidMap<V> = std::collections::HashMap<Oid, V, std::hash::BuildHasherDefault<OidHasher>>;
+
 impl std::fmt::Display for Oid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}:{}", self.rel, self.key)
@@ -98,6 +129,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn oid_map_behaves_like_a_map_and_spreads_dense_keys() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let mut m: OidMap<u64> = OidMap::default();
+        for rel in [10u16, 11] {
+            for key in 0..5000u64 {
+                m.insert(Oid::new(rel, key), key * 2 + u64::from(rel));
+            }
+        }
+        assert_eq!(m.len(), 10_000);
+        assert_eq!(m.get(&Oid::new(11, 4999)), Some(&(9998 + 11)));
+        assert_eq!(m.get(&Oid::new(12, 0)), None);
+        // hashbrown buckets by the low bits and tags by the top seven:
+        // dense keys must not collapse onto a few values of either.
+        let h = BuildHasherDefault::<OidHasher>::default();
+        let hashes: Vec<u64> = (0..1024u64).map(|k| h.hash_one(Oid::new(10, k))).collect();
+        let distinct = |f: fn(u64) -> u64| {
+            let mut v: Vec<u64> = hashes.iter().map(|&x| f(x)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v.len()
+        };
+        assert!(distinct(|x| x & 0x3ff) > 512, "low bits spread");
+        assert!(distinct(|x| x >> 57) > 100, "top bits spread");
     }
 
     #[test]

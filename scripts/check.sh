@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, and the whole test suite.
 # CI runs exactly this script; run it before pushing.
+#
+# Not part of this gate (about 15 minutes, and timing needs a quiet box):
+# `scripts/pairs.sh <parent-ref>` runs the ten alternating parent/change
+# pairs of benchmark/run.sh that every performance or no-gain claim rests
+# on, and prints the table docs/benchmarks.md records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

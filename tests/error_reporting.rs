@@ -5,10 +5,12 @@
 use complexobj::database::{CorDatabase, DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
 use complexobj::procedural::{QuelParseError, StoredQuery};
 use complexobj::strategies::{execute_retrieve, ExecOptions};
+use complexobj::ClusterAssignment;
 use complexobj::{parse_quel, CorError, RetAttr, RetrieveQuery, Strategy};
 use cor_access::{AccessError, BTreeFile, CatalogError};
-use cor_pagestore::{BufferError, BufferPool, DiskError};
+use cor_pagestore::{BufferError, BufferPool, DiskError, FaultMode, FaultyDisk, MemDisk};
 use cor_relational::Oid;
+use cor_workload::{Engine, EngineSpec};
 use std::error::Error;
 use std::sync::Arc;
 
@@ -155,4 +157,89 @@ fn btree_misuse_is_rejected_with_key_length() {
         BTreeFile::create(pool(), 65).map(|_| ()),
         Err(AccessError::BadKeyLen(65))
     ));
+}
+
+/// A failed page read anywhere inside a retrieve — the index descent, the
+/// second leaf of the parent scan, an ISAM probe, a foreign cluster leaf —
+/// comes back from `Engine::retrieve` as an `Err` whose source chain
+/// reaches the `DiskError`. (The copy-out range iterator the strategies
+/// used before could only panic on a leaf-chain read.)
+#[test]
+fn failed_read_inside_a_scan_is_an_error_not_a_panic() {
+    let c = |k: u64| Oid::new(CHILD_REL_BASE, k);
+    // 120 objects over 240 subobjects; each object's third reference is
+    // to a subobject clustered with another object 25 keys away, so the
+    // clustered run makes foreign-page probes.
+    let spec = DatabaseSpec {
+        parents: (0..120)
+            .map(|key| ObjectSpec {
+                key,
+                rets: [0; 3],
+                dummy: "p".repeat(120),
+                children: vec![c(2 * key), c(2 * key + 1), c((2 * key + 50) % 240)],
+            })
+            .collect(),
+        child_rels: vec![(0..240)
+            .map(|k| SubobjectSpec {
+                oid: c(k),
+                rets: [k as i64, 0, 0],
+                dummy: "c".repeat(60),
+            })
+            .collect()],
+    };
+    let assignment = ClusterAssignment::from_pairs((0..240).map(|k| (c(k), k / 2)));
+    let q = RetrieveQuery {
+        lo: 10,
+        hi: 60,
+        attr: RetAttr::Ret1,
+    };
+    for (engine_spec, strategy) in [
+        (EngineSpec::Standard(spec.clone()), Strategy::Dfs),
+        (
+            EngineSpec::Clustered(spec.clone(), assignment),
+            Strategy::DfsClust,
+        ),
+    ] {
+        let disk = Arc::new(FaultyDisk::new(MemDisk::new()));
+        let engine = Engine::builder()
+            .pool_pages(8)
+            .disk(Arc::clone(&disk) as _)
+            .build(&engine_spec)
+            .unwrap();
+        engine.pool().flush_and_clear().unwrap();
+        let clean = engine.retrieve(strategy, &q).unwrap();
+        assert_eq!(clean.values.len(), 51 * 3);
+        let reads = clean.par_io.reads + clean.child_io.reads;
+        assert!(
+            clean.par_io.reads > 4,
+            "{strategy}: the scan spans several leaves"
+        );
+
+        for nth in 1..=reads {
+            engine.pool().flush_and_clear().unwrap();
+            disk.arm(nth, FaultMode::ShortRead);
+            let err = engine
+                .retrieve(strategy, &q)
+                .expect_err("the armed read is inside the query");
+            assert_eq!(disk.faults_fired(), nth, "{strategy}: read {nth} fired");
+            assert!(
+                matches!(err, CorError::Access(_)),
+                "{strategy} read {nth}: {err}"
+            );
+            let mut cause: Option<&(dyn Error + 'static)> = Some(&err);
+            while let Some(e) = cause {
+                if e.downcast_ref::<DiskError>().is_some() {
+                    break;
+                }
+                cause = e.source();
+            }
+            assert!(
+                cause.is_some(),
+                "{strategy} read {nth}: no DiskError under {err}"
+            );
+        }
+        // The fault disarms itself: the engine still answers afterwards.
+        engine.pool().flush_and_clear().unwrap();
+        assert_eq!(engine.retrieve(strategy, &q).unwrap().values, clean.values);
+    }
 }

@@ -263,3 +263,55 @@ fn repeated_queries_stay_equivalent_as_cache_warms() {
     let counters = db.cache_mut().unwrap().counters();
     assert!(counters.hits > 0, "second run must hit the cache");
 }
+
+/// DFSCLUST under sharing (ShareFactor 5, OverlapFactor 3: most of a
+/// unit lives on foreign leaves) is pinned to what the copy-out build of
+/// PR 16 produced — values in DFS's order, and ParCost/ChildCost to the
+/// page, cold and warm, unbatched and with the `io.batch = 8` window walk.
+/// Reading records under the page pin may not change which probes run.
+#[test]
+fn dfsclust_under_sharing_keeps_its_answers_and_page_counts() {
+    use complexobj::IoOptions;
+    let p = Params {
+        parent_card: 600,
+        num_top: 40,
+        ..tiny_params(5, 3, 1)
+    };
+    let generated = generate(&p);
+    let queries = [
+        (0u64, RetAttr::Ret1),
+        (280, RetAttr::Ret2),
+        (560, RetAttr::Ret3),
+    ]
+    .map(|(lo, attr)| RetrieveQuery {
+        lo,
+        hi: lo + p.num_top - 1,
+        attr,
+    });
+    let dfs_db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+    // (batch, [(par reads, child reads); cold then the same queries warm])
+    let pinned: [(usize, [(u64, u64); 6]); 2] = [
+        (1, [(9, 73), (10, 64), (9, 68), (9, 71), (10, 64), (9, 68)]),
+        (8, [(9, 70), (10, 65), (5, 69), (9, 70), (10, 65), (5, 69)]),
+    ];
+    for (batch, costs) in pinned {
+        let db = build_for_strategy(&p, &generated, Strategy::DfsClust).unwrap();
+        db.pool().flush_and_clear().unwrap();
+        let opts = ExecOptions {
+            io: IoOptions {
+                batch,
+                readahead: 0,
+            },
+            ..ExecOptions::default()
+        };
+        let mut got = Vec::new();
+        for q in queries.iter().chain(&queries) {
+            let out = execute_retrieve(&db, Strategy::DfsClust, q, &opts).unwrap();
+            let want = execute_retrieve(&dfs_db, Strategy::Dfs, q, &opts).unwrap();
+            assert_eq!(out.values, want.values, "batch {batch}, {q:?}");
+            assert_eq!(out.par_io.writes + out.child_io.writes, 0);
+            got.push((out.par_io.reads, out.child_io.reads));
+        }
+        assert_eq!(got, costs, "batch {batch}");
+    }
+}
