@@ -1,47 +1,30 @@
-//! A persistent catalog of access-method files.
+//! The page-0 blob directory: named opaque blobs that survive a restart.
 //!
-//! B-trees, heap files and hash files keep their structural metadata
-//! (roots, chains, bucket directories) in memory; to survive a process
-//! restart over a [`cor_pagestore::FileDisk`] store, that metadata is
-//! saved into a **catalog page** — by convention page 0, the first page
-//! allocated in a fresh store — as named entries. Reopening a database is
-//! then: open the disk, read the catalog, reattach every file by name.
+//! A store's first page — by convention page 0, the first page allocated
+//! in a fresh store — is a slotted page of named entries,
+//! `[kind: u8][name_len: u8][name][payload]`. The one kind written today
+//! is the **blob** (kind 4): a pointer record `[length: u32][first
+//! chain page: u32]` to a chain of overflow pages holding the bytes. The
+//! engine keeps its whole persistent state (file roots, allocators, cache
+//! directories — `cor_workload::EngineCatalog`) in one such blob, so that
+//! is the only on-disk format for file metadata.
 //!
-//! The catalog reuses the slotted-page machinery: one record per entry,
-//! `[kind: u8][name_len: u8][name][metadata]`. A 2 KB page holds dozens of
-//! entries — ample for this workspace's fixed schemas. [`Catalog::save`]
-//! replaces an existing entry of the same name.
+//! Kinds 0–3 are **retired**: earlier builds wrote typed B-tree, heap,
+//! hash and ISAM entries under them. The numbering is frozen and never
+//! reused; a page 0 that still carries such records opens, its blobs read
+//! as before, and [`Catalog::save_blob`] leaves the foreign records where
+//! they are.
 
-use crate::btree::{BTreeFile, BTreeMeta};
-use crate::hash::{HashFile, HashMeta};
-use crate::heap::{HeapFile, HeapMeta};
-use crate::isam::IsamIndex;
 use crate::AccessError;
 use cor_pagestore::{BufferPool, PageId, NO_PAGE};
 use std::sync::Arc;
 
-const KIND_BTREE: u8 = 0;
-const KIND_HEAP: u8 = 1;
-const KIND_HASH: u8 = 2;
-const KIND_ISAM: u8 = 3;
+/// The blob entry kind. Kinds 0–3 are retired (see the module docs).
 const KIND_BLOB: u8 = 4;
 
 /// Payload bytes per blob overflow page: one record per page, its first
 /// four bytes chaining to the next page.
 const BLOB_CHUNK: usize = cor_pagestore::MAX_RECORD - 4;
-
-/// Metadata of one cataloged file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileMeta {
-    /// A B-tree.
-    BTree(BTreeMeta),
-    /// A heap file.
-    Heap(HeapMeta),
-    /// A hash file.
-    Hash(HashMeta),
-    /// A static ISAM index (stored as its underlying packed B-tree).
-    Isam(BTreeMeta),
-}
 
 /// Errors specific to catalog handling, folded into [`AccessError`] via
 /// its `Codec` variant would be misleading, so they get a dedicated enum.
@@ -53,14 +36,7 @@ pub enum CatalogError {
     CatalogFull,
     /// No entry with the requested name.
     NotFound(String),
-    /// Entry exists but holds a different kind of file.
-    WrongKind {
-        /// The entry name.
-        name: String,
-        /// What the caller asked for.
-        expected: &'static str,
-    },
-    /// The catalog page contents did not parse.
+    /// The catalog page or a blob chain did not parse.
     Corrupt(&'static str),
 }
 
@@ -70,9 +46,6 @@ impl std::fmt::Display for CatalogError {
             CatalogError::Access(e) => write!(f, "catalog storage error: {e}"),
             CatalogError::CatalogFull => write!(f, "catalog page full"),
             CatalogError::NotFound(n) => write!(f, "no catalog entry {n:?}"),
-            CatalogError::WrongKind { name, expected } => {
-                write!(f, "catalog entry {name:?} is not a {expected}")
-            }
             CatalogError::Corrupt(what) => write!(f, "corrupt catalog: {what}"),
         }
     }
@@ -99,131 +72,27 @@ impl From<cor_pagestore::BufferError> for CatalogError {
     }
 }
 
-/// A named directory of access-method files stored in one page.
+/// A directory of named blobs stored in one page.
 ///
 /// ```
-/// use cor_access::{BTreeFile, Catalog};
-/// use cor_pagestore::{BufferPool, IoStats, MemDisk};
+/// use cor_access::Catalog;
+/// use cor_pagestore::BufferPool;
 /// use std::sync::Arc;
 ///
 /// let pool = Arc::new(BufferPool::builder().capacity(8).build());
 /// let catalog = Catalog::create(Arc::clone(&pool)).unwrap(); // lands on page 0
-/// let tree = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
-/// tree.insert(&1u64.to_be_bytes(), b"v").unwrap();
-/// catalog.save_btree("person", &tree).unwrap();
-/// // ... later (or after a FileDisk restart): reattach by name.
-/// let again = catalog.open_btree("person").unwrap();
-/// assert_eq!(again.get(&1u64.to_be_bytes()).unwrap().unwrap(), b"v");
+/// catalog.save_blob("engine", b"roots and counters").unwrap();
+/// // ... later (or after a FileDisk restart): find it again by name.
+/// let again = Catalog::open(pool).unwrap();
+/// assert_eq!(again.get_blob("engine").unwrap(), b"roots and counters");
 /// ```
 pub struct Catalog {
     pool: Arc<BufferPool>,
     page: PageId,
 }
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn u16(&mut self) -> Result<u16, CatalogError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Result<u32, CatalogError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, CatalogError> {
-        let b = self.bytes(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CatalogError> {
-        if self.0.len() < n {
-            return Err(CatalogError::Corrupt("truncated entry"));
-        }
-        let (h, t) = self.0.split_at(n);
-        self.0 = t;
-        Ok(h)
-    }
-}
-
-fn encode_meta(meta: &FileMeta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(40);
-    match meta {
-        FileMeta::BTree(m) | FileMeta::Isam(m) => {
-            out.extend_from_slice(&m.key_len.to_le_bytes());
-            push_u32(&mut out, m.root);
-            push_u32(&mut out, m.first_leaf);
-            push_u64(&mut out, m.len);
-            push_u32(&mut out, m.height);
-            push_u32(&mut out, m.leaf_pages);
-        }
-        FileMeta::Heap(m) => {
-            push_u32(&mut out, m.first);
-            push_u32(&mut out, m.last);
-            push_u64(&mut out, m.len);
-            push_u32(&mut out, m.pages);
-        }
-        FileMeta::Hash(m) => {
-            push_u32(&mut out, m.first_bucket);
-            push_u32(&mut out, m.num_buckets);
-            push_u64(&mut out, m.len);
-        }
-    }
-    out
-}
-
-fn decode_meta(kind: u8, bytes: &[u8]) -> Result<FileMeta, CatalogError> {
-    let mut r = Reader(bytes);
-    match kind {
-        KIND_BTREE | KIND_ISAM => {
-            let m = BTreeMeta {
-                key_len: r.u16()?,
-                root: r.u32()?,
-                first_leaf: r.u32()?,
-                len: r.u64()?,
-                height: r.u32()?,
-                leaf_pages: r.u32()?,
-            };
-            Ok(if kind == KIND_BTREE {
-                FileMeta::BTree(m)
-            } else {
-                FileMeta::Isam(m)
-            })
-        }
-        KIND_HEAP => Ok(FileMeta::Heap(HeapMeta {
-            first: r.u32()?,
-            last: r.u32()?,
-            len: r.u64()?,
-            pages: r.u32()?,
-        })),
-        KIND_HASH => Ok(FileMeta::Hash(HashMeta {
-            first_bucket: r.u32()?,
-            num_buckets: r.u32()?,
-            len: r.u64()?,
-        })),
-        KIND_BLOB => Err(CatalogError::Corrupt(
-            "blob entries are read with get_blob, not get",
-        )),
-        _ => Err(CatalogError::Corrupt("unknown entry kind")),
-    }
-}
-
-fn kind_of(meta: &FileMeta) -> u8 {
-    match meta {
-        FileMeta::BTree(_) => KIND_BTREE,
-        FileMeta::Heap(_) => KIND_HEAP,
-        FileMeta::Hash(_) => KIND_HASH,
-        FileMeta::Isam(_) => KIND_ISAM,
-    }
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 impl Catalog {
@@ -244,148 +113,6 @@ impl Catalog {
         Ok(Catalog { pool, page: 0 })
     }
 
-    /// The catalog's page id.
-    pub fn page(&self) -> PageId {
-        self.page
-    }
-
-    /// Store or replace the entry `name`.
-    pub fn save(&self, name: &str, meta: FileMeta) -> Result<(), CatalogError> {
-        assert!(name.len() <= 64, "catalog names are short identifiers");
-        let mut record = vec![kind_of(&meta), name.len() as u8];
-        record.extend_from_slice(name.as_bytes());
-        record.extend_from_slice(&encode_meta(&meta));
-
-        let existing = self.find_slot(name)?;
-        let ok = self.pool.write(self.page, |mut p| {
-            if let Some(slot) = existing {
-                let _ = p.delete(slot);
-            }
-            p.insert(&record).is_ok()
-        })?;
-        if !ok {
-            return Err(CatalogError::CatalogFull);
-        }
-        Ok(())
-    }
-
-    fn find_slot(&self, name: &str) -> Result<Option<cor_pagestore::SlotId>, CatalogError> {
-        self.pool
-            .read(self.page, |p| {
-                for (slot, rec) in p.records() {
-                    if let Some((n, _, _)) = split_record(rec) {
-                        if n == name {
-                            return Some(slot);
-                        }
-                    }
-                }
-                None
-            })
-            .map_err(Into::into)
-    }
-
-    /// Fetch the entry `name`.
-    pub fn get(&self, name: &str) -> Result<FileMeta, CatalogError> {
-        let found = self.pool.read(self.page, |p| {
-            for (_, rec) in p.records() {
-                if let Some((n, kind, meta)) = split_record(rec) {
-                    if n == name {
-                        return Some((kind, meta.to_vec()));
-                    }
-                }
-            }
-            None
-        })?;
-        let (kind, bytes) = found.ok_or_else(|| CatalogError::NotFound(name.to_string()))?;
-        decode_meta(kind, &bytes)
-    }
-
-    /// List all entry names.
-    pub fn names(&self) -> Result<Vec<String>, CatalogError> {
-        Ok(self.pool.read(self.page, |p| {
-            p.records()
-                .filter_map(|(_, rec)| split_record(rec).map(|(n, _, _)| n.to_string()))
-                .collect()
-        })?)
-    }
-
-    /// Remove the entry `name`. Returns whether it existed.
-    pub fn remove(&self, name: &str) -> Result<bool, CatalogError> {
-        let Some(slot) = self.find_slot(name)? else {
-            return Ok(false);
-        };
-        self.pool.write(self.page, |mut p| p.delete(slot))?.ok();
-        Ok(true)
-    }
-
-    // --- typed convenience wrappers ---
-
-    /// Persist a B-tree under `name`.
-    pub fn save_btree(&self, name: &str, tree: &BTreeFile) -> Result<(), CatalogError> {
-        self.save(name, FileMeta::BTree(tree.metadata()))
-    }
-
-    /// Reattach a persisted B-tree.
-    pub fn open_btree(&self, name: &str) -> Result<BTreeFile, CatalogError> {
-        match self.get(name)? {
-            FileMeta::BTree(m) => Ok(BTreeFile::from_metadata(Arc::clone(&self.pool), m)?),
-            _ => Err(CatalogError::WrongKind {
-                name: name.to_string(),
-                expected: "B-tree",
-            }),
-        }
-    }
-
-    /// Persist a heap file under `name`.
-    pub fn save_heap(&self, name: &str, heap: &HeapFile) -> Result<(), CatalogError> {
-        self.save(name, FileMeta::Heap(heap.metadata()))
-    }
-
-    /// Reattach a persisted heap file.
-    pub fn open_heap(&self, name: &str) -> Result<HeapFile, CatalogError> {
-        match self.get(name)? {
-            FileMeta::Heap(m) => Ok(HeapFile::from_metadata(Arc::clone(&self.pool), m)),
-            _ => Err(CatalogError::WrongKind {
-                name: name.to_string(),
-                expected: "heap file",
-            }),
-        }
-    }
-
-    /// Persist a hash file under `name`.
-    pub fn save_hash(&self, name: &str, hash: &HashFile) -> Result<(), CatalogError> {
-        self.save(name, FileMeta::Hash(hash.metadata()))
-    }
-
-    /// Reattach a persisted hash file.
-    pub fn open_hash(&self, name: &str) -> Result<HashFile, CatalogError> {
-        match self.get(name)? {
-            FileMeta::Hash(m) => Ok(HashFile::from_metadata(Arc::clone(&self.pool), m)),
-            _ => Err(CatalogError::WrongKind {
-                name: name.to_string(),
-                expected: "hash file",
-            }),
-        }
-    }
-
-    /// Persist an ISAM index under `name`.
-    pub fn save_isam(&self, name: &str, isam: &IsamIndex) -> Result<(), CatalogError> {
-        self.save(name, FileMeta::Isam(isam.metadata()))
-    }
-
-    /// Reattach a persisted ISAM index.
-    pub fn open_isam(&self, name: &str) -> Result<IsamIndex, CatalogError> {
-        match self.get(name)? {
-            FileMeta::Isam(m) => Ok(IsamIndex::from_metadata(Arc::clone(&self.pool), m)?),
-            _ => Err(CatalogError::WrongKind {
-                name: name.to_string(),
-                expected: "ISAM index",
-            }),
-        }
-    }
-
-    // --- opaque blob entries ---
-
     /// Store or replace a named opaque blob. The payload lives in a chain
     /// of dedicated overflow pages (the catalog page holds only a pointer
     /// record), so a blob may exceed one page. The new chain is fully
@@ -394,14 +121,14 @@ impl Catalog {
     /// leaves the previously saved blob intact and readable.
     pub fn save_blob(&self, name: &str, bytes: &[u8]) -> Result<(), CatalogError> {
         assert!(name.len() <= 64, "catalog names are short identifiers");
-        let old_chain = match self.blob_pointer(name)? {
-            Some((_, first)) => self.chain_pages(first)?,
-            None => Vec::new(),
-        };
+        let existing = self.blob_pointer(name)?;
+        let mut old_chain = Vec::new();
+        if let Some((_, total, first)) = existing {
+            self.walk_chain(total, first, |pid, _| old_chain.push(pid))?;
+        }
         // Write the chain back to front so each page can name its successor.
         let mut next = NO_PAGE;
-        let chunks: Vec<&[u8]> = bytes.chunks(BLOB_CHUNK).collect();
-        for chunk in chunks.iter().rev() {
+        for chunk in bytes.chunks(BLOB_CHUNK).rev() {
             let pid = self.pool.allocate_page()?;
             let mut rec = Vec::with_capacity(4 + chunk.len());
             rec.extend_from_slice(&next.to_le_bytes());
@@ -414,11 +141,10 @@ impl Catalog {
         }
         let mut record = vec![KIND_BLOB, name.len() as u8];
         record.extend_from_slice(name.as_bytes());
-        push_u32(&mut record, bytes.len() as u32);
-        push_u32(&mut record, next);
-        let existing = self.find_slot(name)?;
+        record.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        record.extend_from_slice(&next.to_le_bytes());
         let ok = self.pool.write(self.page, |mut p| {
-            if let Some(slot) = existing {
+            if let Some((slot, _, _)) = existing {
                 let _ = p.delete(slot);
             }
             p.insert(&record).is_ok()
@@ -434,66 +160,77 @@ impl Catalog {
 
     /// Fetch the blob stored under `name`.
     pub fn get_blob(&self, name: &str) -> Result<Vec<u8>, CatalogError> {
-        let Some((total, mut page)) = self.blob_pointer(name)? else {
+        let Some((_, total, first)) = self.blob_pointer(name)? else {
             return Err(CatalogError::NotFound(name.to_string()));
         };
-        let mut out = Vec::with_capacity(total as usize);
-        while page != NO_PAGE {
-            let rec = self
-                .pool
-                .read(page, |p| p.records().next().map(|(_, r)| r.to_vec()))?
-                .ok_or(CatalogError::Corrupt("blob chain page has no record"))?;
-            if rec.len() < 4 {
-                return Err(CatalogError::Corrupt("short blob chunk"));
-            }
-            page = PageId::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
-            out.extend_from_slice(&rec[4..]);
-        }
+        // Sized by what the chain actually holds, never by the stored
+        // length alone.
+        let mut out = Vec::new();
+        self.walk_chain(total, first, |_, chunk| out.extend_from_slice(chunk))?;
         if out.len() != total as usize {
             return Err(CatalogError::Corrupt("blob length mismatch"));
         }
         Ok(out)
     }
 
-    /// Does a blob entry `name` exist?
-    pub fn has_blob(&self, name: &str) -> Result<bool, CatalogError> {
-        Ok(self.blob_pointer(name)?.is_some())
-    }
-
-    /// Read a blob pointer record: `(payload length, first chain page)`.
-    fn blob_pointer(&self, name: &str) -> Result<Option<(u32, PageId)>, CatalogError> {
+    /// Find the blob pointer record `name`: `(slot, payload length, first
+    /// chain page)`.
+    fn blob_pointer(
+        &self,
+        name: &str,
+    ) -> Result<Option<(cor_pagestore::SlotId, u32, PageId)>, CatalogError> {
         let found = self.pool.read(self.page, |p| {
-            for (_, rec) in p.records() {
-                if let Some((n, kind, meta)) = split_record(rec) {
-                    if n == name && kind == KIND_BLOB {
-                        return Some(meta.to_vec());
-                    }
-                }
-            }
-            None
+            p.records().find_map(|(slot, rec)| {
+                let (n, kind, payload) = split_record(rec)?;
+                (n == name && kind == KIND_BLOB).then(|| (slot, payload.to_vec()))
+            })
         })?;
-        let Some(meta) = found else { return Ok(None) };
-        let mut r = Reader(&meta);
-        Ok(Some((r.u32()?, r.u32()?)))
+        match found {
+            None => Ok(None),
+            Some((slot, p)) if p.len() >= 8 => Ok(Some((slot, le_u32(&p), le_u32(&p[4..])))),
+            Some(_) => Err(CatalogError::Corrupt("truncated blob pointer")),
+        }
     }
 
-    /// Collect the page ids of a blob chain starting at `page`.
-    fn chain_pages(&self, mut page: PageId) -> Result<Vec<PageId>, CatalogError> {
-        let mut out = Vec::new();
+    /// Walk the chain of a `total`-byte blob from page `first`, handing
+    /// each page's id and payload to `visit`. Length and `next` pointers
+    /// are bytes read from disk, so the walk trusts neither: it stops with
+    /// [`CatalogError::Corrupt`] at a page outside the store or once it has
+    /// seen the `⌈total / BLOB_CHUNK⌉` pages a blob of that length can
+    /// occupy — a chain that loops back on itself ends there instead of
+    /// running forever.
+    fn walk_chain(
+        &self,
+        total: u32,
+        first: PageId,
+        mut visit: impl FnMut(PageId, &[u8]),
+    ) -> Result<(), CatalogError> {
+        let store_pages = self.pool.num_pages();
+        let max_pages = (total as usize).div_ceil(BLOB_CHUNK);
+        if max_pages > store_pages as usize {
+            return Err(CatalogError::Corrupt("blob longer than its store"));
+        }
+        let mut page = first;
+        let mut seen = 0;
         while page != NO_PAGE {
-            out.push(page);
-            let next = self
+            if page >= store_pages {
+                return Err(CatalogError::Corrupt("blob chain leaves the store"));
+            }
+            if seen == max_pages {
+                return Err(CatalogError::Corrupt("blob chain longer than its length"));
+            }
+            seen += 1;
+            page = self
                 .pool
                 .read(page, |p| {
-                    p.records().next().and_then(|(_, rec)| {
-                        (rec.len() >= 4)
-                            .then(|| PageId::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]))
-                    })
+                    let (_, rec) = p.records().next()?;
+                    let chunk = rec.get(4..)?;
+                    visit(page, chunk);
+                    Some(le_u32(rec))
                 })?
-                .ok_or(CatalogError::Corrupt("blob chain page has no record"))?;
-            page = next;
+                .ok_or(CatalogError::Corrupt("blob chain page has no chunk"))?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -513,150 +250,18 @@ fn split_record(rec: &[u8]) -> Option<(&str, u8, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cor_pagestore::FileDisk;
 
     fn mem_pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::builder().capacity(16).build())
-    }
-
-    fn key8(k: u64) -> Vec<u8> {
-        k.to_be_bytes().to_vec()
-    }
-
-    #[test]
-    fn save_get_roundtrip_all_kinds() {
-        let pool = mem_pool();
-        let cat = Catalog::create(Arc::clone(&pool)).unwrap();
-
-        let tree = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
-        tree.insert(&key8(1), b"v").unwrap();
-        cat.save_btree("tree", &tree).unwrap();
-
-        let heap = HeapFile::create(Arc::clone(&pool)).unwrap();
-        heap.append(b"rec").unwrap();
-        cat.save_heap("heap", &heap).unwrap();
-
-        let hash = HashFile::create(Arc::clone(&pool), 4).unwrap();
-        hash.put(b"k", b"v").unwrap();
-        cat.save_hash("hash", &hash).unwrap();
-
-        let isam = IsamIndex::build(Arc::clone(&pool), 8, vec![(key8(1), b"p".to_vec())]).unwrap();
-        cat.save_isam("isam", &isam).unwrap();
-
-        let mut names = cat.names().unwrap();
-        names.sort();
-        assert_eq!(names, vec!["hash", "heap", "isam", "tree"]);
-
-        assert_eq!(
-            cat.open_btree("tree")
-                .unwrap()
-                .get(&key8(1))
-                .unwrap()
-                .unwrap(),
-            b"v"
-        );
-        assert_eq!(cat.open_heap("heap").unwrap().len(), 1);
-        assert_eq!(
-            cat.open_hash("hash").unwrap().get(b"k").unwrap().unwrap(),
-            b"v"
-        );
-        assert_eq!(
-            cat.open_isam("isam")
-                .unwrap()
-                .lookup_with(&key8(1), |v| Ok::<_, AccessError>(v.to_vec()))
-                .unwrap()
-                .unwrap(),
-            b"p"
-        );
-    }
-
-    #[test]
-    fn save_replaces_existing_entry() {
-        let pool = mem_pool();
-        let cat = Catalog::create(Arc::clone(&pool)).unwrap();
-        let t1 = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
-        t1.insert(&key8(1), b"one").unwrap();
-        cat.save_btree("t", &t1).unwrap();
-        // Mutate and re-save: new metadata replaces old.
-        for k in 0..200u64 {
-            t1.insert(&key8(k), &[9u8; 80]).unwrap();
-        }
-        cat.save_btree("t", &t1).unwrap();
-        assert_eq!(cat.names().unwrap().len(), 1);
-        let reopened = cat.open_btree("t").unwrap();
-        assert_eq!(reopened.len(), 200);
-        assert_eq!(reopened.get(&key8(150)).unwrap().unwrap(), vec![9u8; 80]);
-    }
-
-    #[test]
-    fn missing_and_wrong_kind_errors() {
-        let pool = mem_pool();
-        let cat = Catalog::create(Arc::clone(&pool)).unwrap();
-        assert!(matches!(cat.get("nope"), Err(CatalogError::NotFound(_))));
-        let heap = HeapFile::create(Arc::clone(&pool)).unwrap();
-        cat.save_heap("h", &heap).unwrap();
-        assert!(matches!(
-            cat.open_btree("h"),
-            Err(CatalogError::WrongKind { .. })
-        ));
-        assert!(cat.remove("h").unwrap());
-        assert!(!cat.remove("h").unwrap());
-    }
-
-    #[test]
-    fn survives_a_real_restart_on_filedisk() {
-        let dir = std::env::temp_dir().join(format!("cor-catalog-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.pages");
-
-        {
-            let disk = FileDisk::open(&path).unwrap();
-            let pool = Arc::new(
-                BufferPool::builder()
-                    .disk(Box::new(disk))
-                    .capacity(16)
-                    .build(),
-            );
-            let cat = Catalog::create(Arc::clone(&pool)).unwrap();
-            let tree = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
-            for k in 0..500u64 {
-                tree.insert(&key8(k), format!("value-{k}").as_bytes())
-                    .unwrap();
-            }
-            cat.save_btree("persons", &tree).unwrap();
-            pool.flush_all().unwrap();
-        } // process "exits"
-
-        let disk = FileDisk::open(&path).unwrap();
-        let pool = Arc::new(
-            BufferPool::builder()
-                .disk(Box::new(disk))
-                .capacity(16)
-                .build(),
-        );
-        let cat = Catalog::open(Arc::clone(&pool)).unwrap();
-        let tree = cat.open_btree("persons").unwrap();
-        assert_eq!(tree.len(), 500);
-        for k in [0u64, 250, 499] {
-            assert_eq!(
-                tree.get(&key8(k)).unwrap().unwrap(),
-                format!("value-{k}").into_bytes()
-            );
-        }
-        let range: Vec<_> = tree.range(&key8(10), &key8(12)).unwrap().collect();
-        assert_eq!(range.len(), 3);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn blob_roundtrip_small_large_and_replace() {
         let pool = mem_pool();
         let cat = Catalog::create(Arc::clone(&pool)).unwrap();
-        assert!(!cat.has_blob("b").unwrap());
         assert!(matches!(cat.get_blob("b"), Err(CatalogError::NotFound(_))));
 
         cat.save_blob("b", b"small").unwrap();
-        assert!(cat.has_blob("b").unwrap());
         assert_eq!(cat.get_blob("b").unwrap(), b"small");
 
         // Multi-page payload (3+ chain pages).
@@ -679,41 +284,93 @@ mod tests {
     }
 
     #[test]
-    fn blobs_coexist_with_file_entries() {
-        let pool = mem_pool();
-        let cat = Catalog::create(Arc::clone(&pool)).unwrap();
-        let tree = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
-        tree.insert(&key8(1), b"v").unwrap();
-        cat.save_btree("tree", &tree).unwrap();
-        cat.save_blob("config", b"\x01\x02\x03").unwrap();
-        assert_eq!(cat.names().unwrap().len(), 2);
-        assert_eq!(
-            cat.open_btree("tree")
-                .unwrap()
-                .get(&key8(1))
-                .unwrap()
-                .unwrap(),
-            b"v"
-        );
-        assert_eq!(cat.get_blob("config").unwrap(), b"\x01\x02\x03");
-        // A blob is not a file entry.
-        assert!(matches!(cat.get("config"), Err(CatalogError::Corrupt(_))));
-    }
-
-    #[test]
     fn catalog_full_is_reported() {
-        let pool = mem_pool();
-        let cat = Catalog::create(Arc::clone(&pool)).unwrap();
-        let heap = HeapFile::create(Arc::clone(&pool)).unwrap();
+        let cat = Catalog::create(mem_pool()).unwrap();
         let mut err = None;
         for i in 0..200 {
-            // 64-byte names fill the page quickly.
+            // 60-byte names fill the page quickly.
             let name = format!("{:0>60}", i);
-            if let Err(e) = cat.save_heap(&name, &heap) {
+            if let Err(e) = cat.save_blob(&name, b"") {
                 err = Some(e);
                 break;
             }
         }
         assert!(matches!(err, Some(CatalogError::CatalogFull)));
+    }
+
+    /// A pointer record as `save_blob` writes it.
+    fn pointer_record(name: &str, total: u32, first: PageId) -> Vec<u8> {
+        let mut rec = vec![KIND_BLOB, name.len() as u8];
+        rec.extend_from_slice(name.as_bytes());
+        rec.extend_from_slice(&total.to_le_bytes());
+        rec.extend_from_slice(&first.to_le_bytes());
+        rec
+    }
+
+    /// The chain's `next` pointers are bytes from disk: a page that names
+    /// itself must end the walk with a typed error, for the read and for
+    /// the save that walks the old chain to free it. (Both looped forever,
+    /// the read growing its buffer, before the walk was bounded.)
+    #[test]
+    fn self_referencing_chain_is_corrupt_not_a_hang() {
+        let pool = mem_pool();
+        let cat = Catalog::create(Arc::clone(&pool)).unwrap();
+        let looped = pool.allocate_page().unwrap();
+        let mut chunk = looped.to_le_bytes().to_vec();
+        chunk.extend_from_slice(b"payload");
+        pool.write(looped, |mut p| {
+            p.init();
+            p.insert(&chunk).unwrap();
+        })
+        .unwrap();
+        let rec = pointer_record("b", 7, looped);
+        pool.write(0, |mut p| p.insert(&rec).map(|_| ()))
+            .unwrap()
+            .unwrap();
+
+        assert!(matches!(cat.get_blob("b"), Err(CatalogError::Corrupt(_))));
+        assert!(matches!(
+            cat.save_blob("b", b"new"),
+            Err(CatalogError::Corrupt(_))
+        ));
+        // A longer claimed length moves the bound, not the outcome.
+        let rec = pointer_record("c", 3 * BLOB_CHUNK as u32, looped);
+        pool.write(0, |mut p| p.insert(&rec).map(|_| ()))
+            .unwrap()
+            .unwrap();
+        assert!(matches!(cat.get_blob("c"), Err(CatalogError::Corrupt(_))));
+    }
+
+    /// The stored length is a byte from disk too: `u32::MAX` must not
+    /// reserve 4 GB before the first chain page is read.
+    #[test]
+    fn oversized_pointer_record_is_corrupt_not_an_allocation() {
+        let pool = mem_pool();
+        let cat = Catalog::create(Arc::clone(&pool)).unwrap();
+        cat.save_blob("b", b"real").unwrap();
+        let first = cat.blob_pointer("b").unwrap().unwrap().2;
+        let rec = pointer_record("huge", u32::MAX, first);
+        pool.write(0, |mut p| p.insert(&rec).map(|_| ()))
+            .unwrap()
+            .unwrap();
+        assert!(matches!(
+            cat.get_blob("huge"),
+            Err(CatalogError::Corrupt(_))
+        ));
+        assert!(matches!(
+            cat.save_blob("huge", b"new"),
+            Err(CatalogError::Corrupt(_))
+        ));
+        // A chain pointer past the end of the store is caught the same way.
+        let rec = pointer_record("wild", 4, pool.num_pages() + 100);
+        pool.write(0, |mut p| p.insert(&rec).map(|_| ()))
+            .unwrap()
+            .unwrap();
+        assert!(matches!(
+            cat.get_blob("wild"),
+            Err(CatalogError::Corrupt(_))
+        ));
+        // The intact blob beside them still reads.
+        assert_eq!(cat.get_blob("b").unwrap(), b"real");
     }
 }

@@ -26,19 +26,6 @@ pub struct RecordId {
     pub slot: SlotId,
 }
 
-/// Structural metadata of a heap file, sufficient to reattach to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeapMeta {
-    /// First page of the chain.
-    pub first: PageId,
-    /// Tail page (append target).
-    pub last: PageId,
-    /// Live record count.
-    pub len: u64,
-    /// Chain length in pages.
-    pub pages: u32,
-}
-
 /// An unordered file of variable-length records.
 ///
 /// ```
@@ -125,28 +112,6 @@ impl HeapFile {
     /// The buffer pool this file lives in.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    /// Snapshot of the chain's metadata, for persisting in a catalog.
-    pub fn metadata(&self) -> HeapMeta {
-        HeapMeta {
-            first: self.first,
-            last: self.last.get(),
-            len: self.len.get(),
-            pages: self.pages.get(),
-        }
-    }
-
-    /// Reattach to a heap file previously persisted via [`Self::metadata`].
-    pub fn from_metadata(pool: Arc<BufferPool>, meta: HeapMeta) -> Self {
-        HeapFile {
-            pool,
-            first: meta.first,
-            last: crate::sync_cell::SyncCell::new(meta.last),
-            len: crate::sync_cell::SyncCell::new(meta.len),
-            pages: crate::sync_cell::SyncCell::new(meta.pages),
-            temp_pages: None,
-        }
     }
 
     /// Number of live records.

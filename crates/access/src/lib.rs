@@ -23,18 +23,16 @@ pub mod heap;
 pub mod isam;
 pub mod join;
 pub mod record;
-pub mod scan;
 pub mod sort;
 mod sync_cell;
 
 pub use btree::{BTreeFile, BTreeMeta, BTreeRange, DEFAULT_FILL, MAX_BTREE_ENTRY};
-pub use catalog::{Catalog, CatalogError, FileMeta};
+pub use catalog::{Catalog, CatalogError};
 pub use hash::{fnv1a64, HashFile, HashMeta};
-pub use heap::{HeapFile, HeapMeta, HeapScan, RecordId};
+pub use heap::{HeapFile, HeapScan, RecordId};
 pub use isam::IsamIndex;
 pub use join::{iterative_substitution, merge_join, MergeJoin};
 pub use record::{decode, encode, CodecError};
-pub use scan::{count_where, scan_where};
 pub use sort::{external_sort, SortedStream, DEFAULT_WORK_MEM};
 
 use cor_pagestore::BufferError;

@@ -27,14 +27,13 @@
 
 use std::time::Duration;
 
-use complexobj::{CacheCounters, ExecOptions, Query, Strategy};
+use complexobj::{CacheCounters, Query, Strategy};
 use cor_bench::BenchConfig;
 use cor_obs::{heat, MetricValue, SlidingWindow};
 use cor_pagestore::ShardTelemetrySnapshot;
 use cor_workload::{
-    build_for_strategy, fnum, format_table, generate, generate_sequence, generate_stream_sequences,
-    generate_zipf_sequence, run_concurrent_streams_observed, run_sequence, Engine, LiveTick,
-    MetricsReport, Params, ENGINE_CATALOG_VERSION,
+    fnum, format_table, generate, generate_sequence, generate_stream_sequences,
+    generate_zipf_sequence, Engine, LiveTick, MetricsReport, Params, ENGINE_CATALOG_VERSION,
 };
 
 /// Everything the table and the JSON need for one strategy.
@@ -275,17 +274,23 @@ fn run_heat_leg(base: &Params, smoke: bool) -> i32 {
     );
 
     let generated = generate(&params);
-    let db = build_for_strategy(&params, &generated, Strategy::Dfs).expect("db builds");
+    let engine = Engine::builder()
+        .build_workload(&params, &generated, Strategy::Dfs)
+        .expect("engine builds");
     heat::enable(true);
 
     heat::global().reset();
     let uniform = generate_sequence(&params);
-    run_sequence(&db, Strategy::Dfs, &uniform, &ExecOptions::default()).expect("uniform run");
+    engine
+        .run_sequence(Strategy::Dfs, &uniform)
+        .expect("uniform run");
     let uniform_report = heat::global().report();
 
     heat::global().reset();
     let skewed = generate_zipf_sequence(&params, THETA);
-    run_sequence(&db, Strategy::Dfs, &skewed, &ExecOptions::default()).expect("zipf run");
+    engine
+        .run_sequence(Strategy::Dfs, &skewed)
+        .expect("zipf run");
     let zipf_report = heat::global().report();
     heat::enable(false);
 
@@ -532,7 +537,9 @@ fn run_watch_leg(base: &Params, smoke: bool) -> i32 {
     );
 
     let generated = generate(&params);
-    let db = build_for_strategy(&params, &generated, Strategy::Dfs).expect("db builds");
+    let engine = Engine::builder()
+        .build_workload(&params, &generated, Strategy::Dfs)
+        .expect("engine builds");
     let sequences = generate_stream_sequences(&params, streams);
     let window = Mutex::new(SlidingWindow::new(span));
     let views = AtomicU64::new(0);
@@ -553,14 +560,9 @@ fn run_watch_leg(base: &Params, smoke: bool) -> i32 {
             );
         }
     };
-    let result = run_concurrent_streams_observed(
-        &db,
-        Strategy::Dfs,
-        &sequences,
-        &ExecOptions::default(),
-        Some((interval, &callback)),
-    )
-    .expect("watched run");
+    let result = engine
+        .run_concurrent(Strategy::Dfs, &sequences, Some((interval, &callback)))
+        .expect("watched run");
     println!(
         "\ndone: {} queries in {:?} ({} q/s overall, p50 {} us, p99 {} us)",
         result.queries,

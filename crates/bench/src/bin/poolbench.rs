@@ -45,15 +45,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use complexobj::strategies::execute_retrieve;
-use complexobj::{ExecOptions, Query, Strategy};
+use complexobj::{Query, Strategy};
 use cor_bench::BenchConfig;
 use cor_obs::costmodel::{policy_miss_rel_error, predict_policy_misses, FloodWorkload};
 use cor_obs::{heat, HeatClass, Phase, PAGE_CLASS_INTERNAL, PAGE_CLASS_LEAF};
 use cor_pagestore::{BufferPool, PageId, ReplacementPolicy};
 use cor_workload::{
-    build_for_strategy_on, fnum, format_table, generate, generate_sequence,
-    generate_stream_sequences, run_concurrent_streams, Params,
+    fnum, format_table, generate, generate_sequence, generate_stream_sequences, Engine, Params,
 };
 
 /// Hot-set pages in the flood legs (inner-node stand-ins).
@@ -248,30 +246,25 @@ fn run_engine_cells(
         shards: 1,
         ..params.clone()
     };
-    let pool = Arc::new(
-        BufferPool::builder()
-            .capacity(pool_pages)
-            .shards(1)
-            .policy(policy)
-            .telemetry(true)
-            .build(),
-    );
-    let profile = pool.stats().enable_profile();
-    let db =
-        build_for_strategy_on(pool, &leg_params, generated, strategy).expect("database builds");
-    let opts = ExecOptions::default();
+    let engine = Engine::builder()
+        .policy(policy)
+        .metrics(true)
+        .build_workload(&leg_params, generated, strategy)
+        .expect("engine builds");
+    let profile = engine.pool().stats().enable_profile();
 
     thread_counts
         .iter()
         .map(|&threads| {
             let sequences = generate_stream_sequences(&leg_params, threads);
             heat::global().reset();
-            let (h0, m0, _) = telemetry_sums(db.pool());
+            let (h0, m0, _) = telemetry_sums(engine.pool());
             let phase0 = profile.snapshot();
-            let result = run_concurrent_streams(&db, strategy, &sequences, &opts)
+            let result = engine
+                .run_concurrent(strategy, &sequences, None)
                 .expect("concurrent run completes");
             let phases = profile.snapshot().since(&phase0);
-            let (h1, m1, _) = telemetry_sums(db.pool());
+            let (h1, m1, _) = telemetry_sums(engine.pool());
             let report = heat::global().report();
             let class_touches = |id: u64| {
                 report
@@ -361,20 +354,14 @@ fn run_retention_leg(
         shards: 1,
         ..params.clone()
     };
-    let pool = Arc::new(
-        BufferPool::builder()
-            .capacity(pool_pages)
-            .shards(1)
-            .policy(policy)
-            .telemetry(true)
-            .build(),
-    );
-    let profile = pool.stats().enable_profile();
     // BFS and DFS share the standard physical layout, so one build
     // serves both the probe and the flood side of the leg.
-    let db = build_for_strategy_on(pool, &leg_params, generated, Strategy::Bfs)
-        .expect("database builds");
-    let opts = ExecOptions::default();
+    let engine = Engine::builder()
+        .policy(policy)
+        .metrics(true)
+        .build_workload(&leg_params, generated, Strategy::Bfs)
+        .expect("engine builds");
+    let profile = engine.pool().stats().enable_profile();
     // The SAME point queries every round: their descents are the hot
     // set whose residency is under test.
     let probes: Vec<Query> = generate_sequence(&Params {
@@ -389,14 +376,14 @@ fn run_retention_leg(
         seed: leg_params.seed.wrapping_add(0xF100D),
         ..leg_params.clone()
     });
-    db.pool().flush_and_clear().expect("pool flushes");
+    engine.pool().flush_and_clear().expect("pool flushes");
 
     let mut values_returned = 0u64;
     let mut run_phase = |queries: &[Query], strategy: Strategy| -> u64 {
         let before = profile.snapshot();
         for q in queries {
             let Query::Retrieve(r) = q else { continue };
-            let out = execute_retrieve(&db, strategy, r, &opts).expect("retrieve runs");
+            let out = engine.retrieve(strategy, r).expect("retrieve runs");
             values_returned += out.values.len() as u64;
         }
         profile
@@ -407,9 +394,9 @@ fn run_retention_leg(
 
     // Cold round: compulsory descent cost, then the first flood.
     let cold_descent_reads = run_phase(&probes, Strategy::Dfs);
-    let (_, fm0, _) = telemetry_sums(db.pool());
+    let (_, fm0, _) = telemetry_sums(engine.pool());
     run_phase(&flood, Strategy::Bfs);
-    let (_, fm1, _) = telemetry_sums(db.pool());
+    let (_, fm1, _) = telemetry_sums(engine.pool());
 
     heat::global().reset();
     let mut steady_descent_reads = 0u64;

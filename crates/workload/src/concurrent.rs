@@ -1,33 +1,24 @@
-//! Concurrent multi-stream driver (beyond the paper).
+//! Multi-stream serving (beyond the paper): what a concurrent run
+//! reports and how its streams are generated.
 //!
 //! The paper's yardstick is single-stream average I/O; the ROADMAP's
 //! north star adds *serving*: many clients running query sequences
-//! against one shared database. This driver runs M streams on scoped
-//! threads over one [`CorDatabase`] (whose sharded buffer pool they
+//! against one shared database. [`Engine::run_concurrent`] runs M streams
+//! on scoped threads over one engine (whose sharded buffer pool they
 //! contend on) and reports both the paper's average-I/O metric and
 //! wall-clock throughput/latency (queries/sec, mean and p99 per-op
-//! latency).
+//! latency) in the types below.
 //!
-//! With `streams = 1` the driver degenerates to [`run_sequence`]'s
-//! execution order, so single-stream results remain comparable to the
-//! sequential driver; I/O counters are exact in that case. With several
-//! streams the total I/O is still exact (the pool's counters are atomic)
-//! but depends on the interleaving, so it is reported as an aggregate,
-//! not per stream.
-//!
-//! [`run_sequence`]: crate::driver::run_sequence
+//! [`Engine::run_concurrent`]: crate::Engine::run_concurrent
 
-use crate::metrics::duration_ns;
 use crate::params::Params;
-use complexobj::strategies::execute_retrieve;
-use complexobj::{apply_update, CorDatabase, CorError, ExecOptions, Query, Strategy};
-use cor_obs::{HistSnapshot, Histogram};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use complexobj::{Query, Strategy};
+use cor_obs::HistSnapshot;
+use std::time::Duration;
 
 /// Latency summary over a set of per-operation samples.
 ///
-/// Derived from a streaming [`Histogram`], not a sorted sample vector:
+/// Derived from a streaming [`cor_obs::Histogram`], not a sorted sample vector:
 /// quantiles are the containing bucket's upper edge (within 25% above the
 /// true order statistic, never below it), the mean is exact, and
 /// summaries from different threads merge by bucket addition.
@@ -44,15 +35,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize a set of samples (empty input gives all-zero).
-    pub fn from_samples(samples: &[Duration]) -> Self {
-        let h = Histogram::new();
-        for d in samples {
-            h.record(duration_ns(*d));
-        }
-        Self::from_histogram(&h.snapshot())
-    }
-
     /// Summarize an already-collected nanosecond histogram.
     pub fn from_histogram(h: &HistSnapshot) -> Self {
         if h.is_empty() {
@@ -112,13 +94,6 @@ impl ConcurrentRunResult {
     }
 }
 
-/// Per-stream tally collected on the worker thread.
-struct StreamTally {
-    retrieves: usize,
-    updates: usize,
-    values_returned: u64,
-}
-
 /// One observation delivered to a live reporter while a concurrent run is
 /// in flight.
 #[derive(Debug, Clone)]
@@ -144,141 +119,6 @@ impl LiveTick {
         }
         self.queries_done as f64 / secs
     }
-}
-
-/// Run each of `sequences` as its own stream over scoped threads sharing
-/// `db`, starting from a cold buffer. Returns the aggregate metrics.
-///
-/// Retrieves are read-only and freely concurrent. Updates mutate
-/// subobjects in place; with `pr_update > 0` and several streams the
-/// *interleaving* of updates and retrieves is nondeterministic, so
-/// returned values (and I/O) can differ run to run — exactly the
-/// behaviour a multi-client server exhibits.
-pub fn run_concurrent_streams(
-    db: &CorDatabase,
-    strategy: Strategy,
-    sequences: &[Vec<Query>],
-    opts: &ExecOptions,
-) -> Result<ConcurrentRunResult, CorError> {
-    run_concurrent_streams_observed(db, strategy, sequences, opts, None)
-}
-
-/// [`run_concurrent_streams`] with an optional live reporter: every
-/// `interval`, a monitor thread reads the shared latency histogram and
-/// progress counter (both lock-free; workers are never paused) and hands
-/// the callback a [`LiveTick`]. Use [`stderr_reporter`] for the standard
-/// progress line.
-pub fn run_concurrent_streams_observed(
-    db: &CorDatabase,
-    strategy: Strategy,
-    sequences: &[Vec<Query>],
-    opts: &ExecOptions,
-    reporter: Option<(Duration, &(dyn Fn(LiveTick) + Sync))>,
-) -> Result<ConcurrentRunResult, CorError> {
-    assert!(!sequences.is_empty(), "at least one stream");
-    db.pool().flush_and_clear()?;
-    let stats = db.pool().stats().clone();
-    let start_snap = stats.snapshot();
-    let started = Instant::now();
-
-    let latency_hist = Histogram::new();
-    let done = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-
-    let tallies: Vec<Result<StreamTally, CorError>> = std::thread::scope(|scope| {
-        if let Some((interval, callback)) = reporter {
-            let latency_hist = &latency_hist;
-            let done = &done;
-            let stop = &stop;
-            scope.spawn(move || {
-                let tick = || {
-                    let hist = latency_hist.snapshot();
-                    LiveTick {
-                        queries_done: done.load(Ordering::Relaxed),
-                        elapsed: started.elapsed(),
-                        latency: LatencySummary::from_histogram(&hist),
-                        latency_hist: hist,
-                    }
-                };
-                let mut next = Instant::now() + interval;
-                while !stop.load(Ordering::Acquire) {
-                    // Short sleeps so the monitor exits promptly once the
-                    // workers finish, whatever the reporting interval.
-                    std::thread::sleep(interval.min(Duration::from_millis(5)));
-                    if Instant::now() < next {
-                        continue;
-                    }
-                    next += interval;
-                    callback(tick());
-                }
-                // Always flush one final tick: a run shorter than the
-                // interval would otherwise finish without the reporter
-                // ever firing, losing the closing progress line.
-                callback(tick());
-            });
-        }
-        let handles: Vec<_> = sequences
-            .iter()
-            .map(|sequence| {
-                let latency_hist = &latency_hist;
-                let done = &done;
-                scope.spawn(move || {
-                    let mut tally = StreamTally {
-                        retrieves: 0,
-                        updates: 0,
-                        values_returned: 0,
-                    };
-                    for q in sequence {
-                        let t0 = Instant::now();
-                        match q {
-                            Query::Retrieve(r) => {
-                                let out = execute_retrieve(db, strategy, r, opts)?;
-                                tally.retrieves += 1;
-                                tally.values_returned += out.values.len() as u64;
-                            }
-                            Query::Update(u) => {
-                                apply_update(db, u, db.has_cache())?;
-                                tally.updates += 1;
-                            }
-                        }
-                        latency_hist.record(duration_ns(t0.elapsed()));
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(tally)
-                })
-            })
-            .collect();
-        let tallies = handles
-            .into_iter()
-            .map(|h| h.join().expect("stream thread panicked"))
-            .collect();
-        stop.store(true, Ordering::Release);
-        tallies
-    });
-
-    let elapsed = started.elapsed();
-    let total_io = stats.snapshot().since(&start_snap).total();
-    let hist = latency_hist.snapshot();
-
-    let mut result = ConcurrentRunResult {
-        strategy,
-        streams: sequences.len(),
-        queries: sequences.iter().map(Vec::len).sum(),
-        retrieves: 0,
-        updates: 0,
-        total_io,
-        values_returned: 0,
-        elapsed,
-        latency: LatencySummary::from_histogram(&hist),
-        latency_hist: hist,
-    };
-    for tally in tallies {
-        let tally = tally?;
-        result.retrieves += tally.retrieves;
-        result.updates += tally.updates;
-        result.values_returned += tally.values_returned;
-    }
-    Ok(result)
 }
 
 /// The standard live reporter: one progress line per tick on stderr
@@ -314,8 +154,8 @@ pub fn generate_stream_sequences(params: &Params, streams: usize) -> Vec<Vec<Que
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbgen::{build_for_strategy, generate};
-    use crate::driver::run_sequence;
+    use crate::dbgen::generate;
+    use crate::engine::Engine;
     use crate::seqgen::generate_sequence;
 
     fn tiny(shards: usize) -> Params {
@@ -334,13 +174,14 @@ mod tests {
         let p = tiny(1);
         let generated = generate(&p);
         let sequence = generate_sequence(&p);
-        let opts = ExecOptions::default();
 
-        let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-        let seq_result = run_sequence(&db, Strategy::Dfs, &sequence, &opts).unwrap();
-        let conc_result =
-            run_concurrent_streams(&db, Strategy::Dfs, std::slice::from_ref(&sequence), &opts)
-                .unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
+        let seq_result = engine.run_sequence(Strategy::Dfs, &sequence).unwrap();
+        let conc_result = engine
+            .run_concurrent(Strategy::Dfs, std::slice::from_ref(&sequence), None)
+            .unwrap();
 
         assert_eq!(conc_result.streams, 1);
         assert_eq!(conc_result.queries, seq_result.queries);
@@ -354,21 +195,25 @@ mod tests {
     fn concurrent_streams_return_every_stream_answer() {
         let p = tiny(4);
         let generated = generate(&p);
-        let opts = ExecOptions::default();
-        let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
 
         let sequences = generate_stream_sequences(&p, 4);
         // Read-only streams: the union of answers is interleaving-free.
         let expected: u64 = sequences
             .iter()
             .map(|s| {
-                run_sequence(&db, Strategy::Dfs, s, &opts)
+                engine
+                    .run_sequence(Strategy::Dfs, s)
                     .unwrap()
                     .values_returned
             })
             .sum();
 
-        let r = run_concurrent_streams(&db, Strategy::Dfs, &sequences, &opts).unwrap();
+        let r = engine
+            .run_concurrent(Strategy::Dfs, &sequences, None)
+            .unwrap();
         assert_eq!(r.streams, 4);
         assert_eq!(r.queries, 4 * p.sequence_len);
         assert_eq!(r.values_returned, expected);
@@ -386,9 +231,12 @@ mod tests {
             ..tiny(4)
         };
         let generated = generate(&p);
-        let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
         let sequences = generate_stream_sequences(&p, 4);
-        let r = run_concurrent_streams(&db, Strategy::Dfs, &sequences, &ExecOptions::default())
+        let r = engine
+            .run_concurrent(Strategy::Dfs, &sequences, None)
             .unwrap();
         assert!(r.updates > 0, "sequence mix includes updates");
         assert_eq!(r.retrieves + r.updates, r.queries);
@@ -402,18 +250,19 @@ mod tests {
             ..tiny(4)
         };
         let generated = generate(&p);
-        let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
         let sequences = generate_stream_sequences(&p, 4);
         let ticks: Mutex<Vec<LiveTick>> = Mutex::new(Vec::new());
         let callback = |t: LiveTick| ticks.lock().unwrap().push(t);
-        let r = run_concurrent_streams_observed(
-            &db,
-            Strategy::Dfs,
-            &sequences,
-            &ExecOptions::default(),
-            Some((Duration::from_millis(1), &callback)),
-        )
-        .unwrap();
+        let r = engine
+            .run_concurrent(
+                Strategy::Dfs,
+                &sequences,
+                Some((Duration::from_millis(1), &callback)),
+            )
+            .unwrap();
         assert_eq!(r.queries, 4 * p.sequence_len);
         let ticks = ticks.into_inner().unwrap();
         // 800 cold-buffer queries take well over a millisecond; the
@@ -437,18 +286,19 @@ mod tests {
         use std::sync::Mutex;
         let p = tiny(1); // 40 queries: far shorter than the 60s interval
         let generated = generate(&p);
-        let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
         let sequences = generate_stream_sequences(&p, 1);
         let ticks: Mutex<Vec<LiveTick>> = Mutex::new(Vec::new());
         let callback = |t: LiveTick| ticks.lock().unwrap().push(t);
-        let r = run_concurrent_streams_observed(
-            &db,
-            Strategy::Dfs,
-            &sequences,
-            &ExecOptions::default(),
-            Some((Duration::from_secs(60), &callback)),
-        )
-        .unwrap();
+        let r = engine
+            .run_concurrent(
+                Strategy::Dfs,
+                &sequences,
+                Some((Duration::from_secs(60), &callback)),
+            )
+            .unwrap();
         let ticks = ticks.into_inner().unwrap();
         assert_eq!(ticks.len(), 1, "exactly the final flush fired");
         assert_eq!(ticks[0].queries_done, r.queries as u64);

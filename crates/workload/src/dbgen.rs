@@ -12,7 +12,7 @@
 //! the property tests).
 
 use crate::params::Params;
-use complexobj::database::{CHILD_REL_BASE, PARENT_REL};
+use complexobj::database::CHILD_REL_BASE;
 use complexobj::{
     CacheConfig, ClusterAssignment, CorDatabase, CorError, DatabaseSpec, ObjectSpec, Strategy,
     SubobjectSpec, Unit,
@@ -253,7 +253,7 @@ pub fn make_pool(params: &Params) -> Arc<BufferPool> {
 /// params' own [`SeedStream::Cluster`] stream, so it follows neither the
 /// database contents nor the query sequence. The only derivation — the
 /// engine's [`EngineSpec::for_strategy`](crate::EngineSpec::for_strategy)
-/// and [`build_for_strategy_on`] both call it.
+/// and [`build_for_strategy`] both call it.
 pub(crate) fn cluster_assignment(params: &Params, generated: &GeneratedDb) -> ClusterAssignment {
     let parents: Vec<(u64, Vec<Oid>)> = generated
         .spec
@@ -282,17 +282,7 @@ pub fn build_for_strategy(
     generated: &GeneratedDb,
     strategy: Strategy,
 ) -> Result<CorDatabase, CorError> {
-    build_for_strategy_on(make_pool(params), params, generated, strategy)
-}
-
-/// [`build_for_strategy`] on a caller-supplied pool, so drivers can pick
-/// the pool's size, policy or telemetry themselves.
-pub fn build_for_strategy_on(
-    pool: Arc<BufferPool>,
-    params: &Params,
-    generated: &GeneratedDb,
-    strategy: Strategy,
-) -> Result<CorDatabase, CorError> {
+    let pool = make_pool(params);
     if strategy.needs_cluster() {
         let assignment = cluster_assignment(params, generated);
         return CorDatabase::build_clustered(pool, &generated.spec, &assignment);
@@ -310,11 +300,6 @@ pub fn random_child_oid(params: &Params, rng: &mut StdRng) -> Oid {
     let r = rng.random_range(0..n_rels);
     let card = base + if r < extra { 1 } else { 0 };
     Oid::new(CHILD_REL_BASE + r as u16, rng.random_range(0..card))
-}
-
-/// The OID of parent `key` (convenience).
-pub fn parent_oid(key: u64) -> Oid {
-    Oid::new(PARENT_REL, key)
 }
 
 #[cfg(test)]

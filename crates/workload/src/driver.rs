@@ -1,17 +1,14 @@
-//! Sequence driver (paper Sec. 4, step \[3\]).
+//! What a measured sequence reports (paper Sec. 4, step \[3\]).
 //!
 //! "Run a sequence of queries (containing a mix of retrieves and updates,
 //! satisfying some parameters) on the database and note the average I/O
 //! traffic. This average I/O cost was the performance yardstick."
 //!
-//! Each run starts cold (empty buffer; the cache, if any, warms during the
-//! sequence) and reports averages per query along with the paper's
-//! `ParCost`/`ChildCost` split for the retrieves.
+//! The loop itself is [`Engine::run_sequence`](crate::Engine::run_sequence);
+//! this module holds its result types: averages per query along with the
+//! paper's `ParCost`/`ChildCost` split for the retrieves.
 
-use complexobj::strategies::execute_retrieve;
-use complexobj::{
-    apply_update, CacheCounters, CorDatabase, CorError, ExecOptions, Query, Strategy,
-};
+use complexobj::{CacheCounters, Strategy};
 
 /// Aggregated result of one measured sequence.
 #[derive(Debug, Clone)]
@@ -80,55 +77,8 @@ impl RunResult {
     }
 }
 
-/// Run `sequence` under `strategy`, starting from a cold buffer.
-pub fn run_sequence(
-    db: &CorDatabase,
-    strategy: Strategy,
-    sequence: &[Query],
-    opts: &ExecOptions,
-) -> Result<RunResult, CorError> {
-    db.pool().flush_and_clear()?;
-    let stats = db.pool().stats().clone();
-    let start = stats.snapshot();
-
-    let mut result = RunResult {
-        strategy,
-        queries: sequence.len(),
-        retrieves: 0,
-        updates: 0,
-        total_io: 0,
-        par_io: 0,
-        child_io: 0,
-        update_io: 0,
-        values_returned: 0,
-        cache: None,
-    };
-
-    for q in sequence {
-        match q {
-            Query::Retrieve(r) => {
-                let out = execute_retrieve(db, strategy, r, opts)?;
-                result.retrieves += 1;
-                result.par_io += out.par_io.total();
-                result.child_io += out.child_io.total();
-                result.values_returned += out.values.len() as u64;
-            }
-            Query::Update(u) => {
-                // Cache maintenance (I-lock invalidation) applies whenever
-                // the database carries a cache — Sec. 3.2.
-                let delta = apply_update(db, u, db.has_cache())?;
-                result.updates += 1;
-                result.update_io += delta.total();
-            }
-        }
-    }
-
-    result.total_io = stats.snapshot().since(&start).total();
-    result.cache = db.cache_counters();
-    Ok(result)
-}
-
-/// Per-query record from [`run_sequence_trace`].
+/// Per-query record from
+/// [`Engine::run_sequence_trace`](crate::Engine::run_sequence_trace).
 #[derive(Debug, Clone, Copy)]
 pub struct QueryTrace {
     /// NumTop for retrieves, 0 for updates.
@@ -139,71 +89,13 @@ pub struct QueryTrace {
     pub is_update: bool,
 }
 
-/// Like [`run_sequence`] but additionally returns one trace entry per
-/// query, for experiments that bucket costs by per-query NumTop (the SMART
-/// query-mix study).
-pub fn run_sequence_trace(
-    db: &CorDatabase,
-    strategy: Strategy,
-    sequence: &[Query],
-    opts: &ExecOptions,
-) -> Result<(RunResult, Vec<QueryTrace>), CorError> {
-    db.pool().flush_and_clear()?;
-    let stats = db.pool().stats().clone();
-    let start = stats.snapshot();
-
-    let mut result = RunResult {
-        strategy,
-        queries: sequence.len(),
-        retrieves: 0,
-        updates: 0,
-        total_io: 0,
-        par_io: 0,
-        child_io: 0,
-        update_io: 0,
-        values_returned: 0,
-        cache: None,
-    };
-    let mut trace = Vec::with_capacity(sequence.len());
-
-    for q in sequence {
-        match q {
-            Query::Retrieve(r) => {
-                let out = execute_retrieve(db, strategy, r, opts)?;
-                result.retrieves += 1;
-                result.par_io += out.par_io.total();
-                result.child_io += out.child_io.total();
-                result.values_returned += out.values.len() as u64;
-                trace.push(QueryTrace {
-                    num_top: r.num_top(),
-                    io: out.total_io(),
-                    is_update: false,
-                });
-            }
-            Query::Update(u) => {
-                let delta = apply_update(db, u, db.has_cache())?;
-                result.updates += 1;
-                result.update_io += delta.total();
-                trace.push(QueryTrace {
-                    num_top: 0,
-                    io: delta.total(),
-                    is_update: true,
-                });
-            }
-        }
-    }
-
-    result.total_io = stats.snapshot().since(&start).total();
-    result.cache = db.cache_counters();
-    Ok((result, trace))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::dbgen::{build_for_strategy, generate};
+    use crate::dbgen::generate;
+    use crate::engine::Engine;
     use crate::params::Params;
     use crate::seqgen::generate_sequence;
+    use complexobj::{Query, Strategy};
 
     fn tiny(pr_update: f64, num_top: u64) -> Params {
         Params {
@@ -221,9 +113,11 @@ mod tests {
     fn pure_retrieve_run_accounts_io() {
         let p = tiny(0.0, 20);
         let g = generate(&p);
-        let db = build_for_strategy(&p, &g, Strategy::Dfs).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &g, Strategy::Dfs)
+            .unwrap();
         let seq = generate_sequence(&p);
-        let r = run_sequence(&db, Strategy::Dfs, &seq, &ExecOptions::default()).unwrap();
+        let r = engine.run_sequence(Strategy::Dfs, &seq).unwrap();
         assert_eq!(r.retrieves, 30);
         assert_eq!(r.updates, 0);
         assert!(r.total_io > 0);
@@ -241,9 +135,11 @@ mod tests {
     fn update_heavy_run_counts_update_io() {
         let p = tiny(1.0, 20);
         let g = generate(&p);
-        let db = build_for_strategy(&p, &g, Strategy::Bfs).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &g, Strategy::Bfs)
+            .unwrap();
         let seq = generate_sequence(&p);
-        let r = run_sequence(&db, Strategy::Bfs, &seq, &ExecOptions::default()).unwrap();
+        let r = engine.run_sequence(Strategy::Bfs, &seq).unwrap();
         assert_eq!(r.updates, 30);
         assert!(r.update_io > 0);
         assert_eq!(r.values_returned, 0);
@@ -254,9 +150,11 @@ mod tests {
     fn cache_counters_surface_in_result() {
         let p = tiny(0.0, 10);
         let g = generate(&p);
-        let db = build_for_strategy(&p, &g, Strategy::DfsCache).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &g, Strategy::DfsCache)
+            .unwrap();
         let seq = generate_sequence(&p);
-        let r = run_sequence(&db, Strategy::DfsCache, &seq, &ExecOptions::default()).unwrap();
+        let r = engine.run_sequence(Strategy::DfsCache, &seq).unwrap();
         let c = r.cache.expect("cache counters present");
         assert!(c.insertions > 0, "cold cache must be filled");
         assert!(c.hits + c.misses > 0);
@@ -266,10 +164,11 @@ mod tests {
     fn trace_matches_aggregate() {
         let p = tiny(0.3, 10);
         let g = generate(&p);
-        let db = build_for_strategy(&p, &g, Strategy::DfsCache).unwrap();
+        let engine = Engine::builder()
+            .build_workload(&p, &g, Strategy::DfsCache)
+            .unwrap();
         let seq = generate_sequence(&p);
-        let (r, trace) =
-            run_sequence_trace(&db, Strategy::DfsCache, &seq, &ExecOptions::default()).unwrap();
+        let (r, trace) = engine.run_sequence_trace(Strategy::DfsCache, &seq).unwrap();
         assert_eq!(trace.len(), seq.len());
         let traced_io: u64 = trace.iter().map(|t| t.io).sum();
         assert_eq!(traced_io, r.total_io);
@@ -299,14 +198,14 @@ mod tests {
         let p = tiny(0.3, 15);
         let g = generate(&p);
         let seq = generate_sequence(&p);
-        let r1 = {
-            let db = build_for_strategy(&p, &g, Strategy::Bfs).unwrap();
-            run_sequence(&db, Strategy::Bfs, &seq, &ExecOptions::default()).unwrap()
+        let run = || {
+            Engine::builder()
+                .build_workload(&p, &g, Strategy::Bfs)
+                .unwrap()
+                .run_sequence(Strategy::Bfs, &seq)
+                .unwrap()
         };
-        let r2 = {
-            let db = build_for_strategy(&p, &g, Strategy::Bfs).unwrap();
-            run_sequence(&db, Strategy::Bfs, &seq, &ExecOptions::default()).unwrap()
-        };
+        let (r1, r2) = (run(), run());
         assert_eq!(r1.total_io, r2.total_io);
         assert_eq!(r1.values_returned, r2.values_returned);
     }

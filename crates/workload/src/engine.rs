@@ -37,13 +37,11 @@
 //! ```
 
 use crate::catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB};
-use crate::concurrent::{
-    run_concurrent_streams, run_concurrent_streams_observed, ConcurrentRunResult, LiveTick,
-};
+use crate::concurrent::{ConcurrentRunResult, LatencySummary, LiveTick};
 use crate::dbgen::{cluster_assignment, strategy_cache, GeneratedDb};
-use crate::driver::{run_sequence, RunResult};
+use crate::driver::{QueryTrace, RunResult};
 use crate::explain::ExplainReport;
-use crate::metrics::{build_report, strategy_tag, EngineMetrics, MetricsReport};
+use crate::metrics::{build_report, duration_ns, strategy_tag, EngineMetrics, MetricsReport};
 use crate::params::Params;
 use complexobj::multilevel::{execute_multilevel, MultiDotQuery};
 use complexobj::procedural::{
@@ -51,17 +49,17 @@ use complexobj::procedural::{
 };
 use complexobj::strategies::execute_retrieve;
 use complexobj::{
-    apply_update, CacheConfig, ClusterAssignment, CorDatabase, CorError, DatabaseSpec, ExecOptions,
-    Query, RetrieveQuery, Strategy, StrategyOutput, UpdateQuery,
+    apply_update, CacheConfig, CacheCounters, ClusterAssignment, CorDatabase, CorError,
+    DatabaseSpec, ExecOptions, Query, RetrieveQuery, Strategy, StrategyOutput, UpdateQuery,
 };
 use cor_access::{Catalog, CatalogError};
-use cor_obs::{flight, heat, tracetree, wait, TraceTree};
+use cor_obs::{flight, heat, tracetree, wait, Histogram, TraceTree};
 use cor_pagestore::{
     BufferPool, DiskManager, FileDisk, IoDelta, ReplacementPolicy, DEFAULT_POOL_PAGES,
 };
 use cor_wal::{CheckpointInfo, FileLogStore, LogStore, Wal, WalConfig};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -772,6 +770,45 @@ impl Engine {
             .map(|m| (m, self.pool().stats().snapshot(), Instant::now()))
     }
 
+    /// How one retrieve runs against this engine's backend — with
+    /// [`exec_update`](Self::exec_update), the only place a query is
+    /// dispatched on the representation. Hierarchies serve plain
+    /// retrieves from level 0.
+    #[inline]
+    fn exec_retrieve(
+        &self,
+        strategy: Strategy,
+        query: &RetrieveQuery,
+    ) -> Result<StrategyOutput, CorError> {
+        match &self.backend {
+            Backend::Oid(db) => execute_retrieve(db, strategy, query, &self.opts),
+            Backend::Levels(levels) => execute_retrieve(&levels[0], strategy, query, &self.opts),
+            Backend::Proc(db) => execute_proc_retrieve(db, query),
+        }
+    }
+
+    /// How one update runs against this engine's backend. Cache
+    /// maintenance (I-lock invalidation) applies whenever the database
+    /// carries a cache — Sec. 3.2.
+    #[inline]
+    fn exec_update(&self, update: &UpdateQuery) -> Result<IoDelta, CorError> {
+        match &self.backend {
+            Backend::Oid(db) => apply_update(db, update, db.has_cache()),
+            Backend::Levels(levels) => apply_update(&levels[0], update, levels[0].has_cache()),
+            Backend::Proc(db) => apply_proc_update(db, update),
+        }
+    }
+
+    /// Counters of whichever cache the backend carries (procedural
+    /// engines always keep a set, all zero when nothing is cached).
+    fn cache_counters(&self) -> Option<CacheCounters> {
+        match &self.backend {
+            Backend::Oid(db) => db.cache_counters(),
+            Backend::Levels(levels) => levels[0].cache_counters(),
+            Backend::Proc(db) => Some(db.cache_counters()),
+        }
+    }
+
     /// Run one retrieve. On OID engines this dispatches to the strategy;
     /// on procedural engines the caching mode is a property of the build,
     /// so `strategy` is ignored.
@@ -784,11 +821,7 @@ impl Engine {
         // the un-instrumented path clock-free.
         let slow_t0 = self.slow.as_ref().map(|_| Instant::now());
         let obs = self.span_start();
-        let out = match &self.backend {
-            Backend::Oid(db) => execute_retrieve(db, strategy, query, &self.opts),
-            Backend::Levels(levels) => execute_retrieve(&levels[0], strategy, query, &self.opts),
-            Backend::Proc(db) => execute_proc_retrieve(db, query),
-        }?;
+        let out = self.exec_retrieve(strategy, query)?;
         if let Some((m, before, t0)) = obs {
             let delta = self.pool().stats().snapshot().since(&before);
             m.record_retrieve(strategy, delta, t0.elapsed(), out.values.len() as u64);
@@ -833,146 +866,240 @@ impl Engine {
     }
 
     /// Run one multi-dot retrieve across the hierarchy (single-database
-    /// engines behave as one-level hierarchies).
+    /// engines behave as one-level hierarchies). Errors on procedural
+    /// engines, which have no levels.
     pub fn retrieve_multilevel(
         &self,
         strategy: Strategy,
         query: &MultiDotQuery,
     ) -> Result<StrategyOutput, CorError> {
-        match &self.backend {
-            Backend::Oid(db) => {
-                execute_multilevel(std::slice::from_ref(db), strategy, query, &self.opts)
-            }
-            Backend::Levels(levels) => execute_multilevel(levels, strategy, query, &self.opts),
-            Backend::Proc(_) => Err(CorError::WrongRepresentation("OID representation")),
+        let levels = self.levels();
+        if levels.is_empty() {
+            return Err(CorError::WrongRepresentation("OID representation"));
         }
+        execute_multilevel(levels, strategy, query, &self.opts)
     }
 
     /// Apply one update (with whatever cache maintenance the build
     /// requires), returning the I/O spent.
     pub fn update(&self, update: &UpdateQuery) -> Result<IoDelta, CorError> {
         let obs = self.metrics.as_ref().map(|m| (m, Instant::now()));
-        let delta = match &self.backend {
-            Backend::Oid(db) => apply_update(db, update, db.has_cache()),
-            Backend::Levels(levels) => apply_update(&levels[0], update, levels[0].has_cache()),
-            Backend::Proc(db) => apply_proc_update(db, update),
-        }?;
+        let delta = self.exec_update(update)?;
         if let Some((m, t0)) = obs {
             m.record_update(delta, t0.elapsed());
         }
         Ok(delta)
     }
 
-    /// Run a measured query sequence from a cold buffer — the paper's
-    /// experiment step, identical to the sequential driver's numbers.
-    pub fn run_sequence(
+    /// The measured loop (paper Sec. 4, step \[3\]): start cold — empty
+    /// buffer; the cache, if any, warms during the sequence — run every
+    /// query, and tally the paper's `ParCost`/`ChildCost` split beside the
+    /// total. `observe` sees each query as it completes. With metrics on
+    /// the whole call is one `SEQUENCE` span; the queries inside push none.
+    fn run_observed(
         &self,
         strategy: Strategy,
         sequence: &[Query],
+        mut observe: impl FnMut(QueryTrace),
     ) -> Result<RunResult, CorError> {
         let obs = self.span_start();
-        let result = self.run_sequence_inner(strategy, sequence)?;
+        self.pool().flush_and_clear()?;
+        let stats = self.pool().stats();
+        let start = stats.snapshot();
+        let mut result = RunResult {
+            strategy,
+            queries: sequence.len(),
+            retrieves: 0,
+            updates: 0,
+            total_io: 0,
+            par_io: 0,
+            child_io: 0,
+            update_io: 0,
+            values_returned: 0,
+            cache: None,
+        };
+        for q in sequence {
+            match q {
+                Query::Retrieve(r) => {
+                    let out = self.exec_retrieve(strategy, r)?;
+                    result.retrieves += 1;
+                    result.par_io += out.par_io.total();
+                    result.child_io += out.child_io.total();
+                    result.values_returned += out.values.len() as u64;
+                    observe(QueryTrace {
+                        num_top: r.num_top(),
+                        io: out.total_io(),
+                        is_update: false,
+                    });
+                }
+                Query::Update(u) => {
+                    let delta = self.exec_update(u)?;
+                    result.updates += 1;
+                    result.update_io += delta.total();
+                    observe(QueryTrace {
+                        num_top: 0,
+                        io: delta.total(),
+                        is_update: true,
+                    });
+                }
+            }
+        }
+        result.total_io = stats.snapshot().since(&start).total();
+        result.cache = self.cache_counters();
         if let Some((m, before, t0)) = obs {
-            let delta = self.pool().stats().snapshot().since(&before);
+            let delta = stats.snapshot().since(&before);
             m.record_sequence(strategy, delta, t0.elapsed(), result.queries as u64);
         }
         Ok(result)
     }
 
-    fn run_sequence_inner(
+    /// Run a measured query sequence from a cold buffer — the paper's
+    /// experiment step: "run a sequence of queries (containing a mix of
+    /// retrieves and updates, satisfying some parameters) on the database
+    /// and note the average I/O traffic".
+    pub fn run_sequence(
         &self,
         strategy: Strategy,
         sequence: &[Query],
     ) -> Result<RunResult, CorError> {
-        match &self.backend {
-            Backend::Oid(db) => run_sequence(db, strategy, sequence, &self.opts),
-            Backend::Levels(levels) => run_sequence(&levels[0], strategy, sequence, &self.opts),
-            Backend::Proc(db) => {
-                db.pool().flush_and_clear()?;
-                let stats = db.pool().stats().clone();
-                let start = stats.snapshot();
-                let mut result = RunResult {
-                    strategy,
-                    queries: sequence.len(),
-                    retrieves: 0,
-                    updates: 0,
-                    total_io: 0,
-                    par_io: 0,
-                    child_io: 0,
-                    update_io: 0,
-                    values_returned: 0,
-                    cache: None,
-                };
-                for q in sequence {
-                    match q {
-                        Query::Retrieve(r) => {
-                            let out = execute_proc_retrieve(db, r)?;
-                            result.retrieves += 1;
-                            result.par_io += out.par_io.total();
-                            result.child_io += out.child_io.total();
-                            result.values_returned += out.values.len() as u64;
-                        }
-                        Query::Update(u) => {
-                            let delta = apply_proc_update(db, u)?;
-                            result.updates += 1;
-                            result.update_io += delta.total();
-                        }
-                    }
-                }
-                result.total_io = stats.snapshot().since(&start).total();
-                result.cache = Some(db.cache_counters());
-                Ok(result)
-            }
-        }
+        self.run_observed(strategy, sequence, |_| {})
     }
 
-    /// [`Engine::run_sequence`] with a per-query trace (OID engines only),
-    /// for benches that bucket I/O by query shape.
+    /// [`Engine::run_sequence`] with one trace entry per query, for
+    /// experiments that bucket costs by per-query NumTop (the SMART
+    /// query-mix study).
     pub fn run_sequence_trace(
         &self,
         strategy: Strategy,
         sequence: &[Query],
-    ) -> Result<(RunResult, Vec<crate::driver::QueryTrace>), CorError> {
-        let db = self.database()?;
-        crate::driver::run_sequence_trace(db, strategy, sequence, &self.opts)
+    ) -> Result<(RunResult, Vec<QueryTrace>), CorError> {
+        let mut trace = Vec::with_capacity(sequence.len());
+        let result = self.run_observed(strategy, sequence, |t| trace.push(t))?;
+        Ok((result, trace))
     }
 
-    /// Run M concurrent query streams against the shared database (OID
-    /// engines only), reporting throughput and latency along with the
-    /// aggregate average I/O.
+    /// Run each of `sequences` as its own stream on a scoped thread over
+    /// this engine, starting from a cold buffer, and report throughput and
+    /// latency along with the aggregate average I/O. With one stream the
+    /// queries run in [`run_sequence`](Self::run_sequence)'s order and the
+    /// I/O count equals its count; with several the total is still exact
+    /// (the pool's counters are atomic) but depends on the interleaving.
+    ///
+    /// Retrieves are read-only and freely concurrent. Updates mutate
+    /// subobjects in place; with updates in several streams the
+    /// *interleaving* of updates and retrieves is nondeterministic, so
+    /// returned values (and I/O) can differ run to run — exactly the
+    /// behaviour a multi-client server exhibits.
+    ///
+    /// With a `reporter`, a monitor thread reads the shared latency
+    /// histogram and progress counter every interval (both lock-free;
+    /// workers are never paused) and hands the callback a [`LiveTick`] —
+    /// [`stderr_reporter`](crate::concurrent::stderr_reporter) is the
+    /// standard progress line.
     pub fn run_concurrent(
         &self,
         strategy: Strategy,
         sequences: &[Vec<Query>],
+        reporter: Option<(Duration, &(dyn Fn(LiveTick) + Sync))>,
     ) -> Result<ConcurrentRunResult, CorError> {
-        let db = self.database()?;
-        run_concurrent_streams(db, strategy, sequences, &self.opts)
-    }
+        assert!(!sequences.is_empty(), "at least one stream");
+        self.pool().flush_and_clear()?;
+        let stats = self.pool().stats();
+        let start_snap = stats.snapshot();
+        let started = Instant::now();
 
-    /// [`Engine::run_concurrent`] with a live progress reporter invoked
-    /// every `interval` from a monitor thread (see
-    /// [`crate::concurrent::stderr_reporter`] for a ready-made one).
-    pub fn run_concurrent_observed(
-        &self,
-        strategy: Strategy,
-        sequences: &[Vec<Query>],
-        interval: Duration,
-        reporter: &(dyn Fn(LiveTick) + Sync),
-    ) -> Result<ConcurrentRunResult, CorError> {
-        let db = self.database()?;
-        run_concurrent_streams_observed(
-            db,
+        let latency_hist = Histogram::new();
+        let done = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+
+        // Per stream: (retrieves, values returned).
+        let tallies: Vec<Result<(usize, u64), CorError>> = std::thread::scope(|scope| {
+            if let Some((interval, callback)) = reporter {
+                let latency_hist = &latency_hist;
+                let done = &done;
+                let stop = &stop;
+                scope.spawn(move || {
+                    let tick = || {
+                        let hist = latency_hist.snapshot();
+                        LiveTick {
+                            queries_done: done.load(Ordering::Relaxed),
+                            elapsed: started.elapsed(),
+                            latency: LatencySummary::from_histogram(&hist),
+                            latency_hist: hist,
+                        }
+                    };
+                    let mut next = Instant::now() + interval;
+                    while !stop.load(Ordering::Acquire) {
+                        // Short sleeps so the monitor exits promptly once the
+                        // workers finish, whatever the reporting interval.
+                        std::thread::sleep(interval.min(Duration::from_millis(5)));
+                        if Instant::now() < next {
+                            continue;
+                        }
+                        next += interval;
+                        callback(tick());
+                    }
+                    // Always flush one final tick: a run shorter than the
+                    // interval would otherwise finish without the reporter
+                    // ever firing, losing the closing progress line.
+                    callback(tick());
+                });
+            }
+            let handles: Vec<_> = sequences
+                .iter()
+                .map(|sequence| {
+                    let latency_hist = &latency_hist;
+                    let done = &done;
+                    scope.spawn(move || {
+                        let (mut retrieves, mut values_returned) = (0usize, 0u64);
+                        for q in sequence {
+                            let t0 = Instant::now();
+                            match q {
+                                Query::Retrieve(r) => {
+                                    let out = self.exec_retrieve(strategy, r)?;
+                                    retrieves += 1;
+                                    values_returned += out.values.len() as u64;
+                                }
+                                Query::Update(u) => {
+                                    self.exec_update(u)?;
+                                }
+                            }
+                            latency_hist.record(duration_ns(t0.elapsed()));
+                            done.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Ok((retrieves, values_returned))
+                    })
+                })
+                .collect();
+            let tallies = handles
+                .into_iter()
+                .map(|h| h.join().expect("stream thread panicked"))
+                .collect();
+            stop.store(true, Ordering::Release);
+            tallies
+        });
+
+        let elapsed = started.elapsed();
+        let hist = latency_hist.snapshot();
+        let mut result = ConcurrentRunResult {
             strategy,
-            sequences,
-            &self.opts,
-            Some((interval, reporter)),
-        )
-    }
-
-    /// The engine-level instruments, if built with metrics enabled
-    /// ([`EngineBuilder::metrics`]).
-    pub fn engine_metrics(&self) -> Option<&Arc<EngineMetrics>> {
-        self.metrics.as_ref()
+            streams: sequences.len(),
+            queries: sequences.iter().map(Vec::len).sum(),
+            retrieves: 0,
+            updates: 0,
+            total_io: stats.snapshot().since(&start_snap).total(),
+            values_returned: 0,
+            elapsed,
+            latency: LatencySummary::from_histogram(&hist),
+            latency_hist: hist,
+        };
+        for tally in tallies {
+            let (retrieves, values_returned) = tally?;
+            result.retrieves += retrieves;
+            result.values_returned += values_returned;
+        }
+        result.updates = result.queries - result.retrieves;
+        Ok(result)
     }
 
     /// A complete observability report: engine spans and histograms,
@@ -981,18 +1108,13 @@ impl Engine {
     /// engine was built with metrics enabled.
     pub fn metrics(&self) -> Option<MetricsReport> {
         let m = self.metrics.as_ref()?;
-        let cache = match &self.backend {
-            Backend::Oid(db) => db.cache_counters(),
-            Backend::Levels(levels) => levels[0].cache_counters(),
-            Backend::Proc(db) => Some(db.cache_counters()),
-        };
         let mut report = build_report(
             m,
             self.pool()
                 .telemetry()
                 .map(|shards| (self.pool().policy(), shards)),
             self.pool().stats().batch_snapshot(),
-            cache,
+            self.cache_counters(),
             self.wal.as_ref().map(|w| w.stats()),
         );
         // Fold the process-global heat map in when collection is on; the
@@ -1015,7 +1137,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbgen::{build_for_strategy, generate};
+    use crate::dbgen::generate;
     use crate::seqgen::generate_sequence;
     use complexobj::RetAttr;
 
@@ -1034,26 +1156,154 @@ mod tests {
         }
     }
 
+    fn loop_params() -> Params {
+        Params {
+            pr_update: 0.3,
+            ..tiny()
+        }
+    }
+
+    /// The builder a loop case runs on: the params' pool, plus the unit
+    /// cache when the strategy needs one.
+    fn loop_builder(p: &Params, strategy: Strategy) -> EngineBuilder {
+        let b = Engine::builder().pool_pages(p.buffer_pages);
+        match strategy_cache(p, strategy) {
+            Some(cache) => b.cache(cache),
+            None => b,
+        }
+    }
+
+    /// Every representation an engine serves, with the strategy to drive
+    /// it under and what the loop measured on it — `[total_io, par_io,
+    /// child_io, update_io, values_returned]` for
+    /// `generate_sequence(&loop_params())` — at the parent of the commit
+    /// that merged the five loops into one. Captured from that build;
+    /// never regenerate the counts from the current one.
+    fn loop_cases(p: &Params) -> Vec<(&'static str, Strategy, EngineSpec, [u64; 5])> {
+        use Strategy::{Bfs, Dfs, DfsCache, DfsClust};
+        let generated = generate(p);
+        let matrix = crate::matrix::generate_matrix(p);
+        let oid = |s| EngineSpec::for_strategy(p, &generated, s);
+        let levels = EngineSpec::Levels(vec![generated.spec.clone(); 2]);
+        let proc = |caching| EngineSpec::Procedural(matrix.proc_spec.clone(), caching);
+        let out_val = ProcCaching::OutsideValues(p.size_cache);
+        vec![
+            ("standard/DFS", Dfs, oid(Dfs), [57, 26, 17, 14, 375]),
+            ("standard/BFS", Bfs, oid(Bfs), [95, 23, 57, 15, 375]),
+            (
+                "standard/DFSCACHE",
+                DfsCache,
+                oid(DfsCache),
+                [287, 40, 218, 29, 375],
+            ),
+            (
+                "clustered/DFSCLUST",
+                DfsClust,
+                oid(DfsClust),
+                [303, 43, 201, 59, 375],
+            ),
+            ("levels/DFS", Dfs, levels, [57, 26, 17, 14, 375]),
+            (
+                "procedural/exec",
+                Dfs,
+                proc(ProcCaching::None),
+                [59, 22, 23, 14, 375],
+            ),
+            (
+                "procedural/out-val",
+                Dfs,
+                proc(out_val),
+                [169, 30, 108, 31, 375],
+            ),
+        ]
+    }
+
+    /// The loop is the sum of its queries on every backend: one engine's
+    /// `run_sequence` equals the per-query `retrieve`/`update` outputs
+    /// summed on a twin started cold, and both equal the parent build's
+    /// counts, so loop and oracle cannot drift together.
     #[test]
-    fn engine_matches_free_function_results() {
+    fn run_sequence_is_the_sum_of_its_queries_on_every_backend() {
+        let p = loop_params();
+        let sequence = generate_sequence(&p);
+        for (name, strategy, spec, parent) in loop_cases(&p) {
+            let build = || loop_builder(&p, strategy).build(&spec).unwrap();
+            let run = build().run_sequence(strategy, &sequence).unwrap();
+
+            let twin = build();
+            twin.pool().flush_and_clear().unwrap();
+            let start = twin.pool().stats().snapshot();
+            let (mut par, mut child, mut update, mut values) = (0, 0, 0, 0);
+            for q in &sequence {
+                match q {
+                    Query::Retrieve(r) => {
+                        let out = twin.retrieve(strategy, r).unwrap();
+                        par += out.par_io.total();
+                        child += out.child_io.total();
+                        values += out.values.len() as u64;
+                    }
+                    Query::Update(u) => update += twin.update(u).unwrap().total(),
+                }
+            }
+            let total = twin.pool().stats().snapshot().since(&start).total();
+
+            let got = [
+                run.total_io,
+                run.par_io,
+                run.child_io,
+                run.update_io,
+                run.values_returned,
+            ];
+            assert_eq!(got, [total, par, child, update, values], "{name}: twin");
+            assert_eq!(got, parent, "{name}: parent build");
+            assert_eq!(total, par + child + update, "{name}: split covers total");
+            assert_eq!(run.cache, twin.cache_counters(), "{name}: cache counters");
+            assert_eq!(run.retrieves + run.updates, sequence.len(), "{name}");
+        }
+    }
+
+    /// Trace and concurrent runs are the same loop, so they serve a
+    /// procedural engine too (both were OID-only while they went through
+    /// the free functions) and agree with `run_sequence`.
+    #[test]
+    fn trace_and_one_stream_concurrent_match_run_sequence_on_a_procedural_engine() {
+        let p = loop_params();
+        let sequence = generate_sequence(&p);
+        let (_, strategy, spec, parent) = loop_cases(&p).pop().unwrap();
+        let build = || loop_builder(&p, strategy).build(&spec).unwrap();
+
+        let (run, trace) = build().run_sequence_trace(strategy, &sequence).unwrap();
+        assert_eq!(run.total_io, parent[0]);
+        assert_eq!(trace.len(), sequence.len());
+        assert_eq!(trace.iter().map(|t| t.io).sum::<u64>(), run.total_io);
+        assert_eq!(trace.iter().filter(|t| t.is_update).count(), run.updates);
+
+        let conc = build()
+            .run_concurrent(strategy, std::slice::from_ref(&sequence), None)
+            .unwrap();
+        assert_eq!(conc.total_io, run.total_io);
+        assert_eq!(conc.values_returned, run.values_returned);
+        assert_eq!((conc.retrieves, conc.updates), (run.retrieves, run.updates));
+    }
+
+    /// Metrics stay per call: the loop is one `SEQUENCE` span, not a
+    /// `RETRIEVE`/`UPDATE` span per query.
+    #[test]
+    fn run_sequence_pushes_one_sequence_span() {
+        use crate::metrics::span_op;
         let p = tiny();
         let generated = generate(&p);
         let sequence = generate_sequence(&p);
-        for strategy in [
-            Strategy::Dfs,
-            Strategy::Bfs,
-            Strategy::DfsCache,
-            Strategy::DfsClust,
-        ] {
-            let db = build_for_strategy(&p, &generated, strategy).unwrap();
-            let expected = run_sequence(&db, strategy, &sequence, &ExecOptions::default()).unwrap();
-            let engine = Engine::builder()
-                .build_workload(&p, &generated, strategy)
-                .unwrap();
-            let got = engine.run_sequence(strategy, &sequence).unwrap();
-            assert_eq!(got.total_io, expected.total_io, "{strategy}");
-            assert_eq!(got.values_returned, expected.values_returned, "{strategy}");
-        }
+        assert_eq!(sequence.len(), 20);
+        let engine = Engine::builder()
+            .metrics(true)
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
+        engine.run_sequence(Strategy::Dfs, &sequence).unwrap();
+        let spans = engine.metrics().unwrap().spans;
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].op, span_op::SEQUENCE);
+        assert_eq!(spans[0].payload, 20);
     }
 
     #[test]
@@ -1102,13 +1352,12 @@ mod tests {
                 new_ret1: 1,
             })
             .unwrap();
-        let m = engine.engine_metrics().unwrap();
-        let spans = m.spans();
+        let report = engine.metrics().unwrap();
+        let spans = &report.spans;
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].op, span_op::RETRIEVE);
         assert_eq!(spans[0].payload, out.values.len() as u64);
         assert_eq!(spans[1].op, span_op::UPDATE);
-        let report = engine.metrics().unwrap();
         report.validate().unwrap();
         let pool = &report.pool;
         assert_eq!(pool.len(), 2, "one telemetry stripe per shard");
@@ -1714,6 +1963,50 @@ mod tests {
             matches!(err, CorError::CatalogVersion { found: 9, .. }),
             "{err}"
         );
+    }
+
+    /// A blob chain is bytes from disk: a store whose engine blob chain
+    /// loops back on itself fails to open with a typed error (it hung
+    /// before `Catalog` bounded its chain walk).
+    #[test]
+    fn open_rejects_a_corrupt_blob_chain() {
+        const POINTER: &[u8] = b"\x04\x06engine"; // kind, name_len, name
+        let generated = generate(&tiny());
+        let (disk, store) = mem_stores();
+        Engine::builder()
+            .pool_pages(16)
+            .create_on(disk.clone(), store, &standard(&generated))
+            .unwrap()
+            .close()
+            .unwrap();
+        let pool = BufferPool::builder()
+            .capacity(8)
+            .disk(Box::new(disk.clone()))
+            .build();
+        // After the name: payload length, then the first chain page.
+        let first = pool
+            .read(0, |p| {
+                let (_, rec) = p.records().find(|(_, r)| r.starts_with(POINTER))?;
+                Some(u32::from_le_bytes(rec[12..16].try_into().unwrap()))
+            })
+            .unwrap()
+            .expect("engine pointer record");
+        let mut chunk = pool
+            .read(first, |p| p.records().next().unwrap().1.to_vec())
+            .unwrap();
+        chunk[..4].copy_from_slice(&first.to_le_bytes());
+        pool.write(first, |mut p| {
+            p.init();
+            p.insert(&chunk).unwrap();
+        })
+        .unwrap();
+        pool.flush_all().unwrap();
+        drop(pool);
+        let err = Engine::builder()
+            .open_on(disk, Arc::new(cor_wal::MemLogStore::new()))
+            .err()
+            .expect("a corrupt chain must not open");
+        assert!(matches!(err, CorError::CatalogMissing), "{err}");
     }
 
     #[test]

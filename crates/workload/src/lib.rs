@@ -2,8 +2,10 @@
 //!
 //! The experiment harness of the reproduction: paper-parameterized database
 //! generation ([`dbgen`]), query-sequence generation ([`seqgen`]), the
-//! measuring driver ([`driver`]), experiment-point runners and parallel
-//! sweeps ([`experiment`]), plain-text reporting ([`report`]), and the
+//! [`Engine`] that owns execution — the measured loop included — and
+//! persistence ([`engine`]; its result types are in [`driver`] and
+//! [`concurrent`]), experiment-point runners and parallel sweeps
+//! ([`experiment`]), plain-text reporting ([`report`]), and the
 //! engine-level observability layer ([`metrics`]).
 //!
 //! The defaults in [`Params::paper_default`] reproduce Sec. 4 of the paper;
@@ -45,14 +47,10 @@ pub mod seqgen;
 
 pub use catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB, ENGINE_CATALOG_VERSION};
 pub use concurrent::{
-    generate_stream_sequences, run_concurrent_streams, run_concurrent_streams_observed,
-    stderr_reporter, ConcurrentRunResult, LatencySummary, LiveTick,
+    generate_stream_sequences, stderr_reporter, ConcurrentRunResult, LatencySummary, LiveTick,
 };
-pub use dbgen::{
-    build_for_strategy, build_for_strategy_on, generate, make_pool, rng_for, GeneratedDb,
-    SeedStream,
-};
-pub use driver::{run_sequence, run_sequence_trace, QueryTrace, RunResult};
+pub use dbgen::{build_for_strategy, generate, make_pool, rng_for, GeneratedDb, SeedStream};
+pub use driver::{QueryTrace, RunResult};
 pub use engine::{Engine, EngineBuilder, EngineSpec, SlowQueryEntry};
 pub use experiment::{
     best_strategy, compare_strategies, default_threads, parallel_map, run_point, run_point_with,

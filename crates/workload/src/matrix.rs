@@ -17,24 +17,20 @@
 //!   non-indexable `ret3` predicate) for the procedural representation,
 //! * an inlined record list for the value-based representation.
 
-use crate::dbgen::{random_child_oid, rng_for, SeedStream};
+use crate::dbgen::{make_pool, rng_for, SeedStream};
+use crate::engine::{Engine, EngineSpec};
 use crate::params::Params;
 use crate::seqgen::generate_sequence;
 use complexobj::database::CHILD_REL_BASE;
-use complexobj::procedural::{
-    apply_proc_update, execute_proc_retrieve, ProcCaching, ProcDatabase, ProcDatabaseSpec,
-    ProcObjectSpec, StoredQuery,
-};
-use complexobj::strategies::execute_retrieve;
+use complexobj::procedural::{ProcCaching, ProcDatabaseSpec, ProcObjectSpec, StoredQuery};
 use complexobj::{
-    apply_update, CacheConfig, CacheCounters, CorDatabase, CorError, DatabaseSpec, ExecOptions,
-    ObjectSpec, Query, Strategy, SubobjectSpec, ValueDatabase,
+    CacheConfig, CacheCounters, CachePlacement, CorError, DatabaseSpec, ObjectSpec, Query,
+    Strategy, SubobjectSpec, ValueDatabase,
 };
 use cor_relational::Oid;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::Arc;
 
 /// The same logical database in every representation's spec form.
 #[derive(Debug, Clone)]
@@ -284,9 +280,71 @@ pub fn run_matrix_point(
     system: MatrixSystem,
 ) -> Result<MatrixRunResult, CorError> {
     let sequence = generate_sequence(params);
-    let pool = crate::dbgen::make_pool(params);
-    let mut result = MatrixRunResult {
+    let size = params.size_cache;
+    let (indexed, scan) = (&spec.proc_spec, &spec.proc_scan_spec);
+    let oid = |strategy, placement| {
+        let engine_spec = EngineSpec::Standard(spec.oid_spec.clone());
+        (engine_spec, strategy, placement)
+    };
+    // Procedural engines ignore the strategy; DFS stands in.
+    let proc = |proc_spec: &ProcDatabaseSpec, caching| {
+        let engine_spec = EngineSpec::Procedural(proc_spec.clone(), caching);
+        (engine_spec, Strategy::Dfs, None)
+    };
+    let (engine_spec, strategy, placement) = match system {
+        MatrixSystem::OidBfs => oid(Strategy::Bfs, None),
+        MatrixSystem::OidCached => oid(Strategy::DfsCache, Some(CachePlacement::Outside)),
+        MatrixSystem::OidCachedInside => oid(Strategy::DfsCache, Some(CachePlacement::Inside)),
+        MatrixSystem::ProcExecute => proc(indexed, ProcCaching::None),
+        MatrixSystem::ProcExecuteScan => proc(scan, ProcCaching::None),
+        MatrixSystem::ProcOutsideValues => proc(indexed, ProcCaching::OutsideValues(size)),
+        MatrixSystem::ProcOutsideOids => proc(indexed, ProcCaching::OutsideOids(size)),
+        MatrixSystem::ProcScanOutsideValues => proc(scan, ProcCaching::OutsideValues(size)),
+        MatrixSystem::ProcScanOutsideOids => proc(scan, ProcCaching::OutsideOids(size)),
+        MatrixSystem::ProcScanInsideValues => proc(scan, ProcCaching::InsideValues(size)),
+        MatrixSystem::ProcInsideValues => proc(indexed, ProcCaching::InsideValues(size)),
+        MatrixSystem::ValueBased => return run_value_based(params, spec, &sequence),
+    };
+    let mut builder = Engine::builder()
+        .pool_pages(params.buffer_pages)
+        .shards(params.shards);
+    if let Some(placement) = placement {
+        builder = builder.cache(CacheConfig {
+            capacity: size,
+            placement,
+            ..CacheConfig::default()
+        });
+    }
+    let run = builder
+        .build(&engine_spec)?
+        .run_sequence(strategy, &sequence)?;
+    // An uncached procedural engine still keeps (all-zero) counters; the
+    // matrix reports a cache only where one exists.
+    let uncached = matches!(engine_spec, EngineSpec::Procedural(_, ProcCaching::None));
+    Ok(MatrixRunResult {
         system,
+        queries: run.queries,
+        retrieves: run.retrieves,
+        total_io: run.total_io,
+        retrieve_io: run.par_io + run.child_io,
+        update_io: run.update_io,
+        values_returned: run.values_returned,
+        cache: run.cache.filter(|_| !uncached),
+    })
+}
+
+/// The value-based column's measured loop. `ValueDatabase` is not an
+/// engine backend, so this is the one sequence loop outside
+/// [`Engine::run_sequence`].
+fn run_value_based(
+    params: &Params,
+    spec: &MatrixSpec,
+    sequence: &[Query],
+) -> Result<MatrixRunResult, CorError> {
+    let pool = make_pool(params);
+    let db = ValueDatabase::build(pool.clone(), &spec.oid_spec)?;
+    let mut result = MatrixRunResult {
+        system: MatrixSystem::ValueBased,
         queries: sequence.len(),
         retrieves: 0,
         total_io: 0,
@@ -295,131 +353,21 @@ pub fn run_matrix_point(
         values_returned: 0,
         cache: None,
     };
-
-    enum Db {
-        Oid(CorDatabase, Strategy),
-        Proc(ProcDatabase),
-        Value(ValueDatabase),
-    }
-
-    let db = match system {
-        MatrixSystem::OidBfs => Db::Oid(
-            CorDatabase::build_standard(Arc::clone(&pool), &spec.oid_spec, None)?,
-            Strategy::Bfs,
-        ),
-        MatrixSystem::OidCached => Db::Oid(
-            CorDatabase::build_standard(
-                Arc::clone(&pool),
-                &spec.oid_spec,
-                Some(CacheConfig {
-                    capacity: params.size_cache,
-                    ..CacheConfig::default()
-                }),
-            )?,
-            Strategy::DfsCache,
-        ),
-        MatrixSystem::OidCachedInside => Db::Oid(
-            CorDatabase::build_standard(
-                Arc::clone(&pool),
-                &spec.oid_spec,
-                Some(CacheConfig {
-                    capacity: params.size_cache,
-                    placement: complexobj::CachePlacement::Inside,
-                    ..CacheConfig::default()
-                }),
-            )?,
-            Strategy::DfsCache,
-        ),
-        MatrixSystem::ProcExecute => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_spec,
-            ProcCaching::None,
-        )?),
-        MatrixSystem::ProcExecuteScan => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_scan_spec,
-            ProcCaching::None,
-        )?),
-        MatrixSystem::ProcOutsideValues => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_spec,
-            ProcCaching::OutsideValues(params.size_cache),
-        )?),
-        MatrixSystem::ProcOutsideOids => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_spec,
-            ProcCaching::OutsideOids(params.size_cache),
-        )?),
-        MatrixSystem::ProcScanOutsideValues => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_scan_spec,
-            ProcCaching::OutsideValues(params.size_cache),
-        )?),
-        MatrixSystem::ProcScanOutsideOids => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_scan_spec,
-            ProcCaching::OutsideOids(params.size_cache),
-        )?),
-        MatrixSystem::ProcScanInsideValues => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_scan_spec,
-            ProcCaching::InsideValues(params.size_cache),
-        )?),
-        MatrixSystem::ProcInsideValues => Db::Proc(ProcDatabase::build(
-            Arc::clone(&pool),
-            &spec.proc_spec,
-            ProcCaching::InsideValues(params.size_cache),
-        )?),
-        MatrixSystem::ValueBased => {
-            Db::Value(ValueDatabase::build(Arc::clone(&pool), &spec.oid_spec)?)
-        }
-    };
-
     pool.flush_and_clear()?;
-    let stats = pool.stats().clone();
-    let start = stats.snapshot();
-    let opts = ExecOptions::default();
-
-    for q in &sequence {
+    let start = pool.stats().snapshot();
+    for q in sequence {
         match q {
             Query::Retrieve(r) => {
-                let out = match &db {
-                    Db::Oid(d, s) => execute_retrieve(d, *s, r, &opts)?,
-                    Db::Proc(d) => execute_proc_retrieve(d, r)?,
-                    Db::Value(d) => d.run_retrieve(r)?,
-                };
+                let out = db.run_retrieve(r)?;
                 result.retrieves += 1;
                 result.retrieve_io += out.total_io();
                 result.values_returned += out.values.len() as u64;
             }
-            Query::Update(u) => {
-                let delta = match &db {
-                    Db::Oid(d, _) => apply_update(d, u, d.has_cache())?,
-                    Db::Proc(d) => apply_proc_update(d, u)?,
-                    Db::Value(d) => d.apply_update(u)?,
-                };
-                result.update_io += delta.total();
-            }
+            Query::Update(u) => result.update_io += db.apply_update(u)?.total(),
         }
     }
-    result.total_io = stats.snapshot().since(&start).total();
-    result.cache = match &db {
-        Db::Oid(d, _) => d.cache_counters(),
-        Db::Proc(d) if d.caching() != ProcCaching::None => Some(d.cache_counters()),
-        _ => None,
-    };
+    result.total_io = pool.stats().snapshot().since(&start).total();
     Ok(result)
-}
-
-/// Random-update helper reused by tests: an update targeting subobjects
-/// valid for the matrix workload.
-pub fn matrix_random_update(params: &Params, rng: &mut StdRng) -> complexobj::UpdateQuery {
-    complexobj::UpdateQuery {
-        targets: (0..params.update_batch)
-            .map(|_| random_child_oid(params, rng))
-            .collect(),
-        new_ret1: rng.random_range(-1000..=1000),
-    }
 }
 
 #[cfg(test)]

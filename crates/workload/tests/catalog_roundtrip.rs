@@ -287,3 +287,59 @@ fn stores_from_earlier_builds_still_open() {
         assert_eq!(reopened.pool().queue_depth(), depth);
     }
 }
+
+/// A kind-0 (`BTree`) page-0 record as the typed file catalog of earlier
+/// builds wrote it: the entry `"person"` for a 300-entry tree with 10-byte
+/// keys (root 3, first leaf 1, height 2, 21 leaves). Captured from the
+/// last build that had that API; nothing writes kinds 0–3 any more.
+const PARENT_BTREE_RECORD: &str =
+    "0006706572736f6e0a0003000000010000002c010000000000000200000015000000";
+
+/// Record kinds 0–3 are retired, not reused: a page 0 that still carries
+/// one opens, its blob reads byte for byte, re-saving the blob leaves the
+/// foreign record in place, and the engine reopens over it.
+#[test]
+fn a_page_zero_with_a_retired_typed_record_still_opens() {
+    let disk = Arc::new(MemDisk::new());
+    let store = Arc::new(MemLogStore::new());
+    Engine::builder()
+        .pool_pages(16)
+        .create_on(
+            disk.clone(),
+            store.clone(),
+            &EngineSpec::Standard(DatabaseSpec::tiny()),
+        )
+        .expect("create")
+        .close()
+        .expect("close");
+
+    let typed = unhex(&[PARENT_BTREE_RECORD]);
+    let holds_typed = |pool: &BufferPool| {
+        pool.read(0, |p| p.records().any(|(_, r)| r == typed))
+            .expect("page 0 reads")
+    };
+    let pool = Arc::new(
+        BufferPool::builder()
+            .capacity(8)
+            .disk(Box::new(disk.clone()))
+            .build(),
+    );
+    pool.write(0, |mut p| p.insert(&typed).map(|_| ()))
+        .expect("page 0 writes")
+        .expect("page 0 has room");
+
+    let cat = Catalog::open(Arc::clone(&pool)).expect("access catalog");
+    let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
+    assert_eq!(blob, unhex(PARENT_LRU_BLOB));
+    cat.save_blob(ENGINE_BLOB, &blob).expect("re-save");
+    assert!(holds_typed(&pool), "save_blob moved a foreign record");
+    assert_eq!(cat.get_blob(ENGINE_BLOB).expect("engine blob"), blob);
+    pool.flush_all().expect("flush");
+    drop((cat, pool));
+
+    let reopened = Engine::builder().open_on(disk, store).expect("reopen");
+    assert!(
+        holds_typed(reopened.pool()),
+        "open dropped a foreign record"
+    );
+}

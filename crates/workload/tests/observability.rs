@@ -8,12 +8,9 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use complexobj::{ExecOptions, Query, RetAttr, RetrieveQuery, Strategy};
+use complexobj::{Query, RetAttr, RetrieveQuery, Strategy};
 use cor_obs::{flight, heat, wait, Phase};
-use cor_workload::{
-    build_for_strategy, generate, generate_sequence, generate_zipf_sequence, run_sequence, Engine,
-    Params,
-};
+use cor_workload::{generate, generate_sequence, generate_zipf_sequence, Engine, Params};
 
 // The heat map and flight recorder are process-global; serialize every
 // test that toggles them so parallel test threads don't interleave.
@@ -37,20 +34,24 @@ fn enabling_observability_leaves_io_accounting_byte_identical() {
     let p = small(5);
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
-    let opts = ExecOptions::default();
+    let build = || {
+        Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap()
+    };
 
     heat::enable(false);
     flight::enable(false);
-    let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-    let base = run_sequence(&db, Strategy::Dfs, &sequence, &opts).unwrap();
-    let base_snap = db.pool().stats().snapshot();
+    let engine = build();
+    let base = engine.run_sequence(Strategy::Dfs, &sequence).unwrap();
+    let base_snap = engine.pool().stats().snapshot();
 
     heat::enable(true);
     flight::enable(true);
     heat::global().reset();
-    let db2 = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-    let hot = run_sequence(&db2, Strategy::Dfs, &sequence, &opts).unwrap();
-    let hot_snap = db2.pool().stats().snapshot();
+    let engine2 = build();
+    let hot = engine2.run_sequence(Strategy::Dfs, &sequence).unwrap();
+    let hot_snap = engine2.pool().stats().snapshot();
     let touches = heat::global().report().touches;
     heat::enable(false);
     flight::enable(false);
@@ -77,17 +78,19 @@ fn zipf_driver_heat_topk_matches_generator_hot_set() {
         ..small(1)
     };
     let generated = generate(&p);
-    let db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+    let engine = Engine::builder()
+        .build_workload(&p, &generated, Strategy::Dfs)
+        .unwrap();
 
     heat::enable(true);
     heat::global().reset();
     let skewed = generate_zipf_sequence(&p, 1.2);
-    run_sequence(&db, Strategy::Dfs, &skewed, &ExecOptions::default()).unwrap();
+    engine.run_sequence(Strategy::Dfs, &skewed).unwrap();
     let zipf_report = heat::global().report();
 
     heat::global().reset();
     let uniform = generate_sequence(&p);
-    run_sequence(&db, Strategy::Dfs, &uniform, &ExecOptions::default()).unwrap();
+    engine.run_sequence(Strategy::Dfs, &uniform).unwrap();
     let uniform_report = heat::global().report();
     heat::enable(false);
 

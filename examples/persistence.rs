@@ -1,128 +1,92 @@
-//! Durable storage: build the paper's relations on a real file, exit,
-//! reopen, and query again — the access layer's catalog (page 0) carries
-//! the structural metadata across restarts.
+//! Durable storage through the engine: create a store in a directory,
+//! update it, close, reopen with no spec at all, and get the same answers.
+//!
+//! `create` writes the page file and a write-ahead log; every update is
+//! logged before its page can reach the disk, and `close` leaves a clean
+//! checkpoint. `open` replays the log, reads the engine catalog from
+//! page 0 — file roots, OID allocators, the cache directory, the pool's
+//! geometry — and rebuilds the backend it records.
 //!
 //! ```text
 //! cargo run --release --example persistence
 //! ```
 
-use cor_access::{encode, scan_where, BTreeFile, Catalog, HashFile, DEFAULT_FILL};
-use cor_pagestore::{BufferPool, FileDisk};
-use cor_relational::{CmpOp, Oid, Predicate, Schema, Tuple, Value, ValueType};
-use std::sync::Arc;
+use complexobj::{CacheConfig, RetAttr, RetrieveQuery, Strategy, UpdateQuery};
+use cor_workload::{generate, Engine, EngineSpec, Params};
 
-fn person_schema() -> Schema {
-    Schema::new(&[
-        ("oid", ValueType::Oid),
-        ("name", ValueType::Str),
-        ("age", ValueType::Int),
-    ])
+fn sorted_answer(engine: &Engine, query: &RetrieveQuery) -> Vec<i64> {
+    let mut values = engine
+        .retrieve(Strategy::DfsCache, query)
+        .expect("retrieve")
+        .values;
+    values.sort_unstable();
+    values
 }
 
 fn main() {
     let dir = std::env::temp_dir().join("cor-persistence-example");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("people.pages");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
-    let schema = person_schema();
-    let people = [
-        ("John", 62i64),
-        ("Mary", 62),
-        ("Paul", 68),
-        ("Jill", 8),
-        ("Bill", 12),
-        ("Mike", 44),
-    ];
+    // A 1/20-scale paper database: 500 objects over 500 shared subobjects.
+    let params = Params::scaled(0.05);
+    let generated = generate(&params);
+    // retrieve (ParentRel.children.ret1) where 0 <= ParentRel.OID <= 19
+    let query = RetrieveQuery {
+        lo: 0,
+        hi: 19,
+        attr: RetAttr::Ret1,
+    };
 
-    // --- session 1: create, load, persist -------------------------------
-    {
-        let disk = FileDisk::open(&path).expect("open page file");
-        let pool = Arc::new(
-            BufferPool::builder()
-                .disk(Box::new(disk))
-                .capacity(100)
-                .build(),
-        );
-        let catalog = Catalog::create(Arc::clone(&pool)).expect("catalog on page 0");
-
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = people
-            .iter()
-            .enumerate()
-            .map(|(i, (name, age))| {
-                let oid = Oid::new(10, i as u64);
-                let t = Tuple::new(vec![Value::Oid(oid), Value::from(*name), Value::Int(*age)]);
-                (
-                    oid.to_key_bytes().to_vec(),
-                    encode(&schema, &t).expect("encode"),
-                )
+    // --- session 1: create, update, close --------------------------------
+    let expected = {
+        let engine = Engine::builder()
+            .pool_pages(params.buffer_pages)
+            .cache(CacheConfig {
+                capacity: params.size_cache,
+                ..CacheConfig::default()
             })
-            .collect();
-        let person =
-            BTreeFile::bulk_load(Arc::clone(&pool), 10, entries, DEFAULT_FILL).expect("bulk load");
-        catalog
-            .save_btree("person", &person)
-            .expect("catalog entry");
+            .create(&dir, &EngineSpec::Standard(generated.spec.clone()))
+            .expect("create the store");
+        let before = sorted_answer(&engine, &query);
 
-        // A hash relation on the side (the Cache relation's machinery).
-        let notes = HashFile::create(Arc::clone(&pool), 4).expect("hash file");
-        notes
-            .put(b"elders", b"persons with age >= 60")
-            .expect("put");
-        catalog.save_hash("notes", &notes).expect("catalog entry");
+        // Overwrite ret1 of the first object's subobjects.
+        let targets = generated.spec.parents[0].children.clone();
+        engine
+            .update(&UpdateQuery {
+                targets,
+                new_ret1: 4242,
+            })
+            .expect("update");
+        let after = sorted_answer(&engine, &query);
+        assert_ne!(before, after, "the update is visible");
 
-        pool.flush_all().expect("make everything durable");
         println!(
-            "session 1: loaded {} persons into {} ({} pages), catalog saved",
-            person.len(),
-            path.display(),
-            pool.num_pages()
+            "session 1: created {} ({} pages), updated {} subobjects, {} values answer the query",
+            dir.display(),
+            engine.pool().num_pages(),
+            generated.spec.parents[0].children.len(),
+            after.len(),
         );
-    } // everything dropped — "process exit"
+        engine.close().expect("clean shutdown");
+        after
+    }; // everything dropped — "process exit"
 
     // --- session 2: reopen and query -------------------------------------
     {
-        let disk = FileDisk::open(&path).expect("reopen page file");
-        let pool = Arc::new(
-            BufferPool::builder()
-                .disk(Box::new(disk))
-                .capacity(100)
-                .build(),
-        );
-        let catalog = Catalog::open(Arc::clone(&pool)).expect("catalog present");
-        let mut names = catalog.names().expect("listable");
-        names.sort();
-        println!("session 2: catalog entries {names:?}");
-
-        let person = catalog.open_btree("person").expect("reattach");
+        // No spec and no geometry: the catalog on page 0 is the source of
+        // truth, and its recorded pool size wins over the builder's.
+        let engine = Engine::builder().open(&dir).expect("reopen the store");
+        let answer = sorted_answer(&engine, &query);
         println!(
-            "  person relation: {} tuples, height {}",
-            person.len(),
-            person.height()
+            "session 2: reopened with a {}-page pool; {} values, {} of them the updated 4242",
+            engine.pool().capacity(),
+            answer.len(),
+            answer.iter().filter(|&&v| v == 4242).count(),
         );
-
-        // retrieve (person.name, person.age) where person.age >= 60
-        let is_elder = Predicate::cmp(2, CmpOp::Ge, 60);
-        let elders: Vec<(String, i64)> = scan_where(&person, &schema, &is_elder)
-            .map(|t| {
-                let t = t.expect("decode");
-                (
-                    t.get(1).as_str().expect("name").to_string(),
-                    t.get(2).as_int().expect("age"),
-                )
-            })
-            .collect();
-        println!("  elders (age >= 60): {elders:?}");
-        assert_eq!(elders.len(), 3);
-
-        let notes = catalog.open_hash("notes").expect("reattach hash");
-        let definition = notes.get(b"elders").expect("get").expect("present");
-        println!(
-            "  notes[elders] = {:?}",
-            String::from_utf8_lossy(&definition)
-        );
+        assert_eq!(answer, expected, "same answers after the restart");
+        assert_eq!(engine.pool().capacity(), params.buffer_pages);
     }
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
     println!("done — the database survived the restart.");
 }

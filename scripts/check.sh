@@ -33,7 +33,7 @@ cargo run -q -p cor-bench --bin explain -- --smoke --jsonl results/explain/smoke
 echo "==> explain replay (deterministic I/O regression gate)"
 cargo run -q -p cor-bench --bin explain -- --replay results/explain/smoke.jsonl
 
-echo "==> figs (figure fixed point: fig3/4/5/7, smart, multilevel, numchildrel, ablation regenerate byte-identically)"
+echo "==> figs (figure fixed point: fig3/4/5/7, smart, multilevel, numchildrel, ablation, matrix, jhin88, insideout regenerate byte-identically)"
 scripts/figs.sh
 
 echo "==> crashtest smoke (durability gate: crash, recover, verify vs oracle)"
