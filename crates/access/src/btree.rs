@@ -1456,11 +1456,7 @@ impl LeafWalker {
     /// See [`BTreeRange::with_readahead`].
     fn set_readahead(&mut self, window: usize) {
         self.readahead = window;
-        self.ra_cur = if self.pool.queue_depth() > 1 {
-            window
-        } else {
-            window.min(4)
-        };
+        self.ra_cur = window.min(4);
     }
 
     /// Run `f` over the next leaf's bytes under its page pin and step to
@@ -1520,14 +1516,10 @@ impl BTreeRange {
     /// entries yielded are identical either way. `window == 0` (the
     /// default) disables readahead entirely.
     ///
-    /// On a synchronous pool the window ramps: the first prefetch covers
-    /// at most 4 pages and each subsequent one doubles up to `window`,
-    /// so a short scan wastes at most a few speculative pages while a
-    /// long one still reaches full-window coalescing. On a pool with an
-    /// async submission engine (`queue_depth > 1`) the ramp is skipped
-    /// and the first prefetch already covers the full window —
-    /// speculative pages overlap with the scan instead of blocking it,
-    /// so eagerness costs latency nothing and keeps the queue fed.
+    /// The window ramps: the first prefetch covers at most 4 pages and
+    /// each subsequent one doubles up to `window`, so a short scan wastes
+    /// at most a few speculative pages while a long one still reaches
+    /// full-window coalescing.
     pub fn with_readahead(mut self, window: usize) -> Self {
         self.leaves.set_readahead(window);
         self
@@ -1993,5 +1985,50 @@ mod tests {
             .with_readahead(4)
             .collect();
         assert_eq!(r1, r2);
+    }
+
+    /// A readahead window larger than the pool is clipped to what the
+    /// pool can hold: the scan never stalls on frames its own prefetch
+    /// pinned, `prefetch_issued` counts only pages that were read, and
+    /// values and `reads` equal the readahead-off run. (Unclipped, every
+    /// over-sized window waited out the frame-stall budget under the
+    /// shard mutex, emptied the pool, failed with `NoFreeFrames` — which
+    /// the walker discards — and still counted as issued.)
+    #[test]
+    fn readahead_window_larger_than_the_pool_neither_stalls_nor_miscounts() {
+        let p = Arc::new(BufferPool::builder().capacity(8).telemetry(true).build());
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..3000u64)
+            .map(|k| (key8(k), vec![(k % 200) as u8; 80]))
+            .collect();
+        let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
+        assert!(t.leaf_pages() > 64, "the ramp must reach 32 pages");
+
+        let cold_scan = |readahead: usize| {
+            p.flush_and_clear().unwrap();
+            let before = p.stats().snapshot();
+            let batch = p.stats().batch_snapshot();
+            let waits = p.telemetry().unwrap()[0].pin_waits;
+            let values: Vec<u8> = t
+                .scan_all()
+                .with_readahead(readahead)
+                .map(|(_, v)| v[0])
+                .collect();
+            (
+                values,
+                p.stats().snapshot().since(&before).reads,
+                p.stats().batch_snapshot().since(&batch),
+                p.telemetry().unwrap()[0].pin_waits - waits,
+            )
+        };
+        let (plain, plain_reads, _, _) = cold_scan(0);
+        let (ahead, ahead_reads, batch, pin_waits) = cold_scan(32);
+        assert_eq!(ahead, plain, "same values");
+        assert_eq!(ahead_reads, plain_reads, "same reads");
+        assert_eq!(pin_waits, 0, "readahead stalled on its own pins");
+        assert!(batch.prefetch_issued > 0);
+        assert_eq!(
+            batch.prefetch_issued, batch.batch_reads,
+            "every page counted as issued was brought in"
+        );
     }
 }

@@ -33,11 +33,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use complexobj::{ExecOptions, IoOptions, Query, Strategy};
-use cor_bench::BenchConfig;
-use cor_workload::{
-    fnum, format_table, generate, generate_sequence, Engine, GeneratedDb, Params,
-    ENGINE_CATALOG_VERSION, METRICS_SCHEMA_VERSION,
-};
+use cor_bench::{write_report, BenchConfig, JsonObj};
+use cor_workload::{fnum, format_table, generate, generate_sequence, Engine, GeneratedDb, Params};
 
 /// Baseline record format version.
 const PERF_SCHEMA_VERSION: u32 = 1;
@@ -52,9 +49,6 @@ struct LegSpec {
 /// Median-of-K measurement of one leg.
 struct LegResult {
     name: String,
-    /// The pool's active async submission backend ("sync" at the
-    /// default queue depth of 1).
-    backend: &'static str,
     retrieves: u64,
     values: u64,
     checksum: u64,
@@ -104,13 +98,11 @@ fn run_leg(
 
     let mut agreed: Option<(u64, u64, u64, u64, u64)> = None;
     let mut walls: Vec<u64> = Vec::with_capacity(reps);
-    let mut backend: &'static str = "sync";
     for rep in 0..reps {
         let engine = Engine::builder()
             .build_workload(params, generated, spec.strategy)
             .map_err(|e| format!("{}: engine build failed: {e}", spec.name))?
             .with_options(spec.opts);
-        backend = engine.pool().aio_backend().name();
         let stats = engine.pool().stats().clone();
         engine
             .pool()
@@ -148,7 +140,6 @@ fn run_leg(
     walls.sort_unstable();
     Ok(LegResult {
         name: spec.name.clone(),
-        backend,
         retrieves,
         values,
         checksum,
@@ -178,34 +169,28 @@ fn json_record(
     ts_secs: u64,
     legs: &[LegResult],
 ) -> String {
-    let legs_json: Vec<String> = legs
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"leg\":\"{}\",\"aio_backend\":\"{}\",\"retrieves\":{},\
-                 \"values\":{},\"checksum\":{},\
-                 \"reads\":{},\"writes\":{},\"wall_ns\":{}}}",
-                l.name, l.backend, l.retrieves, l.values, l.checksum, l.reads, l.writes, l.wall_ns
-            )
-        })
-        .collect();
-    format!(
-        "{{\"ts\":{ts_secs},\"schema_version\":{PERF_SCHEMA_VERSION},\
-         \"catalog_version\":{ENGINE_CATALOG_VERSION},\
-         \"metrics_schema_version\":{METRICS_SCHEMA_VERSION},\
-         \"smoke\":{smoke},\"reps\":{reps},\
-         \"params\":{{\"parent_card\":{},\"num_top\":{},\"sequence_len\":{},\
-         \"size_cache\":{},\"buffer_pages\":{},\"shards\":{},\"seed\":{}}},\
-         \"legs\":[{}]}}",
-        params.parent_card,
-        params.num_top,
-        params.sequence_len,
-        params.size_cache,
-        params.buffer_pages,
-        params.shards,
-        params.seed,
-        legs_json.join(",")
-    )
+    let legs = legs.iter().map(|l| {
+        JsonObj::default()
+            .str("leg", &l.name)
+            .raw("retrieves", l.retrieves)
+            .raw("values", l.values)
+            .raw("checksum", l.checksum)
+            .raw("reads", l.reads)
+            .raw("writes", l.writes)
+            .raw("wall_ns", l.wall_ns)
+            .finish()
+    });
+    JsonObj::default()
+        .raw("ts", ts_secs)
+        .stamp(PERF_SCHEMA_VERSION)
+        .raw("smoke", smoke)
+        .raw("reps", reps)
+        .params(
+            params,
+            "parent_card num_top sequence_len size_cache buffer_pages shards seed",
+        )
+        .array("legs", legs)
+        .finish()
 }
 
 /// Gate legs against the committed baseline: reads/writes/values and the
@@ -336,16 +321,7 @@ fn main() {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         let record = json_record(&params, smoke, reps, ts_secs, &legs);
-        if let Some(dir) = baseline_path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(&baseline_path, format!("{record}\n")) {
-            Ok(()) => eprintln!("rebaselined {}", baseline_path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", baseline_path.display());
-                std::process::exit(1);
-            }
-        }
+        write_report(&baseline_path, &format!("{record}\n"));
     } else if smoke {
         match std::fs::read_to_string(&baseline_path) {
             Ok(baseline) => failures.extend(check_baseline(&baseline, &params, &legs)),

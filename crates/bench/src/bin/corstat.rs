@@ -28,7 +28,7 @@
 use std::time::Duration;
 
 use complexobj::{CacheCounters, Query, Strategy};
-use cor_bench::BenchConfig;
+use cor_bench::{write_report, BenchConfig, JsonObj};
 use cor_obs::{heat, MetricValue, SlidingWindow};
 use cor_pagestore::ShardTelemetrySnapshot;
 use cor_workload::{
@@ -136,86 +136,70 @@ fn pct(ratio: f64) -> String {
 }
 
 fn json_cache(c: &Option<CacheCounters>) -> String {
-    match c {
-        None => "null".into(),
-        Some(c) => format!(
-            "{{\"hits\":{},\"misses\":{},\"insertions\":{},\"invalidations\":{},\
-             \"evictions\":{},\"hit_ratio\":{:.6}}}",
-            c.hits,
-            c.misses,
-            c.insertions,
-            c.invalidations,
-            c.evictions,
-            c.hit_ratio()
-        ),
-    }
+    c.as_ref().map_or("null".into(), |c| {
+        JsonObj::default()
+            .raw("hits", c.hits)
+            .raw("misses", c.misses)
+            .raw("insertions", c.insertions)
+            .raw("invalidations", c.invalidations)
+            .raw("evictions", c.evictions)
+            .fixed("hit_ratio", c.hit_ratio(), 6)
+            .finish()
+    })
 }
 
 fn json_shard(s: &ShardTelemetrySnapshot) -> String {
-    format!(
-        "{{\"shard\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"writebacks\":{},\
-         \"pin_waits\":{},\"hit_ratio\":{:.6}}}",
-        s.shard,
-        s.hits,
-        s.misses,
-        s.evictions,
-        s.writebacks,
-        s.pin_waits,
-        s.hit_ratio()
-    )
+    JsonObj::default()
+        .raw("shard", s.shard)
+        .raw("hits", s.hits)
+        .raw("misses", s.misses)
+        .raw("evictions", s.evictions)
+        .raw("writebacks", s.writebacks)
+        .raw("pin_waits", s.pin_waits)
+        .fixed("hit_ratio", s.hit_ratio(), 6)
+        .finish()
 }
 
 fn json_report(scale: f64, params: &Params, stats: &[StrategyStat]) -> String {
-    let strategies: Vec<String> = stats
-        .iter()
-        .map(|s| {
-            let shards: Vec<String> = s.pool.iter().map(json_shard).collect();
-            format!(
-                "{{\"strategy\":\"{}\",\"retrieves\":{},\"updates\":{},\
-                 \"mean_retrieve_io\":{:.6},\
-                 \"latency_ns\":{{\"p50\":{},\"p99\":{},\"max\":{}}},\
-                 \"pool\":{{\"hit_ratio\":{:.6},\"total\":{},\"shards\":[{}]}},\
-                 \"cache\":{}}}",
-                s.strategy.name(),
-                s.retrieves,
-                s.updates,
-                s.mean_retrieve_io,
-                s.latency_p50_ns,
-                s.latency_p99_ns,
-                s.latency_max_ns,
-                s.pool_total.hit_ratio(),
-                json_shard(&s.pool_total),
-                shards.join(","),
-                json_cache(&s.cache)
+    let strategies = stats.iter().map(|s| {
+        JsonObj::default()
+            .str("strategy", s.strategy.name())
+            .raw("retrieves", s.retrieves)
+            .raw("updates", s.updates)
+            .fixed("mean_retrieve_io", s.mean_retrieve_io, 6)
+            .obj(
+                "latency_ns",
+                JsonObj::default()
+                    .raw("p50", s.latency_p50_ns)
+                    .raw("p99", s.latency_p99_ns)
+                    .raw("max", s.latency_max_ns),
             )
-        })
-        .collect();
-    format!(
-        "{{\"schema_version\":1,\"catalog_version\":{ENGINE_CATALOG_VERSION},\"scale\":{scale},\
-         \"params\":{{\"parent_card\":{},\"size_unit\":{},\"use_factor\":{},\
-         \"overlap_factor\":{},\"num_top\":{},\"size_cache\":{},\"buffer_pages\":{},\
-         \"sequence_len\":{},\"shards\":{},\"pr_update\":{},\"seed\":{},\
-         \"policy\":\"{}\"}},\
-         \"parent_card\":{},\"sequence_len\":{},\"shards\":{},\
-         \"pr_update\":{},\"strategies\":[{}]}}\n",
-        params.parent_card,
-        params.size_unit,
-        params.use_factor,
-        params.overlap_factor,
-        params.num_top,
-        params.size_cache,
-        params.buffer_pages,
-        params.sequence_len,
-        params.shards,
-        params.pr_update,
-        params.seed,
-        cor_pagestore::ReplacementPolicy::default().name(),
-        params.parent_card,
-        params.sequence_len,
-        params.shards,
-        params.pr_update,
-        strategies.join(",")
-    )
+            .obj(
+                "pool",
+                JsonObj::default()
+                    .fixed("hit_ratio", s.pool_total.hit_ratio(), 6)
+                    .raw("total", json_shard(&s.pool_total))
+                    .array("shards", s.pool.iter().map(json_shard)),
+            )
+            .raw("cache", json_cache(&s.cache))
+            .finish()
+    });
+    let json = JsonObj::default()
+        .raw("schema_version", 1)
+        .raw("catalog_version", ENGINE_CATALOG_VERSION)
+        .raw("scale", scale)
+        .params(
+            params,
+            "parent_card size_unit use_factor overlap_factor num_top size_cache buffer_pages \
+             sequence_len shards pr_update seed policy",
+        )
+        .raw("parent_card", params.parent_card)
+        .raw("sequence_len", params.sequence_len)
+        .raw("shards", params.shards)
+        .raw("pr_update", params.pr_update)
+        .array("strategies", strategies)
+        .finish();
+    format!("{json}\n")
 }
 
 /// Smoke gate: a metric that is missing, zero-where-it-cannot-be, or
@@ -469,20 +453,8 @@ fn run_trace_leg(base: &Params, smoke: bool, json_path: Option<&std::path::Path>
         let path = json_path
             .map(std::path::Path::to_path_buf)
             .unwrap_or_else(|| "corstat_trace.json".into());
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(&path, tree.to_chrome_json()) {
-            Ok(()) => eprintln!(
-                "wrote {} ({} nodes; load at ui.perfetto.dev)",
-                path.display(),
-                tree.nodes.len()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                return 1;
-            }
-        }
+        write_report(&path, &tree.to_chrome_json());
+        eprintln!("({} nodes; load at ui.perfetto.dev)", tree.nodes.len());
     }
 
     if !failures.is_empty() {
@@ -719,13 +691,7 @@ fn main() {
     );
 
     if let Some(path) = &json_path {
-        match std::fs::write(path, json_report(cfg.scale, &params, &stats)) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_report(path, &json_report(cfg.scale, &params, &stats));
     }
 
     if smoke {

@@ -26,12 +26,13 @@
 //! ```
 //!
 //! A report lands in `results/crashtest/report.{txt,json}` (logical mode:
-//! `report-logical.{txt,json}`); exit status is non-zero if any crash
-//! point fails verification.
+//! `report-logical.{txt,json}`) — under `target/check/crashtest/` for a
+//! `--smoke` run, so the gate leaves the tree clean; exit status is
+//! non-zero if any crash point fails verification.
 
 use complexobj::procedural::ProcCaching;
 use complexobj::{CacheConfig, Query, RetAttr, RetrieveQuery, Strategy};
-use cor_bench::BenchConfig;
+use cor_bench::{write_report, BenchConfig, JsonObj};
 use cor_obs::flight::{self, FlightKind};
 use cor_obs::FlightEvent;
 use cor_pagestore::{
@@ -182,21 +183,46 @@ fn point_flight_tail(point: u64) -> Vec<FlightEvent> {
     tail[tail.len().saturating_sub(FLIGHT_TAIL)..].to_vec()
 }
 
-fn json_flight(events: &[FlightEvent]) -> String {
-    events
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"kind\":\"{}\",\"t_ns\":{},\"a\":{},\"b\":{},\"c\":{}}}",
-                e.kind.name(),
-                e.t_ns,
-                e.a,
-                e.b,
-                e.c
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",")
+/// The tail of one crash point's JSON record: why it failed (if it did)
+/// and its black box.
+fn json_outcome(obj: JsonObj, failures: &[String], events: &[FlightEvent]) -> String {
+    obj.array(
+        "failures",
+        failures
+            .iter()
+            .map(|f| format!("\"{}\"", f.replace('"', "'"))),
+    )
+    .array(
+        "flight",
+        events.iter().map(|e| {
+            JsonObj::default()
+                .str("kind", e.kind.name())
+                .raw("t_ns", e.t_ns)
+                .raw("a", e.a)
+                .raw("b", e.b)
+                .raw("c", e.c)
+                .finish()
+        }),
+    )
+    .finish()
+}
+
+/// Write one run's `report{suffix}.{txt,json}` and `flight{suffix}.json`
+/// and print the text report: a `--smoke` run (the `check.sh` gate) under
+/// `target/check/crashtest`, anything else under `results/crashtest`.
+fn write_reports(smoke: bool, suffix: &str, txt: &str, json: &str) {
+    let dir = std::path::Path::new(if smoke {
+        "target/check/crashtest"
+    } else {
+        "results/crashtest"
+    });
+    write_report(&dir.join(format!("report{suffix}.txt")), txt);
+    write_report(&dir.join(format!("report{suffix}.json")), json);
+    write_report(
+        &dir.join(format!("flight{suffix}.json")),
+        &flight::dump_json(),
+    );
+    print!("{txt}");
 }
 
 /// Attach the point's flight tail; an empty black box at an injected
@@ -621,7 +647,7 @@ fn writes_inside_retrieves(dry: &Rig, sequence: &[Query]) -> Vec<u64> {
     inside
 }
 
-fn run_logical(seed: u64, points: usize) -> bool {
+fn run_logical(seed: u64, points: usize, smoke: bool) -> bool {
     let p = params(seed);
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
@@ -737,45 +763,28 @@ fn run_logical(seed: u64, points: usize) -> bool {
         ));
     }
 
-    let json_points: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"backend\":\"{}\",\"nth_write\":{},\"mode\":\"{}\",\"queries_done\":{},\
-                 \"records_scanned\":{},\"probes\":{},\"failures\":[{}],\"flight\":[{}]}}",
-                r.backend,
-                r.nth_write,
-                r.mode,
-                r.queries_done,
-                r.stats.records_scanned,
-                r.probes,
-                r.failures
-                    .iter()
-                    .map(|f| format!("\"{}\"", f.replace('"', "'")))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                json_flight(&r.flight),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"schema_version\":1,\"catalog_version\":{ENGINE_CATALOG_VERSION},\"mode\":\"logical\",\
-         \"seed\":{seed},\"queries\":{},\"points\":{},\"passed\":{},\"failed\":{},\
-         \"points_detail\":[{}]}}\n",
-        sequence.len(),
-        results.len(),
-        results.len() - failed.len(),
-        failed.len(),
-        json_points.join(","),
-    );
-
-    std::fs::create_dir_all("results/crashtest").expect("results dir");
-    std::fs::write("results/crashtest/report-logical.txt", &txt).expect("write txt report");
-    std::fs::write("results/crashtest/report-logical.json", &json).expect("write json report");
-    std::fs::write("results/crashtest/flight-logical.json", flight::dump_json())
-        .expect("write flight dump");
-    print!("{txt}");
-    eprintln!("report: results/crashtest/report-logical.{{txt,json}}");
+    let json_points = results.iter().map(|r| {
+        let obj = JsonObj::default()
+            .str("backend", r.backend)
+            .raw("nth_write", r.nth_write)
+            .str("mode", r.mode)
+            .raw("queries_done", r.queries_done)
+            .raw("records_scanned", r.stats.records_scanned)
+            .raw("probes", r.probes);
+        json_outcome(obj, &r.failures, &r.flight)
+    });
+    let json = JsonObj::default()
+        .raw("schema_version", 1)
+        .raw("catalog_version", ENGINE_CATALOG_VERSION)
+        .str("mode", "logical")
+        .raw("seed", seed)
+        .raw("queries", sequence.len())
+        .raw("points", results.len())
+        .raw("passed", results.len() - failed.len())
+        .raw("failed", failed.len())
+        .array("points_detail", json_points)
+        .finish();
+    write_reports(smoke, "-logical", &txt, &format!("{json}\n"));
     failed.is_empty()
 }
 
@@ -914,7 +923,7 @@ fn main() {
     }
     eprintln!("crashtest: aio fault preflight OK (poisoned tickets, no partial bytes)");
     if logical {
-        if !run_logical(seed, points) {
+        if !run_logical(seed, points, smoke) {
             std::process::exit(1);
         }
         return;
@@ -1010,52 +1019,36 @@ fn main() {
         ));
     }
 
-    let json_points: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"nth_write\":{},\"mode\":\"{}\",\"queries_done\":{},\
-                 \"records_scanned\":{},\"images_applied\":{},\"deltas_applied\":{},\
-                 \"deltas_skipped\":{},\"checkpoint_lsn\":{},\"pages_compared\":{},\
-                 \"pages_excluded\":{},\"failures\":[{}],\"flight\":[{}]}}",
-                r.nth_write,
-                r.mode,
-                r.queries_done,
-                r.stats.records_scanned,
-                r.stats.images_applied,
-                r.stats.deltas_applied,
-                r.stats.deltas_skipped,
+    let json_points = results.iter().map(|r| {
+        let obj = JsonObj::default()
+            .raw("nth_write", r.nth_write)
+            .str("mode", r.mode)
+            .raw("queries_done", r.queries_done)
+            .raw("records_scanned", r.stats.records_scanned)
+            .raw("images_applied", r.stats.images_applied)
+            .raw("deltas_applied", r.stats.deltas_applied)
+            .raw("deltas_skipped", r.stats.deltas_skipped)
+            .raw(
+                "checkpoint_lsn",
                 r.stats
                     .checkpoint_lsn
                     .map_or("null".into(), |l| l.to_string()),
-                r.pages_compared,
-                r.pages_excluded,
-                r.failures
-                    .iter()
-                    .map(|f| format!("\"{}\"", f.replace('"', "'")))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                json_flight(&r.flight),
             )
-        })
-        .collect();
-    let json = format!(
-        "{{\"schema_version\":1,\"seed\":{seed},\"queries\":{},\"workload_writes\":{budget},\
-         \"points\":{},\"passed\":{},\"failed\":{},\"points_detail\":[{}]}}\n",
-        sequence.len(),
-        results.len(),
-        results.len() - failed.len(),
-        failed.len(),
-        json_points.join(","),
-    );
-
-    std::fs::create_dir_all("results/crashtest").expect("results dir");
-    std::fs::write("results/crashtest/report.txt", &txt).expect("write txt report");
-    std::fs::write("results/crashtest/report.json", &json).expect("write json report");
-    std::fs::write("results/crashtest/flight.json", flight::dump_json())
-        .expect("write flight dump");
-    print!("{txt}");
-    eprintln!("report: results/crashtest/report.{{txt,json}}");
+            .raw("pages_compared", r.pages_compared)
+            .raw("pages_excluded", r.pages_excluded);
+        json_outcome(obj, &r.failures, &r.flight)
+    });
+    let json = JsonObj::default()
+        .raw("schema_version", 1)
+        .raw("seed", seed)
+        .raw("queries", sequence.len())
+        .raw("workload_writes", budget)
+        .raw("points", results.len())
+        .raw("passed", results.len() - failed.len())
+        .raw("failed", failed.len())
+        .array("points_detail", json_points)
+        .finish();
+    write_reports(smoke, "", &txt, &format!("{json}\n"));
 
     if !failed.is_empty() {
         std::process::exit(1);

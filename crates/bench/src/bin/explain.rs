@@ -102,25 +102,13 @@ fn capture(
     scale: f64,
     reports: &[ExplainReport],
 ) {
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("failed to create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
     let mut out = meta_line(params, opts, scale);
     out.push('\n');
     for r in reports {
         out.push_str(&r.to_jsonl());
         out.push('\n');
     }
-    match std::fs::write(path, out) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    cor_bench::write_report(path, &out);
 }
 
 /// Pull `"key":value` out of the meta line (numbers only).

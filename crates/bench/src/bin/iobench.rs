@@ -23,21 +23,13 @@
 //! Batching is a physical optimisation only: both modes must return the
 //! same values and read the same pages (batched mode may read fewer of
 //! them twice, never more). `iobench` asserts both on every run.
-//!
-//! On top of the batched comparison, the file-backed legs of BFS and
-//! DFSCLUST are swept across async submission queue depths 1/4/16
-//! (`cor-aio`). The sweep gates its own invariants: the depth-1 leg
-//! must be byte-identical to the synchronous batched leg — same
-//! checksum, reads, and batch counters, with every `aio_*` counter at
-//! zero — and deeper queues must return identical results while handing
-//! the disk no more submissions than the synchronous path read pages.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use complexobj::{ExecOptions, IoOptions, Query, Strategy};
-use cor_bench::BenchConfig;
+use cor_bench::{write_report, BenchConfig, JsonObj};
 use cor_pagestore::{BatchIoSnapshot, DiskError, DiskManager, FileDisk, PageBuf, PageId};
 use cor_workload::{fnum, format_table, generate, generate_sequence, Engine, GeneratedDb, Params};
 
@@ -104,8 +96,6 @@ impl DiskManager for SeekDisk {
 
 /// One (strategy, disk, mode) measurement.
 struct Leg {
-    /// Name of the pool's active async backend ("sync" at depth 1).
-    backend: &'static str,
     retrieves: usize,
     /// Order-insensitive digest of every returned value, for the
     /// results-identical invariant.
@@ -139,16 +129,10 @@ struct Rig<'a> {
 }
 
 impl Rig<'_> {
-    fn run_leg(
-        &mut self,
-        strategy: Strategy,
-        disk: Disk,
-        queue_depth: usize,
-        opts: &ExecOptions,
-    ) -> Leg {
+    fn run_leg(&mut self, strategy: Strategy, disk: Disk, opts: &ExecOptions) -> Leg {
         let (params, generated, seek) = (self.params, self.generated, self.seek);
         let scratch = &mut self.scratch;
-        let builder = Engine::builder().queue_depth(queue_depth).metrics(true);
+        let builder = Engine::builder().metrics(true);
         let builder = match disk {
             Disk::Mem => builder,
             Disk::File | Disk::FileSeek => {
@@ -203,7 +187,6 @@ impl Rig<'_> {
         let total_ns: u64 = lat.iter().sum();
         lat.sort_unstable();
         Leg {
-            backend: engine.pool().aio_backend().name(),
             retrieves,
             checksum,
             reads,
@@ -270,95 +253,21 @@ fn check_pair(strategy: Strategy, disk: Disk, off: &Leg, on: &Leg) -> Vec<String
     bad
 }
 
-/// Invariants for one (strategy, disk) queue-depth sweep.
-///
-/// Depth 1 never constructs an async engine, so that leg must be
-/// **byte-identical** to the synchronous batched leg: same checksum,
-/// same reads, same batch counters, every `aio_*` counter zero. Deeper
-/// queues must return identical results and may only *overlap*
-/// submissions, never multiply them: the runs handed to the async
-/// engine are bounded by the pages the synchronous path read one by
-/// one.
-fn check_sweep(
-    strategy: Strategy,
-    disk: Disk,
-    off: &Leg,
-    on: &Leg,
-    sweep: &[(usize, Leg)],
-) -> Vec<String> {
-    let ctx = format!("{} on {}", strategy.name(), disk.name());
-    let mut bad = Vec::new();
-    for (depth, leg) in sweep {
-        if leg.checksum != off.checksum || leg.retrieves != off.retrieves {
-            bad.push(format!(
-                "{ctx} depth {depth}: results differ from synchronous run"
-            ));
-        }
-        if *depth <= 1 {
-            if leg.reads != on.reads || leg.batch != on.batch {
-                bad.push(format!(
-                    "{ctx} depth 1: not byte-identical to the synchronous batched leg \
-                     (reads {} vs {}, batch {:?} vs {:?})",
-                    leg.reads, on.reads, leg.batch, on.batch
-                ));
-            }
-            if leg.batch.aio_submitted != 0
-                || leg.batch.aio_completed != 0
-                || leg.batch.aio_in_flight_peak != 0
-            {
-                bad.push(format!(
-                    "{ctx} depth 1: aio counters moved ({:?})",
-                    leg.batch
-                ));
-            }
-        } else {
-            if leg.batch.aio_submitted == 0 {
-                bad.push(format!(
-                    "{ctx} depth {depth}: no async submissions recorded"
-                ));
-            }
-            if leg.batch.aio_submitted > off.reads {
-                bad.push(format!(
-                    "{ctx} depth {depth}: more async submissions ({}) than synchronous \
-                     reads ({})",
-                    leg.batch.aio_submitted, off.reads
-                ));
-            }
-            if leg.batch.aio_completed > leg.batch.aio_submitted {
-                bad.push(format!(
-                    "{ctx} depth {depth}: harvested {} of {} submissions",
-                    leg.batch.aio_completed, leg.batch.aio_submitted
-                ));
-            }
-        }
-    }
-    bad
-}
-
 fn json_leg(l: &Leg) -> String {
-    format!(
-        "{{\"retrieves\":{},\"reads\":{},\"throughput_qps\":{:.3},\
-         \"mean_us\":{:.3},\"p50_us\":{:.3},\"p99_us\":{:.3},\
-         \"batch_reads\":{},\"coalesced_runs\":{},\
-         \"prefetch_issued\":{},\"prefetch_hits\":{},\
-         \"aio_submitted\":{},\"aio_completed\":{},\"aio_in_flight_peak\":{},\
-         \"pool_hits\":{},\"pool_misses\":{}}}",
-        l.retrieves,
-        l.reads,
-        l.qps,
-        l.mean_ns as f64 / 1e3,
-        l.p50_ns as f64 / 1e3,
-        l.p99_ns as f64 / 1e3,
-        l.batch.batch_reads,
-        l.batch.coalesced_runs,
-        l.batch.prefetch_issued,
-        l.batch.prefetch_hits,
-        l.batch.aio_submitted,
-        l.batch.aio_completed,
-        l.batch.aio_in_flight_peak,
-        l.pool_hits,
-        l.pool_misses,
-    )
+    JsonObj::default()
+        .raw("retrieves", l.retrieves)
+        .raw("reads", l.reads)
+        .fixed("throughput_qps", l.qps, 3)
+        .fixed("mean_us", l.mean_ns as f64 / 1e3, 3)
+        .fixed("p50_us", l.p50_ns as f64 / 1e3, 3)
+        .fixed("p99_us", l.p99_ns as f64 / 1e3, 3)
+        .raw("batch_reads", l.batch.batch_reads)
+        .raw("coalesced_runs", l.batch.coalesced_runs)
+        .raw("prefetch_issued", l.batch.prefetch_issued)
+        .raw("prefetch_hits", l.batch.prefetch_hits)
+        .raw("pool_hits", l.pool_hits)
+        .raw("pool_misses", l.pool_misses)
+        .finish()
 }
 
 fn main() {
@@ -423,16 +332,10 @@ fn main() {
         ..ExecOptions::default()
     };
     let strategies = [Strategy::Bfs, Strategy::DfsClust, Strategy::DfsCache];
-    // The sweep covers the two readahead-driven strategies on the
-    // file-backed disks — the legs where submission overlap can matter.
-    const SWEEP_DEPTHS: [usize; 3] = [1, 4, 16];
     let generated = generate(&params);
     let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut sweep_rows: Vec<Vec<String>> = Vec::new();
     let mut json_strategies: Vec<String> = Vec::new();
-    let mut json_sweep: Vec<String> = Vec::new();
-    let mut aio_backend: &'static str = "sync";
     let mut rig = Rig {
         params: &params,
         generated: &generated,
@@ -440,10 +343,10 @@ fn main() {
         scratch: Vec::new(),
     };
     for strategy in strategies {
-        let mut json_disks: Vec<String> = Vec::new();
+        let mut json_strategy = JsonObj::default().str("strategy", strategy.name());
         for disk in [Disk::Mem, Disk::File, Disk::FileSeek] {
-            let off = rig.run_leg(strategy, disk, 1, &off_opts);
-            let on = rig.run_leg(strategy, disk, 1, &on_opts);
+            let off = rig.run_leg(strategy, disk, &off_opts);
+            let on = rig.run_leg(strategy, disk, &on_opts);
             failures.extend(check_pair(strategy, disk, &off, &on));
             let speedup = if off.qps > 0.0 { on.qps / off.qps } else { 0.0 };
             rows.push(vec![
@@ -458,87 +361,15 @@ fn main() {
                 on.batch.coalesced_runs.to_string(),
                 on.batch.prefetch_issued.to_string(),
             ]);
-            json_disks.push(format!(
-                "\"{}\":{{\"unbatched\":{},\"batched\":{},\"speedup\":{:.4}}}",
+            json_strategy = json_strategy.obj(
                 disk.name(),
-                json_leg(&off),
-                json_leg(&on),
-                speedup,
-            ));
-
-            let swept = matches!(disk, Disk::File | Disk::FileSeek)
-                && matches!(strategy, Strategy::Bfs | Strategy::DfsClust);
-            if !swept {
-                continue;
-            }
-            let sweep: Vec<(usize, Leg)> = SWEEP_DEPTHS
-                .iter()
-                .map(|&depth| (depth, rig.run_leg(strategy, disk, depth, &on_opts)))
-                .collect();
-            failures.extend(check_sweep(strategy, disk, &off, &on, &sweep));
-            let base_qps = sweep
-                .iter()
-                .find(|(d, _)| *d == 1)
-                .map(|(_, l)| l.qps)
-                .unwrap_or(0.0);
-            for (depth, leg) in &sweep {
-                if *depth > 1 {
-                    aio_backend = leg.backend;
-                }
-                let vs_d1 = if base_qps > 0.0 {
-                    leg.qps / base_qps
-                } else {
-                    0.0
-                };
-                // A deeper queue losing to depth 1 on a leg without
-                // artificial seek latency means the submission overlap
-                // is not paying for its bookkeeping there: the page
-                // cache serves preads too fast to hide anything behind.
-                // Flagged (not failed): the wall-clock win needs the
-                // device cost to be real — an O_DIRECT backend that
-                // bypasses the page cache is the follow-on that would
-                // make these legs behave like `filedisk_seek`.
-                let regressed = *depth > 1 && disk != Disk::FileSeek && vs_d1 < 1.0;
-                if regressed {
-                    eprintln!(
-                        "iobench WARN: {} on {} at depth {depth} ran {vs_d1:.2}x \
-                         vs depth 1 (no seek latency to hide; see the O_DIRECT \
-                         note in docs/benchmarks.md)",
-                        strategy.name(),
-                        disk.name(),
-                    );
-                }
-                sweep_rows.push(vec![
-                    strategy.name().to_string(),
-                    disk.name().to_string(),
-                    depth.to_string(),
-                    leg.backend.to_string(),
-                    fnum(leg.qps),
-                    fnum(leg.p99_ns as f64 / 1e3),
-                    leg.batch.aio_submitted.to_string(),
-                    leg.batch.aio_completed.to_string(),
-                    leg.batch.aio_in_flight_peak.to_string(),
-                    format!("{vs_d1:.2}x"),
-                ]);
-                json_sweep.push(format!(
-                    "{{\"strategy\":\"{}\",\"disk\":\"{}\",\"queue_depth\":{},\
-                     \"backend\":\"{}\",\"speedup_vs_depth1\":{:.4},\
-                     \"regressed\":{},\"leg\":{}}}",
-                    strategy.name(),
-                    disk.name(),
-                    depth,
-                    leg.backend,
-                    vs_d1,
-                    regressed,
-                    json_leg(leg),
-                ));
-            }
+                JsonObj::default()
+                    .raw("unbatched", json_leg(&off))
+                    .raw("batched", json_leg(&on))
+                    .fixed("speedup", speedup, 4),
+            );
         }
-        json_strategies.push(format!(
-            "{{\"strategy\":\"{}\",{}}}",
-            strategy.name(),
-            json_disks.join(",")
-        ));
+        json_strategies.push(json_strategy.finish());
     }
     for path in &rig.scratch {
         let _ = std::fs::remove_file(path);
@@ -562,68 +393,30 @@ fn main() {
             &rows,
         )
     );
-    println!(
-        "queue-depth sweep (async backend: {aio_backend})\n{}",
-        format_table(
-            &[
-                "Strategy",
-                "Disk",
-                "depth",
-                "backend",
-                "q/s",
-                "p99us",
-                "submitted",
-                "harvested",
-                "peak",
-                "vs d=1",
-            ],
-            &sweep_rows,
+    let json = JsonObj::default()
+        .stamp(4)
+        .raw("scale", cfg.scale)
+        .raw("smoke", smoke)
+        .params(
+            &params,
+            "parent_card num_top sequence_len buffer_pages shards seed policy",
         )
-    );
-
-    let json = format!(
-        "{{\"schema_version\":3,\"catalog_version\":{},\
-         \"metrics_schema_version\":{},\"scale\":{},\"smoke\":{},\
-         \"aio_backend\":\"{}\",\
-         \"params\":{{\"parent_card\":{},\"num_top\":{},\"sequence_len\":{},\
-         \"buffer_pages\":{},\"shards\":{},\"seed\":{},\"policy\":\"{}\"}},\
-         \"io_options\":{{\"batch\":{},\"readahead\":{},\"seek_us\":{}}},\
-         \"strategies\":[{}],\"queue_sweep\":[{}]}}\n",
-        cor_workload::ENGINE_CATALOG_VERSION,
-        cor_workload::METRICS_SCHEMA_VERSION,
-        cfg.scale,
-        smoke,
-        aio_backend,
-        params.parent_card,
-        params.num_top,
-        params.sequence_len,
-        params.buffer_pages,
-        params.shards,
-        params.seed,
-        cor_pagestore::ReplacementPolicy::default().name(),
-        io.batch,
-        io.readahead,
-        seek_us,
-        json_strategies.join(","),
-        json_sweep.join(",")
-    );
-    if let Some(dir) = json_path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&json_path, json) {
-        Ok(()) => eprintln!("wrote {}", json_path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
+        .obj(
+            "io_options",
+            JsonObj::default()
+                .raw("batch", io.batch)
+                .raw("readahead", io.readahead)
+                .raw("seek_us", seek_us),
+        )
+        .array("strategies", json_strategies)
+        .finish();
+    write_report(&json_path, &format!("{json}\n"));
 
     if failures.is_empty() {
         println!(
-            "iobench{}: OK ({} strategies x 3 disks + {} queue-depth legs validated)",
+            "iobench{}: OK ({} strategies x 3 disks validated)",
             if smoke { " smoke" } else { "" },
             strategies.len(),
-            sweep_rows.len(),
         );
     } else {
         for f in &failures {

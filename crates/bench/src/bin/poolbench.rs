@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use complexobj::{Query, Strategy};
-use cor_bench::BenchConfig;
+use cor_bench::{write_report, BenchConfig, JsonObj};
 use cor_obs::costmodel::{policy_miss_rel_error, predict_policy_misses, FloodWorkload};
 use cor_obs::{heat, HeatClass, Phase, PAGE_CLASS_INTERNAL, PAGE_CLASS_LEAF};
 use cor_pagestore::{BufferPool, PageId, ReplacementPolicy};
@@ -424,65 +424,52 @@ fn run_retention_leg(
 }
 
 fn json_retention(l: &RetentionLeg) -> String {
-    format!(
-        "{{\"policy\":\"{}\",\"pool_pages\":{},\"retention\":{:.4},\
-         \"cold_descent_reads\":{},\"steady_descent_reads\":{},\
-         \"internal_probes\":{},\"flood_misses\":{}}}",
-        l.policy.name(),
-        l.pool_pages,
-        l.retention(),
-        l.cold_descent_reads,
-        l.steady_descent_reads,
-        l.internal_probes,
-        l.flood_misses,
-    )
+    JsonObj::default()
+        .str("policy", l.policy.name())
+        .raw("pool_pages", l.pool_pages)
+        .fixed("retention", l.retention(), 4)
+        .raw("cold_descent_reads", l.cold_descent_reads)
+        .raw("steady_descent_reads", l.steady_descent_reads)
+        .raw("internal_probes", l.internal_probes)
+        .raw("flood_misses", l.flood_misses)
+        .finish()
 }
 
 fn json_flood(l: &FloodLeg) -> String {
-    format!(
-        "{{\"policy\":\"{}\",\"pool_pages\":{},\"hot_hit_ratio\":{:.4},\
-         \"hit_ratio\":{:.4},\"accesses\":{},\"hits\":{},\"misses\":{},\
-         \"evictions\":{},\"predicted_misses\":{:.1},\"rel_error\":{:.4},\
-         \"elapsed_us\":{}}}",
-        l.policy.name(),
-        l.pool_pages,
-        l.hot_ratio(),
-        l.hit_ratio(),
-        l.accesses,
-        l.hits,
-        l.misses,
-        l.evictions,
-        l.predicted_misses,
-        l.rel_error(),
-        l.elapsed_us,
-    )
+    JsonObj::default()
+        .str("policy", l.policy.name())
+        .raw("pool_pages", l.pool_pages)
+        .fixed("hot_hit_ratio", l.hot_ratio(), 4)
+        .fixed("hit_ratio", l.hit_ratio(), 4)
+        .raw("accesses", l.accesses)
+        .raw("hits", l.hits)
+        .raw("misses", l.misses)
+        .raw("evictions", l.evictions)
+        .fixed("predicted_misses", l.predicted_misses, 1)
+        .fixed("rel_error", l.rel_error(), 4)
+        .raw("elapsed_us", l.elapsed_us)
+        .finish()
 }
 
 fn json_engine(l: &EngineLeg) -> String {
-    format!(
-        "{{\"policy\":\"{}\",\"strategy\":\"{}\",\"pool_pages\":{},\
-         \"threads\":{},\"queries\":{},\"throughput_qps\":{:.3},\
-         \"p99_us\":{:.3},\"hit_ratio\":{:.4},\"pool_hits\":{},\
-         \"pool_misses\":{},\"total_io\":{},\"descent_reads\":{},\
-         \"heap_reads\":{},\"internal_probes\":{},\"leaf_touches\":{},\
-         \"descent_reads_per_probe\":{:.4}}}",
-        l.policy.name(),
-        l.strategy.name(),
-        l.pool_pages,
-        l.threads,
-        l.queries,
-        l.qps,
-        l.p99_us,
-        l.hit_ratio(),
-        l.hits,
-        l.misses,
-        l.total_io,
-        l.descent_reads,
-        l.heap_reads,
-        l.internal_probes,
-        l.leaf_touches,
-        l.descent_reads_per_probe(),
-    )
+    JsonObj::default()
+        .str("policy", l.policy.name())
+        .str("strategy", l.strategy.name())
+        .raw("pool_pages", l.pool_pages)
+        .raw("threads", l.threads)
+        .raw("queries", l.queries)
+        .fixed("throughput_qps", l.qps, 3)
+        .fixed("p99_us", l.p99_us, 3)
+        .fixed("hit_ratio", l.hit_ratio(), 4)
+        .raw("pool_hits", l.hits)
+        .raw("pool_misses", l.misses)
+        .raw("total_io", l.total_io)
+        .raw("descent_reads", l.descent_reads)
+        .raw("heap_reads", l.heap_reads)
+        .raw("internal_probes", l.internal_probes)
+        .raw("leaf_touches", l.leaf_touches)
+        .fixed("descent_reads_per_probe", l.descent_reads_per_probe(), 4)
+        .finish()
 }
 
 fn main() {
@@ -757,55 +744,42 @@ fn main() {
         ));
     }
 
-    let json = format!(
-        "{{\"schema_version\":2,\"catalog_version\":{},\
-         \"metrics_schema_version\":{},\"scale\":{},\"smoke\":{},\
-         \"gate\":{{\"pool_pages\":{GATE_POOL},\"factor\":{GATE_FACTOR},\
-         \"lru_hot_hit_ratio\":{lru_hot:.4},\
-         \"sieve_hot_hit_ratio\":{sieve_hot:.4},\
-         \"lru_inner_retention\":{lru_retention:.4},\
-         \"sieve_inner_retention\":{sieve_retention:.4}}},\
-         \"params\":{{\"parent_card\":{},\"num_top\":{},\"sequence_len\":{},\
-         \"seed\":{}}},\
-         \"flood\":{{\"hot_pages\":{FLOOD_HOT},\"scan_pages\":{FLOOD_SCAN},\
-         \"rounds\":{FLOOD_ROUNDS},\"legs\":[{}]}},\
-         \"retention\":{{\"probe_queries\":{RETENTION_PROBES},\
-         \"rounds\":{RETENTION_ROUNDS},\"legs\":[{}]}},\
-         \"engine\":{{\"legs\":[{}]}}}}\n",
-        cor_workload::ENGINE_CATALOG_VERSION,
-        cor_workload::METRICS_SCHEMA_VERSION,
-        cfg.scale,
-        smoke,
-        params.parent_card,
-        params.num_top,
-        params.sequence_len,
-        params.seed,
-        flood_legs
-            .iter()
-            .map(json_flood)
-            .collect::<Vec<_>>()
-            .join(","),
-        retention_legs
-            .iter()
-            .map(json_retention)
-            .collect::<Vec<_>>()
-            .join(","),
-        engine_legs
-            .iter()
-            .map(json_engine)
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    if let Some(dir) = json_path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&json_path, json) {
-        Ok(()) => eprintln!("wrote {}", json_path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
+    let json = JsonObj::default()
+        .stamp(2)
+        .raw("scale", cfg.scale)
+        .raw("smoke", smoke)
+        .obj(
+            "gate",
+            JsonObj::default()
+                .raw("pool_pages", GATE_POOL)
+                .raw("factor", GATE_FACTOR)
+                .fixed("lru_hot_hit_ratio", lru_hot, 4)
+                .fixed("sieve_hot_hit_ratio", sieve_hot, 4)
+                .fixed("lru_inner_retention", lru_retention, 4)
+                .fixed("sieve_inner_retention", sieve_retention, 4),
+        )
+        .params(&params, "parent_card num_top sequence_len seed")
+        .obj(
+            "flood",
+            JsonObj::default()
+                .raw("hot_pages", FLOOD_HOT)
+                .raw("scan_pages", FLOOD_SCAN)
+                .raw("rounds", FLOOD_ROUNDS)
+                .array("legs", flood_legs.iter().map(json_flood)),
+        )
+        .obj(
+            "retention",
+            JsonObj::default()
+                .raw("probe_queries", RETENTION_PROBES)
+                .raw("rounds", RETENTION_ROUNDS)
+                .array("legs", retention_legs.iter().map(json_retention)),
+        )
+        .obj(
+            "engine",
+            JsonObj::default().array("legs", engine_legs.iter().map(json_engine)),
+        )
+        .finish();
+    write_report(&json_path, &format!("{json}\n"));
 
     if failures.is_empty() {
         println!(

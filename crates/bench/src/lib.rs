@@ -146,6 +146,99 @@ impl BenchConfig {
     }
 }
 
+/// A JSON object written field by field, in call order: the one writer
+/// behind every report the bench binaries emit. Keys and values here are
+/// plain ASCII names and numbers, so nothing is escaped.
+#[derive(Debug, Default)]
+pub struct JsonObj(String);
+
+impl JsonObj {
+    /// The stamp that keeps a report interpretable across format changes:
+    /// its own `schema_version`, then the engine-catalog and
+    /// metrics-schema versions of the build that wrote it.
+    pub fn stamp(self, schema_version: u32) -> Self {
+        self.raw("schema_version", schema_version)
+            .raw("catalog_version", cor_workload::ENGINE_CATALOG_VERSION)
+            .raw(
+                "metrics_schema_version",
+                cor_workload::METRICS_SCHEMA_VERSION,
+            )
+    }
+
+    /// `value` as it displays: an integer, a bool, a float in its
+    /// shortest form, or JSON rendered elsewhere (`null`, an element's
+    /// [`finish`](Self::finish)).
+    pub fn raw(mut self, key: &str, value: impl std::fmt::Display) -> Self {
+        let sep = if self.0.is_empty() { "" } else { "," };
+        self.0.push_str(&format!("{sep}\"{key}\":{value}"));
+        self
+    }
+
+    /// `value` as a quoted string.
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.raw(key, format_args!("\"{value}\""))
+    }
+
+    /// `value` with exactly `decimals` digits after the point.
+    pub fn fixed(self, key: &str, value: f64, decimals: usize) -> Self {
+        self.raw(key, format_args!("{value:.decimals$}"))
+    }
+
+    /// A nested object.
+    pub fn obj(self, key: &str, value: JsonObj) -> Self {
+        self.raw(key, value.finish())
+    }
+
+    /// An array of elements rendered elsewhere.
+    pub fn array(self, key: &str, items: impl IntoIterator<Item = String>) -> Self {
+        let items: Vec<String> = items.into_iter().collect();
+        self.raw(key, format_args!("[{}]", items.join(",")))
+    }
+
+    /// The whitespace-separated `fields` of `p`, in the order given, as a
+    /// nested `"params"` object (`policy` is the pool's default policy,
+    /// which every bench that records it runs under).
+    pub fn params(self, p: &Params, fields: &str) -> Self {
+        let field = |o: JsonObj, f| match f {
+            "parent_card" => o.raw(f, p.parent_card),
+            "size_unit" => o.raw(f, p.size_unit),
+            "use_factor" => o.raw(f, p.use_factor),
+            "overlap_factor" => o.raw(f, p.overlap_factor),
+            "num_top" => o.raw(f, p.num_top),
+            "size_cache" => o.raw(f, p.size_cache),
+            "buffer_pages" => o.raw(f, p.buffer_pages),
+            "sequence_len" => o.raw(f, p.sequence_len),
+            "shards" => o.raw(f, p.shards),
+            "pr_update" => o.raw(f, p.pr_update),
+            "seed" => o.raw(f, p.seed),
+            "policy" => o.str(f, cor_pagestore::ReplacementPolicy::default().name()),
+            other => panic!("no bench report records Params::{other}"),
+        };
+        let params = fields.split_whitespace().fold(JsonObj::default(), field);
+        self.obj("params", params)
+    }
+
+    /// The finished object, braces included.
+    pub fn finish(self) -> String {
+        format!("{{{}}}", self.0)
+    }
+}
+
+/// Write a report file, creating its directory; says so on stderr, and
+/// exits 1 when the file cannot be written.
+pub fn write_report(path: &std::path::Path, contents: &str) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    match std::fs::write(path, contents) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
@@ -192,6 +285,30 @@ mod tests {
         assert_eq!(cfg.value("--baseline"), None);
         assert_eq!(cfg.parsed::<usize>("--reps", "a positive integer"), Some(7));
         cfg.expect_flags(&["--smoke"], &["--json", "--reps"]);
+    }
+
+    #[test]
+    fn json_objects_keep_call_order_and_number_forms() {
+        let p = Params::paper_default();
+        let json = JsonObj::default()
+            .raw("ts", 7)
+            .stamp(4)
+            .raw("scale", 0.2)
+            .params(&p, "seed policy")
+            .obj("gate", JsonObj::default().fixed("ratio", 0.5, 4))
+            .str("name", "lru")
+            .array("legs", [JsonObj::default().raw("ok", true).finish()])
+            .raw("cache", "null")
+            .finish();
+        let (catalog, metrics) = (
+            cor_workload::ENGINE_CATALOG_VERSION,
+            cor_workload::METRICS_SCHEMA_VERSION,
+        );
+        let expected = format!(
+            r#"{{"ts":7,"schema_version":4,"catalog_version":{catalog},"metrics_schema_version":{metrics},"scale":0.2,"params":{{"seed":{},"policy":"lru"}},"gate":{{"ratio":0.5000}},"name":"lru","legs":[{{"ok":true}}],"cache":null}}"#,
+            p.seed
+        );
+        assert_eq!(json, expected);
     }
 
     #[test]

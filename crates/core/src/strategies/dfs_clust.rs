@@ -81,28 +81,10 @@ pub fn dfs_clust(
         }
         foreign.sort_unstable();
         foreign.dedup();
-        // On a pool with an async submission engine the windows are
-        // double-buffered: window k+1's submission goes out before
-        // window k is harvested, so its I/O overlaps the harvest instead
-        // of serializing behind it. The synchronous pool keeps the
-        // historical prefetch-then-harvest order exactly.
-        let double_buffer = db.pool().queue_depth() > 1;
-        let mut chunks = foreign.chunks(opts.io.batch).peekable();
-        if double_buffer {
-            if let Some(first) = chunks.peek() {
-                let _ = db.pool().prefetch(first);
-            }
-        }
-        while let Some(window) = chunks.next() {
+        for window in foreign.chunks(opts.io.batch) {
             // Purely a hint: a failed prefetch degrades to the demand
             // fetches issued by the leaf visits just below.
-            if double_buffer {
-                if let Some(next) = chunks.peek() {
-                    let _ = db.pool().prefetch(next);
-                }
-            } else {
-                let _ = db.pool().prefetch(window);
-            }
+            let _ = db.pool().prefetch(window);
             for &leaf in window {
                 db.visit_leaf_children(leaf, |child, rec| {
                     let v = extract_ret(rec, query.attr)?;

@@ -450,24 +450,6 @@ pub fn batched_submissions_contiguous(pages: f64, window: f64) -> f64 {
     (pages / window).ceil()
 }
 
-/// Expected synchronous submission **rounds** once `depth` submissions
-/// can be in flight concurrently: the executor drains a batch of
-/// coalesced runs through a bounded completion queue, so the latency-
-/// bearing unit shifts from one submission to one *round* of up to
-/// `depth` overlapped submissions — `ceil(submissions / depth)`.
-/// Depth ≤ 1 is the synchronous engine: one round per submission, so
-/// the term degenerates to `submissions` exactly and depth-1 reports
-/// stay identical to pre-aio ones.
-pub fn queued_submission_rounds(submissions: f64, depth: f64) -> f64 {
-    if submissions <= 0.0 {
-        return 0.0;
-    }
-    if depth <= 1.0 {
-        return submissions;
-    }
-    (submissions / depth).ceil()
-}
-
 /// Expected maximal adjacent runs among `selected` distinct pages drawn
 /// uniformly from a file of `total`: of the `selected` pages, a fraction
 /// `(selected-1)/total` of them continue the previous page's run, so
@@ -656,19 +638,6 @@ mod tests {
             smart_threshold: 300.0,
             sort_work_mem: 32.0 * 2048.0,
         }
-    }
-
-    #[test]
-    fn queued_rounds_degenerate_and_overlapped() {
-        // Depth ≤ 1 must reproduce the synchronous submission count
-        // exactly — the depth-1 identity the executor asserts.
-        assert_eq!(queued_submission_rounds(17.0, 1.0), 17.0);
-        assert_eq!(queued_submission_rounds(17.0, 0.0), 17.0);
-        assert_eq!(queued_submission_rounds(0.0, 4.0), 0.0);
-        // Overlap: 17 submissions at depth 4 drain in ceil(17/4) rounds.
-        assert_eq!(queued_submission_rounds(17.0, 4.0), 5.0);
-        assert_eq!(queued_submission_rounds(16.0, 4.0), 4.0);
-        assert_eq!(queued_submission_rounds(3.0, 16.0), 1.0);
     }
 
     #[test]

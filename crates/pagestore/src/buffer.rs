@@ -26,7 +26,6 @@
 //! in a production cache. [`IoStats`] counters are atomic, so totals stay
 //! exact under any thread count.
 
-use crate::aio::{AioConfig, AioEngine};
 use crate::disk::{DiskError, DiskManager, MemDisk};
 use crate::page::{PageBuf, PageId, PageMut, PageView};
 use crate::policy::ReplacementPolicy;
@@ -127,7 +126,6 @@ pub struct BufferPoolBuilder {
     stats: Option<Arc<IoStats>>,
     telemetry: bool,
     wal: Option<Arc<dyn WalHook>>,
-    queue_depth: usize,
 }
 
 impl BufferPoolBuilder {
@@ -184,18 +182,6 @@ impl BufferPoolBuilder {
         self
     }
 
-    /// `cor-aio` submission queue depth (default 1). At depth 1 no
-    /// engine is created at all and every path — prefetch, batched
-    /// fetch, demand pin — is the exact synchronous code, so results
-    /// *and* [`IoStats`] are byte-identical to a pool without the knob.
-    /// At depth > 1 the pool routes `prefetch` speculation and batched
-    /// demand fills through an [`AioEngine`](crate::aio::AioEngine)
-    /// that keeps up to `queue_depth` coalesced runs in flight.
-    pub fn queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth.max(1);
-        self
-    }
-
     /// Build the pool.
     ///
     /// # Panics
@@ -219,15 +205,6 @@ impl BufferPoolBuilder {
         let disk: Arc<dyn DiskManager> =
             Arc::from(self.disk.unwrap_or_else(|| Box::new(MemDisk::new())));
         let stats = self.stats.unwrap_or_default();
-        // Depth 1 creates no engine: the pool runs the exact synchronous
-        // code paths (the byte-identity contract of the knob's default).
-        let aio = (self.queue_depth > 1).then(|| {
-            AioEngine::new(
-                Arc::clone(&disk),
-                Arc::clone(&stats),
-                AioConfig::with_depth(self.queue_depth),
-            )
-        });
         BufferPool {
             next_ticket: AtomicU32::new(disk.num_pages()),
             disk,
@@ -235,7 +212,6 @@ impl BufferPoolBuilder {
             policy: self.policy,
             shards,
             wal: self.wal,
-            aio,
         }
     }
 }
@@ -263,8 +239,6 @@ pub struct BufferPool {
     policy: ReplacementPolicy,
     shards: Vec<Shard>,
     wal: Option<Arc<dyn WalHook>>,
-    /// The `cor-aio` submission engine; `Some` iff `queue_depth > 1`.
-    aio: Option<AioEngine>,
     /// The page id the next allocation would receive if no page had ever
     /// been recycled; see [`Self::next_page_id`].
     next_ticket: AtomicU32,
@@ -281,22 +255,7 @@ impl BufferPool {
             stats: None,
             telemetry: false,
             wal: None,
-            queue_depth: 1,
         }
-    }
-
-    /// The backend the `cor-aio` engine resolved to:
-    /// [`AioBackend::Sync`](crate::aio::AioBackend::Sync) when the pool
-    /// runs at queue depth 1 (no engine).
-    pub fn aio_backend(&self) -> crate::aio::AioBackend {
-        self.aio
-            .as_ref()
-            .map_or(crate::aio::AioBackend::Sync, AioEngine::backend)
-    }
-
-    /// The effective `cor-aio` queue depth (1 = synchronous).
-    pub fn queue_depth(&self) -> usize {
-        self.aio.as_ref().map_or(1, AioEngine::queue_depth)
     }
 
     /// The attached WAL hook, if any.
@@ -588,7 +547,6 @@ impl BufferPool {
                 &self.stats,
                 self.wal_ref(),
                 prefetch,
-                self.aio.as_ref(),
             )?;
             pinned.extend(got.into_iter().map(|(pid, idx)| (pid, s, idx)));
             Ok(())
@@ -666,41 +624,31 @@ impl BufferPool {
 
     /// Hint that `pids` will be demanded soon: fault the non-resident
     /// ones in through the batched read path and release them unpinned.
-    /// Page ids at or past the end of the store are silently clipped
-    /// (readahead is speculative by nature), so callers may over-request.
+    /// Readahead is speculative by nature, so callers may over-request:
+    /// page ids at or past the end of the store are silently clipped,
+    /// and so is whatever a home shard could not hold — the batch is
+    /// pinned as a whole, so each stripe takes the first of its pages in
+    /// request order, up to its frame count, and the rest are dropped.
     ///
-    /// Every page named (after clipping) counts toward
-    /// `prefetch_issued`; the first later demand access of a frame a
-    /// prefetch brought in counts one `prefetch_hit`. Pure hint: logical
-    /// results never depend on it, only physical I/O timing does.
+    /// Every page kept after clipping counts toward `prefetch_issued`;
+    /// the first later demand access of a frame a prefetch brought in
+    /// counts one `prefetch_hit`. Pure hint: logical results never
+    /// depend on it, only physical I/O timing does.
     pub fn prefetch(&self, pids: &[PageId]) -> Result<(), BufferError> {
         let end = self.disk.num_pages();
-        let wanted: Vec<PageId> = pids.iter().copied().filter(|&p| p < end).collect();
+        let mut room: Vec<usize> = self.shards.iter().map(Shard::capacity).collect();
+        let mut wanted: Vec<PageId> = Vec::with_capacity(pids.len());
+        for &pid in pids {
+            let room = &mut room[self.shard_index_of(pid)];
+            if pid < end && *room > 0 {
+                *room -= 1;
+                wanted.push(pid);
+            }
+        }
         if wanted.is_empty() {
             return Ok(());
         }
         self.stats.record_prefetch_issued(wanted.len() as u64);
-        // With an engine attached, speculation is genuinely asynchronous:
-        // runs are submitted and parked as pending completions, nothing
-        // blocks, no frame is consumed until the bytes are demanded, and
-        // never-demanded pages never count as reads. Without one, the
-        // historical blocking path faults the pages in now.
-        if let Some(engine) = &self.aio {
-            if self.shards.len() == 1 {
-                self.shards[0].prefetch_async(&wanted, engine);
-            } else {
-                let mut groups: Vec<Vec<PageId>> = vec![Vec::new(); self.shards.len()];
-                for &pid in &wanted {
-                    groups[self.shard_index_of(pid)].push(pid);
-                }
-                for (s, group) in groups.iter().enumerate() {
-                    if !group.is_empty() {
-                        self.shards[s].prefetch_async(group, engine);
-                    }
-                }
-            }
-            return Ok(());
-        }
         let pinned = self.pin_batch(&wanted, true)?;
         for &(_, s, idx) in &pinned {
             self.shards[s].unpin(idx);
@@ -1371,6 +1319,37 @@ mod tests {
         // Out-of-range hints are clipped, not errors.
         p.prefetch(&[p.num_pages(), p.num_pages() + 10]).unwrap();
         assert_eq!(p.stats().prefetch_issued(), 6);
+    }
+
+    /// Readahead is speculative: a window naming more pages than the
+    /// home shard has frames is clipped to the frames, not failed after
+    /// a stall on the batch's own pins.
+    #[test]
+    fn prefetch_larger_than_the_pool_is_clipped_to_its_frames() {
+        let p = BufferPool::builder().capacity(8).telemetry(true).build();
+        let pids: Vec<_> = (0..32).map(|_| p.allocate_page().unwrap()).collect();
+        p.flush_and_clear().unwrap();
+        p.stats().reset();
+        p.prefetch(&pids).unwrap();
+        assert_eq!(p.telemetry().unwrap()[0].pin_waits, 0, "no frame stall");
+        assert_eq!(p.stats().prefetch_issued(), 8, "counted after clipping");
+        assert_eq!(p.stats().reads(), 8);
+        // The head of the window is what stays: demanded next, it hits.
+        for &pid in &pids[..8] {
+            p.read(pid, |_| ()).unwrap();
+        }
+        assert_eq!(p.stats().reads(), 8);
+        assert_eq!(p.stats().prefetch_hits(), 8);
+
+        // Each stripe clips to its own frames.
+        let p = BufferPool::builder().capacity(8).shards(4).build();
+        let pids: Vec<_> = (0..64).map(|_| p.allocate_page().unwrap()).collect();
+        p.flush_and_clear().unwrap();
+        p.stats().reset();
+        p.prefetch(&pids).unwrap();
+        assert_eq!(p.stats().prefetch_issued(), 8);
+        assert_eq!(p.stats().reads(), 8);
+        assert_eq!(p.resident_pages(), 8);
     }
 
     #[test]

@@ -25,10 +25,14 @@
 //! * [`wal`] — the write-ahead-log seam: per-page LSNs and the
 //!   [`wal::WalHook`] through which the pool logs mutations and enforces
 //!   WAL-before-data (the log implementation lives in `cor-wal`);
-//! * [`aio`] — the `cor-aio` asynchronous submission layer: a
-//!   completion-queue model over any [`disk::DiskManager`] with bounded
-//!   in-flight queue depth, backing the pool's speculative readahead
-//!   when `queue_depth > 1`.
+//! * [`aio`] — the retired `cor-aio` asynchronous submission layer, a
+//!   completion-queue model over any [`disk::DiskManager`]. Nothing in
+//!   the workspace reads through it any more: the pool reads
+//!   synchronously (DESIGN.md §13). The module, its re-exports and the
+//!   `IoStats::aio_*` counters stay for one caller, the frozen
+//!   `benchmark/src/probes.rs` and its `aio.submit_wait_ns_per_page`
+//!   row; the next `benchmark` PR drops the row and this module goes
+//!   with it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

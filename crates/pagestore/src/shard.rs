@@ -11,7 +11,6 @@
 //! only move under the shard lock (up) or after the data guard is
 //! dropped (down).
 
-use crate::aio::{AioEngine, Completion};
 use crate::buffer::BufferError;
 use crate::disk::DiskManager;
 use crate::page::{PageBuf, PageId, PageView, PAGE_SIZE};
@@ -85,16 +84,6 @@ struct ShardInner {
     free_list: Vec<PageId>,
     /// Recency state for this shard's frames.
     repl: ReplacementState,
-    /// In-flight `cor-aio` readahead homed to this shard: page id ->
-    /// completion handle, for pages submitted speculatively but not yet
-    /// admitted to a frame. Lives under the shard mutex so every
-    /// residency transition (demand pin, batch pin, allocate, free,
-    /// clear) can harvest or discard pending bytes atomically with its
-    /// page-table update — the invariant is *pending implies not
-    /// resident*, so a pending completion's bytes are always current
-    /// (nothing can have dirtied the page without first faulting it in,
-    /// which removes the entry).
-    aio_pending: HashMap<PageId, Completion>,
 }
 
 pub(crate) struct Shard {
@@ -129,7 +118,6 @@ impl Shard {
                 page_table: HashMap::new(),
                 free_list: Vec::new(),
                 repl: ReplacementState::new(capacity),
-                aio_pending: HashMap::new(),
             }),
             index,
             telemetry: telemetry.then(ShardTelemetry::default),
@@ -210,28 +198,13 @@ impl Shard {
         let idx = self.acquire_frame(&mut inner, pid, policy, disk, stats, wal)?;
         {
             let mut st = self.frames[idx].state.write();
-            // An in-flight async prefetch of this page beats a disk
-            // read: harvest its bytes (blocking on the run if it has
-            // not completed — profiled as `aio_completion`). A
-            // poisoned run falls back to the synchronous read below,
-            // so demand semantics match the engineless path exactly.
-            let mut filled = false;
-            if let Some(c) = inner.aio_pending.remove(&pid) {
-                if c.wait_into(&mut st.data).is_ok() {
-                    stats.record_read();
-                    stats.record_prefetch_hit();
-                    filled = true;
-                }
+            if let Err(e) = disk.read_page(pid, &mut st.data) {
+                st.page_id = PageId::MAX;
+                drop(st);
+                self.unpin(idx);
+                return Err(e.into());
             }
-            if !filled {
-                if let Err(e) = disk.read_page(pid, &mut st.data) {
-                    st.page_id = PageId::MAX;
-                    drop(st);
-                    self.unpin(idx);
-                    return Err(e.into());
-                }
-                stats.record_read();
-            }
+            stats.record_read();
             st.page_id = pid;
             st.dirty = false;
             st.rec_lsn = NO_LSN;
@@ -267,7 +240,6 @@ impl Shard {
     /// recorded: the failed batch is observationally a no-op apart from
     /// evictions its admissions already performed — exactly like a failed
     /// single [`Self::pin`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn pin_many(
         &self,
         pids: &[PageId],
@@ -276,7 +248,6 @@ impl Shard {
         stats: &IoStats,
         wal: Option<&dyn WalHook>,
         prefetch: bool,
-        aio: Option<&AioEngine>,
     ) -> Result<Vec<(PageId, usize)>, BufferError> {
         heat::touch_n(
             heat::HeatClass::PoolShard,
@@ -331,29 +302,6 @@ impl Shard {
                     return Err(e);
                 }
             };
-            // An in-flight async prefetch of this page beats the batched
-            // fill: harvest its bytes straight into the acquired frame.
-            // A poisoned run falls through to the normal disk fill.
-            if let Some(c) = inner.aio_pending.remove(&pid) {
-                let mut st = self.frames[idx].state.write();
-                if c.wait_into(&mut st.data).is_ok() {
-                    st.page_id = pid;
-                    st.dirty = false;
-                    st.rec_lsn = NO_LSN;
-                    drop(st);
-                    stats.record_read();
-                    if prefetch {
-                        self.frames[idx].prefetched.store(true, Ordering::Relaxed);
-                    } else {
-                        stats.record_prefetch_hit();
-                    }
-                    inner.page_table.insert(pid, idx);
-                    inner.repl.on_load(idx);
-                    pinned.push((pid, idx));
-                    seen.insert(pid, idx);
-                    continue;
-                }
-            }
             // Insert before the fill so intra-batch duplicates hit; the
             // shard lock is held until the fill completes, so no other
             // thread can observe the staged (still-empty) frame.
@@ -372,29 +320,9 @@ impl Shard {
                 .iter()
                 .map(|&(_, idx)| self.frames[idx].state.write())
                 .collect();
-            let read = match aio {
-                // Demand fills go through the submission engine when one
-                // exists, so independent runs proceed in parallel up to
-                // the queue depth. The run structure — and therefore the
-                // `coalesced_runs` accounting — matches the synchronous
-                // `read_pages` call exactly by construction.
-                Some(engine) => {
-                    let ticket = engine.submit(&ids);
-                    let runs = ticket.num_runs();
-                    let mut result = Ok(runs);
-                    for (c, g) in ticket.into_completions().iter().zip(guards.iter_mut()) {
-                        if let Err(e) = c.wait_into(&mut g.data) {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                    result
-                }
-                None => {
-                    let mut bufs: Vec<&mut PageBuf> =
-                        guards.iter_mut().map(|g| &mut *g.data).collect();
-                    disk.read_pages(&ids, &mut bufs)
-                }
+            let read = {
+                let mut bufs: Vec<&mut PageBuf> = guards.iter_mut().map(|g| &mut *g.data).collect();
+                disk.read_pages(&ids, &mut bufs)
             };
             match read {
                 Ok(runs) => {
@@ -419,45 +347,6 @@ impl Shard {
         Ok(pinned)
     }
 
-    /// Submit speculative readahead for `pids` through the `cor-aio`
-    /// engine: pages neither resident nor already pending are submitted
-    /// as one sorted batch and parked in the pending table, to be
-    /// harvested by the demand access that wants them (or discarded when
-    /// the page is freed or the pool is cleared).
-    ///
-    /// No reads are recorded here — transfer accounting happens at
-    /// harvest time, so pages speculated but never demanded never
-    /// inflate `reads` (the synchronous prefetch path, by contrast,
-    /// pays for its wasted speculation up front). The pending table is
-    /// bounded by the shard's frame count; prefetch beyond that is
-    /// dropped, exactly as the synchronous path's admissions are
-    /// bounded by pool capacity.
-    pub(crate) fn prefetch_async(&self, pids: &[PageId], engine: &AioEngine) {
-        let mut inner = self.lock_pinning();
-        let room = self.frames.len().saturating_sub(inner.aio_pending.len());
-        let mut wanted: Vec<PageId> = Vec::with_capacity(pids.len().min(room));
-        for &pid in pids {
-            if wanted.len() == room {
-                break;
-            }
-            if inner.page_table.contains_key(&pid)
-                || inner.aio_pending.contains_key(&pid)
-                || wanted.contains(&pid)
-            {
-                continue;
-            }
-            wanted.push(pid);
-        }
-        if wanted.is_empty() {
-            return;
-        }
-        wanted.sort_unstable();
-        let ticket = engine.submit(&wanted);
-        for c in ticket.into_completions() {
-            inner.aio_pending.insert(c.page_id(), c);
-        }
-    }
-
     /// Bring freshly allocated page `pid` into a frame, zeroed and
     /// dirty, without a physical read. Returns the frame index with
     /// `pin_count` already incremented.
@@ -470,9 +359,6 @@ impl Shard {
         wal: Option<&dyn WalHook>,
     ) -> Result<usize, BufferError> {
         let mut inner = self.lock_pinning();
-        // A freshly allocated page's contents are defined here, not on
-        // disk: any stale speculation for the id is worthless.
-        inner.aio_pending.remove(&pid);
         let idx = self.acquire_frame(&mut inner, pid, policy, disk, stats, wal)?;
         let mut st = self.frames[idx].state.write();
         st.page_id = pid;
@@ -577,9 +463,6 @@ impl Shard {
     /// copy without a write-back.
     pub(crate) fn free_page(&self, pid: PageId) -> Result<(), BufferError> {
         let mut inner = self.inner.lock();
-        // A freed page's speculated bytes must never be delivered to a
-        // later reallocation of the id.
-        inner.aio_pending.remove(&pid);
         if let Some(&idx) = inner.page_table.get(&pid) {
             if self.frames[idx].pin_count.load(Ordering::Acquire) != 0 {
                 return Err(BufferError::PagePinned(pid));
@@ -672,10 +555,6 @@ impl Shard {
             st.page_id = PageId::MAX;
         }
         inner.repl.reset();
-        // Discard in-flight speculation along with the residency it was
-        // speculating for; the runs complete into their slots and the
-        // bytes are dropped unobserved.
-        inner.aio_pending.clear();
         Ok(())
     }
 

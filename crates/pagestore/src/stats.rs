@@ -290,8 +290,9 @@ impl IoStats {
 /// A point-in-time copy of the batch/prefetch counters maintained by the
 /// buffer pool's `fetch_many`/prefetch paths, plus the `cor-aio`
 /// submission counters. All are zero when batching is off (batch size 1,
-/// no readahead) — the byte-identity mode — and the `aio_*` trio is
-/// additionally zero whenever `queue_depth <= 1` (no engine exists).
+/// no readahead) — the byte-identity mode — and the `aio_*` trio moves
+/// only under a standalone [`aio`](crate::aio) engine: the pool never
+/// submits through one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchIoSnapshot {
     /// Pages faulted in through the batched path (subset of `reads`).

@@ -375,36 +375,6 @@ proptest! {
     }
 }
 
-/// Like [`stamped_pool`] but with an async submission engine of the
-/// given queue depth behind the pool.
-fn stamped_pool_depth(
-    capacity: usize,
-    shards: usize,
-    n: usize,
-    depth: usize,
-) -> (Arc<BufferPool>, Arc<IoStats>, Vec<cor_pagestore::PageId>) {
-    let stats = IoStats::new();
-    let pool = Arc::new(
-        BufferPool::builder()
-            .capacity(capacity)
-            .shards(shards)
-            .queue_depth(depth)
-            .stats(Arc::clone(&stats))
-            .build(),
-    );
-    let pids: Vec<_> = (0..n).map(|_| pool.allocate_page().unwrap()).collect();
-    for (i, &pid) in pids.iter().enumerate() {
-        pool.write(pid, |mut p| {
-            p.init();
-            p.set_flags(0xC0DE_0000 | i as u32);
-        })
-        .unwrap();
-    }
-    pool.flush_and_clear().unwrap();
-    stats.reset();
-    (pool, stats, pids)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -456,87 +426,15 @@ proptest! {
         prop_assert!(stats.aio_in_flight_peak() <= depth.max(1) as u64);
     }
 
-    /// A pool with an async engine behind `fetch_many` is accounting-
-    /// identical to the synchronous pool: same values in request order
-    /// (duplicates and cross-shard batches included), same `reads`, and
-    /// the same batched-I/O counters — only the `aio_*` counters move,
-    /// and they agree with the synchronous pool's coalesced runs.
-    #[test]
-    fn fetch_many_async_matches_sync_pool(
-        depth in 2usize..9,
-        capacity in 32usize..48,
-        shards in 1usize..5,
-        requests in proptest::collection::vec(0usize..24, 1..60),
-    ) {
-        let (sync_pool, sync_stats, pids) = stamped_pool(capacity, shards, 24);
-        let (aio_pool, aio_stats, pids_b) = stamped_pool_depth(capacity, shards, 24, depth);
-        prop_assert_eq!(&pids, &pids_b);
-
-        let window = (capacity / shards).max(1);
-        let mut sync_vals = Vec::with_capacity(requests.len());
-        let mut aio_vals = Vec::with_capacity(requests.len());
-        for chunk in requests.chunks(window) {
-            let want: Vec<_> = chunk.iter().map(|&i| pids[i]).collect();
-            sync_vals.extend(sync_pool.fetch_many(&want, |_, p| p.flags()).unwrap());
-            aio_vals.extend(aio_pool.fetch_many(&want, |_, p| p.flags()).unwrap());
-        }
-
-        prop_assert_eq!(&sync_vals, &aio_vals);
-        prop_assert_eq!(sync_stats.reads(), aio_stats.reads());
-        let s = sync_stats.batch_snapshot();
-        let mut a = aio_stats.batch_snapshot();
-        prop_assert_eq!(s.aio_submitted, 0);
-        // fetch_many harvests its whole ticket before returning.
-        prop_assert_eq!(a.aio_completed, a.aio_submitted);
-        prop_assert_eq!(a.aio_submitted, s.coalesced_runs);
-        prop_assert!(a.aio_in_flight_peak <= depth as u64);
-        a.aio_submitted = 0;
-        a.aio_completed = 0;
-        a.aio_in_flight_peak = 0;
-        prop_assert_eq!(a, s);
-    }
-
-    /// BadPage mid-batch at any queue depth fails `fetch_many` exactly
-    /// like the synchronous pool — typed error, nothing garbage
-    /// delivered, every valid page intact afterwards.
-    #[test]
-    fn fetch_many_async_bad_page_mid_batch_fails_clean(
-        depth in 2usize..9,
-        capacity in 32usize..48,
-        shards in 1usize..5,
-        prefix in proptest::collection::vec(0usize..24, 0..12),
-        suffix in proptest::collection::vec(0usize..24, 0..12),
-        bump in 0u32..4,
-    ) {
-        let (pool, stats, pids) = stamped_pool_depth(capacity, shards, 24, depth);
-        let bad = pool.num_pages() + bump;
-        let mut want: Vec<_> = prefix.iter().map(|&i| pids[i]).collect();
-        want.push(bad);
-        want.extend(suffix.iter().map(|&i| pids[i]));
-
-        let err = pool.fetch_many(&want, |_, p| p.flags()).unwrap_err();
-        prop_assert!(
-            matches!(err, BufferError::Disk(DiskError::BadPage(p)) if p == bad),
-            "expected BadPage({}), got {:?}", bad, err
-        );
-        for (i, &pid) in pids.iter().enumerate() {
-            let got = pool.read(pid, |p| p.flags()).unwrap();
-            prop_assert_eq!(got, 0xC0DE_0000 | i as u32);
-        }
-        prop_assert!(stats.reads() <= pids.len() as u64);
-    }
-
-    /// Arbitrary interleavings of `prefetch` hints and demand reads over
-    /// an async pool always serve exact page contents, and the harvest
-    /// accounting never exceeds the submissions.
+    /// Arbitrary interleavings of `prefetch` hints and demand reads
+    /// always serve exact page contents.
     #[test]
     fn prefetch_interleavings_deliver_exact_pages(
-        depth in 2usize..9,
         capacity in 32usize..48,
         shards in 1usize..5,
         ops in proptest::collection::vec((any::<bool>(), 0usize..24, 1usize..8), 1..40),
     ) {
-        let (pool, stats, pids) = stamped_pool_depth(capacity, shards, 24, depth);
+        let (pool, _stats, pids) = stamped_pool(capacity, shards, 24);
         for &(is_prefetch, start, len) in &ops {
             if is_prefetch {
                 let window: Vec<_> = (start..(start + len).min(24)).map(|i| pids[i]).collect();
@@ -552,7 +450,6 @@ proptest! {
             let got = pool.read(pid, |p| p.flags()).unwrap();
             prop_assert_eq!(got, 0xC0DE_0000 | i as u32);
         }
-        prop_assert!(stats.aio_completed() <= stats.aio_submitted());
     }
 }
 

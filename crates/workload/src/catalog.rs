@@ -13,8 +13,7 @@
 //! * a `clean_shutdown` flag — `true` only between [`Engine::close`]
 //!   (crate::Engine::close) and the next open;
 //! * the pool's construction settings (`pool_pages`, `shards`,
-//!   replacement policy, async queue depth) and the [`ExecOptions`] the
-//!   engine ran with — `open` rebuilds the pool from the catalog, not
+//!   replacement policy) and the [`ExecOptions`] the engine ran with — `open` rebuilds the pool from the catalog, not
 //!   from the caller's builder;
 //! * the buffer pool's free-page list, reused only after a **clean**
 //!   shutdown (after a crash the list may predate logged allocations, so
@@ -31,11 +30,13 @@ use cor_wal::crc::crc32;
 /// On-disk layout version this build writes.
 ///
 /// * v1 — the PR 6 layout.
-/// * v2 — appends the pool's async `queue_depth` after the [`IoOptions`]
-///   block. v1 blobs are still decoded (the missing word defaults to 1,
-///   the synchronous behaviour every v1 store actually had), so existing
-///   stores reopen with identical semantics and silently upgrade on their
-///   next save.
+/// * v2 — appends one `u64` after the [`IoOptions`] block: the pool's
+///   async `queue_depth`, while there was an async submission path. The
+///   pool reads synchronously now and the word is **reserved**: written
+///   as 1 (what every synchronous store recorded), read and ignored, so
+///   a store created at any depth reopens and serves the same answers
+///   with the same page counts. v1 blobs, which lack the word, are still
+///   decoded and silently upgrade on their next save.
 /// * v3 — widens the replacement-policy byte's value range with the
 ///   scan-resistant `Sieve` = 3. The layout is unchanged; the bump
 ///   exists so a v2 build that cannot *run* that policy refuses the
@@ -117,8 +118,6 @@ pub struct EngineCatalog {
     pub shards: usize,
     /// Pool replacement policy.
     pub policy: ReplacementPolicy,
-    /// The pool's async submission queue depth (1 = synchronous).
-    pub queue_depth: usize,
     /// Execution options every query runs with.
     pub opts: ExecOptions,
     /// Free-page list at save time (valid only under `clean_shutdown`).
@@ -144,7 +143,7 @@ impl EngineCatalog {
         e.u64(self.opts.sort_work_mem as u64);
         e.u64(self.opts.io.batch as u64);
         e.u64(self.opts.io.readahead as u64);
-        e.u64(self.queue_depth as u64);
+        e.u64(1); // reserved (v2+), see ENGINE_CATALOG_VERSION
         e.u32(self.free_pages.len() as u32);
         for &pid in &self.free_pages {
             e.u32(pid);
@@ -181,8 +180,8 @@ impl EngineCatalog {
     /// * CRC mismatch or truncated payload → [`CorError::Durability`]
     ///   (the blob sits under the WAL, so this indicates a bug, not a
     ///   torn write);
-    /// * pool settings no pool can be built from (zero frames, shards or
-    ///   queue depth, fewer frames than shards) or an element count the
+    /// * pool settings no pool can be built from (zero frames or shards,
+    ///   fewer frames than shards) or an element count the
     ///   payload cannot hold → [`CorError::Durability`] naming the field.
     ///   The blob is outside input: `open` hands these values to
     ///   [`BufferPool::builder`](cor_pagestore::BufferPool::builder),
@@ -220,13 +219,10 @@ impl EngineCatalog {
             batch: d.u64()? as usize,
             readahead: d.u64()? as usize,
         };
-        // v1 predates the word; those stores ran synchronously.
-        let queue_depth = if found >= 2 { d.u64()? as usize } else { 1 };
-        for (field, value) in [
-            ("pool_pages", pool_pages),
-            ("shards", shards),
-            ("queue_depth", queue_depth),
-        ] {
+        if found >= 2 {
+            d.u64()?; // reserved, see ENGINE_CATALOG_VERSION
+        }
+        for (field, value) in [("pool_pages", pool_pages), ("shards", shards)] {
             if value == 0 {
                 return Err(CorError::Durability(format!(
                     "engine catalog records {field} = 0"
@@ -266,7 +262,6 @@ impl EngineCatalog {
             pool_pages,
             shards,
             policy,
-            queue_depth,
             opts: ExecOptions {
                 smart_threshold,
                 join,
@@ -291,7 +286,6 @@ mod tests {
             pool_pages: 100,
             shards: 4,
             policy: ReplacementPolicy::Sieve,
-            queue_depth: 4,
             opts: ExecOptions {
                 smart_threshold: 123,
                 join: JoinChoice::ForceMerge,
@@ -332,32 +326,36 @@ mod tests {
         assert_eq!(back.pool_pages, 100);
         assert_eq!(back.shards, 4);
         assert_eq!(back.policy, ReplacementPolicy::Sieve);
-        assert_eq!(back.queue_depth, 4);
         assert_eq!(back.opts, cat.opts);
         assert_eq!(back.free_pages, vec![7, 9, 30]);
         assert!(matches!(back.backend, SavedBackend::Oid(_)));
     }
 
+    /// The reserved word — 8 bytes at payload offset 47 (after
+    /// clean_shutdown, pool_pages, shards, policy, smart_threshold, join,
+    /// sort_work_mem, batch, readahead) — is absent from v1 blobs and
+    /// ignored in v2/v3 ones: whatever depth a store recorded, it decodes
+    /// to the same catalog and re-saves with the word at 1.
     #[test]
-    fn v1_blob_decodes_with_synchronous_queue_depth() {
-        let mut cat = sample();
-        cat.queue_depth = 1;
-        let v2 = cat.encode();
-        // Rebuild the same blob in the v1 layout: drop the queue_depth
-        // word — 8 bytes at payload offset 47 (after clean_shutdown,
-        // pool_pages, shards, policy, smart_threshold, join,
-        // sort_work_mem, batch, readahead) — and restamp version + CRC.
-        let mut payload = v2[16..].to_vec();
-        payload.drain(47..55);
-        let mut v1 = Vec::with_capacity(16 + payload.len());
-        v1.extend_from_slice(&v2[..8]);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&crc32(&payload).to_le_bytes());
-        v1.extend_from_slice(&payload);
-        let back = EngineCatalog::decode(&v1).unwrap();
-        assert_eq!(back.queue_depth, 1, "v1 stores ran synchronously");
-        assert_eq!(back.opts, cat.opts);
-        assert_eq!(back.free_pages, cat.free_pages);
+    fn the_reserved_word_is_ignored_in_every_version() {
+        let cat = sample();
+        let v3 = cat.encode();
+        let mut v1 = v3.clone();
+        v1.drain(16 + 47..16 + 55);
+        let mut blobs = vec![restamp(&v1, 1)];
+        for version in [2, 3] {
+            for word in [1u64, 4] {
+                let mut blob = v3.clone();
+                blob[16 + 47..16 + 55].copy_from_slice(&word.to_le_bytes());
+                blobs.push(restamp(&blob, version));
+            }
+        }
+        for blob in &blobs {
+            let back = EngineCatalog::decode(blob).unwrap();
+            assert_eq!(back.opts, cat.opts);
+            assert_eq!(back.free_pages, cat.free_pages);
+            assert_eq!(back.encode(), v3, "version {}", blob[8]);
+        }
     }
 
     /// Offset of the policy byte in a blob: 16 header bytes, then
@@ -400,8 +398,8 @@ mod tests {
         assert!(err.to_string().contains("unknown policy tag"), "{err}");
     }
 
-    /// Restamp `blob`'s version header as `version` (layout is shared
-    /// across v2/v3, so only the header and CRC change).
+    /// Restamp `blob`'s version header as `version` and re-CRC its
+    /// payload.
     fn restamp(blob: &[u8], version: u32) -> Vec<u8> {
         let payload = &blob[16..];
         let mut out = Vec::with_capacity(blob.len());
@@ -420,16 +418,15 @@ mod tests {
     fn unbuildable_settings_and_oversized_counts_are_typed_errors() {
         // Payload offsets: clean_shutdown 0, pool_pages 1, shards 9,
         // policy 13, smart_threshold 14, join 22, sort_work_mem 23,
-        // batch 31, readahead 39, queue_depth 47, free-page count 55,
+        // batch 31, readahead 39, reserved word 47, free-page count 55,
         // three free pages 59, backend tag 71, level count 72.
         let oid = sample().encode();
         let mut levels = sample();
         levels.backend = SavedBackend::Levels(vec![]);
         let levels = levels.encode();
-        let cases: [(&[u8], usize, &[u8], &str); 6] = [
+        let cases: [(&[u8], usize, &[u8], &str); 5] = [
             (&oid, 1, &0u64.to_le_bytes(), "pool_pages = 0"),
             (&oid, 9, &0u32.to_le_bytes(), "shards = 0"),
-            (&oid, 47, &0u64.to_le_bytes(), "queue_depth = 0"),
             (
                 &oid,
                 9,

@@ -112,7 +112,6 @@ struct CatalogState {
     pool_pages: usize,
     shards: usize,
     policy: ReplacementPolicy,
-    queue_depth: usize,
 }
 
 /// Map a bootstrap-read catalog error: a store whose page 0 does not
@@ -188,7 +187,6 @@ pub struct EngineBuilder {
     pool_pages: usize,
     shards: usize,
     policy: ReplacementPolicy,
-    queue_depth: usize,
     cache: Option<CacheConfig>,
     opts: ExecOptions,
     metrics: bool,
@@ -203,7 +201,6 @@ impl std::fmt::Debug for EngineBuilder {
             .field("pool_pages", &self.pool_pages)
             .field("shards", &self.shards)
             .field("policy", &self.policy)
-            .field("queue_depth", &self.queue_depth)
             .field("cache", &self.cache)
             .field("opts", &self.opts)
             .field("metrics", &self.metrics)
@@ -220,7 +217,6 @@ impl Default for EngineBuilder {
             pool_pages: DEFAULT_POOL_PAGES,
             shards: 1,
             policy: ReplacementPolicy::default(),
-            queue_depth: 1,
             cache: None,
             opts: ExecOptions::default(),
             metrics: false,
@@ -250,19 +246,6 @@ impl EngineBuilder {
     /// is the only record, and it wins on [`open`](Self::open).
     pub fn policy(mut self, policy: ReplacementPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Async submission queue depth of the pool this builder constructs
-    /// (default 1 — synchronous, no submission engine at all). At
-    /// depth > 1 the pool keeps up to this many coalesced runs in flight:
-    /// prefetch becomes speculative and readahead windows open eagerly,
-    /// overlapping strategy compute with in-flight reads. Like
-    /// [`policy`](Self::policy) this is the only setter; the engine
-    /// catalog's word is the only record, and it wins on
-    /// [`open`](Self::open).
-    pub fn queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth.max(1);
         self
     }
 
@@ -326,7 +309,6 @@ impl EngineBuilder {
             .capacity(self.pool_pages)
             .shards(self.shards)
             .policy(self.policy)
-            .queue_depth(self.queue_depth)
             .telemetry(self.metrics);
         if let Some(disk) = &self.disk {
             b = b.disk(Box::new(disk.clone()));
@@ -352,7 +334,6 @@ impl EngineBuilder {
                 pool_pages: self.pool_pages,
                 shards: self.shards,
                 policy: self.policy,
-                queue_depth: self.queue_depth,
             }),
         }
     }
@@ -518,7 +499,6 @@ impl EngineBuilder {
         self.pool_pages = saved.pool_pages;
         self.shards = saved.shards;
         self.policy = saved.policy;
-        self.queue_depth = saved.queue_depth;
         self.opts = saved.opts;
         self.disk = Some(disk);
         self.wal = Some(Arc::new(wal));
@@ -705,7 +685,6 @@ impl Engine {
             pool_pages: cs.pool_pages,
             shards: cs.shards,
             policy: cs.policy,
-            queue_depth: cs.queue_depth,
             opts: self.opts,
             free_pages: self.pool().free_page_ids(),
             backend,
@@ -1816,34 +1795,6 @@ mod tests {
         assert_eq!(sorted_values(&reopened, &q), expected);
     }
 
-    /// `queue_depth` is fixed when the pool is built, so it is a builder
-    /// setting recorded once in the catalog: replacing the per-query
-    /// options, checkpointing and closing re-save the creation value, and
-    /// a reopen keeps it whatever the reopening builder asks for. (When
-    /// the depth rode in `ExecOptions`, `with_options` overwrote the
-    /// recorded value and the store came back synchronous.)
-    #[test]
-    fn queue_depth_survives_with_options_and_reopen() {
-        let generated = generate(&tiny());
-        for (created, asked_at_reopen) in [(4usize, 1usize), (1, 4)] {
-            let (disk, store) = mem_stores();
-            let engine = Engine::builder()
-                .pool_pages(16)
-                .queue_depth(created)
-                .create_on(disk.clone(), store.clone(), &standard(&generated))
-                .unwrap()
-                .with_options(ExecOptions::default());
-            assert_eq!(engine.pool().queue_depth(), created);
-            engine.checkpoint().unwrap();
-            engine.close().unwrap();
-            let reopened = Engine::builder()
-                .queue_depth(asked_at_reopen)
-                .open_on(disk, store)
-                .unwrap();
-            assert_eq!(reopened.pool().queue_depth(), created);
-        }
-    }
-
     /// Every builder setting reaches every in-memory terminal: `build`
     /// over each of the four specs and `build_workload` all go through
     /// the one pool assembly and the one `Engine` assembly. (When
@@ -1886,7 +1837,6 @@ mod tests {
                 .disk(disk.clone())
                 .wal(wal.clone())
                 .policy(ReplacementPolicy::Sieve)
-                .queue_depth(4)
                 .metrics(true)
                 .cache(CacheConfig::default());
             let engine = match &spec {
@@ -1905,7 +1855,6 @@ mod tests {
             };
             for pool in pools {
                 assert_eq!(pool.policy(), ReplacementPolicy::Sieve, "{name}");
-                assert_eq!(pool.queue_depth(), 4, "{name}");
                 assert!(pool.telemetry().is_some(), "{name}: telemetry off");
             }
             if let Some(expected) = has_cache {

@@ -19,8 +19,7 @@ use crate::engine::Engine;
 use crate::params::Params;
 use complexobj::{CorDatabase, CorError, ExecOptions, Query, Strategy};
 use cor_obs::costmodel::{
-    predict_batch, predict_by_name, queued_submission_rounds, BatchPrediction, Geometry,
-    Prediction, Workload,
+    predict_batch, predict_by_name, BatchPrediction, Geometry, Prediction, Workload,
 };
 use cor_obs::{enable_timing, take_thread_wall, Phase, PhaseSnapshot, PHASE_COUNT};
 use cor_pagestore::{BatchIoSnapshot, IoDelta, PAGE_SIZE};
@@ -77,11 +76,6 @@ pub struct ExplainReport {
     /// The cost model's batch term for the engine's I/O knobs, when
     /// parameters were given (zero-valued with the knobs off).
     pub predicted_batch: Option<BatchPrediction>,
-    /// The pool's async submission queue depth (1 = synchronous). The
-    /// rendered table and the capture line carry an async section only
-    /// when this exceeds 1, so depth-1 captures stay byte-identical to
-    /// pre-aio ones.
-    pub queue_depth: usize,
 }
 
 /// The deterministic fields of one capture line, as returned by
@@ -178,25 +172,6 @@ impl ExplainReport {
             }
             out.push('\n');
         }
-        if self.queue_depth > 1 {
-            out.push_str(&format!(
-                "async I/O: depth {}, {} submitted / {} harvested, peak {} in flight",
-                self.queue_depth,
-                self.batch.aio_submitted,
-                self.batch.aio_completed,
-                self.batch.aio_in_flight_peak,
-            ));
-            if let Some(b) = self
-                .predicted_batch
-                .filter(|b| *b != BatchPrediction::default())
-            {
-                out.push_str(&format!(
-                    ", predicted {:.0} rounds",
-                    queued_submission_rounds(b.submissions, self.queue_depth as f64)
-                ));
-            }
-            out.push('\n');
-        }
         out
     }
 
@@ -242,26 +217,6 @@ impl ExplainReport {
                     b.batched_pages, b.submissions
                 )),
                 None => s.push_str(",\"predicted_pages\":null}"),
-            }
-        }
-        if self.queue_depth > 1 {
-            s.push_str(&format!(
-                ",\"aio\":{{\"queue_depth\":{},\"submitted\":{},\"completed\":{},\
-                 \"in_flight_peak\":{}",
-                self.queue_depth,
-                self.batch.aio_submitted,
-                self.batch.aio_completed,
-                self.batch.aio_in_flight_peak,
-            ));
-            match self
-                .predicted_batch
-                .filter(|b| *b != BatchPrediction::default())
-            {
-                Some(b) => s.push_str(&format!(
-                    ",\"predicted_rounds\":{:.6}}}",
-                    queued_submission_rounds(b.submissions, self.queue_depth as f64)
-                )),
-                None => s.push_str(",\"predicted_rounds\":null}"),
             }
         }
         s.push_str(",\"phases\":{");
@@ -447,7 +402,6 @@ impl Engine {
             rel_error,
             batch,
             predicted_batch,
-            queue_depth: self.pool().queue_depth(),
         })
     }
 }

@@ -316,9 +316,7 @@ impl MetricsReport {
 /// `io` is the pool's cumulative [`BatchIoSnapshot`]; its four batching
 /// families are always exported (all-zero on a pool that never
 /// batched), so both exporters and the `corstat` smoke gate see them
-/// unconditionally. The `cor_aio_*` families are exported only when the
-/// async submission counters are nonzero, keeping a synchronous pool's
-/// export byte-identical to the pre-aio layout.
+/// unconditionally.
 pub fn build_report(
     metrics: &EngineMetrics,
     pool: Option<(ReplacementPolicy, Vec<ShardTelemetrySnapshot>)>,
@@ -356,33 +354,9 @@ pub fn build_report(
         snapshot.push_gauge(
             "cor_io_coalescing_factor",
             "batched pages per physical submission",
-            lbls.clone(),
+            lbls,
             io.coalescing_factor(),
         );
-        // Async-submission families appear only once the pool has
-        // actually run with queue_depth > 1 — a synchronous pool's
-        // export stays byte-identical to the pre-aio layout (hence
-        // these are not in REQUIRED_METRICS).
-        if io.aio_submitted != 0 || io.aio_completed != 0 || io.aio_in_flight_peak != 0 {
-            snapshot.push_counter(
-                "cor_aio_submitted_total",
-                "coalesced runs handed to the async submission engine",
-                lbls.clone(),
-                io.aio_submitted,
-            );
-            snapshot.push_counter(
-                "cor_aio_completed_total",
-                "async submissions harvested to completion",
-                lbls.clone(),
-                io.aio_completed,
-            );
-            snapshot.push_gauge(
-                "cor_aio_in_flight_peak",
-                "high-water mark of concurrently in-flight async submissions",
-                lbls,
-                io.aio_in_flight_peak as f64,
-            );
-        }
     }
     if let Some((policy, shards)) = &pool {
         // Info-style metric: the constant value 1 carries the active

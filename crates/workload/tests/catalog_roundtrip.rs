@@ -184,10 +184,11 @@ proptest! {
 /// The engine catalog blob (280 bytes, catalog v3) that earlier builds
 /// left in a closed 16-page store of `DatabaseSpec::tiny()`: created with
 /// LRU (policy tag 0) and with SIEVE (tag 3) by the build *before* the
-/// FIFO/CLOCK/2Q policies were retired, and with LRU at queue depth 4 by
-/// the last build whose depth rode in `ExecOptions.io` (its depth-1 blob
-/// is `PARENT_LRU_BLOB` byte for byte). Captured from those builds; never
-/// regenerate these from the current one.
+/// FIFO/CLOCK/2Q policies were retired, and with LRU at async queue depth
+/// 4 by a build that still had an async submission path (its depth-1 blob
+/// is `PARENT_LRU_BLOB` byte for byte, as is the one the last such build
+/// wrote). Captured from those builds; never regenerate these from the
+/// current one.
 const PARENT_LRU_BLOB: &[&str] = &[
     "434f52454e47494e0300000048160e3201100000000000000001000000002c010000000000000000",
     "000100000000000100000000000000000000000000000001000000000000000000000000000a0000",
@@ -217,6 +218,19 @@ const PARENT_LRU_DEPTH4_BLOB: &[&str] = &[
     "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
 ];
 
+/// A small pool of its own over a closed store, and the store's page-0
+/// catalog through it.
+fn boot_catalog(disk: &Arc<MemDisk>) -> (Arc<BufferPool>, Catalog) {
+    let pool = Arc::new(
+        BufferPool::builder()
+            .capacity(8)
+            .disk(Box::new(disk.clone()))
+            .build(),
+    );
+    let cat = Catalog::open(Arc::clone(&pool)).expect("access catalog");
+    (pool, cat)
+}
+
 fn unhex(chunks: &[&str]) -> Vec<u8> {
     let hex = chunks.concat();
     (0..hex.len())
@@ -229,18 +243,29 @@ fn unhex(chunks: &[&str]) -> Vec<u8> {
 /// pool_pages (8), shards (4).
 const POLICY_BYTE: usize = 16 + 13;
 
+/// Offset of the reserved word — the async queue depth of earlier
+/// builds: 16 header bytes, then payload offset 47.
+const RESERVED_WORD: usize = 16 + 47;
+
+/// `blob` with `word` at the reserved offset, re-CRC'd.
+fn with_reserved_word(blob: &[u8], word: u64) -> Vec<u8> {
+    let mut out = blob.to_vec();
+    out[RESERVED_WORD..RESERVED_WORD + 8].copy_from_slice(&word.to_le_bytes());
+    let crc = cor_wal::crc::crc32(&out[16..]);
+    out[12..16].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
 /// Stores written by earlier builds still open: the old builds' blobs
 /// decode to the pool settings they recorded and re-encode to themselves,
 /// this build writes the same bytes for the same store (so the format did
-/// not move when the policy set shrank, nor when the queue depth moved
-/// from the options block to the builder), and that store reopens with
-/// its policy and depth.
+/// not move when the policy set shrank, nor when the queue-depth word
+/// became reserved), and that store reopens with its policy.
 #[test]
 fn stores_from_earlier_builds_still_open() {
-    for (policy, tag, depth, chunks) in [
-        (ReplacementPolicy::Lru, 0u8, 1usize, PARENT_LRU_BLOB),
-        (ReplacementPolicy::Sieve, 3, 1, PARENT_SIEVE_BLOB),
-        (ReplacementPolicy::Lru, 0, 4, PARENT_LRU_DEPTH4_BLOB),
+    for (policy, tag, chunks) in [
+        (ReplacementPolicy::Lru, 0u8, PARENT_LRU_BLOB),
+        (ReplacementPolicy::Sieve, 3, PARENT_SIEVE_BLOB),
     ] {
         let parent_blob = unhex(chunks);
         assert_eq!(parent_blob[POLICY_BYTE], tag, "{policy}");
@@ -248,17 +273,15 @@ fn stores_from_earlier_builds_still_open() {
         assert_eq!(decoded.policy, policy);
         assert_eq!(decoded.pool_pages, 16);
         assert_eq!(decoded.shards, 1);
-        assert_eq!(decoded.queue_depth, depth);
         assert_eq!(decoded.opts, ExecOptions::default());
         assert!(decoded.clean_shutdown);
-        assert_eq!(decoded.encode(), parent_blob, "{policy} depth {depth}");
+        assert_eq!(decoded.encode(), parent_blob, "{policy}");
 
         let disk = Arc::new(MemDisk::new());
         let store = Arc::new(MemLogStore::new());
         Engine::builder()
             .pool_pages(16)
             .policy(policy)
-            .queue_depth(depth)
             .create_on(
                 disk.clone(),
                 store.clone(),
@@ -267,24 +290,83 @@ fn stores_from_earlier_builds_still_open() {
             .expect("create")
             .close()
             .expect("close");
-        let boot = Arc::new(
-            BufferPool::builder()
-                .capacity(8)
-                .disk(Box::new(disk.clone()))
-                .build(),
-        );
-        let blob = Catalog::open(boot)
-            .expect("access catalog")
+        let blob = boot_catalog(&disk)
+            .1
             .get_blob(ENGINE_BLOB)
             .expect("engine blob");
-        assert_eq!(
-            blob, parent_blob,
-            "{policy} depth {depth}: catalog bytes moved"
-        );
+        assert_eq!(blob, parent_blob, "{policy}: catalog bytes moved");
 
         let reopened = Engine::builder().open_on(disk, store).expect("reopen");
         assert_eq!(reopened.pool().policy(), policy);
-        assert_eq!(reopened.pool().queue_depth(), depth);
+    }
+}
+
+/// A store created at async queue depth 4 by an earlier build opens and
+/// serves exactly like a depth-1 store: its blob differs from the depth-1
+/// blob in the reserved word alone, decodes to the same catalog, and the
+/// reopened engine returns the same values for the same reads and writes,
+/// query by query, with batching and readahead on.
+#[test]
+fn a_store_created_at_depth_4_serves_like_a_depth_1_store() {
+    let depth1 = unhex(PARENT_LRU_BLOB);
+    let depth4 = unhex(PARENT_LRU_DEPTH4_BLOB);
+    assert_eq!(with_reserved_word(&depth1, 4), depth4);
+    let decoded = EngineCatalog::decode(&depth4).expect("depth-4 blob decodes");
+    assert_eq!(decoded.encode(), depth1, "re-saved with the word at 1");
+
+    let p = Params {
+        parent_card: 60,
+        num_top: 6,
+        sequence_len: 24,
+        buffer_pages: 12,
+        size_cache: 10,
+        pr_update: 0.3,
+        ..Params::paper_default()
+    };
+    let generated = generate(&p);
+    let sequence = generate_sequence(&p);
+    let opts = ExecOptions {
+        io: complexobj::IoOptions {
+            batch: 4,
+            readahead: 4,
+        },
+        ..ExecOptions::default()
+    };
+    for strategy in [Strategy::Bfs, Strategy::DfsClust, Strategy::DfsCache] {
+        let serve = |word: u64| {
+            let Rig {
+                disk,
+                store,
+                engine,
+            } = create_rig(&EngineSpec::for_strategy(&p, &generated, strategy), &p);
+            engine.with_options(opts).close().expect("close");
+            // What the earlier build would have left at that depth.
+            let (boot, cat) = boot_catalog(&disk);
+            let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
+            cat.save_blob(ENGINE_BLOB, &with_reserved_word(&blob, word))
+                .expect("re-save");
+            boot.flush_all().expect("flush");
+            drop((cat, boot));
+
+            let engine = Engine::builder().open_on(disk, store).expect("reopen");
+            assert_eq!(engine.options(), &opts);
+            let stats = engine.pool().stats().clone();
+            let mut served = Vec::with_capacity(sequence.len());
+            for q in &sequence {
+                let before = stats.snapshot();
+                let values = match q {
+                    Query::Retrieve(r) => engine.retrieve(strategy, r).expect("retrieve").values,
+                    Query::Update(u) => {
+                        engine.update(u).expect("update");
+                        Vec::new()
+                    }
+                };
+                let io = stats.snapshot().since(&before);
+                served.push((values, io.reads, io.writes));
+            }
+            served
+        };
+        assert_eq!(serve(4), serve(1), "{strategy}");
     }
 }
 
