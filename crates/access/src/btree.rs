@@ -307,8 +307,9 @@ pub struct BTreeFile {
     leaf_pages: SyncCell<u32>,
     /// Last leaf of the bulk-loaded run while leaf page ids are still
     /// consecutive (`NO_PAGE` once a split/merge — or a reattach, which
-    /// cannot know — breaks that). Scan readahead clamps to this so a
-    /// prefetch never touches pages outside the tree's own leaves.
+    /// cannot know — breaks that). [`Self::merge_scan`]'s readahead clamps
+    /// to this so a prefetch never touches pages outside the tree's own
+    /// leaves.
     ra_end: SyncCell<PageId>,
 }
 
@@ -687,114 +688,6 @@ impl BTreeFile {
     /// Does `key` exist?
     pub fn contains(&self, key: &[u8]) -> Result<bool, AccessError> {
         Ok(self.get(key)?.is_some())
-    }
-
-    /// Descend to the leaf owning `key`, also returning the tightest
-    /// *exclusive* upper bound on the keys that leaf can hold (the right
-    /// separator of the chosen subtree at the deepest level that has one).
-    /// `None` means the rightmost leaf: every larger key still lands there.
-    ///
-    /// The bound is what makes batched probes cheap: a run of sorted keys
-    /// all `< bound` is guaranteed to live on this same leaf, so the
-    /// descent is paid once per run instead of once per key.
-    fn find_leaf_bounded(&self, key: &[u8]) -> Result<(PageId, Option<Vec<u8>>), AccessError> {
-        let _phase = PhaseGuard::enter_default(Phase::IndexDescent);
-        heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_INTERNAL);
-        let key_len = self.key_len;
-        let mut page = self.root.get();
-        let mut bound: Option<Vec<u8>> = None;
-        // Unlike `find_leaf`, the leaf itself is never read here: `height`
-        // says where the leaf level is, so the descent stops one level
-        // above it and batched probes hand every leaf fetch to the pool's
-        // coalescing multi-page read path.
-        for _ in 1..self.height.get() {
-            let (child, sep) = self.pool.read(page, |p| {
-                let d = p.bytes();
-                // Entry keys are the inclusive lower bounds of their child
-                // subtrees, so the *next* entry's key (if any) is the
-                // chosen child's exclusive upper bound. A child's range is
-                // nested inside its parent's, so a bound found deeper
-                // always replaces the inherited one.
-                let (child, sep_idx) = match node::search(d, key, key_len) {
-                    Ok(i) => (node::entry_child(d, i, key_len), i + 1),
-                    Err(0) => (node::next(d), 0),
-                    Err(i) => (node::entry_child(d, i - 1, key_len), i),
-                };
-                let sep = (sep_idx < node::count(d))
-                    .then(|| node::entry_key(d, sep_idx, key_len).to_vec());
-                (child, sep)
-            })?;
-            if sep.is_some() {
-                bound = sep;
-            }
-            page = child;
-        }
-        Ok((page, bound))
-    }
-
-    /// Batched point lookup: results come back in input order, one per
-    /// key, exactly as a loop of [`Self::get`] would produce.
-    ///
-    /// The keys are probed in sorted order so that each root-to-leaf
-    /// descent is paid once per *leaf run* (consecutive keys owned by the
-    /// same leaf) rather than once per key, and the distinct leaf pages of
-    /// a window are then fetched through [`BufferPool::fetch_many`] — one
-    /// coalesced disk submission per run of physically adjacent leaves
-    /// (bulk-loaded trees allocate leaves sequentially). Windows are
-    /// clipped well below per-shard pool capacity so the batch pins always
-    /// fit.
-    pub fn get_many(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>, AccessError> {
-        for k in keys {
-            if k.len() != self.key_len {
-                return Err(AccessError::BadKeyLen(k.len()));
-            }
-        }
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
-
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        // Group the sorted keys into leaf runs: one bounded descent per
-        // run, then every following key below the bound reuses the leaf.
-        let mut groups: Vec<(PageId, Vec<usize>)> = Vec::new();
-        let mut bound: Option<Vec<u8>> = None;
-        for &i in &order {
-            let in_run = match (groups.last(), &bound) {
-                (Some(_), None) => true, // rightmost leaf: catches everything
-                (Some(_), Some(b)) => keys[i] < b.as_slice(),
-                (None, _) => false,
-            };
-            if in_run {
-                groups.last_mut().expect("run checked non-empty").1.push(i);
-            } else {
-                let (leaf, b) = self.find_leaf_bounded(keys[i])?;
-                bound = b;
-                groups.push((leaf, vec![i]));
-            }
-        }
-
-        // Probe each window of distinct leaves with one batched fetch.
-        let window = (self.pool.capacity() / self.pool.shards() / 2).max(1);
-        let key_len = self.key_len;
-        for chunk in groups.chunks(window) {
-            let pids: Vec<PageId> = chunk.iter().map(|(leaf, _)| *leaf).collect();
-            let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-            heat::touch_n(
-                heat::HeatClass::PageClass,
-                PAGE_CLASS_LEAF,
-                pids.len() as u64,
-            );
-            let mut at = 0usize;
-            self.pool.fetch_many(&pids, |_pid, p| {
-                let d = p.bytes();
-                for &i in &chunk[at].1 {
-                    results[i] = node::search(d, keys[i], key_len)
-                        .ok()
-                        .map(|j| node::entry_val(d, j, key_len).to_vec());
-                }
-                at += 1;
-            })?;
-        }
-        Ok(results)
     }
 
     /// Upsert `(key, value)`. Returns `true` if a new key was inserted,
@@ -1289,7 +1182,7 @@ impl BTreeFile {
         }
         let start_leaf = self.find_leaf(lo)?;
         Ok(BTreeRange {
-            leaves: self.leaf_walker(start_leaf),
+            leaves: self.leaf_walker(start_leaf, 0),
             key_len: self.key_len,
             lo: lo.to_vec(),
             hi: hi.to_vec(),
@@ -1301,7 +1194,7 @@ impl BTreeFile {
     /// Scan every entry in key order.
     pub fn scan_all(&self) -> BTreeRange {
         BTreeRange {
-            leaves: self.leaf_walker(self.first_leaf.get()),
+            leaves: self.leaf_walker(self.first_leaf.get(), 0),
             key_len: self.key_len,
             lo: vec![0u8; self.key_len],
             hi: vec![0xFFu8; self.key_len],
@@ -1311,10 +1204,9 @@ impl BTreeFile {
     }
 
     /// Inclusive range visit `lo..=hi` **in place**: `f` sees exactly the
-    /// `(key, value)` pairs `range(lo, hi)?.with_readahead(readahead)`
-    /// yields, in the same order, as slices borrowed from each leaf's
-    /// pinned page — one pin per leaf, the same pages touched, nothing
-    /// copied out.
+    /// `(key, value)` pairs `range(lo, hi)?` yields, in the same order, as
+    /// slices borrowed from each leaf's pinned page — one pin per leaf,
+    /// the same pages touched, nothing copied out.
     ///
     /// This is the fallible form of a range scan: a leaf that cannot be
     /// read is an `Err`, and the first `Err` from `f` ends the visit,
@@ -1323,7 +1215,6 @@ impl BTreeFile {
         &self,
         lo: &[u8],
         hi: &[u8],
-        readahead: usize,
         mut f: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
     ) -> Result<(), E>
     where
@@ -1333,8 +1224,7 @@ impl BTreeFile {
             return Err(AccessError::BadKeyLen(lo.len().max(hi.len())).into());
         }
         let key_len = self.key_len;
-        let mut leaves = self.leaf_walker(self.find_leaf(lo)?);
-        leaves.set_readahead(readahead);
+        let mut leaves = self.leaf_walker(self.find_leaf(lo)?, 0);
         loop {
             // `Ok(true)`: a key past `hi` ended the scan on this leaf.
             let visit = leaves.visit(|d| -> Result<bool, E> {
@@ -1360,13 +1250,14 @@ impl BTreeFile {
         }
     }
 
-    /// A walk of the leaf chain starting at `leaf`, readahead off.
-    fn leaf_walker(&self, leaf: PageId) -> LeafWalker {
+    /// A walk of the leaf chain starting at `leaf`, prefetching up to
+    /// `readahead` leaves ahead of itself (0: none).
+    fn leaf_walker(&self, leaf: PageId, readahead: usize) -> LeafWalker {
         LeafWalker {
             pool: Arc::clone(&self.pool),
             next_leaf: leaf,
-            readahead: 0,
-            ra_cur: 0,
+            readahead,
+            ra_cur: readahead.min(4),
             ra_horizon: 0,
             ra_end: self.ra_end.get(),
         }
@@ -1378,14 +1269,28 @@ impl BTreeFile {
     /// `on_match` as `(key, value)` slices borrowed from the page — no
     /// entry is copied out, matched or not.
     ///
-    /// Yields exactly what `merge_join(keys, tree.scan_all()
-    /// .with_readahead(readahead))` yields, in the same order (a
-    /// duplicated key matches again each time), and touches exactly the
-    /// same pages: nothing is read for an empty key stream, the next leaf
-    /// is pinned only once a key beyond the current leaf's last entry
-    /// asks for it, and the scan stops with the key stream. The stream is
-    /// pulled while a leaf is pinned, so a stream that does its own page
-    /// I/O (a spilled sort) needs one pool frame besides the leaf's.
+    /// Yields exactly what `merge_join(keys, tree.scan_all())` yields, in
+    /// the same order (a duplicated key matches again each time), and pins
+    /// exactly the same pages: nothing is read for an empty key stream,
+    /// the next leaf is pinned only once a key beyond the current leaf's
+    /// last entry asks for it, and the scan stops with the key stream. The
+    /// stream is pulled while a leaf is pinned, so a stream that does its
+    /// own page I/O (a spilled sort) needs one pool frame besides the
+    /// leaf's.
+    ///
+    /// `readahead > 0` is the one place sequential readahead exists:
+    /// whenever the scan reaches a leaf past the current horizon, the page
+    /// ids up to `readahead` ahead — clamped to the tree's bulk-loaded
+    /// leaf run, whose pids are consecutive in key order — are prefetched
+    /// in one batched submission. The window ramps: the first prefetch
+    /// covers at most 4 pages and each later one doubles up to
+    /// `readahead`, so a short key stream wastes at most a few speculative
+    /// pages while a long one still reaches full-window coalescing.
+    /// Prefetch is a pure hint — matches are identical either way — and it
+    /// is **off** on any tree whose run is unknown: one reshaped by a
+    /// split or merge, and one reattached through [`Self::from_metadata`]
+    /// (the run's end is not persisted, so the knob is inert after a
+    /// reopen).
     ///
     /// An `Err` from `on_match` stops the scan and is returned.
     pub fn merge_scan<K, E>(
@@ -1403,8 +1308,7 @@ impl BTreeFile {
             return Ok(());
         };
         let key_len = self.key_len;
-        let mut leaves = self.leaf_walker(self.first_leaf.get());
-        leaves.set_readahead(readahead);
+        let mut leaves = self.leaf_walker(self.first_leaf.get(), readahead);
         loop {
             // `Ok(true)`: the key stream ended on this leaf.
             let visit = leaves.visit(|d| -> Result<bool, E> {
@@ -1437,12 +1341,12 @@ impl BTreeFile {
     }
 }
 
-/// A forward walk of a leaf chain, one pinned visit per leaf, with the
-/// optional sequential-readahead window running ahead of it. Every leaf
-/// scan — the buffering [`BTreeRange`] and the in-place
-/// [`BTreeFile::visit_range`] and [`BTreeFile::merge_scan`] — reads its
-/// leaves through this walker, so
-/// phase tag, heat touch and prefetch behaviour are one piece of code.
+/// A forward walk of a leaf chain, one pinned visit per leaf, with
+/// [`BTreeFile::merge_scan`]'s optional sequential-readahead window
+/// running ahead of it. Every leaf scan — the buffering [`BTreeRange`]
+/// and the in-place [`BTreeFile::visit_range`] and `merge_scan` — reads
+/// its leaves through this walker, so phase tag and heat touch are one
+/// piece of code.
 struct LeafWalker {
     pool: Arc<BufferPool>,
     next_leaf: PageId,
@@ -1453,12 +1357,6 @@ struct LeafWalker {
 }
 
 impl LeafWalker {
-    /// See [`BTreeRange::with_readahead`].
-    fn set_readahead(&mut self, window: usize) {
-        self.readahead = window;
-        self.ra_cur = window.min(4);
-    }
-
     /// Run `f` over the next leaf's bytes under its page pin and step to
     /// its successor; `None` once the chain is exhausted (nothing read).
     fn visit<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>, BufferError> {
@@ -1504,26 +1402,6 @@ pub struct BTreeRange {
     hi: Vec<u8>,
     buffered: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
     done: bool,
-}
-
-impl BTreeRange {
-    /// Enable sequential readahead: whenever the scan reaches a leaf past
-    /// the current horizon, the page ids up to `window` ahead — clamped
-    /// to the tree's bulk-loaded leaf run, whose pids are consecutive in
-    /// key order — are prefetched in one batched submission. On trees
-    /// whose run has been broken by splits or merges the clamp is
-    /// unknown and readahead stays off; prefetch is a pure hint and the
-    /// entries yielded are identical either way. `window == 0` (the
-    /// default) disables readahead entirely.
-    ///
-    /// The window ramps: the first prefetch covers at most 4 pages and
-    /// each subsequent one doubles up to `window`, so a short scan wastes
-    /// at most a few speculative pages while a long one still reaches
-    /// full-window coalescing.
-    pub fn with_readahead(mut self, window: usize) -> Self {
-        self.leaves.set_readahead(window);
-        self
-    }
 }
 
 impl Iterator for BTreeRange {
@@ -1890,101 +1768,63 @@ mod tests {
         );
     }
 
-    #[test]
-    fn get_many_matches_a_loop_of_gets() {
-        let p = pool(64);
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..4000u64)
-            .map(|k| (key8(k * 2), vec![(k % 251) as u8; 70]))
-            .collect();
-        let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
-        // Unsorted probe set with duplicates, misses (odd keys), and an
-        // out-of-range key that lands on the rightmost leaf.
-        let probe: Vec<Vec<u8>> = [3999u64, 4, 100, 4, 7777, 0, 9_999_999, 2500, 101]
-            .iter()
-            .map(|&k| key8(k))
-            .collect();
-        let refs: Vec<&[u8]> = probe.iter().map(Vec::as_slice).collect();
-        let batched = t.get_many(&refs).unwrap();
-        let singly: Vec<Option<Vec<u8>>> = probe.iter().map(|k| t.get(k).unwrap()).collect();
-        assert_eq!(batched, singly);
-        assert!(batched[1].is_some() && batched[0].is_none());
-        // Bad key length is rejected up front.
-        assert!(matches!(
-            t.get_many(&[&[1u8, 2][..]]),
-            Err(AccessError::BadKeyLen(2))
-        ));
-        assert_eq!(t.get_many(&[]).unwrap(), Vec::<Option<Vec<u8>>>::new());
+    /// Every key of the tree, merge-scanned from a cold pool: the values'
+    /// first bytes and the I/O the scan cost.
+    fn cold_merge_scan(
+        p: &BufferPool,
+        t: &BTreeFile,
+        readahead: usize,
+    ) -> (Vec<u8>, u64, cor_pagestore::BatchIoSnapshot) {
+        p.flush_and_clear().unwrap();
+        let before = p.stats().snapshot();
+        let batch = p.stats().batch_snapshot();
+        let mut values = Vec::new();
+        t.merge_scan((0..3000u64).map(key8), readahead, |_, v| {
+            values.push(v[0]);
+            Ok::<(), AccessError>(())
+        })
+        .unwrap();
+        (
+            values,
+            p.stats().snapshot().since(&before).reads,
+            p.stats().batch_snapshot().since(&batch),
+        )
     }
 
-    #[test]
-    fn get_many_descends_once_per_leaf_run() {
-        let p = pool(64);
-        let entries: Vec<(Vec<u8>, Vec<u8>)> =
-            (0..4000u64).map(|k| (key8(k), vec![9u8; 70])).collect();
-        let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
-        // A dense sorted run confined to a handful of leaves.
-        let probe: Vec<Vec<u8>> = (1000..1100u64).map(key8).collect();
-        let refs: Vec<&[u8]> = probe.iter().map(Vec::as_slice).collect();
-
-        p.flush_and_clear().unwrap();
-        let t0 = p.stats().snapshot();
-        let got = t.get_many(&refs).unwrap();
-        let batched_reads = p.stats().snapshot().since(&t0).reads;
-        assert!(got.iter().all(Option::is_some));
-
-        p.flush_and_clear().unwrap();
-        let t0 = p.stats().snapshot();
-        for k in &probe {
-            t.get(k).unwrap().unwrap();
-        }
-        let loop_reads = p.stats().snapshot().since(&t0).reads;
-
-        // Both variants fault each distinct page at most once (the loop's
-        // repeated descents hit warm inner pages), so batching must never
-        // read more — and its leaf fetches must go through batched,
-        // run-coalesced submissions.
-        assert!(
-            batched_reads <= loop_reads,
-            "batched {batched_reads} > loop {loop_reads}"
-        );
-        assert!(p.stats().batch_reads() > 0, "leaf fetches were batched");
-        assert!(
-            p.stats().coalesced_runs() < p.stats().batch_reads(),
-            "adjacent bulk-loaded leaves coalesce into fewer submissions"
-        );
-    }
-
-    #[test]
-    fn readahead_scan_yields_identical_entries() {
-        let p = pool(64);
+    fn bulk_3000(p: &Arc<BufferPool>) -> BTreeFile {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..3000u64)
             .map(|k| (key8(k), vec![(k % 200) as u8; 80]))
             .collect();
-        let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
+        BTreeFile::bulk_load(Arc::clone(p), 8, entries, DEFAULT_FILL).unwrap()
+    }
 
-        p.flush_and_clear().unwrap();
-        let plain: Vec<(Vec<u8>, Vec<u8>)> = t.scan_all().collect();
-        p.flush_and_clear().unwrap();
-        let ahead: Vec<(Vec<u8>, Vec<u8>)> = t.scan_all().with_readahead(8).collect();
-        assert_eq!(plain, ahead);
-        assert!(
-            p.stats().prefetch_issued() > 0,
-            "readahead issued prefetches"
-        );
-        assert!(
-            p.stats().prefetch_hits() > 0,
-            "sequential leaves turned prefetches into demand hits"
+    /// Readahead changes how `merge_scan`'s leaves arrive, never which:
+    /// on a bulk-loaded tree the matches and `reads` equal the
+    /// readahead-off scan and every prefetched page is demanded. On the
+    /// same tree reattached through `from_metadata` the knob is inert —
+    /// `ra_end` is not persisted, so after a reopen (`Engine::open`) no
+    /// page is ever prefetched.
+    #[test]
+    fn merge_scan_readahead_reads_the_same_pages_and_is_inert_after_reattach() {
+        let p = pool(64);
+        let t = bulk_3000(&p);
+        let (plain, plain_reads, off) = cold_merge_scan(&p, &t, 0);
+        let (ahead, ahead_reads, on) = cold_merge_scan(&p, &t, 8);
+        assert_eq!(ahead, plain, "same matches");
+        assert_eq!(ahead_reads, plain_reads, "same reads");
+        assert_eq!(off.prefetch_issued, 0);
+        assert!(on.prefetch_issued > 0, "readahead issued prefetches");
+        assert_eq!(
+            on.prefetch_hits, on.prefetch_issued,
+            "every prefetched leaf was demanded"
         );
 
-        // Bounded range scans are unaffected in content too.
-        p.flush_and_clear().unwrap();
-        let r1: Vec<_> = t.range(&key8(500), &key8(700)).unwrap().collect();
-        let r2: Vec<_> = t
-            .range(&key8(500), &key8(700))
-            .unwrap()
-            .with_readahead(4)
-            .collect();
-        assert_eq!(r1, r2);
+        let reattached = BTreeFile::from_metadata(Arc::clone(&p), t.metadata()).unwrap();
+        let (again, again_reads, inert) = cold_merge_scan(&p, &reattached, 8);
+        assert_eq!(again, plain);
+        assert_eq!(again_reads, plain_reads);
+        assert_eq!(inert.prefetch_issued, 0, "no clamp, no prefetch");
+        assert_eq!(inert.batch_reads, 0);
     }
 
     /// A readahead window larger than the pool is clipped to what the
@@ -1997,31 +1837,13 @@ mod tests {
     #[test]
     fn readahead_window_larger_than_the_pool_neither_stalls_nor_miscounts() {
         let p = Arc::new(BufferPool::builder().capacity(8).telemetry(true).build());
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..3000u64)
-            .map(|k| (key8(k), vec![(k % 200) as u8; 80]))
-            .collect();
-        let t = BTreeFile::bulk_load(Arc::clone(&p), 8, entries, DEFAULT_FILL).unwrap();
+        let t = bulk_3000(&p);
         assert!(t.leaf_pages() > 64, "the ramp must reach 32 pages");
 
-        let cold_scan = |readahead: usize| {
-            p.flush_and_clear().unwrap();
-            let before = p.stats().snapshot();
-            let batch = p.stats().batch_snapshot();
-            let waits = p.telemetry().unwrap()[0].pin_waits;
-            let values: Vec<u8> = t
-                .scan_all()
-                .with_readahead(readahead)
-                .map(|(_, v)| v[0])
-                .collect();
-            (
-                values,
-                p.stats().snapshot().since(&before).reads,
-                p.stats().batch_snapshot().since(&batch),
-                p.telemetry().unwrap()[0].pin_waits - waits,
-            )
-        };
-        let (plain, plain_reads, _, _) = cold_scan(0);
-        let (ahead, ahead_reads, batch, pin_waits) = cold_scan(32);
+        let (plain, plain_reads, _) = cold_merge_scan(&p, &t, 0);
+        let waits = p.telemetry().unwrap()[0].pin_waits;
+        let (ahead, ahead_reads, batch) = cold_merge_scan(&p, &t, 32);
+        let pin_waits = p.telemetry().unwrap()[0].pin_waits - waits;
         assert_eq!(ahead, plain, "same values");
         assert_eq!(ahead_reads, plain_reads, "same reads");
         assert_eq!(pin_waits, 0, "readahead stalled on its own pins");

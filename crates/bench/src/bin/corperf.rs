@@ -2,8 +2,8 @@
 //! suite, two exact gates, no wall-time verdict.
 //!
 //! Runs every strategy over a fixed retrieve-only workload on
-//! [`MemDisk`](cor_pagestore::MemDisk) (plus the batched BFS/DFSCLUST
-//! legs), K reps per leg. Two invariants gate the run:
+//! [`MemDisk`](cor_pagestore::MemDisk) (plus a BFS leg with merge-scan
+//! readahead on), K reps per leg. Two invariants gate the run:
 //!
 //! 1. **Determinism** — every rep of a leg must return the same values
 //!    and perform the same I/O (cold pool + fixed seed + MemDisk leaves
@@ -32,14 +32,14 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use complexobj::{ExecOptions, IoOptions, Query, Strategy};
+use complexobj::{ExecOptions, Query, Strategy};
 use cor_bench::{write_report, BenchConfig, JsonObj};
 use cor_workload::{fnum, format_table, generate, generate_sequence, Engine, GeneratedDb, Params};
 
 /// Baseline record format version.
 const PERF_SCHEMA_VERSION: u32 = 1;
 
-/// One suite entry: a strategy plus the I/O knobs it runs under.
+/// One suite entry: a strategy plus the options it runs under.
 struct LegSpec {
     name: String,
     strategy: Strategy,
@@ -66,21 +66,16 @@ fn suite() -> Vec<LegSpec> {
             opts: ExecOptions::default(),
         })
         .collect();
-    // The batched path is a separate performance surface: same answers,
-    // different physical I/O plan.
-    for s in [Strategy::Bfs, Strategy::DfsClust] {
-        legs.push(LegSpec {
-            name: format!("{}+batch", s.name()),
-            strategy: s,
-            opts: ExecOptions {
-                io: IoOptions {
-                    batch: 16,
-                    readahead: 32,
-                },
-                ..ExecOptions::default()
-            },
-        });
-    }
+    // Readahead is a separate performance surface: same answers, same
+    // transfers, different physical I/O plan.
+    legs.push(LegSpec {
+        name: "BFS+readahead".to_string(),
+        strategy: Strategy::Bfs,
+        opts: ExecOptions {
+            readahead: 32,
+            ..ExecOptions::default()
+        },
+    });
     legs
 }
 

@@ -631,7 +631,7 @@ impl CorDatabase {
         let lo_k = Oid::new(PARENT_REL, lo).to_key_bytes();
         let hi_k = Oid::new(PARENT_REL, hi).to_key_bytes();
         let mut out = Vec::new();
-        parent.visit_range(&lo_k, &hi_k, 0, |_, rec| {
+        parent.visit_range(&lo_k, &hi_k, |_, rec| {
             let t = decode(&self.parent_schema, rec)?;
             let key = t.get(0).as_oid().expect("parent oid column").key;
             let children = t.get(5).as_oid_list().expect("children column").to_vec();
@@ -766,7 +766,7 @@ impl CorDatabase {
             Storage::Standard { parent, .. } => {
                 let lo_k = Oid::new(PARENT_REL, lo).to_key_bytes();
                 let hi_k = Oid::new(PARENT_REL, hi).to_key_bytes();
-                parent.visit_range(&lo_k, &hi_k, 0, |k, rec| {
+                parent.visit_range(&lo_k, &hi_k, |k, rec| {
                     let oid = Oid::from_key_bytes(k).ok_or(AccessError::BadKeyLen(k.len()))?;
                     push(oid.key, rec)
                 })?;
@@ -774,7 +774,7 @@ impl CorDatabase {
             Storage::Clustered { cluster, .. } => {
                 let lo_k = cluster_key(lo, false, Oid::new(0, 0));
                 let hi_k = cluster_key(hi, true, Oid::new(u16::MAX, u64::MAX));
-                cluster.visit_range(&lo_k, &hi_k, 0, |k, rec| match parse_cluster_key(k)? {
+                cluster.visit_range(&lo_k, &hi_k, |k, rec| match parse_cluster_key(k)? {
                     (_, true, _) => Ok(()),
                     (_, false, oid) => push(oid.key, rec),
                 })?;
@@ -817,69 +817,6 @@ impl CorDatabase {
         self.with_child_record(oid, |rec| Ok(rec.to_vec()))
     }
 
-    /// Batched [`Self::fetch_child_record`]: each relation's B-tree is
-    /// probed through its sorted-batch lookup in windows of `batch` keys
-    /// — one inner-node descent per leaf run and one coalesced read per
-    /// run of adjacent leaves — instead of one root-to-leaf descent per
-    /// OID. Results align with `oids` and are identical to the per-OID
-    /// loop, which is exactly what runs when `batch <= 1` or on the
-    /// clustered representation (whose ISAM probes are already one direct
-    /// page access each).
-    pub fn fetch_child_records(
-        &self,
-        oids: &[Oid],
-        batch: usize,
-    ) -> Result<Vec<Option<Vec<u8>>>, CorError> {
-        if batch <= 1 || oids.len() <= 1 || !matches!(self.storage, Storage::Standard { .. }) {
-            return oids
-                .iter()
-                .map(|&oid| self.fetch_child_record(oid))
-                .collect();
-        }
-        let mut out = vec![None; oids.len()];
-        let mut by_rel: BTreeMap<RelId, Vec<usize>> = BTreeMap::new();
-        for (i, oid) in oids.iter().enumerate() {
-            by_rel.entry(oid.rel).or_default().push(i);
-        }
-        for (rel, idxs) in by_rel {
-            let tree = self.child_tree(rel)?;
-            for window in idxs.chunks(batch) {
-                let keys: Vec<_> = window.iter().map(|&i| oids[i].to_key_bytes()).collect();
-                let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                for (&i, rec) in window.iter().zip(tree.get_many(&refs)?) {
-                    out[i] = rec;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Resolve a subobject OID to the cluster leaf page holding it
-    /// (clustered storage only), without reading the leaf. This is the
-    /// ISAM-probe half of [`Self::visit_child_page`]; batched callers use
-    /// it to collect leaf pids for a sorted multi-page prefetch before
-    /// harvesting them with [`Self::visit_leaf_children`].
-    pub fn child_leaf_page(&self, oid: Oid) -> Result<Option<cor_pagestore::PageId>, CorError> {
-        let (_, oid_index) = self.cluster()?;
-        Ok(Self::tid_of(oid_index, oid)?.map(|(_, leaf)| leaf))
-    }
-
-    /// Visit every subobject record on one ClusterRel leaf **in place**
-    /// (clustered storage only): `f` sees `(oid, record)` for each child
-    /// entry, the record borrowed from the pinned page; object entries are
-    /// skipped. The first `Err` from `f` ends the visit and is returned.
-    pub fn visit_leaf_children(
-        &self,
-        leaf: cor_pagestore::PageId,
-        mut f: impl FnMut(Oid, &[u8]) -> Result<(), CorError>,
-    ) -> Result<(), CorError> {
-        let (cluster, _) = self.cluster()?;
-        cluster.visit_leaf(leaf, |k, rec| match parse_cluster_key(k)? {
-            (_, true, child) => f(child, rec),
-            (_, false, _) => Ok(()),
-        })
-    }
-
     /// Visit a subobject **and every child record co-located on its page**
     /// (clustered storage only; nothing is visited for an OID the index
     /// does not know). One ISAM probe plus one direct page read reaches
@@ -889,12 +826,16 @@ impl CorDatabase {
     pub fn visit_child_page(
         &self,
         oid: Oid,
-        f: impl FnMut(Oid, &[u8]) -> Result<(), CorError>,
+        mut f: impl FnMut(Oid, &[u8]) -> Result<(), CorError>,
     ) -> Result<(), CorError> {
-        match self.child_leaf_page(oid)? {
-            Some(leaf) => self.visit_leaf_children(leaf, f),
-            None => Ok(()),
-        }
+        let (cluster, oid_index) = self.cluster()?;
+        let Some((_, leaf)) = Self::tid_of(oid_index, oid)? else {
+            return Ok(());
+        };
+        cluster.visit_leaf(leaf, |k, rec| match parse_cluster_key(k)? {
+            (_, true, child) => f(child, rec),
+            (_, false, _) => Ok(()),
+        })
     }
 
     /// Update one integer attribute of a subobject in place, returning

@@ -78,7 +78,7 @@ pub use persist::{
 };
 pub use quel::{parse as parse_quel, QuelError, QuelStatement};
 pub use query::{apply_update, Query, RetAttr, RetrieveQuery, StrategyOutput, UpdateQuery};
-pub use strategies::{execute_retrieve, ExecOptions, IoOptions, JoinChoice};
+pub use strategies::{execute_retrieve, ExecOptions, JoinChoice};
 pub use unit::{hashkey_of, measure_sharing, SharingFactors, Unit};
 pub use valuebased::{value_parent_schema, ValueDatabase, VALUE_PARENT_REL};
 

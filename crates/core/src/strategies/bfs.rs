@@ -116,10 +116,10 @@ pub(crate) fn join_fetch(
         };
         // The co-scan of the OID-ordered ChildRel leaves is the join
         // proper (sort-stream pulls retag themselves as Sort). With
-        // readahead enabled the merge-run leaf pages are prefetched in
-        // coalesced batches ahead of the scan cursor.
+        // `opts.readahead` set the leaf pages are prefetched in coalesced
+        // batches ahead of the scan cursor — the one place readahead runs.
         let _phase = PhaseGuard::enter(Phase::MergeJoin);
-        tree.merge_scan(sorted, opts.io.readahead, |_oid, rec| {
+        tree.merge_scan(sorted, opts.readahead, |_oid, rec| {
             values.push(extract_ret(rec, attr)?);
             Ok::<(), CorError>(())
         })?;
@@ -137,40 +137,13 @@ pub(crate) fn join_fetch(
                     true,
                 )?
             };
-            probe_all(tree, keys, attr, opts, values)?;
+            for key in keys {
+                probe_one(tree, &key, attr, values)?;
+            }
         } else {
-            probe_all(tree, temp.scan().map(|(_, key)| key), attr, opts, values)?;
-        }
-    }
-    Ok(())
-}
-
-/// Probe the index once per key, in key arrival order. With batching
-/// enabled the keys are probed through the B-tree's sorted-batch lookup
-/// in windows of `opts.io.batch` — one inner-node descent per leaf run
-/// and one coalesced read per run of adjacent leaves — instead of one
-/// root-to-leaf descent each. Values come back in the same order either
-/// way.
-fn probe_all(
-    tree: &BTreeFile,
-    keys: impl Iterator<Item = Vec<u8>>,
-    attr: RetAttr,
-    opts: &ExecOptions,
-    values: &mut Vec<i64>,
-) -> Result<(), CorError> {
-    if opts.io.batch <= 1 {
-        for key in keys {
-            probe_one(tree, &key, attr, values)?;
-        }
-        return Ok(());
-    }
-    let keys: Vec<Vec<u8>> = keys.collect();
-    for window in keys.chunks(opts.io.batch) {
-        let refs: Vec<&[u8]> = window.iter().map(Vec::as_slice).collect();
-        for (key, rec) in window.iter().zip(tree.get_many(&refs)?) {
-            let rec = rec
-                .ok_or_else(|| CorError::DanglingOid(Oid::from_key_bytes(key).expect("oid key")))?;
-            values.push(extract_ret(&rec, attr)?);
+            for (_, key) in temp.scan() {
+                probe_one(tree, &key, attr, values)?;
+            }
         }
     }
     Ok(())

@@ -10,38 +10,29 @@
 //! do — a merge join returns subobjects in OID order and "the identity of
 //! the units would be lost" (the reason a caching BFS is unviable).
 
-use super::ExecOptions;
 use crate::database::CorDatabase;
 use crate::query::{extract_ret, RetrieveQuery, StrategyOutput};
 use crate::unit::hashkey_of;
 use crate::CorError;
 use cor_relational::Oid;
 
-/// Materialize one unit: fetch every member subobject, batching the index
-/// probes when `opts.io.batch > 1` (a unit's OIDs are consecutive in the
-/// common no-sharing layout, so a batched probe coalesces their leaf
-/// reads). Absent OIDs fail loudly — the paper's databases never dangle.
-fn materialize_unit(
-    db: &CorDatabase,
-    children: &[Oid],
-    opts: &ExecOptions,
-) -> Result<Vec<Vec<u8>>, CorError> {
-    db.fetch_child_records(children, opts.io.batch)?
-        .into_iter()
-        .zip(children)
-        .map(|(rec, &oid)| rec.ok_or(CorError::DanglingOid(oid)))
+/// Materialize one unit: fetch every member subobject, one index probe
+/// each. Absent OIDs fail loudly — the paper's databases never dangle.
+fn materialize_unit(db: &CorDatabase, children: &[Oid]) -> Result<Vec<Vec<u8>>, CorError> {
+    children
+        .iter()
+        .map(|&oid| {
+            db.fetch_child_record(oid)?
+                .ok_or(CorError::DanglingOid(oid))
+        })
         .collect()
 }
 
 /// Run a retrieve depth-first through the unit-value cache (whichever
 /// placement the database was built with).
-pub fn dfs_cache(
-    db: &CorDatabase,
-    query: &RetrieveQuery,
-    opts: &ExecOptions,
-) -> Result<StrategyOutput, CorError> {
+pub fn dfs_cache(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutput, CorError> {
     if db.has_inside_cache() {
-        return dfs_cache_inside(db, query, opts);
+        return dfs_cache_inside(db, query);
     }
     let stats = db.pool().stats().clone();
     let s0 = stats.snapshot();
@@ -63,7 +54,7 @@ pub fn dfs_cache(
             }
             None => {
                 // Materialize the unit, return its values, and cache it.
-                let records = materialize_unit(db, children, opts)?;
+                let records = materialize_unit(db, children)?;
                 for rec in &records {
                     values.push(extract_ret(rec, query.attr)?);
                 }
@@ -84,11 +75,7 @@ pub fn dfs_cache(
 /// with the scanned object tuple; misses materialize and write the copy
 /// back into the tuple; nothing is shared between objects — the structural
 /// weaknesses the paper cites when dismissing this placement.
-fn dfs_cache_inside(
-    db: &CorDatabase,
-    query: &RetrieveQuery,
-    opts: &ExecOptions,
-) -> Result<StrategyOutput, CorError> {
+fn dfs_cache_inside(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutput, CorError> {
     let stats = db.pool().stats().clone();
     let s0 = stats.snapshot();
     let parents = db.parents_in_range_cached(query.lo, query.hi)?;
@@ -108,7 +95,7 @@ fn dfs_cache_inside(
             }
             None => {
                 db.inside_miss();
-                let records = materialize_unit(db, children, opts)?;
+                let records = materialize_unit(db, children)?;
                 for rec in &records {
                     values.push(extract_ret(rec, query.attr)?);
                 }

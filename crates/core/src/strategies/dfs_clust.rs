@@ -13,7 +13,6 @@
 //! unit's subobjects scatter across many foreign clusters and these random
 //! accesses dominate (Fig. 7).
 
-use super::ExecOptions;
 use crate::database::{cluster_key, parse_cluster_key, CorDatabase};
 use crate::query::{extract_ret, parent_children, RetrieveQuery, StrategyOutput};
 use crate::CorError;
@@ -21,11 +20,7 @@ use cor_obs::{Phase, PhaseGuard};
 use cor_relational::{Oid, OidMap};
 
 /// Run a retrieve depth-first over the clustered representation.
-pub fn dfs_clust(
-    db: &CorDatabase,
-    query: &RetrieveQuery,
-    opts: &ExecOptions,
-) -> Result<StrategyOutput, CorError> {
+pub fn dfs_clust(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutput, CorError> {
     let (cluster, _oid_index) = db.cluster()?;
     let stats = db.pool().stats().clone();
     let s0 = stats.snapshot();
@@ -40,11 +35,9 @@ pub fn dfs_clust(
     // no record is copied out.
     let mut harvested: OidMap<i64> = OidMap::default();
     // The whole range scan — objects and co-clustered subobjects alike —
-    // is one physical cluster traversal; with readahead enabled the
-    // bulk-loaded leaf chain is prefetched in coalesced batches ahead of
-    // the scan cursor.
+    // is one physical cluster traversal.
     let _scan_phase = PhaseGuard::enter(Phase::ClusterScan);
-    cluster.visit_range(&lo_k, &hi_k, opts.io.readahead, |k, rec| {
+    cluster.visit_range(&lo_k, &hi_k, |k, rec| {
         let (_, is_child, oid) = parse_cluster_key(k)?;
         if is_child {
             harvested.insert(oid, extract_ret(rec, query.attr)?);
@@ -56,44 +49,6 @@ pub fn dfs_clust(
         Ok::<(), CorError>(())
     })?;
     let s1 = stats.snapshot();
-
-    // Foreign-cluster probes are the random-access tail that dominates
-    // once sharing scatters a unit's subobjects (Fig. 7). With batching
-    // enabled, resolve every still-missing subobject to its cluster leaf
-    // through the OID index, then walk the sorted, deduplicated leaves in
-    // batch-sized windows: prefetch a window, harvest it into
-    // `harvested`, move on. Harvesting right behind the prefetch
-    // cursor keeps the footprint to one window, so a pool barely larger
-    // than the batch still serves every demand fetch from the prefetched
-    // frames. The values loop below is untouched — it now finds the
-    // values in the map — so results are identical at every batch size.
-    if opts.io.batch > 1 {
-        let mut foreign: Vec<cor_pagestore::PageId> = Vec::new();
-        let mut pending: std::collections::HashSet<Oid> = std::collections::HashSet::new();
-        for (_key, children) in &parents {
-            for &oid in children {
-                if !harvested.contains_key(&oid) && pending.insert(oid) {
-                    if let Some(leaf) = db.child_leaf_page(oid)? {
-                        foreign.push(leaf);
-                    }
-                }
-            }
-        }
-        foreign.sort_unstable();
-        foreign.dedup();
-        for window in foreign.chunks(opts.io.batch) {
-            // Purely a hint: a failed prefetch degrades to the demand
-            // fetches issued by the leaf visits just below.
-            let _ = db.pool().prefetch(window);
-            for &leaf in window {
-                db.visit_leaf_children(leaf, |child, rec| {
-                    let v = extract_ret(rec, query.attr)?;
-                    harvested.entry(child).or_insert(v);
-                    Ok(())
-                })?;
-            }
-        }
-    }
 
     let mut values = Vec::new();
     for (_key, children) in &parents {
@@ -176,9 +131,14 @@ mod tests {
         }));
         let pool = Arc::new(BufferPool::builder().capacity(64).telemetry(true).build());
         let db = CorDatabase::build_clustered(pool, &spec, &assignment).unwrap();
-        let foreign_leaf = db.child_leaf_page(c(60)).unwrap();
-        for k in 61..=63 {
-            assert_eq!(db.child_leaf_page(c(k)).unwrap(), foreign_leaf);
+        let mut co_located = Vec::new();
+        db.visit_child_page(c(60), |child, _| {
+            co_located.push(child);
+            Ok(())
+        })
+        .unwrap();
+        for k in 60..=63 {
+            assert!(co_located.contains(&c(k)), "child {k} shares 60's page");
         }
         let (_, oid_index) = db.cluster().unwrap();
 
@@ -192,7 +152,7 @@ mod tests {
             attr: RetAttr::Ret2,
         };
         let p0 = pins(&db);
-        let out = dfs_clust(&db, &q, &ExecOptions::default()).unwrap();
+        let out = dfs_clust(&db, &q).unwrap();
         assert_eq!(out.values, vec![-60, -61, -62, -63]);
         // One ISAM probe — a descent that ends by reading its leaf, then
         // the leaf lookup — and one visit of the foreign page.

@@ -45,37 +45,6 @@ pub enum JoinChoice {
     ForceIterative,
 }
 
-/// Batched / prefetching I/O knobs.
-///
-/// The defaults (batching and readahead both off) make every strategy
-/// execute page-at-a-time exactly as before this option existed:
-/// `IoStats`, figure outputs, and explain captures are byte-identical.
-/// Turning the knobs on never changes logical results — only how many
-/// physical submissions carry the same transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoOptions {
-    /// Maximum keys per batched index probe (1 = probe singly, off).
-    pub batch: usize,
-    /// Leaf readahead window, in pages, for sequential scans (0 = off).
-    pub readahead: usize,
-}
-
-impl Default for IoOptions {
-    fn default() -> Self {
-        IoOptions {
-            batch: 1,
-            readahead: 0,
-        }
-    }
-}
-
-impl IoOptions {
-    /// Is any batched/prefetching behaviour enabled?
-    pub fn enabled(&self) -> bool {
-        self.batch > 1 || self.readahead > 0
-    }
-}
-
 /// Execution knobs. Defaults match the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
@@ -85,8 +54,12 @@ pub struct ExecOptions {
     pub join: JoinChoice,
     /// Work memory for sorting temporaries, in bytes.
     pub sort_work_mem: usize,
-    /// Batched / prefetching I/O (defaults reproduce page-at-a-time runs).
-    pub io: IoOptions,
+    /// Leaf readahead window, in pages, for the BFS merge join's co-scan
+    /// of ChildRel — the only scan that prefetches (0 = off, the default:
+    /// every strategy reads page-at-a-time). Never changes results, only
+    /// how many physical submissions carry the scan's leaves; inert on a
+    /// reopened store (see `BTreeFile::merge_scan`).
+    pub readahead: usize,
 }
 
 impl Default for ExecOptions {
@@ -95,7 +68,7 @@ impl Default for ExecOptions {
             smart_threshold: 300,
             join: JoinChoice::Auto,
             sort_work_mem: cor_access::DEFAULT_WORK_MEM,
-            io: IoOptions::default(),
+            readahead: 0,
         }
     }
 }
@@ -114,8 +87,8 @@ pub fn execute_retrieve(
         Strategy::Dfs => dfs(db, query),
         Strategy::Bfs => bfs(db, query, false, opts),
         Strategy::BfsNoDup => bfs(db, query, true, opts),
-        Strategy::DfsCache => dfs_cache(db, query, opts),
-        Strategy::DfsClust => dfs_clust(db, query, opts),
+        Strategy::DfsCache => dfs_cache(db, query),
+        Strategy::DfsClust => dfs_clust(db, query),
         Strategy::Smart => smart(db, query, opts),
     }
 }
@@ -259,8 +232,8 @@ mod tests {
             hi: 9,
             attr: RetAttr::Ret1,
         };
-        let cold = dfs_cache(&db, &q, &ExecOptions::default()).unwrap();
-        let warm = dfs_cache(&db, &q, &ExecOptions::default()).unwrap();
+        let cold = dfs_cache(&db, &q).unwrap();
+        let warm = dfs_cache(&db, &q).unwrap();
         assert_eq!(warm.values.len(), cold.values.len());
         assert!(
             warm.child_io.total() < cold.child_io.total(),
@@ -282,7 +255,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(db.cache_mut().unwrap().counters().invalidations, 1);
-        let after = dfs_cache(&db, &q, &ExecOptions::default()).unwrap();
+        let after = dfs_cache(&db, &q).unwrap();
         let mut got = after.values.clone();
         got.sort_unstable();
         assert!(got.contains(&999), "refreshed value must be served");
@@ -310,7 +283,7 @@ mod tests {
             hi: 24,
             attr: RetAttr::Ret1,
         };
-        let out = dfs_clust(&db, &q, &ExecOptions::default()).unwrap();
+        let out = dfs_clust(&db, &q).unwrap();
         assert_eq!(out.values.len(), 40);
         assert_eq!(
             out.child_io.total(),
@@ -384,12 +357,8 @@ mod tests {
             attr: RetAttr::Ret1,
         };
         for _ in 0..2 {
-            let mut a = dfs_cache(&inside, &q, &ExecOptions::default())
-                .unwrap()
-                .values;
-            let mut b = dfs_cache(&outside, &q, &ExecOptions::default())
-                .unwrap()
-                .values;
+            let mut a = dfs_cache(&inside, &q).unwrap().values;
+            let mut b = dfs_cache(&outside, &q).unwrap().values;
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
@@ -410,9 +379,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(inside.cache_counters().unwrap().invalidations, 1);
-        let mut v = dfs_cache(&inside, &q, &ExecOptions::default())
-            .unwrap()
-            .values;
+        let mut v = dfs_cache(&inside, &q).unwrap().values;
         v.sort_unstable();
         assert!(v.contains(&-777));
     }
@@ -435,12 +402,12 @@ mod tests {
             hi: 39,
             attr: RetAttr::Ret1,
         };
-        dfs_cache(&db, &q, &ExecOptions::default()).unwrap();
+        dfs_cache(&db, &q).unwrap();
         let k = db.cache_counters().unwrap();
         assert_eq!(k.insertions, 40);
         assert_eq!(k.evictions, 37, "only 3 parents may hold copies");
         // Still correct afterwards.
-        let mut v = dfs_cache(&db, &q, &ExecOptions::default()).unwrap().values;
+        let mut v = dfs_cache(&db, &q).unwrap().values;
         v.sort_unstable();
         assert_eq!(v.len(), 80);
     }
@@ -496,23 +463,21 @@ mod tests {
         assert!(!ran.contains(&Strategy::DfsCache), "no cache attached");
     }
 
+    /// Readahead changes no result and is consumed by the merge join
+    /// alone: with the knob on, every other plan still leaves the batch
+    /// and prefetch counters at zero.
     #[test]
-    fn batched_io_changes_no_results_and_off_changes_no_accounting() {
+    fn readahead_changes_no_results_and_only_the_merge_scan_prefetches() {
         let q = RetrieveQuery {
             lo: 0,
             hi: 39,
             attr: RetAttr::Ret1,
         };
-        let batched_opts = ExecOptions {
-            io: IoOptions {
-                batch: 8,
-                readahead: 4,
-            },
+        let ahead_opts = ExecOptions {
+            readahead: 4,
             ..ExecOptions::default()
         };
-        assert!(batched_opts.io.enabled() && !ExecOptions::default().io.enabled());
 
-        // Standard representation: every strategy that runs on it.
         let run = |opts: &ExecOptions| {
             let db = CorDatabase::build_standard(
                 pool(),
@@ -533,64 +498,31 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(&ExecOptions::default()), run(&batched_opts));
+        assert_eq!(run(&ExecOptions::default()), run(&ahead_opts));
 
-        // Forced-iterative BFS exercises the sorted-batch probe path
-        // specifically; forced-merge exercises scan readahead.
         for join in [JoinChoice::ForceIterative, JoinChoice::ForceMerge] {
             let db = CorDatabase::build_standard(pool(), &spec(), None).unwrap();
-            db.pool().flush_and_clear().unwrap();
-            let plain = bfs(
-                &db,
-                &q,
-                false,
-                &ExecOptions {
+            let cold_bfs = |readahead: usize| {
+                db.pool().flush_and_clear().unwrap();
+                let before = db.pool().stats().batch_snapshot();
+                let opts = ExecOptions {
                     join,
+                    readahead,
                     ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                db.pool().stats().batch_snapshot(),
-                Default::default(),
-                "knobs off: no batched submissions, no prefetches"
-            );
-            db.pool().flush_and_clear().unwrap();
-            let opts = ExecOptions {
-                join,
-                ..batched_opts
+                };
+                let mut values = bfs(&db, &q, false, &opts).unwrap().values;
+                values.sort_unstable();
+                (values, db.pool().stats().batch_snapshot().since(&before))
             };
-            let batched = bfs(&db, &q, false, &opts).unwrap();
-            let (mut a, mut b) = (plain.values, batched.values);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            let (plain, off) = cold_bfs(0);
+            let (ahead, on) = cold_bfs(4);
+            assert_eq!(plain, ahead);
+            assert_eq!(off, Default::default(), "knob off: no prefetches");
+            if join == JoinChoice::ForceMerge {
+                assert!(on.prefetch_issued > 0, "merge scan readahead prefetched");
+            } else {
+                assert_eq!(on, Default::default(), "index probes never prefetch");
+            }
         }
-
-        // Clustered representation: readahead over the ClusterRel scan.
-        let s = spec();
-        let assignment = ClusterAssignment::from_pairs(
-            s.parents
-                .iter()
-                .flat_map(|o| o.children.iter().map(move |c| (*c, o.key))),
-        );
-        let mk = || {
-            let db = CorDatabase::build_clustered(pool(), &s, &assignment).unwrap();
-            db.pool().flush_and_clear().unwrap();
-            db
-        };
-        let db = mk();
-        let plain = dfs_clust(&db, &q, &ExecOptions::default()).unwrap();
-        assert_eq!(db.pool().stats().batch_snapshot(), Default::default());
-        let db = mk();
-        let ahead = dfs_clust(&db, &q, &batched_opts).unwrap();
-        let (mut a, mut b) = (plain.values, ahead.values);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(
-            db.pool().stats().prefetch_issued() > 0,
-            "cluster scan readahead issued prefetches"
-        );
     }
 }

@@ -34,7 +34,7 @@ pub fn smart(
     opts: &ExecOptions,
 ) -> Result<StrategyOutput, CorError> {
     if query.num_top() <= opts.smart_threshold {
-        return dfs_cache(db, query, opts);
+        return dfs_cache(db, query);
     }
 
     let stats = db.pool().stats().clone();

@@ -425,18 +425,6 @@ pub struct BatchPrediction {
     pub submissions: f64,
 }
 
-impl BatchPrediction {
-    /// Pages per physical submission (1.0 when nothing batched — a
-    /// degenerate batch is one submission per page).
-    pub fn coalescing_factor(&self) -> f64 {
-        if self.submissions <= 0.0 {
-            1.0
-        } else {
-            (self.batched_pages / self.submissions).max(1.0)
-        }
-    }
-}
-
 /// Submissions when `pages` **contiguous** pages stream through prefetch
 /// windows of `window`: each window is one maximal run, so one
 /// submission per window.
@@ -450,105 +438,40 @@ pub fn batched_submissions_contiguous(pages: f64, window: f64) -> f64 {
     (pages / window).ceil()
 }
 
-/// Expected maximal adjacent runs among `selected` distinct pages drawn
-/// uniformly from a file of `total`: of the `selected` pages, a fraction
-/// `(selected-1)/total` of them continue the previous page's run, so
-/// `runs = s − s(s−1)/n` (clamped to `[1, selected]`). Dense selections
-/// collapse toward one run; sparse ones stay one submission per page.
-pub fn expected_runs(selected: f64, total: f64) -> f64 {
-    if selected <= 0.0 {
-        return 0.0;
-    }
-    if total <= 1.0 {
-        return 1.0;
-    }
-    (selected - selected * (selected - 1.0) / total).clamp(1.0, selected)
-}
-
-/// The batch term for one strategy's batched paths, given the executor's
-/// I/O knobs (`batch` keys per sorted probe window, `readahead` pages per
-/// scan prefetch window). Both off — the defaults — predicts exactly
-/// zero, matching the byte-identical page-at-a-time run.
+/// The batch term for one strategy, given the executor's one I/O knob
+/// (`readahead` pages per merge-scan prefetch window). Off — the default
+/// — predicts exactly zero, matching the byte-identical page-at-a-time
+/// run.
 ///
-/// Paths mirror the executor: BFS batches its iterative probes or
-/// readaheads the merge scan (same plan choice as [`predict_bfs`]);
-/// DFSCACHE batches each uncached unit's materialization (a unit's
-/// members are consecutive OIDs, so its leaves coalesce to ~one run);
-/// DFSCLUST readaheads the ClusterRel range scan; DFS has no batched
-/// path.
+/// Mirrors the executor: only the merge join's co-scan of the ChildRel
+/// leaf chain prefetches, so the term is non-zero for BFS / BFSNODUP
+/// (and SMART above its threshold) exactly when [`predict_bfs`]'s plan
+/// choice picks the merge join; iterative probes, DFS, DFSCACHE and
+/// DFSCLUST read page-at-a-time whatever the knob says.
 pub fn predict_batch(
     name: &str,
     w: &Workload,
     g: &Geometry,
-    batch: f64,
     readahead: f64,
 ) -> Option<BatchPrediction> {
     let zero = BatchPrediction::default();
-    let probes_batched = batch > 1.0;
-    let scans_ahead = readahead > 0.0;
-    let bfs_term = |dedup: bool| {
+    let merge_scan = || {
         let refs = w.refs();
-        let t = temp_pages(w, g, refs);
         let est_iter = g.child_height + (refs - 1.0).max(0.0);
-        let est_merge = g.child_leaf_pages + t + sort_spill(w, g, refs);
-        if est_merge < est_iter {
-            if !scans_ahead {
-                return zero;
-            }
-            // Merge join: the leaf chain is contiguous (bulk load).
-            BatchPrediction {
-                batched_pages: g.child_leaf_pages,
-                submissions: batched_submissions_contiguous(g.child_leaf_pages, readahead),
-            }
-        } else {
-            if !probes_batched {
-                return zero;
-            }
-            let probe_records = if dedup { w.distinct_children() } else { refs };
-            let probe_pages = expected_distinct(g.child_leaf_pages, w.distinct_children());
-            // Each distinct leaf faults once, through a batched window;
-            // windows bound the coalescing from below.
-            let windows = (probe_records / batch).ceil().max(1.0);
-            BatchPrediction {
-                batched_pages: probe_pages,
-                submissions: expected_runs(probe_pages, g.child_leaf_pages)
-                    .max(windows.min(probe_pages)),
-            }
+        let est_merge = g.child_leaf_pages + temp_pages(w, g, refs) + sort_spill(w, g, refs);
+        if readahead <= 0.0 || est_merge >= est_iter {
+            return zero;
+        }
+        // The leaf chain is contiguous (bulk load).
+        BatchPrediction {
+            batched_pages: g.child_leaf_pages,
+            submissions: batched_submissions_contiguous(g.child_leaf_pages, readahead),
         }
     };
     match name {
-        "DFS" => Some(zero),
-        "BFS" => Some(bfs_term(false)),
-        "BFSNODUP" => Some(bfs_term(true)),
-        "DFSCACHE" => {
-            if !probes_batched {
-                return Some(zero);
-            }
-            let misses = w.distinct_units() * (1.0 - cache_hit_ratio(w));
-            let member_pages = expected_distinct(g.child_leaf_pages, w.size_unit);
-            Some(BatchPrediction {
-                batched_pages: misses * member_pages,
-                submissions: misses, // one coalesced run per unit batch
-            })
-        }
-        "DFSCLUST" => {
-            if !scans_ahead {
-                return Some(zero);
-            }
-            let rows = w.num_top * (1.0 + w.size_unit / w.use_factor);
-            let scan_pages = rows / g.cluster_rows_per_leaf(w) + 1.0;
-            Some(BatchPrediction {
-                batched_pages: scan_pages,
-                submissions: batched_submissions_contiguous(scan_pages, readahead),
-            })
-        }
-        "SMART" => {
-            if w.num_top <= w.smart_threshold {
-                predict_batch("DFSCACHE", w, g, batch, readahead)
-            } else {
-                Some(bfs_term(false))
-            }
-        }
+        "BFS" | "BFSNODUP" => Some(merge_scan()),
+        "SMART" if w.num_top > w.smart_threshold => Some(merge_scan()),
+        "DFS" | "DFSCACHE" | "DFSCLUST" | "SMART" => Some(zero),
         _ => None,
     }
 }
@@ -797,57 +720,42 @@ mod tests {
     }
 
     #[test]
-    fn batch_term_is_zero_with_knobs_off_and_sane_with_them_on() {
-        let w = paper(100.0);
-        let g = Geometry::estimate(&w);
-        // Knobs at their defaults (batch 1, readahead 0) predict exactly
-        // zero batched I/O for every strategy — mirroring the executor's
-        // byte-identical page-at-a-time path.
-        for name in ["DFS", "BFS", "BFSNODUP", "DFSCACHE", "DFSCLUST", "SMART"] {
-            let b = predict_batch(name, &w, &g, 1.0, 0.0).expect(name);
-            assert_eq!(b, BatchPrediction::default(), "{name}");
-            assert_eq!(b.coalescing_factor(), 1.0);
+    fn batch_term_is_the_merge_scan_readahead_and_nothing_else() {
+        let all = ["DFS", "BFS", "BFSNODUP", "DFSCACHE", "DFSCLUST", "SMART"];
+        // NumTop 100 plans iterative probes, NumTop 500 the merge join
+        // (and puts SMART above its threshold).
+        let (probes, merge) = (paper(100.0), paper(500.0));
+        let (gp, gm) = (Geometry::estimate(&probes), Geometry::estimate(&merge));
+        // Readahead off predicts exactly zero batched I/O for every
+        // strategy — mirroring the executor's page-at-a-time path — and
+        // so does readahead on wherever no merge scan runs.
+        for name in all {
+            for (w, g, readahead) in [(&merge, &gm, 0.0), (&probes, &gp, 4.0)] {
+                let b = predict_batch(name, w, g, readahead).expect(name);
+                assert_eq!(b, BatchPrediction::default(), "{name}");
+            }
         }
-        assert!(predict_batch("NOPE", &w, &g, 8.0, 4.0).is_none());
-        // Knobs on: every batched path predicts at least one page per
-        // submission, and never more submissions than pages.
-        for name in ["BFS", "BFSNODUP", "DFSCACHE", "DFSCLUST", "SMART"] {
-            let b = predict_batch(name, &w, &g, 8.0, 4.0).expect(name);
-            assert!(b.batched_pages > 0.0, "{name}: {b:?}");
+        assert!(predict_batch("NOPE", &merge, &gm, 4.0).is_none());
+        for name in all {
+            let narrow = predict_batch(name, &merge, &gm, 2.0).expect(name);
+            let wide = predict_batch(name, &merge, &gm, 16.0).expect(name);
+            if !matches!(name, "BFS" | "BFSNODUP" | "SMART") {
+                assert_eq!(wide, BatchPrediction::default(), "{name} never prefetches");
+                continue;
+            }
+            assert_eq!(narrow.batched_pages, gm.child_leaf_pages, "{name}");
+            assert_eq!(narrow.batched_pages, wide.batched_pages);
             assert!(
-                b.submissions > 0.0 && b.submissions <= b.batched_pages + 1e-9,
-                "{name}: {b:?}"
+                wide.submissions > 0.0 && wide.submissions < narrow.submissions,
+                "wider window must coalesce harder: {wide:?} vs {narrow:?}"
             );
-            assert!(b.coalescing_factor() >= 1.0);
+            assert!(narrow.submissions <= narrow.batched_pages);
         }
-        // DFS has no batched path even with the knobs on.
-        let dfs = predict_batch("DFS", &w, &g, 8.0, 4.0).unwrap();
-        assert_eq!(dfs, BatchPrediction::default());
-    }
-
-    #[test]
-    fn batch_term_submissions_shrink_with_wider_windows() {
-        // A readahead-driven scan path: DFSCLUST at a NumTop large enough
-        // for a multi-page scan span.
-        let w = paper(500.0);
-        let g = Geometry::estimate(&w);
-        let narrow = predict_batch("DFSCLUST", &w, &g, 1.0, 2.0).unwrap();
-        let wide = predict_batch("DFSCLUST", &w, &g, 1.0, 16.0).unwrap();
-        assert_eq!(narrow.batched_pages, wide.batched_pages);
-        assert!(
-            wide.submissions < narrow.submissions,
-            "wider window must coalesce harder: {wide:?} vs {narrow:?}"
-        );
-        assert!(wide.coalescing_factor() > narrow.coalescing_factor());
         // Contiguous helper: window 1 degenerates to one submission per
-        // page; the run estimator is bounded and monotone in density.
+        // page.
         assert_eq!(batched_submissions_contiguous(10.0, 1.0), 10.0);
         assert_eq!(batched_submissions_contiguous(10.0, 4.0), 3.0);
         assert_eq!(batched_submissions_contiguous(0.0, 4.0), 0.0);
-        assert_eq!(expected_runs(0.0, 100.0), 0.0);
-        assert!((expected_runs(100.0, 100.0) - 1.0).abs() < 1e-9);
-        let sparse = expected_runs(5.0, 10_000.0);
-        assert!(sparse > 4.9 && sparse <= 5.0, "{sparse}");
     }
 
     #[test]

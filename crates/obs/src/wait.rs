@@ -8,7 +8,7 @@
 //! after they land:
 //!
 //! * [`WaitClass::ShardLock`] — acquiring a buffer-pool stripe mutex in
-//!   `pin`/`pin_many` (lock striping's residual contention);
+//!   `pin`/`prefetch` (lock striping's residual contention);
 //! * [`WaitClass::FrameStall`] — stalled inside the pool because every
 //!   candidate frame was pinned, waiting for a concurrent unpin before
 //!   either finding a victim or giving up with `NoFreeFrames`;
@@ -46,7 +46,7 @@ pub const WAIT_CLASSES: usize = 5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum WaitClass {
-    /// Buffer-pool stripe mutex acquisition (`pin` / `pin_many`).
+    /// Buffer-pool stripe mutex acquisition (`pin` / `prefetch`).
     ShardLock = 0,
     /// All candidate frames pinned: the wait for a concurrent unpin,
     /// whether it ended in a victim or a `NoFreeFrames` refusal.

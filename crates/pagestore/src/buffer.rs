@@ -518,140 +518,46 @@ impl BufferPool {
         Ok(result)
     }
 
-    /// Pin a whole batch, partitioned by home shard: each shard serves
-    /// its hits from resident frames and fills all its misses with one
-    /// sorted, deduplicated `read_pages` call. Returns the unique pinned
-    /// pages as `(page id, shard index, frame index)`; the caller owes
-    /// one unpin per entry.
+    /// Hint that `pids` will be demanded soon: the batch is partitioned
+    /// by home shard, and each shard faults its non-resident pages in with
+    /// one sorted, deduplicated `read_pages` call — adjacent pages cost one
+    /// physical submission instead of one per page — and leaves them
+    /// resident and unpinned (see `Shard::prefetch`).
+    /// Readahead is speculative by nature, so callers may over-request:
+    /// page ids at or past the end of the store are silently clipped,
+    /// and so is whatever a home shard could not hold — a shard's share is
+    /// pinned as a whole while it fills, so each stripe takes the first of
+    /// its pages in request order, up to its frame count, and the rest are
+    /// dropped.
     ///
-    /// On error, every pin this call took is released and every staged
-    /// frame is detached (see `Shard::pin_many`); pages that earlier
-    /// shard sub-batches already faulted in stay resident — they were
-    /// admitted normally, exactly as a partially-completed loop of
-    /// single fetches would leave them.
-    fn pin_batch(
-        &self,
-        pids: &[PageId],
-        prefetch: bool,
-    ) -> Result<Vec<(PageId, usize, usize)>, BufferError> {
-        let nshards = self.shards.len();
-        let mut pinned: Vec<(PageId, usize, usize)> = Vec::with_capacity(pids.len());
-        let pin_shard = |s: usize,
-                         group: &[PageId],
-                         pinned: &mut Vec<(PageId, usize, usize)>|
-         -> Result<(), BufferError> {
-            let got = self.shards[s].pin_many(
+    /// Every page kept after clipping counts toward `prefetch_issued`;
+    /// the first later demand access of a frame a prefetch brought in
+    /// counts one `prefetch_hit`. Pure hint: logical results never
+    /// depend on it, only physical I/O timing does. On error the failing
+    /// shard's share is rolled back whole; pages that earlier shards
+    /// already faulted in stay resident, exactly as a partially-completed
+    /// loop of single reads would leave them.
+    pub fn prefetch(&self, pids: &[PageId]) -> Result<(), BufferError> {
+        let end = self.disk.num_pages();
+        let mut groups: Vec<Vec<PageId>> = vec![Vec::new(); self.shards.len()];
+        for &pid in pids {
+            let s = self.shard_index_of(pid);
+            if pid < end && groups[s].len() < self.shards[s].capacity() {
+                groups[s].push(pid);
+            }
+        }
+        for (shard, group) in self.shards.iter().zip(&groups) {
+            if group.is_empty() {
+                continue;
+            }
+            self.stats.record_prefetch_issued(group.len() as u64);
+            shard.prefetch(
                 group,
                 self.policy,
                 self.disk.as_ref(),
                 &self.stats,
                 self.wal_ref(),
-                prefetch,
             )?;
-            pinned.extend(got.into_iter().map(|(pid, idx)| (pid, s, idx)));
-            Ok(())
-        };
-        let outcome = if nshards == 1 {
-            pin_shard(0, pids, &mut pinned)
-        } else {
-            let mut groups: Vec<Vec<PageId>> = vec![Vec::new(); nshards];
-            for &pid in pids {
-                groups[self.shard_index_of(pid)].push(pid);
-            }
-            groups
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| !g.is_empty())
-                .try_for_each(|(s, g)| pin_shard(s, g, &mut pinned))
-        };
-        if let Err(e) = outcome {
-            for &(_, s, idx) in &pinned {
-                self.shards[s].unpin(idx);
-            }
-            return Err(e);
-        }
-        Ok(pinned)
-    }
-
-    /// Read a batch of pages under one closure call per request: the
-    /// batch is partitioned by home shard, resident pages are served from
-    /// their frames, and each shard's misses are faulted in by a single
-    /// sorted, deduplicated multi-page read — so a sorted request over
-    /// adjacent pages costs one physical submission instead of one per
-    /// page.
-    ///
-    /// `f` is invoked once per element of `pids`, **in request order**
-    /// (duplicates included); the returned vector is the closure results
-    /// in the same order. Physical-read accounting is identical to a loop
-    /// of [`read`](Self::read) whenever the batch's unique pages fit the
-    /// pool: each missed page counts exactly one read, hits count none.
-    ///
-    /// On error no result is returned and no garbage frame stays behind;
-    /// pages faulted in before the failing sub-batch remain resident,
-    /// exactly as a partially-completed loop of single reads would leave
-    /// them, but none of the failing sub-batch's reads are counted.
-    ///
-    /// The whole batch is pinned at once, so its unique pages must fit
-    /// the frames of each home shard or the call fails with
-    /// [`NoFreeFrames`](BufferError::NoFreeFrames) — callers chunk large
-    /// requests to a window comfortably below `capacity / shards`.
-    pub fn fetch_many<R>(
-        &self,
-        pids: &[PageId],
-        mut f: impl FnMut(PageId, PageView<'_>) -> R,
-    ) -> Result<Vec<R>, BufferError> {
-        if pids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let pinned = self.pin_batch(pids, false)?;
-        let by_pid: std::collections::HashMap<PageId, (usize, usize)> = pinned
-            .iter()
-            .map(|&(pid, s, idx)| (pid, (s, idx)))
-            .collect();
-        let mut out = Vec::with_capacity(pids.len());
-        for &pid in pids {
-            let &(s, idx) = by_pid
-                .get(&pid)
-                .expect("every requested page is pinned by pin_batch");
-            let st = self.shards[s].frame(idx).state.read();
-            out.push(f(pid, PageView::new(&st.data[..])));
-        }
-        for &(_, s, idx) in &pinned {
-            self.shards[s].unpin(idx);
-        }
-        Ok(out)
-    }
-
-    /// Hint that `pids` will be demanded soon: fault the non-resident
-    /// ones in through the batched read path and release them unpinned.
-    /// Readahead is speculative by nature, so callers may over-request:
-    /// page ids at or past the end of the store are silently clipped,
-    /// and so is whatever a home shard could not hold — the batch is
-    /// pinned as a whole, so each stripe takes the first of its pages in
-    /// request order, up to its frame count, and the rest are dropped.
-    ///
-    /// Every page kept after clipping counts toward `prefetch_issued`;
-    /// the first later demand access of a frame a prefetch brought in
-    /// counts one `prefetch_hit`. Pure hint: logical results never
-    /// depend on it, only physical I/O timing does.
-    pub fn prefetch(&self, pids: &[PageId]) -> Result<(), BufferError> {
-        let end = self.disk.num_pages();
-        let mut room: Vec<usize> = self.shards.iter().map(Shard::capacity).collect();
-        let mut wanted: Vec<PageId> = Vec::with_capacity(pids.len());
-        for &pid in pids {
-            let room = &mut room[self.shard_index_of(pid)];
-            if pid < end && *room > 0 {
-                *room -= 1;
-                wanted.push(pid);
-            }
-        }
-        if wanted.is_empty() {
-            return Ok(());
-        }
-        self.stats.record_prefetch_issued(wanted.len() as u64);
-        let pinned = self.pin_batch(&wanted, true)?;
-        for &(_, s, idx) in &pinned {
-            self.shards[s].unpin(idx);
         }
         Ok(())
     }
@@ -1252,66 +1158,20 @@ mod tests {
     }
 
     #[test]
-    fn fetch_many_matches_a_loop_of_reads() {
-        for shards in [1, 4] {
-            let (p, pids) = seeded_pool(32, shards, 12);
-            let batch: Vec<PageId> = vec![
-                pids[3], pids[4], pids[5], pids[0], pids[7], pids[3], pids[11],
-            ];
-            let flags = p.fetch_many(&batch, |_, pg| pg.flags()).unwrap();
-            let batched = p.stats().snapshot();
-
-            let (q, qids) = seeded_pool(32, shards, 12);
-            let qbatch: Vec<PageId> = vec![
-                qids[3], qids[4], qids[5], qids[0], qids[7], qids[3], qids[11],
-            ];
-            let mut loop_flags = Vec::new();
-            for &pid in &qbatch {
-                loop_flags.push(q.read(pid, |pg| pg.flags()).unwrap());
-            }
-            assert_eq!(flags, loop_flags, "same bytes ({shards} shards)");
-            assert_eq!(flags, vec![3, 4, 5, 0, 7, 3, 11]);
-            assert_eq!(
-                batched,
-                q.stats().snapshot(),
-                "same IoStats totals ({shards} shards)"
-            );
-        }
-    }
-
-    #[test]
-    fn fetch_many_counts_batch_accounting() {
-        let (p, pids) = seeded_pool(8, 1, 6);
-        // Six contiguous fresh pages: one coalesced run.
-        p.fetch_many(&pids, |_, _| ()).unwrap();
-        assert_eq!(p.stats().reads(), 6);
-        assert_eq!(p.stats().batch_reads(), 6);
-        assert_eq!(p.stats().coalesced_runs(), 1, "contiguous batch = 1 run");
-        // All resident now: a second batch does no physical work.
-        p.fetch_many(&pids, |_, _| ()).unwrap();
-        assert_eq!(p.stats().reads(), 6);
-        assert_eq!(p.stats().batch_reads(), 6);
-        // The single-page path never touches batch counters.
-        let (q, qids) = seeded_pool(8, 1, 6);
-        for &pid in &qids {
-            q.read(pid, |_| ()).unwrap();
-        }
-        assert_eq!(q.stats().batch_reads(), 0);
-        assert_eq!(q.stats().coalesced_runs(), 0);
-    }
-
-    #[test]
     fn prefetch_then_demand_counts_hits_not_extra_io() {
         let (p, pids) = seeded_pool(8, 1, 6);
         p.prefetch(&pids).unwrap();
         assert_eq!(p.stats().prefetch_issued(), 6);
         assert_eq!(p.stats().prefetch_hits(), 0);
         assert_eq!(p.stats().reads(), 6, "prefetch faulted the pages in");
+        assert_eq!(p.stats().batch_reads(), 6);
+        assert_eq!(p.stats().coalesced_runs(), 1, "contiguous batch = 1 run");
         for (i, &pid) in pids.iter().enumerate() {
             let f = p.read(pid, |pg| pg.flags()).unwrap();
             assert_eq!(f, i as u32);
         }
         assert_eq!(p.stats().reads(), 6, "demand reads all hit");
+        assert_eq!(p.stats().batch_reads(), 6, "single reads never batch");
         assert_eq!(p.stats().prefetch_hits(), 6);
         // Second touch of the same frames: hits are counted once.
         p.read(pids[0], |_| ()).unwrap();
@@ -1352,37 +1212,28 @@ mod tests {
         assert_eq!(p.resident_pages(), 8);
     }
 
+    /// A prefetch that cannot get a frame (every one is pinned) is a
+    /// no-op: nothing counted as read, nothing staged left behind, every
+    /// pin it took released.
     #[test]
-    fn fetch_many_bad_page_leaves_no_garbage_frames() {
-        let (p, pids) = seeded_pool(8, 1, 4);
-        let bad: PageId = p.num_pages() + 5;
-        let before = p.stats().snapshot();
-        let err = p
-            .fetch_many(&[pids[0], bad, pids[2]], |_, _| ())
-            .unwrap_err();
-        assert!(
-            matches!(err, BufferError::Disk(DiskError::BadPage(b)) if b == bad),
-            "got {err:?}"
-        );
-        // All-or-nothing: the failed batch admitted nothing, counted
-        // nothing, and left every pin released.
-        assert_eq!(p.stats().snapshot(), before, "no reads counted");
-        assert_eq!(p.stats().batch_reads(), 0);
-        assert_eq!(p.resident_pages(), 0, "no partially-admitted frames");
-        // The pool is fully usable: every frame is unpinned and clean.
-        let flags = p.fetch_many(&pids, |_, pg| pg.flags()).unwrap();
-        assert_eq!(flags, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn fetch_many_batch_larger_than_shard_errors_cleanly() {
-        // 2 frames, 4 unique pages in one batch: admission must fail with
-        // NoFreeFrames and roll everything back.
+    fn prefetch_with_every_frame_pinned_fails_clean() {
         let (p, pids) = seeded_pool(2, 1, 4);
-        let err = p.fetch_many(&pids, |_, _| ()).unwrap_err();
+        let err = p
+            .read(pids[0], |_| {
+                p.read(pids[1], |_| p.prefetch(&pids[2..]).unwrap_err())
+                    .unwrap()
+            })
+            .unwrap();
         assert!(matches!(err, BufferError::NoFreeFrames { .. }), "{err:?}");
-        // Pins all released: a full-capacity batch now succeeds.
-        let flags = p.fetch_many(&pids[..2], |_, pg| pg.flags()).unwrap();
-        assert_eq!(flags, vec![0, 1]);
+        assert_eq!(p.stats().reads(), 2, "the failed batch read nothing");
+        assert_eq!(p.stats().batch_reads(), 0);
+        assert_eq!(p.resident_pages(), 2, "no partially-admitted frames");
+        // Pins all released: the same hint now succeeds and serves reads.
+        p.prefetch(&pids[2..]).unwrap();
+        for (i, &pid) in pids.iter().enumerate().skip(2) {
+            assert_eq!(p.read(pid, |pg| pg.flags()).unwrap(), i as u32);
+        }
+        assert_eq!(p.stats().reads(), 4);
+        assert_eq!(p.stats().prefetch_hits(), 2);
     }
 }

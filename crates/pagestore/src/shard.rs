@@ -152,8 +152,7 @@ impl Shard {
         &self.frames[idx]
     }
 
-    /// Release a pin taken by [`Self::pin`], [`Self::pin_many`] or
-    /// [`Self::allocate_into`].
+    /// Release a pin taken by [`Self::pin`] or [`Self::allocate_into`].
     pub(crate) fn unpin(&self, idx: usize) {
         self.frames[idx].pin_count.fetch_sub(1, Ordering::Release);
     }
@@ -214,23 +213,20 @@ impl Shard {
         Ok(idx)
     }
 
-    /// Pin a batch of pages homed to this shard in one pass: hits are
-    /// served from resident frames, and all misses are admitted and then
-    /// filled by **one** sorted [`DiskManager::read_pages`] call, so
-    /// adjacent pages coalesce into single physical submissions.
+    /// Fault a batch of pages homed to this shard in and leave them
+    /// resident and unpinned: resident pages only have their replacement
+    /// state touched, and all misses are admitted and then filled by
+    /// **one** sorted [`DiskManager::read_pages`] call, so adjacent pages
+    /// coalesce into single physical submissions. The whole batch is
+    /// pinned while it fills (so no admission picks an earlier one's
+    /// frame as its victim); the caller keeps it within the shard's frame
+    /// count.
     ///
-    /// `pids` is processed in order and may contain duplicates; each
-    /// unique page is pinned exactly once and returned as
-    /// `(page_id, frame index)`. The caller owns one unpin per entry.
+    /// `pids` is processed in order and may contain duplicates.
     /// Replacement-state transitions (`on_hit`/`on_load`, victim choice)
-    /// happen in the same sequence a loop of [`Self::pin`]
-    /// would produce, so eviction decisions — and therefore [`IoStats`]
-    /// totals — match the unbatched path whenever the batch's unique
-    /// pages fit the shard.
-    ///
-    /// With `prefetch` set, freshly faulted frames are tagged so the
-    /// first later demand pin counts a prefetch hit, and the pages are
-    /// counted as `prefetch_issued`.
+    /// happen in the same sequence a loop of [`Self::pin`] would produce.
+    /// Freshly faulted frames are tagged so the first later demand pin
+    /// counts a prefetch hit.
     ///
     /// # Partial failure
     ///
@@ -240,58 +236,44 @@ impl Shard {
     /// recorded: the failed batch is observationally a no-op apart from
     /// evictions its admissions already performed — exactly like a failed
     /// single [`Self::pin`].
-    pub(crate) fn pin_many(
+    pub(crate) fn prefetch(
         &self,
         pids: &[PageId],
         policy: ReplacementPolicy,
         disk: &dyn DiskManager,
         stats: &IoStats,
         wal: Option<&dyn WalHook>,
-        prefetch: bool,
-    ) -> Result<Vec<(PageId, usize)>, BufferError> {
+    ) -> Result<(), BufferError> {
         heat::touch_n(
             heat::HeatClass::PoolShard,
             self.index as u64,
             pids.len() as u64,
         );
         let mut inner = self.lock_pinning();
-        // Unique pages pinned by this call, in first-seen order.
-        let mut pinned: Vec<(PageId, usize)> = Vec::with_capacity(pids.len());
-        let mut seen: HashMap<PageId, usize> = HashMap::with_capacity(pids.len());
-        // The subset of `pinned` that needs a disk fill (staged frames).
+        // One entry per pin this call took (a duplicate pins again).
+        let mut pinned: Vec<usize> = Vec::with_capacity(pids.len());
+        // The frames that need a disk fill.
         let mut staged: Vec<(PageId, usize)> = Vec::new();
 
-        let rollback =
-            |inner: &mut ShardInner, pinned: &[(PageId, usize)], staged: &[(PageId, usize)]| {
-                for &(pid, idx) in staged {
-                    inner.page_table.remove(&pid);
-                    let mut st = self.frames[idx].state.write();
-                    st.page_id = PageId::MAX;
-                    st.dirty = false;
-                    st.rec_lsn = NO_LSN;
-                }
-                for &(_, idx) in pinned {
-                    self.unpin(idx);
-                }
-            };
+        let rollback = |inner: &mut ShardInner, pinned: &[usize], staged: &[(PageId, usize)]| {
+            for &(pid, idx) in staged {
+                inner.page_table.remove(&pid);
+                let mut st = self.frames[idx].state.write();
+                st.page_id = PageId::MAX;
+                st.dirty = false;
+                st.rec_lsn = NO_LSN;
+            }
+            for &idx in pinned {
+                self.unpin(idx);
+            }
+        };
 
         for &pid in pids {
-            if let Some(&idx) = seen.get(&pid) {
-                // Intra-batch duplicate: already pinned by this call; a
-                // loop of fetches would have counted a resident hit.
-                inner.repl.on_hit(idx, policy);
-                self.count(|t| t.hits.inc());
-                continue;
-            }
             if let Some(&idx) = inner.page_table.get(&pid) {
                 self.frames[idx].pin_count.fetch_add(1, Ordering::Acquire);
-                if !prefetch {
-                    self.note_demand_hit(idx, stats);
-                }
                 inner.repl.on_hit(idx, policy);
                 self.count(|t| t.hits.inc());
-                pinned.push((pid, idx));
-                seen.insert(pid, idx);
+                pinned.push(idx);
                 continue;
             }
             self.count(|t| t.misses.inc());
@@ -308,8 +290,7 @@ impl Shard {
             inner.page_table.insert(pid, idx);
             inner.repl.on_load(idx);
             staged.push((pid, idx));
-            pinned.push((pid, idx));
-            seen.insert(pid, idx);
+            pinned.push(idx);
         }
 
         if !staged.is_empty() {
@@ -331,9 +312,7 @@ impl Shard {
                         st.dirty = false;
                         st.rec_lsn = NO_LSN;
                         stats.record_read();
-                        if prefetch {
-                            self.frames[idx].prefetched.store(true, Ordering::Relaxed);
-                        }
+                        self.frames[idx].prefetched.store(true, Ordering::Relaxed);
                     }
                     stats.record_batch(ids.len() as u64, runs as u64);
                 }
@@ -344,7 +323,10 @@ impl Shard {
                 }
             }
         }
-        Ok(pinned)
+        for &idx in &pinned {
+            self.unpin(idx);
+        }
+        Ok(())
     }
 
     /// Bring freshly allocated page `pid` into a frame, zeroed and

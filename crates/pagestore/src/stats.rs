@@ -34,8 +34,8 @@ pub struct IoStats {
     reads: AtomicU64,
     writes: AtomicU64,
     allocations: AtomicU64,
-    /// Pages faulted in through the batched `fetch_many`/prefetch path
-    /// (a subset of `reads`; each such page is also counted there).
+    /// Pages faulted in through the batched prefetch path (a subset of
+    /// `reads`; each such page is also counted there).
     batch_reads: AtomicU64,
     /// Physical read submissions those batched pages cost after adjacent
     /// pages were coalesced into runs (`<= batch_reads`).
@@ -288,11 +288,11 @@ impl IoStats {
 }
 
 /// A point-in-time copy of the batch/prefetch counters maintained by the
-/// buffer pool's `fetch_many`/prefetch paths, plus the `cor-aio`
-/// submission counters. All are zero when batching is off (batch size 1,
-/// no readahead) — the byte-identity mode — and the `aio_*` trio moves
-/// only under a standalone [`aio`](crate::aio) engine: the pool never
-/// submits through one.
+/// buffer pool's prefetch path (`BufferPool::prefetch` is the only
+/// batched read there is), plus the `cor-aio` submission counters. All
+/// are zero with readahead off — the byte-identity mode — and the
+/// `aio_*` trio moves only under a standalone [`aio`](crate::aio) engine:
+/// the pool never submits through one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchIoSnapshot {
     /// Pages faulted in through the batched path (subset of `reads`).

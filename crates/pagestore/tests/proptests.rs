@@ -1,10 +1,7 @@
 //! Property tests for the page store: slotted pages against a vector
 //! model, the buffer pool against a write-through model.
 
-use cor_pagestore::{
-    BatchIoSnapshot, BufferError, BufferPool, DiskError, IoStats, PageMut, PageView,
-    ReplacementPolicy, SlotId, PAGE_SIZE,
-};
+use cor_pagestore::{BufferPool, IoStats, PageMut, PageView, ReplacementPolicy, SlotId, PAGE_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -298,84 +295,6 @@ fn stamped_pool(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// `fetch_many` is observationally a loop of single reads: the same
-    /// values come back in request order (duplicates included) and the
-    /// physical read count is identical — while every physical read it
-    /// does issue is routed through the batched path.
-    #[test]
-    fn fetch_many_matches_read_loop(
-        capacity in 32usize..48,
-        shards in 1usize..5,
-        requests in proptest::collection::vec(0usize..24, 1..60),
-    ) {
-        let (loop_pool, loop_stats, pids) = stamped_pool(capacity, shards, 24);
-        let mut loop_vals = Vec::with_capacity(requests.len());
-        for &i in &requests {
-            loop_vals.push(loop_pool.read(pids[i], |p| p.flags()).unwrap());
-        }
-
-        let (batch_pool, batch_stats, pids_b) = stamped_pool(capacity, shards, 24);
-        prop_assert_eq!(&pids, &pids_b);
-        // Chunk to a window that always fits each home shard's frames.
-        let window = (capacity / shards).max(1);
-        let mut batch_vals = Vec::with_capacity(requests.len());
-        for chunk in requests.chunks(window) {
-            let want: Vec<_> = chunk.iter().map(|&i| pids_b[i]).collect();
-            batch_vals.extend(batch_pool.fetch_many(&want, |_, p| p.flags()).unwrap());
-        }
-
-        prop_assert_eq!(&loop_vals, &batch_vals);
-        prop_assert_eq!(loop_stats.reads(), batch_stats.reads());
-        // Single reads never touch the batched path; fetch_many routes
-        // every miss through it.
-        prop_assert_eq!(loop_stats.batch_snapshot(), BatchIoSnapshot::default());
-        let b = batch_stats.batch_snapshot();
-        prop_assert_eq!(b.batch_reads, batch_stats.reads());
-        prop_assert!(b.coalesced_runs <= b.batch_reads);
-    }
-
-    /// A page id past the end of the store mid-batch fails the whole
-    /// `fetch_many` with the same `BadPage` a loop of reads would hit,
-    /// transfers nothing garbage, and leaves every valid page readable
-    /// with its correct contents afterwards.
-    #[test]
-    fn fetch_many_bad_page_mid_batch_fails_clean(
-        capacity in 32usize..48,
-        shards in 1usize..5,
-        prefix in proptest::collection::vec(0usize..24, 0..12),
-        suffix in proptest::collection::vec(0usize..24, 0..12),
-        bump in 0u32..4,
-    ) {
-        let (pool, stats, pids) = stamped_pool(capacity, shards, 24);
-        let bad = pool.num_pages() + bump;
-        let mut want: Vec<_> = prefix.iter().map(|&i| pids[i]).collect();
-        want.push(bad);
-        want.extend(suffix.iter().map(|&i| pids[i]));
-
-        let err = pool.fetch_many(&want, |_, p| p.flags()).unwrap_err();
-        prop_assert!(
-            matches!(err, BufferError::Disk(DiskError::BadPage(p)) if p == bad),
-            "expected BadPage({}), got {:?}", bad, err
-        );
-        // A loop of single reads reports the identical error at the bad
-        // element.
-        let err = pool.read(bad, |_| ()).unwrap_err();
-        prop_assert!(matches!(err, BufferError::Disk(DiskError::BadPage(p)) if p == bad));
-
-        // No garbage frames: every page still reads back its stamp, and
-        // never more than one physical read per unique page happens in
-        // total (the failed batch counted nothing it didn't transfer).
-        for (i, &pid) in pids.iter().enumerate() {
-            let got = pool.read(pid, |p| p.flags()).unwrap();
-            prop_assert_eq!(got, 0xC0DE_0000 | i as u32);
-        }
-        prop_assert!(stats.reads() <= pids.len() as u64);
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// `AioEngine::submit` + harvest is observationally a synchronous
@@ -427,23 +346,31 @@ proptest! {
     }
 
     /// Arbitrary interleavings of `prefetch` hints and demand reads
-    /// always serve exact page contents.
+    /// always serve exact page contents, and only prefetches touch the
+    /// batch counters.
     #[test]
     fn prefetch_interleavings_deliver_exact_pages(
         capacity in 32usize..48,
         shards in 1usize..5,
         ops in proptest::collection::vec((any::<bool>(), 0usize..24, 1usize..8), 1..40),
     ) {
-        let (pool, _stats, pids) = stamped_pool(capacity, shards, 24);
+        let (pool, stats, pids) = stamped_pool(capacity, shards, 24);
         for &(is_prefetch, start, len) in &ops {
             if is_prefetch {
                 let window: Vec<_> = (start..(start + len).min(24)).map(|i| pids[i]).collect();
                 pool.prefetch(&window).unwrap();
             } else {
+                let before = stats.batch_snapshot();
                 let got = pool.read(pids[start], |p| p.flags()).unwrap();
                 prop_assert_eq!(got, 0xC0DE_0000 | start as u32);
+                let after = stats.batch_snapshot();
+                prop_assert_eq!(after.batch_reads, before.batch_reads);
+                prop_assert_eq!(after.prefetch_issued, before.prefetch_issued);
             }
         }
+        let b = stats.batch_snapshot();
+        prop_assert!(b.prefetch_hits <= b.batch_reads && b.batch_reads <= b.prefetch_issued);
+        prop_assert!(b.coalesced_runs <= b.batch_reads);
         pool.flush_and_clear().unwrap();
         // Every page still reads back its exact stamp afterwards.
         for (i, &pid) in pids.iter().enumerate() {

@@ -23,20 +23,23 @@
 //!   directories from [`complexobj::persist`].
 
 use complexobj::persist::{Dec, Enc};
-use complexobj::{CorError, ExecOptions, IoOptions, JoinChoice, SavedOidDb, SavedProcDb};
+use complexobj::{CorError, ExecOptions, JoinChoice, SavedOidDb, SavedProcDb};
 use cor_pagestore::{PageId, ReplacementPolicy};
 use cor_wal::crc::crc32;
 
 /// On-disk layout version this build writes.
 ///
-/// * v1 — the PR 6 layout.
-/// * v2 — appends one `u64` after the [`IoOptions`] block: the pool's
-///   async `queue_depth`, while there was an async submission path. The
-///   pool reads synchronously now and the word is **reserved**: written
-///   as 1 (what every synchronous store recorded), read and ignored, so
-///   a store created at any depth reopens and serves the same answers
-///   with the same page counts. v1 blobs, which lack the word, are still
-///   decoded and silently upgrade on their next save.
+/// * v1 — the PR 6 layout. The `u64` before `readahead` was the keyed
+///   probe `batch` size, while index probes could be batched. Every
+///   probe is a single lookup now and the word is **reserved**: written
+///   as 1 (what every unbatched store recorded), read and ignored, so a
+///   store created at any batch size reopens and serves the same answers
+///   with the same page counts.
+/// * v2 — appends one `u64` after `readahead`: the pool's async
+///   `queue_depth`, while there was an async submission path. The pool
+///   reads synchronously now and the word is reserved the same way
+///   (written 1, ignored on read). v1 blobs, which lack the word, are
+///   still decoded and silently upgrade on their next save.
 /// * v3 — widens the replacement-policy byte's value range with the
 ///   scan-resistant `Sieve` = 3. The layout is unchanged; the bump
 ///   exists so a v2 build that cannot *run* that policy refuses the
@@ -141,9 +144,9 @@ impl EngineCatalog {
             JoinChoice::ForceIterative => 2,
         });
         e.u64(self.opts.sort_work_mem as u64);
-        e.u64(self.opts.io.batch as u64);
-        e.u64(self.opts.io.readahead as u64);
-        e.u64(1); // reserved (v2+), see ENGINE_CATALOG_VERSION
+        e.u64(1); // reserved (was `batch`), see ENGINE_CATALOG_VERSION
+        e.u64(self.opts.readahead as u64);
+        e.u64(1); // reserved (v2+)
         e.u32(self.free_pages.len() as u32);
         for &pid in &self.free_pages {
             e.u32(pid);
@@ -215,12 +218,10 @@ impl EngineCatalog {
             _ => return Err(CorError::Durability("unknown join tag".into())),
         };
         let sort_work_mem = d.u64()? as usize;
-        let io = IoOptions {
-            batch: d.u64()? as usize,
-            readahead: d.u64()? as usize,
-        };
+        d.u64()?; // reserved (was `batch`), see ENGINE_CATALOG_VERSION
+        let readahead = d.u64()? as usize;
         if found >= 2 {
-            d.u64()?; // reserved, see ENGINE_CATALOG_VERSION
+            d.u64()?; // reserved
         }
         for (field, value) in [("pool_pages", pool_pages), ("shards", shards)] {
             if value == 0 {
@@ -266,7 +267,7 @@ impl EngineCatalog {
                 smart_threshold,
                 join,
                 sort_work_mem,
-                io,
+                readahead,
             },
             free_pages,
             backend,
@@ -290,10 +291,7 @@ mod tests {
                 smart_threshold: 123,
                 join: JoinChoice::ForceMerge,
                 sort_work_mem: 4096,
-                io: IoOptions {
-                    batch: 8,
-                    readahead: 2,
-                },
+                readahead: 2,
             },
             free_pages: vec![7, 9, 30],
             backend: SavedBackend::Oid(SavedOidDb {
@@ -331,23 +329,31 @@ mod tests {
         assert!(matches!(back.backend, SavedBackend::Oid(_)));
     }
 
-    /// The reserved word — 8 bytes at payload offset 47 (after
-    /// clean_shutdown, pool_pages, shards, policy, smart_threshold, join,
-    /// sort_work_mem, batch, readahead) — is absent from v1 blobs and
-    /// ignored in v2/v3 ones: whatever depth a store recorded, it decodes
-    /// to the same catalog and re-saves with the word at 1.
+    /// The reserved words — 8 bytes each at payload offsets 31 (once
+    /// `batch`) and 47 (once `queue_depth`), either side of `readahead`
+    /// (after clean_shutdown, pool_pages, shards, policy, smart_threshold,
+    /// join, sort_work_mem) — are ignored, and the second is absent from
+    /// v1 blobs: whatever batch size and depth a store recorded, it
+    /// decodes to the same catalog and re-saves with both words at 1.
     #[test]
-    fn the_reserved_word_is_ignored_in_every_version() {
+    fn the_reserved_words_are_ignored_in_every_version() {
         let cat = sample();
         let v3 = cat.encode();
-        let mut v1 = v3.clone();
-        v1.drain(16 + 47..16 + 55);
-        let mut blobs = vec![restamp(&v1, 1)];
-        for version in [2, 3] {
-            for word in [1u64, 4] {
-                let mut blob = v3.clone();
-                blob[16 + 47..16 + 55].copy_from_slice(&word.to_le_bytes());
-                blobs.push(restamp(&blob, version));
+        assert_eq!(v3[16 + 31..16 + 39], 1u64.to_le_bytes());
+        assert_eq!(v3[16 + 47..16 + 55], 1u64.to_le_bytes());
+        let mut blobs = Vec::new();
+        for batch in [1u64, 16] {
+            let mut v1 = v3.clone();
+            v1[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
+            v1.drain(16 + 47..16 + 55);
+            blobs.push(restamp(&v1, 1));
+            for version in [2, 3] {
+                for depth in [1u64, 4] {
+                    let mut blob = v3.clone();
+                    blob[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
+                    blob[16 + 47..16 + 55].copy_from_slice(&depth.to_le_bytes());
+                    blobs.push(restamp(&blob, version));
+                }
             }
         }
         for blob in &blobs {
@@ -418,7 +424,7 @@ mod tests {
     fn unbuildable_settings_and_oversized_counts_are_typed_errors() {
         // Payload offsets: clean_shutdown 0, pool_pages 1, shards 9,
         // policy 13, smart_threshold 14, join 22, sort_work_mem 23,
-        // batch 31, readahead 39, reserved word 47, free-page count 55,
+        // reserved word 31, readahead 39, reserved word 47, free-page count 55,
         // three free pages 59, backend tag 71, level count 72.
         let oid = sample().encode();
         let mut levels = sample();

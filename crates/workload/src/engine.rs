@@ -1757,10 +1757,7 @@ mod tests {
             attr: RetAttr::Ret1,
         };
         let opts = ExecOptions {
-            io: complexobj::IoOptions {
-                batch: 4,
-                ..Default::default()
-            },
+            readahead: 4,
             ..Default::default()
         };
         let builder = || {

@@ -70,11 +70,11 @@ pub struct ExplainReport {
     /// `(measured − predicted) / predicted`, when a prediction exists
     /// and is nonzero.
     pub rel_error: Option<f64>,
-    /// Measured batched-I/O counters for the sequence (all zero when the
-    /// engine runs with the default page-at-a-time knobs).
+    /// Measured batched-I/O counters for the sequence — the merge scan's
+    /// readahead prefetches (all zero with `readahead` off, the default).
     pub batch: BatchIoSnapshot,
-    /// The cost model's batch term for the engine's I/O knobs, when
-    /// parameters were given (zero-valued with the knobs off).
+    /// The cost model's merge-scan readahead term, when parameters were
+    /// given (zero-valued with the knob off or no merge join planned).
     pub predicted_batch: Option<BatchPrediction>,
 }
 
@@ -90,9 +90,9 @@ impl ExplainReport {
     }
 
     /// Whether the run involved batched I/O at all — measured or
-    /// predicted. With the default knobs this is false and both the
-    /// rendered table and the capture line omit the batch section, which
-    /// keeps batch-1 captures byte-identical to pre-batching ones.
+    /// predicted. With readahead off (the default) this is false and both
+    /// the rendered table and the capture line omit the batch section,
+    /// which keeps those captures byte-identical to pre-readahead ones.
     pub fn batch_active(&self) -> bool {
         self.batch != BatchIoSnapshot::default()
             || self
@@ -377,10 +377,9 @@ impl Engine {
                     Err(_) => Geometry::estimate(&w),
                 };
                 let name = strategy.to_string();
-                let io = &self.options().io;
                 (
                     predict_by_name(&name, &w, &g),
-                    predict_batch(&name, &w, &g, io.batch as f64, io.readahead as f64),
+                    predict_batch(&name, &w, &g, self.options().readahead as f64),
                 )
             }
             None => (None, None),
@@ -527,12 +526,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_section_appears_only_when_batching_is_on() {
+    fn batch_section_appears_only_when_readahead_is_on() {
         let p = tiny();
         let generated = generate(&p);
         let sequence = generate_sequence(&p);
 
-        // Default knobs: no batch counters move, no prediction is
+        // Default knob: no batch counters move, no prediction is
         // non-zero, and the capture line carries no batch section at all
         // — the byte-compatibility contract for old captures.
         let engine = Engine::builder()
@@ -546,14 +545,11 @@ mod tests {
         assert!(!line.contains("\"batch\""), "{line}");
         assert!(!plain.render().contains("batched I/O"), "no batch row");
 
-        // Knobs on: the counters move, the model predicts a non-zero
-        // term, and both renderings carry the section. The I/O knobs do
-        // not change what is returned or how much is read.
+        // Readahead on: the counters move, the model predicts a non-zero
+        // term, and both renderings carry the section. The knob does not
+        // change what is returned.
         let opts = complexobj::ExecOptions {
-            io: complexobj::IoOptions {
-                batch: 8,
-                readahead: 4,
-            },
+            readahead: 4,
             ..Default::default()
         };
         let engine = Engine::builder()

@@ -187,8 +187,9 @@ proptest! {
 /// FIFO/CLOCK/2Q policies were retired, and with LRU at async queue depth
 /// 4 by a build that still had an async submission path (its depth-1 blob
 /// is `PARENT_LRU_BLOB` byte for byte, as is the one the last such build
-/// wrote). Captured from those builds; never regenerate these from the
-/// current one.
+/// wrote), and with LRU at `batch = 16, readahead = 32` by the last build
+/// that could batch keyed probes. Captured from those builds; never
+/// regenerate these from the current one.
 const PARENT_LRU_BLOB: &[&str] = &[
     "434f52454e47494e0300000048160e3201100000000000000001000000002c010000000000000000",
     "000100000000000100000000000000000000000000000001000000000000000000000000000a0000",
@@ -211,6 +212,16 @@ const PARENT_SIEVE_BLOB: &[&str] = &[
 const PARENT_LRU_DEPTH4_BLOB: &[&str] = &[
     "434f52454e47494e03000000e96e0a3e01100000000000000001000000002c010000000000000000",
     "000100000000000100000000000000000000000000000004000000000000000000000000000a0000",
+    "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
+    "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
+    "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
+    "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
+    "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
+];
+
+const PARENT_LRU_BATCH16_BLOB: &[&str] = &[
+    "434f52454e47494e03000000e4d2a70901100000000000000001000000002c010000000000000000",
+    "000100000000001000000000000000200000000000000001000000000000000000000000000a0000",
     "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
     "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
     "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
@@ -243,14 +254,17 @@ fn unhex(chunks: &[&str]) -> Vec<u8> {
 /// pool_pages (8), shards (4).
 const POLICY_BYTE: usize = 16 + 13;
 
-/// Offset of the reserved word — the async queue depth of earlier
-/// builds: 16 header bytes, then payload offset 47.
-const RESERVED_WORD: usize = 16 + 47;
+/// Offsets of the two reserved words — the keyed-probe batch size and the
+/// async queue depth of earlier builds — and of `readahead` between them:
+/// 16 header bytes, then payload offsets 31, 39 and 47.
+const BATCH_WORD: usize = 16 + 31;
+const READAHEAD_WORD: usize = 16 + 39;
+const DEPTH_WORD: usize = 16 + 47;
 
-/// `blob` with `word` at the reserved offset, re-CRC'd.
-fn with_reserved_word(blob: &[u8], word: u64) -> Vec<u8> {
+/// `blob` with `word` at offset `at`, re-CRC'd.
+fn with_word(blob: &[u8], at: usize, word: u64) -> Vec<u8> {
     let mut out = blob.to_vec();
-    out[RESERVED_WORD..RESERVED_WORD + 8].copy_from_slice(&word.to_le_bytes());
+    out[at..at + 8].copy_from_slice(&word.to_le_bytes());
     let crc = cor_wal::crc::crc32(&out[16..]);
     out[12..16].copy_from_slice(&crc.to_le_bytes());
     out
@@ -259,8 +273,8 @@ fn with_reserved_word(blob: &[u8], word: u64) -> Vec<u8> {
 /// Stores written by earlier builds still open: the old builds' blobs
 /// decode to the pool settings they recorded and re-encode to themselves,
 /// this build writes the same bytes for the same store (so the format did
-/// not move when the policy set shrank, nor when the queue-depth word
-/// became reserved), and that store reopens with its policy.
+/// not move when the policy set shrank, nor when the queue-depth and
+/// batch words became reserved), and that store reopens with its policy.
 #[test]
 fn stores_from_earlier_builds_still_open() {
     for (policy, tag, chunks) in [
@@ -301,18 +315,88 @@ fn stores_from_earlier_builds_still_open() {
     }
 }
 
-/// A store created at async queue depth 4 by an earlier build opens and
-/// serves exactly like a depth-1 store: its blob differs from the depth-1
-/// blob in the reserved word alone, decodes to the same catalog, and the
-/// reopened engine returns the same values for the same reads and writes,
-/// query by query, with batching and readahead on.
+/// What `engine` answers to `sequence`, query by query: the values and the
+/// reads and writes they cost.
+fn serve(engine: &Engine, strategy: Strategy, sequence: &[Query]) -> Vec<(Vec<i64>, u64, u64)> {
+    let stats = engine.pool().stats().clone();
+    let mut served = Vec::with_capacity(sequence.len());
+    for q in sequence {
+        let before = stats.snapshot();
+        let values = match q {
+            Query::Retrieve(r) => engine.retrieve(strategy, r).expect("retrieve").values,
+            Query::Update(u) => {
+                engine.update(u).expect("update");
+                Vec::new()
+            }
+        };
+        let io = stats.snapshot().since(&before);
+        served.push((values, io.reads, io.writes));
+    }
+    served
+}
+
+/// A store created at batch 16 and async queue depth 4 by earlier builds
+/// opens and serves exactly like a batch-1, depth-1 store: the captured
+/// blobs differ from the plain one in those words (and `readahead`) alone
+/// and re-save with both words at 1, and a reopened engine whose catalog
+/// carries them returns the oracle's values for the same reads and
+/// writes as one whose catalog never did, query by query, readahead on.
 #[test]
-fn a_store_created_at_depth_4_serves_like_a_depth_1_store() {
-    let depth1 = unhex(PARENT_LRU_BLOB);
+fn a_store_created_at_batch_16_and_depth_4_serves_like_a_plain_store() {
+    let plain = unhex(PARENT_LRU_BLOB);
     let depth4 = unhex(PARENT_LRU_DEPTH4_BLOB);
-    assert_eq!(with_reserved_word(&depth1, 4), depth4);
+    assert_eq!(with_word(&plain, DEPTH_WORD, 4), depth4);
     let decoded = EngineCatalog::decode(&depth4).expect("depth-4 blob decodes");
-    assert_eq!(decoded.encode(), depth1, "re-saved with the word at 1");
+    assert_eq!(decoded.encode(), plain, "re-saved with the word at 1");
+
+    let batch16 = unhex(PARENT_LRU_BATCH16_BLOB);
+    let ahead32 = with_word(&plain, READAHEAD_WORD, 32);
+    assert_eq!(with_word(&ahead32, BATCH_WORD, 16), batch16);
+    let decoded = EngineCatalog::decode(&batch16).expect("batch-16 blob decodes");
+    assert_eq!(decoded.opts.readahead, 32, "readahead survives");
+    assert_eq!(
+        decoded.opts,
+        ExecOptions {
+            readahead: 32,
+            ..ExecOptions::default()
+        }
+    );
+    assert_eq!(decoded.encode(), ahead32, "re-saved with the word at 1");
+
+    // The captured blob, put back on the store it was captured from.
+    let (disk, store) = (Arc::new(MemDisk::new()), Arc::new(MemLogStore::new()));
+    let tiny = EngineSpec::Standard(DatabaseSpec::tiny());
+    Engine::builder()
+        .pool_pages(16)
+        .exec_options(decoded.opts)
+        .create_on(disk.clone(), store.clone(), &tiny)
+        .expect("create")
+        .close()
+        .expect("close");
+    let (boot, cat) = boot_catalog(&disk);
+    let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
+    assert_eq!(blob, ahead32, "this build writes the batch word as 1");
+    cat.save_blob(ENGINE_BLOB, &batch16).expect("re-save");
+    boot.flush_all().expect("flush");
+    drop((cat, boot));
+    let reopened = Engine::builder().open_on(disk, store).expect("reopen");
+    assert_eq!(reopened.options(), &decoded.opts);
+    let oracle = Engine::builder()
+        .pool_pages(16)
+        .build(&tiny)
+        .expect("oracle");
+    let q = complexobj::RetrieveQuery {
+        lo: 0,
+        hi: 5,
+        attr: complexobj::RetAttr::Ret1,
+    };
+    for strategy in [Strategy::Dfs, Strategy::Bfs] {
+        assert_eq!(
+            reopened.retrieve(strategy, &q).expect("retrieve").values,
+            oracle.retrieve(strategy, &q).expect("retrieve").values,
+            "{strategy}"
+        );
+    }
 
     let p = Params {
         parent_card: 60,
@@ -326,47 +410,49 @@ fn a_store_created_at_depth_4_serves_like_a_depth_1_store() {
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
     let opts = ExecOptions {
-        io: complexobj::IoOptions {
-            batch: 4,
-            readahead: 4,
-        },
+        readahead: 32,
         ..ExecOptions::default()
     };
     for strategy in [Strategy::Bfs, Strategy::DfsClust, Strategy::DfsCache] {
-        let serve = |word: u64| {
+        let spec = EngineSpec::for_strategy(&p, &generated, strategy);
+        let reopened_with = |batch: u64, depth: u64| {
             let Rig {
                 disk,
                 store,
                 engine,
-            } = create_rig(&EngineSpec::for_strategy(&p, &generated, strategy), &p);
+            } = create_rig(&spec, &p);
             engine.with_options(opts).close().expect("close");
-            // What the earlier build would have left at that depth.
+            // What the earlier builds would have left there.
             let (boot, cat) = boot_catalog(&disk);
             let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
-            cat.save_blob(ENGINE_BLOB, &with_reserved_word(&blob, word))
-                .expect("re-save");
+            let blob = with_word(&with_word(&blob, BATCH_WORD, batch), DEPTH_WORD, depth);
+            cat.save_blob(ENGINE_BLOB, &blob).expect("re-save");
             boot.flush_all().expect("flush");
             drop((cat, boot));
 
             let engine = Engine::builder().open_on(disk, store).expect("reopen");
             assert_eq!(engine.options(), &opts);
-            let stats = engine.pool().stats().clone();
-            let mut served = Vec::with_capacity(sequence.len());
-            for q in &sequence {
-                let before = stats.snapshot();
-                let values = match q {
-                    Query::Retrieve(r) => engine.retrieve(strategy, r).expect("retrieve").values,
-                    Query::Update(u) => {
-                        engine.update(u).expect("update");
-                        Vec::new()
-                    }
-                };
-                let io = stats.snapshot().since(&before);
-                served.push((values, io.reads, io.writes));
-            }
-            served
+            serve(&engine, strategy, &sequence)
         };
-        assert_eq!(serve(4), serve(1), "{strategy}");
+        let old = reopened_with(16, 4);
+        assert_eq!(old, reopened_with(1, 1), "{strategy}");
+
+        let oracle = Engine::builder()
+            .pool_pages(p.buffer_pages)
+            .cache(CacheConfig {
+                capacity: p.size_cache,
+                ..CacheConfig::default()
+            })
+            .build(&spec)
+            .expect("oracle");
+        let answers = |served: Vec<(Vec<i64>, u64, u64)>| -> Vec<Vec<i64>> {
+            served.into_iter().map(|(values, ..)| values).collect()
+        };
+        assert_eq!(
+            answers(old),
+            answers(serve(&oracle, strategy, &sequence)),
+            "{strategy}"
+        );
     }
 }
 

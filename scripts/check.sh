@@ -48,7 +48,7 @@ cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers; BFS leg crashes under a live temporary)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
 
-echo "==> iobench smoke (batched-I/O gate: knobs-off identity, checksums, read and submission bounds)"
+echo "==> iobench smoke (readahead gate: BFS merge scan on vs off — knob-off identity, same checksums, same reads, every prefetch demanded)"
 cargo run -q --release -p cor-bench --bin iobench -- --smoke --json $out/iobench.json
 
 echo "==> corperf smoke (determinism + exact-I/O gate against results/corperf/baseline.json)"

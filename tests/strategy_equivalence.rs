@@ -267,11 +267,10 @@ fn repeated_queries_stay_equivalent_as_cache_warms() {
 /// DFSCLUST under sharing (ShareFactor 5, OverlapFactor 3: most of a
 /// unit lives on foreign leaves) is pinned to what the copy-out build of
 /// PR 16 produced — values in DFS's order, and ParCost/ChildCost to the
-/// page, cold and warm, unbatched and with the `io.batch = 8` window walk.
-/// Reading records under the page pin may not change which probes run.
+/// page, cold and warm. Reading records under the page pin may not change
+/// which probes run.
 #[test]
 fn dfsclust_under_sharing_keeps_its_answers_and_page_counts() {
-    use complexobj::IoOptions;
     let p = Params {
         parent_card: 600,
         num_top: 40,
@@ -289,29 +288,18 @@ fn dfsclust_under_sharing_keeps_its_answers_and_page_counts() {
         attr,
     });
     let dfs_db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-    // (batch, [(par reads, child reads); cold then the same queries warm])
-    let pinned: [(usize, [(u64, u64); 6]); 2] = [
-        (1, [(9, 73), (10, 64), (9, 68), (9, 71), (10, 64), (9, 68)]),
-        (8, [(9, 70), (10, 65), (5, 69), (9, 70), (10, 65), (5, 69)]),
-    ];
-    for (batch, costs) in pinned {
-        let db = build_for_strategy(&p, &generated, Strategy::DfsClust).unwrap();
-        db.pool().flush_and_clear().unwrap();
-        let opts = ExecOptions {
-            io: IoOptions {
-                batch,
-                readahead: 0,
-            },
-            ..ExecOptions::default()
-        };
-        let mut got = Vec::new();
-        for q in queries.iter().chain(&queries) {
-            let out = execute_retrieve(&db, Strategy::DfsClust, q, &opts).unwrap();
-            let want = execute_retrieve(&dfs_db, Strategy::Dfs, q, &opts).unwrap();
-            assert_eq!(out.values, want.values, "batch {batch}, {q:?}");
-            assert_eq!(out.par_io.writes + out.child_io.writes, 0);
-            got.push((out.par_io.reads, out.child_io.reads));
-        }
-        assert_eq!(got, costs, "batch {batch}");
+    // (par reads, child reads): cold, then the same queries warm.
+    let pinned: [(u64, u64); 6] = [(9, 73), (10, 64), (9, 68), (9, 71), (10, 64), (9, 68)];
+    let db = build_for_strategy(&p, &generated, Strategy::DfsClust).unwrap();
+    db.pool().flush_and_clear().unwrap();
+    let opts = ExecOptions::default();
+    let mut got = Vec::new();
+    for q in queries.iter().chain(&queries) {
+        let out = execute_retrieve(&db, Strategy::DfsClust, q, &opts).unwrap();
+        let want = execute_retrieve(&dfs_db, Strategy::Dfs, q, &opts).unwrap();
+        assert_eq!(out.values, want.values, "{q:?}");
+        assert_eq!(out.par_io.writes + out.child_io.writes, 0);
+        got.push((out.par_io.reads, out.child_io.reads));
     }
+    assert_eq!(got, pinned);
 }
