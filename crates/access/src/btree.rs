@@ -305,12 +305,6 @@ pub struct BTreeFile {
     len: SyncCell<u64>,
     height: SyncCell<u32>,
     leaf_pages: SyncCell<u32>,
-    /// Last leaf of the bulk-loaded run while leaf page ids are still
-    /// consecutive (`NO_PAGE` once a split/merge — or a reattach, which
-    /// cannot know — breaks that). [`Self::merge_scan`]'s readahead clamps
-    /// to this so a prefetch never touches pages outside the tree's own
-    /// leaves.
-    ra_end: SyncCell<PageId>,
 }
 
 impl BTreeFile {
@@ -329,7 +323,6 @@ impl BTreeFile {
             len: SyncCell::new(0),
             height: SyncCell::new(1),
             leaf_pages: SyncCell::new(1),
-            ra_end: SyncCell::new(root),
         })
     }
 
@@ -403,14 +396,6 @@ impl BTreeFile {
         }
         let first_leaf = leaves[0].1;
         let leaf_pages = leaves.len() as u32;
-        // Leaves normally come off the allocator consecutively; a
-        // concurrent allocation interleaving would break that, so verify
-        // before promising the readahead clamp anything.
-        let ra_end = if leaves.windows(2).all(|w| w[1].1 == w[0].1 + 1) {
-            leaves[leaves.len() - 1].1
-        } else {
-            NO_PAGE
-        };
 
         // --- internal levels ---
         let mut level = leaves;
@@ -443,7 +428,6 @@ impl BTreeFile {
             len: SyncCell::new(total),
             height: SyncCell::new(height),
             leaf_pages: SyncCell::new(leaf_pages),
-            ra_end: SyncCell::new(ra_end),
         })
     }
 
@@ -480,7 +464,6 @@ impl BTreeFile {
             len: SyncCell::new(meta.len),
             height: SyncCell::new(meta.height),
             leaf_pages: SyncCell::new(meta.leaf_pages),
-            ra_end: SyncCell::new(NO_PAGE),
         })
     }
 
@@ -835,7 +818,6 @@ impl BTreeFile {
             node::write_node(p.bytes_mut(), true, right, &entries, key_len)
         })?;
         self.leaf_pages.set(self.leaf_pages.get() + 1);
-        self.ra_end.set(NO_PAGE); // the new leaf's pid is out of sequence
         Ok(((sep, right), inserted))
     }
 
@@ -1024,7 +1006,6 @@ impl BTreeFile {
             merged.extend(r_entries);
             new_next = r_next; // unlink `right` from the leaf chain
             self.leaf_pages.set(self.leaf_pages.get() - 1);
-            self.ra_end.set(NO_PAGE); // a freed pid punches a hole in the run
         } else {
             // Pull the separator down; the right node's child0 becomes its
             // payload child.
@@ -1182,7 +1163,7 @@ impl BTreeFile {
         }
         let start_leaf = self.find_leaf(lo)?;
         Ok(BTreeRange {
-            leaves: self.leaf_walker(start_leaf, 0),
+            leaves: self.leaf_walker(start_leaf),
             key_len: self.key_len,
             lo: lo.to_vec(),
             hi: hi.to_vec(),
@@ -1194,7 +1175,7 @@ impl BTreeFile {
     /// Scan every entry in key order.
     pub fn scan_all(&self) -> BTreeRange {
         BTreeRange {
-            leaves: self.leaf_walker(self.first_leaf.get(), 0),
+            leaves: self.leaf_walker(self.first_leaf.get()),
             key_len: self.key_len,
             lo: vec![0u8; self.key_len],
             hi: vec![0xFFu8; self.key_len],
@@ -1224,7 +1205,7 @@ impl BTreeFile {
             return Err(AccessError::BadKeyLen(lo.len().max(hi.len())).into());
         }
         let key_len = self.key_len;
-        let mut leaves = self.leaf_walker(self.find_leaf(lo)?, 0);
+        let mut leaves = self.leaf_walker(self.find_leaf(lo)?);
         loop {
             // `Ok(true)`: a key past `hi` ended the scan on this leaf.
             let visit = leaves.visit(|d| -> Result<bool, E> {
@@ -1250,16 +1231,11 @@ impl BTreeFile {
         }
     }
 
-    /// A walk of the leaf chain starting at `leaf`, prefetching up to
-    /// `readahead` leaves ahead of itself (0: none).
-    fn leaf_walker(&self, leaf: PageId, readahead: usize) -> LeafWalker {
+    /// A walk of the leaf chain starting at `leaf`, one leaf at a time.
+    fn leaf_walker(&self, leaf: PageId) -> LeafWalker {
         LeafWalker {
             pool: Arc::clone(&self.pool),
             next_leaf: leaf,
-            readahead,
-            ra_cur: readahead.min(4),
-            ra_horizon: 0,
-            ra_end: self.ra_end.get(),
         }
     }
 
@@ -1278,25 +1254,10 @@ impl BTreeFile {
     /// own page I/O (a spilled sort) needs one pool frame besides the
     /// leaf's.
     ///
-    /// `readahead > 0` is the one place sequential readahead exists:
-    /// whenever the scan reaches a leaf past the current horizon, the page
-    /// ids up to `readahead` ahead — clamped to the tree's bulk-loaded
-    /// leaf run, whose pids are consecutive in key order — are prefetched
-    /// in one batched submission. The window ramps: the first prefetch
-    /// covers at most 4 pages and each later one doubles up to
-    /// `readahead`, so a short key stream wastes at most a few speculative
-    /// pages while a long one still reaches full-window coalescing.
-    /// Prefetch is a pure hint — matches are identical either way — and it
-    /// is **off** on any tree whose run is unknown: one reshaped by a
-    /// split or merge, and one reattached through [`Self::from_metadata`]
-    /// (the run's end is not persisted, so the knob is inert after a
-    /// reopen).
-    ///
     /// An `Err` from `on_match` stops the scan and is returned.
     pub fn merge_scan<K, E>(
         &self,
         keys: impl IntoIterator<Item = K>,
-        readahead: usize,
         mut on_match: impl FnMut(&[u8], &[u8]) -> Result<(), E>,
     ) -> Result<(), E>
     where
@@ -1308,7 +1269,7 @@ impl BTreeFile {
             return Ok(());
         };
         let key_len = self.key_len;
-        let mut leaves = self.leaf_walker(self.first_leaf.get(), readahead);
+        let mut leaves = self.leaf_walker(self.first_leaf.get());
         loop {
             // `Ok(true)`: the key stream ended on this leaf.
             let visit = leaves.visit(|d| -> Result<bool, E> {
@@ -1341,19 +1302,14 @@ impl BTreeFile {
     }
 }
 
-/// A forward walk of a leaf chain, one pinned visit per leaf, with
-/// [`BTreeFile::merge_scan`]'s optional sequential-readahead window
-/// running ahead of it. Every leaf scan — the buffering [`BTreeRange`]
-/// and the in-place [`BTreeFile::visit_range`] and `merge_scan` — reads
-/// its leaves through this walker, so phase tag and heat touch are one
-/// piece of code.
+/// A forward walk of a leaf chain, one pinned visit per leaf. Every
+/// leaf scan — the buffering [`BTreeRange`] and the in-place
+/// [`BTreeFile::visit_range`] and [`BTreeFile::merge_scan`] — reads its
+/// leaves through this walker, so phase tag and heat touch are one piece
+/// of code.
 struct LeafWalker {
     pool: Arc<BufferPool>,
     next_leaf: PageId,
-    readahead: usize,
-    ra_cur: usize,
-    ra_horizon: PageId,
-    ra_end: PageId,
 }
 
 impl LeafWalker {
@@ -1364,20 +1320,6 @@ impl LeafWalker {
             return Ok(None);
         }
         let leaf = self.next_leaf;
-        if self.readahead > 0
-            && leaf >= self.ra_horizon
-            && self.ra_end != NO_PAGE
-            && leaf <= self.ra_end
-        {
-            let stop = leaf
-                .saturating_add(self.ra_cur as PageId)
-                .min(self.ra_end.saturating_add(1));
-            let window: Vec<PageId> = (leaf..stop).collect();
-            // Best-effort hint: failures never affect the scan itself.
-            let _ = self.pool.prefetch(&window);
-            self.ra_horizon = stop;
-            self.ra_cur = (self.ra_cur * 2).min(self.readahead);
-        }
         let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
         heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
         let (out, next) = self.pool.read(leaf, |p| {
@@ -1765,92 +1707,6 @@ mod tests {
             reads,
             t.height() as u64,
             "cold lookup reads one page per level"
-        );
-    }
-
-    /// Every key of the tree, merge-scanned from a cold pool: the values'
-    /// first bytes and the I/O the scan cost.
-    fn cold_merge_scan(
-        p: &BufferPool,
-        t: &BTreeFile,
-        readahead: usize,
-    ) -> (Vec<u8>, u64, cor_pagestore::BatchIoSnapshot) {
-        p.flush_and_clear().unwrap();
-        let before = p.stats().snapshot();
-        let batch = p.stats().batch_snapshot();
-        let mut values = Vec::new();
-        t.merge_scan((0..3000u64).map(key8), readahead, |_, v| {
-            values.push(v[0]);
-            Ok::<(), AccessError>(())
-        })
-        .unwrap();
-        (
-            values,
-            p.stats().snapshot().since(&before).reads,
-            p.stats().batch_snapshot().since(&batch),
-        )
-    }
-
-    fn bulk_3000(p: &Arc<BufferPool>) -> BTreeFile {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..3000u64)
-            .map(|k| (key8(k), vec![(k % 200) as u8; 80]))
-            .collect();
-        BTreeFile::bulk_load(Arc::clone(p), 8, entries, DEFAULT_FILL).unwrap()
-    }
-
-    /// Readahead changes how `merge_scan`'s leaves arrive, never which:
-    /// on a bulk-loaded tree the matches and `reads` equal the
-    /// readahead-off scan and every prefetched page is demanded. On the
-    /// same tree reattached through `from_metadata` the knob is inert —
-    /// `ra_end` is not persisted, so after a reopen (`Engine::open`) no
-    /// page is ever prefetched.
-    #[test]
-    fn merge_scan_readahead_reads_the_same_pages_and_is_inert_after_reattach() {
-        let p = pool(64);
-        let t = bulk_3000(&p);
-        let (plain, plain_reads, off) = cold_merge_scan(&p, &t, 0);
-        let (ahead, ahead_reads, on) = cold_merge_scan(&p, &t, 8);
-        assert_eq!(ahead, plain, "same matches");
-        assert_eq!(ahead_reads, plain_reads, "same reads");
-        assert_eq!(off.prefetch_issued, 0);
-        assert!(on.prefetch_issued > 0, "readahead issued prefetches");
-        assert_eq!(
-            on.prefetch_hits, on.prefetch_issued,
-            "every prefetched leaf was demanded"
-        );
-
-        let reattached = BTreeFile::from_metadata(Arc::clone(&p), t.metadata()).unwrap();
-        let (again, again_reads, inert) = cold_merge_scan(&p, &reattached, 8);
-        assert_eq!(again, plain);
-        assert_eq!(again_reads, plain_reads);
-        assert_eq!(inert.prefetch_issued, 0, "no clamp, no prefetch");
-        assert_eq!(inert.batch_reads, 0);
-    }
-
-    /// A readahead window larger than the pool is clipped to what the
-    /// pool can hold: the scan never stalls on frames its own prefetch
-    /// pinned, `prefetch_issued` counts only pages that were read, and
-    /// values and `reads` equal the readahead-off run. (Unclipped, every
-    /// over-sized window waited out the frame-stall budget under the
-    /// shard mutex, emptied the pool, failed with `NoFreeFrames` — which
-    /// the walker discards — and still counted as issued.)
-    #[test]
-    fn readahead_window_larger_than_the_pool_neither_stalls_nor_miscounts() {
-        let p = Arc::new(BufferPool::builder().capacity(8).telemetry(true).build());
-        let t = bulk_3000(&p);
-        assert!(t.leaf_pages() > 64, "the ramp must reach 32 pages");
-
-        let (plain, plain_reads, _) = cold_merge_scan(&p, &t, 0);
-        let waits = p.telemetry().unwrap()[0].pin_waits;
-        let (ahead, ahead_reads, batch) = cold_merge_scan(&p, &t, 32);
-        let pin_waits = p.telemetry().unwrap()[0].pin_waits - waits;
-        assert_eq!(ahead, plain, "same values");
-        assert_eq!(ahead_reads, plain_reads, "same reads");
-        assert_eq!(pin_waits, 0, "readahead stalled on its own pins");
-        assert!(batch.prefetch_issued > 0);
-        assert_eq!(
-            batch.prefetch_issued, batch.batch_reads,
-            "every page counted as issued was brought in"
         );
     }
 }

@@ -199,22 +199,18 @@ proptest! {
     }
 
     /// The in-place co-scan is the iterator merge join: same `(key, rec)`
-    /// sequence and — readahead off — same page transfers, on bulk-loaded
+    /// sequence and the same page transfers, on bulk-loaded
     /// chains and on chains reshaped by splits and merges, for key lists
     /// with duplicates, misses and keys past the last entry, handed over
     /// in memory or as a spilled sort whose runs are read back through the
     /// same two-to-six-frame pool while a leaf is pinned (one frame would
     /// not do: the co-scan holds the leaf while it pulls a key).
-    /// Readahead (bulk-loaded chains only) never changes the sequence and
-    /// never saves a read; a key list that stops early may leave prefetched
-    /// leaves undemanded.
     #[test]
     fn merge_scan_equals_merge_join_over_scan_all(
         present in proptest::collection::btree_set(0u64..400, 0..300),
         churn in proptest::collection::vec((0u64..400, 0usize..120, any::<bool>()), 0..200),
         bulk in any::<bool>(),
         probes in proptest::collection::vec(0u64..440, 0..1200),
-        readahead in prop_oneof![Just(0usize), Just(4usize), Just(32usize)],
         // Sort memory for the probe keys: one-page runs, multi-page runs
         // (read back a page at a time during the co-scan), or no spill.
         work_mem in prop_oneof![Just(600usize), Just(10_000usize), Just(usize::MAX)],
@@ -226,29 +222,21 @@ proptest! {
         let sorted = || external_sort(&p, keys.iter().cloned(), work_mem, false).unwrap();
 
         p.flush_and_clear().unwrap();
-        let (io0, batch0) = (p.stats().snapshot(), p.stats().batch_snapshot());
+        let io0 = p.stats().snapshot();
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             merge_join(sorted(), tree.scan_all()).collect();
         let want_io = p.stats().snapshot().since(&io0);
-        let want_batch = p.stats().batch_snapshot().since(&batch0);
 
         p.flush_and_clear().unwrap();
-        let (io0, batch0) = (p.stats().snapshot(), p.stats().batch_snapshot());
+        let io0 = p.stats().snapshot();
         let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        tree.merge_scan(sorted(), readahead, |k, v| {
+        tree.merge_scan(sorted(), |k, v| {
             got.push((k.to_vec(), v.to_vec()));
             Ok::<(), cor_access::AccessError>(())
         })
         .unwrap();
         prop_assert_eq!(got, want);
-        let (got_io, got_batch) =
-            (p.stats().snapshot().since(&io0), p.stats().batch_snapshot().since(&batch0));
-        if readahead == 0 {
-            prop_assert_eq!(got_io, want_io);
-            prop_assert_eq!(got_batch, want_batch);
-        } else {
-            prop_assert!(got_io.reads >= want_io.reads);
-        }
+        prop_assert_eq!(p.stats().snapshot().since(&io0), want_io);
     }
 
     /// `visit_range` is `range(..).collect()` without the copies: the same

@@ -2,8 +2,8 @@
 //! suite, two exact gates, no wall-time verdict.
 //!
 //! Runs every strategy over a fixed retrieve-only workload on
-//! [`MemDisk`](cor_pagestore::MemDisk) (plus a BFS leg with merge-scan
-//! readahead on), K reps per leg. Two invariants gate the run:
+//! [`MemDisk`](cor_pagestore::MemDisk), K reps per leg. Two invariants
+//! gate the run:
 //!
 //! 1. **Determinism** — every rep of a leg must return the same values
 //!    and perform the same I/O (cold pool + fixed seed + MemDisk leaves
@@ -32,19 +32,12 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use complexobj::{ExecOptions, Query, Strategy};
+use complexobj::{Query, Strategy};
 use cor_bench::{write_report, BenchConfig, JsonObj};
 use cor_workload::{fnum, format_table, generate, generate_sequence, Engine, GeneratedDb, Params};
 
 /// Baseline record format version.
 const PERF_SCHEMA_VERSION: u32 = 1;
-
-/// One suite entry: a strategy plus the options it runs under.
-struct LegSpec {
-    name: String,
-    strategy: Strategy,
-    opts: ExecOptions,
-}
 
 /// Median-of-K measurement of one leg.
 struct LegResult {
@@ -57,60 +50,38 @@ struct LegResult {
     wall_ns: u64,
 }
 
-fn suite() -> Vec<LegSpec> {
-    let mut legs: Vec<LegSpec> = Strategy::ALL
-        .iter()
-        .map(|&s| LegSpec {
-            name: s.name().to_string(),
-            strategy: s,
-            opts: ExecOptions::default(),
-        })
-        .collect();
-    // Readahead is a separate performance surface: same answers, same
-    // transfers, different physical I/O plan.
-    legs.push(LegSpec {
-        name: "BFS+readahead".to_string(),
-        strategy: Strategy::Bfs,
-        opts: ExecOptions {
-            readahead: 32,
-            ..ExecOptions::default()
-        },
-    });
-    legs
-}
-
-/// Run one leg `reps` times and take the median wall. Every rep gets a
+/// Run one strategy's leg `reps` times and take the median wall. Every rep gets a
 /// freshly built engine and a cold pool — caches (the paper's value
 /// cache carries eviction state) start identical, so answers and I/O
 /// must agree across reps; divergence is a bug, not noise.
 fn run_leg(
     params: &Params,
     generated: &GeneratedDb,
-    spec: &LegSpec,
+    strategy: Strategy,
     reps: usize,
 ) -> Result<LegResult, String> {
+    let name = strategy.name();
     let sequence = generate_sequence(params);
 
     let mut agreed: Option<(u64, u64, u64, u64, u64)> = None;
     let mut walls: Vec<u64> = Vec::with_capacity(reps);
     for rep in 0..reps {
         let engine = Engine::builder()
-            .build_workload(params, generated, spec.strategy)
-            .map_err(|e| format!("{}: engine build failed: {e}", spec.name))?
-            .with_options(spec.opts);
+            .build_workload(params, generated, strategy)
+            .map_err(|e| format!("{name}: engine build failed: {e}"))?;
         let stats = engine.pool().stats().clone();
         engine
             .pool()
             .flush_and_clear()
-            .map_err(|e| format!("{}: pool flush failed: {e}", spec.name))?;
+            .map_err(|e| format!("{name}: pool flush failed: {e}"))?;
         let io_before = stats.snapshot();
         let (mut retrieves, mut values, mut checksum) = (0u64, 0u64, 0u64);
         let t0 = Instant::now();
         for q in &sequence {
             let Query::Retrieve(r) = q else { continue };
             let out = engine
-                .retrieve(spec.strategy, r)
-                .map_err(|e| format!("{}: retrieve failed: {e}", spec.name))?;
+                .retrieve(strategy, r)
+                .map_err(|e| format!("{name}: retrieve failed: {e}"))?;
             retrieves += 1;
             for v in out.values {
                 values += 1;
@@ -124,8 +95,7 @@ fn run_leg(
             None => agreed = Some(sig),
             Some(prev) if prev != sig => {
                 return Err(format!(
-                    "{}: rep {rep} diverged: {sig:?} vs rep 0 {prev:?}",
-                    spec.name
+                    "{name}: rep {rep} diverged: {sig:?} vs rep 0 {prev:?}"
                 ));
             }
             Some(_) => {}
@@ -134,7 +104,7 @@ fn run_leg(
     let (retrieves, values, checksum, reads, writes) = agreed.expect("reps >= 1");
     walls.sort_unstable();
     Ok(LegResult {
-        name: spec.name.clone(),
+        name: name.to_string(),
         retrieves,
         values,
         checksum,
@@ -264,22 +234,21 @@ fn main() {
             ..base
         }
     };
-    let legs_spec = suite();
     println!(
         "corperf — determinism + exact-I/O guard{}\n\
          |ParentRel| = {}, {} queries, {} legs x {} reps (median wall)\n",
         if smoke { " (smoke)" } else { "" },
         params.parent_card,
         params.sequence_len,
-        legs_spec.len(),
+        Strategy::ALL.len(),
         reps,
     );
 
     let generated = generate(&params);
     let mut legs: Vec<LegResult> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for spec in &legs_spec {
-        match run_leg(&params, &generated, spec, reps) {
+    for strategy in Strategy::ALL {
+        match run_leg(&params, &generated, strategy, reps) {
             Ok(leg) => legs.push(leg),
             Err(e) => failures.push(e),
         }

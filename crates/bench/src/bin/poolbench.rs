@@ -12,7 +12,7 @@
 //!    [`predict_policy_misses`] closed form with the relative error —
 //!    the measured-vs-predicted bend points of the cost model's
 //!    per-policy term.
-//! 2. **Engine legs** run the batched-path strategies (BFS, DFSCLUST,
+//! 2. **Engine legs** run the index-bound strategies (BFS, DFSCLUST,
 //!    DFSCACHE) over the same generated database for every
 //!    {policy × pool size × thread count} cell, reporting throughput,
 //!    p99 latency, pool hit ratio, and the per-page-class view from the
@@ -508,8 +508,7 @@ fn main() {
         Params {
             pr_update: 0.0,
             // Enough selected objects that BFS plans the merge join —
-            // the scan flood this benchmark is about (same boost as
-            // iobench).
+            // the scan flood this benchmark is about.
             num_top: (base.parent_card / 10).max(base.num_top),
             ..base
         }

@@ -174,7 +174,7 @@ pub fn bfs_multilevel(
             Ok(())
         };
         if merge_cost < iter_cost {
-            tree.merge_scan(sorted, 0, |_key, rec| collect(rec, &mut frontier))?;
+            tree.merge_scan(sorted, |_key, rec| collect(rec, &mut frontier))?;
         } else {
             for key in sorted {
                 let rec = tree.get(&key)?.ok_or_else(|| {

@@ -97,6 +97,19 @@ impl<'a> Dec<'a> {
     pub fn i64(&mut self) -> Result<i64, CorError> {
         Ok(self.u64()? as i64)
     }
+    /// Read a `u32` element count, refusing one the rest of the stream
+    /// could not hold at `min_bytes` encoded bytes per element — so a
+    /// stored count never sizes an allocation the bytes do not back.
+    pub fn count(&mut self, min_bytes: usize, field: &str) -> Result<usize, CorError> {
+        let n = self.u32()? as usize;
+        if n > self.0.len() / min_bytes {
+            return Err(CorError::Durability(format!(
+                "catalog snapshot records {n} {field} in a {}-byte tail",
+                self.0.len()
+            )));
+        }
+        Ok(n)
+    }
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], CorError> {
         let n = self.u32()? as usize;
@@ -112,6 +125,9 @@ impl<'a> Dec<'a> {
         self.0.is_empty()
     }
 }
+
+/// Encoded size of one [`BTreeMeta`]: five `u32`s and a `u64`.
+const BTREE_META_BYTES: usize = 28;
 
 fn enc_btree(e: &mut Enc, m: &BTreeMeta) {
     e.u32(m.key_len as u32);
@@ -164,10 +180,16 @@ pub fn enc_schema(e: &mut Enc, s: &Schema) {
 
 /// Decode a schema written by [`enc_schema`].
 pub fn dec_schema(d: &mut Dec) -> Result<Schema, CorError> {
-    let n = d.u32()? as usize;
+    // A column is at least a length prefix and a type tag.
+    let n = d.count(5, "columns")?;
     let mut cols: Vec<(String, ValueType)> = Vec::with_capacity(n);
     for _ in 0..n {
         let name = d.str()?;
+        if cols.iter().any(|(c, _)| *c == name) {
+            return Err(CorError::Durability(format!(
+                "catalog snapshot repeats column name {name:?}"
+            )));
+        }
         let ty = match d.u8()? {
             0 => ValueType::Int,
             1 => ValueType::Str,
@@ -224,11 +246,11 @@ impl SavedUnitCache {
             1 => EvictionPolicy::Random,
             _ => return Err(CorError::Durability("unknown eviction policy tag".into())),
         };
-        let n = d.u32()? as usize;
+        let n = d.count(12, "cache entries")?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let hk = d.u64()?;
-            let m = d.u32()? as usize;
+            let m = d.count(OID_BYTES, "cache members")?;
             let mut members = Vec::with_capacity(m);
             for _ in 0..m {
                 let b = d.take(OID_BYTES)?;
@@ -277,7 +299,7 @@ impl SavedProcCache {
     pub fn decode(d: &mut Dec) -> Result<Self, CorError> {
         let file = dec_hash(d)?;
         let capacity = d.u64()? as usize;
-        let n = d.u32()? as usize;
+        let n = d.count(5, "cache entries")?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let quel = d.str()?;
@@ -386,7 +408,7 @@ impl SavedOidDb {
         let storage = match d.u8()? {
             0 => {
                 let parent = dec_btree(d)?;
-                let n = d.u32()? as usize;
+                let n = d.count(BTREE_META_BYTES, "child relations")?;
                 let mut children = Vec::with_capacity(n);
                 for _ in 0..n {
                     children.push(dec_btree(d)?);
@@ -402,7 +424,7 @@ impl SavedOidDb {
         let parent_schema = dec_schema(d)?;
         let child_schema = dec_schema(d)?;
         let parent_count = d.u64()?;
-        let n = d.u32()? as usize;
+        let n = d.count(8, "child counts")?;
         let mut child_counts = Vec::with_capacity(n);
         for _ in 0..n {
             child_counts.push(d.u64()?);
@@ -484,7 +506,7 @@ impl SavedProcDb {
     /// Decode from `d`.
     pub fn decode(d: &mut Dec) -> Result<Self, CorError> {
         let parent = dec_btree(d)?;
-        let n = d.u32()? as usize;
+        let n = d.count(BTREE_META_BYTES, "child relations")?;
         let mut children = Vec::with_capacity(n);
         for _ in 0..n {
             children.push(dec_btree(d)?);
@@ -641,5 +663,27 @@ mod tests {
                 "cut at {cut} must not decode"
             );
         }
+    }
+
+    /// Stored bytes are outside input: a schema that repeats a column
+    /// name, and counts the rest of the stream cannot hold, are typed
+    /// errors — not a `Schema::new` assert, not an allocation sized by
+    /// the stored count.
+    #[test]
+    fn repeated_columns_and_unbacked_counts_are_typed_errors() {
+        let mut e = Enc::default();
+        e.u32(2);
+        for _ in 0..2 {
+            e.str("ret1");
+            e.u8(0);
+        }
+        let err = dec_schema(&mut Dec(&e.0)).unwrap_err();
+        assert!(err.to_string().contains("repeats column name"), "{err}");
+
+        let mut e = Enc::default();
+        enc_btree(&mut e, &btree(4));
+        e.u32(u32::MAX); // ChildRel count
+        let err = SavedProcDb::decode(&mut Dec(&e.0)).unwrap_err();
+        assert!(err.to_string().contains("child relations"), "{err}");
     }
 }

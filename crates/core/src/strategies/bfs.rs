@@ -115,11 +115,9 @@ pub(crate) fn join_fetch(
             )?
         };
         // The co-scan of the OID-ordered ChildRel leaves is the join
-        // proper (sort-stream pulls retag themselves as Sort). With
-        // `opts.readahead` set the leaf pages are prefetched in coalesced
-        // batches ahead of the scan cursor — the one place readahead runs.
+        // proper (sort-stream pulls retag themselves as Sort).
         let _phase = PhaseGuard::enter(Phase::MergeJoin);
-        tree.merge_scan(sorted, opts.readahead, |_oid, rec| {
+        tree.merge_scan(sorted, |_oid, rec| {
             values.push(extract_ret(rec, attr)?);
             Ok::<(), CorError>(())
         })?;

@@ -54,12 +54,6 @@ pub struct ExecOptions {
     pub join: JoinChoice,
     /// Work memory for sorting temporaries, in bytes.
     pub sort_work_mem: usize,
-    /// Leaf readahead window, in pages, for the BFS merge join's co-scan
-    /// of ChildRel — the only scan that prefetches (0 = off, the default:
-    /// every strategy reads page-at-a-time). Never changes results, only
-    /// how many physical submissions carry the scan's leaves; inert on a
-    /// reopened store (see `BTreeFile::merge_scan`).
-    pub readahead: usize,
 }
 
 impl Default for ExecOptions {
@@ -68,7 +62,6 @@ impl Default for ExecOptions {
             smart_threshold: 300,
             join: JoinChoice::Auto,
             sort_work_mem: cor_access::DEFAULT_WORK_MEM,
-            readahead: 0,
         }
     }
 }
@@ -461,68 +454,5 @@ mod tests {
             "no cluster representation"
         );
         assert!(!ran.contains(&Strategy::DfsCache), "no cache attached");
-    }
-
-    /// Readahead changes no result and is consumed by the merge join
-    /// alone: with the knob on, every other plan still leaves the batch
-    /// and prefetch counters at zero.
-    #[test]
-    fn readahead_changes_no_results_and_only_the_merge_scan_prefetches() {
-        let q = RetrieveQuery {
-            lo: 0,
-            hi: 39,
-            attr: RetAttr::Ret1,
-        };
-        let ahead_opts = ExecOptions {
-            readahead: 4,
-            ..ExecOptions::default()
-        };
-
-        let run = |opts: &ExecOptions| {
-            let db = CorDatabase::build_standard(
-                pool(),
-                &spec(),
-                Some(CacheConfig {
-                    capacity: 64,
-                    ..CacheConfig::default()
-                }),
-            )
-            .unwrap();
-            db.pool().flush_and_clear().unwrap();
-            run_all_supported(&db, &q, opts)
-                .into_iter()
-                .map(|(s, r)| {
-                    let mut v = r.expect("strategy runs").values;
-                    v.sort_unstable();
-                    (s, v)
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(&ExecOptions::default()), run(&ahead_opts));
-
-        for join in [JoinChoice::ForceIterative, JoinChoice::ForceMerge] {
-            let db = CorDatabase::build_standard(pool(), &spec(), None).unwrap();
-            let cold_bfs = |readahead: usize| {
-                db.pool().flush_and_clear().unwrap();
-                let before = db.pool().stats().batch_snapshot();
-                let opts = ExecOptions {
-                    join,
-                    readahead,
-                    ..ExecOptions::default()
-                };
-                let mut values = bfs(&db, &q, false, &opts).unwrap().values;
-                values.sort_unstable();
-                (values, db.pool().stats().batch_snapshot().since(&before))
-            };
-            let (plain, off) = cold_bfs(0);
-            let (ahead, on) = cold_bfs(4);
-            assert_eq!(plain, ahead);
-            assert_eq!(off, Default::default(), "knob off: no prefetches");
-            if join == JoinChoice::ForceMerge {
-                assert!(on.prefetch_issued > 0, "merge scan readahead prefetched");
-            } else {
-                assert_eq!(on, Default::default(), "index probes never prefetch");
-            }
-        }
     }
 }

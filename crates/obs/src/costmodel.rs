@@ -408,75 +408,6 @@ pub fn predict_by_name(name: &str, w: &Workload, g: &Geometry) -> Option<Predict
 }
 
 // ---------------------------------------------------------------------------
-// Batched-I/O term
-// ---------------------------------------------------------------------------
-
-/// Expected *batched* I/O per retrieve: how many page transfers flow
-/// through multi-page submissions and how many physical submissions they
-/// collapse into. Orthogonal to [`Prediction`] — batching never changes
-/// the transfer counts the paper measures, only how the disk is asked
-/// for them.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BatchPrediction {
-    /// Pages expected to move through batched multi-page reads
-    /// (`batch_reads` in the measured counters).
-    pub batched_pages: f64,
-    /// Physical submissions after run coalescing (`coalesced_runs`).
-    pub submissions: f64,
-}
-
-/// Submissions when `pages` **contiguous** pages stream through prefetch
-/// windows of `window`: each window is one maximal run, so one
-/// submission per window.
-pub fn batched_submissions_contiguous(pages: f64, window: f64) -> f64 {
-    if pages <= 0.0 {
-        return 0.0;
-    }
-    if window <= 1.0 {
-        return pages;
-    }
-    (pages / window).ceil()
-}
-
-/// The batch term for one strategy, given the executor's one I/O knob
-/// (`readahead` pages per merge-scan prefetch window). Off — the default
-/// — predicts exactly zero, matching the byte-identical page-at-a-time
-/// run.
-///
-/// Mirrors the executor: only the merge join's co-scan of the ChildRel
-/// leaf chain prefetches, so the term is non-zero for BFS / BFSNODUP
-/// (and SMART above its threshold) exactly when [`predict_bfs`]'s plan
-/// choice picks the merge join; iterative probes, DFS, DFSCACHE and
-/// DFSCLUST read page-at-a-time whatever the knob says.
-pub fn predict_batch(
-    name: &str,
-    w: &Workload,
-    g: &Geometry,
-    readahead: f64,
-) -> Option<BatchPrediction> {
-    let zero = BatchPrediction::default();
-    let merge_scan = || {
-        let refs = w.refs();
-        let est_iter = g.child_height + (refs - 1.0).max(0.0);
-        let est_merge = g.child_leaf_pages + temp_pages(w, g, refs) + sort_spill(w, g, refs);
-        if readahead <= 0.0 || est_merge >= est_iter {
-            return zero;
-        }
-        // The leaf chain is contiguous (bulk load).
-        BatchPrediction {
-            batched_pages: g.child_leaf_pages,
-            submissions: batched_submissions_contiguous(g.child_leaf_pages, readahead),
-        }
-    };
-    match name {
-        "BFS" | "BFSNODUP" => Some(merge_scan()),
-        "SMART" if w.num_top > w.smart_threshold => Some(merge_scan()),
-        "DFS" | "DFSCACHE" | "DFSCLUST" | "SMART" => Some(zero),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Per-policy buffer-miss term
 // ---------------------------------------------------------------------------
 
@@ -717,45 +648,6 @@ mod tests {
         assert_eq!(round2(cache.total()), 406.87);
         // The split stays the paper's ParCost + ChildCost.
         assert!((dfs.par + dfs.child - dfs.total()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_term_is_the_merge_scan_readahead_and_nothing_else() {
-        let all = ["DFS", "BFS", "BFSNODUP", "DFSCACHE", "DFSCLUST", "SMART"];
-        // NumTop 100 plans iterative probes, NumTop 500 the merge join
-        // (and puts SMART above its threshold).
-        let (probes, merge) = (paper(100.0), paper(500.0));
-        let (gp, gm) = (Geometry::estimate(&probes), Geometry::estimate(&merge));
-        // Readahead off predicts exactly zero batched I/O for every
-        // strategy — mirroring the executor's page-at-a-time path — and
-        // so does readahead on wherever no merge scan runs.
-        for name in all {
-            for (w, g, readahead) in [(&merge, &gm, 0.0), (&probes, &gp, 4.0)] {
-                let b = predict_batch(name, w, g, readahead).expect(name);
-                assert_eq!(b, BatchPrediction::default(), "{name}");
-            }
-        }
-        assert!(predict_batch("NOPE", &merge, &gm, 4.0).is_none());
-        for name in all {
-            let narrow = predict_batch(name, &merge, &gm, 2.0).expect(name);
-            let wide = predict_batch(name, &merge, &gm, 16.0).expect(name);
-            if !matches!(name, "BFS" | "BFSNODUP" | "SMART") {
-                assert_eq!(wide, BatchPrediction::default(), "{name} never prefetches");
-                continue;
-            }
-            assert_eq!(narrow.batched_pages, gm.child_leaf_pages, "{name}");
-            assert_eq!(narrow.batched_pages, wide.batched_pages);
-            assert!(
-                wide.submissions > 0.0 && wide.submissions < narrow.submissions,
-                "wider window must coalesce harder: {wide:?} vs {narrow:?}"
-            );
-            assert!(narrow.submissions <= narrow.batched_pages);
-        }
-        // Contiguous helper: window 1 degenerates to one submission per
-        // page.
-        assert_eq!(batched_submissions_contiguous(10.0, 1.0), 10.0);
-        assert_eq!(batched_submissions_contiguous(10.0, 4.0), 3.0);
-        assert_eq!(batched_submissions_contiguous(0.0, 4.0), 0.0);
     }
 
     #[test]

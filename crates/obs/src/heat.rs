@@ -451,14 +451,6 @@ pub fn touch(class: HeatClass, id: u64) {
     }
 }
 
-/// Record `n` accesses of `(class, id)` in the global map.
-#[inline]
-pub fn touch_n(class: HeatClass, id: u64, n: u64) {
-    if enabled() {
-        global().touch_n(class, id, n);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +536,6 @@ mod tests {
         enable(false);
         let before = global().touches();
         touch(HeatClass::PoolShard, 3);
-        touch_n(HeatClass::PoolShard, 3, 10);
         assert_eq!(global().touches(), before);
     }
 

@@ -8,7 +8,7 @@
 //! after they land:
 //!
 //! * [`WaitClass::ShardLock`] — acquiring a buffer-pool stripe mutex in
-//!   `pin`/`prefetch` (lock striping's residual contention);
+//!   `pin`/`allocate_page` (lock striping's residual contention);
 //! * [`WaitClass::FrameStall`] — stalled inside the pool because every
 //!   candidate frame was pinned, waiting for a concurrent unpin before
 //!   either finding a victim or giving up with `NoFreeFrames`;
@@ -16,9 +16,8 @@
 //!   queue: appenders serialize here);
 //! * [`WaitClass::WalFsync`] — inside the physical log sync that makes a
 //!   group of commits durable;
-//! * [`WaitClass::AioCompletion`] — a demand access blocked on an
-//!   in-flight `cor-aio` run that has not completed yet (readahead that
-//!   was speculated but not finished when the page was needed).
+//! * [`WaitClass::AioCompletion`] — a harvest blocked on an in-flight
+//!   `cor-aio` run that has not completed yet.
 //!
 //! Like [`heat`](crate::heat) and [`flight`](crate::flight), the profile
 //! is a process global behind an [`AtomicBool`]: a feed site costs one
@@ -46,7 +45,7 @@ pub const WAIT_CLASSES: usize = 5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum WaitClass {
-    /// Buffer-pool stripe mutex acquisition (`pin` / `prefetch`).
+    /// Buffer-pool stripe mutex acquisition (`pin` / `allocate_page`).
     ShardLock = 0,
     /// All candidate frames pinned: the wait for a concurrent unpin,
     /// whether it ended in a victim or a `NoFreeFrames` refusal.

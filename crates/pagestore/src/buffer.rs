@@ -518,50 +518,6 @@ impl BufferPool {
         Ok(result)
     }
 
-    /// Hint that `pids` will be demanded soon: the batch is partitioned
-    /// by home shard, and each shard faults its non-resident pages in with
-    /// one sorted, deduplicated `read_pages` call — adjacent pages cost one
-    /// physical submission instead of one per page — and leaves them
-    /// resident and unpinned (see `Shard::prefetch`).
-    /// Readahead is speculative by nature, so callers may over-request:
-    /// page ids at or past the end of the store are silently clipped,
-    /// and so is whatever a home shard could not hold — a shard's share is
-    /// pinned as a whole while it fills, so each stripe takes the first of
-    /// its pages in request order, up to its frame count, and the rest are
-    /// dropped.
-    ///
-    /// Every page kept after clipping counts toward `prefetch_issued`;
-    /// the first later demand access of a frame a prefetch brought in
-    /// counts one `prefetch_hit`. Pure hint: logical results never
-    /// depend on it, only physical I/O timing does. On error the failing
-    /// shard's share is rolled back whole; pages that earlier shards
-    /// already faulted in stay resident, exactly as a partially-completed
-    /// loop of single reads would leave them.
-    pub fn prefetch(&self, pids: &[PageId]) -> Result<(), BufferError> {
-        let end = self.disk.num_pages();
-        let mut groups: Vec<Vec<PageId>> = vec![Vec::new(); self.shards.len()];
-        for &pid in pids {
-            let s = self.shard_index_of(pid);
-            if pid < end && groups[s].len() < self.shards[s].capacity() {
-                groups[s].push(pid);
-            }
-        }
-        for (shard, group) in self.shards.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            self.stats.record_prefetch_issued(group.len() as u64);
-            shard.prefetch(
-                group,
-                self.policy,
-                self.disk.as_ref(),
-                &self.stats,
-                self.wal_ref(),
-            )?;
-        }
-        Ok(())
-    }
-
     /// Return a page to its home shard's free list for reuse by a later
     /// [`Self::allocate_page`]. The resident copy (if any) is discarded
     /// without a write-back — freed contents are garbage by definition.
@@ -1136,104 +1092,5 @@ mod tests {
         p.flush_all().unwrap();
         assert_eq!(p.stats().writes(), w, "frame restored to clean");
         assert!(p.dirty_page_table().is_empty());
-    }
-
-    /// Allocate `n` pages, each initialized with a distinguishing flag.
-    fn seeded_pool(capacity: usize, shards: usize, n: u32) -> (BufferPool, Vec<PageId>) {
-        let p = BufferPool::builder()
-            .capacity(capacity)
-            .shards(shards)
-            .build();
-        let pids: Vec<_> = (0..n).map(|_| p.allocate_page().unwrap()).collect();
-        for (i, &pid) in pids.iter().enumerate() {
-            p.write(pid, |mut pg| {
-                pg.init();
-                pg.set_flags(i as u32);
-            })
-            .unwrap();
-        }
-        p.flush_and_clear().unwrap();
-        p.stats().reset();
-        (p, pids)
-    }
-
-    #[test]
-    fn prefetch_then_demand_counts_hits_not_extra_io() {
-        let (p, pids) = seeded_pool(8, 1, 6);
-        p.prefetch(&pids).unwrap();
-        assert_eq!(p.stats().prefetch_issued(), 6);
-        assert_eq!(p.stats().prefetch_hits(), 0);
-        assert_eq!(p.stats().reads(), 6, "prefetch faulted the pages in");
-        assert_eq!(p.stats().batch_reads(), 6);
-        assert_eq!(p.stats().coalesced_runs(), 1, "contiguous batch = 1 run");
-        for (i, &pid) in pids.iter().enumerate() {
-            let f = p.read(pid, |pg| pg.flags()).unwrap();
-            assert_eq!(f, i as u32);
-        }
-        assert_eq!(p.stats().reads(), 6, "demand reads all hit");
-        assert_eq!(p.stats().batch_reads(), 6, "single reads never batch");
-        assert_eq!(p.stats().prefetch_hits(), 6);
-        // Second touch of the same frames: hits are counted once.
-        p.read(pids[0], |_| ()).unwrap();
-        assert_eq!(p.stats().prefetch_hits(), 6);
-        // Out-of-range hints are clipped, not errors.
-        p.prefetch(&[p.num_pages(), p.num_pages() + 10]).unwrap();
-        assert_eq!(p.stats().prefetch_issued(), 6);
-    }
-
-    /// Readahead is speculative: a window naming more pages than the
-    /// home shard has frames is clipped to the frames, not failed after
-    /// a stall on the batch's own pins.
-    #[test]
-    fn prefetch_larger_than_the_pool_is_clipped_to_its_frames() {
-        let p = BufferPool::builder().capacity(8).telemetry(true).build();
-        let pids: Vec<_> = (0..32).map(|_| p.allocate_page().unwrap()).collect();
-        p.flush_and_clear().unwrap();
-        p.stats().reset();
-        p.prefetch(&pids).unwrap();
-        assert_eq!(p.telemetry().unwrap()[0].pin_waits, 0, "no frame stall");
-        assert_eq!(p.stats().prefetch_issued(), 8, "counted after clipping");
-        assert_eq!(p.stats().reads(), 8);
-        // The head of the window is what stays: demanded next, it hits.
-        for &pid in &pids[..8] {
-            p.read(pid, |_| ()).unwrap();
-        }
-        assert_eq!(p.stats().reads(), 8);
-        assert_eq!(p.stats().prefetch_hits(), 8);
-
-        // Each stripe clips to its own frames.
-        let p = BufferPool::builder().capacity(8).shards(4).build();
-        let pids: Vec<_> = (0..64).map(|_| p.allocate_page().unwrap()).collect();
-        p.flush_and_clear().unwrap();
-        p.stats().reset();
-        p.prefetch(&pids).unwrap();
-        assert_eq!(p.stats().prefetch_issued(), 8);
-        assert_eq!(p.stats().reads(), 8);
-        assert_eq!(p.resident_pages(), 8);
-    }
-
-    /// A prefetch that cannot get a frame (every one is pinned) is a
-    /// no-op: nothing counted as read, nothing staged left behind, every
-    /// pin it took released.
-    #[test]
-    fn prefetch_with_every_frame_pinned_fails_clean() {
-        let (p, pids) = seeded_pool(2, 1, 4);
-        let err = p
-            .read(pids[0], |_| {
-                p.read(pids[1], |_| p.prefetch(&pids[2..]).unwrap_err())
-                    .unwrap()
-            })
-            .unwrap();
-        assert!(matches!(err, BufferError::NoFreeFrames { .. }), "{err:?}");
-        assert_eq!(p.stats().reads(), 2, "the failed batch read nothing");
-        assert_eq!(p.stats().batch_reads(), 0);
-        assert_eq!(p.resident_pages(), 2, "no partially-admitted frames");
-        // Pins all released: the same hint now succeeds and serves reads.
-        p.prefetch(&pids[2..]).unwrap();
-        for (i, &pid) in pids.iter().enumerate().skip(2) {
-            assert_eq!(p.read(pid, |pg| pg.flags()).unwrap(), i as u32);
-        }
-        assert_eq!(p.stats().reads(), 4);
-        assert_eq!(p.stats().prefetch_hits(), 2);
     }
 }

@@ -103,6 +103,11 @@ pub trait DiskManager: Send + Sync {
     /// of physical submissions the batch cost (for the default
     /// one-read-per-page loop that is `ids.len()`; stores that coalesce
     /// adjacent pages report the number of coalesced runs instead).
+    /// The buffer pool reads page-at-a-time through [`read_page`]; the
+    /// standalone [`AioEngine`](crate::aio::AioEngine) is the remaining
+    /// caller, one call per run.
+    ///
+    /// [`read_page`]: DiskManager::read_page
     ///
     /// Callers get the best coalescing from **sorted, deduplicated** ids,
     /// but any order is legal and duplicates are simply read twice.
@@ -113,8 +118,8 @@ pub trait DiskManager: Send + Sync {
     /// may have filled a prefix (the default loop), everything (a late
     /// validation failure), or nothing ([`FileDisk`] validates all ids
     /// before issuing any I/O). Callers must treat a failed batch as if
-    /// **no** page was transferred — the buffer pool discards every frame
-    /// it staged for the batch and records no reads.
+    /// **no** page was transferred — the aio engine poisons the run's
+    /// ticket and hands out no bytes.
     fn read_pages(&self, ids: &[PageId], bufs: &mut [&mut PageBuf]) -> Result<usize, DiskError> {
         debug_assert_eq!(ids.len(), bufs.len(), "one buffer per requested page");
         for (&id, buf) in ids.iter().zip(bufs.iter_mut()) {
@@ -206,8 +211,8 @@ impl DiskManager for MemDisk {
 
     /// One lock acquisition for the whole batch. Ids are validated before
     /// any byte is copied, so a failed batch transfers nothing. Reports
-    /// the run count a coalescing store would have needed, so MemDisk
-    /// benchmarks see the same `coalesced_runs` accounting as FileDisk.
+    /// the run count a coalescing store would have needed, the same
+    /// accounting FileDisk reports.
     fn read_pages(&self, ids: &[PageId], bufs: &mut [&mut PageBuf]) -> Result<usize, DiskError> {
         debug_assert_eq!(ids.len(), bufs.len(), "one buffer per requested page");
         let pages = self.pages.lock();

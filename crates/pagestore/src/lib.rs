@@ -54,6 +54,6 @@ pub use page::{
     PageBuf, PageError, PageId, PageMut, PageView, SlotId, MAX_RECORD, NO_PAGE, PAGE_SIZE,
 };
 pub use policy::ReplacementPolicy;
-pub use stats::{BatchIoSnapshot, IoDelta, IoSnapshot, IoStats};
+pub use stats::{IoDelta, IoSnapshot, IoStats};
 pub use telemetry::{ShardTelemetry, ShardTelemetrySnapshot};
 pub use wal::{Lsn, WalHook, NO_LSN};

@@ -21,7 +21,7 @@ use crate::wal::{Lsn, WalHook, NO_LSN};
 use cor_obs::{flight, heat, wait};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// How often a fully-pinned shard re-checks for a victim before giving
@@ -70,10 +70,6 @@ fn after_write_back(wal: Option<&dyn WalHook>, st: &mut FrameData) {
 
 pub(crate) struct Frame {
     pub(crate) pin_count: AtomicUsize,
-    /// Set when the current tenant page was brought in by a prefetch and
-    /// has not been demanded yet; the first demand pin clears it and
-    /// counts a prefetch hit. Only ever flipped under the shard lock.
-    pub(crate) prefetched: AtomicBool,
     pub(crate) state: RwLock<FrameData>,
 }
 
@@ -103,7 +99,6 @@ impl Shard {
         let frames = (0..capacity)
             .map(|_| Frame {
                 pin_count: AtomicUsize::new(0),
-                prefetched: AtomicBool::new(false),
                 state: RwLock::new(FrameData {
                     page_id: PageId::MAX,
                     dirty: false,
@@ -157,18 +152,6 @@ impl Shard {
         self.frames[idx].pin_count.fetch_sub(1, Ordering::Release);
     }
 
-    /// A demand access found `idx` resident: if a prefetch brought the
-    /// tenant in and this is its first demanded use, count the prefetch
-    /// hit and retire the flag. Called under the shard lock.
-    #[inline]
-    fn note_demand_hit(&self, idx: usize, stats: &IoStats) {
-        let f = &self.frames[idx];
-        if f.prefetched.load(Ordering::Relaxed) {
-            f.prefetched.store(false, Ordering::Relaxed);
-            stats.record_prefetch_hit();
-        }
-    }
-
     /// Pop a recycled page id homed to this shard, if any.
     pub(crate) fn pop_free(&self) -> Option<PageId> {
         self.inner.lock().free_list.pop()
@@ -188,7 +171,6 @@ impl Shard {
         let mut inner = self.lock_pinning();
         if let Some(&idx) = inner.page_table.get(&pid) {
             self.frames[idx].pin_count.fetch_add(1, Ordering::Acquire);
-            self.note_demand_hit(idx, stats);
             inner.repl.on_hit(idx, policy);
             self.count(|t| t.hits.inc());
             return Ok(idx);
@@ -211,122 +193,6 @@ impl Shard {
         inner.page_table.insert(pid, idx);
         inner.repl.on_load(idx);
         Ok(idx)
-    }
-
-    /// Fault a batch of pages homed to this shard in and leave them
-    /// resident and unpinned: resident pages only have their replacement
-    /// state touched, and all misses are admitted and then filled by
-    /// **one** sorted [`DiskManager::read_pages`] call, so adjacent pages
-    /// coalesce into single physical submissions. The whole batch is
-    /// pinned while it fills (so no admission picks an earlier one's
-    /// frame as its victim); the caller keeps it within the shard's frame
-    /// count.
-    ///
-    /// `pids` is processed in order and may contain duplicates.
-    /// Replacement-state transitions (`on_hit`/`on_load`, victim choice)
-    /// happen in the same sequence a loop of [`Self::pin`] would produce.
-    /// Freshly faulted frames are tagged so the first later demand pin
-    /// counts a prefetch hit.
-    ///
-    /// # Partial failure
-    ///
-    /// If admission or the batched read fails, every frame staged for the
-    /// batch is detached again (no partially-admitted garbage stays in
-    /// the page table), every pin taken is released, and **no** reads are
-    /// recorded: the failed batch is observationally a no-op apart from
-    /// evictions its admissions already performed — exactly like a failed
-    /// single [`Self::pin`].
-    pub(crate) fn prefetch(
-        &self,
-        pids: &[PageId],
-        policy: ReplacementPolicy,
-        disk: &dyn DiskManager,
-        stats: &IoStats,
-        wal: Option<&dyn WalHook>,
-    ) -> Result<(), BufferError> {
-        heat::touch_n(
-            heat::HeatClass::PoolShard,
-            self.index as u64,
-            pids.len() as u64,
-        );
-        let mut inner = self.lock_pinning();
-        // One entry per pin this call took (a duplicate pins again).
-        let mut pinned: Vec<usize> = Vec::with_capacity(pids.len());
-        // The frames that need a disk fill.
-        let mut staged: Vec<(PageId, usize)> = Vec::new();
-
-        let rollback = |inner: &mut ShardInner, pinned: &[usize], staged: &[(PageId, usize)]| {
-            for &(pid, idx) in staged {
-                inner.page_table.remove(&pid);
-                let mut st = self.frames[idx].state.write();
-                st.page_id = PageId::MAX;
-                st.dirty = false;
-                st.rec_lsn = NO_LSN;
-            }
-            for &idx in pinned {
-                self.unpin(idx);
-            }
-        };
-
-        for &pid in pids {
-            if let Some(&idx) = inner.page_table.get(&pid) {
-                self.frames[idx].pin_count.fetch_add(1, Ordering::Acquire);
-                inner.repl.on_hit(idx, policy);
-                self.count(|t| t.hits.inc());
-                pinned.push(idx);
-                continue;
-            }
-            self.count(|t| t.misses.inc());
-            let idx = match self.acquire_frame(&mut inner, pid, policy, disk, stats, wal) {
-                Ok(idx) => idx,
-                Err(e) => {
-                    rollback(&mut inner, &pinned, &staged);
-                    return Err(e);
-                }
-            };
-            // Insert before the fill so intra-batch duplicates hit; the
-            // shard lock is held until the fill completes, so no other
-            // thread can observe the staged (still-empty) frame.
-            inner.page_table.insert(pid, idx);
-            inner.repl.on_load(idx);
-            staged.push((pid, idx));
-            pinned.push(idx);
-        }
-
-        if !staged.is_empty() {
-            // Sorted fill: adjacent page ids coalesce into single runs.
-            staged.sort_unstable_by_key(|&(pid, _)| pid);
-            let ids: Vec<PageId> = staged.iter().map(|&(pid, _)| pid).collect();
-            let mut guards: Vec<_> = staged
-                .iter()
-                .map(|&(_, idx)| self.frames[idx].state.write())
-                .collect();
-            let read = {
-                let mut bufs: Vec<&mut PageBuf> = guards.iter_mut().map(|g| &mut *g.data).collect();
-                disk.read_pages(&ids, &mut bufs)
-            };
-            match read {
-                Ok(runs) => {
-                    for (st, &(pid, idx)) in guards.iter_mut().zip(staged.iter()) {
-                        st.page_id = pid;
-                        st.dirty = false;
-                        st.rec_lsn = NO_LSN;
-                        stats.record_read();
-                        self.frames[idx].prefetched.store(true, Ordering::Relaxed);
-                    }
-                    stats.record_batch(ids.len() as u64, runs as u64);
-                }
-                Err(e) => {
-                    drop(guards);
-                    rollback(&mut inner, &pinned, &staged);
-                    return Err(e.into());
-                }
-            }
-        }
-        for &idx in &pinned {
-            self.unpin(idx);
-        }
-        Ok(())
     }
 
     /// Bring freshly allocated page `pid` into a frame, zeroed and
@@ -434,10 +300,6 @@ impl Shard {
             st.page_id = PageId::MAX;
             self.count(|t| t.evictions.inc());
         }
-        // Any prefetched-but-never-demanded tenant is gone with the frame.
-        self.frames[victim]
-            .prefetched
-            .store(false, Ordering::Relaxed);
         Ok(victim)
     }
 

@@ -34,16 +34,6 @@ pub struct IoStats {
     reads: AtomicU64,
     writes: AtomicU64,
     allocations: AtomicU64,
-    /// Pages faulted in through the batched prefetch path (a subset of
-    /// `reads`; each such page is also counted there).
-    batch_reads: AtomicU64,
-    /// Physical read submissions those batched pages cost after adjacent
-    /// pages were coalesced into runs (`<= batch_reads`).
-    coalesced_runs: AtomicU64,
-    /// Pages named in prefetch requests (resident or not).
-    prefetch_issued: AtomicU64,
-    /// Demand accesses served by a frame a prefetch brought in.
-    prefetch_hits: AtomicU64,
     /// Runs handed to the `cor-aio` submission layer.
     aio_submitted: AtomicU64,
     /// Runs the `cor-aio` backend finished (successfully or not).
@@ -100,34 +90,10 @@ impl IoStats {
         self.allocations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a batched fault of `pages` pages that cost `runs` physical
-    /// submissions after run coalescing. Only the batch bookkeeping lives
-    /// here — each page of the batch is *also* counted via
-    /// [`record_read`](Self::record_read), so `reads` totals are identical
-    /// whether a page came in singly or batched.
-    #[inline]
-    pub fn record_batch(&self, pages: u64, runs: u64) {
-        self.batch_reads.fetch_add(pages, Ordering::Relaxed);
-        self.coalesced_runs.fetch_add(runs, Ordering::Relaxed);
-    }
-
-    /// Record `pages` pages named in a prefetch request.
-    #[inline]
-    pub fn record_prefetch_issued(&self, pages: u64) {
-        self.prefetch_issued.fetch_add(pages, Ordering::Relaxed);
-    }
-
-    /// Record one demand access served by a prefetched frame.
-    #[inline]
-    pub fn record_prefetch_hit(&self) {
-        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record `runs` runs handed to the async submission layer. Pure
-    /// submission bookkeeping: the pages themselves are counted via
-    /// [`record_read`](Self::record_read)/[`record_batch`](Self::record_batch)
-    /// only when (and if) their bytes are harvested into a frame, so
-    /// transfer totals stay comparable across queue depths.
+    /// submission bookkeeping: the engine counts no page reads, so
+    /// [`record_read`](Self::record_read) totals stay comparable across
+    /// queue depths.
     #[inline]
     pub fn record_aio_submitted(&self, runs: u64) {
         self.aio_submitted.fetch_add(runs, Ordering::Relaxed);
@@ -165,26 +131,6 @@ impl IoStats {
         self.reads() + self.writes()
     }
 
-    /// Pages faulted in through the batched path so far.
-    pub fn batch_reads(&self) -> u64 {
-        self.batch_reads.load(Ordering::Relaxed)
-    }
-
-    /// Physical submissions the batched pages cost after coalescing.
-    pub fn coalesced_runs(&self) -> u64 {
-        self.coalesced_runs.load(Ordering::Relaxed)
-    }
-
-    /// Pages named in prefetch requests so far.
-    pub fn prefetch_issued(&self) -> u64 {
-        self.prefetch_issued.load(Ordering::Relaxed)
-    }
-
-    /// Demand accesses served by prefetched frames so far.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.load(Ordering::Relaxed)
-    }
-
     /// Runs submitted to the async layer so far.
     pub fn aio_submitted(&self) -> u64 {
         self.aio_submitted.load(Ordering::Relaxed)
@@ -198,21 +144,6 @@ impl IoStats {
     /// Peak runs simultaneously in flight so far.
     pub fn aio_in_flight_peak(&self) -> u64 {
         self.aio_in_flight_peak.load(Ordering::Relaxed)
-    }
-
-    /// Capture the batch/prefetch counters. Kept separate from
-    /// [`IoSnapshot`] so the paper-facing transfer counts stay exactly
-    /// three fields, byte-identical to the pre-batching layout.
-    pub fn batch_snapshot(&self) -> BatchIoSnapshot {
-        BatchIoSnapshot {
-            batch_reads: self.batch_reads(),
-            coalesced_runs: self.coalesced_runs(),
-            prefetch_issued: self.prefetch_issued(),
-            prefetch_hits: self.prefetch_hits(),
-            aio_submitted: self.aio_submitted(),
-            aio_completed: self.aio_completed(),
-            aio_in_flight_peak: self.aio_in_flight_peak(),
-        }
     }
 
     /// Capture the current counter values.
@@ -274,65 +205,11 @@ impl IoStats {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
         self.allocations.store(0, Ordering::Relaxed);
-        self.batch_reads.store(0, Ordering::Relaxed);
-        self.coalesced_runs.store(0, Ordering::Relaxed);
-        self.prefetch_issued.store(0, Ordering::Relaxed);
-        self.prefetch_hits.store(0, Ordering::Relaxed);
         self.aio_submitted.store(0, Ordering::Relaxed);
         self.aio_completed.store(0, Ordering::Relaxed);
         self.aio_in_flight_peak.store(0, Ordering::Relaxed);
         if let Some(p) = self.profile.get() {
             p.reset();
-        }
-    }
-}
-
-/// A point-in-time copy of the batch/prefetch counters maintained by the
-/// buffer pool's prefetch path (`BufferPool::prefetch` is the only
-/// batched read there is), plus the `cor-aio` submission counters. All
-/// are zero with readahead off — the byte-identity mode — and the
-/// `aio_*` trio moves only under a standalone [`aio`](crate::aio) engine:
-/// the pool never submits through one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchIoSnapshot {
-    /// Pages faulted in through the batched path (subset of `reads`).
-    pub batch_reads: u64,
-    /// Physical submissions those pages cost after run coalescing.
-    pub coalesced_runs: u64,
-    /// Pages named in prefetch requests.
-    pub prefetch_issued: u64,
-    /// Demand accesses served by prefetched frames.
-    pub prefetch_hits: u64,
-    /// Runs handed to the async submission layer.
-    pub aio_submitted: u64,
-    /// Runs the async backend finished (successfully or not).
-    pub aio_completed: u64,
-    /// Peak runs simultaneously in flight (a high-water mark, not a
-    /// counter: `since` keeps the later value rather than subtracting).
-    pub aio_in_flight_peak: u64,
-}
-
-impl BatchIoSnapshot {
-    /// Counter movement since an earlier snapshot.
-    pub fn since(&self, earlier: &BatchIoSnapshot) -> BatchIoSnapshot {
-        BatchIoSnapshot {
-            batch_reads: self.batch_reads.saturating_sub(earlier.batch_reads),
-            coalesced_runs: self.coalesced_runs.saturating_sub(earlier.coalesced_runs),
-            prefetch_issued: self.prefetch_issued.saturating_sub(earlier.prefetch_issued),
-            prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-            aio_submitted: self.aio_submitted.saturating_sub(earlier.aio_submitted),
-            aio_completed: self.aio_completed.saturating_sub(earlier.aio_completed),
-            aio_in_flight_peak: self.aio_in_flight_peak,
-        }
-    }
-
-    /// Pages saved per submission: how much the coalescer compressed the
-    /// batched traffic (1.0 = no adjacency found; 0.0 before any batch).
-    pub fn coalescing_factor(&self) -> f64 {
-        if self.batch_reads == 0 {
-            0.0
-        } else {
-            self.batch_reads as f64 / self.coalesced_runs.max(1) as f64
         }
     }
 }

@@ -266,34 +266,6 @@ proptest! {
     }
 }
 
-/// Build a pool over `n` stamped pages, flushed cold with stats reset, so
-/// two pools constructed this way are byte-identical starting points.
-fn stamped_pool(
-    capacity: usize,
-    shards: usize,
-    n: usize,
-) -> (Arc<BufferPool>, Arc<IoStats>, Vec<cor_pagestore::PageId>) {
-    let stats = IoStats::new();
-    let pool = Arc::new(
-        BufferPool::builder()
-            .capacity(capacity)
-            .shards(shards)
-            .stats(Arc::clone(&stats))
-            .build(),
-    );
-    let pids: Vec<_> = (0..n).map(|_| pool.allocate_page().unwrap()).collect();
-    for (i, &pid) in pids.iter().enumerate() {
-        pool.write(pid, |mut p| {
-            p.init();
-            p.set_flags(0xC0DE_0000 | i as u32);
-        })
-        .unwrap();
-    }
-    pool.flush_and_clear().unwrap();
-    stats.reset();
-    (pool, stats, pids)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -343,40 +315,6 @@ proptest! {
         }
         prop_assert_eq!(stats.aio_completed(), runs);
         prop_assert!(stats.aio_in_flight_peak() <= depth.max(1) as u64);
-    }
-
-    /// Arbitrary interleavings of `prefetch` hints and demand reads
-    /// always serve exact page contents, and only prefetches touch the
-    /// batch counters.
-    #[test]
-    fn prefetch_interleavings_deliver_exact_pages(
-        capacity in 32usize..48,
-        shards in 1usize..5,
-        ops in proptest::collection::vec((any::<bool>(), 0usize..24, 1usize..8), 1..40),
-    ) {
-        let (pool, stats, pids) = stamped_pool(capacity, shards, 24);
-        for &(is_prefetch, start, len) in &ops {
-            if is_prefetch {
-                let window: Vec<_> = (start..(start + len).min(24)).map(|i| pids[i]).collect();
-                pool.prefetch(&window).unwrap();
-            } else {
-                let before = stats.batch_snapshot();
-                let got = pool.read(pids[start], |p| p.flags()).unwrap();
-                prop_assert_eq!(got, 0xC0DE_0000 | start as u32);
-                let after = stats.batch_snapshot();
-                prop_assert_eq!(after.batch_reads, before.batch_reads);
-                prop_assert_eq!(after.prefetch_issued, before.prefetch_issued);
-            }
-        }
-        let b = stats.batch_snapshot();
-        prop_assert!(b.prefetch_hits <= b.batch_reads && b.batch_reads <= b.prefetch_issued);
-        prop_assert!(b.coalesced_runs <= b.batch_reads);
-        pool.flush_and_clear().unwrap();
-        // Every page still reads back its exact stamp afterwards.
-        for (i, &pid) in pids.iter().enumerate() {
-            let got = pool.read(pid, |p| p.flags()).unwrap();
-            prop_assert_eq!(got, 0xC0DE_0000 | i as u32);
-        }
     }
 }
 

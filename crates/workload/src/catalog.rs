@@ -29,13 +29,16 @@ use cor_wal::crc::crc32;
 
 /// On-disk layout version this build writes.
 ///
-/// * v1 — the PR 6 layout. The `u64` before `readahead` was the keyed
-///   probe `batch` size, while index probes could be batched. Every
-///   probe is a single lookup now and the word is **reserved**: written
-///   as 1 (what every unbatched store recorded), read and ignored, so a
-///   store created at any batch size reopens and serves the same answers
-///   with the same page counts.
-/// * v2 — appends one `u64` after `readahead`: the pool's async
+/// * v1 — the PR 6 layout. Two of its `u64` option words are now
+///   **reserved**: read and ignored, so a store created at any setting
+///   reopens and serves the same answers with the same page counts.
+///   - Payload offset 31 was the keyed probe `batch` size, while index
+///     probes could be batched. Every probe is a single lookup now; the
+///     word is written as 1 (what every unbatched store recorded).
+///   - Offset 39 was the merge scan's `readahead` window. Every scan
+///     reads page-at-a-time now; the word is written as 0 (off, what
+///     every default store recorded).
+/// * v2 — appends one `u64` at offset 47: the pool's async
 ///   `queue_depth`, while there was an async submission path. The pool
 ///   reads synchronously now and the word is reserved the same way
 ///   (written 1, ignored on read). v1 blobs, which lack the word, are
@@ -82,20 +85,6 @@ fn policy_from_tag(tag: u8) -> Result<ReplacementPolicy, CorError> {
         "store records the retired replacement policy '{retired}'; \
          this build runs only lru and sieve"
     )))
-}
-
-/// Read a `u32` element count, refusing one the rest of the payload could
-/// not hold at `min_bytes` per element — so a stored count never sizes an
-/// allocation the payload does not back.
-fn count(d: &mut Dec<'_>, min_bytes: usize, field: &str) -> Result<usize, CorError> {
-    let n = d.u32()? as usize;
-    if n > d.0.len() / min_bytes {
-        return Err(CorError::Durability(format!(
-            "engine catalog records {n} {field} in a {}-byte payload tail",
-            d.0.len()
-        )));
-    }
-    Ok(n)
 }
 
 /// Which strategy backend the store holds, with its full snapshot.
@@ -145,8 +134,8 @@ impl EngineCatalog {
         });
         e.u64(self.opts.sort_work_mem as u64);
         e.u64(1); // reserved (was `batch`), see ENGINE_CATALOG_VERSION
-        e.u64(self.opts.readahead as u64);
-        e.u64(1); // reserved (v2+)
+        e.u64(0); // reserved (was `readahead`)
+        e.u64(1); // reserved (v2+, was `queue_depth`)
         e.u32(self.free_pages.len() as u32);
         for &pid in &self.free_pages {
             e.u32(pid);
@@ -219,9 +208,9 @@ impl EngineCatalog {
         };
         let sort_work_mem = d.u64()? as usize;
         d.u64()?; // reserved (was `batch`), see ENGINE_CATALOG_VERSION
-        let readahead = d.u64()? as usize;
+        d.u64()?; // reserved (was `readahead`)
         if found >= 2 {
-            d.u64()?; // reserved
+            d.u64()?; // reserved (was `queue_depth`)
         }
         for (field, value) in [("pool_pages", pool_pages), ("shards", shards)] {
             if value == 0 {
@@ -235,7 +224,7 @@ impl EngineCatalog {
                 "engine catalog records pool_pages = {pool_pages} < shards = {shards}"
             )));
         }
-        let n = count(&mut d, 4, "free_pages")?;
+        let n = d.count(4, "free_pages")?;
         let mut free_pages = Vec::with_capacity(n);
         for _ in 0..n {
             free_pages.push(d.u32()?);
@@ -243,7 +232,7 @@ impl EngineCatalog {
         let backend = match d.u8()? {
             0 => SavedBackend::Oid(SavedOidDb::decode(&mut d)?),
             1 => {
-                let n = count(&mut d, 1, "levels")?;
+                let n = d.count(1, "levels")?;
                 let mut levels = Vec::with_capacity(n);
                 for _ in 0..n {
                     levels.push(SavedOidDb::decode(&mut d)?);
@@ -267,7 +256,6 @@ impl EngineCatalog {
                 smart_threshold,
                 join,
                 sort_work_mem,
-                readahead,
             },
             free_pages,
             backend,
@@ -291,7 +279,6 @@ mod tests {
                 smart_threshold: 123,
                 join: JoinChoice::ForceMerge,
                 sort_work_mem: 4096,
-                readahead: 2,
             },
             free_pages: vec![7, 9, 30],
             backend: SavedBackend::Oid(SavedOidDb {
@@ -330,29 +317,35 @@ mod tests {
     }
 
     /// The reserved words — 8 bytes each at payload offsets 31 (once
-    /// `batch`) and 47 (once `queue_depth`), either side of `readahead`
-    /// (after clean_shutdown, pool_pages, shards, policy, smart_threshold,
-    /// join, sort_work_mem) — are ignored, and the second is absent from
-    /// v1 blobs: whatever batch size and depth a store recorded, it
-    /// decodes to the same catalog and re-saves with both words at 1.
+    /// `batch`), 39 (once `readahead`) and 47 (once `queue_depth`), after
+    /// clean_shutdown, pool_pages, shards, policy, smart_threshold, join
+    /// and sort_work_mem — are ignored, and the last is absent from v1
+    /// blobs: whatever batch size, readahead window and depth a store
+    /// recorded, it decodes to the same catalog and re-saves with the
+    /// words at 1, 0 and 1.
     #[test]
     fn the_reserved_words_are_ignored_in_every_version() {
         let cat = sample();
         let v3 = cat.encode();
         assert_eq!(v3[16 + 31..16 + 39], 1u64.to_le_bytes());
+        assert_eq!(v3[16 + 39..16 + 47], 0u64.to_le_bytes());
         assert_eq!(v3[16 + 47..16 + 55], 1u64.to_le_bytes());
         let mut blobs = Vec::new();
         for batch in [1u64, 16] {
-            let mut v1 = v3.clone();
-            v1[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
-            v1.drain(16 + 47..16 + 55);
-            blobs.push(restamp(&v1, 1));
-            for version in [2, 3] {
-                for depth in [1u64, 4] {
-                    let mut blob = v3.clone();
-                    blob[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
-                    blob[16 + 47..16 + 55].copy_from_slice(&depth.to_le_bytes());
-                    blobs.push(restamp(&blob, version));
+            for readahead in [0u64, 32] {
+                let mut v1 = v3.clone();
+                v1[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
+                v1[16 + 39..16 + 47].copy_from_slice(&readahead.to_le_bytes());
+                v1.drain(16 + 47..16 + 55);
+                blobs.push(restamp(&v1, 1));
+                for version in [2, 3] {
+                    for depth in [1u64, 4] {
+                        let mut blob = v3.clone();
+                        blob[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
+                        blob[16 + 39..16 + 47].copy_from_slice(&readahead.to_le_bytes());
+                        blob[16 + 47..16 + 55].copy_from_slice(&depth.to_le_bytes());
+                        blobs.push(restamp(&blob, version));
+                    }
                 }
             }
         }
@@ -424,7 +417,7 @@ mod tests {
     fn unbuildable_settings_and_oversized_counts_are_typed_errors() {
         // Payload offsets: clean_shutdown 0, pool_pages 1, shards 9,
         // policy 13, smart_threshold 14, join 22, sort_work_mem 23,
-        // reserved word 31, readahead 39, reserved word 47, free-page count 55,
+        // reserved words 31, 39 and 47, free-page count 55,
         // three free pages 59, backend tag 71, level count 72.
         let oid = sample().encode();
         let mut levels = sample();

@@ -1092,7 +1092,6 @@ impl Engine {
             self.pool()
                 .telemetry()
                 .map(|shards| (self.pool().policy(), shards)),
-            self.pool().stats().batch_snapshot(),
             self.cache_counters(),
             self.wal.as_ref().map(|w| w.stats()),
         );
@@ -1757,7 +1756,7 @@ mod tests {
             attr: RetAttr::Ret1,
         };
         let opts = ExecOptions {
-            readahead: 4,
+            smart_threshold: 42,
             ..Default::default()
         };
         let builder = || {

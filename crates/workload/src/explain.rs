@@ -18,11 +18,9 @@ use crate::driver::RunResult;
 use crate::engine::Engine;
 use crate::params::Params;
 use complexobj::{CorDatabase, CorError, ExecOptions, Query, Strategy};
-use cor_obs::costmodel::{
-    predict_batch, predict_by_name, BatchPrediction, Geometry, Prediction, Workload,
-};
+use cor_obs::costmodel::{predict_by_name, Geometry, Prediction, Workload};
 use cor_obs::{enable_timing, take_thread_wall, Phase, PhaseSnapshot, PHASE_COUNT};
-use cor_pagestore::{BatchIoSnapshot, IoDelta, PAGE_SIZE};
+use cor_pagestore::{IoDelta, PAGE_SIZE};
 
 /// Measured I/O and wall time for one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,12 +68,6 @@ pub struct ExplainReport {
     /// `(measured − predicted) / predicted`, when a prediction exists
     /// and is nonzero.
     pub rel_error: Option<f64>,
-    /// Measured batched-I/O counters for the sequence — the merge scan's
-    /// readahead prefetches (all zero with `readahead` off, the default).
-    pub batch: BatchIoSnapshot,
-    /// The cost model's merge-scan readahead term, when parameters were
-    /// given (zero-valued with the knob off or no merge join planned).
-    pub predicted_batch: Option<BatchPrediction>,
 }
 
 /// The deterministic fields of one capture line, as returned by
@@ -87,17 +79,6 @@ impl ExplainReport {
     /// Per-phase I/O summed — equals `total` by construction.
     pub fn phase_io_sum(&self) -> u64 {
         self.phases.iter().map(|r| r.io()).sum()
-    }
-
-    /// Whether the run involved batched I/O at all — measured or
-    /// predicted. With readahead off (the default) this is false and both
-    /// the rendered table and the capture line omit the batch section,
-    /// which keeps those captures byte-identical to pre-readahead ones.
-    pub fn batch_active(&self) -> bool {
-        self.batch != BatchIoSnapshot::default()
-            || self
-                .predicted_batch
-                .is_some_and(|b| b != BatchPrediction::default())
     }
 
     /// Render the human-facing breakdown table.
@@ -151,27 +132,6 @@ impl ExplainReport {
             out.push_str(&format!(", rel err {:+.1}%", 100.0 * e));
         }
         out.push('\n');
-        if self.batch_active() {
-            out.push_str(&format!(
-                "batched I/O: {} pages in {} submissions (x{:.2} coalescing), \
-                 prefetch {}/{} hit",
-                self.batch.batch_reads,
-                self.batch.coalesced_runs,
-                self.batch.coalescing_factor().max(1.0),
-                self.batch.prefetch_hits,
-                self.batch.prefetch_issued,
-            ));
-            if let Some(b) = self
-                .predicted_batch
-                .filter(|b| *b != BatchPrediction::default())
-            {
-                out.push_str(&format!(
-                    ", predicted {:.0} pages in {:.0} submissions",
-                    b.batched_pages, b.submissions
-                ));
-            }
-            out.push('\n');
-        }
         out
     }
 
@@ -201,23 +161,6 @@ impl ExplainReport {
         match self.rel_error {
             Some(e) => s.push_str(&format!(",\"rel_error\":{e:.6}")),
             None => s.push_str(",\"rel_error\":null"),
-        }
-        if self.batch_active() {
-            s.push_str(&format!(
-                ",\"batch\":{{\"batch_reads\":{},\"coalesced_runs\":{},\
-                 \"prefetch_issued\":{},\"prefetch_hits\":{}",
-                self.batch.batch_reads,
-                self.batch.coalesced_runs,
-                self.batch.prefetch_issued,
-                self.batch.prefetch_hits,
-            ));
-            match &self.predicted_batch {
-                Some(b) => s.push_str(&format!(
-                    ",\"predicted_pages\":{:.6},\"predicted_submissions\":{:.6}}}",
-                    b.batched_pages, b.submissions
-                )),
-                None => s.push_str(",\"predicted_pages\":null}"),
-            }
         }
         s.push_str(",\"phases\":{");
         for (i, row) in self.phases.iter().enumerate() {
@@ -336,7 +279,6 @@ impl Engine {
         // A consistent cut: another stream incrementing between this
         // snapshot's fields would otherwise skew the attribution window.
         let io_before = stats.snapshot_consistent();
-        let batch_before = stats.batch_snapshot();
         enable_timing(true);
         take_thread_wall(); // discard anything accrued before the run
         let t0 = std::time::Instant::now();
@@ -346,7 +288,6 @@ impl Engine {
         enable_timing(false);
         let snap: PhaseSnapshot = profile.snapshot().since(&before);
         let total = stats.snapshot_consistent().since(&io_before);
-        let batch = stats.batch_snapshot().since(&batch_before);
 
         let phases: Vec<PhaseRow> = Phase::ALL
             .iter()
@@ -369,21 +310,14 @@ impl Engine {
         } else {
             0.0
         };
-        let (predicted, predicted_batch) = match params {
-            Some(p) => {
-                let w = workload_from_params(p, self.options());
-                let g = match self.database() {
-                    Ok(db) => measure_geometry(db, &w),
-                    Err(_) => Geometry::estimate(&w),
-                };
-                let name = strategy.to_string();
-                (
-                    predict_by_name(&name, &w, &g),
-                    predict_batch(&name, &w, &g, self.options().readahead as f64),
-                )
-            }
-            None => (None, None),
-        };
+        let predicted = params.and_then(|p| {
+            let w = workload_from_params(p, self.options());
+            let g = match self.database() {
+                Ok(db) => measure_geometry(db, &w),
+                Err(_) => Geometry::estimate(&w),
+            };
+            predict_by_name(&strategy.to_string(), &w, &g)
+        });
         let rel_error = predicted.and_then(|p| {
             (p.total() > 0.0 && retrieves > 0).then(|| (avg_retrieve_io - p.total()) / p.total())
         });
@@ -399,8 +333,6 @@ impl Engine {
             avg_retrieve_io,
             predicted,
             rel_error,
-            batch,
-            predicted_batch,
         })
     }
 }
@@ -523,55 +455,6 @@ mod tests {
         }
         let text = report.render();
         assert!(text.contains("avg I/O per retrieve"), "{text}");
-    }
-
-    #[test]
-    fn batch_section_appears_only_when_readahead_is_on() {
-        let p = tiny();
-        let generated = generate(&p);
-        let sequence = generate_sequence(&p);
-
-        // Default knob: no batch counters move, no prediction is
-        // non-zero, and the capture line carries no batch section at all
-        // — the byte-compatibility contract for old captures.
-        let engine = Engine::builder()
-            .build_workload(&p, &generated, Strategy::Bfs)
-            .unwrap();
-        let plain = engine.explain(Strategy::Bfs, &sequence, Some(&p)).unwrap();
-        assert!(!plain.batch_active());
-        assert_eq!(plain.batch, BatchIoSnapshot::default());
-        assert_eq!(plain.predicted_batch, Some(BatchPrediction::default()));
-        let line = plain.to_jsonl();
-        assert!(!line.contains("\"batch\""), "{line}");
-        assert!(!plain.render().contains("batched I/O"), "no batch row");
-
-        // Readahead on: the counters move, the model predicts a non-zero
-        // term, and both renderings carry the section. The knob does not
-        // change what is returned.
-        let opts = complexobj::ExecOptions {
-            readahead: 4,
-            ..Default::default()
-        };
-        let engine = Engine::builder()
-            .build_workload(&p, &generated, Strategy::Bfs)
-            .unwrap()
-            .with_options(opts);
-        let batched = engine.explain(Strategy::Bfs, &sequence, Some(&p)).unwrap();
-        assert!(batched.batch_active());
-        assert!(batched.batch != BatchIoSnapshot::default());
-        let pb = batched.predicted_batch.expect("params given");
-        assert!(pb.batched_pages > 0.0 && pb.submissions > 0.0, "{pb:?}");
-        assert_eq!(batched.values_returned, plain.values_returned);
-        let line = batched.to_jsonl();
-        assert!(line.contains("\"batch\":{\"batch_reads\":"), "{line}");
-        assert!(line.contains("\"predicted_submissions\":"), "{line}");
-        // The replay parser still finds every deterministic field.
-        let (strat, reads, _, per_phase) =
-            ExplainReport::parse_replay_line(&line).expect("parses with batch section");
-        assert_eq!(strat, "BFS");
-        assert_eq!(reads, batched.total.reads);
-        assert_eq!(per_phase.len(), PHASE_COUNT);
-        assert!(batched.render().contains("batched I/O"), "batch row shown");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use complexobj::{CacheCounters, Strategy};
 use cor_obs::{labels, Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span, TraceRing};
-use cor_pagestore::{BatchIoSnapshot, IoDelta, ReplacementPolicy, ShardTelemetrySnapshot};
+use cor_pagestore::{IoDelta, ReplacementPolicy, ShardTelemetrySnapshot};
 use cor_wal::WalStatsSnapshot;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,10 +37,6 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "cor_query_latency_ns",
     "cor_query_io_pages",
     "cor_trace_spans_dropped_total",
-    "cor_io_batch_reads_total",
-    "cor_io_coalesced_runs_total",
-    "cor_prefetch_issued_total",
-    "cor_prefetch_hits_total",
 ];
 
 /// Span `op` codes pushed by the engine (the [`Span::op`] field).
@@ -310,54 +306,15 @@ impl MetricsReport {
     }
 }
 
-/// Fold engine metrics, pool telemetry, batched-I/O counters, cache
-/// counters, and WAL counters into one report.
-///
-/// `io` is the pool's cumulative [`BatchIoSnapshot`]; its four batching
-/// families are always exported (all-zero on a pool that never
-/// batched), so both exporters and the `corstat` smoke gate see them
-/// unconditionally.
+/// Fold engine metrics, pool telemetry, cache counters, and WAL
+/// counters into one report.
 pub fn build_report(
     metrics: &EngineMetrics,
     pool: Option<(ReplacementPolicy, Vec<ShardTelemetrySnapshot>)>,
-    io: BatchIoSnapshot,
     cache: Option<CacheCounters>,
     wal: Option<WalStatsSnapshot>,
 ) -> MetricsReport {
     let mut snapshot = metrics.snapshot();
-    {
-        let lbls = labels(&[]);
-        snapshot.push_counter(
-            "cor_io_batch_reads_total",
-            "pages transferred through batched multi-page reads",
-            lbls.clone(),
-            io.batch_reads,
-        );
-        snapshot.push_counter(
-            "cor_io_coalesced_runs_total",
-            "physical submissions the batched pages collapsed into",
-            lbls.clone(),
-            io.coalesced_runs,
-        );
-        snapshot.push_counter(
-            "cor_prefetch_issued_total",
-            "pages named by readahead/prefetch hints",
-            lbls.clone(),
-            io.prefetch_issued,
-        );
-        snapshot.push_counter(
-            "cor_prefetch_hits_total",
-            "demand accesses served by a prefetch-loaded frame",
-            lbls.clone(),
-            io.prefetch_hits,
-        );
-        snapshot.push_gauge(
-            "cor_io_coalescing_factor",
-            "batched pages per physical submission",
-            lbls,
-            io.coalescing_factor(),
-        );
-    }
     if let Some((policy, shards)) = &pool {
         // Info-style metric: the constant value 1 carries the active
         // replacement policy in its label, the Prometheus idiom for
@@ -526,7 +483,7 @@ mod tests {
     #[test]
     fn reports_stamp_schema_and_catalog_versions() {
         let m = EngineMetrics::new();
-        let report = build_report(&m, None, BatchIoSnapshot::default(), None, None);
+        let report = build_report(&m, None, None, None);
         let meta = format!(
             "schema_version={} catalog_version={}",
             METRICS_SCHEMA_VERSION,
@@ -571,7 +528,7 @@ mod tests {
             },
             Duration::from_micros(3),
         );
-        let report = build_report(&m, None, BatchIoSnapshot::default(), None, None);
+        let report = build_report(&m, None, None, None);
         report.validate().expect("complete report");
         let totals = report.snapshot.family("cor_query_total").unwrap();
         // 6 strategies x {retrieve, sequence} + update.
@@ -595,7 +552,7 @@ mod tests {
         }
         assert_eq!(m.spans_pushed(), 5);
         assert_eq!(m.spans_dropped(), 3, "ring of 2 overwrote 3 spans");
-        let report = build_report(&m, None, BatchIoSnapshot::default(), None, None);
+        let report = build_report(&m, None, None, None);
         report.validate().expect("complete report");
         assert_eq!(report.spans_dropped, 3);
         assert_eq!(report.spans.len(), 2);
@@ -646,7 +603,6 @@ mod tests {
         let report = build_report(
             &m,
             Some((ReplacementPolicy::Sieve, pool)),
-            BatchIoSnapshot::default(),
             Some(cache),
             None,
         );

@@ -20,7 +20,10 @@ use cor_workload::{
     Params, ENGINE_BLOB,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
+use proptest::strategy::Strategy as _;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
 
 /// Strategy used to drive each backend's workload and probes.
 const KINDS: [(usize, Strategy); 4] = [
@@ -254,9 +257,9 @@ fn unhex(chunks: &[&str]) -> Vec<u8> {
 /// pool_pages (8), shards (4).
 const POLICY_BYTE: usize = 16 + 13;
 
-/// Offsets of the two reserved words — the keyed-probe batch size and the
-/// async queue depth of earlier builds — and of `readahead` between them:
-/// 16 header bytes, then payload offsets 31, 39 and 47.
+/// Offsets of the three reserved words — the keyed-probe batch size, the
+/// merge-scan `readahead` window and the async queue depth of earlier
+/// builds: 16 header bytes, then payload offsets 31, 39 and 47.
 const BATCH_WORD: usize = 16 + 31;
 const READAHEAD_WORD: usize = 16 + 39;
 const DEPTH_WORD: usize = 16 + 47;
@@ -273,8 +276,9 @@ fn with_word(blob: &[u8], at: usize, word: u64) -> Vec<u8> {
 /// Stores written by earlier builds still open: the old builds' blobs
 /// decode to the pool settings they recorded and re-encode to themselves,
 /// this build writes the same bytes for the same store (so the format did
-/// not move when the policy set shrank, nor when the queue-depth and
-/// batch words became reserved), and that store reopens with its policy.
+/// not move when the policy set shrank, nor when the queue-depth, batch
+/// and readahead words became reserved), and that store reopens with its
+/// policy.
 #[test]
 fn stores_from_earlier_builds_still_open() {
     for (policy, tag, chunks) in [
@@ -335,12 +339,12 @@ fn serve(engine: &Engine, strategy: Strategy, sequence: &[Query]) -> Vec<(Vec<i6
     served
 }
 
-/// A store created at batch 16 and async queue depth 4 by earlier builds
-/// opens and serves exactly like a batch-1, depth-1 store: the captured
-/// blobs differ from the plain one in those words (and `readahead`) alone
-/// and re-save with both words at 1, and a reopened engine whose catalog
-/// carries them returns the oracle's values for the same reads and
-/// writes as one whose catalog never did, query by query, readahead on.
+/// A store created at batch 16, readahead 32 and async queue depth 4 by
+/// earlier builds opens and serves exactly like a plain store: the
+/// captured blobs differ from the plain one in those words alone and
+/// re-save with them at 1, 0 and 1, and a reopened engine whose catalog
+/// carries them returns the oracle's values for the same reads and writes
+/// as one whose catalog never did, query by query.
 #[test]
 fn a_store_created_at_batch_16_and_depth_4_serves_like_a_plain_store() {
     let plain = unhex(PARENT_LRU_BLOB);
@@ -353,34 +357,30 @@ fn a_store_created_at_batch_16_and_depth_4_serves_like_a_plain_store() {
     let ahead32 = with_word(&plain, READAHEAD_WORD, 32);
     assert_eq!(with_word(&ahead32, BATCH_WORD, 16), batch16);
     let decoded = EngineCatalog::decode(&batch16).expect("batch-16 blob decodes");
-    assert_eq!(decoded.opts.readahead, 32, "readahead survives");
+    assert_eq!(decoded.opts, ExecOptions::default());
     assert_eq!(
-        decoded.opts,
-        ExecOptions {
-            readahead: 32,
-            ..ExecOptions::default()
-        }
+        decoded.encode(),
+        plain,
+        "re-saved with the words at 1 and 0"
     );
-    assert_eq!(decoded.encode(), ahead32, "re-saved with the word at 1");
 
     // The captured blob, put back on the store it was captured from.
     let (disk, store) = (Arc::new(MemDisk::new()), Arc::new(MemLogStore::new()));
     let tiny = EngineSpec::Standard(DatabaseSpec::tiny());
     Engine::builder()
         .pool_pages(16)
-        .exec_options(decoded.opts)
         .create_on(disk.clone(), store.clone(), &tiny)
         .expect("create")
         .close()
         .expect("close");
     let (boot, cat) = boot_catalog(&disk);
     let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
-    assert_eq!(blob, ahead32, "this build writes the batch word as 1");
+    assert_eq!(blob, plain, "this build writes the plain words");
     cat.save_blob(ENGINE_BLOB, &batch16).expect("re-save");
     boot.flush_all().expect("flush");
     drop((cat, boot));
     let reopened = Engine::builder().open_on(disk, store).expect("reopen");
-    assert_eq!(reopened.options(), &decoded.opts);
+    assert_eq!(reopened.options(), &ExecOptions::default());
     let oracle = Engine::builder()
         .pool_pages(16)
         .build(&tiny)
@@ -409,33 +409,31 @@ fn a_store_created_at_batch_16_and_depth_4_serves_like_a_plain_store() {
     };
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
-    let opts = ExecOptions {
-        readahead: 32,
-        ..ExecOptions::default()
-    };
     for strategy in [Strategy::Bfs, Strategy::DfsClust, Strategy::DfsCache] {
         let spec = EngineSpec::for_strategy(&p, &generated, strategy);
-        let reopened_with = |batch: u64, depth: u64| {
+        let reopened_with = |batch: u64, readahead: u64, depth: u64| {
             let Rig {
                 disk,
                 store,
                 engine,
             } = create_rig(&spec, &p);
-            engine.with_options(opts).close().expect("close");
+            engine.close().expect("close");
             // What the earlier builds would have left there.
             let (boot, cat) = boot_catalog(&disk);
             let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
-            let blob = with_word(&with_word(&blob, BATCH_WORD, batch), DEPTH_WORD, depth);
+            let blob = with_word(&blob, BATCH_WORD, batch);
+            let blob = with_word(&blob, READAHEAD_WORD, readahead);
+            let blob = with_word(&blob, DEPTH_WORD, depth);
             cat.save_blob(ENGINE_BLOB, &blob).expect("re-save");
             boot.flush_all().expect("flush");
             drop((cat, boot));
 
             let engine = Engine::builder().open_on(disk, store).expect("reopen");
-            assert_eq!(engine.options(), &opts);
+            assert_eq!(engine.options(), &ExecOptions::default());
             serve(&engine, strategy, &sequence)
         };
-        let old = reopened_with(16, 4);
-        assert_eq!(old, reopened_with(1, 1), "{strategy}");
+        let old = reopened_with(16, 32, 4);
+        assert_eq!(old, reopened_with(1, 0, 1), "{strategy}");
 
         let oracle = Engine::builder()
             .pool_pages(p.buffer_pages)
@@ -510,4 +508,227 @@ fn a_page_zero_with_a_retired_typed_record_still_opens() {
         holds_typed(reopened.pool()),
         "open dropped a foreign record"
     );
+}
+
+/// Tracks the largest single allocation the current thread has asked for,
+/// so the decoder tests can check that no stored length sizes an
+/// allocation the blob cannot back.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged. The thread-local
+// has a const initializer and no destructor, so noting a size never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// Heap bytes a decode may ask for in one allocation per byte of blob. A
+/// decoded element costs at most a few hundred bytes in memory and at
+/// least one byte of blob, so any honest decode fits; a count the blob
+/// cannot back asks for gigabytes.
+const ALLOC_PER_BLOB_BYTE: usize = 512;
+
+/// Decode `blob` as outside input: it must come back `Ok` or as a typed
+/// `CorError` (a panic fails the test), without any single allocation
+/// larger than the blob can justify. An accepted blob re-encodes to a
+/// canonical blob that decodes to itself.
+fn decode_as_outside_input(blob: &[u8]) {
+    LARGEST.with(|l| l.set(0));
+    let decoded = EngineCatalog::decode(blob);
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= ALLOC_PER_BLOB_BYTE * blob.len().max(64),
+        "a {}-byte blob asked for a {largest}-byte allocation",
+        blob.len()
+    );
+    if let Ok(cat) = decoded {
+        let canonical = cat.encode();
+        let again = EngineCatalog::decode(&canonical).expect("a re-encoded catalog decodes");
+        assert_eq!(again.encode(), canonical);
+    }
+}
+
+/// `payload` framed as a catalog blob of `version`: magic, version, CRC.
+fn frame(payload: &[u8], version: u32) -> Vec<u8> {
+    let mut out = b"CORENGIN".to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&cor_wal::crc::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Valid blobs of every layout version: the captured v3 blobs, plus one
+/// per backend (with checkpointed cache directories) from this build,
+/// each also restamped as v2 and cut down to v1.
+fn valid_blobs() -> &'static [Vec<u8>] {
+    static BLOBS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    BLOBS.get_or_init(|| {
+        let mut v3: Vec<Vec<u8>> = [
+            PARENT_LRU_BLOB,
+            PARENT_SIEVE_BLOB,
+            PARENT_LRU_DEPTH4_BLOB,
+            PARENT_LRU_BATCH16_BLOB,
+        ]
+        .into_iter()
+        .map(unhex)
+        .collect();
+        let p = Params {
+            parent_card: 40,
+            num_top: 4,
+            sequence_len: 12,
+            buffer_pages: 12,
+            size_cache: 6,
+            pr_update: 0.3,
+            ..Params::paper_default()
+        };
+        let generated = generate(&p);
+        let sequence = generate_sequence(&p);
+        for (kind, strategy) in KINDS {
+            let rig = create_rig(&spec_for(kind, &p, &generated), &p);
+            run_ops(&rig.engine, &sequence, strategy, 4);
+            let cat = Catalog::open(Arc::clone(rig.engine.pool())).expect("access catalog");
+            v3.push(cat.get_blob(ENGINE_BLOB).expect("engine blob"));
+        }
+        let mut all = Vec::new();
+        for blob in v3 {
+            let payload = &blob[16..];
+            let mut v1 = payload.to_vec();
+            v1.drain(47..55);
+            all.push(frame(&v1, 1));
+            all.push(frame(payload, 2));
+            all.push(blob);
+        }
+        for blob in &all {
+            EngineCatalog::decode(blob).expect("every seed blob is valid");
+        }
+        all
+    })
+}
+
+/// One mutation of a valid blob: a byte, or a little-endian `u32`/`u64`
+/// word, written at a position (clipped to the blob).
+#[derive(Debug, Clone)]
+enum Mutation {
+    Byte(u8),
+    Word32(u32),
+    Word64(u64),
+}
+
+fn mutation() -> impl proptest::strategy::Strategy<Value = Mutation> {
+    let word = || {
+        prop_oneof![
+            Just(0u64),
+            Just(1),
+            Just(u32::MAX as u64),
+            Just(u64::MAX),
+            any::<u64>()
+        ]
+    };
+    prop_oneof![
+        any::<u8>().prop_map(Mutation::Byte),
+        word().prop_map(|w| Mutation::Word32(w as u32)),
+        word().prop_map(Mutation::Word64),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 1024,
+        ..ProptestConfig::default()
+    })]
+
+    /// Arbitrary bytes, bare or framed under a valid header and CRC so
+    /// they reach the payload decoder, never panic the catalog decoder.
+    #[test]
+    fn catalog_decode_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        framed in any::<bool>(),
+        version in 1u32..4,
+    ) {
+        let blob = if framed { frame(&bytes, version) } else { bytes };
+        decode_as_outside_input(&blob);
+    }
+
+    /// Single-byte and word-sized mutations of valid v1/v2/v3 blobs —
+    /// re-CRC'd or not — never panic the catalog decoder.
+    #[test]
+    fn catalog_decode_survives_mutated_blobs(
+        which in any::<usize>(),
+        at in any::<usize>(),
+        change in mutation(),
+        recrc in any::<bool>(),
+    ) {
+        let seeds = valid_blobs();
+        let mut blob = seeds[which % seeds.len()].clone();
+        let bytes = match change {
+            Mutation::Byte(b) => vec![b],
+            Mutation::Word32(w) => w.to_le_bytes().to_vec(),
+            Mutation::Word64(w) => w.to_le_bytes().to_vec(),
+        };
+        let at = at % (blob.len() - bytes.len() + 1);
+        blob[at..at + bytes.len()].copy_from_slice(&bytes);
+        if recrc {
+            let crc = cor_wal::crc::crc32(&blob[16..]);
+            blob[12..16].copy_from_slice(&crc.to_le_bytes());
+        }
+        decode_as_outside_input(&blob);
+    }
+}
+
+/// At every byte of each distinct valid blob, in the v1 and v3 layouts,
+/// the boundary values and the near neighbours of the byte there — with
+/// the payload CRC fixed up so the change reaches the decoder: each
+/// decodes or fails typed, within the allocation bound. (A column-name
+/// byte changed into a neighbour that repeated a name used to panic in
+/// `Schema::new`.)
+#[test]
+fn every_single_byte_change_of_a_valid_blob_decodes_or_fails_typed() {
+    // `valid_blobs` holds (v1, v2, v3) triples; v2 differs from v3 only in
+    // the header, which the v3 sweep covers. The first three captured
+    // triples differ from the fourth only in option words.
+    for triple in valid_blobs().chunks(3).skip(3) {
+        for seed in [&triple[0], &triple[2]] {
+            for at in 0..seed.len() {
+                let v = seed[at];
+                let near = [1, 2, 3].map(|d| [v.wrapping_add(d), v.wrapping_sub(d)]);
+                for b in [0, 1, 0x7F, 0x80, 0xFF]
+                    .into_iter()
+                    .chain(near.into_iter().flatten())
+                {
+                    let mut blob = seed.clone();
+                    blob[at] = b;
+                    if at >= 16 {
+                        let crc = cor_wal::crc::crc32(&blob[16..]);
+                        blob[12..16].copy_from_slice(&crc.to_le_bytes());
+                    }
+                    decode_as_outside_input(&blob);
+                }
+            }
+        }
+    }
 }

@@ -48,9 +48,6 @@ cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers; BFS leg crashes under a live temporary)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
 
-echo "==> iobench smoke (readahead gate: BFS merge scan on vs off — knob-off identity, same checksums, same reads, every prefetch demanded)"
-cargo run -q --release -p cor-bench --bin iobench -- --smoke --json $out/iobench.json
-
 echo "==> corperf smoke (determinism + exact-I/O gate against results/corperf/baseline.json)"
 cargo run -q --release -p cor-bench --bin corperf -- --smoke
 

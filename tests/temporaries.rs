@@ -132,7 +132,6 @@ fn temporaries_never_reach_the_log() {
                     smart_threshold: 1,
                     join,
                     sort_work_mem,
-                    ..ExecOptions::default()
                 };
                 let before = wal.stats();
                 let mut got =
