@@ -10,8 +10,8 @@
 //!    {policy × pool size} cell reports the hot-set hit ratio, the
 //!    overall hit ratio, and its measured miss count next to the
 //!    [`predict_policy_misses`] closed form with the relative error —
-//!    the measured-vs-predicted bend points of the cost model's
-//!    per-policy term.
+//!    the measured-vs-predicted bend points of this bench's own
+//!    per-policy miss model.
 //! 2. **Engine legs** run the index-bound strategies (BFS, DFSCLUST,
 //!    DFSCACHE) over the same generated database for every
 //!    {policy × pool size × thread count} cell, reporting throughput,
@@ -45,9 +45,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+use complexobj::cost::cold_fraction;
 use complexobj::{Query, Strategy};
 use cor_bench::{write_report, BenchConfig, JsonObj};
-use cor_obs::costmodel::{policy_miss_rel_error, predict_policy_misses, FloodWorkload};
 use cor_obs::{heat, HeatClass, Phase, PAGE_CLASS_INTERNAL, PAGE_CLASS_LEAF};
 use cor_pagestore::{BufferPool, PageId, ReplacementPolicy};
 use cor_workload::{
@@ -66,6 +66,65 @@ const POOL_SIZES: [usize; 4] = [25, 50, 100, 200];
 const GATE_POOL: usize = 100;
 /// Retention gates require this multiple of LRU's ratio.
 const GATE_FACTOR: f64 = 1.2;
+
+/// The flood legs' shape: a `hot_pages` re-referenced set (the B-tree
+/// inner nodes a query sequence keeps descending through) interleaved
+/// with `scan_pages` of one-touch flood per round (a BFS merge pass or
+/// DFSCLUST cluster scan), repeated `rounds` times against a
+/// `buffer_pages` pool. Where the miss curve bends as the pool grows
+/// depends on the replacement policy, not just the pool size — which the
+/// cost model's Cardenas-Yao terms cannot express.
+struct FloodWorkload {
+    /// Pages re-referenced every round (the hot set).
+    hot_pages: f64,
+    /// One-touch pages scanned per round (the flood).
+    scan_pages: f64,
+    /// Rounds of (hot probes + scan).
+    rounds: f64,
+    /// Pool capacity in pages.
+    buffer_pages: f64,
+}
+
+/// Expected buffer misses for one replacement policy over a
+/// [`FloodWorkload`].
+///
+/// Closed forms, with `H` hot, `S` scan, `B` buffer and `R` rounds —
+/// both policies pay the `H + S` compulsory first-round faults, and they
+/// differ only in the per-round *re*-miss term:
+///
+/// * **LRU** cannot tell a one-touch scan page from a hot page: once the
+///   round's churn `H + S` overflows the pool, the flood evicts
+///   everything and every re-reference misses. The re-miss fraction
+///   interpolates through [`cold_fraction`] — 0 while `H + S ≤ B`, 1
+///   from `2B` up — so the predicted curve bends only at `B ≈ H + S`.
+/// * **SIEVE** retains the hot set in all but the one frame under its
+///   hand, so hot pages re-miss only past *that* bend (`B ≈ H`), while
+///   the one-touch scan pages re-miss every round whenever the round
+///   does not fit the pool outright.
+fn predict_policy_misses(policy: ReplacementPolicy, w: &FloodWorkload) -> f64 {
+    let (h, s, b) = (w.hot_pages, w.scan_pages, w.buffer_pages);
+    let repeats = (w.rounds - 1.0).max(0.0);
+    let compulsory = h + s;
+    match policy {
+        ReplacementPolicy::Lru => {
+            // One shared region: re-misses are all-or-nothing in the
+            // round churn, smoothed exactly like the index-descent term.
+            let f = cold_fraction(h + s, 0.0, b);
+            compulsory + repeats * f * (h + s)
+        }
+        ReplacementPolicy::Sieve => {
+            let hot_re = h - h.min((b - 1.0).max(0.0));
+            let scan_re = if h + s <= b { 0.0 } else { s };
+            compulsory + repeats * (hot_re + scan_re)
+        }
+    }
+}
+
+/// Relative error of a measured miss count against the model,
+/// `|measured − predicted| / max(predicted, 1)`.
+fn policy_miss_rel_error(measured: f64, predicted: f64) -> f64 {
+    (measured - predicted).abs() / predicted.max(1.0)
+}
 
 /// One flood-leg measurement.
 struct FloodLeg {
@@ -180,7 +239,7 @@ fn run_flood_leg(policy: ReplacementPolicy, pool_pages: usize) -> FloodLeg {
         hits: h1 - h0,
         misses: m1 - m0,
         evictions: e1 - e0,
-        predicted_misses: predict_policy_misses(policy.name(), &w).expect("known policy"),
+        predicted_misses: predict_policy_misses(policy, &w),
         elapsed_us,
     }
 }
@@ -793,5 +852,62 @@ fn main() {
             eprintln!("poolbench FAIL: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policy_term_sieve_bends_earlier() {
+        // The gate operating point: 100-page pool, hot set that fits,
+        // per-round flood that does not.
+        let w = FloodWorkload {
+            hot_pages: 60.0,
+            scan_pages: 300.0,
+            rounds: 10.0,
+            buffer_pages: 100.0,
+        };
+        let lru = predict_policy_misses(ReplacementPolicy::Lru, &w);
+        let sieve = predict_policy_misses(ReplacementPolicy::Sieve, &w);
+        // LRU re-faults the whole round, every round.
+        assert_eq!(lru, 360.0 + 9.0 * 360.0);
+        // SIEVE keeps the hot set: only the flood re-misses.
+        assert_eq!(sieve, 360.0 + 9.0 * 300.0);
+        assert!(sieve < lru);
+    }
+
+    #[test]
+    fn policy_term_collapses_when_the_round_fits_the_pool() {
+        // Below every bend point both policies predict compulsory
+        // misses only — the curves are indistinguishable there.
+        let w = FloodWorkload {
+            hot_pages: 20.0,
+            scan_pages: 30.0,
+            rounds: 8.0,
+            buffer_pages: 200.0,
+        };
+        for policy in ReplacementPolicy::ALL {
+            assert_eq!(predict_policy_misses(policy, &w), 50.0, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn policy_term_degrades_past_the_protected_capacity() {
+        // Hot set bigger than SIEVE's protected B - 1 frames: the
+        // overflow re-misses each round, still well under LRU.
+        let w = FloodWorkload {
+            hot_pages: 110.0,
+            scan_pages: 300.0,
+            rounds: 10.0,
+            buffer_pages: 100.0,
+        };
+        let sieve = predict_policy_misses(ReplacementPolicy::Sieve, &w);
+        assert_eq!(sieve, 410.0 + 9.0 * (11.0 + 300.0));
+        assert!(sieve < predict_policy_misses(ReplacementPolicy::Lru, &w));
+        // Rel-error helper: exact match is zero, floor guards division.
+        assert_eq!(policy_miss_rel_error(sieve, sieve), 0.0);
+        assert_eq!(policy_miss_rel_error(3.0, 0.0), 3.0);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Benchmark harness: one binary per figure/table of the paper's
 //! evaluation (see DESIGN.md's experiment index) plus the gate binaries
-//! `scripts/check.sh` runs (corstat, explain, crashtest, corperf,
-//! poolbench). Wall-time claims are judged by `benchmark/` at the repo
-//! root, not here.
+//! `scripts/check.sh` runs (corstat, explain, crashtest, poolbench).
+//! Wall-time claims are judged by `benchmark/` at the repo root, not
+//! here.
 //!
 //! Every binary accepts:
 //!

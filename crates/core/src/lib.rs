@@ -18,7 +18,9 @@
 //!   ([`cache`], [`ilock`]);
 //! * the six query-processing strategies — DFS, BFS, BFSNODUP, DFSCACHE,
 //!   DFSCLUST and SMART ([`strategies`]);
-//! * query/update types with ParCost/ChildCost accounting ([`query`]).
+//! * query/update types with ParCost/ChildCost accounting ([`query`]);
+//! * the cost model: the strategies' plan rules and the paper's
+//!   expected-I/O formulas ([`cost`]).
 //!
 //! ```
 //! use complexobj::database::{CorDatabase, DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
@@ -55,6 +57,7 @@
 
 pub mod cache;
 pub mod cluster;
+pub mod cost;
 pub mod database;
 pub mod ilock;
 pub mod matrix;

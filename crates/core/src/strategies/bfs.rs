@@ -9,10 +9,11 @@
 //! costs here: the temporary is a [`HeapFile::temp`] — never write-ahead
 //! logged, and its pages go back on the free list when the query ends.
 //!
-//! The join is chosen by cost: iterative substitution (index probes) when
-//! the temporary is small, merge join (sort the temporary, then co-scan
-//! the OID-ordered ChildRel leaves in place) when it is large. "Whenever
-//! we talk of a competitive BFS strategy, we imply a merge-join."
+//! The join is chosen by cost ([`cost::bfs_join_plan`]): iterative
+//! substitution (index probes) when the temporary is small, merge join
+//! (sort the temporary, then co-scan the OID-ordered ChildRel leaves in
+//! place) when it is large. "Whenever we talk of a competitive BFS
+//! strategy, we imply a merge-join."
 //!
 //! With `dedup` (BFSNODUP) duplicates are eliminated while sorting the
 //! temporary; with sharing (`ShareFactor > 1`) this shrinks the join input
@@ -20,12 +21,12 @@
 //! returned once instead of once per referencing object.
 
 use super::{ExecOptions, JoinChoice};
+use crate::cost::{self, JoinPlan};
 use crate::database::CorDatabase;
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput};
 use crate::CorError;
 use cor_access::{external_sort, BTreeFile, HeapFile};
 use cor_obs::{Phase, PhaseGuard};
-use cor_pagestore::PAGE_SIZE;
 use cor_relational::{Oid, RelId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -97,8 +98,13 @@ pub(crate) fn join_fetch(
         JoinChoice::ForceMerge => true,
         JoinChoice::ForceIterative => false,
         JoinChoice::Auto => {
-            estimate_merge_cost(oids.len(), temp.num_pages(), tree, opts)
-                < estimate_iterative_cost(oids.len(), tree)
+            cost::bfs_join_plan(
+                oids.len() as u64,
+                temp.num_pages().into(),
+                tree.height().into(),
+                tree.leaf_pages().into(),
+                opts.sort_work_mem as u64,
+            ) == JoinPlan::Merge
         }
     };
 
@@ -158,43 +164,4 @@ fn probe_one(
         .ok_or_else(|| CorError::DanglingOid(Oid::from_key_bytes(key).expect("oid key")))?;
     values.push(v);
     Ok(())
-}
-
-/// Estimated I/O of joining `n` collected OIDs against ChildRel `rel`
-/// under the better of the two plans (used by SMART to decide whether
-/// exploiting the cache pays at all).
-pub(crate) fn estimate_join_cost(
-    db: &CorDatabase,
-    rel: RelId,
-    n: usize,
-    opts: &ExecOptions,
-) -> Result<u64, CorError> {
-    if n == 0 {
-        return Ok(0);
-    }
-    let tree = db.child_tree(rel)?;
-    let temp_pages = ((n * cor_relational::OID_BYTES) / PAGE_SIZE + 1) as u32;
-    Ok(
-        estimate_iterative_cost(n, tree).min(estimate_merge_cost(n, temp_pages, tree, opts))
-            + temp_pages as u64,
-    )
-}
-
-/// Estimated I/O for iterative substitution: the first probe pays a full
-/// root-to-leaf descent; later probes find the internal pages resident and
-/// pay about one leaf read each (random OIDs rarely share leaves).
-fn estimate_iterative_cost(n: usize, tree: &BTreeFile) -> u64 {
-    tree.height() as u64 + n.saturating_sub(1) as u64
-}
-
-/// Estimated I/O for the merge join: scan every ChildRel leaf, plus spill
-/// I/O if the temporary exceeds sort work memory.
-fn estimate_merge_cost(n: usize, temp_pages: u32, tree: &BTreeFile, opts: &ExecOptions) -> u64 {
-    let sort_bytes = n * (cor_relational::OID_BYTES + 16);
-    let spill = if sort_bytes <= opts.sort_work_mem {
-        0
-    } else {
-        2 * (sort_bytes / PAGE_SIZE) as u64 // write runs + read runs
-    };
-    tree.leaf_pages() as u64 + temp_pages as u64 + spill
 }

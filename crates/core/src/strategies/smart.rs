@@ -15,16 +15,19 @@
 //! (a merge join scans every ChildRel leaf regardless, so pulling cached
 //! units one page at a time on top of it is wasted I/O). The arm therefore
 //! estimates both plans — read cached units + join the rest, vs. join
-//! everything — and takes the cheaper, which is what "make the best use of
-//! caching" demands. The cache presence check is a free in-memory
-//! directory lookup either way, so the decision itself costs nothing.
+//! everything — and takes the cheaper ([`cost::smart_uses_cache`]), which
+//! is what "make the best use of caching" demands. The cache presence
+//! check is a free in-memory directory lookup either way, so the decision
+//! itself costs nothing.
 
-use super::{bfs::estimate_join_cost, bfs::join_fetch, dfs_cache, ExecOptions};
+use super::{bfs::join_fetch, dfs_cache, ExecOptions};
+use crate::cost;
 use crate::database::CorDatabase;
 use crate::query::{extract_ret, RetrieveQuery, StrategyOutput};
 use crate::unit::hashkey_of;
 use crate::CorError;
-use cor_relational::{Oid, RelId};
+use cor_pagestore::PAGE_SIZE;
+use cor_relational::{Oid, RelId, OID_BYTES};
 use std::collections::{BTreeMap, HashSet};
 
 /// Run a retrieve under the SMART hybrid.
@@ -69,18 +72,29 @@ pub fn smart(
         }
     }
 
-    // Plan choice: reading a cached unit costs about one page; exploiting
-    // the cache wins only when that beats letting the join fetch those
-    // subobjects too.
-    let mut cost_with_cache = distinct_cached.len() as u64;
-    for (rel, oids) in &uncached {
-        cost_with_cache += estimate_join_cost(db, *rel, oids.len(), opts)?;
-    }
-    let mut cost_without = 0u64;
-    for (rel, oids) in &all {
-        cost_without += estimate_join_cost(db, *rel, oids.len(), opts)?;
-    }
-    let exploit_cache = !cached_refs.is_empty() && cost_with_cache < cost_without;
+    // Each relation's join, with its temporary sized from the OID count
+    // before it is built.
+    let estimate = |groups: &BTreeMap<RelId, Vec<Oid>>| -> Result<u64, CorError> {
+        groups
+            .iter()
+            .map(|(rel, oids)| {
+                let tree = db.child_tree(*rel)?;
+                let n = oids.len();
+                Ok(cost::bfs_join_estimate(
+                    n as u64,
+                    (n * OID_BYTES / PAGE_SIZE + 1) as u64,
+                    tree.height().into(),
+                    tree.leaf_pages().into(),
+                    opts.sort_work_mem as u64,
+                ))
+            })
+            .sum()
+    };
+    let exploit_cache = cost::smart_uses_cache(
+        distinct_cached.len() as u64,
+        estimate(&uncached)?,
+        estimate(&all)?,
+    );
 
     let mut values = Vec::new();
     if exploit_cache {

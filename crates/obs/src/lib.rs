@@ -27,9 +27,7 @@
 //! * [`TraceTree`] — per-query causal span trees riding the phase layer,
 //!   exported as Chrome trace-event JSON ([`tracetree`]);
 //! * [`WaitClass`] / [`WaitProfile`] — timed-wait histograms over the
-//!   engine's blocking points, the `cor_wait_*` families ([`wait`]);
-//! * [`costmodel`] — the paper's closed-form expected-I/O formulas per
-//!   strategy, for predicted-vs-measured comparison.
+//!   engine's blocking points, the `cor_wait_*` families ([`wait`]).
 //!
 //! Instrumentation is free when disabled: layers hold their telemetry in
 //! an `Option` fixed at construction, and every recording call is a
@@ -38,7 +36,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod costmodel;
 pub mod export;
 pub mod flight;
 pub mod heat;

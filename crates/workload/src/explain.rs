@@ -4,7 +4,7 @@
 //! layer switched on and returns an [`ExplainReport`]: measured I/O per
 //! phase (with wall time), the per-retrieve average, and — when workload
 //! parameters are supplied — the paper's analytical prediction from
-//! [`cor_obs::costmodel`] with the relative error. Reports render as a
+//! [`complexobj::cost`] with the relative error. Reports render as a
 //! human table ([`ExplainReport::render`]) and as one structured JSON
 //! line ([`ExplainReport::to_jsonl`]) for capture/replay regression
 //! checks (the `explain` bench binary's `--replay` mode).
@@ -17,10 +17,10 @@
 use crate::driver::RunResult;
 use crate::engine::Engine;
 use crate::params::Params;
-use complexobj::{CorDatabase, CorError, ExecOptions, Query, Strategy};
-use cor_obs::costmodel::{predict_by_name, Geometry, Prediction, Workload};
+use complexobj::cost::{self, Geometry, Prediction, Workload};
+use complexobj::{CorError, ExecOptions, Query, Strategy};
 use cor_obs::{enable_timing, take_thread_wall, Phase, PhaseSnapshot, PHASE_COUNT};
-use cor_pagestore::{IoDelta, PAGE_SIZE};
+use cor_pagestore::IoDelta;
 
 /// Measured I/O and wall time for one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,29 +230,6 @@ pub fn workload_from_params(p: &Params, opts: &ExecOptions) -> Workload {
     }
 }
 
-/// Measure the built database's page geometry where possible (actual tree
-/// heights and leaf counts beat estimates), falling back to
-/// [`Geometry::estimate`] for structures the representation lacks.
-pub fn measure_geometry(db: &CorDatabase, w: &Workload) -> Geometry {
-    let mut g = Geometry::estimate(w);
-    if let Ok(parent) = db.parent_tree() {
-        g.parent_height = parent.height() as f64;
-        g.parent_leaf_pages = parent.leaf_pages() as f64;
-    }
-    // One ChildRel is the paper's default; average over several if present.
-    if let Ok(child) = db.child_tree(complexobj::database::CHILD_REL_BASE) {
-        g.child_height = child.height() as f64;
-        g.child_leaf_pages = child.leaf_pages() as f64;
-    }
-    if let Ok((cluster, _isam)) = db.cluster() {
-        g.cluster_height = cluster.height() as f64;
-        g.cluster_leaf_pages = cluster.leaf_pages() as f64;
-    }
-    g.sort_record_bytes = (cor_relational::OID_BYTES + 16) as f64;
-    g.temp_records_per_page = (PAGE_SIZE / (cor_relational::OID_BYTES + 7)) as f64;
-    g
-}
-
 impl Engine {
     /// Run `sequence` cold (like [`Engine::run_sequence`]) with per-phase
     /// I/O attribution and wall timing enabled, and report the breakdown.
@@ -310,13 +287,13 @@ impl Engine {
         } else {
             0.0
         };
-        let predicted = params.and_then(|p| {
+        let predicted = params.map(|p| {
             let w = workload_from_params(p, self.options());
             let g = match self.database() {
-                Ok(db) => measure_geometry(db, &w),
+                Ok(db) => Geometry::measure(db, &w),
                 Err(_) => Geometry::estimate(&w),
             };
-            predict_by_name(&strategy.to_string(), &w, &g)
+            cost::predict(strategy, &w, &g)
         });
         let rel_error = predicted.and_then(|p| {
             (p.total() > 0.0 && retrieves > 0).then(|| (avg_retrieve_io - p.total()) / p.total())

@@ -55,7 +55,7 @@ pub use engine::{Engine, EngineBuilder, EngineSpec, SlowQueryEntry};
 pub use experiment::{
     best_strategy, compare_strategies, default_threads, parallel_map, run_point, run_point_with,
 };
-pub use explain::{measure_geometry, workload_from_params, ExplainReport, PhaseRow};
+pub use explain::{workload_from_params, ExplainReport, PhaseRow};
 pub use hierarchy::{
     build_hierarchy, generate_hierarchy_specs, snapshot_hierarchy, total_hierarchy_io,
     HierarchyParams,

@@ -1,12 +1,71 @@
-//! Cross-crate check: the analytical cost model in `cor_obs::costmodel`
-//! against *measured* I/O from real runs, across randomized workload
-//! geometry. The exact golden test at the paper's Figure 3 operating
-//! point lives next to the model in `cor-obs`; this file checks the
-//! model against the living system rather than pinned constants.
+//! Cross-crate check: the cost model in `complexobj::cost` against the
+//! living system — the plans the executor runs and the I/O it measures.
+//! The exact golden test at the paper's Figure 3 operating point lives
+//! next to the model; this file checks it against real runs rather than
+//! pinned constants.
 
-use complexobj::Strategy;
-use cor_workload::{generate, generate_sequence, Engine, Params};
+use complexobj::cost::{self, Geometry, JoinPlan};
+use complexobj::{ExecOptions, Strategy};
+use cor_obs::Phase;
+use cor_workload::{generate, generate_sequence, workload_from_params, Engine, Params};
 use proptest::prelude::*;
+
+/// The model names the plan the executor ran, at every point of a NumTop
+/// grid that spans BFS's merge/iterative crossover (a tie at NumTop 5,
+/// which goes to iterative substitution): for BFS, BFSNODUP and
+/// SMART above its threshold, the merge-join phase does I/O exactly when
+/// the model's join is [`JoinPlan::Merge`], and SMART's cache-probe phase
+/// does I/O exactly when the model prices SMART apart from BFS (it reads
+/// cached units). The model reads its geometry off the built trees.
+#[test]
+fn model_names_the_plan_the_executor_runs() {
+    let opts = ExecOptions {
+        smart_threshold: 1,
+        ..ExecOptions::default()
+    };
+    let mut plans = Vec::new();
+    for num_top in [2, 4, 5, 6, 8, 16, 64] {
+        let p = Params {
+            parent_card: 400,
+            num_top,
+            size_cache: 80,
+            buffer_pages: 32,
+            sequence_len: 8,
+            pr_update: 0.0,
+            ..Params::paper_default()
+        };
+        let generated = generate(&p);
+        let sequence = generate_sequence(&p);
+        let w = workload_from_params(&p, &opts);
+        for strategy in [Strategy::Bfs, Strategy::BfsNoDup, Strategy::Smart] {
+            let engine = Engine::builder()
+                .build_workload(&p, &generated, strategy)
+                .expect("engine")
+                .with_options(opts);
+            let g = Geometry::measure(engine.database().expect("OID database"), &w);
+            let report = engine.explain(strategy, &sequence, None).expect("explain");
+            let io_of = |phase: Phase| report.phases[phase.index()].io();
+
+            let plan = cost::model_join_plan(&w, &g);
+            assert_eq!(
+                io_of(Phase::MergeJoin) > 0,
+                plan == JoinPlan::Merge,
+                "{strategy} at NumTop {num_top}: model names {plan:?}"
+            );
+            if strategy == Strategy::Smart {
+                let reads_cache =
+                    cost::predict(Strategy::Smart, &w, &g) != cost::predict(Strategy::Bfs, &w, &g);
+                assert_eq!(
+                    io_of(Phase::CacheProbe) > 0,
+                    reads_cache,
+                    "SMART at NumTop {num_top}: model reads the cache: {reads_cache}"
+                );
+            }
+            plans.push(plan);
+        }
+    }
+    assert!(plans.contains(&JoinPlan::Iterative) && plans.contains(&JoinPlan::Merge));
+}
 
 /// Run DFS at `params` and return (measured, predicted) average I/O per
 /// retrieve; the prediction uses geometry measured from the real trees.

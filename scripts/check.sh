@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, and the whole test suite.
-# CI runs exactly this script; run it before pushing.
+# Full local gate: formatting, lints, the whole test suite, then the smoke
+# gates: corstat (metrics, heat, trace trees), explain (cost model) and
+# its replay, figs.sh (the figure fixed point), crashtest (raw and
+# --logical) and poolbench. The test suite carries the exact-I/O pins
+# no figure covers (tests/strategy_equivalence.rs, e.g. the two-shard
+# pool). CI runs exactly this script; run it before pushing.
 #
 # The gate leaves the tree as it found it: smoke legs write their
 # timing-bearing reports under target/check/ (CI uploads them from
@@ -47,9 +51,6 @@ cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 
 echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers; BFS leg crashes under a live temporary)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
-
-echo "==> corperf smoke (determinism + exact-I/O gate against results/corperf/baseline.json)"
-cargo run -q --release -p cor-bench --bin corperf -- --smoke
 
 echo "==> poolbench smoke (replacement-policy gate: scan-flood retention, miss-model error, results identity)"
 cargo run -q --release -p cor-bench --bin poolbench -- --smoke --json $out/poolbench.json

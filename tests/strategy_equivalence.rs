@@ -8,8 +8,8 @@
 //! values, and BFSNODUP returns the deduplicated multiset.
 
 use complexobj::strategies::execute_retrieve;
-use complexobj::{ExecOptions, RetAttr, RetrieveQuery, Strategy};
-use cor_workload::{build_for_strategy, generate, GeneratedDb, Params};
+use complexobj::{ExecOptions, Query, RetAttr, RetrieveQuery, Strategy};
+use cor_workload::{build_for_strategy, generate, generate_sequence, Engine, GeneratedDb, Params};
 
 fn tiny_params(use_factor: u32, overlap_factor: u32, num_child_rels: usize) -> Params {
     Params {
@@ -302,4 +302,57 @@ fn dfsclust_under_sharing_keeps_its_answers_and_page_counts() {
         got.push((out.par_io.reads, out.child_io.reads));
     }
     assert_eq!(got, pinned);
+}
+
+/// Every strategy over a two-shard pool is pinned to the page: answers
+/// (count and checksum) and physical reads/writes for a fixed retrieve
+/// sequence from a cold pool. No figure runs a sharded pool, so this is
+/// the exact-I/O guard for the sharded path. The constants were captured
+/// once and are never regenerated: a change that moves them moves the
+/// paper's yardstick.
+#[test]
+fn two_shard_pool_keeps_every_strategys_answers_and_page_counts() {
+    let p = Params {
+        parent_card: 200,
+        num_top: 10,
+        sequence_len: 40,
+        size_cache: 20,
+        buffer_pages: 64,
+        shards: 2,
+        pr_update: 0.0,
+        ..Params::paper_default()
+    };
+    let generated = generate(&p);
+    let sequence = generate_sequence(&p);
+    // (retrieves, values, value checksum, reads, writes)
+    let pinned: [(Strategy, [u64; 5]); 6] = [
+        (Strategy::Dfs, [40, 2000, 128_110_750_200, 40, 0]),
+        (Strategy::Bfs, [40, 2000, 128_110_750_200, 40, 40]),
+        (Strategy::BfsNoDup, [40, 1845, 119_180_746_710, 40, 40]),
+        (Strategy::DfsCache, [40, 2000, 128_110_750_200, 54, 0]),
+        (Strategy::DfsClust, [40, 2000, 128_110_750_200, 47, 0]),
+        (Strategy::Smart, [40, 2000, 128_110_750_200, 54, 0]),
+    ];
+    for (strategy, want) in pinned {
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, strategy)
+            .unwrap();
+        engine.pool().flush_and_clear().unwrap();
+        let before = engine.pool().stats().snapshot();
+        let (mut retrieves, mut values, mut checksum) = (0u64, 0u64, 0u64);
+        for q in &sequence {
+            let Query::Retrieve(r) = q else { continue };
+            retrieves += 1;
+            for v in engine.retrieve(strategy, r).unwrap().values {
+                values += 1;
+                checksum = checksum.wrapping_add((v as u64) ^ (v as u64).rotate_left(17));
+            }
+        }
+        let io = engine.pool().stats().snapshot().since(&before);
+        assert_eq!(
+            [retrieves, values, checksum, io.reads, io.writes],
+            want,
+            "{strategy}"
+        );
+    }
 }
