@@ -27,7 +27,6 @@
 
 use crate::sync_cell::SyncCell;
 use crate::AccessError;
-use cor_obs::heat::{self, PAGE_CLASS_INTERNAL, PAGE_CLASS_LEAF};
 use cor_obs::{Phase, PhaseGuard};
 use cor_pagestore::{BufferError, BufferPool, PageId, NO_PAGE, PAGE_SIZE};
 use std::sync::Arc;
@@ -507,7 +506,6 @@ impl BTreeFile {
         // Internal-page faults during the descent are index navigation
         // unless a strategy has claimed a more specific bracket.
         let _phase = PhaseGuard::enter_default(Phase::IndexDescent);
-        heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_INTERNAL);
         let mut page = self.root.get();
         loop {
             let (leaf, child) = self.pool.read(page, |p| {
@@ -555,7 +553,6 @@ impl BTreeFile {
         let key_len = self.key_len;
         let hit = {
             let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-            heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
             self.pool
                 .read(hint, |p| {
                     let d = p.bytes();
@@ -623,7 +620,6 @@ impl BTreeFile {
     {
         let key_len = self.key_len;
         let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-        heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
         self.pool
             .read(leaf, |p| {
                 let d = p.bytes();
@@ -651,7 +647,6 @@ impl BTreeFile {
         }
         let leaf = self.find_leaf(key)?;
         let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-        heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
         self.pool
             .read(leaf, |p| {
                 let d = p.bytes();
@@ -1305,8 +1300,7 @@ impl BTreeFile {
 /// A forward walk of a leaf chain, one pinned visit per leaf. Every
 /// leaf scan — the buffering [`BTreeRange`] and the in-place
 /// [`BTreeFile::visit_range`] and [`BTreeFile::merge_scan`] — reads its
-/// leaves through this walker, so phase tag and heat touch are one piece
-/// of code.
+/// leaves through this walker, so the phase tag is one piece of code.
 struct LeafWalker {
     pool: Arc<BufferPool>,
     next_leaf: PageId,
@@ -1321,7 +1315,6 @@ impl LeafWalker {
         }
         let leaf = self.next_leaf;
         let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-        heat::touch(heat::HeatClass::PageClass, PAGE_CLASS_LEAF);
         let (out, next) = self.pool.read(leaf, |p| {
             let d = p.bytes();
             (f(d), node::next(d))

@@ -7,13 +7,15 @@
 //!    iterative substitution by cost; this runs both forced variants
 //!    against the cost-based choice across NumTop to show the auto plan
 //!    tracks the better one.
+//! 3. **Buffer replacement policy** — the paper never names INGRES's
+//!    policy; this runs DFS/BFS and Figures 5 and 7 under LRU and SIEVE.
 //!
 //! ```text
 //! cargo run -p cor-bench --release --bin ablation [--scale F]
 //! ```
 
 use complexobj::{CacheConfig, EvictionPolicy, ExecOptions, JoinChoice, Strategy};
-use cor_bench::{num_top_sweep, BenchConfig};
+use cor_bench::{num_top_sweep, BenchConfig, Fig5, Fig7};
 use cor_workload::{
     default_threads, fnum, format_table, generate, generate_sequence, parallel_map, Engine,
     EngineSpec, Params,
@@ -28,9 +30,13 @@ fn main() {
     buffer_policy_ablation(&cfg, &base);
 }
 
-/// Ablation 3 — buffer replacement policy. The paper never names INGRES's
-/// policy; the claim to defend is that the *strategy ordering* (who wins)
-/// does not hinge on our choice of LRU.
+/// Ablation 3 — buffer replacement policy. The paper never names
+/// INGRES's policy. Under LRU and SIEVE this runs DFS and BFS at one
+/// point, then Fig 5's ShareFactor sweep and Fig 7's two sharing cases.
+/// The DFS/BFS ordering does not move; the clustering verdicts do,
+/// because DFSCLUST's cluster scan and foreign-cluster probes compete for
+/// the buffer. SIEVE moves Fig 5's crossover up a ShareFactor and lowers
+/// both Fig 7 means.
 fn buffer_policy_ablation(cfg: &BenchConfig, base: &Params) {
     use cor_pagestore::ReplacementPolicy;
 
@@ -45,13 +51,14 @@ fn buffer_policy_ablation(cfg: &BenchConfig, base: &Params) {
     };
     let spec = EngineSpec::Standard(generate(&p).spec);
     let sequence = generate_sequence(&p);
+    let policies = [
+        ("LRU", ReplacementPolicy::Lru),
+        ("SIEVE", ReplacementPolicy::Sieve),
+    ];
 
     let mut rows = Vec::new();
     let mut winners = Vec::new();
-    for (name, policy) in [
-        ("LRU", ReplacementPolicy::Lru),
-        ("SIEVE", ReplacementPolicy::Sieve),
-    ] {
+    for (name, policy) in policies {
         let mut costs = Vec::new();
         for strategy in [Strategy::Dfs, Strategy::Bfs] {
             let engine = Engine::builder()
@@ -71,6 +78,62 @@ fn buffer_policy_ablation(cfg: &BenchConfig, base: &Params) {
         "strategy ordering is policy-independent (winner: {}) {}",
         winners[0],
         if stable { "[OK]" } else { "[MISMATCH]" }
+    );
+
+    let figs: Vec<(Fig5, Fig7)> = policies
+        .iter()
+        .map(|&(_, policy)| (Fig5::run(base, cfg.scale, policy), Fig7::run(base, policy)))
+        .collect();
+    let at = |n: Option<u64>| n.map_or("none".to_string(), |n| n.to_string());
+    let rows: Vec<Vec<String>> = policies
+        .iter()
+        .zip(&figs)
+        .map(|(&(name, _), (f5, f7))| {
+            vec![
+                name.to_string(),
+                at(f5.crossover().map(u64::from)),
+                format!("{:.2}", f7.mean(0)),
+                format!("{:.2}", f7.mean(1)),
+                at(f7.crossover(0)),
+                at(f7.crossover(1)),
+            ]
+        })
+        .collect();
+    println!(
+        "\nFig 5 (NumTop {}, ShareFactor 1..=10) and Fig 7 (NumTop {:?}) under each policy\n",
+        figs[0].0.num_top, figs[0].1.num_tops
+    );
+    println!(
+        "{}",
+        format_table(
+            &[
+                "policy",
+                "Fig 5 BFS wins from SF",
+                "Fig 7 mean OF=1",
+                "Fig 7 mean OF=5",
+                "BFS overtakes OF=1",
+                "BFS overtakes OF=5",
+            ],
+            &rows
+        )
+    );
+    let (lru, sieve) = (&figs[0].0, &figs[1].0);
+    match (0..lru.costs.len()).find(|&i| lru.bfs_wins(i) != sieve.bfs_wins(i)) {
+        Some(i) => println!(
+            "Fig 5 winners first differ at ShareFactor {}: DFSCLUST/BFS TotCost \
+             LRU {:.1}/{:.1}, SIEVE {:.1}/{:.1}",
+            i + 1,
+            lru.tot(i, 0),
+            lru.tot(i, 1),
+            sieve.tot(i, 0),
+            sieve.tot(i, 1),
+        ),
+        None => println!("Fig 5 winners agree at every ShareFactor"),
+    }
+    let overlap_hurts = figs.iter().all(|(_, f7)| f7.mean(1) > f7.mean(0));
+    println!(
+        "Fig 7's OF=5 curve lies above OF=1 under every policy {}",
+        if overlap_hurts { "[OK]" } else { "[MISMATCH]" }
     );
 }
 

@@ -14,52 +14,34 @@
 //! ```
 
 use complexobj::Strategy;
-use cor_bench::BenchConfig;
-use cor_workload::{default_threads, fnum, format_table, parallel_map, run_point, Params};
+use cor_bench::{BenchConfig, Fig5};
+use cor_pagestore::ReplacementPolicy;
+use cor_workload::{fnum, format_table};
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let base = cfg.base_params();
-    let num_top = ((200.0 * cfg.scale).round() as u64).clamp(1, base.parent_card);
-    let share_factors: Vec<u32> = (1..=10).collect();
+    let fig = Fig5::run(&cfg.base_params(), cfg.scale, ReplacementPolicy::Lru);
 
     println!(
         "Figure 5 — cost breakup vs ShareFactor at NumTop={} (scale {})\n",
-        num_top, cfg.scale
+        fig.num_top, cfg.scale
     );
 
-    let strategies = [Strategy::DfsClust, Strategy::Bfs];
-    let points: Vec<(u32, Strategy)> = share_factors
-        .iter()
-        .flat_map(|&sf| strategies.iter().map(move |&s| (sf, s)))
-        .collect();
-    let results = parallel_map(points, default_threads(), |&(sf, s)| {
-        let p = Params {
-            use_factor: sf,
-            overlap_factor: 1,
-            num_top,
-            pr_update: 0.0,
-            ..base.clone()
-        };
-        let r = run_point(&p, s).expect("point runs");
-        (r.avg_par_cost(), r.avg_child_cost())
-    });
-
     let mut all_rows: Vec<Vec<String>> = Vec::new();
-    for (si, s) in strategies.iter().enumerate() {
+    for (si, s) in Fig5::STRATEGIES.iter().enumerate() {
         let label = if *s == Strategy::DfsClust {
             "Figure 5(a) DFSCLUST"
         } else {
             "Figure 5(b) BFS"
         };
         let mut rows = Vec::new();
-        for (i, &sf) in share_factors.iter().enumerate() {
-            let (par, child) = results[i * 2 + si];
+        for (i, costs) in fig.costs.iter().enumerate() {
+            let (par, child) = costs[si];
             rows.push(vec![
-                sf.to_string(),
+                (i + 1).to_string(),
                 fnum(par),
                 fnum(child),
-                fnum(par + child),
+                fnum(fig.tot(i, si)),
             ]);
         }
         println!("{label}");
@@ -78,9 +60,8 @@ fn main() {
     );
 
     // Headline checks.
-    let clu = |i: usize| results[i * 2];
-    let bfs = |i: usize| results[i * 2 + 1];
-    let last = share_factors.len() - 1;
+    let (clu, bfs) = (|i: usize| fig.costs[i][0], |i: usize| fig.costs[i][1]);
+    let last = fig.costs.len() - 1;
 
     let par_trend = clu(0).0 > clu(last).0;
     println!(
@@ -107,13 +88,8 @@ fn main() {
             "[MISMATCH]"
         }
     );
-    let crossover = share_factors.iter().enumerate().find(|(i, _)| {
-        let c = clu(*i);
-        let b = bfs(*i);
-        b.0 + b.1 < c.0 + c.1
-    });
-    match crossover {
-        Some((_, sf)) => {
+    match fig.crossover() {
+        Some(sf) => {
             println!("BFS beats DFSCLUST from ShareFactor {sf} (paper: crossover at ~4.7) [OK]")
         }
         None => println!("no crossover in 1..=10 (paper: crossover at ~4.7) [MISMATCH]"),

@@ -14,49 +14,23 @@
 //! cargo run -p cor-bench --release --bin fig7 [--scale F]
 //! ```
 
-use complexobj::Strategy;
-use cor_bench::{num_top_sweep, BenchConfig};
-use cor_workload::{
-    default_threads, format_ascii_plot, format_table, parallel_map, run_point, Params,
-};
+use cor_bench::{BenchConfig, Fig7};
+use cor_pagestore::ReplacementPolicy;
+use cor_workload::{format_ascii_plot, format_table};
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let base = cfg.base_params();
-    let sweep = num_top_sweep(base.parent_card);
-    let cases = [(1u32, 5u32, "OF=1,UF=5"), (5, 1, "OF=5,UF=1")];
 
     println!(
         "Figure 7 — Cost(DFSCLUST)/Cost(BFS) vs NumTop, ShareFactor=5 both ways (scale {})\n",
         cfg.scale
     );
 
-    let mut points = Vec::new();
-    for &(of, uf, _) in &cases {
-        for &nt in &sweep {
-            for s in [Strategy::DfsClust, Strategy::Bfs] {
-                points.push((of, uf, nt, s));
-            }
-        }
-    }
-    let costs = parallel_map(points, default_threads(), |&(of, uf, nt, s)| {
-        let p = Params {
-            overlap_factor: of,
-            use_factor: uf,
-            num_top: nt,
-            pr_update: 0.0,
-            ..base.clone()
-        };
-        run_point(&p, s).expect("point runs").avg_retrieve_io()
-    });
-
-    let ratio = |case: usize, i: usize| -> f64 {
-        let b = (case * sweep.len() + i) * 2;
-        costs[b] / costs[b + 1]
-    };
+    let fig = Fig7::run(&cfg.base_params(), ReplacementPolicy::Lru);
+    let ratio = |case: usize, i: usize| fig.ratios[case][i];
 
     let mut rows = Vec::new();
-    for (i, &nt) in sweep.iter().enumerate() {
+    for (i, &nt) in fig.num_tops.iter().enumerate() {
         rows.push(vec![
             nt.to_string(),
             format!("{:.2}", ratio(0, i)),
@@ -69,24 +43,14 @@ fn main() {
     );
     cfg.maybe_write_csv(&["NumTop", "ratio_OF1_UF5", "ratio_OF5_UF1"], &rows);
 
-    let series: Vec<(char, Vec<(f64, f64)>)> = vec![
-        (
-            '1',
-            sweep
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (n as f64, ratio(0, i)))
-                .collect(),
-        ),
-        (
-            '5',
-            sweep
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (n as f64, ratio(1, i)))
-                .collect(),
-        ),
-    ];
+    let series: Vec<(char, Vec<(f64, f64)>)> = ['1', '5']
+        .into_iter()
+        .enumerate()
+        .map(|(case, mark)| {
+            let points = fig.num_tops.iter().zip(&fig.ratios[case]);
+            (mark, points.map(|(&n, &r)| (n as f64, r)).collect())
+        })
+        .collect();
     println!(
         "{}",
         format_ascii_plot(
@@ -100,22 +64,14 @@ fn main() {
     );
 
     // Headline checks.
-    let mean0: f64 = (0..sweep.len()).map(|i| ratio(0, i)).sum::<f64>() / sweep.len() as f64;
-    let mean1: f64 = (0..sweep.len()).map(|i| ratio(1, i)).sum::<f64>() / sweep.len() as f64;
+    let (mean0, mean1) = (fig.mean(0), fig.mean(1));
     println!(
         "mean ratio: OF=1 {:.2} vs OF=5 {:.2} (paper: OF=5 considerably above) {}",
         mean0,
         mean1,
         if mean1 > mean0 { "[OK]" } else { "[MISMATCH]" }
     );
-    let crossover = |case: usize| {
-        sweep
-            .iter()
-            .enumerate()
-            .find(|(i, _)| ratio(case, *i) > 1.0)
-            .map(|(_, &n)| n)
-    };
-    match (crossover(0), crossover(1)) {
+    match (fig.crossover(0), fig.crossover(1)) {
         (Some(a), Some(b)) => println!(
             "BFS overtakes DFSCLUST at NumTop {a} (OF=1) vs {b} (OF=5) \
              (paper: point B moves left to A) {}",

@@ -2,9 +2,8 @@
 //!
 //! Benchmark harness: one binary per figure/table of the paper's
 //! evaluation (see DESIGN.md's experiment index) plus the gate binaries
-//! `scripts/check.sh` runs (corstat, explain, crashtest, poolbench).
-//! Wall-time claims are judged by `benchmark/` at the repo root, not
-//! here.
+//! `scripts/check.sh` runs (corstat, explain, crashtest). Wall-time
+//! claims are judged by `benchmark/` at the repo root, not here.
 //!
 //! Every binary accepts:
 //!
@@ -18,7 +17,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod figures;
+
 use cor_workload::Params;
+pub use figures::{Fig5, Fig7};
 
 /// Common command-line configuration for figure binaries.
 #[derive(Debug, Clone)]

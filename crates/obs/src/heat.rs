@@ -7,17 +7,15 @@
 //! exactly the input every reorganization policy in the dynamic-clustering
 //! literature consumes. This module is that measurement layer: a
 //! process-global [`HeatMap`] of `(class, id) → decaying counter` entries
-//! fed from the strategy layer (parent visits, cluster-root scans), the
-//! access layer (B-tree page classes), and the buffer pool (per-shard
-//! touches).
+//! fed from the strategy layer (parent visits, cluster-root scans).
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Free when off.** Every feed site costs one relaxed [`AtomicBool`]
 //!    load while the map is disabled (the default). Like
 //!    [`phase`](crate::phase), the switch is a process global because the
-//!    feeding layers (B-tree descents, pool shards, strategy loops) have
-//!    no handle-plumbing path from the engine.
+//!    feeding strategy loops have no handle-plumbing path from the
+//!    engine.
 //! 2. **Lock-free when on.** A touch is a hash, a bounded linear probe
 //!    over `(AtomicU64 key, AtomicU64 count)` slots, and one relaxed
 //!    `fetch_add`. Insertion claims an empty slot by CAS; a full shard
@@ -45,33 +43,17 @@ pub enum HeatClass {
     /// A cluster root scanned by DFSCLUST (the object whose cluster range
     /// the scan covered).
     ClusterRoot = 1,
-    /// A B-tree page class ([`PAGE_CLASS_INTERNAL`] / [`PAGE_CLASS_LEAF`]).
-    PageClass = 2,
-    /// A buffer-pool lock stripe (id = shard index).
-    PoolShard = 3,
 }
-
-/// [`HeatClass::PageClass`] id for internal (descent) pages.
-pub const PAGE_CLASS_INTERNAL: u64 = 0;
-/// [`HeatClass::PageClass`] id for leaf/data pages.
-pub const PAGE_CLASS_LEAF: u64 = 1;
 
 impl HeatClass {
     /// Every class, in tag order.
-    pub const ALL: [HeatClass; 4] = [
-        HeatClass::Parent,
-        HeatClass::ClusterRoot,
-        HeatClass::PageClass,
-        HeatClass::PoolShard,
-    ];
+    pub const ALL: [HeatClass; 2] = [HeatClass::Parent, HeatClass::ClusterRoot];
 
     /// Stable snake_case name (used by exporters and reports).
     pub fn name(self) -> &'static str {
         match self {
             HeatClass::Parent => "parent",
             HeatClass::ClusterRoot => "cluster_root",
-            HeatClass::PageClass => "page_class",
-            HeatClass::PoolShard => "pool_shard",
         }
     }
 }
@@ -309,7 +291,7 @@ impl HeatMap {
 pub struct HeatEntry {
     /// What the id identifies.
     pub class: HeatClass,
-    /// The identifier (parent key, cluster root, page class, shard).
+    /// The identifier (parent key or cluster root).
     pub id: u64,
     /// The decayed access count.
     pub count: u64,
@@ -535,7 +517,7 @@ mod tests {
         // and prove the feed-site entry point records nothing.
         enable(false);
         let before = global().touches();
-        touch(HeatClass::PoolShard, 3);
+        touch(HeatClass::ClusterRoot, 3);
         assert_eq!(global().touches(), before);
     }
 

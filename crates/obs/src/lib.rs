@@ -52,7 +52,7 @@ pub use export::{
     escape_json, escape_label_value, parse_prometheus, to_json, to_prometheus, ParsedSample,
 };
 pub use flight::{Flight, FlightEvent, FlightKind};
-pub use heat::{HeatClass, HeatEntry, HeatMap, HeatReport, PAGE_CLASS_INTERNAL, PAGE_CLASS_LEAF};
+pub use heat::{HeatClass, HeatEntry, HeatMap, HeatReport};
 pub use hist::{bucket_index, bucket_upper, HistSnapshot, Histogram, HIST_BUCKETS};
 pub use metric::{hit_ratio, Counter, Gauge};
 pub use phase::{

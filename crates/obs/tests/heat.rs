@@ -3,10 +3,7 @@
 //! `cor_heat_*` exporter family.
 
 use cor_obs::heat::{decay_value, DEFAULT_ALPHA_Q16};
-use cor_obs::{
-    parse_prometheus, to_prometheus, HeatClass, HeatMap, MetricsSnapshot, PAGE_CLASS_INTERNAL,
-    PAGE_CLASS_LEAF,
-};
+use cor_obs::{parse_prometheus, to_prometheus, HeatClass, HeatMap, MetricsSnapshot};
 use proptest::prelude::*;
 
 /// A deterministic heat map exercising every class, decay, and the
@@ -21,10 +18,6 @@ fn reference_report_snapshot() -> MetricsSnapshot {
         m.touch(HeatClass::Parent, id);
     }
     m.touch_n(HeatClass::ClusterRoot, 7, 64);
-    m.touch_n(HeatClass::PageClass, PAGE_CLASS_INTERNAL, 30);
-    m.touch_n(HeatClass::PageClass, PAGE_CLASS_LEAF, 90);
-    m.touch_n(HeatClass::PoolShard, 0, 12);
-    m.touch_n(HeatClass::PoolShard, 1, 8);
     // One decay tick halves everything (and rounds the tail down).
     m.decay_tick(DEFAULT_ALPHA_Q16);
     let mut snap = MetricsSnapshot::default();
@@ -72,7 +65,7 @@ fn heat_golden_output_parses_and_ranks() {
     );
     assert_eq!(tops[0].1, 200.0, "hottest parent decayed 400 -> 200");
     // Per-class touch totals present for every class.
-    for class in ["parent", "cluster_root", "page_class", "pool_shard"] {
+    for class in ["parent", "cluster_root"] {
         assert!(
             parsed.iter().any(|p| p.name == "cor_heat_touches_total"
                 && p.labels.iter().any(|(k, v)| k == "class" && v == class)),

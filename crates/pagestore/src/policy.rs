@@ -24,11 +24,14 @@
 //!   scan pages are swept out while re-referenced pages (visited bit
 //!   set) get exactly one reprieve per lap.
 //!
-//! These are the two behaviours the committed `BENCH_pool.json`
-//! distinguishes — where the miss curve bends under a scan flood. FIFO,
-//! CLOCK and 2Q shipped once and were removed: the first two tracked LRU
-//! and 2Q tracked SIEVE to the digit on every flood and retention leg
-//! (DESIGN.md §14). Their catalog tags stay retired, never reused.
+//! The two differ where the paper's clustering verdicts are made:
+//! DFSCLUST's cluster scan and its foreign-cluster probes compete for
+//! the buffer, and SIEVE keeps the re-probed pages. `ablation`'s
+//! Ablation 3 (pinned in `results/ablation.txt`) runs Fig 5's sweep and
+//! Fig 7's two cases under both policies. FIFO, CLOCK and 2Q shipped
+//! once and were removed: the first two tracked LRU and 2Q tracked SIEVE
+//! to the digit on every flood and retention leg (DESIGN.md §14). Their
+//! catalog tags stay retired, never reused.
 //!
 //! Eviction-order compatibility: the pre-list LRU victim was the minimum
 //! `last_used` stamp among unpinned frames, ties broken by the lowest
@@ -42,8 +45,10 @@ const NIL: usize = usize::MAX;
 
 /// Frame replacement policy. The paper does not name INGRES 5.0's policy;
 /// LRU is the era-appropriate default, and SIEVE is the scan-resistant
-/// alternative (the ablation bench shows strategy orderings do not hinge
-/// on the choice).
+/// alternative. The DFS/BFS ordering does not hinge on the choice, but
+/// the clustering verdicts do: under SIEVE, Fig 5's DFSCLUST/BFS
+/// crossover moves up a ShareFactor and Fig 7's DFSCLUST/BFS ratios fall
+/// (Ablation 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplacementPolicy {
     /// Evict the least recently used unpinned frame (default).
@@ -64,15 +69,6 @@ impl ReplacementPolicy {
         match self {
             ReplacementPolicy::Lru => "lru",
             ReplacementPolicy::Sieve => "sieve",
-        }
-    }
-
-    /// Inverse of [`name`](Self::name) (case-insensitive).
-    pub fn parse(s: &str) -> Option<ReplacementPolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" => Some(ReplacementPolicy::Lru),
-            "sieve" => Some(ReplacementPolicy::Sieve),
-            _ => None,
         }
     }
 }
@@ -378,22 +374,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn names_roundtrip() {
-        for p in ReplacementPolicy::ALL {
-            assert_eq!(ReplacementPolicy::parse(p.name()), Some(p));
-            assert_eq!(format!("{p}"), p.name());
-        }
-        assert_eq!(
-            ReplacementPolicy::parse("SIEVE"),
-            Some(ReplacementPolicy::Sieve)
-        );
-        // Retired and unknown names do not parse.
-        for retired in ["fifo", "clock", "2q", "twoq", "arc"] {
-            assert_eq!(ReplacementPolicy::parse(retired), None, "{retired}");
-        }
-    }
-
     /// Property tests: pins are inviolable under every policy, and
     /// SIEVE matches an independently written reference model (plain
     /// `Vec` state, no intrusive list, no `NIL` encoding)
@@ -635,8 +615,8 @@ mod tests {
 
             /// SIEVE reproduces its reference model event-for-event:
             /// same hits, same victim frames, same stalls — so hit/miss
-            /// accounting (and therefore the bench curves) is exactly
-            /// what the textbook algorithm predicts.
+            /// accounting (and therefore Ablation 3's SIEVE rows) is
+            /// exactly what the textbook algorithm predicts.
             #[test]
             fn sieve_matches_reference_model(
                 n in 2usize..8,

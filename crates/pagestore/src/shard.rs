@@ -18,7 +18,7 @@ use crate::policy::{ReplacementPolicy, ReplacementState};
 use crate::stats::IoStats;
 use crate::telemetry::{ShardTelemetry, ShardTelemetrySnapshot};
 use crate::wal::{Lsn, WalHook, NO_LSN};
-use cor_obs::{flight, heat, wait};
+use cor_obs::{flight, wait};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -167,7 +167,6 @@ impl Shard {
         stats: &IoStats,
         wal: Option<&dyn WalHook>,
     ) -> Result<usize, BufferError> {
-        heat::touch(heat::HeatClass::PoolShard, self.index as u64);
         let mut inner = self.lock_pinning();
         if let Some(&idx) = inner.page_table.get(&pid) {
             self.frames[idx].pin_count.fetch_add(1, Ordering::Acquire);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, the whole test suite, then the smoke
 # gates: corstat (metrics, heat, trace trees), explain (cost model) and
-# its replay, figs.sh (the figure fixed point), crashtest (raw and
-# --logical) and poolbench. The test suite carries the exact-I/O pins
-# no figure covers (tests/strategy_equivalence.rs, e.g. the two-shard
-# pool). CI runs exactly this script; run it before pushing.
+# its replay, figs.sh (the figure fixed point, whose Ablation 3 runs Figs
+# 5 and 7 under LRU and SIEVE) and crashtest (raw and --logical). The
+# test suite carries the exact-I/O pins no figure covers
+# (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
+# policies). CI runs exactly this script; run it before pushing.
 #
 # The gate leaves the tree as it found it: smoke legs write their
 # timing-bearing reports under target/check/ (CI uploads them from
@@ -51,9 +52,6 @@ cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 
 echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers; BFS leg crashes under a live temporary)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
-
-echo "==> poolbench smoke (replacement-policy gate: scan-flood retention, miss-model error, results identity)"
-cargo run -q --release -p cor-bench --bin poolbench -- --smoke --json $out/poolbench.json
 
 echo "==> tree unchanged (git status --porcelain before vs after)"
 if [[ "$(git status --porcelain)" != "$tree_before" ]]; then

@@ -9,6 +9,7 @@
 
 use complexobj::strategies::execute_retrieve;
 use complexobj::{ExecOptions, Query, RetAttr, RetrieveQuery, Strategy};
+use cor_pagestore::ReplacementPolicy;
 use cor_workload::{build_for_strategy, generate, generate_sequence, Engine, GeneratedDb, Params};
 
 fn tiny_params(use_factor: u32, overlap_factor: u32, num_child_rels: usize) -> Params {
@@ -304,12 +305,13 @@ fn dfsclust_under_sharing_keeps_its_answers_and_page_counts() {
     assert_eq!(got, pinned);
 }
 
-/// Every strategy over a two-shard pool is pinned to the page: answers
-/// (count and checksum) and physical reads/writes for a fixed retrieve
-/// sequence from a cold pool. No figure runs a sharded pool, so this is
-/// the exact-I/O guard for the sharded path. The constants were captured
-/// once and are never regenerated: a change that moves them moves the
-/// paper's yardstick.
+/// Every strategy over a two-shard pool, under each replacement policy,
+/// is pinned to the page: answers (count and checksum) and physical
+/// reads/writes for a fixed retrieve sequence from a cold pool. No figure
+/// runs a sharded pool, so this is the exact-I/O guard for the sharded
+/// path. SIEVE must return exactly LRU's answers. The constants were
+/// captured once and are never regenerated: a change that moves them
+/// moves the paper's yardstick.
 #[test]
 fn two_shard_pool_keeps_every_strategys_answers_and_page_counts() {
     let p = Params {
@@ -324,35 +326,44 @@ fn two_shard_pool_keeps_every_strategys_answers_and_page_counts() {
     };
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
-    // (retrieves, values, value checksum, reads, writes)
-    let pinned: [(Strategy, [u64; 5]); 6] = [
-        (Strategy::Dfs, [40, 2000, 128_110_750_200, 40, 0]),
-        (Strategy::Bfs, [40, 2000, 128_110_750_200, 40, 40]),
-        (Strategy::BfsNoDup, [40, 1845, 119_180_746_710, 40, 40]),
-        (Strategy::DfsCache, [40, 2000, 128_110_750_200, 54, 0]),
-        (Strategy::DfsClust, [40, 2000, 128_110_750_200, 47, 0]),
-        (Strategy::Smart, [40, 2000, 128_110_750_200, 54, 0]),
+    // (retrieves, values, value checksum), the same under every policy.
+    let all: [u64; 3] = [40, 2000, 128_110_750_200];
+    let nodup: [u64; 3] = [40, 1845, 119_180_746_710];
+    // (strategy, answers, [LRU reads, writes], [SIEVE reads, writes])
+    let pinned = [
+        (Strategy::Dfs, all, [40, 0], [40, 0]),
+        (Strategy::Bfs, all, [40, 40], [44, 40]),
+        (Strategy::BfsNoDup, nodup, [40, 40], [44, 40]),
+        (Strategy::DfsCache, all, [54, 0], [54, 0]),
+        (Strategy::DfsClust, all, [47, 0], [47, 0]),
+        (Strategy::Smart, all, [54, 0], [54, 0]),
     ];
-    for (strategy, want) in pinned {
-        let engine = Engine::builder()
-            .build_workload(&p, &generated, strategy)
-            .unwrap();
-        engine.pool().flush_and_clear().unwrap();
-        let before = engine.pool().stats().snapshot();
-        let (mut retrieves, mut values, mut checksum) = (0u64, 0u64, 0u64);
-        for q in &sequence {
-            let Query::Retrieve(r) = q else { continue };
-            retrieves += 1;
-            for v in engine.retrieve(strategy, r).unwrap().values {
-                values += 1;
-                checksum = checksum.wrapping_add((v as u64) ^ (v as u64).rotate_left(17));
+    for (strategy, answers, lru, sieve) in pinned {
+        for (policy, io_want) in [
+            (ReplacementPolicy::Lru, lru),
+            (ReplacementPolicy::Sieve, sieve),
+        ] {
+            let engine = Engine::builder()
+                .policy(policy)
+                .build_workload(&p, &generated, strategy)
+                .unwrap();
+            engine.pool().flush_and_clear().unwrap();
+            let before = engine.pool().stats().snapshot();
+            let (mut retrieves, mut values, mut checksum) = (0u64, 0u64, 0u64);
+            for q in &sequence {
+                let Query::Retrieve(r) = q else { continue };
+                retrieves += 1;
+                for v in engine.retrieve(strategy, r).unwrap().values {
+                    values += 1;
+                    checksum = checksum.wrapping_add((v as u64) ^ (v as u64).rotate_left(17));
+                }
             }
+            let io = engine.pool().stats().snapshot().since(&before);
+            assert_eq!(
+                ([retrieves, values, checksum], [io.reads, io.writes]),
+                (answers, io_want),
+                "{strategy} under {policy}"
+            );
         }
-        let io = engine.pool().stats().snapshot().since(&before);
-        assert_eq!(
-            [retrieves, values, checksum, io.reads, io.writes],
-            want,
-            "{strategy}"
-        );
     }
 }
