@@ -6,34 +6,28 @@
 //! ```text
 //! cargo run -p cor-bench --release --bin corstat [--scale F | --full]
 //!     [--json FILE]   also write the report as JSON
-//!     [--smoke]       tiny database, validate every report, exit 1 on
-//!                     any missing or non-finite metric (the CI gate)
-//!     [--heat]        skew-detection leg: drive the same database with a
-//!                     uniform and a Zipf stream and show the heat map
-//!                     separating them (with --smoke: gate on separation)
 //!     [--trace]       causal-trace leg: sample retrieves through the
-//!                     trace-tree collector, gate every tree against the
-//!                     PhaseProfile ledger, and export the deepest one as
-//!                     Chrome trace-event JSON (with --json FILE: write it
-//!                     there; load the file at ui.perfetto.dev)
-//!     [--watch]       live mode: concurrent streams with a sliding-window
-//!                     rate / p50 / p99 line per tick
+//!                     trace-tree collector, tabulate the trees, and export
+//!                     the deepest one as Chrome trace-event JSON (with
+//!                     --json FILE: write it there; load the file at
+//!                     ui.perfetto.dev)
+//!     [--watch]       live mode: concurrent streams with a rate / p50 /
+//!                     p99 line per tick over the queries of that tick
 //! ```
 //!
-//! Unlike the figure binaries this one measures the *measuring*: it is
-//! the end-to-end exercise of `Engine::metrics()` and the exporters, and
-//! the numbers double as a health check that instrumentation never
-//! perturbs the paper's I/O accounting (see `docs/observability.md`).
+//! A report, not a gate: the invariants it displays are held by the
+//! test suite (`crates/workload/tests/observability.rs` and the engine's
+//! metrics tests; see `docs/observability.md`).
 
 use std::time::Duration;
 
 use complexobj::{CacheCounters, Query, Strategy};
 use cor_bench::{write_report, BenchConfig, JsonObj};
-use cor_obs::{heat, MetricValue, SlidingWindow};
+use cor_obs::{HistSnapshot, MetricValue};
 use cor_pagestore::ShardTelemetrySnapshot;
 use cor_workload::{
-    fnum, format_table, generate, generate_sequence, generate_stream_sequences,
-    generate_zipf_sequence, Engine, LiveTick, MetricsReport, Params, ENGINE_CATALOG_VERSION,
+    fnum, format_table, generate, generate_sequence, generate_stream_sequences, Engine, LiveTick,
+    MetricsReport, Params, ENGINE_CATALOG_VERSION,
 };
 
 /// Everything the table and the JSON need for one strategy.
@@ -81,7 +75,7 @@ fn run_strategy(
     params: &Params,
     generated: &cor_workload::GeneratedDb,
     strategy: Strategy,
-) -> (StrategyStat, MetricsReport) {
+) -> StrategyStat {
     let engine = Engine::builder()
         .metrics(true)
         .build_workload(params, generated, strategy)
@@ -108,7 +102,7 @@ fn run_strategy(
         Some(MetricValue::Histogram(h)) => (h.quantile(0.5), h.quantile(0.99), h.max()),
         _ => (0, 0, 0),
     };
-    let stat = StrategyStat {
+    StrategyStat {
         strategy,
         retrieves,
         updates: counter(&report, "cor_query_total", &[("op", "update")]),
@@ -123,8 +117,7 @@ fn run_strategy(
         pool: report.pool.clone(),
         pool_total: report.pool_total(),
         cache: report.cache,
-    };
-    (stat, report)
+    }
 }
 
 fn us(ns: u64) -> String {
@@ -202,163 +195,12 @@ fn json_report(scale: f64, params: &Params, stats: &[StrategyStat]) -> String {
     format!("{json}\n")
 }
 
-/// Smoke gate: a metric that is missing, zero-where-it-cannot-be, or
-/// non-finite fails the run.
-fn smoke_check(stat: &StrategyStat, report: &MetricsReport) -> Result<(), String> {
-    let s = stat.strategy;
-    report.validate().map_err(|e| format!("{s}: {e}"))?;
-    if stat.retrieves == 0 {
-        return Err(format!("{s}: no retrieves recorded"));
-    }
-    if !stat.mean_retrieve_io.is_finite() || stat.mean_retrieve_io <= 0.0 {
-        return Err(format!(
-            "{s}: mean retrieve I/O {} not positive-finite",
-            stat.mean_retrieve_io
-        ));
-    }
-    if stat.latency_p50_ns == 0 || stat.latency_p50_ns > stat.latency_max_ns {
-        return Err(format!("{s}: implausible latency quantiles"));
-    }
-    if stat.pool.is_empty() || stat.pool_total.probes() == 0 {
-        return Err(format!("{s}: pool telemetry empty"));
-    }
-    if !stat.pool_total.hit_ratio().is_finite() {
-        return Err(format!("{s}: pool hit ratio not finite"));
-    }
-    if s.needs_cache() && stat.cache.is_none() {
-        return Err(format!("{s}: cache counters missing"));
-    }
-    Ok(())
-}
-
-/// The `--heat` leg: drive one database with a uniform and a Zipf-skewed
-/// query stream and show the heat map telling them apart. With `smoke`,
-/// gate on the separation (the CI check that the heat layer actually
-/// detects skew, not just counts).
-fn run_heat_leg(base: &Params, smoke: bool) -> i32 {
-    const THETA: f64 = 1.2;
-    const TOP_K: usize = 5;
-    // num_top = 1 keys the Parent heat class directly on the generator's
-    // rank distribution: each retrieve touches exactly parent `lo`, and
-    // the Zipf generator's hot set is {0, 1, 2, ..} by construction.
-    let params = Params {
-        num_top: 1,
-        pr_update: 0.0,
-        sequence_len: base.sequence_len.max(400),
-        ..base.clone()
-    };
-    println!(
-        "corstat --heat — skew detection via the heat map{}\n\
-         |ParentRel| = {}, {} queries per driver, Zipf theta = {THETA}, \
-         decay half-life {:.0} tick(s)\n",
-        if smoke { " (smoke)" } else { "" },
-        params.parent_card,
-        params.sequence_len,
-        heat::half_life_ticks(heat::DEFAULT_ALPHA_Q16),
-    );
-
-    let generated = generate(&params);
-    let engine = Engine::builder()
-        .build_workload(&params, &generated, Strategy::Dfs)
-        .expect("engine builds");
-    heat::enable(true);
-
-    heat::global().reset();
-    let uniform = generate_sequence(&params);
-    engine
-        .run_sequence(Strategy::Dfs, &uniform)
-        .expect("uniform run");
-    let uniform_report = heat::global().report();
-
-    heat::global().reset();
-    let skewed = generate_zipf_sequence(&params, THETA);
-    engine
-        .run_sequence(Strategy::Dfs, &skewed)
-        .expect("zipf run");
-    let zipf_report = heat::global().report();
-    heat::enable(false);
-
-    let mut rows = Vec::new();
-    for (driver, report) in [("uniform", &uniform_report), ("zipf", &zipf_report)] {
-        for (rank, e) in report
-            .top_k(heat::HeatClass::Parent, TOP_K)
-            .iter()
-            .enumerate()
-        {
-            rows.push(vec![
-                driver.to_string(),
-                rank.to_string(),
-                e.id.to_string(),
-                e.count.to_string(),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        format_table(&["Driver", "Rank", "Parent", "Heat"], &rows)
-    );
-
-    let u_share = uniform_report.top_share(heat::HeatClass::Parent, TOP_K);
-    let z_share = zipf_report.top_share(heat::HeatClass::Parent, TOP_K);
-    println!(
-        "top-{TOP_K} parent heat share: uniform {}%, zipf {}%",
-        pct(u_share),
-        pct(z_share)
-    );
-    println!("other classes tracked under the zipf driver:");
-    for class in heat::HeatClass::ALL {
-        println!(
-            "  {:<14} {:>10} heat across {} key(s)",
-            class.name(),
-            zipf_report.total(class),
-            zipf_report.top_k(class, usize::MAX).len()
-        );
-    }
-
-    if smoke {
-        let mut failures: Vec<String> = Vec::new();
-        if zipf_report.touches == 0 {
-            failures.push("zipf run recorded no heat touches".into());
-        }
-        if z_share <= 0.4 {
-            failures.push(format!("zipf top-{TOP_K} share {z_share:.3} not skewed"));
-        }
-        if z_share <= 2.0 * u_share {
-            failures.push(format!(
-                "no separation: zipf share {z_share:.3} vs uniform {u_share:.3}"
-            ));
-        }
-        let top = zipf_report.top_k(heat::HeatClass::Parent, TOP_K);
-        if top.len() < TOP_K {
-            failures.push(format!("only {} hot parents tracked", top.len()));
-        }
-        for e in &top {
-            if e.id >= 10 {
-                failures.push(format!("hot parent {} outside the generator hot set", e.id));
-            }
-        }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("corstat heat smoke FAIL: {f}");
-            }
-            return 1;
-        }
-        println!("corstat heat smoke: OK (zipf/uniform separation verified)");
-    }
-    0
-}
-
 /// The `--trace` leg: run every strategy over the retrieve-only
 /// workload, sample one retrieve in four through
-/// [`Engine::trace_query`], and check each causal tree against the
-/// authoritative [`PhaseProfile`](cor_obs::PhaseProfile) ledger: the
-/// tree must be well-formed (rooted, parents before children, child
-/// intervals inside their parents') and its per-phase read/write sums
-/// must equal the profile deltas for that query *exactly* — both are
-/// fed by the same `IoStats` calls, so any drift is a collector bug.
-/// The deepest tree is exported as Chrome trace-event JSON.
-fn run_trace_leg(base: &Params, smoke: bool, json_path: Option<&std::path::Path>) -> i32 {
-    use cor_obs::{Phase, TraceTree};
+/// [`Engine::trace_query`], tabulate each causal tree, and export the
+/// deepest as Chrome trace-event JSON.
+fn run_trace_leg(base: &Params, json_path: Option<&std::path::Path>) {
+    use cor_obs::TraceTree;
 
     const SAMPLE_EVERY: usize = 4;
     let params = Params {
@@ -366,61 +208,28 @@ fn run_trace_leg(base: &Params, smoke: bool, json_path: Option<&std::path::Path>
         ..base.clone()
     };
     println!(
-        "corstat --trace — causal trace trees over sampled retrieves{}\n\
+        "corstat --trace — causal trace trees over sampled retrieves\n\
          |ParentRel| = {}, {} queries per strategy, 1 in {SAMPLE_EVERY} traced\n",
-        if smoke { " (smoke)" } else { "" },
-        params.parent_card,
-        params.sequence_len,
+        params.parent_card, params.sequence_len,
     );
 
     let generated = generate(&params);
-    let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut best: Option<TraceTree> = None;
     for strategy in Strategy::ALL {
         let engine = Engine::builder()
             .build_workload(&params, &generated, strategy)
             .expect("engine builds");
-        let stats = engine.pool().stats().clone();
-        let profile = stats.enable_profile();
         engine.pool().flush_and_clear().expect("cold start");
         let sequence = generate_sequence(&params);
-        let mut traced = 0usize;
         for (i, q) in sequence.iter().enumerate() {
             let Query::Retrieve(r) = q else { continue };
             if i % SAMPLE_EVERY != 0 {
                 engine.retrieve(strategy, r).expect("retrieve runs");
                 continue;
             }
-            let before = profile.snapshot();
             let (_, tree) = engine.trace_query(strategy, r).expect("traced retrieve");
-            let delta = profile.snapshot().since(&before);
-            let Some(tree) = tree else {
-                failures.push(format!("{strategy}: sampled retrieve produced no trace"));
-                continue;
-            };
-            traced += 1;
-            if let Err(e) = tree.validate() {
-                failures.push(format!("{strategy}: malformed trace tree: {e}"));
-            }
-            let (reads, writes) = (tree.reads_by_phase(), tree.writes_by_phase());
-            for phase in Phase::ALL {
-                let (tr, tw) = (reads[phase.index()], writes[phase.index()]);
-                if tr != delta.reads_of(phase) || tw != delta.writes_of(phase) {
-                    failures.push(format!(
-                        "{strategy}: {} tree sums {tr}r/{tw}w != profile {}r/{}w",
-                        phase.name(),
-                        delta.reads_of(phase),
-                        delta.writes_of(phase)
-                    ));
-                }
-            }
-            if smoke && tree.dropped > 0 {
-                failures.push(format!(
-                    "{strategy}: trace dropped {} node(s)",
-                    tree.dropped
-                ));
-            }
+            let Some(tree) = tree else { continue };
             rows.push(vec![
                 strategy.name().to_string(),
                 tree.id.to_string(),
@@ -435,9 +244,6 @@ fn run_trace_leg(base: &Params, smoke: bool, json_path: Option<&std::path::Path>
             {
                 best = Some(tree);
             }
-        }
-        if traced == 0 {
-            failures.push(format!("{strategy}: no retrieves sampled"));
         }
     }
 
@@ -456,81 +262,43 @@ fn run_trace_leg(base: &Params, smoke: bool, json_path: Option<&std::path::Path>
         write_report(&path, &tree.to_chrome_json());
         eprintln!("({} nodes; load at ui.perfetto.dev)", tree.nodes.len());
     }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!(
-                "corstat trace{} FAIL: {f}",
-                if smoke { " smoke" } else { "" }
-            );
-        }
-        return 1;
-    }
-    if smoke {
-        println!(
-            "corstat trace smoke: OK ({} trees gated against the phase ledger)",
-            rows.len()
-        );
-    }
-    0
 }
 
-/// The `--watch` leg: concurrent streams with a live sliding-window view
-/// (rate and latency quantiles over the last window, not since start).
-fn run_watch_leg(base: &Params, smoke: bool) -> i32 {
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// The `--watch` leg: concurrent streams with a live windowed view. Each
+/// tick prints the rate and latency quantiles of the queries finished
+/// since the previous tick, not since the start.
+fn run_watch_leg(params: &Params) {
     use std::sync::Mutex;
 
     let streams = 4;
-    let (interval, span, params) = if smoke {
-        (
-            Duration::from_millis(1),
-            Duration::from_millis(50),
-            Params {
-                sequence_len: base.sequence_len.max(400),
-                ..base.clone()
-            },
-        )
-    } else {
-        (
-            Duration::from_millis(250),
-            Duration::from_secs(2),
-            base.clone(),
-        )
-    };
+    let interval = Duration::from_millis(250);
     println!(
-        "corstat --watch — live windowed view{}\n\
-         {} streams x {} queries, tick every {:?}, window {:?}\n",
-        if smoke { " (smoke)" } else { "" },
-        streams,
+        "corstat --watch — live windowed view\n\
+         {streams} streams x {} queries, one window per {interval:?} tick\n",
         params.sequence_len,
-        interval,
-        span,
     );
 
-    let generated = generate(&params);
+    let generated = generate(params);
     let engine = Engine::builder()
-        .build_workload(&params, &generated, Strategy::Dfs)
+        .build_workload(params, &generated, Strategy::Dfs)
         .expect("engine builds");
-    let sequences = generate_stream_sequences(&params, streams);
-    let window = Mutex::new(SlidingWindow::new(span));
-    let views = AtomicU64::new(0);
+    let sequences = generate_stream_sequences(params, streams);
+    let previous = Mutex::new((Duration::ZERO, HistSnapshot::default()));
     let callback = |tick: LiveTick| {
-        let mut w = window.lock().expect("watch window");
-        w.push(tick.latency_hist.clone());
-        if let Some(view) = w.view() {
-            views.fetch_add(1, Ordering::Relaxed);
-            println!(
-                "[watch {:7.3}s] {:>6} queries | last {:.3}s: {} q/s, \
-                 p50 {} us, p99 {} us",
-                tick.elapsed.as_secs_f64(),
-                tick.queries_done,
-                view.span.as_secs_f64(),
-                fnum(view.rate_per_sec),
-                us(view.delta.quantile(0.5)),
-                us(view.delta.quantile(0.99)),
-            );
-        }
+        let mut previous = previous.lock().expect("watch baseline");
+        let span = tick.elapsed.saturating_sub(previous.0);
+        let window = tick.latency_hist.delta(&previous.1);
+        println!(
+            "[watch {:7.3}s] {:>6} queries | last {:.3}s: {} q/s, \
+             p50 {} us, p99 {} us",
+            tick.elapsed.as_secs_f64(),
+            tick.queries_done,
+            span.as_secs_f64(),
+            fnum(window.count() as f64 / span.as_secs_f64()),
+            us(window.quantile(0.5)),
+            us(window.quantile(0.99)),
+        );
+        *previous = (tick.elapsed, tick.latency_hist);
     };
     let result = engine
         .run_concurrent(Strategy::Dfs, &sequences, Some((interval, &callback)))
@@ -543,59 +311,28 @@ fn run_watch_leg(base: &Params, smoke: bool) -> i32 {
         us(result.latency.p50.as_nanos() as u64),
         us(result.latency.p99.as_nanos() as u64),
     );
-
-    if smoke && views.load(Ordering::Relaxed) == 0 {
-        eprintln!("corstat watch smoke FAIL: no window view materialized");
-        return 1;
-    }
-    if smoke {
-        println!(
-            "corstat watch smoke: OK ({} windowed ticks)",
-            views.load(Ordering::Relaxed)
-        );
-    }
-    0
 }
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let smoke = cfg.has_flag("--smoke");
-    cfg.expect_flags(&["--smoke", "--heat", "--trace", "--watch"], &["--json"]);
+    cfg.expect_flags(&["--trace", "--watch"], &["--json"]);
     let json_path = cfg.value("--json").map(std::path::PathBuf::from);
-
-    let params = if smoke {
-        Params {
-            parent_card: 200,
-            num_top: 10,
-            sequence_len: 40,
-            size_cache: 20,
-            buffer_pages: 16,
-            shards: 2,
-            pr_update: 0.2,
-            ..Params::paper_default()
-        }
-    } else {
-        Params {
-            shards: 4,
-            pr_update: 0.1,
-            ..cfg.base_params()
-        }
+    let params = Params {
+        shards: 4,
+        pr_update: 0.1,
+        ..cfg.base_params()
     };
 
-    if cfg.has_flag("--heat") {
-        std::process::exit(run_heat_leg(&params, smoke));
-    }
     if cfg.has_flag("--trace") {
-        std::process::exit(run_trace_leg(&params, smoke, json_path.as_deref()));
+        return run_trace_leg(&params, json_path.as_deref());
     }
     if cfg.has_flag("--watch") {
-        std::process::exit(run_watch_leg(&params, smoke));
+        return run_watch_leg(&params);
     }
 
     println!(
-        "corstat — per-strategy observability roll-up{}\n\
+        "corstat — per-strategy observability roll-up\n\
          |ParentRel| = {}, buffer = {} pages x {} shards, {} queries, Pr(UPDATE) = {}\n",
-        if smoke { " (smoke)" } else { "" },
         params.parent_card,
         params.buffer_pages,
         params.shards,
@@ -604,17 +341,10 @@ fn main() {
     );
 
     let generated = generate(&params);
-    let mut stats = Vec::new();
-    let mut failures = Vec::new();
-    for strategy in Strategy::ALL {
-        let (stat, report) = run_strategy(&params, &generated, strategy);
-        if smoke {
-            if let Err(e) = smoke_check(&stat, &report) {
-                failures.push(e);
-            }
-        }
-        stats.push(stat);
-    }
+    let stats: Vec<StrategyStat> = Strategy::ALL
+        .into_iter()
+        .map(|strategy| run_strategy(&params, &generated, strategy))
+        .collect();
 
     let rows: Vec<Vec<String>> = stats
         .iter()
@@ -692,16 +422,5 @@ fn main() {
 
     if let Some(path) = &json_path {
         write_report(path, &json_report(cfg.scale, &params, &stats));
-    }
-
-    if smoke {
-        if failures.is_empty() {
-            println!("corstat smoke: OK ({} strategies validated)", stats.len());
-        } else {
-            for f in &failures {
-                eprintln!("corstat smoke FAIL: {f}");
-            }
-            std::process::exit(1);
-        }
     }
 }

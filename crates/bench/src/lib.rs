@@ -1,8 +1,9 @@
 //! # cor-bench
 //!
 //! Benchmark harness: one binary per figure/table of the paper's
-//! evaluation (see DESIGN.md's experiment index) plus the gate binaries
-//! `scripts/check.sh` runs (corstat, explain, crashtest). Wall-time
+//! evaluation (see DESIGN.md's experiment index), the gate binaries
+//! `scripts/check.sh` runs (explain, crashtest) and the corstat
+//! observability report. Wall-time
 //! claims are judged by `benchmark/` at the repo root, not here.
 //!
 //! Every binary accepts:

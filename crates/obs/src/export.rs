@@ -5,7 +5,7 @@
 //! either format with no per-layer code. A small Prometheus *parser* is
 //! also exported: the test suite uses it to prove the text output is
 //! well-formed (label escaping round-trips, histogram buckets are
-//! cumulative), and `corstat --smoke` uses it as a self-check.
+//! cumulative).
 
 use crate::hist::HistSnapshot;
 use crate::registry::{Labels, MetricValue, MetricsSnapshot};

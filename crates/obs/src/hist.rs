@@ -229,7 +229,7 @@ impl HistSnapshot {
     /// `earlier` is a previous snapshot of the same histogram: bucket-wise
     /// subtraction, so the result is exactly the histogram of the samples
     /// recorded in between. This is what turns cumulative histograms into
-    /// sliding-window views (see `cor_obs::window`).
+    /// windowed views (`corstat --watch` prints one per tick).
     ///
     /// Min/max of the window cannot be recovered from cumulative state, so
     /// they are re-derived from the delta's occupied buckets (lower edge of

@@ -17,8 +17,6 @@
 //!   access counters for workload skew ([`heat`]);
 //! * [`Flight`] / [`FlightKind`] — a bounded black-box event journal
 //!   dumped on panic or fault ([`flight`]);
-//! * [`SlidingWindow`] — trailing-window rate/percentile views over the
-//!   cumulative histograms ([`window`]);
 //! * [`to_prometheus`] / [`to_json`] — exporters over a snapshot, plus
 //!   [`parse_prometheus`] for validating the text output ([`export`]);
 //! * [`Phase`] / [`PhaseGuard`] / [`PhaseProfile`] — thread-scoped phase
@@ -46,7 +44,6 @@ pub mod registry;
 pub mod trace;
 pub mod tracetree;
 pub mod wait;
-pub mod window;
 
 pub use export::{
     escape_json, escape_label_value, parse_prometheus, to_json, to_prometheus, ParsedSample,
@@ -66,4 +63,3 @@ pub use registry::{
 pub use trace::{Span, TraceRing};
 pub use tracetree::{TraceGuard, TraceNode, TraceTree, MAX_TRACE_NODES};
 pub use wait::{WaitClass, WaitProfile, WaitReport, WAIT_CLASSES};
-pub use window::{SlidingWindow, WindowView};

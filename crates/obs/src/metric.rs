@@ -65,8 +65,8 @@ impl Gauge {
 }
 
 /// Hit ratio `hits / (hits + misses)` as a fraction in `[0, 1]`,
-/// defined as 0.0 when nothing was probed (never NaN — exporters and the
-/// `corstat` smoke gate require finite values).
+/// defined as 0.0 when nothing was probed (never NaN — exporters and
+/// `MetricsSnapshot::validate` require finite values).
 pub fn hit_ratio(hits: u64, misses: u64) -> f64 {
     let probes = hits + misses;
     if probes == 0 {

@@ -161,8 +161,8 @@ impl MetricsSnapshot {
 
     /// Check structural health: every family has at least one sample, no
     /// gauge is NaN or infinite, histogram bucket sums match their counts,
-    /// and every `required` name is present. The `corstat` smoke gate runs
-    /// this in CI.
+    /// and every `required` name is present. The engine's metrics test
+    /// runs this over every strategy.
     pub fn validate(&self, required: &[&str]) -> Result<(), String> {
         for name in required {
             if self.family(name).is_none() {

@@ -13,7 +13,8 @@
 //! phase changes, per-phase sums over the tree's nodes equal the query's
 //! [`PhaseProfile`](crate::phase::PhaseProfile) deltas *exactly* — the
 //! same by-construction guarantee the phase layer gives, one level finer
-//! (proptested in `crates/obs/tests/tracetree.rs`).
+//! (proptested in `crates/obs/tests/tracetree.rs`, and checked for every
+//! strategy by `traced_query_matches_profile_ledger`).
 //!
 //! Tracing is thread-scoped and strictly on-demand: a trace exists only
 //! between [`start`] and [`TraceGuard::finish`] on one thread. When no
@@ -24,8 +25,8 @@
 //!
 //! The finished [`TraceTree`] renders to Chrome trace-event JSON
 //! ([`TraceTree::to_chrome_json`]) — load it at `chrome://tracing` or in
-//! Perfetto. `Engine::trace_query` and the `corstat --trace` leg are the
-//! producing ends; slow-query captures link flight-recorder events to
+//! Perfetto. `Engine::trace_query` is the producing end (`corstat
+//! --trace` exports its deepest tree); slow-query captures link flight-recorder events to
 //! trace ids (`FlightKind::TraceLink`) so crashtest black boxes can be
 //! joined with trees.
 

@@ -102,37 +102,11 @@ pub struct LiveTick {
     pub queries_done: u64,
     /// Wall-clock time since the run started.
     pub elapsed: Duration,
-    /// Latency summary over the operations completed so far.
-    pub latency: LatencySummary,
-    /// Cumulative latency histogram behind the summary — feed it to a
-    /// `cor_obs::SlidingWindow` for trailing-window rates/percentiles
-    /// (what `corstat --watch` renders).
+    /// Cumulative latency histogram of the operations completed so far. Its
+    /// [`delta`](HistSnapshot::delta) against the previous tick's is the
+    /// histogram of the queries finished in between (what `corstat
+    /// --watch` prints).
     pub latency_hist: HistSnapshot,
-}
-
-impl LiveTick {
-    /// Throughput so far in queries per second.
-    pub fn queries_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.queries_done as f64 / secs
-    }
-}
-
-/// The standard live reporter: one progress line per tick on stderr
-/// (`[strategy] N queries, X q/s, p50 .., p99 ..`).
-pub fn stderr_reporter(strategy: Strategy) -> impl Fn(LiveTick) + Sync {
-    move |tick: LiveTick| {
-        eprintln!(
-            "[{strategy}] {} queries, {:.0} q/s, p50 {:?}, p99 {:?}",
-            tick.queries_done,
-            tick.queries_per_sec(),
-            tick.latency.p50,
-            tick.latency.p99,
-        );
-    }
 }
 
 /// Generate one query sequence per stream, each from its own derived
@@ -277,8 +251,7 @@ mod tests {
         // joined, so the closing line always reports the completed run.
         assert_eq!(last.queries_done, r.queries as u64);
         assert_eq!(last.latency_hist.count(), r.queries as u64);
-        assert!(last.queries_per_sec() > 0.0);
-        assert!(last.latency.p50 <= last.latency.max);
+        assert!(last.latency_hist.quantile(0.5) <= last.latency_hist.max());
     }
 
     #[test]

@@ -972,9 +972,8 @@ impl Engine {
     ///
     /// With a `reporter`, a monitor thread reads the shared latency
     /// histogram and progress counter every interval (both lock-free;
-    /// workers are never paused) and hands the callback a [`LiveTick`] —
-    /// [`stderr_reporter`](crate::concurrent::stderr_reporter) is the
-    /// standard progress line.
+    /// workers are never paused) and hands the callback a [`LiveTick`]
+    /// (`corstat --watch` prints one windowed line per tick).
     pub fn run_concurrent(
         &self,
         strategy: Strategy,
@@ -998,14 +997,10 @@ impl Engine {
                 let done = &done;
                 let stop = &stop;
                 scope.spawn(move || {
-                    let tick = || {
-                        let hist = latency_hist.snapshot();
-                        LiveTick {
-                            queries_done: done.load(Ordering::Relaxed),
-                            elapsed: started.elapsed(),
-                            latency: LatencySummary::from_histogram(&hist),
-                            latency_hist: hist,
-                        }
+                    let tick = || LiveTick {
+                        queries_done: done.load(Ordering::Relaxed),
+                        elapsed: started.elapsed(),
+                        latency_hist: latency_hist.snapshot(),
                     };
                     let mut next = Instant::now() + interval;
                     while !stop.load(Ordering::Acquire) {
@@ -1305,48 +1300,95 @@ mod tests {
         }
     }
 
+    /// Every strategy, over a mixed sequence on a two-shard 16-page pool:
+    /// the report validates, carries one span per call (their I/O sums to
+    /// the pool's delta) and the retrieve counters and latency of that
+    /// strategy, pool telemetry per shard, and live cache counters
+    /// exactly when the strategy runs a cache.
     #[test]
     fn observed_engine_reports_spans_pool_and_cache() {
         use crate::metrics::span_op;
+        use cor_obs::MetricValue;
         let p = Params {
             shards: 2,
+            pr_update: 0.2,
             ..tiny()
         };
         let generated = generate(&p);
-        let engine = Engine::builder()
-            .metrics(true)
-            .build_workload(&p, &generated, Strategy::DfsCache)
-            .unwrap();
-        let q = RetrieveQuery {
-            lo: 0,
-            hi: 9,
-            attr: RetAttr::Ret1,
-        };
-        let out = engine.retrieve(Strategy::DfsCache, &q).unwrap();
-        let target = generated.spec.child_rels[0][0].oid;
-        engine
-            .update(&UpdateQuery {
-                targets: vec![target],
-                new_ret1: 1,
-            })
-            .unwrap();
-        let report = engine.metrics().unwrap();
-        let spans = &report.spans;
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].op, span_op::RETRIEVE);
-        assert_eq!(spans[0].payload, out.values.len() as u64);
-        assert_eq!(spans[1].op, span_op::UPDATE);
-        report.validate().unwrap();
-        let pool = &report.pool;
-        assert_eq!(pool.len(), 2, "one telemetry stripe per shard");
-        assert!(pool.iter().any(|s| s.probes() > 0));
-        let cache = report.cache.expect("DFSCACHE engine has a cache");
-        assert!(cache.probes() > 0);
-        let prom = report.to_prometheus();
-        assert!(prom.contains("cor_query_total"), "{prom}");
-        assert!(prom.contains("cor_pool_hit_ratio"), "{prom}");
-        let json = report.to_json();
-        assert!(json.contains("\"cor_query_latency_ns\""), "{json}");
+        let sequence = generate_sequence(&p);
+        let retrieves = sequence
+            .iter()
+            .filter(|q| matches!(q, Query::Retrieve(_)))
+            .count() as u64;
+        assert!(retrieves > 0 && retrieves < sequence.len() as u64);
+        for strategy in Strategy::ALL {
+            let engine = Engine::builder()
+                .metrics(true)
+                .build_workload(&p, &generated, strategy)
+                .unwrap();
+            let before = engine.pool().stats().snapshot();
+            let mut spans = Vec::new();
+            for q in &sequence {
+                match q {
+                    Query::Retrieve(r) => {
+                        let out = engine.retrieve(strategy, r).unwrap();
+                        spans.push((span_op::RETRIEVE, out.values.len() as u64));
+                    }
+                    Query::Update(u) => {
+                        engine.update(u).unwrap();
+                        spans.push((span_op::UPDATE, 0));
+                    }
+                }
+            }
+            let report = engine.metrics().unwrap();
+            report.validate().unwrap();
+            let got: Vec<_> = report.spans.iter().map(|s| (s.op, s.payload)).collect();
+            assert_eq!(got, spans, "{strategy}: one span per call");
+            // The spans carry exactly the I/O the pool counted over the loop.
+            let io = engine.pool().stats().snapshot().since(&before);
+            assert!(io.reads > 0, "{strategy}: the sequence reads pages");
+            let span_io = report
+                .spans
+                .iter()
+                .fold((0, 0), |(r, w), s| (r + s.reads, w + s.writes));
+            assert_eq!(span_io, (io.reads, io.writes), "{strategy}: span I/O");
+
+            let want = cor_obs::labels(&[("strategy", strategy.name()), ("op", "retrieve")]);
+            let sample = |name| {
+                let family = report.snapshot.family(name).unwrap();
+                let s = family.samples.iter().find(|s| s.labels == want);
+                s.map(|s| s.value.clone()).unwrap()
+            };
+            assert_eq!(
+                sample("cor_query_total"),
+                MetricValue::Counter(retrieves),
+                "{strategy}"
+            );
+            let MetricValue::Histogram(latency) = sample("cor_query_latency_ns") else {
+                panic!("{strategy}: latency is a histogram");
+            };
+            let (p50, max) = (latency.quantile(0.5), latency.max());
+            assert!(0 < p50 && p50 <= max, "{strategy}: p50 {p50} max {max}");
+            let MetricValue::Counter(reads) = sample("cor_query_reads_total") else {
+                panic!("{strategy}: reads is a counter");
+            };
+            assert!(reads > 0, "{strategy}: retrieves read pages");
+
+            assert_eq!(report.pool.len(), 2, "{strategy}: one stripe per shard");
+            assert!(report.pool_total().probes() > 0, "{strategy}: pool probes");
+            assert_eq!(
+                report.cache.is_some(),
+                strategy.needs_cache(),
+                "{strategy}: cache counters present exactly with a cache"
+            );
+            if let Some(c) = &report.cache {
+                assert!(c.probes() > 0, "{strategy}: cache never probed");
+            }
+            let prom = report.to_prometheus();
+            assert!(prom.contains("cor_pool_hit_ratio"), "{prom}");
+            let json = report.to_json();
+            assert!(json.contains("\"cor_query_latency_ns\""), "{json}");
+        }
     }
 
     #[test]

@@ -25,11 +25,11 @@ use std::time::Duration;
 pub const DEFAULT_TRACE_SPANS: usize = 1024;
 
 /// Version of the exported metrics layout, stamped into every rendered
-/// report (matches the `schema_version` corstat.json carries).
+/// report (matches the `schema_version` `corstat --json` writes).
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
-/// Metric families every [`MetricsReport`] must carry; the `corstat`
-/// smoke gate fails if any is missing or non-finite.
+/// Metric families every [`MetricsReport`] must carry;
+/// [`MetricsReport::validate`] fails if any is missing or non-finite.
 pub const REQUIRED_METRICS: &[&str] = &[
     "cor_query_total",
     "cor_query_reads_total",
@@ -279,7 +279,7 @@ impl MetricsReport {
     }
 
     /// Render the report as JSON, wrapped with the same
-    /// `schema_version` / `catalog_version` stamps corstat.json carries.
+    /// `schema_version` / `catalog_version` stamps `corstat --json` writes.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"schema_version\":{},\"catalog_version\":{},\"metrics\":{}}}",

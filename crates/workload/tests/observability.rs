@@ -266,45 +266,53 @@ fn wait_families_exported_only_when_enabled() {
     assert!(shard_lock > 0, "retrieve took no timed shard locks");
 }
 
-/// Engine-level exactness: a traced query's per-phase node sums equal
-/// the pool's `PhaseProfile` deltas.
+/// Engine-level exactness, for every strategy over a sampled sequence:
+/// each traced query's tree is well-formed, dropped no node, and its
+/// per-phase sums equal the pool's `PhaseProfile` deltas. Both are fed
+/// by the same `IoStats` calls, so any drift is a collector bug.
 #[test]
 fn traced_query_matches_profile_ledger() {
     let _g = GLOBALS.lock().unwrap();
-    let p = small(5);
-    let generated = generate(&p);
-    let engine = Engine::builder()
-        .build_workload(&p, &generated, Strategy::Bfs)
-        .unwrap();
-    let profile = engine.pool().stats().enable_profile();
-    let query = RetrieveQuery {
-        lo: 0,
-        hi: p.num_top - 1,
-        attr: RetAttr::ALL[0],
+    let p = Params {
+        pr_update: 0.0,
+        ..small(5)
     };
+    let generated = generate(&p);
+    let sequence = generate_sequence(&p);
+    for strategy in Strategy::ALL {
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, strategy)
+            .unwrap();
+        let profile = engine.pool().stats().enable_profile();
+        let mut traced = 0;
+        for q in sequence.iter().step_by(4) {
+            let Query::Retrieve(r) = q else { continue };
+            let before = profile.snapshot();
+            let (out, tree) = engine.trace_query(strategy, r).unwrap();
+            let delta = profile.snapshot().since(&before);
 
-    let before = profile.snapshot();
-    let (out, tree) = engine.trace_query(Strategy::Bfs, &query).unwrap();
-    let delta = profile.snapshot().since(&before);
-
-    let tree = tree.expect("trace collects");
-    tree.validate().unwrap();
-    assert!(!out.values.is_empty());
-    assert!(tree.nodes.len() > 1, "BFS retrieve produced a trivial tree");
-    let (reads, writes) = (tree.reads_by_phase(), tree.writes_by_phase());
-    for phase in Phase::ALL {
-        assert_eq!(
-            reads[phase.index()],
-            delta.reads_of(phase),
-            "{}",
-            phase.name()
-        );
-        assert_eq!(
-            writes[phase.index()],
-            delta.writes_of(phase),
-            "{}",
-            phase.name()
-        );
+            let tree = tree.expect("trace collects");
+            tree.validate().unwrap();
+            assert_eq!(tree.dropped, 0, "{strategy}: trace dropped nodes");
+            assert!(!out.values.is_empty());
+            assert!(tree.nodes.len() > 1, "{strategy}: trivial tree");
+            let (reads, writes) = (tree.reads_by_phase(), tree.writes_by_phase());
+            for phase in Phase::ALL {
+                let name = phase.name();
+                assert_eq!(
+                    reads[phase.index()],
+                    delta.reads_of(phase),
+                    "{strategy} {name}"
+                );
+                assert_eq!(
+                    writes[phase.index()],
+                    delta.writes_of(phase),
+                    "{strategy} {name}"
+                );
+            }
+            traced += 1;
+        }
+        assert!(traced > 0, "{strategy}: nothing sampled");
     }
 }
 

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, the whole test suite, then the smoke
-# gates: corstat (metrics, heat, trace trees), explain (cost model) and
-# its replay, figs.sh (the figure fixed point, whose Ablation 3 runs Figs
-# 5 and 7 under LRU and SIEVE) and crashtest (raw and --logical). The
-# test suite carries the exact-I/O pins no figure covers
+# Full local gate: formatting, lints, the whole test suite, then one gate
+# per question: explain (phase attribution and cost model), the replay of
+# the committed explain capture (did any query's I/O move), figs.sh (the
+# figure fixed point, scaled and paper-scale; its Ablation 3 runs Figs 5
+# and 7 under LRU and SIEVE) and crashtest (raw and --logical). The test
+# suite carries the exact-I/O pins no figure covers
 # (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
-# policies). CI runs exactly this script; run it before pushing.
+# policies) and the observability invariants (metrics reports for every
+# strategy, trace trees against the phase ledger, heat-map skew
+# detection). CI runs exactly this script; run it before pushing. It takes
+# about 4 minutes warm on a 2-vCPU Xeon, most of it figs.sh.
 #
 # The gate leaves the tree as it found it: smoke legs write their
 # timing-bearing reports under target/check/ (CI uploads them from
@@ -29,22 +33,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> corstat smoke (observability gate)"
-cargo run -q -p cor-bench --bin corstat -- --smoke
-
-echo "==> corstat heat smoke (heat-map skew-detection gate)"
-cargo run -q -p cor-bench --bin corstat -- --heat --smoke
-
-echo "==> corstat trace smoke (causal trace trees vs the phase ledger)"
-cargo run -q -p cor-bench --bin corstat -- --trace --smoke --json $out/smoke_trace.json
-
 echo "==> explain smoke (phase-attribution + cost-model gate)"
 cargo run -q -p cor-bench --bin explain -- --smoke --jsonl $out/explain.jsonl
 
-echo "==> explain replay (deterministic I/O regression gate)"
-cargo run -q -p cor-bench --bin explain -- --replay $out/explain.jsonl
+echo "==> explain replay of the committed capture (I/O regression gate)"
+cargo run -q -p cor-bench --bin explain -- --replay results/explain/explain.jsonl
 
-echo "==> figs (figure fixed point: fig3/4/5/7, smart, multilevel, numchildrel, ablation, matrix, jhin88, insideout regenerate byte-identically)"
+echo "==> figs (figure fixed point: fig3/4/5/7, smart, multilevel, numchildrel, ablation, matrix, jhin88, insideout and the paper-scale fig3/4/5 regenerate byte-identically)"
 scripts/figs.sh
 
 echo "==> crashtest smoke (durability gate: crash, recover, verify vs oracle)"
