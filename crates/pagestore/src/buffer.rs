@@ -368,13 +368,19 @@ impl BufferPool {
         let pid = self.next_page_id()?;
         self.stats.record_allocation();
         let shard = self.shard_of(pid);
-        let idx = shard.allocate_into(
+        let idx = match shard.allocate_into(
             pid,
             self.policy,
             self.disk.as_ref(),
             &self.stats,
             self.wal_ref(),
-        )?;
+        ) {
+            Ok(idx) => idx,
+            // No frame (a pinned shard, or a victim whose write-back
+            // failed): the id is neither resident nor handed out, so it
+            // goes back to its home free list instead of leaking.
+            Err(e) => return shard.free_page(pid).and(Err(e)),
+        };
         // Log the zeroed page as a full image: the frame is dirty with no
         // log record behind it, and a recycled page id may carry stale
         // bytes in the store that redo must be able to overwrite.
@@ -490,10 +496,15 @@ impl BufferPool {
                 let r = f(PageMut::new(&mut st.data[..]));
                 if pre[..] != st.data[..] {
                     match wal.log_page_write(pid, &pre, &st.data) {
-                        Ok(lsn) => {
+                        Ok((lsn, image_lsn)) => {
                             PageMut::new(&mut st.data[..]).set_lsn(lsn);
+                            // A clean frame's recLSN is the page's epoch
+                            // image, not this record: a torn write-back
+                            // of the page can only be repaired by redo
+                            // from that image, so every checkpoint's
+                            // horizon must stay at or below it.
                             if st.rec_lsn == NO_LSN {
-                                st.rec_lsn = lsn;
+                                st.rec_lsn = image_lsn;
                             }
                         }
                         Err(e) => {
@@ -574,10 +585,11 @@ impl BufferPool {
     }
 
     /// The dirty-page table: `(page_id, recLSN)` for every dirty resident
-    /// page, where recLSN is the log record that first dirtied the page
-    /// since its last write-back. Captured into checkpoint records so
-    /// recovery knows how far back redo must start. Pages dirtied without
-    /// a WAL attached carry no recLSN and are omitted.
+    /// page, where recLSN is the LSN of the page's full-page-write image
+    /// in force when the change that dirtied the clean frame was logged
+    /// (at or below that change's own record). Captured into checkpoint
+    /// records so recovery knows how far back redo must start. Pages
+    /// dirtied without a WAL attached carry no recLSN and are omitted.
     pub fn dirty_page_table(&self) -> Vec<(PageId, Lsn)> {
         let mut dpt = Vec::new();
         for shard in &self.shards {
@@ -1008,6 +1020,28 @@ mod tests {
         assert!(p.num_pages() <= 4 * 7, "store grew to {}", p.num_pages());
     }
 
+    #[test]
+    fn failed_allocation_returns_its_page_id_to_the_free_list() {
+        use crate::disk::{FaultMode, FaultyDisk};
+        let disk = Arc::new(FaultyDisk::new(MemDisk::new()));
+        let p = BufferPool::builder()
+            .capacity(1)
+            .disk(Box::new(disk.clone()))
+            .build();
+        // `live` is dirty in the only frame, so the next allocation must
+        // evict it, and that write-back fails.
+        let live = p.allocate_page().unwrap();
+        disk.arm(1, FaultMode::FailStop);
+        assert!(matches!(p.allocate_page(), Err(BufferError::Disk(_))));
+        let free = p.free_page_ids();
+        assert_eq!(free.len(), 1, "the id the failed allocation took is free");
+        assert_ne!(free[0], live);
+        assert_eq!(1 + free.len(), p.num_pages() as usize, "no id leaked");
+        // The store is healthy again, and the id is the next one handed out.
+        assert_eq!(p.allocate_page().unwrap(), free[0]);
+        assert_eq!(p.free_pages(), 0);
+    }
+
     /// A WAL hook that hands out sequential LSNs and can be told to fail
     /// its next page-write log call.
     struct FlakyHook {
@@ -1033,7 +1067,7 @@ mod tests {
             _pid: PageId,
             _before: &PageBuf,
             _after: &PageBuf,
-        ) -> Result<Lsn, DiskError> {
+        ) -> Result<(Lsn, Lsn), DiskError> {
             if self.fail_writes.load(Ordering::SeqCst) {
                 return Err(DiskError::io(
                     "wal append",
@@ -1041,7 +1075,8 @@ mod tests {
                     std::io::Error::other("injected"),
                 ));
             }
-            Ok(self.next.fetch_add(1, Ordering::SeqCst) + 1)
+            let lsn = self.next.fetch_add(1, Ordering::SeqCst) + 1;
+            Ok((lsn, lsn))
         }
         fn log_page_image(&self, _pid: PageId, _image: &PageBuf) -> Result<Lsn, DiskError> {
             Ok(self.next.fetch_add(1, Ordering::SeqCst) + 1)
@@ -1049,7 +1084,6 @@ mod tests {
         fn flush_to(&self, _lsn: Lsn) -> Result<(), DiskError> {
             Ok(())
         }
-        fn page_flushed(&self, _pid: PageId) {}
     }
 
     #[test]

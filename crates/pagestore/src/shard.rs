@@ -10,6 +10,13 @@
 //! are only chosen among frames with `pin_count == 0`, and pin counts
 //! only move under the shard lock (up) or after the data guard is
 //! dropped (down).
+//!
+//! With a WAL attached, a dirty frame carries a recLSN for the
+//! checkpoint dirty-page table: the LSN of the page's full image in the
+//! current full-page-write epoch, set when a clean frame is dirtied. A
+//! write-back flushes the log through the page LSN first, then clears
+//! the recLSN; it tells the log nothing else, since the page is imaged
+//! once per checkpoint interval, not once per write-back.
 
 use crate::buffer::BufferError;
 use crate::disk::DiskManager;
@@ -36,10 +43,12 @@ const FRAME_STALL_SLEEP: Duration = Duration::from_micros(50);
 pub(crate) struct FrameData {
     pub(crate) page_id: PageId,
     pub(crate) dirty: bool,
-    /// recLSN: the log record that first dirtied this frame since its
-    /// last write-back ([`NO_LSN`] when clean or when no WAL is
-    /// attached). Reported in the checkpoint dirty-page table; redo must
-    /// start no later than the minimum recLSN over all dirty frames.
+    /// recLSN: the LSN of the page's full image in the full-page-write
+    /// epoch in which the clean frame was dirtied — at or below the
+    /// record that dirtied it ([`NO_LSN`] when clean or when no WAL is
+    /// attached). Reported in
+    /// the checkpoint dirty-page table; redo must start no later than the
+    /// minimum recLSN over all dirty frames.
     pub(crate) rec_lsn: Lsn,
     pub(crate) data: Box<PageBuf>,
 }
@@ -57,15 +66,11 @@ fn wal_before_data(wal: Option<&dyn WalHook>, st: &FrameData) -> Result<(), Buff
     Ok(())
 }
 
-/// Bookkeeping after a successful write-back: the frame is clean, its
-/// dirty-period is over, and the log must image the page again before
-/// trusting deltas (the write-back created a fresh torn-write hazard).
-fn after_write_back(wal: Option<&dyn WalHook>, st: &mut FrameData) {
+/// Bookkeeping after a successful write-back: the frame is clean and its
+/// dirty period is over.
+fn after_write_back(st: &mut FrameData) {
     st.dirty = false;
     st.rec_lsn = NO_LSN;
-    if let Some(w) = wal {
-        w.page_flushed(st.page_id);
-    }
 }
 
 pub(crate) struct Frame {
@@ -293,7 +298,7 @@ impl Shard {
                 }
                 stats.record_write();
                 self.count(|t| t.writebacks.inc());
-                after_write_back(wal, &mut st);
+                after_write_back(&mut st);
             }
             inner.page_table.remove(&st.page_id);
             st.page_id = PageId::MAX;
@@ -352,7 +357,7 @@ impl Shard {
         disk.write_page(st.page_id, &st.data)?;
         stats.record_write();
         self.count(|t| t.writebacks.inc());
-        after_write_back(wal, &mut st);
+        after_write_back(&mut st);
         Ok(true)
     }
 
@@ -371,7 +376,7 @@ impl Shard {
                 disk.write_page(st.page_id, &st.data)?;
                 stats.record_write();
                 self.count(|t| t.writebacks.inc());
-                after_write_back(wal, &mut st);
+                after_write_back(&mut st);
             }
         }
         Ok(())
@@ -393,7 +398,7 @@ impl Shard {
                 disk.write_page(st.page_id, &st.data)?;
                 stats.record_write();
                 self.count(|t| t.writebacks.inc());
-                after_write_back(wal, &mut st);
+                after_write_back(&mut st);
             }
             st.page_id = PageId::MAX;
         }

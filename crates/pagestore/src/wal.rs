@@ -8,15 +8,20 @@
 //!   before- and after-images and stamps the returned [`Lsn`] into the
 //!   page header (bytes 12..16, the formerly reserved word — unused by
 //!   both the slotted and the B-tree node layouts);
+//! * the hook also returns the LSN of the page's full image in the
+//!   current full-page-write epoch (one checkpoint interval). A frame
+//!   dirtied from clean takes that image LSN as its recLSN, so every
+//!   checkpoint's redo horizon stays at or below the image a torn
+//!   write-back of the page would need;
 //! * before any dirty page reaches the disk manager (eviction,
 //!   [`flush_page`](crate::BufferPool::flush_page), `flush_all`), the
 //!   pool calls [`WalHook::flush_to`] with that page's LSN — the
 //!   *WAL-before-data* rule: no page version may hit the store before
-//!   the log records that produced it are durable;
-//! * after a successful write-back the pool reports
-//!   [`WalHook::page_flushed`], so the log knows the next modification
-//!   of that page must be a full image again (a torn write-back can only
-//!   be repaired from a full image, never from a delta).
+//!   the log records that produced it are durable.
+//!
+//! A write-back is not reported to the log: the page is imaged once per
+//! epoch, not once per dirty period, and redo from a horizon at or
+//! below that image repairs a torn write-back.
 //!
 //! A pool built without a hook behaves — and performs — exactly as
 //! before: page bytes, I/O counts, and eviction order are untouched.
@@ -34,19 +39,22 @@ pub const NO_LSN: Lsn = 0;
 
 /// The buffer pool's view of a write-ahead log.
 ///
-/// Implemented by `cor_wal::Wal`; the pool only needs these four
+/// Implemented by `cor_wal::Wal`; the pool only needs these three
 /// operations to uphold the WAL invariants described in the module docs.
 pub trait WalHook: Send + Sync {
     /// Log one page mutation: `before` and `after` are the full page
     /// contents around the mutating closure (LSN word not yet restamped).
-    /// Returns the record's LSN. The implementation chooses the physical
-    /// format (full image vs byte-range delta).
+    /// Returns `(record LSN, image LSN)`: the LSN of the record just
+    /// appended, and the LSN of the page's full image in the current
+    /// full-page-write epoch (the same LSN when this record is that
+    /// image). The implementation chooses the physical format (full
+    /// image vs byte-range delta).
     fn log_page_write(
         &self,
         pid: PageId,
         before: &PageBuf,
         after: &PageBuf,
-    ) -> Result<Lsn, DiskError>;
+    ) -> Result<(Lsn, Lsn), DiskError>;
 
     /// Log a full after-image unconditionally (used for freshly allocated
     /// pages, whose prior frame contents are garbage and must not be
@@ -57,9 +65,4 @@ pub trait WalHook: Send + Sync {
     /// the pool immediately before writing a page stamped with `lsn` to
     /// the disk manager.
     fn flush_to(&self, lsn: Lsn) -> Result<(), DiskError>;
-
-    /// A page was successfully written back to the store. The next
-    /// mutation of `pid` must be logged as a full image: the write-back
-    /// created a new torn-write hazard that only an image can repair.
-    fn page_flushed(&self, pid: PageId);
 }

@@ -6,12 +6,16 @@
 //! The torn-page hazard makes page-LSN gating alone unsound: a torn page
 //! can carry a *new* LSN word over an *old* tail, so comparing LSNs
 //! against it proves nothing. The fix is PostgreSQL's: the first
-//! modification of a page after a checkpoint — or after the page was
-//! written back to the store — is logged as a **full image**, applied
-//! unconditionally at redo; only subsequent modifications within the
-//! same dirty period are logged as byte-range **deltas**, gated on the
-//! page LSN. Every dirty period thus starts from a trusted full image
-//! that overwrites whatever a torn write left behind.
+//! modification of a page after a checkpoint is logged as a **full
+//! image**, applied unconditionally at redo; every later modification
+//! until the next checkpoint is logged as a byte-range **delta**, gated
+//! on the page LSN. A write-back does not start a new image: the pool
+//! gives a frame dirtied from clean the LSN of the page's image in the
+//! current epoch as its recLSN ([`WalHook::log_page_write`] returns it),
+//! so any checkpoint taken while the page is dirty sets its redo horizon
+//! at or below that image. Redo after a torn write-back therefore starts
+//! from a trusted full image that overwrites whatever the tear left
+//! behind, and replays every delta since.
 //!
 //! # Group commit
 //!
@@ -24,7 +28,7 @@
 //! page write-back, so the store never runs ahead of the durable log.
 
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,10 +118,11 @@ struct WalInner {
     appended_lsn: Lsn,
     /// Highest LSN known durable.
     durable_lsn: Lsn,
-    /// Pages whose current dirty period already logged a full image.
-    /// Cleared at checkpoints; a page is removed when written back. A
-    /// page *not* in this set logs a full image on its next write.
-    imaged: HashSet<PageId>,
+    /// The full-page-write epoch: each page imaged since the last
+    /// checkpoint began, mapped to the LSN of that image. Cleared when a
+    /// checkpoint reads its begin LSN. A page *not* in this map logs a
+    /// full image on its next write.
+    imaged: HashMap<PageId, Lsn>,
     /// Bytes appended to the active segment since the last rotation.
     active_seg_bytes: usize,
     /// Appends since the last sync, for [`FsyncPolicy::EveryN`].
@@ -154,7 +159,7 @@ impl Wal {
                 next_lsn: 1,
                 appended_lsn: NO_LSN,
                 durable_lsn: NO_LSN,
-                imaged: HashSet::new(),
+                imaged: HashMap::new(),
                 active_seg_bytes: 0,
                 appends_since_sync: 0,
                 poisoned: false,
@@ -171,9 +176,9 @@ impl Wal {
     /// Attach to a store that already holds records (e.g. after
     /// recovery): scans for the highest LSN, continues numbering after
     /// it, and rotates to a fresh segment so new records never share a
-    /// segment with a possibly-torn tail. The imaged set starts empty,
-    /// which is safe — it only means the first write to each page logs a
-    /// full image again.
+    /// segment with a possibly-torn tail. The epoch's image map starts
+    /// empty, which is safe — it only means the first write to each page
+    /// logs a full image again.
     pub fn attach(store: Arc<dyn LogStore>, config: WalConfig) -> io::Result<Self> {
         let mut max_lsn = NO_LSN;
         for seg in store.read_segments()? {
@@ -321,11 +326,11 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Take a fuzzy checkpoint: capture a *begin LSN*, call `capture_dpt`
-    /// for the pool's dirty-page table, append a checkpoint record
-    /// carrying the redo horizon `min(begin LSN, min recLSN)`, sync the
-    /// log, reset the full-page-write epoch, and garbage-collect segments
-    /// below the horizon.
+    /// Take a fuzzy checkpoint: capture a *begin LSN* and start a new
+    /// full-page-write epoch, call `capture_dpt` for the pool's
+    /// dirty-page table, append a checkpoint record carrying the redo
+    /// horizon `min(begin LSN, min recLSN)`, sync the log, and
+    /// garbage-collect segments below the horizon.
     ///
     /// Taking the dirty-page table through a closure is what makes the
     /// checkpoint race-free against concurrent writers (ARIES
@@ -334,14 +339,21 @@ impl Wal {
     /// capture and the checkpoint append either carries an LSN `>=` the
     /// begin LSN (covered by redo regardless of the table) or finished
     /// updating its frame before the capture saw it (present in the
-    /// table). The closure runs without the log lock held, so it may
-    /// itself append records (the pool's frame latches order before the
-    /// log lock).
+    /// table). The epoch starts under the same lock acquisition, so a
+    /// page first written inside that window logs an image at an LSN
+    /// `>=` the begin LSN: a torn write-back of a page the table missed
+    /// is still repaired. The closure runs without the log lock held, so
+    /// it may itself append records (the pool's frame latches order
+    /// before the log lock).
     pub fn checkpoint(
         &self,
         capture_dpt: impl FnOnce() -> Vec<(PageId, Lsn)>,
     ) -> io::Result<CheckpointInfo> {
-        let begin_lsn = self.inner.lock().next_lsn;
+        let begin_lsn = {
+            let mut inner = self.inner.lock();
+            inner.imaged.clear();
+            inner.next_lsn
+        };
         let mut dirty_pages = capture_dpt();
         let total_dirty = dirty_pages.len();
         let redo_lsn = dirty_pages
@@ -367,9 +379,6 @@ impl Wal {
             u64::from(lsn),
         );
         self.sync_locked(&mut inner)?;
-        // New FPW epoch: the next write to any page logs a full image,
-        // so redo from this checkpoint never trusts a torn page.
-        inner.imaged.clear();
         let segments_removed = self.store.gc_before(redo_lsn)?;
         Ok(CheckpointInfo {
             lsn,
@@ -400,45 +409,47 @@ impl WalHook for Wal {
         pid: PageId,
         before: &PageBuf,
         after: &PageBuf,
-    ) -> Result<Lsn, DiskError> {
+    ) -> Result<(Lsn, Lsn), DiskError> {
         let mut inner = self.lock_queue();
-        // First write of a dirty period (or first since a checkpoint):
-        // full image. Otherwise a delta — unless the changed range is so
+        // First write since the checkpoint: full image. Otherwise a delta
+        // against the epoch's image — unless the changed range is so
         // large an image is no bigger.
-        let image = if !inner.imaged.contains(&pid) {
-            true
-        } else {
-            match diff_range(before, after) {
-                None => return Ok(inner.appended_lsn.max(1)), // nothing changed; nothing to log
-                Some((s, e)) => e - s + 8 >= 4 + PAGE_SIZE,
-            }
+        let delta = match inner.imaged.get(&pid) {
+            None => None,
+            Some(&image_lsn) => match diff_range(before, after) {
+                // Nothing changed; nothing to log.
+                None => return Ok((inner.appended_lsn.max(1), image_lsn)),
+                Some((s, e)) => (e - s + 8 < 4 + PAGE_SIZE).then_some((s, e, image_lsn)),
+            },
         };
-        let body = if image {
-            RecordBody::PageImage {
-                pid,
-                image: Box::new(*after),
-            }
-        } else {
-            let (s, e) = diff_range(before, after).expect("checked above");
-            RecordBody::PageDelta {
+        let body = match delta {
+            Some((s, e, _)) => RecordBody::PageDelta {
                 pid,
                 offset: s as u16,
                 bytes: after[s..e].to_vec(),
-            }
+            },
+            None => RecordBody::PageImage {
+                pid,
+                image: Box::new(*after),
+            },
         };
-        // The imaged set and counters move only once the record is in the
+        // The image map and counters move only once the record is in the
         // store: marking the page imaged on a failed append would let the
         // next write log a delta against a baseline the log never got.
         let lsn = self
             .append_record(&mut inner, body)
             .map_err(|e| self.io_err("wal append", e))?;
-        if image {
-            inner.imaged.insert(pid);
-            self.images.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.deltas.fetch_add(1, Ordering::Relaxed);
+        match delta {
+            Some((_, _, image_lsn)) => {
+                self.deltas.fetch_add(1, Ordering::Relaxed);
+                Ok((lsn, image_lsn))
+            }
+            None => {
+                inner.imaged.insert(pid, lsn);
+                self.images.fetch_add(1, Ordering::Relaxed);
+                Ok((lsn, lsn))
+            }
         }
-        Ok(lsn)
     }
 
     fn log_page_image(&self, pid: PageId, image: &PageBuf) -> Result<Lsn, DiskError> {
@@ -452,7 +463,7 @@ impl WalHook for Wal {
                 },
             )
             .map_err(|e| self.io_err("wal append", e))?;
-        inner.imaged.insert(pid);
+        inner.imaged.insert(pid, lsn);
         self.images.fetch_add(1, Ordering::Relaxed);
         Ok(lsn)
     }
@@ -465,18 +476,13 @@ impl WalHook for Wal {
         self.sync_locked(&mut inner)
             .map_err(|e| self.io_err("wal sync", e))
     }
-
-    fn page_flushed(&self, pid: PageId) {
-        // The store now holds a version of this page; the next mutation
-        // must re-image it (the write-back is a fresh torn-write hazard).
-        self.inner.lock().imaged.remove(&pid);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::MemLogStore;
+    use cor_pagestore::BufferPool;
 
     fn buf_with(b: u8) -> PageBuf {
         [b; PAGE_SIZE]
@@ -489,11 +495,13 @@ mod tests {
         let zero = buf_with(0);
         let mut v1 = zero;
         v1[100..110].fill(7);
-        let l1 = wal.log_page_write(3, &zero, &v1).unwrap();
+        let (l1, image1) = wal.log_page_write(3, &zero, &v1).unwrap();
+        assert_eq!(image1, l1, "the first write is the epoch's image");
         let mut v2 = v1;
         v2[200..204].fill(9);
-        let l2 = wal.log_page_write(3, &v1, &v2).unwrap();
+        let (l2, image2) = wal.log_page_write(3, &v1, &v2).unwrap();
         assert!(l2 > l1);
+        assert_eq!(image2, l1, "a delta reports the image it builds on");
         let s = wal.stats();
         assert_eq!((s.images, s.deltas), (1, 1));
         // Decode what landed.
@@ -510,25 +518,48 @@ mod tests {
     }
 
     #[test]
-    fn page_flushed_and_checkpoint_reset_the_fpw_epoch() {
+    fn write_back_keeps_the_epoch_image_and_a_checkpoint_ends_it() {
+        let wal = Arc::new(Wal::new(Arc::new(MemLogStore::new()), WalConfig::default()));
+        let pool = BufferPool::builder().capacity(4).wal(wal.clone()).build();
+        let touch = |pid, at: usize| pool.write(pid, |mut p| p.bytes_mut()[at] = 1).unwrap();
+        let pid = pool.allocate_page().unwrap(); // image, LSN 1
+        touch(pid, 100); // delta, LSN 2
+        pool.flush_page(pid).unwrap();
+        touch(pid, 200); // delta, LSN 3: the write-back did not re-image
+        assert_eq!(
+            pool.dirty_page_table(),
+            vec![(pid, 1)],
+            "the re-dirtied frame's recLSN is the epoch image, not its delta"
+        );
+        wal.checkpoint(|| pool.dirty_page_table()).unwrap(); // LSN 4
+        pool.flush_page(pid).unwrap();
+        touch(pid, 300); // image, LSN 5: the checkpoint began a new epoch
+        assert_eq!(pool.dirty_page_table(), vec![(pid, 5)]);
+        let s = wal.stats();
+        assert_eq!((s.images, s.deltas, s.checkpoints), (2, 2, 1));
+    }
+
+    #[test]
+    fn a_write_inside_the_dpt_capture_is_imaged_in_the_new_epoch() {
         let wal = Wal::new(Arc::new(MemLogStore::new()), WalConfig::default());
         let zero = buf_with(0);
         let mut v1 = zero;
         v1[0] = 1;
-        wal.log_page_write(5, &zero, &v1).unwrap(); // image
+        wal.log_page_write(3, &zero, &v1).unwrap(); // the old epoch's image
         let mut v2 = v1;
         v2[1] = 2;
-        wal.log_page_write(5, &v1, &v2).unwrap(); // delta
-        wal.page_flushed(5);
-        let mut v3 = v2;
-        v3[2] = 3;
-        wal.log_page_write(5, &v2, &v3).unwrap(); // image again (flushed)
-        wal.checkpoint(Vec::new).unwrap();
-        let mut v4 = v3;
-        v4[3] = 4;
-        wal.log_page_write(5, &v3, &v4).unwrap(); // image again (checkpoint)
+        let mut raced = (NO_LSN, NO_LSN);
+        let info = wal
+            .checkpoint(|| {
+                raced = wal.log_page_write(3, &v1, &v2).unwrap();
+                Vec::new() // the table missed the write
+            })
+            .unwrap();
+        let (lsn, image_lsn) = raced;
+        assert_eq!(lsn, image_lsn, "an image, not a delta on the old epoch's");
+        assert!(lsn >= info.redo_start, "the image is inside redo");
         let s = wal.stats();
-        assert_eq!((s.images, s.deltas, s.checkpoints), (3, 1, 1));
+        assert_eq!((s.images, s.deltas), (2, 0));
     }
 
     #[test]
@@ -582,7 +613,7 @@ mod tests {
         let zero = buf_with(0);
         let mut v = zero;
         v[9] = 9;
-        let lsn = wal.log_page_write(2, &zero, &v).unwrap();
+        let (lsn, _) = wal.log_page_write(2, &zero, &v).unwrap();
         assert_eq!(wal.durable_lsn(), NO_LSN);
         wal.flush_to(lsn).unwrap();
         assert_eq!(wal.durable_lsn(), lsn);
@@ -605,8 +636,7 @@ mod tests {
         for pid in 0..8 {
             let mut v = zero;
             v[0] = pid as u8 + 1;
-            wal.log_page_write(pid, &zero, &v).unwrap();
-            wal.page_flushed(pid); // keep every record an image
+            wal.log_page_write(pid, &zero, &v).unwrap(); // an image: first write
         }
         assert!(store.segment_count() > 2, "rotation must have happened");
         // All pages clean: the checkpoint's redo horizon is its own LSN,
@@ -618,7 +648,7 @@ mod tests {
         // A dirty-page table holds the horizon back.
         let mut v = zero;
         v[0] = 0xEE;
-        let lsn = wal.log_page_write(9, &zero, &v).unwrap();
+        let (lsn, _) = wal.log_page_write(9, &zero, &v).unwrap();
         let info = wal.checkpoint(|| vec![(9, lsn)]).unwrap();
         assert_eq!(info.redo_start, lsn);
         assert_eq!(info.dirty_pages, 1);
@@ -637,7 +667,7 @@ mod tests {
         let mut raced_lsn = NO_LSN;
         let info = wal
             .checkpoint(|| {
-                raced_lsn = wal.log_page_write(3, &zero, &v).unwrap();
+                raced_lsn = wal.log_page_write(3, &zero, &v).unwrap().0;
                 Vec::new() // the snapshot predates the raced write
             })
             .unwrap();
@@ -783,14 +813,14 @@ mod tests {
             wal.log_page_write(0, &zero, &v).unwrap();
             let mut v2 = v;
             v2[1] = 2;
-            wal.log_page_write(0, &v, &v2).unwrap()
+            wal.log_page_write(0, &v, &v2).unwrap().0
         };
         let wal = Wal::attach(store.clone(), WalConfig::default()).unwrap();
         assert_eq!(wal.appended_lsn(), last);
         let zero = buf_with(0);
         let mut v = zero;
         v[5] = 5;
-        let next = wal.log_page_write(1, &zero, &v).unwrap();
+        let (next, _) = wal.log_page_write(1, &zero, &v).unwrap();
         assert_eq!(next, last + 1, "numbering continues");
         assert!(store.segment_count() >= 2, "fresh segment after attach");
     }

@@ -12,13 +12,13 @@
 //! payload`. Three record kinds exist:
 //!
 //! * **PageImage** — a full 2 KB after-image of one page. Written for
-//!   the *first* modification of a page after a checkpoint or after a
-//!   write-back (PostgreSQL-style full-page writes), and for freshly
-//!   allocated pages. Redo applies images **unconditionally**: a torn
-//!   page's LSN word is untrustworthy, so image records — not LSN
-//!   comparisons — are what make torn pages recoverable.
+//!   the *first* modification of a page after a checkpoint
+//!   (PostgreSQL-style full-page writes), and for freshly allocated
+//!   pages. Redo applies images **unconditionally**: a torn page's LSN
+//!   word is untrustworthy, so image records — not LSN comparisons — are
+//!   what make torn pages recoverable.
 //! * **PageDelta** — one contiguous changed byte range of a page.
-//!   Written for subsequent modifications within a dirty period. Redo
+//!   Written for subsequent modifications until the next checkpoint. Redo
 //!   applies deltas gated on the page LSN (`page_lsn >= rec.lsn` ⇒
 //!   skip), which makes replay idempotent.
 //! * **Checkpoint** — the redo horizon plus the dirty-page table

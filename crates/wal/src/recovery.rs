@@ -202,7 +202,7 @@ mod tests {
         let pre = *page;
         f(page);
         if pre[..] != page[..] {
-            let lsn = wal.log_page_write(pid, &pre, page).unwrap();
+            let (lsn, _) = wal.log_page_write(pid, &pre, page).unwrap();
             PageMut::new(&mut page[..]).set_lsn(lsn);
         }
     }

@@ -58,7 +58,8 @@ fn rig() -> Rig {
         },
     ));
     // A tiny pool forces evictions mid-sequence, so write-backs (and the
-    // WAL-before-data rule + re-imaging on the next write) get exercised.
+    // WAL-before-data rule + deltas on pages imaged before their last
+    // write-back) get exercised.
     let pool = BufferPool::builder()
         .capacity(4)
         .shards(1)
