@@ -62,11 +62,6 @@ impl IsamIndex {
         self.tree.height()
     }
 
-    /// Scan all `(key, payload)` pairs in key order.
-    pub fn scan_all(&self) -> impl Iterator<Item = (Vec<u8>, Vec<u8>)> {
-        self.tree.scan_all()
-    }
-
     /// Snapshot of the index's metadata for catalog persistence.
     pub fn metadata(&self) -> crate::btree::BTreeMeta {
         self.tree.metadata()
@@ -130,16 +125,5 @@ mod tests {
         let idx = IsamIndex::build(pool(4), 8, Vec::new()).unwrap();
         assert!(idx.is_empty());
         assert_eq!(lookup(&idx, &key8(0)), None);
-    }
-
-    #[test]
-    fn scan_all_in_order() {
-        let entries: Vec<_> = (0..100u64).map(|k| (key8(k), vec![])).collect();
-        let idx = IsamIndex::build(pool(8), 8, entries).unwrap();
-        let keys: Vec<u64> = idx
-            .scan_all()
-            .map(|(k, _)| u64::from_be_bytes(k.try_into().unwrap()))
-            .collect();
-        assert_eq!(keys, (0..100).collect::<Vec<_>>());
     }
 }

@@ -641,7 +641,6 @@ impl CorDatabase {
             } else {
                 Some(decode_unit_value(cached_bytes).expect("inside-cached payload decodes"))
             };
-            cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
             out.push((key, children, cached));
             Ok::<(), CorError>(())
         })?;
@@ -758,7 +757,6 @@ impl CorDatabase {
         let mut out = Vec::new();
         let mut push = |key: u64, rec: &[u8]| -> Result<(), CorError> {
             let children = parent_children(rec)?;
-            cor_obs::heat::touch(cor_obs::HeatClass::Parent, key);
             out.push((key, children));
             Ok(())
         };

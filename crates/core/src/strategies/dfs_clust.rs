@@ -43,7 +43,6 @@ pub fn dfs_clust(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutp
             harvested.insert(oid, extract_ret(rec, query.attr)?);
         } else {
             let children = parent_children(rec)?;
-            cor_obs::heat::touch(cor_obs::HeatClass::ClusterRoot, oid.key);
             parents.push((oid.key, children));
         }
         Ok::<(), CorError>(())

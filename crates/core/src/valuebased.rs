@@ -129,13 +129,14 @@ impl ValueDatabase {
         let lo_k = Oid::new(VALUE_PARENT_REL, query.lo).to_key_bytes();
         let hi_k = Oid::new(VALUE_PARENT_REL, query.hi).to_key_bytes();
         let mut values = Vec::new();
-        for (_, rec) in self.parent.range(&lo_k, &hi_k)? {
-            let t = decode(&self.parent_schema, &rec)?;
+        self.parent.visit_range(&lo_k, &hi_k, |_, rec| {
+            let t = decode(&self.parent_schema, rec)?;
             let members = t.get(5).as_bytes().expect("members column");
             for child_rec in decode_unit_value(members).expect("inlined records decode") {
                 values.push(extract_ret(&child_rec, query.attr)?);
             }
-        }
+            Ok::<(), CorError>(())
+        })?;
         let s1 = stats.snapshot();
         // All I/O is object access: the subobjects travel with the object.
         Ok(StrategyOutput {

@@ -13,8 +13,6 @@
 //!   families collected into one structured view ([`registry`]);
 //! * [`TraceRing`] — a lock-free bounded ring of query [`Span`]s
 //!   ([`trace`]);
-//! * [`HeatMap`] / [`HeatReport`] — sharded, exponentially-decaying
-//!   access counters for workload skew ([`heat`]);
 //! * [`Flight`] / [`FlightKind`] — a bounded black-box event journal
 //!   dumped on panic or fault ([`flight`]);
 //! * [`to_prometheus`] / [`to_json`] — exporters over a snapshot, plus
@@ -36,7 +34,6 @@
 
 pub mod export;
 pub mod flight;
-pub mod heat;
 pub mod hist;
 pub mod metric;
 pub mod phase;
@@ -49,7 +46,6 @@ pub use export::{
     escape_json, escape_label_value, parse_prometheus, to_json, to_prometheus, ParsedSample,
 };
 pub use flight::{Flight, FlightEvent, FlightKind};
-pub use heat::{HeatClass, HeatEntry, HeatMap, HeatReport};
 pub use hist::{bucket_index, bucket_upper, HistSnapshot, Histogram, HIST_BUCKETS};
 pub use metric::{hit_ratio, Counter, Gauge};
 pub use phase::{

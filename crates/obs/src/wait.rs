@@ -19,7 +19,7 @@
 //! * [`WaitClass::AioCompletion`] — a harvest blocked on an in-flight
 //!   `cor-aio` run that has not completed yet.
 //!
-//! Like [`heat`](crate::heat) and [`flight`](crate::flight), the profile
+//! Like [`flight`](crate::flight), the profile
 //! is a process global behind an [`AtomicBool`]: a feed site costs one
 //! relaxed load while disabled (the default), and nothing here touches a
 //! page or an [`IoStats`] counter, so the paper's I/O accounting is

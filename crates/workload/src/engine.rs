@@ -53,7 +53,7 @@ use complexobj::{
     DatabaseSpec, ExecOptions, Query, RetrieveQuery, Strategy, StrategyOutput, UpdateQuery,
 };
 use cor_access::{Catalog, CatalogError};
-use cor_obs::{flight, heat, tracetree, wait, Histogram, TraceTree};
+use cor_obs::{flight, tracetree, wait, Histogram, TraceTree};
 use cor_pagestore::{
     BufferPool, DiskManager, FileDisk, IoDelta, ReplacementPolicy, DEFAULT_POOL_PAGES,
 };
@@ -1090,16 +1090,9 @@ impl Engine {
             self.cache_counters(),
             self.wal.as_ref().map(|w| w.stats()),
         );
-        // Fold the process-global heat map in when collection is on; the
-        // cor_heat_* families are absent otherwise, keeping disabled-state
-        // reports byte-identical to pre-heat ones.
-        if heat::enabled() {
-            heat::global()
-                .report()
-                .push_to(&mut report.snapshot, 5, heat::DEFAULT_ALPHA_Q16);
-        }
-        // Same contract for the wait profile: cor_wait_* families appear
-        // only while wait profiling is on.
+        // Fold the process-global wait profile in when profiling is on; the
+        // cor_wait_* families are absent otherwise, keeping disabled-state
+        // reports byte-identical to pre-wait ones.
         if wait::enabled() {
             wait::report().push_to(&mut report.snapshot);
         }

@@ -66,6 +66,6 @@ pub use metrics::{
 pub use params::Params;
 pub use report::{fnum, format_ascii_plot, format_region_map, format_table, write_csv};
 pub use seqgen::{
-    generate_mixed_sequence, generate_sequence, generate_sequence_with, generate_zipf_sequence,
-    random_retrieve, random_update,
+    generate_mixed_sequence, generate_sequence, generate_sequence_with, random_retrieve,
+    random_update,
 };

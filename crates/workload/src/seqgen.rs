@@ -56,43 +56,6 @@ pub fn generate_mixed_sequence(params: &Params, num_tops: &[u64]) -> Vec<Query> 
         .collect()
 }
 
-/// Generate a sequence whose retrieves pick `lo` from a Zipf(`theta`)
-/// distribution over `0..=max_lo` instead of uniformly: rank `r` (and thus
-/// parent id `r`) is drawn with probability proportional to
-/// `1/(r+1)^theta`, so id 0 is the hottest parent, id 1 the next, and so
-/// on. Updates still occur with `params.pr_update`. This is the skewed
-/// counterpart of [`generate_sequence`] used to exercise the heat-map
-/// layer: the generator's hot set is `{0, 1, ..}` by construction, so a
-/// heat report's top-K can be checked against it directly.
-pub fn generate_zipf_sequence(params: &Params, theta: f64) -> Vec<Query> {
-    assert!(theta >= 0.0, "zipf exponent must be non-negative");
-    let mut rng = rng_for(params.seed, SeedStream::Sequence);
-    // Normalized CDF over ranks 0..=max_lo with weight 1/(r+1)^theta.
-    let n = params.max_lo() + 1;
-    let mut cdf = Vec::with_capacity(n as usize);
-    let mut acc = 0.0f64;
-    for r in 0..n {
-        acc += 1.0 / ((r + 1) as f64).powf(theta);
-        cdf.push(acc);
-    }
-    let total = acc;
-    (0..params.sequence_len)
-        .map(|_| {
-            if rng.random::<f64>() < params.pr_update {
-                Query::Update(random_update(params, &mut rng))
-            } else {
-                let u = rng.random::<f64>() * total;
-                let lo = cdf.partition_point(|&c| c < u) as u64;
-                let lo = lo.min(params.max_lo());
-                let mut q = random_retrieve(params, &mut rng);
-                q.hi = lo + (q.hi - q.lo);
-                q.lo = lo;
-                Query::Retrieve(q)
-            }
-        })
-        .collect()
-}
-
 /// One random retrieve query.
 pub fn random_retrieve(params: &Params, rng: &mut StdRng) -> RetrieveQuery {
     let lo = rng.random_range(0..=params.max_lo());
@@ -192,70 +155,6 @@ mod tests {
             let Query::Update(u) = q else { unreachable!() };
             assert_eq!(u.targets.len(), p.update_batch);
         }
-    }
-
-    #[test]
-    fn zipf_sequence_is_deterministic_and_in_bounds() {
-        let p = tiny(0.0);
-        let a = generate_zipf_sequence(&p, 1.1);
-        assert_eq!(a, generate_zipf_sequence(&p, 1.1));
-        for q in &a {
-            let Query::Retrieve(r) = q else {
-                unreachable!()
-            };
-            assert!(r.hi < p.parent_card);
-            assert_eq!(r.num_top(), p.num_top);
-        }
-    }
-
-    #[test]
-    fn zipf_concentrates_mass_on_the_low_ranks() {
-        let p = Params {
-            sequence_len: 2000,
-            ..tiny(0.0)
-        };
-        let hot = |qs: &[Query]| {
-            qs.iter()
-                .filter(|q| matches!(q, Query::Retrieve(r) if r.lo < 10))
-                .count() as f64
-                / qs.len() as f64
-        };
-        let skewed = hot(&generate_zipf_sequence(&p, 1.2));
-        let uniform = hot(&generate_sequence(&p));
-        // 10 of 451 possible lo values: uniform puts ~2% there, a
-        // theta=1.2 Zipf well over half.
-        assert!(skewed > 0.5, "zipf hot fraction {skewed}");
-        assert!(uniform < 0.1, "uniform hot fraction {uniform}");
-        assert!(skewed > 5.0 * uniform);
-    }
-
-    #[test]
-    fn zipf_theta_zero_degenerates_to_uniformish_spread() {
-        let p = Params {
-            sequence_len: 2000,
-            ..tiny(0.0)
-        };
-        let qs = generate_zipf_sequence(&p, 0.0);
-        let distinct: std::collections::HashSet<u64> = qs
-            .iter()
-            .map(|q| match q {
-                Query::Retrieve(r) => r.lo,
-                _ => unreachable!(),
-            })
-            .collect();
-        // theta = 0 means equal weights: draws should spread widely.
-        assert!(distinct.len() > 300, "only {} distinct lo", distinct.len());
-    }
-
-    #[test]
-    fn zipf_updates_still_honour_the_mix() {
-        let p = Params {
-            sequence_len: 2000,
-            ..tiny(0.3)
-        };
-        let qs = generate_zipf_sequence(&p, 1.1);
-        let f = retrieve_fraction(&qs);
-        assert!((f - 0.7).abs() < 0.08, "retrieve fraction {f}");
     }
 
     #[test]

@@ -1,19 +1,17 @@
-//! End-to-end checks for the observability tentpole: enabling the
-//! heat-map, flight-recorder, wait-profiling, and trace-tree layers
-//! must leave the paper's I/O accounting byte-identical, a Zipf-skewed
-//! driver must surface its generator hot set in the heat report's
-//! top-K, and the slow-query hook must capture an explain breakdown
-//! (and a linked causal trace) when armed.
+//! End-to-end checks for the observability layers: enabling the
+//! flight-recorder, wait-profiling, and trace-tree layers must leave the
+//! paper's I/O accounting byte-identical, and the slow-query hook must
+//! capture an explain breakdown (and a linked causal trace) when armed.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
 use complexobj::{Query, RetAttr, RetrieveQuery, Strategy};
-use cor_obs::{flight, heat, wait, Phase};
-use cor_workload::{generate, generate_sequence, generate_zipf_sequence, Engine, Params};
+use cor_obs::{flight, wait, Phase};
+use cor_workload::{generate, generate_sequence, Engine, Params};
 
-// The heat map and flight recorder are process-global; serialize every
-// test that toggles them so parallel test threads don't interleave.
+// The flight recorder and wait profile are process-global; serialize
+// every test that toggles them so parallel test threads don't interleave.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn small(num_top: u64) -> Params {
@@ -26,87 +24,6 @@ fn small(num_top: u64) -> Params {
         buffer_pages: 16,
         ..Params::paper_default()
     }
-}
-
-#[test]
-fn enabling_observability_leaves_io_accounting_byte_identical() {
-    let _g = GLOBALS.lock().unwrap();
-    let p = small(5);
-    let generated = generate(&p);
-    let sequence = generate_sequence(&p);
-    let build = || {
-        Engine::builder()
-            .build_workload(&p, &generated, Strategy::Dfs)
-            .unwrap()
-    };
-
-    heat::enable(false);
-    flight::enable(false);
-    let engine = build();
-    let base = engine.run_sequence(Strategy::Dfs, &sequence).unwrap();
-    let base_snap = engine.pool().stats().snapshot();
-
-    heat::enable(true);
-    flight::enable(true);
-    heat::global().reset();
-    let engine2 = build();
-    let hot = engine2.run_sequence(Strategy::Dfs, &sequence).unwrap();
-    let hot_snap = engine2.pool().stats().snapshot();
-    let touches = heat::global().report().touches;
-    heat::enable(false);
-    flight::enable(false);
-
-    // Instrumentation on must not move a single I/O or result counter.
-    assert_eq!(base.total_io, hot.total_io);
-    assert_eq!(base.par_io, hot.par_io);
-    assert_eq!(base.child_io, hot.child_io);
-    assert_eq!(base.update_io, hot.update_io);
-    assert_eq!(base.values_returned, hot.values_returned);
-    assert_eq!(base_snap, hot_snap);
-    // ... while the instrumented run did record heat.
-    assert!(touches > 0, "enabled run recorded no heat touches");
-}
-
-#[test]
-fn zipf_driver_heat_topk_matches_generator_hot_set() {
-    let _g = GLOBALS.lock().unwrap();
-    // num_top = 1: each retrieve touches exactly parent `lo`, so the
-    // heat map's Parent class mirrors the generator's rank distribution.
-    let p = Params {
-        sequence_len: 600,
-        pr_update: 0.0,
-        ..small(1)
-    };
-    let generated = generate(&p);
-    let engine = Engine::builder()
-        .build_workload(&p, &generated, Strategy::Dfs)
-        .unwrap();
-
-    heat::enable(true);
-    heat::global().reset();
-    let skewed = generate_zipf_sequence(&p, 1.2);
-    engine.run_sequence(Strategy::Dfs, &skewed).unwrap();
-    let zipf_report = heat::global().report();
-
-    heat::global().reset();
-    let uniform = generate_sequence(&p);
-    engine.run_sequence(Strategy::Dfs, &uniform).unwrap();
-    let uniform_report = heat::global().report();
-    heat::enable(false);
-
-    let top = zipf_report.top_k(heat::HeatClass::Parent, 5);
-    assert_eq!(top.len(), 5);
-    // The Zipf generator's hot set is {0, 1, 2, ..} by construction.
-    for e in &top {
-        assert!(e.id < 10, "hot id {} outside the generator hot set", e.id);
-    }
-    assert!(top.iter().any(|e| e.id == 0), "rank-0 parent missing");
-
-    let zipf_share = zipf_report.top_share(heat::HeatClass::Parent, 5);
-    let uniform_share = uniform_report.top_share(heat::HeatClass::Parent, 5);
-    assert!(zipf_share > 0.5, "zipf top-5 share {zipf_share}");
-    assert!(uniform_share < 0.2, "uniform top-5 share {uniform_share}");
-    assert!(zipf_share > 3.0 * uniform_share);
 }
 
 #[test]
@@ -145,21 +62,24 @@ fn slow_query_hook_captures_an_explain_report() {
     assert!(!out.values.is_empty());
 }
 
-/// Wait profiling and causal tracing ride the same "free when disabled,
-/// read-only when enabled" contract as the heat map: turning both on
-/// (and tracing every retrieve) must not move a single I/O counter.
+/// Flight recording, wait profiling and causal tracing are free when
+/// disabled and read-only when enabled: turning all three on must not
+/// move a single I/O or result counter, over a DFS sequence with updates
+/// and over BFS retrieves that are each traced.
 #[test]
-fn wait_profiling_and_tracing_leave_io_accounting_byte_identical() {
+fn observability_switches_leave_io_accounting_byte_identical() {
     let _g = GLOBALS.lock().unwrap();
-    let p = Params {
-        pr_update: 0.0,
-        ..small(5)
-    };
+    let p = small(5);
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
 
     let run = |instrumented: bool| {
-        let engine = Engine::builder()
+        let dfs = Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
+        let result = dfs.run_sequence(Strategy::Dfs, &sequence).unwrap();
+
+        let bfs = Engine::builder()
             .build_workload(&p, &generated, Strategy::Bfs)
             .unwrap();
         let mut values = 0usize;
@@ -167,27 +87,39 @@ fn wait_profiling_and_tracing_leave_io_accounting_byte_identical() {
         for q in &sequence {
             let Query::Retrieve(r) = q else { continue };
             values += if instrumented {
-                let (out, tree) = engine.trace_query(Strategy::Bfs, r).unwrap();
+                let (out, tree) = bfs.trace_query(Strategy::Bfs, r).unwrap();
                 let tree = tree.expect("no trace was active, so this one collects");
                 tree.validate().unwrap();
                 trees += 1;
                 out.values.len()
             } else {
-                engine.retrieve(Strategy::Bfs, r).unwrap().values.len()
+                bfs.retrieve(Strategy::Bfs, r).unwrap().values.len()
             };
         }
-        (engine.pool().stats().snapshot(), values, trees)
+        let snaps = (dfs.pool().stats().snapshot(), bfs.pool().stats().snapshot());
+        (result, snaps, values, trees)
     };
 
+    flight::enable(false);
     wait::enable(false);
-    let (base_snap, base_values, _) = run(false);
+    let (base, base_snaps, base_values, _) = run(false);
+    flight::enable(true);
     wait::enable(true);
     wait::global().reset();
-    let (hot_snap, hot_values, trees) = run(true);
+    let (hot, hot_snaps, hot_values, trees) = run(true);
     let waits = wait::report().total_waits();
+    flight::enable(false);
     wait::enable(false);
 
-    assert_eq!(base_snap, hot_snap, "instrumentation moved an I/O counter");
+    assert_eq!(base.total_io, hot.total_io);
+    assert_eq!(base.par_io, hot.par_io);
+    assert_eq!(base.child_io, hot.child_io);
+    assert_eq!(base.update_io, hot.update_io);
+    assert_eq!(base.values_returned, hot.values_returned);
+    assert_eq!(
+        base_snaps, hot_snaps,
+        "instrumentation moved an I/O counter"
+    );
     assert_eq!(base_values, hot_values);
     assert!(trees > 0, "no trace trees collected");
     assert!(

@@ -7,8 +7,8 @@
 # suite carries the exact-I/O pins no figure covers
 # (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
 # policies) and the observability invariants (metrics reports for every
-# strategy, trace trees against the phase ledger, heat-map skew
-# detection). CI runs exactly this script; run it before pushing. It takes
+# strategy, trace trees against the phase ledger). CI runs exactly this
+# script; run it before pushing. It takes
 # about 4 minutes warm on a 2-vCPU Xeon, most of it figs.sh.
 #
 # The gate leaves the tree as it found it: smoke legs write their

@@ -3,10 +3,14 @@
 //! on misuse.
 
 use complexobj::database::{CorDatabase, DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
-use complexobj::procedural::{QuelParseError, StoredQuery};
+use complexobj::procedural::{
+    ProcCaching, ProcDatabaseSpec, ProcObjectSpec, QuelParseError, StoredQuery,
+};
 use complexobj::strategies::{execute_retrieve, ExecOptions};
 use complexobj::ClusterAssignment;
-use complexobj::{parse_quel, CorError, RetAttr, RetrieveQuery, Strategy};
+use complexobj::{
+    parse_quel, CorError, RetAttr, RetrieveQuery, Strategy, StrategyOutput, ValueDatabase,
+};
 use cor_access::{AccessError, BTreeFile, CatalogError};
 use cor_pagestore::{BufferError, BufferPool, DiskError, FaultMode, FaultyDisk, MemDisk};
 use cor_relational::Oid;
@@ -159,11 +163,56 @@ fn btree_misuse_is_rejected_with_key_length() {
     ));
 }
 
+/// Arm a `ShortRead` at every read position of `retrieve` (cold pool
+/// each time): each armed read comes back as an `Err` whose source chain
+/// reaches the `DiskError`, and the engine still answers afterwards.
+fn every_failed_read_is_an_error(
+    name: &str,
+    disk: &FaultyDisk<MemDisk>,
+    pool: &BufferPool,
+    retrieve: impl Fn() -> Result<StrategyOutput, CorError>,
+) {
+    pool.flush_and_clear().unwrap();
+    let clean = retrieve().unwrap();
+    assert_eq!(clean.values.len(), 51 * 3, "{name}");
+    assert!(
+        clean.par_io.reads > 4,
+        "{name}: the scan spans several leaves"
+    );
+    let reads = clean.par_io.reads + clean.child_io.reads;
+
+    for nth in 1..=reads {
+        pool.flush_and_clear().unwrap();
+        disk.arm(nth, FaultMode::ShortRead);
+        let err = retrieve().expect_err("the armed read is inside the query");
+        assert_eq!(disk.faults_fired(), nth, "{name}: read {nth} fired");
+        assert!(
+            matches!(err, CorError::Access(_)),
+            "{name} read {nth}: {err}"
+        );
+        let mut cause: Option<&(dyn Error + 'static)> = Some(&err);
+        while let Some(e) = cause {
+            if e.downcast_ref::<DiskError>().is_some() {
+                break;
+            }
+            cause = e.source();
+        }
+        assert!(
+            cause.is_some(),
+            "{name} read {nth}: no DiskError under {err}"
+        );
+    }
+    // The fault disarms itself: the engine still answers afterwards.
+    pool.flush_and_clear().unwrap();
+    assert_eq!(retrieve().unwrap().values, clean.values, "{name}");
+}
+
 /// A failed page read anywhere inside a retrieve — the index descent, the
-/// second leaf of the parent scan, an ISAM probe, a foreign cluster leaf —
-/// comes back from `Engine::retrieve` as an `Err` whose source chain
-/// reaches the `DiskError`. (The copy-out range iterator the strategies
-/// used before could only panic on a leaf-chain read.)
+/// second leaf of the parent scan, an ISAM probe, a foreign cluster leaf,
+/// a leaf of a procedural object's stored key range, a leaf of the
+/// value-based scan — comes back as an `Err` whose source chain reaches
+/// the `DiskError`. (The copy-out range iterator these scans used before
+/// could only panic on a leaf-chain read.)
 #[test]
 fn failed_read_inside_a_scan_is_an_error_not_a_panic() {
     let c = |k: u64| Oid::new(CHILD_REL_BASE, k);
@@ -188,16 +237,42 @@ fn failed_read_inside_a_scan_is_an_error_not_a_panic() {
             .collect()],
     };
     let assignment = ClusterAssignment::from_pairs((0..240).map(|k| (c(k), k / 2)));
+    // The same objects stored procedurally: object `key`'s stored query
+    // is the key range `2·key ..= 2·key + 2`, and some of those ranges
+    // straddle a ChildRel leaf boundary.
+    let proc_spec = ProcDatabaseSpec {
+        parents: spec
+            .parents
+            .iter()
+            .map(|o| ProcObjectSpec {
+                key: o.key,
+                rets: o.rets,
+                dummy: o.dummy.clone(),
+                members: StoredQuery::KeyRange {
+                    rel: CHILD_REL_BASE,
+                    lo: 2 * o.key,
+                    hi: 2 * o.key + 2,
+                },
+            })
+            .collect(),
+        child_rels: spec.child_rels.clone(),
+    };
     let q = RetrieveQuery {
         lo: 10,
         hi: 60,
         attr: RetAttr::Ret1,
     };
-    for (engine_spec, strategy) in [
-        (EngineSpec::Standard(spec.clone()), Strategy::Dfs),
+    for (name, engine_spec, strategy) in [
+        ("DFS", EngineSpec::Standard(spec.clone()), Strategy::Dfs),
         (
+            "DFSCLUST",
             EngineSpec::Clustered(spec.clone(), assignment),
             Strategy::DfsClust,
+        ),
+        (
+            "procedural",
+            EngineSpec::Procedural(proc_spec, ProcCaching::None),
+            Strategy::Dfs,
         ),
     ] {
         let disk = Arc::new(FaultyDisk::new(MemDisk::new()));
@@ -206,40 +281,14 @@ fn failed_read_inside_a_scan_is_an_error_not_a_panic() {
             .disk(Arc::clone(&disk) as _)
             .build(&engine_spec)
             .unwrap();
-        engine.pool().flush_and_clear().unwrap();
-        let clean = engine.retrieve(strategy, &q).unwrap();
-        assert_eq!(clean.values.len(), 51 * 3);
-        let reads = clean.par_io.reads + clean.child_io.reads;
-        assert!(
-            clean.par_io.reads > 4,
-            "{strategy}: the scan spans several leaves"
-        );
-
-        for nth in 1..=reads {
-            engine.pool().flush_and_clear().unwrap();
-            disk.arm(nth, FaultMode::ShortRead);
-            let err = engine
-                .retrieve(strategy, &q)
-                .expect_err("the armed read is inside the query");
-            assert_eq!(disk.faults_fired(), nth, "{strategy}: read {nth} fired");
-            assert!(
-                matches!(err, CorError::Access(_)),
-                "{strategy} read {nth}: {err}"
-            );
-            let mut cause: Option<&(dyn Error + 'static)> = Some(&err);
-            while let Some(e) = cause {
-                if e.downcast_ref::<DiskError>().is_some() {
-                    break;
-                }
-                cause = e.source();
-            }
-            assert!(
-                cause.is_some(),
-                "{strategy} read {nth}: no DiskError under {err}"
-            );
-        }
-        // The fault disarms itself: the engine still answers afterwards.
-        engine.pool().flush_and_clear().unwrap();
-        assert_eq!(engine.retrieve(strategy, &q).unwrap().values, clean.values);
+        every_failed_read_is_an_error(name, &disk, engine.pool(), || engine.retrieve(strategy, &q));
     }
+
+    let disk = Arc::new(FaultyDisk::new(MemDisk::new()));
+    let pool = BufferPool::builder()
+        .capacity(8)
+        .disk(Box::new(Arc::clone(&disk)))
+        .build();
+    let db = ValueDatabase::build(Arc::new(pool), &spec).unwrap();
+    every_failed_read_is_an_error("value-based", &disk, db.pool(), || db.run_retrieve(&q));
 }
