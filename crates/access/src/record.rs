@@ -100,7 +100,9 @@ pub fn decode(schema: &Schema, mut bytes: &[u8]) -> Result<Tuple, CodecError> {
             }
             ValueType::OidList => {
                 let n = take_u16(&mut bytes)? as usize;
-                let mut oids = Vec::with_capacity(n);
+                // A corrupt count must not size the list: reserve no more
+                // OIDs than the bytes left can hold.
+                let mut oids = Vec::with_capacity(n.min(bytes.len() / OID_BYTES));
                 for _ in 0..n {
                     let chunk = take(&mut bytes, OID_BYTES)?;
                     oids.push(Oid::from_key_bytes(chunk).ok_or(CodecError::Truncated)?);

@@ -3,10 +3,9 @@
 //! Cumulative counters say *how much* happened; the flight recorder says
 //! *what the engine was doing just now*. It keeps the last N coarse
 //! lifecycle events — engine open/close, checkpoint, WAL append/poison,
-//! buffer-pool `NoFreeFrames`, slow queries, injected faults — in the
-//! same seqlock ring the query tracer uses ([`TraceRing`]), so recording
-//! never blocks, never allocates, and costs one relaxed [`AtomicBool`]
-//! load when the recorder is off (the default).
+//! buffer-pool `NoFreeFrames`, injected faults — in a lock-free seqlock
+//! ring, so recording never blocks, never allocates, and costs one relaxed
+//! [`AtomicBool`] load when the recorder is off (the default).
 //!
 //! Consumers:
 //!
@@ -20,13 +19,13 @@
 //! meaning the `kind` owns); anything needing strings or nesting belongs
 //! in the metrics registry, not here.
 
-use crate::trace::{Span, TraceRing};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
-/// What a flight-recorder event records. Discriminants are stable (they
-/// appear in JSON dumps); 0 is reserved for "never written".
+/// What a flight-recorder event records. The codes only live in the
+/// ring's slots: dumps carry [`name`](Self::name)s, so kinds may be added,
+/// removed or renumbered freely. Codes run contiguously from 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum FlightKind {
@@ -43,38 +42,29 @@ pub enum FlightKind {
     /// The buffer pool found every candidate frame pinned
     /// (a = shard, b = page id, c = pinned frames).
     NoFreeFrames = 6,
-    /// A query crossed the slow-query threshold
-    /// (a = strategy tag, b = wall ns, c = values returned).
-    SlowQuery = 7,
     /// The fault-injection harness armed or fired a fault
     /// (a = nth write, b = mode tag).
-    FaultInjected = 8,
+    FaultInjected = 7,
     /// A free-form progress marker (a/b/c owned by the caller).
-    PointMark = 9,
-    /// A captured query was traced: joins this black box with a
-    /// `cor_obs::tracetree::TraceTree`
-    /// (a = trace id, b = strategy tag, c = wall ns).
-    TraceLink = 10,
+    PointMark = 8,
     /// A `cor-aio` submission found the queue saturated: more runs were
     /// outstanding than the configured depth, so the new runs waited in
     /// the backend queue (a = queue depth, b = backlog at submit,
     /// c = runs in the submission).
-    AioSaturated = 11,
+    AioSaturated = 9,
 }
 
 impl FlightKind {
-    /// Every kind, in discriminant order.
-    pub const ALL: [FlightKind; 11] = [
+    /// Every kind, in code order.
+    pub const ALL: [FlightKind; 9] = [
         FlightKind::EngineOpen,
         FlightKind::EngineClose,
         FlightKind::Checkpoint,
         FlightKind::WalAppend,
         FlightKind::WalPoison,
         FlightKind::NoFreeFrames,
-        FlightKind::SlowQuery,
         FlightKind::FaultInjected,
         FlightKind::PointMark,
-        FlightKind::TraceLink,
         FlightKind::AioSaturated,
     ];
 
@@ -87,15 +77,13 @@ impl FlightKind {
             FlightKind::WalAppend => "wal_append",
             FlightKind::WalPoison => "wal_poison",
             FlightKind::NoFreeFrames => "no_free_frames",
-            FlightKind::SlowQuery => "slow_query",
             FlightKind::FaultInjected => "fault_injected",
             FlightKind::PointMark => "point_mark",
-            FlightKind::TraceLink => "trace_link",
             FlightKind::AioSaturated => "aio_saturated",
         }
     }
 
-    /// The kind for a discriminant, if valid.
+    /// The kind for a code, if valid.
     pub fn from_code(code: u64) -> Option<FlightKind> {
         FlightKind::ALL.get(code.checked_sub(1)? as usize).copied()
     }
@@ -117,12 +105,27 @@ pub struct FlightEvent {
     pub c: u64,
 }
 
-/// The recorder: a [`TraceRing`] of events plus the epoch its timestamps
-/// are relative to. Events map onto [`Span`]s field-for-field
-/// (`op`=kind, `wall_ns`=t_ns, `tag`/`reads`/`writes`=a/b/c) so the ring
-/// keeps its tested seqlock publication untouched.
+/// One ring slot: an event's words, published under a seqlock word.
+#[derive(Default)]
+struct Slot {
+    /// `2*ticket + 1` while the owning writer is mid-write, `2*ticket + 2`
+    /// once the event for `ticket` is published, 0 when never written.
+    seq: AtomicU64,
+    kind: AtomicU64,
+    t_ns: AtomicU64,
+    a: AtomicU64,
+    b: AtomicU64,
+    c: AtomicU64,
+}
+
+/// The recorder: a fixed ring of the most recent events plus the epoch
+/// their timestamps are relative to. A writer claims a slot with one
+/// `fetch_add` ticket and publishes through the slot's seqlock word, so
+/// recording is wait-free; a snapshot that races a writer on a slot skips
+/// that event rather than return it torn.
 pub struct Flight {
-    ring: TraceRing,
+    slots: Vec<Slot>,
+    next: AtomicU64,
     epoch: Instant,
 }
 
@@ -130,7 +133,7 @@ impl std::fmt::Debug for Flight {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Flight")
             .field("recorded", &self.recorded())
-            .field("capacity", &self.ring.capacity())
+            .field("capacity", &self.slots.len())
             .finish()
     }
 }
@@ -140,46 +143,75 @@ impl std::fmt::Debug for Flight {
 pub const DEFAULT_CAPACITY: usize = 256;
 
 impl Flight {
-    /// A recorder retaining the last `capacity` events.
+    /// A recorder retaining the last `capacity` events (at least 1).
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "flight recorder needs at least one slot");
         Flight {
-            ring: TraceRing::new(capacity),
+            slots: (0..capacity).map(|_| Slot::default()).collect(),
+            next: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
 
     /// Record an event. Wait-free; overwrites the oldest when full.
     pub fn record(&self, kind: FlightKind, a: u64, b: u64, c: u64) {
-        self.ring.push(Span {
-            op: kind as u64,
-            tag: a,
-            reads: b,
-            writes: c,
-            wall_ns: self.epoch.elapsed().as_nanos() as u64,
-            payload: 0,
-        });
+        let t_ns = self.epoch.elapsed().as_nanos() as u64;
+        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
+        // Seqlock write: odd = in progress, even = published. The fence
+        // keeps the word stores from moving above the odd mark.
+        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        slot.kind.store(kind as u64, Ordering::Relaxed);
+        slot.t_ns.store(t_ns, Ordering::Relaxed);
+        slot.a.store(a, Ordering::Relaxed);
+        slot.b.store(b, Ordering::Relaxed);
+        slot.c.store(c, Ordering::Relaxed);
+        slot.seq.store(2 * ticket + 2, Ordering::Release);
     }
 
-    /// Events recorded over the recorder's lifetime.
+    /// Events recorded over the recorder's lifetime (may exceed capacity).
     pub fn recorded(&self) -> u64 {
-        self.ring.pushed()
+        self.next.load(Ordering::Relaxed)
     }
 
-    /// The retained events, oldest first.
+    /// The retained events, oldest first. Events being overwritten while
+    /// the snapshot runs are skipped rather than returned torn.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        self.ring
-            .snapshot()
-            .into_iter()
-            .filter_map(|s| {
-                Some(FlightEvent {
-                    kind: FlightKind::from_code(s.op)?,
-                    t_ns: s.wall_ns,
-                    a: s.tag,
-                    b: s.reads,
-                    c: s.writes,
-                })
-            })
-            .collect()
+        let cap = self.slots.len() as u64;
+        let end = self.next.load(Ordering::Acquire);
+        let start = end.saturating_sub(cap);
+        let mut out = Vec::with_capacity((end - start) as usize);
+        for ticket in start..end {
+            let slot = &self.slots[(ticket % cap) as usize];
+            let published = 2 * ticket + 2;
+            if slot.seq.load(Ordering::Acquire) != published {
+                continue; // mid-write or already recycled
+            }
+            let kind = slot.kind.load(Ordering::Relaxed);
+            let event = (
+                slot.t_ns.load(Ordering::Relaxed),
+                slot.a.load(Ordering::Relaxed),
+                slot.b.load(Ordering::Relaxed),
+                slot.c.load(Ordering::Relaxed),
+            );
+            // The fence keeps the word loads from moving below the re-check.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != published {
+                continue;
+            }
+            if let Some(kind) = FlightKind::from_code(kind) {
+                let (t_ns, a, b, c) = event;
+                out.push(FlightEvent {
+                    kind,
+                    t_ns,
+                    a,
+                    b,
+                    c,
+                });
+            }
+        }
+        out
     }
 
     /// The retained tail as a JSON object:
@@ -297,6 +329,7 @@ mod tests {
     #[test]
     fn ring_keeps_only_the_tail() {
         let f = Flight::new(4);
+        assert!(f.snapshot().is_empty());
         for i in 0..10 {
             f.record(FlightKind::PointMark, i, 0, 0);
         }
@@ -307,6 +340,30 @@ mod tests {
             vec![6, 7, 8, 9]
         );
         assert_eq!(f.recorded(), 10);
+    }
+
+    #[test]
+    fn concurrent_pushes_never_tear() {
+        let f = Flight::new(16);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let f = &f;
+                s.spawn(move || {
+                    for i in 0..5_000u64 {
+                        // Internally consistent event: a == b == c.
+                        f.record(FlightKind::ALL[t], i, i, i);
+                    }
+                });
+            }
+            // Reader races the writers.
+            for _ in 0..200 {
+                for e in f.snapshot() {
+                    assert_eq!((e.a, e.a), (e.b, e.c), "torn event surfaced");
+                }
+            }
+        });
+        assert_eq!(f.recorded(), 20_000);
+        assert_eq!(f.snapshot().len(), 16);
     }
 
     #[test]
@@ -322,7 +379,8 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        for kind in FlightKind::ALL {
+        for (i, kind) in FlightKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as u64, i as u64 + 1, "codes are contiguous");
             assert_eq!(FlightKind::from_code(kind as u64), Some(kind));
         }
         assert_eq!(FlightKind::from_code(0), None);

@@ -11,10 +11,8 @@
 //!   [`HistSnapshot`]s merge exactly and answer quantiles ([`hist`]);
 //! * [`MetricsRegistry`] → [`MetricsSnapshot`] — named, labeled metric
 //!   families collected into one structured view ([`registry`]);
-//! * [`TraceRing`] — a lock-free bounded ring of query [`Span`]s
-//!   ([`trace`]);
-//! * [`Flight`] / [`FlightKind`] — a bounded black-box event journal
-//!   dumped on panic or fault ([`flight`]);
+//! * [`Flight`] / [`FlightKind`] — a bounded black-box event journal in
+//!   a lock-free seqlock ring, dumped on panic or fault ([`flight`]);
 //! * [`to_prometheus`] / [`to_json`] — exporters over a snapshot, plus
 //!   [`parse_prometheus`] for validating the text output ([`export`]);
 //! * [`Phase`] / [`PhaseGuard`] / [`PhaseProfile`] — thread-scoped phase
@@ -38,7 +36,6 @@ pub mod hist;
 pub mod metric;
 pub mod phase;
 pub mod registry;
-pub mod trace;
 pub mod tracetree;
 pub mod wait;
 
@@ -56,6 +53,5 @@ pub use registry::{
     labels, Labels, MetricFamily, MetricKind, MetricSample, MetricValue, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use trace::{Span, TraceRing};
 pub use tracetree::{TraceGuard, TraceNode, TraceTree, MAX_TRACE_NODES};
 pub use wait::{WaitClass, WaitProfile, WaitReport, WAIT_CLASSES};

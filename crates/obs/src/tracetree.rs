@@ -1,11 +1,10 @@
 //! Causal trace trees: per-query parent/child span trees with exact I/O
 //! attribution, exported as Chrome trace-event JSON.
 //!
-//! The span ring ([`TraceRing`](crate::trace::TraceRing)) answers "what
-//! ran recently" with one flat span per operation; the phase layer
-//! ([`phase`](crate::phase)) answers "which kind of work got the pages"
-//! with per-query aggregates. Neither can say *where a single query's
-//! time and I/O went, in order, with causality* — that needs a tree.
+//! The phase layer ([`phase`](crate::phase)) answers "which kind of work
+//! got the pages" with per-query aggregates. It cannot say *where a
+//! single query's time and I/O went, in order, with causality* — that
+//! needs a tree.
 //! This module records one: every [`PhaseGuard`](crate::phase::PhaseGuard)
 //! transition on the traced thread opens or closes a node, and every
 //! page transfer the thread drives is charged to the innermost open
@@ -26,9 +25,7 @@
 //! The finished [`TraceTree`] renders to Chrome trace-event JSON
 //! ([`TraceTree::to_chrome_json`]) — load it at `chrome://tracing` or in
 //! Perfetto. `Engine::trace_query` is the producing end (`corstat
-//! --trace` exports its deepest tree); slow-query captures link flight-recorder events to
-//! trace ids (`FlightKind::TraceLink`) so crashtest black boxes can be
-//! joined with trees.
+//! --trace` exports its deepest tree).
 
 use crate::export::escape_json;
 use crate::phase::{current_phase, Phase, PHASE_COUNT};
@@ -64,8 +61,7 @@ pub struct TraceNode {
 /// A finished causal trace: nodes in opening order, root at index 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceTree {
-    /// Process-unique trace id (shared with flight-recorder
-    /// `trace_link` events for joining).
+    /// Process-unique trace id.
     pub id: u64,
     /// Caller-supplied label (query / strategy name).
     pub label: String,

@@ -40,8 +40,7 @@ use crate::catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB};
 use crate::concurrent::{ConcurrentRunResult, LatencySummary, LiveTick};
 use crate::dbgen::{cluster_assignment, strategy_cache, GeneratedDb};
 use crate::driver::{QueryTrace, RunResult};
-use crate::explain::ExplainReport;
-use crate::metrics::{build_report, duration_ns, strategy_tag, EngineMetrics, MetricsReport};
+use crate::metrics::{build_report, duration_ns, EngineMetrics, MetricsReport};
 use crate::params::Params;
 use complexobj::multilevel::{execute_multilevel, MultiDotQuery};
 use complexobj::procedural::{
@@ -60,7 +59,7 @@ use cor_pagestore::{
 use cor_wal::{CheckpointInfo, FileLogStore, LogStore, Wal, WalConfig};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Pages in the throwaway pool used to read the engine catalog before the
@@ -143,42 +142,6 @@ pub struct Engine {
     metrics: Option<Arc<EngineMetrics>>,
     wal: Option<Arc<Wal>>,
     catalog: Option<CatalogState>,
-    slow: Option<Arc<SlowQueryHook>>,
-}
-
-/// Retained slow-query captures before new ones are dropped (a
-/// diagnostic buffer, not a log shipper).
-const SLOW_QUERY_CAP: usize = 64;
-
-/// Latency-threshold slow-query hook: retrieves whose wall time crosses
-/// the threshold are recorded in the flight recorder and automatically
-/// re-run under [`Engine::explain`] to capture a full phase/model
-/// breakdown of what the query was doing.
-struct SlowQueryHook {
-    threshold: Duration,
-    entries: Mutex<Vec<SlowQueryEntry>>,
-    /// One capture at a time: a concurrent breach while an explain
-    /// capture is running is recorded in the flight journal only.
-    capturing: AtomicBool,
-}
-
-/// One captured slow query: what ran, how long it took, and the
-/// [`ExplainReport`] of its automatic re-execution.
-#[derive(Debug, Clone)]
-pub struct SlowQueryEntry {
-    /// The retrieve that crossed the threshold.
-    pub query: RetrieveQuery,
-    /// The strategy it ran under.
-    pub strategy: Strategy,
-    /// Wall time of the original (slow) execution.
-    pub wall: Duration,
-    /// Phase/model breakdown from re-running the query under explain.
-    pub report: ExplainReport,
-    /// Causal trace of the explain re-execution. Its id is journaled as
-    /// a `trace_link` flight event, so crashtest black boxes can be
-    /// joined with the tree. `None` only when another trace was already
-    /// active on the capturing thread.
-    pub trace: Option<TraceTree>,
 }
 
 /// Configures and builds an [`Engine`].
@@ -291,8 +254,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable the observability layer: per-shard pool telemetry, per-query
-    /// spans and streaming latency histograms, readable via
+    /// Enable the observability layer: per-shard pool telemetry, per-call
+    /// query and I/O counters and streaming latency histograms, readable via
     /// [`Engine::metrics`]. Disabled by default; when disabled no counters
     /// are allocated and the hot paths skip instrumentation entirely.
     /// [`IoStats`](cor_pagestore::IoStats) totals — the paper's cost
@@ -327,7 +290,6 @@ impl EngineBuilder {
             backend,
             opts: self.opts,
             metrics: self.metrics.then(|| Arc::new(EngineMetrics::new())),
-            slow: None,
             wal: self.wal,
             catalog: catalog.map(|catalog| CatalogState {
                 catalog,
@@ -552,81 +514,6 @@ impl Engine {
         self
     }
 
-    /// Arm the slow-query hook: any [`retrieve`](Self::retrieve) whose
-    /// wall time reaches `threshold` is recorded in the flight journal
-    /// and automatically re-run under [`Engine::explain`] to capture a
-    /// phase breakdown (see [`slow_queries`](Self::slow_queries)).
-    ///
-    /// **Intrusive by design**: the explain capture flushes the buffer
-    /// pool and re-executes the query, so arming the hook perturbs I/O
-    /// accounting and timing *after* a breach. Leave it off (the default)
-    /// for paper-figure measurement runs; the repo's byte-identity
-    /// invariant covers exactly that disabled state.
-    pub fn with_slow_query_threshold(mut self, threshold: Duration) -> Self {
-        self.slow = Some(Arc::new(SlowQueryHook {
-            threshold,
-            entries: Mutex::new(Vec::new()),
-            capturing: AtomicBool::new(false),
-        }));
-        self
-    }
-
-    /// Slow queries captured so far (empty when the hook is not armed).
-    /// At most [`SLOW_QUERY_CAP`] entries are retained.
-    pub fn slow_queries(&self) -> Vec<SlowQueryEntry> {
-        self.slow
-            .as_ref()
-            .map(|h| h.entries.lock().expect("slow-query lock").clone())
-            .unwrap_or_default()
-    }
-
-    /// Handle a retrieve that crossed the slow-query threshold: journal
-    /// it, then (one capture at a time) re-run it under explain.
-    fn capture_slow_query(
-        &self,
-        hook: &SlowQueryHook,
-        strategy: Strategy,
-        query: &RetrieveQuery,
-        wall: Duration,
-        values: u64,
-    ) {
-        flight::record(
-            flight::FlightKind::SlowQuery,
-            strategy_tag(strategy),
-            wall.as_nanos() as u64,
-            values,
-        );
-        if hook.capturing.swap(true, Ordering::Acquire) {
-            return; // a concurrent breach is already capturing
-        }
-        // Trace the explain re-execution and journal the trace id, so the
-        // black box carries a join key to the tree.
-        let guard = tracetree::start(&format!("slow {strategy} {}..={}", query.lo, query.hi));
-        let report = self.explain(strategy, &[Query::Retrieve(*query)], None);
-        let trace = guard.finish();
-        if let Some(t) = &trace {
-            flight::record(
-                flight::FlightKind::TraceLink,
-                t.id,
-                strategy_tag(strategy),
-                wall.as_nanos() as u64,
-            );
-        }
-        if let Ok(report) = report {
-            let mut entries = hook.entries.lock().expect("slow-query lock");
-            if entries.len() < SLOW_QUERY_CAP {
-                entries.push(SlowQueryEntry {
-                    query: *query,
-                    strategy,
-                    wall,
-                    report,
-                    trace,
-                });
-            }
-        }
-        hook.capturing.store(false, Ordering::Release);
-    }
-
     /// The execution options every query runs with.
     pub fn options(&self) -> &ExecOptions {
         &self.opts
@@ -741,9 +628,9 @@ impl Engine {
             .map_err(|e| CorError::Durability(format!("checkpoint failed: {e}")))
     }
 
-    /// A span start, if this engine records metrics: the handle, the I/O
-    /// counters at entry, and the wall clock at entry.
-    fn span_start(&self) -> Option<(&Arc<EngineMetrics>, cor_pagestore::IoSnapshot, Instant)> {
+    /// A metered call's start, if this engine records metrics: the
+    /// handle, the I/O counters at entry, and the wall clock at entry.
+    fn metrics_start(&self) -> Option<(&Arc<EngineMetrics>, cor_pagestore::IoSnapshot, Instant)> {
         self.metrics
             .as_ref()
             .map(|m| (m, self.pool().stats().snapshot(), Instant::now()))
@@ -796,20 +683,11 @@ impl Engine {
         strategy: Strategy,
         query: &RetrieveQuery,
     ) -> Result<StrategyOutput, CorError> {
-        // The hook times the call even when metrics are off; `None` keeps
-        // the un-instrumented path clock-free.
-        let slow_t0 = self.slow.as_ref().map(|_| Instant::now());
-        let obs = self.span_start();
+        let obs = self.metrics_start();
         let out = self.exec_retrieve(strategy, query)?;
         if let Some((m, before, t0)) = obs {
             let delta = self.pool().stats().snapshot().since(&before);
-            m.record_retrieve(strategy, delta, t0.elapsed(), out.values.len() as u64);
-        }
-        if let (Some(hook), Some(t0)) = (self.slow.as_deref(), slow_t0) {
-            let wall = t0.elapsed();
-            if wall >= hook.threshold {
-                self.capture_slow_query(hook, strategy, query, wall, out.values.len() as u64);
-            }
+            m.record_retrieve(strategy, delta, t0.elapsed());
         }
         Ok(out)
     }
@@ -874,14 +752,15 @@ impl Engine {
     /// buffer; the cache, if any, warms during the sequence — run every
     /// query, and tally the paper's `ParCost`/`ChildCost` split beside the
     /// total. `observe` sees each query as it completes. With metrics on
-    /// the whole call is one `SEQUENCE` span; the queries inside push none.
+    /// the whole call counts as one `sequence` call; the queries inside
+    /// count as none.
     fn run_observed(
         &self,
         strategy: Strategy,
         sequence: &[Query],
         mut observe: impl FnMut(QueryTrace),
     ) -> Result<RunResult, CorError> {
-        let obs = self.span_start();
+        let obs = self.metrics_start();
         self.pool().flush_and_clear()?;
         let stats = self.pool().stats();
         let start = stats.snapshot();
@@ -927,7 +806,7 @@ impl Engine {
         result.cache = self.cache_counters();
         if let Some((m, before, t0)) = obs {
             let delta = stats.snapshot().since(&before);
-            m.record_sequence(strategy, delta, t0.elapsed(), result.queries as u64);
+            m.record_sequence(strategy, delta, t0.elapsed());
         }
         Ok(result)
     }
@@ -1076,7 +955,7 @@ impl Engine {
         Ok(result)
     }
 
-    /// A complete observability report: engine spans and histograms,
+    /// A complete observability report: engine counters and histograms,
     /// per-shard pool telemetry (when the pool was built with telemetry),
     /// and cache counters (when a cache is attached). `None` unless the
     /// engine was built with metrics enabled.
@@ -1252,11 +1131,30 @@ mod tests {
         assert_eq!((conc.retrieves, conc.updates), (run.retrieves, run.updates));
     }
 
-    /// Metrics stay per call: the loop is one `SEQUENCE` span, not a
-    /// `RETRIEVE`/`UPDATE` span per query.
+    /// The sum of `family`'s counters whose labels include every pair in
+    /// `want`.
+    fn counter_sum(report: &MetricsReport, family: &str, want: &[(&str, &str)]) -> u64 {
+        let has = |labels: &cor_obs::Labels, (k, v): &(&str, &str)| {
+            labels.iter().any(|(lk, lv)| lk == k && lv == v)
+        };
+        report
+            .snapshot
+            .family(family)
+            .unwrap()
+            .samples
+            .iter()
+            .filter(|s| want.iter().all(|pair| has(&s.labels, pair)))
+            .map(|s| match s.value {
+                cor_obs::MetricValue::Counter(c) => c,
+                _ => panic!("{family} is a counter"),
+            })
+            .sum()
+    }
+
+    /// Metrics stay per call: the loop counts as one `sequence` call, not
+    /// a `retrieve`/`update` call per query.
     #[test]
-    fn run_sequence_pushes_one_sequence_span() {
-        use crate::metrics::span_op;
+    fn run_sequence_counts_one_sequence_call() {
         let p = tiny();
         let generated = generate(&p);
         let sequence = generate_sequence(&p);
@@ -1266,10 +1164,12 @@ mod tests {
             .build_workload(&p, &generated, Strategy::Dfs)
             .unwrap();
         engine.run_sequence(Strategy::Dfs, &sequence).unwrap();
-        let spans = engine.metrics().unwrap().spans;
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].op, span_op::SEQUENCE);
-        assert_eq!(spans[0].payload, 20);
+        let report = engine.metrics().unwrap();
+        let calls = |want: &[(&str, &str)]| counter_sum(&report, "cor_query_total", want);
+        assert_eq!(calls(&[("strategy", "DFS"), ("op", "sequence")]), 1);
+        assert_eq!(calls(&[("op", "sequence")]), 1);
+        assert_eq!(calls(&[("op", "retrieve")]), 0);
+        assert_eq!(calls(&[("op", "update")]), 0);
     }
 
     #[test]
@@ -1294,13 +1194,13 @@ mod tests {
     }
 
     /// Every strategy, over a mixed sequence on a two-shard 16-page pool:
-    /// the report validates, carries one span per call (their I/O sums to
-    /// the pool's delta) and the retrieve counters and latency of that
-    /// strategy, pool telemetry per shard, and live cache counters
-    /// exactly when the strategy runs a cache.
+    /// the report validates, counts every call under its op and strategy,
+    /// its per-call read and write counters sum to the pool's delta, and
+    /// it carries that strategy's retrieve latency, pool telemetry per
+    /// shard, and live cache counters exactly when the strategy runs a
+    /// cache.
     #[test]
     fn observed_engine_reports_spans_pool_and_cache() {
-        use crate::metrics::span_op;
         use cor_obs::MetricValue;
         let p = Params {
             shards: 2,
@@ -1313,38 +1213,40 @@ mod tests {
             .iter()
             .filter(|q| matches!(q, Query::Retrieve(_)))
             .count() as u64;
-        assert!(retrieves > 0 && retrieves < sequence.len() as u64);
+        let updates = sequence.len() as u64 - retrieves;
+        assert!(retrieves > 0 && updates > 0);
         for strategy in Strategy::ALL {
             let engine = Engine::builder()
                 .metrics(true)
                 .build_workload(&p, &generated, strategy)
                 .unwrap();
             let before = engine.pool().stats().snapshot();
-            let mut spans = Vec::new();
             for q in &sequence {
                 match q {
                     Query::Retrieve(r) => {
-                        let out = engine.retrieve(strategy, r).unwrap();
-                        spans.push((span_op::RETRIEVE, out.values.len() as u64));
+                        engine.retrieve(strategy, r).unwrap();
                     }
                     Query::Update(u) => {
                         engine.update(u).unwrap();
-                        spans.push((span_op::UPDATE, 0));
                     }
                 }
             }
             let report = engine.metrics().unwrap();
             report.validate().unwrap();
-            let got: Vec<_> = report.spans.iter().map(|s| (s.op, s.payload)).collect();
-            assert_eq!(got, spans, "{strategy}: one span per call");
-            // The spans carry exactly the I/O the pool counted over the loop.
+            let calls = |op| counter_sum(&report, "cor_query_total", &[("op", op)]);
+            assert_eq!(
+                [calls("retrieve"), calls("update"), calls("sequence")],
+                [retrieves, updates, 0],
+                "{strategy}: one count per call"
+            );
+            // The per-call counters carry exactly the I/O the pool counted.
             let io = engine.pool().stats().snapshot().since(&before);
             assert!(io.reads > 0, "{strategy}: the sequence reads pages");
-            let span_io = report
-                .spans
-                .iter()
-                .fold((0, 0), |(r, w), s| (r + s.reads, w + s.writes));
-            assert_eq!(span_io, (io.reads, io.writes), "{strategy}: span I/O");
+            let counted = (
+                counter_sum(&report, "cor_query_reads_total", &[]),
+                counter_sum(&report, "cor_query_writes_total", &[]),
+            );
+            assert_eq!(counted, (io.reads, io.writes), "{strategy}: per-call I/O");
 
             let want = cor_obs::labels(&[("strategy", strategy.name()), ("op", "retrieve")]);
             let sample = |name| {
@@ -1355,17 +1257,13 @@ mod tests {
             assert_eq!(
                 sample("cor_query_total"),
                 MetricValue::Counter(retrieves),
-                "{strategy}"
+                "{strategy}: retrieves count under their strategy"
             );
             let MetricValue::Histogram(latency) = sample("cor_query_latency_ns") else {
                 panic!("{strategy}: latency is a histogram");
             };
             let (p50, max) = (latency.quantile(0.5), latency.max());
             assert!(0 < p50 && p50 <= max, "{strategy}: p50 {p50} max {max}");
-            let MetricValue::Counter(reads) = sample("cor_query_reads_total") else {
-                panic!("{strategy}: reads is a counter");
-            };
-            assert!(reads > 0, "{strategy}: retrieves read pages");
 
             assert_eq!(report.pool.len(), 2, "{strategy}: one stripe per shard");
             assert!(report.pool_total().probes() > 0, "{strategy}: pool probes");

@@ -1,68 +1,21 @@
-//! Experiment runner: single points, strategy comparisons, and the
-//! parallel parameter sweeps behind Figures 3–7.
+//! Experiment runner: single points and the parallel parameter sweeps
+//! behind Figures 3–7.
 
 use crate::dbgen::generate;
 use crate::driver::RunResult;
 use crate::engine::Engine;
 use crate::params::Params;
 use crate::seqgen::generate_sequence;
-use complexobj::{CorError, ExecOptions, Strategy};
+use complexobj::{CorError, Strategy};
 
 /// Run one `(params, strategy)` point end to end: generate the database,
 /// build the [`Engine`] the strategy needs, generate the query sequence
 /// and measure it.
 pub fn run_point(params: &Params, strategy: Strategy) -> Result<RunResult, CorError> {
-    run_point_with(params, strategy, &ExecOptions::default())
-}
-
-/// [`run_point`] with explicit execution options.
-pub fn run_point_with(
-    params: &Params,
-    strategy: Strategy,
-    opts: &ExecOptions,
-) -> Result<RunResult, CorError> {
     let generated = generate(params);
-    let engine = Engine::builder()
-        .build_workload(params, &generated, strategy)?
-        .with_options(*opts);
+    let engine = Engine::builder().build_workload(params, &generated, strategy)?;
     let sequence = generate_sequence(params);
     engine.run_sequence(strategy, &sequence)
-}
-
-/// Measure several strategies on the *same* generated data and query
-/// sequence (each on its own physical database, as the paper did when
-/// comparing representations).
-pub fn compare_strategies(
-    params: &Params,
-    strategies: &[Strategy],
-) -> Result<Vec<RunResult>, CorError> {
-    let generated = generate(params);
-    let sequence = generate_sequence(params);
-    strategies
-        .iter()
-        .map(|&s| {
-            let engine = Engine::builder().build_workload(params, &generated, s)?;
-            engine.run_sequence(s, &sequence)
-        })
-        .collect()
-}
-
-/// The strategy with the lowest average I/O per query at this point.
-pub fn best_strategy(
-    params: &Params,
-    strategies: &[Strategy],
-) -> Result<(Strategy, Vec<RunResult>), CorError> {
-    let results = compare_strategies(params, strategies)?;
-    let best = results
-        .iter()
-        .min_by(|a, b| {
-            a.avg_io_per_query()
-                .partial_cmp(&b.avg_io_per_query())
-                .expect("I/O averages are finite")
-        })
-        .expect("at least one strategy")
-        .strategy;
-    Ok((best, results))
 }
 
 /// Map `f` over `inputs` on up to `threads` worker threads, preserving
@@ -138,42 +91,6 @@ mod tests {
             assert_eq!(r.strategy, s);
             assert!(r.total_io > 0, "{s} should do I/O");
         }
-    }
-
-    #[test]
-    fn strategies_agree_on_result_count() {
-        let p = tiny();
-        let results = compare_strategies(
-            &p,
-            &[
-                Strategy::Dfs,
-                Strategy::Bfs,
-                Strategy::DfsCache,
-                Strategy::DfsClust,
-                Strategy::Smart,
-            ],
-        )
-        .unwrap();
-        let expect = results[0].values_returned;
-        for r in &results {
-            assert_eq!(
-                r.values_returned, expect,
-                "{} returned different count",
-                r.strategy
-            );
-        }
-    }
-
-    #[test]
-    fn best_strategy_returns_minimum() {
-        let p = tiny();
-        let (best, results) = best_strategy(&p, &[Strategy::Dfs, Strategy::Bfs]).unwrap();
-        let min = results
-            .iter()
-            .map(|r| r.avg_io_per_query())
-            .fold(f64::INFINITY, f64::min);
-        let best_result = results.iter().find(|r| r.strategy == best).unwrap();
-        assert_eq!(best_result.avg_io_per_query(), min);
     }
 
     #[test]

@@ -10,13 +10,10 @@
 
 use crate::dbgen::{repair_duplicate_chunks, rng_for, SeedStream};
 use complexobj::database::{CorDatabase, DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
-use complexobj::CorError;
-use cor_pagestore::BufferPool;
 use cor_relational::Oid;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::Arc;
 
 /// Parameters of a hierarchy.
 #[derive(Debug, Clone)]
@@ -129,18 +126,6 @@ pub fn generate_hierarchy_specs(hp: &HierarchyParams) -> Vec<DatabaseSpec> {
     specs
 }
 
-/// Build the chain as standard-representation databases, each on its own
-/// buffer pool.
-pub fn build_hierarchy(hp: &HierarchyParams) -> Result<Vec<CorDatabase>, CorError> {
-    generate_hierarchy_specs(hp)
-        .iter()
-        .map(|spec| {
-            let pool = Arc::new(BufferPool::builder().capacity(hp.buffer_pages).build());
-            CorDatabase::build_standard(pool, spec, None)
-        })
-        .collect()
-}
-
 /// Total I/O across every level's pool since the given snapshots.
 pub fn total_hierarchy_io(levels: &[CorDatabase], before: &[cor_pagestore::IoSnapshot]) -> u64 {
     levels
@@ -161,8 +146,9 @@ pub fn snapshot_hierarchy(levels: &[CorDatabase]) -> Vec<cor_pagestore::IoSnapsh
 #[cfg(test)]
 mod tests {
     use super::*;
-    use complexobj::multilevel::{bfs_multilevel, dfs_multilevel, MultiDotQuery};
-    use complexobj::{ExecOptions, RetAttr};
+    use crate::{Engine, EngineSpec};
+    use complexobj::multilevel::MultiDotQuery;
+    use complexobj::{RetAttr, Strategy};
 
     fn tiny() -> HierarchyParams {
         HierarchyParams {
@@ -224,16 +210,29 @@ mod tests {
         assert!(counts.values().all(|&n| n == hp.use_factor), "{counts:?}");
     }
 
+    /// The chain as an engine: one standard database per level, each on
+    /// its own pool.
+    fn engine(hp: &HierarchyParams) -> Engine {
+        Engine::builder()
+            .pool_pages(hp.buffer_pages)
+            .build(&EngineSpec::Levels(generate_hierarchy_specs(hp)))
+            .unwrap()
+    }
+
     #[test]
     fn built_hierarchy_answers_multidot_queries() {
-        let levels = build_hierarchy(&tiny()).unwrap();
+        let engine = engine(&tiny());
         let q = MultiDotQuery {
             lo: 0,
             hi: 19,
             attr: RetAttr::Ret1,
         };
-        let mut d = dfs_multilevel(&levels, &q).unwrap().values;
-        let mut b = bfs_multilevel(&levels, &q, false, &ExecOptions::default())
+        let mut d = engine
+            .retrieve_multilevel(Strategy::Dfs, &q)
+            .unwrap()
+            .values;
+        let mut b = engine
+            .retrieve_multilevel(Strategy::Bfs, &q)
             .unwrap()
             .values;
         // 20 objects x 3 x 3 paths.
@@ -245,18 +244,20 @@ mod tests {
 
     #[test]
     fn io_snapshots_cover_all_levels() {
-        let levels = build_hierarchy(&tiny()).unwrap();
-        for db in &levels {
+        let engine = engine(&tiny());
+        let levels = engine.levels();
+        assert_eq!(levels.len(), 2);
+        for db in levels {
             db.pool().flush_and_clear().unwrap();
         }
-        let before = snapshot_hierarchy(&levels);
+        let before = snapshot_hierarchy(levels);
         let q = MultiDotQuery {
             lo: 0,
             hi: 9,
             attr: RetAttr::Ret1,
         };
-        dfs_multilevel(&levels, &q).unwrap();
-        let total = total_hierarchy_io(&levels, &before);
+        engine.retrieve_multilevel(Strategy::Dfs, &q).unwrap();
+        let total = total_hierarchy_io(levels, &before);
         assert!(total > 0);
     }
 }

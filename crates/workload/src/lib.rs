@@ -4,7 +4,7 @@
 //! generation ([`dbgen`]), query-sequence generation ([`seqgen`]), the
 //! [`Engine`] that owns execution — the measured loop included — and
 //! persistence ([`engine`]; its result types are in [`driver`] and
-//! [`concurrent`]), experiment-point runners and parallel sweeps
+//! [`concurrent`]), the experiment-point runner and parallel sweeps
 //! ([`experiment`]), plain-text reporting ([`report`]), and the
 //! engine-level observability layer ([`metrics`]).
 //!
@@ -49,19 +49,15 @@ pub use catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB, ENGINE_CATALOG_VERSI
 pub use concurrent::{generate_stream_sequences, ConcurrentRunResult, LatencySummary, LiveTick};
 pub use dbgen::{build_for_strategy, generate, make_pool, rng_for, GeneratedDb, SeedStream};
 pub use driver::{QueryTrace, RunResult};
-pub use engine::{Engine, EngineBuilder, EngineSpec, SlowQueryEntry};
-pub use experiment::{
-    best_strategy, compare_strategies, default_threads, parallel_map, run_point, run_point_with,
-};
+pub use engine::{Engine, EngineBuilder, EngineSpec};
+pub use experiment::{default_threads, parallel_map, run_point};
 pub use explain::{workload_from_params, ExplainReport, PhaseRow};
 pub use hierarchy::{
-    build_hierarchy, generate_hierarchy_specs, snapshot_hierarchy, total_hierarchy_io,
-    HierarchyParams,
+    generate_hierarchy_specs, snapshot_hierarchy, total_hierarchy_io, HierarchyParams,
 };
 pub use matrix::{generate_matrix, run_matrix_point, MatrixRunResult, MatrixSpec, MatrixSystem};
 pub use metrics::{
-    build_report, strategy_from_tag, strategy_tag, EngineMetrics, MetricsReport,
-    METRICS_SCHEMA_VERSION, REQUIRED_METRICS,
+    build_report, EngineMetrics, MetricsReport, METRICS_SCHEMA_VERSION, REQUIRED_METRICS,
 };
 pub use params::Params;
 pub use report::{fnum, format_ascii_plot, format_region_map, format_table, write_csv};

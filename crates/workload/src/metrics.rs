@@ -1,28 +1,24 @@
-//! Engine observability: per-strategy query metrics, spans, and the
-//! folded report.
+//! Engine observability: per-strategy query metrics and the folded
+//! report.
 //!
 //! [`EngineMetrics`] owns the engine-level instruments — per-strategy
-//! query counters, I/O-delta counters, latency and I/O histograms, and a
-//! bounded lock-free span ring — all resolved from a
-//! [`MetricsRegistry`] once at construction so the hot path touches only
-//! relaxed atomics. [`MetricsReport`] folds those engine metrics together
-//! with the buffer pool's per-shard telemetry and the unit/procedural
-//! cache counters into one [`MetricsSnapshot`] that the Prometheus and
-//! JSON exporters render.
+//! query counters, I/O-delta counters, and latency and I/O histograms —
+//! all resolved from a [`MetricsRegistry`] once at construction so the
+//! hot path touches only relaxed atomics. [`MetricsReport`] folds those
+//! engine metrics together with the buffer pool's per-shard telemetry and
+//! the unit/procedural cache counters into one [`MetricsSnapshot`] that
+//! the Prometheus and JSON exporters render.
 //!
 //! Everything here *reads* [`IoStats`](cor_pagestore::IoStats) snapshots;
 //! nothing writes them. The paper's I/O counts are identical with metrics
 //! on or off.
 
 use complexobj::{CacheCounters, Strategy};
-use cor_obs::{labels, Counter, Histogram, MetricsRegistry, MetricsSnapshot, Span, TraceRing};
+use cor_obs::{labels, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use cor_pagestore::{IoDelta, ReplacementPolicy, ShardTelemetrySnapshot};
 use cor_wal::WalStatsSnapshot;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Default capacity of the engine's span ring.
-pub const DEFAULT_TRACE_SPANS: usize = 1024;
 
 /// Version of the exported metrics layout, stamped into every rendered
 /// report (matches the `schema_version` `corstat --json` writes).
@@ -36,32 +32,15 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "cor_query_writes_total",
     "cor_query_latency_ns",
     "cor_query_io_pages",
-    "cor_trace_spans_dropped_total",
 ];
 
-/// Span `op` codes pushed by the engine (the [`Span::op`] field).
-pub mod span_op {
-    /// One [`Engine::retrieve`](crate::Engine::retrieve) call.
-    pub const RETRIEVE: u64 = 1;
-    /// One [`Engine::update`](crate::Engine::update) call.
-    pub const UPDATE: u64 = 2;
-    /// One whole [`Engine::run_sequence`](crate::Engine::run_sequence)
-    /// call.
-    pub const SEQUENCE: u64 = 3;
-}
-
-/// The [`Span::tag`] value for `strategy` (its index in
-/// [`Strategy::ALL`]).
-pub fn strategy_tag(strategy: Strategy) -> u64 {
+/// `strategy`'s index in [`Strategy::ALL`], which orders the
+/// per-strategy instruments.
+fn strategy_index(strategy: Strategy) -> usize {
     Strategy::ALL
         .iter()
         .position(|s| *s == strategy)
-        .expect("every strategy is in ALL") as u64
-}
-
-/// Invert [`strategy_tag`].
-pub fn strategy_from_tag(tag: u64) -> Option<Strategy> {
-    Strategy::ALL.get(tag as usize).copied()
+        .expect("every strategy is in ALL")
 }
 
 /// Handles for one (strategy, op) cell.
@@ -117,7 +96,7 @@ impl OpHandles {
     }
 }
 
-/// Clamp a [`Duration`] to nanoseconds in `u64` (saturating — a span
+/// Clamp a [`Duration`] to nanoseconds in `u64` (saturating — a call
 /// longer than ~584 years is not worth a panic).
 pub fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -131,14 +110,11 @@ pub struct EngineMetrics {
     retrieve: Vec<OpHandles>,
     sequence: Vec<OpHandles>,
     update: OpHandles,
-    trace: TraceRing,
 }
 
 impl std::fmt::Debug for EngineMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineMetrics")
-            .field("trace", &self.trace)
-            .finish_non_exhaustive()
+        f.debug_struct("EngineMetrics").finish_non_exhaustive()
     }
 }
 
@@ -149,13 +125,8 @@ impl Default for EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Instruments with the default span-ring capacity.
+    /// Register every instrument.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_SPANS)
-    }
-
-    /// Instruments remembering the last `trace_capacity` spans.
-    pub fn with_trace_capacity(trace_capacity: usize) -> Self {
         let registry = MetricsRegistry::new();
         let retrieve = Strategy::ALL
             .iter()
@@ -171,69 +142,22 @@ impl EngineMetrics {
             retrieve,
             sequence,
             update,
-            trace: TraceRing::new(trace_capacity),
         }
     }
 
-    /// Record one retrieve: its I/O delta, wall time, and values returned.
-    pub fn record_retrieve(&self, strategy: Strategy, delta: IoDelta, wall: Duration, values: u64) {
-        self.retrieve[strategy_tag(strategy) as usize].record(delta, wall);
-        self.trace.push(Span {
-            op: span_op::RETRIEVE,
-            tag: strategy_tag(strategy),
-            reads: delta.reads,
-            writes: delta.writes,
-            wall_ns: duration_ns(wall),
-            payload: values,
-        });
+    /// Record one retrieve: its I/O delta and wall time.
+    pub fn record_retrieve(&self, strategy: Strategy, delta: IoDelta, wall: Duration) {
+        self.retrieve[strategy_index(strategy)].record(delta, wall);
     }
 
     /// Record one update.
     pub fn record_update(&self, delta: IoDelta, wall: Duration) {
         self.update.record(delta, wall);
-        self.trace.push(Span {
-            op: span_op::UPDATE,
-            tag: 0,
-            reads: delta.reads,
-            writes: delta.writes,
-            wall_ns: duration_ns(wall),
-            payload: 0,
-        });
     }
 
-    /// Record one whole measured sequence (`queries` individual queries).
-    pub fn record_sequence(
-        &self,
-        strategy: Strategy,
-        delta: IoDelta,
-        wall: Duration,
-        queries: u64,
-    ) {
-        self.sequence[strategy_tag(strategy) as usize].record(delta, wall);
-        self.trace.push(Span {
-            op: span_op::SEQUENCE,
-            tag: strategy_tag(strategy),
-            reads: delta.reads,
-            writes: delta.writes,
-            wall_ns: duration_ns(wall),
-            payload: queries,
-        });
-    }
-
-    /// The retained spans, oldest first (best-effort under concurrency).
-    pub fn spans(&self) -> Vec<Span> {
-        self.trace.snapshot()
-    }
-
-    /// Spans pushed over the engine's lifetime.
-    pub fn spans_pushed(&self) -> u64 {
-        self.trace.pushed()
-    }
-
-    /// Spans lost to observation: ring overwrite plus snapshot/writer
-    /// race skips. Distinguishes "no queries ran" from "spans dropped".
-    pub fn spans_dropped(&self) -> u64 {
-        self.trace.dropped()
+    /// Record one whole measured sequence.
+    pub fn record_sequence(&self, strategy: Strategy, delta: IoDelta, wall: Duration) {
+        self.sequence[strategy_index(strategy)].record(delta, wall);
     }
 
     /// Snapshot of the engine-level metrics only (no pool or cache
@@ -248,12 +172,6 @@ impl EngineMetrics {
 pub struct MetricsReport {
     /// Every metric — engine, pool, cache — in exporter-ready form.
     pub snapshot: MetricsSnapshot,
-    /// The most recent query spans.
-    pub spans: Vec<Span>,
-    /// Spans lost to ring overwrite or reader/writer races by the time
-    /// this report was assembled (tracing is best-effort; this makes the
-    /// loss visible instead of silent).
-    pub spans_dropped: u64,
     /// Per-shard pool telemetry (empty when the pool was built without
     /// telemetry).
     pub pool: Vec<ShardTelemetrySnapshot>,
@@ -456,20 +374,8 @@ pub fn build_report(
             w.durable_lsn as f64,
         );
     }
-    // Snapshot the ring before reading the drop count, so losses caused
-    // by this very snapshot are included in the figure it reports.
-    let spans = metrics.spans();
-    let spans_dropped = metrics.spans_dropped();
-    snapshot.push_counter(
-        "cor_trace_spans_dropped_total",
-        "query spans lost to ring overwrite or snapshot races",
-        labels(&[]),
-        spans_dropped,
-    );
     MetricsReport {
         snapshot,
-        spans,
-        spans_dropped,
         pool: pool.map(|(_, shards)| shards).unwrap_or_default(),
         cache,
         wal,
@@ -505,22 +411,14 @@ mod tests {
     }
 
     #[test]
-    fn strategy_tags_roundtrip() {
-        for s in Strategy::ALL {
-            assert_eq!(strategy_from_tag(strategy_tag(s)), Some(s));
-        }
-        assert_eq!(strategy_from_tag(99), None);
-    }
-
-    #[test]
     fn recorded_queries_surface_in_snapshot() {
-        let m = EngineMetrics::with_trace_capacity(8);
+        let m = EngineMetrics::new();
         let delta = IoDelta {
             reads: 10,
             writes: 2,
         };
-        m.record_retrieve(Strategy::Dfs, delta, Duration::from_micros(5), 40);
-        m.record_retrieve(Strategy::Dfs, delta, Duration::from_micros(7), 40);
+        m.record_retrieve(Strategy::Dfs, delta, Duration::from_micros(5));
+        m.record_retrieve(Strategy::Dfs, delta, Duration::from_micros(7));
         m.record_update(
             IoDelta {
                 reads: 1,
@@ -533,38 +431,10 @@ mod tests {
         let totals = report.snapshot.family("cor_query_total").unwrap();
         // 6 strategies x {retrieve, sequence} + update.
         assert_eq!(totals.samples.len(), 13);
-        let spans = report.spans;
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[0].op, span_op::RETRIEVE);
-        assert_eq!(spans[0].reads, 10);
-        assert_eq!(spans[2].op, span_op::UPDATE);
-    }
-
-    #[test]
-    fn report_surfaces_span_drops_in_both_exporters() {
-        let m = EngineMetrics::with_trace_capacity(2);
-        let delta = IoDelta {
-            reads: 1,
-            writes: 0,
-        };
-        for _ in 0..5 {
-            m.record_retrieve(Strategy::Dfs, delta, Duration::from_micros(1), 1);
-        }
-        assert_eq!(m.spans_pushed(), 5);
-        assert_eq!(m.spans_dropped(), 3, "ring of 2 overwrote 3 spans");
-        let report = build_report(&m, None, None, None);
-        report.validate().expect("complete report");
-        assert_eq!(report.spans_dropped, 3);
-        assert_eq!(report.spans.len(), 2);
-        let fam = report
-            .snapshot
-            .family("cor_trace_spans_dropped_total")
-            .expect("drop counter exported");
-        assert_eq!(fam.samples.len(), 1);
-        assert!(report
-            .to_prometheus()
-            .contains("cor_trace_spans_dropped_total 3"));
-        assert!(report.to_json().contains("cor_trace_spans_dropped_total"));
+        let text = report.to_prometheus();
+        assert!(text.contains("cor_query_total{strategy=\"DFS\",op=\"retrieve\"} 2"));
+        assert!(text.contains("cor_query_reads_total{strategy=\"DFS\",op=\"retrieve\"} 20"));
+        assert!(text.contains("cor_query_total{op=\"update\"} 1"));
     }
 
     #[test]
@@ -577,7 +447,6 @@ mod tests {
                 writes: 5,
             },
             Duration::from_millis(1),
-            20,
         );
         let pool = vec![
             ShardTelemetrySnapshot {

@@ -9,11 +9,16 @@
 //! sides perform identical open-time reconciliation (crash-discarded
 //! free lists, one-way cache reconcile). Equality of the re-saved
 //! catalog blobs is therefore equality of everything `open` persists.
+//!
+//! The same recording allocator also bounds the two decoders that read
+//! stored bytes: the engine catalog blob and the record codec.
 
+use complexobj::database::{child_schema, parent_schema};
 use complexobj::procedural::ProcCaching;
-use complexobj::{CacheConfig, DatabaseSpec, ExecOptions, Query, Strategy};
+use complexobj::{value_parent_schema, CacheConfig, DatabaseSpec, ExecOptions, Query, Strategy};
 use cor_access::Catalog;
 use cor_pagestore::{BufferPool, MemDisk, ReplacementPolicy};
+use cor_relational::{Oid, Schema, Tuple, Value};
 use cor_wal::{FsyncPolicy, MemLogStore, WalConfig};
 use cor_workload::{
     generate, generate_matrix, generate_sequence, Engine, EngineCatalog, EngineSpec, GeneratedDb,
@@ -730,5 +735,104 @@ fn every_single_byte_change_of_a_valid_blob_decodes_or_fails_typed() {
                 }
             }
         }
+    }
+}
+
+/// Decode `record` under `schema` as outside input: it must come back `Ok`
+/// or as a typed `CodecError` (a panic fails the test), within the same
+/// allocation bound as a catalog blob. An accepted record re-encodes to
+/// the bytes the decoder consumed.
+fn decode_record_as_outside_input(schema: &Schema, record: &[u8]) {
+    LARGEST.with(|l| l.set(0));
+    let decoded = cor_access::decode(schema, record);
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= ALLOC_PER_BLOB_BYTE * record.len().max(64),
+        "a {}-byte record asked for a {largest}-byte allocation",
+        record.len()
+    );
+    if let Ok(tuple) = decoded {
+        let canonical = cor_access::encode(schema, &tuple).expect("a decoded tuple encodes");
+        assert!(record.starts_with(&canonical), "re-encoding moved bytes");
+    }
+}
+
+/// The three stored-record schemas.
+fn record_schemas() -> [Schema; 3] {
+    [parent_schema(), child_schema(), value_parent_schema()]
+}
+
+/// A valid record of `record_schemas()[which]`, with `n` children (OID
+/// parents) or `n` member bytes (value-based parents).
+fn valid_record(which: usize, n: usize) -> Vec<u8> {
+    let oid = |k| Value::Oid(Oid::new(10, k));
+    let head = |k| vec![oid(k), Value::Int(-3), Value::Int(7), Value::Int(i64::MAX)];
+    let mut values = head(42);
+    values.push(Value::Str("dummy".into()));
+    match which {
+        0 => {
+            values.push(Value::OidList(
+                (0..n as u64).map(|k| Oid::new(11, k)).collect(),
+            ));
+            values.push(Value::Bytes(vec![0xAB; n]));
+        }
+        1 => {}
+        _ => values.push(Value::Bytes((0..n as u8).collect())),
+    }
+    cor_access::encode(&record_schemas()[which], &Tuple::new(values)).expect("valid tuple")
+}
+
+/// A parent record cut right after a `0xFFFF` children count: the count
+/// claims 65,535 OIDs the record does not hold, and must not size the
+/// list it decodes into.
+#[test]
+fn a_corrupt_children_count_does_not_size_an_allocation() {
+    let whole = valid_record(0, 0);
+    // oid, three ints, then the dummy string's length and bytes.
+    let count_at = 10 + 3 * 8 + 2 + "dummy".len();
+    assert_eq!(&whole[count_at..count_at + 2], &[0, 0], "empty children");
+    let mut cut = whole[..count_at].to_vec();
+    cut.extend_from_slice(&[0xFF, 0xFF]);
+    assert_eq!(
+        cor_access::decode(&parent_schema(), &cut),
+        Err(cor_access::CodecError::Truncated)
+    );
+    decode_record_as_outside_input(&parent_schema(), &cut);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 1024,
+        ..ProptestConfig::default()
+    })]
+
+    /// Arbitrary bytes never panic the record decoder, under any of the
+    /// stored schemas.
+    #[test]
+    fn record_decode_survives_arbitrary_bytes(
+        which in 0usize..3,
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+    ) {
+        decode_record_as_outside_input(&record_schemas()[which], &bytes);
+    }
+
+    /// Byte and `u16` mutations of valid records (a `u16` lands on a
+    /// length or count as often as on data) never panic the record
+    /// decoder.
+    #[test]
+    fn record_decode_survives_mutated_records(
+        which in 0usize..3,
+        n in 0usize..8,
+        at in any::<usize>(),
+        change in prop_oneof![
+            any::<u8>().prop_map(|b| vec![b]),
+            prop_oneof![Just(0u16), Just(1), Just(u16::MAX), any::<u16>()]
+                .prop_map(|w| w.to_le_bytes().to_vec()),
+        ],
+    ) {
+        let mut record = valid_record(which, n);
+        let at = at % (record.len() - change.len() + 1);
+        record[at..at + change.len()].copy_from_slice(&change);
+        decode_record_as_outside_input(&record_schemas()[which], &record);
     }
 }

@@ -1,10 +1,10 @@
 //! End-to-end checks for the observability layers: enabling the
 //! flight-recorder, wait-profiling, and trace-tree layers must leave the
-//! paper's I/O accounting byte-identical, and the slow-query hook must
-//! capture an explain breakdown (and a linked causal trace) when armed.
+//! paper's I/O accounting byte-identical, wait families are exported
+//! exactly when profiling is on, and each traced query's tree matches
+//! the phase ledger.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use complexobj::{Query, RetAttr, RetrieveQuery, Strategy};
 use cor_obs::{flight, wait, Phase};
@@ -24,42 +24,6 @@ fn small(num_top: u64) -> Params {
         buffer_pages: 16,
         ..Params::paper_default()
     }
-}
-
-#[test]
-fn slow_query_hook_captures_an_explain_report() {
-    let _g = GLOBALS.lock().unwrap();
-    flight::enable(true);
-    let p = small(5);
-    let generated = generate(&p);
-    let engine = Engine::builder()
-        .build_workload(&p, &generated, Strategy::Bfs)
-        .unwrap()
-        .with_slow_query_threshold(Duration::ZERO);
-
-    let query = RetrieveQuery {
-        lo: 0,
-        hi: p.num_top - 1,
-        attr: RetAttr::ALL[0],
-    };
-    let out = engine.retrieve(Strategy::Bfs, &query).unwrap();
-    let slow = engine.slow_queries();
-    let events = flight::snapshot();
-    flight::enable(false);
-
-    assert_eq!(slow.len(), 1, "zero threshold must capture the retrieve");
-    let entry = &slow[0];
-    assert_eq!(entry.query, query);
-    assert_eq!(entry.strategy, Strategy::Bfs);
-    assert!(!entry.report.phases.is_empty(), "explain breakdown missing");
-    assert_eq!(entry.report.retrieves, 1);
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == flight::FlightKind::SlowQuery),
-        "no SlowQuery flight event journaled"
-    );
-    assert!(!out.values.is_empty());
 }
 
 /// Flight recording, wait profiling and causal tracing are free when
@@ -246,60 +210,4 @@ fn traced_query_matches_profile_ledger() {
         }
         assert!(traced > 0, "{strategy}: nothing sampled");
     }
-}
-
-/// An armed slow-query hook captures a causal trace alongside the
-/// explain breakdown and journals a `TraceLink` flight event pointing
-/// at it — the path from "that query was slow" to its tree.
-#[test]
-fn slow_capture_carries_a_linked_trace() {
-    let _g = GLOBALS.lock().unwrap();
-    flight::enable(true);
-    let p = small(5);
-    let generated = generate(&p);
-    let engine = Engine::builder()
-        .build_workload(&p, &generated, Strategy::Bfs)
-        .unwrap()
-        .with_slow_query_threshold(Duration::ZERO);
-    let query = RetrieveQuery {
-        lo: 0,
-        hi: p.num_top - 1,
-        attr: RetAttr::ALL[0],
-    };
-    engine.retrieve(Strategy::Bfs, &query).unwrap();
-    let events = flight::snapshot();
-    flight::enable(false);
-
-    let slow = engine.slow_queries();
-    assert_eq!(slow.len(), 1);
-    let linked = slow[0]
-        .trace
-        .as_ref()
-        .expect("slow capture carries a trace");
-    linked.validate().unwrap();
-    assert!(linked.total_ns > 0);
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == flight::FlightKind::TraceLink && e.a == linked.id),
-        "no TraceLink flight event for trace {}",
-        linked.id
-    );
-}
-
-#[test]
-fn unarmed_engine_records_no_slow_queries() {
-    let _g = GLOBALS.lock().unwrap();
-    let p = small(5);
-    let generated = generate(&p);
-    let engine = Engine::builder()
-        .build_workload(&p, &generated, Strategy::Bfs)
-        .unwrap();
-    let sequence = generate_sequence(&p);
-    for q in &sequence {
-        if let Query::Retrieve(r) = q {
-            engine.retrieve(Strategy::Bfs, r).unwrap();
-        }
-    }
-    assert!(engine.slow_queries().is_empty());
 }

@@ -14,9 +14,12 @@
 //! cargo run --release --example design_library
 //! ```
 
-use complexobj::multilevel::{execute_multilevel, MultiDotQuery};
-use complexobj::{parse_quel, ExecOptions, QuelStatement, Strategy};
-use cor_workload::{build_hierarchy, snapshot_hierarchy, total_hierarchy_io, HierarchyParams};
+use complexobj::multilevel::MultiDotQuery;
+use complexobj::{parse_quel, QuelStatement, Strategy};
+use cor_workload::{
+    generate_hierarchy_specs, snapshot_hierarchy, total_hierarchy_io, Engine, EngineSpec,
+    HierarchyParams,
+};
 
 fn main() {
     // 500 assemblies, each using 4 shared composite parts, each composite
@@ -30,7 +33,11 @@ fn main() {
         seed: 2007,
         ..HierarchyParams::default()
     };
-    let library = build_hierarchy(&hp).expect("library builds");
+    let engine = Engine::builder()
+        .pool_pages(hp.buffer_pages)
+        .build(&EngineSpec::Levels(generate_hierarchy_specs(&hp)))
+        .expect("library builds");
+    let library = engine.levels();
     println!(
         "design library: {} assemblies -> {} composite parts -> {} atomic parts\n",
         hp.card_at(0),
@@ -49,28 +56,29 @@ fn main() {
     };
     assert_eq!(depth, 2, "two 'children' hops need a two-database chain");
 
-    let opts = ExecOptions::default();
     println!(
         "{:<10} {:>12} {:>12}",
         "strategy", "page I/O", "parts visited"
     );
     for s in [Strategy::Dfs, Strategy::Bfs, Strategy::BfsNoDup] {
-        for db in &library {
+        for db in library {
             db.pool().flush_and_clear().expect("cold start");
         }
-        let before = snapshot_hierarchy(&library);
-        let out = execute_multilevel(&library, s, &query, &opts).expect("traversal runs");
-        let io = total_hierarchy_io(&library, &before);
+        let before = snapshot_hierarchy(library);
+        let out = engine
+            .retrieve_multilevel(s, &query)
+            .expect("traversal runs");
+        let io = total_hierarchy_io(library, &before);
         println!("{:<10} {:>12} {:>12}", s.name(), io, out.values.len());
     }
 
     // Q1-style: open one assembly's parts, repeatedly (a designer's loop).
     println!("\nQ1 lookups: one assembly at a time, 100 times");
     for s in [Strategy::Dfs, Strategy::Bfs] {
-        for db in &library {
+        for db in library {
             db.pool().flush_and_clear().expect("cold start");
         }
-        let before = snapshot_hierarchy(&library);
+        let before = snapshot_hierarchy(library);
         let mut visited = 0usize;
         for i in 0..100u64 {
             let a = (i * 37) % hp.card_at(0);
@@ -79,12 +87,13 @@ fn main() {
                 hi: a,
                 attr: query.attr,
             };
-            visited += execute_multilevel(&library, s, &q, &opts)
+            visited += engine
+                .retrieve_multilevel(s, &q)
                 .expect("lookup runs")
                 .values
                 .len();
         }
-        let io = total_hierarchy_io(&library, &before);
+        let io = total_hierarchy_io(library, &before);
         println!("{:<10} {:>12} {:>12}", s.name(), io, visited);
     }
 

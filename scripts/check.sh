@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, the whole test suite, then one gate
-# per question: explain (phase attribution and cost model), the replay of
-# the committed explain capture (did any query's I/O move), figs.sh (the
-# figure fixed point, scaled and paper-scale; its Ablation 3 runs Figs 5
-# and 7 under LRU and SIEVE) and crashtest (raw and --logical). The test
-# suite carries the exact-I/O pins no figure covers
+# Full local gate: formatting, lints, the whole test suite, the frozen
+# benchmark harness's own build and tests (benchmark/ is outside the
+# workspace, so this is what fails when the engine drops a name the
+# harness uses; --locked keeps benchmark/Cargo.lock as committed), then
+# one gate per question: explain (phase attribution and cost model), the
+# replay of the committed explain capture (did any query's I/O move),
+# figs.sh (the figure fixed point, scaled and paper-scale; its Ablation 3
+# runs Figs 5 and 7 under LRU and SIEVE) and crashtest (raw and
+# --logical). The test suite carries the exact-I/O pins no figure covers
 # (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
 # policies) and the observability invariants (metrics reports for every
 # strategy, trace trees against the phase ledger). CI runs exactly this
@@ -32,6 +35,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> benchmark harness build and tests (its own lockfile, left unchanged)"
+CARGO_TARGET_DIR=target/benchmark cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> explain smoke (phase-attribution + cost-model gate)"
 cargo run -q -p cor-bench --bin explain -- --smoke --jsonl $out/explain.jsonl

@@ -24,7 +24,7 @@
 //!    experiment sweeps behind the figure reproductions in `cor-bench`.
 //!
 //! Orthogonal to the stack, [`obs`] is the zero-dependency metrics layer
-//! (counters, streaming histograms, span ring, Prometheus/JSON export)
+//! (counters, streaming histograms, flight recorder, Prometheus/JSON export)
 //! that the pool, caches and `Engine` report into — see
 //! `docs/observability.md`.
 
