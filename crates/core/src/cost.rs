@@ -349,7 +349,7 @@ fn probe_reads(probes: f64, distinct_pages: f64, buffer_pages: f64) -> f64 {
 
 /// DFS (Sec. 3.1 \[1\]): one index probe per subobject reference. While
 /// the working set fits the pool repeated references are free; past it,
-/// each probe pays again ([`probe_reads`]). The descent's internal pages
+/// each probe pays again (`probe_reads`). The descent's internal pages
 /// are the hottest pages in the pool and stay warm even under churn, so
 /// they contribute only a cold-start fraction.
 pub fn predict_dfs(w: &Workload, g: &Geometry) -> Prediction {

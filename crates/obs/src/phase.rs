@@ -23,7 +23,7 @@
 //!
 //! Everything here is free when unused: a guard is two thread-local
 //! `Cell` operations plus one relaxed atomic load (the timing switch),
-//! and profiles are attached per [`IoStats`] handle, so the paper's I/O
+//! and profiles are attached per `IoStats` handle, so the paper's I/O
 //! accounting is byte-identical whether or not anything is profiled.
 //!
 //! Wall-clock attribution is opt-in via [`enable_timing`] (a process

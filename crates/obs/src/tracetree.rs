@@ -18,7 +18,7 @@
 //! Tracing is thread-scoped and strictly on-demand: a trace exists only
 //! between [`start`] and [`TraceGuard::finish`] on one thread. When no
 //! trace is active — the default, always — a feed site costs one
-//! thread-local flag load and touches no page or [`IoStats`] counter, so
+//! thread-local flag load and touches no page or `IoStats` counter, so
 //! the paper's I/O accounting is byte-identical with the tracer compiled
 //! in (asserted in `crates/workload/tests/observability.rs`).
 //!

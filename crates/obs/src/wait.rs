@@ -22,13 +22,13 @@
 //! Like [`flight`](crate::flight), the profile
 //! is a process global behind an [`AtomicBool`]: a feed site costs one
 //! relaxed load while disabled (the default), and nothing here touches a
-//! page or an [`IoStats`] counter, so the paper's I/O accounting is
+//! page or an `IoStats` counter, so the paper's I/O accounting is
 //! byte-identical either way (asserted in
 //! `crates/workload/tests/observability.rs`). While enabled, a wait is
 //! two monotonic-clock reads plus one [`Histogram::record`].
 //!
 //! The engine folds the profile into its metrics report as the
-//! `cor_wait_*` families (see [`push_to`]) only while enabled, keeping
+//! `cor_wait_*` families (see [`WaitReport::push_to`]) only while enabled, keeping
 //! disabled-state exports byte-identical to pre-wait ones.
 
 use crate::hist::{HistSnapshot, Histogram};

@@ -42,7 +42,7 @@
 //! # Accounting
 //!
 //! The engine deliberately does **not** touch the core
-//! [`IoStats`](crate::IoStats) transfer counters: a read is counted
+//! [`IoStats`] transfer counters: a read is counted
 //! only when its bytes cross into a pool frame, and the pool reads
 //! synchronously, so `reads` totals stay comparable across queue
 //! depths. The engine maintains only the

@@ -1,7 +1,7 @@
 //! Frame replacement policies and the per-shard recency state they
 //! maintain.
 //!
-//! Each buffer-pool shard owns one [`ReplacementState`]; the intrusive
+//! Each buffer-pool shard owns one `ReplacementState`; the intrusive
 //! recency list, visited bits and eviction hand are all shard-local, so
 //! shards make eviction decisions without touching any shared state.
 //! With a single shard the eviction sequence is exactly the one the

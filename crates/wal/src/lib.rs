@@ -3,7 +3,7 @@
 //!
 //! The crate provides the durability half of the WAL protocol whose
 //! enforcement half lives in `cor-pagestore` (per-page LSNs, the
-//! [`WalHook`](cor_pagestore::wal::WalHook) seam, and the
+//! [`WalHook`] seam, and the
 //! WAL-before-data flush rule inside the buffer pool):
 //!
 //! * [`record`] — the on-log record format: CRC-framed full-page

@@ -47,13 +47,13 @@ const MAX_PAYLOAD: usize = PAGE_SIZE + 64 + 16 * 65536;
 /// horizon travels in the record's explicit `redo_lsn` — always computed
 /// over the *full* table — so truncating the stored copy loses only
 /// diagnostics, never correctness. The cap keeps the largest checkpoint
-/// payload (8 + 8 × 65 536 bytes) comfortably under [`MAX_PAYLOAD`], so
+/// payload (8 + 8 × 65 536 bytes) comfortably under `MAX_PAYLOAD`, so
 /// a pool with millions of frames can still emit decodable checkpoints.
 pub const MAX_CHECKPOINT_DPT: usize = 65_536;
 
-const KIND_IMAGE: u8 = 1;
-const KIND_DELTA: u8 = 2;
-const KIND_CHECKPOINT: u8 = 3;
+pub(crate) const KIND_IMAGE: u8 = 1;
+pub(crate) const KIND_DELTA: u8 = 2;
+pub(crate) const KIND_CHECKPOINT: u8 = 3;
 
 /// A decoded log record body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,42 +100,32 @@ pub struct Record {
 impl Record {
     /// Serialize the record into `out` with framing and CRC.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let (kind, payload) = match &self.body {
-            RecordBody::PageImage { pid, image } => {
-                let mut p = Vec::with_capacity(4 + PAGE_SIZE);
-                p.extend_from_slice(&pid.to_le_bytes());
-                p.extend_from_slice(&image[..]);
-                (KIND_IMAGE, p)
-            }
+        match &self.body {
+            RecordBody::PageImage { pid, image } => frame_image(out, self.lsn, *pid, image),
             RecordBody::PageDelta { pid, offset, bytes } => {
-                let mut p = Vec::with_capacity(8 + bytes.len());
-                p.extend_from_slice(&pid.to_le_bytes());
-                p.extend_from_slice(&offset.to_le_bytes());
-                p.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-                p.extend_from_slice(bytes);
-                (KIND_DELTA, p)
+                frame_delta(out, self.lsn, *pid, *offset, bytes)
             }
             RecordBody::Checkpoint {
                 redo_lsn,
                 dirty_pages,
             } => {
-                let mut p = Vec::with_capacity(8 + 8 * dirty_pages.len());
-                p.extend_from_slice(&redo_lsn.to_le_bytes());
-                p.extend_from_slice(&(dirty_pages.len() as u32).to_le_bytes());
+                let mut table = Vec::with_capacity(8 * dirty_pages.len());
                 for (pid, rec_lsn) in dirty_pages {
-                    p.extend_from_slice(&pid.to_le_bytes());
-                    p.extend_from_slice(&rec_lsn.to_le_bytes());
+                    table.extend_from_slice(&pid.to_le_bytes());
+                    table.extend_from_slice(&rec_lsn.to_le_bytes());
                 }
-                (KIND_CHECKPOINT, p)
+                frame(
+                    out,
+                    self.lsn,
+                    KIND_CHECKPOINT,
+                    &[
+                        &redo_lsn.to_le_bytes(),
+                        &(dirty_pages.len() as u32).to_le_bytes(),
+                        &table,
+                    ],
+                );
             }
-        };
-        let mut covered = Vec::with_capacity(RECORD_HEADER - 4 + payload.len());
-        covered.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        covered.extend_from_slice(&self.lsn.to_le_bytes());
-        covered.push(kind);
-        covered.extend_from_slice(&payload);
-        out.extend_from_slice(&crc32(&covered).to_le_bytes());
-        out.extend_from_slice(&covered);
+        }
     }
 
     /// Serialized size in bytes.
@@ -147,6 +137,44 @@ impl Record {
                 RecordBody::Checkpoint { dirty_pages, .. } => 8 + 8 * dirty_pages.len(),
             }
     }
+}
+
+/// Append one record to `out` in a single pass: the header with a zero
+/// CRC, then `parts` in order as the payload, then the CRC over
+/// `len | lsn | kind | payload` stamped in place.
+fn frame(out: &mut Vec<u8>, lsn: Lsn, kind: u8, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let start = out.len();
+    out.reserve(RECORD_HEADER + len);
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out.push(kind);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    let crc = crc32(&out[start + 4..]);
+    out[start..start + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Append a [`RecordBody::PageImage`] frame for a borrowed page.
+pub(crate) fn frame_image(out: &mut Vec<u8>, lsn: Lsn, pid: PageId, image: &PageBuf) {
+    frame(out, lsn, KIND_IMAGE, &[&pid.to_le_bytes(), image]);
+}
+
+/// Append a [`RecordBody::PageDelta`] frame for a borrowed byte range.
+pub(crate) fn frame_delta(out: &mut Vec<u8>, lsn: Lsn, pid: PageId, offset: u16, bytes: &[u8]) {
+    frame(
+        out,
+        lsn,
+        KIND_DELTA,
+        &[
+            &pid.to_le_bytes(),
+            &offset.to_le_bytes(),
+            &(bytes.len() as u16).to_le_bytes(),
+            bytes,
+        ],
+    );
 }
 
 fn read_u32(b: &[u8], at: usize) -> u32 {

@@ -1,8 +1,8 @@
 //! Log stores: where the serialized record stream physically lives.
 //!
 //! A log is an ordered list of append-only *segments*; a segment is
-//! named by the LSN of the first record it holds. The [`Wal`]
-//! (crate::Wal) rotates to a fresh segment when the active one passes
+//! named by the LSN of the first record it holds. The
+//! [`Wal`](crate::Wal) rotates to a fresh segment when the active one passes
 //! the configured size, and checkpoints garbage-collect whole segments
 //! whose every record precedes the redo horizon.
 //!

@@ -10,8 +10,8 @@
 //! * a magic + version header ([`ENGINE_CATALOG_VERSION`]) so foreign or
 //!   future stores fail loudly with
 //!   [`CorError::CatalogMissing`] / [`CorError::CatalogVersion`];
-//! * a `clean_shutdown` flag — `true` only between [`Engine::close`]
-//!   (crate::Engine::close) and the next open;
+//! * a `clean_shutdown` flag — `true` only between
+//!   [`Engine::close`](crate::Engine::close) and the next open;
 //! * the pool's construction settings (`pool_pages`, `shards`,
 //!   replacement policy) and the [`ExecOptions`] the engine ran with — `open` rebuilds the pool from the catalog, not
 //!   from the caller's builder;

@@ -227,7 +227,7 @@ impl EngineBuilder {
 
     /// Back the pool with an explicit page store instead of the default
     /// private [`MemDisk`](cor_pagestore::MemDisk) — a
-    /// [`FileDisk`](cor_pagestore::FileDisk), a crash-test
+    /// [`FileDisk`], a crash-test
     /// [`FaultyDisk`](cor_pagestore::FaultyDisk), or a shared handle the
     /// caller keeps for post-crash inspection.
     pub fn disk(mut self, disk: Arc<dyn DiskManager>) -> Self {

@@ -11,7 +11,7 @@
 //!
 //! Profiling is opt-in per engine and additive-only: the physical I/O a
 //! profiled run performs is byte-identical to an unprofiled one, because
-//! attribution piggybacks on the existing [`IoStats`] counters
+//! attribution piggybacks on the existing [`IoStats`](cor_pagestore::IoStats) counters
 //! (`cor_pagestore`) rather than adding or reordering page accesses.
 
 use crate::driver::RunResult;
@@ -179,7 +179,7 @@ impl ExplainReport {
         s
     }
 
-    /// Parse the deterministic fields back out of a [`to_jsonl`] line for
+    /// Parse the deterministic fields back out of a [`to_jsonl`](ExplainReport::to_jsonl) line for
     /// replay comparison: `(strategy, reads, writes, per-phase (reads,
     /// writes) in [`Phase::ALL`] order)`. Wall times and derived floats
     /// are not compared — they vary run to run.

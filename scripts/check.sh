@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, the whole test suite, the frozen
+# Full local gate: formatting, lints, rustdoc with warnings denied
+# (broken or private intra-doc links fail), the whole test suite, the frozen
 # benchmark harness's own build and tests (benchmark/ is outside the
 # workspace, so this is what fails when the engine drops a name the
 # harness uses; --locked keeps benchmark/Cargo.lock as committed), then
@@ -32,6 +33,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test"
 cargo test --workspace -q
