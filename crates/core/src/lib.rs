@@ -113,6 +113,9 @@ pub enum CorError {
         /// Version this build reads and writes.
         expected: u32,
     },
+    /// A causal trace is already being collected on this thread, and the
+    /// operation needs one of its own (traces do not nest).
+    TraceActive,
 }
 
 impl std::fmt::Display for CorError {
@@ -137,6 +140,9 @@ impl std::fmt::Display for CorError {
                     f,
                     "engine catalog version mismatch: found v{found}, this build expects v{expected}"
                 )
+            }
+            CorError::TraceActive => {
+                write!(f, "a trace is already active on this thread")
             }
         }
     }

@@ -15,17 +15,20 @@
 //!   a lock-free seqlock ring, dumped on panic or fault ([`flight`]);
 //! * [`to_prometheus`] / [`to_json`] — exporters over a snapshot, plus
 //!   [`parse_prometheus`] for validating the text output ([`export`]);
-//! * [`Phase`] / [`PhaseGuard`] / [`PhaseProfile`] — thread-scoped phase
-//!   attribution for physical I/O, so a profiler can say *where* each
-//!   page went, not just how many moved ([`phase`]);
+//! * [`Phase`] / [`PhaseGuard`] — thread-scoped phase brackets, so a
+//!   profiler can say *where* each page went, not just how many moved
+//!   ([`phase`]);
 //! * [`TraceTree`] — per-query causal span trees riding the phase layer,
-//!   exported as Chrome trace-event JSON ([`tracetree`]);
-//! * [`WaitClass`] / [`WaitProfile`] — timed-wait histograms over the
-//!   engine's blocking points, the `cor_wait_*` families ([`wait`]).
+//!   exported as Chrome trace-event JSON, and the only per-phase ledger
+//!   of reads, writes and wall time ([`tracetree`]).
 //!
-//! Instrumentation is free when disabled: layers hold their telemetry in
-//! an `Option` fixed at construction, and every recording call is a
-//! handful of relaxed atomic adds when enabled.
+//! Three switches turn observation on, each with one reader:
+//! [`flight::enable`] (the panic/fault dump), [`tracetree::start`]
+//! (`Engine::trace_query` and `Engine::explain`) and the engine
+//! builder's `metrics` setter (`Engine::metrics`). Instrumentation is
+//! free when disabled: layers hold their telemetry in an `Option` fixed
+//! at construction, and every recording call is a handful of relaxed
+//! atomic adds when enabled.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +40,6 @@ pub mod metric;
 pub mod phase;
 pub mod registry;
 pub mod tracetree;
-pub mod wait;
 
 pub use export::{
     escape_json, escape_label_value, parse_prometheus, to_json, to_prometheus, ParsedSample,
@@ -45,13 +47,9 @@ pub use export::{
 pub use flight::{Flight, FlightEvent, FlightKind};
 pub use hist::{bucket_index, bucket_upper, HistSnapshot, Histogram, HIST_BUCKETS};
 pub use metric::{hit_ratio, Counter, Gauge};
-pub use phase::{
-    current_phase, enable_timing, take_thread_wall, Phase, PhaseGuard, PhaseProfile, PhaseSnapshot,
-    PHASE_COUNT,
-};
+pub use phase::{current_phase, Phase, PhaseGuard, PHASE_COUNT};
 pub use registry::{
     labels, Labels, MetricFamily, MetricKind, MetricSample, MetricValue, MetricsRegistry,
     MetricsSnapshot,
 };
 pub use tracetree::{TraceGuard, TraceNode, TraceTree, MAX_TRACE_NODES};
-pub use wait::{WaitClass, WaitProfile, WaitReport, WAIT_CLASSES};

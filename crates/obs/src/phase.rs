@@ -3,12 +3,13 @@
 //! The paper's yardstick is *how many* pages a query transfers; this
 //! module answers *where they go*. A strategy (or an access method on its
 //! behalf) brackets a region of work with a [`PhaseGuard`]; while the
-//! guard is alive, every page transfer the thread drives through an
-//! [`IoStats`](../../cor_pagestore) handle that carries a
-//! [`PhaseProfile`] is charged to that phase. Attribution is exact by
-//! construction: the profile is incremented in the same call that bumps
-//! the total counters, so per-phase sums always equal the totals (with
-//! [`Phase::Other`] as the catch-all for unbracketed work).
+//! guard is alive, the thread's [`current_phase`] is that phase. The
+//! ledger that counts pages and wall time per phase is the trace
+//! collector ([`tracetree`](crate::tracetree)): it charges each page
+//! transfer to the phase current when the transfer is counted, and each
+//! transition's elapsed wall time to the outgoing phase, so per-phase
+//! sums always equal the totals (with [`Phase::Other`] as the catch-all
+//! for unbracketed work).
 //!
 //! Two guard flavours keep nesting sane:
 //!
@@ -21,18 +22,11 @@
 //!   strategy-level bracket — a cluster range scan stays `cluster_scan`
 //!   even though it runs through the same B-tree code.
 //!
-//! Everything here is free when unused: a guard is two thread-local
-//! `Cell` operations plus one relaxed atomic load (the timing switch),
-//! and profiles are attached per `IoStats` handle, so the paper's I/O
-//! accounting is byte-identical whether or not anything is profiled.
-//!
-//! Wall-clock attribution is opt-in via [`enable_timing`] (a process
-//! global, default off): phase transitions then partition the thread's
-//! wall time exactly across phases, readable via [`take_thread_wall`].
+//! A guard is two thread-local `Cell` operations plus the trace
+//! collector's one flag load, so the paper's I/O accounting is
+//! byte-identical whether or not anything is traced.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Number of distinct phases (including the [`Phase::Other`] catch-all).
 pub const PHASE_COUNT: usize = 9;
@@ -99,7 +93,7 @@ impl Phase {
         Phase::ALL.into_iter().find(|p| p.name() == name)
     }
 
-    /// The phase's index into profile arrays (`0..PHASE_COUNT`).
+    /// The phase's index into per-phase arrays (`0..PHASE_COUNT`).
     pub fn index(self) -> usize {
         self as usize
     }
@@ -107,58 +101,11 @@ impl Phase {
 
 thread_local! {
     static CURRENT: Cell<Phase> = const { Cell::new(Phase::Other) };
-    static WALL_NS: Cell<[u64; PHASE_COUNT]> = const { Cell::new([0; PHASE_COUNT]) };
-    static LAST_SWITCH: Cell<Option<Instant>> = const { Cell::new(None) };
 }
-
-/// Process-wide switch for wall-clock phase attribution. Off by default
-/// so guards in hot paths cost no clock reads.
-static TIMING: AtomicBool = AtomicBool::new(false);
 
 /// The phase currently charged on this thread.
 pub fn current_phase() -> Phase {
     CURRENT.with(|c| c.get())
-}
-
-/// Turn wall-clock phase attribution on or off for the whole process.
-/// While on, every phase transition reads the monotonic clock and the
-/// elapsed interval is charged to the outgoing phase.
-pub fn enable_timing(on: bool) {
-    if on {
-        // Start a fresh interval so time before enabling is not charged.
-        LAST_SWITCH.with(|l| l.set(Some(Instant::now())));
-    }
-    TIMING.store(on, Ordering::Relaxed);
-}
-
-fn timing_on() -> bool {
-    TIMING.load(Ordering::Relaxed)
-}
-
-/// Charge the interval since the last transition to the current phase
-/// and restart the interval clock.
-fn charge_current() {
-    let now = Instant::now();
-    let prev = LAST_SWITCH.with(|l| l.replace(Some(now)));
-    if let Some(t0) = prev {
-        let ns = u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX);
-        let idx = current_phase().index();
-        WALL_NS.with(|w| {
-            let mut a = w.get();
-            a[idx] = a[idx].saturating_add(ns);
-            w.set(a);
-        });
-    }
-}
-
-/// Drain this thread's per-phase wall-clock accumulators (nanoseconds,
-/// indexed by [`Phase::index`]), charging the still-open interval to the
-/// current phase first. Returns zeros when timing was never enabled.
-pub fn take_thread_wall() -> [u64; PHASE_COUNT] {
-    if timing_on() {
-        charge_current();
-    }
-    WALL_NS.with(|w| w.replace([0; PHASE_COUNT]))
 }
 
 /// RAII bracket setting the thread's phase; restores the previous phase
@@ -175,11 +122,8 @@ impl PhaseGuard {
         let prev = current_phase();
         let changed = prev != phase;
         if changed {
-            if timing_on() {
-                charge_current();
-            }
-            CURRENT.with(|c| c.set(phase));
             crate::tracetree::on_phase_enter(phase);
+            CURRENT.with(|c| c.set(phase));
         }
         PhaseGuard { prev, changed }
     }
@@ -202,112 +146,9 @@ impl PhaseGuard {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if self.changed {
-            if timing_on() {
-                charge_current();
-            }
-            CURRENT.with(|c| c.set(self.prev));
             crate::tracetree::on_phase_exit();
+            CURRENT.with(|c| c.set(self.prev));
         }
-    }
-}
-
-/// Per-phase physical I/O counters, attached to an `IoStats` handle.
-/// Incremented by the same calls that bump the totals, so phase sums are
-/// exactly the totals.
-#[derive(Debug, Default)]
-pub struct PhaseProfile {
-    reads: [AtomicU64; PHASE_COUNT],
-    writes: [AtomicU64; PHASE_COUNT],
-}
-
-impl PhaseProfile {
-    /// A zeroed profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charge one page read to the thread's current phase.
-    #[inline]
-    pub fn record_read(&self) {
-        self.reads[current_phase().index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Charge one page write to the thread's current phase.
-    #[inline]
-    pub fn record_write(&self) {
-        self.writes[current_phase().index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Capture the current per-phase counters.
-    pub fn snapshot(&self) -> PhaseSnapshot {
-        let mut snap = PhaseSnapshot::default();
-        for i in 0..PHASE_COUNT {
-            snap.reads[i] = self.reads[i].load(Ordering::Relaxed);
-            snap.writes[i] = self.writes[i].load(Ordering::Relaxed);
-        }
-        snap
-    }
-
-    /// Zero every counter (quiescent points only; same caveats as
-    /// `IoStats::reset`).
-    pub fn reset(&self) {
-        for i in 0..PHASE_COUNT {
-            self.reads[i].store(0, Ordering::Relaxed);
-            self.writes[i].store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A point-in-time copy of a [`PhaseProfile`], indexed by
-/// [`Phase::index`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhaseSnapshot {
-    /// Reads per phase.
-    pub reads: [u64; PHASE_COUNT],
-    /// Writes per phase.
-    pub writes: [u64; PHASE_COUNT],
-}
-
-impl PhaseSnapshot {
-    /// Per-phase I/O since an earlier snapshot (saturating).
-    pub fn since(&self, earlier: &PhaseSnapshot) -> PhaseSnapshot {
-        let mut out = PhaseSnapshot::default();
-        for i in 0..PHASE_COUNT {
-            out.reads[i] = self.reads[i].saturating_sub(earlier.reads[i]);
-            out.writes[i] = self.writes[i].saturating_sub(earlier.writes[i]);
-        }
-        out
-    }
-
-    /// Reads charged to `phase`.
-    pub fn reads_of(&self, phase: Phase) -> u64 {
-        self.reads[phase.index()]
-    }
-
-    /// Writes charged to `phase`.
-    pub fn writes_of(&self, phase: Phase) -> u64 {
-        self.writes[phase.index()]
-    }
-
-    /// Total I/O charged to `phase`.
-    pub fn io_of(&self, phase: Phase) -> u64 {
-        self.reads_of(phase) + self.writes_of(phase)
-    }
-
-    /// Reads summed over every phase (equals the `IoStats` read total
-    /// when the profile was attached before counting began).
-    pub fn total_reads(&self) -> u64 {
-        self.reads.iter().sum()
-    }
-
-    /// Writes summed over every phase.
-    pub fn total_writes(&self) -> u64 {
-        self.writes.iter().sum()
-    }
-
-    /// Total I/O summed over every phase.
-    pub fn total_io(&self) -> u64 {
-        self.total_reads() + self.total_writes()
     }
 }
 
@@ -356,35 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_attributes_to_current_phase_and_sums_exactly() {
-        let profile = PhaseProfile::new();
-        profile.record_read(); // Other
-        {
-            let _g = PhaseGuard::enter(Phase::TempBuild);
-            profile.record_read();
-            profile.record_write();
-        }
-        {
-            let _g = PhaseGuard::enter(Phase::Sort);
-            profile.record_write();
-        }
-        let snap = profile.snapshot();
-        assert_eq!(snap.reads_of(Phase::Other), 1);
-        assert_eq!(snap.io_of(Phase::TempBuild), 2);
-        assert_eq!(snap.writes_of(Phase::Sort), 1);
-        assert_eq!(snap.total_reads(), 2);
-        assert_eq!(snap.total_writes(), 2);
-        assert_eq!(snap.total_io(), 4);
-        let earlier = snap;
-        profile.record_read();
-        let delta = profile.snapshot().since(&earlier);
-        assert_eq!(delta.total_io(), 1);
-        assert_eq!(delta.reads_of(Phase::Other), 1);
-        profile.reset();
-        assert_eq!(profile.snapshot().total_io(), 0);
-    }
-
-    #[test]
     fn phases_are_thread_scoped() {
         let _g = PhaseGuard::enter(Phase::CacheProbe);
         std::thread::spawn(|| {
@@ -393,30 +205,5 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(current_phase(), Phase::CacheProbe);
-    }
-
-    // One test owns the process-global timing switch (parallel tests
-    // would race a split enable/disable pair).
-    #[test]
-    fn timing_partitions_wall_time_and_is_silent_when_off() {
-        enable_timing(true);
-        let _ = take_thread_wall(); // open a fresh window
-        {
-            let _g = PhaseGuard::enter(Phase::Sort);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let wall = take_thread_wall();
-        assert!(
-            wall[Phase::Sort.index()] >= 1_000_000,
-            "sort phase must be charged its sleep: {wall:?}"
-        );
-
-        enable_timing(false);
-        let _ = take_thread_wall();
-        {
-            let _g = PhaseGuard::enter(Phase::MergeJoin);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(take_thread_wall(), [0; PHASE_COUNT]);
     }
 }

@@ -1,19 +1,21 @@
 //! Causal trace trees: per-query parent/child span trees with exact I/O
-//! attribution, exported as Chrome trace-event JSON.
+//! and wall-time attribution, exported as Chrome trace-event JSON. The
+//! collector is also the engine's only per-phase ledger.
 //!
-//! The phase layer ([`phase`](crate::phase)) answers "which kind of work
-//! got the pages" with per-query aggregates. It cannot say *where a
-//! single query's time and I/O went, in order, with causality* — that
-//! needs a tree.
-//! This module records one: every [`PhaseGuard`](crate::phase::PhaseGuard)
-//! transition on the traced thread opens or closes a node, and every
-//! page transfer the thread drives is charged to the innermost open
-//! node. Because nodes open and close exactly when the thread's current
-//! phase changes, per-phase sums over the tree's nodes equal the query's
-//! [`PhaseProfile`](crate::phase::PhaseProfile) deltas *exactly* — the
-//! same by-construction guarantee the phase layer gives, one level finer
-//! (proptested in `crates/obs/tests/tracetree.rs`, and checked for every
-//! strategy by `traced_query_matches_profile_ledger`).
+//! Every [`PhaseGuard`](crate::phase::PhaseGuard) transition on the
+//! traced thread opens or closes a node, and every page transfer the
+//! thread drives is charged to the innermost open node. Beside the nodes
+//! the collector keeps a per-phase ledger keyed by the thread's
+//! *current* phase: reads and writes at each charge, and wall time,
+//! charged to the outgoing phase at every transition and to the open
+//! phase at [`TraceGuard::finish`]. All stamps come from the trace's one
+//! start instant, so the per-phase wall sums equal
+//! [`TraceTree::total_ns`] exactly, and the per-phase I/O sums equal the
+//! I/O the thread drove (proptested in `crates/obs/tests/tracetree.rs`,
+//! and against the pool's `IoStats` for every strategy by
+//! `traced_query_matches_io_ledger`). The ledger stays exact past
+//! [`MAX_TRACE_NODES`] and across guards opened before the trace began,
+//! where node phases cannot.
 //!
 //! Tracing is thread-scoped and strictly on-demand: a trace exists only
 //! between [`start`] and [`TraceGuard::finish`] on one thread. When no
@@ -24,8 +26,9 @@
 //!
 //! The finished [`TraceTree`] renders to Chrome trace-event JSON
 //! ([`TraceTree::to_chrome_json`]) — load it at `chrome://tracing` or in
-//! Perfetto. `Engine::trace_query` is the producing end (`corstat
-//! --trace` exports its deepest tree).
+//! Perfetto. `Engine::trace_query` traces one retrieve (`corstat
+//! --trace` exports its deepest tree), and `Engine::explain` reads a
+//! whole sequence's per-phase I/O and wall time from one trace.
 
 use crate::export::escape_json;
 use crate::phase::{current_phase, Phase, PHASE_COUNT};
@@ -36,7 +39,7 @@ use std::time::Instant;
 /// Cap on nodes collected per trace. A query that switches phases more
 /// often than this keeps charging the innermost retained node and the
 /// overflow is reported in [`TraceTree::dropped`] — the tree stays a
-/// tree, attribution stays exact, memory stays bounded.
+/// tree, memory stays bounded, and the per-phase ledger stays exact.
 pub const MAX_TRACE_NODES: usize = 4096;
 
 /// One node of a trace tree: a contiguous interval during which the
@@ -70,40 +73,48 @@ pub struct TraceTree {
     pub nodes: Vec<TraceNode>,
     /// Phase transitions not materialised as nodes because the trace hit
     /// [`MAX_TRACE_NODES`]; their I/O was charged to the innermost
-    /// retained node, so sums stay exact.
+    /// retained node, so node sums stay equal to the totals.
     pub dropped: u64,
     /// Total traced wall time in nanoseconds (root interval).
     pub total_ns: u64,
+    ledger: Ledger,
+}
+
+/// Per-phase sums keyed by the thread's current phase, indexed by
+/// [`Phase::index`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Ledger {
+    reads: [u64; PHASE_COUNT],
+    writes: [u64; PHASE_COUNT],
+    wall_ns: [u64; PHASE_COUNT],
 }
 
 impl TraceTree {
-    /// Page reads summed over every node.
+    /// Page reads charged during the trace.
     pub fn total_reads(&self) -> u64 {
-        self.nodes.iter().map(|n| n.reads).sum()
+        self.ledger.reads.iter().sum()
     }
 
-    /// Page writes summed over every node.
+    /// Page writes charged during the trace.
     pub fn total_writes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.writes).sum()
+        self.ledger.writes.iter().sum()
     }
 
-    /// Per-phase read sums over the nodes, indexed by [`Phase::index`] —
-    /// directly comparable to a `PhaseSnapshot` delta.
+    /// Page reads per phase the thread was in when each read was
+    /// charged, indexed by [`Phase::index`].
     pub fn reads_by_phase(&self) -> [u64; PHASE_COUNT] {
-        let mut out = [0u64; PHASE_COUNT];
-        for n in &self.nodes {
-            out[n.phase.index()] += n.reads;
-        }
-        out
+        self.ledger.reads
     }
 
-    /// Per-phase write sums over the nodes, indexed by [`Phase::index`].
+    /// Page writes per phase, indexed by [`Phase::index`].
     pub fn writes_by_phase(&self) -> [u64; PHASE_COUNT] {
-        let mut out = [0u64; PHASE_COUNT];
-        for n in &self.nodes {
-            out[n.phase.index()] += n.writes;
-        }
-        out
+        self.ledger.writes
+    }
+
+    /// Wall time in nanoseconds per phase the thread was in, indexed by
+    /// [`Phase::index`]. Sums to [`total_ns`](Self::total_ns) exactly.
+    pub fn wall_by_phase(&self) -> [u64; PHASE_COUNT] {
+        self.ledger.wall_ns
     }
 
     /// Check the tree is well-formed: a single root at index 0, every
@@ -191,6 +202,21 @@ struct Collector {
     nodes: Vec<TraceNode>,
     stack: Vec<StackEntry>,
     dropped: u64,
+    ledger: Ledger,
+    /// Nanoseconds from `t0` to the last phase transition.
+    last_switch_ns: u64,
+}
+
+impl Collector {
+    /// Stamp a phase transition: charge the interval since the last one
+    /// to the outgoing (still current) phase and return the stamp.
+    fn switch(&mut self) -> u64 {
+        let now = self.t0.elapsed().as_nanos() as u64;
+        let outgoing = current_phase().index();
+        self.ledger.wall_ns[outgoing] += now.saturating_sub(self.last_switch_ns);
+        self.last_switch_ns = now;
+        now
+    }
 }
 
 thread_local! {
@@ -237,6 +263,8 @@ pub fn start(label: &str) -> TraceGuard {
                 owns: true,
             }],
             dropped: 0,
+            ledger: Ledger::default(),
+            last_switch_ns: 0,
         });
     });
     ACTIVE.with(|a| a.set(true));
@@ -252,36 +280,30 @@ pub struct TraceGuard {
 }
 
 impl TraceGuard {
-    /// Close every open node and return the finished tree. `None` when
-    /// this guard never started a trace (nested [`start`]).
+    /// Close every open node, charge the open interval to the current
+    /// phase, and return the finished tree. `None` when this guard never
+    /// started a trace (nested [`start`]).
     pub fn finish(mut self) -> Option<TraceTree> {
         if !self.started {
             return None;
         }
         self.started = false;
         ACTIVE.with(|a| a.set(false));
-        let col = COLLECTOR.with(|c| c.borrow_mut().take())?;
-        let Collector {
-            id,
-            label,
-            t0,
-            mut nodes,
-            stack,
-            dropped,
-        } = col;
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        for entry in stack.into_iter().rev() {
+        let mut col = COLLECTOR.with(|c| c.borrow_mut().take())?;
+        let total_ns = col.switch();
+        for entry in col.stack.iter().rev() {
             if entry.owns {
-                let n = &mut nodes[entry.node];
+                let n = &mut col.nodes[entry.node];
                 n.dur_ns = total_ns.saturating_sub(n.start_ns);
             }
         }
         Some(TraceTree {
-            id,
-            label,
-            nodes,
-            dropped,
+            id: col.id,
+            label: col.label,
+            nodes: col.nodes,
+            dropped: col.dropped,
             total_ns,
+            ledger: col.ledger,
         })
     }
 }
@@ -295,9 +317,11 @@ impl Drop for TraceGuard {
     }
 }
 
-/// Feed site for [`PhaseGuard::enter`](crate::phase::PhaseGuard): the
-/// traced thread switched into `phase` — open a child of the innermost
-/// node. No-op (one flag load) when no trace is active on this thread.
+/// Feed site for [`PhaseGuard::enter`](crate::phase::PhaseGuard), called
+/// before the thread's phase changes: the traced thread is switching
+/// into `phase` — charge the outgoing phase its wall time and open a
+/// child of the innermost node. No-op (one flag load) when no trace is
+/// active on this thread.
 #[inline]
 pub fn on_phase_enter(phase: Phase) {
     if !thread_active() {
@@ -305,6 +329,7 @@ pub fn on_phase_enter(phase: Phase) {
     }
     COLLECTOR.with(|c| {
         if let Some(col) = c.borrow_mut().as_mut() {
+            let now = col.switch();
             let top = col.stack.last().expect("root entry is never popped").node;
             if col.nodes.len() >= MAX_TRACE_NODES {
                 col.dropped += 1;
@@ -318,7 +343,7 @@ pub fn on_phase_enter(phase: Phase) {
             col.nodes.push(TraceNode {
                 phase,
                 parent: Some(top),
-                start_ns: col.t0.elapsed().as_nanos() as u64,
+                start_ns: now,
                 dur_ns: 0,
                 reads: 0,
                 writes: 0,
@@ -331,10 +356,11 @@ pub fn on_phase_enter(phase: Phase) {
     });
 }
 
-/// Feed site for `PhaseGuard`'s drop: the transition that opened the
-/// innermost node unwound — close it. Transitions that happened before
-/// the trace started unwind against the root and are ignored (the root
-/// closes only at [`TraceGuard::finish`]).
+/// Feed site for `PhaseGuard`'s drop, called before the thread's phase
+/// is restored: charge the outgoing phase its wall time and close the
+/// innermost node. Transitions that happened before the trace started
+/// unwind against the root, which closes only at [`TraceGuard::finish`];
+/// their wall time is still charged.
 #[inline]
 pub fn on_phase_exit() {
     if !thread_active() {
@@ -342,12 +368,12 @@ pub fn on_phase_exit() {
     }
     COLLECTOR.with(|c| {
         if let Some(col) = c.borrow_mut().as_mut() {
+            let end = col.switch();
             if col.stack.len() <= 1 {
                 return;
             }
             let entry = col.stack.pop().expect("len checked above");
             if entry.owns {
-                let end = col.t0.elapsed().as_nanos() as u64;
                 let n = &mut col.nodes[entry.node];
                 n.dur_ns = end.saturating_sub(n.start_ns);
             }
@@ -356,7 +382,8 @@ pub fn on_phase_exit() {
 }
 
 /// Feed site for `IoStats::record_read`: charge one page read to the
-/// innermost open node. No-op (one flag load) when no trace is active.
+/// innermost open node and to the current phase. No-op (one flag load)
+/// when no trace is active.
 #[inline]
 pub fn charge_read() {
     if !thread_active() {
@@ -366,12 +393,14 @@ pub fn charge_read() {
         if let Some(col) = c.borrow_mut().as_mut() {
             let top = col.stack.last().expect("root entry is never popped").node;
             col.nodes[top].reads += 1;
+            col.ledger.reads[current_phase().index()] += 1;
         }
     });
 }
 
 /// Feed site for `IoStats::record_write`: charge one page write to the
-/// innermost open node. No-op (one flag load) when no trace is active.
+/// innermost open node and to the current phase. No-op (one flag load)
+/// when no trace is active.
 #[inline]
 pub fn charge_write() {
     if !thread_active() {
@@ -381,6 +410,7 @@ pub fn charge_write() {
         if let Some(col) = c.borrow_mut().as_mut() {
             let top = col.stack.last().expect("root entry is never popped").node;
             col.nodes[top].writes += 1;
+            col.ledger.writes[current_phase().index()] += 1;
         }
     });
 }
@@ -503,6 +533,14 @@ mod tests {
         assert!(tree.nodes.len() <= MAX_TRACE_NODES);
         assert_eq!(tree.dropped, 11); // 4095 children fit under the root
         assert_eq!(tree.total_reads(), (MAX_TRACE_NODES + 10) as u64);
+        // The dropped transitions' reads land on the root node, but the
+        // ledger files them under the phase the thread was in.
+        let reads = tree.reads_by_phase();
+        assert_eq!(
+            reads[Phase::HeapFetch.index()],
+            (MAX_TRACE_NODES + 10) as u64
+        );
+        assert_eq!(reads[Phase::Other.index()], 0);
     }
 
     #[test]
@@ -511,11 +549,30 @@ mod tests {
         let guard = start("straddle");
         charge_read();
         drop(outer); // exits a transition recorded before the trace began
-        charge_read(); // still charged to the root
+        charge_read(); // still charged to the root node
         let tree = guard.finish().unwrap();
         assert_eq!(tree.nodes.len(), 1);
         assert_eq!(tree.nodes[0].phase, Phase::ClusterScan);
         assert_eq!(tree.nodes[0].reads, 2);
+        let reads = tree.reads_by_phase();
+        assert_eq!(reads[Phase::ClusterScan.index()], 1);
+        assert_eq!(reads[Phase::Other.index()], 1);
+    }
+
+    #[test]
+    fn wall_time_partitions_the_trace_exactly() {
+        let guard = start("wall");
+        {
+            let _g = PhaseGuard::enter(Phase::Sort);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let tree = guard.finish().unwrap();
+        let wall = tree.wall_by_phase();
+        assert!(
+            wall[Phase::Sort.index()] >= 1_000_000,
+            "sort phase must be charged its sleep: {wall:?}"
+        );
+        assert_eq!(wall.iter().sum::<u64>(), tree.total_ns);
     }
 
     #[test]

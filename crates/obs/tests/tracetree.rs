@@ -1,11 +1,10 @@
 //! Trace-tree integration tests: proptest-driven phase-guard scripts
-//! proving that per-node I/O attribution in a causal trace equals the
-//! [`PhaseProfile`] ledger *exactly* — both are fed by the same calls,
-//! so the tree is the profile, refined with structure — plus structural
-//! well-formedness of the tree and its Chrome export under arbitrary
-//! guard nesting.
+//! proving that a causal trace's per-phase ledger equals a reference
+//! model charged at [`current_phase`] *exactly*, that its per-phase wall
+//! time sums to the trace's total, plus structural well-formedness of
+//! the tree and its Chrome export under arbitrary guard nesting.
 
-use cor_obs::{tracetree, Phase, PhaseGuard, PhaseProfile, PHASE_COUNT};
+use cor_obs::{current_phase, tracetree, Phase, PhaseGuard, PHASE_COUNT};
 use proptest::prelude::*;
 
 /// One scripted operation against the phase layer: what a query does,
@@ -19,7 +18,7 @@ enum Op {
     /// Drop the innermost open guard (if any).
     Exit,
     /// One page read, charged like `IoStats::record_read` charges it:
-    /// profile and trace collector from the same call site.
+    /// reference model and trace collector from the same call site.
     Read,
     /// One page write, ditto.
     Write,
@@ -38,10 +37,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Run a script under an active trace, feeding `profile` and the
+/// The reference ledger: reads and writes per phase, indexed by
+/// [`Phase::index`].
+#[derive(Default)]
+struct Model {
+    reads: [u64; PHASE_COUNT],
+    writes: [u64; PHASE_COUNT],
+}
+
+/// Run a script under an active trace, feeding `model` and the
 /// collector through the same charge points. Guards unwind innermost
 /// first (LIFO), like real call frames.
-fn run_script(ops: &[Op], profile: &PhaseProfile) -> tracetree::TraceGuard {
+fn run_script(ops: &[Op], model: &mut Model) -> tracetree::TraceGuard {
     let guard = tracetree::start("prop script");
     let mut stack: Vec<PhaseGuard> = Vec::new();
     for op in ops {
@@ -52,11 +59,11 @@ fn run_script(ops: &[Op], profile: &PhaseProfile) -> tracetree::TraceGuard {
                 stack.pop();
             }
             Op::Read => {
-                profile.record_read();
+                model.reads[current_phase().index()] += 1;
                 tracetree::charge_read();
             }
             Op::Write => {
-                profile.record_write();
+                model.writes[current_phase().index()] += 1;
                 tracetree::charge_write();
             }
         }
@@ -68,32 +75,34 @@ fn run_script(ops: &[Op], profile: &PhaseProfile) -> tracetree::TraceGuard {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The tentpole invariant: for any interleaving of phase brackets
-    /// and I/O, the tree's per-phase read/write sums equal the
-    /// `PhaseProfile` deltas for the traced window — not approximately,
-    /// exactly. Attribution is never lost, duplicated, or misfiled.
+    /// The ledger invariant: for any interleaving of phase brackets and
+    /// I/O, the tree's per-phase read/write sums equal the reference
+    /// model — not approximately, exactly — and its per-phase wall time
+    /// partitions the trace's total. Attribution is never lost,
+    /// duplicated, or misfiled; node sums agree with the ledger's total.
     #[test]
-    fn tree_sums_equal_profile_deltas(ops in proptest::collection::vec(op_strategy(), 0..200)) {
-        let profile = PhaseProfile::new();
-        let before = profile.snapshot();
-        let tree = run_script(&ops, &profile)
+    fn ledger_equals_the_model_and_wall_sums_to_total(
+        ops in proptest::collection::vec(op_strategy(), 0..200)
+    ) {
+        let mut model = Model::default();
+        let tree = run_script(&ops, &mut model)
             .finish()
             .expect("trace started by this test must finish");
-        let delta = profile.snapshot().since(&before);
 
         let (reads, writes) = (tree.reads_by_phase(), tree.writes_by_phase());
         for phase in Phase::ALL {
             prop_assert_eq!(
-                reads[phase.index()], delta.reads_of(phase),
-                "{} reads drifted from the profile ledger", phase.name()
+                reads[phase.index()], model.reads[phase.index()],
+                "{} reads drifted from the model", phase.name()
             );
             prop_assert_eq!(
-                writes[phase.index()], delta.writes_of(phase),
-                "{} writes drifted from the profile ledger", phase.name()
+                writes[phase.index()], model.writes[phase.index()],
+                "{} writes drifted from the model", phase.name()
             );
         }
-        prop_assert_eq!(tree.total_reads(), delta.total_reads());
-        prop_assert_eq!(tree.total_writes(), delta.total_writes());
+        prop_assert_eq!(tree.wall_by_phase().iter().sum::<u64>(), tree.total_ns);
+        prop_assert_eq!(tree.nodes.iter().map(|n| n.reads).sum::<u64>(), tree.total_reads());
+        prop_assert_eq!(tree.nodes.iter().map(|n| n.writes).sum::<u64>(), tree.total_writes());
     }
 
     /// Any script yields a structurally valid tree (rooted, parents
@@ -101,8 +110,7 @@ proptest! {
     /// Chrome export is balanced JSON carrying every node.
     #[test]
     fn tree_is_well_formed_and_exports(ops in proptest::collection::vec(op_strategy(), 0..200)) {
-        let profile = PhaseProfile::new();
-        let tree = run_script(&ops, &profile)
+        let tree = run_script(&ops, &mut Model::default())
             .finish()
             .expect("trace started by this test must finish");
         prop_assert!(tree.validate().is_ok(), "{:?}", tree.validate());
@@ -128,12 +136,10 @@ proptest! {
 /// trace on the same thread.
 #[test]
 fn untraced_charges_do_not_leak_into_later_traces() {
-    let profile = PhaseProfile::new();
-    profile.record_read();
     tracetree::charge_read();
     let tree = run_script(
         &[Op::Enter(Phase::HeapFetch), Op::Write, Op::Exit],
-        &profile,
+        &mut Model::default(),
     )
     .finish()
     .expect("trace finishes");

@@ -52,14 +52,12 @@
 //!
 //! When a submission would exceed the configured depth the surplus runs
 //! queue up (submission never blocks) and the event is journaled to the
-//! flight recorder as a queue-saturation mark; time a demand access
-//! spends blocked on an incomplete run is profiled under the
-//! `aio_completion` wait class.
+//! flight recorder as a queue-saturation mark.
 
 use crate::disk::{DiskError, DiskManager};
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::stats::IoStats;
-use cor_obs::{flight, wait};
+use cor_obs::flight;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -177,9 +175,6 @@ impl Completion {
     /// Wait for the run and copy the page's bytes into `dst`. A failed
     /// run poisons every one of its completions: the error comes back
     /// and `dst` is untouched — partial bytes are never observable.
-    ///
-    /// Time spent blocked on an incomplete run is profiled under
-    /// [`wait::WaitClass::AioCompletion`].
     pub fn wait_into(&self, dst: &mut PageBuf) -> Result<(), DiskError> {
         let harvest = |res: &Result<Vec<PageBuf>, DiskError>| match res {
             Ok(pages) => {
@@ -188,13 +183,7 @@ impl Completion {
             }
             Err(e) => Err(clone_err(e)),
         };
-        if self.slot.is_done() {
-            self.slot.with_result(harvest)
-        } else {
-            wait::timed(wait::WaitClass::AioCompletion, || {
-                self.slot.with_result(harvest)
-            })
-        }
+        self.slot.with_result(harvest)
     }
 }
 

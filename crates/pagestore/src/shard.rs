@@ -25,8 +25,8 @@ use crate::policy::{ReplacementPolicy, ReplacementState};
 use crate::stats::IoStats;
 use crate::telemetry::{ShardTelemetry, ShardTelemetrySnapshot};
 use crate::wal::{Lsn, WalHook, NO_LSN};
-use cor_obs::{flight, wait};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use cor_obs::flight;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -140,14 +140,6 @@ impl Shard {
         self.frames.len()
     }
 
-    /// Acquire the shard lock on a pin path, feeding the acquisition
-    /// time to the wait profile (`shard_lock` class) when profiling is
-    /// on. One relaxed load otherwise.
-    #[inline]
-    fn lock_pinning(&self) -> MutexGuard<'_, ShardInner> {
-        wait::timed(wait::WaitClass::ShardLock, || self.inner.lock())
-    }
-
     pub(crate) fn frame(&self, idx: usize) -> &Frame {
         &self.frames[idx]
     }
@@ -172,7 +164,7 @@ impl Shard {
         stats: &IoStats,
         wal: Option<&dyn WalHook>,
     ) -> Result<usize, BufferError> {
-        let mut inner = self.lock_pinning();
+        let mut inner = self.inner.lock();
         if let Some(&idx) = inner.page_table.get(&pid) {
             self.frames[idx].pin_count.fetch_add(1, Ordering::Acquire);
             inner.repl.on_hit(idx, policy);
@@ -210,7 +202,7 @@ impl Shard {
         stats: &IoStats,
         wal: Option<&dyn WalHook>,
     ) -> Result<usize, BufferError> {
-        let mut inner = self.lock_pinning();
+        let mut inner = self.inner.lock();
         let idx = self.acquire_frame(&mut inner, pid, policy, disk, stats, wal)?;
         let mut st = self.frames[idx].state.write();
         st.page_id = pid;
@@ -230,11 +222,10 @@ impl Shard {
     /// When every candidate is pinned, the shard stalls briefly —
     /// re-checking for a victim up to [`FRAME_STALL_RETRIES`] times,
     /// since pin counts drop without the shard lock — before giving up.
-    /// The stall (whether it ended in a victim or not) is fed to the
-    /// wait profile under `frame_stall`. On failure reports `pid` (the
-    /// page that wanted a frame), which stripe it is homed to, how many
-    /// frames were pinned, how long the stall lasted, and — when
-    /// telemetry is on — the stripe's hit ratio at failure time.
+    /// On failure reports `pid` (the page that wanted a frame), which
+    /// stripe it is homed to, how many frames were pinned, how long the
+    /// stall lasted, and — when telemetry is on — the stripe's hit ratio
+    /// at failure time.
     fn acquire_frame(
         &self,
         inner: &mut ShardInner,
@@ -248,7 +239,7 @@ impl Shard {
         let mut victim = inner.repl.pick_victim(policy, unpinned);
         if victim.is_none() {
             // Off the hot path: the clock reads below price the stall for
-            // the error context regardless of wait profiling.
+            // the error context.
             self.count(|t| t.pin_waits.inc());
             let t0 = Instant::now();
             for _ in 0..FRAME_STALL_RETRIES {
@@ -259,7 +250,6 @@ impl Shard {
                 }
             }
             let waited_ns = t0.elapsed().as_nanos() as u64;
-            wait::record(wait::WaitClass::FrameStall, waited_ns);
             if victim.is_none() {
                 let pinned = self
                     .frames

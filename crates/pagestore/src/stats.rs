@@ -10,25 +10,18 @@
 //! between the buffer pool and a measurement driver, and so parallel
 //! experiment sweeps can keep per-database statistics without locks.
 
-use cor_obs::PhaseProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Shared atomic counters for physical page I/O.
 ///
-/// Optionally carries a per-phase [`PhaseProfile`]: once
-/// [`enable_profile`](Self::enable_profile) is called, every
-/// `record_read`/`record_write` *also* lands in the bucket of the
-/// caller's current [`Phase`](cor_obs::Phase) — in the same call, so
-/// phase sums always equal the totals exactly. Until then the profile
-/// path is a single uncontended pointer load and the stats behave (and
-/// cost) exactly as before.
-///
 /// When the recording thread is collecting a causal trace
-/// (`cor_obs::tracetree`), the same calls also charge the innermost
-/// trace node — again in the same call, so trace sums equal the totals
-/// too. With no trace active (always, unless a query is being traced
-/// on this thread) that path is one thread-local flag load.
+/// (`cor_obs::tracetree`), `record_read`/`record_write` also charge the
+/// innermost trace node and the caller's current
+/// [`Phase`](cor_obs::Phase) in the trace's ledger — in the same call,
+/// so the trace's sums equal the totals the thread drove. With no trace
+/// active (always, unless a query is being traced or explained on this
+/// thread) that path is one thread-local flag load.
 #[derive(Debug, Default)]
 pub struct IoStats {
     reads: AtomicU64,
@@ -40,7 +33,6 @@ pub struct IoStats {
     aio_completed: AtomicU64,
     /// Peak number of runs simultaneously in flight on the backend.
     aio_in_flight_peak: AtomicU64,
-    profile: OnceLock<Arc<PhaseProfile>>,
 }
 
 impl IoStats {
@@ -49,28 +41,10 @@ impl IoStats {
         Arc::new(Self::default())
     }
 
-    /// Turn on per-phase attribution and return the profile. Idempotent:
-    /// later calls return the same profile. Cannot be turned off — create
-    /// fresh stats for an unprofiled run.
-    pub fn enable_profile(&self) -> Arc<PhaseProfile> {
-        self.profile
-            .get_or_init(|| Arc::new(PhaseProfile::default()))
-            .clone()
-    }
-
-    /// The phase profile, if [`enable_profile`](Self::enable_profile)
-    /// has been called.
-    pub fn profile(&self) -> Option<&Arc<PhaseProfile>> {
-        self.profile.get()
-    }
-
     /// Record one physical page read.
     #[inline]
     pub fn record_read(&self) {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.profile.get() {
-            p.record_read();
-        }
         cor_obs::tracetree::charge_read();
     }
 
@@ -78,9 +52,6 @@ impl IoStats {
     #[inline]
     pub fn record_write(&self) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.profile.get() {
-            p.record_write();
-        }
         cor_obs::tracetree::charge_write();
     }
 
@@ -208,9 +179,6 @@ impl IoStats {
         self.aio_submitted.store(0, Ordering::Relaxed);
         self.aio_completed.store(0, Ordering::Relaxed);
         self.aio_in_flight_peak.store(0, Ordering::Relaxed);
-        if let Some(p) = self.profile.get() {
-            p.reset();
-        }
     }
 }
 
@@ -453,35 +421,6 @@ mod tests {
         assert_eq!(cut.reads, 80_000);
         assert_eq!(cut.writes, 80_000);
         assert_eq!(cut.allocations, 80_000);
-    }
-
-    #[test]
-    fn profile_buckets_sum_exactly_to_totals() {
-        use cor_obs::{Phase, PhaseGuard};
-        let s = IoStats::new();
-        // Disabled: recording works, no profile exists.
-        s.record_read();
-        assert!(s.profile().is_none());
-        let profile = s.enable_profile();
-        assert!(Arc::ptr_eq(&profile, &s.enable_profile()), "idempotent");
-        let base = profile.snapshot();
-        {
-            let _g = PhaseGuard::enter(Phase::Sort);
-            s.record_read();
-            s.record_read();
-            s.record_write();
-        }
-        s.record_read(); // back to Other
-        let snap = profile.snapshot().since(&base);
-        assert_eq!(snap.reads_of(Phase::Sort), 2);
-        assert_eq!(snap.writes_of(Phase::Sort), 1);
-        assert_eq!(snap.reads_of(Phase::Other), 1);
-        // Phase sums match the totals recorded while the profile was live.
-        assert_eq!(snap.total_reads(), 3);
-        assert_eq!(snap.total_writes(), 1);
-        assert_eq!(s.reads(), 4, "pre-enable read still counted in totals");
-        s.reset();
-        assert_eq!(profile.snapshot().total_reads(), 0, "reset clears profile");
     }
 
     #[test]

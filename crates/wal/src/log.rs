@@ -27,13 +27,13 @@
 //! pool's [`WalHook::flush_to`] calls force the log down *before* any
 //! page write-back, so the store never runs ahead of the durable log.
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cor_obs::{flight, wait};
+use cor_obs::flight;
 use cor_pagestore::wal::{Lsn, WalHook, NO_LSN};
 use cor_pagestore::{DiskError, PageBuf, PageId, PAGE_SIZE};
 
@@ -240,21 +240,12 @@ impl Wal {
         DiskError::io(op, self.store.describe(), e)
     }
 
-    /// Acquire the log mutex on an append/flush path — the group-commit
-    /// queue: writers serialize here and inherit each other's fsyncs.
-    /// The acquisition time feeds the wait profile (`wal_lock` class)
-    /// when profiling is on; one relaxed load otherwise.
-    #[inline]
-    fn lock_queue(&self) -> MutexGuard<'_, WalInner> {
-        wait::timed(wait::WaitClass::WalLock, || self.inner.lock())
-    }
-
     fn sync_locked(&self, inner: &mut WalInner) -> io::Result<()> {
         if inner.durable_lsn == inner.appended_lsn {
             inner.appends_since_sync = 0;
             return Ok(());
         }
-        if let Err(e) = wait::timed(wait::WaitClass::WalFsync, || self.store.sync()) {
+        if let Err(e) = self.store.sync() {
             // After a failed fsync the kernel may have dropped the dirty
             // pages it could not write; a later "successful" sync would
             // prove nothing about these bytes. Fail fast from here on.
@@ -423,7 +414,7 @@ impl WalHook for Wal {
         before: &PageBuf,
         after: &PageBuf,
     ) -> Result<(Lsn, Lsn), DiskError> {
-        let mut inner = self.lock_queue();
+        let mut inner = self.inner.lock();
         // First write since the checkpoint: full image. Otherwise a delta
         // against the epoch's image — unless the changed range is so
         // large an image is no bigger.
@@ -461,7 +452,7 @@ impl WalHook for Wal {
     }
 
     fn log_page_image(&self, pid: PageId, image: &PageBuf) -> Result<Lsn, DiskError> {
-        let mut inner = self.lock_queue();
+        let mut inner = self.inner.lock();
         let lsn = self
             .append_record(&mut inner, KIND_IMAGE, |out, lsn| {
                 frame_image(out, lsn, pid, image)
@@ -473,7 +464,7 @@ impl WalHook for Wal {
     }
 
     fn flush_to(&self, lsn: Lsn) -> Result<(), DiskError> {
-        let mut inner = self.lock_queue();
+        let mut inner = self.inner.lock();
         if inner.durable_lsn >= lsn {
             return Ok(());
         }

@@ -52,7 +52,7 @@ use complexobj::{
     DatabaseSpec, ExecOptions, Query, RetrieveQuery, Strategy, StrategyOutput, UpdateQuery,
 };
 use cor_access::{Catalog, CatalogError};
-use cor_obs::{flight, tracetree, wait, Histogram, TraceTree};
+use cor_obs::{flight, tracetree, Histogram, TraceTree};
 use cor_pagestore::{
     BufferPool, DiskManager, FileDisk, IoDelta, ReplacementPolicy, DEFAULT_POOL_PAGES,
 };
@@ -700,10 +700,10 @@ impl Engine {
     ///
     /// Tracing rides the query without changing it: the same
     /// [`retrieve`](Self::retrieve) path runs, [`IoStats`] counts are
-    /// identical traced or not, and per-phase node sums equal the
-    /// query's `PhaseProfile` deltas exactly (the collector and the
-    /// profile are fed by the same calls). The tree is `None` only when
-    /// another trace was already active on this thread.
+    /// identical traced or not, and the tree's per-phase sums equal the
+    /// query's [`IoStats`] delta exactly (the collector is fed by the
+    /// same calls). The tree is `None` only when another trace was
+    /// already active on this thread.
     ///
     /// [`IoStats`]: cor_pagestore::IoStats
     pub fn trace_query(
@@ -961,21 +961,14 @@ impl Engine {
     /// engine was built with metrics enabled.
     pub fn metrics(&self) -> Option<MetricsReport> {
         let m = self.metrics.as_ref()?;
-        let mut report = build_report(
+        Some(build_report(
             m,
             self.pool()
                 .telemetry()
                 .map(|shards| (self.pool().policy(), shards)),
             self.cache_counters(),
             self.wal.as_ref().map(|w| w.stats()),
-        );
-        // Fold the process-global wait profile in when profiling is on; the
-        // cor_wait_* families are absent otherwise, keeping disabled-state
-        // reports byte-identical to pre-wait ones.
-        if wait::enabled() {
-            wait::report().push_to(&mut report.snapshot);
-        }
-        Some(report)
+        ))
     }
 }
 

@@ -1,25 +1,26 @@
 //! EXPLAIN-style per-query I/O profiling.
 //!
-//! [`Engine::explain`] runs a query sequence with the phase-attribution
-//! layer switched on and returns an [`ExplainReport`]: measured I/O per
-//! phase (with wall time), the per-retrieve average, and — when workload
+//! [`Engine::explain`] runs a query sequence under one causal trace
+//! ([`cor_obs::tracetree`]) and returns an [`ExplainReport`]: measured
+//! I/O and wall time per phase, read from the finished tree's ledger,
+//! the per-retrieve average, and — when workload
 //! parameters are supplied — the paper's analytical prediction from
 //! [`complexobj::cost`] with the relative error. Reports render as a
 //! human table ([`ExplainReport::render`]) and as one structured JSON
 //! line ([`ExplainReport::to_jsonl`]) for capture/replay regression
 //! checks (the `explain` bench binary's `--replay` mode).
 //!
-//! Profiling is opt-in per engine and additive-only: the physical I/O a
-//! profiled run performs is byte-identical to an unprofiled one, because
-//! attribution piggybacks on the existing [`IoStats`](cor_pagestore::IoStats) counters
-//! (`cor_pagestore`) rather than adding or reordering page accesses.
+//! Profiling is additive-only: the physical I/O a profiled run performs
+//! is byte-identical to an unprofiled one, because the trace is fed by
+//! the existing [`IoStats`](cor_pagestore::IoStats) counting calls
+//! rather than adding or reordering page accesses.
 
 use crate::driver::RunResult;
 use crate::engine::Engine;
 use crate::params::Params;
 use complexobj::cost::{self, Geometry, Prediction, Workload};
 use complexobj::{CorError, ExecOptions, Query, Strategy};
-use cor_obs::{enable_timing, take_thread_wall, Phase, PhaseSnapshot, PHASE_COUNT};
+use cor_obs::{tracetree, Phase, PHASE_COUNT};
 use cor_pagestore::IoDelta;
 
 /// Measured I/O and wall time for one phase.
@@ -59,7 +60,8 @@ pub struct ExplainReport {
     /// exactly to `total` — the attribution is exhaustive (the `other`
     /// bucket catches unbracketed I/O).
     pub phases: Vec<PhaseRow>,
-    /// Wall time for the sequence in nanoseconds.
+    /// Wall time for the sequence in nanoseconds: the trace's
+    /// `total_ns`, which the per-phase `wall_ns` sum to exactly.
     pub wall_ns: u64,
     /// Measured average I/O per retrieve (the paper's yardstick).
     pub avg_retrieve_io: f64,
@@ -231,47 +233,50 @@ pub fn workload_from_params(p: &Params, opts: &ExecOptions) -> Workload {
 }
 
 impl Engine {
-    /// Run `sequence` cold (like [`Engine::run_sequence`]) with per-phase
-    /// I/O attribution and wall timing enabled, and report the breakdown.
-    /// When `params` is supplied, the analytical cost model prediction
-    /// and its relative error are included.
+    /// Run `sequence` cold (like [`Engine::run_sequence`]) under one
+    /// causal trace, and report its per-phase I/O and wall time. When
+    /// `params` is supplied, the analytical cost model prediction and
+    /// its relative error are included.
     ///
-    /// Attribution is engine-wide once enabled (it lives on the pool's
-    /// [`IoStats`](cor_pagestore::IoStats)); the I/O performed is
-    /// identical to an unprofiled run.
+    /// The I/O performed is identical to an unprofiled run. Fails with
+    /// [`CorError::TraceActive`] before running anything if a trace is
+    /// already active on this thread, because traces do not nest.
     pub fn explain(
         &self,
         strategy: Strategy,
         sequence: &[Query],
         params: Option<&Params>,
     ) -> Result<ExplainReport, CorError> {
+        if tracetree::thread_active() {
+            return Err(CorError::TraceActive);
+        }
         let stats = self.pool().stats().clone();
-        let profile = stats.enable_profile();
         // Flush ahead of the baselines so build-time dirty pages drain
         // here and the measured window sees exactly what
         // [`Engine::run_sequence`] itself measures (its own cold-start
         // flush then finds nothing dirty).
         self.pool().flush_and_clear()?;
-        let before = profile.snapshot();
         // A consistent cut: another stream incrementing between this
         // snapshot's fields would otherwise skew the attribution window.
         let io_before = stats.snapshot_consistent();
-        enable_timing(true);
-        take_thread_wall(); // discard anything accrued before the run
-        let t0 = std::time::Instant::now();
+        let trace = tracetree::start(&format!("explain {strategy}"));
         let run: RunResult = self.run_sequence(strategy, sequence)?;
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let wall = take_thread_wall();
-        enable_timing(false);
-        let snap: PhaseSnapshot = profile.snapshot().since(&before);
+        let tree = trace
+            .finish()
+            .expect("no trace was active, so this one collects");
         let total = stats.snapshot_consistent().since(&io_before);
 
+        let (reads, writes, wall) = (
+            tree.reads_by_phase(),
+            tree.writes_by_phase(),
+            tree.wall_by_phase(),
+        );
         let phases: Vec<PhaseRow> = Phase::ALL
             .iter()
             .map(|&phase| PhaseRow {
                 phase,
-                reads: snap.reads_of(phase),
-                writes: snap.writes_of(phase),
+                reads: reads[phase.index()],
+                writes: writes[phase.index()],
                 wall_ns: wall[phase.index()],
             })
             .collect();
@@ -306,7 +311,7 @@ impl Engine {
             values_returned: run.values_returned,
             total,
             phases,
-            wall_ns,
+            wall_ns: tree.total_ns,
             avg_retrieve_io,
             predicted,
             rel_error,
@@ -353,6 +358,11 @@ mod tests {
                 report.phase_io_sum(),
                 report.total.total(),
                 "{strategy}: per-phase I/O must sum exactly to the total"
+            );
+            assert_eq!(
+                report.phases.iter().map(|r| r.wall_ns).sum::<u64>(),
+                report.wall_ns,
+                "{strategy}: per-phase wall time must sum exactly to the total"
             );
             assert!(report.total.total() > 0, "{strategy} did I/O");
             assert!(report.avg_retrieve_io > 0.0, "{strategy}");
@@ -432,6 +442,20 @@ mod tests {
         }
         let text = report.render();
         assert!(text.contains("avg I/O per retrieve"), "{text}");
+    }
+
+    #[test]
+    fn explain_refuses_to_nest_inside_a_trace() {
+        let p = tiny();
+        let generated = generate(&p);
+        let sequence = generate_sequence(&p);
+        let engine = Engine::builder()
+            .build_workload(&p, &generated, Strategy::Dfs)
+            .unwrap();
+        let outer = cor_obs::tracetree::start("outer");
+        let err = engine.explain(Strategy::Dfs, &sequence, None).unwrap_err();
+        assert!(matches!(err, CorError::TraceActive), "{err}");
+        assert!(outer.finish().is_some(), "the outer trace survives");
     }
 
     #[test]

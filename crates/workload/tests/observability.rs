@@ -1,17 +1,16 @@
 //! End-to-end checks for the observability layers: enabling the
-//! flight-recorder, wait-profiling, and trace-tree layers must leave the
-//! paper's I/O accounting byte-identical, wait families are exported
-//! exactly when profiling is on, and each traced query's tree matches
-//! the phase ledger.
+//! flight-recorder and trace-tree layers must leave the paper's I/O
+//! accounting byte-identical, and each traced query's tree matches the
+//! pool's I/O ledger.
 
 use std::sync::Mutex;
 
-use complexobj::{Query, RetAttr, RetrieveQuery, Strategy};
-use cor_obs::{flight, wait, Phase};
+use complexobj::{Query, Strategy};
+use cor_obs::{flight, PHASE_COUNT};
 use cor_workload::{generate, generate_sequence, Engine, Params};
 
-// The flight recorder and wait profile are process-global; serialize
-// every test that toggles them so parallel test threads don't interleave.
+// The flight recorder is process-global; serialize every test that
+// toggles it so parallel test threads don't interleave.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn small(num_top: u64) -> Params {
@@ -26,10 +25,10 @@ fn small(num_top: u64) -> Params {
     }
 }
 
-/// Flight recording, wait profiling and causal tracing are free when
-/// disabled and read-only when enabled: turning all three on must not
-/// move a single I/O or result counter, over a DFS sequence with updates
-/// and over BFS retrieves that are each traced.
+/// Flight recording and causal tracing are free when disabled and
+/// read-only when enabled: turning both on must not move a single I/O or
+/// result counter, over a DFS sequence with updates and over BFS
+/// retrieves that are each traced.
 #[test]
 fn observability_switches_leave_io_accounting_byte_identical() {
     let _g = GLOBALS.lock().unwrap();
@@ -65,15 +64,10 @@ fn observability_switches_leave_io_accounting_byte_identical() {
     };
 
     flight::enable(false);
-    wait::enable(false);
     let (base, base_snaps, base_values, _) = run(false);
     flight::enable(true);
-    wait::enable(true);
-    wait::global().reset();
     let (hot, hot_snaps, hot_values, trees) = run(true);
-    let waits = wait::report().total_waits();
     flight::enable(false);
-    wait::enable(false);
 
     assert_eq!(base.total_io, hot.total_io);
     assert_eq!(base.par_io, hot.par_io);
@@ -86,88 +80,15 @@ fn observability_switches_leave_io_accounting_byte_identical() {
     );
     assert_eq!(base_values, hot_values);
     assert!(trees > 0, "no trace trees collected");
-    assert!(
-        waits > 0,
-        "enabled run recorded no waits (shard locks alone should)"
-    );
-}
-
-/// `cor_wait_*` families appear in both exporters exactly when wait
-/// profiling is on — the disabled report stays byte-compatible with
-/// pre-wait-profiling consumers.
-#[test]
-fn wait_families_exported_only_when_enabled() {
-    let _g = GLOBALS.lock().unwrap();
-    let p = small(5);
-    let generated = generate(&p);
-    let query = RetrieveQuery {
-        lo: 0,
-        hi: p.num_top - 1,
-        attr: RetAttr::ALL[0],
-    };
-
-    let report_with = |on: bool| {
-        wait::enable(on);
-        if on {
-            wait::global().reset();
-        }
-        let engine = Engine::builder()
-            .metrics(true)
-            .build_workload(&p, &generated, Strategy::Dfs)
-            .unwrap();
-        engine.retrieve(Strategy::Dfs, &query).unwrap();
-        let report = engine.metrics().expect("metrics are on");
-        wait::enable(false);
-        report
-    };
-
-    let off = report_with(false);
-    for family in ["cor_wait_count_total", "cor_wait_ns_total", "cor_wait_ns"] {
-        assert!(
-            off.snapshot.family(family).is_none(),
-            "{family} exported while wait profiling is off"
-        );
-        assert!(!off.to_prometheus().contains(family));
-        assert!(!off.to_json().contains(family));
-    }
-
-    let on = report_with(true);
-    on.validate().expect("report with wait families validates");
-    for family in ["cor_wait_count_total", "cor_wait_ns_total", "cor_wait_ns"] {
-        assert!(
-            on.snapshot.family(family).is_some(),
-            "{family} missing while wait profiling is on"
-        );
-        assert!(
-            on.to_prometheus().contains(family),
-            "{family} not in Prometheus text"
-        );
-        assert!(on.to_json().contains(family), "{family} not in JSON");
-    }
-    let shard_lock = on
-        .snapshot
-        .family("cor_wait_count_total")
-        .and_then(|f| {
-            f.samples.iter().find(|s| {
-                s.labels
-                    .iter()
-                    .any(|(k, v)| k == "class" && v == "shard_lock")
-            })
-        })
-        .map(|s| match s.value {
-            cor_obs::MetricValue::Counter(c) => c,
-            _ => 0,
-        })
-        .unwrap_or(0);
-    assert!(shard_lock > 0, "retrieve took no timed shard locks");
 }
 
 /// Engine-level exactness, for every strategy over a sampled sequence:
-/// each traced query's tree is well-formed, dropped no node, and its
-/// per-phase sums equal the pool's `PhaseProfile` deltas. Both are fed
-/// by the same `IoStats` calls, so any drift is a collector bug.
+/// each traced query's tree is well-formed, dropped no node, its totals
+/// equal the pool's `IoStats` delta, and its per-phase ledger equals the
+/// per-phase sums over its nodes. All are fed by the same `IoStats`
+/// calls, so any drift is a collector bug.
 #[test]
-fn traced_query_matches_profile_ledger() {
+fn traced_query_matches_io_ledger() {
     let _g = GLOBALS.lock().unwrap();
     let p = Params {
         pr_update: 0.0,
@@ -179,33 +100,28 @@ fn traced_query_matches_profile_ledger() {
         let engine = Engine::builder()
             .build_workload(&p, &generated, strategy)
             .unwrap();
-        let profile = engine.pool().stats().enable_profile();
+        let stats = engine.pool().stats();
         let mut traced = 0;
         for q in sequence.iter().step_by(4) {
             let Query::Retrieve(r) = q else { continue };
-            let before = profile.snapshot();
+            let before = stats.snapshot();
             let (out, tree) = engine.trace_query(strategy, r).unwrap();
-            let delta = profile.snapshot().since(&before);
+            let delta = stats.snapshot().since(&before);
 
             let tree = tree.expect("trace collects");
             tree.validate().unwrap();
             assert_eq!(tree.dropped, 0, "{strategy}: trace dropped nodes");
             assert!(!out.values.is_empty());
             assert!(tree.nodes.len() > 1, "{strategy}: trivial tree");
-            let (reads, writes) = (tree.reads_by_phase(), tree.writes_by_phase());
-            for phase in Phase::ALL {
-                let name = phase.name();
-                assert_eq!(
-                    reads[phase.index()],
-                    delta.reads_of(phase),
-                    "{strategy} {name}"
-                );
-                assert_eq!(
-                    writes[phase.index()],
-                    delta.writes_of(phase),
-                    "{strategy} {name}"
-                );
+            assert_eq!(tree.total_reads(), delta.reads, "{strategy}");
+            assert_eq!(tree.total_writes(), delta.writes, "{strategy}");
+            let (mut node_reads, mut node_writes) = ([0u64; PHASE_COUNT], [0u64; PHASE_COUNT]);
+            for n in &tree.nodes {
+                node_reads[n.phase.index()] += n.reads;
+                node_writes[n.phase.index()] += n.writes;
             }
+            assert_eq!(node_reads, tree.reads_by_phase(), "{strategy}");
+            assert_eq!(node_writes, tree.writes_by_phase(), "{strategy}");
             traced += 1;
         }
         assert!(traced > 0, "{strategy}: nothing sampled");

@@ -11,7 +11,7 @@
 # --logical). The test suite carries the exact-I/O pins no figure covers
 # (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
 # policies) and the observability invariants (metrics reports for every
-# strategy, trace trees against the phase ledger). CI runs exactly this
+# strategy, trace trees against the pool's I/O ledger). CI runs exactly this
 # script; run it before pushing. It takes
 # about 4 minutes warm on a 2-vCPU Xeon, most of it figs.sh.
 #
