@@ -115,13 +115,39 @@ mod node {
         u32::from_le_bytes([v[0], v[1], v[2], v[3]])
     }
 
+    /// `a.cmp(b)` for two keys of one length, a big-endian `u64` word at a
+    /// time: the words at offsets 0, 8, … and a last word at `len - 8`,
+    /// which may overlap the word before it (once every earlier word is
+    /// equal, the overlap is too). Keys shorter than 8 bytes take the
+    /// slice compare.
+    #[inline]
+    pub fn cmp_key(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+        debug_assert_eq!(a.len(), b.len());
+        let n = a.len();
+        if n < 8 {
+            return a.cmp(b);
+        }
+        let word = |s: &[u8], at: usize| {
+            u64::from_be_bytes(s[at..at + 8].try_into().expect("8-byte window"))
+        };
+        let mut at = 0;
+        while at + 8 < n {
+            let (x, y) = (word(a, at), word(b, at));
+            if x != y {
+                return x.cmp(&y);
+            }
+            at += 8;
+        }
+        word(a, n - 8).cmp(&word(b, n - 8))
+    }
+
     /// Binary search over the sorted directory.
     pub fn search(d: &[u8], key: &[u8], key_len: usize) -> Result<usize, usize> {
         let mut lo = 0usize;
         let mut hi = count(d);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match entry_key(d, mid, key_len).cmp(key) {
+            match cmp_key(entry_key(d, mid, key_len), key) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => return Ok(mid),
@@ -501,26 +527,42 @@ impl BTreeFile {
         Ok(())
     }
 
-    /// Descend from the root to the leaf that owns `key`.
-    fn find_leaf(&self, key: &[u8]) -> Result<PageId, AccessError> {
-        // Internal-page faults during the descent are index navigation
-        // unless a strategy has claimed a more specific bracket.
+    /// Descend from the root to the leaf that owns `key` and run `at_leaf`
+    /// on the leaf's page id and bytes under the descent's own pin: one
+    /// pin per level, the leaf included.
+    fn descend<R>(
+        &self,
+        key: &[u8],
+        at_leaf: impl FnOnce(PageId, &[u8]) -> R,
+    ) -> Result<R, AccessError> {
+        // Faults during the descent are index navigation unless a strategy
+        // has claimed a more specific bracket.
         let _phase = PhaseGuard::enter_default(Phase::IndexDescent);
+        let mut at_leaf = Some(at_leaf);
         let mut page = self.root.get();
         loop {
-            let (leaf, child) = self.pool.read(page, |p| {
+            let step = self.pool.read(page, |p| {
                 let d = p.bytes();
-                if node::is_leaf(d) {
-                    (true, NO_PAGE)
-                } else {
-                    (false, node::find_child(d, key, self.key_len))
+                if !node::is_leaf(d) {
+                    return Err(node::find_child(d, key, self.key_len));
                 }
+                let at_leaf = at_leaf.take().expect("a descent reaches one leaf");
+                Ok(at_leaf(page, d))
             })?;
-            if leaf {
-                return Ok(page);
+            match step {
+                Ok(r) => return Ok(r),
+                Err(child) => page = child,
             }
-            page = child;
         }
+    }
+
+    /// The page id of the leaf that owns `key`. Its callers —
+    /// [`Self::range`], [`Self::visit_range`] and [`Self::leaf_page_of`] —
+    /// want the page id itself: the scans start a leaf walk there, and
+    /// secondary indexes store it as a hint. Point lookups search the leaf
+    /// inside the descent instead ([`Self::get_with`]).
+    fn find_leaf(&self, key: &[u8]) -> Result<PageId, AccessError> {
+        self.descend(key, |leaf, _| leaf)
     }
 
     /// The leaf page currently owning `key`. Secondary indexes store this
@@ -634,6 +676,10 @@ impl BTreeFile {
     /// Point lookup **in place**: `f` runs over the value under the leaf's
     /// page pin and its result comes back; `Ok(None)` (and no call) when
     /// the key is absent. An `Err` from `f` is returned as is.
+    ///
+    /// One pin per level; the leaf is searched under the descent's pin. A
+    /// lookup costs exactly [`Self::height`] pins, all of them charged to
+    /// [`Phase::IndexDescent`] unless a caller has claimed a phase.
     pub fn get_with<R, E>(
         &self,
         key: &[u8],
@@ -645,17 +691,13 @@ impl BTreeFile {
         if key.len() != self.key_len {
             return Err(AccessError::BadKeyLen(key.len()).into());
         }
-        let leaf = self.find_leaf(key)?;
-        let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
-        self.pool
-            .read(leaf, |p| {
-                let d = p.bytes();
-                node::search(d, key, self.key_len)
-                    .ok()
-                    .map(|i| f(node::entry_val(d, i, self.key_len)))
-            })
-            .map_err(AccessError::from)?
-            .transpose()
+        let key_len = self.key_len;
+        self.descend(key, |_, d| {
+            node::search(d, key, key_len)
+                .ok()
+                .map(|i| f(node::entry_val(d, i, key_len)))
+        })?
+        .transpose()
     }
 
     /// Point lookup, copying the value out.
@@ -663,9 +705,9 @@ impl BTreeFile {
         self.get_with(key, |v| Ok(v.to_vec()))
     }
 
-    /// Does `key` exist?
+    /// Does `key` exist? Nothing is copied off the leaf.
     pub fn contains(&self, key: &[u8]) -> Result<bool, AccessError> {
-        Ok(self.get(key)?.is_some())
+        Ok(self.get_with(key, |_| Ok::<_, AccessError>(()))?.is_some())
     }
 
     /// Upsert `(key, value)`. Returns `true` if a new key was inserted,
@@ -1380,6 +1422,7 @@ impl Iterator for BTreeRange {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn pool(frames: usize) -> Arc<BufferPool> {
@@ -1684,6 +1727,33 @@ mod tests {
         t.len.set(5);
         let err = t.validate().unwrap_err();
         assert!(err.contains("len()"), "got {err}");
+    }
+
+    /// Key lengths up to 24 bytes, with the ones the trees use (8-byte
+    /// test keys, 10-byte OIDs, 19-byte cluster keys) and 16 drawn often.
+    fn key_len() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(8usize), Just(10), Just(16), Just(19), 1usize..=24]
+    }
+
+    proptest! {
+        /// The word-wise compare is the slice compare: over random pairs,
+        /// and over pairs that share a prefix and differ only from some
+        /// byte inside the last (possibly overlapping) word on.
+        #[test]
+        fn cmp_key_equals_the_slice_compare(
+            n in key_len(),
+            a in proptest::collection::vec(any::<u8>(), 24..25),
+            b in proptest::collection::vec(any::<u8>(), 24..25),
+            back in 0usize..8,
+        ) {
+            let (a, b) = (&a[..n], &b[..n]);
+            prop_assert_eq!(node::cmp_key(a, b), a.cmp(b));
+            prop_assert_eq!(node::cmp_key(a, a), std::cmp::Ordering::Equal);
+            let at = n - 1 - back % n.min(8);
+            let c = [&a[..at], &b[at..]].concat();
+            prop_assert_eq!(node::cmp_key(a, &c), a.cmp(&c[..]), "differ from byte {}", at);
+            prop_assert_eq!(node::cmp_key(&c, a), c[..].cmp(a), "differ from byte {}", at);
+        }
     }
 
     #[test]

@@ -314,7 +314,9 @@ proptest! {
 
     /// The in-place point lookups agree with the model for present and
     /// missing keys alike — through a descent, through the right leaf
-    /// hint, through a stale hint and through a hint that is no leaf.
+    /// hint, through a stale hint and through a hint that is no leaf. A
+    /// descent pins each level once, the leaf included: `height()` misses
+    /// from a cold pool, `height()` hits right after.
     #[test]
     fn in_place_lookups_equal_the_model(
         present in proptest::collection::btree_set(0u64..400, 0..300),
@@ -322,14 +324,22 @@ proptest! {
         bulk in any::<bool>(),
         probes in proptest::collection::vec(0u64..440, 1..60),
     ) {
-        let p = pool(16);
+        let p = Arc::new(BufferPool::builder().capacity(16).telemetry(true).build());
         let (tree, model) = churned_tree(&p, &present, &churn, bulk);
         let meta = tree.metadata();
+        let height = u64::from(tree.height());
         for k in probes {
             let key = key8(k);
             let want = model.get(&k).cloned();
             prop_assert_eq!(tree.get(&key).unwrap(), want.clone());
+            let mut got = None;
+            let (_, cold) = cold_cost(&p, || got = tree.get_with(&key, copy_out).unwrap());
+            prop_assert_eq!(got, want.clone());
+            prop_assert_eq!(cold, (0, height), "cold (hits, misses) of one descent");
+            let pins0 = pin_counts(&p);
             prop_assert_eq!(tree.get_with(&key, copy_out).unwrap(), want.clone());
+            let pins = pin_counts(&p);
+            prop_assert_eq!((pins.0 - pins0.0, pins.1 - pins0.1), (height, 0), "warm (hits, misses)");
             for hint in [tree.leaf_page_of(&key).unwrap(), meta.first_leaf, meta.root] {
                 prop_assert_eq!(tree.get_with_hint(hint, &key, copy_out).unwrap(), want.clone());
             }

@@ -153,9 +153,10 @@ mod tests {
         let p0 = pins(&db);
         let out = dfs_clust(&db, &q).unwrap();
         assert_eq!(out.values, vec![-60, -61, -62, -63]);
-        // One ISAM probe — a descent that ends by reading its leaf, then
-        // the leaf lookup — and one visit of the foreign page.
-        let isam_probe = u64::from(oid_index.height()) + 1;
+        // One ISAM probe — a descent that pins each level once and
+        // searches the leaf under its own pin — and one visit of the
+        // foreign page.
+        let isam_probe = u64::from(oid_index.height());
         assert_eq!(
             pins(&db) - p0,
             scan_pins + isam_probe + 1,

@@ -39,9 +39,13 @@ pub enum Phase {
     /// Unbracketed work: database build, buffer flushes between runs,
     /// update application — the catch-all that makes phase sums exact.
     Other = 0,
-    /// Internal (non-leaf) pages read while descending an index.
+    /// Pages read while descending an index, root to leaf. A B-tree
+    /// point lookup searches its leaf under the descent's own pin, so that
+    /// leaf is charged here.
     IndexDescent = 1,
-    /// Leaf/data pages fetched to produce records (base-relation access).
+    /// Leaf/data pages fetched to produce records (base-relation access):
+    /// heap pages, and B-tree leaves reached through a leaf hint, a leaf
+    /// visit or a range walk.
     HeapFetch = 2,
     /// Cache-relation reads while probing the unit-value cache.
     CacheProbe = 3,
