@@ -113,7 +113,7 @@ pub enum CorError {
         /// Version this build reads and writes.
         expected: u32,
     },
-    /// A causal trace is already being collected on this thread, and the
+    /// A trace is already being collected on this thread, and the
     /// operation needs one of its own (traces do not nest).
     TraceActive,
 }

@@ -5,8 +5,7 @@
 //! impossible to merge across threads without shipping the vectors around.
 //! This histogram records a `u64` sample with two relaxed atomic adds into
 //! a fixed 252-bucket table, so it can be shared by reference between
-//! worker threads, sampled live while a run is in flight, and merged by
-//! bucket-wise addition.
+//! worker threads and read once they finish.
 //!
 //! # Bucket layout
 //!
@@ -129,7 +128,7 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`]: mergeable, queryable.
+/// A point-in-time copy of a [`Histogram`], answering quantiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     buckets: Vec<u64>,
@@ -209,65 +208,6 @@ impl HistSnapshot {
             }
         }
         self.max
-    }
-
-    /// Fold another snapshot into this one (bucket-wise addition). The
-    /// result is exactly the histogram of the concatenated sample streams.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        // The live histogram's atomic adds wrap on overflow; wrap the same
-        // way here so merge stays exactly equal to the combined stream.
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The samples recorded between `earlier` and `self`, assuming
-    /// `earlier` is a previous snapshot of the same histogram: bucket-wise
-    /// subtraction, so the result is exactly the histogram of the samples
-    /// recorded in between. This is what turns cumulative histograms into
-    /// windowed views (`corstat --watch` prints one per tick).
-    ///
-    /// Min/max of the window cannot be recovered from cumulative state, so
-    /// they are re-derived from the delta's occupied buckets (lower edge of
-    /// the first, upper edge of the last) — quantiles stay clamped to
-    /// values the window could actually contain. Snapshots taken out of
-    /// order (a counter appearing to shrink) saturate to empty rather than
-    /// underflow.
-    pub fn delta(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect();
-        let count = self.count.saturating_sub(earlier.count);
-        if count == 0 {
-            return HistSnapshot::default();
-        }
-        let first = buckets.iter().position(|&c| c > 0);
-        let last = buckets.iter().rposition(|&c| c > 0);
-        let (min, max) = match (first, last) {
-            (Some(f), Some(l)) => {
-                // Lower edge of bucket f: one past the previous bucket's
-                // upper edge (unit buckets are their own edge).
-                let lo = if f == 0 { 0 } else { bucket_upper(f - 1) + 1 };
-                (lo, bucket_upper(l))
-            }
-            _ => return HistSnapshot::default(),
-        };
-        HistSnapshot {
-            buckets,
-            count,
-            // Counters wrap like the live histogram's atomics; subtract the
-            // same way so later-minus-earlier stays exact across a wrap.
-            sum: self.sum.wrapping_sub(earlier.sum),
-            min,
-            max,
-        }
     }
 
     /// Occupied buckets as `(inclusive upper edge, count)`, in increasing
@@ -356,24 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_combined_stream() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let all = Histogram::new();
-        for v in [1u64, 5, 9, 100, 4096] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [2u64, 9, 77, 1 << 30] {
-            b.record(v);
-            all.record(v);
-        }
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m, all.snapshot());
-    }
-
-    #[test]
     fn concurrent_recording_is_exact() {
         let h = Histogram::new();
         std::thread::scope(|s| {
@@ -389,48 +311,6 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count(), 40_000);
         assert_eq!(snap.occupied_buckets().map(|(_, c)| c).sum::<u64>(), 40_000);
-    }
-
-    #[test]
-    fn delta_recovers_the_window() {
-        let h = Histogram::new();
-        for v in [1u64, 5, 9] {
-            h.record(v);
-        }
-        let earlier = h.snapshot();
-        for v in [100u64, 4096, 7] {
-            h.record(v);
-        }
-        let d = h.snapshot().delta(&earlier);
-        assert_eq!(d.count(), 3);
-        assert_eq!(d.sum(), 100 + 4096 + 7);
-        // Window min/max come from bucket edges: 7 is a unit bucket
-        // (exact); 4096 reports its bucket's upper edge.
-        assert_eq!(d.min(), 7);
-        assert_eq!(d.max(), bucket_upper(bucket_index(4096)));
-        assert_eq!(d.occupied_buckets().map(|(_, c)| c).sum::<u64>(), 3);
-        // Compare against a histogram of just the window's samples,
-        // bucket-for-bucket.
-        let w = Histogram::new();
-        for v in [100u64, 4096, 7] {
-            w.record(v);
-        }
-        let wsnap = w.snapshot();
-        assert_eq!(
-            d.occupied_buckets().collect::<Vec<_>>(),
-            wsnap.occupied_buckets().collect::<Vec<_>>()
-        );
-        assert!(d.quantile(0.5) >= 7 && d.quantile(0.5) <= d.max());
-    }
-
-    #[test]
-    fn delta_of_identical_snapshots_is_empty() {
-        let h = Histogram::new();
-        h.record(42);
-        let s = h.snapshot();
-        assert_eq!(s.delta(&s), HistSnapshot::default());
-        // Out-of-order snapshots saturate to empty, never underflow.
-        assert_eq!(HistSnapshot::default().delta(&s), HistSnapshot::default());
     }
 
     #[test]

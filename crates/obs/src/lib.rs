@@ -8,24 +8,23 @@
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-atomic scalars ([`metric`]);
 //! * [`Histogram`] — log-bucketed streaming histograms whose
-//!   [`HistSnapshot`]s merge exactly and answer quantiles ([`hist`]);
+//!   [`HistSnapshot`]s answer quantiles ([`hist`]);
 //! * [`MetricsRegistry`] → [`MetricsSnapshot`] — named, labeled metric
 //!   families collected into one structured view ([`registry`]);
 //! * [`Flight`] / [`FlightKind`] — a bounded black-box event journal in
 //!   a lock-free seqlock ring, dumped on panic or fault ([`flight`]);
-//! * [`to_prometheus`] / [`to_json`] — exporters over a snapshot, plus
-//!   [`parse_prometheus`] for validating the text output ([`export`]);
+//! * [`to_json`] — the one exporter over a snapshot ([`export`]);
 //! * [`Phase`] / [`PhaseGuard`] — thread-scoped phase brackets, so a
 //!   profiler can say *where* each page went, not just how many moved
 //!   ([`phase`]);
-//! * [`TraceTree`] — per-query causal span trees riding the phase layer,
-//!   exported as Chrome trace-event JSON, and the only per-phase ledger
-//!   of reads, writes and wall time ([`tracetree`]).
+//! * [`PhaseLedger`] — the only per-phase ledger of reads, writes and
+//!   wall time, collected between [`tracetree::start`] and
+//!   [`TraceGuard::finish`] on one thread ([`tracetree`]).
 //!
 //! Three switches turn observation on, each with one reader:
 //! [`flight::enable`] (the panic/fault dump), [`tracetree::start`]
-//! (`Engine::trace_query` and `Engine::explain`) and the engine
-//! builder's `metrics` setter (`Engine::metrics`). Instrumentation is
+//! (`Engine::explain`) and the engine builder's `metrics` setter
+//! (`Engine::metrics`). Instrumentation is
 //! free when disabled: layers hold their telemetry in an `Option` fixed
 //! at construction, and every recording call is a handful of relaxed
 //! atomic adds when enabled.
@@ -41,9 +40,7 @@ pub mod phase;
 pub mod registry;
 pub mod tracetree;
 
-pub use export::{
-    escape_json, escape_label_value, parse_prometheus, to_json, to_prometheus, ParsedSample,
-};
+pub use export::to_json;
 pub use flight::{Flight, FlightEvent, FlightKind};
 pub use hist::{bucket_index, bucket_upper, HistSnapshot, Histogram, HIST_BUCKETS};
 pub use metric::{hit_ratio, Counter, Gauge};
@@ -52,4 +49,4 @@ pub use registry::{
     labels, Labels, MetricFamily, MetricKind, MetricSample, MetricValue, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use tracetree::{TraceGuard, TraceNode, TraceTree, MAX_TRACE_NODES};
+pub use tracetree::{PhaseLedger, TraceGuard};

@@ -126,7 +126,7 @@ impl PhaseGuard {
         let prev = current_phase();
         let changed = prev != phase;
         if changed {
-            crate::tracetree::on_phase_enter(phase);
+            crate::tracetree::on_phase_enter();
             CURRENT.with(|c| c.set(phase));
         }
         PhaseGuard { prev, changed }

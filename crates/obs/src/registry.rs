@@ -2,8 +2,8 @@
 //!
 //! A [`MetricsRegistry`] hands out shared handles ([`Counter`], [`Gauge`],
 //! [`Histogram`]) keyed by metric name + label set, and can later collect
-//! every registered metric into a [`MetricsSnapshot`] — the structured,
-//! exporter-independent view that the Prometheus and JSON exporters render.
+//! every registered metric into a [`MetricsSnapshot`] — the structured
+//! view the JSON exporter renders.
 //!
 //! Layers that predate the registry (the buffer pool's shard telemetry,
 //! the unit-cache counters) keep their own cheap atomics; the engine folds
@@ -41,7 +41,7 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    /// The Prometheus `# TYPE` keyword.
+    /// The kind's name, as the JSON exporter writes it.
     pub fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
@@ -143,15 +143,6 @@ impl MetricsSnapshot {
                 labels,
                 value: MetricValue::Histogram(v),
             });
-    }
-
-    /// Fold another snapshot's families into this one (same-name families
-    /// are concatenated sample-wise).
-    pub fn merge(&mut self, other: MetricsSnapshot) {
-        for fam in other.families {
-            let dst = self.family_mut(&fam.name, &fam.help, fam.kind);
-            dst.samples.extend(fam.samples);
-        }
     }
 
     /// Find a family by name.
@@ -381,18 +372,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("x", "", Labels::new());
         reg.gauge("x", "", Labels::new());
-    }
-
-    #[test]
-    fn snapshot_merge_concatenates() {
-        let mut a = MetricsSnapshot::new();
-        a.push_counter("io", "io ops", labels(&[("shard", "0")]), 5);
-        let mut b = MetricsSnapshot::new();
-        b.push_counter("io", "io ops", labels(&[("shard", "1")]), 7);
-        b.push_gauge("ratio", "hit ratio", Labels::new(), 0.5);
-        a.merge(b);
-        assert_eq!(a.family("io").unwrap().samples.len(), 2);
-        assert!(a.family("ratio").is_some());
     }
 
     #[test]

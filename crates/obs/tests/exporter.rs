@@ -1,11 +1,7 @@
 //! Exporter and histogram integration tests: a golden-file check that the
-//! Prometheus text output is stable and parses, plus properties over
-//! histogram snapshot merging.
+//! JSON output is byte-stable, plus a property over histogram quantiles.
 
-use cor_obs::{
-    labels, parse_prometheus, to_json, to_prometheus, HistSnapshot, Histogram, MetricsRegistry,
-    MetricsSnapshot,
-};
+use cor_obs::{labels, to_json, HistSnapshot, Histogram, MetricsRegistry, MetricsSnapshot};
 use proptest::prelude::*;
 
 /// A deterministic snapshot exercising every metric kind, label escaping
@@ -46,47 +42,15 @@ fn reference_snapshot() -> MetricsSnapshot {
 }
 
 #[test]
-fn prometheus_output_matches_golden_file() {
-    let text = to_prometheus(&reference_snapshot());
-    let golden = include_str!("golden/metrics.prom");
+fn json_output_matches_golden_file() {
+    let json = to_json(&reference_snapshot());
+    let golden = include_str!("golden/metrics.json");
     assert_eq!(
-        text, golden,
-        "Prometheus rendering drifted from tests/golden/metrics.prom; \
+        json,
+        golden.trim_end_matches('\n'),
+        "JSON rendering drifted from tests/golden/metrics.json; \
          if the change is intentional, update the golden file"
     );
-}
-
-#[test]
-fn golden_output_parses_with_cumulative_buckets() {
-    let text = to_prometheus(&reference_snapshot());
-    let parsed = parse_prometheus(&text).expect("exporter output must parse");
-    // Label escaping round-trips.
-    let esc = parsed
-        .iter()
-        .find(|p| p.name == "cor_escapes_total")
-        .unwrap();
-    assert_eq!(esc.labels[0].1, "a\\b\"c\nd");
-    // Histogram bucket lines are cumulative and end at the count.
-    let buckets: Vec<f64> = parsed
-        .iter()
-        .filter(|p| p.name == "cor_query_latency_ns_bucket")
-        .map(|p| p.value)
-        .collect();
-    assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
-    let count = parsed
-        .iter()
-        .find(|p| p.name == "cor_query_latency_ns_count")
-        .unwrap();
-    assert_eq!(*buckets.last().unwrap(), count.value);
-    assert_eq!(count.value, 6.0);
-}
-
-#[test]
-fn json_twin_carries_the_same_numbers() {
-    let json = to_json(&reference_snapshot());
-    assert!(json.contains("\"name\":\"cor_pool_hits_total\""));
-    assert!(json.contains("\"count\":6"));
-    assert!(json.contains("\"path\":\"a\\\\b\\\"c\\nd\""));
 }
 
 fn hist_of(values: &[u64]) -> HistSnapshot {
@@ -99,21 +63,6 @@ fn hist_of(values: &[u64]) -> HistSnapshot {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    /// Merging per-stream snapshots is exactly the histogram of the
-    /// concatenated stream — the property the concurrent driver relies on
-    /// when it folds per-thread latency histograms together.
-    #[test]
-    fn merged_snapshots_equal_histogram_of_merged_stream(
-        a in proptest::collection::vec(any::<u64>(), 0..200),
-        b in proptest::collection::vec(any::<u64>(), 0..200),
-    ) {
-        let mut merged = hist_of(&a);
-        merged.merge(&hist_of(&b));
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        prop_assert_eq!(merged, hist_of(&all));
-    }
 
     /// Quantiles never undershoot the true order statistic and respect the
     /// bucket-width error bound.

@@ -15,13 +15,12 @@ use std::sync::Arc;
 
 /// Shared atomic counters for physical page I/O.
 ///
-/// When the recording thread is collecting a causal trace
+/// When the recording thread is collecting a trace
 /// (`cor_obs::tracetree`), `record_read`/`record_write` also charge the
-/// innermost trace node and the caller's current
-/// [`Phase`](cor_obs::Phase) in the trace's ledger — in the same call,
-/// so the trace's sums equal the totals the thread drove. With no trace
-/// active (always, unless a query is being traced or explained on this
-/// thread) that path is one thread-local flag load.
+/// caller's current [`Phase`](cor_obs::Phase) in the trace's ledger — in
+/// the same call, so the ledger's sums equal the totals the thread
+/// drove. With no trace active (always, unless a query is being traced
+/// or explained on this thread) that path is one thread-local flag load.
 #[derive(Debug, Default)]
 pub struct IoStats {
     reads: AtomicU64,

@@ -20,8 +20,7 @@ use std::time::Duration;
 ///
 /// Derived from a streaming [`cor_obs::Histogram`], not a sorted sample vector:
 /// quantiles are the containing bucket's upper edge (within 25% above the
-/// true order statistic, never below it), the mean is exact, and
-/// summaries from different threads merge by bucket addition.
+/// true order statistic, never below it) and the mean is exact.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySummary {
     /// Mean per-operation latency (exact).
@@ -70,9 +69,6 @@ pub struct ConcurrentRunResult {
     pub elapsed: Duration,
     /// Per-operation latency summary across all streams.
     pub latency: LatencySummary,
-    /// The full per-operation latency histogram (nanoseconds) behind
-    /// [`Self::latency`], mergeable across runs.
-    pub latency_hist: HistSnapshot,
 }
 
 impl ConcurrentRunResult {
@@ -92,21 +88,6 @@ impl ConcurrentRunResult {
         }
         self.queries as f64 / secs
     }
-}
-
-/// One observation delivered to a live reporter while a concurrent run is
-/// in flight.
-#[derive(Debug, Clone)]
-pub struct LiveTick {
-    /// Queries completed so far, across all streams.
-    pub queries_done: u64,
-    /// Wall-clock time since the run started.
-    pub elapsed: Duration,
-    /// Cumulative latency histogram of the operations completed so far. Its
-    /// [`delta`](HistSnapshot::delta) against the previous tick's is the
-    /// histogram of the queries finished in between (what `corstat
-    /// --watch` prints).
-    pub latency_hist: HistSnapshot,
 }
 
 /// Generate one query sequence per stream, each from its own derived
@@ -154,7 +135,7 @@ mod tests {
             .unwrap();
         let seq_result = engine.run_sequence(Strategy::Dfs, &sequence).unwrap();
         let conc_result = engine
-            .run_concurrent(Strategy::Dfs, std::slice::from_ref(&sequence), None)
+            .run_concurrent(Strategy::Dfs, std::slice::from_ref(&sequence))
             .unwrap();
 
         assert_eq!(conc_result.streams, 1);
@@ -185,9 +166,7 @@ mod tests {
             })
             .sum();
 
-        let r = engine
-            .run_concurrent(Strategy::Dfs, &sequences, None)
-            .unwrap();
+        let r = engine.run_concurrent(Strategy::Dfs, &sequences).unwrap();
         assert_eq!(r.streams, 4);
         assert_eq!(r.queries, 4 * p.sequence_len);
         assert_eq!(r.values_returned, expected);
@@ -195,7 +174,6 @@ mod tests {
         assert!(r.queries_per_sec() > 0.0);
         assert!(r.latency.p50 <= r.latency.p99 && r.latency.p99 <= r.latency.max);
         assert!(r.latency.mean <= r.latency.max);
-        assert_eq!(r.latency_hist.count(), r.queries as u64);
     }
 
     #[test]
@@ -209,72 +187,9 @@ mod tests {
             .build_workload(&p, &generated, Strategy::Dfs)
             .unwrap();
         let sequences = generate_stream_sequences(&p, 4);
-        let r = engine
-            .run_concurrent(Strategy::Dfs, &sequences, None)
-            .unwrap();
+        let r = engine.run_concurrent(Strategy::Dfs, &sequences).unwrap();
         assert!(r.updates > 0, "sequence mix includes updates");
         assert_eq!(r.retrieves + r.updates, r.queries);
-    }
-
-    #[test]
-    fn live_reporter_ticks_with_sane_progress() {
-        use std::sync::Mutex;
-        let p = Params {
-            sequence_len: 200,
-            ..tiny(4)
-        };
-        let generated = generate(&p);
-        let engine = Engine::builder()
-            .build_workload(&p, &generated, Strategy::Dfs)
-            .unwrap();
-        let sequences = generate_stream_sequences(&p, 4);
-        let ticks: Mutex<Vec<LiveTick>> = Mutex::new(Vec::new());
-        let callback = |t: LiveTick| ticks.lock().unwrap().push(t);
-        let r = engine
-            .run_concurrent(
-                Strategy::Dfs,
-                &sequences,
-                Some((Duration::from_millis(1), &callback)),
-            )
-            .unwrap();
-        assert_eq!(r.queries, 4 * p.sequence_len);
-        let ticks = ticks.into_inner().unwrap();
-        // 800 cold-buffer queries take well over a millisecond; the
-        // monitor must have observed the run at least once mid-flight.
-        assert!(!ticks.is_empty(), "reporter never fired");
-        for w in ticks.windows(2) {
-            assert!(w[0].queries_done <= w[1].queries_done, "progress monotone");
-            assert!(w[0].elapsed <= w[1].elapsed, "clock monotone");
-        }
-        let last = ticks.last().unwrap();
-        // The monitor flushes one final tick after the workers have all
-        // joined, so the closing line always reports the completed run.
-        assert_eq!(last.queries_done, r.queries as u64);
-        assert_eq!(last.latency_hist.count(), r.queries as u64);
-        assert!(last.latency_hist.quantile(0.5) <= last.latency_hist.max());
-    }
-
-    #[test]
-    fn reporter_fires_even_when_run_is_shorter_than_interval() {
-        use std::sync::Mutex;
-        let p = tiny(1); // 40 queries: far shorter than the 60s interval
-        let generated = generate(&p);
-        let engine = Engine::builder()
-            .build_workload(&p, &generated, Strategy::Dfs)
-            .unwrap();
-        let sequences = generate_stream_sequences(&p, 1);
-        let ticks: Mutex<Vec<LiveTick>> = Mutex::new(Vec::new());
-        let callback = |t: LiveTick| ticks.lock().unwrap().push(t);
-        let r = engine
-            .run_concurrent(
-                Strategy::Dfs,
-                &sequences,
-                Some((Duration::from_secs(60), &callback)),
-            )
-            .unwrap();
-        let ticks = ticks.into_inner().unwrap();
-        assert_eq!(ticks.len(), 1, "exactly the final flush fired");
-        assert_eq!(ticks[0].queries_done, r.queries as u64);
     }
 
     #[test]

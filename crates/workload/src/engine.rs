@@ -37,7 +37,7 @@
 //! ```
 
 use crate::catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB};
-use crate::concurrent::{ConcurrentRunResult, LatencySummary, LiveTick};
+use crate::concurrent::{ConcurrentRunResult, LatencySummary};
 use crate::dbgen::{cluster_assignment, strategy_cache, GeneratedDb};
 use crate::driver::{QueryTrace, RunResult};
 use crate::metrics::{build_report, duration_ns, EngineMetrics, MetricsReport};
@@ -52,15 +52,14 @@ use complexobj::{
     DatabaseSpec, ExecOptions, Query, RetrieveQuery, Strategy, StrategyOutput, UpdateQuery,
 };
 use cor_access::{Catalog, CatalogError};
-use cor_obs::{flight, tracetree, Histogram, TraceTree};
+use cor_obs::{flight, Histogram};
 use cor_pagestore::{
     BufferPool, DiskManager, FileDisk, IoDelta, ReplacementPolicy, DEFAULT_POOL_PAGES,
 };
 use cor_wal::{CheckpointInfo, FileLogStore, LogStore, Wal, WalConfig};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Pages in the throwaway pool used to read the engine catalog before the
 /// real pool's geometry is known. Reads only; dropped after decoding.
@@ -692,36 +691,6 @@ impl Engine {
         Ok(out)
     }
 
-    /// Run one retrieve while collecting a causal trace tree: every
-    /// phase transition becomes a parent/child node carrying its wall
-    /// time and the page I/O charged while it was innermost (see
-    /// [`cor_obs::tracetree`]). Render the tree with
-    /// [`TraceTree::to_chrome_json`] and load it in Perfetto.
-    ///
-    /// Tracing rides the query without changing it: the same
-    /// [`retrieve`](Self::retrieve) path runs, [`IoStats`] counts are
-    /// identical traced or not, and the tree's per-phase sums equal the
-    /// query's [`IoStats`] delta exactly (the collector is fed by the
-    /// same calls). The tree is `None` only when another trace was
-    /// already active on this thread.
-    ///
-    /// [`IoStats`]: cor_pagestore::IoStats
-    pub fn trace_query(
-        &self,
-        strategy: Strategy,
-        query: &RetrieveQuery,
-    ) -> Result<(StrategyOutput, Option<TraceTree>), CorError> {
-        let guard = tracetree::start(&format!("{strategy} {}..={}", query.lo, query.hi));
-        let out = match self.retrieve(strategy, query) {
-            Ok(out) => out,
-            Err(e) => {
-                drop(guard);
-                return Err(e);
-            }
-        };
-        Ok((out, guard.finish()))
-    }
-
     /// Run one multi-dot retrieve across the hierarchy (single-database
     /// engines behave as one-level hierarchies). Errors on procedural
     /// engines, which have no levels.
@@ -848,16 +817,10 @@ impl Engine {
     /// *interleaving* of updates and retrieves is nondeterministic, so
     /// returned values (and I/O) can differ run to run — exactly the
     /// behaviour a multi-client server exhibits.
-    ///
-    /// With a `reporter`, a monitor thread reads the shared latency
-    /// histogram and progress counter every interval (both lock-free;
-    /// workers are never paused) and hands the callback a [`LiveTick`]
-    /// (`corstat --watch` prints one windowed line per tick).
     pub fn run_concurrent(
         &self,
         strategy: Strategy,
         sequences: &[Vec<Query>],
-        reporter: Option<(Duration, &(dyn Fn(LiveTick) + Sync))>,
     ) -> Result<ConcurrentRunResult, CorError> {
         assert!(!sequences.is_empty(), "at least one stream");
         self.pool().flush_and_clear()?;
@@ -866,43 +829,13 @@ impl Engine {
         let started = Instant::now();
 
         let latency_hist = Histogram::new();
-        let done = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
 
         // Per stream: (retrieves, values returned).
         let tallies: Vec<Result<(usize, u64), CorError>> = std::thread::scope(|scope| {
-            if let Some((interval, callback)) = reporter {
-                let latency_hist = &latency_hist;
-                let done = &done;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let tick = || LiveTick {
-                        queries_done: done.load(Ordering::Relaxed),
-                        elapsed: started.elapsed(),
-                        latency_hist: latency_hist.snapshot(),
-                    };
-                    let mut next = Instant::now() + interval;
-                    while !stop.load(Ordering::Acquire) {
-                        // Short sleeps so the monitor exits promptly once the
-                        // workers finish, whatever the reporting interval.
-                        std::thread::sleep(interval.min(Duration::from_millis(5)));
-                        if Instant::now() < next {
-                            continue;
-                        }
-                        next += interval;
-                        callback(tick());
-                    }
-                    // Always flush one final tick: a run shorter than the
-                    // interval would otherwise finish without the reporter
-                    // ever firing, losing the closing progress line.
-                    callback(tick());
-                });
-            }
             let handles: Vec<_> = sequences
                 .iter()
                 .map(|sequence| {
                     let latency_hist = &latency_hist;
-                    let done = &done;
                     scope.spawn(move || {
                         let (mut retrieves, mut values_returned) = (0usize, 0u64);
                         for q in sequence {
@@ -918,22 +851,18 @@ impl Engine {
                                 }
                             }
                             latency_hist.record(duration_ns(t0.elapsed()));
-                            done.fetch_add(1, Ordering::Relaxed);
                         }
                         Ok((retrieves, values_returned))
                     })
                 })
                 .collect();
-            let tallies = handles
+            handles
                 .into_iter()
                 .map(|h| h.join().expect("stream thread panicked"))
-                .collect();
-            stop.store(true, Ordering::Release);
-            tallies
+                .collect()
         });
 
         let elapsed = started.elapsed();
-        let hist = latency_hist.snapshot();
         let mut result = ConcurrentRunResult {
             strategy,
             streams: sequences.len(),
@@ -943,8 +872,7 @@ impl Engine {
             total_io: stats.snapshot().since(&start_snap).total(),
             values_returned: 0,
             elapsed,
-            latency: LatencySummary::from_histogram(&hist),
-            latency_hist: hist,
+            latency: LatencySummary::from_histogram(&latency_hist.snapshot()),
         };
         for tally in tallies {
             let (retrieves, values_returned) = tally?;
@@ -1117,7 +1045,7 @@ mod tests {
         assert_eq!(trace.iter().filter(|t| t.is_update).count(), run.updates);
 
         let conc = build()
-            .run_concurrent(strategy, std::slice::from_ref(&sequence), None)
+            .run_concurrent(strategy, std::slice::from_ref(&sequence))
             .unwrap();
         assert_eq!(conc.total_io, run.total_io);
         assert_eq!(conc.values_returned, run.values_returned);
@@ -1268,9 +1196,8 @@ mod tests {
             if let Some(c) = &report.cache {
                 assert!(c.probes() > 0, "{strategy}: cache never probed");
             }
-            let prom = report.to_prometheus();
-            assert!(prom.contains("cor_pool_hit_ratio"), "{prom}");
             let json = report.to_json();
+            assert!(json.contains("\"cor_pool_hit_ratio\""), "{json}");
             assert!(json.contains("\"cor_query_latency_ns\""), "{json}");
         }
     }
@@ -1506,10 +1433,10 @@ mod tests {
         report.validate().unwrap();
         let w = report.wal.as_ref().expect("wal section present");
         assert!(w.appends > 0 && w.images > 0 && w.checkpoints > 0);
-        let prom = report.to_prometheus();
-        assert!(prom.contains("cor_wal_appends_total"), "{prom}");
-        assert!(prom.contains("cor_wal_durable_lsn"), "{prom}");
-        assert!(report.to_json().contains("cor_wal_fsyncs_total"));
+        let json = report.to_json();
+        assert!(json.contains("\"cor_wal_appends_total\""), "{json}");
+        assert!(json.contains("\"cor_wal_durable_lsn\""), "{json}");
+        assert!(json.contains("\"cor_wal_fsyncs_total\""), "{json}");
     }
 
     fn mem_stores() -> (Arc<cor_pagestore::MemDisk>, Arc<cor_wal::MemLogStore>) {

@@ -1,8 +1,8 @@
 //! EXPLAIN-style per-query I/O profiling.
 //!
-//! [`Engine::explain`] runs a query sequence under one causal trace
+//! [`Engine::explain`] runs a query sequence under one trace
 //! ([`cor_obs::tracetree`]) and returns an [`ExplainReport`]: measured
-//! I/O and wall time per phase, read from the finished tree's ledger,
+//! I/O and wall time per phase, read from the finished phase ledger,
 //! the per-retrieve average, and — when workload
 //! parameters are supplied — the paper's analytical prediction from
 //! [`complexobj::cost`] with the relative error. Reports render as a
@@ -234,7 +234,7 @@ pub fn workload_from_params(p: &Params, opts: &ExecOptions) -> Workload {
 
 impl Engine {
     /// Run `sequence` cold (like [`Engine::run_sequence`]) under one
-    /// causal trace, and report its per-phase I/O and wall time. When
+    /// trace, and report its per-phase I/O and wall time. When
     /// `params` is supplied, the analytical cost model prediction and
     /// its relative error are included.
     ///
@@ -259,17 +259,17 @@ impl Engine {
         // A consistent cut: another stream incrementing between this
         // snapshot's fields would otherwise skew the attribution window.
         let io_before = stats.snapshot_consistent();
-        let trace = tracetree::start(&format!("explain {strategy}"));
+        let trace = tracetree::start();
         let run: RunResult = self.run_sequence(strategy, sequence)?;
-        let tree = trace
+        let ledger = trace
             .finish()
             .expect("no trace was active, so this one collects");
         let total = stats.snapshot_consistent().since(&io_before);
 
         let (reads, writes, wall) = (
-            tree.reads_by_phase(),
-            tree.writes_by_phase(),
-            tree.wall_by_phase(),
+            ledger.reads_by_phase(),
+            ledger.writes_by_phase(),
+            ledger.wall_by_phase(),
         );
         let phases: Vec<PhaseRow> = Phase::ALL
             .iter()
@@ -311,7 +311,7 @@ impl Engine {
             values_returned: run.values_returned,
             total,
             phases,
-            wall_ns: tree.total_ns,
+            wall_ns: ledger.total_ns,
             avg_retrieve_io,
             predicted,
             rel_error,
@@ -452,7 +452,7 @@ mod tests {
         let engine = Engine::builder()
             .build_workload(&p, &generated, Strategy::Dfs)
             .unwrap();
-        let outer = cor_obs::tracetree::start("outer");
+        let outer = cor_obs::tracetree::start();
         let err = engine.explain(Strategy::Dfs, &sequence, None).unwrap_err();
         assert!(matches!(err, CorError::TraceActive), "{err}");
         assert!(outer.finish().is_some(), "the outer trace survives");

@@ -7,7 +7,7 @@
 //! hot path touches only relaxed atomics. [`MetricsReport`] folds those
 //! engine metrics together with the buffer pool's per-shard telemetry and
 //! the unit/procedural cache counters into one [`MetricsSnapshot`] that
-//! the Prometheus and JSON exporters render.
+//! the JSON exporter renders.
 //!
 //! Everything here *reads* [`IoStats`](cor_pagestore::IoStats) snapshots;
 //! nothing writes them. The paper's I/O counts are identical with metrics
@@ -20,8 +20,8 @@ use cor_wal::WalStatsSnapshot;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Version of the exported metrics layout, stamped into every rendered
-/// report (matches the `schema_version` `corstat --json` writes).
+/// Version of the exported metrics layout, stamped into every
+/// [`MetricsReport::to_json`] rendering.
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// Metric families every [`MetricsReport`] must carry;
@@ -183,21 +183,8 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Render the report in Prometheus text exposition format, prefixed
-    /// by a `# cor_meta` comment stamping the metrics schema and engine
-    /// catalog versions (comment lines are ignored by Prometheus parsers,
-    /// including [`cor_obs::parse_prometheus`]).
-    pub fn to_prometheus(&self) -> String {
-        format!(
-            "# cor_meta schema_version={} catalog_version={}\n{}",
-            METRICS_SCHEMA_VERSION,
-            crate::catalog::ENGINE_CATALOG_VERSION,
-            cor_obs::to_prometheus(&self.snapshot)
-        )
-    }
-
-    /// Render the report as JSON, wrapped with the same
-    /// `schema_version` / `catalog_version` stamps `corstat --json` writes.
+    /// Render the report as JSON, wrapped with the metrics-schema and
+    /// engine-catalog versions (`schema_version`, `catalog_version`).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"schema_version\":{},\"catalog_version\":{},\"metrics\":{}}}",
@@ -235,9 +222,9 @@ pub fn build_report(
     let mut snapshot = metrics.snapshot();
     if let Some((policy, shards)) = &pool {
         // Info-style metric: the constant value 1 carries the active
-        // replacement policy in its label, the Prometheus idiom for
-        // configuration facts. Follows the telemetry gating so a
-        // metrics-off engine's export stays byte-identical.
+        // replacement policy in its label, so a configuration fact rides
+        // in the same snapshot as the counters. Follows the telemetry
+        // gating so a metrics-off engine's export stays byte-identical.
         snapshot.push_gauge(
             "cor_pool_policy",
             "active buffer replacement policy (info metric, value is always 1)",
@@ -386,18 +373,23 @@ pub fn build_report(
 mod tests {
     use super::*;
 
+    /// The JSON of `family` inside `report.to_json()`: from its opening
+    /// brace up to the next family's.
+    fn family_json(report: &MetricsReport, family: &str) -> String {
+        let json = report.to_json();
+        let start = json
+            .find(&format!("{{\"name\":\"{family}\""))
+            .unwrap_or_else(|| panic!("{family} missing from {json}"));
+        let end = json[start + 1..]
+            .find("{\"name\":")
+            .map_or(json.len(), |e| start + 1 + e);
+        json[start..end].to_string()
+    }
+
     #[test]
     fn reports_stamp_schema_and_catalog_versions() {
         let m = EngineMetrics::new();
         let report = build_report(&m, None, None, None);
-        let meta = format!(
-            "schema_version={} catalog_version={}",
-            METRICS_SCHEMA_VERSION,
-            crate::catalog::ENGINE_CATALOG_VERSION
-        );
-        let prom = report.to_prometheus();
-        assert!(prom.starts_with(&format!("# cor_meta {meta}\n")), "{prom}");
-        cor_obs::parse_prometheus(&prom).expect("meta comment is parser-safe");
         let json = report.to_json();
         assert!(
             json.starts_with(&format!(
@@ -431,10 +423,15 @@ mod tests {
         let totals = report.snapshot.family("cor_query_total").unwrap();
         // 6 strategies x {retrieve, sequence} + update.
         assert_eq!(totals.samples.len(), 13);
-        let text = report.to_prometheus();
-        assert!(text.contains("cor_query_total{strategy=\"DFS\",op=\"retrieve\"} 2"));
-        assert!(text.contains("cor_query_reads_total{strategy=\"DFS\",op=\"retrieve\"} 20"));
-        assert!(text.contains("cor_query_total{op=\"update\"} 1"));
+        let dfs = r#"{"labels":{"strategy":"DFS","op":"retrieve"},"value":"#;
+        let queries = family_json(&report, "cor_query_total");
+        assert!(queries.contains(&format!("{dfs}2}}")), "{queries}");
+        assert!(
+            queries.contains(r#"{"labels":{"op":"update"},"value":1}"#),
+            "{queries}"
+        );
+        let reads = family_json(&report, "cor_query_reads_total");
+        assert!(reads.contains(&format!("{dfs}20}}")), "{reads}");
     }
 
     #[test]
@@ -477,12 +474,10 @@ mod tests {
         );
         report.validate().expect("complete report");
         assert!(
-            report
-                .to_prometheus()
-                .contains("cor_pool_policy{policy=\"sieve\"} 1"),
+            family_json(&report, "cor_pool_policy")
+                .contains(r#"{"labels":{"policy":"sieve"},"value":1}"#),
             "policy info metric rides with the pool section"
         );
-        assert!(report.to_json().contains("cor_pool_policy"));
         assert_eq!(
             report
                 .snapshot
@@ -496,9 +491,11 @@ mod tests {
         let total = report.pool_total();
         assert_eq!(total.hits, 35);
         assert_eq!(total.probes(), 50);
-        let text = report.to_prometheus();
-        assert!(text.contains("cor_pool_hit_ratio{shard=\"0\"} 0.75"));
-        let json = report.to_json();
-        assert!(json.contains("cor_cache_hits_total"));
+        let ratio = family_json(&report, "cor_pool_hit_ratio");
+        assert!(
+            ratio.contains(r#"{"labels":{"shard":"0"},"value":0.75}"#),
+            "{ratio}"
+        );
+        assert!(report.to_json().contains("\"cor_cache_hits_total\""));
     }
 }

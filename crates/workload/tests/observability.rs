@@ -1,12 +1,12 @@
 //! End-to-end checks for the observability layers: enabling the
-//! flight-recorder and trace-tree layers must leave the paper's I/O
-//! accounting byte-identical, and each traced query's tree matches the
-//! pool's I/O ledger.
+//! flight recorder and the phase ledger must leave the paper's I/O
+//! accounting byte-identical, and each traced query's ledger matches the
+//! pool's I/O counts.
 
 use std::sync::Mutex;
 
-use complexobj::{Query, Strategy};
-use cor_obs::{flight, PHASE_COUNT};
+use complexobj::{Query, RetrieveQuery, Strategy, StrategyOutput};
+use cor_obs::{flight, tracetree, PhaseLedger};
 use cor_workload::{generate, generate_sequence, Engine, Params};
 
 // The flight recorder is process-global; serialize every test that
@@ -25,10 +25,24 @@ fn small(num_top: u64) -> Params {
     }
 }
 
-/// Flight recording and causal tracing are free when disabled and
-/// read-only when enabled: turning both on must not move a single I/O or
-/// result counter, over a DFS sequence with updates and over BFS
-/// retrieves that are each traced.
+/// One retrieve under its own trace: the answer and the finished ledger.
+fn traced_retrieve(
+    engine: &Engine,
+    strategy: Strategy,
+    query: &RetrieveQuery,
+) -> (StrategyOutput, PhaseLedger) {
+    let trace = tracetree::start();
+    let out = engine.retrieve(strategy, query).unwrap();
+    let ledger = trace
+        .finish()
+        .expect("no trace was active, so this one collects");
+    (out, ledger)
+}
+
+/// Flight recording and tracing are free when disabled and read-only
+/// when enabled: turning both on must not move a single I/O or result
+/// counter, over a DFS sequence with updates and over BFS retrieves that
+/// are each traced.
 #[test]
 fn observability_switches_leave_io_accounting_byte_identical() {
     let _g = GLOBALS.lock().unwrap();
@@ -46,27 +60,24 @@ fn observability_switches_leave_io_accounting_byte_identical() {
             .build_workload(&p, &generated, Strategy::Bfs)
             .unwrap();
         let mut values = 0usize;
-        let mut trees = 0usize;
+        let mut traces = 0usize;
         for q in &sequence {
             let Query::Retrieve(r) = q else { continue };
             values += if instrumented {
-                let (out, tree) = bfs.trace_query(Strategy::Bfs, r).unwrap();
-                let tree = tree.expect("no trace was active, so this one collects");
-                tree.validate().unwrap();
-                trees += 1;
-                out.values.len()
+                traces += 1;
+                traced_retrieve(&bfs, Strategy::Bfs, r).0.values.len()
             } else {
                 bfs.retrieve(Strategy::Bfs, r).unwrap().values.len()
             };
         }
         let snaps = (dfs.pool().stats().snapshot(), bfs.pool().stats().snapshot());
-        (result, snaps, values, trees)
+        (result, snaps, values, traces)
     };
 
     flight::enable(false);
     let (base, base_snaps, base_values, _) = run(false);
     flight::enable(true);
-    let (hot, hot_snaps, hot_values, trees) = run(true);
+    let (hot, hot_snaps, hot_values, traces) = run(true);
     flight::enable(false);
 
     assert_eq!(base.total_io, hot.total_io);
@@ -79,14 +90,14 @@ fn observability_switches_leave_io_accounting_byte_identical() {
         "instrumentation moved an I/O counter"
     );
     assert_eq!(base_values, hot_values);
-    assert!(trees > 0, "no trace trees collected");
+    assert!(traces > 0, "no retrieve was traced");
 }
 
 /// Engine-level exactness, for every strategy over a sampled sequence:
-/// each traced query's tree is well-formed, dropped no node, its totals
-/// equal the pool's `IoStats` delta, and its per-phase ledger equals the
-/// per-phase sums over its nodes. All are fed by the same `IoStats`
-/// calls, so any drift is a collector bug.
+/// each traced query's ledger totals equal the pool's `IoStats` delta,
+/// and its per-phase wall time sums to its total. The ledger and the
+/// pool are fed by the same `IoStats` calls, so any drift is a
+/// collector bug.
 #[test]
 fn traced_query_matches_io_ledger() {
     let _g = GLOBALS.lock().unwrap();
@@ -105,23 +116,17 @@ fn traced_query_matches_io_ledger() {
         for q in sequence.iter().step_by(4) {
             let Query::Retrieve(r) = q else { continue };
             let before = stats.snapshot();
-            let (out, tree) = engine.trace_query(strategy, r).unwrap();
+            let (out, ledger) = traced_retrieve(&engine, strategy, r);
             let delta = stats.snapshot().since(&before);
 
-            let tree = tree.expect("trace collects");
-            tree.validate().unwrap();
-            assert_eq!(tree.dropped, 0, "{strategy}: trace dropped nodes");
             assert!(!out.values.is_empty());
-            assert!(tree.nodes.len() > 1, "{strategy}: trivial tree");
-            assert_eq!(tree.total_reads(), delta.reads, "{strategy}");
-            assert_eq!(tree.total_writes(), delta.writes, "{strategy}");
-            let (mut node_reads, mut node_writes) = ([0u64; PHASE_COUNT], [0u64; PHASE_COUNT]);
-            for n in &tree.nodes {
-                node_reads[n.phase.index()] += n.reads;
-                node_writes[n.phase.index()] += n.writes;
-            }
-            assert_eq!(node_reads, tree.reads_by_phase(), "{strategy}");
-            assert_eq!(node_writes, tree.writes_by_phase(), "{strategy}");
+            assert_eq!(ledger.total_reads(), delta.reads, "{strategy}");
+            assert_eq!(ledger.total_writes(), delta.writes, "{strategy}");
+            assert_eq!(
+                ledger.wall_by_phase().iter().sum::<u64>(),
+                ledger.total_ns,
+                "{strategy}"
+            );
             traced += 1;
         }
         assert!(traced > 0, "{strategy}: nothing sampled");

@@ -3,7 +3,8 @@
 # (broken or private intra-doc links fail), the whole test suite, the frozen
 # benchmark harness's own build and tests (benchmark/ is outside the
 # workspace, so this is what fails when the engine drops a name the
-# harness uses; --locked keeps benchmark/Cargo.lock as committed), then
+# harness uses; --locked keeps benchmark/Cargo.lock as committed, as it
+# keeps the root Cargo.lock for clippy, doc and test), then
 # one gate per question: explain (phase attribution and cost model), the
 # replay of the committed explain capture (did any query's I/O move),
 # figs.sh (the figure fixed point, scaled and paper-scale; its Ablation 3
@@ -11,9 +12,9 @@
 # --logical). The test suite carries the exact-I/O pins no figure covers
 # (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
 # policies) and the observability invariants (metrics reports for every
-# strategy, trace trees against the pool's I/O ledger). CI runs exactly this
-# script; run it before pushing. It takes
-# about 4 minutes warm on a 2-vCPU Xeon, most of it figs.sh.
+# strategy, the phase ledger against the pool's I/O counts). CI runs
+# exactly this script; run it before pushing. It takes about 4 minutes
+# warm on a 2-vCPU Xeon, most of it figs.sh.
 #
 # The gate leaves the tree as it found it: smoke legs write their
 # timing-bearing reports under target/check/ (CI uploads them from
@@ -32,13 +33,13 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
 
 echo "==> cargo test"
-cargo test --workspace -q
+cargo test --locked --workspace -q
 
 echo "==> benchmark harness build and tests (its own lockfile, left unchanged)"
 CARGO_TARGET_DIR=target/benchmark cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml

@@ -24,8 +24,8 @@
 //!    experiment sweeps behind the figure reproductions in `cor-bench`.
 //!
 //! Orthogonal to the stack, [`obs`] is the zero-dependency metrics layer
-//! (counters, streaming histograms, flight recorder, Prometheus/JSON export)
-//! that the pool, caches and `Engine` report into — see
+//! (counters, streaming histograms, flight recorder, phase ledger, JSON
+//! export) that the pool, caches and `Engine` report into — see
 //! `docs/observability.md`.
 
 #![warn(missing_docs)]
