@@ -1291,7 +1291,8 @@ impl BTreeFile {
     /// own page I/O (a spilled sort) needs one pool frame besides the
     /// leaf's.
     ///
-    /// An `Err` from `on_match` stops the scan and is returned.
+    /// An `Err` from `on_match` stops the scan and is returned, and so
+    /// does a key of the wrong length, as `AccessError::BadKeyLen`.
     pub fn merge_scan<K, E>(
         &self,
         keys: impl IntoIterator<Item = K>,
@@ -1313,15 +1314,24 @@ impl BTreeFile {
                 let n = node::count(d);
                 let mut i = 0;
                 loop {
-                    while i < n && node::entry_key(d, i, key_len) < key.as_ref() {
-                        i += 1;
+                    let probe = key.as_ref();
+                    if probe.len() != key_len {
+                        return Err(AccessError::BadKeyLen(probe.len()).into());
                     }
-                    if i == n {
-                        return Ok(false);
-                    }
-                    let entry_key = node::entry_key(d, i, key_len);
-                    if entry_key == key.as_ref() {
-                        on_match(entry_key, node::entry_val(d, i, key_len))?;
+                    let order = loop {
+                        if i == n {
+                            return Ok(false);
+                        }
+                        match node::cmp_key(node::entry_key(d, i, key_len), probe) {
+                            std::cmp::Ordering::Less => i += 1,
+                            order => break order,
+                        }
+                    };
+                    if order.is_eq() {
+                        on_match(
+                            node::entry_key(d, i, key_len),
+                            node::entry_val(d, i, key_len),
+                        )?;
                     }
                     match keys.next() {
                         Some(k) => key = k,
@@ -1615,6 +1625,13 @@ mod tests {
         assert!(matches!(
             t.insert(&[1u8; 9], b""),
             Err(AccessError::BadKeyLen(9))
+        ));
+        let key = key8(1);
+        t.insert(&key, b"v").unwrap();
+        let keys: [&[u8]; 2] = [&key, &[1u8; 4]];
+        assert!(matches!(
+            t.merge_scan(keys, |_, _| Ok::<(), AccessError>(())),
+            Err(AccessError::BadKeyLen(4))
         ));
     }
 

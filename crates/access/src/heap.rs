@@ -3,7 +3,11 @@
 //! Heap files back the temporary relations of the BFS strategies (the
 //! `temp` relation of Sec. 3.1) and the sorted runs of the external sorter.
 //! Appends fill the tail page and extend the chain when it overflows; scans
-//! walk the chain in page order.
+//! walk the chain in page order. [`HeapFile::append_all`] fills each page
+//! under one pin and places each record in O(1), which is how every query
+//! temporary is built; its pages come out byte for byte as one
+//! [`HeapFile::append`] per record would leave them, through the same
+//! sequence of page allocations, links and transfers.
 //!
 //! A file comes in one of two page classes. [`HeapFile::create`] makes a
 //! persistent relation: every mutation is write-ahead logged and the pages
@@ -14,7 +18,8 @@
 //! does not outlive its query, so recovery has nothing to restore) and
 //! they go back on the pool's free list when the file is dropped.
 
-use cor_pagestore::{BufferError, BufferPool, PageId, PageMut, SlotId, NO_PAGE};
+use crate::AccessError;
+use cor_pagestore::{BufferError, BufferPool, PageId, PageMut, SlotId, MAX_RECORD, NO_PAGE};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Physical address of a record: page + slot.
@@ -129,24 +134,59 @@ impl HeapFile {
         self.pages.get()
     }
 
-    /// Append a record, returning its address.
-    pub fn append(&self, record: &[u8]) -> Result<RecordId, BufferError> {
-        let tail = self.last.get();
-        let slot = self.write(tail, |mut p| p.insert(record))?;
-        if let Ok(slot) = slot {
-            self.len.set(self.len.get() + 1);
-            return Ok(RecordId { page: tail, slot });
+    /// Append a record, returning its address. This is the one-record
+    /// case of [`append_all`](Self::append_all).
+    #[inline]
+    pub fn append(&self, record: &[u8]) -> Result<RecordId, AccessError> {
+        let mut rid = None;
+        self.append_each(&[record], |r| rid = Some(r))?;
+        Ok(rid.expect("one record was appended"))
+    }
+
+    /// Append `records` in order: each page is filled under one pin.
+    ///
+    /// Every record lands where one [`append`](Self::append) per record
+    /// would put it, and the pool sees the same page sequence without
+    /// the repeated pins of the tail: the tail is filled until a record
+    /// does not fit, then a fresh page is allocated, the old tail is
+    /// linked to it, and the fresh page is filled. A record longer than
+    /// [`MAX_RECORD`] is refused before any page is touched.
+    pub fn append_all<R: AsRef<[u8]>>(&self, records: &[R]) -> Result<(), AccessError> {
+        self.append_each(records, |_| {})
+    }
+
+    fn append_each<R: AsRef<[u8]>>(
+        &self,
+        records: &[R],
+        mut placed: impl FnMut(RecordId),
+    ) -> Result<(), AccessError> {
+        if records.iter().any(|r| r.as_ref().len() > MAX_RECORD) {
+            return Err(AccessError::EntryTooLarge);
         }
-        // Tail page full: extend the chain.
-        let fresh = self.allocate()?;
-        self.write(tail, |mut p| p.set_next(fresh))?;
-        self.last.set(fresh);
-        self.pages.set(self.pages.get() + 1);
-        let slot = self
-            .write(fresh, |mut p| p.insert(record))?
-            .expect("fresh page must accept any record that fits a page");
-        self.len.set(self.len.get() + 1);
-        Ok(RecordId { page: fresh, slot })
+        if records.is_empty() {
+            return Ok(());
+        }
+        let start = self.last.get();
+        let (mut page, mut rest) = (start, records);
+        loop {
+            let n = self.write(page, |mut p| {
+                p.insert_many(rest, |slot| placed(RecordId { page, slot }))
+            })?;
+            // An empty page takes any record up to `MAX_RECORD`, so only
+            // the starting tail can be too full for the next one.
+            debug_assert!(n > 0 || page == start, "fresh page {page} took no record");
+            self.len.set(self.len.get() + n as u64);
+            rest = &rest[n..];
+            if rest.is_empty() {
+                return Ok(());
+            }
+            // Tail page full: extend the chain.
+            let fresh = self.allocate()?;
+            self.write(page, |mut p| p.set_next(fresh))?;
+            self.last.set(fresh);
+            self.pages.set(self.pages.get() + 1);
+            page = fresh;
+        }
     }
 
     /// Fetch the record at `rid`.
@@ -341,6 +381,27 @@ mod tests {
         assert_eq!(heap.scan().count(), 90);
         let reads = p.stats().reads() - before;
         assert_eq!(reads, pages, "cold scan should read each page exactly once");
+    }
+
+    #[test]
+    fn oversize_record_is_refused_before_any_page_is_touched() {
+        let p = pool(4);
+        let heap = HeapFile::create(Arc::clone(&p)).unwrap();
+        heap.append(b"resident").unwrap();
+        let before = p.stats().snapshot();
+        let big = vec![0u8; MAX_RECORD + 1];
+        assert!(matches!(heap.append(&big), Err(AccessError::EntryTooLarge)));
+        let batch: [&[u8]; 3] = [b"fits", &big, b"fits too"];
+        assert!(matches!(
+            heap.append_all(&batch),
+            Err(AccessError::EntryTooLarge)
+        ));
+        assert_eq!((heap.num_pages(), heap.len()), (1, 1));
+        assert_eq!(p.stats().snapshot().since(&before), Default::default());
+        assert_eq!(heap.scan().count(), 1);
+        // The largest record a page holds still goes in, on a new page.
+        heap.append(&big[..MAX_RECORD]).unwrap();
+        assert_eq!((heap.num_pages(), heap.len()), (2, 2));
     }
 
     #[test]

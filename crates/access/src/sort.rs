@@ -60,9 +60,7 @@ pub fn external_sort(
             current.dedup();
         }
         let run = HeapFile::temp(Arc::clone(pool))?;
-        for rec in current.iter() {
-            run.append(rec)?;
-        }
+        run.append_all(current)?;
         // A spilled run has left work memory for the store: its pages are
         // forced, like the BFS temporary's, so the write half of "one
         // write plus one read per spilled page" is charged to this sort.

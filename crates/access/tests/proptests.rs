@@ -1,10 +1,13 @@
 //! Property tests for the access methods: B-tree and hash file against
 //! std collection models, external sort against `sort()`, the in-place
 //! merge co-scan against the iterator merge join, the in-place visits and
-//! lookups against their copy-out forms, record codec round-trips.
+//! lookups against their copy-out forms, batch heap appends against one
+//! append per record, record codec round-trips.
 
-use cor_access::{decode, encode, external_sort, merge_join, AccessError, BTreeFile, HashFile};
-use cor_pagestore::{BufferPool, PageId};
+use cor_access::{
+    decode, encode, external_sort, merge_join, AccessError, BTreeFile, HashFile, HeapFile,
+};
+use cor_pagestore::{BufferPool, PageId, ReplacementPolicy, MAX_RECORD};
 use cor_relational::{Oid, Schema, Tuple, Value, ValueType};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -347,6 +350,80 @@ proptest! {
         let refused: Result<Option<()>, AccessError> =
             tree.get_with(&key8(0), |_| Err(AccessError::EntryTooLarge));
         prop_assert_eq!(refused.is_err(), model.contains_key(&0));
+    }
+
+    /// `append_all` is one `append` per record: on temporary and
+    /// persistent files, under either policy, through a two-to-six-frame
+    /// pool and onto a tail with dead slots, it leaves the same records at
+    /// the same addresses, the same chain and page bytes, and costs the
+    /// same transfers from a cold pool (with the dirty pages flushed
+    /// after). It pins each page it touches a bounded number of times,
+    /// however many records go in.
+    #[test]
+    fn append_all_equals_appends(
+        temp in any::<bool>(),
+        sieve in any::<bool>(),
+        frames in 2usize..7,
+        prefix in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 0..30),
+        deletes in proptest::collection::vec(any::<usize>(), 0..10),
+        batch in proptest::collection::vec(
+            prop_oneof![
+                8 => proptest::collection::vec(any::<u8>(), 0..20),
+                1 => proptest::collection::vec(any::<u8>(), 0..MAX_RECORD + 1),
+            ],
+            0..400,
+        ),
+    ) {
+        let policy = if sieve { ReplacementPolicy::Sieve } else { ReplacementPolicy::Lru };
+        // The same prefix on a fresh pool, with some of its records deleted.
+        let setup = || {
+            let p = Arc::new(
+                BufferPool::builder().capacity(frames).policy(policy).telemetry(true).build(),
+            );
+            let file = if temp {
+                HeapFile::temp(Arc::clone(&p)).unwrap()
+            } else {
+                HeapFile::create(Arc::clone(&p)).unwrap()
+            };
+            let rids: Vec<_> = prefix.iter().map(|r| file.append(r).unwrap()).collect();
+            for &d in &deletes {
+                if !rids.is_empty() {
+                    file.delete(rids[d % rids.len()]).unwrap();
+                }
+            }
+            (p, file)
+        };
+        // Everything a run leaves behind: cold transfers (dirty pages
+        // flushed after), pins, records at their addresses, shape, bytes.
+        let outcome = |p: &BufferPool, file: &HeapFile, run: &dyn Fn()| {
+            let (io, pins) = cold_cost(p, || {
+                run();
+                p.flush_and_clear().unwrap();
+            });
+            let records: Vec<_> = file.scan().collect();
+            let pages: Vec<Vec<u8>> = (0..file.num_pages())
+                .map(|pid| p.read(pid, |v| v.bytes().to_vec()).unwrap())
+                .collect();
+            (io, pins, records, file.num_pages(), file.len(), pages)
+        };
+
+        let (pa, a) = setup();
+        let want = outcome(&pa, &a, &|| {
+            for r in &batch {
+                a.append(r).unwrap();
+            }
+        });
+        let (pb, b) = setup();
+        let pages_before = b.num_pages();
+        let got = outcome(&pb, &b, &|| b.append_all(&batch).unwrap());
+
+        prop_assert_eq!(&got.0, &want.0, "cold transfers");
+        prop_assert_eq!(&got.2, &want.2, "records and addresses");
+        prop_assert_eq!((got.3, got.4), (want.3, want.4), "pages and records");
+        prop_assert!(got.5 == want.5, "page bytes or chain differ");
+        let pins = got.1 .0 + got.1 .1;
+        let added = u64::from(b.num_pages() - pages_before);
+        prop_assert!(pins <= 1 + 3 * added, "{} pins for {} pages added", pins, added);
     }
 
     /// External sort equals std sort for any records and any work-memory

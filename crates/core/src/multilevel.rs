@@ -152,9 +152,11 @@ pub fn bfs_multilevel(
         // probes).
         let next = &levels[level + 1];
         let temp = HeapFile::temp(Arc::clone(next.pool()))?;
-        for oid in frontier.drain(..) {
-            temp.append(&Oid::new(PARENT_REL, oid.key).to_key_bytes())?;
-        }
+        let keys: Vec<_> = frontier
+            .drain(..)
+            .map(|oid| Oid::new(PARENT_REL, oid.key).to_key_bytes())
+            .collect();
+        temp.append_all(&keys)?;
         temp.flush()?;
         let sorted = external_sort(
             next.pool(),

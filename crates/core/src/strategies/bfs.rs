@@ -87,9 +87,8 @@ pub(crate) fn join_fetch(
     let temp = {
         let _phase = PhaseGuard::enter(Phase::TempBuild);
         let temp = HeapFile::temp(Arc::clone(db.pool()))?;
-        for oid in oids {
-            temp.append(&oid.to_key_bytes())?;
-        }
+        let keys: Vec<_> = oids.iter().map(Oid::to_key_bytes).collect();
+        temp.append_all(&keys)?;
         temp.flush()?;
         temp
     };

@@ -175,20 +175,9 @@ impl<'a> PageView<'a> {
         PAGE_SIZE - HEADER_SIZE - self.slot_count() as usize * SLOT_SIZE - live
     }
 
-    /// Would a record of `len` bytes fit (possibly after compaction),
-    /// assuming it needs a fresh slot?
-    pub fn fits(&self, len: usize) -> bool {
-        // A dead slot can be reused without growing the slot array.
-        let slot_cost = if self.first_dead_slot().is_some() {
-            0
-        } else {
-            SLOT_SIZE
-        };
-        self.total_free() >= len + slot_cost
-    }
-
-    fn first_dead_slot(&self) -> Option<SlotId> {
-        (0..self.slot_count())
+    /// The first dead slot at or after `from`.
+    fn dead_slot_from(&self, from: SlotId) -> Option<SlotId> {
+        (from..self.slot_count())
             .find(|&s| get_u16(self.data, HEADER_SIZE + s as usize * SLOT_SIZE) == DEAD)
     }
 }
@@ -241,36 +230,72 @@ impl<'a> PageMut<'a> {
     }
 
     /// Insert a record, compacting the page first if fragmentation requires
-    /// it. Returns the slot the record was placed in.
+    /// it. Returns the slot the record was placed in: the first dead slot,
+    /// or else a new one at the end of the slot array. This is the
+    /// one-record case of [`insert_many`](Self::insert_many).
+    #[inline]
     pub fn insert(&mut self, record: &[u8]) -> Result<SlotId, PageError> {
         if record.len() > MAX_RECORD {
             return Err(PageError::RecordTooLarge);
         }
-        if !self.view().fits(record.len()) {
-            return Err(PageError::PageFull);
-        }
-        let reuse = self.view().first_dead_slot();
-        let slot_cost = if reuse.is_some() { 0 } else { SLOT_SIZE };
-        if self.view().contiguous_free() < record.len() + slot_cost {
-            self.compact();
-        }
-        debug_assert!(self.view().contiguous_free() >= record.len() + slot_cost);
+        let mut slot = Err(PageError::PageFull);
+        self.insert_many(&[record], |s| slot = Ok(s));
+        slot
+    }
 
-        let slot = match reuse {
-            Some(s) => s,
-            None => {
-                let n = self.view().slot_count();
-                put_u16(self.data, 0, n + 1);
-                n
+    /// Insert records from the front of `records` while each one fits,
+    /// calling `placed` with each one's slot in order, and return how many
+    /// were placed.
+    ///
+    /// Each record goes to the slot and offset that one
+    /// [`insert`](Self::insert) per record would give it, and the page is
+    /// compacted at the same point, so the page bytes are identical. The
+    /// dead-slot scan and the free-space sum run once per call, not once
+    /// per record: inserts only fill dead slots, so the search for the
+    /// next one resumes after the last one filled, and each placement
+    /// takes its bytes off the running free total. A compaction leaves
+    /// no dead space, so it happens at most once per call. A record longer
+    /// than [`MAX_RECORD`] never fits, so it ends the batch.
+    pub fn insert_many<R: AsRef<[u8]>>(
+        &mut self,
+        records: &[R],
+        mut placed: impl FnMut(SlotId),
+    ) -> usize {
+        let mut dead = self.view().dead_slot_from(0);
+        let mut total_free = self.view().total_free();
+        for (done, record) in records.iter().enumerate() {
+            let record = record.as_ref();
+            // A dead slot can be reused without growing the slot array.
+            let need = record.len() + if dead.is_some() { 0 } else { SLOT_SIZE };
+            if need > total_free {
+                return done;
             }
-        };
-        let free_end = self.view().free_end() - record.len();
-        self.data[free_end..free_end + record.len()].copy_from_slice(record);
-        put_u16(self.data, 2, free_end as u16);
-        let at = HEADER_SIZE + slot as usize * SLOT_SIZE;
-        put_u16(self.data, at, free_end as u16);
-        put_u16(self.data, at + 2, record.len() as u16);
-        Ok(slot)
+            if self.view().contiguous_free() < need {
+                self.compact();
+            }
+            debug_assert!(self.view().contiguous_free() >= need);
+
+            let slot = match dead {
+                Some(s) => {
+                    dead = self.view().dead_slot_from(s + 1);
+                    s
+                }
+                None => {
+                    let n = self.view().slot_count();
+                    put_u16(self.data, 0, n + 1);
+                    n
+                }
+            };
+            let free_end = self.view().free_end() - record.len();
+            self.data[free_end..free_end + record.len()].copy_from_slice(record);
+            put_u16(self.data, 2, free_end as u16);
+            let at = HEADER_SIZE + slot as usize * SLOT_SIZE;
+            put_u16(self.data, at, free_end as u16);
+            put_u16(self.data, at + 2, record.len() as u16);
+            total_free -= need;
+            placed(slot);
+        }
+        records.len()
     }
 
     /// Delete the record in `slot`.

@@ -1,7 +1,11 @@
 //! Property tests for the page store: slotted pages against a vector
-//! model, the buffer pool against a write-through model.
+//! model and batch inserts against one insert per record, the buffer pool
+//! against a write-through model.
 
-use cor_pagestore::{BufferPool, IoStats, PageMut, PageView, ReplacementPolicy, SlotId, PAGE_SIZE};
+use cor_pagestore::{
+    BufferPool, IoStats, PageBuf, PageMut, PageView, ReplacementPolicy, SlotId, MAX_RECORD,
+    PAGE_SIZE,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,6 +24,29 @@ fn arb_page_op() -> impl Strategy<Value = PageOp> {
         1 => ((0usize..40), proptest::collection::vec(any::<u8>(), 0..300))
             .prop_map(|(i, d)| PageOp::Update(i, d)),
     ]
+}
+
+/// A page after `ops`: deletes leave dead slots, and deletes and growing
+/// updates leave the dead-record space that forces a compaction.
+fn shaped_page(ops: &[PageOp]) -> PageBuf {
+    let mut buf = [0u8; PAGE_SIZE];
+    let mut page = PageMut::new(&mut buf);
+    page.init();
+    let mut live: Vec<SlotId> = Vec::new();
+    for op in ops {
+        match op {
+            PageOp::Insert(data) => live.extend(page.insert(data).ok()),
+            PageOp::Delete(i) if !live.is_empty() => {
+                let slot = live.swap_remove(i % live.len());
+                page.delete(slot).unwrap();
+            }
+            PageOp::Update(i, data) if !live.is_empty() => {
+                let _ = page.update(live[i % live.len()], data);
+            }
+            _ => {}
+        }
+    }
+    buf
 }
 
 #[derive(Debug, Clone)]
@@ -85,6 +112,41 @@ proptest! {
         let seen: HashMap<SlotId, Vec<u8>> =
             page.view().records().map(|(s, r)| (s, r.to_vec())).collect();
         prop_assert_eq!(seen, model);
+    }
+
+    /// A batch insert is one insert per record up to the first that
+    /// fails: the same count, the same slots in the same order, and the
+    /// same 2,048 bytes, whatever dead slots and fragmentation the page
+    /// starts with and wherever in the batch a compaction falls.
+    #[test]
+    fn insert_many_equals_repeated_insert(
+        ops in proptest::collection::vec(arb_page_op(), 0..80),
+        records in proptest::collection::vec(
+            prop_oneof![
+                4 => proptest::collection::vec(any::<u8>(), 0..40),
+                1 => proptest::collection::vec(any::<u8>(), 0..MAX_RECORD + 9),
+            ],
+            0..60,
+        ),
+    ) {
+        let start = shaped_page(&ops);
+
+        let mut want = start;
+        let mut want_slots = Vec::new();
+        let mut page = PageMut::new(&mut want);
+        for r in &records {
+            match page.insert(r) {
+                Ok(slot) => want_slots.push(slot),
+                Err(_) => break,
+            }
+        }
+
+        let mut got = start;
+        let mut got_slots = Vec::new();
+        let placed = PageMut::new(&mut got).insert_many(&records, |slot| got_slots.push(slot));
+        prop_assert_eq!(placed, want_slots.len());
+        prop_assert_eq!(got_slots, want_slots);
+        prop_assert!(got[..] == want[..], "page bytes differ");
     }
 
     /// Compaction preserves all live records.

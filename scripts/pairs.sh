@@ -5,7 +5,7 @@
 # side goes first, and print medians, quartiles, pairs won and exact-count
 # equality.
 #
-#   scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10]
+#   scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10] [--traced]
 #
 # The parent is exported (`git archive`, so nothing is registered in .git
 # and a dirty tree cannot leak into it) to target/pairs/<sha>/ and built
@@ -14,11 +14,18 @@
 # kept in target/pairs/runs.jsonl. Reads BENCHMARK.json; edits nothing under
 # benchmark/. Needs python3 for the summary. All four workloads at the
 # defaults take about 15 minutes.
+#
+# --traced adds, after the pairs, one `--trace 1` run per side per
+# workload on seed 0xC0FFEE and prints the per-layer metrics side by side:
+# where a saving sits. Each side's harness binary runs from its own
+# directory under target/pairs/traced/, so its trace files and scratch
+# stores land there; the result lines go to target/pairs/traced.jsonl.
+# This adds about one minute per workload and side.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10]" >&2
+    echo "usage: scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10] [--traced]" >&2
     exit 2
 }
 
@@ -28,8 +35,10 @@ shift
 workloads=()
 pairs=10
 seconds=10
+traced=0
 while [ $# -gt 0 ]; do
     case $1 in
+    --traced) traced=1 && shift ;;
     --workload) workloads+=("${2:?--workload needs a name}") && shift 2 ;;
     --pairs) pairs=${2:?--pairs needs a count} && shift 2 ;;
     --seconds) seconds=${2:?--seconds needs a number} && shift 2 ;;
@@ -138,4 +147,53 @@ for workload, by_pair in runs.items():
         attempted = sum(p[side]["attempted"] for p in pairs)
         wrong = sum(not p[side]["correct"] for p in pairs)
         print(f"{side}: {failed} failed of {attempted} attempted, {wrong} runs with a wrong answer")
+EOF
+
+((traced)) || exit 0
+# One traced run per side and workload, each from its own directory (the
+# harness writes its trace and scratch files under ./benchmark/out).
+traced_runs=$change_dir/target/pairs/traced.jsonl
+: >"$traced_runs"
+seed=$((0xC0FFEE))
+for workload in "${workloads[@]}"; do
+    for side in parent change; do
+        echo "==> $workload traced, $side (seed $seed)" >&2
+        dir=$parent_dir
+        [ "$side" = change ] && dir=$change_dir
+        work=$change_dir/target/pairs/traced/$side
+        mkdir -p "$work"
+        result=$(cd "$work" && "$dir/benchmark/target/release/cor-benchmark" --workload "$workload" \
+            --seed "$seed" --seconds "$seconds" --trace 1 2>"$runs.stderr" | tail -n 1) || {
+            cat "$runs.stderr" >&2
+            exit 1
+        }
+        printf '{"workload": "%s", "side": "%s", "result": %s}\n' \
+            "$workload" "$side" "$result" >>"$traced_runs"
+    done
+done
+
+python3 - "$traced_runs" <<'EOF'
+import json, sys
+
+bench = json.load(open("BENCHMARK.json"))
+runs = {}  # workload -> side -> result
+for line in open(sys.argv[1]):
+    r = json.loads(line)
+    runs.setdefault(r["workload"], {})[r["side"]] = r["result"]
+
+def fmt(x):
+    return f"{x:.4g}"
+
+for workload, sides in runs.items():
+    print(f"\n## {workload}, traced (seed 0xC0FFEE, one run per side)")
+    print("| layer metric | parent | change | change/parent |")
+    print("|---|---|---|---|")
+    for m in bench["per_layer"]:
+        name = m["name"]
+        a, b = (sides[s]["metrics"][name]["value"] for s in ("parent", "change"))
+        ratio = fmt(b / a) if a else "-"
+        print(f"| {name} ({m['unit']}) | {fmt(a)} | {fmt(b)} | {ratio} |")
+    for side in ("parent", "change"):
+        r = sides[side]
+        print(f"{side}: {r['failed']} failed of {r['attempted']} attempted, correct: {r['correct']}")
 EOF

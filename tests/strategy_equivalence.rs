@@ -367,3 +367,44 @@ fn two_shard_pool_keeps_every_strategys_answers_and_page_counts() {
         }
     }
 }
+
+/// BFS forms its temporary a page at a time: a NumTop-200 retrieve on a
+/// 100-page pool re-pins a resident page fewer times than it returns
+/// values. Appending the temporary's 1,000 OIDs one record at a time pins
+/// the tail page once per OID, and this fails.
+#[test]
+fn bfs_temporary_is_not_pinned_once_per_record() {
+    let p = Params {
+        parent_card: 2000,
+        num_top: 200,
+        buffer_pages: 100,
+        sequence_len: 10,
+        pr_update: 0.0,
+        ..Params::paper_default()
+    };
+    let generated = generate(&p);
+    let query = generate_sequence(&p)
+        .into_iter()
+        .find_map(|q| match q {
+            Query::Retrieve(r) => Some(r),
+            _ => None,
+        })
+        .expect("a retrieve");
+    let engine = Engine::builder()
+        .metrics(true)
+        .build_workload(&p, &generated, Strategy::Bfs)
+        .unwrap();
+    let hits = || -> u64 {
+        let shards = engine.pool().telemetry().expect("telemetry-enabled pool");
+        shards.iter().map(|s| s.hits).sum()
+    };
+    let before = hits();
+    let values = engine.retrieve(Strategy::Bfs, &query).unwrap().values;
+    let hits = hits() - before;
+    assert_eq!(values.len(), 1000, "NumTop 200 x SizeUnit 5");
+    assert!(
+        hits < values.len() as u64,
+        "{hits} pool hits for {} values",
+        values.len()
+    );
+}
