@@ -82,8 +82,10 @@ pub enum Durability {
     /// Leave flushing to the OS page cache (the historical behaviour).
     #[default]
     OsCache,
-    /// `fdatasync` on every [`DiskManager::sync`] call, which the buffer
-    /// pool issues after `flush_all`/`flush_page` batches.
+    /// `fdatasync` on every [`DiskManager::sync`] call. The buffer pool
+    /// never makes that call (neither `flush_all` nor `flush_page` syncs
+    /// the store), so only a caller that syncs the disk itself gets the
+    /// fsync.
     Fsync,
 }
 

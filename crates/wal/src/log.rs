@@ -181,27 +181,39 @@ impl Wal {
     }
 
     /// Attach to a store that already holds records (e.g. after
-    /// recovery): scans for the highest LSN, continues numbering after
-    /// it, and rotates to a fresh segment so new records never share a
-    /// segment with a possibly-torn tail. The epoch's image map starts
-    /// empty, which is safe — it only means the first write to each page
-    /// logs a full image again.
+    /// recovery): scans for the highest LSN and continues numbering after
+    /// it. The active segment is first cut back to the end of its last
+    /// complete record, dropping a torn or zero-filled tail, so no new
+    /// record can land behind bytes recovery stops at. When that segment
+    /// still holds a record, the log then rotates to a fresh one, so
+    /// a segment with a torn past is never appended to; an empty one
+    /// takes the new records itself. The epoch's image map starts empty,
+    /// which is safe — it only means the first write to each page logs a
+    /// full image again.
     pub fn attach(store: Arc<dyn LogStore>, config: WalConfig) -> io::Result<Self> {
+        let segments = store.read_segments()?;
         let mut max_lsn = NO_LSN;
-        for seg in store.read_segments()? {
-            for rec in decode_stream(&seg).records {
+        let mut active = None;
+        for seg in &segments {
+            let decoded = decode_stream(seg);
+            for rec in &decoded.records {
                 max_lsn = max_lsn.max(rec.lsn);
             }
+            active = Some((seg.len(), decoded.consumed, !decoded.records.is_empty()));
         }
-        let wal = Self::new(Arc::clone(&store), config);
-        if max_lsn != NO_LSN {
-            {
-                let mut inner = wal.inner.lock();
-                inner.next_lsn = max_lsn + 1;
-                inner.appended_lsn = max_lsn;
-                inner.durable_lsn = max_lsn;
-            }
+        let (active_len, complete_len, active_has_records) = active.unwrap_or((0, 0, false));
+        if complete_len < active_len {
+            store.truncate_active(complete_len)?;
+        }
+        if active_has_records {
             store.rotate(max_lsn + 1)?;
+        }
+        let wal = Self::new(store, config);
+        if max_lsn != NO_LSN {
+            let mut inner = wal.inner.lock();
+            inner.next_lsn = max_lsn + 1;
+            inner.appended_lsn = max_lsn;
+            inner.durable_lsn = max_lsn;
         }
         Ok(wal)
     }
@@ -781,6 +793,9 @@ mod tests {
         }
         fn read_segments(&self) -> io::Result<Vec<Vec<u8>>> {
             self.inner.read_segments()
+        }
+        fn truncate_active(&self, len: usize) -> io::Result<()> {
+            self.inner.truncate_active(len)
         }
         fn segment_count(&self) -> usize {
             self.inner.segment_count()

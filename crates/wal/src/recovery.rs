@@ -6,6 +6,9 @@
 //!
 //! 1. **Analysis**: read every surviving segment, decode records until
 //!    the (expected) torn tail, and find the *last* checkpoint record.
+//!    Only nonzero bytes after the last complete record count as torn:
+//!    a file store's active segment is zero-filled ahead of its appends,
+//!    so after a crash it may end in zeros, which are fill, not damage.
 //!    The redo horizon is the checkpoint's recorded `redo_lsn` —
 //!    computed by the writer as `min(begin LSN, min recLSN)` with the
 //!    begin LSN captured *before* the dirty-page table, so page writes
@@ -39,7 +42,7 @@ pub enum RecoveryError {
     /// A non-final segment has a corrupt or truncated record stream.
     /// Only the *last* segment may legitimately end mid-record (the
     /// crash tore it); corruption earlier in the log is unrecoverable
-    /// with redo alone.
+    /// with redo alone. A tail of zeros is fill, never corruption.
     CorruptSegment {
         /// Index of the corrupt segment in log order.
         segment: usize,
@@ -95,7 +98,9 @@ pub struct RecoveryStats {
     /// Deltas skipped because the page already carried the record's
     /// effects (`page_lsn >= lsn`).
     pub deltas_skipped: u64,
-    /// Bytes dropped from the torn tail of the final segment.
+    /// Bytes dropped from the torn tail of the final segment: from the
+    /// end of its last complete record to its last nonzero byte (a zero
+    /// tail is fill, not a tear).
     pub tail_dropped_bytes: u64,
     /// Pages appended to the store because redo referenced pages beyond
     /// its end (allocations whose extension never made it to the store).
@@ -117,11 +122,12 @@ pub fn recover(
     let last = segments.len().saturating_sub(1);
     for (i, seg) in segments.iter().enumerate() {
         let decoded = decode_stream(seg);
-        if decoded.torn_tail {
+        let torn = torn_bytes(&seg[decoded.consumed..]);
+        if torn > 0 {
             if i != last {
                 return Err(RecoveryError::CorruptSegment { segment: i });
             }
-            stats.tail_dropped_bytes = (seg.len() - decoded.consumed) as u64;
+            stats.tail_dropped_bytes = torn as u64;
         }
         records.extend(decoded.records);
     }
@@ -170,6 +176,14 @@ pub fn recover(
         }
     }
     Ok(stats)
+}
+
+/// How many bytes of a segment's undecodable `tail` are torn: up to
+/// and including its last nonzero byte. Zeros after that are fill.
+fn torn_bytes(tail: &[u8]) -> usize {
+    tail.iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1)
 }
 
 /// Grow the store until `pid` is addressable (the crash may have lost
@@ -347,6 +361,54 @@ mod tests {
         assert!(stats.tail_dropped_bytes > 0);
         assert_eq!(stats.records_scanned, 1, "second record is gone");
         assert_eq!(page_bytes(&disk, 0), before_torn);
+    }
+
+    /// Attach cuts a torn tail off before it rotates past it. Left in
+    /// place, the tail would sit in a segment that is no longer the
+    /// newest, and the next recovery would refuse it as corrupt.
+    #[test]
+    fn a_log_torn_once_still_recovers_after_the_next_crash() {
+        let store = Arc::new(MemLogStore::new());
+        let wal = Wal::new(store.clone(), WalConfig::default());
+        let mut page = [0u8; PAGE_SIZE];
+        logged_write(&wal, &mut page, 0, |p| p[0] = 1); // image
+        let first = page;
+        logged_write(&wal, &mut page, 1, |p| p[1] = 2); // image, torn below
+        store.sync().unwrap();
+        store.crash_torn(100);
+        let stats = recover(&MemDisk::new(), store.as_ref()).unwrap();
+        assert_eq!(stats.records_scanned, 1);
+        assert!(stats.tail_dropped_bytes > 0);
+
+        let wal = Wal::attach(store.clone(), WalConfig::default()).unwrap();
+        let mut p2 = [0u8; PAGE_SIZE];
+        logged_write(&wal, &mut p2, 2, |p| p[2] = 3);
+        store.sync().unwrap();
+        store.crash();
+
+        let disk = MemDisk::new();
+        let stats = recover(&disk, store.as_ref()).expect("no segment is left torn");
+        assert_eq!(stats.records_scanned, 2);
+        assert_eq!(stats.tail_dropped_bytes, 0);
+        assert_eq!(page_bytes(&disk, 0), first);
+        assert_eq!(page_bytes(&disk, 2), p2, "the record logged after attach");
+    }
+
+    #[test]
+    fn a_zero_tail_is_fill_not_a_tear() {
+        let store = Arc::new(MemLogStore::new());
+        let wal = Wal::new(store.clone(), WalConfig::default());
+        let mut page = [0u8; PAGE_SIZE];
+        logged_write(&wal, &mut page, 0, |p| p[0] = 1);
+        store.append(&[0; 100]).unwrap();
+        store.rotate(99).unwrap(); // zeros end a non-final segment too
+        store.append(&[0; 7]).unwrap();
+        let stats = recover(&MemDisk::new(), store.as_ref()).unwrap();
+        assert_eq!((stats.records_scanned, stats.tail_dropped_bytes), (1, 0));
+        // Torn bytes count up to the last nonzero one only.
+        store.append(&[0, 5, 0, 0]).unwrap();
+        let stats = recover(&MemDisk::new(), store.as_ref()).unwrap();
+        assert_eq!(stats.tail_dropped_bytes, 9);
     }
 
     #[test]

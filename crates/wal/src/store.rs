@@ -11,11 +11,16 @@
 //! [`sync`](LogStore::sync) advances the durable watermark, and
 //! [`crash`](MemLogStore::crash) discards everything above it — exactly
 //! what a power failure does to an OS page cache. [`FileLogStore`] is
-//! the real thing: one file per segment, `fdatasync` on sync.
+//! the real thing: one file per segment, `fdatasync` on sync. Its active
+//! segment is zero-filled ahead of the write position in 256 KiB steps,
+//! so an append overwrites blocks the file already has and a sync
+//! flushes data without committing a new file size; a closed segment
+//! holds exactly its appended bytes.
 
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use cor_pagestore::wal::Lsn;
@@ -45,6 +50,12 @@ pub trait LogStore: Send + Sync {
     /// what the kernel already wrote out — [`MemLogStore`] models the
     /// worst case after [`crash`](MemLogStore::crash)).
     fn read_segments(&self) -> io::Result<Vec<Vec<u8>>>;
+
+    /// Cut the active segment back to its first `len` bytes (no-op when
+    /// it is not longer), durably, so the next append lands right after
+    /// them. The [`Wal`](crate::Wal) calls this on attach with the end of
+    /// the segment's last complete record, dropping a torn or zero tail.
+    fn truncate_active(&self, len: usize) -> io::Result<()>;
 
     /// Number of live segments.
     fn segment_count(&self) -> usize;
@@ -167,6 +178,14 @@ impl LogStore for MemLogStore {
             .collect())
     }
 
+    fn truncate_active(&self, len: usize) -> io::Result<()> {
+        let mut segs = self.segments.lock();
+        let active = segs.last_mut().expect("store always has an active segment");
+        active.data.truncate(len);
+        active.durable_len = active.durable_len.min(len);
+        Ok(())
+    }
+
     fn segment_count(&self) -> usize {
         self.segments.lock().len()
     }
@@ -176,14 +195,48 @@ impl LogStore for MemLogStore {
     }
 }
 
+/// How far ahead of the write position [`FileLogStore`] zero-fills its
+/// active segment: the file grows one step at a time, so only the sync
+/// after a step boundary commits a new file size.
+const ZERO_FILL_STEP: usize = 256 << 10;
+
+/// The zero-fill source: static, so a fill step allocates nothing.
+static ZEROS: [u8; ZERO_FILL_STEP] = [0; ZERO_FILL_STEP];
+
 struct FileLogInner {
     /// `(first_lsn, path)` in log order; the last entry is active.
     segments: Vec<(Lsn, PathBuf)>,
     active: File,
+    /// Where the next appended byte goes in the active segment: the end
+    /// of its appended bytes.
+    pos: u64,
+    /// Where the active segment's zero-filled space ends (`>= pos`):
+    /// the file's length.
+    zeroed: u64,
+}
+
+impl FileLogInner {
+    /// Cut the active segment to `pos` and make that durable: the file
+    /// then holds exactly its appended bytes.
+    fn seal_active(&mut self) -> io::Result<()> {
+        self.active.set_len(self.pos)?;
+        self.zeroed = self.pos;
+        self.active.sync_data()
+    }
 }
 
 /// File-backed log store: one `wal-{first_lsn:010}.seg` file per segment
 /// under a directory, `fdatasync` on [`sync`](LogStore::sync).
+///
+/// Appends are positioned writes into the active segment, which is
+/// zero-filled 256 KiB at a time ahead of them: between fill steps an
+/// append changes no file size, so the `fdatasync` of a group commit
+/// flushes data blocks only. [`rotate`](LogStore::rotate)
+/// and `Drop` cut the segment back to its appended bytes, so a closed
+/// segment is exact. After a crash the active segment may end in zeros
+/// (or a torn record followed by zeros); recovery does not count zeros as
+/// torn, and [`Wal::attach`](crate::Wal::attach) cuts them off through
+/// [`truncate_active`](LogStore::truncate_active).
 pub struct FileLogStore {
     dir: PathBuf,
     inner: Mutex<FileLogInner>,
@@ -191,8 +244,8 @@ pub struct FileLogStore {
 
 impl FileLogStore {
     /// Open (or create) the log directory. Existing `wal-*.seg` files
-    /// are adopted in name order and appending continues into the last
-    /// one; an empty directory starts a segment with first LSN 1.
+    /// are adopted in name order and appending continues at the end of
+    /// the last one; an empty directory starts a segment with first LSN 1.
     pub fn open(dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let mut segments: Vec<(Lsn, PathBuf)> = Vec::new();
@@ -212,22 +265,36 @@ impl FileLogStore {
             segments.push((1, Self::segment_path(dir, 1)));
         }
         let (_, active_path) = segments.last().expect("at least one segment");
-        let active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(active_path)?;
+        let active = Self::open_segment(active_path)?;
+        let len = active.metadata()?.len();
         // The open may have created the directory and/or the first
         // segment file; pin both entries down before any append is
         // acknowledged against this store.
         Self::sync_dir(dir)?;
         Ok(FileLogStore {
             dir: dir.to_path_buf(),
-            inner: Mutex::new(FileLogInner { segments, active }),
+            inner: Mutex::new(FileLogInner {
+                segments,
+                active,
+                pos: len,
+                zeroed: len,
+            }),
         })
     }
 
     fn segment_path(dir: &Path, first_lsn: Lsn) -> PathBuf {
         dir.join(format!("wal-{first_lsn:010}.seg"))
+    }
+
+    /// Open a segment for positioned reads and writes (no `O_APPEND`),
+    /// creating it when missing.
+    fn open_segment(path: &Path) -> io::Result<File> {
+        OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
     }
 
     /// Fsync the log directory itself. `fdatasync` on a segment file
@@ -242,7 +309,24 @@ impl FileLogStore {
 
 impl LogStore for FileLogStore {
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        self.inner.lock().active.write_all(bytes)
+        let mut inner = self.inner.lock();
+        let end = inner.pos + bytes.len() as u64;
+        if end > inner.zeroed {
+            // Grow the file by whole steps of zeros before the record
+            // lands, so the syncs until the next step see no size change.
+            let step = ZERO_FILL_STEP as u64;
+            let target = end.div_ceil(step) * step;
+            while inner.zeroed < target {
+                let n = (target - inner.zeroed).min(step);
+                inner
+                    .active
+                    .write_all_at(&ZEROS[..n as usize], inner.zeroed)?;
+                inner.zeroed += n;
+            }
+        }
+        inner.active.write_all_at(bytes, inner.pos)?;
+        inner.pos = end;
+        Ok(())
     }
 
     fn sync(&self) -> io::Result<()> {
@@ -251,14 +335,17 @@ impl LogStore for FileLogStore {
 
     fn rotate(&self, first_lsn: Lsn) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        // The closed segment must be fully on disk before we move on.
-        inner.active.sync_data()?;
+        // The closed segment must be exact and fully on disk before we
+        // move on.
+        inner.seal_active()?;
         let path = Self::segment_path(&self.dir, first_lsn);
-        inner.active = OpenOptions::new().create(true).append(true).open(&path)?;
+        inner.active = Self::open_segment(&path)?;
         // Make the new segment's directory entry durable: a synced
         // segment that is missing from the directory after power loss
         // silently truncates the log.
         Self::sync_dir(&self.dir)?;
+        inner.pos = 0;
+        inner.zeroed = 0;
         inner.segments.push((first_lsn, path));
         Ok(())
     }
@@ -282,15 +369,25 @@ impl LogStore for FileLogStore {
 
     fn read_segments(&self) -> io::Result<Vec<Vec<u8>>> {
         let inner = self.inner.lock();
-        inner
-            .segments
+        let (_, closed) = inner.segments.split_last().expect("at least one segment");
+        let mut segs = closed
             .iter()
-            .map(|(_, path)| {
-                let mut buf = Vec::new();
-                File::open(path)?.read_to_end(&mut buf)?;
-                Ok(buf)
-            })
-            .collect()
+            .map(|(_, path)| std::fs::read(path))
+            .collect::<io::Result<Vec<_>>>()?;
+        // The active segment only up to `pos`: the zeros past it are fill.
+        let mut active = vec![0; inner.pos as usize];
+        inner.active.read_exact_at(&mut active, 0)?;
+        segs.push(active);
+        Ok(segs)
+    }
+
+    fn truncate_active(&self, len: usize) -> io::Result<()> {
+        let mut inner = self.inner.lock();
+        if (len as u64) < inner.pos {
+            inner.pos = len as u64;
+            inner.seal_active()?;
+        }
+        Ok(())
     }
 
     fn segment_count(&self) -> usize {
@@ -299,6 +396,15 @@ impl LogStore for FileLogStore {
 
     fn describe(&self) -> String {
         self.dir.display().to_string()
+    }
+}
+
+impl Drop for FileLogStore {
+    /// Best effort: cut the zero fill off the active segment, so a
+    /// cleanly closed segment holds exactly its appended bytes.
+    fn drop(&mut self) {
+        let inner = self.inner.get_mut();
+        let _ = inner.active.set_len(inner.pos);
     }
 }
 
@@ -362,6 +468,67 @@ mod tests {
         // Appends continue into the last segment.
         store.append(b"-more").unwrap();
         assert_eq!(store.read_segments().unwrap()[1], b"two-more".to_vec());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The segment files under `dir`, in log order.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn file_store_appends_change_no_file_size_within_a_fill_step() {
+        let dir = std::env::temp_dir().join(format!("cor-walfill-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = FileLogStore::open(&dir).unwrap();
+        let active_len = || {
+            let active = segment_files(&dir).pop().unwrap();
+            std::fs::metadata(active).unwrap().len()
+        };
+        store.append(&[1; 100]).unwrap();
+        assert_eq!(active_len(), ZERO_FILL_STEP as u64, "one step of fill");
+        let mut appended = 100;
+        while appended + 4_000 <= ZERO_FILL_STEP {
+            store.append(&[2; 4_000]).unwrap();
+            store.sync().unwrap();
+            appended += 4_000;
+            assert_eq!(active_len(), ZERO_FILL_STEP as u64);
+        }
+        store.append(&[3; 4_000]).unwrap();
+        assert_eq!(active_len(), 2 * ZERO_FILL_STEP as u64, "the next step");
+        appended += 4_000;
+        // A rotated segment holds exactly its bytes; so does a closed one.
+        store.rotate(50).unwrap();
+        let first = segment_files(&dir)[0].clone();
+        assert_eq!(std::fs::metadata(&first).unwrap().len(), appended as u64);
+        store.append(b"tail").unwrap();
+        assert_eq!(active_len(), ZERO_FILL_STEP as u64);
+        drop(store);
+        let active = segment_files(&dir).pop().unwrap();
+        assert_eq!(std::fs::read(active).unwrap(), b"tail");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncate_active_cuts_the_tail_and_appends_after_it() {
+        let dir = std::env::temp_dir().join(format!("cor-waltrunc-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let file = FileLogStore::open(&dir).unwrap();
+        let mem = MemLogStore::new();
+        for store in [&file as &dyn LogStore, &mem] {
+            store.append(b"keep-cut").unwrap();
+            store.sync().unwrap();
+            store.truncate_active(4).unwrap();
+            store.truncate_active(100).unwrap(); // not longer: no-op
+            store.append(b"!").unwrap();
+            assert_eq!(store.read_segments().unwrap(), vec![b"keep!".to_vec()]);
+        }
+        drop(file);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1830,6 +1830,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A crash on real files: the engine is forgotten, so nothing closes
+    /// it, and its log segment keeps the zero fill past its last record.
+    /// Twice, so the second open recovers over a log the first one
+    /// attached to.
+    #[test]
+    fn crash_and_reopen_on_a_real_path() {
+        let p = tiny();
+        let generated = generate(&p);
+        let dir = std::env::temp_dir().join(format!("cor-engine-crash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let q = RetrieveQuery {
+            lo: 0,
+            hi: 9,
+            attr: RetAttr::Ret1,
+        };
+        let subs = &generated.spec.child_rels[0];
+        let update = |engine: &Engine, i: usize| {
+            engine
+                .update(&UpdateQuery {
+                    targets: vec![subs[i].oid],
+                    new_ret1: 3000 + i as i64,
+                })
+                .unwrap();
+        };
+        let engine = Engine::builder()
+            .pool_pages(16)
+            .create(&dir, &EngineSpec::Standard(generated.spec.clone()))
+            .unwrap();
+        update(&engine, 0);
+        update(&engine, 1);
+        let expected = sorted_values(&engine, &q);
+        std::mem::forget(engine); // no close, no truncation: a crash
+
+        let reopened = Engine::builder().open(&dir).unwrap();
+        assert_eq!(sorted_values(&reopened, &q), expected);
+        update(&reopened, 2);
+        let expected = sorted_values(&reopened, &q);
+        assert!(expected.contains(&3002));
+        std::mem::forget(reopened);
+
+        let reopened = Engine::builder().open(&dir).unwrap();
+        assert_eq!(sorted_values(&reopened, &q), expected);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn levels_engine_answers_multidot() {
         use crate::hierarchy::{generate_hierarchy_specs, HierarchyParams};

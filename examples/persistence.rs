@@ -24,7 +24,8 @@ fn sorted_answer(engine: &Engine, query: &RetrieveQuery) -> Vec<i64> {
 }
 
 fn main() {
-    let dir = std::env::temp_dir().join("cor-persistence-example");
+    // One directory per process, so two runs at once cannot collide.
+    let dir = std::env::temp_dir().join(format!("cor-persistence-example-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
     // A 1/20-scale paper database: 500 objects over 500 shared subobjects.

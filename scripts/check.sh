@@ -8,8 +8,9 @@
 # one gate per question: explain (phase attribution and cost model), the
 # replay of the committed explain capture (did any query's I/O move),
 # figs.sh (the figure fixed point, scaled and paper-scale; its Ablation 3
-# runs Figs 5 and 7 under LRU and SIEVE) and crashtest (raw and
-# --logical). The test suite carries the exact-I/O pins no figure covers
+# runs Figs 5 and 7 under LRU and SIEVE), crashtest (raw and
+# --logical) and the persistence example (create, update, close and
+# reopen over real files: FileDisk and FileLogStore). The test suite carries the exact-I/O pins no figure covers
 # (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
 # policies) and the observability invariants (metrics reports for every
 # strategy, the phase ledger against the pool's I/O counts). CI runs
@@ -58,6 +59,9 @@ cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 
 echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers; BFS leg crashes under a live temporary)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
+
+echo "==> persistence smoke (real-filesystem durability: create, update, close, reopen over FileDisk + FileLogStore)"
+cargo run -q --release --example persistence
 
 echo "==> tree unchanged (git status --porcelain before vs after)"
 if [[ "$(git status --porcelain)" != "$tree_before" ]]; then
