@@ -756,8 +756,7 @@ impl CorDatabase {
     pub fn parents_in_range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<Oid>)>, CorError> {
         let mut out = Vec::new();
         let mut push = |key: u64, rec: &[u8]| -> Result<(), CorError> {
-            let children = parent_children(rec)?;
-            out.push((key, children));
+            out.push((key, parent_children(rec)?.collect()));
             Ok(())
         };
         match &self.storage {

@@ -117,11 +117,16 @@ pub fn fetch_ret(db: &CorDatabase, oid: Oid, attr: RetAttr) -> Result<i64, CorEr
         .ok_or(CorError::DanglingOid(oid))
 }
 
-/// Read the `children` OID list of an encoded ParentRel record without a
-/// full decode — no `dummy` string, no `Vec<Value>`. The record layout is
-/// `oid (10 B) | ret1 | ret2 | ret3 | dummy | children | cached`, the last
-/// three length-prefixed (`u16`, little-endian).
-pub fn parent_children(record: &[u8]) -> Result<Vec<Oid>, CodecError> {
+/// Iterate the `children` OID list of an encoded ParentRel record without
+/// a full decode — no `dummy` string, no `Vec<Value>`, no list copied
+/// out. The record layout is `oid (10 B) | ret1 | ret2 | ret3 | dummy |
+/// children | cached`, the last three length-prefixed (`u16`,
+/// little-endian). Both lengths are checked before the first OID is
+/// yielded, so a record cut anywhere in the list is
+/// [`CodecError::Truncated`], never a short list.
+pub fn parent_children(
+    record: &[u8],
+) -> Result<impl ExactSizeIterator<Item = Oid> + '_, CodecError> {
     let u16_at = |at: usize| {
         let b = record.get(at..at + 2).ok_or(CodecError::Truncated)?;
         Ok(usize::from(u16::from_le_bytes([b[0], b[1]])))
@@ -132,8 +137,7 @@ pub fn parent_children(record: &[u8]) -> Result<Vec<Oid>, CodecError> {
     let list = record.get(list).ok_or(CodecError::Truncated)?;
     Ok(list
         .chunks_exact(OID_BYTES)
-        .map(|c| Oid::from_key_bytes(c).expect("OID_BYTES-long chunk"))
-        .collect())
+        .map(|c| Oid::from_key_bytes(c).expect("OID_BYTES-long chunk")))
 }
 
 /// Apply an update query. Modifies each target subobject in place and, when
@@ -216,10 +220,9 @@ mod tests {
                     ]);
                     let rec = encode(&parent_schema(), &t).unwrap();
                     let full = decode(&parent_schema(), &rec).unwrap();
-                    assert_eq!(
-                        parent_children(&rec).unwrap(),
-                        full.get(5).as_oid_list().unwrap()
-                    );
+                    let list = parent_children(&rec).unwrap();
+                    assert_eq!(list.len(), children.len());
+                    assert_eq!(list.collect::<Vec<_>>(), full.get(5).as_oid_list().unwrap());
                 }
             }
         }
@@ -244,8 +247,8 @@ mod tests {
         // Every cut that loses part of the children list is `Truncated`.
         for len in 0..rec.len() - cached_prefix {
             assert_eq!(
-                parent_children(&rec[..len]),
-                Err(CodecError::Truncated),
+                parent_children(&rec[..len]).err(),
+                Some(CodecError::Truncated),
                 "cut at {len}"
             );
         }

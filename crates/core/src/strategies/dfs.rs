@@ -17,7 +17,7 @@ pub fn dfs(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutput, Co
     let parents = db.parents_in_range(query.lo, query.hi)?;
     let s1 = stats.snapshot();
 
-    let mut values = Vec::new();
+    let mut values = Vec::with_capacity(parents.iter().map(|(_, c)| c.len()).sum());
     for (_key, children) in &parents {
         for &oid in children {
             values.push(fetch_ret(db, oid, query.attr)?);

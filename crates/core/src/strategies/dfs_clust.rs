@@ -8,10 +8,12 @@
 //! That single scan returns the objects **and** every subobject clustered
 //! with them — which is why the paper's `ParCost` *rises* as clustering
 //! improves (more subobjects interleaved between consecutive objects) while
-//! `ChildCost` falls (Fig. 5a). Subobjects clustered elsewhere cost one
-//! ISAM probe plus a ClusterRel access each; with `OverlapFactor > 1` a
-//! unit's subobjects scatter across many foreign clusters and these random
-//! accesses dominate (Fig. 7).
+//! `ChildCost` falls (Fig. 5a). A subobject clustered elsewhere costs one
+//! ISAM probe plus one visit of the ClusterRel leaf holding it, and that
+//! visit answers every referenced subobject on the same leaf, so a later
+//! reference to a co-located subobject costs nothing more. With
+//! `OverlapFactor > 1` a unit's subobjects scatter across many foreign
+//! clusters and these random accesses dominate (Fig. 7).
 
 use crate::database::{cluster_key, parse_cluster_key, CorDatabase};
 use crate::query::{extract_ret, parent_children, RetrieveQuery, StrategyOutput};
@@ -26,36 +28,48 @@ pub fn dfs_clust(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutp
     let s0 = stats.snapshot();
 
     // One range scan picks up the qualifying objects and their physically
-    // clustered subobjects together.
+    // clustered subobjects together. Records are read under the page pin:
+    // the objects' child lists go into one flat reference list in answer
+    // order, and each subobject keeps only the projected attribute.
     let lo_k = cluster_key(query.lo, false, Oid::new(0, 0));
     let hi_k = cluster_key(query.hi, true, Oid::new(u16::MAX, u64::MAX));
-    let mut parents: Vec<(u64, Vec<Oid>)> = Vec::new();
-    // Every subobject seen so far — by the scan or on a harvested foreign
-    // leaf — keeps only the projected attribute, read under the page pin:
-    // no record is copied out.
-    let mut harvested: OidMap<i64> = OidMap::default();
+    let mut refs: Vec<Oid> = Vec::new();
+    let mut scanned: Vec<(Oid, i64)> = Vec::new();
     // The whole range scan — objects and co-clustered subobjects alike —
     // is one physical cluster traversal.
     let _scan_phase = PhaseGuard::enter(Phase::ClusterScan);
     cluster.visit_range(&lo_k, &hi_k, |k, rec| {
         let (_, is_child, oid) = parse_cluster_key(k)?;
         if is_child {
-            harvested.insert(oid, extract_ret(rec, query.attr)?);
+            scanned.push((oid, extract_ret(rec, query.attr)?));
         } else {
-            let children = parent_children(rec)?;
-            parents.push((oid.key, children));
+            refs.extend(parent_children(rec)?);
         }
         Ok::<(), CorError>(())
     })?;
     let s1 = stats.snapshot();
 
-    let mut values = Vec::new();
-    for (_key, children) in &parents {
-        for &oid in children {
-            if let Some(&v) = harvested.get(&oid) {
-                values.push(v);
-                continue;
-            }
+    // One slot per distinct referenced subobject, filled by the scan or
+    // by a harvested foreign leaf. Only referenced subobjects are ever
+    // looked up, so a subobject nobody references needs no slot.
+    let mut slot_of: OidMap<u32> = OidMap::with_capacity_and_hasher(refs.len(), Default::default());
+    let ref_slots: Vec<u32> = refs
+        .iter()
+        .map(|&oid| {
+            let next = slot_of.len() as u32;
+            *slot_of.entry(oid).or_insert(next)
+        })
+        .collect();
+    let mut found: Vec<Option<i64>> = vec![None; slot_of.len()];
+    for (oid, v) in scanned {
+        if let Some(&s) = slot_of.get(&oid) {
+            found[s as usize] = Some(v);
+        }
+    }
+
+    let mut values = Vec::with_capacity(refs.len());
+    for (&oid, &s) in refs.iter().zip(&ref_slots) {
+        if found[s as usize].is_none() {
             // Clustered with a parent outside the scanned range: random
             // access through the OID index, whose TID-style payload points
             // straight at the leaf page. The fetched page holds the rest
@@ -63,14 +77,17 @@ pub fn dfs_clust(db: &CorDatabase, query: &RetrieveQuery) -> Result<StrategyOutp
             // Sec. 3.3 case-[2] behaviour ("their subobjects are still
             // physically clustered, albeit elsewhere, and can be fetched
             // in one random access") — so a later reference to any child
-            // on that page is answered from the map with no further probe.
+            // on that page is answered from its slot with no further
+            // probe.
             db.visit_child_page(oid, |child, rec| {
-                harvested.insert(child, extract_ret(rec, query.attr)?);
+                let v = extract_ret(rec, query.attr)?;
+                if let Some(&t) = slot_of.get(&child) {
+                    found[t as usize] = Some(v);
+                }
                 Ok(())
             })?;
-            let v = harvested.get(&oid).ok_or(CorError::DanglingOid(oid))?;
-            values.push(*v);
         }
+        values.push(found[s as usize].ok_or(CorError::DanglingOid(oid))?);
     }
     let s2 = stats.snapshot();
 

@@ -306,7 +306,7 @@ impl BufferPool {
     }
 
     /// Index of the stripe a page id is homed to.
-    fn shard_index_of(&self, pid: PageId) -> usize {
+    pub(crate) fn shard_index_of(&self, pid: PageId) -> usize {
         let n = self.shards.len();
         if n == 1 {
             0

@@ -28,6 +28,7 @@ use crate::wal::{Lsn, WalHook, NO_LSN};
 use cor_obs::flight;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -39,6 +40,42 @@ const FRAME_STALL_RETRIES: usize = 20;
 /// Sleep between victim re-checks; total stall budget before failing is
 /// `FRAME_STALL_RETRIES * FRAME_STALL_SLEEP` (~1 ms) plus scheduling.
 const FRAME_STALL_SLEEP: Duration = Duration::from_micros(50);
+
+/// A multiply-rotate [`Hasher`] for the page table: one multiply per
+/// lookup instead of SipHash's rounds, in the shape of
+/// `cor_relational::OidHasher`. Page ids are minted by the pool itself,
+/// never taken from outside input, so SipHash's resistance to crafted
+/// collisions buys nothing here, while every pin hit pays one lookup and
+/// every miss a lookup, a removal and an insertion.
+///
+/// The hasher is fixed, not seeded per process, so the page table's
+/// iteration order — the order [`Shard::flush_all`] writes pages back
+/// in — is the same in every process. `dirty_page_table` still sorts.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Page id -> frame index under [`PageIdHasher`].
+type PageTable = HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>;
 
 pub(crate) struct FrameData {
     pub(crate) page_id: PageId,
@@ -80,7 +117,7 @@ pub(crate) struct Frame {
 
 struct ShardInner {
     /// page id -> frame index, for pages resident in this shard.
-    page_table: HashMap<PageId, usize>,
+    page_table: PageTable,
     /// Freed pages homed to this shard, available for reuse.
     free_list: Vec<PageId>,
     /// Recency state for this shard's frames.
@@ -115,7 +152,7 @@ impl Shard {
         Shard {
             frames,
             inner: Mutex::new(ShardInner {
-                page_table: HashMap::new(),
+                page_table: PageTable::default(),
                 free_list: Vec::new(),
                 repl: ReplacementState::new(capacity),
             }),
@@ -411,5 +448,48 @@ impl Shard {
     /// Number of pages resident in this shard.
     pub(crate) fn resident_pages(&self) -> usize {
         self.inner.lock().page_table.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::BufferPool;
+    use std::hash::BuildHasher;
+
+    #[test]
+    fn page_table_behaves_like_a_map_and_spreads_dense_and_striped_ids() {
+        let mut t = PageTable::default();
+        for pid in 0..10_000 {
+            t.insert(pid, pid as usize * 3);
+        }
+        assert_eq!(t.len(), 10_000);
+        assert_eq!(t.get(&9_999), Some(&29_997));
+        assert_eq!(t.get(&10_000), None);
+        assert_eq!(t.remove(&17), Some(51));
+        assert_eq!(t.get(&17), None);
+
+        // The pool mints page ids densely, and a 4-shard pool homes a
+        // scattered quarter of them to each stripe. hashbrown buckets by
+        // the low bits and tags by the top seven: neither id set may
+        // collapse onto a few values of either.
+        let pool = BufferPool::builder().capacity(4).shards(4).build();
+        let dense: Vec<PageId> = (0..1024).collect();
+        let striped: Vec<PageId> = (0..)
+            .filter(|&pid| pool.shard_index_of(pid) == 1)
+            .take(1024)
+            .collect();
+        let h = BuildHasherDefault::<PageIdHasher>::default();
+        for (name, ids) in [("dense", dense), ("striped", striped)] {
+            let hashes: Vec<u64> = ids.iter().map(|&pid| h.hash_one(pid)).collect();
+            let distinct = |f: fn(u64) -> u64| {
+                let mut v: Vec<u64> = hashes.iter().map(|&x| f(x)).collect();
+                v.sort_unstable();
+                v.dedup();
+                v.len()
+            };
+            assert!(distinct(|x| x & 0x3ff) > 512, "{name}: low bits spread");
+            assert!(distinct(|x| x >> 57) > 100, "{name}: top bits spread");
+        }
     }
 }

@@ -9,8 +9,11 @@
 # replay of the committed explain capture (did any query's I/O move),
 # figs.sh (the figure fixed point, scaled and paper-scale; its Ablation 3
 # runs Figs 5 and 7 under LRU and SIEVE), crashtest (raw and
-# --logical) and the persistence example (create, update, close and
-# reopen over real files: FileDisk and FileLogStore). The test suite carries the exact-I/O pins no figure covers
+# --logical), the persistence example (create, update, close and
+# reopen over real files: FileDisk and FileLogStore) and the quickstart
+# example against its committed output (results/quickstart.txt: every
+# strategy's cold ParCost/ChildCost on one query, DFSCLUST's among them,
+# on a path no figure runs). The test suite carries the exact-I/O pins no figure covers
 # (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
 # policies) and the observability invariants (metrics reports for every
 # strategy, the phase ledger against the pool's I/O counts). CI runs
@@ -62,6 +65,9 @@ cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
 
 echo "==> persistence smoke (real-filesystem durability: create, update, close, reopen over FileDisk + FileLogStore)"
 cargo run -q --release --example persistence
+
+echo "==> quickstart (every strategy's cold page counts and answer sizes against results/quickstart.txt)"
+cargo run -q --release --example quickstart | diff -u results/quickstart.txt -
 
 echo "==> tree unchanged (git status --porcelain before vs after)"
 if [[ "$(git status --porcelain)" != "$tree_before" ]]; then

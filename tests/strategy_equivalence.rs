@@ -7,10 +7,20 @@
 //! DFSCACHE, DFSCLUST and SMART return the same multiset of attribute
 //! values, and BFSNODUP returns the deduplicated multiset.
 
-use complexobj::strategies::execute_retrieve;
-use complexobj::{ExecOptions, Query, RetAttr, RetrieveQuery, Strategy};
-use cor_pagestore::ReplacementPolicy;
+use complexobj::database::{cluster_key, decode_cluster_key};
+use complexobj::query::{extract_ret, parent_children};
+use complexobj::strategies::{dfs_clust, execute_retrieve};
+use complexobj::{
+    ClusterAssignment, CorDatabase, CorError, ExecOptions, Query, RetAttr, RetrieveQuery, Strategy,
+    StrategyOutput,
+};
+use cor_pagestore::{BufferPool, ReplacementPolicy};
+use cor_relational::{Oid, OidMap};
 use cor_workload::{build_for_strategy, generate, generate_sequence, Engine, GeneratedDb, Params};
+use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
 
 fn tiny_params(use_factor: u32, overlap_factor: u32, num_child_rels: usize) -> Params {
     Params {
@@ -407,4 +417,117 @@ fn bfs_temporary_is_not_pinned_once_per_record() {
         "{hits} pool hits for {} values",
         values.len()
     );
+}
+
+/// DFSCLUST as it ran before its foreign-page harvest kept only the
+/// referenced subobjects: every subobject the scan or a harvested leaf
+/// shows goes into one growing map, and a reference probes the OID index
+/// exactly when the map lacks it. The model for
+/// `dfsclust_keeps_its_harvest_loops_answers_and_pins`.
+fn harvest_every_child(db: &CorDatabase, query: &RetrieveQuery) -> StrategyOutput {
+    let (cluster, _) = db.cluster().unwrap();
+    let stats = db.pool().stats().clone();
+    let s0 = stats.snapshot();
+    let lo_k = cluster_key(query.lo, false, Oid::new(0, 0));
+    let hi_k = cluster_key(query.hi, true, Oid::new(u16::MAX, u64::MAX));
+    let mut parents: Vec<Vec<Oid>> = Vec::new();
+    let mut harvested: OidMap<i64> = OidMap::default();
+    cluster
+        .visit_range(&lo_k, &hi_k, |k, rec| {
+            let (_, is_child, oid) = decode_cluster_key(k).expect("a ClusterRel key");
+            if is_child {
+                harvested.insert(oid, extract_ret(rec, query.attr)?);
+            } else {
+                parents.push(parent_children(rec)?.collect());
+            }
+            Ok::<(), CorError>(())
+        })
+        .unwrap();
+    let s1 = stats.snapshot();
+    let mut values = Vec::new();
+    for &oid in parents.iter().flatten() {
+        if !harvested.contains_key(&oid) {
+            db.visit_child_page(oid, |child, rec| {
+                harvested.insert(child, extract_ret(rec, query.attr)?);
+                Ok(())
+            })
+            .unwrap();
+        }
+        values.push(harvested[&oid]);
+    }
+    StrategyOutput {
+        values,
+        par_io: s1.since(&s0),
+        child_io: stats.snapshot().since(&s1),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// DFSCLUST returns the harvest loop's answers with its page counts
+    /// and its pool pins, query by query from a cold pool, on random
+    /// databases (UseFactor 1-5, OverlapFactor 1-3), random clusterings
+    /// and small pools under both replacement policies: reading the
+    /// answer by slot may not change which probes run.
+    #[test]
+    fn dfsclust_keeps_its_harvest_loops_answers_and_pins(
+        factors in (1u32..=5, 1u32..=3, 0u64..8),
+        assignment_seed in any::<u64>(),
+        frames in 4usize..=64,
+        sieve in any::<bool>(),
+        queries in proptest::collection::vec((0u64..200, 1u64..=40, 0usize..3), 1..5),
+    ) {
+        let (use_factor, overlap_factor, seed) = factors;
+        let p = Params {
+            parent_card: 200,
+            use_factor,
+            overlap_factor,
+            seed: 0xD1CE + seed,
+            ..Params::paper_default()
+        };
+        let generated = generate(&p);
+        let parents: Vec<(u64, Vec<Oid>)> = generated
+            .spec
+            .parents
+            .iter()
+            .map(|o| (o.key, o.children.clone()))
+            .collect();
+        let assignment =
+            ClusterAssignment::random(&parents, &mut StdRng::seed_from_u64(assignment_seed));
+        let policy = if sieve { ReplacementPolicy::Sieve } else { ReplacementPolicy::Lru };
+        let pool = BufferPool::builder()
+            .capacity(frames)
+            .policy(policy)
+            .telemetry(true)
+            .build();
+        let db = CorDatabase::build_clustered(Arc::new(pool), &generated.spec, &assignment)
+            .unwrap();
+        let queries: Vec<RetrieveQuery> = queries
+            .iter()
+            .map(|&(lo, span, attr)| RetrieveQuery {
+                lo,
+                hi: (lo + span - 1).min(p.parent_card - 1),
+                attr: RetAttr::ALL[attr],
+            })
+            .collect();
+        let pins = || -> u64 {
+            let shards = db.pool().telemetry().expect("telemetry-enabled pool");
+            shards.iter().map(|s| s.probes()).sum()
+        };
+        let run = |f: &dyn Fn(&RetrieveQuery) -> StrategyOutput| {
+            db.pool().flush_and_clear().unwrap();
+            queries
+                .iter()
+                .map(|q| {
+                    let before = pins();
+                    let out = f(q);
+                    (out.values, out.par_io, out.child_io, pins() - before)
+                })
+                .collect::<Vec<_>>()
+        };
+        let want = run(&|q| harvest_every_child(&db, q));
+        let got = run(&|q| dfs_clust(&db, q).unwrap());
+        prop_assert_eq!(got, want);
+    }
 }
