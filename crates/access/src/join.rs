@@ -3,15 +3,8 @@
 //! The BFS strategies of Sec. 3.1 join the sorted temporary of OIDs against
 //! the OID-ordered ChildRel B-tree with a **merge join**; at low NumTop the
 //! optimizer instead picks **iterative substitution** (an index nested-loop
-//! probe per OID). The merge join here consumes two sorted streams; the
-//! probe-side helper wraps B-tree lookups.
-
-use crate::btree::BTreeFile;
-use crate::AccessError;
-
-/// Item yielded by [`iterative_substitution`]: the probe's `(key, value)`
-/// match, `None` when the key is absent.
-pub type ProbeResult = Result<Option<(Vec<u8>, Vec<u8>)>, AccessError>;
+//! probe per OID, which the strategies run as B-tree point lookups). The
+//! merge join here consumes two sorted streams.
 
 /// Merge join between a sorted stream of (possibly duplicated) keys and a
 /// sorted stream of unique `(key, value)` entries.
@@ -74,24 +67,9 @@ where
     }
 }
 
-/// Iterative substitution: probe `tree` once per key, in order, yielding
-/// matches. Each cold probe costs one page per tree level, which is why
-/// this plan wins only when the key list is short (Fig. 3, low NumTop).
-pub fn iterative_substitution<'a>(
-    keys: impl Iterator<Item = Vec<u8>> + 'a,
-    tree: &'a BTreeFile,
-) -> impl Iterator<Item = ProbeResult> + 'a {
-    keys.map(move |k| {
-        let v = tree.get(&k)?;
-        Ok(v.map(|v| (k, v)))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cor_pagestore::BufferPool;
-    use std::sync::Arc;
 
     fn keyed(keys: &[u64]) -> Vec<Vec<u8>> {
         keys.iter().map(|k| k.to_be_bytes().to_vec()).collect()
@@ -141,19 +119,5 @@ mod tests {
             .map(|(k, _)| u64::from_be_bytes(k.try_into().unwrap()))
             .collect();
         assert_eq!(out, vec![1]);
-    }
-
-    #[test]
-    fn iterative_substitution_probes_tree() {
-        let pool = Arc::new(BufferPool::builder().capacity(8).build());
-        let tree = BTreeFile::bulk_load(pool, 8, entries(&[1, 2, 3, 4, 5]), 0.9).unwrap();
-        let keys = keyed(&[2, 4, 9]);
-        let out: Vec<_> = iterative_substitution(keys.into_iter(), &tree)
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].as_ref().unwrap().1, b"v2");
-        assert_eq!(out[1].as_ref().unwrap().1, b"v4");
-        assert!(out[2].is_none());
     }
 }

@@ -10,7 +10,7 @@
 //! * [`hash`] — static hash files (the `Cache` relation is "maintained as
 //!   a hash relation, hashed on hashkey");
 //! * [`sort`] — external merge sort feeding the BFS merge join;
-//! * [`join`] — merge join and iterative substitution;
+//! * [`join`] — the merge join;
 //! * [`record`] — the tuple ⇄ byte-record codec.
 
 #![warn(missing_docs)]
@@ -31,7 +31,7 @@ pub use catalog::{Catalog, CatalogError};
 pub use hash::{fnv1a64, HashFile, HashMeta};
 pub use heap::{HeapFile, HeapScan, RecordId};
 pub use isam::IsamIndex;
-pub use join::{iterative_substitution, merge_join, MergeJoin};
+pub use join::{merge_join, MergeJoin};
 pub use record::{decode, encode, CodecError};
 pub use sort::{external_sort, SortedStream, DEFAULT_WORK_MEM};
 

@@ -22,7 +22,7 @@ use cor_workload::{
 };
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let base = cfg.base_params();
 
     cache_policy_ablation(&cfg, &base);

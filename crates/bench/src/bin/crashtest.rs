@@ -894,8 +894,7 @@ fn aio_fault_preflight() -> Vec<String> {
 }
 
 fn main() {
-    let cfg = BenchConfig::from_args();
-    cfg.expect_flags(&["--smoke", "--logical"], &["--points"]);
+    let cfg = BenchConfig::from_args(&["--smoke", "--logical"], &["--points"]);
     let smoke = cfg.has_flag("--smoke");
     let logical = cfg.has_flag("--logical");
     let seed = cfg.seed.filter(|_| !smoke).unwrap_or(42);

@@ -225,9 +225,8 @@ fn smoke_check(reports: &[ExplainReport]) -> Vec<String> {
 }
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&["--smoke"], &["--jsonl", "--replay"]);
     let smoke = cfg.has_flag("--smoke");
-    cfg.expect_flags(&["--smoke"], &["--jsonl", "--replay"]);
     let jsonl = std::path::PathBuf::from(
         cfg.value("--jsonl")
             .unwrap_or("results/explain/explain.jsonl"),

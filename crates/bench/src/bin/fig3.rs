@@ -14,7 +14,7 @@ use cor_bench::{num_top_sweep, BenchConfig};
 use cor_workload::{fnum, format_ascii_plot, format_table, parallel_map, run_point, Params};
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let base = cfg.base_params();
     println!(
         "Figure 3 — DFS / BFS / BFSNODUP vs NumTop (ShareFactor=5, Pr(UPDATE)=0)\n\

@@ -33,7 +33,7 @@ fn initial(s: Strategy) -> char {
 }
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&["--faces"], &[]);
     let mut base = cfg.base_params();
     // The full grid is 375 sequence runs; keep each sequence short unless
     // the caller overrode it.

@@ -19,7 +19,7 @@ use cor_pagestore::ReplacementPolicy;
 use cor_workload::{fnum, format_table};
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let fig = Fig5::run(&cfg.base_params(), cfg.scale, ReplacementPolicy::Lru);
 
     println!(

@@ -19,7 +19,7 @@ use cor_pagestore::ReplacementPolicy;
 use cor_workload::{format_ascii_plot, format_table};
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
 
     println!(
         "Figure 7 — Cost(DFSCLUST)/Cost(BFS) vs NumTop, ShareFactor=5 both ways (scale {})\n",

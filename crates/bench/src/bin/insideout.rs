@@ -40,7 +40,7 @@ fn run(p: &Params, placement: CachePlacement, capacity: usize) -> f64 {
 }
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let mut base = cfg.base_params();
     base.num_top = (base.parent_card / 50).max(1);
     base.use_factor = 5;

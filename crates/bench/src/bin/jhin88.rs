@@ -32,7 +32,7 @@ const SYSTEMS: [MatrixSystem; 4] = [
 ];
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let mut base = cfg.base_params();
     base.num_top = ((30.0 * cfg.scale).round() as u64).clamp(1, base.parent_card);
     base.use_factor = 5; // sharing: 5 objects store each query

@@ -24,7 +24,7 @@ use cor_workload::{
 };
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let mut base = cfg.base_params();
     base.num_top = ((50.0 * cfg.scale).round() as u64).clamp(1, base.parent_card);
     let pr_updates = [0.0, 0.2, 0.5, 0.8];

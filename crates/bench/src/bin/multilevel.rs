@@ -22,7 +22,7 @@ use cor_workload::{
 };
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let top_card = ((4000.0 * cfg.scale).round() as u64).max(100);
     // Small NumTop: the per-level joins run as index probes, where
     // duplicate elimination translates directly into fewer probes. (At

@@ -17,7 +17,7 @@ use cor_bench::BenchConfig;
 use cor_workload::{default_threads, fnum, format_table, parallel_map, run_point, Params};
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let base = cfg.base_params();
     let num_top = ((100.0 * cfg.scale).round() as u64).clamp(2, base.parent_card);
     let rels: Vec<usize> = [1usize, 2, 5, 10, 20, 50]

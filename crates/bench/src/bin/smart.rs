@@ -53,7 +53,7 @@ fn calibrate_threshold(base: &cor_workload::Params, mix: &[u64]) -> u64 {
 }
 
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let cfg = BenchConfig::from_args(&[], &[]);
     let mut base = cfg.base_params();
     if cfg.seq.is_none() {
         base.sequence_len = (base.sequence_len * 2).max(120); // enough of each bucket

@@ -13,6 +13,10 @@
 //! * `--full` — the paper's full scale (equivalent to `--scale 1.0`).
 //! * `--seq N` — override the sequence length.
 //! * `--seed S` — override the master seed.
+//! * `--csv FILE` — write the main table as CSV.
+//!
+//! A binary's own flags are named where it calls
+//! [`BenchConfig::from_args`]; any other flag is a usage error (exit 2).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,13 +37,26 @@ pub struct BenchConfig {
     pub seed: Option<u64>,
     /// Write the main table as CSV to this path.
     pub csv: Option<std::path::PathBuf>,
-    /// Extra flags not consumed by the common parser.
-    pub rest: Vec<String>,
+    /// The binary's own flags as given: switches, and valued flags each
+    /// followed by its value.
+    rest: Vec<String>,
 }
 
 impl BenchConfig {
-    /// Parse `std::env::args`, exiting with usage on malformed input.
-    pub fn from_args() -> Self {
+    /// Parse `std::env::args`, exiting with usage on malformed input or
+    /// on a flag that is neither common nor one of this binary's
+    /// `switches` or `valued` flags.
+    pub fn from_args(switches: &[&str], valued: &[&str]) -> Self {
+        Self::parse(std::env::args().skip(1), switches, valued).unwrap_or_else(|e| usage(&e))
+    }
+
+    /// [`from_args`](Self::from_args) over `args`, without the exit: the
+    /// error is the usage message, empty for `--help`.
+    fn parse(
+        args: impl IntoIterator<Item = String>,
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<Self, String> {
         let mut cfg = BenchConfig {
             scale: 0.2,
             seq: None,
@@ -47,45 +64,27 @@ impl BenchConfig {
             csv: None,
             rest: Vec::new(),
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--scale" => {
-                    cfg.scale = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--scale needs a number in (0,1]"))
-                }
+                "--scale" => cfg.scale = next_parsed(&mut args, &a, "a number in (0,1]")?,
                 "--full" => cfg.scale = 1.0,
-                "--seq" => {
-                    cfg.seq = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--seq needs a positive integer")),
-                    )
+                "--seq" => cfg.seq = Some(next_parsed(&mut args, &a, "a positive integer")?),
+                "--seed" => cfg.seed = Some(next_parsed(&mut args, &a, "an integer")?),
+                "--csv" => cfg.csv = Some(next_value(&mut args, &a)?.into()),
+                "--help" | "-h" => return Err(String::new()),
+                flag if switches.contains(&flag) => cfg.rest.push(a),
+                flag if valued.contains(&flag) => {
+                    let v = next_value(&mut args, flag)?;
+                    cfg.rest.extend([a, v]);
                 }
-                "--seed" => {
-                    cfg.seed = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--seed needs an integer")),
-                    )
-                }
-                "--csv" => {
-                    cfg.csv = Some(
-                        args.next()
-                            .map(Into::into)
-                            .unwrap_or_else(|| usage("--csv needs a path")),
-                    )
-                }
-                "--help" | "-h" => usage(""),
-                other => cfg.rest.push(other.to_string()),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
         if !(cfg.scale > 0.0 && cfg.scale <= 1.0) {
-            usage("--scale must be in (0, 1]");
+            return Err("--scale must be in (0, 1]".into());
         }
-        cfg
+        Ok(cfg)
     }
 
     /// Base parameters at the configured scale.
@@ -100,19 +99,16 @@ impl BenchConfig {
         p
     }
 
-    /// Was an extra flag passed (e.g. `--faces`)?
+    /// Was one of the binary's switches passed (e.g. `--faces`)?
     pub fn has_flag(&self, name: &str) -> bool {
         self.rest.iter().any(|a| a == name)
     }
 
-    /// The value of extra flag `name` (`--json FILE`), or `None` when the
-    /// flag was not passed. Exits with usage when the value is missing.
+    /// The value of one of the binary's valued flags (`--json FILE`), or
+    /// `None` when the flag was not passed.
     pub fn value(&self, name: &str) -> Option<&str> {
         let at = self.rest.iter().position(|a| a == name)?;
-        match self.rest.get(at + 1) {
-            Some(v) if !v.starts_with("--") => Some(v),
-            _ => usage(&format!("{name} needs a value")),
-        }
+        Some(&self.rest[at + 1])
     }
 
     /// [`value`](Self::value) parsed as `T`; exits with usage, saying
@@ -122,19 +118,6 @@ impl BenchConfig {
             v.parse()
                 .unwrap_or_else(|_| usage(&format!("{name} needs {what}")))
         })
-    }
-
-    /// Exit with usage unless every extra argument is one of `switches`,
-    /// one of the `valued` flags, or a valued flag's value.
-    pub fn expect_flags(&self, switches: &[&str], valued: &[&str]) {
-        let mut args = self.rest.iter();
-        while let Some(a) = args.next() {
-            if valued.contains(&a.as_str()) {
-                args.next();
-            } else if !switches.contains(&a.as_str()) {
-                usage(&format!("unknown flag {a}"));
-            }
-        }
     }
 
     /// Write the figure's main table as CSV if `--csv` was given.
@@ -208,6 +191,25 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
+/// The value after flag `name`; a value never starts with `--`.
+fn next_value(args: &mut impl Iterator<Item = String>, name: &str) -> Result<String, String> {
+    match args.next() {
+        Some(v) if !v.starts_with("--") => Ok(v),
+        _ => Err(format!("{name} needs a value")),
+    }
+}
+
+/// [`next_value`] parsed as `T`; the error says that `name` needs `what`.
+fn next_parsed<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    name: &str,
+    what: &str,
+) -> Result<T, String> {
+    next_value(args, name)?
+        .parse()
+        .map_err(|_| format!("{name} needs {what}"))
+}
+
 /// NumTop sweep values used by several figures, scaled to the database
 /// size, clipped and deduplicated.
 pub fn num_top_sweep(parent_card: u64) -> Vec<u64> {
@@ -226,22 +228,36 @@ pub fn num_top_sweep(parent_card: u64) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str], switches: &[&str], valued: &[&str]) -> Result<BenchConfig, String> {
+        BenchConfig::parse(args.iter().map(|a| a.to_string()), switches, valued)
+    }
+
     #[test]
     fn extra_flag_values_are_found_and_parsed() {
-        let cfg = BenchConfig {
-            scale: 0.2,
-            seq: None,
-            seed: None,
-            csv: None,
-            rest: ["--smoke", "--json", "out.json", "--reps", "7"]
-                .map(String::from)
-                .to_vec(),
-        };
+        let args = [
+            "--smoke", "--json", "out.json", "--scale", "0.05", "--reps", "7",
+        ];
+        let cfg = parse(&args, &["--smoke"], &["--json", "--reps"]).unwrap();
+        assert_eq!(cfg.scale, 0.05);
         assert!(cfg.has_flag("--smoke"));
         assert_eq!(cfg.value("--json"), Some("out.json"));
         assert_eq!(cfg.value("--baseline"), None);
         assert_eq!(cfg.parsed::<usize>("--reps", "a positive integer"), Some(7));
-        cfg.expect_flags(&["--smoke"], &["--json", "--reps"]);
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_rejected_not_ignored() {
+        let err = parse(&["--scael", "0.05"], &[], &[]).unwrap_err();
+        assert_eq!(err, "unknown flag --scael");
+        // One binary's flag is unknown to another.
+        assert!(parse(&["--faces"], &[], &[]).is_err());
+        assert!(parse(&["--faces"], &["--faces"], &[]).is_ok());
+        assert_eq!(
+            parse(&["--json", "--smoke"], &["--smoke"], &["--json"]).unwrap_err(),
+            "--json needs a value"
+        );
+        assert!(parse(&["--scale", "2"], &[], &[]).is_err());
+        assert_eq!(parse(&["--help"], &[], &[]).unwrap_err(), "");
     }
 
     #[test]

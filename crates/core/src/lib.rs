@@ -10,7 +10,7 @@
 //! representation (none / OIDs / values) and experimentally studies the
 //! OID column, adding a clustering axis. This crate implements:
 //!
-//! * the representation matrix model ([`matrix`]);
+//! * the strategies of Fig. 2 and the cache placements ([`matrix`]);
 //! * units of subobjects and the sharing algebra ([`mod@unit`]);
 //! * the experiment database in both the standard and the clustered
 //!   physical representation ([`database`], [`cluster`]);
@@ -64,7 +64,6 @@ pub mod matrix;
 pub mod multilevel;
 pub mod persist;
 pub mod procedural;
-pub mod quel;
 pub mod query;
 pub mod strategies;
 pub mod unit;
@@ -74,12 +73,11 @@ pub use cache::{CacheCounters, EvictionPolicy, UnitCache, DEFAULT_SIZE_CACHE};
 pub use cluster::ClusterAssignment;
 pub use database::{CacheConfig, CorDatabase, DatabaseSpec, ObjectSpec, Storage, SubobjectSpec};
 pub use ilock::{HashKey, ILockTable};
-pub use matrix::{CachePlacement, CachedRepr, PrimaryRepr, ReprPoint, Strategy};
+pub use matrix::{CachePlacement, Strategy};
 pub use multilevel::{bfs_multilevel, dfs_multilevel, execute_multilevel, MultiDotQuery};
 pub use persist::{
     SavedCacheState, SavedOidDb, SavedProcCache, SavedProcDb, SavedStorage, SavedUnitCache,
 };
-pub use quel::{parse as parse_quel, QuelError, QuelStatement};
 pub use query::{apply_update, Query, RetAttr, RetrieveQuery, StrategyOutput, UpdateQuery};
 pub use strategies::{execute_retrieve, ExecOptions, JoinChoice};
 pub use unit::{hashkey_of, measure_sharing, SharingFactors, Unit};
@@ -116,6 +114,9 @@ pub enum CorError {
     /// A trace is already being collected on this thread, and the
     /// operation needs one of its own (traces do not nest).
     TraceActive,
+    /// A procedural object's stored-query text, read back from its page,
+    /// does not parse.
+    CorruptStoredQuery(procedural::QuelParseError),
 }
 
 impl std::fmt::Display for CorError {
@@ -144,6 +145,7 @@ impl std::fmt::Display for CorError {
             CorError::TraceActive => {
                 write!(f, "a trace is already active on this thread")
             }
+            CorError::CorruptStoredQuery(e) => write!(f, "corrupt stored query: {e}"),
         }
     }
 }
@@ -152,6 +154,7 @@ impl std::error::Error for CorError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CorError::Access(e) => Some(e),
+            CorError::CorruptStoredQuery(e) => Some(e),
             _ => None,
         }
     }

@@ -7,38 +7,10 @@
 //! * **cached representation** — what precomputed information about the
 //!   subobjects is kept on disk alongside it.
 //!
-//! Some combinations "do not make sense" (Fig. 1 shades them out): a
-//! value-based object already contains everything, so caching adds
-//! nothing; caching OIDs under an OID primary is equally pointless. Within
-//! the OID column the paper adds a third axis — clustering — and studies
-//! the five query-processing strategies of Fig. 2 plus the SMART hybrid of
-//! Sec. 5.3.
-
-/// How the object ↔ subobject relationship is stored (Sec. 2.1–2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrimaryRepr {
-    /// The subobjects are identified by a stored retrieve-only query
-    /// (POSTGRES-style procedural attributes). Studied in \[JHIN88\].
-    Procedural,
-    /// A list of subobject OIDs is stored with the object — the
-    /// representation this paper studies.
-    Oid,
-    /// Subobject values are stored inline in the referencing object
-    /// (NF², EXTRA "own"); no identifiers, replication under sharing.
-    ValueBased,
-}
-
-/// What is precomputed and cached on disk (Sec. 2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CachedRepr {
-    /// Nothing is cached.
-    None,
-    /// The OIDs of the subobjects are cached (only meaningful over a
-    /// procedural primary).
-    Oids,
-    /// The values of the subobjects are cached.
-    Values,
-}
+//! Within the OID column the paper adds a third axis — clustering — and
+//! studies the five query-processing strategies of Fig. 2 plus the SMART
+//! hybrid of Sec. 5.3. This module names those strategies and where a
+//! cache is placed; `cor_workload::matrix` compares points across columns.
 
 /// Where cached information lives relative to the referencing object
 /// (Sec. 2.3). \[JHIN88\] showed outside caching dominates, so the paper
@@ -50,64 +22,6 @@ pub enum CachePlacement {
     /// Cached away from the object; objects referencing the same unit
     /// share one cached copy.
     Outside,
-}
-
-/// A point in the representation matrix, optionally extended with the
-/// clustering axis available under the OID primary (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReprPoint {
-    /// Primary representation.
-    pub primary: PrimaryRepr,
-    /// Cached representation.
-    pub cached: CachedRepr,
-    /// Are subobjects physically clustered with referencing objects?
-    pub clustered: bool,
-}
-
-impl ReprPoint {
-    /// Is this combination meaningful (unshaded in Fig. 1 / Fig. 2)?
-    ///
-    /// * value-based primaries gain nothing from caching or clustering;
-    /// * caching OIDs under an OID primary caches what is already stored;
-    /// * clustering is an axis of the OID representation only;
-    /// * combining caching *and* clustering "does not make sense" —
-    ///   both spend the same budget on the same goal (Sec. 3.4).
-    pub fn is_meaningful(&self) -> bool {
-        match self.primary {
-            PrimaryRepr::ValueBased => self.cached == CachedRepr::None && !self.clustered,
-            PrimaryRepr::Procedural => !self.clustered,
-            PrimaryRepr::Oid => {
-                if self.cached == CachedRepr::Oids {
-                    return false;
-                }
-                !(self.clustered && self.cached == CachedRepr::Values)
-            }
-        }
-    }
-
-    /// All meaningful points of the matrix.
-    pub fn all_meaningful() -> Vec<ReprPoint> {
-        let mut out = Vec::new();
-        for primary in [
-            PrimaryRepr::Procedural,
-            PrimaryRepr::Oid,
-            PrimaryRepr::ValueBased,
-        ] {
-            for cached in [CachedRepr::None, CachedRepr::Oids, CachedRepr::Values] {
-                for clustered in [false, true] {
-                    let p = ReprPoint {
-                        primary,
-                        cached,
-                        clustered,
-                    };
-                    if p.is_meaningful() {
-                        out.push(p);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// The query-processing strategies of Fig. 2 plus SMART (Sec. 5.3).
@@ -139,20 +53,6 @@ impl Strategy {
         Strategy::DfsClust,
         Strategy::Smart,
     ];
-
-    /// The representation point this strategy runs against.
-    pub fn repr_point(&self) -> ReprPoint {
-        let (cached, clustered) = match self {
-            Strategy::Dfs | Strategy::Bfs | Strategy::BfsNoDup => (CachedRepr::None, false),
-            Strategy::DfsCache | Strategy::Smart => (CachedRepr::Values, false),
-            Strategy::DfsClust => (CachedRepr::None, true),
-        };
-        ReprPoint {
-            primary: PrimaryRepr::Oid,
-            cached,
-            clustered,
-        }
-    }
 
     /// Does the strategy require the clustered ClusterRel representation?
     pub fn needs_cluster(&self) -> bool {
@@ -186,75 +86,6 @@ impl std::fmt::Display for Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn value_based_only_meaningful_bare() {
-        assert!(ReprPoint {
-            primary: PrimaryRepr::ValueBased,
-            cached: CachedRepr::None,
-            clustered: false
-        }
-        .is_meaningful());
-        assert!(!ReprPoint {
-            primary: PrimaryRepr::ValueBased,
-            cached: CachedRepr::Values,
-            clustered: false
-        }
-        .is_meaningful());
-        assert!(!ReprPoint {
-            primary: PrimaryRepr::ValueBased,
-            cached: CachedRepr::None,
-            clustered: true
-        }
-        .is_meaningful());
-    }
-
-    #[test]
-    fn oid_matrix_matches_figure_2() {
-        // Fig. 2: the four explored points are (cache values | none) x
-        // (clustered | not), minus the shaded cache+cluster corner.
-        let p = |cached, clustered| ReprPoint {
-            primary: PrimaryRepr::Oid,
-            cached,
-            clustered,
-        };
-        assert!(p(CachedRepr::None, false).is_meaningful()); // DFS/BFS/BFSNODUP
-        assert!(p(CachedRepr::Values, false).is_meaningful()); // DFSCACHE
-        assert!(p(CachedRepr::None, true).is_meaningful()); // DFSCLUST
-        assert!(!p(CachedRepr::Values, true).is_meaningful()); // shaded
-        assert!(!p(CachedRepr::Oids, false).is_meaningful()); // caching what's stored
-    }
-
-    #[test]
-    fn procedural_supports_both_cache_kinds() {
-        let p = |cached| ReprPoint {
-            primary: PrimaryRepr::Procedural,
-            cached,
-            clustered: false,
-        };
-        assert!(p(CachedRepr::None).is_meaningful());
-        assert!(p(CachedRepr::Oids).is_meaningful());
-        assert!(p(CachedRepr::Values).is_meaningful());
-    }
-
-    #[test]
-    fn meaningful_point_count() {
-        // Procedural x {None,Oids,Values} + OID x {None, None+clust, Values}
-        // + ValueBased bare = 3 + 3 + 1.
-        assert_eq!(ReprPoint::all_meaningful().len(), 7);
-    }
-
-    #[test]
-    fn strategies_map_to_their_matrix_points() {
-        for s in Strategy::ALL {
-            let p = s.repr_point();
-            assert!(p.is_meaningful(), "{s} maps to a shaded point");
-            assert_eq!(p.primary, PrimaryRepr::Oid);
-        }
-        assert!(Strategy::DfsClust.repr_point().clustered);
-        assert_eq!(Strategy::DfsCache.repr_point().cached, CachedRepr::Values);
-        assert_eq!(Strategy::Bfs.repr_point().cached, CachedRepr::None);
-    }
 
     #[test]
     fn names_match_paper() {

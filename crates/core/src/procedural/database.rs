@@ -14,7 +14,7 @@ use crate::procedural::pcache::ProcCache;
 use crate::procedural::predicate::StoredQuery;
 use crate::query::extract_ret;
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, DEFAULT_FILL};
+use cor_access::{decode, encode, BTreeFile, CodecError, DEFAULT_FILL};
 use cor_pagestore::BufferPool;
 use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
 use parking_lot::{Mutex, MutexGuard};
@@ -298,13 +298,14 @@ impl ProcDatabase {
             let t = decode(&self.parent_schema, rec)?;
             let key = t.get(0).as_oid().expect("oid column").key;
             let text = t.get(5).as_str().expect("members column");
-            let members = StoredQuery::parse_quel(text)
-                .expect("stored query text written by this database must parse");
+            // The text and the payload come off a page with no checksum:
+            // bytes that do not decode are an error, not a panic.
+            let members = StoredQuery::parse_quel(text).map_err(CorError::CorruptStoredQuery)?;
             let cached_bytes = t.get(6).as_bytes().expect("cached column");
             let cached = if cached_bytes.is_empty() {
                 None
             } else {
-                Some(decode_unit_value(cached_bytes).expect("inside-cached payload decodes"))
+                Some(decode_unit_value(cached_bytes).ok_or(CodecError::Truncated)?)
             };
             out.push(ProcParentRow {
                 key,

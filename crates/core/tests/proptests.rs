@@ -1,9 +1,10 @@
 //! Property tests for the paper's core machinery: the unit cache against
-//! a model with a staleness invariant, QUEL round-trips, and clustering
-//! assignment properties.
+//! a model with a staleness invariant, the stored-query grammar
+//! (round-trips, and no panic on any text), and clustering assignment
+//! properties.
 
 use complexobj::procedural::StoredQuery;
-use complexobj::{parse_quel, ClusterAssignment, QuelStatement, UnitCache};
+use complexobj::{ClusterAssignment, UnitCache};
 use cor_pagestore::BufferPool;
 use cor_relational::Oid;
 use proptest::prelude::*;
@@ -84,44 +85,6 @@ proptest! {
         }
     }
 
-    /// Stored-query QUEL text round-trips for arbitrary bounds.
-    #[test]
-    fn stored_query_quel_roundtrip(
-        rel in 10u16..20,
-        a in any::<u64>(),
-        b in any::<u64>(),
-        ia in any::<i64>(),
-        ib in any::<i64>(),
-        ret_idx in 0usize..3,
-    ) {
-        let kq = StoredQuery::KeyRange { rel, lo: a.min(b), hi: a.max(b) };
-        prop_assert_eq!(StoredQuery::parse_quel(&kq.to_quel()).unwrap(), kq);
-        let rq = StoredQuery::RetRange { rel, ret_idx, lo: ia.min(ib), hi: ia.max(ib) };
-        prop_assert_eq!(StoredQuery::parse_quel(&rq.to_quel()).unwrap(), rq);
-    }
-
-    /// Top-level QUEL retrieve statements round-trip through formatting.
-    #[test]
-    fn quel_retrieve_roundtrip(lo in 0u64..10_000, span in 0u64..10_000, attr in 1usize..=3, hops in 1usize..4) {
-        let hi = lo + span;
-        let path = "children.".repeat(hops);
-        let text = format!("retrieve (ParentRel.{path}ret{attr}) where {lo} <= ParentRel.OID <= {hi}");
-        let stmt = parse_quel(&text).unwrap();
-        match stmt {
-            QuelStatement::Retrieve(q) => {
-                prop_assert_eq!(hops, 1);
-                prop_assert_eq!((q.lo, q.hi), (lo, hi));
-                prop_assert_eq!(q.attr.column(), attr);
-            }
-            QuelStatement::RetrieveMulti { query, depth } => {
-                prop_assert_eq!(depth, hops);
-                prop_assert_eq!((query.lo, query.hi), (lo, hi));
-                prop_assert_eq!(query.attr.column(), attr);
-            }
-            other => prop_assert!(false, "unexpected {other:?}"),
-        }
-    }
-
     /// Random clustering assignments place every referenced subobject with
     /// exactly one of its referencing parents.
     #[test]
@@ -154,5 +117,81 @@ proptest! {
             );
         }
         prop_assert_eq!(assignment.len(), referencing.len());
+    }
+}
+
+/// Pieces of the stored-query grammar spliced into texts under test.
+const QUEL_PIECES: &[&str] = &[
+    "retrieve (child",
+    ".all) where ",
+    " <= ",
+    "child10.",
+    "OID",
+    "ret1",
+    "ret9",
+    "10",
+    "-",
+    "+",
+    " ",
+    "18446744073709551616",
+];
+
+// The grammar is cheap to run, so it gets many more cases than the
+// storage-backed properties above.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Stored-query QUEL text round-trips for arbitrary bounds.
+    #[test]
+    fn stored_query_quel_roundtrip(
+        rel in 10u16..20,
+        a in any::<u64>(),
+        b in any::<u64>(),
+        ia in any::<i64>(),
+        ib in any::<i64>(),
+        ret_idx in 0usize..3,
+    ) {
+        let kq = StoredQuery::KeyRange { rel, lo: a.min(b), hi: a.max(b) };
+        prop_assert_eq!(StoredQuery::parse_quel(&kq.to_quel()).unwrap(), kq);
+        let rq = StoredQuery::RetRange { rel, ret_idx, lo: ia.min(ib), hi: ia.max(ib) };
+        prop_assert_eq!(StoredQuery::parse_quel(&rq.to_quel()).unwrap(), rq);
+    }
+
+    /// The stored-query parser answers every text with `Ok` or a
+    /// `QuelParseError`, never a panic, and whatever it accepts renders
+    /// back to text that parses to the same query. Texts are valid
+    /// queries cut and spliced with grammar pieces and arbitrary noise, so
+    /// both the accepting and the rejecting branches are reached.
+    #[test]
+    fn stored_query_parse_never_panics_and_reparses(
+        rel in any::<u16>(),
+        key_range in any::<bool>(),
+        a in any::<i64>(),
+        b in any::<i64>(),
+        from_noise in any::<bool>(),
+        base_noise in "\\PC*",
+        edits in proptest::collection::vec(
+            (any::<usize>(), 0usize..4, 0usize..QUEL_PIECES.len() + 1, "\\PC*"),
+            0..4,
+        ),
+    ) {
+        let valid = if key_range {
+            StoredQuery::KeyRange { rel, lo: a as u64, hi: b as u64 }
+        } else {
+            StoredQuery::RetRange { rel, ret_idx: (a as usize) % 3, lo: a, hi: b }
+        };
+        let mut text = if from_noise { base_noise } else { valid.to_quel() };
+        for (at, cut, piece, noise) in &edits {
+            let mut at = at % (text.len() + 1);
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            let end = text[at..].char_indices().nth(*cut).map_or(text.len(), |(i, _)| at + i);
+            let insert = QUEL_PIECES.get(*piece).copied().unwrap_or(noise);
+            text.replace_range(at..end, insert);
+        }
+        if let Ok(q) = StoredQuery::parse_quel(&text) {
+            prop_assert_eq!(StoredQuery::parse_quel(&q.to_quel()), Ok(q));
+        }
     }
 }

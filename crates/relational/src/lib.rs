@@ -2,7 +2,7 @@
 //!
 //! Minimal relational data model shared by every layer of the complex-object
 //! representation study: object identifiers ([`Oid`]), typed values,
-//! schemas/tuples, and selection predicates.
+//! and schemas/tuples.
 //!
 //! Storage structures live in `cor-access`; this crate is pure data model.
 
@@ -10,11 +10,9 @@
 #![forbid(unsafe_code)]
 
 pub mod oid;
-pub mod predicate;
 pub mod schema;
 pub mod value;
 
 pub use oid::{Oid, OidHasher, OidMap, RelId, OID_BYTES};
-pub use predicate::{CmpOp, Predicate};
 pub use schema::{Column, Schema, Tuple};
 pub use value::{Value, ValueType};

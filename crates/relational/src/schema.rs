@@ -50,11 +50,6 @@ impl Schema {
         self.columns.len()
     }
 
-    /// Index of the column called `name`.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Does `tuple` conform to this schema (arity and types)?
     pub fn admits(&self, tuple: &Tuple) -> bool {
         tuple.values().len() == self.arity()
@@ -92,16 +87,6 @@ impl Tuple {
     pub fn set(&mut self, idx: usize, v: Value) {
         self.values[idx] = v;
     }
-
-    /// Consume into the value vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
-    /// Project onto the given column indices.
-    pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple::new(indices.iter().map(|&i| self.values[i].clone()).collect())
-    }
 }
 
 impl From<Vec<Value>> for Tuple {
@@ -127,8 +112,6 @@ mod tests {
     fn column_lookup() {
         let s = person_schema();
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.column_index("age"), Some(2));
-        assert_eq!(s.column_index("absent"), None);
         assert_eq!(s.columns()[1].name, "name");
     }
 
@@ -151,13 +134,6 @@ mod tests {
         assert!(!s.admits(&short));
         let wrong_ty = Tuple::new(vec![Value::Int(1), Value::from("Mary"), Value::Int(62)]);
         assert!(!s.admits(&wrong_ty));
-    }
-
-    #[test]
-    fn projection() {
-        let t = Tuple::new(vec![Value::Int(1), Value::from("x"), Value::Int(3)]);
-        let p = t.project(&[2, 0]);
-        assert_eq!(p.values(), &[Value::Int(3), Value::Int(1)]);
     }
 
     #[test]

@@ -8,18 +8,19 @@
 //! ```
 //!
 //! Shows the OID representation with shared subobjects (Mary is both an
-//! elder and a cyclist), unit caching with I-lock invalidation when a
-//! person is updated, and the representation matrix classification.
+//! elder and a cyclist), and unit caching with I-lock invalidation when a
+//! person is updated.
 //!
 //! ```text
 //! cargo run --release --example scientists
 //! ```
+//!
+//! `scripts/check.sh` diffs its output against `results/scientists.txt`.
 
 use complexobj::database::{CorDatabase, DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
 use complexobj::strategies::execute_retrieve;
 use complexobj::{
-    apply_update, CacheConfig, ExecOptions, ReprPoint, RetAttr, RetrieveQuery, Strategy,
-    UpdateQuery,
+    apply_update, CacheConfig, ExecOptions, RetAttr, RetrieveQuery, Strategy, UpdateQuery,
 };
 use cor_pagestore::BufferPool;
 use cor_relational::Oid;
@@ -131,15 +132,4 @@ fn main() {
     ages3.sort_unstable();
     println!("  ages after update = {ages3:?}");
     assert_eq!(ages3, vec![8, 12, 62, 63, 68]);
-
-    // Where this database sits in the representation matrix.
-    let point = Strategy::DfsCache.repr_point();
-    println!(
-        "\nrepresentation matrix point: primary = {:?}, cached = {:?}, clustered = {}",
-        point.primary, point.cached, point.clustered
-    );
-    println!(
-        "meaningful matrix points (Fig. 1): {}",
-        ReprPoint::all_meaningful().len()
-    );
 }

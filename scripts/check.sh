@@ -10,12 +10,15 @@
 # figs.sh (the figure fixed point, scaled and paper-scale; its Ablation 3
 # runs Figs 5 and 7 under LRU and SIEVE), crashtest (raw and
 # --logical), the persistence example (create, update, close and
-# reopen over real files: FileDisk and FileLogStore) and the quickstart
-# example against its committed output (results/quickstart.txt: every
-# strategy's cold ParCost/ChildCost on one query, DFSCLUST's among them,
-# on a path no figure runs). The test suite carries the exact-I/O pins no figure covers
-# (tests/strategy_equivalence.rs, e.g. the two-shard pool under both
-# policies) and the observability invariants (metrics reports for every
+# reopen over real files: FileDisk and FileLogStore), and the quickstart
+# and scientists examples against their committed outputs
+# (results/quickstart.txt: every strategy's cold ParCost/ChildCost on one
+# query, DFSCLUST's among them, on a path no figure runs;
+# results/scientists.txt: the paper's Sec. 2 running example, its cold and
+# warm DFSCACHE page counts and the answer after an I-lock invalidation).
+# Every example the workspace keeps runs here. The test suite carries
+# the exact-I/O pins no figure covers (tests/strategy_equivalence.rs,
+# e.g. the two-shard pool under both policies) and the observability invariants (metrics reports for every
 # strategy, the phase ledger against the pool's I/O counts). CI runs
 # exactly this script; run it before pushing. It takes about 4 minutes
 # warm on a 2-vCPU Xeon, most of it figs.sh.
@@ -68,6 +71,9 @@ cargo run -q --release --example persistence
 
 echo "==> quickstart (every strategy's cold page counts and answer sizes against results/quickstart.txt)"
 cargo run -q --release --example quickstart | diff -u results/quickstart.txt -
+
+echo "==> scientists (the running example's page counts, cache hits and post-update answer against results/scientists.txt)"
+cargo run -q --release --example scientists | diff -u results/scientists.txt -
 
 echo "==> tree unchanged (git status --porcelain before vs after)"
 if [[ "$(git status --porcelain)" != "$tree_before" ]]; then

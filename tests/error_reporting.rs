@@ -8,9 +8,7 @@ use complexobj::procedural::{
 };
 use complexobj::strategies::{execute_retrieve, ExecOptions};
 use complexobj::ClusterAssignment;
-use complexobj::{
-    parse_quel, CorError, RetAttr, RetrieveQuery, Strategy, StrategyOutput, ValueDatabase,
-};
+use complexobj::{CorError, RetAttr, RetrieveQuery, Strategy, StrategyOutput, ValueDatabase};
 use cor_access::{AccessError, BTreeFile, CatalogError};
 use cor_pagestore::{BufferError, BufferPool, DiskError, FaultMode, FaultyDisk, MemDisk};
 use cor_relational::Oid;
@@ -73,10 +71,10 @@ fn error_sources_chain() {
 
 #[test]
 fn quel_errors_name_the_problem() {
-    let err = parse_quel("select 1").unwrap_err();
+    let err = StoredQuery::parse_quel("select 1").unwrap_err();
     assert!(err.to_string().contains("retrieve"), "{err}");
     let err =
-        parse_quel("retrieve (ParentRel.children.ret9) where 1 <= ParentRel.OID <= 2").unwrap_err();
+        StoredQuery::parse_quel("retrieve (child10.all) where 1 <= child10.ret9 <= 2").unwrap_err();
     assert!(err.to_string().contains("ret9"), "{err}");
     let err =
         StoredQuery::parse_quel("retrieve (childX.all) where 0 <= childX.OID <= 1").unwrap_err();
@@ -291,4 +289,63 @@ fn failed_read_inside_a_scan_is_an_error_not_a_panic() {
         .build();
     let db = ValueDatabase::build(Arc::new(pool), &spec).unwrap();
     every_failed_read_is_an_error("value-based", &disk, db.pool(), || db.run_retrieve(&q));
+}
+
+/// A parent page carries no checksum, so a procedural object's stored
+/// query text can come back from disk altered. One overwritten byte of
+/// that text makes `retrieve` return an `Err` whose source is the parse
+/// error, not a panic.
+#[test]
+fn corrupt_stored_query_text_is_an_error_not_a_panic() {
+    let spec = ProcDatabaseSpec {
+        parents: vec![ProcObjectSpec {
+            key: 0,
+            rets: [0; 3],
+            dummy: "p".into(),
+            members: StoredQuery::KeyRange {
+                rel: CHILD_REL_BASE,
+                lo: 0,
+                hi: 1,
+            },
+        }],
+        child_rels: vec![(0..2)
+            .map(|k| SubobjectSpec {
+                oid: Oid::new(CHILD_REL_BASE, k),
+                rets: [k as i64, 0, 0],
+                dummy: "c".into(),
+            })
+            .collect()],
+    };
+    let engine = Engine::builder()
+        .build(&EngineSpec::Procedural(spec, ProcCaching::None))
+        .unwrap();
+    let q = RetrieveQuery {
+        lo: 0,
+        hi: 0,
+        attr: RetAttr::Ret1,
+    };
+    assert_eq!(engine.retrieve(Strategy::Dfs, &q).unwrap().values.len(), 2);
+
+    // Turn the text's `OID` into `XID` on whichever page holds it.
+    let pool = engine.pool();
+    let needle = b".OID <= ";
+    let mut corrupted = 0;
+    for pid in 0..pool.num_pages() {
+        corrupted += pool
+            .write(pid, |mut page| {
+                let bytes = page.bytes_mut();
+                let at = bytes.windows(needle.len()).position(|w| w == needle);
+                if let Some(i) = at {
+                    bytes[i + 1] = b'X';
+                }
+                usize::from(at.is_some())
+            })
+            .unwrap();
+    }
+    assert_eq!(corrupted, 1, "the stored text sits on one page");
+
+    let err = engine.retrieve(Strategy::Dfs, &q).unwrap_err();
+    assert!(matches!(err, CorError::CorruptStoredQuery(_)), "{err:?}");
+    let source = err.source().expect("chains to the parse error");
+    assert!(source.to_string().contains("XID"), "{source}");
 }
