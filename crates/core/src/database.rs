@@ -21,7 +21,7 @@ use crate::cluster::ClusterAssignment;
 use crate::matrix::CachePlacement;
 use crate::query::parent_children;
 use crate::CorError;
-use cor_access::{decode, encode, AccessError, BTreeFile, IsamIndex, DEFAULT_FILL};
+use cor_access::{decode, encode, AccessError, BTreeFile, CodecError, IsamIndex, DEFAULT_FILL};
 use cor_pagestore::BufferPool;
 use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
 use parking_lot::{Mutex, MutexGuard};
@@ -639,7 +639,9 @@ impl CorDatabase {
             let cached = if cached_bytes.is_empty() {
                 None
             } else {
-                Some(decode_unit_value(cached_bytes).expect("inside-cached payload decodes"))
+                // Off a page with no checksum: bytes that do not decode
+                // are an error, not a panic.
+                Some(decode_unit_value(cached_bytes).ok_or(CodecError::Truncated)?)
             };
             out.push((key, children, cached));
             Ok::<(), CorError>(())

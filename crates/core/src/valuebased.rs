@@ -18,7 +18,7 @@ use crate::cache::{decode_unit_value, encode_unit_value};
 use crate::database::{DatabaseSpec, SubobjectSpec};
 use crate::query::{extract_ret, RetrieveQuery, StrategyOutput, UpdateQuery};
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, DEFAULT_FILL};
+use cor_access::{decode, encode, BTreeFile, CodecError, DEFAULT_FILL};
 use cor_pagestore::{BufferPool, IoDelta};
 use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
 use std::collections::HashMap;
@@ -132,7 +132,9 @@ impl ValueDatabase {
         self.parent.visit_range(&lo_k, &hi_k, |_, rec| {
             let t = decode(&self.parent_schema, rec)?;
             let members = t.get(5).as_bytes().expect("members column");
-            for child_rec in decode_unit_value(members).expect("inlined records decode") {
+            // The inlined records come off a page with no checksum: bytes
+            // that do not decode are an error, not a panic.
+            for child_rec in decode_unit_value(members).ok_or(CodecError::Truncated)? {
                 values.push(extract_ret(&child_rec, query.attr)?);
             }
             Ok::<(), CorError>(())
@@ -162,7 +164,7 @@ impl ValueDatabase {
                 .ok_or(CorError::DanglingOid(Oid::new(VALUE_PARENT_REL, pk)))?;
             let mut t = decode(&self.parent_schema, &rec)?;
             let members = t.get(5).as_bytes().expect("members column");
-            let mut children = decode_unit_value(members).expect("inlined records decode");
+            let mut children = decode_unit_value(members).ok_or(CodecError::Truncated)?;
             for child_rec in &mut children {
                 let ct = decode(&cschema, child_rec)?;
                 if ct.get(0).as_oid() == Some(oid) {

@@ -6,8 +6,9 @@
 //! [`WalHook`] seam, and the
 //! WAL-before-data flush rule inside the buffer pool):
 //!
-//! * [`record`] — the on-log record format: CRC-framed full-page
-//!   images, byte-range deltas, and checkpoint records.
+//! * [`record`] — the on-log record format: CRC-framed page images
+//!   (whole, or sparse: the runs that differ from a zero page), deltas
+//!   of the changed runs, and checkpoint records.
 //! * [`store`] — where the byte stream lives: [`MemLogStore`] (crash
 //!   simulation with a durable watermark) and [`FileLogStore`]
 //!   (segment files + `fdatasync`).

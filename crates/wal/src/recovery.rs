@@ -15,11 +15,13 @@
 //!    raced against the checkpoint are always covered; with no
 //!    checkpoint, redo starts at the first record.
 //! 2. **Redo**: walk records with `lsn >= redo_start` in log order.
-//!    Full-page images are applied **unconditionally** (a torn page's
-//!    LSN word cannot be trusted; images are what repair torn pages).
-//!    Deltas are gated on the page LSN — applied only when
-//!    `page_lsn < lsn` — which makes replay idempotent: re-running
-//!    recovery reproduces byte-identical pages.
+//!    Page images are applied **unconditionally** (a torn page's LSN
+//!    word cannot be trusted; images are what repair torn pages): a
+//!    whole image is copied in, a sparse image's runs are written onto a
+//!    zeroed buffer. Deltas write their runs onto the stored page, gated
+//!    on the page LSN — applied only when `page_lsn < lsn` — which makes
+//!    replay idempotent: re-running recovery reproduces byte-identical
+//!    pages.
 //!
 //! After each applied record the page is stamped with the record's LSN,
 //! mirroring what the buffer pool did at logging time, so recovered
@@ -29,7 +31,7 @@
 use std::io;
 
 use cor_pagestore::wal::Lsn;
-use cor_pagestore::{DiskError, DiskManager, PageMut, PageView, PAGE_SIZE};
+use cor_pagestore::{DiskError, DiskManager, PageBuf, PageId, PageMut, PageView, PAGE_SIZE};
 
 use crate::record::{decode_stream, Record, RecordBody};
 use crate::store::LogStore;
@@ -91,7 +93,7 @@ pub struct RecoveryStats {
     pub checkpoint_lsn: Option<Lsn>,
     /// First LSN redo considered.
     pub redo_start: Lsn,
-    /// Full-page images applied (always unconditional).
+    /// Page images applied, whole or sparse (always unconditional).
     pub images_applied: u64,
     /// Deltas applied because the page LSN was older than the record.
     pub deltas_applied: u64,
@@ -154,21 +156,22 @@ pub fn recover(
         match &rec.body {
             RecordBody::Checkpoint { .. } => {}
             RecordBody::PageImage { pid, image } => {
-                extend_to(disk, *pid, &mut stats)?;
                 buf.copy_from_slice(&image[..]);
-                PageMut::new(&mut buf).set_lsn(rec.lsn);
-                disk.write_page(*pid, &buf)?;
-                stats.images_applied += 1;
+                redo_image(disk, *pid, rec.lsn, &mut buf, &mut stats)?;
             }
-            RecordBody::PageDelta { pid, offset, bytes } => {
+            RecordBody::SparseImage { pid, ranges } => {
+                buf.fill(0);
+                ranges.apply(&mut buf);
+                redo_image(disk, *pid, rec.lsn, &mut buf, &mut stats)?;
+            }
+            RecordBody::PageDelta { pid, ranges } => {
                 extend_to(disk, *pid, &mut stats)?;
                 disk.read_page(*pid, &mut buf)?;
                 if PageView::new(&buf).lsn() >= rec.lsn {
                     stats.deltas_skipped += 1;
                     continue;
                 }
-                let at = *offset as usize;
-                buf[at..at + bytes.len()].copy_from_slice(bytes);
+                ranges.apply(&mut buf);
                 PageMut::new(&mut buf).set_lsn(rec.lsn);
                 disk.write_page(*pid, &buf)?;
                 stats.deltas_applied += 1;
@@ -176,6 +179,21 @@ pub fn recover(
         }
     }
     Ok(stats)
+}
+
+/// Write an image already built in `buf` to `pid`, stamped with `lsn`.
+fn redo_image(
+    disk: &dyn DiskManager,
+    pid: PageId,
+    lsn: Lsn,
+    buf: &mut PageBuf,
+    stats: &mut RecoveryStats,
+) -> Result<(), DiskError> {
+    extend_to(disk, pid, stats)?;
+    PageMut::new(buf).set_lsn(lsn);
+    disk.write_page(pid, buf)?;
+    stats.images_applied += 1;
+    Ok(())
 }
 
 /// How many bytes of a segment's undecodable `tail` are torn: up to
@@ -202,7 +220,7 @@ mod tests {
     use crate::log::{Wal, WalConfig};
     use crate::store::MemLogStore;
     use cor_pagestore::wal::WalHook;
-    use cor_pagestore::{MemDisk, PageBuf};
+    use cor_pagestore::MemDisk;
     use std::sync::Arc;
 
     fn page_bytes(disk: &dyn DiskManager, pid: u32) -> PageBuf {
@@ -375,7 +393,7 @@ mod tests {
         let first = page;
         logged_write(&wal, &mut page, 1, |p| p[1] = 2); // image, torn below
         store.sync().unwrap();
-        store.crash_torn(100);
+        store.crash_torn(5);
         let stats = recover(&MemDisk::new(), store.as_ref()).unwrap();
         assert_eq!(stats.records_scanned, 1);
         assert!(stats.tail_dropped_bytes > 0);

@@ -6,16 +6,19 @@
 //! the bytes it consumed.
 //!
 //! Inputs are arbitrary bytes (bare, or framed under a valid header and
-//! CRC so the body checks are reached) and valid streams mutated by byte
-//! flips and by rewriting a record's `len` or `lsn` word or a delta's
-//! `offset` or `count` field, with the CRC re-stamped.
+//! CRC so the body checks are reached); valid streams of whole images,
+//! sparse images, multi-run deltas and checkpoints mutated by byte flips
+//! and by rewriting a record's `len` or `lsn` word or any run's `offset`
+//! or `len` field, with the CRC re-stamped; and valid streams followed by
+//! a frame whose runs are unsorted, overlapping, empty or leave the page,
+//! which must end decoding right before it.
 //!
 //! This binary installs a `#[global_allocator]` that counts the bytes
 //! each thread asks for, which is why it is a test binary of its own.
 
 use cor_pagestore::PAGE_SIZE;
 use cor_wal::crc::crc32;
-use cor_wal::record::RECORD_HEADER;
+use cor_wal::record::{PageRanges, RANGE_HEADER, RECORD_HEADER};
 use cor_wal::{decode_stream, Record, RecordBody};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -101,12 +104,33 @@ fn restamp(stream: &mut [u8], at: usize) {
     stream[at..at + 4].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// A random valid record: an image, a delta inside the page, or a
-/// checkpoint with a short dirty-page table.
+/// Sorted, disjoint runs of random bytes: at least `min` of them, up to
+/// four, each 1..48 bytes after a gap of 0..300.
+fn random_ranges(rng: &mut StdRng, min: usize) -> PageRanges {
+    let mut page = [0u8; PAGE_SIZE];
+    rng.fill_bytes(&mut page);
+    let mut runs = Vec::new();
+    let mut at = rng.random_range(0..PAGE_SIZE / 2);
+    for _ in 0..rng.random_range(min..=4) {
+        let len: usize = rng.random_range(1..48);
+        if at + len > PAGE_SIZE {
+            break;
+        }
+        runs.push((at, at + len));
+        at += len + rng.random_range(0..300usize);
+    }
+    if runs.len() < min {
+        runs.push((PAGE_SIZE - 1, PAGE_SIZE));
+    }
+    PageRanges::from_runs(runs.iter().map(|&(s, e)| (s, &page[s..e]))).expect("sorted runs")
+}
+
+/// A random valid record: a whole image, a sparse image, a delta of one
+/// to four runs, or a checkpoint with a short dirty-page table.
 fn random_record(rng: &mut StdRng) -> Record {
     let lsn = rng.random();
     let pid = rng.random_range(0..64);
-    let body = match rng.random_range(0..4) {
+    let body = match rng.random_range(0..5) {
         0 => {
             let mut image = Box::new([0u8; PAGE_SIZE]);
             rng.fill_bytes(&mut image[..]);
@@ -118,18 +142,32 @@ fn random_record(rng: &mut StdRng) -> Record {
                 .map(|_| (rng.random_range(0..64), rng.random()))
                 .collect(),
         },
-        _ => {
-            let n = rng.random_range(0..48);
-            let mut bytes = vec![0u8; n];
-            rng.fill_bytes(&mut bytes);
-            RecordBody::PageDelta {
-                pid,
-                offset: rng.random_range(0..=PAGE_SIZE - n) as u16,
-                bytes,
-            }
-        }
+        2 => RecordBody::SparseImage {
+            pid,
+            ranges: random_ranges(rng, 0),
+        },
+        _ => RecordBody::PageDelta {
+            pid,
+            ranges: random_ranges(rng, 1),
+        },
     };
     Record { lsn, body }
+}
+
+/// Where each run header of `rec`'s payload sits in its frame.
+fn run_headers(rec: &Record) -> Vec<usize> {
+    let ranges = match &rec.body {
+        RecordBody::SparseImage { ranges, .. } | RecordBody::PageDelta { ranges, .. } => ranges,
+        _ => return Vec::new(),
+    };
+    let mut at = RECORD_HEADER + 4;
+    ranges
+        .iter()
+        .map(|(_, bytes)| {
+            at += RANGE_HEADER + bytes.len();
+            at - RANGE_HEADER - bytes.len()
+        })
+        .collect()
 }
 
 /// A valid stream of 1..6 records and the offset of each frame.
@@ -146,13 +184,8 @@ fn valid_stream(seed: u64) -> (Vec<u8>, Vec<(usize, Record)>) {
 }
 
 /// `(offset in the frame, width)` of the header's `len` and `lsn` words
-/// and of a delta's `offset` and `count` fields.
-const FIELDS: [(usize, usize); 4] = [
-    (4, 4),
-    (8, 4),
-    (RECORD_HEADER + 4, 2),
-    (RECORD_HEADER + 6, 2),
-];
+/// and, past a run header's start, of its `offset` and `len` fields.
+const FIELDS: [(usize, usize); 4] = [(4, 4), (8, 4), (0, 2), (2, 2)];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
@@ -199,12 +232,13 @@ proptest! {
         decode_as_outside_input(&stream);
     }
 
-    /// A valid stream with one frame's `len` or `lsn` word, or a delta's
-    /// `offset` or `count`, rewritten and the CRC re-stamped.
+    /// A valid stream with one frame's `len` or `lsn` word, or one run's
+    /// `offset` or `len`, rewritten and the CRC re-stamped.
     #[test]
     fn decode_survives_rewritten_fields(
         seed in any::<u64>(),
         pick in any::<usize>(),
+        run in any::<usize>(),
         field in 0..FIELDS.len(),
         step in any::<i8>(),
         any_value in any::<u32>(),
@@ -213,9 +247,15 @@ proptest! {
         let (mut stream, frames) = valid_stream(seed);
         let (start, rec) = &frames[pick % frames.len()];
         let (skip, width) = FIELDS[field];
-        // The last two fields exist only in a delta's payload.
-        if field < 2 || matches!(rec.body, RecordBody::PageDelta { .. }) {
-            let word = &mut stream[start + skip..start + skip + width];
+        // The last two fields exist only in a record with runs.
+        let runs = run_headers(rec);
+        let at = match field {
+            0 | 1 => Some(start + skip),
+            _ if runs.is_empty() => None,
+            _ => Some(start + runs[run % runs.len()] + skip),
+        };
+        if let Some(at) = at {
+            let word = &mut stream[at..at + width];
             let mut le = [0u8; 4];
             le[..width].copy_from_slice(word);
             let old = u32::from_le_bytes(le);
@@ -224,6 +264,46 @@ proptest! {
             word.copy_from_slice(&new.to_le_bytes()[..width]);
             restamp(&mut stream, *start);
         }
+        decode_as_outside_input(&stream);
+    }
+
+    /// A valid stream, then a delta or sparse image whose runs break one
+    /// rule — unsorted, overlapping, empty, or past the page end — under
+    /// a valid CRC: decoding returns the valid records and stops there.
+    #[test]
+    fn bad_runs_end_decoding_cleanly(
+        seed in any::<u64>(),
+        flaw in 0u8..4,
+        sparse in any::<bool>(),
+        at in 0..PAGE_SIZE - 64,
+        len in 1u16..32,
+    ) {
+        let (mut stream, frames) = valid_stream(seed);
+        let valid_len = stream.len();
+        let run = |offset: usize, len: u16| {
+            let mut w = (offset as u16).to_le_bytes().to_vec();
+            w.extend_from_slice(&len.to_le_bytes());
+            w.resize(RANGE_HEADER + len as usize, 0x5A);
+            w
+        };
+        let wire = match flaw {
+            0 => [run(at + 32, len), run(at, len)].concat(),
+            1 => [run(at, len + 1), run(at + len as usize, len)].concat(),
+            2 => [run(at, len), run(at + 40, 0)].concat(),
+            _ => run(PAGE_SIZE + 1 - len as usize, len),
+        };
+        let frame_at = stream.len();
+        stream.extend_from_slice(&[0; 4]);
+        stream.extend_from_slice(&(4 + wire.len() as u32).to_le_bytes());
+        stream.extend_from_slice(&7u32.to_le_bytes());
+        stream.push(if sparse { 4 } else { 2 });
+        stream.extend_from_slice(&9u32.to_le_bytes());
+        stream.extend_from_slice(&wire);
+        restamp(&mut stream, frame_at);
+        let out = decode_stream(&stream);
+        prop_assert_eq!(out.consumed, valid_len);
+        let records: Vec<Record> = frames.into_iter().map(|(_, r)| r).collect();
+        prop_assert_eq!(out.records, records);
         decode_as_outside_input(&stream);
     }
 }

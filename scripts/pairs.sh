@@ -2,8 +2,9 @@
 # The ten-pair protocol behind every performance or no-gain claim (the
 # PR 13/15/16/17 sections of docs/benchmarks.md): run BENCHMARK.json's
 # command on a parent commit and on the working tree, alternating which
-# side goes first, and print medians, quartiles, pairs won and exact-count
-# equality.
+# side goes first, and print medians, quartiles, pairs won and, for the
+# exact counts, which way each moved per seed against the metric's
+# `better` ("lower on every seed", "WORSE: higher on k of n seeds").
 #
 #   scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10] [--traced]
 #
@@ -130,8 +131,17 @@ for workload, by_pair in runs.items():
         ratio = bm / am if am else float("nan")
         worse_by = (ratio - 1 if lower else 1 - ratio) if am else 0.0
         if name in EXACT:
-            same = sum(x == y for x, y in zip(a, b))
-            verdict = "identical per seed" if same == len(pairs) else f"DIFFERS on {len(pairs) - same} seeds"
+            # Direction, read against `better`: a saving and a regression
+            # must not print the same words.
+            better_dir, worse_dir = ("lower", "higher") if lower else ("higher", "lower")
+            if lost:
+                verdict = f"WORSE: {worse_dir} on {lost} of {len(pairs)} seeds"
+            elif won == len(pairs):
+                verdict = f"{better_dir} on every seed"
+            elif won:
+                verdict = f"{better_dir} on {won} seeds, identical on the rest"
+            else:
+                verdict = "identical per seed"
         elif am and (a3 - a1) / am > bound:
             verdict = f"unresolved (parent spread {fmt((a3 - a1) / am)} > bound {bound})"
         elif worse_by > bound:

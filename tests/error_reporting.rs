@@ -2,16 +2,22 @@
 //! chain their sources, and the library fails loudly rather than silently
 //! on misuse.
 
-use complexobj::database::{CorDatabase, DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
+use complexobj::cache::encode_unit_value;
+use complexobj::database::{
+    child_schema, CorDatabase, DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE,
+};
 use complexobj::procedural::{
     ProcCaching, ProcDatabaseSpec, ProcObjectSpec, QuelParseError, StoredQuery,
 };
 use complexobj::strategies::{execute_retrieve, ExecOptions};
 use complexobj::ClusterAssignment;
-use complexobj::{CorError, RetAttr, RetrieveQuery, Strategy, StrategyOutput, ValueDatabase};
-use cor_access::{AccessError, BTreeFile, CatalogError};
+use complexobj::{
+    CacheConfig, CachePlacement, CorError, RetAttr, RetrieveQuery, Strategy, StrategyOutput,
+    ValueDatabase,
+};
+use cor_access::{encode, AccessError, BTreeFile, CatalogError};
 use cor_pagestore::{BufferError, BufferPool, DiskError, FaultMode, FaultyDisk, MemDisk};
-use cor_relational::Oid;
+use cor_relational::{Oid, Tuple, Value};
 use cor_workload::{Engine, EngineSpec};
 use std::error::Error;
 use std::sync::Arc;
@@ -291,6 +297,25 @@ fn failed_read_inside_a_scan_is_an_error_not_a_panic() {
     every_failed_read_is_an_error("value-based", &disk, db.pool(), || db.run_retrieve(&q));
 }
 
+/// Find `needle` on the one page of `pool` that holds it and overwrite
+/// its byte at `offset` with `value`.
+fn overwrite_one_byte(pool: &BufferPool, needle: &[u8], offset: usize, value: u8) {
+    let mut found = 0;
+    for pid in 0..pool.num_pages() {
+        found += pool
+            .write(pid, |mut page| {
+                let bytes = page.bytes_mut();
+                let at = bytes.windows(needle.len()).position(|w| w == needle);
+                if let Some(i) = at {
+                    bytes[i + offset] = value;
+                }
+                usize::from(at.is_some())
+            })
+            .unwrap();
+    }
+    assert_eq!(found, 1, "the bytes sit on one page");
+}
+
 /// A parent page carries no checksum, so a procedural object's stored
 /// query text can come back from disk altered. One overwritten byte of
 /// that text makes `retrieve` return an `Err` whose source is the parse
@@ -327,25 +352,103 @@ fn corrupt_stored_query_text_is_an_error_not_a_panic() {
     assert_eq!(engine.retrieve(Strategy::Dfs, &q).unwrap().values.len(), 2);
 
     // Turn the text's `OID` into `XID` on whichever page holds it.
-    let pool = engine.pool();
-    let needle = b".OID <= ";
-    let mut corrupted = 0;
-    for pid in 0..pool.num_pages() {
-        corrupted += pool
-            .write(pid, |mut page| {
-                let bytes = page.bytes_mut();
-                let at = bytes.windows(needle.len()).position(|w| w == needle);
-                if let Some(i) = at {
-                    bytes[i + 1] = b'X';
-                }
-                usize::from(at.is_some())
-            })
-            .unwrap();
-    }
-    assert_eq!(corrupted, 1, "the stored text sits on one page");
+    overwrite_one_byte(engine.pool(), b".OID <= ", 1, b'X');
 
     let err = engine.retrieve(Strategy::Dfs, &q).unwrap_err();
     assert!(matches!(err, CorError::CorruptStoredQuery(_)), "{err:?}");
     let source = err.source().expect("chains to the parse error");
     assert!(source.to_string().contains("XID"), "{source}");
+}
+
+/// One object over one subobject, and the subobject's stored record.
+fn one_object_over_one_subobject() -> (DatabaseSpec, Vec<u8>) {
+    let child = SubobjectSpec {
+        oid: Oid::new(CHILD_REL_BASE, 0),
+        rets: [5, 0, 0],
+        dummy: "c".into(),
+    };
+    let record = encode(
+        &child_schema(),
+        &Tuple::new(vec![
+            Value::Oid(child.oid),
+            Value::Int(5),
+            Value::Int(0),
+            Value::Int(0),
+            Value::Str("c".into()),
+        ]),
+    )
+    .unwrap();
+    let spec = DatabaseSpec {
+        parents: vec![ObjectSpec {
+            key: 0,
+            rets: [0; 3],
+            dummy: "p".into(),
+            children: vec![child.oid],
+        }],
+        child_rels: vec![vec![child]],
+    };
+    (spec, record)
+}
+
+/// A value-based object's inlined records sit on a page with no
+/// checksum. One byte of their count raised from 1 to 2 makes both the
+/// retrieve and the replica update return a codec error, not panic.
+#[test]
+fn corrupt_inlined_records_are_an_error_not_a_panic() {
+    let (spec, record) = one_object_over_one_subobject();
+    let db = ValueDatabase::build(pool(), &spec).unwrap();
+    let q = RetrieveQuery {
+        lo: 0,
+        hi: 0,
+        attr: RetAttr::Ret1,
+    };
+    assert_eq!(db.run_retrieve(&q).unwrap().values, vec![5]);
+
+    overwrite_one_byte(db.pool(), &encode_unit_value(&[record]), 0, 2);
+
+    let err = db.run_retrieve(&q).unwrap_err();
+    assert!(
+        matches!(err, CorError::Access(AccessError::Codec(_))),
+        "{err:?}"
+    );
+    let err = db
+        .update_child_ret(Oid::new(CHILD_REL_BASE, 0), 0, 7)
+        .unwrap_err();
+    assert!(
+        matches!(err, CorError::Access(AccessError::Codec(_))),
+        "{err:?}"
+    );
+}
+
+/// An inside-placed cache keeps a unit's value in its object's record,
+/// on a page with no checksum. One byte of the cached count raised from
+/// 1 to 2 makes the next DFSCACHE retrieve return a codec error, not
+/// panic.
+#[test]
+fn corrupt_inside_cached_payload_is_an_error_not_a_panic() {
+    let (spec, record) = one_object_over_one_subobject();
+    let cache = CacheConfig {
+        capacity: 4,
+        placement: CachePlacement::Inside,
+        ..CacheConfig::default()
+    };
+    let db = CorDatabase::build_standard(pool(), &spec, Some(cache)).unwrap();
+    let q = RetrieveQuery {
+        lo: 0,
+        hi: 0,
+        attr: RetAttr::Ret1,
+    };
+    let opts = ExecOptions::default();
+    for _ in 0..2 {
+        let out = execute_retrieve(&db, Strategy::DfsCache, &q, &opts).unwrap();
+        assert_eq!(out.values, vec![5]);
+    }
+
+    overwrite_one_byte(db.pool(), &encode_unit_value(&[record]), 0, 2);
+
+    let err = execute_retrieve(&db, Strategy::DfsCache, &q, &opts).unwrap_err();
+    assert!(
+        matches!(err, CorError::Access(AccessError::Codec(_))),
+        "{err:?}"
+    );
 }
