@@ -1,4 +1,4 @@
-//! CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
+//! CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-16.
 //!
 //! Every log record carries a CRC over its header-after-the-checksum and
 //! payload, so recovery can distinguish a torn tail (expected after a
@@ -7,18 +7,19 @@
 //! vendors no checksum crate.
 //!
 //! The classic table-driven CRC folds one byte per table lookup, and each
-//! lookup waits on the last. Slicing-by-8 folds eight bytes per step
-//! through eight tables, where `TABLES[k][b]` is the register update for
-//! byte `b` followed by `k` zero bytes. The eight lookups of a step are
-//! independent, so they overlap: a 2 KB page costs about a quarter of the
-//! byte loop's time (docs/durability.md, "What an append costs"). The
-//! tables (8 KiB) are built at compile time; the values are the byte
-//! loop's, bit for bit.
+//! lookup waits on the last. Slicing-by-16 folds sixteen bytes per step
+//! through sixteen tables, where `TABLES[k][b]` is the register update
+//! for byte `b` followed by `k` zero bytes. The sixteen lookups of a step
+//! are independent, so they overlap; a step carries one dependent lookup
+//! chain per sixteen bytes, half the eight-table form's, which takes
+//! about a quarter off a page's CRC (docs/durability.md, "What an append
+//! costs"). The tables (16 KiB) are built at compile time; the values are
+//! the byte loop's, bit for bit.
 
 const POLY: u32 = 0xEDB8_8320;
 
-const TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+const TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -35,7 +36,7 @@ const TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -56,19 +57,26 @@ fn lookup(k: usize, word: u32, n: u32) -> u32 {
 /// CRC-32 of `bytes` (IEEE, as produced by zlib's `crc32`).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for chunk in &mut chunks {
-        let (lo, hi) = chunk.split_at(4);
-        let lo = crc ^ u32::from_le_bytes(lo.try_into().expect("4 bytes"));
-        let hi = u32::from_le_bytes(hi.try_into().expect("4 bytes"));
-        crc = lookup(7, lo, 0)
-            ^ lookup(6, lo, 1)
-            ^ lookup(5, lo, 2)
-            ^ lookup(4, lo, 3)
-            ^ lookup(3, hi, 0)
-            ^ lookup(2, hi, 1)
-            ^ lookup(1, hi, 2)
-            ^ lookup(0, hi, 3);
+        let w = |i: usize| u32::from_le_bytes(chunk[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        let (a, b, c, d) = (crc ^ w(0), w(1), w(2), w(3));
+        crc = lookup(15, a, 0)
+            ^ lookup(14, a, 1)
+            ^ lookup(13, a, 2)
+            ^ lookup(12, a, 3)
+            ^ lookup(11, b, 0)
+            ^ lookup(10, b, 1)
+            ^ lookup(9, b, 2)
+            ^ lookup(8, b, 3)
+            ^ lookup(7, c, 0)
+            ^ lookup(6, c, 1)
+            ^ lookup(5, c, 2)
+            ^ lookup(4, c, 3)
+            ^ lookup(3, d, 0)
+            ^ lookup(2, d, 1)
+            ^ lookup(1, d, 2)
+            ^ lookup(0, d, 3);
     }
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
@@ -112,14 +120,14 @@ mod tests {
     }
 
     proptest! {
-        /// Slicing-by-8 equals the byte loop for every length up to 4 KiB
-        /// and every start offset into a buffer modulo 8, so each
+        /// Slicing-by-16 equals the byte loop for every length up to
+        /// 4 KiB and every start offset into a buffer modulo 16, so each
         /// alignment and each remainder length runs.
         #[test]
-        fn slicing_by_8_matches_the_byte_loop(
-            buf in proptest::collection::vec(any::<u8>(), 0..4096 + 8),
+        fn slicing_by_16_matches_the_byte_loop(
+            buf in proptest::collection::vec(any::<u8>(), 0..4096 + 16),
         ) {
-            for start in 0..8.min(buf.len() + 1) {
+            for start in 0..16.min(buf.len() + 1) {
                 let bytes = &buf[start..];
                 prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {}", start);
             }
