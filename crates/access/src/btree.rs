@@ -19,6 +19,14 @@
 //! ...    entry heap       each entry: key (key_len B) then value (vlen B)
 //! ```
 //!
+//! A point lookup ([`BTreeFile::get_with`]) pins each level once and
+//! searches the leaf under the descent's own pin: `height` pins. A point
+//! update ([`BTreeFile::update_with`]) is the same descent plus one write
+//! pin on the leaf, where the caller's closure patches the value in place
+//! or hands back a replacement: `height + 1` pins, and an absent key
+//! dirties nothing. Only a replacement the leaf has no room for goes back
+//! to the root, through the insert path's split.
+//!
 //! Inserts are upserts (a second insert of the same key replaces the
 //! value). Deletes merge underfull nodes with a sibling when the pair
 //! fits in one page and collapse the root as levels empty — the paper's
@@ -227,6 +235,31 @@ mod node {
         let n = count(d);
         d.copy_within(dir_at(i + 1)..dir_at(n), dir_at(i));
         set_count(d, n - 1);
+    }
+
+    /// The value of entry `i`, writable in place.
+    pub fn entry_val_mut(d: &mut [u8], i: usize, key_len: usize) -> &mut [u8] {
+        let off = entry_off(d, i);
+        let vlen = entry_vlen(d, i);
+        &mut d[off + key_len..off + key_len + vlen]
+    }
+
+    /// Give leaf entry `i` (holding `key`) the value `val`: over the old
+    /// value when it is no longer, else re-inserted into the page's free
+    /// space. Returns `false` when `val` needs a split: the old entry is
+    /// then already removed, and the caller re-adds the key.
+    pub fn replace_value(d: &mut [u8], i: usize, key: &[u8], val: &[u8], key_len: usize) -> bool {
+        if val.len() <= entry_vlen(d, i) {
+            overwrite_value(d, i, key_len, val);
+            return true;
+        }
+        remove_entry(d, i);
+        if total_free(d, key_len) < key_len + val.len() + DIR {
+            return false;
+        }
+        let pos = search(d, key, key_len).unwrap_err();
+        insert_entry(d, pos, key, val, key_len);
+        true
     }
 
     /// Overwrite the value of entry `i` in place (`val` must not be longer
@@ -613,34 +646,40 @@ impl BTreeFile {
         }
     }
 
-    /// In-place value replacement through a leaf-page hint (same-size or
-    /// shrinking updates only take the fast path). Falls back to the
-    /// normal update when the hint is stale or the value grows.
-    pub fn update_with_hint(
+    /// [`Self::update_with`] through a leaf-page hint: the hinted page is
+    /// searched under a read pin instead of a root-to-leaf descent, so a
+    /// hint that still holds the key costs two pins. Falls back to
+    /// [`Self::update_with`] if the hint went stale or never named a leaf;
+    /// `f` runs at most once either way.
+    pub fn update_with_hint<E>(
         &self,
         hint: PageId,
         key: &[u8],
-        val: &[u8],
-    ) -> Result<bool, AccessError> {
-        self.check_entry(key, val)?;
-        let key_len = self.key_len;
-        let done = self.pool.write(hint, |mut p| {
-            let d = p.bytes_mut();
-            if !node::is_leaf(d) {
-                return false;
-            }
-            match node::search(d, key, key_len) {
-                Ok(i) if val.len() <= node::entry_vlen(d, i) => {
-                    node::overwrite_value(d, i, key_len, val);
-                    true
-                }
-                _ => false,
-            }
-        })?;
-        if done {
-            return Ok(true);
+        f: impl FnOnce(&mut [u8]) -> Result<Option<Vec<u8>>, E>,
+    ) -> Result<bool, E>
+    where
+        E: From<AccessError>,
+    {
+        if key.len() != self.key_len {
+            return Err(AccessError::BadKeyLen(key.len()).into());
         }
-        self.update(key, val)
+        let key_len = self.key_len;
+        let at = {
+            let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
+            self.pool
+                .read(hint, |p| {
+                    let d = p.bytes();
+                    if !node::is_leaf(d) {
+                        return None;
+                    }
+                    node::search(d, key, key_len).ok()
+                })
+                .map_err(AccessError::from)?
+        };
+        match at {
+            Some(i) => self.rewrite(hint, i, key, f),
+            None => self.update_with(key, f),
+        }
     }
 
     /// Visit every entry stored on one leaf page **in place**: `f` sees
@@ -700,20 +739,99 @@ impl BTreeFile {
         .transpose()
     }
 
+    /// Read-modify-write of one value **in place**: `f` gets the value of
+    /// `key` writable under the leaf's page pin and either patches it
+    /// there and returns `Ok(None)`, or returns its replacement as
+    /// `Ok(Some(value))`. Returns `false` when the key is absent: `f` is
+    /// not called and no page is dirtied. An `Err` from `f` is returned as
+    /// is; by then the leaf is write-pinned, so its frame is dirty and
+    /// keeps whatever `f` wrote.
+    ///
+    /// One descent under read pins searches the leaf under the descent's
+    /// own pin, then one write pin on the leaf runs `f`: `height + 1`
+    /// pins. A replacement stays on the leaf when the page has room for
+    /// it; one that does not fit takes [`Self::insert`]'s split path from
+    /// the root.
+    pub fn update_with<E>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&mut [u8]) -> Result<Option<Vec<u8>>, E>,
+    ) -> Result<bool, E>
+    where
+        E: From<AccessError>,
+    {
+        if key.len() != self.key_len {
+            return Err(AccessError::BadKeyLen(key.len()).into());
+        }
+        let key_len = self.key_len;
+        let found = self.descend(key, |leaf, d| {
+            node::search(d, key, key_len).ok().map(|i| (leaf, i))
+        })?;
+        match found {
+            Some((leaf, i)) => self.rewrite(leaf, i, key, f),
+            None => Ok(false),
+        }
+    }
+
+    /// Run an update's `f` on entry `i` of `leaf` under a write pin and
+    /// store what it returns. The entry was found to hold `key` under the
+    /// read pin just released; writers are serialised, so it still does.
+    fn rewrite<E>(
+        &self,
+        leaf: PageId,
+        i: usize,
+        key: &[u8],
+        f: impl FnOnce(&mut [u8]) -> Result<Option<Vec<u8>>, E>,
+    ) -> Result<bool, E>
+    where
+        E: From<AccessError>,
+    {
+        let key_len = self.key_len;
+        let overflow = self
+            .pool
+            .write(leaf, |mut p| -> Result<Option<Vec<u8>>, E> {
+                let d = p.bytes_mut();
+                assert!(
+                    node::entry_key(d, i, key_len) == key,
+                    "a second writer moved the entry between the pins"
+                );
+                let Some(val) = f(node::entry_val_mut(d, i, key_len))? else {
+                    return Ok(None);
+                };
+                if key_len + val.len() > MAX_BTREE_ENTRY {
+                    return Err(AccessError::EntryTooLarge.into());
+                }
+                Ok((!node::replace_value(d, i, key, &val, key_len)).then_some(val))
+            })
+            .map_err(AccessError::from)??;
+        if let Some(val) = overflow {
+            // The old entry is gone from the full leaf: re-add the key
+            // through a split, as an insert would.
+            self.insert_from_root(key, &val)?;
+        }
+        Ok(true)
+    }
+
     /// Point lookup, copying the value out.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, AccessError> {
         self.get_with(key, |v| Ok(v.to_vec()))
-    }
-
-    /// Does `key` exist? Nothing is copied off the leaf.
-    pub fn contains(&self, key: &[u8]) -> Result<bool, AccessError> {
-        Ok(self.get_with(key, |_| Ok::<_, AccessError>(()))?.is_some())
     }
 
     /// Upsert `(key, value)`. Returns `true` if a new key was inserted,
     /// `false` if an existing key's value was replaced.
     pub fn insert(&self, key: &[u8], val: &[u8]) -> Result<bool, AccessError> {
         self.check_entry(key, val)?;
+        let inserted = self.insert_from_root(key, val)?;
+        if inserted {
+            self.len.set(self.len.get() + 1);
+        }
+        Ok(inserted)
+    }
+
+    /// Upsert `(key, val)` from the root down, growing a new root when the
+    /// old one splits; `len` is the caller's to keep. Returns whether the
+    /// leaf lacked the key.
+    fn insert_from_root(&self, key: &[u8], val: &[u8]) -> Result<bool, AccessError> {
         let (split, inserted) = self.insert_rec(self.root.get(), key, val)?;
         if let Some((sep, right)) = split {
             let new_root = self.pool.allocate_page()?;
@@ -726,9 +844,6 @@ impl BTreeFile {
             })?;
             self.root.set(new_root);
             self.height.set(self.height.get() + 1);
-        }
-        if inserted {
-            self.len.set(self.len.get() + 1);
         }
         Ok(inserted)
     }
@@ -745,22 +860,10 @@ impl BTreeFile {
             let fast = self.pool.write(page, |mut p| {
                 let d = p.bytes_mut();
                 match node::search(d, key, key_len) {
-                    Ok(i) => {
-                        if val.len() <= node::entry_vlen(d, i) {
-                            node::overwrite_value(d, i, key_len, val);
-                            return Fast::Replaced;
-                        }
-                        node::remove_entry(d, i);
-                        if node::total_free(d, key_len) >= key_len + val.len() + DIR {
-                            let pos = node::search(d, key, key_len).unwrap_err();
-                            node::insert_entry(d, pos, key, val, key_len);
-                            Fast::Replaced
-                        } else {
-                            // Old entry is gone; the split path below will
-                            // re-add the key with its new value.
-                            Fast::NeedSplitAfterRemove
-                        }
-                    }
+                    Ok(i) if node::replace_value(d, i, key, val, key_len) => Fast::Replaced,
+                    // Old entry is gone; the split path below will re-add
+                    // the key with its new value.
+                    Ok(_) => Fast::NeedSplitAfterRemove,
                     Err(i) => {
                         if node::total_free(d, key_len) >= key_len + val.len() + DIR {
                             node::insert_entry(d, i, key, val, key_len);
@@ -839,7 +942,10 @@ impl BTreeFile {
         for (i, (k, v)) in entries.iter().enumerate() {
             acc += DIR + k.len() + v.len();
             if acc >= total_bytes / 2 {
-                m = i + 1;
+                // The entry crossing the middle goes left unless the left
+                // page cannot hold it; the right page then can, since no
+                // entry takes more than half a page.
+                m = if acc <= PAGE_SIZE - HDR { i + 1 } else { i };
                 break;
             }
         }
@@ -1063,14 +1169,10 @@ impl BTreeFile {
     }
 
     /// Replace the value of an existing key. Returns `false` (and stores
-    /// nothing) if the key is absent.
+    /// nothing) if the key is absent. One [`Self::update_with`].
     pub fn update(&self, key: &[u8], val: &[u8]) -> Result<bool, AccessError> {
         self.check_entry(key, val)?;
-        if !self.contains(key)? {
-            return Ok(false);
-        }
-        self.insert(key, val)?;
-        Ok(true)
+        self.update_with(key, |_| Ok(Some(val.to_vec())))
     }
 
     /// Exhaustively check the tree's structural invariants: keys strictly
@@ -1563,6 +1665,26 @@ mod tests {
         assert!(!t.update(&key8(2), b"nope").unwrap());
         assert_eq!(t.get(&key8(2)).unwrap(), None);
         assert_eq!(t.len(), 1);
+    }
+
+    /// A full leaf of small entries takes a largest-size value in its
+    /// middle: the entry crossing the byte midpoint would overfill the
+    /// left page, so it goes right.
+    #[test]
+    fn a_split_places_a_large_middle_entry_where_it_fits() {
+        let t = BTreeFile::create(pool(8), 8).unwrap();
+        for k in 0..39u64 {
+            t.insert(&key8(k), &[k as u8; 40]).unwrap();
+        }
+        assert_eq!(t.leaf_pages(), 1, "39 entries of 52 bytes fill one leaf");
+        let big = vec![0xEE; MAX_BTREE_ENTRY - 8];
+        assert!(t.update(&key8(20), &big).unwrap());
+        t.validate().unwrap();
+        assert_eq!(t.leaf_pages(), 2);
+        assert_eq!(t.get(&key8(20)).unwrap().unwrap(), big);
+        for k in (0..39u64).filter(|&k| k != 20) {
+            assert_eq!(t.get(&key8(k)).unwrap().unwrap(), [k as u8; 40]);
+        }
     }
 
     #[test]

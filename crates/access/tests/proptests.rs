@@ -1,14 +1,19 @@
 //! Property tests for the access methods: B-tree and hash file against
 //! std collection models, external sort against `sort()`, the in-place
 //! merge co-scan against the iterator merge join, the in-place visits and
-//! lookups against their copy-out forms, batch heap appends against one
+//! lookups against their copy-out forms, the one-descent update against
+//! the lookup-then-upsert it replaced, batch heap appends against one
 //! append per record, record codec round-trips.
 
 use cor_access::{
     decode, encode, external_sort, merge_join, AccessError, BTreeFile, HashFile, HeapFile,
+    MAX_BTREE_ENTRY,
 };
-use cor_pagestore::{BufferPool, PageId, ReplacementPolicy, MAX_RECORD};
+use cor_pagestore::{
+    BufferPool, DiskManager, MemDisk, PageId, ReplacementPolicy, MAX_RECORD, PAGE_SIZE,
+};
 use cor_relational::{Oid, Schema, Tuple, Value, ValueType};
+use cor_wal::{MemLogStore, Wal, WalConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -79,6 +84,67 @@ fn cold_cost(p: &BufferPool, run: impl FnOnce()) -> (cor_pagestore::IoDelta, (u6
         p.stats().snapshot().since(&io0),
         (pins.0 - pins0.0, pins.1 - pins0.1),
     )
+}
+
+/// One side of the update comparison: a tree on an LRU pool of `frames`
+/// frames over its own `MemDisk`, logging to a `Wal` over a
+/// `MemLogStore`, built by the same steps as [`churned_tree`].
+struct Logged {
+    disk: Arc<MemDisk>,
+    wal: Arc<Wal>,
+    pool: Arc<BufferPool>,
+    tree: BTreeFile,
+}
+
+impl Logged {
+    fn build(
+        frames: usize,
+        present: &std::collections::BTreeSet<u64>,
+        churn: &[(u64, usize, bool)],
+        bulk: bool,
+    ) -> (Self, BTreeMap<u64, Vec<u8>>) {
+        let disk = Arc::new(MemDisk::new());
+        let wal = Arc::new(Wal::new(Arc::new(MemLogStore::new()), WalConfig::default()));
+        let pool = Arc::new(
+            BufferPool::builder()
+                .capacity(frames)
+                .disk(Box::new(Arc::clone(&disk)))
+                .wal(wal.clone())
+                .build(),
+        );
+        let (tree, model) = churned_tree(&pool, present, churn, bulk);
+        (
+            Logged {
+                disk,
+                wal,
+                pool,
+                tree,
+            },
+            model,
+        )
+    }
+
+    /// Everything an update may move: transfers, log counters, tree shape.
+    fn counts(&self) -> ((u64, u64), cor_wal::WalStatsSnapshot, (u64, u32)) {
+        let io = self.pool.stats();
+        (
+            (io.reads(), io.writes()),
+            self.wal.stats(),
+            (self.tree.len(), self.tree.height()),
+        )
+    }
+
+    /// Every page as the disk holds it after a flush.
+    fn pages(&self) -> Vec<Vec<u8>> {
+        self.pool.flush_all().unwrap();
+        let mut buf = [0u8; PAGE_SIZE];
+        (0..self.disk.num_pages())
+            .map(|pid| {
+                self.disk.read_page(pid, &mut buf).unwrap();
+                buf.to_vec()
+            })
+            .collect()
+    }
 }
 
 fn copy_out(v: &[u8]) -> Result<Vec<u8>, AccessError> {
@@ -350,6 +416,103 @@ proptest! {
         let refused: Result<Option<()>, AccessError> =
             tree.get_with(&key8(0), |_| Err(AccessError::EntryTooLarge));
         prop_assert_eq!(refused.is_err(), model.contains_key(&0));
+    }
+
+    /// `update_with` is the lookup-then-upsert sequence it replaced — a
+    /// `get`, a key check (the old `contains`, a `get_with` that copies
+    /// nothing) and an `insert` — with two descents fewer, and so are
+    /// `update` and `update_with_hint` (whose model looks up through the
+    /// same hint). On bulk-loaded and split trees, present and absent
+    /// keys, and values kept, shrunk, grown and grown past what the leaf
+    /// can hold, it leaves the same bytes on every page, costs the same
+    /// reads and writes, logs the same records, images, deltas and bytes,
+    /// and keeps the same `len` and `height`, through a 2-8-frame LRU
+    /// pool. An absent key runs no closure, dirties no frame and logs
+    /// nothing.
+    #[test]
+    fn update_with_equals_lookup_then_upsert(
+        present in proptest::collection::btree_set(0u64..400, 1..300),
+        churn in proptest::collection::vec((0u64..400, 0usize..120, any::<bool>()), 0..200),
+        bulk in any::<bool>(),
+        frames in 2usize..=8,
+        ops in proptest::collection::vec((0u64..440, 0u8..4, any::<u8>(), 0u8..4), 1..60),
+    ) {
+        let (model, mut map) = Logged::build(frames, &present, &churn, bulk);
+        let (new, _) = Logged::build(frames, &present, &churn, bulk);
+        // Even a two-frame pool holds a root-to-leaf path, so the repeat
+        // descents of the model only hit.
+        prop_assert!(new.tree.height() as usize <= frames);
+        prop_assert_eq!(model.counts(), new.counts());
+        for (k, size, fill, via) in ops {
+            let key = key8(k);
+            let old_len = map.get(&k).map_or(40, Vec::len);
+            let largest = MAX_BTREE_ENTRY - key.len();
+            let len = match size {
+                0 => old_len,
+                1 => old_len / 2,
+                2 => (old_len + 1 + usize::from(fill % 64)).min(largest),
+                _ => largest,
+            };
+            let val = vec![fill; len];
+            let absent = !map.contains_key(&k);
+            if absent {
+                model.pool.flush_all().unwrap();
+                new.pool.flush_all().unwrap();
+            }
+            let before = new.wal.stats();
+
+            // A hint is the root (no leaf once the tree has split) or the
+            // leaf of this key or of another (valid or stale), found by a
+            // descent both sides pay: the model's extra descents then only
+            // re-pin pages the hint's own descent just pinned.
+            let hint = match via {
+                0 | 1 => None,
+                2 if fill % 2 == 0 => Some(model.tree.metadata().root),
+                _ => {
+                    let of = if via == 2 { key8(u64::from(fill)) } else { key.clone() };
+                    new.tree.leaf_page_of(&of).unwrap();
+                    Some(model.tree.leaf_page_of(&of).unwrap())
+                }
+            };
+            let looked_up = match hint {
+                Some(hint) => model.tree.get_with_hint(hint, &key, copy_out),
+                None => model.tree.get(&key),
+            };
+            let found = looked_up.unwrap().is_some()
+                && model.tree.get_with(&key, |_| Ok::<_, AccessError>(())).unwrap().is_some()
+                && !model.tree.insert(&key, &val).unwrap();
+            let mut called = false;
+            let patch = |v: &mut [u8]| {
+                called = true;
+                if v.len() != val.len() {
+                    return Ok::<_, AccessError>(Some(val.clone()));
+                }
+                v.copy_from_slice(&val);
+                Ok(None)
+            };
+            let updated = match hint {
+                None if via == 1 => new.tree.update(&key, &val),
+                Some(hint) => new.tree.update_with_hint(hint, &key, patch),
+                None => new.tree.update_with(&key, patch),
+            }
+            .unwrap();
+            prop_assert_eq!(updated, found);
+            prop_assert_eq!(updated, !absent);
+            if updated {
+                map.insert(k, val);
+            }
+            prop_assert_eq!(model.counts(), new.counts(), "after updating key {}", k);
+            if absent {
+                prop_assert!(!called, "no closure for an absent key");
+                prop_assert_eq!(new.wal.stats(), before, "an absent key logs nothing");
+                let writes = new.pool.stats().writes();
+                new.pool.flush_all().unwrap();
+                prop_assert_eq!(new.pool.stats().writes(), writes, "an absent key dirties nothing");
+                model.pool.flush_all().unwrap();
+            }
+        }
+        prop_assert_eq!(model.pages(), new.pages());
+        new.tree.validate().unwrap();
     }
 
     /// `append_all` is one `append` per record: on temporary and

@@ -19,7 +19,7 @@ use crate::cache::{
 };
 use crate::cluster::ClusterAssignment;
 use crate::matrix::CachePlacement;
-use crate::query::parent_children;
+use crate::query::{parent_children, set_ret, RetAttr};
 use crate::CorError;
 use cor_access::{decode, encode, AccessError, BTreeFile, CodecError, IsamIndex, DEFAULT_FILL};
 use cor_pagestore::BufferPool;
@@ -708,15 +708,17 @@ impl CorDatabase {
             return Err(CorError::WrongRepresentation("standard"));
         };
         let pkey = Oid::new(PARENT_REL, key).to_key_bytes();
-        let Some(rec) = parent.get(&pkey)? else {
+        let found = parent.update_with(&pkey, |rec| {
+            let mut t = decode(&self.parent_schema, rec)?;
+            t.set(
+                6,
+                Value::Bytes(payload.map(|p| p.to_vec()).unwrap_or_default()),
+            );
+            Ok::<_, CorError>(Some(encode(&self.parent_schema, &t)?))
+        })?;
+        if !found {
             return Err(CorError::DanglingOid(Oid::new(PARENT_REL, key)));
-        };
-        let mut t = decode(&self.parent_schema, &rec)?;
-        t.set(
-            6,
-            Value::Bytes(payload.map(|p| p.to_vec()).unwrap_or_default()),
-        );
-        parent.update(&pkey, &encode(&self.parent_schema, &t)?)?;
+        }
         Ok(())
     }
 
@@ -838,37 +840,24 @@ impl CorDatabase {
     }
 
     /// Update one integer attribute of a subobject in place, returning
-    /// whether the subobject exists. Cache invalidation is the caller's
-    /// responsibility (see `query::apply_update`).
-    pub fn update_child_ret(&self, oid: Oid, ret_idx: usize, v: i64) -> Result<bool, CorError> {
-        assert!(ret_idx < 3, "ChildRel has ret1..ret3");
+    /// whether the subobject exists. The 8-byte field is patched under
+    /// the leaf's write pin, with no copy-out and no re-encode. Cache
+    /// invalidation is the caller's responsibility (see
+    /// `query::apply_update`).
+    pub fn update_child_ret(&self, oid: Oid, attr: RetAttr, v: i64) -> Result<bool, CorError> {
+        let patch = |rec: &mut [u8]| {
+            set_ret(rec, attr, v)?;
+            Ok::<_, CorError>(None)
+        };
         match &self.storage {
-            Storage::Standard { .. } => {
-                let tree = self.child_tree(oid.rel)?;
-                let key = oid.to_key_bytes();
-                let Some(rec) = tree.get(&key)? else {
-                    return Ok(false);
-                };
-                let mut t = decode(&self.child_schema, &rec)?;
-                t.set(1 + ret_idx, Value::Int(v));
-                let rec = encode(&self.child_schema, &t)?;
-                tree.update(&key, &rec)?;
-                Ok(true)
-            }
+            Storage::Standard { .. } => self
+                .child_tree(oid.rel)?
+                .update_with(&oid.to_key_bytes(), patch),
             Storage::Clustered { cluster, oid_index } => {
                 let Some((ckey, leaf)) = Self::tid_of(oid_index, oid)? else {
                     return Ok(false);
                 };
-                let decoded = cluster.get_with_hint(leaf, &ckey, |rec| {
-                    Ok::<_, CorError>(decode(&self.child_schema, rec)?)
-                })?;
-                let Some(mut t) = decoded else {
-                    return Ok(false);
-                };
-                t.set(1 + ret_idx, Value::Int(v));
-                let rec = encode(&self.child_schema, &t)?;
-                cluster.update_with_hint(leaf, &ckey, &rec)?;
-                Ok(true)
+                cluster.update_with_hint(leaf, &ckey, patch)
             }
         }
     }
@@ -990,13 +979,13 @@ mod tests {
             CorDatabase::build_clustered(pool(32), &spec, &tiny_assignment()).unwrap(),
         ] {
             let oid = Oid::new(CHILD_REL_BASE, 2);
-            assert!(db.update_child_ret(oid, 0, -555).unwrap());
+            assert!(db.update_child_ret(oid, RetAttr::Ret1, -555).unwrap());
             let rec = db.fetch_child_record(oid).unwrap().unwrap();
             let t = decode(&child_schema(), &rec).unwrap();
             assert_eq!(t.get(1).as_int(), Some(-555));
             assert_eq!(t.get(2).as_int(), Some(200), "other attrs untouched");
             assert!(!db
-                .update_child_ret(Oid::new(CHILD_REL_BASE, 99), 0, 0)
+                .update_child_ret(Oid::new(CHILD_REL_BASE, 99), RetAttr::Ret1, 0)
                 .unwrap());
         }
     }

@@ -12,7 +12,7 @@ use crate::cache::{decode_unit_value, encode_unit_value, CacheCounters, LruSet};
 use crate::database::{SubobjectSpec, CHILD_REL_BASE};
 use crate::procedural::pcache::ProcCache;
 use crate::procedural::predicate::StoredQuery;
-use crate::query::extract_ret;
+use crate::query::{extract_ret, set_ret, RetAttr};
 use crate::CorError;
 use cor_access::{decode, encode, BTreeFile, CodecError, DEFAULT_FILL};
 use cor_pagestore::BufferPool;
@@ -379,13 +379,14 @@ impl ProcDatabase {
             self.inside_counters.lock().evictions += 1;
         }
         let pkey = Oid::new(PROC_PARENT_REL, key).to_key_bytes();
-        let Some(rec) = self.parent.get(&pkey)? else {
+        let found = self.parent.update_with(&pkey, |rec| {
+            let mut t = decode(&self.parent_schema, rec)?;
+            t.set(6, Value::Bytes(payload));
+            Ok::<_, CorError>(Some(encode(&self.parent_schema, &t)?))
+        })?;
+        if !found {
             return Err(CorError::DanglingOid(Oid::new(PROC_PARENT_REL, key)));
-        };
-        let mut t = decode(&self.parent_schema, &rec)?;
-        t.set(6, Value::Bytes(payload));
-        self.parent
-            .update(&pkey, &encode(&self.parent_schema, &t)?)?;
+        }
         self.inside_cached.lock().touch(key);
         self.inside_counters.lock().insertions += 1;
         Ok(())
@@ -404,38 +405,36 @@ impl ProcDatabase {
     fn inside_clear(&self, key: u64) -> Result<(), CorError> {
         let _phase = cor_obs::PhaseGuard::enter(cor_obs::Phase::CacheMaintain);
         let pkey = Oid::new(PROC_PARENT_REL, key).to_key_bytes();
-        let Some(rec) = self.parent.get(&pkey)? else {
-            return Ok(());
-        };
-        let mut t = decode(&self.parent_schema, &rec)?;
-        t.set(6, Value::Bytes(Vec::new()));
-        self.parent
-            .update(&pkey, &encode(&self.parent_schema, &t)?)?;
-        self.inside_counters.lock().invalidations += 1;
+        let found = self.parent.update_with(&pkey, |rec| {
+            let mut t = decode(&self.parent_schema, rec)?;
+            t.set(6, Value::Bytes(Vec::new()));
+            Ok::<_, CorError>(Some(encode(&self.parent_schema, &t)?))
+        })?;
+        if found {
+            self.inside_counters.lock().invalidations += 1;
+        }
         Ok(())
     }
 
     /// Update one `ret` attribute of a subobject in place, then invalidate
     /// whatever the caching mode requires. Returns whether the subobject
     /// exists.
-    pub fn update_child_ret(&self, oid: Oid, ret_idx: usize, v: i64) -> Result<bool, CorError> {
-        assert!(ret_idx < 3);
-        let tree = self.child_tree(oid.rel)?;
-        let key = oid.to_key_bytes();
-        let Some(rec) = tree.get(&key)? else {
+    pub fn update_child_ret(&self, oid: Oid, attr: RetAttr, v: i64) -> Result<bool, CorError> {
+        let mut old_rets = [0; 3];
+        let found = self
+            .child_tree(oid.rel)?
+            .update_with(&oid.to_key_bytes(), |rec| {
+                for (old, a) in old_rets.iter_mut().zip(RetAttr::ALL) {
+                    *old = extract_ret(rec, a)?;
+                }
+                set_ret(rec, attr, v)?;
+                Ok::<_, CorError>(None)
+            })?;
+        if !found {
             return Ok(false);
-        };
-        let t = decode(&crate::database::child_schema(), &rec)?;
-        let old_rets = [
-            t.get(1).as_int().expect("ret1"),
-            t.get(2).as_int().expect("ret2"),
-            t.get(3).as_int().expect("ret3"),
-        ];
+        }
         let mut new_rets = old_rets;
-        new_rets[ret_idx] = v;
-        let mut t = t;
-        t.set(1 + ret_idx, Value::Int(v));
-        tree.update(&key, &encode(&crate::database::child_schema(), &t)?)?;
+        new_rets[attr.column() - 1] = v;
 
         match self.caching {
             ProcCaching::None => {}
@@ -602,7 +601,7 @@ mod tests {
         db.inside_store(2, &[b"y".to_vec()]).unwrap();
         // Update subobject 1 (in p0/p1's key range 0..3 only).
         assert!(db
-            .update_child_ret(Oid::new(CHILD_REL_BASE, 1), 0, 999)
+            .update_child_ret(Oid::new(CHILD_REL_BASE, 1), RetAttr::Ret1, 999)
             .unwrap());
         let rows = db.parents_in_range(0, 3).unwrap();
         assert!(rows[0].cached.is_none(), "p0's inside copy must be cleared");
@@ -618,7 +617,7 @@ mod tests {
         db.inside_store(3, &[b"elders".to_vec()]).unwrap();
         // Subobject 0 has ret1 = 0; raising it to 100 moves it INTO
         // p3's ret-range query -> invalidate.
-        db.update_child_ret(Oid::new(CHILD_REL_BASE, 0), 0, 100)
+        db.update_child_ret(Oid::new(CHILD_REL_BASE, 0), RetAttr::Ret1, 100)
             .unwrap();
         assert!(db.parents_in_range(3, 3).unwrap()[0].cached.is_none());
     }
@@ -627,7 +626,7 @@ mod tests {
     fn update_missing_subobject_returns_false() {
         let db = ProcDatabase::build(pool(32), &tiny_spec(), ProcCaching::None).unwrap();
         assert!(!db
-            .update_child_ret(Oid::new(CHILD_REL_BASE, 999), 0, 1)
+            .update_child_ret(Oid::new(CHILD_REL_BASE, 999), RetAttr::Ret1, 1)
             .unwrap());
     }
 }

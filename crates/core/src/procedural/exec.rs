@@ -11,7 +11,7 @@
 
 use crate::procedural::database::{ProcCaching, ProcDatabase};
 use crate::procedural::pcache::CachedResult;
-use crate::query::{extract_ret, RetrieveQuery, StrategyOutput, UpdateQuery};
+use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput, UpdateQuery};
 use crate::CorError;
 use cor_pagestore::IoDelta;
 use cor_relational::Oid;
@@ -127,7 +127,7 @@ fn fetch_by_oid(db: &ProcDatabase, oid: Oid) -> Result<Vec<u8>, CorError> {
 pub fn apply_proc_update(db: &ProcDatabase, update: &UpdateQuery) -> Result<IoDelta, CorError> {
     let before = db.pool().stats().snapshot();
     for &oid in &update.targets {
-        db.update_child_ret(oid, 0, update.new_ret1)?;
+        db.update_child_ret(oid, RetAttr::Ret1, update.new_ret1)?;
     }
     Ok(db.pool().stats().snapshot().since(&before))
 }
@@ -137,7 +137,6 @@ mod tests {
     use super::*;
     use crate::database::CHILD_REL_BASE;
     use crate::procedural::database::tiny_spec;
-    use crate::query::RetAttr;
     use cor_pagestore::BufferPool;
     use std::sync::Arc;
 

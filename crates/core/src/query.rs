@@ -16,6 +16,7 @@ use crate::CorError;
 use cor_access::CodecError;
 use cor_pagestore::IoDelta;
 use cor_relational::{Oid, OID_BYTES};
+use std::ops::Range;
 
 /// Which retrievable attribute a query projects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,13 +101,29 @@ impl StrategyOutput {
     }
 }
 
+/// The bytes of `attr` in an encoded ChildRel record. The record layout
+/// is `oid (10 B) | ret1 | ret2 | ret3 | dummy`, with 8-byte
+/// little-endian integers.
+fn ret_field(attr: RetAttr) -> Range<usize> {
+    let at = OID_BYTES + 8 * (attr.column() - 1);
+    at..at + 8
+}
+
 /// Extract `ret{1,2,3}` from an encoded ChildRel record without a full
-/// decode. The record layout is `oid (10 B) | ret1 | ret2 | ret3 | dummy`,
-/// with 8-byte little-endian integers.
+/// decode.
 pub fn extract_ret(record: &[u8], attr: RetAttr) -> Result<i64, CodecError> {
-    let off = OID_BYTES + 8 * (attr.column() - 1);
-    let b = record.get(off..off + 8).ok_or(CodecError::Truncated)?;
+    let b = record.get(ret_field(attr)).ok_or(CodecError::Truncated)?;
     Ok(i64::from_le_bytes(b.try_into().expect("8-byte slice")))
+}
+
+/// Set `ret{1,2,3}` of an encoded ChildRel record in place, leaving the
+/// bytes a decode, set and re-encode of the record would give.
+pub fn set_ret(record: &mut [u8], attr: RetAttr, v: i64) -> Result<(), CodecError> {
+    let b = record
+        .get_mut(ret_field(attr))
+        .ok_or(CodecError::Truncated)?;
+    b.copy_from_slice(&v.to_le_bytes());
+    Ok(())
 }
 
 /// Read `attr` of subobject `oid` under the page pin of the leaf holding
@@ -151,7 +168,7 @@ pub fn apply_update(
 ) -> Result<IoDelta, CorError> {
     let before = db.pool().stats().snapshot();
     for &oid in &update.targets {
-        db.update_child_ret(oid, 0, update.new_ret1)?;
+        db.update_child_ret(oid, RetAttr::Ret1, update.new_ret1)?;
         if maintain_cache && db.has_cache() {
             db.invalidate_subobject(oid)?;
         }
@@ -195,6 +212,42 @@ mod tests {
         assert_eq!(extract_ret(&rec, RetAttr::Ret1), Ok(-123));
         assert_eq!(extract_ret(&rec, RetAttr::Ret2), Ok(456));
         assert_eq!(extract_ret(&rec, RetAttr::Ret3), Ok(i64::MIN));
+    }
+
+    fn arb_ret() -> impl proptest::strategy::Strategy<Value = i64> {
+        use proptest::prelude::*;
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0), any::<i64>()]
+    }
+
+    /// The largest `dummy` of a ChildRel record its B-tree can hold: the
+    /// entry is an OID key plus `oid | ret1 | ret2 | ret3 | len | dummy`.
+    const MAX_CHILD_DUMMY: usize = cor_access::MAX_BTREE_ENTRY - 2 * OID_BYTES - 3 * 8 - 2;
+
+    proptest::proptest! {
+        /// Patching `ret{1,2,3}` in place leaves the bytes a decode, set
+        /// and re-encode of the record give, for any rets and any dummy a
+        /// ChildRel record can carry.
+        #[test]
+        fn set_ret_equals_decode_set_encode(
+            key in proptest::prelude::any::<u64>(),
+            rets in (arb_ret(), arb_ret(), arb_ret()),
+            v in arb_ret(),
+            attr in 0usize..3,
+            dummy in proptest::collection::vec(0x20u8..0x7f, 0..MAX_CHILD_DUMMY + 1),
+        ) {
+            let attr = RetAttr::ALL[attr];
+            let mut t = Tuple::new(vec![
+                Value::Oid(Oid::new(CHILD_REL_BASE, key)),
+                Value::Int(rets.0),
+                Value::Int(rets.1),
+                Value::Int(rets.2),
+                Value::Str(String::from_utf8(dummy).unwrap()),
+            ]);
+            let mut rec = encode(&child_schema(), &t).unwrap();
+            set_ret(&mut rec, attr, v).unwrap();
+            t.set(attr.column(), Value::Int(v));
+            proptest::prop_assert_eq!(rec, encode(&child_schema(), &t).unwrap());
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::cache::{decode_unit_value, encode_unit_value};
 use crate::database::{DatabaseSpec, SubobjectSpec};
-use crate::query::{extract_ret, RetrieveQuery, StrategyOutput, UpdateQuery};
+use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput, UpdateQuery};
 use crate::CorError;
 use cor_access::{decode, encode, BTreeFile, CodecError, DEFAULT_FILL};
 use cor_pagestore::{BufferPool, IoDelta};
@@ -149,33 +149,33 @@ impl ValueDatabase {
     }
 
     /// Update one `ret` attribute of a subobject: every replica is
-    /// rewritten in place. Returns how many replicas were touched.
-    pub fn update_child_ret(&self, oid: Oid, ret_idx: usize, v: i64) -> Result<usize, CorError> {
-        assert!(ret_idx < 3);
+    /// rewritten in place, each object record in one read-modify-write.
+    /// Returns how many replicas were touched.
+    pub fn update_child_ret(&self, oid: Oid, attr: RetAttr, v: i64) -> Result<usize, CorError> {
         let Some(parent_keys) = self.replicas.get(&oid) else {
             return Ok(0);
         };
         let cschema = crate::database::child_schema();
         for &pk in parent_keys {
             let pkey = Oid::new(VALUE_PARENT_REL, pk).to_key_bytes();
-            let rec = self
-                .parent
-                .get(&pkey)?
-                .ok_or(CorError::DanglingOid(Oid::new(VALUE_PARENT_REL, pk)))?;
-            let mut t = decode(&self.parent_schema, &rec)?;
-            let members = t.get(5).as_bytes().expect("members column");
-            let mut children = decode_unit_value(members).ok_or(CodecError::Truncated)?;
-            for child_rec in &mut children {
-                let ct = decode(&cschema, child_rec)?;
-                if ct.get(0).as_oid() == Some(oid) {
-                    let mut ct = ct;
-                    ct.set(1 + ret_idx, Value::Int(v));
-                    *child_rec = encode(&cschema, &ct)?;
+            let found = self.parent.update_with(&pkey, |rec| {
+                let mut t = decode(&self.parent_schema, rec)?;
+                let members = t.get(5).as_bytes().expect("members column");
+                let mut children = decode_unit_value(members).ok_or(CodecError::Truncated)?;
+                for child_rec in &mut children {
+                    let ct = decode(&cschema, child_rec)?;
+                    if ct.get(0).as_oid() == Some(oid) {
+                        let mut ct = ct;
+                        ct.set(attr.column(), Value::Int(v));
+                        *child_rec = encode(&cschema, &ct)?;
+                    }
                 }
+                t.set(5, Value::Bytes(encode_unit_value(&children)));
+                Ok::<_, CorError>(Some(encode(&self.parent_schema, &t)?))
+            })?;
+            if !found {
+                return Err(CorError::DanglingOid(Oid::new(VALUE_PARENT_REL, pk)));
             }
-            t.set(5, Value::Bytes(encode_unit_value(&children)));
-            self.parent
-                .update(&pkey, &encode(&self.parent_schema, &t)?)?;
         }
         Ok(parent_keys.len())
     }
@@ -185,7 +185,7 @@ impl ValueDatabase {
     pub fn apply_update(&self, update: &UpdateQuery) -> Result<IoDelta, CorError> {
         let before = self.pool.stats().snapshot();
         for &oid in &update.targets {
-            self.update_child_ret(oid, 0, update.new_ret1)?;
+            self.update_child_ret(oid, RetAttr::Ret1, update.new_ret1)?;
         }
         Ok(self.pool.stats().snapshot().since(&before))
     }
@@ -271,7 +271,7 @@ mod tests {
     fn update_rewrites_every_replica() {
         let db = ValueDatabase::build(pool(16), &tiny_spec()).unwrap();
         let touched = db
-            .update_child_ret(Oid::new(CHILD_REL_BASE, 1), 0, 777)
+            .update_child_ret(Oid::new(CHILD_REL_BASE, 1), RetAttr::Ret1, 777)
             .unwrap();
         assert_eq!(touched, 2);
         let q = RetrieveQuery {
@@ -293,7 +293,7 @@ mod tests {
         let db = ValueDatabase::build(pool(16), &tiny_spec()).unwrap();
         let before = db.pool().stats().snapshot();
         assert_eq!(
-            db.update_child_ret(Oid::new(CHILD_REL_BASE, 9), 0, 1)
+            db.update_child_ret(Oid::new(CHILD_REL_BASE, 9), RetAttr::Ret1, 1)
                 .unwrap(),
             0
         );

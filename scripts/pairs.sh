@@ -6,18 +6,20 @@
 # exact counts, which way each moved per seed against the metric's
 # `better` ("lower on every seed", "WORSE: higher on k of n seeds").
 #
-#   scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10] [--traced]
+#   scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10] [--seed N] [--traced]
 #
 # The parent is exported (`git archive`, so nothing is registered in .git
 # and a dirty tree cannot leak into it) to target/pairs/<sha>/ and built
 # there into its own benchmark/target; the change side is this checkout.
-# Pair i uses seed 0xC0FFEE + i on both sides. Every run's result line is
+# Pair i uses seed N + i on both sides (N is --seed, 0xC0FFEE by default;
+# a held-out check passes a seed the sizing runs did not use and reads the
+# same summary). Every run's result line is
 # kept in target/pairs/runs.jsonl. Reads BENCHMARK.json; edits nothing under
 # benchmark/. Needs python3 for the summary. All four workloads at the
 # defaults take about 15 minutes.
 #
 # --traced adds, after the pairs, one `--trace 1` run per side per
-# workload on seed 0xC0FFEE and prints the per-layer metrics side by side:
+# workload on seed N and prints the per-layer metrics side by side:
 # where a saving sits. Each side's harness binary runs from its own
 # directory under target/pairs/traced/, so its trace files and scratch
 # stores land there; the result lines go to target/pairs/traced.jsonl.
@@ -26,7 +28,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10] [--traced]" >&2
+    echo "usage: scripts/pairs.sh <parent-ref> [--workload W]... [--pairs 10] [--seconds 10] [--seed N] [--traced]" >&2
     exit 2
 }
 
@@ -36,6 +38,7 @@ shift
 workloads=()
 pairs=10
 seconds=10
+seed0=$((0xC0FFEE))
 traced=0
 while [ $# -gt 0 ]; do
     case $1 in
@@ -43,6 +46,11 @@ while [ $# -gt 0 ]; do
     --workload) workloads+=("${2:?--workload needs a name}") && shift 2 ;;
     --pairs) pairs=${2:?--pairs needs a count} && shift 2 ;;
     --seconds) seconds=${2:?--seconds needs a number} && shift 2 ;;
+    --seed)
+        # Decimal or 0x-hex; bash arithmetic would read a leading 0 as octal.
+        [[ ${2:-} =~ ^(0[xX][0-9a-fA-F]+|[1-9][0-9]*|0)$ ]] || usage
+        seed0=$(($2)) && shift 2
+        ;;
     *) usage ;;
     esac
 done
@@ -84,7 +92,7 @@ run_side() {
 
 for workload in "${workloads[@]}"; do
     for ((i = 0; i < pairs; i++)); do
-        seed=$((0xC0FFEE + i))
+        seed=$((seed0 + i))
         echo "==> $workload pair $((i + 1))/$pairs (seed $seed)" >&2
         if ((i % 2 == 0)); then
             run_side parent "$parent_dir" "$workload" "$i" "$seed"
@@ -143,7 +151,13 @@ for workload, by_pair in runs.items():
             else:
                 verdict = "identical per seed"
         elif am and (a3 - a1) / am > bound:
-            verdict = f"unresolved (parent spread {fmt((a3 - a1) / am)} > bound {bound})"
+            # Too wide to tell a median apart, unless the sides do not
+            # overlap at all.
+            spread = f"parent spread {fmt((a3 - a1) / am)} > bound {bound}"
+            if (max(b) < min(a)) if lower else (min(b) > max(a)):
+                verdict = f"every change run better ({spread})"
+            else:
+                verdict = f"unresolved ({spread})"
         elif worse_by > bound:
             verdict = f"WORSE by {fmt(worse_by)} > bound {bound}"
         elif won * 10 >= 9 * len(pairs) and abs(bm - am) > a3 - a1:
@@ -164,7 +178,7 @@ EOF
 # harness writes its trace and scratch files under ./benchmark/out).
 traced_runs=$change_dir/target/pairs/traced.jsonl
 : >"$traced_runs"
-seed=$((0xC0FFEE))
+seed=$seed0
 for workload in "${workloads[@]}"; do
     for side in parent change; do
         echo "==> $workload traced, $side (seed $seed)" >&2
@@ -182,7 +196,7 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$traced_runs" <<'EOF'
+python3 - "$traced_runs" "$seed" <<'EOF'
 import json, sys
 
 bench = json.load(open("BENCHMARK.json"))
@@ -195,7 +209,7 @@ def fmt(x):
     return f"{x:.4g}"
 
 for workload, sides in runs.items():
-    print(f"\n## {workload}, traced (seed 0xC0FFEE, one run per side)")
+    print(f"\n## {workload}, traced (seed 0x{int(sys.argv[2]):X}, one run per side)")
     print("| layer metric | parent | change | change/parent |")
     print("|---|---|---|---|")
     for m in bench["per_layer"]:

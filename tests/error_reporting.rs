@@ -412,7 +412,7 @@ fn corrupt_inlined_records_are_an_error_not_a_panic() {
         "{err:?}"
     );
     let err = db
-        .update_child_ret(Oid::new(CHILD_REL_BASE, 0), 0, 7)
+        .update_child_ret(Oid::new(CHILD_REL_BASE, 0), RetAttr::Ret1, 7)
         .unwrap_err();
     assert!(
         matches!(err, CorError::Access(AccessError::Codec(_))),

@@ -7,12 +7,12 @@
 //! DFSCACHE, DFSCLUST and SMART return the same multiset of attribute
 //! values, and BFSNODUP returns the deduplicated multiset.
 
-use complexobj::database::{cluster_key, decode_cluster_key};
+use complexobj::database::{cluster_key, decode_cluster_key, CHILD_REL_BASE};
 use complexobj::query::{extract_ret, parent_children};
 use complexobj::strategies::{dfs_clust, execute_retrieve};
 use complexobj::{
-    ClusterAssignment, CorDatabase, CorError, ExecOptions, Query, RetAttr, RetrieveQuery, Strategy,
-    StrategyOutput,
+    apply_update, ClusterAssignment, CorDatabase, CorError, ExecOptions, Query, RetAttr,
+    RetrieveQuery, Strategy, StrategyOutput,
 };
 use cor_pagestore::{BufferPool, ReplacementPolicy};
 use cor_relational::{Oid, OidMap};
@@ -417,6 +417,52 @@ fn bfs_temporary_is_not_pinned_once_per_record() {
         "{hits} pool hits for {} values",
         values.len()
     );
+}
+
+/// An update is one descent per target. A 10-target update pins each
+/// target's ChildRel root-to-leaf path once and its leaf once more to
+/// write it on the standard representation (`height + 1`); on the
+/// clustered one it pins the ISAM path, then the hinted ClusterRel leaf
+/// to read and to write (`ISAM height + 2`). Copying the record out and
+/// then checking and upserting it cost `4 × height` per target, and this
+/// fails.
+#[test]
+fn an_update_pins_each_target_path_once() {
+    let p = Params {
+        pr_update: 1.0,
+        sequence_len: 1,
+        ..Params::paper_default()
+    };
+    let generated = generate(&p);
+    let Some(Query::Update(update)) = generate_sequence(&p).into_iter().next() else {
+        panic!("Pr(update) 1 gives an update");
+    };
+    assert_eq!(update.targets.len(), 10);
+    let pool = || {
+        let pool = BufferPool::builder().capacity(100).telemetry(true).build();
+        Arc::new(pool)
+    };
+    let pins = |db: &CorDatabase| -> u64 {
+        let shards = db.pool().telemetry().expect("telemetry-enabled pool");
+        shards.iter().map(|s| s.probes()).sum()
+    };
+    let standard = CorDatabase::build_standard(pool(), &generated.spec, None).unwrap();
+    let parents: Vec<(u64, Vec<Oid>)> = generated
+        .spec
+        .parents
+        .iter()
+        .map(|o| (o.key, o.children.clone()))
+        .collect();
+    let assignment = ClusterAssignment::random(&parents, &mut StdRng::seed_from_u64(p.seed));
+    let clustered = CorDatabase::build_clustered(pool(), &generated.spec, &assignment).unwrap();
+    let height = u64::from(standard.child_tree(CHILD_REL_BASE).unwrap().height());
+    let isam = u64::from(clustered.cluster().unwrap().1.height());
+    assert!(height >= 2, "a ChildRel tree of {height} levels");
+    for (db, per_target) in [(&standard, height + 1), (&clustered, isam + 2)] {
+        let before = pins(db);
+        apply_update(db, &update, false).unwrap();
+        assert_eq!(pins(db) - before, 10 * per_target);
+    }
 }
 
 /// DFSCLUST as it ran before its foreign-page harvest kept only the
