@@ -237,13 +237,6 @@ mod node {
         set_count(d, n - 1);
     }
 
-    /// The value of entry `i`, writable in place.
-    pub fn entry_val_mut(d: &mut [u8], i: usize, key_len: usize) -> &mut [u8] {
-        let off = entry_off(d, i);
-        let vlen = entry_vlen(d, i);
-        &mut d[off + key_len..off + key_len + vlen]
-    }
-
     /// Give leaf entry `i` (holding `key`) the value `val`: over the old
     /// value when it is no longer, else re-inserted into the page's free
     /// space. Returns `false` when `val` needs a split: the old entry is
@@ -363,6 +356,17 @@ pub struct BTreeFile {
     len: SyncCell<u64>,
     height: SyncCell<u32>,
     leaf_pages: SyncCell<u32>,
+}
+
+/// What an update's `f` makes of the stored value `old`, run on a copy:
+/// the value to store, or `None` when it is `old` again.
+fn patched<E>(
+    old: &[u8],
+    f: impl FnOnce(&mut [u8]) -> Result<Option<Vec<u8>>, E>,
+) -> Result<Option<Vec<u8>>, E> {
+    let mut val = old.to_vec();
+    let new = f(&mut val)?.unwrap_or(val);
+    Ok((new != old).then_some(new))
 }
 
 impl BTreeFile {
@@ -664,6 +668,7 @@ impl BTreeFile {
             return Err(AccessError::BadKeyLen(key.len()).into());
         }
         let key_len = self.key_len;
+        let mut f = Some(f);
         let at = {
             let _phase = PhaseGuard::enter_default(Phase::HeapFetch);
             self.pool
@@ -672,13 +677,18 @@ impl BTreeFile {
                     if !node::is_leaf(d) {
                         return None;
                     }
-                    node::search(d, key, key_len).ok()
+                    let i = node::search(d, key, key_len).ok()?;
+                    let f = f.take().expect("f runs at most once");
+                    Some(patched(node::entry_val(d, i, key_len), f).map(|new| (i, new)))
                 })
                 .map_err(AccessError::from)?
         };
         match at {
-            Some(i) => self.rewrite(hint, i, key, f),
-            None => self.update_with(key, f),
+            Some(patch) => {
+                let (i, new) = patch?;
+                Ok(self.store(hint, i, key, new)?)
+            }
+            None => self.update_with(key, f.take().expect("f has not run")),
         }
     }
 
@@ -739,19 +749,19 @@ impl BTreeFile {
         .transpose()
     }
 
-    /// Read-modify-write of one value **in place**: `f` gets the value of
-    /// `key` writable under the leaf's page pin and either patches it
-    /// there and returns `Ok(None)`, or returns its replacement as
+    /// Read-modify-write of one value: `f` gets a copy of the value of
+    /// `key`, read under the leaf's page pin, and either patches it there
+    /// and returns `Ok(None)`, or returns its replacement as
     /// `Ok(Some(value))`. Returns `false` when the key is absent: `f` is
-    /// not called and no page is dirtied. An `Err` from `f` is returned as
-    /// is; by then the leaf is write-pinned, so its frame is dirty and
-    /// keeps whatever `f` wrote.
+    /// not called and no page is dirtied. A value `f` leaves as it was, or
+    /// an `Err` from `f` (returned as is), dirties nothing either.
     ///
-    /// One descent under read pins searches the leaf under the descent's
-    /// own pin, then one write pin on the leaf runs `f`: `height + 1`
-    /// pins. A replacement stays on the leaf when the page has room for
-    /// it; one that does not fit takes [`Self::insert`]'s split path from
-    /// the root.
+    /// One descent under read pins searches the leaf and runs `f` under
+    /// the descent's own pin, then one write pin on the leaf stores the
+    /// new value: `height + 1` pins (`height` when nothing changed). A
+    /// replacement stays on the leaf when the page has room for it; one
+    /// that does not fit takes [`Self::insert`]'s split path from the
+    /// root.
     pub fn update_with<E>(
         &self,
         key: &[u8],
@@ -765,46 +775,45 @@ impl BTreeFile {
         }
         let key_len = self.key_len;
         let found = self.descend(key, |leaf, d| {
-            node::search(d, key, key_len).ok().map(|i| (leaf, i))
+            let i = node::search(d, key, key_len).ok()?;
+            Some(patched(node::entry_val(d, i, key_len), f).map(|new| (leaf, i, new)))
         })?;
         match found {
-            Some((leaf, i)) => self.rewrite(leaf, i, key, f),
+            Some(patch) => {
+                let (leaf, i, new) = patch?;
+                Ok(self.store(leaf, i, key, new)?)
+            }
             None => Ok(false),
         }
     }
 
-    /// Run an update's `f` on entry `i` of `leaf` under a write pin and
-    /// store what it returns. The entry was found to hold `key` under the
-    /// read pin just released; writers are serialised, so it still does.
-    fn rewrite<E>(
+    /// Store `new` as the value of entry `i` of `leaf` under one write
+    /// pin; `None`, the value already there, pins nothing. The entry was
+    /// found to hold `key` under the read pin just released; writers are
+    /// serialised, so it still does.
+    fn store(
         &self,
         leaf: PageId,
         i: usize,
         key: &[u8],
-        f: impl FnOnce(&mut [u8]) -> Result<Option<Vec<u8>>, E>,
-    ) -> Result<bool, E>
-    where
-        E: From<AccessError>,
-    {
+        new: Option<Vec<u8>>,
+    ) -> Result<bool, AccessError> {
+        let Some(val) = new else {
+            return Ok(true);
+        };
         let key_len = self.key_len;
-        let overflow = self
-            .pool
-            .write(leaf, |mut p| -> Result<Option<Vec<u8>>, E> {
-                let d = p.bytes_mut();
-                assert!(
-                    node::entry_key(d, i, key_len) == key,
-                    "a second writer moved the entry between the pins"
-                );
-                let Some(val) = f(node::entry_val_mut(d, i, key_len))? else {
-                    return Ok(None);
-                };
-                if key_len + val.len() > MAX_BTREE_ENTRY {
-                    return Err(AccessError::EntryTooLarge.into());
-                }
-                Ok((!node::replace_value(d, i, key, &val, key_len)).then_some(val))
-            })
-            .map_err(AccessError::from)??;
-        if let Some(val) = overflow {
+        if key_len + val.len() > MAX_BTREE_ENTRY {
+            return Err(AccessError::EntryTooLarge);
+        }
+        let fitted = self.pool.write(leaf, |mut p| {
+            let d = p.bytes_mut();
+            assert!(
+                node::entry_key(d, i, key_len) == key,
+                "a second writer moved the entry between the pins"
+            );
+            node::replace_value(d, i, key, &val, key_len)
+        })?;
+        if !fitted {
             // The old entry is gone from the full leaf: re-add the key
             // through a split, as an insert would.
             self.insert_from_root(key, &val)?;

@@ -10,7 +10,7 @@
 //! deletes units on invalidation and eviction).
 
 use crate::AccessError;
-use cor_pagestore::{BufferPool, PageId, SlotId, NO_PAGE};
+use cor_pagestore::{BufferPool, PageId, PageView, SlotId, NO_PAGE};
 use std::sync::Arc;
 
 /// FNV-1a 64-bit — a deterministic hash so experiment runs are repeatable
@@ -70,6 +70,11 @@ fn record_key(rec: &[u8]) -> &[u8] {
 fn record_value(rec: &[u8]) -> &[u8] {
     let klen = u16::from_le_bytes([rec[0], rec[1]]) as usize;
     &rec[2 + klen..]
+}
+
+/// The slot and record of `key` on one page.
+fn record_of<'a>(p: PageView<'a>, key: &[u8]) -> Option<(SlotId, &'a [u8])> {
+    p.records().find(|(_, rec)| record_key(rec) == key)
 }
 
 impl HashFile {
@@ -139,100 +144,116 @@ impl HashFile {
         self.buckets[(fnv1a64(key) % self.buckets.len() as u64) as usize]
     }
 
-    /// Walk the bucket chain of `key`, returning the location of its record.
-    fn find(&self, key: &[u8]) -> Result<Option<(PageId, SlotId)>, AccessError> {
-        let mut page = self.bucket_of(key);
+    /// Walk the chain from `page` under read pins, calling `at` on each
+    /// page in chain order until it answers. Returns the answer, or the
+    /// chain's last page when no page answered.
+    fn walk<R>(
+        &self,
+        mut page: PageId,
+        mut at: impl FnMut(PageId, PageView<'_>) -> Option<R>,
+    ) -> Result<Result<R, PageId>, AccessError> {
         loop {
-            let (hit, next) = self.pool.read(page, |p| {
-                let hit = p
-                    .records()
-                    .find(|(_, rec)| record_key(rec) == key)
-                    .map(|(slot, _)| slot);
-                (hit, p.next())
-            })?;
-            if let Some(slot) = hit {
-                return Ok(Some((page, slot)));
+            let (answer, next) = self.pool.read(page, |p| (at(page, p), p.next()))?;
+            if let Some(r) = answer {
+                return Ok(Ok(r));
             }
             if next == NO_PAGE {
-                return Ok(None);
+                return Ok(Err(page));
             }
             page = next;
         }
     }
 
-    /// Fetch the value stored under `key`.
+    /// Fetch the value stored under `key`, copied out under the pin that
+    /// found it.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, AccessError> {
-        match self.find(key)? {
-            Some((page, slot)) => {
-                let v = self.pool.read(page, |p| {
-                    p.record(slot).map(|rec| record_value(rec).to_vec())
-                })?;
-                Ok(v)
-            }
-            None => Ok(None),
-        }
+        let found = self.walk(self.bucket_of(key), |_, p| {
+            record_of(p, key).map(|(_, rec)| record_value(rec).to_vec())
+        })?;
+        Ok(found.ok())
     }
 
     /// Insert or replace `key → value`. Returns `true` if the key was new.
+    ///
+    /// One walk of the bucket chain under read pins finds the key and the
+    /// first page with room; then only the page that changes is
+    /// write-pinned (a full chain also links a fresh page to its tail),
+    /// and rewriting the value already stored pins nothing for writing.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<bool, AccessError> {
         let rec = encode_record(key, value);
         if rec.len() > cor_pagestore::MAX_RECORD {
             return Err(AccessError::EntryTooLarge);
         }
-        if let Some((page, slot)) = self.find(key)? {
-            // Replace. Try in place first; on overflow delete + reinsert.
-            let in_place = self
-                .pool
-                .write(page, |mut p| p.update(slot, &rec).is_ok())?;
-            if in_place {
-                return Ok(false);
+        let mut room = None;
+        let walked = self.walk(self.bucket_of(key), |page, p| {
+            let hit = record_of(p, key).map(|(slot, old)| (page, slot, old == rec));
+            if hit.is_none() && room.is_none() && p.fits(rec.len()) {
+                room = Some(page);
             }
-            self.pool.write(page, |mut p| p.delete(slot))?.ok();
-            self.insert_new(&rec)?;
-            return Ok(false);
+            hit
+        })?;
+        let target = match walked {
+            Err(tail) => room.ok_or(tail),
+            // The same bytes again: nothing to write.
+            Ok((_, _, true)) => return Ok(false),
+            Ok((page, slot, false)) => {
+                // Replace in place, or free the old copy under the same
+                // pin and re-insert.
+                let moved = self.pool.write(page, |mut p| {
+                    if p.update(slot, &rec).is_ok() {
+                        return None;
+                    }
+                    p.delete(slot).ok();
+                    Some(p.view().next())
+                })?;
+                let Some(next) = moved else {
+                    return Ok(false);
+                };
+                // The hit page has no room even with the old copy gone
+                // (the update's test), so the record goes to the first
+                // page with room before it, else after it.
+                match room {
+                    Some(room) => Ok(room),
+                    None if next == NO_PAGE => Err(page),
+                    None => self.walk(next, |page, p| p.fits(rec.len()).then_some(page))?,
+                }
+            }
+        };
+        self.place(&rec, target)?;
+        if walked.is_err() {
+            self.len.set(self.len.get() + 1);
         }
-        self.insert_new(&rec)?;
-        self.len.set(self.len.get() + 1);
-        Ok(true)
+        Ok(walked.is_err())
     }
 
-    /// Place a record in the first chain page with room, extending the
-    /// chain if every page is full.
-    fn insert_new(&self, rec: &[u8]) -> Result<(), AccessError> {
-        let mut page = self.bucket_of(record_key(rec));
-        loop {
-            let (inserted, next) = self
-                .pool
-                .write(page, |mut p| (p.insert(rec).is_ok(), p.view().next()))?;
-            if inserted {
-                return Ok(());
+    /// Insert a record into the page with room (`Ok`), or else into a
+    /// fresh page linked after the chain's tail (`Err`).
+    fn place(&self, rec: &[u8], target: Result<PageId, PageId>) -> Result<(), AccessError> {
+        let page = match target {
+            Ok(room) => room,
+            Err(tail) => {
+                let fresh = self.pool.allocate_page()?;
+                self.pool.write(fresh, |mut p| p.init())?;
+                self.pool.write(tail, |mut p| p.set_next(fresh))?;
+                fresh
             }
-            if next != NO_PAGE {
-                page = next;
-                continue;
-            }
-            let fresh = self.pool.allocate_page()?;
-            self.pool.write(fresh, |mut p| p.init())?;
-            self.pool.write(page, |mut p| p.set_next(fresh))?;
-            page = fresh;
-        }
+        };
+        let placed = self.pool.write(page, |mut p| p.insert(rec).is_ok())?;
+        assert!(placed, "the room test is the insert's own");
+        Ok(())
     }
 
     /// Remove `key`. Returns whether it was present.
     pub fn delete(&self, key: &[u8]) -> Result<bool, AccessError> {
-        match self.find(key)? {
-            Some((page, slot)) => {
-                self.pool.write(page, |mut p| p.delete(slot))?.ok();
-                self.len.set(self.len.get() - 1);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Does `key` exist?
-    pub fn contains(&self, key: &[u8]) -> Result<bool, AccessError> {
-        Ok(self.find(key)?.is_some())
+        let found = self.walk(self.bucket_of(key), |page, p| {
+            record_of(p, key).map(|(slot, _)| (page, slot))
+        })?;
+        let Ok((page, slot)) = found else {
+            return Ok(false);
+        };
+        self.pool.write(page, |mut p| p.delete(slot))?.ok();
+        self.len.set(self.len.get() - 1);
+        Ok(true)
     }
 }
 
@@ -318,6 +339,40 @@ mod tests {
         let h = HashFile::create(pool(8), 2).unwrap();
         h.put(b"", b"nothing").unwrap();
         assert_eq!(h.get(b"").unwrap().unwrap(), b"nothing");
+    }
+
+    #[test]
+    fn a_probe_pins_each_page_once_and_an_append_writes_one_page() {
+        let p = Arc::new(BufferPool::builder().capacity(8).telemetry(true).build());
+        let h = HashFile::create(Arc::clone(&p), 1).unwrap();
+        // 18 records of 106 bytes (110 with a slot) fill a page: a chain
+        // of three.
+        for i in 0..40u32 {
+            h.put(&i.to_le_bytes(), &[0u8; 100]).unwrap();
+        }
+        assert_eq!(p.num_pages(), 3);
+        let pins = || {
+            let shards = p.telemetry().unwrap();
+            shards.iter().map(|s| s.hits + s.misses).sum::<u64>()
+        };
+        let before = pins();
+        h.get(&39u32.to_le_bytes()).unwrap().unwrap();
+        assert_eq!(
+            pins() - before,
+            3,
+            "one pin per chain page, the tail's included"
+        );
+
+        p.flush_all().unwrap();
+        let writes = p.stats().writes();
+        assert!(h.put(&40u32.to_le_bytes(), &[0u8; 100]).unwrap());
+        assert!(!h.put(&40u32.to_le_bytes(), &[0u8; 100]).unwrap());
+        p.flush_all().unwrap();
+        assert_eq!(
+            p.stats().writes() - writes,
+            1,
+            "only the tail took a record"
+        );
     }
 
     #[test]

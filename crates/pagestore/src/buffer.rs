@@ -426,8 +426,10 @@ impl BufferPool {
     }
 
     /// Mutate page `pid` under the closure; the page is marked dirty.
-    /// Counts a physical read iff the page was not resident; the write is
-    /// counted when the dirty page is later evicted or flushed.
+    /// With a log attached, only a closure that changed a byte dirties
+    /// it: one that changed nothing leaves the frame as it was. Counts a
+    /// physical read iff the page was not resident; the write is counted
+    /// when the dirty page is later evicted or flushed.
     pub fn write<R>(
         &self,
         pid: PageId,
@@ -437,9 +439,10 @@ impl BufferPool {
     }
 
     /// [`write`](Self::write) for a page of a query temporary (one from
-    /// [`allocate_temp_page`](Self::allocate_temp_page)): same pinning,
-    /// dirtying and I/O accounting, but the mutation is never logged — no
-    /// pre-image copy, no record, no LSN stamp. The page LSN stays
+    /// [`allocate_temp_page`](Self::allocate_temp_page)): same pinning and
+    /// I/O accounting, but the mutation is never logged — no pre-image
+    /// copy, no record, no LSN stamp — and the frame is dirtied whatever
+    /// the closure did (a caller that may change nothing tests first). The page LSN stays
     /// [`NO_LSN`] and the frame carries no recLSN, so the page never
     /// enters a checkpoint's dirty-page table and its write-back waits
     /// on no log flush. Recovery neither restores nor needs the bytes: a
@@ -488,16 +491,17 @@ impl BufferPool {
                 // happens *after* the closure (init() zeroes the LSN
                 // word) and after logging (the logged after-image must
                 // match what redo reconstructs: redo re-stamps rec.lsn
-                // the same way).
+                // the same way). A closure that changed no byte leaves
+                // the frame as it was: clean stays clean, and a dirty
+                // frame keeps its recLSN.
                 let mut st = shard.frame(idx).state.write();
-                let was_dirty = st.dirty;
-                st.dirty = true;
                 let pre: PageBuf = *st.data;
                 let r = f(PageMut::new(&mut st.data[..]));
                 if pre[..] != st.data[..] {
                     match wal.log_page_write(pid, &pre, &st.data) {
                         Ok((lsn, image_lsn)) => {
                             PageMut::new(&mut st.data[..]).set_lsn(lsn);
+                            st.dirty = true;
                             // A clean frame's recLSN is the page's epoch
                             // image, not this record: a torn write-back
                             // of the page can only be repaired by redo
@@ -512,10 +516,8 @@ impl BufferPool {
                             // not stay in the pool either: a frame holding
                             // unlogged bytes would make every later delta
                             // unreconstructable at redo. Restore the
-                            // pre-image (which the log fully describes)
-                            // and the prior dirty state.
+                            // pre-image, which the log fully describes.
                             *st.data = pre;
-                            st.dirty = was_dirty;
                             drop(st);
                             shard.unpin(idx);
                             return Err(e.into());
@@ -1126,5 +1128,53 @@ mod tests {
         p.flush_all().unwrap();
         assert_eq!(p.stats().writes(), w, "frame restored to clean");
         assert!(p.dirty_page_table().is_empty());
+    }
+
+    /// A logged write pin whose closure changes no byte — touches
+    /// nothing, flips a byte and flips it back, or has an insert refused
+    /// — leaves the frame as it was: a clean frame stays out of the
+    /// dirty-page table and is not written back, and a dirty one keeps
+    /// its recLSN.
+    #[test]
+    fn a_logged_write_pin_that_changes_nothing_leaves_the_frame_as_it_was() {
+        let hook = Arc::new(FlakyHook::new());
+        let p = BufferPool::builder().capacity(4).wal(hook.clone()).build();
+        let pid = p.allocate_page().unwrap();
+        p.write(pid, |mut pg| {
+            pg.init();
+            pg.insert(b"logged").unwrap();
+        })
+        .unwrap();
+        let unchanged = |p: &BufferPool| {
+            p.write(pid, |_| ()).unwrap();
+            p.write(pid, |mut pg| {
+                pg.bytes_mut()[100] ^= 0xFF;
+                pg.bytes_mut()[100] ^= 0xFF;
+            })
+            .unwrap();
+            p.write(pid, |mut pg| {
+                assert!(pg.insert(&[0u8; crate::MAX_RECORD]).is_err());
+            })
+            .unwrap();
+        };
+
+        p.flush_all().unwrap();
+        let (lsns, writes) = (hook.next.load(Ordering::SeqCst), p.stats().writes());
+        unchanged(&p);
+        assert!(p.dirty_page_table().is_empty(), "a clean frame stays clean");
+        p.flush_all().unwrap();
+        assert_eq!(p.stats().writes(), writes, "and is not written back");
+        assert_eq!(hook.next.load(Ordering::SeqCst), lsns, "nothing was logged");
+
+        p.write(pid, |mut pg| {
+            pg.insert(b"second").unwrap();
+        })
+        .unwrap();
+        let dpt = p.dirty_page_table();
+        assert_eq!(dpt.len(), 1);
+        unchanged(&p);
+        assert_eq!(p.dirty_page_table(), dpt, "a dirty frame keeps its recLSN");
+        p.flush_all().unwrap();
+        assert_eq!(p.stats().writes(), writes + 1, "and is written back once");
     }
 }

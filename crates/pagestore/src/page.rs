@@ -175,6 +175,19 @@ impl<'a> PageView<'a> {
         PAGE_SIZE - HEADER_SIZE - self.slot_count() as usize * SLOT_SIZE - live
     }
 
+    /// Would [`PageMut::insert`] of a `len`-byte record succeed? Exactly
+    /// `insert(..).is_ok()`, without a write pin: the record fits the
+    /// reclaimable free space, plus a new slot unless a dead one is
+    /// reused, and is no longer than [`MAX_RECORD`].
+    pub fn fits(&self, len: usize) -> bool {
+        let slot = if self.dead_slot_from(0).is_some() {
+            0
+        } else {
+            SLOT_SIZE
+        };
+        len <= MAX_RECORD && len + slot <= self.total_free()
+    }
+
     /// The first dead slot at or after `from`.
     fn dead_slot_from(&self, from: SlotId) -> Option<SlotId> {
         (from..self.slot_count())

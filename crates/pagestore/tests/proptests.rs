@@ -149,6 +149,32 @@ proptest! {
         prop_assert!(got[..] == want[..], "page bytes differ");
     }
 
+    /// The room test is the insert: `fits(len)` is `insert(..).is_ok()`
+    /// on a copy of the page, whatever dead slots and fragmentation it
+    /// holds, for every length up to past the largest record and at the
+    /// edges of the page's free space.
+    #[test]
+    fn fits_equals_insert_is_ok(
+        ops in proptest::collection::vec(arb_page_op(), 0..80),
+        lens in proptest::collection::vec(
+            prop_oneof![
+                3 => 0usize..400,
+                1 => 0usize..=MAX_RECORD + 8,
+            ],
+            1..40,
+        ),
+    ) {
+        let start = shaped_page(&ops);
+        let view = PageView::new(&start);
+        // The edges: with and without a new slot's four bytes.
+        let free = view.total_free();
+        for len in lens.into_iter().chain(free.saturating_sub(5)..=free + 1) {
+            let mut copy = start;
+            let inserted = PageMut::new(&mut copy).insert(&vec![7u8; len]).is_ok();
+            prop_assert_eq!(view.fits(len), inserted, "record of {} bytes", len);
+        }
+    }
+
     /// Compaction preserves all live records.
     #[test]
     fn compaction_preserves_records(records in proptest::collection::vec(
