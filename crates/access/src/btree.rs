@@ -329,7 +329,6 @@ type SplitResult = (Vec<u8>, PageId);
 enum Fast {
     Inserted,
     Replaced,
-    NeedSplit,
     /// A replacement removed the old entry but the grown value needs a
     /// split to be re-placed; the key count must not change.
     NeedSplitAfterRemove,
@@ -863,9 +862,22 @@ impl BTreeFile {
         key: &[u8],
         val: &[u8],
     ) -> Result<(Option<SplitResult>, bool), AccessError> {
-        let leaf = self.pool.read(page, |p| node::is_leaf(p.bytes()))?;
-        if leaf {
-            let key_len = self.key_len;
+        let key_len = self.key_len;
+        // `Some(full)` for a leaf: `full` when it lacks the key and has no
+        // room for it, decided under this read pin so that such a leaf goes
+        // straight to the split with no write pin that changes nothing.
+        let leaf = self.pool.read(page, |p| {
+            let d = p.bytes();
+            node::is_leaf(d).then(|| {
+                node::search(d, key, key_len).is_err()
+                    && node::total_free(d, key_len) < key_len + val.len() + DIR
+            })
+        })?;
+        if leaf == Some(true) {
+            let (split, inserted) = self.split_leaf(page, key, val)?;
+            return Ok((Some(split), inserted));
+        }
+        if leaf == Some(false) {
             let fast = self.pool.write(page, |mut p| {
                 let d = p.bytes_mut();
                 match node::search(d, key, key_len) {
@@ -873,23 +885,17 @@ impl BTreeFile {
                     // Old entry is gone; the split path below will re-add
                     // the key with its new value.
                     Ok(_) => Fast::NeedSplitAfterRemove,
+                    // The read pin found room, and nothing wrote the page
+                    // since.
                     Err(i) => {
-                        if node::total_free(d, key_len) >= key_len + val.len() + DIR {
-                            node::insert_entry(d, i, key, val, key_len);
-                            Fast::Inserted
-                        } else {
-                            Fast::NeedSplit
-                        }
+                        node::insert_entry(d, i, key, val, key_len);
+                        Fast::Inserted
                     }
                 }
             })?;
             return match fast {
                 Fast::Inserted => Ok((None, true)),
                 Fast::Replaced => Ok((None, false)),
-                Fast::NeedSplit => {
-                    let (split, inserted) = self.split_leaf(page, key, val)?;
-                    Ok((Some(split), inserted))
-                }
                 Fast::NeedSplitAfterRemove => {
                     let (split, _) = self.split_leaf(page, key, val)?;
                     Ok((Some(split), false))
@@ -899,12 +905,11 @@ impl BTreeFile {
 
         let child = self
             .pool
-            .read(page, |p| node::find_child(p.bytes(), key, self.key_len))?;
+            .read(page, |p| node::find_child(p.bytes(), key, key_len))?;
         let (split, inserted) = self.insert_rec(child, key, val)?;
         let Some((sep, new_child)) = split else {
             return Ok((None, inserted));
         };
-        let key_len = self.key_len;
         let fitted = self.pool.write(page, |mut p| {
             let d = p.bytes_mut();
             let i = node::search(d, &sep, key_len)
@@ -1562,6 +1567,32 @@ mod tests {
         assert_eq!(t.scan_all().count(), 0);
         assert_eq!(t.range(&key8(0), &key8(100)).unwrap().count(), 0);
         assert!(!t.delete(&key8(1)).unwrap());
+    }
+
+    /// An insert that splits a full leaf pins it three times: the read
+    /// that finds it full, the split's read and the split's write. With
+    /// the new right leaf's write and the new root's, a root leaf's split
+    /// is five pins, hits and misses.
+    #[test]
+    fn a_leaf_split_pins_the_leaf_three_times() {
+        let pool = Arc::new(BufferPool::builder().capacity(8).telemetry(true).build());
+        let hits = || -> u64 {
+            let shards = pool.telemetry().expect("telemetry");
+            shards.iter().map(|s| s.hits + s.misses).sum()
+        };
+        let t = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
+        let val = [7u8; 100];
+        let mut k = 0;
+        loop {
+            let before = hits();
+            t.insert(&key8(k), &val).unwrap();
+            if t.height() == 2 {
+                assert_eq!(hits() - before, 5, "key {k}");
+                break;
+            }
+            assert_eq!(hits() - before, 2, "key {k}: a read and a write");
+            k += 1;
+        }
     }
 
     #[test]

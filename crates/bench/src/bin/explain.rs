@@ -131,8 +131,8 @@ fn replay(path: &std::path::Path) -> Result<usize, String> {
     }
     // Captures made by a build with a different on-disk engine-catalog
     // layout are not comparable; fail loudly instead of diffing noise.
-    // A capture without the stamp predates the stamp and is v1.
-    let captured = meta_num(meta, "catalog_version").map_or(1, |v| v as u32);
+    let captured =
+        meta_num(meta, "catalog_version").ok_or("meta line lacks catalog_version")? as u32;
     if captured != ENGINE_CATALOG_VERSION {
         return Err(format!(
             "capture was made under engine-catalog layout v{captured}, this build \

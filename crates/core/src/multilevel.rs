@@ -144,12 +144,11 @@ pub fn bfs_multilevel(
         }
         // Intermediate level: the frontier names the NEXT database's
         // objects. Materialize the frontier as a temporary of parent keys
-        // (unlogged; freed at the end of this iteration),
-        // sort it, and join against the next ParentRel to collect the
-        // level-deeper frontier — merge join for big frontiers, iterative
-        // substitution for small ones (the same optimizer choice as the
-        // single-level BFS, where duplicate elimination directly removes
-        // probes).
+        // (unlogged; freed at the end of this iteration), sort it, and join
+        // against the next ParentRel to collect the level-deeper frontier
+        // by BFS's own plan choice (`cost::bfs_join_plan`, or `opts.join`
+        // when forced). Unlike single-level BFS, the temporary is sorted
+        // before iterative probes too.
         let next = &levels[level + 1];
         let temp = HeapFile::temp(Arc::clone(next.pool()))?;
         let keys: Vec<_> = frontier
@@ -166,23 +165,20 @@ pub fn bfs_multilevel(
         )?;
         let tree = next.parent_tree()?;
         let schema = next.parent_schema().clone();
-        let n = temp.len();
-        let iter_cost = tree.height() as u64 + n.saturating_sub(1);
-        let merge_cost = tree.leaf_pages() as u64 + temp.num_pages() as u64;
         let collect = |rec: &[u8], frontier: &mut Vec<Oid>| -> Result<(), CorError> {
             let t = cor_access::decode(&schema, rec)?;
             let children = t.get(5).as_oid_list().expect("children column");
             frontier.extend_from_slice(children);
             Ok(())
         };
-        if merge_cost < iter_cost {
+        if strategies::bfs_merge_chosen(opts, &temp, tree) {
             tree.merge_scan(sorted, |_key, rec| collect(rec, &mut frontier))?;
         } else {
             for key in sorted {
-                let rec = tree.get(&key)?.ok_or_else(|| {
-                    CorError::DanglingOid(Oid::from_key_bytes(&key).expect("oid key"))
-                })?;
-                collect(&rec, &mut frontier)?;
+                tree.get_with(&key, |rec| collect(rec, &mut frontier))?
+                    .ok_or_else(|| {
+                        CorError::DanglingOid(Oid::from_key_bytes(&key).expect("oid key"))
+                    })?;
             }
         }
     }
@@ -231,10 +227,11 @@ pub fn execute_multilevel(
 mod tests {
     use super::*;
     use crate::database::{DatabaseSpec, ObjectSpec, SubobjectSpec, CHILD_REL_BASE};
+    use crate::strategies::JoinChoice;
     use cor_pagestore::BufferPool;
 
     fn pool() -> Arc<BufferPool> {
-        Arc::new(BufferPool::builder().capacity(32).build())
+        Arc::new(BufferPool::builder().capacity(32).telemetry(true).build())
     }
 
     /// Two-level hierarchy:
@@ -347,6 +344,55 @@ mod tests {
             d.sort_unstable();
             b.sort_unstable();
             assert_eq!(d, b, "range {lo}..={hi}");
+        }
+    }
+
+    /// Every join choice, with and without dedup, answers like the DFS
+    /// oracle (with dedup, like its distinct values: each hobby's `ret1`
+    /// is distinct). And the intermediate level runs the plan it is given:
+    /// groups 0..=0 reach persons {0, 1}, a two-OID frontier for which
+    /// BFS's rule picks iterative substitution, so `Auto` probes the next
+    /// ParentRel twice where a forced merge join pins its leaf once.
+    #[test]
+    fn every_join_choice_answers_like_dfs() {
+        let levels = two_level_chain();
+        let hits = || -> u64 {
+            let shards = levels[1].pool().telemetry().expect("telemetry");
+            shards.iter().map(|s| s.hits).sum()
+        };
+        for (lo, hi) in [(0, 2), (0, 0), (1, 2), (2, 2)] {
+            let q = MultiDotQuery {
+                lo,
+                hi,
+                attr: RetAttr::Ret1,
+            };
+            let mut oracle = dfs_multilevel(&levels, &q).unwrap().values;
+            oracle.sort_unstable();
+            for dedup in [false, true] {
+                let mut want = oracle.clone();
+                if dedup {
+                    want.dedup();
+                }
+                let mut pins = Vec::new();
+                for join in [
+                    JoinChoice::Auto,
+                    JoinChoice::ForceMerge,
+                    JoinChoice::ForceIterative,
+                ] {
+                    let opts = ExecOptions {
+                        join,
+                        ..ExecOptions::default()
+                    };
+                    let before = hits();
+                    let mut got = bfs_multilevel(&levels, &q, dedup, &opts).unwrap().values;
+                    pins.push(hits() - before);
+                    got.sort_unstable();
+                    assert_eq!(got, want, "{lo}..={hi} {join:?} dedup {dedup}");
+                }
+                if (lo, hi) == (0, 0) {
+                    assert!(pins[1] < pins[0], "dedup {dedup}: pins {pins:?}");
+                }
+            }
         }
     }
 

@@ -93,21 +93,7 @@ pub(crate) fn join_fetch(
         temp
     };
 
-    let use_merge = match opts.join {
-        JoinChoice::ForceMerge => true,
-        JoinChoice::ForceIterative => false,
-        JoinChoice::Auto => {
-            cost::bfs_join_plan(
-                oids.len() as u64,
-                temp.num_pages().into(),
-                tree.height().into(),
-                tree.leaf_pages().into(),
-                opts.sort_work_mem as u64,
-            ) == JoinPlan::Merge
-        }
-    };
-
-    if use_merge {
+    if merge_chosen(opts, &temp, tree) {
         // Reading the temp back and sorting it is sort work; run spills
         // re-assert their own Sort bracket inside.
         let sorted = {
@@ -150,6 +136,25 @@ pub(crate) fn join_fetch(
         }
     }
     Ok(())
+}
+
+/// Whether the join of `temp` against `tree` runs as a merge join: by
+/// `opts.join` when forced, else by [`cost::bfs_join_plan`]. Shared with
+/// multi-level BFS's intermediate levels.
+pub(crate) fn merge_chosen(opts: &ExecOptions, temp: &HeapFile, tree: &BTreeFile) -> bool {
+    match opts.join {
+        JoinChoice::ForceMerge => true,
+        JoinChoice::ForceIterative => false,
+        JoinChoice::Auto => {
+            cost::bfs_join_plan(
+                temp.len(),
+                temp.num_pages().into(),
+                tree.height().into(),
+                tree.leaf_pages().into(),
+                opts.sort_work_mem as u64,
+            ) == JoinPlan::Merge
+        }
+    }
 }
 
 fn probe_one(

@@ -22,7 +22,7 @@ mod dfs_clust;
 mod smart;
 
 pub use bfs::bfs;
-pub(crate) use bfs::join_fetch as bfs_join_fetch;
+pub(crate) use bfs::{join_fetch as bfs_join_fetch, merge_chosen as bfs_merge_chosen};
 pub use dfs::dfs;
 pub use dfs_cache::dfs_cache;
 pub use dfs_clust::dfs_clust;

@@ -138,7 +138,8 @@ impl<'a> PageView<'a> {
         get_u32(self.data, LSN_OFFSET)
     }
 
-    /// Bytes of a live record, or `None` for dead/out-of-range slots.
+    /// Bytes of a live record, or `None` for dead/out-of-range slots and
+    /// for a record whose directory entry points past the page.
     pub fn record(&self, slot: SlotId) -> Option<&'a [u8]> {
         if slot >= self.slot_count() {
             return None;
@@ -149,7 +150,7 @@ impl<'a> PageView<'a> {
             return None;
         }
         let len = get_u16(self.data, at + 2) as usize;
-        Some(&self.data[off as usize..off as usize + len])
+        self.data.get(off as usize..off as usize + len)
     }
 
     /// Iterate `(slot, record)` pairs over live slots, in slot order.

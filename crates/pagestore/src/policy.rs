@@ -31,7 +31,8 @@
 //! Fig 7's two cases under both policies. FIFO, CLOCK and 2Q shipped
 //! once and were removed: the first two tracked LRU and 2Q tracked SIEVE
 //! to the digit on every flood and retention leg (DESIGN.md §14). Their
-//! catalog tags stay retired, never reused.
+//! catalog tags (1, 2, 4) are never reused; a store recording one fails
+//! to open on an unknown policy tag.
 //!
 //! Eviction-order compatibility: the pre-list LRU victim was the minimum
 //! `last_used` stamp among unpinned frames, ties broken by the lowest

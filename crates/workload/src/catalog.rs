@@ -2,10 +2,10 @@
 //! reconstruct a running engine from a store, with no spec from the
 //! caller.
 //!
-//! The catalog is one CRC-framed byte blob stored under the name
-//! `"engine"` in the access-layer [`Catalog`](cor_access::Catalog) on
-//! page 0, so it travels through the same WAL-before-data path as every
-//! other page. It records:
+//! The catalog is one CRC-framed byte blob, the one blob the access-layer
+//! [`Catalog`](cor_access::Catalog) keeps behind page 0's chain head, so
+//! it travels through the same WAL-before-data path as every other page.
+//! It records:
 //!
 //! * a magic + version header ([`ENGINE_CATALOG_VERSION`]) so foreign or
 //!   future stores fail loudly with
@@ -27,41 +27,20 @@ use complexobj::{CorError, ExecOptions, JoinChoice, SavedOidDb, SavedProcDb};
 use cor_pagestore::{PageId, ReplacementPolicy};
 use cor_wal::crc::crc32;
 
-/// On-disk layout version this build writes.
+/// On-disk layout version this build writes, and the only one it reads.
 ///
-/// * v1 — the PR 6 layout. Two of its `u64` option words are now
-///   **reserved**: read and ignored, so a store created at any setting
-///   reopens and serves the same answers with the same page counts.
-///   - Payload offset 31 was the keyed probe `batch` size, while index
-///     probes could be batched. Every probe is a single lookup now; the
-///     word is written as 1 (what every unbatched store recorded).
-///   - Offset 39 was the merge scan's `readahead` window. Every scan
-///     reads page-at-a-time now; the word is written as 0 (off, what
-///     every default store recorded).
-/// * v2 — appends one `u64` at offset 47: the pool's async
-///   `queue_depth`, while there was an async submission path. The pool
-///   reads synchronously now and the word is reserved the same way
-///   (written 1, ignored on read). v1 blobs, which lack the word, are
-///   still decoded and silently upgrade on their next save.
-/// * v3 — widens the replacement-policy byte's value range with the
-///   scan-resistant `Sieve` = 3. The layout is unchanged; the bump
-///   exists so a v2 build that cannot *run* that policy refuses the
-///   store loudly with [`CorError::CatalogVersion`] instead of failing
-///   on an "unknown policy tag". v1/v2 blobs decode as before and
-///   silently upgrade on their next save.
+/// v4 drops the three reserved `u64`s that v1–v3 carried after
+/// `sort_work_mem` (once the keyed-probe `batch`, the merge scan's
+/// `readahead` and the pool's async `queue_depth`), and page 0 holds a
+/// bare chain head instead of a named pointer record. A blob stamped with
+/// any other version is [`CorError::CatalogVersion`]; a page 0 in the
+/// earlier layout does not parse as a head, so such a store is
+/// [`CorError::CatalogMissing`].
 ///
 /// The policy byte's numbering is frozen: `Lru` = 0, `Sieve` = 3. Tags
-/// 1, 2 and 4 belonged to the retired FIFO, CLOCK and 2Q policies; a
-/// store recorded with one of them fails to open with an error naming
-/// the policy (it is never silently run as LRU), and the tags are never
-/// reused.
-pub const ENGINE_CATALOG_VERSION: u32 = 3;
-
-/// Oldest on-disk layout version this build still decodes.
-pub const ENGINE_CATALOG_MIN_VERSION: u32 = 1;
-
-/// Name of the blob entry holding the engine catalog on page 0.
-pub const ENGINE_BLOB: &str = "engine";
+/// 1, 2 and 4 belonged to retired policies and are never reused; like
+/// any other tag they fail as an "unknown policy tag".
+pub const ENGINE_CATALOG_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"CORENGIN";
 
@@ -73,18 +52,11 @@ fn policy_tag(policy: ReplacementPolicy) -> u8 {
 }
 
 fn policy_from_tag(tag: u8) -> Result<ReplacementPolicy, CorError> {
-    let retired = match tag {
-        0 => return Ok(ReplacementPolicy::Lru),
-        3 => return Ok(ReplacementPolicy::Sieve),
-        1 => "fifo",
-        2 => "clock",
-        4 => "2q",
-        _ => return Err(CorError::Durability("unknown policy tag".into())),
-    };
-    Err(CorError::Durability(format!(
-        "store records the retired replacement policy '{retired}'; \
-         this build runs only lru and sieve"
-    )))
+    match tag {
+        0 => Ok(ReplacementPolicy::Lru),
+        3 => Ok(ReplacementPolicy::Sieve),
+        _ => Err(CorError::Durability("unknown policy tag".into())),
+    }
 }
 
 /// Which strategy backend the store holds, with its full snapshot.
@@ -133,9 +105,6 @@ impl EngineCatalog {
             JoinChoice::ForceIterative => 2,
         });
         e.u64(self.opts.sort_work_mem as u64);
-        e.u64(1); // reserved (was `batch`), see ENGINE_CATALOG_VERSION
-        e.u64(0); // reserved (was `readahead`)
-        e.u64(1); // reserved (v2+, was `queue_depth`)
         e.u32(self.free_pages.len() as u32);
         for &pid in &self.free_pages {
             e.u32(pid);
@@ -183,7 +152,7 @@ impl EngineCatalog {
             return Err(CorError::CatalogMissing);
         }
         let found = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if !(ENGINE_CATALOG_MIN_VERSION..=ENGINE_CATALOG_VERSION).contains(&found) {
+        if found != ENGINE_CATALOG_VERSION {
             return Err(CorError::CatalogVersion {
                 found,
                 expected: ENGINE_CATALOG_VERSION,
@@ -207,11 +176,6 @@ impl EngineCatalog {
             _ => return Err(CorError::Durability("unknown join tag".into())),
         };
         let sort_work_mem = d.u64()? as usize;
-        d.u64()?; // reserved (was `batch`), see ENGINE_CATALOG_VERSION
-        d.u64()?; // reserved (was `readahead`)
-        if found >= 2 {
-            d.u64()?; // reserved (was `queue_depth`)
-        }
         for (field, value) in [("pool_pages", pool_pages), ("shards", shards)] {
             if value == 0 {
                 return Err(CorError::Durability(format!(
@@ -316,47 +280,6 @@ mod tests {
         assert!(matches!(back.backend, SavedBackend::Oid(_)));
     }
 
-    /// The reserved words — 8 bytes each at payload offsets 31 (once
-    /// `batch`), 39 (once `readahead`) and 47 (once `queue_depth`), after
-    /// clean_shutdown, pool_pages, shards, policy, smart_threshold, join
-    /// and sort_work_mem — are ignored, and the last is absent from v1
-    /// blobs: whatever batch size, readahead window and depth a store
-    /// recorded, it decodes to the same catalog and re-saves with the
-    /// words at 1, 0 and 1.
-    #[test]
-    fn the_reserved_words_are_ignored_in_every_version() {
-        let cat = sample();
-        let v3 = cat.encode();
-        assert_eq!(v3[16 + 31..16 + 39], 1u64.to_le_bytes());
-        assert_eq!(v3[16 + 39..16 + 47], 0u64.to_le_bytes());
-        assert_eq!(v3[16 + 47..16 + 55], 1u64.to_le_bytes());
-        let mut blobs = Vec::new();
-        for batch in [1u64, 16] {
-            for readahead in [0u64, 32] {
-                let mut v1 = v3.clone();
-                v1[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
-                v1[16 + 39..16 + 47].copy_from_slice(&readahead.to_le_bytes());
-                v1.drain(16 + 47..16 + 55);
-                blobs.push(restamp(&v1, 1));
-                for version in [2, 3] {
-                    for depth in [1u64, 4] {
-                        let mut blob = v3.clone();
-                        blob[16 + 31..16 + 39].copy_from_slice(&batch.to_le_bytes());
-                        blob[16 + 39..16 + 47].copy_from_slice(&readahead.to_le_bytes());
-                        blob[16 + 47..16 + 55].copy_from_slice(&depth.to_le_bytes());
-                        blobs.push(restamp(&blob, version));
-                    }
-                }
-            }
-        }
-        for blob in &blobs {
-            let back = EngineCatalog::decode(blob).unwrap();
-            assert_eq!(back.opts, cat.opts);
-            assert_eq!(back.free_pages, cat.free_pages);
-            assert_eq!(back.encode(), v3, "version {}", blob[8]);
-        }
-    }
-
     /// Offset of the policy byte in a blob: 16 header bytes, then
     /// clean_shutdown (1), pool_pages (8), shards (4).
     const POLICY_BYTE: usize = 16 + 13;
@@ -376,35 +299,26 @@ mod tests {
         }
     }
 
+    /// Only 0 and 3 are policy tags. The retired ones (1, 2, 4) and tags
+    /// nobody ever wrote fail alike.
     #[test]
-    fn retired_policy_tags_fail_with_a_named_error() {
-        for (tag, name) in [(1u8, "fifo"), (2, "clock"), (4, "2q")] {
+    fn every_other_policy_tag_is_unknown() {
+        for tag in (0..=u8::MAX).filter(|t| ![0, 3].contains(t)) {
             let mut blob = sample().encode();
             blob[POLICY_BYTE] = tag;
-            let blob = restamp(&blob, ENGINE_CATALOG_VERSION);
-            match EngineCatalog::decode(&blob) {
+            match EngineCatalog::decode(&recrc(&blob)) {
                 Err(CorError::Durability(msg)) => {
-                    assert!(msg.contains(&format!("'{name}'")), "tag {tag}: {msg}")
+                    assert_eq!(msg, "unknown policy tag", "tag {tag}")
                 }
                 other => panic!("tag {tag}: expected a typed error, got {other:?}"),
             }
         }
-        // A tag nobody ever wrote stays "unknown", not "retired".
-        let mut blob = sample().encode();
-        blob[POLICY_BYTE] = 5;
-        let err = EngineCatalog::decode(&restamp(&blob, ENGINE_CATALOG_VERSION)).unwrap_err();
-        assert!(err.to_string().contains("unknown policy tag"), "{err}");
     }
 
-    /// Restamp `blob`'s version header as `version` and re-CRC its
-    /// payload.
-    fn restamp(blob: &[u8], version: u32) -> Vec<u8> {
-        let payload = &blob[16..];
-        let mut out = Vec::with_capacity(blob.len());
-        out.extend_from_slice(&blob[..8]);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+    /// `blob` with its header's CRC fixed up to match its payload.
+    fn recrc(blob: &[u8]) -> Vec<u8> {
+        let mut out = blob.to_vec();
+        out[12..16].copy_from_slice(&crc32(&blob[16..]).to_le_bytes());
         out
     }
 
@@ -416,8 +330,8 @@ mod tests {
     fn unbuildable_settings_and_oversized_counts_are_typed_errors() {
         // Payload offsets: clean_shutdown 0, pool_pages 1, shards 9,
         // policy 13, smart_threshold 14, join 22, sort_work_mem 23,
-        // reserved words 31, 39 and 47, free-page count 55,
-        // three free pages 59, backend tag 71, level count 72.
+        // free-page count 31, three free pages 35, backend tag 47,
+        // level count 48.
         let oid = sample().encode();
         let mut levels = sample();
         levels.backend = SavedBackend::Levels(vec![]);
@@ -431,13 +345,13 @@ mod tests {
                 &101u32.to_le_bytes(),
                 "pool_pages = 100 < shards = 101",
             ),
-            (&oid, 55, &u32::MAX.to_le_bytes(), "free_pages"),
-            (&levels, 72, &u32::MAX.to_le_bytes(), "levels"),
+            (&oid, 31, &u32::MAX.to_le_bytes(), "free_pages"),
+            (&levels, 48, &u32::MAX.to_le_bytes(), "levels"),
         ];
         for (blob, at, bytes, names) in cases {
             let mut blob = blob.to_vec();
             blob[16 + at..16 + at + bytes.len()].copy_from_slice(bytes);
-            match EngineCatalog::decode(&restamp(&blob, ENGINE_CATALOG_VERSION)) {
+            match EngineCatalog::decode(&recrc(&blob)) {
                 Err(CorError::Durability(msg)) => assert!(msg.contains(names), "{names}: {msg}"),
                 other => panic!("{names}: expected a typed error, got {other:?}"),
             }
@@ -445,23 +359,8 @@ mod tests {
         // The smallest buildable settings pass.
         let mut blob = oid.clone();
         blob[16 + 1..16 + 9].copy_from_slice(&4u64.to_le_bytes());
-        let back = EngineCatalog::decode(&restamp(&blob, ENGINE_CATALOG_VERSION)).unwrap();
+        let back = EngineCatalog::decode(&recrc(&blob)).unwrap();
         assert_eq!((back.pool_pages, back.shards), (4, 4));
-    }
-
-    #[test]
-    fn v2_blob_decodes_and_upgrades_to_v3() {
-        // A default v2 store: LRU (policy tag 0).
-        let mut cat = sample();
-        cat.policy = ReplacementPolicy::Lru;
-        let v2 = restamp(&cat.encode(), 2);
-        let back = EngineCatalog::decode(&v2).unwrap();
-        assert_eq!(back.policy, ReplacementPolicy::Lru, "v2 stores open LRU");
-        assert_eq!(back.opts, cat.opts);
-        // The next save upgrades the header to v3 with the same payload.
-        let resaved = back.encode();
-        assert_eq!(&resaved[8..12], &3u32.to_le_bytes());
-        assert_eq!(&resaved[16..], &v2[16..]);
     }
 
     #[test]
@@ -474,15 +373,18 @@ mod tests {
             EngineCatalog::decode(&[0u8; 64]),
             Err(CorError::CatalogMissing)
         ));
-        let mut bytes = sample().encode();
-        bytes[8] = 99; // version field
-        assert!(matches!(
-            EngineCatalog::decode(&bytes),
-            Err(CorError::CatalogVersion {
-                found: 99,
-                expected: ENGINE_CATALOG_VERSION
-            })
-        ));
+        // Every other version, the earlier layouts' included.
+        for found in [1, 3, 99] {
+            let mut bytes = sample().encode();
+            bytes[8] = found as u8; // version field
+            assert!(matches!(
+                EngineCatalog::decode(&bytes),
+                Err(CorError::CatalogVersion {
+                    found: f,
+                    expected: 4
+                }) if f == found
+            ));
+        }
         let mut bytes = sample().encode();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // payload corruption under a stale CRC

@@ -36,7 +36,7 @@
 //! assert_eq!(out.values.len(), 8);
 //! ```
 
-use crate::catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB};
+use crate::catalog::{EngineCatalog, SavedBackend};
 use crate::concurrent::{ConcurrentRunResult, LatencySummary};
 use crate::dbgen::{cluster_assignment, strategy_cache, GeneratedDb};
 use crate::driver::{QueryTrace, RunResult};
@@ -113,8 +113,8 @@ struct CatalogState {
 }
 
 /// Map a bootstrap-read catalog error: a store whose page 0 does not
-/// parse as a catalog (or has no `"engine"` blob) was not created by the
-/// lifecycle API; real storage failures pass through.
+/// parse as a chain head (or whose chain does not) was not created by
+/// the lifecycle API; real storage failures pass through.
 fn catalog_probe_err(e: CatalogError) -> CorError {
     match e {
         CatalogError::Access(a) => CorError::Access(a),
@@ -425,13 +425,14 @@ impl EngineBuilder {
     /// throwaway bootstrap pool (the real pool's settings are *in* the
     /// catalog), rebuilds the pool and backend, and marks the store
     /// in-use. Typed failures: [`CorError::CatalogMissing`] when the
-    /// store was not created by this API, [`CorError::CatalogVersion`]
-    /// when it was written by an incompatible layout.
+    /// store was not created by this API (a page 0 in an earlier layout
+    /// included), [`CorError::CatalogVersion`] when its catalog blob
+    /// carries another layout version.
     ///
-    /// The builder's pool geometry, policy, queue depth and
-    /// `exec_options` are ignored — the catalog's recorded values win, so
-    /// every reopen serves queries with the same buffer economics and
-    /// options the store was created with. Only `metrics` and
+    /// The builder's pool geometry, policy and `exec_options` are
+    /// ignored — the catalog's recorded values win, so every reopen
+    /// serves queries with the same buffer economics and options the
+    /// store was created with. Only `metrics` and
     /// `wal_config` are taken from the builder; change the per-query
     /// options of a reopened engine with [`Engine::with_options`].
     pub fn open_on(
@@ -452,8 +453,7 @@ impl EngineBuilder {
                     .build(),
             );
             let cat = Catalog::open(boot).map_err(catalog_probe_err)?;
-            let bytes = cat.get_blob(ENGINE_BLOB).map_err(catalog_probe_err)?;
-            EngineCatalog::decode(&bytes)?
+            EngineCatalog::decode(&cat.load().map_err(catalog_probe_err)?)?
         };
         let wal = Wal::attach(store, self.wal_config)
             .map_err(|e| CorError::Durability(format!("attaching WAL: {e}")))?;
@@ -473,8 +473,6 @@ impl EngineBuilder {
                 pool.free_page(pid)?;
             }
         }
-        let catalog = Catalog::open(Arc::clone(&pool))
-            .map_err(|e| CorError::Durability(format!("reopening catalog: {e}")))?;
         let backend = match &saved.backend {
             SavedBackend::Oid(s) => Backend::Oid(CorDatabase::open_state(Arc::clone(&pool), s)?),
             SavedBackend::Levels(ls) => Backend::Levels(
@@ -484,6 +482,10 @@ impl EngineBuilder {
             ),
             SavedBackend::Proc(s) => Backend::Proc(ProcDatabase::open_state(Arc::clone(&pool), s)?),
         };
+        // Opened after the backend, so that its read of page 0 directly
+        // precedes the save's and leaves the pool's order as the save does.
+        let catalog = Catalog::open(Arc::clone(&pool))
+            .map_err(|e| CorError::Durability(format!("reopening catalog: {e}")))?;
         let engine = self.into_engine(backend, Some(catalog));
         // Mark in-use (clears clean_shutdown) and persist the reconciled
         // cache directories in one stroke.
@@ -506,8 +508,7 @@ impl Engine {
 
     /// Replace the engine's per-query execution options. Everything in
     /// [`ExecOptions`] is read per query, so the change is complete; what
-    /// is fixed when the pool is built (geometry, policy, queue depth) is
-    /// not in it.
+    /// is fixed when the pool is built (geometry, policy) is not in it.
     pub fn with_options(mut self, opts: ExecOptions) -> Self {
         self.opts = opts;
         self
@@ -576,7 +577,7 @@ impl Engine {
             backend,
         };
         cs.catalog
-            .save_blob(ENGINE_BLOB, &cat.encode())
+            .save(&cat.encode())
             .map_err(|e| CorError::Durability(format!("saving engine catalog: {e}")))
     }
 
@@ -1748,9 +1749,9 @@ mod tests {
             )
             .unwrap();
         let catalog = &engine.catalog.as_ref().unwrap().catalog;
-        let mut blob = catalog.get_blob(ENGINE_BLOB).unwrap();
+        let mut blob = catalog.load().unwrap();
         blob[8] = 9; // version byte
-        catalog.save_blob(ENGINE_BLOB, &blob).unwrap();
+        catalog.save(&blob).unwrap();
         engine.pool().flush_all().unwrap();
         drop(engine);
         let err = Engine::builder()
@@ -1768,7 +1769,6 @@ mod tests {
     /// before `Catalog` bounded its chain walk).
     #[test]
     fn open_rejects_a_corrupt_blob_chain() {
-        const POINTER: &[u8] = b"\x04\x06engine"; // kind, name_len, name
         let generated = generate(&tiny());
         let (disk, store) = mem_stores();
         Engine::builder()
@@ -1781,17 +1781,15 @@ mod tests {
             .capacity(8)
             .disk(Box::new(disk.clone()))
             .build();
-        // After the name: payload length, then the first chain page.
+        // The head: payload length, then the first chain page.
         let first = pool
             .read(0, |p| {
-                let (_, rec) = p.records().find(|(_, r)| r.starts_with(POINTER))?;
-                Some(u32::from_le_bytes(rec[12..16].try_into().unwrap()))
+                let rec = p.record(0)?;
+                Some(u32::from_le_bytes(rec[4..8].try_into().unwrap()))
             })
             .unwrap()
-            .expect("engine pointer record");
-        let mut chunk = pool
-            .read(first, |p| p.records().next().unwrap().1.to_vec())
-            .unwrap();
+            .expect("chain head");
+        let mut chunk = pool.read(first, |p| p.record(0).unwrap().to_vec()).unwrap();
         chunk[..4].copy_from_slice(&first.to_le_bytes());
         pool.write(first, |mut p| {
             p.init();

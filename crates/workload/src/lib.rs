@@ -45,7 +45,7 @@ pub mod params;
 pub mod report;
 pub mod seqgen;
 
-pub use catalog::{EngineCatalog, SavedBackend, ENGINE_BLOB, ENGINE_CATALOG_VERSION};
+pub use catalog::{EngineCatalog, SavedBackend, ENGINE_CATALOG_VERSION};
 pub use concurrent::{generate_stream_sequences, ConcurrentRunResult, LatencySummary};
 pub use dbgen::{build_for_strategy, generate, make_pool, rng_for, GeneratedDb, SeedStream};
 pub use driver::{QueryTrace, RunResult};

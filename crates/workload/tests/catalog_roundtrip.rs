@@ -15,14 +15,16 @@
 
 use complexobj::database::{child_schema, parent_schema};
 use complexobj::procedural::ProcCaching;
-use complexobj::{value_parent_schema, CacheConfig, DatabaseSpec, ExecOptions, Query, Strategy};
+use complexobj::{
+    value_parent_schema, CacheConfig, CorError, DatabaseSpec, ExecOptions, Query, Strategy,
+};
 use cor_access::Catalog;
-use cor_pagestore::{BufferPool, MemDisk, ReplacementPolicy};
+use cor_pagestore::{BufferPool, DiskManager, MemDisk, PageBuf, PageMut, NO_PAGE, PAGE_SIZE};
 use cor_relational::{Oid, Schema, Tuple, Value};
 use cor_wal::{FsyncPolicy, MemLogStore, WalConfig};
 use cor_workload::{
     generate, generate_matrix, generate_sequence, Engine, EngineCatalog, EngineSpec, GeneratedDb,
-    Params, ENGINE_BLOB,
+    Params, ENGINE_CATALOG_VERSION,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -98,8 +100,7 @@ fn run_ops(engine: &Engine, sequence: &[Query], strategy: Strategy, ckpt_every: 
 /// re-saved, decoded (to skip the CRC header) and re-encoded.
 fn persisted_catalog(engine: &Engine) -> EngineCatalog {
     let cat = Catalog::open(Arc::clone(engine.pool())).expect("access catalog");
-    let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
-    EngineCatalog::decode(&blob).expect("valid engine catalog")
+    EngineCatalog::decode(&cat.load().expect("engine blob")).expect("valid engine catalog")
 }
 
 fn run_case(kind: usize, strategy: Strategy, seed: u64, ops: usize, ckpt_every: usize) {
@@ -189,15 +190,10 @@ proptest! {
     }
 }
 
-/// The engine catalog blob (280 bytes, catalog v3) that earlier builds
-/// left in a closed 16-page store of `DatabaseSpec::tiny()`: created with
-/// LRU (policy tag 0) and with SIEVE (tag 3) by the build *before* the
-/// FIFO/CLOCK/2Q policies were retired, and with LRU at async queue depth
-/// 4 by a build that still had an async submission path (its depth-1 blob
-/// is `PARENT_LRU_BLOB` byte for byte, as is the one the last such build
-/// wrote), and with LRU at `batch = 16, readahead = 32` by the last build
-/// that could batch keyed probes. Captured from those builds; never
-/// regenerate these from the current one.
+/// The engine catalog blob (280 bytes, catalog v3) that the last build
+/// before catalog v4 left in a closed 16-page LRU store of
+/// `DatabaseSpec::tiny()`. Captured from that build; never regenerate it
+/// from the current one.
 const PARENT_LRU_BLOB: &[&str] = &[
     "434f52454e47494e0300000048160e3201100000000000000001000000002c010000000000000000",
     "000100000000000100000000000000000000000000000001000000000000000000000000000a0000",
@@ -207,48 +203,6 @@ const PARENT_LRU_BLOB: &[&str] = &[
     "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
     "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
 ];
-const PARENT_SIEVE_BLOB: &[&str] = &[
-    "434f52454e47494e03000000cea620e301100000000000000001000000032c010000000000000000",
-    "000100000000000100000000000000000000000000000001000000000000000000000000000a0000",
-    "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
-    "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
-    "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
-    "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
-    "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
-];
-
-const PARENT_LRU_DEPTH4_BLOB: &[&str] = &[
-    "434f52454e47494e03000000e96e0a3e01100000000000000001000000002c010000000000000000",
-    "000100000000000100000000000000000000000000000004000000000000000000000000000a0000",
-    "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
-    "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
-    "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
-    "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
-    "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
-];
-
-const PARENT_LRU_BATCH16_BLOB: &[&str] = &[
-    "434f52454e47494e03000000e4d2a70901100000000000000001000000002c010000000000000000",
-    "000100000000001000000000000000200000000000000001000000000000000000000000000a0000",
-    "00010000000100000004000000000000000100000001000000010000000a00000002000000020000",
-    "000600000000000000010000000100000007000000030000006f6964020400000072657431000400",
-    "000072657432000400000072657433000500000064756d6d7901080000006368696c6472656e0306",
-    "0000006361636865640405000000030000006f696402040000007265743100040000007265743200",
-    "0400000072657433000500000064756d6d7901040000000000000001000000060000000000000000",
-];
-
-/// A small pool of its own over a closed store, and the store's page-0
-/// catalog through it.
-fn boot_catalog(disk: &Arc<MemDisk>) -> (Arc<BufferPool>, Catalog) {
-    let pool = Arc::new(
-        BufferPool::builder()
-            .capacity(8)
-            .disk(Box::new(disk.clone()))
-            .build(),
-    );
-    let cat = Catalog::open(Arc::clone(&pool)).expect("access catalog");
-    (pool, cat)
-}
 
 fn unhex(chunks: &[&str]) -> Vec<u8> {
     let hex = chunks.concat();
@@ -258,219 +212,27 @@ fn unhex(chunks: &[&str]) -> Vec<u8> {
         .collect()
 }
 
-/// Offset of the policy byte: 16 header bytes, then clean_shutdown (1),
-/// pool_pages (8), shards (4).
-const POLICY_BYTE: usize = 16 + 13;
-
-/// Offsets of the three reserved words — the keyed-probe batch size, the
-/// merge-scan `readahead` window and the async queue depth of earlier
-/// builds: 16 header bytes, then payload offsets 31, 39 and 47.
-const BATCH_WORD: usize = 16 + 31;
-const READAHEAD_WORD: usize = 16 + 39;
-const DEPTH_WORD: usize = 16 + 47;
-
-/// `blob` with `word` at offset `at`, re-CRC'd.
-fn with_word(blob: &[u8], at: usize, word: u64) -> Vec<u8> {
-    let mut out = blob.to_vec();
-    out[at..at + 8].copy_from_slice(&word.to_le_bytes());
-    let crc = cor_wal::crc::crc32(&out[16..]);
-    out[12..16].copy_from_slice(&crc.to_le_bytes());
+/// `payload` framed as a v4 catalog blob: magic, version, CRC.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = b"CORENGIN".to_vec();
+    out.extend_from_slice(&ENGINE_CATALOG_VERSION.to_le_bytes());
+    out.extend_from_slice(&cor_wal::crc::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
-/// Stores written by earlier builds still open: the old builds' blobs
-/// decode to the pool settings they recorded and re-encode to themselves,
-/// this build writes the same bytes for the same store (so the format did
-/// not move when the policy set shrank, nor when the queue-depth, batch
-/// and readahead words became reserved), and that store reopens with its
-/// policy.
-#[test]
-fn stores_from_earlier_builds_still_open() {
-    for (policy, tag, chunks) in [
-        (ReplacementPolicy::Lru, 0u8, PARENT_LRU_BLOB),
-        (ReplacementPolicy::Sieve, 3, PARENT_SIEVE_BLOB),
-    ] {
-        let parent_blob = unhex(chunks);
-        assert_eq!(parent_blob[POLICY_BYTE], tag, "{policy}");
-        let decoded = EngineCatalog::decode(&parent_blob).expect("old v3 blob decodes");
-        assert_eq!(decoded.policy, policy);
-        assert_eq!(decoded.pool_pages, 16);
-        assert_eq!(decoded.shards, 1);
-        assert_eq!(decoded.opts, ExecOptions::default());
-        assert!(decoded.clean_shutdown);
-        assert_eq!(decoded.encode(), parent_blob, "{policy}");
-
-        let disk = Arc::new(MemDisk::new());
-        let store = Arc::new(MemLogStore::new());
-        Engine::builder()
-            .pool_pages(16)
-            .policy(policy)
-            .create_on(
-                disk.clone(),
-                store.clone(),
-                &EngineSpec::Standard(DatabaseSpec::tiny()),
-            )
-            .expect("create")
-            .close()
-            .expect("close");
-        let blob = boot_catalog(&disk)
-            .1
-            .get_blob(ENGINE_BLOB)
-            .expect("engine blob");
-        assert_eq!(blob, parent_blob, "{policy}: catalog bytes moved");
-
-        let reopened = Engine::builder().open_on(disk, store).expect("reopen");
-        assert_eq!(reopened.pool().policy(), policy);
-    }
+/// `PARENT_LRU_BLOB` in the v4 layout: its payload without the three
+/// reserved words (payload offsets 31..55), under a v4 header.
+fn parent_blob_as_v4() -> Vec<u8> {
+    let payload = &unhex(PARENT_LRU_BLOB)[16..];
+    frame(&[&payload[..31], &payload[55..]].concat())
 }
 
-/// What `engine` answers to `sequence`, query by query: the values and the
-/// reads and writes they cost.
-fn serve(engine: &Engine, strategy: Strategy, sequence: &[Query]) -> Vec<(Vec<i64>, u64, u64)> {
-    let stats = engine.pool().stats().clone();
-    let mut served = Vec::with_capacity(sequence.len());
-    for q in sequence {
-        let before = stats.snapshot();
-        let values = match q {
-            Query::Retrieve(r) => engine.retrieve(strategy, r).expect("retrieve").values,
-            Query::Update(u) => {
-                engine.update(u).expect("update");
-                Vec::new()
-            }
-        };
-        let io = stats.snapshot().since(&before);
-        served.push((values, io.reads, io.writes));
-    }
-    served
-}
-
-/// A store created at batch 16, readahead 32 and async queue depth 4 by
-/// earlier builds opens and serves exactly like a plain store: the
-/// captured blobs differ from the plain one in those words alone and
-/// re-save with them at 1, 0 and 1, and a reopened engine whose catalog
-/// carries them returns the oracle's values for the same reads and writes
-/// as one whose catalog never did, query by query.
+/// The v4 payload is the v3 one without its reserved words: this build
+/// writes exactly that for the store the captured blob came from, and the
+/// store reopens.
 #[test]
-fn a_store_created_at_batch_16_and_depth_4_serves_like_a_plain_store() {
-    let plain = unhex(PARENT_LRU_BLOB);
-    let depth4 = unhex(PARENT_LRU_DEPTH4_BLOB);
-    assert_eq!(with_word(&plain, DEPTH_WORD, 4), depth4);
-    let decoded = EngineCatalog::decode(&depth4).expect("depth-4 blob decodes");
-    assert_eq!(decoded.encode(), plain, "re-saved with the word at 1");
-
-    let batch16 = unhex(PARENT_LRU_BATCH16_BLOB);
-    let ahead32 = with_word(&plain, READAHEAD_WORD, 32);
-    assert_eq!(with_word(&ahead32, BATCH_WORD, 16), batch16);
-    let decoded = EngineCatalog::decode(&batch16).expect("batch-16 blob decodes");
-    assert_eq!(decoded.opts, ExecOptions::default());
-    assert_eq!(
-        decoded.encode(),
-        plain,
-        "re-saved with the words at 1 and 0"
-    );
-
-    // The captured blob, put back on the store it was captured from.
-    let (disk, store) = (Arc::new(MemDisk::new()), Arc::new(MemLogStore::new()));
-    let tiny = EngineSpec::Standard(DatabaseSpec::tiny());
-    Engine::builder()
-        .pool_pages(16)
-        .create_on(disk.clone(), store.clone(), &tiny)
-        .expect("create")
-        .close()
-        .expect("close");
-    let (boot, cat) = boot_catalog(&disk);
-    let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
-    assert_eq!(blob, plain, "this build writes the plain words");
-    cat.save_blob(ENGINE_BLOB, &batch16).expect("re-save");
-    boot.flush_all().expect("flush");
-    drop((cat, boot));
-    let reopened = Engine::builder().open_on(disk, store).expect("reopen");
-    assert_eq!(reopened.options(), &ExecOptions::default());
-    let oracle = Engine::builder()
-        .pool_pages(16)
-        .build(&tiny)
-        .expect("oracle");
-    let q = complexobj::RetrieveQuery {
-        lo: 0,
-        hi: 5,
-        attr: complexobj::RetAttr::Ret1,
-    };
-    for strategy in [Strategy::Dfs, Strategy::Bfs] {
-        assert_eq!(
-            reopened.retrieve(strategy, &q).expect("retrieve").values,
-            oracle.retrieve(strategy, &q).expect("retrieve").values,
-            "{strategy}"
-        );
-    }
-
-    let p = Params {
-        parent_card: 60,
-        num_top: 6,
-        sequence_len: 24,
-        buffer_pages: 12,
-        size_cache: 10,
-        pr_update: 0.3,
-        ..Params::paper_default()
-    };
-    let generated = generate(&p);
-    let sequence = generate_sequence(&p);
-    for strategy in [Strategy::Bfs, Strategy::DfsClust, Strategy::DfsCache] {
-        let spec = EngineSpec::for_strategy(&p, &generated, strategy);
-        let reopened_with = |batch: u64, readahead: u64, depth: u64| {
-            let Rig {
-                disk,
-                store,
-                engine,
-            } = create_rig(&spec, &p);
-            engine.close().expect("close");
-            // What the earlier builds would have left there.
-            let (boot, cat) = boot_catalog(&disk);
-            let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
-            let blob = with_word(&blob, BATCH_WORD, batch);
-            let blob = with_word(&blob, READAHEAD_WORD, readahead);
-            let blob = with_word(&blob, DEPTH_WORD, depth);
-            cat.save_blob(ENGINE_BLOB, &blob).expect("re-save");
-            boot.flush_all().expect("flush");
-            drop((cat, boot));
-
-            let engine = Engine::builder().open_on(disk, store).expect("reopen");
-            assert_eq!(engine.options(), &ExecOptions::default());
-            serve(&engine, strategy, &sequence)
-        };
-        let old = reopened_with(16, 32, 4);
-        assert_eq!(old, reopened_with(1, 0, 1), "{strategy}");
-
-        let oracle = Engine::builder()
-            .pool_pages(p.buffer_pages)
-            .cache(CacheConfig {
-                capacity: p.size_cache,
-                ..CacheConfig::default()
-            })
-            .build(&spec)
-            .expect("oracle");
-        let answers = |served: Vec<(Vec<i64>, u64, u64)>| -> Vec<Vec<i64>> {
-            served.into_iter().map(|(values, ..)| values).collect()
-        };
-        assert_eq!(
-            answers(old),
-            answers(serve(&oracle, strategy, &sequence)),
-            "{strategy}"
-        );
-    }
-}
-
-/// A kind-0 (`BTree`) page-0 record as the typed file catalog of earlier
-/// builds wrote it: the entry `"person"` for a 300-entry tree with 10-byte
-/// keys (root 3, first leaf 1, height 2, 21 leaves). Captured from the
-/// last build that had that API; nothing writes kinds 0–3 any more.
-const PARENT_BTREE_RECORD: &str =
-    "0006706572736f6e0a0003000000010000002c010000000000000200000015000000";
-
-/// Record kinds 0–3 are retired, not reused: a page 0 that still carries
-/// one opens, its blob reads byte for byte, re-saving the blob leaves the
-/// foreign record in place, and the engine reopens over it.
-#[test]
-fn a_page_zero_with_a_retired_typed_record_still_opens() {
+fn the_v4_blob_is_the_v3_payload_without_its_reserved_words() {
     let disk = Arc::new(MemDisk::new());
     let store = Arc::new(MemLogStore::new());
     Engine::builder()
@@ -483,36 +245,59 @@ fn a_page_zero_with_a_retired_typed_record_still_opens() {
         .expect("create")
         .close()
         .expect("close");
-
-    let typed = unhex(&[PARENT_BTREE_RECORD]);
-    let holds_typed = |pool: &BufferPool| {
-        pool.read(0, |p| p.records().any(|(_, r)| r == typed))
-            .expect("page 0 reads")
-    };
     let pool = Arc::new(
         BufferPool::builder()
             .capacity(8)
             .disk(Box::new(disk.clone()))
             .build(),
     );
-    pool.write(0, |mut p| p.insert(&typed).map(|_| ()))
-        .expect("page 0 writes")
-        .expect("page 0 has room");
+    let blob = Catalog::open(pool)
+        .expect("access catalog")
+        .load()
+        .expect("engine blob");
+    assert_eq!(blob, parent_blob_as_v4());
+    let decoded = EngineCatalog::decode(&blob).expect("v4 blob decodes");
+    assert_eq!((decoded.pool_pages, decoded.shards), (16, 1));
+    assert_eq!(decoded.opts, ExecOptions::default());
+    Engine::builder().open_on(disk, store).expect("reopen");
+}
 
-    let cat = Catalog::open(Arc::clone(&pool)).expect("access catalog");
-    let blob = cat.get_blob(ENGINE_BLOB).expect("engine blob");
-    assert_eq!(blob, unhex(PARENT_LRU_BLOB));
-    cat.save_blob(ENGINE_BLOB, &blob).expect("re-save");
-    assert!(holds_typed(&pool), "save_blob moved a foreign record");
-    assert_eq!(cat.get_blob(ENGINE_BLOB).expect("engine blob"), blob);
-    pool.flush_all().expect("flush");
-    drop((cat, pool));
+/// A page 0 as the build before catalog v4 wrote it: one named pointer
+/// record `[kind 4][name_len 6]"engine"[length u32][first chain page u32]`
+/// over a one-page chain holding `PARENT_LRU_BLOB`. This build does not
+/// parse that page as a chain head, so `open_on` refuses the store as
+/// `CatalogMissing`: no panic, no blob read through a misparsed head, and
+/// page 0 left as it was.
+#[test]
+fn a_page_zero_from_the_parent_layout_is_catalog_missing() {
+    let blob = unhex(PARENT_LRU_BLOB);
+    let disk = Arc::new(MemDisk::new());
+    let write = |records: &[&[u8]]| {
+        let pid = disk.allocate_page().expect("allocate");
+        let mut buf: PageBuf = [0; PAGE_SIZE];
+        let mut p = PageMut::new(&mut buf);
+        p.init();
+        for rec in records {
+            p.insert(rec).expect("record fits");
+        }
+        disk.write_page(pid, &buf).expect("write");
+        buf
+    };
+    let mut pointer = vec![4u8, 6];
+    pointer.extend_from_slice(b"engine");
+    pointer.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    pointer.extend_from_slice(&1u32.to_le_bytes());
+    let page0 = write(&[&pointer]);
+    write(&[&[&NO_PAGE.to_le_bytes()[..], &blob].concat()]);
 
-    let reopened = Engine::builder().open_on(disk, store).expect("reopen");
-    assert!(
-        holds_typed(reopened.pool()),
-        "open dropped a foreign record"
-    );
+    let err = Engine::builder()
+        .open_on(disk.clone(), Arc::new(MemLogStore::new()))
+        .err()
+        .expect("a parent-layout page 0 must not open");
+    assert!(matches!(err, CorError::CatalogMissing), "{err}");
+    let mut after: PageBuf = [0; PAGE_SIZE];
+    disk.read_page(0, &mut after).expect("read");
+    assert_eq!(after, page0, "a refused open wrote page 0");
 }
 
 /// Tracks the largest single allocation the current thread has asked for,
@@ -578,30 +363,13 @@ fn decode_as_outside_input(blob: &[u8]) {
     }
 }
 
-/// `payload` framed as a catalog blob of `version`: magic, version, CRC.
-fn frame(payload: &[u8], version: u32) -> Vec<u8> {
-    let mut out = b"CORENGIN".to_vec();
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&cor_wal::crc::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Valid blobs of every layout version: the captured v3 blobs, plus one
-/// per backend (with checkpointed cache directories) from this build,
-/// each also restamped as v2 and cut down to v1.
+/// Valid v4 blobs: the captured parent blob without its reserved words,
+/// plus one per backend (with checkpointed cache directories) from this
+/// build.
 fn valid_blobs() -> &'static [Vec<u8>] {
     static BLOBS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     BLOBS.get_or_init(|| {
-        let mut v3: Vec<Vec<u8>> = [
-            PARENT_LRU_BLOB,
-            PARENT_SIEVE_BLOB,
-            PARENT_LRU_DEPTH4_BLOB,
-            PARENT_LRU_BATCH16_BLOB,
-        ]
-        .into_iter()
-        .map(unhex)
-        .collect();
+        let mut all = vec![parent_blob_as_v4()];
         let p = Params {
             parent_card: 40,
             num_top: 4,
@@ -617,16 +385,7 @@ fn valid_blobs() -> &'static [Vec<u8>] {
             let rig = create_rig(&spec_for(kind, &p, &generated), &p);
             run_ops(&rig.engine, &sequence, strategy, 4);
             let cat = Catalog::open(Arc::clone(rig.engine.pool())).expect("access catalog");
-            v3.push(cat.get_blob(ENGINE_BLOB).expect("engine blob"));
-        }
-        let mut all = Vec::new();
-        for blob in v3 {
-            let payload = &blob[16..];
-            let mut v1 = payload.to_vec();
-            v1.drain(47..55);
-            all.push(frame(&v1, 1));
-            all.push(frame(payload, 2));
-            all.push(blob);
+            all.push(cat.load().expect("engine blob"));
         }
         for blob in &all {
             EngineCatalog::decode(blob).expect("every seed blob is valid");
@@ -673,13 +432,12 @@ proptest! {
     fn catalog_decode_survives_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
         framed in any::<bool>(),
-        version in 1u32..4,
     ) {
-        let blob = if framed { frame(&bytes, version) } else { bytes };
+        let blob = if framed { frame(&bytes) } else { bytes };
         decode_as_outside_input(&blob);
     }
 
-    /// Single-byte and word-sized mutations of valid v1/v2/v3 blobs —
+    /// Single-byte and word-sized mutations of valid blobs —
     /// re-CRC'd or not — never panic the catalog decoder.
     #[test]
     fn catalog_decode_survives_mutated_blobs(
@@ -705,34 +463,90 @@ proptest! {
     }
 }
 
-/// At every byte of each distinct valid blob, in the v1 and v3 layouts,
-/// the boundary values and the near neighbours of the byte there — with
+/// A page for the page-0 proptest: arbitrary bytes, or a slotted page of
+/// records that often look like a head or a chain page (a small length or
+/// `next` word first, naming a page of the store or `NO_PAGE`).
+fn store_page() -> impl proptest::strategy::Strategy<Value = PageBuf> {
+    let word = || prop_oneof![0u32..6, 0u32..5000, Just(NO_PAGE), any::<u32>()];
+    let record = (
+        word(),
+        word(),
+        proptest::collection::vec(any::<u8>(), 0..24),
+    )
+        .prop_map(|(a, b, tail)| [&a.to_le_bytes()[..], &b.to_le_bytes(), &tail].concat());
+    let record = (record, prop_oneof![Just(8usize), 0usize..40])
+        .prop_map(|(rec, cut)| rec[..cut.min(rec.len())].to_vec());
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1)
+            .prop_map(|bytes| bytes.try_into().expect("one page")),
+        proptest::collection::vec(record, 0..3).prop_map(|records| {
+            let mut buf: PageBuf = [0; PAGE_SIZE];
+            let mut p = PageMut::new(&mut buf);
+            p.init();
+            for rec in &records {
+                p.insert(rec).expect("a short record fits");
+            }
+            buf
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 512,
+        ..ProptestConfig::default()
+    })]
+
+    /// Page 0 and the chain are bytes from disk: over any store,
+    /// `Catalog::open` + `load` returns a blob or `Corrupt`, never a panic,
+    /// a storage error or an allocation the store's bytes cannot back.
+    #[test]
+    fn catalog_load_survives_an_arbitrary_page_zero(
+        pages in proptest::collection::vec(store_page(), 1..6),
+    ) {
+        let disk = Arc::new(MemDisk::new());
+        for page in &pages {
+            let pid = disk.allocate_page().expect("allocate");
+            disk.write_page(pid, page).expect("write");
+        }
+        let pool = Arc::new(BufferPool::builder().capacity(8).disk(Box::new(disk)).build());
+        LARGEST.with(|l| l.set(0));
+        let loaded = Catalog::open(pool).and_then(|cat| cat.load());
+        let largest = LARGEST.with(Cell::get);
+        prop_assert!(
+            matches!(loaded, Ok(_) | Err(cor_access::CatalogError::Corrupt(_))),
+            "{loaded:?}"
+        );
+        prop_assert!(
+            largest <= ALLOC_PER_BLOB_BYTE * PAGE_SIZE * pages.len(),
+            "a {}-page store asked for a {largest}-byte allocation",
+            pages.len()
+        );
+    }
+}
+
+/// At every byte of each valid blob, the boundary values and the near neighbours of the byte there — with
 /// the payload CRC fixed up so the change reaches the decoder: each
 /// decodes or fails typed, within the allocation bound. (A column-name
 /// byte changed into a neighbour that repeated a name used to panic in
 /// `Schema::new`.)
 #[test]
 fn every_single_byte_change_of_a_valid_blob_decodes_or_fails_typed() {
-    // `valid_blobs` holds (v1, v2, v3) triples; v2 differs from v3 only in
-    // the header, which the v3 sweep covers. The first three captured
-    // triples differ from the fourth only in option words.
-    for triple in valid_blobs().chunks(3).skip(3) {
-        for seed in [&triple[0], &triple[2]] {
-            for at in 0..seed.len() {
-                let v = seed[at];
-                let near = [1, 2, 3].map(|d| [v.wrapping_add(d), v.wrapping_sub(d)]);
-                for b in [0, 1, 0x7F, 0x80, 0xFF]
-                    .into_iter()
-                    .chain(near.into_iter().flatten())
-                {
-                    let mut blob = seed.clone();
-                    blob[at] = b;
-                    if at >= 16 {
-                        let crc = cor_wal::crc::crc32(&blob[16..]);
-                        blob[12..16].copy_from_slice(&crc.to_le_bytes());
-                    }
-                    decode_as_outside_input(&blob);
+    for seed in valid_blobs() {
+        for at in 0..seed.len() {
+            let v = seed[at];
+            let near = [1, 2, 3].map(|d| [v.wrapping_add(d), v.wrapping_sub(d)]);
+            for b in [0, 1, 0x7F, 0x80, 0xFF]
+                .into_iter()
+                .chain(near.into_iter().flatten())
+            {
+                let mut blob = seed.clone();
+                blob[at] = b;
+                if at >= 16 {
+                    let crc = cor_wal::crc::crc32(&blob[16..]);
+                    blob[12..16].copy_from_slice(&crc.to_le_bytes());
                 }
+                decode_as_outside_input(&blob);
             }
         }
     }

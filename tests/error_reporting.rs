@@ -55,9 +55,9 @@ fn error_messages_are_informative() {
     assert!(CorError::WrongRepresentation("clustered")
         .to_string()
         .contains("clustered"));
-    assert!(CatalogError::NotFound("person".into())
+    assert!(CatalogError::Corrupt("blob length mismatch")
         .to_string()
-        .contains("person"));
+        .contains("blob length mismatch"));
     assert!(QuelParseError::UnknownAttribute("age".into())
         .to_string()
         .contains("age"));
