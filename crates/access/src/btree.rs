@@ -325,6 +325,14 @@ pub struct BTreeMeta {
 /// A promoted separator key plus the page to its right, produced by splits.
 type SplitResult = (Vec<u8>, PageId);
 
+/// What an insert's read pin on a node found.
+enum Step {
+    /// A leaf; `full` when it lacks the key and has no room for it.
+    Leaf { full: bool },
+    /// An internal node, and the child the key descends into.
+    Child(PageId),
+}
+
 /// Outcome of a leaf fast-path mutation attempt.
 enum Fast {
     Inserted,
@@ -863,49 +871,54 @@ impl BTreeFile {
         val: &[u8],
     ) -> Result<(Option<SplitResult>, bool), AccessError> {
         let key_len = self.key_len;
-        // `Some(full)` for a leaf: `full` when it lacks the key and has no
-        // room for it, decided under this read pin so that such a leaf goes
-        // straight to the split with no write pin that changes nothing.
-        let leaf = self.pool.read(page, |p| {
+        // One read pin tells a leaf from an internal node. A leaf is `full`
+        // when it lacks the key and has no room for it, decided here so
+        // that such a leaf goes straight to the split with no write pin
+        // that changes nothing; an internal node names the child to
+        // descend into.
+        let step = self.pool.read(page, |p| {
             let d = p.bytes();
-            node::is_leaf(d).then(|| {
-                node::search(d, key, key_len).is_err()
-                    && node::total_free(d, key_len) < key_len + val.len() + DIR
-            })
+            if node::is_leaf(d) {
+                Step::Leaf {
+                    full: node::search(d, key, key_len).is_err()
+                        && node::total_free(d, key_len) < key_len + val.len() + DIR,
+                }
+            } else {
+                Step::Child(node::find_child(d, key, key_len))
+            }
         })?;
-        if leaf == Some(true) {
-            let (split, inserted) = self.split_leaf(page, key, val)?;
-            return Ok((Some(split), inserted));
-        }
-        if leaf == Some(false) {
-            let fast = self.pool.write(page, |mut p| {
-                let d = p.bytes_mut();
-                match node::search(d, key, key_len) {
-                    Ok(i) if node::replace_value(d, i, key, val, key_len) => Fast::Replaced,
-                    // Old entry is gone; the split path below will re-add
-                    // the key with its new value.
-                    Ok(_) => Fast::NeedSplitAfterRemove,
-                    // The read pin found room, and nothing wrote the page
-                    // since.
-                    Err(i) => {
-                        node::insert_entry(d, i, key, val, key_len);
-                        Fast::Inserted
+        let child = match step {
+            Step::Child(child) => child,
+            Step::Leaf { full: true } => {
+                let (split, inserted) = self.split_leaf(page, key, val)?;
+                return Ok((Some(split), inserted));
+            }
+            Step::Leaf { full: false } => {
+                let fast = self.pool.write(page, |mut p| {
+                    let d = p.bytes_mut();
+                    match node::search(d, key, key_len) {
+                        Ok(i) if node::replace_value(d, i, key, val, key_len) => Fast::Replaced,
+                        // Old entry is gone; the split path below will
+                        // re-add the key with its new value.
+                        Ok(_) => Fast::NeedSplitAfterRemove,
+                        // The read pin found room, and nothing wrote the
+                        // page since.
+                        Err(i) => {
+                            node::insert_entry(d, i, key, val, key_len);
+                            Fast::Inserted
+                        }
                     }
-                }
-            })?;
-            return match fast {
-                Fast::Inserted => Ok((None, true)),
-                Fast::Replaced => Ok((None, false)),
-                Fast::NeedSplitAfterRemove => {
-                    let (split, _) = self.split_leaf(page, key, val)?;
-                    Ok((Some(split), false))
-                }
-            };
-        }
-
-        let child = self
-            .pool
-            .read(page, |p| node::find_child(p.bytes(), key, key_len))?;
+                })?;
+                return match fast {
+                    Fast::Inserted => Ok((None, true)),
+                    Fast::Replaced => Ok((None, false)),
+                    Fast::NeedSplitAfterRemove => {
+                        let (split, _) = self.split_leaf(page, key, val)?;
+                        Ok((Some(split), false))
+                    }
+                };
+            }
+        };
         let (split, inserted) = self.insert_rec(child, key, val)?;
         let Some((sep, new_child)) = split else {
             return Ok((None, inserted));
@@ -1592,6 +1605,31 @@ mod tests {
             }
             assert_eq!(hits() - before, 2, "key {k}: a read and a write");
             k += 1;
+        }
+    }
+
+    /// On a height-2 tree an insert that splits nothing pins the root
+    /// once, on the read that names the child, then the leaf for a read
+    /// and a write: three pins, hits and misses.
+    #[test]
+    fn an_insert_pins_each_internal_node_once() {
+        let pool = Arc::new(BufferPool::builder().capacity(8).telemetry(true).build());
+        let pins = || -> u64 {
+            let shards = pool.telemetry().expect("telemetry");
+            shards.iter().map(|s| s.hits + s.misses).sum()
+        };
+        let t = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
+        let val = [7u8; 100];
+        let mut k = 0;
+        while t.height() < 2 {
+            t.insert(&key8(k), &val).unwrap();
+            k += 1;
+        }
+        for k in k..k + 5 {
+            let before = pins();
+            t.insert(&key8(k), &val).unwrap();
+            assert_eq!(t.height(), 2, "key {k} split nothing above the leaf");
+            assert_eq!(pins() - before, 3, "key {k}: the root once, the leaf twice");
         }
     }
 

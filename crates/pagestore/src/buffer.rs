@@ -130,7 +130,10 @@ pub struct BufferPoolBuilder {
 
 impl BufferPoolBuilder {
     /// Total number of frames across all shards (default
-    /// [`DEFAULT_POOL_PAGES`]).
+    /// [`DEFAULT_POOL_PAGES`]). A ceiling, not an allocation: a frame's
+    /// page bytes are allocated at its first load and kept after
+    /// eviction, so the pool's resident page memory is
+    /// `min(capacity, pages held at once) × PAGE_SIZE`.
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
         self
@@ -1020,6 +1023,40 @@ mod tests {
         // 3,500 allocations, but a stripe only ever needs as many ids as
         // one round can ask of it.
         assert!(p.num_pages() <= 4 * 7, "store grew to {}", p.num_pages());
+    }
+
+    /// A frame's bytes are allocated at its first load and kept after
+    /// eviction: a pool holds one page buffer per frame that has held a
+    /// page, not one per frame of its capacity.
+    #[test]
+    fn a_frame_allocates_its_bytes_at_its_first_load() {
+        let boxed = |p: &BufferPool| p.shards.iter().map(Shard::boxed_frames).sum::<usize>();
+        let store = |pages: usize| {
+            let disk = MemDisk::new();
+            for _ in 0..pages {
+                disk.allocate_page().unwrap();
+            }
+            Box::new(disk)
+        };
+
+        let big = BufferPool::builder().capacity(4096).disk(store(10)).build();
+        assert_eq!(boxed(&big), 0);
+        for pid in 0..10 {
+            big.read(pid, |_| ()).unwrap();
+        }
+        assert_eq!(boxed(&big), 10);
+        big.flush_and_clear().unwrap();
+        for pid in 0..10 {
+            big.read(pid, |_| ()).unwrap();
+        }
+        assert_eq!(boxed(&big), 10, "a cleared pool reuses its boxes");
+
+        let small = BufferPool::builder().capacity(16).disk(store(100)).build();
+        for pid in 0..100 {
+            small.read(pid, |_| ()).unwrap();
+        }
+        assert_eq!(small.stats().reads(), 100);
+        assert_eq!(boxed(&small), 16, "an evicted frame keeps its box");
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! write-back flushes the log through the page LSN first, then clears
 //! the recLSN; it tells the log nothing else, since the page is imaged
 //! once per checkpoint interval, not once per write-back.
+//!
+//! A frame's page bytes are allocated the first time the frame is
+//! written ([`FrameBuf`]) and kept after eviction, so a shard costs
+//! memory only for the frames that have ever held a page. Unused frames
+//! sit at the cold end of the replacement list and are taken first;
+//! `capacity` is a ceiling, not an allocation.
 
 use crate::buffer::BufferError;
 use crate::disk::DiskManager;
@@ -29,6 +35,7 @@ use cor_obs::flight;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -77,6 +84,30 @@ impl Hasher for PageIdHasher {
 /// Page id -> frame index under [`PageIdHasher`].
 type PageTable = HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>;
 
+/// All zeros: what a frame that has never held a page reads as.
+static ZERO_PAGE: PageBuf = [0u8; PAGE_SIZE];
+
+/// A frame's page bytes, boxed on the first write through
+/// [`DerefMut`] and kept from then on. Until then [`Deref`] reads the
+/// shared [`ZERO_PAGE`].
+pub(crate) struct FrameBuf(Option<Box<PageBuf>>);
+
+impl Deref for FrameBuf {
+    type Target = PageBuf;
+
+    #[inline]
+    fn deref(&self) -> &PageBuf {
+        self.0.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+}
+
+impl DerefMut for FrameBuf {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut PageBuf {
+        self.0.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+}
+
 pub(crate) struct FrameData {
     pub(crate) page_id: PageId,
     pub(crate) dirty: bool,
@@ -87,7 +118,7 @@ pub(crate) struct FrameData {
     /// the checkpoint dirty-page table; redo must start no later than the
     /// minimum recLSN over all dirty frames.
     pub(crate) rec_lsn: Lsn,
-    pub(crate) data: Box<PageBuf>,
+    pub(crate) data: FrameBuf,
 }
 
 /// Uphold WAL-before-data for one frame about to be written back: the
@@ -145,7 +176,7 @@ impl Shard {
                     page_id: PageId::MAX,
                     dirty: false,
                     rec_lsn: NO_LSN,
-                    data: Box::new([0u8; PAGE_SIZE]),
+                    data: FrameBuf(None),
                 }),
             })
             .collect();
@@ -448,6 +479,15 @@ impl Shard {
     /// Number of pages resident in this shard.
     pub(crate) fn resident_pages(&self) -> usize {
         self.inner.lock().page_table.len()
+    }
+
+    /// Number of frames whose page bytes have been allocated.
+    #[cfg(test)]
+    pub(crate) fn boxed_frames(&self) -> usize {
+        self.frames
+            .iter()
+            .filter(|f| f.state.read().data.0.is_some())
+            .count()
     }
 }
 

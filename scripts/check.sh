@@ -26,6 +26,12 @@
 # The gate leaves the tree as it found it: smoke legs write their
 # timing-bearing reports under target/check/ (CI uploads them from
 # there), and the last step fails if `git status --porcelain` changed.
+# The committed crashtest text reports (results/crashtest/report.txt and
+# report-logical.txt, written by `crashtest --points 6` and
+# `crashtest --logical --points 7`, the smoke legs' points) are diffed
+# against the smoke legs' copies, so they cannot go stale; the JSON
+# reports and flight dumps are not, since they carry flight `t_ns`
+# timestamps.
 #
 # Not part of this gate (about 15 minutes, and timing needs a quiet box):
 # `scripts/pairs.sh <parent-ref>` runs the ten alternating parent/change
@@ -65,6 +71,10 @@ cargo run -q --release -p cor-bench --bin crashtest -- --smoke
 
 echo "==> crashtest --logical smoke (lifecycle gate: crash, reopen via catalog, verify answers; BFS leg crashes under a live temporary)"
 cargo run -q --release -p cor-bench --bin crashtest -- --logical --smoke
+
+echo "==> crashtest reports (the committed results/crashtest/*.txt against the smoke legs' twins)"
+diff -u results/crashtest/report.txt $out/crashtest/report.txt
+diff -u results/crashtest/report-logical.txt $out/crashtest/report-logical.txt
 
 echo "==> persistence smoke (real-filesystem durability: create, update, close, reopen over FileDisk + FileLogStore)"
 cargo run -q --release --example persistence
