@@ -34,7 +34,7 @@ use crate::stats::IoStats;
 use crate::telemetry::ShardTelemetrySnapshot;
 use crate::wal::{Lsn, WalHook, NO_LSN};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Buffer size used throughout the paper's experiments (100 pages).
 pub const DEFAULT_POOL_PAGES: usize = 100;
@@ -174,12 +174,15 @@ impl BufferPoolBuilder {
         self
     }
 
-    /// Attach a write-ahead log (default: none). With a hook attached
-    /// the pool logs every page mutation — except those of query
-    /// temporaries ([`BufferPool::write_temp`]) — stamps page LSNs, and
-    /// enforces WAL-before-data on every write-back (see [`crate::wal`]). Without
-    /// one, every hot path is byte-for-byte the historical code: no
-    /// pre-image copies, no stamping, identical [`IoStats`].
+    /// Attach a write-ahead log from the first page on (default: none).
+    /// With a hook attached the pool logs every page mutation — except
+    /// those of query temporaries ([`BufferPool::write_temp`]) — stamps
+    /// page LSNs, and enforces WAL-before-data on every write-back (see
+    /// [`crate::wal`]). Without one, every hot path is byte-for-byte the
+    /// historical code: no pre-image copies, no stamping, identical
+    /// [`IoStats`]. A pool that bulk-loads a store first and logs only
+    /// what follows is built without one and given it later by
+    /// [`BufferPool::attach_wal`].
     pub fn wal(mut self, wal: Arc<dyn WalHook>) -> Self {
         self.wal = Some(wal);
         self
@@ -214,7 +217,7 @@ impl BufferPoolBuilder {
             stats,
             policy: self.policy,
             shards,
-            wal: self.wal,
+            wal: self.wal.map_or_else(OnceLock::new, OnceLock::from),
         }
     }
 }
@@ -241,7 +244,8 @@ pub struct BufferPool {
     stats: Arc<IoStats>,
     policy: ReplacementPolicy,
     shards: Vec<Shard>,
-    wal: Option<Arc<dyn WalHook>>,
+    /// Set once, at construction or by [`Self::attach_wal`].
+    wal: OnceLock<Arc<dyn WalHook>>,
     /// The page id the next allocation would receive if no page had ever
     /// been recycled; see [`Self::next_page_id`].
     next_ticket: AtomicU32,
@@ -263,7 +267,31 @@ impl BufferPool {
 
     /// The attached WAL hook, if any.
     fn wal_ref(&self) -> Option<&dyn WalHook> {
-        self.wal.as_deref()
+        self.wal.get().map(|w| w.as_ref())
+    }
+
+    /// Start logging on a pool built without a log: write every dirty
+    /// page back, [`sync`](DiskManager::sync) the store once, then
+    /// attach `wal`. From here on every write logs as on a pool built
+    /// with [`BufferPoolBuilder::wal`].
+    ///
+    /// This is how a store is bulk-loaded: its pages are built unlogged,
+    /// so the log starts at the store's first logged change instead of
+    /// holding an image of every page the build wrote. Redo needs none
+    /// of the build: its pages are on the store, synced, before the
+    /// first record, and each still carries [`NO_LSN`], so its first
+    /// logged write in any full-page-write epoch is a full image. A
+    /// crash before this returns leaves a store no log describes.
+    ///
+    /// # Panics
+    ///
+    /// If the pool already has a log: attaching twice is a programming
+    /// error.
+    pub fn attach_wal(&self, wal: Arc<dyn WalHook>) -> Result<(), BufferError> {
+        self.flush_all()?;
+        self.disk.sync()?;
+        assert!(self.wal.set(wal).is_ok(), "the pool already has a log");
+        Ok(())
     }
 
     /// The configured replacement policy.
@@ -482,7 +510,7 @@ impl BufferPool {
             None => {
                 let mut st = shard.frame(idx).state.write();
                 debug_assert!(
-                    self.wal.is_none() || PageView::new(&st.data[..]).lsn() == NO_LSN,
+                    self.wal_ref().is_none() || PageView::new(&st.data[..]).lsn() == NO_LSN,
                     "write_temp on logged page {pid}"
                 );
                 st.dirty = true;

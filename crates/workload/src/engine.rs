@@ -54,7 +54,8 @@ use complexobj::{
 use cor_access::{Catalog, CatalogError};
 use cor_obs::{flight, Histogram};
 use cor_pagestore::{
-    BufferPool, DiskManager, FileDisk, IoDelta, ReplacementPolicy, DEFAULT_POOL_PAGES,
+    BufferPool, DiskManager, Durability, FileDisk, IoDelta, ReplacementPolicy, WalHook,
+    DEFAULT_POOL_PAGES,
 };
 use cor_wal::{CheckpointInfo, FileLogStore, LogStore, Wal, WalConfig};
 use std::path::Path;
@@ -131,6 +132,21 @@ enum Backend {
     Levels(Vec<CorDatabase>),
     /// A procedural-representation database.
     Proc(ProcDatabase),
+}
+
+impl Backend {
+    /// Every distinct pool the backend's databases live on: one on a
+    /// store (its levels share it), one per level for an in-memory
+    /// hierarchy.
+    fn pools(&self) -> Vec<&Arc<BufferPool>> {
+        let mut pools = match self {
+            Backend::Oid(db) => vec![db.pool()],
+            Backend::Levels(levels) => levels.iter().map(CorDatabase::pool).collect(),
+            Backend::Proc(db) => vec![db.pool()],
+        };
+        pools.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        pools
+    }
 }
 
 /// A query-serving session: pool + database + optional cache behind one
@@ -234,11 +250,16 @@ impl EngineBuilder {
         self
     }
 
-    /// Attach a write-ahead log: every page mutation is logged before the
-    /// page can reach the disk, and [`Engine::checkpoint`] becomes
-    /// available. [`IoStats`](cor_pagestore::IoStats) totals — the
-    /// paper's cost metric — are identical with or without a WAL; log
-    /// I/O is accounted by the WAL's own counters.
+    /// Attach a write-ahead log to an in-memory [`build`](Self::build):
+    /// the build itself is not logged (each pool gets the log by
+    /// [`BufferPool::attach_wal`] once the backend is built, which writes
+    /// the build's pages back first), every page mutation after it is
+    /// logged before the page can reach the disk, and
+    /// [`Engine::checkpoint`] becomes available.
+    /// [`IoStats`](cor_pagestore::IoStats) totals of a measured
+    /// sequence — the paper's cost metric — are identical with or
+    /// without a WAL; log I/O is accounted by the WAL's own counters.
+    /// The lifecycle terminals make their own log and ignore this one.
     pub fn wal(mut self, wal: Arc<Wal>) -> Self {
         self.wal = Some(wal);
         self
@@ -265,8 +286,11 @@ impl EngineBuilder {
     }
 
     /// The one pool assembly: every terminal's pool carries every
-    /// builder setting.
-    fn make_pool(&self) -> Arc<BufferPool> {
+    /// builder setting. `wal` is given only to a pool that logs from its
+    /// first page ([`open_on`](Self::open_on)'s); a pool that builds a
+    /// store is made without it and gets it by
+    /// [`BufferPool::attach_wal`] once the build is on the store.
+    fn make_pool(&self, wal: Option<&Arc<Wal>>) -> Arc<BufferPool> {
         let mut b = BufferPool::builder()
             .capacity(self.pool_pages)
             .shards(self.shards)
@@ -275,7 +299,7 @@ impl EngineBuilder {
         if let Some(disk) = &self.disk {
             b = b.disk(Box::new(disk.clone()));
         }
-        if let Some(wal) = &self.wal {
+        if let Some(wal) = wal {
             b = b.wal(wal.clone());
         }
         Arc::new(b.build())
@@ -299,17 +323,21 @@ impl EngineBuilder {
         }
     }
 
-    /// Build the spec's backend. A store is one file, so the lifecycle
-    /// terminals pass its one `shared` pool and every database — each
-    /// hierarchy level included — lives on it; in memory (`None`) each
-    /// database gets a pool of its own from [`make_pool`](Self::make_pool).
-    fn backend_for_spec(
+    /// Build the spec's backend, unlogged, then attach `wal` (when
+    /// given) to every pool it lives on — the one build path, with a log
+    /// or without. A store is one file, so the lifecycle terminals pass
+    /// its one `shared` pool (made without a log, page 0 already holding
+    /// the catalog) and every database — each hierarchy level included —
+    /// lives on it; in memory (`None`) each database gets a pool of its
+    /// own from [`make_pool`](Self::make_pool).
+    fn build_backend(
         &self,
         shared: Option<&Arc<BufferPool>>,
         spec: &EngineSpec,
+        wal: Option<&Arc<Wal>>,
     ) -> Result<Backend, CorError> {
-        let pool = || shared.map_or_else(|| self.make_pool(), Arc::clone);
-        Ok(match spec {
+        let pool = || shared.map_or_else(|| self.make_pool(None), Arc::clone);
+        let backend = match spec {
             EngineSpec::Standard(s) => {
                 Backend::Oid(CorDatabase::build_standard(pool(), s, self.cache)?)
             }
@@ -328,17 +356,25 @@ impl EngineBuilder {
             EngineSpec::Procedural(s, caching) => {
                 Backend::Proc(ProcDatabase::build(pool(), s, *caching)?)
             }
-        })
+        };
+        if let Some(wal) = wal {
+            for pool in backend.pools() {
+                pool.attach_wal(wal.clone())?;
+            }
+        }
+        Ok(backend)
     }
 
     /// Build an in-memory engine over `spec` — the only in-memory
     /// terminal. The pool sits on the builder's [`disk`](Self::disk)
-    /// (default: a private `MemDisk`) and logs to its [`wal`](Self::wal)
-    /// when one is attached; nothing is written to a persistent catalog,
-    /// so the engine cannot be reopened (use [`create`](Self::create)
-    /// for that).
+    /// (default: a private `MemDisk`). With a [`wal`](Self::wal) the
+    /// backend is built unlogged, its pages are written back and the
+    /// disk synced, and only then does each pool start logging (as
+    /// [`create_on`](Self::create_on) does, up to its catalog save).
+    /// Nothing is written to a persistent catalog, so the engine cannot
+    /// be reopened (use [`create`](Self::create) for that).
     pub fn build(self, spec: &EngineSpec) -> Result<Engine, CorError> {
-        let backend = self.backend_for_spec(None, spec)?;
+        let backend = self.build_backend(None, spec, self.wal.as_ref())?;
         Ok(self.into_engine(backend, None))
     }
 
@@ -361,9 +397,13 @@ impl EngineBuilder {
 
     /// Create a durable engine in directory `path` (page store
     /// `path/db.pages`, log segments under `path/wal/`), populated from
-    /// `spec`. The persistent catalog is written before this returns, so
-    /// the store is reopenable — via [`open`](Self::open), spec-free —
-    /// from any point after `create`, crash included.
+    /// `spec`. The page store is opened with [`Durability::Fsync`], so
+    /// the one store sync [`create_on`](Self::create_on) makes is a real
+    /// `fdatasync`. The persistent catalog is durable in the log before
+    /// this returns, so the store is reopenable — via
+    /// [`open`](Self::open), spec-free — from any point after `create`,
+    /// crash included; a crash inside `create` leaves a store that
+    /// `open` refuses as [`CorError::CatalogMissing`].
     pub fn create(self, path: &Path, spec: &EngineSpec) -> Result<Engine, CorError> {
         let (disk, store) = Self::open_files(path)?;
         self.create_on(disk, store, spec)
@@ -381,7 +421,7 @@ impl EngineBuilder {
     fn open_files(path: &Path) -> Result<(Arc<dyn DiskManager>, Arc<dyn LogStore>), CorError> {
         std::fs::create_dir_all(path)
             .map_err(|e| CorError::Durability(format!("creating {}: {e}", path.display())))?;
-        let disk = FileDisk::open(&path.join("db.pages"))
+        let disk = FileDisk::open_with(&path.join("db.pages"), Durability::Fsync)
             .map_err(|e| CorError::Durability(format!("opening page store: {e}")))?;
         let store = FileLogStore::open(&path.join("wal"))
             .map_err(|e| CorError::Durability(format!("opening log store: {e}")))?;
@@ -392,6 +432,23 @@ impl EngineBuilder {
     /// the crash-test entry point ([`MemDisk`](cor_pagestore::MemDisk),
     /// [`FaultyDisk`](cor_pagestore::FaultyDisk),
     /// [`MemLogStore`](cor_wal::MemLogStore)). Both must be empty.
+    ///
+    /// The store is built without its log, in four steps:
+    ///
+    /// 1. the catalog (page 0, an empty blob) and the backend are built
+    ///    on a pool with no log;
+    /// 2. [`BufferPool::attach_wal`] writes every page back, syncs the
+    ///    disk once and attaches a fresh log;
+    /// 3. the catalog is saved through the log — create's first logged
+    ///    record;
+    /// 4. the log is synced through that save, whatever the
+    ///    [`FsyncPolicy`](cor_wal::FsyncPolicy): this is create's commit
+    ///    point.
+    ///
+    /// A crash before step 4 finishes leaves a store whose page 0 holds
+    /// no engine catalog (`open_on` returns
+    /// [`CorError::CatalogMissing`]); a crash after it recovers to the
+    /// created store by replaying the catalog save alone.
     pub fn create_on(
         mut self,
         disk: Arc<dyn DiskManager>,
@@ -406,15 +463,18 @@ impl EngineBuilder {
             )));
         }
         self.disk = Some(disk);
-        self.wal = Some(Arc::new(Wal::new(store, self.wal_config)));
-        let pool = self.make_pool();
+        let wal = Arc::new(Wal::new(store, self.wal_config));
+        let pool = self.make_pool(None);
         // Page 0, allocated before any relation, holds the catalog.
         let catalog = Catalog::create(Arc::clone(&pool))
             .map_err(|e| CorError::Durability(format!("creating catalog: {e}")))?;
-        let backend = self.backend_for_spec(Some(&pool), spec)?;
+        let backend = self.build_backend(Some(&pool), spec, Some(&wal))?;
+        self.wal = Some(Arc::clone(&wal));
         let pool_pages = self.pool_pages;
         let engine = self.into_engine(backend, Some(catalog));
         engine.save_catalog(false)?;
+        wal.flush_to(wal.appended_lsn())
+            .map_err(|e| CorError::Durability(format!("syncing the catalog save: {e}")))?;
         flight::record(flight::FlightKind::EngineOpen, pool_pages as u64, 1, 0);
         Ok(engine)
     }
@@ -462,8 +522,9 @@ impl EngineBuilder {
         self.policy = saved.policy;
         self.opts = saved.opts;
         self.disk = Some(disk);
-        self.wal = Some(Arc::new(wal));
-        let pool = self.make_pool();
+        let wal = Arc::new(wal);
+        let pool = self.make_pool(Some(&wal));
+        self.wal = Some(wal);
         if saved.clean_shutdown {
             // The free list is trustworthy only when nothing ran after it
             // was saved. After a crash it is discarded: a page freed (or
@@ -1649,7 +1710,8 @@ mod tests {
     /// over each of the four specs and `build_workload` all go through
     /// the one pool assembly and the one `Engine` assembly. (When
     /// `build_workload` assembled its own pool, the `.disk()` handle
-    /// stayed at 0 pages and `.wal()` saw no append.)
+    /// stayed at 0 pages and `.wal()` was never attached.) The build
+    /// itself is not logged; every pool logs from then on.
     #[test]
     fn every_builder_setting_reaches_every_terminal() {
         let p = tiny();
@@ -1696,16 +1758,19 @@ mod tests {
             .unwrap();
             use cor_pagestore::DiskManager;
             assert!(disk.num_pages() > 0, "{name}: disk handle unused");
-            assert!(wal.stats().appends > 0, "{name}: build was not logged");
+            assert_eq!(wal.stats().appends, 0, "{name}: the build was logged");
             assert!(engine.wal().is_some(), "{name}: wal handle dropped");
             assert!(engine.metrics().is_some(), "{name}: metrics off");
-            let pools: Vec<&Arc<BufferPool>> = match &engine.backend {
-                Backend::Proc(db) => vec![db.pool()],
-                _ => engine.levels().iter().map(CorDatabase::pool).collect(),
-            };
-            for pool in pools {
+            for pool in engine.backend.pools() {
                 assert_eq!(pool.policy(), ReplacementPolicy::Sieve, "{name}");
                 assert!(pool.telemetry().is_some(), "{name}: telemetry off");
+                let appends = wal.stats().appends;
+                pool.allocate_page().unwrap();
+                assert_eq!(
+                    wal.stats().appends,
+                    appends + 1,
+                    "{name}: a pool logs nothing"
+                );
             }
             if let Some(expected) = has_cache {
                 assert!(
@@ -1872,6 +1937,117 @@ mod tests {
         assert_eq!(sorted_values(&reopened, &q), expected);
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `create` is durable when it returns, whatever the log's fsync
+    /// policy: a crash right after it (the log's unsynced tail lost with
+    /// the process, nothing run in between) reopens to the created
+    /// store. Before `create` synced the log through its catalog save, a
+    /// group-commit policy could lose that save, and `open_on` returned
+    /// `CatalogMissing`.
+    #[test]
+    fn a_store_opens_after_a_crash_right_after_create() {
+        use cor_wal::FsyncPolicy;
+        let generated = generate(&tiny());
+        let q = RetrieveQuery {
+            lo: 0,
+            hi: 9,
+            attr: RetAttr::Ret1,
+        };
+        let in_memory = Engine::builder()
+            .pool_pages(16)
+            .build(&standard(&generated));
+        let expected = sorted_values(&in_memory.unwrap(), &q);
+        let policies = (1..=16)
+            .map(FsyncPolicy::EveryN)
+            .chain([FsyncPolicy::Never]);
+        for fsync in policies {
+            let (disk, store) = mem_stores();
+            let engine = Engine::builder()
+                .pool_pages(16)
+                .wal_config(WalConfig {
+                    fsync,
+                    ..WalConfig::default()
+                })
+                .create_on(disk.clone(), store.clone(), &standard(&generated))
+                .unwrap();
+            drop(engine);
+            store.crash();
+            let reopened = Engine::builder()
+                .open_on(disk, store)
+                .unwrap_or_else(|e| panic!("{fsync:?}: no store after create: {e}"));
+            assert_eq!(sorted_values(&reopened, &q), expected, "{fsync:?}");
+        }
+    }
+
+    /// The build is not in the log: recovery right after `create` redoes
+    /// the catalog save and nothing else — page 0's new head, and each
+    /// chain page's zero image and contents (three records for these
+    /// stores' one-chain-page catalogs) — however large the store.
+    #[test]
+    fn recovery_right_after_create_replays_only_the_catalog_save() {
+        for parent_card in [200, 1000] {
+            let generated = generate(&Params {
+                parent_card,
+                ..tiny()
+            });
+            let (disk, store) = mem_stores();
+            let engine = Engine::builder()
+                .pool_pages(16)
+                .create_on(disk.clone(), store.clone(), &standard(&generated))
+                .unwrap();
+            let blob = engine.catalog.as_ref().unwrap().catalog.load().unwrap();
+            let chain_pages = blob.len().div_ceil(cor_pagestore::MAX_RECORD - 4) as u64;
+            let catalog_pages = 1 + chain_pages;
+            let store_pages = engine.pool().num_pages();
+            drop(engine);
+            store.crash();
+            let stats = cor_wal::recover(disk.as_ref(), store.as_ref()).unwrap();
+            let redone = stats.images_applied + stats.deltas_applied;
+            assert!(
+                redone <= catalog_pages + chain_pages,
+                "{parent_card} parents, {store_pages} pages: {redone} records redone \
+                 for a {catalog_pages}-page catalog"
+            );
+            assert_eq!(stats.records_scanned, redone, "{parent_card} parents");
+            Engine::builder().open_on(disk, store).unwrap();
+        }
+    }
+
+    /// A crash at any write `create` makes leaves a store that does not
+    /// open: the log holds nothing until the build is on the store, and
+    /// page 0 holds no engine catalog until the save that ends `create`.
+    #[test]
+    fn a_crash_inside_create_leaves_no_store_that_opens() {
+        use cor_pagestore::{FaultMode, FaultyDisk};
+        let generated = generate(&tiny());
+        let spec = standard(&generated);
+        let create = |disk: &Arc<FaultyDisk<Arc<cor_pagestore::MemDisk>>>, store| {
+            Engine::builder()
+                .pool_pages(16)
+                .cache(CacheConfig::default())
+                .create_on(disk.clone(), store, &spec)
+        };
+        let dry = Arc::new(FaultyDisk::new(Arc::new(cor_pagestore::MemDisk::new())));
+        create(&dry, Arc::new(cor_wal::MemLogStore::new())).unwrap();
+        let writes = dry.writes_observed();
+        assert!(writes > 16, "create wrote {writes} pages");
+
+        let step = (writes / 40).max(1);
+        let points = (1..=writes).step_by(step as usize).chain([writes]);
+        for nth in points {
+            let faulty = Arc::new(FaultyDisk::new(Arc::new(cor_pagestore::MemDisk::new())));
+            let store = Arc::new(cor_wal::MemLogStore::new());
+            faulty.arm(nth, FaultMode::CrashDrop);
+            assert!(create(&faulty, store.clone()).is_err(), "write {nth}");
+            store.crash();
+            let medium = faulty.inner().clone();
+            match Engine::builder().open_on(medium, store) {
+                Err(CorError::CatalogMissing) => {}
+                Err(e) => panic!("write {nth} of {writes}: {e}"),
+                Ok(_) => panic!("write {nth} of {writes}: a half-built store opened"),
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Durable storage through the engine: create a store in a directory,
 //! update it, close, reopen with no spec at all, and get the same answers.
 //!
-//! `create` writes the page file and a write-ahead log; every update is
+//! `create` bulk-loads the page file without logging it, syncs it once,
+//! and starts the write-ahead log with the catalog save; every update is
 //! logged before its page can reach the disk, and `close` leaves a clean
 //! checkpoint. `open` replays the log, reads the engine catalog from
 //! page 0 — file roots, OID allocators, the cache directory, the pool's
