@@ -36,7 +36,7 @@
 use crate::sync_cell::SyncCell;
 use crate::AccessError;
 use cor_obs::{Phase, PhaseGuard};
-use cor_pagestore::{BufferError, BufferPool, PageId, NO_PAGE, PAGE_SIZE};
+use cor_pagestore::{BufferError, BufferPool, PageBuf, PageId, NO_PAGE, PAGE_SIZE};
 use std::sync::Arc;
 
 const HDR: usize = 16;
@@ -181,31 +181,38 @@ mod node {
         PAGE_SIZE - HDR - count(d) * DIR - live_bytes(d, key_len)
     }
 
+    /// Whether an internal node has room for one more separator. Every
+    /// internal entry's value is a 4-byte child id, so this is
+    /// [`total_free`] without the walk over the entries.
+    pub fn internal_room(d: &[u8], key_len: usize) -> bool {
+        let entry = DIR + key_len + 4;
+        debug_assert_eq!(
+            PAGE_SIZE - HDR - count(d) * entry,
+            total_free(d, key_len),
+            "internal entries hold 4-byte child ids"
+        );
+        (count(d) + 1) * entry <= PAGE_SIZE - HDR
+    }
+
     pub fn contiguous_free(d: &[u8]) -> usize {
         free_end(d) - (HDR + count(d) * DIR)
     }
 
     /// Rewrite the entry heap contiguously, dropping dead space.
     pub fn compact(d: &mut [u8], key_len: usize) {
-        let n = count(d);
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-            .map(|i| {
-                (
-                    entry_key(d, i, key_len).to_vec(),
-                    entry_val(d, i, key_len).to_vec(),
-                )
-            })
-            .collect();
-        let mut free_end = PAGE_SIZE;
-        for (i, (k, v)) in entries.iter().enumerate() {
-            free_end -= k.len() + v.len();
-            d[free_end..free_end + k.len()].copy_from_slice(k);
-            d[free_end + k.len()..free_end + k.len() + v.len()].copy_from_slice(v);
-            let at = dir_at(i);
-            d[at..at + 2].copy_from_slice(&(free_end as u16).to_le_bytes());
-            d[at + 2..at + 4].copy_from_slice(&(v.len() as u16).to_le_bytes());
+        let old: PageBuf = d.try_into().expect("a node is one page");
+        let n = count(&old);
+        set_count(d, 0);
+        set_free_end(d, PAGE_SIZE);
+        for i in 0..n {
+            insert_entry(
+                d,
+                i,
+                entry_key(&old, i, key_len),
+                entry_val(&old, i, key_len),
+                key_len,
+            );
         }
-        set_free_end(d, free_end);
     }
 
     /// Insert `(key, val)` at directory position `i`. The caller must have
@@ -275,18 +282,9 @@ mod node {
     ) {
         init(d, leaf);
         set_next(d, next_or_child0);
-        let mut free_end = PAGE_SIZE;
         for (i, (k, v)) in entries.iter().enumerate() {
-            debug_assert_eq!(k.len(), key_len);
-            free_end -= k.len() + v.len();
-            d[free_end..free_end + k.len()].copy_from_slice(k);
-            d[free_end + k.len()..free_end + k.len() + v.len()].copy_from_slice(v);
-            let at = dir_at(i);
-            d[at..at + 2].copy_from_slice(&(free_end as u16).to_le_bytes());
-            d[at + 2..at + 4].copy_from_slice(&(v.len() as u16).to_le_bytes());
+            insert_entry(d, i, k, v, key_len);
         }
-        set_free_end(d, free_end);
-        set_count(d, entries.len());
     }
 
     /// The node's `(key, value)` entries in key order, borrowed from `d`.
@@ -329,8 +327,9 @@ type SplitResult = (Vec<u8>, PageId);
 enum Step {
     /// A leaf; `full` when it lacks the key and has no room for it.
     Leaf { full: bool },
-    /// An internal node, and the child the key descends into.
-    Child(PageId),
+    /// An internal node, the child the key descends into, and whether
+    /// the node has room for one more separator should that child split.
+    Child { child: PageId, room: bool },
 }
 
 /// Outcome of a leaf fast-path mutation attempt.
@@ -396,108 +395,19 @@ impl BTreeFile {
     }
 
     /// Bulk-load a tree from strictly ascending `(key, value)` pairs at the
-    /// given fill fraction (INGRES `modify ... to btree` analogue).
+    /// given fill fraction (INGRES `modify ... to btree` analogue): one
+    /// [`BulkLoader`] fed the pairs in order.
     pub fn bulk_load(
         pool: Arc<BufferPool>,
         key_len: usize,
         entries: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
         fill: f64,
     ) -> Result<Self, AccessError> {
-        if key_len == 0 || key_len > 64 {
-            return Err(AccessError::BadKeyLen(key_len));
-        }
-        let fill = fill.clamp(0.3, 1.0);
-        let limit = ((PAGE_SIZE - HDR) as f64 * fill) as usize;
-
-        // --- leaf level ---
-        let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new(); // (first key, page)
-        let mut current: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut current_bytes = 0usize;
-        let mut prev_key: Option<Vec<u8>> = None;
-        let mut total = 0u64;
-
-        let flush_leaf = |entries: &mut Vec<(Vec<u8>, Vec<u8>)>,
-                          leaves: &mut Vec<(Vec<u8>, PageId)>|
-         -> Result<(), AccessError> {
-            if entries.is_empty() {
-                return Ok(());
-            }
-            let pid = pool.allocate_page()?;
-            pool.write(pid, |mut p| {
-                node::write_node(p.bytes_mut(), true, NO_PAGE, entries, key_len)
-            })?;
-            if let Some((_, prev)) = leaves.last() {
-                let prev = *prev;
-                pool.write(prev, |mut p| node::set_next(p.bytes_mut(), pid))?;
-            }
-            leaves.push((entries[0].0.clone(), pid));
-            entries.clear();
-            Ok(())
-        };
-
+        let mut loader = BulkLoader::new(pool, key_len, fill)?;
         for (k, v) in entries {
-            if k.len() != key_len {
-                return Err(AccessError::BadKeyLen(k.len()));
-            }
-            if key_len + v.len() > MAX_BTREE_ENTRY {
-                return Err(AccessError::EntryTooLarge);
-            }
-            if let Some(pk) = &prev_key {
-                if k.as_slice() <= pk.as_slice() {
-                    return Err(AccessError::UnsortedBulkLoad);
-                }
-            }
-            prev_key = Some(k.clone());
-            let sz = DIR + key_len + v.len();
-            if current_bytes + sz > limit && !current.is_empty() {
-                flush_leaf(&mut current, &mut leaves)?;
-                current_bytes = 0;
-            }
-            current_bytes += sz;
-            current.push((k, v));
-            total += 1;
+            loader.push(&k, &v)?;
         }
-        flush_leaf(&mut current, &mut leaves)?;
-
-        if leaves.is_empty() {
-            // Empty input: plain empty tree.
-            return Self::create(pool, key_len);
-        }
-        let first_leaf = leaves[0].1;
-        let leaf_pages = leaves.len() as u32;
-
-        // --- internal levels ---
-        let mut level = leaves;
-        let mut height = 1u32;
-        while level.len() > 1 {
-            height += 1;
-            let mut upper: Vec<(Vec<u8>, PageId)> = Vec::new();
-            let entry_sz = DIR + key_len + 4;
-            let per_node = ((limit / entry_sz).max(2)) + 1; // children per node
-            for group in level.chunks(per_node) {
-                let pid = pool.allocate_page()?;
-                let child0 = group[0].1;
-                let entries: Vec<(Vec<u8>, Vec<u8>)> = group[1..]
-                    .iter()
-                    .map(|(k, c)| (k.clone(), c.to_le_bytes().to_vec()))
-                    .collect();
-                pool.write(pid, |mut p| {
-                    node::write_node(p.bytes_mut(), false, child0, &entries, key_len)
-                })?;
-                upper.push((group[0].0.clone(), pid));
-            }
-            level = upper;
-        }
-        let root = level[0].1;
-        Ok(BTreeFile {
-            pool,
-            key_len,
-            root: SyncCell::new(root),
-            first_leaf: SyncCell::new(first_leaf),
-            len: SyncCell::new(total),
-            height: SyncCell::new(height),
-            leaf_pages: SyncCell::new(leaf_pages),
-        })
+        loader.finish()
     }
 
     /// The buffer pool this tree lives in.
@@ -600,23 +510,11 @@ impl BTreeFile {
         }
     }
 
-    /// The page id of the leaf that owns `key`. Its callers —
-    /// [`Self::range`], [`Self::visit_range`] and [`Self::leaf_page_of`] —
-    /// want the page id itself: the scans start a leaf walk there, and
-    /// secondary indexes store it as a hint. Point lookups search the leaf
-    /// inside the descent instead ([`Self::get_with`]).
+    /// The page id of the leaf that owns `key`, where [`Self::range`] and
+    /// [`Self::visit_range`] start their leaf walk. Point lookups search
+    /// the leaf inside the descent instead ([`Self::get_with`]).
     fn find_leaf(&self, key: &[u8]) -> Result<PageId, AccessError> {
         self.descend(key, |leaf, _| leaf)
-    }
-
-    /// The leaf page currently owning `key`. Secondary indexes store this
-    /// as a TID-style direct pointer (INGRES secondary indexes point at
-    /// tuple locations, not keys), enabling [`Self::get_with_hint`].
-    pub fn leaf_page_of(&self, key: &[u8]) -> Result<PageId, AccessError> {
-        if key.len() != self.key_len {
-            return Err(AccessError::BadKeyLen(key.len()));
-        }
-        self.find_leaf(key)
     }
 
     /// Point lookup through a leaf-page hint, **in place**: one direct
@@ -875,7 +773,10 @@ impl BTreeFile {
         // when it lacks the key and has no room for it, decided here so
         // that such a leaf goes straight to the split with no write pin
         // that changes nothing; an internal node names the child to
-        // descend into.
+        // descend into and whether a separator from it would fit, so that
+        // a full node goes straight to its split too. Only this call
+        // writes this node, so the room it found still holds when the
+        // child returns.
         let step = self.pool.read(page, |p| {
             let d = p.bytes();
             if node::is_leaf(d) {
@@ -884,11 +785,14 @@ impl BTreeFile {
                         && node::total_free(d, key_len) < key_len + val.len() + DIR,
                 }
             } else {
-                Step::Child(node::find_child(d, key, key_len))
+                Step::Child {
+                    child: node::find_child(d, key, key_len),
+                    room: node::internal_room(d, key_len),
+                }
             }
         })?;
-        let child = match step {
-            Step::Child(child) => child,
+        let (child, room) = match step {
+            Step::Child { child, room } => (child, room),
             Step::Leaf { full: true } => {
                 let (split, inserted) = self.split_leaf(page, key, val)?;
                 return Ok((Some(split), inserted));
@@ -923,18 +827,13 @@ impl BTreeFile {
         let Some((sep, new_child)) = split else {
             return Ok((None, inserted));
         };
-        let fitted = self.pool.write(page, |mut p| {
-            let d = p.bytes_mut();
-            let i = node::search(d, &sep, key_len)
-                .expect_err("separator key cannot already exist in parent");
-            if node::total_free(d, key_len) >= key_len + 4 + DIR {
+        if room {
+            self.pool.write(page, |mut p| {
+                let d = p.bytes_mut();
+                let i = node::search(d, &sep, key_len)
+                    .expect_err("separator key cannot already exist in parent");
                 node::insert_entry(d, i, &sep, &new_child.to_le_bytes(), key_len);
-                true
-            } else {
-                false
-            }
-        })?;
-        if fitted {
+            })?;
             return Ok((None, inserted));
         }
         let split = self.split_internal(page, sep, new_child)?;
@@ -1478,6 +1377,136 @@ impl BTreeFile {
     }
 }
 
+/// A streaming bulk load (INGRES `modify ... to btree`): ascending
+/// `(key, value)` pairs go straight into the open leaf's page image, and
+/// [`push`](Self::push) reports the leaf each landed on, so a static index
+/// needs no descent to find it. A leaf is allocated at its first entry,
+/// takes entries while they fit the fill fraction of a node's room, and is
+/// written once, its `next` link set, when the next leaf opens.
+pub struct BulkLoader {
+    pool: Arc<BufferPool>,
+    key_len: usize,
+    /// Bytes a node's entries may take (`DIR + key + value` each).
+    limit: usize,
+    /// The open leaf's page image.
+    node: Box<PageBuf>,
+    /// Every leaf's first key, `key_len` bytes each, in leaf order.
+    first_keys: Vec<u8>,
+    /// Every leaf's page, in leaf order; the last is the open leaf.
+    leaves: Vec<PageId>,
+    len: u64,
+}
+
+impl BulkLoader {
+    /// A load of `key_len`-byte keys whose nodes fill to `fill` (clamped
+    /// to `0.3..=1.0`) of their room.
+    pub fn new(pool: Arc<BufferPool>, key_len: usize, fill: f64) -> Result<Self, AccessError> {
+        if key_len == 0 || key_len > 64 {
+            return Err(AccessError::BadKeyLen(key_len));
+        }
+        Ok(BulkLoader {
+            pool,
+            key_len,
+            limit: ((PAGE_SIZE - HDR) as f64 * fill.clamp(0.3, 1.0)) as usize,
+            node: Box::new([0; PAGE_SIZE]),
+            first_keys: Vec::new(),
+            leaves: Vec::new(),
+            len: 0,
+        })
+    }
+
+    /// Append `(key, value)`, which must sort after every key pushed
+    /// before it, and return the leaf page it landed on.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) -> Result<PageId, AccessError> {
+        let key_len = self.key_len;
+        if key.len() != key_len {
+            return Err(AccessError::BadKeyLen(key.len()));
+        }
+        if key_len + value.len() > MAX_BTREE_ENTRY {
+            return Err(AccessError::EntryTooLarge);
+        }
+        // The open leaf holds the previous key: a leaf opens only for the
+        // entry about to land on it.
+        let n = node::count(&self.node[..]);
+        if n > 0 && key <= node::entry_key(&self.node[..], n - 1, key_len) {
+            return Err(AccessError::UnsortedBulkLoad);
+        }
+        let used = PAGE_SIZE - node::free_end(&self.node[..]) + n * DIR;
+        if n == 0 || used + DIR + key_len + value.len() > self.limit {
+            self.open_leaf(key)?;
+        }
+        let d = &mut self.node[..];
+        node::insert_entry(d, node::count(d), key, value, key_len);
+        self.len += 1;
+        Ok(*self.leaves.last().expect("a leaf is open"))
+    }
+
+    /// Allocate the next leaf, link the open one to it and write it out.
+    fn open_leaf(&mut self, first_key: &[u8]) -> Result<(), AccessError> {
+        let pid = self.pool.allocate_page()?;
+        if !self.leaves.is_empty() {
+            node::set_next(&mut self.node[..], pid);
+            self.write_leaf()?;
+        }
+        self.node.fill(0);
+        node::init(&mut self.node[..], true);
+        self.first_keys.extend_from_slice(first_key);
+        self.leaves.push(pid);
+        Ok(())
+    }
+
+    /// Copy the open leaf's image onto its page.
+    fn write_leaf(&self) -> Result<(), AccessError> {
+        let leaf = *self.leaves.last().expect("a leaf is open");
+        self.pool
+            .write(leaf, |mut p| p.bytes_mut().copy_from_slice(&self.node[..]))?;
+        Ok(())
+    }
+
+    /// Write the last leaf and build the internal levels over the leaves'
+    /// first keys, bottom up; no entries give [`BTreeFile::create`]'s tree.
+    pub fn finish(self) -> Result<BTreeFile, AccessError> {
+        if self.leaves.is_empty() {
+            return BTreeFile::create(self.pool, self.key_len);
+        }
+        self.write_leaf()?;
+        let (pool, key_len) = (self.pool, self.key_len);
+        let (mut keys, mut pages) = (self.first_keys, self.leaves);
+        let (first_leaf, leaf_pages) = (pages[0], pages.len() as u32);
+        let per_node = (self.limit / (DIR + key_len + 4)).max(2) + 1;
+        let mut height = 1u32;
+        while pages.len() > 1 {
+            height += 1;
+            let mut upper = Vec::new();
+            for (children, keys) in pages.chunks(per_node).zip(keys.chunks(per_node * key_len)) {
+                let pid = pool.allocate_page()?;
+                pool.write(pid, |mut p| {
+                    let d = p.bytes_mut();
+                    node::init(d, false);
+                    node::set_next(d, children[0]);
+                    let separators = keys.chunks(key_len).zip(children).skip(1);
+                    for (i, (key, child)) in separators.enumerate() {
+                        node::insert_entry(d, i, key, &child.to_le_bytes(), key_len);
+                    }
+                })?;
+                upper.push(pid);
+            }
+            let firsts = keys.chunks(per_node * key_len).flat_map(|k| &k[..key_len]);
+            keys = firsts.copied().collect();
+            pages = upper;
+        }
+        Ok(BTreeFile {
+            pool,
+            key_len,
+            root: SyncCell::new(pages[0]),
+            first_leaf: SyncCell::new(first_leaf),
+            len: SyncCell::new(self.len),
+            height: SyncCell::new(height),
+            leaf_pages: SyncCell::new(leaf_pages),
+        })
+    }
+}
+
 /// A forward walk of a leaf chain, one pinned visit per leaf. Every
 /// leaf scan — the buffering [`BTreeRange`] and the in-place
 /// [`BTreeFile::visit_range`] and [`BTreeFile::merge_scan`] — reads its
@@ -1631,6 +1660,40 @@ mod tests {
             assert_eq!(t.height(), 2, "key {k} split nothing above the leaf");
             assert_eq!(pins() - before, 3, "key {k}: the root once, the leaf twice");
         }
+    }
+
+    /// When a leaf's separator does not fit in a full root, the root goes
+    /// straight from the descent's read pin to its split, with no write
+    /// pin that changes nothing first. On a height-2 tree that insert
+    /// pins the root once to descend, the leaf four times (the read that
+    /// finds it full, the split's read and write, the new right leaf's
+    /// write), the root three times (the split's read and write, the new
+    /// right node's write) and the new root once: nine pins, hits and
+    /// misses.
+    #[test]
+    fn an_internal_split_pins_the_node_without_an_unchanged_write() {
+        let pool = Arc::new(BufferPool::builder().capacity(8).telemetry(true).build());
+        let pins = || -> u64 {
+            let shards = pool.telemetry().expect("telemetry");
+            shards.iter().map(|s| s.hits + s.misses).sum()
+        };
+        let t = BTreeFile::create(Arc::clone(&pool), 8).unwrap();
+        let val = [7u8; 100];
+        let mut k = 0;
+        loop {
+            let (height, before) = (t.height(), pins());
+            t.insert(&key8(k), &val).unwrap();
+            let cost = pins() - before;
+            if height == 2 && t.height() == 3 {
+                assert_eq!(cost, 9, "key {k}: the root's split");
+                break;
+            }
+            if height == 2 {
+                assert!(cost == 3 || cost == 6, "key {k}: {cost} pins");
+            }
+            k += 1;
+        }
+        t.validate().unwrap();
     }
 
     #[test]

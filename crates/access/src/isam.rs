@@ -11,7 +11,7 @@
 //! [`BTreeFile`]: identical page layout and identical I/O behaviour
 //! (one page per level per cold probe), with mutation statically removed.
 
-use crate::btree::BTreeFile;
+use crate::btree::{BTreeFile, BulkLoader};
 use crate::AccessError;
 use cor_pagestore::BufferPool;
 use std::sync::Arc;
@@ -23,7 +23,6 @@ pub struct IsamIndex {
 
 impl IsamIndex {
     /// Build the index from strictly ascending `(key, payload)` pairs.
-    /// ISAM files are packed: fill factor 1.0.
     pub fn build(
         pool: Arc<BufferPool>,
         key_len: usize,
@@ -31,6 +30,20 @@ impl IsamIndex {
     ) -> Result<Self, AccessError> {
         let tree = BTreeFile::bulk_load(pool, key_len, entries, 1.0)?;
         Ok(IsamIndex { tree })
+    }
+
+    /// Build the index from what `fill` pushes, in ascending key order.
+    /// ISAM files are packed: fill factor 1.0.
+    pub fn build_with<E: From<AccessError>>(
+        pool: Arc<BufferPool>,
+        key_len: usize,
+        fill: impl FnOnce(&mut BulkLoader) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut loader = BulkLoader::new(pool, key_len, 1.0)?;
+        fill(&mut loader)?;
+        Ok(IsamIndex {
+            tree: loader.finish()?,
+        })
     }
 
     /// Probe the index **in place**: `f` runs over the payload under the

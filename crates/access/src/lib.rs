@@ -26,13 +26,13 @@ pub mod record;
 pub mod sort;
 mod sync_cell;
 
-pub use btree::{BTreeFile, BTreeMeta, BTreeRange, DEFAULT_FILL, MAX_BTREE_ENTRY};
+pub use btree::{BTreeFile, BTreeMeta, BTreeRange, BulkLoader, DEFAULT_FILL, MAX_BTREE_ENTRY};
 pub use catalog::{Catalog, CatalogError};
 pub use hash::{fnv1a64, HashFile, HashMeta};
 pub use heap::{HeapFile, HeapScan, RecordId};
 pub use isam::IsamIndex;
 pub use join::{merge_join, MergeJoin};
-pub use record::{decode, encode, CodecError};
+pub use record::{decode, encode, put_bytes, put_int, put_oid, put_oid_list, CodecError};
 pub use sort::{external_sort, SortedStream, DEFAULT_WORK_MEM};
 
 use cor_pagestore::BufferError;

@@ -38,25 +38,38 @@ pub fn encode(schema: &Schema, tuple: &Tuple) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(estimated_size(tuple));
     for v in tuple.values() {
         match v {
-            Value::Int(i) => out.extend_from_slice(&i.to_le_bytes()),
-            Value::Str(s) => {
-                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Oid(o) => out.extend_from_slice(&o.to_key_bytes()),
-            Value::OidList(l) => {
-                out.extend_from_slice(&(l.len() as u16).to_le_bytes());
-                for o in l {
-                    out.extend_from_slice(&o.to_key_bytes());
-                }
-            }
-            Value::Bytes(b) => {
-                out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-                out.extend_from_slice(b);
-            }
+            Value::Int(i) => put_int(&mut out, *i),
+            Value::Str(s) => put_bytes(&mut out, s.as_bytes()),
+            Value::Oid(o) => put_oid(&mut out, *o),
+            Value::OidList(l) => put_oid_list(&mut out, l),
+            Value::Bytes(b) => put_bytes(&mut out, b),
         }
     }
     Ok(out)
+}
+
+/// Append an `Int` field as [`encode`] lays it out: 8 bytes, little-endian.
+pub fn put_int(out: &mut Vec<u8>, v: i64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a `Str` or `Bytes` field: a `u16` length, then the bytes.
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    out.extend_from_slice(&(b.len() as u16).to_le_bytes());
+    out.extend_from_slice(b);
+}
+
+/// Append an `Oid` field: its 10-byte key encoding.
+pub fn put_oid(out: &mut Vec<u8>, o: Oid) {
+    out.extend_from_slice(&o.to_key_bytes());
+}
+
+/// Append an `OidList` field: a `u16` count, then each OID.
+pub fn put_oid_list(out: &mut Vec<u8>, l: &[Oid]) {
+    out.extend_from_slice(&(l.len() as u16).to_le_bytes());
+    for &o in l {
+        put_oid(out, o);
+    }
 }
 
 /// Rough encoded size of a tuple, for pre-sizing buffers.

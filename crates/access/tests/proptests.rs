@@ -4,11 +4,12 @@
 //! merge co-scan against the iterator merge join, the in-place visits and
 //! lookups against their copy-out forms, the one-descent update against
 //! the lookup-then-upsert it replaced, batch heap appends against one
-//! append per record, record codec round-trips.
+//! append per record, the streaming bulk loader against the `Vec`-based
+//! load it replaced, record codec round-trips.
 
 use cor_access::{
-    decode, encode, external_sort, fnv1a64, merge_join, AccessError, BTreeFile, HashFile, HeapFile,
-    MAX_BTREE_ENTRY,
+    decode, encode, external_sort, fnv1a64, merge_join, AccessError, BTreeFile, BTreeMeta,
+    BulkLoader, HashFile, HeapFile, MAX_BTREE_ENTRY,
 };
 use cor_pagestore::{
     BufferPool, DiskError, DiskManager, MemDisk, PageBuf, PageId, ReplacementPolicy, SlotId,
@@ -362,6 +363,194 @@ fn copy_out(v: &[u8]) -> Result<Vec<u8>, AccessError> {
     Ok(v.to_vec())
 }
 
+/// The leaf a root-to-leaf descent finds for `key`, read off the node
+/// bytes with one pin per level (the cost of the descent `BTreeFile`'s
+/// own lookups make): in an internal node, the child right of the last
+/// separator at or below `key`, else the leftmost child.
+fn leaf_of(tree: &BTreeFile, key: &[u8]) -> PageId {
+    let key_len = tree.key_len();
+    let mut page = tree.metadata().root;
+    loop {
+        let child = tree
+            .pool()
+            .read(page, |p| {
+                let d = p.bytes();
+                if d[4] & 1 == 1 {
+                    return None;
+                }
+                let word = |at: usize| u16::from_le_bytes([d[at], d[at + 1]]) as usize;
+                let mut child = u32::from_le_bytes(d[8..12].try_into().unwrap());
+                for i in 0..word(0) {
+                    let off = word(16 + 4 * i);
+                    if &d[off..off + key_len] > key {
+                        break;
+                    }
+                    child =
+                        u32::from_le_bytes(d[off + key_len..off + key_len + 4].try_into().unwrap());
+                }
+                Some(child)
+            })
+            .unwrap();
+        match child {
+            Some(child) => page = child,
+            None => return page,
+        }
+    }
+}
+
+/// Lay a whole node out from a materialised entry list: the old
+/// `write_node`, kept with the bulk-load model.
+fn model_write_node(d: &mut [u8], leaf: bool, next: PageId, entries: &[(Vec<u8>, Vec<u8>)]) {
+    d[..16].fill(0);
+    d[4] = leaf as u8;
+    d[8..12].copy_from_slice(&next.to_le_bytes());
+    let mut free_end = PAGE_SIZE;
+    for (i, (k, v)) in entries.iter().enumerate() {
+        free_end -= k.len() + v.len();
+        d[free_end..free_end + k.len()].copy_from_slice(k);
+        d[free_end + k.len()..free_end + k.len() + v.len()].copy_from_slice(v);
+        let at = 16 + 4 * i;
+        d[at..at + 2].copy_from_slice(&(free_end as u16).to_le_bytes());
+        d[at + 2..at + 4].copy_from_slice(&(v.len() as u16).to_le_bytes());
+    }
+    d[0..2].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+    d[2..4].copy_from_slice(&(free_end as u16).to_le_bytes());
+}
+
+/// The `Vec`-based bulk load the streaming `BulkLoader` replaced, kept as
+/// its model: each leaf's entries are materialised, the leaf is allocated
+/// and written when the next entry would pass the fill, and the previous
+/// leaf is then linked to it; the internal levels are built from
+/// `(first key, page)` pairs. Returns the tree's metadata; an empty input
+/// is `BTreeFile::create`'s tree, as it was.
+fn model_bulk_load(
+    pool: &Arc<BufferPool>,
+    key_len: usize,
+    entries: &[(Vec<u8>, Vec<u8>)],
+    fill: f64,
+) -> Result<BTreeMeta, AccessError> {
+    if key_len == 0 || key_len > 64 {
+        return Err(AccessError::BadKeyLen(key_len));
+    }
+    let limit = ((PAGE_SIZE - 16) as f64 * fill.clamp(0.3, 1.0)) as usize;
+    let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new();
+    let mut current: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let mut current_bytes = 0usize;
+    let flush = |current: &mut Vec<(Vec<u8>, Vec<u8>)>,
+                 leaves: &mut Vec<(Vec<u8>, PageId)>|
+     -> Result<(), AccessError> {
+        if current.is_empty() {
+            return Ok(());
+        }
+        let pid = pool.allocate_page()?;
+        pool.write(pid, |mut p| {
+            model_write_node(p.bytes_mut(), true, NO_PAGE, current)
+        })?;
+        if let Some(&(_, prev)) = leaves.last() {
+            pool.write(prev, |mut p| {
+                p.bytes_mut()[8..12].copy_from_slice(&pid.to_le_bytes())
+            })?;
+        }
+        leaves.push((current[0].0.clone(), pid));
+        current.clear();
+        Ok(())
+    };
+    for (i, (k, v)) in entries.iter().enumerate() {
+        if k.len() != key_len {
+            return Err(AccessError::BadKeyLen(k.len()));
+        }
+        if key_len + v.len() > MAX_BTREE_ENTRY {
+            return Err(AccessError::EntryTooLarge);
+        }
+        if i > 0 && k <= &entries[i - 1].0 {
+            return Err(AccessError::UnsortedBulkLoad);
+        }
+        let size = 4 + key_len + v.len();
+        if current_bytes + size > limit && !current.is_empty() {
+            flush(&mut current, &mut leaves)?;
+            current_bytes = 0;
+        }
+        current_bytes += size;
+        current.push((k.clone(), v.clone()));
+    }
+    flush(&mut current, &mut leaves)?;
+    if leaves.is_empty() {
+        return Ok(BTreeFile::create(Arc::clone(pool), key_len)?.metadata());
+    }
+    let (first_leaf, leaf_pages) = (leaves[0].1, leaves.len() as u32);
+    let per_node = (limit / (4 + key_len + 4)).max(2) + 1;
+    let mut level = leaves;
+    let mut height = 1;
+    while level.len() > 1 {
+        height += 1;
+        let mut upper = Vec::new();
+        for group in level.chunks(per_node) {
+            let pid = pool.allocate_page()?;
+            let entries: Vec<(Vec<u8>, Vec<u8>)> = group[1..]
+                .iter()
+                .map(|(k, c)| (k.clone(), c.to_le_bytes().to_vec()))
+                .collect();
+            pool.write(pid, |mut p| {
+                model_write_node(p.bytes_mut(), false, group[0].1, &entries)
+            })?;
+            upper.push((group[0].0.clone(), pid));
+        }
+        level = upper;
+    }
+    Ok(BTreeMeta {
+        key_len: key_len as u16,
+        root: level[0].1,
+        first_leaf,
+        len: entries.len() as u64,
+        height,
+        leaf_pages,
+    })
+}
+
+/// Every page of `pool`'s store, read through the pool.
+fn store_pages(pool: &BufferPool) -> Vec<Vec<u8>> {
+    (0..pool.num_pages())
+        .map(|pid| pool.read(pid, |p| p.bytes().to_vec()).unwrap())
+        .collect()
+}
+
+/// Sorted bulk-load input of `key_len`-byte keys: one entry per seed,
+/// keys spread from the seed's bytes (seeds that collide in a short key
+/// give one entry), and values from empty to the largest an entry may
+/// hold — mostly under 48 bytes, one seed in four the size its second
+/// half picks.
+fn load_input(key_len: usize, seeds: &[(u64, u8, usize)]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let largest = MAX_BTREE_ENTRY - key_len;
+    let entries: BTreeMap<Vec<u8>, Vec<u8>> = seeds
+        .iter()
+        .map(|&(seed, big, len)| {
+            let mut x = seed;
+            let mut key = Vec::with_capacity(key_len + 8);
+            while key.len() < key_len {
+                key.extend_from_slice(&x.to_be_bytes());
+                x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+            }
+            key.truncate(key_len);
+            let len = if big == 0 {
+                len % (largest + 1)
+            } else {
+                len % 48
+            };
+            (key, vec![seed as u8; len])
+        })
+        .collect();
+    entries.into_iter().collect()
+}
+
+/// A key length: the trees' 8, 10 and 19 bytes drawn often, else 1-24.
+fn arb_key_len() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(8usize), Just(10), Just(19), 1usize..25]
+}
+
+fn arb_load_seeds() -> impl Strategy<Value = Vec<(u64, u8, usize)>> {
+    proptest::collection::vec((any::<u64>(), 0u8..4, 0usize..MAX_BTREE_ENTRY), 0..400)
+}
+
 #[derive(Debug, Clone)]
 enum TreeOp {
     Insert(u64, Vec<u8>),
@@ -447,6 +636,59 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert!(bulk.validate().is_ok());
         prop_assert!(incr.validate().is_ok());
+    }
+
+    /// The streaming loader lays out exactly the pages the `Vec`-based
+    /// load it replaced did — the same ids holding the same bytes, the
+    /// same metadata — over any sorted input, key length and fill, through
+    /// pools small enough to evict mid-load; and every leaf `push`
+    /// reports is the leaf a descent finds for that key.
+    #[test]
+    fn bulk_loader_equals_the_vec_model(
+        key_len in arb_key_len(),
+        seeds in arb_load_seeds(),
+        fill in 0.2f64..1.1,
+        frames in 2usize..17,
+    ) {
+        let entries = load_input(key_len, &seeds);
+        let model = pool(frames);
+        let want = model_bulk_load(&model, key_len, &entries, fill).unwrap();
+        let p = pool(frames);
+        let mut loader = BulkLoader::new(Arc::clone(&p), key_len, fill).unwrap();
+        let leaves: Vec<PageId> =
+            entries.iter().map(|(k, v)| loader.push(k, v).unwrap()).collect();
+        let tree = loader.finish().unwrap();
+        prop_assert_eq!(tree.metadata(), want);
+        prop_assert_eq!(store_pages(&p), store_pages(&model));
+        for ((k, _), &leaf) in entries.iter().zip(&leaves) {
+            prop_assert_eq!(leaf, leaf_of(&tree, k));
+        }
+        prop_assert!(tree.validate().is_ok());
+    }
+
+    /// Unsorted, duplicate, oversized and wrong-length entries fail the
+    /// load with the error the model gives.
+    #[test]
+    fn bulk_loader_refuses_what_the_model_refuses(
+        key_len in arb_key_len(),
+        seeds in arb_load_seeds(),
+        at in any::<usize>(),
+        fault in 0u8..4,
+    ) {
+        let mut entries = load_input(key_len, &seeds);
+        if entries.len() < 2 {
+            return;
+        }
+        let i = at % (entries.len() - 1) + 1;
+        match fault {
+            0 => entries.swap(i - 1, i),
+            1 => entries[i].0 = entries[i - 1].0.clone(),
+            2 => entries[i].1 = vec![0; MAX_BTREE_ENTRY - key_len + 1],
+            _ => entries[i].0.push(0),
+        }
+        let want = model_bulk_load(&pool(8), key_len, &entries, 0.9).unwrap_err();
+        let got = BTreeFile::bulk_load(pool(8), key_len, entries, 0.9).err().expect("refused");
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     /// The hash file behaves like `HashMap` under put/get/delete.
@@ -633,7 +875,7 @@ proptest! {
         let (tree, _) = churned_tree(&p, &present, &churn, bulk);
         let want: Vec<(Vec<u8>, Vec<u8>)> = tree.scan_all().collect();
         let mut leaves: Vec<PageId> =
-            want.iter().map(|(k, _)| tree.leaf_page_of(k).unwrap()).collect();
+            want.iter().map(|(k, _)| leaf_of(&tree, k)).collect();
         leaves.dedup();
         let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for &leaf in &leaves {
@@ -683,7 +925,7 @@ proptest! {
             prop_assert_eq!(tree.get_with(&key, copy_out).unwrap(), want.clone());
             let pins = pin_counts(&p);
             prop_assert_eq!((pins.0 - pins0.0, pins.1 - pins0.1), (height, 0), "warm (hits, misses)");
-            for hint in [tree.leaf_page_of(&key).unwrap(), meta.first_leaf, meta.root] {
+            for hint in [leaf_of(&tree, &key), meta.first_leaf, meta.root] {
                 prop_assert_eq!(tree.get_with_hint(hint, &key, copy_out).unwrap(), want.clone());
             }
         }
@@ -749,8 +991,8 @@ proptest! {
                 2 if fill % 2 == 0 => Some(model.tree.metadata().root),
                 _ => {
                     let of = if via == 2 { key8(u64::from(fill)) } else { key.clone() };
-                    new.tree.leaf_page_of(&of).unwrap();
-                    Some(model.tree.leaf_page_of(&of).unwrap())
+                    leaf_of(&new.tree, &of);
+                    Some(leaf_of(&model.tree, &of))
                 }
             };
             let looked_up = match hint {

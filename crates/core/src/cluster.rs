@@ -14,16 +14,14 @@
 //!    scattered across several parents' clusters and extra random accesses
 //!    are unavoidable.
 
-use cor_relational::Oid;
-use rand::seq::IndexedRandom;
+use cor_relational::{Oid, OidMap};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Map from subobject OID to the primary key of the parent it is
 /// physically clustered with.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterAssignment {
-    parent_of: HashMap<Oid, u64>,
+    parent_of: OidMap<u64>,
 }
 
 impl ClusterAssignment {
@@ -39,22 +37,31 @@ impl ClusterAssignment {
     /// `parents` supplies each object's key and unit (its `children`
     /// list); a subobject referenced by several parents lands with one of
     /// them chosen uniformly at random, matching Sec. 3.3.
+    /// One draw per subobject, in OID order so a seeded RNG reproduces the
+    /// assignment, picks the winner among its references in `parents`
+    /// order, as `choose` over their list would; a count stands in for it.
     pub fn random<R: Rng>(parents: &[(u64, Vec<Oid>)], rng: &mut R) -> Self {
-        let mut referencing: HashMap<Oid, Vec<u64>> = HashMap::new();
+        let mut refs: OidMap<usize> = OidMap::default();
+        for oid in parents.iter().flat_map(|(_, children)| children) {
+            *refs.entry(*oid).or_default() += 1;
+        }
+        let mut oids: Vec<Oid> = refs.keys().copied().collect();
+        oids.sort_unstable();
+        // Each count becomes the references to pass over before the winner.
+        for oid in &oids {
+            let n = refs.get_mut(oid).expect("counted above");
+            *n = rng.random_range(0..*n);
+        }
+        let mut parent_of = OidMap::with_capacity_and_hasher(oids.len(), Default::default());
         for (key, children) in parents {
             for oid in children {
-                referencing.entry(*oid).or_default().push(*key);
+                let skip = refs.get_mut(oid).expect("counted above");
+                if *skip == 0 {
+                    parent_of.insert(*oid, *key);
+                }
+                // Past the winner the count wraps and never reaches 0 again.
+                *skip = skip.wrapping_sub(1);
             }
-        }
-        let mut parent_of = HashMap::with_capacity(referencing.len());
-        // Deterministic iteration order so a seeded RNG reproduces the
-        // same assignment: sort subobjects.
-        let mut oids: Vec<Oid> = referencing.keys().copied().collect();
-        oids.sort_unstable();
-        for oid in oids {
-            let candidates = &referencing[&oid];
-            let pick = *candidates.choose(rng).expect("candidate list is non-empty");
-            parent_of.insert(oid, pick);
         }
         ClusterAssignment { parent_of }
     }

@@ -21,15 +21,14 @@ use crate::cluster::ClusterAssignment;
 use crate::matrix::CachePlacement;
 use crate::query::{parent_children, set_ret, RetAttr};
 use crate::CorError;
-use cor_access::{decode, encode, AccessError, BTreeFile, CodecError, IsamIndex, DEFAULT_FILL};
-use cor_pagestore::BufferPool;
-use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
+use cor_access::{
+    decode, encode, put_bytes, put_int, put_oid, put_oid_list, AccessError, BTreeFile, BulkLoader,
+    CodecError, IsamIndex, DEFAULT_FILL,
+};
+use cor_pagestore::{BufferPool, PageId};
+use cor_relational::{Oid, RelId, Schema, Value, ValueType, OID_BYTES};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Encoded `(key, record)` pairs ready for a bulk load.
-type LoadEntries = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// Relation id of ParentRel.
 pub const PARENT_REL: RelId = 1;
@@ -123,28 +122,48 @@ impl DatabaseSpec {
             child_rels: vec![(0..6).map(child).collect()],
         }
     }
+}
 
-    fn parent_tuple(&self, o: &ObjectSpec) -> Tuple {
-        Tuple::new(vec![
-            Value::Oid(Oid::new(PARENT_REL, o.key)),
-            Value::Int(o.rets[0]),
-            Value::Int(o.rets[1]),
-            Value::Int(o.rets[2]),
-            Value::Str(o.dummy.clone()),
-            Value::OidList(o.children.clone()),
-            Value::Bytes(Vec::new()),
-        ])
+impl ObjectSpec {
+    /// Append this object's ParentRel record to `out`: the bytes
+    /// [`encode`] gives its tuple under [`parent_schema`], with an empty
+    /// `cached` column, and no tuple built.
+    pub fn encode_record(&self, out: &mut Vec<u8>) {
+        put_oid(out, Oid::new(PARENT_REL, self.key));
+        self.rets.iter().for_each(|&r| put_int(out, r));
+        put_bytes(out, self.dummy.as_bytes());
+        put_oid_list(out, &self.children);
+        put_bytes(out, &[]);
     }
+}
 
-    fn child_tuple(s: &SubobjectSpec) -> Tuple {
-        Tuple::new(vec![
-            Value::Oid(s.oid),
-            Value::Int(s.rets[0]),
-            Value::Int(s.rets[1]),
-            Value::Int(s.rets[2]),
-            Value::Str(s.dummy.clone()),
-        ])
+impl SubobjectSpec {
+    /// Append this subobject's ChildRel record to `out`: the bytes
+    /// [`encode`] gives its tuple under [`child_schema`], and no tuple
+    /// built.
+    pub fn encode_record(&self, out: &mut Vec<u8>) {
+        put_oid(out, self.oid);
+        self.rets.iter().for_each(|&r| put_int(out, r));
+        put_bytes(out, self.dummy.as_bytes());
     }
+}
+
+/// Bulk-load a B-tree on OID at [`DEFAULT_FILL`] from `items`, ascending
+/// by key: `put` appends each item's record to one reused buffer and
+/// returns its key.
+pub(crate) fn load_by_oid<T>(
+    pool: &Arc<BufferPool>,
+    items: impl IntoIterator<Item = T>,
+    mut put: impl FnMut(T, &mut Vec<u8>) -> Result<[u8; OID_BYTES], CorError>,
+) -> Result<BTreeFile, CorError> {
+    let mut loader = BulkLoader::new(Arc::clone(pool), OID_BYTES, DEFAULT_FILL)?;
+    let mut rec = Vec::new();
+    for item in items {
+        rec.clear();
+        let key = put(item, &mut rec)?;
+        loader.push(&key, &rec)?;
+    }
+    Ok(loader.finish()?)
 }
 
 /// How the logical database is physically represented.
@@ -183,14 +202,17 @@ pub fn cluster_key(cluster_no: u64, is_child: bool, oid: Oid) -> [u8; CLUSTER_KE
     out
 }
 
+/// The cluster# of the unclustered tail area.
+const UNCLUSTERED: u64 = u64::MAX;
+
 /// An OID-index payload, copied off the index page: the subobject's
 /// cluster key and the ClusterRel leaf page holding it.
-type Tid = ([u8; CLUSTER_KEY_LEN], cor_pagestore::PageId);
+type Tid = ([u8; CLUSTER_KEY_LEN], PageId);
 
 /// Split an OID-index payload into `(cluster key, leaf page hint)`.
 fn split_tid(tid: &[u8]) -> Tid {
     let (ckey, page) = tid.split_at(CLUSTER_KEY_LEN);
-    let leaf = cor_pagestore::PageId::from_le_bytes([page[0], page[1], page[2], page[3]]);
+    let leaf = PageId::from_le_bytes([page[0], page[1], page[2], page[3]]);
     (ckey.try_into().expect("CLUSTER_KEY_LEN-long half"), leaf)
 }
 
@@ -271,29 +293,17 @@ impl CorDatabase {
         let pschema = parent_schema();
         let cschema = child_schema();
 
-        let parent_entries: Result<LoadEntries, CorError> = spec
-            .parents
-            .iter()
-            .map(|o| {
-                let key = Oid::new(PARENT_REL, o.key).to_key_bytes().to_vec();
-                let rec = encode(&pschema, &spec.parent_tuple(o))?;
-                Ok((key, rec))
-            })
-            .collect();
-        let parent = BTreeFile::bulk_load(Arc::clone(&pool), 10, parent_entries?, DEFAULT_FILL)?;
-
+        let parent = load_by_oid(&pool, &spec.parents, |o, rec| {
+            o.encode_record(rec);
+            Ok(Oid::new(PARENT_REL, o.key).to_key_bytes())
+        })?;
         let mut children = Vec::with_capacity(spec.child_rels.len());
         let mut child_counts = Vec::with_capacity(spec.child_rels.len());
         for rel in &spec.child_rels {
-            let entries: Result<LoadEntries, CorError> = rel
-                .iter()
-                .map(|s| {
-                    let key = s.oid.to_key_bytes().to_vec();
-                    let rec = encode(&cschema, &DatabaseSpec::child_tuple(s))?;
-                    Ok((key, rec))
-                })
-                .collect();
-            let tree = BTreeFile::bulk_load(Arc::clone(&pool), 10, entries?, DEFAULT_FILL)?;
+            let tree = load_by_oid(&pool, rel, |s, rec| {
+                s.encode_record(rec);
+                Ok(s.oid.to_key_bytes())
+            })?;
             child_counts.push(tree.len());
             children.push(tree);
         }
@@ -349,68 +359,61 @@ impl CorDatabase {
         let pschema = parent_schema();
         let cschema = child_schema();
 
-        // Group subobjects by assigned parent key; each parent's cluster#
-        // is its own primary key, so ClusterRel interleaves objects with
-        // their clustered subobjects in key order. A subobject referenced
-        // by no object has no parent to cluster with; it is stored in the
-        // unclustered tail area (`cluster# = u64::MAX`), reachable only
-        // through the OID index — exactly like any other heap resident.
-        let mut by_parent: BTreeMap<u64, Vec<&SubobjectSpec>> = BTreeMap::new();
-        let mut unclustered: Vec<&SubobjectSpec> = Vec::new();
-        for rel in &spec.child_rels {
-            for s in rel {
-                match assignment.parent_of(s.oid) {
-                    Some(pk) => by_parent.entry(pk).or_default().push(s),
-                    None => unclustered.push(s),
-                }
-            }
-        }
+        // Order subobjects by assigned parent key, then OID; each parent's
+        // cluster# is its own primary key, so ClusterRel interleaves
+        // objects with their clustered subobjects in key order. A
+        // subobject referenced by no object is stored in the unclustered
+        // tail area, reachable only through the OID index — exactly like
+        // any other heap resident.
+        let mut placed: Vec<(u64, &SubobjectSpec)> = spec
+            .child_rels
+            .iter()
+            .flatten()
+            .map(|s| (assignment.parent_of(s.oid).unwrap_or(UNCLUSTERED), s))
+            .collect();
+        placed.sort_unstable_by_key(|&(c, s)| (c, s.oid));
 
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut oid_index_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for o in &spec.parents {
-            let pkey = cluster_key(o.key, false, Oid::new(PARENT_REL, o.key));
-            entries.push((pkey.to_vec(), encode(&pschema, &spec.parent_tuple(o))?));
-            if let Some(subs) = by_parent.get(&o.key) {
-                let mut subs: Vec<&&SubobjectSpec> = subs.iter().collect();
-                subs.sort_by_key(|s| s.oid);
-                for s in subs {
-                    let ckey = cluster_key(o.key, true, s.oid);
-                    entries.push((
-                        ckey.to_vec(),
-                        encode(&cschema, &DatabaseSpec::child_tuple(s))?,
-                    ));
-                    oid_index_entries.push((s.oid.to_key_bytes().to_vec(), ckey.to_vec()));
-                }
-            }
-        }
-        unclustered.sort_by_key(|s| s.oid);
-        for s in unclustered {
-            let ckey = cluster_key(u64::MAX, true, s.oid);
-            entries.push((
-                ckey.to_vec(),
-                encode(&cschema, &DatabaseSpec::child_tuple(s))?,
-            ));
-            oid_index_entries.push((s.oid.to_key_bytes().to_vec(), ckey.to_vec()));
-        }
-        let cluster =
-            BTreeFile::bulk_load(Arc::clone(&pool), CLUSTER_KEY_LEN, entries, DEFAULT_FILL)?;
         // The OID index stores a TID-style pointer — the cluster key plus
         // the leaf page holding the record — so a random access through
         // the index costs one direct page read, as an INGRES secondary
-        // index probe would. ClusterRel is static after the build (updates
-        // are in place), so the page hints never go stale.
-        let mut oid_index_entries: Vec<(Vec<u8>, Vec<u8>)> = oid_index_entries
-            .into_iter()
-            .map(|(oid_bytes, ckey)| {
-                let leaf = cluster.leaf_page_of(&ckey)?;
-                let mut payload = ckey;
-                payload.extend_from_slice(&leaf.to_le_bytes());
-                Ok((oid_bytes, payload))
-            })
-            .collect::<Result<_, CorError>>()?;
-        oid_index_entries.sort();
-        let oid_index = IsamIndex::build(Arc::clone(&pool), 10, oid_index_entries)?;
+        // index probe would. The load reports each leaf as it places the
+        // record; ClusterRel is static after the build (updates are in
+        // place), so the page hints never go stale.
+        let mut tids = Vec::with_capacity(placed.len());
+        let mut loader = BulkLoader::new(Arc::clone(&pool), CLUSTER_KEY_LEN, DEFAULT_FILL)?;
+        let mut rec = Vec::new();
+        let mut subs = placed.into_iter().peekable();
+        // Each object, then the subobjects clustered with it; after the
+        // last object (`None`), the unclustered tail.
+        for o in spec.parents.iter().map(Some).chain([None]) {
+            let cluster_no = o.map_or(UNCLUSTERED, |o| o.key);
+            if let Some(o) = o {
+                rec.clear();
+                o.encode_record(&mut rec);
+                loader.push(
+                    &cluster_key(o.key, false, Oid::new(PARENT_REL, o.key)),
+                    &rec,
+                )?;
+            }
+            while let Some((c, s)) = subs.next_if(|&(c, _)| c <= cluster_no) {
+                if c < cluster_no {
+                    continue; // assigned to no object of the spec
+                }
+                let mut tid = [0u8; CLUSTER_KEY_LEN + 4];
+                tid[..CLUSTER_KEY_LEN].copy_from_slice(&cluster_key(c, true, s.oid));
+                rec.clear();
+                s.encode_record(&mut rec);
+                let leaf = loader.push(&tid[..CLUSTER_KEY_LEN], &rec)?;
+                tid[CLUSTER_KEY_LEN..].copy_from_slice(&leaf.to_le_bytes());
+                tids.push((s.oid.to_key_bytes(), tid));
+            }
+        }
+        let cluster = loader.finish()?;
+        tids.sort_unstable_by_key(|&(oid, _)| oid);
+        let oid_index = IsamIndex::build_with(Arc::clone(&pool), OID_BYTES, |index| {
+            tids.iter()
+                .try_for_each(|(oid, tid)| index.push(oid, tid).map(drop))
+        })?;
 
         let child_counts = spec.child_rels.iter().map(|r| r.len() as u64).collect();
         Ok(CorDatabase {

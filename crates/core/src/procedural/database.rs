@@ -9,23 +9,20 @@
 //! [`super::pcache::ProcCache`].
 
 use crate::cache::{decode_unit_value, encode_unit_value, CacheCounters, LruSet};
-use crate::database::{SubobjectSpec, CHILD_REL_BASE};
+use crate::database::{load_by_oid, SubobjectSpec, CHILD_REL_BASE};
 use crate::procedural::pcache::ProcCache;
 use crate::procedural::predicate::StoredQuery;
 use crate::query::{extract_ret, set_ret, RetAttr};
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, CodecError, DEFAULT_FILL};
+use cor_access::{decode, encode, put_bytes, put_int, put_oid, BTreeFile, CodecError};
 use cor_pagestore::BufferPool;
-use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
+use cor_relational::{Oid, RelId, Schema, Value, ValueType};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Relation id of the procedural ParentRel.
 pub const PROC_PARENT_REL: RelId = 2;
-
-/// Encoded `(key, record)` pairs ready for a bulk load.
-type LoadEntries = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// Schema of the procedural ParentRel.
 pub fn proc_parent_schema() -> Schema {
@@ -51,6 +48,20 @@ pub struct ProcObjectSpec {
     pub dummy: String,
     /// The stored query identifying the subobjects.
     pub members: StoredQuery,
+}
+
+impl ProcObjectSpec {
+    /// Append this object's procedural ParentRel record to `out`: the
+    /// bytes [`encode`] gives its tuple under [`proc_parent_schema`], the
+    /// stored query as its QUEL text and an empty `cached` column, and no
+    /// tuple built.
+    pub fn encode_record(&self, out: &mut Vec<u8>) {
+        put_oid(out, Oid::new(PROC_PARENT_REL, self.key));
+        self.rets.iter().for_each(|&r| put_int(out, r));
+        put_bytes(out, self.dummy.as_bytes());
+        put_bytes(out, self.members.to_quel().as_bytes());
+        put_bytes(out, &[]);
+    }
 }
 
 /// Logical contents of a procedural database.
@@ -114,55 +125,27 @@ impl ProcDatabase {
         caching: ProcCaching,
     ) -> Result<Self, CorError> {
         let pschema = proc_parent_schema();
-        let cschema = crate::database::child_schema();
 
         let mut by_query: HashMap<u64, (StoredQuery, Vec<u64>)> = HashMap::new();
-        let parent_entries: Result<LoadEntries, CorError> = spec
-            .parents
+        let parent = load_by_oid(&pool, &spec.parents, |o, rec| {
+            by_query
+                .entry(o.members.hashkey())
+                .or_insert_with(|| (o.members.clone(), Vec::new()))
+                .1
+                .push(o.key);
+            o.encode_record(rec);
+            Ok(Oid::new(PROC_PARENT_REL, o.key).to_key_bytes())
+        })?;
+        let children = spec
+            .child_rels
             .iter()
-            .map(|o| {
-                by_query
-                    .entry(o.members.hashkey())
-                    .or_insert_with(|| (o.members.clone(), Vec::new()))
-                    .1
-                    .push(o.key);
-                let key = Oid::new(PROC_PARENT_REL, o.key).to_key_bytes().to_vec();
-                let tuple = Tuple::new(vec![
-                    Value::Oid(Oid::new(PROC_PARENT_REL, o.key)),
-                    Value::Int(o.rets[0]),
-                    Value::Int(o.rets[1]),
-                    Value::Int(o.rets[2]),
-                    Value::Str(o.dummy.clone()),
-                    Value::Str(o.members.to_quel()),
-                    Value::Bytes(Vec::new()),
-                ]);
-                Ok((key, encode(&pschema, &tuple)?))
-            })
-            .collect();
-        let parent = BTreeFile::bulk_load(Arc::clone(&pool), 10, parent_entries?, DEFAULT_FILL)?;
-
-        let mut children = Vec::with_capacity(spec.child_rels.len());
-        for rel in &spec.child_rels {
-            let entries: Result<LoadEntries, CorError> = rel
-                .iter()
-                .map(|s| {
-                    let tuple = Tuple::new(vec![
-                        Value::Oid(s.oid),
-                        Value::Int(s.rets[0]),
-                        Value::Int(s.rets[1]),
-                        Value::Int(s.rets[2]),
-                        Value::Str(s.dummy.clone()),
-                    ]);
-                    Ok((s.oid.to_key_bytes().to_vec(), encode(&cschema, &tuple)?))
+            .map(|rel| {
+                load_by_oid(&pool, rel, |s, rec| {
+                    s.encode_record(rec);
+                    Ok(s.oid.to_key_bytes())
                 })
-                .collect();
-            children.push(BTreeFile::bulk_load(
-                Arc::clone(&pool),
-                10,
-                entries?,
-                DEFAULT_FILL,
-            )?);
-        }
+            })
+            .collect::<Result<_, _>>()?;
 
         let outside = match caching {
             ProcCaching::OutsideValues(cap) | ProcCaching::OutsideOids(cap) => {

@@ -15,20 +15,17 @@
 //! referencing object are charged as real I/O.
 
 use crate::cache::{decode_unit_value, encode_unit_value};
-use crate::database::{DatabaseSpec, SubobjectSpec};
+use crate::database::{load_by_oid, DatabaseSpec, ObjectSpec, SubobjectSpec};
 use crate::query::{extract_ret, RetAttr, RetrieveQuery, StrategyOutput, UpdateQuery};
 use crate::CorError;
-use cor_access::{decode, encode, BTreeFile, CodecError, DEFAULT_FILL};
+use cor_access::{decode, encode, put_bytes, put_int, put_oid, BTreeFile, CodecError};
 use cor_pagestore::{BufferPool, IoDelta};
-use cor_relational::{Oid, RelId, Schema, Tuple, Value, ValueType};
+use cor_relational::{Oid, OidMap, RelId, Schema, Value, ValueType};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Relation id of the value-based ParentRel.
 pub const VALUE_PARENT_REL: RelId = 3;
-
-/// Encoded `(key, record)` pairs ready for a bulk load.
-type LoadEntries = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// Schema of the value-based ParentRel: subobject values are inlined in
 /// the `members` byte column (full child records, replicated per
@@ -60,42 +57,21 @@ impl ValueDatabase {
     /// inlined (replicated) into each referencing object.
     pub fn build(pool: Arc<BufferPool>, spec: &DatabaseSpec) -> Result<Self, CorError> {
         let pschema = value_parent_schema();
-        let cschema = crate::database::child_schema();
 
-        // Index the subobject records once for inlining.
-        let mut records: HashMap<Oid, Vec<u8>> = HashMap::new();
-        for rel in &spec.child_rels {
-            for s in rel {
-                records.insert(s.oid, encode(&cschema, &child_tuple(s))?);
-            }
-        }
-
-        let mut replicas: HashMap<Oid, Vec<u64>> = HashMap::new();
-        let entries: Result<LoadEntries, CorError> = spec
-            .parents
+        let subobjects: OidMap<&SubobjectSpec> = spec
+            .child_rels
             .iter()
-            .map(|o| {
-                let inlined: Vec<Vec<u8>> = o
-                    .children
-                    .iter()
-                    .map(|oid| {
-                        replicas.entry(*oid).or_default().push(o.key);
-                        records.get(oid).cloned().ok_or(CorError::DanglingOid(*oid))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let tuple = Tuple::new(vec![
-                    Value::Oid(Oid::new(VALUE_PARENT_REL, o.key)),
-                    Value::Int(o.rets[0]),
-                    Value::Int(o.rets[1]),
-                    Value::Int(o.rets[2]),
-                    Value::Str(o.dummy.clone()),
-                    Value::Bytes(encode_unit_value(&inlined)),
-                ]);
-                let key = Oid::new(VALUE_PARENT_REL, o.key).to_key_bytes().to_vec();
-                Ok((key, encode(&pschema, &tuple)?))
-            })
+            .flatten()
+            .map(|s| (s.oid, s))
             .collect();
-        let parent = BTreeFile::bulk_load(Arc::clone(&pool), 10, entries?, DEFAULT_FILL)?;
+        let mut replicas: HashMap<Oid, Vec<u64>> = HashMap::new();
+        let parent = load_by_oid(&pool, &spec.parents, |o, rec| {
+            for child in &o.children {
+                replicas.entry(*child).or_default().push(o.key);
+            }
+            encode_value_parent(o, &subobjects, rec)?;
+            Ok(Oid::new(VALUE_PARENT_REL, o.key).to_key_bytes())
+        })?;
 
         Ok(ValueDatabase {
             pool,
@@ -191,21 +167,45 @@ impl ValueDatabase {
     }
 }
 
-fn child_tuple(s: &SubobjectSpec) -> Tuple {
-    Tuple::new(vec![
-        Value::Oid(s.oid),
-        Value::Int(s.rets[0]),
-        Value::Int(s.rets[1]),
-        Value::Int(s.rets[2]),
-        Value::Str(s.dummy.clone()),
-    ])
+/// Append object `o`'s value-based ParentRel record to `out`: the bytes
+/// [`encode`] gives its tuple under [`value_parent_schema`], whose
+/// `members` column is [`encode_unit_value`] of its subobjects' ChildRel
+/// records, and no tuple or inlined record built.
+pub(crate) fn encode_value_parent(
+    o: &ObjectSpec,
+    subobjects: &OidMap<&SubobjectSpec>,
+    out: &mut Vec<u8>,
+) -> Result<(), CorError> {
+    put_oid(out, Oid::new(VALUE_PARENT_REL, o.key));
+    o.rets.iter().for_each(|&r| put_int(out, r));
+    put_bytes(out, o.dummy.as_bytes());
+    let members = out.len();
+    out.extend_from_slice(&[0; 2]);
+    out.extend_from_slice(&(o.children.len() as u16).to_le_bytes());
+    for child in &o.children {
+        let s = subobjects.get(child).ok_or(CorError::DanglingOid(*child))?;
+        let at = out.len();
+        out.extend_from_slice(&[0; 2]);
+        s.encode_record(out);
+        patch_len(out, at);
+    }
+    patch_len(out, members);
+    Ok(())
+}
+
+/// Fill the `u16` length slot at `at` with the length of what follows it.
+fn patch_len(rec: &mut [u8], at: usize) {
+    let len = (rec.len() - at - 2) as u16;
+    rec[at..at + 2].copy_from_slice(&len.to_le_bytes());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::{ObjectSpec, CHILD_REL_BASE};
+    use crate::database::CHILD_REL_BASE;
     use crate::query::RetAttr;
+    use cor_relational::Tuple;
+    use proptest::prelude::*;
 
     fn pool(frames: usize) -> Arc<BufferPool> {
         Arc::new(BufferPool::builder().capacity(frames).build())
@@ -344,5 +344,71 @@ mod tests {
             "200 replicas across many pages must cost real I/O (got {})",
             io.total()
         );
+    }
+
+    proptest! {
+        /// The value-based encoder appends exactly the bytes `encode`
+        /// gives the object's tuple, its `members` column the unit value
+        /// of its subobjects' encoded records, over any units (repeats
+        /// and empty ones included) and pad lengths; a subobject missing
+        /// from the spec is a dangling OID.
+        #[test]
+        fn value_parent_encoder_equals_encode_of_the_tuple(
+            key in any::<u64>(),
+            rets in (any::<i64>(), any::<i64>(), any::<i64>()),
+            pad in 0usize..200,
+            subs in proptest::collection::vec((any::<i64>(), 0usize..60), 1..12),
+            unit in proptest::collection::vec(0usize..16, 0..10),
+        ) {
+            let specs: Vec<SubobjectSpec> = subs
+                .iter()
+                .enumerate()
+                .map(|(k, &(ret, pad))| SubobjectSpec {
+                    oid: Oid::new(CHILD_REL_BASE, k as u64),
+                    rets: [ret, ret.wrapping_neg(), 3],
+                    dummy: "s".repeat(pad),
+                })
+                .collect();
+            let subobjects: OidMap<&SubobjectSpec> = specs.iter().map(|s| (s.oid, s)).collect();
+            let object = ObjectSpec {
+                key,
+                rets: [rets.0, rets.1, rets.2],
+                dummy: "é".repeat(pad),
+                children: unit.iter().map(|&k| Oid::new(CHILD_REL_BASE, k as u64)).collect(),
+            };
+            let mut out = vec![0xEE];
+            let got = encode_value_parent(&object, &subobjects, &mut out);
+            if let Some(&k) = unit.iter().find(|&&k| k >= specs.len()) {
+                let missing = Oid::new(CHILD_REL_BASE, k as u64);
+                prop_assert!(matches!(got, Err(CorError::DanglingOid(o)) if o == missing));
+                return;
+            }
+            got.unwrap();
+            let cschema = crate::database::child_schema();
+            let inlined: Vec<Vec<u8>> = unit
+                .iter()
+                .map(|&k| {
+                    let s = &specs[k];
+                    let tuple = Tuple::new(vec![
+                        Value::Oid(s.oid),
+                        Value::Int(s.rets[0]),
+                        Value::Int(s.rets[1]),
+                        Value::Int(s.rets[2]),
+                        Value::Str(s.dummy.clone()),
+                    ]);
+                    encode(&cschema, &tuple).unwrap()
+                })
+                .collect();
+            let tuple = Tuple::new(vec![
+                Value::Oid(Oid::new(VALUE_PARENT_REL, key)),
+                Value::Int(object.rets[0]),
+                Value::Int(object.rets[1]),
+                Value::Int(object.rets[2]),
+                Value::Str(object.dummy.clone()),
+                Value::Bytes(encode_unit_value(&inlined)),
+            ]);
+            prop_assert_eq!(&out[..1], &[0xEE][..]);
+            prop_assert_eq!(&out[1..], &encode(&value_parent_schema(), &tuple).unwrap()[..]);
+        }
     }
 }

@@ -1,15 +1,19 @@
 //! Property tests for the paper's core machinery: the unit cache against
 //! a model with a staleness invariant, the stored-query grammar
-//! (round-trips, and no panic on any text), and clustering assignment
-//! properties.
+//! (round-trips, and no panic on any text), clustering assignment
+//! properties and the per-subobject-list assignment it replaced, and the
+//! spec record encoders against the tuple codec.
 
-use complexobj::procedural::StoredQuery;
-use complexobj::{ClusterAssignment, UnitCache};
+use complexobj::database::{child_schema, parent_schema, PARENT_REL};
+use complexobj::procedural::{proc_parent_schema, ProcObjectSpec, StoredQuery, PROC_PARENT_REL};
+use complexobj::{ClusterAssignment, ObjectSpec, SubobjectSpec, UnitCache};
+use cor_access::encode;
 use cor_pagestore::BufferPool;
-use cor_relational::Oid;
+use cor_relational::{Oid, Tuple, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::IndexedRandom;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -117,6 +121,129 @@ proptest! {
             );
         }
         prop_assert_eq!(assignment.len(), referencing.len());
+    }
+}
+
+/// The assignment `ClusterAssignment::random` made before it counted
+/// references, kept as its model: each subobject's referencing parent
+/// keys listed in `parents` order, one `choose` over each list in OID
+/// order.
+fn model_assignment(parents: &[(u64, Vec<Oid>)], rng: &mut StdRng) -> HashMap<Oid, u64> {
+    let mut referencing: HashMap<Oid, Vec<u64>> = HashMap::new();
+    for (key, children) in parents {
+        for oid in children {
+            referencing.entry(*oid).or_default().push(*key);
+        }
+    }
+    let mut oids: Vec<Oid> = referencing.keys().copied().collect();
+    oids.sort_unstable();
+    oids.into_iter()
+        .map(|oid| (oid, *referencing[&oid].choose(rng).expect("non-empty")))
+        .collect()
+}
+
+/// A string of `len` characters drawn from ASCII and multi-byte ones.
+fn text(seed: u64, len: usize) -> String {
+    const CHARS: [char; 6] = ['a', 'Z', '0', ' ', 'é', '漢'];
+    (0..len)
+        .map(|i| CHARS[(seed.rotate_left(i as u32 * 7) % 6) as usize])
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Counting references draws what the per-subobject lists drew: the
+    /// same parent for every subobject and the same number of draws, over
+    /// seeds, share factors (units of `unit` subobjects shared by `share`
+    /// consecutive parents) and extra references, repeats included, with
+    /// the parents in any order.
+    #[test]
+    fn cluster_assignment_equals_the_list_model(
+        seed in any::<u64>(),
+        n_parents in 1u64..60,
+        unit in 1u64..6,
+        share in 1u64..6,
+        extra in proptest::collection::vec((0u64..60, 0u64..400), 0..80),
+        shuffle in any::<u64>(),
+    ) {
+        let mut parents: Vec<(u64, Vec<Oid>)> = (0..n_parents)
+            .map(|p| (p, (0..unit).map(|j| Oid::new(10, (p / share) * unit + j)).collect()))
+            .collect();
+        for (p, c) in extra {
+            parents[(p % n_parents) as usize].1.push(Oid::new(11, c));
+        }
+        parents.rotate_left((shuffle % n_parents) as usize);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let got = ClusterAssignment::random(&parents, &mut rng);
+        let mut model_rng = StdRng::seed_from_u64(seed);
+        let want = model_assignment(&parents, &mut model_rng);
+        prop_assert_eq!(got.len(), want.len());
+        for (oid, parent) in &want {
+            prop_assert_eq!(got.parent_of(*oid), Some(*parent), "subobject {}", oid);
+        }
+        prop_assert_eq!(rng.random::<u64>(), model_rng.random::<u64>(), "same draws");
+    }
+
+    /// Each spec encoder appends exactly the bytes `encode` gives the
+    /// record's tuple, for any keys, attributes, pad texts (multi-byte
+    /// characters included), children lists and stored queries.
+    #[test]
+    fn spec_encoders_equal_encode_of_the_tuple(
+        key in any::<u64>(),
+        rets in (any::<i64>(), any::<i64>(), any::<i64>()),
+        pad in (any::<u64>(), 0usize..300),
+        children in proptest::collection::vec((0u16..40, any::<u64>()), 0..40),
+        query in (any::<bool>(), 0u16..40, 0usize..3, any::<i64>(), any::<i64>()),
+        prefix in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let rets = [rets.0, rets.1, rets.2];
+        let dummy = text(pad.0, pad.1);
+        let children: Vec<Oid> = children.iter().map(|&(r, k)| Oid::new(r, k)).collect();
+        let appended = |put: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = prefix.clone();
+            put(&mut out);
+            assert_eq!(out[..prefix.len()], prefix[..], "an encoder appends");
+            out.split_off(prefix.len())
+        };
+        let common = |oid: Oid| {
+            vec![
+                Value::Oid(oid),
+                Value::Int(rets[0]),
+                Value::Int(rets[1]),
+                Value::Int(rets[2]),
+                Value::Str(dummy.clone()),
+            ]
+        };
+
+        let object = ObjectSpec { key, rets, dummy: dummy.clone(), children: children.clone() };
+        let mut tuple = common(Oid::new(PARENT_REL, key));
+        tuple.extend([Value::OidList(children.clone()), Value::Bytes(Vec::new())]);
+        prop_assert_eq!(
+            appended(&|out| object.encode_record(out)),
+            encode(&parent_schema(), &Tuple::new(tuple)).unwrap()
+        );
+
+        let oid = children.first().copied().unwrap_or(Oid::new(10, key));
+        let sub = SubobjectSpec { oid, rets, dummy: dummy.clone() };
+        prop_assert_eq!(
+            appended(&|out| sub.encode_record(out)),
+            encode(&child_schema(), &Tuple::new(common(oid))).unwrap()
+        );
+
+        let (by_key, rel, ret_idx, lo, hi) = query;
+        let members = if by_key {
+            StoredQuery::KeyRange { rel, lo: lo as u64, hi: hi as u64 }
+        } else {
+            StoredQuery::RetRange { rel, ret_idx, lo, hi }
+        };
+        let proc_object = ProcObjectSpec { key, rets, dummy: dummy.clone(), members: members.clone() };
+        let mut tuple = common(Oid::new(PROC_PARENT_REL, key));
+        tuple.extend([Value::Str(members.to_quel()), Value::Bytes(Vec::new())]);
+        prop_assert_eq!(
+            appended(&|out| proc_object.encode_record(out)),
+            encode(&proc_parent_schema(), &Tuple::new(tuple)).unwrap()
+        );
     }
 }
 

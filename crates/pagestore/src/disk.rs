@@ -417,6 +417,15 @@ impl DiskManager for FileDisk {
     }
 }
 
+/// Fsync the directory `dir` itself. `fdatasync` on a file makes its
+/// *contents* durable, but the directory entry naming it is separate
+/// metadata: without this, a power loss can make a fully synced file
+/// vanish from the directory, or resurrect an unlinked one. Call it after
+/// creating or unlinking a file there.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 /// The fault a [`FaultyDisk`] injects when its trigger fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {

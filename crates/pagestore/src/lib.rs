@@ -49,7 +49,9 @@ pub mod wal;
 
 pub use aio::{AioBackend, AioConfig, AioEngine, Completion, SubmissionTicket, TicketStatus};
 pub use buffer::{BufferError, BufferPool, BufferPoolBuilder, DEFAULT_POOL_PAGES};
-pub use disk::{DiskError, DiskManager, Durability, FaultMode, FaultyDisk, FileDisk, MemDisk};
+pub use disk::{
+    sync_dir, DiskError, DiskManager, Durability, FaultMode, FaultyDisk, FileDisk, MemDisk,
+};
 pub use page::{
     PageBuf, PageError, PageId, PageMut, PageView, SlotId, MAX_RECORD, NO_PAGE, PAGE_SIZE,
 };

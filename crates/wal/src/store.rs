@@ -23,6 +23,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
+use cor_pagestore::sync_dir;
 use cor_pagestore::wal::Lsn;
 
 /// Storage backend for the serialized log stream.
@@ -270,7 +271,7 @@ impl FileLogStore {
         // The open may have created the directory and/or the first
         // segment file; pin both entries down before any append is
         // acknowledged against this store.
-        Self::sync_dir(dir)?;
+        sync_dir(dir)?;
         Ok(FileLogStore {
             dir: dir.to_path_buf(),
             inner: Mutex::new(FileLogInner {
@@ -295,15 +296,6 @@ impl FileLogStore {
             .create(true)
             .truncate(false)
             .open(path)
-    }
-
-    /// Fsync the log directory itself. `fdatasync` on a segment file
-    /// makes its *contents* durable, but the directory entry naming it is
-    /// separate metadata: without this, a power loss can make a fully
-    /// synced segment vanish from the directory (truncating the log) or
-    /// resurrect a GC'd one. Called after every create and unlink.
-    fn sync_dir(dir: &Path) -> io::Result<()> {
-        File::open(dir)?.sync_all()
     }
 }
 
@@ -343,7 +335,7 @@ impl LogStore for FileLogStore {
         // Make the new segment's directory entry durable: a synced
         // segment that is missing from the directory after power loss
         // silently truncates the log.
-        Self::sync_dir(&self.dir)?;
+        sync_dir(&self.dir)?;
         inner.pos = 0;
         inner.zeroed = 0;
         inner.segments.push((first_lsn, path));
@@ -362,7 +354,7 @@ impl LogStore for FileLogStore {
             // Pin the unlinks down, so a GC'd segment (whose records may
             // predate the checkpoint's horizon) cannot reappear after a
             // crash and confuse a later recovery.
-            Self::sync_dir(&self.dir)?;
+            sync_dir(&self.dir)?;
         }
         Ok(removed)
     }

@@ -54,7 +54,7 @@ use complexobj::{
 use cor_access::{Catalog, CatalogError};
 use cor_obs::{flight, Histogram};
 use cor_pagestore::{
-    BufferPool, DiskManager, Durability, FileDisk, IoDelta, ReplacementPolicy, WalHook,
+    sync_dir, BufferPool, DiskManager, Durability, FileDisk, IoDelta, ReplacementPolicy, WalHook,
     DEFAULT_POOL_PAGES,
 };
 use cor_wal::{CheckpointInfo, FileLogStore, LogStore, Wal, WalConfig};
@@ -400,13 +400,17 @@ impl EngineBuilder {
     /// `spec`. The page store is opened with [`Durability::Fsync`], so
     /// the one store sync [`create_on`](Self::create_on) makes is a real
     /// `fdatasync`. The persistent catalog is durable in the log before
-    /// this returns, so the store is reopenable — via
+    /// this returns, and so are the names `db.pages` and `wal/` in
+    /// `path` (one directory sync), so the store is reopenable — via
     /// [`open`](Self::open), spec-free — from any point after `create`,
     /// crash included; a crash inside `create` leaves a store that
     /// `open` refuses as [`CorError::CatalogMissing`].
     pub fn create(self, path: &Path, spec: &EngineSpec) -> Result<Engine, CorError> {
         let (disk, store) = Self::open_files(path)?;
-        self.create_on(disk, store, spec)
+        let engine = self.create_on(disk, store, spec)?;
+        sync_dir(path)
+            .map_err(|e| CorError::Durability(format!("syncing {}: {e}", path.display())))?;
+        Ok(engine)
     }
 
     /// Reopen the engine stored in directory `path`: replay the log,
