@@ -49,23 +49,6 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-impl CacheCounters {
-    /// Total probes (hits + misses).
-    pub fn probes(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit fraction in `[0, 1]`, defined as 0.0 when nothing was probed
-    /// (never NaN — exporters require finite values).
-    pub fn hit_ratio(&self) -> f64 {
-        if self.probes() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.probes() as f64
-        }
-    }
-}
-
 struct CachedMeta {
     members: Vec<Oid>,
     tick: u64,

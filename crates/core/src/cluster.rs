@@ -40,9 +40,9 @@ impl ClusterAssignment {
     /// One draw per subobject, in OID order so a seeded RNG reproduces the
     /// assignment, picks the winner among its references in `parents`
     /// order, as `choose` over their list would; a count stands in for it.
-    pub fn random<R: Rng>(parents: &[(u64, Vec<Oid>)], rng: &mut R) -> Self {
+    pub fn random<C: AsRef<[Oid]>, R: Rng>(parents: &[(u64, C)], rng: &mut R) -> Self {
         let mut refs: OidMap<usize> = OidMap::default();
-        for oid in parents.iter().flat_map(|(_, children)| children) {
+        for oid in parents.iter().flat_map(|(_, children)| children.as_ref()) {
             *refs.entry(*oid).or_default() += 1;
         }
         let mut oids: Vec<Oid> = refs.keys().copied().collect();
@@ -54,7 +54,7 @@ impl ClusterAssignment {
         }
         let mut parent_of = OidMap::with_capacity_and_hasher(oids.len(), Default::default());
         for (key, children) in parents {
-            for oid in children {
+            for oid in children.as_ref() {
                 let skip = refs.get_mut(oid).expect("counted above");
                 if *skip == 0 {
                     parent_of.insert(*oid, *key);

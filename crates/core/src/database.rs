@@ -397,7 +397,8 @@ impl CorDatabase {
             }
             while let Some((c, s)) = subs.next_if(|&(c, _)| c <= cluster_no) {
                 if c < cluster_no {
-                    continue; // assigned to no object of the spec
+                    // Assigned to a key no object of the spec has.
+                    return Err(CorError::DanglingOid(Oid::new(PARENT_REL, c)));
                 }
                 let mut tid = [0u8; CLUSTER_KEY_LEN + 4];
                 tid[..CLUSTER_KEY_LEN].copy_from_slice(&cluster_key(c, true, s.oid));
@@ -1071,5 +1072,25 @@ mod tests {
         // Parent scans never see the tail area.
         let ps = db.parents_in_range(0, 3).unwrap();
         assert_eq!(ps.len(), 4);
+    }
+
+    #[test]
+    fn a_subobject_placed_with_no_object_fails_the_build() {
+        let mut spec = tiny_spec();
+        spec.parents.retain(|o| o.key != 1);
+        let c = |k: u64| Oid::new(CHILD_REL_BASE, k);
+        // Keys 1 (between two objects' keys) and 9 (past the last) are no
+        // object's; each fails the build instead of dropping the subobject.
+        for missing in [1, 9] {
+            let assignment = ClusterAssignment::from_pairs(
+                (0..6).map(|k| (c(k), if k == 4 { missing } else { 0 })),
+            );
+            let built = CorDatabase::build_clustered(pool(32), &spec, &assignment);
+            assert!(
+                matches!(built, Err(CorError::DanglingOid(o)) if o == Oid::new(PARENT_REL, missing)),
+                "key {missing}: {:?}",
+                built.err()
+            );
+        }
     }
 }

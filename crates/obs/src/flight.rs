@@ -17,7 +17,7 @@
 //!
 //! Events are fixed-size (`kind` + timestamp + three `u64` args whose
 //! meaning the `kind` owns); anything needing strings or nesting belongs
-//! in the metrics registry, not here.
+//! in a report of its own, not here.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Once, OnceLock};

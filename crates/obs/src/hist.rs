@@ -21,11 +21,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets in every histogram (unit buckets 0..8 plus 4
 /// sub-buckets per octave up to `u64::MAX`).
-pub const HIST_BUCKETS: usize = 252;
+const HIST_BUCKETS: usize = 252;
 
 /// Index of the bucket `v` falls into.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < 8 {
         v as usize
     } else {
@@ -36,7 +36,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Largest value that maps into bucket `idx` (inclusive upper edge).
-pub fn bucket_upper(idx: usize) -> u64 {
+fn bucket_upper(idx: usize) -> u64 {
     debug_assert!(idx < HIST_BUCKETS);
     if idx < 8 {
         idx as u64
@@ -94,11 +94,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Capture the current bucket counts.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
@@ -112,19 +107,6 @@ impl Histogram {
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zero every counter (between experiment phases; like
-    /// `IoStats::reset`, concurrent recording during a reset can leave the
-    /// histogram mid-way between old and new state).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -151,25 +133,6 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
     /// Largest sample (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
@@ -209,21 +172,12 @@ impl HistSnapshot {
         }
         self.max
     }
-
-    /// Occupied buckets as `(inclusive upper edge, count)`, in increasing
-    /// order of edge.
-    pub fn occupied_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(idx, &c)| (bucket_upper(idx), c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bucket_index_is_monotone_and_continuous() {
@@ -250,10 +204,10 @@ mod tests {
             h.record(v);
         }
         let s = h.snapshot();
-        assert_eq!(s.count(), 5);
+        assert_eq!(s.count, 5);
         assert_eq!(s.quantile(0.0), 0);
         assert_eq!(s.quantile(1.0), 7);
-        assert_eq!(s.min(), 0);
+        assert_eq!(s.min, 0);
         assert_eq!(s.max(), 7);
         assert_eq!(s.mean(), 13.0 / 5.0);
     }
@@ -290,7 +244,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0);
         assert_eq!(s.max(), 0);
         assert_eq!(s, HistSnapshot::default());
     }
@@ -309,15 +262,32 @@ mod tests {
             }
         });
         let snap = h.snapshot();
-        assert_eq!(snap.count(), 40_000);
-        assert_eq!(snap.occupied_buckets().map(|(_, c)| c).sum::<u64>(), 40_000);
+        assert_eq!(snap.count, 40_000);
+        assert_eq!(snap.buckets.iter().sum::<u64>(), 40_000);
     }
 
-    #[test]
-    fn reset_empties() {
-        let h = Histogram::new();
-        h.record(42);
-        h.reset();
-        assert_eq!(h.snapshot(), HistSnapshot::default());
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Quantiles never undershoot the true order statistic and never
+        /// exceed the observed max.
+        #[test]
+        fn quantiles_bracket_true_order_statistics(
+            values in proptest::collection::vec(0u64..1_000_000, 1..300),
+            q in 0.0f64..1.0,
+        ) {
+            let h = Histogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            let snap = h.snapshot();
+            let mut values = values;
+            values.sort_unstable();
+            let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
+            let exact = values[rank - 1];
+            let est = snap.quantile(q);
+            prop_assert!(est >= exact, "estimate {} under true {}", est, exact);
+            prop_assert!(est <= snap.max(), "estimate above observed max");
+        }
     }
 }

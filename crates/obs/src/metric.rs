@@ -1,12 +1,12 @@
-//! Scalar metrics: monotonic counters and set-anywhere gauges.
+//! Scalar metrics: a monotonic counter and the hit ratio of two of them.
 //!
-//! Both are single relaxed atomics, so a handle can be shared freely
+//! A [`Counter`] is a single relaxed atomic, so a handle can be shared freely
 //! between worker threads and a reporter. When telemetry is disabled the
 //! owning layer simply holds no handle (an `Option` checked per event) —
 //! that is the "free when disabled" contract every instrumented layer in
 //! this workspace follows.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
@@ -36,37 +36,8 @@ impl Counter {
     }
 }
 
-/// An instantaneous signed value (queue depth, resident pages, ...).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A fresh zero gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust the value by `delta` (may be negative).
-    #[inline]
-    pub fn adjust(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// Hit ratio `hits / (hits + misses)` as a fraction in `[0, 1]`,
-/// defined as 0.0 when nothing was probed (never NaN — exporters and
-/// `MetricsSnapshot::validate` require finite values).
+/// defined as 0.0 when nothing was probed (never NaN).
 pub fn hit_ratio(hits: u64, misses: u64) -> f64 {
     let probes = hits + misses;
     if probes == 0 {
@@ -86,14 +57,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn gauge_sets_and_adjusts() {
-        let g = Gauge::new();
-        g.set(10);
-        g.adjust(-3);
-        assert_eq!(g.get(), 7);
     }
 
     #[test]

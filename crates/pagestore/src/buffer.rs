@@ -802,7 +802,6 @@ mod tests {
         assert!(s.evictions >= 1, "capacity pressure evicts: {s:?}");
         assert!(s.writebacks >= 1, "dirty victims are written back: {s:?}");
         assert_eq!(s.pin_waits, 0);
-        assert!(s.hit_ratio() > 0.0 && s.hit_ratio() < 1.0);
         // Flushes count write-backs too: dirty exactly one page on an
         // otherwise-clean pool and flush it.
         p.flush_all().unwrap();

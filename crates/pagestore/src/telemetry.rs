@@ -69,21 +69,6 @@ impl ShardTelemetrySnapshot {
     pub fn probes(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Hit fraction (0.0 when nothing was probed — never NaN).
-    pub fn hit_ratio(&self) -> f64 {
-        hit_ratio(self.hits, self.misses)
-    }
-
-    /// Fold another snapshot into this one, summing every counter. Used to
-    /// report a whole-pool roll-up next to the per-shard rows.
-    pub fn merge(&mut self, other: &ShardTelemetrySnapshot) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.pin_waits += other.pin_waits;
-    }
 }
 
 #[cfg(test)]
@@ -101,39 +86,11 @@ mod tests {
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 1);
         assert_eq!(s.probes(), 4);
-        assert_eq!(s.hit_ratio(), 0.75);
         assert_eq!(t.hit_ratio(), 0.75);
     }
 
     #[test]
     fn empty_ratio_is_zero_not_nan() {
-        let s = ShardTelemetrySnapshot::default();
-        assert_eq!(s.hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = ShardTelemetrySnapshot {
-            shard: 0,
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-            writebacks: 4,
-            pin_waits: 5,
-        };
-        let b = ShardTelemetrySnapshot {
-            shard: 1,
-            hits: 10,
-            misses: 20,
-            evictions: 30,
-            writebacks: 40,
-            pin_waits: 50,
-        };
-        a.merge(&b);
-        assert_eq!(a.hits, 11);
-        assert_eq!(a.misses, 22);
-        assert_eq!(a.evictions, 33);
-        assert_eq!(a.writebacks, 44);
-        assert_eq!(a.pin_waits, 55);
+        assert_eq!(ShardTelemetry::default().hit_ratio(), 0.0);
     }
 }

@@ -255,11 +255,11 @@ pub fn make_pool(params: &Params) -> Arc<BufferPool> {
 /// engine's [`EngineSpec::for_strategy`](crate::EngineSpec::for_strategy)
 /// and [`build_for_strategy`] both call it.
 pub(crate) fn cluster_assignment(params: &Params, generated: &GeneratedDb) -> ClusterAssignment {
-    let parents: Vec<(u64, Vec<Oid>)> = generated
+    let parents: Vec<(u64, &[Oid])> = generated
         .spec
         .parents
         .iter()
-        .map(|o| (o.key, o.children.clone()))
+        .map(|o| (o.key, o.children.as_slice()))
         .collect();
     let mut rng = rng_for(params.seed, SeedStream::Cluster);
     ClusterAssignment::random(&parents, &mut rng)

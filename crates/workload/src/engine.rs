@@ -40,7 +40,7 @@ use crate::catalog::{EngineCatalog, SavedBackend};
 use crate::concurrent::{ConcurrentRunResult, LatencySummary};
 use crate::dbgen::{cluster_assignment, strategy_cache, GeneratedDb};
 use crate::driver::{QueryTrace, RunResult};
-use crate::metrics::{build_report, duration_ns, EngineMetrics, MetricsReport};
+use crate::metrics::MetricsReport;
 use crate::params::Params;
 use complexobj::multilevel::{execute_multilevel, MultiDotQuery};
 use complexobj::procedural::{
@@ -154,7 +154,6 @@ impl Backend {
 pub struct Engine {
     backend: Backend,
     opts: ExecOptions,
-    metrics: Option<Arc<EngineMetrics>>,
     wal: Option<Arc<Wal>>,
     catalog: Option<CatalogState>,
 }
@@ -274,12 +273,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable the observability layer: per-shard pool telemetry, per-call
-    /// query and I/O counters and streaming latency histograms, readable via
-    /// [`Engine::metrics`]. Disabled by default; when disabled no counters
-    /// are allocated and the hot paths skip instrumentation entirely.
-    /// [`IoStats`](cor_pagestore::IoStats) totals — the paper's cost
-    /// metric — are identical either way.
+    /// Turn on per-shard pool telemetry (hits, misses, evictions,
+    /// write-backs, pin waits), readable with the cache counters via
+    /// [`Engine::metrics`]. Disabled by default; a pool built without it
+    /// holds no counters. [`IoStats`](cor_pagestore::IoStats) totals — the
+    /// paper's cost metric — are identical either way.
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
         self
@@ -312,7 +310,6 @@ impl EngineBuilder {
         Engine {
             backend,
             opts: self.opts,
-            metrics: self.metrics.then(|| Arc::new(EngineMetrics::new())),
             wal: self.wal,
             catalog: catalog.map(|catalog| CatalogState {
                 catalog,
@@ -693,43 +690,6 @@ impl Engine {
             .map_err(|e| CorError::Durability(format!("checkpoint failed: {e}")))
     }
 
-    /// A metered call's start, if this engine records metrics: the
-    /// handle, the I/O counters at entry, and the wall clock at entry.
-    fn metrics_start(&self) -> Option<(&Arc<EngineMetrics>, cor_pagestore::IoSnapshot, Instant)> {
-        self.metrics
-            .as_ref()
-            .map(|m| (m, self.pool().stats().snapshot(), Instant::now()))
-    }
-
-    /// How one retrieve runs against this engine's backend — with
-    /// [`exec_update`](Self::exec_update), the only place a query is
-    /// dispatched on the representation. Hierarchies serve plain
-    /// retrieves from level 0.
-    #[inline]
-    fn exec_retrieve(
-        &self,
-        strategy: Strategy,
-        query: &RetrieveQuery,
-    ) -> Result<StrategyOutput, CorError> {
-        match &self.backend {
-            Backend::Oid(db) => execute_retrieve(db, strategy, query, &self.opts),
-            Backend::Levels(levels) => execute_retrieve(&levels[0], strategy, query, &self.opts),
-            Backend::Proc(db) => execute_proc_retrieve(db, query),
-        }
-    }
-
-    /// How one update runs against this engine's backend. Cache
-    /// maintenance (I-lock invalidation) applies whenever the database
-    /// carries a cache — Sec. 3.2.
-    #[inline]
-    fn exec_update(&self, update: &UpdateQuery) -> Result<IoDelta, CorError> {
-        match &self.backend {
-            Backend::Oid(db) => apply_update(db, update, db.has_cache()),
-            Backend::Levels(levels) => apply_update(&levels[0], update, levels[0].has_cache()),
-            Backend::Proc(db) => apply_proc_update(db, update),
-        }
-    }
-
     /// Counters of whichever cache the backend carries (procedural
     /// engines always keep a set, all zero when nothing is cached).
     fn cache_counters(&self) -> Option<CacheCounters> {
@@ -742,19 +702,20 @@ impl Engine {
 
     /// Run one retrieve. On OID engines this dispatches to the strategy;
     /// on procedural engines the caching mode is a property of the build,
-    /// so `strategy` is ignored.
+    /// so `strategy` is ignored. Hierarchies serve plain retrieves from
+    /// level 0. With [`update`](Self::update), the only place a query is
+    /// dispatched on the representation.
+    #[inline]
     pub fn retrieve(
         &self,
         strategy: Strategy,
         query: &RetrieveQuery,
     ) -> Result<StrategyOutput, CorError> {
-        let obs = self.metrics_start();
-        let out = self.exec_retrieve(strategy, query)?;
-        if let Some((m, before, t0)) = obs {
-            let delta = self.pool().stats().snapshot().since(&before);
-            m.record_retrieve(strategy, delta, t0.elapsed());
+        match &self.backend {
+            Backend::Oid(db) => execute_retrieve(db, strategy, query, &self.opts),
+            Backend::Levels(levels) => execute_retrieve(&levels[0], strategy, query, &self.opts),
+            Backend::Proc(db) => execute_proc_retrieve(db, query),
         }
-        Ok(out)
     }
 
     /// Run one multi-dot retrieve across the hierarchy (single-database
@@ -772,30 +733,28 @@ impl Engine {
         execute_multilevel(levels, strategy, query, &self.opts)
     }
 
-    /// Apply one update (with whatever cache maintenance the build
-    /// requires), returning the I/O spent.
+    /// Apply one update, returning the I/O spent. Cache maintenance
+    /// (I-lock invalidation) applies whenever the database carries a
+    /// cache — Sec. 3.2.
+    #[inline]
     pub fn update(&self, update: &UpdateQuery) -> Result<IoDelta, CorError> {
-        let obs = self.metrics.as_ref().map(|m| (m, Instant::now()));
-        let delta = self.exec_update(update)?;
-        if let Some((m, t0)) = obs {
-            m.record_update(delta, t0.elapsed());
+        match &self.backend {
+            Backend::Oid(db) => apply_update(db, update, db.has_cache()),
+            Backend::Levels(levels) => apply_update(&levels[0], update, levels[0].has_cache()),
+            Backend::Proc(db) => apply_proc_update(db, update),
         }
-        Ok(delta)
     }
 
     /// The measured loop (paper Sec. 4, step \[3\]): start cold — empty
     /// buffer; the cache, if any, warms during the sequence — run every
     /// query, and tally the paper's `ParCost`/`ChildCost` split beside the
-    /// total. `observe` sees each query as it completes. With metrics on
-    /// the whole call counts as one `sequence` call; the queries inside
-    /// count as none.
+    /// total. `observe` sees each query as it completes.
     fn run_observed(
         &self,
         strategy: Strategy,
         sequence: &[Query],
         mut observe: impl FnMut(QueryTrace),
     ) -> Result<RunResult, CorError> {
-        let obs = self.metrics_start();
         self.pool().flush_and_clear()?;
         let stats = self.pool().stats();
         let start = stats.snapshot();
@@ -814,7 +773,7 @@ impl Engine {
         for q in sequence {
             match q {
                 Query::Retrieve(r) => {
-                    let out = self.exec_retrieve(strategy, r)?;
+                    let out = self.retrieve(strategy, r)?;
                     result.retrieves += 1;
                     result.par_io += out.par_io.total();
                     result.child_io += out.child_io.total();
@@ -826,7 +785,7 @@ impl Engine {
                     });
                 }
                 Query::Update(u) => {
-                    let delta = self.exec_update(u)?;
+                    let delta = self.update(u)?;
                     result.updates += 1;
                     result.update_io += delta.total();
                     observe(QueryTrace {
@@ -839,10 +798,6 @@ impl Engine {
         }
         result.total_io = stats.snapshot().since(&start).total();
         result.cache = self.cache_counters();
-        if let Some((m, before, t0)) = obs {
-            let delta = stats.snapshot().since(&before);
-            m.record_sequence(strategy, delta, t0.elapsed());
-        }
         Ok(result)
     }
 
@@ -908,15 +863,16 @@ impl Engine {
                             let t0 = Instant::now();
                             match q {
                                 Query::Retrieve(r) => {
-                                    let out = self.exec_retrieve(strategy, r)?;
+                                    let out = self.retrieve(strategy, r)?;
                                     retrieves += 1;
                                     values_returned += out.values.len() as u64;
                                 }
                                 Query::Update(u) => {
-                                    self.exec_update(u)?;
+                                    self.update(u)?;
                                 }
                             }
-                            latency_hist.record(duration_ns(t0.elapsed()));
+                            let ns = t0.elapsed().as_nanos();
+                            latency_hist.record(u64::try_from(ns).unwrap_or(u64::MAX));
                         }
                         Ok((retrieves, values_returned))
                     })
@@ -949,20 +905,14 @@ impl Engine {
         Ok(result)
     }
 
-    /// A complete observability report: engine counters and histograms,
-    /// per-shard pool telemetry (when the pool was built with telemetry),
-    /// and cache counters (when a cache is attached). `None` unless the
-    /// engine was built with metrics enabled.
+    /// The pool's per-shard telemetry and the cache counters (when a
+    /// cache is attached). `None` unless the engine was built with
+    /// [`metrics`](EngineBuilder::metrics) on.
     pub fn metrics(&self) -> Option<MetricsReport> {
-        let m = self.metrics.as_ref()?;
-        Some(build_report(
-            m,
-            self.pool()
-                .telemetry()
-                .map(|shards| (self.pool().policy(), shards)),
-            self.cache_counters(),
-            self.wal.as_ref().map(|w| w.stats()),
-        ))
+        self.pool().telemetry().map(|pool| MetricsReport {
+            pool,
+            cache: self.cache_counters(),
+        })
     }
 }
 
@@ -1118,47 +1068,6 @@ mod tests {
         assert_eq!((conc.retrieves, conc.updates), (run.retrieves, run.updates));
     }
 
-    /// The sum of `family`'s counters whose labels include every pair in
-    /// `want`.
-    fn counter_sum(report: &MetricsReport, family: &str, want: &[(&str, &str)]) -> u64 {
-        let has = |labels: &cor_obs::Labels, (k, v): &(&str, &str)| {
-            labels.iter().any(|(lk, lv)| lk == k && lv == v)
-        };
-        report
-            .snapshot
-            .family(family)
-            .unwrap()
-            .samples
-            .iter()
-            .filter(|s| want.iter().all(|pair| has(&s.labels, pair)))
-            .map(|s| match s.value {
-                cor_obs::MetricValue::Counter(c) => c,
-                _ => panic!("{family} is a counter"),
-            })
-            .sum()
-    }
-
-    /// Metrics stay per call: the loop counts as one `sequence` call, not
-    /// a `retrieve`/`update` call per query.
-    #[test]
-    fn run_sequence_counts_one_sequence_call() {
-        let p = tiny();
-        let generated = generate(&p);
-        let sequence = generate_sequence(&p);
-        assert_eq!(sequence.len(), 20);
-        let engine = Engine::builder()
-            .metrics(true)
-            .build_workload(&p, &generated, Strategy::Dfs)
-            .unwrap();
-        engine.run_sequence(Strategy::Dfs, &sequence).unwrap();
-        let report = engine.metrics().unwrap();
-        let calls = |want: &[(&str, &str)]| counter_sum(&report, "cor_query_total", want);
-        assert_eq!(calls(&[("strategy", "DFS"), ("op", "sequence")]), 1);
-        assert_eq!(calls(&[("op", "sequence")]), 1);
-        assert_eq!(calls(&[("op", "retrieve")]), 0);
-        assert_eq!(calls(&[("op", "update")]), 0);
-    }
-
     #[test]
     fn metrics_do_not_change_io_accounting() {
         let p = tiny();
@@ -1181,14 +1090,10 @@ mod tests {
     }
 
     /// Every strategy, over a mixed sequence on a two-shard 16-page pool:
-    /// the report validates, counts every call under its op and strategy,
-    /// its per-call read and write counters sum to the pool's delta, and
-    /// it carries that strategy's retrieve latency, pool telemetry per
-    /// shard, and live cache counters exactly when the strategy runs a
-    /// cache.
+    /// the report carries pool telemetry per shard, and live cache
+    /// counters exactly when the strategy runs a cache.
     #[test]
     fn observed_engine_reports_spans_pool_and_cache() {
-        use cor_obs::MetricValue;
         let p = Params {
             shards: 2,
             pr_update: 0.2,
@@ -1196,18 +1101,11 @@ mod tests {
         };
         let generated = generate(&p);
         let sequence = generate_sequence(&p);
-        let retrieves = sequence
-            .iter()
-            .filter(|q| matches!(q, Query::Retrieve(_)))
-            .count() as u64;
-        let updates = sequence.len() as u64 - retrieves;
-        assert!(retrieves > 0 && updates > 0);
         for strategy in Strategy::ALL {
             let engine = Engine::builder()
                 .metrics(true)
                 .build_workload(&p, &generated, strategy)
                 .unwrap();
-            let before = engine.pool().stats().snapshot();
             for q in &sequence {
                 match q {
                     Query::Retrieve(r) => {
@@ -1219,52 +1117,17 @@ mod tests {
                 }
             }
             let report = engine.metrics().unwrap();
-            report.validate().unwrap();
-            let calls = |op| counter_sum(&report, "cor_query_total", &[("op", op)]);
-            assert_eq!(
-                [calls("retrieve"), calls("update"), calls("sequence")],
-                [retrieves, updates, 0],
-                "{strategy}: one count per call"
-            );
-            // The per-call counters carry exactly the I/O the pool counted.
-            let io = engine.pool().stats().snapshot().since(&before);
-            assert!(io.reads > 0, "{strategy}: the sequence reads pages");
-            let counted = (
-                counter_sum(&report, "cor_query_reads_total", &[]),
-                counter_sum(&report, "cor_query_writes_total", &[]),
-            );
-            assert_eq!(counted, (io.reads, io.writes), "{strategy}: per-call I/O");
-
-            let want = cor_obs::labels(&[("strategy", strategy.name()), ("op", "retrieve")]);
-            let sample = |name| {
-                let family = report.snapshot.family(name).unwrap();
-                let s = family.samples.iter().find(|s| s.labels == want);
-                s.map(|s| s.value.clone()).unwrap()
-            };
-            assert_eq!(
-                sample("cor_query_total"),
-                MetricValue::Counter(retrieves),
-                "{strategy}: retrieves count under their strategy"
-            );
-            let MetricValue::Histogram(latency) = sample("cor_query_latency_ns") else {
-                panic!("{strategy}: latency is a histogram");
-            };
-            let (p50, max) = (latency.quantile(0.5), latency.max());
-            assert!(0 < p50 && p50 <= max, "{strategy}: p50 {p50} max {max}");
-
             assert_eq!(report.pool.len(), 2, "{strategy}: one stripe per shard");
-            assert!(report.pool_total().probes() > 0, "{strategy}: pool probes");
+            let probes: u64 = report.pool.iter().map(|s| s.probes()).sum();
+            assert!(probes > 0, "{strategy}: pool probes");
             assert_eq!(
                 report.cache.is_some(),
                 strategy.needs_cache(),
                 "{strategy}: cache counters present exactly with a cache"
             );
             if let Some(c) = &report.cache {
-                assert!(c.probes() > 0, "{strategy}: cache never probed");
+                assert!(c.hits + c.misses > 0, "{strategy}: cache never probed");
             }
-            let json = report.to_json();
-            assert!(json.contains("\"cor_pool_hit_ratio\""), "{json}");
-            assert!(json.contains("\"cor_query_latency_ns\""), "{json}");
         }
     }
 
@@ -1284,7 +1147,6 @@ mod tests {
         };
         engine.retrieve(Strategy::Dfs, &q).unwrap();
         let report = engine.metrics().unwrap();
-        report.validate().unwrap();
         assert_eq!(report.pool.len(), 1);
         assert!(report.cache.is_none(), "no cache attached");
     }
@@ -1488,23 +1350,6 @@ mod tests {
         assert!(matches!(engine.checkpoint(), Err(CorError::Durability(_))));
     }
 
-    #[test]
-    fn durable_engine_reports_wal_metrics() {
-        let p = tiny();
-        let generated = generate(&p);
-        let (_, builder) = durable_rig();
-        let engine = builder.metrics(true).build(&standard(&generated)).unwrap();
-        durable_workload(&engine, &generated);
-        let report = engine.metrics().unwrap();
-        report.validate().unwrap();
-        let w = report.wal.as_ref().expect("wal section present");
-        assert!(w.appends > 0 && w.images > 0 && w.checkpoints > 0);
-        let json = report.to_json();
-        assert!(json.contains("\"cor_wal_appends_total\""), "{json}");
-        assert!(json.contains("\"cor_wal_durable_lsn\""), "{json}");
-        assert!(json.contains("\"cor_wal_fsyncs_total\""), "{json}");
-    }
-
     fn mem_stores() -> (Arc<cor_pagestore::MemDisk>, Arc<cor_wal::MemLogStore>) {
         (
             Arc::new(cor_pagestore::MemDisk::new()),
@@ -1616,6 +1461,60 @@ mod tests {
                 assert_eq!(a.parent_schema, b.parent_schema, "{name}");
                 assert_eq!(a.child_schema, b.child_schema, "{name}");
             }
+        }
+    }
+
+    /// `metrics()` reads the pool's telemetry: on the lifecycle terminals
+    /// it is there exactly when the builder turns it on, with one pool
+    /// stripe per shard and cache counters exactly when the backend has a
+    /// cache.
+    #[test]
+    fn lifecycle_terminals_report_metrics_exactly_when_switched_on() {
+        let p = tiny();
+        let generated = generate(&p);
+        let standard = EngineSpec::Standard(generated.spec.clone());
+        let procedural = EngineSpec::Procedural(test_proc_spec(), ProcCaching::OutsideValues(8));
+        // (name, spec, the builder's cache, does the backend have a cache)
+        let cases = [
+            ("standard", &standard, None, false),
+            ("cached", &standard, Some(CacheConfig::default()), true),
+            ("procedural", &procedural, None, true),
+        ];
+        for (name, spec, cache, has_cache) in cases {
+            let (disk, store) = mem_stores();
+            let mut builder = Engine::builder().pool_pages(16).shards(2).metrics(true);
+            if let Some(cfg) = cache {
+                builder = builder.cache(cfg);
+            }
+            let check = |engine: &Engine, terminal: &str| {
+                let report = engine
+                    .metrics()
+                    .unwrap_or_else(|| panic!("{name}: {terminal} reports no metrics"));
+                assert_eq!(
+                    report.pool.len(),
+                    2,
+                    "{name}: {terminal}: one stripe per shard"
+                );
+                assert_eq!(
+                    report.cache.is_some(),
+                    has_cache,
+                    "{name}: {terminal}: cache"
+                );
+            };
+            let created = builder
+                .clone()
+                .create_on(disk.clone(), store.clone(), spec)
+                .unwrap();
+            check(&created, "create_on");
+            created.close().unwrap();
+            let opened = builder.open_on(disk.clone(), store.clone()).unwrap();
+            check(&opened, "open_on");
+            opened.close().unwrap();
+            let plain = Engine::builder().open_on(disk, store).unwrap();
+            assert!(
+                plain.metrics().is_none(),
+                "{name}: reopened without metrics"
+            );
         }
     }
 

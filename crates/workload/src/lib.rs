@@ -5,8 +5,8 @@
 //! [`Engine`] that owns execution — the measured loop included — and
 //! persistence ([`engine`]; its result types are in [`driver`] and
 //! [`concurrent`]), the experiment-point runner and parallel sweeps
-//! ([`experiment`]), plain-text reporting ([`report`]), and the
-//! engine-level observability layer ([`metrics`]).
+//! ([`experiment`]), plain-text reporting ([`report`]), and the pool and
+//! cache counters an engine reports ([`metrics`]).
 //!
 //! The defaults in [`Params::paper_default`] reproduce Sec. 4 of the paper;
 //! [`Params::scaled`] shrinks everything proportionally for quick runs.
@@ -56,9 +56,7 @@ pub use hierarchy::{
     generate_hierarchy_specs, snapshot_hierarchy, total_hierarchy_io, HierarchyParams,
 };
 pub use matrix::{generate_matrix, run_matrix_point, MatrixRunResult, MatrixSpec, MatrixSystem};
-pub use metrics::{
-    build_report, EngineMetrics, MetricsReport, METRICS_SCHEMA_VERSION, REQUIRED_METRICS,
-};
+pub use metrics::MetricsReport;
 pub use params::Params;
 pub use report::{fnum, format_ascii_plot, format_region_map, format_table, write_csv};
 pub use seqgen::{

@@ -18,8 +18,9 @@
 # warm DFSCACHE page counts and the answer after an I-lock invalidation).
 # Every example the workspace keeps runs here. The test suite carries
 # the exact-I/O pins no figure covers (tests/strategy_equivalence.rs,
-# e.g. the two-shard pool under both policies) and the observability invariants (metrics reports for every
-# strategy, the phase ledger against the pool's I/O counts). CI runs
+# e.g. the two-shard pool under both policies) and the observability
+# invariants (pool and cache counters for every strategy, the phase ledger
+# against the pool's I/O counts). CI runs
 # exactly this script; run it before pushing. It takes about 4 minutes
 # warm on a 2-vCPU Xeon, most of it figs.sh.
 #

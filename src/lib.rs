@@ -23,10 +23,10 @@
 //! 5. [`workload`] — the parameterized generator, sequence driver and
 //!    experiment sweeps behind the figure reproductions in `cor-bench`.
 //!
-//! Orthogonal to the stack, [`obs`] is the zero-dependency metrics layer
-//! (counters, streaming histograms, flight recorder, phase ledger, JSON
-//! export) that the pool, caches and `Engine` report into — see
-//! `docs/observability.md`.
+//! Orthogonal to the stack, [`obs`] is the zero-dependency observability
+//! layer (counters, streaming histograms, flight recorder, phase ledger)
+//! that the pool's telemetry, `Engine::explain` and `crashtest` read —
+//! see `docs/observability.md`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -107,11 +107,11 @@ fn create_allocations_are_pinned() {
     create(&p, &EngineSpec::Standard(DatabaseSpec::tiny()));
 
     let standard = create(&p, &EngineSpec::Standard(generated.spec.clone()));
-    let parents: Vec<(u64, Vec<Oid>)> = generated
+    let parents: Vec<(u64, &[Oid])> = generated
         .spec
         .parents
         .iter()
-        .map(|o| (o.key, o.children.clone()))
+        .map(|o| (o.key, o.children.as_slice()))
         .collect();
     let (assign, assignment) =
         counted(|| ClusterAssignment::random(&parents, &mut StdRng::seed_from_u64(p.seed)));
