@@ -20,8 +20,8 @@
 //! * [`crc`] — the self-contained CRC-32 used by the record framing.
 //!
 //! The intended wiring: build a [`Wal`] over a [`LogStore`], hand it to
-//! the buffer pool as its `WalHook`, call
-//! [`Wal::checkpoint`] periodically with the pool's dirty-page table,
+//! the buffer pool as its `WalHook`, call [`Wal::commit`] as each
+//! operation ends, call [`Wal::checkpoint`] periodically with the pool's dirty-page table,
 //! and after a crash run [`recover`] over the surviving store before
 //! reopening.
 

@@ -22,18 +22,24 @@
 //!
 //! # Group commit
 //!
-//! [`FsyncPolicy`] batches log syncs: `Always` syncs every append
-//! (maximum durability, one fsync per update), `EveryN(n)` syncs every
-//! `n` appends (group commit: updates between syncs share one fsync and
-//! can be lost together in a crash), `Never` leaves syncing to the
+//! Records are framed onto the end of one in-memory *log tail*, and the
+//! tail reaches the [`LogStore`] in a single [`LogStore::append`] at each
+//! of these points: [`Wal::commit`], which the engine calls as each
+//! operation ends; before every sync (the pool's [`WalHook::flush_to`],
+//! a checkpoint, a segment rotation); and, best effort, when the log is
+//! dropped. [`FsyncPolicy`] decides what is synced and when: `Always`
+//! hands over and syncs each record as it is appended, `EveryN(n)` syncs
+//! at the first commit that finds `n` or more appends unsynced (so after
+//! every committed operation at most `n - 1` appended records are
+//! unsynced), and `Never` only hands the tail over, leaving syncs to the
 //! WAL-before-data rule and checkpoints. Whatever the policy, the buffer
-//! pool's [`WalHook::flush_to`] calls force the log down *before* any
+//! pool's [`WalHook::flush_to`] writes the tail and syncs it *before* any
 //! page write-back, so the store never runs ahead of the durable log.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cor_obs::flight;
@@ -49,14 +55,17 @@ use crate::store::LogStore;
 /// When the log syncs appended records to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Sync after every record: nothing acknowledged is ever lost.
+    /// Hand each record to the store and sync it as it is appended:
+    /// nothing appended is ever lost, whenever the crash comes.
     #[default]
     Always,
-    /// Group commit: sync after every `n` records. Up to `n - 1`
-    /// acknowledged records can be lost in a crash; pages are still
+    /// Group commit: [`Wal::commit`] syncs once `n` or more appends are
+    /// unsynced. After every committed operation at most `n - 1` appended
+    /// records are unsynced, and a crash can lose them; pages are still
     /// never ahead of the log (WAL-before-data syncs on demand).
     EveryN(u32),
-    /// Sync only when WAL-before-data or a checkpoint demands it.
+    /// Sync only when WAL-before-data or a checkpoint demands it;
+    /// [`Wal::commit`] only hands the log tail to the store.
     Never,
 }
 
@@ -88,16 +97,11 @@ pub struct WalStatsSnapshot {
     pub fsyncs: u64,
     /// Serialized bytes appended.
     pub bytes: u64,
-    /// Page-image records among the appends, whole or sparse.
+    /// Page-image records among the appends, whole or sparse. The rest
+    /// are deltas and checkpoints.
     pub images: u64,
-    /// Page-delta records among the appends.
-    pub deltas: u64,
     /// Checkpoint records among the appends.
     pub checkpoints: u64,
-    /// Highest LSN appended.
-    pub appended_lsn: Lsn,
-    /// Highest LSN known durable.
-    pub durable_lsn: Lsn,
 }
 
 /// Result of taking a checkpoint.
@@ -120,7 +124,8 @@ pub struct CheckpointInfo {
 struct WalInner {
     /// LSN the next record will carry (starts at 1; 0 is [`NO_LSN`]).
     next_lsn: Lsn,
-    /// Highest LSN appended to the store (volatile until synced).
+    /// Highest LSN appended (in the tail or the store; volatile until
+    /// synced).
     appended_lsn: Lsn,
     /// Highest LSN known durable.
     durable_lsn: Lsn,
@@ -129,19 +134,22 @@ struct WalInner {
     /// checkpoint reads its begin LSN. A page *not* in this map logs a
     /// full image on its next write.
     imaged: HashMap<PageId, Lsn>,
-    /// Bytes appended to the active segment since the last rotation.
+    /// Bytes appended to the active segment since the last rotation,
+    /// the tail's included.
     active_seg_bytes: usize,
     /// Appends since the last sync, for [`FsyncPolicy::EveryN`].
     appends_since_sync: u32,
-    /// Set when an append or sync against the store failed. A failed
-    /// append may have left garbage bytes in the active segment; any
+    /// Set when a hand-over or sync against the store failed. A failed
+    /// hand-over may have left garbage bytes in the active segment; any
     /// record appended after that garbage would be invisible to recovery
     /// (decoding stops at the first bad frame), so the log refuses all
-    /// further appends instead of silently dropping acknowledged work.
+    /// further appends, hand-overs and syncs instead of silently dropping
+    /// acknowledged work.
     poisoned: bool,
-    /// The frame being appended: cleared per record, its capacity kept,
-    /// so an append allocates nothing once it has seen its largest record.
-    encode_buf: Vec<u8>,
+    /// The log tail: records framed since the last hand-over to the
+    /// store. Cleared at each hand-over with its capacity kept, so an
+    /// append allocates nothing once the tail has seen its largest batch.
+    tail: Vec<u8>,
 }
 
 /// A zero page: the base a sparse image is taken against.
@@ -153,11 +161,13 @@ pub struct Wal {
     store: Arc<dyn LogStore>,
     config: WalConfig,
     inner: Mutex<WalInner>,
+    /// Whether the tail holds records, written under the lock, so a
+    /// commit with nothing to hand over takes no lock.
+    pending: AtomicBool,
     appends: AtomicU64,
     fsyncs: AtomicU64,
     bytes: AtomicU64,
     images: AtomicU64,
-    deltas: AtomicU64,
     checkpoints: AtomicU64,
 }
 
@@ -175,13 +185,13 @@ impl Wal {
                 active_seg_bytes: 0,
                 appends_since_sync: 0,
                 poisoned: false,
-                encode_buf: Vec::new(),
+                tail: Vec::new(),
             }),
+            pending: AtomicBool::new(false),
             appends: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             images: AtomicU64::new(0),
-            deltas: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
         }
     }
@@ -231,22 +241,13 @@ impl Wal {
 
     /// Current counter values.
     pub fn stats(&self) -> WalStatsSnapshot {
-        let inner = self.inner.lock();
         WalStatsSnapshot {
             appends: self.appends.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             images: self.images.load(Ordering::Relaxed),
-            deltas: self.deltas.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            appended_lsn: inner.appended_lsn,
-            durable_lsn: inner.durable_lsn,
         }
-    }
-
-    /// Highest LSN known durable.
-    pub fn durable_lsn(&self) -> Lsn {
-        self.inner.lock().durable_lsn
     }
 
     /// Highest LSN appended (volatile until synced).
@@ -258,22 +259,79 @@ impl Wal {
         DiskError::io(op, self.store.describe(), e)
     }
 
+    /// End an operation: hand the log tail to the store in one append
+    /// and, under [`FsyncPolicy::EveryN`]`(n)`, sync once `n` or more
+    /// appends are unsynced. With an empty tail this is one atomic load.
+    /// Fails, and poisons the log, when the store refuses the tail or the
+    /// sync; a poisoned log fails every later commit that has records to
+    /// hand over.
+    #[inline]
+    pub fn commit(&self) -> io::Result<()> {
+        if !self.pending.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        self.commit_tail()
+    }
+
+    #[cold]
+    fn commit_tail(&self) -> io::Result<()> {
+        let mut inner = self.inner.lock();
+        match self.config.fsync {
+            FsyncPolicy::EveryN(n) if inner.appends_since_sync >= n => self.sync_locked(&mut inner),
+            _ => self.write_tail(&mut inner),
+        }
+    }
+
+    fn poison(&self, inner: &mut WalInner) {
+        inner.poisoned = true;
+        flight::record(
+            flight::FlightKind::WalPoison,
+            u64::from(inner.appended_lsn),
+            0,
+            0,
+        );
+    }
+
+    fn refuse_poisoned(inner: &WalInner) -> io::Result<()> {
+        if inner.poisoned {
+            return Err(io::Error::other(
+                "write-ahead log poisoned by an earlier append/sync failure",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Hand the tail to the store in one append.
+    fn write_tail(&self, inner: &mut WalInner) -> io::Result<()> {
+        if inner.tail.is_empty() {
+            return Ok(());
+        }
+        Self::refuse_poisoned(inner)?;
+        if let Err(e) = self.store.append(&inner.tail) {
+            // The tail may have landed partially: everything appended
+            // after it would sit behind a bad frame and be dropped at
+            // recovery, so no further records may be acknowledged.
+            self.poison(inner);
+            return Err(e);
+        }
+        inner.tail.clear();
+        self.pending.store(false, Ordering::Release);
+        Ok(())
+    }
+
+    /// Hand the tail over, then make every appended record durable.
     fn sync_locked(&self, inner: &mut WalInner) -> io::Result<()> {
+        self.write_tail(inner)?;
         if inner.durable_lsn == inner.appended_lsn {
             inner.appends_since_sync = 0;
             return Ok(());
         }
+        Self::refuse_poisoned(inner)?;
         if let Err(e) = self.store.sync() {
             // After a failed fsync the kernel may have dropped the dirty
             // pages it could not write; a later "successful" sync would
             // prove nothing about these bytes. Fail fast from here on.
-            inner.poisoned = true;
-            flight::record(
-                flight::FlightKind::WalPoison,
-                u64::from(inner.appended_lsn),
-                0,
-                0,
-            );
+            self.poison(inner);
             return Err(e);
         }
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -283,21 +341,19 @@ impl Wal {
     }
 
     /// Append one record, assigning the next LSN: `encode(out, lsn)`
-    /// frames it into the log's reused buffer in one pass. Rotates the
-    /// segment first when the active one is over size, and applies the
-    /// group-commit policy afterwards. `kind` is the record kind, for the
-    /// flight recorder.
+    /// frames it onto the end of the log tail in one pass. Rotates the
+    /// segment first when the active one is over size. Under
+    /// [`FsyncPolicy::Always`] the record is handed over and synced
+    /// before this returns; otherwise it waits in the tail for the next
+    /// commit or sync. `kind` is the record kind, for the flight
+    /// recorder.
     fn append_record(
         &self,
         inner: &mut WalInner,
         kind: u8,
         encode: impl FnOnce(&mut Vec<u8>, Lsn),
     ) -> io::Result<Lsn> {
-        if inner.poisoned {
-            return Err(io::Error::other(
-                "write-ahead log poisoned by an earlier append/sync failure",
-            ));
-        }
+        Self::refuse_poisoned(inner)?;
         if inner.active_seg_bytes >= self.config.segment_bytes {
             // Close the segment durably, then start a fresh one named by
             // the LSN this record will carry.
@@ -307,16 +363,16 @@ impl Wal {
             inner.active_seg_bytes = 0;
         }
         let lsn = inner.next_lsn;
-        inner.encode_buf.clear();
-        encode(&mut inner.encode_buf, lsn);
-        let len = inner.encode_buf.len();
-        if let Err(e) = self.store.append(&inner.encode_buf) {
-            // The record may have landed partially: everything appended
-            // after it would sit behind a bad frame and be dropped at
-            // recovery, so no further appends may be acknowledged.
-            inner.poisoned = true;
-            flight::record(flight::FlightKind::WalPoison, u64::from(lsn), 0, 0);
-            return Err(e);
+        let start = inner.tail.len();
+        encode(&mut inner.tail, lsn);
+        let len = inner.tail.len() - start;
+        let always = self.config.fsync == FsyncPolicy::Always;
+        if always {
+            // Handed over before anything counts it: a record the store
+            // refused was never appended.
+            self.write_tail(inner)?;
+        } else {
+            self.pending.store(true, Ordering::Release);
         }
         inner.next_lsn += 1;
         inner.appended_lsn = lsn;
@@ -330,14 +386,8 @@ impl Wal {
             u64::from(kind),
             len as u64,
         );
-        match self.config.fsync {
-            FsyncPolicy::Always => self.sync_locked(inner)?,
-            FsyncPolicy::EveryN(n) => {
-                if inner.appends_since_sync >= n {
-                    self.sync_locked(inner)?;
-                }
-            }
-            FsyncPolicy::Never => {}
+        if always {
+            self.sync_locked(inner)?;
         }
         Ok(lsn)
     }
@@ -469,7 +519,6 @@ impl WalHook for Wal {
             None => Ok((inner.appended_lsn.max(1), image_lsn)),
             Some(appended) => {
                 let lsn = appended.map_err(|e| self.io_err("wal append", e))?;
-                self.deltas.fetch_add(1, Ordering::Relaxed);
                 Ok((lsn, image_lsn))
             }
         }
@@ -490,6 +539,18 @@ impl WalHook for Wal {
     }
 }
 
+impl Drop for Wal {
+    /// Best effort: hand the tail to the store, unsynced, so a log
+    /// dropped between commits leaves its records where the process can
+    /// still write them. A crash skips this, as it skips everything.
+    fn drop(&mut self) {
+        let inner = self.inner.get_mut();
+        if !inner.poisoned && !inner.tail.is_empty() {
+            let _ = self.store.append(&inner.tail);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +559,28 @@ mod tests {
 
     fn buf_with(b: u8) -> PageBuf {
         [b; PAGE_SIZE]
+    }
+
+    /// Page-delta records among the appends: every record that is not
+    /// an image or a checkpoint.
+    fn deltas(s: &WalStatsSnapshot) -> u64 {
+        s.appends - s.images - s.checkpoints
+    }
+
+    fn config(fsync: FsyncPolicy) -> WalConfig {
+        WalConfig {
+            fsync,
+            ..WalConfig::default()
+        }
+    }
+
+    /// Log a one-byte change to page `pid`: its image on the first write
+    /// in the epoch, a delta after.
+    fn touch(wal: &Wal, pid: PageId, at: usize) -> Lsn {
+        let zero = buf_with(0);
+        let mut v = zero;
+        v[at] = 1;
+        wal.log_page_write(pid, &zero, &v).unwrap().0
     }
 
     #[test]
@@ -515,7 +598,7 @@ mod tests {
         assert!(l2 > l1);
         assert_eq!(image2, l1, "a delta reports the image it builds on");
         let s = wal.stats();
-        assert_eq!((s.images, s.deltas), (1, 1));
+        assert_eq!((s.images, deltas(&s)), (1, 1));
         // Decode what landed.
         let segs = store.read_segments().unwrap();
         let recs = decode_stream(&segs[0]).records;
@@ -554,7 +637,7 @@ mod tests {
         touch(pid, 300); // image, LSN 5: the checkpoint began a new epoch
         assert_eq!(pool.dirty_page_table(), vec![(pid, 5)]);
         let s = wal.stats();
-        assert_eq!((s.images, s.deltas, s.checkpoints), (2, 2, 1));
+        assert_eq!((s.images, deltas(&s), s.checkpoints), (2, 2, 1));
     }
 
     #[test]
@@ -577,7 +660,7 @@ mod tests {
         assert_eq!(lsn, image_lsn, "an image, not a delta on the old epoch's");
         assert!(lsn >= info.redo_start, "the image is inside redo");
         let s = wal.stats();
-        assert_eq!((s.images, s.deltas), (2, 0));
+        assert_eq!((s.images, deltas(&s)), (2, 0));
     }
 
     #[test]
@@ -589,55 +672,124 @@ mod tests {
         let v2 = buf_with(2);
         wal.log_page_write(1, &v1, &v2).unwrap(); // whole page differs -> image
         let s = wal.stats();
-        assert_eq!((s.images, s.deltas), (2, 0));
+        assert_eq!((s.images, deltas(&s)), (2, 0));
     }
 
     #[test]
-    fn fsync_policies_batch_syncs() {
-        let run = |fsync: FsyncPolicy, writes: u32| {
-            let wal = Wal::new(
-                Arc::new(MemLogStore::new()),
-                WalConfig {
-                    fsync,
-                    ..WalConfig::default()
-                },
+    fn every_n_syncs_at_the_first_commit_with_n_unsynced_appends() {
+        let store = Arc::new(TestStore::new());
+        let wal = Wal::new(store.clone(), config(FsyncPolicy::EveryN(4)));
+        for pid in 0..3 {
+            touch(&wal, pid, 0);
+        }
+        wal.commit().unwrap();
+        assert_eq!(
+            wal.stats().fsyncs,
+            0,
+            "3 unsynced appends are under the batch"
+        );
+        assert_eq!(store.handovers(), 1, "the commit handed its 3 records over");
+        for pid in 3..13 {
+            touch(&wal, pid, 0);
+        }
+        assert_eq!(wal.stats().fsyncs, 0, "no sync inside an append");
+        assert_eq!(store.handovers(), 1, "no hand-over inside an append");
+        wal.commit().unwrap();
+        assert_eq!(wal.stats().fsyncs, 1, "13 unsynced appends: one sync");
+        assert_eq!(store.handovers(), 2);
+        assert_eq!(store.inner.unsynced_bytes(), 0);
+        touch(&wal, 13, 0);
+        wal.commit().unwrap();
+        assert_eq!(wal.stats().fsyncs, 1);
+        assert!(
+            store.inner.unsynced_bytes() > 0,
+            "one append is left unsynced"
+        );
+    }
+
+    #[test]
+    fn a_commit_hands_its_records_over_in_one_append() {
+        for fsync in [FsyncPolicy::EveryN(4), FsyncPolicy::Never] {
+            let store = Arc::new(TestStore::new());
+            let wal = Wal::new(store.clone(), config(fsync));
+            let lsns: Vec<Lsn> = (0..10).map(|pid| touch(&wal, pid, pid as usize)).collect();
+            assert_eq!(
+                store.handovers(),
+                0,
+                "{fsync:?}: the records wait in the tail"
             );
-            let zero = buf_with(0);
-            for i in 0..writes {
-                let mut v = zero;
-                v[i as usize] = 1;
-                wal.log_page_write(i, &zero, &v).unwrap();
-            }
-            wal.stats()
-        };
-        assert_eq!(run(FsyncPolicy::Always, 10).fsyncs, 10);
-        let grouped = run(FsyncPolicy::EveryN(4), 10);
-        assert_eq!(grouped.fsyncs, 2, "10 appends / batch of 4 = 2 syncs");
-        assert!(grouped.durable_lsn < grouped.appended_lsn);
-        let never = run(FsyncPolicy::Never, 10);
-        assert_eq!(never.fsyncs, 0);
-        assert_eq!(never.durable_lsn, NO_LSN);
+            wal.commit().unwrap();
+            assert_eq!(store.handovers(), 1, "{fsync:?}");
+            let segs = store.read_segments().unwrap();
+            let landed: Vec<Lsn> = decode_stream(&segs[0])
+                .records
+                .iter()
+                .map(|r| r.lsn)
+                .collect();
+            assert_eq!(landed, lsns, "{fsync:?}");
+            wal.commit().unwrap();
+            assert_eq!(
+                store.handovers(),
+                1,
+                "{fsync:?}: an empty commit hands nothing over"
+            );
+        }
+    }
+
+    #[test]
+    fn always_syncs_every_record_and_never_syncs_none() {
+        let store = Arc::new(TestStore::new());
+        let wal = Wal::new(store.clone(), config(FsyncPolicy::Always));
+        for pid in 0..10 {
+            touch(&wal, pid, 0);
+            assert_eq!(store.inner.unsynced_bytes(), 0, "record {pid} is durable");
+        }
+        assert_eq!((wal.stats().fsyncs, store.handovers()), (10, 10));
+        wal.commit().unwrap();
+        assert_eq!((wal.stats().fsyncs, store.handovers()), (10, 10));
+
+        let store = Arc::new(TestStore::new());
+        let wal = Wal::new(store.clone(), config(FsyncPolicy::Never));
+        for pid in 0..10 {
+            touch(&wal, pid, 0);
+        }
+        wal.commit().unwrap();
+        assert_eq!(wal.stats().fsyncs, 0);
+        let segs = store.read_segments().unwrap();
+        assert_eq!(
+            decode_stream(&segs[0]).records.len(),
+            10,
+            "the tail reached the store"
+        );
+        store.inner.crash();
+        assert_eq!(
+            store.read_segments().unwrap()[0].len(),
+            0,
+            "none of it durable"
+        );
     }
 
     #[test]
     fn flush_to_is_idempotent_and_monotone() {
-        let wal = Wal::new(
-            Arc::new(MemLogStore::new()),
-            WalConfig {
-                fsync: FsyncPolicy::Never,
-                ..WalConfig::default()
-            },
+        let store = Arc::new(MemLogStore::new());
+        let wal = Wal::new(store.clone(), config(FsyncPolicy::Never));
+        let lsn = touch(&wal, 2, 9);
+        assert_eq!(
+            store.read_segments().unwrap()[0].len(),
+            0,
+            "the record is in the tail"
         );
-        let zero = buf_with(0);
-        let mut v = zero;
-        v[9] = 9;
-        let (lsn, _) = wal.log_page_write(2, &zero, &v).unwrap();
-        assert_eq!(wal.durable_lsn(), NO_LSN);
         wal.flush_to(lsn).unwrap();
-        assert_eq!(wal.durable_lsn(), lsn);
-        let fsyncs = wal.stats().fsyncs;
+        assert_eq!(wal.stats().fsyncs, 1);
+        store.crash();
+        let segs = store.read_segments().unwrap();
+        assert_eq!(
+            decode_stream(&segs[0]).records[0].lsn,
+            lsn,
+            "durable through lsn"
+        );
         wal.flush_to(lsn).unwrap(); // already durable: no extra sync
-        assert_eq!(wal.stats().fsyncs, fsyncs);
+        assert_eq!(wal.stats().fsyncs, 1);
     }
 
     #[test]
@@ -742,26 +894,34 @@ mod tests {
         }
     }
 
-    /// A store that can be told to fail its next append, then heals.
-    struct FlakyStore {
+    /// A store that counts its appends and can be told to fail its next
+    /// one, then heals.
+    struct TestStore {
         inner: MemLogStore,
         fail_next_append: std::sync::atomic::AtomicBool,
+        handovers: AtomicU64,
     }
 
-    impl FlakyStore {
+    impl TestStore {
         fn new() -> Self {
-            FlakyStore {
+            TestStore {
                 inner: MemLogStore::new(),
                 fail_next_append: std::sync::atomic::AtomicBool::new(false),
+                handovers: AtomicU64::new(0),
             }
+        }
+
+        fn handovers(&self) -> u64 {
+            self.handovers.load(Ordering::SeqCst)
         }
     }
 
-    impl LogStore for FlakyStore {
+    impl LogStore for TestStore {
         fn append(&self, bytes: &[u8]) -> io::Result<()> {
             if self.fail_next_append.swap(false, Ordering::SeqCst) {
                 return Err(io::Error::other("injected append failure"));
             }
+            self.handovers.fetch_add(1, Ordering::SeqCst);
             self.inner.append(bytes)
         }
         fn sync(&self) -> io::Result<()> {
@@ -789,7 +949,7 @@ mod tests {
 
     #[test]
     fn append_failure_poisons_the_log_and_skips_the_imaged_set() {
-        let store = Arc::new(FlakyStore::new());
+        let store = Arc::new(TestStore::new());
         let wal = Wal::new(store.clone(), WalConfig::default());
         let zero = buf_with(0);
         let mut v1 = zero;
@@ -808,18 +968,76 @@ mod tests {
         assert!(wal.checkpoint(Vec::new).is_err());
         // Only the successful record moved the counters.
         let s = wal.stats();
-        assert_eq!((s.appends, s.images, s.deltas), (1, 1, 0));
+        assert_eq!((s.appends, s.images, deltas(&s)), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_failed_commit_poisons_the_log() {
+        let store = Arc::new(TestStore::new());
+        let wal = Wal::new(store.clone(), config(FsyncPolicy::EveryN(4)));
+        let zero = buf_with(0);
+        let mut v1 = zero;
+        v1[0] = 1;
+        wal.log_page_write(4, &zero, &v1).unwrap(); // image
+        wal.commit().unwrap(); // healthy hand-over
+        let mut v2 = v1;
+        v2[1] = 2;
+        let (delta, _) = wal.log_page_write(4, &v1, &v2).unwrap(); // into the tail
+        store.fail_next_append.store(true, Ordering::SeqCst);
+        assert!(wal.commit().is_err());
+        // The store healed, but the log stays poisoned: the failed
+        // hand-over may have left garbage framing in the active segment.
+        let mut v3 = v2;
+        v3[2] = 3;
+        let err = wal.log_page_write(4, &v2, &v3).unwrap_err();
+        assert!(err.to_string().contains("poisoned"), "{err}");
+        assert!(
+            wal.commit().is_err(),
+            "the refused tail is never handed over"
+        );
+        assert!(
+            wal.flush_to(delta).is_err(),
+            "a page on the lost delta stays unwritten"
+        );
+        assert!(wal.checkpoint(Vec::new).is_err());
+        // The delta was framed; only the image reached the store.
+        let s = wal.stats();
+        assert_eq!((s.appends, s.images, deltas(&s)), (2, 1, 1));
+        assert_eq!(store.handovers(), 1);
+        drop(wal); // a poisoned log hands nothing over when dropped
+        let segs = store.read_segments().unwrap();
+        assert_eq!(decode_stream(&segs[0]).records.len(), 1);
     }
 
     #[test]
     fn failed_image_append_does_not_move_the_counters() {
-        let store = Arc::new(FlakyStore::new());
+        let store = Arc::new(TestStore::new());
         let wal = Wal::new(store.clone(), WalConfig::default());
         store.fail_next_append.store(true, Ordering::SeqCst);
         let zero = buf_with(0);
         assert!(wal.log_page_image(6, &zero).is_err());
         let s = wal.stats();
-        assert_eq!((s.appends, s.images, s.appended_lsn), (0, 0, NO_LSN));
+        assert_eq!((s.appends, s.images, wal.appended_lsn()), (0, 0, NO_LSN));
+    }
+
+    #[test]
+    fn an_image_whose_hand_over_failed_takes_no_delta() {
+        let store = Arc::new(TestStore::new());
+        let wal = Wal::new(store.clone(), config(FsyncPolicy::EveryN(4)));
+        let zero = buf_with(0);
+        let mut v1 = zero;
+        v1[0] = 1;
+        wal.log_page_image(6, &v1).unwrap(); // into the tail
+        store.fail_next_append.store(true, Ordering::SeqCst);
+        assert!(wal.commit().is_err());
+        let mut v2 = v1;
+        v2[1] = 2;
+        assert!(
+            wal.log_page_write(6, &v1, &v2).is_err(),
+            "no delta against an image the store never got"
+        );
+        assert_eq!(wal.stats().appends, 1);
+        assert!(store.read_segments().unwrap()[0].is_empty());
     }
 
     #[test]

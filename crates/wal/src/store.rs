@@ -29,7 +29,11 @@ use cor_pagestore::wal::Lsn;
 /// Storage backend for the serialized log stream.
 pub trait LogStore: Send + Sync {
     /// Append bytes to the active segment. Not necessarily durable until
-    /// [`sync`](Self::sync).
+    /// [`sync`](Self::sync). The [`Wal`](crate::Wal) calls this once per
+    /// hand-over of its log tail, with one or more whole records: at
+    /// [`Wal::commit`](crate::Wal::commit), before every sync, and when
+    /// it is dropped (under [`FsyncPolicy::Always`](crate::FsyncPolicy),
+    /// once per record).
     fn append(&self, bytes: &[u8]) -> io::Result<()>;
 
     /// Make every appended byte durable.

@@ -711,11 +711,12 @@ impl Engine {
         strategy: Strategy,
         query: &RetrieveQuery,
     ) -> Result<StrategyOutput, CorError> {
-        match &self.backend {
+        let out = match &self.backend {
             Backend::Oid(db) => execute_retrieve(db, strategy, query, &self.opts),
             Backend::Levels(levels) => execute_retrieve(&levels[0], strategy, query, &self.opts),
             Backend::Proc(db) => execute_proc_retrieve(db, query),
-        }
+        };
+        self.commit(out)
     }
 
     /// Run one multi-dot retrieve across the hierarchy (single-database
@@ -730,7 +731,7 @@ impl Engine {
         if levels.is_empty() {
             return Err(CorError::WrongRepresentation("OID representation"));
         }
-        execute_multilevel(levels, strategy, query, &self.opts)
+        self.commit(execute_multilevel(levels, strategy, query, &self.opts))
     }
 
     /// Apply one update, returning the I/O spent. Cache maintenance
@@ -738,10 +739,26 @@ impl Engine {
     /// cache — Sec. 3.2.
     #[inline]
     pub fn update(&self, update: &UpdateQuery) -> Result<IoDelta, CorError> {
-        match &self.backend {
+        let delta = match &self.backend {
             Backend::Oid(db) => apply_update(db, update, db.has_cache()),
             Backend::Levels(levels) => apply_update(&levels[0], update, levels[0].has_cache()),
             Backend::Proc(db) => apply_proc_update(db, update),
+        };
+        self.commit(delta)
+    }
+
+    /// Group commit at the operation boundary: hand the log's tail to
+    /// its store and apply the fsync policy ([`Wal::commit`]), whether or
+    /// not the operation failed. The operation's own error wins over the
+    /// commit's.
+    #[inline]
+    fn commit<T>(&self, result: Result<T, CorError>) -> Result<T, CorError> {
+        let Some(wal) = &self.wal else {
+            return result;
+        };
+        match (result, wal.commit()) {
+            (Ok(_), Err(e)) => Err(CorError::Durability(format!("log commit failed: {e}"))),
+            (result, _) => result,
         }
     }
 

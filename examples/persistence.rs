@@ -4,7 +4,9 @@
 //! `create` bulk-loads the page file without logging it, syncs it once,
 //! and starts the write-ahead log with the catalog save; every update is
 //! logged before its page can reach the disk, and `close` leaves a clean
-//! checkpoint. `open` replays the log, reads the engine catalog from
+//! checkpoint. Both sessions run the log under group commit
+//! (`FsyncPolicy::EveryN(8)`): each query hands its records to the log
+//! file as it ends and syncs there once eight or more are unsynced. `open` replays the log, reads the engine catalog from
 //! page 0 — file roots, OID allocators, the cache directory, the pool's
 //! geometry — and rebuilds the backend it records.
 //!
@@ -13,7 +15,16 @@
 //! ```
 
 use complexobj::{CacheConfig, RetAttr, RetrieveQuery, Strategy, UpdateQuery};
-use cor_workload::{generate, Engine, EngineSpec, Params};
+use cor_wal::{FsyncPolicy, WalConfig};
+use cor_workload::{generate, Engine, EngineBuilder, EngineSpec, Params};
+
+/// Group commit, every eight records: the durable benchmark's policy.
+fn builder() -> EngineBuilder {
+    Engine::builder().wal_config(WalConfig {
+        fsync: FsyncPolicy::EveryN(8),
+        ..WalConfig::default()
+    })
+}
 
 fn sorted_answer(engine: &Engine, query: &RetrieveQuery) -> Vec<i64> {
     let mut values = engine
@@ -41,7 +52,7 @@ fn main() {
 
     // --- session 1: create, update, close --------------------------------
     let expected = {
-        let engine = Engine::builder()
+        let engine = builder()
             .pool_pages(params.buffer_pages)
             .cache(CacheConfig {
                 capacity: params.size_cache,
@@ -77,7 +88,7 @@ fn main() {
     {
         // No spec and no geometry: the catalog on page 0 is the source of
         // truth, and its recorded pool size wins over the builder's.
-        let engine = Engine::builder().open(&dir).expect("reopen the store");
+        let engine = builder().open(&dir).expect("reopen the store");
         let answer = sorted_answer(&engine, &query);
         println!(
             "session 2: reopened with a {}-page pool; {} values, {} of them the updated 4242",

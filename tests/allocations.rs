@@ -12,14 +12,18 @@
 //! by the number of records. Re-pin them only for a change that means
 //! to move them, and say why.
 //!
+//! A warm query's allocations are pinned the same way, on a durable
+//! DFSCACHE engine under group commit: the log tail keeps its capacity
+//! from one operation to the next, so a commit allocates nothing.
+//!
 //! This binary installs a `#[global_allocator]`, which is why it is a
 //! test binary of its own.
 
-use complexobj::{ClusterAssignment, DatabaseSpec};
+use complexobj::{CacheConfig, ClusterAssignment, DatabaseSpec, Query, Strategy};
 use cor_pagestore::MemDisk;
 use cor_relational::Oid;
-use cor_wal::MemLogStore;
-use cor_workload::{generate, Engine, EngineSpec, Params};
+use cor_wal::{FsyncPolicy, MemLogStore, WalConfig};
+use cor_workload::{generate, generate_sequence, Engine, EngineSpec, Params};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -125,5 +129,71 @@ fn create_allocations_are_pinned() {
         ((116, 551_174), (115, 579_117), (11, 84_860)),
         "(allocations, bytes) of the standard create, the clustered create \
          and the assignment"
+    );
+}
+
+/// One warm retrieve and one warm update on a smoke-scale durable
+/// DFSCACHE engine under `EveryN(8)`, the durable workload's policy: a
+/// 30 % update sequence warms the pool, the cache and the log tail, then
+/// the next retrieve and update of the same sequence are counted. A log
+/// tail that allocated per operation would move both.
+#[test]
+fn warm_query_allocations_are_pinned() {
+    let p = Params {
+        pr_update: 0.3,
+        ..Params::scaled(0.05)
+    };
+    let generated = generate(&p);
+    let engine = Engine::builder()
+        .pool_pages(p.buffer_pages)
+        .cache(CacheConfig {
+            capacity: p.size_cache,
+            ..CacheConfig::default()
+        })
+        .wal_config(WalConfig {
+            fsync: FsyncPolicy::EveryN(8),
+            ..WalConfig::default()
+        })
+        .create_on(
+            Arc::new(MemDisk::new()),
+            Arc::new(MemLogStore::new()),
+            &EngineSpec::Standard(generated.spec.clone()),
+        )
+        .unwrap();
+    let sequence = generate_sequence(&p);
+    let (warm, measured) = sequence.split_at(sequence.len() / 2);
+    for q in warm {
+        match q {
+            Query::Retrieve(r) => drop(engine.retrieve(Strategy::DfsCache, r).unwrap()),
+            Query::Update(u) => drop(engine.update(u).unwrap()),
+        }
+    }
+    let retrieve = measured.iter().find_map(|q| match q {
+        Query::Retrieve(r) => Some(r),
+        Query::Update(_) => None,
+    });
+    let update = measured.iter().find_map(|q| match q {
+        Query::Update(u) => Some(u),
+        Query::Retrieve(_) => None,
+    });
+    let wal = engine.wal().unwrap();
+    let appends = wal.stats().appends;
+    let (retrieve, _) = counted(|| {
+        engine
+            .retrieve(Strategy::DfsCache, retrieve.unwrap())
+            .unwrap()
+    });
+    let retrieve_records = wal.stats().appends - appends;
+    let (update, _) = counted(|| engine.update(update.unwrap()).unwrap());
+    let update_records = wal.stats().appends - appends - retrieve_records;
+    assert_eq!(
+        (retrieve_records, update_records),
+        (2, 15),
+        "records the counted retrieve and update log"
+    );
+    assert_eq!(
+        (retrieve, update),
+        ((60, 8396), (15, 1160)),
+        "(allocations, bytes) of a warm retrieve and a warm update"
     );
 }
