@@ -310,9 +310,9 @@ impl UnitCache {
         Ok(holders.len())
     }
 
-    /// Is the unit currently cached? In-memory check only (no I/O): used by
-    /// assertions and tests, never by the strategies themselves.
-    pub fn contains_meta(&self, hashkey: HashKey) -> bool {
+    /// Is the unit currently cached? In-memory check only (no I/O).
+    #[cfg(test)]
+    fn contains_meta(&self, hashkey: HashKey) -> bool {
         self.entries.contains_key(&hashkey)
     }
 

@@ -549,7 +549,8 @@ impl CorDatabase {
     }
 
     /// Cardinality of ChildRel `i`.
-    pub fn child_count(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn child_count(&self, i: usize) -> u64 {
         self.child_counts[i]
     }
 

@@ -57,7 +57,8 @@ impl ILockTable {
     }
 
     /// Number of subobjects currently holding at least one I-lock.
-    pub fn locked_subobjects(&self) -> usize {
+    #[cfg(test)]
+    fn locked_subobjects(&self) -> usize {
         self.locks.len()
     }
 

@@ -158,7 +158,8 @@ impl StoredQuery {
     /// Can this query be answered with an index range scan (true) or does
     /// it need a full relation scan (false)? ChildRels are B-trees on OID
     /// and carry no secondary indexes on `ret` attributes.
-    pub fn is_indexable(&self) -> bool {
+    #[cfg(test)]
+    fn is_indexable(&self) -> bool {
         matches!(self, StoredQuery::KeyRange { .. })
     }
 }

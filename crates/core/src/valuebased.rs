@@ -92,9 +92,10 @@ impl ValueDatabase {
         self.parent_count
     }
 
-    /// Number of replicas of `oid` (diagnostic; equals the number of
-    /// objects sharing the subobject).
-    pub fn replica_count(&self, oid: Oid) -> usize {
+    /// Number of replicas of `oid` (equals the number of objects sharing
+    /// the subobject).
+    #[cfg(test)]
+    fn replica_count(&self, oid: Oid) -> usize {
         self.replicas.get(&oid).map_or(0, |v| v.len())
     }
 

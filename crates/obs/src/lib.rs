@@ -3,12 +3,10 @@
 //! Zero-external-dependency observability substrate for the complex-object
 //! reproduction. The paper's only observable is average I/O per query;
 //! every performance PR in this repo is expected to ship with *evidence* —
-//! hit ratios, per-component cost splits, latency distributions — and this
-//! crate provides the pieces every layer shares:
+//! hit ratios, per-component cost splits — and this crate provides the
+//! pieces every layer shares:
 //!
 //! * [`Counter`] — a relaxed-atomic event counter ([`metric`]);
-//! * [`Histogram`] — log-bucketed streaming histograms whose
-//!   [`HistSnapshot`]s answer quantiles ([`hist`]);
 //! * [`Flight`] / [`FlightKind`] — a bounded black-box event journal in
 //!   a lock-free seqlock ring, dumped on panic or fault ([`flight`]);
 //! * [`Phase`] / [`PhaseGuard`] — thread-scoped phase brackets, so a
@@ -30,13 +28,11 @@
 #![forbid(unsafe_code)]
 
 pub mod flight;
-pub mod hist;
 pub mod metric;
 pub mod phase;
 pub mod tracetree;
 
 pub use flight::{Flight, FlightEvent, FlightKind};
-pub use hist::{HistSnapshot, Histogram};
 pub use metric::{hit_ratio, Counter};
 pub use phase::{current_phase, Phase, PhaseGuard, PHASE_COUNT};
 pub use tracetree::{PhaseLedger, TraceGuard};

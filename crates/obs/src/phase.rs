@@ -93,7 +93,8 @@ impl Phase {
     }
 
     /// Invert [`Phase::name`].
-    pub fn from_name(name: &str) -> Option<Phase> {
+    #[cfg(test)]
+    fn from_name(name: &str) -> Option<Phase> {
         Phase::ALL.into_iter().find(|p| p.name() == name)
     }
 

@@ -38,7 +38,7 @@ pub struct GeneratedDb {
 /// Derived RNG streams so database contents, query sequences and
 /// clustering assignments are independently reproducible.
 #[derive(Debug, Clone, Copy)]
-pub enum SeedStream {
+pub(crate) enum SeedStream {
     /// Database contents.
     Spec,
     /// Query sequence.
@@ -48,7 +48,7 @@ pub enum SeedStream {
 }
 
 /// The RNG for one derived stream of a master seed.
-pub fn rng_for(seed: u64, stream: SeedStream) -> StdRng {
+pub(crate) fn rng_for(seed: u64, stream: SeedStream) -> StdRng {
     let offset = match stream {
         SeedStream::Spec => 0,
         SeedStream::Sequence => 1,

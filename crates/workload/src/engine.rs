@@ -5,7 +5,8 @@
 //! `procedural::execute_proc_retrieve`) over a pool + database + cache
 //! someone has to assemble. The engine owns that assembly behind a
 //! builder and exposes uniform `retrieve` / `update` / `run_sequence`
-//! calls, plus the concurrent driver for multi-stream serving.
+//! calls. `&Engine` is `Sync`: callers that want several streams drive
+//! their own threads over one engine.
 //!
 //! Construction is one builder with six terminals over one
 //! [`EngineSpec`]: [`build`](EngineBuilder::build) (in memory) and its
@@ -37,7 +38,6 @@
 //! ```
 
 use crate::catalog::{EngineCatalog, SavedBackend};
-use crate::concurrent::{ConcurrentRunResult, LatencySummary};
 use crate::dbgen::{cluster_assignment, strategy_cache, GeneratedDb};
 use crate::driver::{QueryTrace, RunResult};
 use crate::metrics::MetricsReport;
@@ -52,7 +52,7 @@ use complexobj::{
     DatabaseSpec, ExecOptions, Query, RetrieveQuery, Strategy, StrategyOutput, UpdateQuery,
 };
 use cor_access::{Catalog, CatalogError};
-use cor_obs::{flight, Histogram};
+use cor_obs::flight;
 use cor_pagestore::{
     sync_dir, BufferPool, DiskManager, Durability, FileDisk, IoDelta, ReplacementPolicy, WalHook,
     DEFAULT_POOL_PAGES,
@@ -60,7 +60,6 @@ use cor_pagestore::{
 use cor_wal::{CheckpointInfo, FileLogStore, LogStore, Wal, WalConfig};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Pages in the throwaway pool used to read the engine catalog before the
 /// real pool's geometry is known. Reads only; dropped after decoding.
@@ -90,9 +89,8 @@ pub enum EngineSpec {
 
 impl EngineSpec {
     /// The representation a workload point needs under `strategy`:
-    /// clustered for DFSCLUST — a random assignment drawn from the
-    /// params' own [`SeedStream::Cluster`](crate::SeedStream) stream —
-    /// and standard otherwise.
+    /// clustered for DFSCLUST — a random assignment drawn from its own
+    /// derived stream of `params.seed` — and standard otherwise.
     pub fn for_strategy(params: &Params, generated: &GeneratedDb, strategy: Strategy) -> Self {
         let spec = generated.spec.clone();
         if strategy.needs_cluster() {
@@ -843,85 +841,6 @@ impl Engine {
         Ok((result, trace))
     }
 
-    /// Run each of `sequences` as its own stream on a scoped thread over
-    /// this engine, starting from a cold buffer, and report throughput and
-    /// latency along with the aggregate average I/O. With one stream the
-    /// queries run in [`run_sequence`](Self::run_sequence)'s order and the
-    /// I/O count equals its count; with several the total is still exact
-    /// (the pool's counters are atomic) but depends on the interleaving.
-    ///
-    /// Retrieves are read-only and freely concurrent. Updates mutate
-    /// subobjects in place; with updates in several streams the
-    /// *interleaving* of updates and retrieves is nondeterministic, so
-    /// returned values (and I/O) can differ run to run — exactly the
-    /// behaviour a multi-client server exhibits.
-    pub fn run_concurrent(
-        &self,
-        strategy: Strategy,
-        sequences: &[Vec<Query>],
-    ) -> Result<ConcurrentRunResult, CorError> {
-        assert!(!sequences.is_empty(), "at least one stream");
-        self.pool().flush_and_clear()?;
-        let stats = self.pool().stats();
-        let start_snap = stats.snapshot();
-        let started = Instant::now();
-
-        let latency_hist = Histogram::new();
-
-        // Per stream: (retrieves, values returned).
-        let tallies: Vec<Result<(usize, u64), CorError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sequences
-                .iter()
-                .map(|sequence| {
-                    let latency_hist = &latency_hist;
-                    scope.spawn(move || {
-                        let (mut retrieves, mut values_returned) = (0usize, 0u64);
-                        for q in sequence {
-                            let t0 = Instant::now();
-                            match q {
-                                Query::Retrieve(r) => {
-                                    let out = self.retrieve(strategy, r)?;
-                                    retrieves += 1;
-                                    values_returned += out.values.len() as u64;
-                                }
-                                Query::Update(u) => {
-                                    self.update(u)?;
-                                }
-                            }
-                            let ns = t0.elapsed().as_nanos();
-                            latency_hist.record(u64::try_from(ns).unwrap_or(u64::MAX));
-                        }
-                        Ok((retrieves, values_returned))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stream thread panicked"))
-                .collect()
-        });
-
-        let elapsed = started.elapsed();
-        let mut result = ConcurrentRunResult {
-            strategy,
-            streams: sequences.len(),
-            queries: sequences.iter().map(Vec::len).sum(),
-            retrieves: 0,
-            updates: 0,
-            total_io: stats.snapshot().since(&start_snap).total(),
-            values_returned: 0,
-            elapsed,
-            latency: LatencySummary::from_histogram(&latency_hist.snapshot()),
-        };
-        for tally in tallies {
-            let (retrieves, values_returned) = tally?;
-            result.retrieves += retrieves;
-            result.values_returned += values_returned;
-        }
-        result.updates = result.queries - result.retrieves;
-        Ok(result)
-    }
-
     /// The pool's per-shard telemetry and the cache counters (when a
     /// cache is attached). `None` unless the engine was built with
     /// [`metrics`](EngineBuilder::metrics) on.
@@ -1061,28 +980,21 @@ mod tests {
         }
     }
 
-    /// Trace and concurrent runs are the same loop, so they serve a
-    /// procedural engine too (both were OID-only while they went through
-    /// the free functions) and agree with `run_sequence`.
+    /// A trace run is the same loop as `run_sequence`, so it serves a
+    /// procedural engine too (it was OID-only while it went through the
+    /// free functions) and agrees with `run_sequence`.
     #[test]
-    fn trace_and_one_stream_concurrent_match_run_sequence_on_a_procedural_engine() {
+    fn trace_matches_run_sequence_on_a_procedural_engine() {
         let p = loop_params();
         let sequence = generate_sequence(&p);
         let (_, strategy, spec, parent) = loop_cases(&p).pop().unwrap();
-        let build = || loop_builder(&p, strategy).build(&spec).unwrap();
+        let engine = loop_builder(&p, strategy).build(&spec).unwrap();
 
-        let (run, trace) = build().run_sequence_trace(strategy, &sequence).unwrap();
+        let (run, trace) = engine.run_sequence_trace(strategy, &sequence).unwrap();
         assert_eq!(run.total_io, parent[0]);
         assert_eq!(trace.len(), sequence.len());
         assert_eq!(trace.iter().map(|t| t.io).sum::<u64>(), run.total_io);
         assert_eq!(trace.iter().filter(|t| t.is_update).count(), run.updates);
-
-        let conc = build()
-            .run_concurrent(strategy, std::slice::from_ref(&sequence))
-            .unwrap();
-        assert_eq!(conc.total_io, run.total_io);
-        assert_eq!(conc.values_returned, run.values_returned);
-        assert_eq!((conc.retrieves, conc.updates), (run.retrieves, run.updates));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The experiment harness of the reproduction: paper-parameterized database
 //! generation ([`dbgen`]), query-sequence generation ([`seqgen`]), the
 //! [`Engine`] that owns execution — the measured loop included — and
-//! persistence ([`engine`]; its result types are in [`driver`] and
-//! [`concurrent`]), the experiment-point runner and parallel sweeps
+//! persistence ([`engine`]; its result types are in [`driver`]), the
+//! experiment-point runner and parallel sweeps
 //! ([`experiment`]), plain-text reporting ([`report`]), and the pool and
 //! cache counters an engine reports ([`metrics`]).
 //!
@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
-pub mod concurrent;
 pub mod dbgen;
 pub mod driver;
 pub mod engine;
@@ -46,8 +45,7 @@ pub mod report;
 pub mod seqgen;
 
 pub use catalog::{EngineCatalog, SavedBackend, ENGINE_CATALOG_VERSION};
-pub use concurrent::{generate_stream_sequences, ConcurrentRunResult, LatencySummary};
-pub use dbgen::{build_for_strategy, generate, make_pool, rng_for, GeneratedDb, SeedStream};
+pub use dbgen::{build_for_strategy, generate, make_pool, GeneratedDb};
 pub use driver::{QueryTrace, RunResult};
 pub use engine::{Engine, EngineBuilder, EngineSpec};
 pub use experiment::{default_threads, parallel_map, run_point};
@@ -59,7 +57,4 @@ pub use matrix::{generate_matrix, run_matrix_point, MatrixRunResult, MatrixSpec,
 pub use metrics::MetricsReport;
 pub use params::Params;
 pub use report::{fnum, format_ascii_plot, format_region_map, format_table, write_csv};
-pub use seqgen::{
-    generate_mixed_sequence, generate_sequence, generate_sequence_with, random_retrieve,
-    random_update,
-};
+pub use seqgen::{generate_mixed_sequence, generate_sequence};

@@ -17,17 +17,12 @@ use rand::Rng;
 /// `params.seed`).
 pub fn generate_sequence(params: &Params) -> Vec<Query> {
     let mut rng = rng_for(params.seed, SeedStream::Sequence);
-    generate_sequence_with(params, &mut rng)
-}
-
-/// Generate with an explicit RNG (drivers that vary sequences per run).
-pub fn generate_sequence_with(params: &Params, rng: &mut StdRng) -> Vec<Query> {
     (0..params.sequence_len)
         .map(|_| {
             if rng.random::<f64>() < params.pr_update {
-                Query::Update(random_update(params, rng))
+                Query::Update(random_update(params, &mut rng))
             } else {
-                Query::Retrieve(random_retrieve(params, rng))
+                Query::Retrieve(random_retrieve(params, &mut rng))
             }
         })
         .collect()
@@ -57,7 +52,7 @@ pub fn generate_mixed_sequence(params: &Params, num_tops: &[u64]) -> Vec<Query> 
 }
 
 /// One random retrieve query.
-pub fn random_retrieve(params: &Params, rng: &mut StdRng) -> RetrieveQuery {
+fn random_retrieve(params: &Params, rng: &mut StdRng) -> RetrieveQuery {
     let lo = rng.random_range(0..=params.max_lo());
     RetrieveQuery {
         lo,
@@ -70,7 +65,7 @@ pub fn random_retrieve(params: &Params, rng: &mut StdRng) -> RetrieveQuery {
 
 /// One random update query ("each update modifies a fixed number of tuples
 /// of ChildRel in place").
-pub fn random_update(params: &Params, rng: &mut StdRng) -> UpdateQuery {
+fn random_update(params: &Params, rng: &mut StdRng) -> UpdateQuery {
     let targets = (0..params.update_batch)
         .map(|_| random_child_oid(params, rng))
         .collect();

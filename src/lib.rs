@@ -24,7 +24,7 @@
 //!    experiment sweeps behind the figure reproductions in `cor-bench`.
 //!
 //! Orthogonal to the stack, [`obs`] is the zero-dependency observability
-//! layer (counters, streaming histograms, flight recorder, phase ledger)
+//! layer (counters, flight recorder, phase ledger)
 //! that the pool's telemetry, `Engine::explain` and `crashtest` read —
 //! see `docs/observability.md`.
 
