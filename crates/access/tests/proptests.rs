@@ -112,9 +112,9 @@ impl Logged {
             BufferPool::builder()
                 .capacity(frames)
                 .disk(Box::new(Arc::clone(&disk)))
-                .wal(wal.clone())
                 .build(),
         );
+        pool.attach_wal(wal.clone()).unwrap();
         let (tree, model) = churned_tree(&pool, present, churn, bulk);
         (
             Logged {
@@ -322,17 +322,18 @@ impl HashSide {
         let disk = Arc::new(RewriteCounter::default());
         let wal =
             logged.then(|| Arc::new(Wal::new(Arc::new(MemLogStore::new()), WalConfig::default())));
-        let mut b = BufferPool::builder()
+        let pool = BufferPool::builder()
             .capacity(frames)
             .telemetry(true)
-            .disk(Box::new(Arc::clone(&disk)));
+            .disk(Box::new(Arc::clone(&disk)))
+            .build();
         if let Some(wal) = &wal {
-            b = b.wal(wal.clone());
+            pool.attach_wal(wal.clone()).unwrap();
         }
         HashSide {
             disk,
             wal,
-            pool: Arc::new(b.build()),
+            pool: Arc::new(pool),
         }
     }
 

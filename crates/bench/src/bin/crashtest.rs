@@ -1,13 +1,14 @@
 //! `crashtest` — the durability fault-injection harness.
 //!
-//! Runs a deterministic mixed retrieve/update/checkpoint workload on a
-//! WAL-attached engine over a [`FaultyDisk`], kills the data disk at a
-//! randomized injected write (clean drop or torn page), recovers the
-//! surviving store from the log, and verifies every live page
-//! byte-identically against an *oracle*: the identical run allowed to
-//! finish the failing write, then flushed — the exact state the crashed
-//! run would have reached. Recovery is then run a second time to prove
-//! redo idempotence.
+//! Runs a deterministic mixed retrieve/update/checkpoint workload on an
+//! engine made by `EngineBuilder::create_on` over a [`FaultyDisk`] (the
+//! raw leg's is the standard backend with a unit cache, driven by
+//! DFSCACHE), kills the data disk at a randomized injected write (clean
+//! drop or torn page), recovers the surviving store from the log, and
+//! verifies every live page byte-identically against an *oracle*: the
+//! identical run allowed to finish the failing write, then flushed — the
+//! exact state the crashed run would have reached. Recovery is then run
+//! a second time to prove redo idempotence.
 //!
 //! ```text
 //! cargo run -p cor-bench --release --bin crashtest [--points N]
@@ -39,7 +40,7 @@ use cor_pagestore::{
     AioConfig, AioEngine, DiskError, DiskManager, FaultMode, FaultyDisk, IoStats, MemDisk, PageId,
     TicketStatus, PAGE_SIZE,
 };
-use cor_wal::{recover, FsyncPolicy, MemLogStore, RecoveryStats, Wal, WalConfig};
+use cor_wal::{recover, FsyncPolicy, MemLogStore, RecoveryStats, WalConfig};
 use cor_workload::{
     generate, generate_matrix, generate_sequence, Engine, EngineSpec, GeneratedDb, Params,
     ENGINE_CATALOG_VERSION,
@@ -72,34 +73,6 @@ struct Rig {
     faulty: Arc<FaultyDisk<Arc<MemDisk>>>,
     store: Arc<MemLogStore>,
     engine: Engine,
-}
-
-fn build_rig(generated: &GeneratedDb, p: &Params) -> Rig {
-    let disk = Arc::new(MemDisk::new());
-    let faulty = Arc::new(FaultyDisk::new(disk));
-    let store = Arc::new(MemLogStore::new());
-    let wal = Arc::new(Wal::new(
-        store.clone(),
-        WalConfig {
-            fsync: FsyncPolicy::Always,
-            segment_bytes: 64 * 1024,
-        },
-    ));
-    let engine = Engine::builder()
-        .pool_pages(p.buffer_pages)
-        .cache(CacheConfig {
-            capacity: p.size_cache,
-            ..CacheConfig::default()
-        })
-        .disk(faulty.clone())
-        .wal(wal)
-        .build(&EngineSpec::Standard(generated.spec.clone()))
-        .expect("durable engine builds on a fresh store");
-    Rig {
-        faulty,
-        store,
-        engine,
-    }
 }
 
 thread_local! {
@@ -285,7 +258,7 @@ fn run_point(
     // Oracle: the identical run, but the injected write *lands* before
     // the op fails (FailStop), so flushing afterwards materializes the
     // exact state the log describes at the crash instant.
-    let oracle = build_rig(generated, p);
+    let oracle = build_rig(&logical_spec(BackendKind::Standard, p, generated), p);
     oracle.faulty.arm(nth, FaultMode::FailStop);
     let oracle_done = run_workload(&oracle.engine, sequence, Strategy::DfsCache);
     let freed = oracle.engine.pool().free_page_ids();
@@ -297,7 +270,7 @@ fn run_point(
     let oracle_disk: Arc<MemDisk> = oracle.faulty.inner().clone();
 
     // Faulty run: same ops, same nth write, but the disk dies there.
-    let rig = build_rig(generated, p);
+    let rig = build_rig(&logical_spec(BackendKind::Standard, p, generated), p);
     rig.faulty.arm(nth, mode);
     flight::record(FlightKind::FaultInjected, nth, mode_tag(mode_name), 0);
     let queries_done = run_workload(&rig.engine, sequence, Strategy::DfsCache);
@@ -401,9 +374,10 @@ fn logical_spec(kind: BackendKind, p: &Params, generated: &GeneratedDb) -> Engin
 }
 
 /// Build a lifecycle engine (`EngineBuilder::create_on`) over a faulty
-/// mem-disk — unlike [`build_rig`], the store gets a persistent catalog
-/// and is reopenable by `open_on` with no spec.
-fn build_logical_rig(spec: &EngineSpec, p: &Params) -> Rig {
+/// mem-disk, logged under fsync `Always` — both legs' one rig (the raw
+/// leg's is the standard backend). The store
+/// gets a persistent catalog and is reopenable by `open_on` with no spec.
+fn build_rig(spec: &EngineSpec, p: &Params) -> Rig {
     let disk = Arc::new(MemDisk::new());
     let faulty = Arc::new(FaultyDisk::new(disk));
     let store = Arc::new(MemLogStore::new());
@@ -489,7 +463,7 @@ fn run_logical_point(
     // everything is flushed — the state the log describes at the crash.
     // It is reopened through the very same lifecycle door as the crashed
     // run, so both sides perform identical open-time reconciliation.
-    let oracle = build_logical_rig(&spec, p);
+    let oracle = build_rig(&spec, p);
     oracle.faulty.arm(nth, FaultMode::FailStop);
     let oracle_done = run_workload(&oracle.engine, sequence, strategy);
     let freed = oracle.engine.pool().free_page_ids();
@@ -503,7 +477,7 @@ fn run_logical_point(
     drop(oracle.engine);
 
     // Crashed run: same ops, same nth write, disk dies there.
-    let rig = build_logical_rig(&spec, p);
+    let rig = build_rig(&spec, p);
     rig.faulty.arm(nth, mode);
     flight::record(FlightKind::FaultInjected, nth, mode_tag(mode_name), 0);
     let queries_done = run_workload(&rig.engine, sequence, strategy);
@@ -665,7 +639,7 @@ fn run_logical(seed: u64, points: usize, smoke: bool) -> bool {
         .iter()
         .map(|(kind, name, strategy)| {
             let spec = logical_spec(*kind, &p, &generated);
-            let dry = build_logical_rig(&spec, &p);
+            let dry = build_rig(&spec, &p);
             let base = dry.faulty.writes_observed();
             let writes: Vec<u64> = if *strategy == Strategy::Bfs {
                 writes_inside_retrieves(&dry, &sequence)
@@ -933,7 +907,7 @@ fn main() {
 
     // Dry run: how many data-page writes does the full workload issue?
     // Crash points are sampled from that budget (1-based, post-build).
-    let dry = build_rig(&generated, &p);
+    let dry = build_rig(&logical_spec(BackendKind::Standard, &p, &generated), &p);
     let base = dry.faulty.writes_observed();
     let done = run_workload(&dry.engine, &sequence, Strategy::DfsCache);
     assert_eq!(done, sequence.len(), "dry run must complete");

@@ -86,29 +86,6 @@ pub fn execute_retrieve(
     }
 }
 
-/// Convenience used by tests and benches: run a query under every strategy
-/// the database's representation supports, returning `(strategy, output)`.
-pub fn run_all_supported(
-    db: &CorDatabase,
-    query: &RetrieveQuery,
-    opts: &ExecOptions,
-) -> Vec<(Strategy, Result<StrategyOutput, CorError>)> {
-    Strategy::ALL
-        .iter()
-        .filter(|s| {
-            let clustered = matches!(db.storage(), crate::database::Storage::Clustered { .. });
-            if s.needs_cluster() != clustered {
-                return false;
-            }
-            if s.needs_cache() && !db.has_cache() {
-                return false;
-            }
-            true
-        })
-        .map(|s| (*s, execute_retrieve(db, *s, query, opts)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,28 +408,5 @@ mod tests {
             smart(&db, &q, &opts),
             Err(crate::CorError::NoCache)
         ));
-    }
-
-    #[test]
-    fn run_all_supported_filters_by_representation() {
-        let std_db = CorDatabase::build_standard(pool(), &spec(), None).unwrap();
-        let q = RetrieveQuery {
-            lo: 0,
-            hi: 3,
-            attr: RetAttr::Ret1,
-        };
-        let ran: Vec<Strategy> = run_all_supported(&std_db, &q, &ExecOptions::default())
-            .into_iter()
-            .map(|(s, r)| {
-                r.expect("runs");
-                s
-            })
-            .collect();
-        assert!(ran.contains(&Strategy::Dfs) && ran.contains(&Strategy::Bfs));
-        assert!(
-            !ran.contains(&Strategy::DfsClust),
-            "no cluster representation"
-        );
-        assert!(!ran.contains(&Strategy::DfsCache), "no cache attached");
     }
 }

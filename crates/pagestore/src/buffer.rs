@@ -180,9 +180,9 @@ impl BufferPoolBuilder {
     /// page LSNs, and enforces WAL-before-data on every write-back (see
     /// [`crate::wal`]). Without one, every hot path is byte-for-byte the
     /// historical code: no pre-image copies, no stamping, identical
-    /// [`IoStats`]. A pool that bulk-loads a store first and logs only
-    /// what follows is built without one and given it later by
-    /// [`BufferPool::attach_wal`].
+    /// [`IoStats`]. Every pool in this workspace is built without one
+    /// and given it by [`BufferPool::attach_wal`]; the frozen
+    /// `benchmark/` harness's pool probe is this setter's last reader.
     pub fn wal(mut self, wal: Arc<dyn WalHook>) -> Self {
         self.wal = Some(wal);
         self
@@ -281,7 +281,10 @@ impl BufferPool {
     /// of the build: its pages are on the store, synced, before the
     /// first record, and each still carries [`NO_LSN`], so its first
     /// logged write in any full-page-write epoch is a full image. A
-    /// crash before this returns leaves a store no log describes.
+    /// crash before this returns leaves a store no log describes. It is
+    /// also how a reopened store's pool gets its log: the sync puts
+    /// recovery's redo writes on the medium before the log takes a
+    /// record.
     ///
     /// # Panics
     ///
@@ -1155,7 +1158,8 @@ mod tests {
     #[test]
     fn failed_log_append_rolls_the_frame_back() {
         let hook = Arc::new(FlakyHook::new());
-        let p = BufferPool::builder().capacity(4).wal(hook.clone()).build();
+        let p = BufferPool::builder().capacity(4).build();
+        p.attach_wal(hook.clone()).unwrap();
         let pid = p.allocate_page().unwrap();
         p.write(pid, |mut pg| {
             pg.init();
@@ -1202,7 +1206,8 @@ mod tests {
     #[test]
     fn a_logged_write_pin_that_changes_nothing_leaves_the_frame_as_it_was() {
         let hook = Arc::new(FlakyHook::new());
-        let p = BufferPool::builder().capacity(4).wal(hook.clone()).build();
+        let p = BufferPool::builder().capacity(4).build();
+        p.attach_wal(hook.clone()).unwrap();
         let pid = p.allocate_page().unwrap();
         p.write(pid, |mut pg| {
             pg.init();

@@ -621,7 +621,8 @@ mod tests {
     #[test]
     fn write_back_keeps_the_epoch_image_and_a_checkpoint_ends_it() {
         let wal = Arc::new(Wal::new(Arc::new(MemLogStore::new()), WalConfig::default()));
-        let pool = BufferPool::builder().capacity(4).wal(wal.clone()).build();
+        let pool = BufferPool::builder().capacity(4).build();
+        pool.attach_wal(wal.clone()).unwrap();
         let touch = |pid, at: usize| pool.write(pid, |mut p| p.bytes_mut()[at] = 1).unwrap();
         let pid = pool.allocate_page().unwrap(); // image, LSN 1
         touch(pid, 100); // delta, LSN 2

@@ -64,8 +64,8 @@ fn rig() -> Rig {
         .capacity(4)
         .shards(1)
         .disk(Box::new(disk.clone()))
-        .wal(wal.clone())
         .build();
+    pool.attach_wal(wal.clone()).unwrap();
     Rig {
         disk,
         store,

@@ -36,8 +36,8 @@ fn rig() -> Rig {
     let pool = BufferPool::builder()
         .capacity(8)
         .disk(Box::new(faulty.clone()))
-        .wal(wal.clone())
         .build();
+    pool.attach_wal(wal.clone()).unwrap();
     Rig {
         faulty,
         store,

@@ -34,8 +34,8 @@ fn run(mode: FaultMode) -> (Arc<MemDisk>, PageId) {
     let pool = BufferPool::builder()
         .capacity(4)
         .disk(Box::new(faulty.clone()))
-        .wal(wal.clone())
         .build();
+    pool.attach_wal(wal.clone()).unwrap();
     let fill = |pid, at: usize, val: u8| {
         pool.write(pid, |mut p| p.bytes_mut()[at..at + 32].fill(val))
             .unwrap()

@@ -14,8 +14,7 @@
 use crate::params::Params;
 use complexobj::database::CHILD_REL_BASE;
 use complexobj::{
-    CacheConfig, ClusterAssignment, CorDatabase, CorError, DatabaseSpec, ObjectSpec, Strategy,
-    SubobjectSpec, Unit,
+    CacheConfig, ClusterAssignment, DatabaseSpec, ObjectSpec, Strategy, SubobjectSpec, Unit,
 };
 use cor_pagestore::BufferPool;
 use cor_relational::Oid;
@@ -240,7 +239,7 @@ pub fn generate(params: &Params) -> GeneratedDb {
 
 /// A buffer pool with the params' geometry (capacity and shards) over a
 /// fresh in-memory disk.
-pub fn make_pool(params: &Params) -> Arc<BufferPool> {
+pub(crate) fn make_pool(params: &Params) -> Arc<BufferPool> {
     Arc::new(
         BufferPool::builder()
             .capacity(params.buffer_pages)
@@ -253,7 +252,7 @@ pub fn make_pool(params: &Params) -> Arc<BufferPool> {
 /// params' own [`SeedStream::Cluster`] stream, so it follows neither the
 /// database contents nor the query sequence. The only derivation — the
 /// engine's [`EngineSpec::for_strategy`](crate::EngineSpec::for_strategy)
-/// and [`build_for_strategy`] both call it.
+/// calls it.
 pub(crate) fn cluster_assignment(params: &Params, generated: &GeneratedDb) -> ClusterAssignment {
     let parents: Vec<(u64, &[Oid])> = generated
         .spec
@@ -274,25 +273,8 @@ pub(crate) fn strategy_cache(params: &Params, strategy: Strategy) -> Option<Cach
     })
 }
 
-/// Build the physical database a strategy needs: clustered for DFSCLUST,
-/// cache-attached for DFSCACHE/SMART, plain standard otherwise. Each build
-/// gets its own pool (its own "INGRES instance").
-pub fn build_for_strategy(
-    params: &Params,
-    generated: &GeneratedDb,
-    strategy: Strategy,
-) -> Result<CorDatabase, CorError> {
-    let pool = make_pool(params);
-    if strategy.needs_cluster() {
-        let assignment = cluster_assignment(params, generated);
-        return CorDatabase::build_clustered(pool, &generated.spec, &assignment);
-    }
-    let cache = strategy_cache(params, strategy);
-    CorDatabase::build_standard(pool, &generated.spec, cache)
-}
-
 /// Expected OID of a uniformly random subobject, for update generation.
-pub fn random_child_oid(params: &Params, rng: &mut StdRng) -> Oid {
+pub(crate) fn random_child_oid(params: &Params, rng: &mut StdRng) -> Oid {
     let total = params.child_card();
     let n_rels = params.num_child_rels as u64;
     let base = total / n_rels;
@@ -426,21 +408,6 @@ mod tests {
             seen.sort_unstable();
             seen.dedup();
             assert_eq!(seen.len(), u.len(), "unit members must be distinct");
-        }
-    }
-
-    #[test]
-    fn builds_for_every_strategy() {
-        let p = tiny();
-        let g = generate(&p);
-        for s in Strategy::ALL {
-            let db = build_for_strategy(&p, &g, s).unwrap();
-            assert_eq!(db.parent_count(), p.parent_card);
-            assert_eq!(db.has_cache(), s.needs_cache());
-            assert_eq!(
-                matches!(db.storage(), complexobj::Storage::Clustered { .. }),
-                s.needs_cluster()
-            );
         }
     }
 

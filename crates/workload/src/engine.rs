@@ -101,14 +101,48 @@ impl EngineSpec {
     }
 }
 
-/// The persistent-catalog half of a lifecycle-built engine: the page-0
-/// catalog handle plus the pool's construction settings, recorded
+/// The durable half of a lifecycle-built engine: its log, the page-0
+/// catalog handle, and the pool's construction settings, recorded
 /// unchanged in every snapshot.
-struct CatalogState {
+struct Durable {
+    wal: Arc<Wal>,
     catalog: Catalog,
     pool_pages: usize,
     shards: usize,
     policy: ReplacementPolicy,
+}
+
+impl Durable {
+    /// Re-snapshot `backend` into the persistent catalog: backend file
+    /// roots, OID allocators, cache directories, the pool's creation
+    /// settings, `opts`, and the free-page list, with `clean` as the
+    /// shutdown flag.
+    fn save_catalog(
+        &self,
+        backend: &Backend,
+        opts: &ExecOptions,
+        clean: bool,
+    ) -> Result<(), CorError> {
+        let saved = match backend {
+            Backend::Oid(db) => SavedBackend::Oid(db.save_state()),
+            Backend::Levels(levels) => {
+                SavedBackend::Levels(levels.iter().map(CorDatabase::save_state).collect())
+            }
+            Backend::Proc(db) => SavedBackend::Proc(db.save_state()),
+        };
+        let cat = EngineCatalog {
+            clean_shutdown: clean,
+            pool_pages: self.pool_pages,
+            shards: self.shards,
+            policy: self.policy,
+            opts: *opts,
+            free_pages: backend.pool().free_page_ids(),
+            backend: saved,
+        };
+        self.catalog
+            .save(&cat.encode())
+            .map_err(|e| CorError::Durability(format!("saving engine catalog: {e}")))
+    }
 }
 
 /// Map a bootstrap-read catalog error: a store whose page 0 does not
@@ -133,17 +167,13 @@ enum Backend {
 }
 
 impl Backend {
-    /// Every distinct pool the backend's databases live on: one on a
-    /// store (its levels share it), one per level for an in-memory
-    /// hierarchy.
-    fn pools(&self) -> Vec<&Arc<BufferPool>> {
-        let mut pools = match self {
-            Backend::Oid(db) => vec![db.pool()],
-            Backend::Levels(levels) => levels.iter().map(CorDatabase::pool).collect(),
-            Backend::Proc(db) => vec![db.pool()],
-        };
-        pools.dedup_by(|a, b| Arc::ptr_eq(a, b));
-        pools
+    /// The buffer pool (level 0's for hierarchies).
+    fn pool(&self) -> &Arc<BufferPool> {
+        match self {
+            Backend::Oid(db) => db.pool(),
+            Backend::Levels(levels) => levels[0].pool(),
+            Backend::Proc(db) => db.pool(),
+        }
     }
 }
 
@@ -152,8 +182,9 @@ impl Backend {
 pub struct Engine {
     backend: Backend,
     opts: ExecOptions,
-    wal: Option<Arc<Wal>>,
-    catalog: Option<CatalogState>,
+    /// The log and catalog of an engine made by `create`/`open`; `None`
+    /// for one made by `build`.
+    durable: Option<Durable>,
 }
 
 /// Configures and builds an [`Engine`].
@@ -166,7 +197,6 @@ pub struct EngineBuilder {
     opts: ExecOptions,
     metrics: bool,
     disk: Option<Arc<dyn DiskManager>>,
-    wal: Option<Arc<Wal>>,
     wal_config: WalConfig,
 }
 
@@ -180,7 +210,6 @@ impl std::fmt::Debug for EngineBuilder {
             .field("opts", &self.opts)
             .field("metrics", &self.metrics)
             .field("disk", &self.disk.is_some())
-            .field("wal", &self.wal.is_some())
             .field("wal_config", &self.wal_config)
             .finish()
     }
@@ -196,7 +225,6 @@ impl Default for EngineBuilder {
             opts: ExecOptions::default(),
             metrics: false,
             disk: None,
-            wal: None,
             wal_config: WalConfig::default(),
         }
     }
@@ -247,25 +275,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Attach a write-ahead log to an in-memory [`build`](Self::build):
-    /// the build itself is not logged (each pool gets the log by
-    /// [`BufferPool::attach_wal`] once the backend is built, which writes
-    /// the build's pages back first), every page mutation after it is
-    /// logged before the page can reach the disk, and
-    /// [`Engine::checkpoint`] becomes available.
-    /// [`IoStats`](cor_pagestore::IoStats) totals of a measured
-    /// sequence — the paper's cost metric — are identical with or
-    /// without a WAL; log I/O is accounted by the WAL's own counters.
-    /// The lifecycle terminals make their own log and ignore this one.
-    pub fn wal(mut self, wal: Arc<Wal>) -> Self {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// WAL configuration used when the lifecycle API
-    /// ([`create`](Self::create) / [`open`](Self::open)) constructs the
-    /// log itself (default: fsync always, 1 MiB segments). Ignored when
-    /// an explicit [`wal`](Self::wal) handle is attached.
+    /// Configuration of the log the lifecycle terminals
+    /// ([`create`](Self::create) / [`open`](Self::open) and their `_on`
+    /// forms) make (default: fsync always, 1 MiB segments). An in-memory
+    /// [`build`](Self::build) has no log.
     pub fn wal_config(mut self, config: WalConfig) -> Self {
         self.wal_config = config;
         self
@@ -282,11 +295,9 @@ impl EngineBuilder {
     }
 
     /// The one pool assembly: every terminal's pool carries every
-    /// builder setting. `wal` is given only to a pool that logs from its
-    /// first page ([`open_on`](Self::open_on)'s); a pool that builds a
-    /// store is made without it and gets it by
-    /// [`BufferPool::attach_wal`] once the build is on the store.
-    fn make_pool(&self, wal: Option<&Arc<Wal>>) -> Arc<BufferPool> {
+    /// builder setting. A pool is made without a log; the lifecycle
+    /// terminals give it theirs by [`BufferPool::attach_wal`].
+    fn make_pool(&self) -> Arc<BufferPool> {
         let mut b = BufferPool::builder()
             .capacity(self.pool_pages)
             .shards(self.shards)
@@ -295,44 +306,44 @@ impl EngineBuilder {
         if let Some(disk) = &self.disk {
             b = b.disk(Box::new(disk.clone()));
         }
-        if let Some(wal) = wal {
-            b = b.wal(wal.clone());
-        }
         Arc::new(b.build())
     }
 
-    /// The one `Engine` assembly. `catalog` is the page-0 handle of a
-    /// lifecycle-built engine; the pool settings saved beside it are the
-    /// builder's, which `open_on` has by then replaced with the store's.
-    fn into_engine(self, backend: Backend, catalog: Option<Catalog>) -> Engine {
-        Engine {
-            backend,
-            opts: self.opts,
-            wal: self.wal,
-            catalog: catalog.map(|catalog| CatalogState {
-                catalog,
-                pool_pages: self.pool_pages,
-                shards: self.shards,
-                policy: self.policy,
-            }),
+    /// The durable state of a lifecycle-built engine: its log and page-0
+    /// catalog beside the pool settings — the builder's, which `open_on`
+    /// has by then replaced with the store's.
+    fn durable(&self, wal: Arc<Wal>, catalog: Catalog) -> Durable {
+        Durable {
+            wal,
+            catalog,
+            pool_pages: self.pool_pages,
+            shards: self.shards,
+            policy: self.policy,
         }
     }
 
-    /// Build the spec's backend, unlogged, then attach `wal` (when
-    /// given) to every pool it lives on — the one build path, with a log
-    /// or without. A store is one file, so the lifecycle terminals pass
-    /// its one `shared` pool (made without a log, page 0 already holding
-    /// the catalog) and every database — each hierarchy level included —
-    /// lives on it; in memory (`None`) each database gets a pool of its
-    /// own from [`make_pool`](Self::make_pool).
+    /// The one `Engine` assembly.
+    fn into_engine(self, backend: Backend, durable: Option<Durable>) -> Engine {
+        Engine {
+            backend,
+            opts: self.opts,
+            durable,
+        }
+    }
+
+    /// Build the spec's backend, unlogged — the one build path. A store
+    /// is one file, so the lifecycle terminals pass its one `shared`
+    /// pool (page 0 already holding the catalog) and every database —
+    /// each hierarchy level included — lives on it; in memory (`None`)
+    /// each database gets a pool of its own from
+    /// [`make_pool`](Self::make_pool).
     fn build_backend(
         &self,
         shared: Option<&Arc<BufferPool>>,
         spec: &EngineSpec,
-        wal: Option<&Arc<Wal>>,
     ) -> Result<Backend, CorError> {
-        let pool = || shared.map_or_else(|| self.make_pool(None), Arc::clone);
-        let backend = match spec {
+        let pool = || shared.map_or_else(|| self.make_pool(), Arc::clone);
+        Ok(match spec {
             EngineSpec::Standard(s) => {
                 Backend::Oid(CorDatabase::build_standard(pool(), s, self.cache)?)
             }
@@ -351,25 +362,16 @@ impl EngineBuilder {
             EngineSpec::Procedural(s, caching) => {
                 Backend::Proc(ProcDatabase::build(pool(), s, *caching)?)
             }
-        };
-        if let Some(wal) = wal {
-            for pool in backend.pools() {
-                pool.attach_wal(wal.clone())?;
-            }
-        }
-        Ok(backend)
+        })
     }
 
     /// Build an in-memory engine over `spec` — the only in-memory
     /// terminal. The pool sits on the builder's [`disk`](Self::disk)
-    /// (default: a private `MemDisk`). With a [`wal`](Self::wal) the
-    /// backend is built unlogged, its pages are written back and the
-    /// disk synced, and only then does each pool start logging (as
-    /// [`create_on`](Self::create_on) does, up to its catalog save).
-    /// Nothing is written to a persistent catalog, so the engine cannot
-    /// be reopened (use [`create`](Self::create) for that).
+    /// (default: a private `MemDisk`). The engine has no log and writes
+    /// no persistent catalog, so it can neither checkpoint nor be
+    /// reopened (use [`create`](Self::create) for that).
     pub fn build(self, spec: &EngineSpec) -> Result<Engine, CorError> {
-        let backend = self.build_backend(None, spec, self.wal.as_ref())?;
+        let backend = self.build_backend(None, spec)?;
         Ok(self.into_engine(backend, None))
     }
 
@@ -463,27 +465,29 @@ impl EngineBuilder {
         }
         self.disk = Some(disk);
         let wal = Arc::new(Wal::new(store, self.wal_config));
-        let pool = self.make_pool(None);
+        let pool = self.make_pool();
         // Page 0, allocated before any relation, holds the catalog.
         let catalog = Catalog::create(Arc::clone(&pool))
             .map_err(|e| CorError::Durability(format!("creating catalog: {e}")))?;
-        let backend = self.build_backend(Some(&pool), spec, Some(&wal))?;
-        self.wal = Some(Arc::clone(&wal));
-        let pool_pages = self.pool_pages;
-        let engine = self.into_engine(backend, Some(catalog));
-        engine.save_catalog(false)?;
+        let backend = self.build_backend(Some(&pool), spec)?;
+        pool.attach_wal(wal.clone())?;
+        let durable = self.durable(Arc::clone(&wal), catalog);
+        durable.save_catalog(&backend, &self.opts, false)?;
         wal.flush_to(wal.appended_lsn())
             .map_err(|e| CorError::Durability(format!("syncing the catalog save: {e}")))?;
-        flight::record(flight::FlightKind::EngineOpen, pool_pages as u64, 1, 0);
-        Ok(engine)
+        flight::record(flight::FlightKind::EngineOpen, self.pool_pages as u64, 1, 0);
+        Ok(self.into_engine(backend, Some(durable)))
     }
 
     /// [`open`](Self::open) over explicit disk and log stores.
     ///
     /// Runs crash recovery, then reads the engine catalog through a
     /// throwaway bootstrap pool (the real pool's settings are *in* the
-    /// catalog), rebuilds the pool and backend, and marks the store
-    /// in-use. Typed failures: [`CorError::CatalogMissing`] when the
+    /// catalog), rebuilds the pool, gives it the reopened log by
+    /// [`BufferPool::attach_wal`] — which syncs the store once, so
+    /// recovery's redo writes are on the medium before the log takes a
+    /// record — rebuilds the backend, and marks the store in-use. Typed
+    /// failures: [`CorError::CatalogMissing`] when the
     /// store was not created by this API (a page 0 in an earlier layout
     /// included), [`CorError::CatalogVersion`] when its catalog blob
     /// carries another layout version.
@@ -515,15 +519,18 @@ impl EngineBuilder {
             EngineCatalog::decode(&cat.load().map_err(catalog_probe_err)?)?
         };
         let wal = Wal::attach(store, self.wal_config)
+            .map(Arc::new)
             .map_err(|e| CorError::Durability(format!("attaching WAL: {e}")))?;
         self.pool_pages = saved.pool_pages;
         self.shards = saved.shards;
         self.policy = saved.policy;
         self.opts = saved.opts;
         self.disk = Some(disk);
-        let wal = Arc::new(wal);
-        let pool = self.make_pool(Some(&wal));
-        self.wal = Some(wal);
+        let pool = self.make_pool();
+        // Syncs the store before the log takes its first record, so
+        // recovery's redo writes are on the medium before a checkpoint
+        // can drop the log that holds them.
+        pool.attach_wal(wal.clone())?;
         if saved.clean_shutdown {
             // The free list is trustworthy only when nothing ran after it
             // was saved. After a crash it is discarded: a page freed (or
@@ -546,17 +553,17 @@ impl EngineBuilder {
         // precedes the save's and leaves the pool's order as the save does.
         let catalog = Catalog::open(Arc::clone(&pool))
             .map_err(|e| CorError::Durability(format!("reopening catalog: {e}")))?;
-        let engine = self.into_engine(backend, Some(catalog));
+        let durable = self.durable(wal, catalog);
         // Mark in-use (clears clean_shutdown) and persist the reconciled
         // cache directories in one stroke.
-        engine.save_catalog(false)?;
+        durable.save_catalog(&backend, &self.opts, false)?;
         flight::record(
             flight::FlightKind::EngineOpen,
             saved.pool_pages as u64,
             0,
             0,
         );
-        Ok(engine)
+        Ok(self.into_engine(backend, Some(durable)))
     }
 }
 
@@ -602,43 +609,14 @@ impl Engine {
 
     /// The buffer pool (level 0's for hierarchies).
     pub fn pool(&self) -> &Arc<BufferPool> {
-        match &self.backend {
-            Backend::Oid(db) => db.pool(),
-            Backend::Levels(levels) => levels[0].pool(),
-            Backend::Proc(db) => db.pool(),
-        }
+        self.backend.pool()
     }
 
-    /// Re-snapshot the engine into its persistent catalog: backend file
-    /// roots, OID allocators, cache directories, the pool's creation
-    /// settings, the current options, and the free-page list, with
-    /// `clean` as the shutdown flag.
-    /// Errors on engines not built by the lifecycle API.
-    fn save_catalog(&self, clean: bool) -> Result<(), CorError> {
-        let cs = self.catalog.as_ref().ok_or_else(|| {
-            CorError::Durability(
-                "engine has no persistent catalog (not built by create/open)".into(),
-            )
-        })?;
-        let backend = match &self.backend {
-            Backend::Oid(db) => SavedBackend::Oid(db.save_state()),
-            Backend::Levels(levels) => {
-                SavedBackend::Levels(levels.iter().map(CorDatabase::save_state).collect())
-            }
-            Backend::Proc(db) => SavedBackend::Proc(db.save_state()),
-        };
-        let cat = EngineCatalog {
-            clean_shutdown: clean,
-            pool_pages: cs.pool_pages,
-            shards: cs.shards,
-            policy: cs.policy,
-            opts: self.opts,
-            free_pages: self.pool().free_page_ids(),
-            backend,
-        };
-        cs.catalog
-            .save(&cat.encode())
-            .map_err(|e| CorError::Durability(format!("saving engine catalog: {e}")))
+    /// The log and catalog, or the error an in-memory engine gives `op`.
+    fn durable(&self, op: &str) -> Result<&Durable, CorError> {
+        self.durable.as_ref().ok_or_else(|| {
+            CorError::Durability(format!("{op} needs an engine made by create or open"))
+        })
     }
 
     /// Shut the engine down cleanly: persist the catalog with the
@@ -646,45 +624,38 @@ impl Engine {
     /// so the next [`EngineBuilder::open`] replays (almost) nothing and
     /// may trust the saved free-page list. Consumes the engine.
     pub fn close(self) -> Result<(), CorError> {
-        let wal = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| CorError::Durability("close needs a WAL attached".into()))?
-            .clone();
-        self.save_catalog(true)?;
+        let d = self.durable("close")?;
+        d.save_catalog(&self.backend, &self.opts, true)?;
         self.pool().flush_all()?;
-        wal.checkpoint(|| self.pool().dirty_page_table())
+        d.wal
+            .checkpoint(|| self.pool().dirty_page_table())
             .map_err(|e| CorError::Durability(format!("close checkpoint failed: {e}")))?;
         flight::record(flight::FlightKind::EngineClose, 0, 0, 0);
         Ok(())
     }
 
-    /// The attached write-ahead log, if this engine runs durable.
+    /// The write-ahead log of an engine made by `create`/`open`.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
-        self.wal.as_ref()
+        self.durable.as_ref().map(|d| &d.wal)
     }
 
-    /// Take a checkpoint: log the pool's dirty-page table, fsync, and
-    /// garbage-collect log segments below the new redo horizon. Bounds
-    /// both recovery time and log size. Errors on engines without a WAL.
+    /// Take a checkpoint: re-save the persistent catalog, so a
+    /// post-checkpoint crash recovers allocator counters and cache
+    /// directories no staler than this checkpoint, then log the pool's
+    /// dirty-page table, fsync, and garbage-collect log segments below
+    /// the new redo horizon. Bounds both recovery time and log size.
+    /// Errors on engines made by [`build`](EngineBuilder::build).
     ///
     /// Safe against queries running concurrently on other threads: the
     /// WAL captures its begin LSN before pulling the dirty-page table
     /// (the closure below), so a page write logged while the table is
     /// being assembled stays above the recorded redo horizon even when
     /// the table misses it.
-    /// Lifecycle-built engines re-save their persistent catalog first, so
-    /// a post-checkpoint crash recovers allocator counters and cache
-    /// directories no staler than this checkpoint.
     pub fn checkpoint(&self) -> Result<CheckpointInfo, CorError> {
-        let wal = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| CorError::Durability("checkpoint needs a WAL attached".into()))?;
-        if self.catalog.is_some() {
-            self.save_catalog(false)?;
-        }
-        wal.checkpoint(|| self.pool().dirty_page_table())
+        let d = self.durable("checkpoint")?;
+        d.save_catalog(&self.backend, &self.opts, false)?;
+        d.wal
+            .checkpoint(|| self.pool().dirty_page_table())
             .map_err(|e| CorError::Durability(format!("checkpoint failed: {e}")))
     }
 
@@ -751,10 +722,10 @@ impl Engine {
     /// commit's.
     #[inline]
     fn commit<T>(&self, result: Result<T, CorError>) -> Result<T, CorError> {
-        let Some(wal) = &self.wal else {
+        let Some(d) = &self.durable else {
             return result;
         };
-        match (result, wal.commit()) {
+        match (result, d.wal.commit()) {
             (Ok(_), Err(e)) => Err(CorError::Durability(format!("log commit failed: {e}"))),
             (result, _) => result,
         }
@@ -1154,18 +1125,6 @@ mod tests {
         assert_eq!(r.retrieves, 1);
     }
 
-    fn durable_rig() -> (Arc<Wal>, EngineBuilder) {
-        let disk = Arc::new(cor_pagestore::MemDisk::new());
-        let store = Arc::new(cor_wal::MemLogStore::new());
-        let wal = Arc::new(Wal::new(store, cor_wal::WalConfig::default()));
-        let builder = Engine::builder()
-            .pool_pages(16)
-            .cache(CacheConfig::default())
-            .disk(disk)
-            .wal(wal.clone());
-        (wal, builder)
-    }
-
     /// A mixed workload covering ChildRel updates plus cache unit
     /// insertion (retrieve materializes) and invalidation (update).
     fn durable_workload(engine: &Engine, generated: &crate::dbgen::GeneratedDb) {
@@ -1196,22 +1155,27 @@ mod tests {
         let p = tiny();
         let generated = generate(&p);
         let sequence = generate_sequence(&p);
-        let plain = Engine::builder()
-            .pool_pages(16)
-            .cache(CacheConfig::default())
-            .build(&standard(&generated))
-            .unwrap();
+        let builder = || {
+            Engine::builder()
+                .pool_pages(16)
+                .cache(CacheConfig::default())
+        };
+        let plain = builder().build(&standard(&generated)).unwrap();
         let expected = plain.run_sequence(Strategy::DfsCache, &sequence).unwrap();
 
-        let (wal, builder) = durable_rig();
-        let durable = builder.build(&standard(&generated)).unwrap();
+        let (disk, store) = mem_stores();
+        let durable = builder()
+            .create_on(disk, store, &standard(&generated))
+            .unwrap();
+        let wal = durable.wal().unwrap();
+        let created = wal.stats().appends;
         let got = durable.run_sequence(Strategy::DfsCache, &sequence).unwrap();
         assert_eq!(got.total_io, expected.total_io);
         assert_eq!(got.par_io, expected.par_io);
         assert_eq!(got.child_io, expected.child_io);
         assert_eq!(got.update_io, expected.update_io);
         assert_eq!(got.values_returned, expected.values_returned);
-        assert!(wal.stats().appends > 0, "the run was actually logged");
+        assert!(wal.stats().appends > created, "the run was actually logged");
     }
 
     #[test]
@@ -1542,8 +1506,7 @@ mod tests {
     /// over each of the four specs and `build_workload` all go through
     /// the one pool assembly and the one `Engine` assembly. (When
     /// `build_workload` assembled its own pool, the `.disk()` handle
-    /// stayed at 0 pages and `.wal()` was never attached.) The build
-    /// itself is not logged; every pool logs from then on.
+    /// stayed at 0 pages.)
     #[test]
     fn every_builder_setting_reaches_every_terminal() {
         let p = tiny();
@@ -1574,12 +1537,10 @@ mod tests {
             ("build_workload", None, Some(true)),
         ];
         for (name, spec, has_cache) in terminals {
-            let (disk, store) = mem_stores();
-            let wal = Arc::new(Wal::new(store, WalConfig::default()));
+            let disk = Arc::new(cor_pagestore::MemDisk::new());
             let builder = Engine::builder()
                 .pool_pages(16)
                 .disk(disk.clone())
-                .wal(wal.clone())
                 .policy(ReplacementPolicy::Sieve)
                 .metrics(true)
                 .cache(CacheConfig::default());
@@ -1590,19 +1551,11 @@ mod tests {
             .unwrap();
             use cor_pagestore::DiskManager;
             assert!(disk.num_pages() > 0, "{name}: disk handle unused");
-            assert_eq!(wal.stats().appends, 0, "{name}: the build was logged");
-            assert!(engine.wal().is_some(), "{name}: wal handle dropped");
             assert!(engine.metrics().is_some(), "{name}: metrics off");
-            for pool in engine.backend.pools() {
+            let level_pools = engine.levels().iter().map(CorDatabase::pool);
+            for pool in std::iter::once(engine.pool()).chain(level_pools) {
                 assert_eq!(pool.policy(), ReplacementPolicy::Sieve, "{name}");
                 assert!(pool.telemetry().is_some(), "{name}: telemetry off");
-                let appends = wal.stats().appends;
-                pool.allocate_page().unwrap();
-                assert_eq!(
-                    wal.stats().appends,
-                    appends + 1,
-                    "{name}: a pool logs nothing"
-                );
             }
             if let Some(expected) = has_cache {
                 assert!(
@@ -1645,7 +1598,7 @@ mod tests {
                 &EngineSpec::Standard(generated.spec.clone()),
             )
             .unwrap();
-        let catalog = &engine.catalog.as_ref().unwrap().catalog;
+        let catalog = &engine.durable.as_ref().unwrap().catalog;
         let mut blob = catalog.load().unwrap();
         blob[8] = 9; // version byte
         catalog.save(&blob).unwrap();
@@ -1828,7 +1781,7 @@ mod tests {
                 .pool_pages(16)
                 .create_on(disk.clone(), store.clone(), &standard(&generated))
                 .unwrap();
-            let blob = engine.catalog.as_ref().unwrap().catalog.load().unwrap();
+            let blob = engine.durable.as_ref().unwrap().catalog.load().unwrap();
             let chain_pages = blob.len().div_ceil(cor_pagestore::MAX_RECORD - 4) as u64;
             let catalog_pages = 1 + chain_pages;
             let store_pages = engine.pool().num_pages();

@@ -45,7 +45,7 @@ pub mod report;
 pub mod seqgen;
 
 pub use catalog::{EngineCatalog, SavedBackend, ENGINE_CATALOG_VERSION};
-pub use dbgen::{build_for_strategy, generate, make_pool, GeneratedDb};
+pub use dbgen::{generate, GeneratedDb};
 pub use driver::{QueryTrace, RunResult};
 pub use engine::{Engine, EngineBuilder, EngineSpec};
 pub use experiment::{default_threads, parallel_map, run_point};

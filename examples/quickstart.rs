@@ -5,9 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use complexobj::strategies::run_all_supported;
-use complexobj::{ExecOptions, RetAttr, RetrieveQuery, Strategy};
-use cor_workload::{build_for_strategy, generate, Params};
+use complexobj::{RetAttr, RetrieveQuery, Strategy};
+use cor_workload::{generate, Engine, Params};
 
 fn main() {
     // A 1/10-scale paper database: 1,000 complex objects, each referencing
@@ -50,26 +49,22 @@ fn main() {
         "strategy", "ParCost", "ChildCost", "total"
     );
     for strategy in Strategy::ALL {
-        // Each strategy runs on a fresh physical database in the
-        // representation it needs (clustered for DFSCLUST, cache-attached
-        // for DFSCACHE/SMART), built from the same logical contents.
-        let db = build_for_strategy(&params, &generated, strategy).expect("database builds");
-        db.pool().flush_and_clear().expect("cold start");
-        let results = run_all_supported(&db, &query, &ExecOptions::default());
-        for (s, out) in results {
-            if s != strategy {
-                continue;
-            }
-            let out = out.expect("query runs");
-            println!(
-                "{:<10} {:>8} {:>8} {:>8}  {}",
-                s.name(),
-                out.par_io.total(),
-                out.child_io.total(),
-                out.total_io(),
-                out.values.len()
-            );
-        }
+        // Each strategy runs cold on a fresh engine in the representation
+        // it needs (clustered for DFSCLUST, cache-attached for
+        // DFSCACHE/SMART), built from the same logical contents.
+        let engine = Engine::builder()
+            .build_workload(&params, &generated, strategy)
+            .expect("database builds");
+        engine.pool().flush_and_clear().expect("cold start");
+        let out = engine.retrieve(strategy, &query).expect("query runs");
+        println!(
+            "{:<10} {:>8} {:>8} {:>8}  {}",
+            strategy.name(),
+            out.par_io.total(),
+            out.child_io.total(),
+            out.total_io(),
+            out.values.len()
+        );
     }
 
     println!(

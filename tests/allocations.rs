@@ -126,7 +126,7 @@ fn create_allocations_are_pinned() {
 
     assert_eq!(
         (standard, clustered, assign),
-        ((116, 551_174), (115, 579_117), (11, 84_860)),
+        ((115, 551_166), (114, 579_109), (11, 84_860)),
         "(allocations, bytes) of the standard create, the clustered create \
          and the assignment"
     );

@@ -7,7 +7,7 @@
 
 use complexobj::strategies::execute_retrieve;
 use complexobj::{apply_update, ExecOptions, Query, RetAttr, RetrieveQuery, Strategy};
-use cor_workload::{build_for_strategy, generate, generate_sequence, Params};
+use cor_workload::{generate, generate_sequence, Engine, GeneratedDb, Params};
 
 fn params(pr_update: f64) -> Params {
     Params {
@@ -23,6 +23,13 @@ fn params(pr_update: f64) -> Params {
     }
 }
 
+/// The engine a workload point builds for `strategy`.
+fn build(p: &Params, generated: &GeneratedDb, strategy: Strategy) -> Engine {
+    Engine::builder()
+        .build_workload(p, generated, strategy)
+        .expect("engine builds")
+}
+
 /// Replay one mixed sequence on a cached database and an uncached
 /// baseline, checking every retrieve agrees.
 fn replay_and_compare(strategy: Strategy, pr_update: f64, smart_threshold: u64) {
@@ -34,8 +41,9 @@ fn replay_and_compare(strategy: Strategy, pr_update: f64, smart_threshold: u64) 
         "sequence must contain updates for this test to bite"
     );
 
-    let cached_db = build_for_strategy(&p, &generated, strategy).expect("cached db");
-    let baseline_db = build_for_strategy(&p, &generated, Strategy::Dfs).expect("baseline db");
+    let cached = build(&p, &generated, strategy);
+    let baseline = build(&p, &generated, Strategy::Dfs);
+    let (cached_db, baseline_db) = (cached.database().unwrap(), baseline.database().unwrap());
     let opts = ExecOptions {
         smart_threshold,
         ..ExecOptions::default()
@@ -54,16 +62,16 @@ fn replay_and_compare(strategy: Strategy, pr_update: f64, smart_threshold: u64) 
             hi: p.parent_card - 1,
             attr: RetAttr::Ret1,
         };
-        execute_retrieve(&cached_db, Strategy::Smart, &q, &warm).expect("cache warm-up");
+        execute_retrieve(cached_db, Strategy::Smart, &q, &warm).expect("cache warm-up");
     }
 
     for (i, q) in sequence.iter().enumerate() {
         match q {
             Query::Retrieve(r) => {
-                let mut got = execute_retrieve(&cached_db, strategy, r, &opts)
+                let mut got = execute_retrieve(cached_db, strategy, r, &opts)
                     .expect("cached run")
                     .values;
-                let mut expect = execute_retrieve(&baseline_db, Strategy::Dfs, r, &opts)
+                let mut expect = execute_retrieve(baseline_db, Strategy::Dfs, r, &opts)
                     .expect("baseline")
                     .values;
                 got.sort_unstable();
@@ -74,8 +82,8 @@ fn replay_and_compare(strategy: Strategy, pr_update: f64, smart_threshold: u64) 
                 );
             }
             Query::Update(u) => {
-                apply_update(&cached_db, u, true).expect("cached update");
-                apply_update(&baseline_db, u, false).expect("baseline update");
+                apply_update(cached_db, u, true).expect("cached update");
+                apply_update(baseline_db, u, false).expect("baseline update");
             }
         }
     }
@@ -113,33 +121,34 @@ fn smart_bfs_arm_is_never_stale() {
 
 #[test]
 fn inside_placed_cache_is_never_stale() {
-    use complexobj::{CacheConfig, CachePlacement, CorDatabase};
-    use cor_workload::make_pool;
+    use complexobj::{CacheConfig, CachePlacement};
+    use cor_workload::EngineSpec;
 
     let p = params(0.3);
-    let generated = cor_workload::generate(&p);
+    let generated = generate(&p);
     let sequence = generate_sequence(&p);
 
-    let inside_db = CorDatabase::build_standard(
-        make_pool(&p),
-        &generated.spec,
-        Some(CacheConfig {
+    let inside = Engine::builder()
+        .pool_pages(p.buffer_pages)
+        .shards(p.shards)
+        .cache(CacheConfig {
             capacity: p.size_cache,
             placement: CachePlacement::Inside,
             ..CacheConfig::default()
-        }),
-    )
-    .expect("inside db");
-    let baseline_db = build_for_strategy(&p, &generated, Strategy::Dfs).expect("baseline");
+        })
+        .build(&EngineSpec::Standard(generated.spec.clone()))
+        .expect("inside db");
+    let baseline = build(&p, &generated, Strategy::Dfs);
+    let (inside_db, baseline_db) = (inside.database().unwrap(), baseline.database().unwrap());
     let opts = ExecOptions::default();
 
     for (i, q) in sequence.iter().enumerate() {
         match q {
             Query::Retrieve(r) => {
-                let mut got = execute_retrieve(&inside_db, Strategy::DfsCache, r, &opts)
+                let mut got = execute_retrieve(inside_db, Strategy::DfsCache, r, &opts)
                     .unwrap()
                     .values;
-                let mut expect = execute_retrieve(&baseline_db, Strategy::Dfs, r, &opts)
+                let mut expect = execute_retrieve(baseline_db, Strategy::Dfs, r, &opts)
                     .unwrap()
                     .values;
                 got.sort_unstable();
@@ -147,8 +156,8 @@ fn inside_placed_cache_is_never_stale() {
                 assert_eq!(got, expect, "inside cache stale at query {i}");
             }
             Query::Update(u) => {
-                apply_update(&inside_db, u, true).unwrap();
-                apply_update(&baseline_db, u, false).unwrap();
+                apply_update(inside_db, u, true).unwrap();
+                apply_update(baseline_db, u, false).unwrap();
             }
         }
     }
@@ -166,17 +175,19 @@ fn clustered_updates_are_visible() {
     let p = params(0.4);
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
-    let clustered = build_for_strategy(&p, &generated, Strategy::DfsClust).expect("clustered db");
-    let baseline = build_for_strategy(&p, &generated, Strategy::Dfs).expect("baseline db");
+    let clustered_engine = build(&p, &generated, Strategy::DfsClust);
+    let baseline_engine = build(&p, &generated, Strategy::Dfs);
+    let clustered = clustered_engine.database().unwrap();
+    let baseline = baseline_engine.database().unwrap();
     let opts = ExecOptions::default();
 
     for q in &sequence {
         match q {
             Query::Retrieve(r) => {
-                let mut got = execute_retrieve(&clustered, Strategy::DfsClust, r, &opts)
+                let mut got = execute_retrieve(clustered, Strategy::DfsClust, r, &opts)
                     .unwrap()
                     .values;
-                let mut expect = execute_retrieve(&baseline, Strategy::Dfs, r, &opts)
+                let mut expect = execute_retrieve(baseline, Strategy::Dfs, r, &opts)
                     .unwrap()
                     .values;
                 got.sort_unstable();
@@ -184,8 +195,8 @@ fn clustered_updates_are_visible() {
                 assert_eq!(got, expect, "clustered update lost at {r:?}");
             }
             Query::Update(u) => {
-                apply_update(&clustered, u, false).unwrap();
-                apply_update(&baseline, u, false).unwrap();
+                apply_update(clustered, u, false).unwrap();
+                apply_update(baseline, u, false).unwrap();
             }
         }
     }
@@ -198,17 +209,18 @@ fn capacity_pressure_does_not_corrupt_answers() {
     p.size_cache = 3;
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
-    let cached_db = build_for_strategy(&p, &generated, Strategy::DfsCache).unwrap();
-    let baseline_db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+    let cached = build(&p, &generated, Strategy::DfsCache);
+    let baseline = build(&p, &generated, Strategy::Dfs);
+    let (cached_db, baseline_db) = (cached.database().unwrap(), baseline.database().unwrap());
     let opts = ExecOptions::default();
 
     for q in &sequence {
         match q {
             Query::Retrieve(r) => {
-                let mut got = execute_retrieve(&cached_db, Strategy::DfsCache, r, &opts)
+                let mut got = execute_retrieve(cached_db, Strategy::DfsCache, r, &opts)
                     .unwrap()
                     .values;
-                let mut expect = execute_retrieve(&baseline_db, Strategy::Dfs, r, &opts)
+                let mut expect = execute_retrieve(baseline_db, Strategy::Dfs, r, &opts)
                     .unwrap()
                     .values;
                 got.sort_unstable();
@@ -216,8 +228,8 @@ fn capacity_pressure_does_not_corrupt_answers() {
                 assert_eq!(got, expect);
             }
             Query::Update(u) => {
-                apply_update(&cached_db, u, true).unwrap();
-                apply_update(&baseline_db, u, false).unwrap();
+                apply_update(cached_db, u, true).unwrap();
+                apply_update(baseline_db, u, false).unwrap();
             }
         }
     }

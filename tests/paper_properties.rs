@@ -4,7 +4,7 @@
 
 use complexobj::strategies::execute_retrieve;
 use complexobj::{measure_sharing, ExecOptions, RetAttr, RetrieveQuery, Strategy};
-use cor_workload::{build_for_strategy, generate, Params};
+use cor_workload::{generate, Engine, Params};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy_<Value = Params> {
@@ -83,8 +83,8 @@ proptest! {
 
         let mut reference: Option<Vec<i64>> = None;
         for s in [Strategy::Dfs, Strategy::Bfs, Strategy::DfsCache, Strategy::DfsClust, Strategy::Smart] {
-            let db = build_for_strategy(&p, &g, s).expect("db builds");
-            let mut v = execute_retrieve(&db, s, &q, &opts).expect("runs").values;
+            let engine = Engine::builder().build_workload(&p, &g, s).expect("db builds");
+            let mut v = execute_retrieve(engine.database().unwrap(), s, &q, &opts).expect("runs").values;
             v.sort_unstable();
             match &reference {
                 None => reference = Some(v),
@@ -99,12 +99,13 @@ proptest! {
     fn io_accounting_is_consistent(p in arb_params(), lo in 0u64..150) {
         let q = RetrieveQuery { lo, hi: (lo + 20).min(p.parent_card - 1), attr: RetAttr::Ret1 };
         let g = generate(&p);
-        let db = build_for_strategy(&p, &g, Strategy::Bfs).expect("db");
+        let engine = Engine::builder().build_workload(&p, &g, Strategy::Bfs).expect("db");
+        let db = engine.database().unwrap();
         db.pool().flush_and_clear().expect("cold");
         let opts = ExecOptions::default();
-        let cold = execute_retrieve(&db, Strategy::Bfs, &q, &opts).expect("cold run");
+        let cold = execute_retrieve(db, Strategy::Bfs, &q, &opts).expect("cold run");
         prop_assert_eq!(cold.total_io(), cold.par_io.total() + cold.child_io.total());
-        let warm = execute_retrieve(&db, Strategy::Bfs, &q, &opts).expect("warm run");
+        let warm = execute_retrieve(db, Strategy::Bfs, &q, &opts).expect("warm run");
         prop_assert!(warm.total_io() <= cold.total_io(),
             "warm {} > cold {}", warm.total_io(), cold.total_io());
     }

@@ -16,7 +16,7 @@ use complexobj::{
 };
 use cor_pagestore::{BufferPool, ReplacementPolicy};
 use cor_relational::{Oid, OidMap};
-use cor_workload::{build_for_strategy, generate, generate_sequence, Engine, GeneratedDb, Params};
+use cor_workload::{generate, generate_sequence, Engine, GeneratedDb, Params};
 use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,18 +36,26 @@ fn tiny_params(use_factor: u32, overlap_factor: u32, num_child_rels: usize) -> P
     }
 }
 
+/// The engine a workload point builds for `strategy`.
+fn build(params: &Params, generated: &GeneratedDb, strategy: Strategy) -> Engine {
+    Engine::builder()
+        .build_workload(params, generated, strategy)
+        .expect("database builds")
+}
+
 fn sorted_values(
     params: &Params,
     generated: &GeneratedDb,
     strategy: Strategy,
     query: &RetrieveQuery,
 ) -> Vec<i64> {
-    let db = build_for_strategy(params, generated, strategy).expect("database builds");
+    let engine = build(params, generated, strategy);
     let opts = ExecOptions {
         smart_threshold: 8,
         ..ExecOptions::default()
     };
-    let out = execute_retrieve(&db, strategy, query, &opts).expect("query runs");
+    let out =
+        execute_retrieve(engine.database().unwrap(), strategy, query, &opts).expect("query runs");
     let mut values = out.values;
     values.sort_unstable();
     values
@@ -234,12 +242,12 @@ fn equivalence_under_forced_join_plans() {
         complexobj::JoinChoice::ForceMerge,
         complexobj::JoinChoice::ForceIterative,
     ] {
-        let db = build_for_strategy(&p, &generated, Strategy::Bfs).unwrap();
+        let engine = build(&p, &generated, Strategy::Bfs);
         let opts = ExecOptions {
             join,
             ..ExecOptions::default()
         };
-        let mut v = execute_retrieve(&db, Strategy::Bfs, &q, &opts)
+        let mut v = execute_retrieve(engine.database().unwrap(), Strategy::Bfs, &q, &opts)
             .unwrap()
             .values;
         v.sort_unstable();
@@ -255,17 +263,18 @@ fn repeated_queries_stay_equivalent_as_cache_warms() {
     // change.
     let p = tiny_params(5, 1, 1);
     let generated = generate(&p);
-    let db = build_for_strategy(&p, &generated, Strategy::DfsCache).unwrap();
+    let engine = build(&p, &generated, Strategy::DfsCache);
+    let db = engine.database().unwrap();
     let opts = ExecOptions::default();
     let q = RetrieveQuery {
         lo: 30,
         hi: 60,
         attr: RetAttr::Ret2,
     };
-    let mut first = execute_retrieve(&db, Strategy::DfsCache, &q, &opts)
+    let mut first = execute_retrieve(db, Strategy::DfsCache, &q, &opts)
         .unwrap()
         .values;
-    let mut second = execute_retrieve(&db, Strategy::DfsCache, &q, &opts)
+    let mut second = execute_retrieve(db, Strategy::DfsCache, &q, &opts)
         .unwrap()
         .values;
     first.sort_unstable();
@@ -298,16 +307,18 @@ fn dfsclust_under_sharing_keeps_its_answers_and_page_counts() {
         hi: lo + p.num_top - 1,
         attr,
     });
-    let dfs_db = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
+    let dfs = build(&p, &generated, Strategy::Dfs);
+    let dfs_db = dfs.database().unwrap();
     // (par reads, child reads): cold, then the same queries warm.
     let pinned: [(u64, u64); 6] = [(9, 73), (10, 64), (9, 68), (9, 71), (10, 64), (9, 68)];
-    let db = build_for_strategy(&p, &generated, Strategy::DfsClust).unwrap();
+    let clust = build(&p, &generated, Strategy::DfsClust);
+    let db = clust.database().unwrap();
     db.pool().flush_and_clear().unwrap();
     let opts = ExecOptions::default();
     let mut got = Vec::new();
     for q in queries.iter().chain(&queries) {
-        let out = execute_retrieve(&db, Strategy::DfsClust, q, &opts).unwrap();
-        let want = execute_retrieve(&dfs_db, Strategy::Dfs, q, &opts).unwrap();
+        let out = execute_retrieve(db, Strategy::DfsClust, q, &opts).unwrap();
+        let want = execute_retrieve(dfs_db, Strategy::Dfs, q, &opts).unwrap();
         assert_eq!(out.values, want.values, "{q:?}");
         assert_eq!(out.par_io.writes + out.child_io.writes, 0);
         got.push((out.par_io.reads, out.child_io.reads));

@@ -8,11 +8,9 @@
 //! representation, checking answer agreement throughout — the heavyweight
 //! version of the default-suite equivalence tests.
 
-use complexobj::strategies::execute_retrieve;
-use complexobj::{apply_update, ExecOptions, Query, Strategy};
+use complexobj::{Query, Strategy};
 use cor_workload::{
-    build_for_strategy, generate, generate_matrix, generate_sequence, run_matrix_point,
-    MatrixSystem, Params,
+    generate, generate_matrix, generate_sequence, run_matrix_point, Engine, MatrixSystem, Params,
 };
 
 /// Full paper-scale database, all five equivalent strategies, 100 mixed
@@ -35,18 +33,21 @@ fn full_scale_strategy_equivalence_under_updates() {
         Strategy::DfsClust,
         Strategy::Smart,
     ];
-    let dbs: Vec<_> = strategies
+    let engines: Vec<_> = strategies
         .iter()
-        .map(|&s| build_for_strategy(&p, &generated, s).expect("db builds"))
+        .map(|&s| {
+            Engine::builder()
+                .build_workload(&p, &generated, s)
+                .expect("db builds")
+        })
         .collect();
-    let opts = ExecOptions::default();
 
     for (i, q) in sequence.iter().enumerate() {
         match q {
             Query::Retrieve(r) => {
                 let mut reference: Option<Vec<i64>> = None;
-                for (s, db) in strategies.iter().zip(&dbs) {
-                    let mut v = execute_retrieve(db, *s, r, &opts).expect("runs").values;
+                for (s, engine) in strategies.iter().zip(&engines) {
+                    let mut v = engine.retrieve(*s, r).expect("runs").values;
                     v.sort_unstable();
                     match &reference {
                         None => reference = Some(v),
@@ -55,8 +56,8 @@ fn full_scale_strategy_equivalence_under_updates() {
                 }
             }
             Query::Update(u) => {
-                for db in &dbs {
-                    apply_update(db, u, db.has_cache()).expect("update applies");
+                for engine in &engines {
+                    engine.update(u).expect("update applies");
                 }
             }
         }
@@ -106,25 +107,21 @@ fn tiny_buffer_thrash_soak() {
     };
     let generated = generate(&p);
     let sequence = generate_sequence(&p);
-    let cached = build_for_strategy(&p, &generated, Strategy::DfsCache).unwrap();
-    let plain = build_for_strategy(&p, &generated, Strategy::Dfs).unwrap();
-    let opts = ExecOptions::default();
+    let build = |s| Engine::builder().build_workload(&p, &generated, s).unwrap();
+    let cached = build(Strategy::DfsCache);
+    let plain = build(Strategy::Dfs);
     for q in &sequence {
         match q {
             Query::Retrieve(r) => {
-                let mut a = execute_retrieve(&cached, Strategy::DfsCache, r, &opts)
-                    .unwrap()
-                    .values;
-                let mut b = execute_retrieve(&plain, Strategy::Dfs, r, &opts)
-                    .unwrap()
-                    .values;
+                let mut a = cached.retrieve(Strategy::DfsCache, r).unwrap().values;
+                let mut b = plain.retrieve(Strategy::Dfs, r).unwrap().values;
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b);
             }
             Query::Update(u) => {
-                apply_update(&cached, u, true).unwrap();
-                apply_update(&plain, u, false).unwrap();
+                cached.update(u).unwrap();
+                plain.update(u).unwrap();
             }
         }
     }

@@ -15,7 +15,7 @@ use complexobj::{
     UpdateQuery,
 };
 use cor_pagestore::{BufferPool, MemDisk};
-use cor_wal::{MemLogStore, Wal, WalConfig};
+use cor_wal::MemLogStore;
 use cor_workload::{
     generate, generate_hierarchy_specs, Engine, EngineSpec, HierarchyParams, Params,
 };
@@ -107,16 +107,19 @@ fn temporaries_never_reach_the_log() {
             .cache(CacheConfig::default())
     };
     let plain = builder().build(&spec).unwrap();
-    let store = Arc::new(MemLogStore::new());
-    let wal = Arc::new(Wal::new(store, WalConfig::default()));
     let durable = builder()
-        .disk(Arc::new(MemDisk::new()))
-        .wal(wal.clone())
-        .build(&spec)
+        .create_on(
+            Arc::new(MemDisk::new()),
+            Arc::new(MemLogStore::new()),
+            &spec,
+        )
         .unwrap();
+    let wal = durable.wal().unwrap();
     // The build is not logged: its pages were written back before the
     // pool took the log, so the retrieves below have none of it to evict.
-    assert_eq!(wal.stats().appends, 0, "the build was logged");
+    // The log holds only the catalog save: page 0's new head and its one
+    // chain page's zero image and contents.
+    assert_eq!(wal.stats().appends, 3, "the build was logged");
 
     let query = RetrieveQuery {
         lo: 30,
